@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: verify fmt vet build test bench figures lint race detlint detlint-report determinism-smoke bench-json bench-smoke bench-compare bench-baseline chaos-smoke rebalance-smoke lincheck-smoke lincheck-sweep scale-smoke trace-smoke
+.PHONY: verify fmt vet build test bench bench-layers figures lint race detlint detlint-report determinism-smoke bench-json bench-smoke bench-compare bench-baseline chaos-smoke rebalance-smoke lincheck-smoke lincheck-sweep scale-smoke trace-smoke
 
 verify: fmt vet build test
 
@@ -148,6 +148,12 @@ test:
 
 bench:
 	$(GO) test -bench=. -benchmem
+
+# bench-layers runs the per-layer Go microbenchmarks (ROADMAP 1c): the bare
+# simulator (handoff, send, timer), the change-log (snapshot, compaction) and
+# the kv store.
+bench-layers:
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/env ./internal/core ./internal/kv
 
 figures:
 	$(GO) run ./cmd/fsbench -fig all -scale quick

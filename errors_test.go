@@ -18,8 +18,8 @@ func TestPathErrorWrapping(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs.RunSession(0, func(s *Session) {
-		// Not Fatalf: this body runs on a simulator worker goroutine, where
-		// FailNow's Goexit would strand the scheduler token and hang Run.
+		// Not Fatalf: this body runs on a simulator worker coroutine, not
+		// on the test's goroutine, which is where FailNow must be called.
 		if err := s.Mkdir("/d", 0); err != nil {
 			t.Errorf("setup mkdir: %v", err)
 			return

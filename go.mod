@@ -1,6 +1,6 @@
 module switchfs
 
-go 1.22.0
+go 1.23.0
 
 // golang.org/x/tools is vendored (vendor/) from the Go distribution's
 // cmd/vendor copy: the build must work offline, so the go/analysis subset

@@ -30,6 +30,11 @@ type LogEntry struct {
 // held by the server that executed the local halves of the operations.
 // ChangeLog is not self-synchronized: the owning server guards it with the
 // per-directory change-log lock required by the protocol (§5.2.1 step 2).
+//
+// Entries are immutable once appended: Snapshot hands out views of the
+// backing array instead of copies, so no method may write to an index a view
+// can see. Append only writes past every view's length, and AckThrough either
+// reslices (dropped prefix) or moves the survivors to a fresh array.
 type ChangeLog struct {
 	entries []LogEntry
 	// bytes approximates the wire size of pending entries, for the
@@ -54,11 +59,12 @@ func (l *ChangeLog) Bytes() int { return l.bytes }
 
 // Snapshot returns the pending entries without draining them; used when
 // sending entries to the owner while they must remain re-sendable until the
-// owner's acknowledgment arrives (§5.2.2 steps 6–9).
+// owner's acknowledgment arrives (§5.2.2 steps 6–9). The result is an O(1)
+// read-only view that stays what it was when taken; its capacity is clipped,
+// so an append onto it copies instead of writing into the log.
 func (l *ChangeLog) Snapshot() []LogEntry {
-	out := make([]LogEntry, len(l.entries))
-	copy(out, l.entries)
-	return out
+	n := len(l.entries)
+	return l.entries[:n:n]
 }
 
 // AckThrough drops every entry with ID ≤ id — called when the directory owner
@@ -66,17 +72,30 @@ func (l *ChangeLog) Snapshot() []LogEntry {
 // local WAL. The whole queue is filtered (not just a prefix): concurrent
 // appenders of different names may interleave ID assignment and queue order.
 func (l *ChangeLog) AckThrough(id uint64) {
-	kept := l.entries[:0]
-	for _, e := range l.entries {
-		if e.ID <= id {
-			l.bytes -= entryWireBytes(e)
+	k, dropped := 0, 0
+	for i, e := range l.entries {
+		if e.ID > id {
 			continue
 		}
-		kept = append(kept, e)
+		l.bytes -= entryWireBytes(e)
+		dropped++
+		if i == k {
+			k++ // still inside the acknowledged prefix
+		}
 	}
-	l.entries = kept
-	if len(l.entries) == 0 {
+	switch {
+	case dropped == len(l.entries):
 		l.entries = nil
+	case dropped == k:
+		l.entries = l.entries[k:]
+	default:
+		kept := make([]LogEntry, 0, len(l.entries)-dropped)
+		for _, e := range l.entries[k:] {
+			if e.ID > id {
+				kept = append(kept, e)
+			}
+		}
+		l.entries = kept
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -323,6 +324,83 @@ func TestChangeLogAppendAckThrough(t *testing.T) {
 	l.AckThrough(100)
 	if l.Len() != 0 || l.Bytes() != 0 {
 		t.Fatalf("after full ack len=%d bytes=%d", l.Len(), l.Bytes())
+	}
+}
+
+// TestChangeLogViewsAreStable interleaves Append / Snapshot / AckThrough
+// against a copying reference model: Snapshot hands out views of the log's
+// backing array, so every view ever taken must stay element-for-element what
+// it was when taken, whatever the log does afterwards.
+func TestChangeLogViewsAreStable(t *testing.T) {
+	type held struct{ view, want []LogEntry }
+	for seed := int64(1); seed <= 20; seed++ {
+		rnd := rand.New(rand.NewSource(seed))
+		var l ChangeLog
+		var model []LogEntry // the copying reference
+		var views []held
+		nextID := uint64(0)
+		for step := 0; step < 2000; step++ {
+			switch r := rnd.Intn(10); {
+			case r < 5:
+				// Appenders interleave id assignment and queue order: ids
+				// are unique (even in order, odd late) but only roughly
+				// increasing.
+				nextID += 2
+				id := nextID
+				if nextID > 2 && rnd.Intn(4) == 0 {
+					id -= 3 // queued behind the larger id appended before it
+				}
+				e := LogEntry{ID: id, Time: int64(step), Op: OpCreate,
+					Name: fmt.Sprintf("f%d-%d", seed, step), Type: TypeRegular}
+				l.Append(e)
+				model = append(model, e)
+			case r < 8:
+				v := l.Snapshot()
+				views = append(views, held{v, append([]LogEntry(nil), v...)})
+				if cap(v) != len(v) {
+					t.Fatalf("seed %d step %d: view cap %d > len %d: an append onto it would write into the log",
+						seed, step, cap(v), len(v))
+				}
+			default:
+				var id uint64
+				switch {
+				case len(model) == 0:
+					id = nextID
+				case rnd.Intn(2) == 0:
+					id = model[rnd.Intn(len(model))].ID // prefix, or a hole behind one
+				default:
+					id = uint64(rnd.Int63n(int64(nextID) + 2))
+				}
+				l.AckThrough(id)
+				kept := make([]LogEntry, 0, len(model))
+				for _, e := range model {
+					if e.ID > id {
+						kept = append(kept, e)
+					}
+				}
+				model = kept
+			}
+			wantBytes := 0
+			for _, e := range model {
+				wantBytes += entryWireBytes(e)
+			}
+			if l.Len() != len(model) || l.Bytes() != wantBytes {
+				t.Fatalf("seed %d step %d: len=%d bytes=%d, model len=%d bytes=%d",
+					seed, step, l.Len(), l.Bytes(), len(model), wantBytes)
+			}
+			if got := l.Snapshot(); !slices.Equal(got, model) {
+				t.Fatalf("seed %d step %d: log %v, model %v", seed, step, got, model)
+			}
+			for i, h := range views {
+				if !slices.Equal(h.view, h.want) {
+					t.Fatalf("seed %d step %d: view %d changed under its holder:\n got %v\nwant %v",
+						seed, step, i, h.view, h.want)
+				}
+			}
+			if len(views) > 64 {
+				views = views[32:]
+			}
+		}
 	}
 }
 

@@ -1,0 +1,67 @@
+package env
+
+import "testing"
+
+// Layer microbenchmarks of the bare simulator (no cluster): `make
+// bench-layers`. ns/op is per sleep, per message, per timer.
+
+// BenchmarkSimHandoff: 256 processes sleeping in lockstep, so every wakeup
+// belongs to another process — one handoff per op.
+func BenchmarkSimHandoff(b *testing.B) {
+	const procs = 256
+	s := NewSim(1)
+	defer s.Shutdown()
+	s.AddNode(1, NodeConfig{})
+	sleeps := b.N/procs + 1
+	for i := 0; i < procs; i++ {
+		s.Spawn(1, func(p *Proc) {
+			for j := 0; j < sleeps; j++ {
+				p.Sleep(Microsecond)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Run()
+}
+
+// BenchmarkSimSend: one sender, one handler that returns at once — the cost
+// of a delivery event plus dispatching a pooled worker for it.
+func BenchmarkSimSend(b *testing.B) {
+	s := NewSim(1)
+	defer s.Shutdown()
+	s.AddNode(1, NodeConfig{})
+	got := 0
+	s.AddNode(2, NodeConfig{Handler: func(p *Proc, from NodeID, msg any) { got++ }})
+	msg := &struct{}{}
+	s.Spawn(1, func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Send(2, msg)
+			if i%64 == 63 {
+				p.Sleep(Microsecond) // let deliveries drain; bounds the queue
+			}
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Run()
+	if got != b.N {
+		b.Fatalf("delivered %d of %d", got, b.N)
+	}
+}
+
+// BenchmarkSimTimer: schedule and fire After callbacks spread over 1 ms.
+func BenchmarkSimTimer(b *testing.B) {
+	s := NewSim(1)
+	defer s.Shutdown()
+	fired := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.After(Duration(i%1000)*Microsecond, func() { fired++ })
+	}
+	s.Run()
+	if fired != b.N {
+		b.Fatalf("fired %d of %d", fired, b.N)
+	}
+}

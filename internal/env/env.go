@@ -11,8 +11,8 @@
 //     per-op service time) are what the paper measures — and because virtual
 //     time can express "16 servers × 4 cores" on any host.
 //
-//   - Real: goroutines, channels and the wall clock. Examples and the UDP
-//     daemons run on Real.
+//   - Real: goroutines, channels and the wall clock. fsctl's ad-hoc
+//     commands run on Real.
 //
 // Protocol code is written against Proc (a lightweight process) and the
 // blocking primitives Future, Mutex, Cond and Semaphore, which behave
@@ -132,17 +132,18 @@ func (n *Node) SetCores(k int) {
 // are cooperatively scheduled under Sim (exactly one runs at a time) and are
 // plain goroutines under Real.
 type Proc struct {
-	env    Env
-	node   *Node
+	env  Env
+	node *Node
+	// resume is Real's park/unpark channel; co is the pooled worker coroutine
+	// a Sim process runs on. Each is nil under the other runtime.
 	resume chan struct{}
+	co     *simProcState
 	// timedOut communicates Future/acquire timeout state between the timer
 	// callback and the resumed process.
 	timedOut bool
 	// twGen numbers this process's Future waits under Sim; a queued expiry
 	// event whose generation no longer matches is a cancelled timeout.
 	twGen uint64
-	// killed is set by Sim.Shutdown to unwind the process.
-	killed bool
 	// state tracks the Sim scheduler lifecycle (idle/dispatched/running/
 	// parked); the scheduler asserts its invariants on every transition.
 	state int

@@ -301,7 +301,7 @@ func (p *Proc) Sleep(d Duration) {
 	}
 	if s, ok := p.env.(*Sim); ok {
 		// Schedule the wakeup directly: no Timer, no closure, and — when
-		// no other event intervenes — no goroutine switch either.
+		// no other event intervenes — no coroutine switch either.
 		s.schedWake(p, d, stateParked)
 		p.park()
 		return

@@ -8,8 +8,8 @@ import (
 
 // Real is the wall-clock environment: processes are goroutines, timers are
 // time.AfterFunc, and messages are delivered through goroutines with optional
-// injected latency. Examples and the UDP daemons run on Real; the figure
-// benchmarks run on Sim.
+// injected latency. fsctl's ad-hoc commands run on Real; everything measured
+// runs on Sim.
 type Real struct {
 	start time.Time
 	mu    sync.Mutex

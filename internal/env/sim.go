@@ -2,6 +2,7 @@ package env
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 )
 
@@ -13,11 +14,12 @@ import (
 //
 // The engine is built for throughput: events are plain values in a calendar
 // queue (no allocation per message delivery, wakeup, sleep or RPC timeout),
-// and the scheduler is a token passed between goroutines — whichever
-// goroutine holds the token drains the event queue, handing the token
-// directly to the next runnable process. A process whose own wakeup is the
-// next event (an uncontended Compute or Sleep) resumes without any goroutine
-// switch at all.
+// and processes are coroutines (iter.Pull) resumed by a driver loop, so a
+// handoff is two coroutine switches that never enter the Go scheduler.
+// Whichever coroutine is running drains the event queue; when it pops another
+// process's wakeup it names that process the successor and yields to the
+// driver, which resumes it. A process whose own wakeup is the next event (an
+// uncontended Compute or Sleep) continues without any switch at all.
 type Sim struct {
 	cur   Time
 	seq   uint64
@@ -26,16 +28,16 @@ type Sim struct {
 	net   NetConfig
 	rnd   *rand.Rand
 
-	// drivers is the stack of active Run invocations' wake channels. Run may
-	// be entered re-entrantly (a session body driving a nested session), so
-	// a holder observing drain/stop hands the token to the innermost driver.
-	drivers []chan struct{}
-	// yield returns control to Shutdown from unwinding killed workers.
-	yield   chan struct{}
+	// next is the successor named by the last wakeup event: the running
+	// coroutine yields and the driver loop it returns to resumes next.
+	next    *Proc
 	stopped bool
 
-	free []*simProcState // pooled worker goroutines
-	all  []*simProcState // every live worker, for Shutdown
+	free []*simProcState // pooled idle workers
+	all  []*simProcState // every worker ever created, for Shutdown
+
+	// probe, when set, observes every popped event (scheduler tests).
+	probe func(at Time, seq uint64, kind uint8)
 
 	// Stats observable by harnesses.
 	Delivered uint64
@@ -50,10 +52,16 @@ type simProcState struct {
 	fn func(*Proc)
 	// Message deliveries dispatch through the node's handler with the
 	// from/msg pair stored here, avoiding a closure per packet.
-	hnode  *Node
-	hfrom  NodeID
-	hmsg   any
-	exited bool
+	hnode *Node
+	hfrom NodeID
+	hmsg  any
+
+	// The worker's coroutine. resume switches into it and returns when it
+	// yields; yield suspends it back to whichever driver loop resumed it and
+	// returns false once stop has been called; stop unwinds it.
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
+	stop   func()
 }
 
 // NewSim creates a simulator seeded for deterministic execution.
@@ -61,7 +69,6 @@ func NewSim(seed int64) *Sim {
 	s := &Sim{
 		nodes: make(map[NodeID]*Node),
 		rnd:   rand.New(rand.NewSource(seed)),
-		yield: make(chan struct{}),
 		net:   DefaultNetConfig(),
 	}
 	return s
@@ -122,7 +129,7 @@ func (s *Sim) SpawnAfter(node NodeID, d Duration, fn func(*Proc)) {
 	s.push(d, event{kind: evSpawn, to: node, msg: fn})
 }
 
-// WorkerCount reports how many pooled worker goroutines have been created so
+// WorkerCount reports how many pooled worker coroutines have been created so
 // far: the peak concurrent-body count of the run, and the figure harnesses'
 // witness that parked sessions are not holding stacks.
 func (s *Sim) WorkerCount() int { return len(s.all) }
@@ -207,7 +214,7 @@ func (s *Sim) dispatchDeliver(ev *event) {
 	s.schedWake(st.p, 0, stateDispatched)
 }
 
-// newProc dispatches fn on a pooled worker goroutine, scheduled immediately.
+// newProc dispatches fn on a pooled worker, scheduled immediately.
 func (s *Sim) newProc(node *Node, fn func(*Proc)) {
 	st := s.takeWorker()
 	st.p.node = node
@@ -224,9 +231,13 @@ func (s *Sim) takeWorker() *simProcState {
 		s.free = s.free[:k-1]
 		return st
 	}
-	st := &simProcState{p: &Proc{env: s, resume: make(chan struct{}, 1)}}
+	st := &simProcState{}
+	st.p = &Proc{env: s, co: st}
+	st.resume, st.stop = iter.Pull(func(yield func(struct{}) bool) {
+		st.yield = yield
+		s.workerLoop(st)
+	})
 	s.all = append(s.all, st)
-	go s.workerLoop(st)
 	return st
 }
 
@@ -238,29 +249,21 @@ const (
 	stateParked
 )
 
-// workerLoop is the body of a pooled worker goroutine.
+// workerLoop is the body of a pooled worker coroutine; it starts on the
+// worker's first dispatch.
 func (s *Sim) workerLoop(st *simProcState) {
 	defer func() {
 		// A killed worker unwinds with killSentinel; anything else is a real
-		// bug and must crash the test/benchmark loudly.
+		// bug and surfaces, through the driver loop that resumed it, out of Run.
 		if r := recover(); r != nil {
-			if _, ok := r.(killSentinel); ok {
-				st.exited = true
-				s.yield <- struct{}{}
-				return
+			if _, ok := r.(killSentinel); !ok {
+				panic(r)
 			}
-			panic(r)
 		}
 	}()
-	<-st.p.resume
-	// The worker now holds the scheduler token; it keeps it between
-	// dispatches, driving the event loop itself after each body returns.
 	for {
-		if st.p.killed {
-			panic(killSentinel{})
-		}
 		if st.p.state != stateRunning {
-			panic(fmt.Sprintf("env: worker woke with stale token (state %d)", st.p.state))
+			panic(fmt.Sprintf("env: worker resumed in state %d", st.p.state))
 		}
 		switch {
 		case st.hnode != nil:
@@ -274,79 +277,81 @@ func (s *Sim) workerLoop(st *simProcState) {
 			st.fn = nil
 			fn(st.p)
 		default:
-			panic("env: worker dispatched with no function (stale token)")
+			panic("env: worker dispatched with no function")
 		}
 		st.p.state = stateIdle
 		s.free = append(s.free, st)
-		// Still holding the token: keep the simulation moving until this
-		// worker is dispatched again.
+		// Keep the simulation moving until this worker is dispatched again.
 		s.loop(st.p)
 	}
 }
 
 type killSentinel struct{}
 
-// runLoop is the driver side of the scheduler: it drains the event queue
-// until the simulation stops or runs dry. Each Run invocation (they nest
-// when a session body drives a nested session) registers a wake channel;
-// whichever token holder observes drain/stop hands the token to the
-// innermost driver.
+// pop takes the next event off the queue and advances the clock to it.
+func (s *Sim) pop() event {
+	ev := s.pq.pop()
+	if ev.at > s.cur {
+		s.cur = ev.at
+	}
+	if s.probe != nil {
+		s.probe(ev.at, ev.seq, ev.kind)
+	}
+	return ev
+}
+
+// runLoop is the driver side of the scheduler: it drains the event queue and
+// resumes each named successor until the simulation stops or runs dry. Run
+// invocations nest when a process body drives a nested session: the inner
+// loop then runs on that process's coroutine and resumes others from there.
 func (s *Sim) runLoop() {
-	ch := make(chan struct{})
-	s.drivers = append(s.drivers, ch)
-	defer func() { s.drivers = s.drivers[:len(s.drivers)-1] }()
 	for {
-		if s.stopped || s.pq.Len() == 0 {
+		if p := s.next; p != nil {
+			s.next = nil
+			p.co.resume() // returns when the running coroutine yields
+		} else if s.stopped || s.pq.Len() == 0 {
 			return
-		}
-		ev := s.pq.pop()
-		if ev.at > s.cur {
-			s.cur = ev.at
-		}
-		if s.exec(&ev) {
-			// Token handed to a process; it comes back on drain/stop.
-			<-ch
+		} else {
+			ev := s.pop()
+			s.exec(&ev)
 		}
 	}
 }
 
 // loop is the process side: it drains events while `me` (parking, or a
-// pooled worker awaiting redispatch) holds the token, and returns as soon
-// as me is made runnable again — inline, with no goroutine switch, when
-// me's own wakeup is popped by this holder; otherwise after handing the
-// token away and sleeping until it returns.
+// pooled worker awaiting redispatch) is the running coroutine, and returns
+// once me is made runnable again — inline, with no switch, when me's own
+// wakeup is popped here; otherwise after yielding to the driver (a successor
+// was named, or the simulation stopped or ran dry) and being resumed.
 func (s *Sim) loop(me *Proc) {
-	for {
-		if s.stopped || s.pq.Len() == 0 {
-			// Hand the token to the innermost driver and wait to be woken
-			// like any parked process.
-			s.drivers[len(s.drivers)-1] <- struct{}{}
-			s.await(me)
-			return
-		}
-		ev := s.pq.pop()
-		if ev.at > s.cur {
-			s.cur = ev.at
-		}
+	for s.next == nil && !s.stopped && s.pq.Len() > 0 {
+		ev := s.pop()
 		if ev.kind == evWake && ev.p == me {
-			s.lastBusy = s.cur
-			if me.state != int(ev.aux) {
-				panic(fmt.Sprintf("env: scheduling a proc in state %d, want %d", me.state, ev.aux))
-			}
-			me.state = stateRunning
-			return // token stays here; the park/dispatch completes inline
+			s.wake(me, ev.aux)
+			return // the park/dispatch completes inline
 		}
-		if s.exec(&ev) {
-			s.await(me)
-			return
-		}
+		s.exec(&ev)
+	}
+	if !me.co.yield(struct{}{}) {
+		panic(killSentinel{}) // Shutdown: unwind the process body
+	}
+	if me.state != stateRunning {
+		panic(fmt.Sprintf("env: park resumed in state %d", me.state))
 	}
 }
 
-// exec performs one event. It returns true when the event transferred the
-// scheduler token to another goroutine (the caller must wait), false when
-// it completed inline.
-func (s *Sim) exec(ev *event) bool {
+// wake marks p, which must be in state want, running.
+func (s *Sim) wake(p *Proc, want uint64) {
+	s.lastBusy = s.cur
+	if p.state != int(want) {
+		panic(fmt.Sprintf("env: scheduling a proc in state %d, want %d", p.state, want))
+	}
+	p.state = stateRunning
+}
+
+// exec performs one event. A wakeup names its process the successor
+// (s.next); everything else completes inline.
+func (s *Sim) exec(ev *event) {
 	switch ev.kind {
 	case evTimer:
 		ev.msg.(*Timer).fire()
@@ -359,31 +364,8 @@ func (s *Sim) exec(ev *event) bool {
 			s.newProc(n, ev.msg.(func(*Proc)))
 		}
 	case evWake:
-		p := ev.p
-		s.lastBusy = s.cur
-		if p.state != int(ev.aux) {
-			panic(fmt.Sprintf("env: scheduling a proc in state %d, want %d", p.state, ev.aux))
-		}
-		p.state = stateRunning
-		select {
-		case p.resume <- struct{}{}:
-		default:
-			panic("env: double unpark — a process was made runnable twice for one park")
-		}
-		return true
-	}
-	return false
-}
-
-// await blocks until the token is handed to p (its wakeup was dispatched by
-// another holder), then validates the transfer.
-func (s *Sim) await(p *Proc) {
-	<-p.resume
-	if p.killed {
-		panic(killSentinel{})
-	}
-	if p.state != stateRunning {
-		panic(fmt.Sprintf("env: park woke with stale token (state %d)", p.state))
+		s.wake(ev.p, ev.aux)
+		s.next = ev.p
 	}
 }
 
@@ -407,8 +389,7 @@ func (s *Sim) fireTimeout(ev *event) {
 
 // park is called from a running process to hand control back to the
 // scheduler until unparked. Under Sim the parking process itself drives the
-// event loop, so an immediately-runnable successor (or its own wakeup)
-// proceeds without a goroutine round trip.
+// event loop, so its own wakeup, when next, proceeds without a switch.
 func (p *Proc) park() {
 	if s, ok := p.env.(*Sim); ok {
 		p.state = stateParked
@@ -445,18 +426,16 @@ func (s *Sim) Stop() { s.stopped = true }
 // the drain point of background work, ignoring trailing cancelled timers.
 func (s *Sim) LastBusy() Time { return s.lastBusy }
 
-// Shutdown kills every live process so the worker goroutines exit. The
+// Shutdown kills every live process so the worker coroutines exit: stop makes
+// a parked worker's yield return false, which unwinds its body (deferred
+// calls run), and ends a worker that never started before it does. The
 // simulation must not be Run again afterwards. Benchmarks call Shutdown after
 // every configuration so parked processes do not accumulate across runs.
 func (s *Sim) Shutdown() {
 	s.stopped = true
-	for _, st := range s.all {
-		if st.exited {
-			continue
-		}
-		st.p.killed = true
-		st.p.resume <- struct{}{}
-		<-s.yield
+	// By index: an unwinding body's deferred calls may dispatch new workers.
+	for i := 0; i < len(s.all); i++ {
+		s.all[i].stop()
 	}
 	s.free = nil
 }

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"fmt"
-
 	"switchfs/internal/core"
 	"switchfs/internal/env"
 	"switchfs/internal/wire"
@@ -158,9 +156,6 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 	// directories it owns).
 	var localLogs []wire.DirLog
 	for _, dl := range locals {
-		if debugApply {
-			fmt.Printf("AGG srv=%d id=%d acquiring local clog-Lock dir=%s\n", s.cfg.ID, id, dl.ref.ID.String()[:8])
-		}
 		dl.lock.Lock(p)
 		dl.qmu.Lock()
 		if dl.log.Len() > 0 {
@@ -408,9 +403,6 @@ func (s *Server) handleAggFetch(p *env.Proc, f *wire.AggFetch) {
 	s.mu.Unlock()
 
 	for _, dl := range dls {
-		if debugApply {
-			fmt.Printf("FETCH srv=%d agg=%d acquiring clog-Lock dir=%s\n", s.cfg.ID, f.AggID, dl.ref.ID.String()[:8])
-		}
 		dl.lock.Lock(p) // exclusive: blocks appenders while entries travel
 		dl.qmu.Lock()
 		if dl.log.Len() > 0 {
@@ -463,9 +455,6 @@ func (s *Server) finishPeerAgg(st *peerAggState, a *wire.AggAck) {
 		dl.heldBy = 0
 		dl.qmu.Unlock()
 		dl.lock.Unlock()
-		if debugApply {
-			fmt.Printf("FETCH srv=%d agg=%d released dir=%s\n", s.cfg.ID, a.AggID, dl.ref.ID.String()[:8])
-		}
 	}
 }
 
@@ -540,12 +529,6 @@ func (s *Server) applyEntries(p *env.Proc, src env.NodeID, log wire.DirLog) uint
 		return maxID
 	}
 	s.Stats.AggEntries += uint64(len(fresh))
-	if debugApply {
-		for _, e := range fresh {
-			fmt.Printf("APPLY srv=%d src=%d dir=%s op=%v name=%s id=%d\n",
-				s.cfg.ID, src, log.Dir.ID.String()[:8], e.Op, e.Name, e.ID)
-		}
-	}
 
 	// Persist before applying: the owner's WAL now holds the entries, so
 	// the source may mark them applied (§A.1 "no change-log entry is lost").
@@ -938,6 +921,3 @@ func (s *Server) doRmdir(p *env.Proc, req *wire.MutateReq) {
 	s.fpExit(key.Fingerprint())
 	s.resetIdleTimer(parentLog)
 }
-
-// debugApply traces every applied change-log entry (development only).
-var debugApply = false

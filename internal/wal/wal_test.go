@@ -1,10 +1,6 @@
 package wal
 
-import (
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 func testLog(t *testing.T, l Log) {
 	t.Helper()
@@ -46,109 +42,9 @@ func testLog(t *testing.T, l Log) {
 
 func TestMemLog(t *testing.T) { testLog(t, NewMem()) }
 
-func TestFileLog(t *testing.T) {
-	p := filepath.Join(t.TempDir(), "wal")
-	l, err := OpenFile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	testLog(t, l)
-}
-
-func TestFileLogReopenContinuesLSNs(t *testing.T) {
-	p := filepath.Join(t.TempDir(), "wal")
-	l, err := OpenFile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Append(1, []byte("a"))
-	l.Append(1, []byte("b"))
-	l.MarkApplied(1)
-	l.Close()
-
-	l2, err := OpenFile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if l2.Len() != 2 {
-		t.Fatalf("reopened Len=%d", l2.Len())
-	}
-	lsn, _ := l2.Append(1, []byte("c"))
-	if lsn != 3 {
-		t.Fatalf("lsn after reopen = %d, want 3", lsn)
-	}
-	var applied []bool
-	l2.Replay(func(r Record) error {
-		applied = append(applied, r.Applied)
-		return nil
-	})
-	if len(applied) != 3 || !applied[0] || applied[1] || applied[2] {
-		t.Fatalf("applied flags %v", applied)
-	}
-}
-
-func TestFileLogTornTailIgnored(t *testing.T) {
-	p := filepath.Join(t.TempDir(), "wal")
-	l, err := OpenFile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Append(1, []byte("good"))
-	l.Close()
-	// Simulate a torn final write: append garbage that is not a full frame.
-	f, _ := os.OpenFile(p, os.O_APPEND|os.O_WRONLY, 0)
-	f.Write([]byte{0, 0, 0, 9, 1, 2})
-	f.Close()
-
-	l2, err := OpenFile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	n := 0
-	l2.Replay(func(r Record) error { n++; return nil })
-	if n != 1 || l2.Len() != 1 {
-		t.Fatalf("replayed %d records (Len=%d), want 1", n, l2.Len())
-	}
-}
-
-func TestFileLogCorruptTailIgnored(t *testing.T) {
-	p := filepath.Join(t.TempDir(), "wal")
-	l, _ := OpenFile(p)
-	l.Append(1, []byte("good"))
-	l.Append(1, []byte("will-corrupt"))
-	l.Close()
-	// Flip a byte in the last frame's payload.
-	data, _ := os.ReadFile(p)
-	data[len(data)-6] ^= 0xFF
-	os.WriteFile(p, data, 0o644)
-
-	l2, err := OpenFile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	n := 0
-	l2.Replay(func(r Record) error { n++; return nil })
-	if n != 1 {
-		t.Fatalf("replayed %d records, want 1 (corrupt tail dropped)", n)
-	}
-}
-
 func TestMarkAppliedOutOfRange(t *testing.T) {
 	m := NewMem()
 	if err := m.MarkApplied(5); err == nil {
 		t.Fatal("expected error for out-of-range LSN")
-	}
-}
-
-func TestReservedKindRejected(t *testing.T) {
-	p := filepath.Join(t.TempDir(), "wal")
-	l, _ := OpenFile(p)
-	defer l.Close()
-	if _, err := l.Append(0xFF, nil); err == nil {
-		t.Fatal("reserved kind accepted")
 	}
 }

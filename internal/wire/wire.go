@@ -2,8 +2,8 @@
 // dirty-set operation header parsed by the programmable switch, followed by a
 // DFS request or response processed by servers. Packets travel as Go values
 // over the env network (the switch model parses the header fields exactly as
-// the P4 parser would); the UDP daemons serialize them with the codec in
-// marshal.go.
+// the P4 parser would), so a slice in a packet is shared with its sender:
+// receivers treat message contents as read-only.
 package wire
 
 import (
@@ -228,8 +228,9 @@ type AggFetch struct {
 	Dir   core.DirID
 }
 
-// DirLog is one directory's pending entries in an aggregation reply or a
-// proactive push.
+// DirLog is one directory's pending entries in an aggregation reply, a
+// proactive push or a commit notice. Entries is usually a view of the
+// sender's change-log (core.ChangeLog.Snapshot): read-only.
 type DirLog struct {
 	Dir     core.DirRef
 	Entries []core.LogEntry
