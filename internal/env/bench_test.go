@@ -1,9 +1,37 @@
 package env
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // Layer microbenchmarks of the bare simulator (no cluster): `make
-// bench-layers`. ns/op is per sleep, per message, per timer.
+// bench-layers`. ns/op is per pop+push, per sleep, per message, per timer.
+
+// BenchmarkEventQueue: the queue alone in steady state — 1 000 events live,
+// each op pops the earliest and pushes one drawn from the simulator's delay
+// mix. retained-B is the slab the queue holds at the end (slots × 64 B): it
+// follows the 1 000 live events, not the b.N that passed through.
+func BenchmarkEventQueue(b *testing.B) {
+	delays := simDelays(rand.New(rand.NewSource(1)), 1<<12)
+	var q eventQueue
+	var cur Time
+	var seq uint64
+	push := func() {
+		seq++
+		q.push(event{at: cur + delays[seq%uint64(len(delays))], seq: seq})
+	}
+	for q.Len() < 1000 {
+		push()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cur = q.pop().at
+		push()
+	}
+	b.ReportMetric(float64(len(q.chunks)*chunkSize*64), "retained-B")
+}
 
 // BenchmarkSimHandoff: 256 processes sleeping in lockstep, so every wakeup
 // belongs to another process — one handoff per op.

@@ -1,24 +1,37 @@
 package env
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // The simulator's event queue is a two-level calendar ("ladder") queue
-// indexed by time bucket, replacing a single global binary heap. Events in
-// the current bucket live in a small typed min-heap; events within the near
-// window are appended O(1) to their time bucket; events beyond the window
-// overflow into a typed far heap and migrate into the ring as virtual time
-// advances. An occupancy bitmap finds the next populated bucket with a
-// handful of word scans instead of walking empty slots.
+// indexed by time bucket. Events in the current bucket live in a small typed
+// min-heap (now); events beyond the near window live in a typed far heap and
+// migrate inwards as virtual time advances; events within the window — nearly
+// all of them — are written once into a slab and linked O(1) onto their
+// bucket's list. An occupancy bitmap finds the next populated bucket with a
+// handful of word scans instead of walking empty ones.
 //
-// The structure pops events in exactly (at, seq) order — the same total
-// order the old global heap produced — because bucket ordinals partition
-// time: every event in bucket b fires strictly before any event in bucket
-// b+1, and the now-heap orders events sharing a bucket. evqueue_test.go
-// checks this against a reference model on randomized schedules.
+// The slab is a list of fixed-size chunks of event values addressed by int32
+// slot id (0 is nil, so the zero eventQueue is ready). ring holds one list
+// head per bucket and event.next threads the list. A slot whose event moves
+// on to the now heap is zeroed — dropping its p and msg references — and put
+// on a free list the next push pops, so fresh slots are handed out only while
+// all earlier ones are live: the queue's memory is the peak number of events
+// queued at one instant, rounded up to a chunk, however many pass through.
+// Chunks are never recopied (growth appends one) and never released.
+//
+// The structure pops events in exactly (at, seq) order — the total order of
+// a single global heap — because bucket ordinals partition time: every event
+// in bucket b fires strictly before any event in bucket b+1, and the now
+// heap orders the events sharing a bucket whatever order they were linked
+// in. evqueue_test.go checks this against a reference model on randomized
+// schedules.
 //
 // Why it is faster than one big heap: the common events (message deliveries
 // ~1.5 µs out, process wakeups at the current instant) index into the ring
-// or the small now-heap, while long-lived retransmission timeouts (~2 ms
+// or the small now heap, while long-lived retransmission timeouts (~2 ms
 // out, almost always stale by the time they fire) park in their buckets
 // without inflating the comparison depth of every hot push/pop.
 
@@ -45,7 +58,8 @@ const (
 // event is one scheduled simulator action. msg multiplexes the payload —
 // the delivered message for evDeliver, the *Timer for evTimer, the *Future
 // for evTimeout — keeping the struct at 64 bytes; events are copied by
-// value through the queue, so size is speed.
+// value through the queue, so size is speed. next, in what was tail padding,
+// is the queue's own: the slot id of the next event of the same bucket.
 type event struct {
 	at   Time
 	seq  uint64
@@ -55,6 +69,7 @@ type event struct {
 	from NodeID
 	to   NodeID
 	kind uint8
+	next int32
 }
 
 // before orders events by (time, schedule sequence).
@@ -119,6 +134,10 @@ const (
 	ringBits = 13
 	ringSize = 1 << ringBits
 	ringMask = ringSize - 1
+	// chunkShift sets the slab's growth step: 1024 events = 64 KB per chunk.
+	chunkShift = 10
+	chunkSize  = 1 << chunkShift
+	chunkMask  = chunkSize - 1
 )
 
 // eventQueue is the ladder queue.
@@ -127,13 +146,20 @@ type eventQueue struct {
 	cur int64 // bucket ordinal all popped events precede-or-share
 	// now holds events of bucket ordinal `cur`.
 	now eventHeap
-	// ring[o&ringMask] holds events of ordinal o for o in (cur, cur+ringSize).
-	ring  [ringSize][]event
+	// ring[o&ringMask] heads the list of slots holding the events of ordinal
+	// o, for o in (cur, cur+ringSize).
+	ring  [ringSize]int32
 	nRing int
 	// occ is the ring occupancy bitmap: bit s set ⇔ ring[s] non-empty.
 	occ [ringSize / 64]uint64
 	// far holds events at or beyond ordinal cur+ringSize.
 	far eventHeap
+
+	// The slab: slot id i is chunks[i>>chunkShift][i&chunkMask]. Ids 1..top
+	// have been handed out; free heads the list of those holding no event.
+	chunks []*[chunkSize]event
+	top    int32
+	free   int32
 }
 
 func ordinalOf(t Time) int64 { return int64(uint64(t) >> bucketShift) }
@@ -141,23 +167,52 @@ func ordinalOf(t Time) int64 { return int64(uint64(t) >> bucketShift) }
 // Len returns the number of queued events.
 func (q *eventQueue) Len() int { return q.n }
 
+func (q *eventQueue) slot(i int32) *event { return &q.chunks[i>>chunkShift][i&chunkMask] }
+
+// alloc returns a slot to write an event into: the most recently freed one,
+// or a fresh one when every slot handed out so far holds an event.
+func (q *eventQueue) alloc() (int32, *event) {
+	if i := q.free; i != 0 {
+		e := q.slot(i)
+		q.free = e.next
+		return i, e
+	}
+	if q.top == math.MaxInt32 {
+		panic("env: event queue full: 2^31-1 events queued at once overflow int32 slot ids")
+	}
+	q.top++
+	if int(q.top>>chunkShift) == len(q.chunks) {
+		q.chunks = append(q.chunks, new([chunkSize]event))
+	}
+	return q.top, q.slot(q.top)
+}
+
 // push enqueues ev; ev.at must be ≥ the time of the last popped event.
 func (q *eventQueue) push(ev event) {
 	q.n++
-	o := ordinalOf(ev.at)
-	switch {
-	case o <= q.cur:
-		q.now.push(ev)
-	case o < q.cur+ringSize:
-		s := o & ringMask
-		q.ring[s] = append(q.ring[s], ev)
-		if len(q.ring[s]) == 1 {
-			q.occ[s>>6] |= 1 << uint(s&63)
-			q.nRing++
-		}
-	default:
+	if o := ordinalOf(ev.at); o < q.cur+ringSize {
+		q.link(o, &ev)
+	} else {
 		q.far.push(ev)
 	}
+}
+
+// link files ev, of ordinal o inside the window, where pop will find it: in
+// the now heap when o is current, else at the head of its bucket's list.
+func (q *eventQueue) link(o int64, ev *event) {
+	if o <= q.cur {
+		q.now.push(*ev)
+		return
+	}
+	s := o & ringMask
+	i, e := q.alloc()
+	*e = *ev
+	e.next = q.ring[s]
+	if e.next == 0 {
+		q.occ[s>>6] |= 1 << uint(s&63)
+		q.nRing++
+	}
+	q.ring[s] = i
 }
 
 // pop dequeues the (at, seq)-minimal event. Call only when Len() > 0.
@@ -174,8 +229,7 @@ func (q *eventQueue) pop() event {
 func (q *eventQueue) advance() {
 	for len(q.now) == 0 {
 		if q.nRing > 0 {
-			o := q.nextRingOrdinal()
-			q.loadBucket(o)
+			q.loadBucket(q.nextRingOrdinal())
 		} else {
 			// Jump straight to the earliest far event's bucket.
 			q.cur = ordinalOf(q.far[0].at)
@@ -198,21 +252,23 @@ func (q *eventQueue) nextRingOrdinal() int64 {
 	panic("env: event ring occupancy out of sync")
 }
 
-// loadBucket makes ordinal o current and heapifies its events into now.
+// loadBucket makes the populated ordinal o current and moves its events into
+// the now heap, freeing their slots.
 func (q *eventQueue) loadBucket(o int64) {
 	q.cur = o
 	s := o & ringMask
-	evs := q.ring[s]
-	if len(evs) == 0 {
-		return
-	}
+	i := q.ring[s]
+	q.ring[s] = 0
 	q.occ[s>>6] &^= 1 << uint(s&63)
 	q.nRing--
-	for i := range evs {
-		q.now.push(evs[i])
-		evs[i] = event{}
+	for i != 0 {
+		e := q.slot(i)
+		next := e.next
+		q.now.push(*e)
+		*e = event{next: q.free} // release p and msg to the GC
+		q.free = i
+		i = next
 	}
-	q.ring[s] = evs[:0] // keep the bucket's capacity for reuse
 }
 
 // migrateFar pulls far events that now fall inside the ring window.
@@ -220,16 +276,6 @@ func (q *eventQueue) migrateFar() {
 	limit := q.cur + ringSize
 	for len(q.far) > 0 && ordinalOf(q.far[0].at) < limit {
 		ev := q.far.pop()
-		o := ordinalOf(ev.at)
-		if o <= q.cur {
-			q.now.push(ev)
-			continue
-		}
-		s := o & ringMask
-		q.ring[s] = append(q.ring[s], ev)
-		if len(q.ring[s]) == 1 {
-			q.occ[s>>6] |= 1 << uint(s&63)
-			q.nRing++
-		}
+		q.link(ordinalOf(ev.at), &ev)
 	}
 }

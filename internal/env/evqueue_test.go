@@ -1,10 +1,75 @@
 package env
 
 import (
+	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
+	"unsafe"
 )
+
+// checkSlab asserts the slab's conservation laws on a queue whose events all
+// carry seq ≥ 1: every slot handed out either holds an event or sits, zeroed,
+// on the free list, and Len() counts exactly the ring, now and far events.
+// With walkRing it also follows every bucket list: each live slot hangs off
+// the bucket of its own ordinal, and the bitmap and nRing agree with the heads.
+func checkSlab(t *testing.T, q *eventQueue, walkRing bool) {
+	t.Helper()
+	live := 0
+	for i := int32(1); i <= q.top; i++ {
+		if q.slot(i).seq != 0 {
+			live++
+		}
+	}
+	free := 0
+	for i := q.free; i != 0; i = q.slot(i).next {
+		if e := q.slot(i); *e != (event{next: e.next}) {
+			t.Fatalf("free slot %d still holds %+v", i, *e)
+		}
+		if free++; free > int(q.top) {
+			t.Fatal("free list cycles")
+		}
+	}
+	if live+free != int(q.top) {
+		t.Fatalf("slots: %d live + %d free != %d allocated", live, free, q.top)
+	}
+	if want := live + len(q.now) + len(q.far); q.Len() != want {
+		t.Fatalf("Len=%d, want %d ring + %d now + %d far", q.Len(), live, len(q.now), len(q.far))
+	}
+	need := 0 // chunks covering ids 0..top
+	if q.top > 0 {
+		need = int(q.top>>chunkShift) + 1
+	}
+	if len(q.chunks) != need {
+		t.Fatalf("%d chunks for %d slots, want %d", len(q.chunks), q.top, need)
+	}
+	if !walkRing {
+		return
+	}
+	linked, buckets := 0, 0
+	for s := range q.ring {
+		occupied := q.occ[s>>6]&(1<<uint(s&63)) != 0
+		if occupied != (q.ring[s] != 0) {
+			t.Fatalf("bucket %d: head %d, occupancy bit %v", s, q.ring[s], occupied)
+		}
+		if occupied {
+			buckets++
+		}
+		for i := q.ring[s]; i != 0; i = q.slot(i).next {
+			o := ordinalOf(q.slot(i).at)
+			if int(o&ringMask) != s || o <= q.cur || o >= q.cur+ringSize {
+				t.Fatalf("slot %d of ordinal %d linked in bucket %d (cur %d)", i, o, s, q.cur)
+			}
+			if linked++; linked > live {
+				t.Fatal("bucket lists hold more events than live slots")
+			}
+		}
+	}
+	if linked != live || buckets != q.nRing {
+		t.Fatalf("ring walk: %d linked of %d live, %d buckets, nRing=%d", linked, live, buckets, q.nRing)
+	}
+}
 
 // TestEventQueueOrdering drives the ladder queue with randomized interleaved
 // push/pop schedules and checks every pop against a reference model sorted
@@ -22,6 +87,7 @@ func TestEventQueueOrdering(t *testing.T) {
 		delays := []Duration{0, 0, 0, 1, 100, 1500, 1700, 2 * Millisecond,
 			2 * Millisecond, 5 * Millisecond, 40 * Millisecond, 300 * Millisecond}
 		for step := 0; step < 4000; step++ {
+			checkSlab(t, &q, step%256 == 0)
 			if q.Len() != len(ref) {
 				t.Fatalf("trial %d step %d: Len=%d want %d", trial, step, q.Len(), len(ref))
 			}
@@ -59,6 +125,7 @@ func TestEventQueueOrdering(t *testing.T) {
 			}
 			cur = got.at
 		}
+		checkSlab(t, &q, true)
 	}
 }
 
@@ -82,4 +149,113 @@ func TestEventQueueSparseJumps(t *testing.T) {
 	if q.Len() != 0 {
 		t.Fatalf("queue not drained: %d left", q.Len())
 	}
+}
+
+// simDelays draws n delays from the simulator's mix: wakeups at the current
+// instant, link-latency deliveries, 2 ms retransmission timeouts (parked in
+// the ring) and the occasional 40 ms timer (parked in the far heap).
+func simDelays(rnd *rand.Rand, n int) []Duration {
+	d := make([]Duration, n)
+	for i := range d {
+		switch r := rnd.Intn(100); {
+		case r < 40:
+			d[i] = 0
+		case r < 85:
+			d[i] = 1500
+		case r < 99:
+			d[i] = 2 * Millisecond
+		default:
+			d[i] = 40 * Millisecond
+		}
+	}
+	return d
+}
+
+// TestEventQueueFootprintFollowsLiveEvents pushes a million events through a
+// queue that never holds more than 1 024 at once: the slab must stay within
+// two chunks of the peak live count however far virtual time travels — many
+// ring wraps, and jumps to a lone far event across an otherwise empty queue.
+func TestEventQueueFootprintFollowsLiveEvents(t *testing.T) {
+	const steps, maxLive = 1_000_000, 1024
+	rnd := rand.New(rand.NewSource(7))
+	delays := simDelays(rnd, 1<<12)
+	var q eventQueue
+	var cur Time
+	var seq uint64
+	peak, farJumps := 0, 0
+	pop := func() {
+		if len(q.now) == 0 && q.nRing == 0 {
+			farJumps++
+		}
+		ev := q.pop()
+		if ev.at < cur {
+			t.Fatalf("time went backwards (%d < %d)", ev.at, cur)
+		}
+		cur = ev.at
+	}
+	for step := 0; step < steps; step++ {
+		if step%(steps/4) == steps/8 { // run dry, leaving one 40 ms timer to jump to
+			for q.Len() > 0 {
+				pop()
+			}
+			seq++
+			q.push(event{at: cur + 40*Millisecond, seq: seq})
+			pop()
+		}
+		if q.Len() < maxLive && (q.Len() == 0 || rnd.Intn(2) == 0) {
+			seq++
+			q.push(event{at: cur + delays[step%len(delays)], seq: seq})
+		} else {
+			pop()
+		}
+		if q.Len() > peak {
+			peak = q.Len()
+		}
+		if slots := len(q.chunks) * chunkSize; slots > peak+2*chunkSize {
+			t.Fatalf("step %d: %d slots allocated, peak live %d", step, slots, peak)
+		}
+	}
+	checkSlab(t, &q, true)
+	if int(q.top) > peak {
+		t.Fatalf("%d slots handed out, only %d events were ever live at once", q.top, peak)
+	}
+	if wraps := q.cur / ringSize; wraps < 3 || farJumps < 4 {
+		t.Fatalf("schedule too tame: %d ring wraps, %d far jumps", wraps, farJumps)
+	}
+}
+
+// TestEventQueueReleasesPayload: once an event has left its slot, the slot
+// holds no reference to its process or message — a popped message is
+// collectable while the queue lives on.
+func TestEventQueueReleasesPayload(t *testing.T) {
+	if sz := unsafe.Sizeof(event{}); sz != 64 {
+		t.Fatalf("event is %d bytes, want 64 (next must fit in the tail padding)", sz)
+	}
+	var q eventQueue
+	q.push(event{at: 1500, seq: 1, kind: evDeliver, p: &Proc{}, msg: new(int), from: 1, to: 2})
+	i := q.ring[ordinalOf(1500)]
+	if i == 0 {
+		t.Fatal("event 1.5 µs out was not filed in the ring")
+	}
+	if ev := q.pop(); ev.p == nil || ev.msg == nil || ev.to != 2 {
+		t.Fatalf("popped %+v, payload lost", ev)
+	}
+	if e := q.slot(i); *e != (event{}) || q.free != i {
+		t.Fatalf("slot %d after pop: %+v (free head %d), want zeroed and free", i, *e, q.free)
+	}
+	if left := q.now[:1][0]; len(q.now) != 0 || left != (event{}) {
+		t.Fatalf("now heap after pop: len %d, vacated entry %+v", len(q.now), left)
+	}
+}
+
+// TestEventQueueSlotOverflow: slot ids are int32; a queue that would need
+// one more says so instead of wrapping onto live slots.
+func TestEventQueueSlotOverflow(t *testing.T) {
+	q := eventQueue{top: math.MaxInt32}
+	defer func() {
+		if r, _ := recover().(string); !strings.Contains(r, "event queue full") {
+			t.Fatalf("push past the last slot id: recovered %q, want the queue-full panic", r)
+		}
+	}()
+	q.push(event{at: 1500, seq: 1})
 }

@@ -99,6 +99,25 @@ func TestShutdownReleasesEveryWorker(t *testing.T) {
 	s.Shutdown() // idempotent
 }
 
+// TestShutdownReleasesQueue: a Sim a harness still holds after Shutdown pins
+// neither the events left in its queue nor the slab and heaps they were in.
+func TestShutdownReleasesQueue(t *testing.T) {
+	s := NewSim(1)
+	for _, d := range []Duration{0, 3 * Microsecond, 2 * Millisecond, 40 * Millisecond} {
+		s.After(d, func() {})
+	}
+	s.RunFor(Microsecond)
+	if s.pq.Len() != 3 || s.pq.chunks == nil || len(s.pq.far) != 1 {
+		t.Fatalf("before Shutdown: Len=%d chunks=%d far=%d, want 3 queued in slab and far heap",
+			s.pq.Len(), len(s.pq.chunks), len(s.pq.far))
+	}
+	s.Shutdown()
+	if q := &s.pq; q.Len() != 0 || q.chunks != nil || q.now != nil || q.far != nil || q.nRing != 0 {
+		t.Fatalf("after Shutdown: Len=%d chunks=%d now=%d far=%d nRing=%d, want the zero queue",
+			q.Len(), len(q.chunks), cap(q.now), cap(q.far), q.nRing)
+	}
+}
+
 // TestStopThenPark stops the simulation from a process that parks right
 // after: Run returns at the stop, and a later Run picks the process up again.
 func TestStopThenPark(t *testing.T) {

@@ -430,7 +430,9 @@ func (s *Sim) LastBusy() Time { return s.lastBusy }
 // a parked worker's yield return false, which unwinds its body (deferred
 // calls run), and ends a worker that never started before it does. The
 // simulation must not be Run again afterwards. Benchmarks call Shutdown after
-// every configuration so parked processes do not accumulate across runs.
+// every configuration so parked processes do not accumulate across runs, and
+// a harness that keeps the Sim reachable keeps neither its idle workers nor
+// its event queue (slab, heaps and the messages still queued).
 func (s *Sim) Shutdown() {
 	s.stopped = true
 	// By index: an unwinding body's deferred calls may dispatch new workers.
@@ -438,4 +440,5 @@ func (s *Sim) Shutdown() {
 		s.all[i].stop()
 	}
 	s.free = nil
+	s.pq = eventQueue{}
 }

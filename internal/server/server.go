@@ -421,13 +421,13 @@ func (s *Server) ownerOfKey(k core.Key) env.NodeID {
 
 // lockOf returns (creating on demand) the lock of an inode key.
 func (s *Server) lockOf(k core.Key) *env.RWMutex {
-	ek := string(k.Encode())
+	ek := k.Encode()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	l := s.locks[ek]
+	l := s.locks[string(ek)] // no string is built for a lookup
 	if l == nil {
 		l = &env.RWMutex{}
-		s.locks[ek] = l
+		s.locks[string(ek)] = l
 	}
 	return l
 }
