@@ -150,10 +150,11 @@ bench:
 	$(GO) test -bench=. -benchmem
 
 # bench-layers runs the per-layer Go microbenchmarks (ROADMAP 1c): the bare
-# simulator (handoff, send, timer), the change-log (snapshot, compaction) and
-# the kv store.
+# simulator (handoff, send, timer), the change-log (snapshot, compaction), the
+# key and inode codecs, the kv store, the client's cached path resolution and
+# the server's durable-record encoders.
 bench-layers:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/env ./internal/core ./internal/kv
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/env ./internal/core ./internal/kv ./internal/client ./internal/server
 
 figures:
 	$(GO) run ./cmd/fsbench -fig all -scale quick

@@ -6,6 +6,7 @@ package client
 
 import (
 	"errors"
+	"slices"
 	"sync"
 
 	"switchfs/internal/core"
@@ -67,10 +68,26 @@ type Client struct {
 	StaleRetry uint64
 }
 
+// cachedDir is one resolved directory. chain is its ancestor chain root‥self:
+// immutable once published and shared, as ReqCommon.Ancestors, by every
+// request that resolved through this entry — invalidation drops the entry,
+// never edits the chain.
 type cachedDir struct {
-	ref  core.DirRef
-	attr core.Attr
+	ref   core.DirRef
+	chain []core.DirID
 }
+
+// rootChain is the chain every resolution starts from.
+var rootChain = []core.DirID{core.RootDirID}
+
+// opSpans[op] is the root span name "op:<name>", built once so that neither
+// traced nor untraced operations concatenate per call.
+var opSpans = func() (t [256]string) {
+	for i := range t {
+		t[i] = "op:" + core.Op(i).String()
+	}
+	return t
+}()
 
 // New builds a client and registers its node. Clients have unlimited cores:
 // client CPU is never the bottleneck in the paper's evaluation.
@@ -252,8 +269,8 @@ func (c *Client) call(p *env.Proc, dst env.NodeID, pkt *wire.Packet, rpc uint64)
 }
 
 // op opens a client root span for one operation entry point (nil-safe).
-func (c *Client) op(p *env.Proc, name string) *trace.Handle {
-	return c.cfg.Trace.StartAuto(p, "op:"+name, "client")
+func (c *Client) op(p *env.Proc, op core.Op) *trace.Handle {
+	return c.cfg.Trace.StartAuto(p, opSpans[op], "client")
 }
 
 // endOp closes an op span, flagging the trace when the op failed so tail
@@ -281,59 +298,72 @@ func (c *Client) reqCommon(rpc uint64, dst env.NodeID, ancestors []core.DirID) w
 	return wire.ReqCommon{RPC: rpc, Client: c.cfg.ID, InvalSeq: seen, Ancestors: ancestors}
 }
 
-// resolved is the output of path resolution for one target.
+// resolved is the output of path resolution for one target. ancestors is a
+// cached chain (see cachedDir): read-only.
 type resolved struct {
 	parent    core.DirRef
 	name      string
 	ancestors []core.DirID
-	path      string
 }
 
 // resolve walks the path's directories through the cache (§5.2.1 step 1),
 // issuing lookups on misses. It returns the parent DirRef and the leaf name.
+// The walk is by index over the canonical path: components and cache keys are
+// substrings of it, and a fully cached walk returns the parent's published
+// chain without allocating.
 func (c *Client) resolve(p *env.Proc, path string) (resolved, error) {
-	comps, err := core.SplitPath(path)
+	path, err := core.CanonicalPath(path)
 	if err != nil {
 		return resolved{}, err
 	}
-	if len(comps) == 0 {
+	if path == "/" {
 		return resolved{}, core.ErrInvalid
 	}
 	cur := core.RootRef()
-	ancestors := []core.DirID{cur.ID}
-	walked := ""
-	for _, comp := range comps[:len(comps)-1] {
-		walked += "/" + comp
+	chain := rootChain
+	comp, end := core.NextComponent(path, 0)
+	for end < len(path) {
+		walked := path[:end]
 		p.Compute(c.cfg.Costs.CacheLookup)
 		c.mu.Lock()
 		e, hit := c.cache[walked]
 		c.mu.Unlock()
 		if hit {
 			c.CacheHits++
-			cur = e.ref
-			ancestors = append(ancestors, cur.ID)
-			continue
+		} else {
+			ref, err := c.lookupOne(p, cur, comp, chain)
+			if err != nil {
+				return resolved{}, err
+			}
+			e.ref = ref
 		}
-		ref, attr, err := c.lookupOne(p, cur, comp, ancestors)
-		if err != nil {
-			return resolved{}, err
+		// The entry's chain must be the one walked here plus itself. A miss
+		// has none yet, and a hit's is stale when an ancestor was invalidated
+		// by id and re-resolved to another directory underneath it; both
+		// publish a new, full chain — a shared one is never appended to.
+		if n := len(chain); len(e.chain) != n+1 || !slices.Equal(e.chain[:n], chain) {
+			e.chain = make([]core.DirID, n+1)
+			copy(e.chain, chain)
+			e.chain[n] = e.ref.ID
+			c.mu.Lock()
+			if c.cache == nil {
+				c.cache = make(map[string]cachedDir)
+				c.byID = make(map[core.DirID][]string)
+			}
+			c.cache[walked] = e
+			if !hit {
+				c.byID[e.ref.ID] = append(c.byID[e.ref.ID], walked)
+			}
+			c.mu.Unlock()
 		}
-		c.mu.Lock()
-		if c.cache == nil {
-			c.cache = make(map[string]cachedDir)
-			c.byID = make(map[core.DirID][]string)
-		}
-		c.cache[walked] = cachedDir{ref: ref, attr: attr}
-		c.byID[ref.ID] = append(c.byID[ref.ID], walked)
-		c.mu.Unlock()
-		cur = ref
-		ancestors = append(ancestors, cur.ID)
+		cur, chain = e.ref, e.chain
+		comp, end = core.NextComponent(path, end)
 	}
-	return resolved{parent: cur, name: comps[len(comps)-1], ancestors: ancestors, path: path}, nil
+	return resolved{parent: cur, name: comp, ancestors: chain}, nil
 }
 
 // lookupOne fetches one directory's metadata from its owner.
-func (c *Client) lookupOne(p *env.Proc, parent core.DirRef, name string, ancestors []core.DirID) (core.DirRef, core.Attr, error) {
+func (c *Client) lookupOne(p *env.Proc, parent core.DirRef, name string, ancestors []core.DirID) (core.DirRef, error) {
 	c.Lookups++
 	sp := c.cfg.Trace.Start(p, "lookup", "client")
 	defer sp.End()
@@ -341,16 +371,17 @@ func (c *Client) lookupOne(p *env.Proc, parent core.DirRef, name string, ancesto
 	fp := key.Fingerprint()
 	dst := c.ownerOfFP(fp)
 	rpc := c.nextRPC()
-	req := &wire.LookupReq{ReqCommon: c.reqCommon(rpc, dst, ancestors), Parent: parent.ID, Name: name}
-	v, _, err := c.call(p, dst, &wire.Packet{Dst: dst, Origin: c.cfg.ID, Body: req}, rpc)
+	pkt, req := wire.NewPacket[wire.LookupReq](dst, c.cfg.ID)
+	*req = wire.LookupReq{ReqCommon: c.reqCommon(rpc, dst, ancestors), Parent: parent.ID, Name: name}
+	v, _, err := c.call(p, dst, pkt, rpc)
 	if err != nil {
-		return core.DirRef{}, core.Attr{}, err
+		return core.DirRef{}, err
 	}
 	resp := v.(*wire.LookupResp)
 	if resp.Err != core.ErrnoOK {
-		return core.DirRef{}, core.Attr{}, resp.Err.Err()
+		return core.DirRef{}, resp.Err.Err()
 	}
-	return core.DirRef{ID: resp.Dir, Key: key, FP: fp}, resp.Attr, nil
+	return core.DirRef{ID: resp.Dir, Key: key, FP: fp}, nil
 }
 
 // withResolution runs fn with a resolved path, transparently refreshing the

@@ -1,9 +1,13 @@
 package client
 
 import (
+	"slices"
 	"testing"
 
 	"switchfs/internal/core"
+	"switchfs/internal/env"
+	"switchfs/internal/ring"
+	"switchfs/internal/wire"
 )
 
 // mkClient builds a bare client with a seeded cache (no environment needed:
@@ -93,4 +97,230 @@ func TestUnderPath(t *testing.T) {
 			t.Errorf("underPath(%q, %q)=%v, want %v", cse.path, cse.prefix, got, cse.want)
 		}
 	}
+}
+
+// fakeServer answers lookups from a table and file/rename requests with
+// success, recording every request's Ancestors: enough of a metadata server
+// to drive resolve end to end on a Sim without importing one.
+type fakeServer struct {
+	ids       map[core.Key]core.DirID
+	ancestors [][]core.DirID // of each FileReq, in arrival order
+	lookups   int
+}
+
+const (
+	fakeServerID env.NodeID = 100
+	testClientID env.NodeID = 200
+)
+
+func (f *fakeServer) handle(p *env.Proc, from env.NodeID, msg any) {
+	pkt := msg.(*wire.Packet)
+	var out *wire.Packet
+	switch b := pkt.Body.(type) {
+	case *wire.LookupReq:
+		f.lookups++
+		o, resp := wire.NewPacket[wire.LookupResp](from, fakeServerID)
+		resp.RPC = b.RPC
+		if id, ok := f.ids[core.Key{PID: b.Parent, Name: b.Name}]; ok {
+			resp.Dir = id
+		} else {
+			resp.Err = core.ErrnoNotExist
+		}
+		out = o
+	case *wire.FileReq:
+		f.ancestors = append(f.ancestors, b.Ancestors)
+		o, resp := wire.NewPacket[wire.FileResp](from, fakeServerID)
+		resp.RPC = b.RPC
+		out = o
+	case *wire.RenameReq:
+		o, resp := wire.NewPacket[wire.RenameResp](from, fakeServerID)
+		resp.RPC = b.RPC
+		out = o
+	}
+	p.Send(from, out)
+}
+
+// withFakeServer runs fn on a client process of a two-node Sim.
+func withFakeServer(t *testing.T, f *fakeServer, fn func(p *env.Proc, c *Client)) {
+	t.Helper()
+	sim := env.NewSim(1)
+	defer sim.Shutdown()
+	sim.AddNode(fakeServerID, env.NodeConfig{Handler: f.handle})
+	c := New(sim, Config{
+		ID:          testClientID,
+		Ring:        ring.New([]uint32{0}, 0, func(uint32) env.NodeID { return fakeServerID }),
+		Coordinator: fakeServerID,
+		Costs:       env.DefaultCosts(),
+	})
+	ran := false
+	sim.Spawn(testClientID, func(p *env.Proc) { fn(p, c); ran = true })
+	sim.Run()
+	if !ran {
+		t.Fatal("client process did not finish")
+	}
+}
+
+// sameArray reports whether two chains share a backing array.
+func sameArray(a, b []core.DirID) bool { return &a[0] == &b[0] }
+
+// TestAncestorChainsAreImmutable: a request's Ancestors is the cached chain
+// itself, shared by every request resolved through the same entry, so no
+// invalidation may touch it — a chain captured from a sent request stays
+// what it was through applyInval, a full flush and a rename, and every
+// re-resolution publishes a chain in a new backing array.
+func TestAncestorChainsAreImmutable(t *testing.T) {
+	idA, idA2 := core.DirID{0, 0, 0, 10}, core.DirID{0, 0, 0, 11}
+	idB, idB2 := core.DirID{0, 0, 0, 20}, core.DirID{0, 0, 0, 21}
+	f := &fakeServer{ids: map[core.Key]core.DirID{
+		{PID: core.RootDirID, Name: "a"}: idA,
+		{PID: idA, Name: "b"}:            idB,
+		{PID: idA2, Name: "b"}:           idB2,
+	}}
+	withFakeServer(t, f, func(p *env.Proc, c *Client) {
+		type held struct{ chain, want []core.DirID }
+		var captured []held
+		stat := func(want ...core.DirID) []core.DirID {
+			t.Helper()
+			if _, err := c.Stat(p, "/a/b/f"); err != nil {
+				t.Fatalf("stat: %v", err)
+			}
+			got := f.ancestors[len(f.ancestors)-1]
+			if !slices.Equal(got, want) {
+				t.Fatalf("request carries ancestors %v, want %v", got, want)
+			}
+			if cap(got) != len(got) {
+				t.Fatalf("published chain has spare capacity (%d > %d): a later append would write into it", cap(got), len(got))
+			}
+			for _, h := range captured {
+				if !slices.Equal(h.chain, h.want) {
+					t.Fatalf("a captured chain changed: %v, was %v", h.chain, h.want)
+				}
+			}
+			captured = append(captured, held{got, slices.Clone(got)})
+			return got
+		}
+		first := stat(core.RootDirID, idA, idB)
+		if again := stat(core.RootDirID, idA, idB); !sameArray(again, first) {
+			t.Fatal("a fully cached resolve did not reuse the published chain")
+		}
+		if f.lookups != 2 {
+			t.Fatalf("%d lookups for two stats of one path, want 2", f.lookups)
+		}
+
+		// Lazy invalidation by id drops /a/b only; /a stays cached.
+		c.applyInval(fakeServerID, &wire.RespCommon{Inval: []wire.InvalEntry{{Seq: 1, Dir: idB}}, InvalSeqHigh: 1})
+		second := stat(core.RootDirID, idA, idB)
+		if sameArray(second, first) {
+			t.Fatal("re-resolution after applyInval reused the invalidated chain's array")
+		}
+		if f.lookups != 3 {
+			t.Fatalf("%d lookups, want 3 (only /a/b was dropped)", f.lookups)
+		}
+
+		// The stale-cache full flush.
+		c.invalidatePrefix("/")
+		third := stat(core.RootDirID, idA, idB)
+		if sameArray(third, first) || sameArray(third, second) {
+			t.Fatal("re-resolution after a full flush reused an old chain's array")
+		}
+
+		// A rename of /a/b away, and a different directory created in its place.
+		if err := c.Rename(p, "/a/b", "/a/c"); err != nil {
+			t.Fatalf("rename: %v", err)
+		}
+		f.ids[core.Key{PID: idA, Name: "b"}] = idB2
+		fourth := stat(core.RootDirID, idA, idB2)
+		if sameArray(fourth, third) {
+			t.Fatal("re-resolution after a rename reused the old chain's array")
+		}
+
+		// An ancestor invalidated by id and re-resolved to another directory:
+		// /a/b is still cached, but its chain names the old /a. The request
+		// must carry what this walk resolved, in a new array.
+		f.ids[core.Key{PID: core.RootDirID, Name: "a"}] = idA2
+		c.applyInval(fakeServerID, &wire.RespCommon{Inval: []wire.InvalEntry{{Seq: 2, Dir: idA}}, InvalSeqHigh: 2})
+		hits := c.CacheHits
+		fifth := stat(core.RootDirID, idA2, idB2)
+		if sameArray(fifth, fourth) {
+			t.Fatal("a hit under a re-resolved ancestor reused the stale chain's array")
+		}
+		if c.CacheHits != hits+1 {
+			t.Fatalf("CacheHits moved by %d, want 1 (/a missed, /a/b hit)", c.CacheHits-hits)
+		}
+		if again := stat(core.RootDirID, idA2, idB2); !sameArray(again, fifth) {
+			t.Fatal("the republished chain was not reused by the next resolve")
+		}
+	})
+}
+
+// TestResolveCachedAllocatesNothing is the tier-1 budget behind
+// BenchmarkResolveCached: a fully cached resolve — canonical check, index
+// walk, one CacheLookup compute and map probe per directory — returns the
+// parent's published chain without allocating, at depth 1 and depth 4.
+func TestResolveCachedAllocatesNothing(t *testing.T) {
+	f := &fakeServer{ids: map[core.Key]core.DirID{}}
+	parent := core.RootDirID
+	for i, name := range []string{"d1", "d2", "d3", "d4"} {
+		id := core.DirID{0, 0, 1, uint64(i + 1)}
+		f.ids[core.Key{PID: parent, Name: name}] = id
+		parent = id
+	}
+	withFakeServer(t, f, func(p *env.Proc, c *Client) {
+		for _, path := range []string{"/d1/file-000123", "/d1/d2/d3/d4/file-000123"} {
+			if _, err := c.resolve(p, path); err != nil { // warm the cache
+				t.Fatal(err)
+			}
+			hits, lookups := c.CacheHits, c.Lookups
+			allocs := testing.AllocsPerRun(200, func() {
+				if r, err := c.resolve(p, path); err != nil || r.name != "file-000123" {
+					t.Fatalf("resolve(%q) = %+v, %v", path, r, err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("cached resolve of %q: %v allocs/op, want 0", path, allocs)
+			}
+			if c.Lookups != lookups || c.CacheHits == hits {
+				t.Errorf("cached resolve of %q: %d lookups, %d hits", path, c.Lookups-lookups, c.CacheHits-hits)
+			}
+		}
+	})
+}
+
+// TestOpSpanNames: the span-name table holds exactly what the per-op
+// concatenation used to build, for every op value including unknown ones.
+func TestOpSpanNames(t *testing.T) {
+	for i := 0; i < 256; i++ {
+		if want := "op:" + core.Op(i).String(); opSpans[i] != want {
+			t.Fatalf("opSpans[%d] = %q, want %q", i, opSpans[i], want)
+		}
+	}
+}
+
+// BenchmarkResolveCached is the client's layer microbenchmark (`make
+// bench-layers`): one fully cached resolution of a depth-2 path.
+func BenchmarkResolveCached(b *testing.B) {
+	idD := core.DirID{0, 0, 0, 7}
+	f := &fakeServer{ids: map[core.Key]core.DirID{{PID: core.RootDirID, Name: "dir-0042"}: idD}}
+	sim := env.NewSim(1)
+	defer sim.Shutdown()
+	sim.AddNode(fakeServerID, env.NodeConfig{Handler: f.handle})
+	c := New(sim, Config{
+		ID:    testClientID,
+		Ring:  ring.New([]uint32{0}, 0, func(uint32) env.NodeID { return fakeServerID }),
+		Costs: env.DefaultCosts(),
+	})
+	sim.Spawn(testClientID, func(p *env.Proc) {
+		const path = "/dir-0042/file-000123"
+		if _, err := c.resolve(p, path); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := c.resolve(p, path); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	sim.Run()
 }

@@ -22,7 +22,7 @@ func (c *Client) mutate(p *env.Proc, op core.Op, path string, perm core.Perm) (c
 // operation can observe its own earlier effect (EEXIST for create, ENOENT
 // for delete) — fault harnesses need the flag to classify those outcomes.
 func (c *Client) mutateR(p *env.Proc, op core.Op, path string, perm core.Perm) (core.DirID, bool, error) {
-	sp := c.op(p, op.String())
+	sp := c.op(p, op)
 	var out core.DirID
 	var resent bool
 	err := c.withResolution(p, path, func(r resolved) error {
@@ -30,14 +30,15 @@ func (c *Client) mutateR(p *env.Proc, op core.Op, path string, perm core.Perm) (
 		key := core.Key{PID: r.parent.ID, Name: r.name}
 		dst := c.ownerOfFP(key.Fingerprint())
 		rpc := c.nextRPC()
-		req := &wire.MutateReq{
+		pkt, req := wire.NewPacket[wire.MutateReq](dst, c.cfg.ID)
+		*req = wire.MutateReq{
 			ReqCommon: c.reqCommon(rpc, dst, r.ancestors),
 			Op:        op,
 			Parent:    r.parent,
 			Name:      r.name,
 			Perm:      perm,
 		}
-		v, re, err := c.call(p, dst, &wire.Packet{Dst: dst, Origin: c.cfg.ID, Body: req}, rpc)
+		v, re, err := c.call(p, dst, pkt, rpc)
 		resent = resent || re
 		if err != nil {
 			return err
@@ -110,7 +111,7 @@ func (c *Client) Rmdir(p *env.Proc, path string) error {
 // round was retransmitted (chmod is a mutation; fault harnesses need the
 // at-least-once flag).
 func (c *Client) fileOp(p *env.Proc, op core.Op, path string, perm core.Perm) (core.Attr, []uint32, bool, error) {
-	sp := c.op(p, op.String())
+	sp := c.op(p, op)
 	var attr core.Attr
 	var loc []uint32
 	var resent bool
@@ -119,14 +120,15 @@ func (c *Client) fileOp(p *env.Proc, op core.Op, path string, perm core.Perm) (c
 		key := core.Key{PID: r.parent.ID, Name: r.name}
 		dst := c.ownerOfFP(key.Fingerprint())
 		rpc := c.nextRPC()
-		req := &wire.FileReq{
+		pkt, req := wire.NewPacket[wire.FileReq](dst, c.cfg.ID)
+		*req = wire.FileReq{
 			ReqCommon: c.reqCommon(rpc, dst, r.ancestors),
 			Op:        op,
 			Parent:    r.parent,
 			Name:      r.name,
 			Perm:      perm,
 		}
-		v, re, err := c.call(p, dst, &wire.Packet{Dst: dst, Origin: c.cfg.ID, Body: req}, rpc)
+		v, re, err := c.call(p, dst, pkt, rpc)
 		resent = resent || re
 		if err != nil {
 			return err
@@ -174,10 +176,10 @@ func (c *Client) ChmodR(p *env.Proc, path string, perm core.Perm) (bool, error) 
 // query through the switch so the owner learns the directory state with zero
 // extra round trips.
 func (c *Client) dirRead(p *env.Proc, op core.Op, path string) (core.Attr, []core.DirEntry, error) {
-	sp := c.op(p, op.String())
+	sp := c.op(p, op)
 	var attr core.Attr
 	var entries []core.DirEntry
-	if comps, err := core.SplitPath(path); err == nil && len(comps) == 0 {
+	if cp, err := core.CanonicalPath(path); err == nil && cp == "/" {
 		// The root directory needs no resolution.
 		a, es, err := c.dirReadRef(p, op, core.RootRef(), nil)
 		c.endOp(sp, err)
@@ -209,12 +211,12 @@ func (c *Client) dirReadRef(p *env.Proc, op core.Op, ref core.DirRef, ancestors 
 	p.Compute(c.cfg.Costs.ClientOp)
 	owner := c.ownerOfFP(ref.FP)
 	rpc := c.nextRPC()
-	req := &wire.DirReadReq{
+	pkt, req := wire.NewPacket[wire.DirReadReq](owner, c.cfg.ID)
+	*req = wire.DirReadReq{
 		ReqCommon: c.reqCommon(rpc, owner, ancestors),
 		Op:        op,
 		Dir:       ref,
 	}
-	pkt := &wire.Packet{Dst: owner, Origin: c.cfg.ID, Body: req}
 	dst := owner
 	if c.cfg.Tracker != server.TrackerOwner {
 		pkt.DS = &wire.DSHeader{Op: wire.DSQuery, FP: ref.FP}
@@ -244,12 +246,13 @@ func (c *Client) ReadDir(p *env.Proc, path string) ([]core.DirEntry, error) {
 // the final request round was retransmitted (at-least-once ambiguity for the
 // fault harnesses, like mutateR).
 func (c *Client) twoPath(p *env.Proc, op core.Op, src, dst string) (bool, error) {
-	sp := c.op(p, op.String())
+	sp := c.op(p, op)
 	var resent bool
 	err := c.withResolution(p, src, func(rs resolved) error {
 		return c.withResolution(p, dst, func(rd resolved) error {
 			p.Compute(c.cfg.Costs.ClientOp)
-			anc := append(append([]core.DirID(nil), rs.ancestors...), rd.ancestors...)
+			anc := make([]core.DirID, 0, len(rs.ancestors)+len(rd.ancestors))
+			anc = append(append(anc, rs.ancestors...), rd.ancestors...)
 			rpc := c.nextRPC()
 			coord := c.cfg.Coordinator
 			var body wire.Msg
@@ -315,7 +318,7 @@ func (c *Client) LinkR(p *env.Proc, src, dst string) (bool, error) {
 // raw metadata RPC timeout — retransmitting at metadata pace would trigger
 // retransmit storms against a busy data node.
 func (c *Client) dataCall(p *env.Proc, node env.NodeID, op core.Op, chunk wire.ChunkKey, bytes int64) (*wire.DataResp, error) {
-	sp := c.op(p, op.String())
+	sp := c.op(p, op)
 	rpc := c.nextRPC()
 	req := &wire.DataReq{ReqCommon: c.reqCommon(rpc, node, nil), Op: op, Chunk: chunk, Bytes: bytes}
 	fut := env.NewFuture()

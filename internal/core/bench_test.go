@@ -45,3 +45,32 @@ func BenchmarkCompact(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkKeyAppend encodes an inode key the way every handler does: into
+// stack scratch, for a lookup that copies what it keeps.
+func BenchmarkKeyAppend(b *testing.B) {
+	k := Key{PID: DirID{1, 2, 3, 4}, Name: "file-000123"}
+	b.ReportAllocs()
+	n := 0
+	for i := 0; i < b.N; i++ {
+		var kb KeyBuf
+		n += len(k.AppendTo(kb[:0]))
+	}
+	if n != b.N*k.EncodedLen() {
+		b.Fatal("short key")
+	}
+}
+
+// BenchmarkInodeCodec is one store round trip of an inode without the store:
+// append-encode into stack scratch, decode into a caller's value.
+func BenchmarkInodeCodec(b *testing.B) {
+	in := &Inode{Attr: Attr{Type: TypeRegular, Perm: DefaultFilePerm, Nlink: 1, Mtime: 99}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var vb InodeBuf
+		var out Inode
+		if err := DecodeInodeInto(&out, AppendInode(vb[:0], in)); err != nil || out.Attr != in.Attr {
+			b.Fatal("round trip failed")
+		}
+	}
+}

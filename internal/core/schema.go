@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -96,16 +97,33 @@ const (
 	tagEntry byte = 'e'
 )
 
-// Encode renders the inode-table key: tag, parent id, separator, name.
-// Lexicographic order groups a parent's inode keys together.
-func (k Key) Encode() []byte {
-	b := make([]byte, 0, 1+32+1+len(k.Name))
-	b = append(b, tagInode)
-	b = k.PID.AppendBinary(b)
-	b = append(b, '/')
-	b = append(b, k.Name...)
-	return b
+// KeyBuf is stack scratch for one encoded key: key.AppendTo(buf[:0]) stays
+// off the heap for names up to 62 bytes and spills to it beyond. The encoded
+// slice must not outlive the buffer — pass it to lookups (kv.GetView, Has,
+// Put, Delete and map indexing copy what they keep), never store it.
+type KeyBuf [96]byte
+
+// keyOverhead is the encoded key's fixed part: tag, 32-byte id, separator.
+const keyOverhead = 1 + 32 + 1
+
+// EncodedLen is the length of the key's encoding.
+func (k Key) EncodedLen() int { return keyOverhead + len(k.Name) }
+
+// AppendTo appends the inode-table key to dst: tag, parent id, separator,
+// name. Lexicographic order groups a parent's inode keys together.
+func (k Key) AppendTo(dst []byte) []byte {
+	return appendKey(dst, tagInode, k.PID, k.Name)
 }
+
+func appendKey(dst []byte, tag byte, id DirID, name string) []byte {
+	dst = append(dst, tag)
+	dst = id.AppendBinary(dst)
+	dst = append(dst, '/')
+	return append(dst, name...)
+}
+
+// Encode renders the inode-table key into a fresh slice.
+func (k Key) Encode() []byte { return k.AppendTo(make([]byte, 0, k.EncodedLen())) }
 
 // DecodeKey parses an inode-table key encoded by Key.Encode. Keys from other
 // tables return an error.
@@ -119,11 +137,12 @@ func DecodeKey(b []byte) (Key, error) {
 // EntryPrefix is the entry-table scan prefix selecting every dentry of
 // directory id. Dentries are stored on the same server as the directory's
 // inode (Tab. 3).
-func EntryPrefix(id DirID) []byte {
-	b := make([]byte, 0, 34)
-	b = append(b, tagEntry)
-	b = id.AppendBinary(b)
-	return append(b, '/')
+func EntryPrefix(id DirID) []byte { return AppendEntryKey(make([]byte, 0, keyOverhead), id, "") }
+
+// AppendEntryKey appends the entry-table key of directory id's dentry name
+// to dst (the scan prefix followed by the name).
+func AppendEntryKey(dst []byte, id DirID, name string) []byte {
+	return appendKey(dst, tagEntry, id, name)
 }
 
 // Fingerprint of the directory identified by key (pid,name): used both by
@@ -193,34 +212,99 @@ func SplitPath(path string) ([]string, error) {
 	return comps, nil
 }
 
-// EncodeInode serializes an inode for storage in the KV store and the WAL.
-func EncodeInode(in *Inode) []byte {
-	b := make([]byte, 0, 96)
-	b = append(b, byte(in.Type))
-	b = binary.BigEndian.AppendUint16(b, uint16(in.Perm))
-	b = binary.BigEndian.AppendUint32(b, in.UID)
-	b = binary.BigEndian.AppendUint32(b, in.GID)
-	b = binary.BigEndian.AppendUint64(b, uint64(in.Size))
-	b = binary.BigEndian.AppendUint64(b, uint64(in.Atime))
-	b = binary.BigEndian.AppendUint64(b, uint64(in.Mtime))
-	b = binary.BigEndian.AppendUint64(b, uint64(in.Ctime))
-	b = binary.BigEndian.AppendUint32(b, in.Nlink)
-	b = in.ID.AppendBinary(b)
-	b = binary.BigEndian.AppendUint64(b, uint64(in.File))
-	b = binary.BigEndian.AppendUint16(b, uint16(len(in.DataLoc)))
-	for _, d := range in.DataLoc {
-		b = binary.BigEndian.AppendUint32(b, d)
+// CanonicalPath returns path as "/" or "/c1/…/cn" over exactly SplitPath's
+// components, failing exactly when SplitPath does. A path already in that
+// form — what callers nearly always pass — comes back as is, unallocated, so
+// its components can be walked as substrings (NextComponent).
+func CanonicalPath(path string) (string, error) {
+	if path == "/" || canonical(path) {
+		return path, nil
 	}
-	return b
+	comps, err := SplitPath(path)
+	if err != nil {
+		return "", err
+	}
+	return "/" + strings.Join(comps, "/"), nil
 }
 
-// DecodeInode parses the output of EncodeInode.
-func DecodeInode(b []byte) (*Inode, error) {
-	const fixed = 1 + 2 + 4 + 4 + 8 + 8 + 8 + 8 + 4 + 32 + 8 + 2
-	if len(b) < fixed {
-		return nil, fmt.Errorf("core: inode record too short (%d bytes)", len(b))
+// canonical reports whether path is a '/'-introduced sequence of names
+// SplitPath would keep unchanged.
+func canonical(path string) bool {
+	if path == "" || path[0] != '/' {
+		return false
 	}
-	in := &Inode{}
+	for i := 0; i < len(path); {
+		comp, end := NextComponent(path, i)
+		if comp == "" || comp == "." || comp == ".." || len(comp) > MaxNameLen {
+			return false
+		}
+		i = end
+	}
+	return true
+}
+
+// NextComponent returns the component of a canonical path that follows the
+// '/' at path[i], and the index just past it: the next '/', or len(path)
+// after the leaf.
+func NextComponent(path string, i int) (comp string, end int) {
+	end = len(path)
+	if j := strings.IndexByte(path[i+1:], '/'); j >= 0 {
+		end = i + 1 + j
+	}
+	return path[i+1 : end], end
+}
+
+// inodeFixed is the encoded inode's fixed part; 4 bytes per data location
+// follow it.
+const inodeFixed = 1 + 2 + 4 + 4 + 8 + 8 + 8 + 8 + 4 + 32 + 8 + 2
+
+// InodeBuf is stack scratch for one encoded inode, the counterpart of KeyBuf:
+// AppendInode(buf[:0], in) spills to the heap past 9 data locations.
+type InodeBuf [128]byte
+
+// InodeSize is the length of in's encoding.
+func InodeSize(in *Inode) int { return inodeFixed + 4*len(in.DataLoc) }
+
+// AppendInode appends in's encoding — the record stored in the KV store and
+// the WAL — to dst.
+func AppendInode(dst []byte, in *Inode) []byte {
+	n, size := len(dst), InodeSize(in)
+	dst = slices.Grow(dst, size)[:n+size]
+	b := dst[n:]
+	b[0] = byte(in.Type)
+	binary.BigEndian.PutUint16(b[1:], uint16(in.Perm))
+	binary.BigEndian.PutUint32(b[3:], in.UID)
+	binary.BigEndian.PutUint32(b[7:], in.GID)
+	binary.BigEndian.PutUint64(b[11:], uint64(in.Size))
+	binary.BigEndian.PutUint64(b[19:], uint64(in.Atime))
+	binary.BigEndian.PutUint64(b[27:], uint64(in.Mtime))
+	binary.BigEndian.PutUint64(b[35:], uint64(in.Ctime))
+	binary.BigEndian.PutUint32(b[43:], in.Nlink)
+	for i, w := range in.ID {
+		binary.BigEndian.PutUint64(b[47+8*i:], w)
+	}
+	binary.BigEndian.PutUint64(b[79:], uint64(in.File))
+	binary.BigEndian.PutUint16(b[87:], uint16(len(in.DataLoc)))
+	for i, d := range in.DataLoc {
+		binary.BigEndian.PutUint32(b[inodeFixed+4*i:], d)
+	}
+	return dst
+}
+
+// EncodeInode serializes an inode into a fresh slice of exactly its size.
+func EncodeInode(in *Inode) []byte { return AppendInode(make([]byte, 0, InodeSize(in)), in) }
+
+// DecodeInodeInto parses the output of EncodeInode into *in, overwriting
+// every field. Nothing in *in aliases b afterwards (DataLoc is copied), so b
+// may be store memory (kv.GetView) and in may live on the caller's stack.
+func DecodeInodeInto(in *Inode, b []byte) error {
+	if len(b) < inodeFixed {
+		return fmt.Errorf("core: inode record too short (%d bytes)", len(b))
+	}
+	n := int(binary.BigEndian.Uint16(b[87:]))
+	if len(b) < inodeFixed+4*n {
+		return fmt.Errorf("core: inode record truncated data locations")
+	}
 	in.Type = FileType(b[0])
 	in.Perm = Perm(binary.BigEndian.Uint16(b[1:]))
 	in.UID = binary.BigEndian.Uint32(b[3:])
@@ -232,15 +316,21 @@ func DecodeInode(b []byte) (*Inode, error) {
 	in.Nlink = binary.BigEndian.Uint32(b[43:])
 	in.ID = DirIDFromBytes(b[47:])
 	in.File = FileID(binary.BigEndian.Uint64(b[79:]))
-	n := int(binary.BigEndian.Uint16(b[87:]))
-	if len(b) < fixed+4*n {
-		return nil, fmt.Errorf("core: inode record truncated data locations")
-	}
+	in.DataLoc = nil
 	if n > 0 {
 		in.DataLoc = make([]uint32, n)
-		for i := 0; i < n; i++ {
-			in.DataLoc[i] = binary.BigEndian.Uint32(b[fixed+4*i:])
+		for i := range in.DataLoc {
+			in.DataLoc[i] = binary.BigEndian.Uint32(b[inodeFixed+4*i:])
 		}
+	}
+	return nil
+}
+
+// DecodeInode parses the output of EncodeInode into a fresh inode.
+func DecodeInode(b []byte) (*Inode, error) {
+	in := &Inode{}
+	if err := DecodeInodeInto(in, b); err != nil {
+		return nil, err
 	}
 	return in, nil
 }

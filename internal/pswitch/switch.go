@@ -144,11 +144,12 @@ func (s *Switch) Handler(p *env.Proc, from env.NodeID, msg any) {
 		// original may be retransmitted by its sender. Packet and header
 		// are carved from one allocation — this runs once per directory
 		// read on the hot path.
-		out := &queryReply{pkt: *pkt, hdr: *pkt.DS}
-		out.hdr.Ret = ret
-		out.pkt.DS = &out.hdr
-		out.pkt.Trace = sp.Ctx()
-		p.Send(pkt.Dst, &out.pkt)
+		out, hdr := wire.Carve[wire.DSHeader]()
+		*out, *hdr = *pkt, *pkt.DS
+		hdr.Ret = ret
+		out.DS = hdr
+		out.Trace = sp.Ctx()
+		p.Send(pkt.Dst, out)
 
 	case wire.DSInsert:
 		s.Stats.Inserts.Add(1)
@@ -159,8 +160,9 @@ func (s *Switch) Handler(p *env.Proc, from env.NodeID, msg any) {
 			if cn != nil {
 				p.Send(cn.Client, &wire.Packet{Dst: cn.Client, Origin: s.ID,
 					Trace: sp.Ctx(), Body: cn.Resp})
-				p.Send(pkt.Origin, &wire.Packet{Dst: pkt.Origin, Origin: s.ID,
-					Trace: sp.Ctx(), Body: &wire.CommitAck{CommitID: cn.CommitID}})
+				ack, body := wire.NewPacket[wire.CommitAck](pkt.Origin, s.ID)
+				ack.Trace, body.CommitID = sp.Ctx(), cn.CommitID
+				p.Send(pkt.Origin, ack)
 			}
 			return
 		}
@@ -202,13 +204,6 @@ func dsSpanName(op wire.DSOp) string {
 		return "ds:remove"
 	}
 	return "ds:other"
-}
-
-// queryReply bundles a forwarded query packet with its rewritten dirty-set
-// header so the copy costs one allocation, not two.
-type queryReply struct {
-	pkt wire.Packet
-	hdr wire.DSHeader
 }
 
 // Stales counts removes rejected by the sequence guard.

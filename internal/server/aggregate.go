@@ -539,27 +539,22 @@ func (s *Server) applyEntries(p *env.Proc, src env.NodeID, log wire.DirLog) uint
 		p.Compute(c.WALAppend + env.Duration(len(fresh))*c.LogAppend)
 	}
 	for _, e := range fresh {
-		payload := u64(nil, uint64(src))
-		payload = encodeEntry(payload, log.Dir, e)
 		if !s.cfg.Compaction {
 			p.Compute(c.WALAppend)
 		}
-		mustAppend(s.wal, recAggEntry, payload)
+		mustAppend(s.wal, recAggEntry, encodeAggEntry(src, log.Dir, e))
 	}
 	wsp.End()
 
-	ek := log.Dir.Key.Encode()
-	raw, ok := s.kv.GetView(ek)
+	var in core.Inode
+	err := s.readInode(log.Dir.Key, &in)
 	p.Compute(c.KVGet)
-	if !ok {
-		// The directory vanished (rmdir raced a straggling update); the
-		// entries are orphans — consume them so logs drain (§5.2.3).
-		s.Stats.Orphans += uint64(len(fresh))
-		s.setAppliedMark(src, log.Dir.ID, maxID)
-		return maxID
-	}
-	in, err := core.DecodeInode(raw)
 	if err != nil {
+		if err == core.ErrNotExist {
+			// The directory vanished (rmdir raced a straggling update); the
+			// entries are orphans — consume them so logs drain (§5.2.3).
+			s.Stats.Orphans += uint64(len(fresh))
+		}
 		s.setAppliedMark(src, log.Dir.ID, maxID)
 		return maxID
 	}
@@ -568,14 +563,9 @@ func (s *Server) applyEntries(p *env.Proc, src env.NodeID, log wire.DirLog) uint
 		comp := core.Compact(fresh)
 		comp.ApplyToAttr(&in.Attr, p.Now())
 		p.Compute(c.KVGet + c.KVPut) // one attribute read-modify-write
-		s.kv.Put(ek, core.EncodeInode(in))
+		s.storeInode(log.Dir.Key, &in)
 		for _, op := range comp.Ops {
-			dk := append(core.EntryPrefix(in.ID), op.Name...)
-			if op.Put {
-				s.kv.Put(dk, core.EncodeDirEntry(core.DirEntry{Name: op.Name, Type: op.Type, Perm: op.Perm}))
-			} else {
-				s.kv.Delete(dk)
-			}
+			s.putDentry(in.ID, core.DirEntry{Name: op.Name, Type: op.Type, Perm: op.Perm}, op.Put)
 		}
 		// Compacted entry-list operations touch distinct names, so they
 		// apply in parallel across the server's cores — the intra-server
@@ -586,14 +576,8 @@ func (s *Server) applyEntries(p *env.Proc, src env.NodeID, log wire.DirLog) uint
 			one := core.Compact([]core.LogEntry{e})
 			one.ApplyToAttr(&in.Attr, p.Now())
 			p.Compute(c.KVGet + c.KVPut + c.LogApplyEntry)
-			s.kv.Put(ek, core.EncodeInode(in))
-			dk := append(core.EntryPrefix(in.ID), e.Name...)
-			switch e.Op {
-			case core.OpCreate, core.OpMkdir:
-				s.kv.Put(dk, core.EncodeDirEntry(core.DirEntry{Name: e.Name, Type: e.Type, Perm: e.Perm}))
-			case core.OpDelete, core.OpRmdir:
-				s.kv.Delete(dk)
-			}
+			s.storeInode(log.Dir.Key, &in)
+			s.applyDentry(in.ID, e)
 		}
 	}
 	s.setAppliedMark(src, log.Dir.ID, maxID)
@@ -807,38 +791,27 @@ func (s *Server) handleInvalBroadcast(p *env.Proc, from env.NodeID, b *wire.Inva
 func (s *Server) doRmdir(p *env.Proc, req *wire.MutateReq) {
 	c := &s.cfg.Costs
 	key := core.Key{PID: req.Parent.ID, Name: req.Name}
+	fp := key.Fingerprint()
 	parentLog := s.clogOf(req.Parent)
 
 	p.Compute(c.LockOp)
-	if err := s.admitFP(p, key.Fingerprint()); err != nil {
+	if err := s.admitFP(p, fp); err != nil {
 		// Routed here under a stale ring (migration or reconfiguration in
 		// flight): the record may live on the new owner — retry, don't
 		// report ENOENT.
-		resp := &wire.MutateResp{RespCommon: s.respCommon(&req.ReqCommon, err)}
-		s.remember(req.Client, req.RPC, resp)
-		s.reply(p, req.Client, resp)
+		s.replyMutate(p, req, err)
 		return
 	}
-	s.tallyFP(key.Fingerprint())
+	s.tallyFP(fp)
 	// Pre-check existence and type without locks to learn the target id.
 	p.Compute(c.KVGet)
-	raw, ok := s.kv.GetView(key.Encode())
-	if !ok {
-		s.fpExit(key.Fingerprint())
-		resp := &wire.MutateResp{RespCommon: s.respCommon(&req.ReqCommon, core.ErrNotExist)}
-		s.remember(req.Client, req.RPC, resp)
-		s.reply(p, req.Client, resp)
+	var in core.Inode
+	if err := s.readDirInode(key, &in); err != nil {
+		s.fpExit(fp)
+		s.replyMutate(p, req, err)
 		return
 	}
-	in, derr := core.DecodeInode(raw)
-	if derr != nil || in.Type != core.TypeDir {
-		s.fpExit(key.Fingerprint())
-		resp := &wire.MutateResp{RespCommon: s.respCommon(&req.ReqCommon, core.ErrNotDir)}
-		s.remember(req.Client, req.RPC, resp)
-		s.reply(p, req.Client, resp)
-		return
-	}
-	target := core.DirRef{ID: in.ID, Key: key, FP: key.Fingerprint()}
+	target := core.DirRef{ID: in.ID, Key: key, FP: fp}
 
 	// Aggregate the target's fingerprint group BEFORE locking the target's
 	// inode: collects every pending update to the directory and plants it in
@@ -849,10 +822,8 @@ func (s *Server) doRmdir(p *env.Proc, req *wire.MutateReq) {
 	if !s.aggregateFP(p, target.FP, &aggOpts{rmdir: true, dir: target.ID, force: true}) {
 		// Emptiness cannot be decided against state that may be missing an
 		// unreachable peer's acknowledged entries.
-		s.fpExit(key.Fingerprint())
-		resp := &wire.MutateResp{RespCommon: s.respCommon(&req.ReqCommon, core.ErrRetry)}
-		s.remember(req.Client, req.RPC, resp)
-		s.reply(p, req.Client, resp)
+		s.fpExit(fp)
+		s.replyMutate(p, req, core.ErrRetry)
 		return
 	}
 
@@ -860,12 +831,10 @@ func (s *Server) doRmdir(p *env.Proc, req *wire.MutateReq) {
 	kl := s.lockOf(key)
 	kl.Lock(p)
 	fail := func(err error) {
-		s.fpExit(key.Fingerprint())
+		s.fpExit(fp)
 		kl.Unlock()
 		parentLog.lock.RUnlock()
-		resp := &wire.MutateResp{RespCommon: s.respCommon(&req.ReqCommon, err)}
-		s.remember(req.Client, req.RPC, resp)
-		s.reply(p, req.Client, resp)
+		s.replyMutate(p, req, err)
 	}
 	if err := s.checkAncestors(&req.ReqCommon); err != nil {
 		fail(err)
@@ -875,7 +844,8 @@ func (s *Server) doRmdir(p *env.Proc, req *wire.MutateReq) {
 	// change-log if the parent was renamed since it was created.
 	s.rekeyClog(parentLog, req.Parent)
 	// Re-validate under the lock: the directory may have raced away.
-	if !s.kv.Has(key.Encode()) {
+	var kb core.KeyBuf
+	if !s.kv.Has(key.AppendTo(kb[:0])) {
 		fail(core.ErrNotExist)
 		return
 	}
@@ -893,14 +863,14 @@ func (s *Server) doRmdir(p *env.Proc, req *wire.MutateReq) {
 	s.nextEntry++
 	entry.ID = s.nextEntry
 	s.mu.Unlock()
-	walRec := s.encodeCommit(core.OpRmdir, key, req.Parent, entry, in)
+	walRec := s.encodeCommit(core.OpRmdir, key, req.Parent, entry, &in)
 	p.Compute(c.WALAppend + c.KVDel)
 	lsn := mustAppend(s.wal, recCommit, walRec)
-	s.kv.Delete(key.Encode())
+	s.storeInode(key, nil)
 
 	if !s.cfg.Async {
 		s.syncCommit(p, req, parentLog, entry, lsn, kl, core.DirID{})
-		s.fpExit(key.Fingerprint())
+		s.fpExit(fp)
 		return
 	}
 
@@ -918,6 +888,6 @@ func (s *Server) doRmdir(p *env.Proc, req *wire.MutateReq) {
 	s.remember(req.Client, req.RPC, resp)
 	kl.Unlock()
 	parentLog.lock.RUnlock()
-	s.fpExit(key.Fingerprint())
+	s.fpExit(fp)
 	s.resetIdleTimer(parentLog)
 }

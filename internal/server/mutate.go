@@ -33,6 +33,7 @@ func (s *Server) handleMutate(p *env.Proc, req *wire.MutateReq) {
 func (s *Server) doMutate(p *env.Proc, req *wire.MutateReq) {
 	c := &s.cfg.Costs
 	key := core.Key{PID: req.Parent.ID, Name: req.Name}
+	fp := key.Fingerprint()
 	parentLog := s.clogOf(req.Parent)
 
 	// Locking (Fig. 4 step 2): shared lock on the parent's change-log —
@@ -45,13 +46,11 @@ func (s *Server) doMutate(p *env.Proc, req *wire.MutateReq) {
 	admitted := false
 	fail := func(err error) {
 		if admitted {
-			s.fpExit(key.Fingerprint())
+			s.fpExit(fp)
 		}
 		kl.Unlock()
 		parentLog.lock.RUnlock()
-		resp := &wire.MutateResp{RespCommon: s.respCommon(&req.ReqCommon, err)}
-		s.remember(req.Client, req.RPC, resp)
-		s.reply(p, req.Client, resp)
+		s.replyMutate(p, req, err)
 	}
 
 	// Checking (step 3): stale-cache validation, stale-ring routing (plus the
@@ -60,21 +59,23 @@ func (s *Server) doMutate(p *env.Proc, req *wire.MutateReq) {
 		fail(err)
 		return
 	}
-	if err := s.admitFP(p, key.Fingerprint()); err != nil {
+	if err := s.admitFP(p, fp); err != nil {
 		fail(err)
 		return
 	}
 	admitted = true
-	s.tallyFP(key.Fingerprint())
+	s.tallyFP(fp)
 	// The parent ref is current (stale caches were just rejected): if the
 	// directory was renamed since this change-log was created, re-key the
 	// log so this entry aggregates under the directory's current
 	// fingerprint.
 	s.rekeyClog(parentLog, req.Parent)
 	p.Compute(c.KVGet)
-	raw, exists := s.kv.GetView(key.Encode())
+	var old core.Inode
+	rerr := s.readInode(key, &old)
+	exists := rerr != core.ErrNotExist
 	var newDir core.DirID
-	in := &core.Inode{}
+	var in core.Inode
 	entry := core.LogEntry{Time: p.Now(), Name: req.Name}
 	switch req.Op {
 	case core.OpCreate:
@@ -89,7 +90,7 @@ func (s *Server) doMutate(p *env.Proc, req *wire.MutateReq) {
 		now := p.Now()
 		in.Attr = core.Attr{Type: core.TypeRegular, Perm: perm, Nlink: 1,
 			Atime: now, Mtime: now, Ctime: now}
-		in.DataLoc = s.assignDataLoc(key)
+		in.DataLoc = s.assignDataLoc(fp)
 		entry.Op, entry.Type, entry.Perm = core.OpCreate, core.TypeRegular, perm
 	case core.OpMkdir:
 		if exists {
@@ -111,8 +112,7 @@ func (s *Server) doMutate(p *env.Proc, req *wire.MutateReq) {
 			fail(core.ErrNotExist)
 			return
 		}
-		old, err := core.DecodeInode(raw)
-		if err != nil || old.Type == core.TypeDir {
+		if rerr != nil || old.Type == core.TypeDir {
 			fail(core.ErrIsDir)
 			return
 		}
@@ -138,24 +138,24 @@ func (s *Server) doMutate(p *env.Proc, req *wire.MutateReq) {
 	s.nextEntry++
 	entry.ID = s.nextEntry
 	s.mu.Unlock()
-	walRec := s.encodeCommit(req.Op, key, req.Parent, entry, in)
+	walRec := s.encodeCommit(req.Op, key, req.Parent, entry, &in)
 	wsp := s.cfg.Trace.Start(p, "wal:commit", "server")
 	p.Compute(c.WALAppend)
 	var lsn = mustAppend(s.wal, recCommit, walRec)
 	wsp.End()
 	if req.Op == core.OpDelete {
 		p.Compute(c.KVDel)
-		s.kv.Delete(key.Encode())
+		s.storeInode(key, nil)
 	} else {
 		p.Compute(c.KVPut)
-		s.kv.Put(key.Encode(), core.EncodeInode(in))
+		s.storeInode(key, &in)
 	}
 
 	if !s.cfg.Async {
 		// Baseline (Fig. 14): synchronous cross-server update of the parent
 		// directory before replying. Locks are held across the round trip.
 		s.syncCommit(p, req, parentLog, entry, lsn, kl, newDir)
-		s.fpExit(key.Fingerprint())
+		s.fpExit(fp)
 		return
 	}
 
@@ -184,7 +184,7 @@ func (s *Server) doMutate(p *env.Proc, req *wire.MutateReq) {
 	// of the response leaving (the dedup cache stays authoritative here).
 	kl.Unlock()
 	parentLog.lock.RUnlock()
-	s.fpExit(key.Fingerprint())
+	s.fpExit(fp)
 
 	// Proactive push when the log fills an MTU (§5.3), outside the locks.
 	if pending >= s.cfg.PushEntries {
@@ -192,6 +192,16 @@ func (s *Server) doMutate(p *env.Proc, req *wire.MutateReq) {
 	} else {
 		s.resetIdleTimer(parentLog)
 	}
+}
+
+// replyMutate answers a mutation that ends without a switch-mediated commit
+// (a failed check, a stale route): the response is cached for retransmission
+// replay and sent from one allocation with its packet.
+func (s *Server) replyMutate(p *env.Proc, req *wire.MutateReq, err error) {
+	pkt, resp := wire.NewPacket[wire.MutateResp](req.Client, s.cfg.ID)
+	resp.RespCommon = s.respCommon(&req.ReqCommon, err)
+	s.remember(req.Client, req.RPC, resp)
+	s.send(p, pkt)
 }
 
 // asyncCommit sends the dirty-set insert and waits for the commit ack
@@ -245,14 +255,10 @@ func (s *Server) asyncCommit(p *env.Proc, parent core.DirRef, parentLog *dirLog,
 			pkt = &wire.Packet{Dst: dst, Origin: s.cfg.ID, Trace: p.TraceCtx(), Body: notice}
 		} else {
 			dst = s.cfg.SwitchFor(parent.FP)
-			pkt = &wire.Packet{
-				DS: &wire.DSHeader{Op: wire.DSInsert, FP: parent.FP,
-					AltDst: s.ownerOfFP(parent.FP)},
-				Dst:    dst,
-				Origin: s.cfg.ID,
-				Trace:  p.TraceCtx(),
-				Body:   notice,
-			}
+			var hdr *wire.DSHeader
+			pkt, hdr = wire.Carve[wire.DSHeader]()
+			*hdr = wire.DSHeader{Op: wire.DSInsert, FP: parent.FP, AltDst: s.ownerOfFP(parent.FP)}
+			*pkt = wire.Packet{DS: hdr, Dst: dst, Origin: s.cfg.ID, Trace: p.TraceCtx(), Body: notice}
 		}
 		p.Send(dst, pkt)
 		v, ok := ctx.done.WaitTimeout(p, s.cfg.RetryTimeout)

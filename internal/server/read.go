@@ -16,31 +16,50 @@ func (s *Server) handleLookup(p *env.Proc, req *wire.LookupReq) {
 	c := &s.cfg.Costs
 	p.Compute(c.Parse)
 	key := core.Key{PID: req.Parent, Name: req.Name}
-	resp := &wire.LookupResp{}
+	fp := key.Fingerprint()
+	pkt, resp := wire.NewPacket[wire.LookupResp](req.Client, s.cfg.ID)
 	err := s.checkAncestors(&req.ReqCommon)
 	if err == nil {
-		err = s.admitFP(p, key.Fingerprint())
+		err = s.admitFP(p, fp)
 	}
 	if err == nil {
 		l := s.lockOf(key)
 		l.RLock(p)
 		p.Compute(c.KVGet)
-		raw, ok := s.kv.GetView(key.Encode())
-		if !ok {
-			err = core.ErrNotExist
-		} else if in, derr := core.DecodeInode(raw); derr != nil {
-			err = core.ErrInvalid
-		} else if in.Type != core.TypeDir {
-			err = core.ErrNotDir
-		} else {
+		var in core.Inode
+		if err = s.readDirInode(key, &in); err == nil {
 			resp.Dir = in.ID
 			resp.Attr = in.Attr
 		}
 		l.RUnlock()
-		s.fpExit(key.Fingerprint())
+		s.fpExit(fp)
 	}
 	resp.RespCommon = s.respCommon(&req.ReqCommon, err)
-	s.reply(p, req.Client, resp)
+	s.send(p, pkt)
+}
+
+// readInode reads key's inode record into *in: the key is encoded on the
+// stack and the store's memory is decoded on the spot, so neither outlives
+// the call. ErrNotExist when absent, ErrInvalid when undecodable.
+func (s *Server) readInode(key core.Key, in *core.Inode) error {
+	var kb core.KeyBuf
+	raw, ok := s.kv.GetView(key.AppendTo(kb[:0]))
+	if !ok {
+		return core.ErrNotExist
+	}
+	if core.DecodeInodeInto(in, raw) != nil {
+		return core.ErrInvalid
+	}
+	return nil
+}
+
+// readDirInode is readInode for a key that must name a directory.
+func (s *Server) readDirInode(key core.Key, in *core.Inode) error {
+	err := s.readInode(key, in)
+	if err == nil && in.Type != core.TypeDir {
+		err = core.ErrNotDir
+	}
+	return err
 }
 
 // handleFile serves the synchronous read-only single-inode file operations:
@@ -55,22 +74,19 @@ func (s *Server) handleFile(p *env.Proc, req *wire.FileReq) {
 	s.Stats.Ops++
 	s.tallyDir(req.Parent.ID)
 	key := core.Key{PID: req.Parent.ID, Name: req.Name}
-	resp := &wire.FileResp{}
+	fp := key.Fingerprint()
+	pkt, resp := wire.NewPacket[wire.FileResp](req.Client, s.cfg.ID)
 	err := s.checkAncestors(&req.ReqCommon)
 	if err == nil {
-		err = s.admitFP(p, key.Fingerprint())
+		err = s.admitFP(p, fp)
 	}
 	if err == nil {
-		s.tallyFP(key.Fingerprint())
+		s.tallyFP(fp)
 		l := s.lockOf(key)
 		l.RLock(p)
 		p.Compute(c.KVGet)
-		raw, ok := s.kv.GetView(key.Encode())
-		if !ok {
-			err = core.ErrNotExist
-		} else if in, derr := core.DecodeInode(raw); derr != nil {
-			err = core.ErrInvalid
-		} else {
+		var in core.Inode
+		if err = s.readInode(key, &in); err == nil {
 			switch req.Op {
 			case core.OpStat, core.OpOpen, core.OpClose:
 				resp.Attr = in.Attr
@@ -80,10 +96,10 @@ func (s *Server) handleFile(p *env.Proc, req *wire.FileReq) {
 			}
 		}
 		l.RUnlock()
-		s.fpExit(key.Fingerprint())
+		s.fpExit(fp)
 	}
 	resp.RespCommon = s.respCommon(&req.ReqCommon, err)
-	s.reply(p, req.Client, resp)
+	s.send(p, pkt)
 }
 
 // handleChmod updates a file inode's permissions in place. Chmod is the one
@@ -105,35 +121,31 @@ func (s *Server) handleChmod(p *env.Proc, req *wire.FileReq) {
 	s.Stats.Ops++
 	s.tallyDir(req.Parent.ID)
 	key := core.Key{PID: req.Parent.ID, Name: req.Name}
-	resp := &wire.FileResp{}
+	fp := key.Fingerprint()
+	pkt, resp := wire.NewPacket[wire.FileResp](req.Client, s.cfg.ID)
 	err := s.checkAncestors(&req.ReqCommon)
 	if err == nil {
-		err = s.admitFP(p, key.Fingerprint())
+		err = s.admitFP(p, fp)
 	}
 	if err == nil {
-		s.tallyFP(key.Fingerprint())
+		s.tallyFP(fp)
 		l := s.lockOf(key)
 		l.Lock(p)
 		p.Compute(c.KVGet)
-		raw, ok := s.kv.GetView(key.Encode())
-		if !ok {
-			err = core.ErrNotExist
-		} else if in, derr := core.DecodeInode(raw); derr != nil {
-			err = core.ErrInvalid
-		} else {
+		var in core.Inode
+		if err = s.readInode(key, &in); err == nil {
 			in.Perm = req.Perm
 			in.Ctime = p.Now()
 			p.Compute(c.WALAppend + c.KVPut)
-			mustAppend(s.wal, recInode, append(key.Encode(), core.EncodeInode(in)...))
-			s.kv.Put(key.Encode(), core.EncodeInode(in))
+			s.putInode(key, &in)
 			resp.Attr = in.Attr
 		}
 		l.Unlock()
-		s.fpExit(key.Fingerprint())
+		s.fpExit(fp)
 	}
 	resp.RespCommon = s.respCommon(&req.ReqCommon, err)
 	s.remember(req.Client, req.RPC, resp)
-	s.reply(p, req.Client, resp)
+	s.send(p, pkt)
 }
 
 // handleDirRead serves statdir and readdir (§5.2.2). The packet travelled
@@ -147,7 +159,7 @@ func (s *Server) handleDirRead(p *env.Proc, pkt *wire.Packet, req *wire.DirReadR
 	p.Compute(c.Parse)
 	s.Stats.Ops++
 	s.tallyDir(req.Dir.ID)
-	resp := &wire.DirReadResp{}
+	out, resp := wire.NewPacket[wire.DirReadResp](req.Client, s.cfg.ID)
 	err := s.checkAncestors(&req.ReqCommon)
 	if err == nil {
 		err = s.admitFP(p, req.Dir.FP)
@@ -187,14 +199,8 @@ func (s *Server) handleDirRead(p *env.Proc, pkt *wire.Packet, req *wire.DirReadR
 			l := s.lockOf(req.Dir.Key)
 			l.RLock(p)
 			p.Compute(c.KVGet)
-			raw, ok := s.kv.GetView(req.Dir.Key.Encode())
-			if !ok {
-				err = core.ErrNotExist
-			} else if in, derr := core.DecodeInode(raw); derr != nil {
-				err = core.ErrInvalid
-			} else if in.Type != core.TypeDir {
-				err = core.ErrNotDir
-			} else {
+			var in core.Inode
+			if err = s.readDirInode(req.Dir.Key, &in); err == nil {
 				resp.Attr = in.Attr
 				if req.Op == core.OpReadDir {
 					prefix := core.EntryPrefix(in.ID)
@@ -215,5 +221,5 @@ func (s *Server) handleDirRead(p *env.Proc, pkt *wire.Packet, req *wire.DirReadR
 		s.fpExit(req.Dir.FP)
 	}
 	resp.RespCommon = s.respCommon(&req.ReqCommon, err)
-	s.reply(p, req.Client, resp)
+	s.send(p, out)
 }

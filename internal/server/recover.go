@@ -23,7 +23,7 @@ const (
 )
 
 func encodeDentryRec(dir core.DirID, name string, put bool, t core.FileType, perm core.Perm) []byte {
-	b := make([]byte, 0, 48+len(name))
+	b := make([]byte, 0, 32+1+1+2+len(name))
 	b = dir.AppendBinary(b)
 	if put {
 		b = append(b, 1)
@@ -147,9 +147,9 @@ func (s *Server) replayWAL() error {
 			}
 			switch op {
 			case core.OpCreate, core.OpMkdir:
-				s.kv.Put(key.Encode(), core.EncodeInode(in))
+				s.storeInode(key, in)
 			case core.OpDelete, core.OpRmdir:
-				s.kv.Delete(key.Encode())
+				s.storeInode(key, nil)
 			}
 			if entry.ID > s.nextEntry {
 				s.nextEntry = entry.ID
@@ -173,23 +173,14 @@ func (s *Server) replayWAL() error {
 			if err != nil {
 				return err
 			}
-			if in == nil {
-				s.kv.Delete(key.Encode())
-			} else {
-				s.kv.Put(key.Encode(), core.EncodeInode(in))
-			}
+			s.storeInode(key, in)
 		case recDentry:
 			dir := core.DirIDFromBytes(r.Payload)
 			put := r.Payload[32] == 1
 			t := core.FileType(r.Payload[33])
 			perm := core.Perm(binary.BigEndian.Uint16(r.Payload[34:]))
 			name := string(r.Payload[36:])
-			dk := append(core.EntryPrefix(dir), name...)
-			if put {
-				s.kv.Put(dk, core.EncodeDirEntry(core.DirEntry{Name: name, Type: t, Perm: perm}))
-			} else {
-				s.kv.Delete(dk)
-			}
+			s.putDentry(dir, core.DirEntry{Name: name, Type: t, Perm: perm}, put)
 		case recMark:
 			src := env.NodeID(binary.BigEndian.Uint64(r.Payload))
 			dir := core.DirIDFromBytes(r.Payload[8:])
@@ -252,21 +243,12 @@ func (s *Server) redoAggEntry(src env.NodeID, dir core.DirRef, e core.LogEntry) 
 		return
 	}
 	s.applied[appliedKey{src: src, dir: dir.ID}] = e.ID
-	ek := dir.Key.Encode()
-	raw, ok := s.kv.Get(ek)
-	if ok {
-		if in, err := core.DecodeInode(raw); err == nil {
-			one := core.Compact([]core.LogEntry{e})
-			one.ApplyToAttr(&in.Attr, e.Time)
-			s.kv.Put(ek, core.EncodeInode(in))
-			dk := append(core.EntryPrefix(in.ID), e.Name...)
-			switch e.Op {
-			case core.OpCreate, core.OpMkdir:
-				s.kv.Put(dk, core.EncodeDirEntry(core.DirEntry{Name: e.Name, Type: e.Type, Perm: e.Perm}))
-			case core.OpDelete, core.OpRmdir:
-				s.kv.Delete(dk)
-			}
-		}
+	var in core.Inode
+	if s.readInode(dir.Key, &in) == nil {
+		one := core.Compact([]core.LogEntry{e})
+		one.ApplyToAttr(&in.Attr, e.Time)
+		s.storeInode(dir.Key, &in)
+		s.applyDentry(in.ID, e)
 	}
 	if e.ID > s.nextTxnEntry && src&txnSrcFlag != 0 {
 		s.nextTxnEntry = e.ID
@@ -376,7 +358,7 @@ func (s *Server) InjectInode(key core.Key, in *core.Inode, log bool) {
 	if log {
 		mustAppend(s.wal, recInode, encodeInodeRec(key, in))
 	}
-	s.kv.Put(key.Encode(), core.EncodeInode(in))
+	s.storeInode(key, in)
 }
 
 // InjectDentry installs a directory-entry record directly (fixture loading).
@@ -384,8 +366,7 @@ func (s *Server) InjectDentry(dir core.DirID, e core.DirEntry, log bool) {
 	if log {
 		mustAppend(s.wal, recDentry, encodeDentryRec(dir, e.Name, true, e.Type, e.Perm))
 	}
-	dk := append(core.EntryPrefix(dir), e.Name...)
-	s.kv.Put(dk, core.EncodeDirEntry(e))
+	s.putDentry(dir, e, true)
 }
 
 // AppliedMarks returns dir's per-source exactly-once watermarks, sorted by
@@ -415,7 +396,8 @@ type AppliedMark struct {
 // deduplicated at this owner.
 func (s *Server) InjectAppliedMark(src env.NodeID, dir core.DirID, id uint64, log bool) {
 	if log {
-		b := u64(nil, uint64(src))
+		b := make([]byte, 0, 8+32+8)
+		b = u64(b, uint64(src))
 		b = dir.AppendBinary(b)
 		b = u64(b, id)
 		mustAppend(s.wal, recMark, b)

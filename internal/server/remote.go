@@ -28,11 +28,13 @@ func (s *Server) readRemoteInode(p *env.Proc, owner env.NodeID, key core.Key) ([
 		p.Compute(s.cfg.Costs.KVGet)
 		// Same admission as the remote path: the group may have migrated away
 		// between the caller's owner computation and this read.
-		if err := s.admitFP(p, key.Fingerprint()); err != nil {
+		fp := key.Fingerprint()
+		if err := s.admitFP(p, fp); err != nil {
 			return nil, err
 		}
-		raw, ok := s.kv.Get(key.Encode())
-		s.fpExit(key.Fingerprint())
+		var kb core.KeyBuf
+		raw, ok := s.kv.Get(key.AppendTo(kb[:0]))
+		s.fpExit(fp)
 		if !ok {
 			return nil, core.ErrNotExist
 		}
@@ -58,13 +60,15 @@ func (s *Server) handleReadInode(p *env.Proc, req *wire.ReadInodeReq) {
 	// racing an inbound migration copy) must answer retry — answering
 	// ErrNotExist from a store the group just left would fail a rename
 	// against a file that exists.
-	if err := s.admitFP(p, req.Key.Fingerprint()); err != nil {
+	fp := req.Key.Fingerprint()
+	if err := s.admitFP(p, fp); err != nil {
 		resp.Err = core.ErrnoOf(err)
 		s.reply(p, req.From, resp)
 		return
 	}
-	raw, ok := s.kv.Get(req.Key.Encode())
-	s.fpExit(req.Key.Fingerprint())
+	var kb core.KeyBuf
+	raw, ok := s.kv.Get(req.Key.AppendTo(kb[:0]))
+	s.fpExit(fp)
 	if !ok {
 		resp.Err = core.ErrnoNotExist
 	} else {

@@ -377,11 +377,10 @@ func (s *Server) bootstrapRoot() {
 	if s.ownerOfFP(root.FP) != s.cfg.ID {
 		return
 	}
-	in := &core.Inode{
+	s.storeInode(root.Key, &core.Inode{
 		Attr: core.Attr{Type: core.TypeDir, Perm: core.DefaultDirPerm, Nlink: 2},
 		ID:   core.RootDirID,
-	}
-	s.kv.Put(root.Key.Encode(), core.EncodeInode(in))
+	})
 }
 
 // KV exposes the store for tests and recovery verification.
@@ -421,7 +420,8 @@ func (s *Server) ownerOfKey(k core.Key) env.NodeID {
 
 // lockOf returns (creating on demand) the lock of an inode key.
 func (s *Server) lockOf(k core.Key) *env.RWMutex {
-	ek := k.Encode()
+	var kb core.KeyBuf
+	ek := k.AppendTo(kb[:0])
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	l := s.locks[string(ek)] // no string is built for a lookup
@@ -716,10 +716,17 @@ func (s *Server) ctlCall(p *env.Proc, to env.NodeID, build func(ctl uint64) wire
 // fail-stop, and once a restarted successor re-registers the node id their
 // stale replies would otherwise reach the network again.
 func (s *Server) reply(p *env.Proc, to env.NodeID, body wire.Msg) {
+	s.send(p, &wire.Packet{Dst: to, Origin: s.cfg.ID, Body: body})
+}
+
+// send is reply for a packet the handler built together with its body
+// (wire.NewPacket): it stamps the trace context and sends to pkt.Dst.
+func (s *Server) send(p *env.Proc, pkt *wire.Packet) {
 	if s.dead {
 		return
 	}
-	p.Send(to, &wire.Packet{Dst: to, Origin: s.cfg.ID, Trace: p.TraceCtx(), Body: body})
+	pkt.Trace = p.TraceCtx()
+	p.Send(pkt.Dst, pkt)
 }
 
 // respCommon stamps a response with the error and fresh invalidation
@@ -864,6 +871,14 @@ const (
 )
 
 func u64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
+
+// Every durable record is allocated once at its exact length: each encoder
+// has a size companion, and TestSizedEncoders pins len == cap == size.
+
+// entrySize is the length encodeEntry appends.
+func entrySize(dir core.DirRef, e core.LogEntry) int {
+	return 32 + 32 + 8 + len(dir.Key.Name) + 8 + 8 + 8 + 4 + 8 + len(e.Name)
+}
 
 func encodeEntry(b []byte, dir core.DirRef, e core.LogEntry) []byte {
 	b = dir.ID.AppendBinary(b)

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/binary"
 	"sort"
 
@@ -406,7 +405,8 @@ func (s *Server) recordCommit(p *env.Proc, id uint64, parts []env.NodeID) {
 	// lands, queries see txnVotes and answer Pending.
 	wsp := s.cfg.Trace.Start(p, "wal:txn-commit", "server")
 	p.Compute(s.cfg.Costs.WALAppend)
-	payload := u64(nil, id)
+	payload := make([]byte, 0, 8+8*len(parts))
+	payload = u64(payload, id)
 	for _, n := range parts {
 		payload = u64(payload, uint64(n))
 	}
@@ -680,16 +680,15 @@ func (s *Server) handleTxnPrepare(p *env.Proc, tp *wire.TxnPrepare) {
 	var err error
 	for _, ck := range tp.Check {
 		p.Compute(c.KVGet)
-		raw, ok := s.kv.Get(ck.Key.Encode())
+		var in core.Inode
+		rerr := s.readInode(ck.Key, &in)
 		switch {
-		case ck.MustExist && !ok:
+		case ck.MustExist && rerr == core.ErrNotExist:
 			err = core.ErrNotExist
-		case ck.MustNotExist && ok:
+		case ck.MustNotExist && rerr != core.ErrNotExist:
 			err = core.ErrExist
-		case ck.MustExist && ck.IsDir:
-			if in, derr := core.DecodeInode(raw); derr != nil || in.Type != core.TypeDir {
-				err = core.ErrNotDir
-			}
+		case ck.MustExist && ck.IsDir && (rerr != nil || in.Type != core.TypeDir):
+			err = core.ErrNotDir
 		}
 		if err != nil {
 			break
@@ -737,17 +736,13 @@ func (s *Server) handleTxnPrepare(p *env.Proc, tp *wire.TxnPrepare) {
 //detlint:lock-escapes the acquired key locks are returned to the caller and held in the prepared-txn record until handleTxnDecision releases them
 func (s *Server) lockTxnKeys(p *env.Proc, ops []wire.TxnOp, checks []wire.TxnCheck) []*env.RWMutex {
 	type lk struct {
-		key  core.Key
+		ek   string
 		lock *env.RWMutex
 	}
 	var lks []lk
-	seen := map[string]bool{}
 	addKey := func(k core.Key) {
-		ek := string(k.Encode())
-		if !seen[ek] {
-			seen[ek] = true
-			lks = append(lks, lk{key: k, lock: s.lockOf(k)})
-		}
+		var kb core.KeyBuf
+		lks = append(lks, lk{ek: string(k.AppendTo(kb[:0])), lock: s.lockOf(k)})
 	}
 	for _, op := range ops {
 		switch op.Kind {
@@ -760,11 +755,12 @@ func (s *Server) lockTxnKeys(p *env.Proc, ops []wire.TxnOp, checks []wire.TxnChe
 	for _, ck := range checks {
 		addKey(ck.Key)
 	}
-	sort.Slice(lks, func(i, j int) bool {
-		return bytes.Compare(lks[i].key.Encode(), lks[j].key.Encode()) < 0
-	})
+	sort.Slice(lks, func(i, j int) bool { return lks[i].ek < lks[j].ek })
 	locks := make([]*env.RWMutex, 0, len(lks))
-	for _, l := range lks {
+	for i, l := range lks {
+		if i > 0 && l.lock == lks[i-1].lock {
+			continue // one lock per key: a repeated key sorts next to itself
+		}
 		l.lock.Lock(p)
 		locks = append(locks, l.lock)
 	}
@@ -775,19 +771,27 @@ func (s *Server) lockTxnKeys(p *env.Proc, ops []wire.TxnOp, checks []wire.TxnChe
 // coordinator, and the op list (checks already validated — only the
 // appliable ops matter to a restarted incarnation).
 func encodeTxnPrepare(txn uint64, coord env.NodeID, ops []wire.TxnOp) []byte {
-	b := u64(nil, txn)
+	b := make([]byte, 0, txnPrepareSize(ops))
+	b = u64(b, txn)
 	b = u64(b, uint64(coord))
 	b = u64(b, uint64(len(ops)))
 	for _, op := range ops {
 		b = append(b, byte(op.Kind))
-		k := op.Key.Encode()
-		b = u64(b, uint64(len(k)))
-		b = append(b, k...)
+		b = u64(b, uint64(op.Key.EncodedLen()))
+		b = op.Key.AppendTo(b)
 		b = u64(b, uint64(len(op.Inode)))
 		b = append(b, op.Inode...)
 		b = encodeEntry(b, op.Dir, op.Entry)
 	}
 	return b
+}
+
+func txnPrepareSize(ops []wire.TxnOp) int {
+	n := 8 + 8 + 8
+	for _, op := range ops {
+		n += 1 + 8 + op.Key.EncodedLen() + 8 + len(op.Inode) + entrySize(op.Dir, op.Entry)
+	}
+	return n
 }
 
 func decodeTxnPrepare(b []byte) (txn uint64, coord env.NodeID, ops []wire.TxnOp) {
@@ -866,15 +870,13 @@ func (s *Server) handleTxnDecision(p *env.Proc, td *wire.TxnDecision) {
 			switch op.Kind {
 			case wire.TxnPutInode:
 				p.Compute(c.WALAppend + c.KVPut)
-				in, err := core.DecodeInode(op.Inode)
-				if err == nil {
-					mustAppend(s.wal, recInode, encodeInodeRec(op.Key, in))
-					s.kv.Put(op.Key.Encode(), op.Inode)
+				var in core.Inode
+				if core.DecodeInodeInto(&in, op.Inode) == nil {
+					s.putInode(op.Key, &in)
 				}
 			case wire.TxnDelInode:
 				p.Compute(c.WALAppend + c.KVDel)
-				mustAppend(s.wal, recInode, encodeInodeRec(op.Key, nil))
-				s.kv.Delete(op.Key.Encode())
+				s.putInode(op.Key, nil)
 			case wire.TxnDirUpdate:
 				// Synchronous single-entry directory update, logged like an
 				// aggregation application for recovery. The pseudo-source
@@ -888,9 +890,8 @@ func (s *Server) handleTxnDecision(p *env.Proc, td *wire.TxnDecision) {
 				p.Compute(c.WALAppend + c.KVPut)
 				mustAppend(s.wal, recDentry,
 					encodeDentryRec(op.Dir.ID, op.Entry.Name, true, op.Entry.Type, op.Entry.Perm))
-				dk := append(core.EntryPrefix(op.Dir.ID), op.Entry.Name...)
-				s.kv.Put(dk, core.EncodeDirEntry(core.DirEntry{
-					Name: op.Entry.Name, Type: op.Entry.Type, Perm: op.Entry.Perm}))
+				s.putDentry(op.Dir.ID, core.DirEntry{
+					Name: op.Entry.Name, Type: op.Entry.Type, Perm: op.Entry.Perm}, true)
 			case wire.TxnDelDentries:
 				p.Compute(c.WALAppend)
 				mustAppend(s.wal, recDelDentries, op.Dir.ID.AppendBinary(nil))

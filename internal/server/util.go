@@ -51,7 +51,7 @@ const maxStripeWidth = 4
 // window of data slots starting at a fingerprint-derived base. The client
 // stripes chunk s to DataLoc[s mod len] (returned at Open); deployments
 // without data nodes get none (metadata-only runs).
-func (s *Server) assignDataLoc(key core.Key) []uint32 {
+func (s *Server) assignDataLoc(fp core.Fingerprint) []uint32 {
 	n := s.cfg.DataNodes
 	if n <= 0 {
 		return nil
@@ -60,7 +60,7 @@ func (s *Server) assignDataLoc(key core.Key) []uint32 {
 	if w > maxStripeWidth {
 		w = maxStripeWidth
 	}
-	base := uint32(uint64(key.Fingerprint()) % uint64(n))
+	base := uint32(uint64(fp) % uint64(n))
 	loc := make([]uint32, w)
 	for j := range loc {
 		loc[j] = (base + uint32(j)) % uint32(n)
@@ -87,25 +87,60 @@ func (s *Server) applyNlink(p *env.Proc, key core.Key, delta int32) error {
 	l.Lock(p)
 	defer l.Unlock()
 	p.Compute(c.KVGet)
-	raw, ok := s.kv.GetView(key.Encode())
-	if !ok {
-		return core.ErrNotExist
-	}
-	in, err := core.DecodeInode(raw)
-	if err != nil {
-		return core.ErrInvalid
+	var in core.Inode
+	if err := s.readInode(key, &in); err != nil {
+		return err
 	}
 	n := int64(in.Nlink) + int64(delta)
 	p.Compute(c.WALAppend + c.KVPut)
 	if n <= 0 {
-		mustAppend(s.wal, recInode, encodeInodeRec(key, nil))
-		s.kv.Delete(key.Encode())
+		s.putInode(key, nil)
 		return nil
 	}
 	in.Nlink = uint32(n)
-	mustAppend(s.wal, recInode, encodeInodeRec(key, in))
-	s.kv.Put(key.Encode(), core.EncodeInode(in))
+	s.putInode(key, &in)
 	return nil
+}
+
+// putInode logs (recInode) and stores key's inode; a nil inode deletes.
+func (s *Server) putInode(key core.Key, in *core.Inode) {
+	mustAppend(s.wal, recInode, encodeInodeRec(key, in))
+	s.storeInode(key, in)
+}
+
+// storeInode writes key's inode to the store, or deletes it when in is nil.
+// Key and value are encoded on the stack: the store copies what it keeps.
+func (s *Server) storeInode(key core.Key, in *core.Inode) {
+	var kb core.KeyBuf
+	ek := key.AppendTo(kb[:0])
+	if in == nil {
+		s.kv.Delete(ek)
+		return
+	}
+	var vb core.InodeBuf
+	s.kv.Put(ek, core.AppendInode(vb[:0], in))
+}
+
+// putDentry writes (or, with put false, deletes) directory id's dentry e in
+// the store, from a stack-encoded key.
+func (s *Server) putDentry(id core.DirID, e core.DirEntry, put bool) {
+	var kb core.KeyBuf
+	dk := core.AppendEntryKey(kb[:0], id, e.Name)
+	if put {
+		s.kv.Put(dk, core.EncodeDirEntry(e))
+	} else {
+		s.kv.Delete(dk)
+	}
+}
+
+// applyDentry applies one change-log entry to directory id's entry list.
+func (s *Server) applyDentry(id core.DirID, e core.LogEntry) {
+	switch e.Op {
+	case core.OpCreate, core.OpMkdir:
+		s.putDentry(id, core.DirEntry{Name: e.Name, Type: e.Type, Perm: e.Perm}, true)
+	case core.OpDelete, core.OpRmdir:
+		s.putDentry(id, core.DirEntry{Name: e.Name}, false)
+	}
 }
 
 // encodeCommit serializes a recCommit WAL record: the committed double-inode
@@ -113,15 +148,27 @@ func (s *Server) applyNlink(p *env.Proc, key core.Key, delta int32) error {
 func (s *Server) encodeCommit(op core.Op, key core.Key, parent core.DirRef,
 	entry core.LogEntry, in *core.Inode) []byte {
 
-	b := []byte{byte(op)}
+	b := make([]byte, 0, commitSize(key, parent, entry, in))
+	b = append(b, byte(op))
 	b = key.PID.AppendBinary(b)
 	b = u64(b, uint64(len(key.Name)))
 	b = append(b, key.Name...)
-	enc := core.EncodeInode(in)
-	b = u64(b, uint64(len(enc)))
-	b = append(b, enc...)
+	b = u64(b, uint64(core.InodeSize(in)))
+	b = core.AppendInode(b, in)
 	b = encodeEntry(b, parent, entry)
 	return b
+}
+
+func commitSize(key core.Key, parent core.DirRef, entry core.LogEntry, in *core.Inode) int {
+	return 1 + 32 + 8 + len(key.Name) + 8 + core.InodeSize(in) + entrySize(parent, entry)
+}
+
+// encodeAggEntry serializes a recAggEntry record: one change-log entry of
+// dir, received from src, about to be applied at the owner.
+func encodeAggEntry(src env.NodeID, dir core.DirRef, e core.LogEntry) []byte {
+	b := make([]byte, 0, 8+entrySize(dir, e))
+	b = u64(b, uint64(src))
+	return encodeEntry(b, dir, e)
 }
 
 // decodeCommit parses a recCommit record.
@@ -155,19 +202,27 @@ func decodeCommit(b []byte) (op core.Op, key core.Key, parent core.DirRef,
 // encodeInodeRec serializes a recInode record: a direct inode put (nil inode
 // means delete).
 func encodeInodeRec(key core.Key, in *core.Inode) []byte {
-	var b []byte
+	b := make([]byte, 0, inodeRecSize(key, in))
 	if in == nil {
-		b = []byte{0}
+		b = append(b, 0)
 	} else {
-		b = []byte{1}
+		b = append(b, 1)
 	}
 	b = key.PID.AppendBinary(b)
 	b = u64(b, uint64(len(key.Name)))
 	b = append(b, key.Name...)
 	if in != nil {
-		b = append(b, core.EncodeInode(in)...)
+		b = core.AppendInode(b, in)
 	}
 	return b
+}
+
+func inodeRecSize(key core.Key, in *core.Inode) int {
+	n := 1 + 32 + 8 + len(key.Name)
+	if in != nil {
+		n += core.InodeSize(in)
+	}
+	return n
 }
 
 // decodeInodeRec parses a recInode record.

@@ -70,6 +70,33 @@ type Packet struct {
 // Msg is implemented by every request/response body.
 type Msg interface{ msg() }
 
+// carved is a packet and one companion value in a single allocation.
+type carved[T any] struct {
+	pkt Packet
+	val T
+}
+
+// Carve returns a zero Packet and a zero T that share one fresh allocation
+// (T is the packet's body or its dirty-set header). Every call allocates:
+// packets are never pooled or reused, because retransmission, network
+// duplication and the servers' dedup caches alias a sent packet and its body
+// for as long as the event queue does.
+func Carve[T any]() (*Packet, *T) {
+	c := new(carved[T])
+	return &c.pkt, &c.val
+}
+
+// NewPacket returns a packet from origin to dst whose Body is a zero B carved
+// from the same allocation, for the caller to fill in before sending.
+func NewPacket[B any, P interface {
+	*B
+	Msg
+}](dst, origin env.NodeID) (*Packet, P) {
+	pkt, body := Carve[B]()
+	pkt.Dst, pkt.Origin, pkt.Body = dst, origin, P(body)
+	return pkt, body
+}
+
 // ReqCommon carries the fields every client request shares.
 type ReqCommon struct {
 	// RPC matches responses to requests and deduplicates retransmissions:
