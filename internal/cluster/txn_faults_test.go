@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"path"
 	"testing"
 
 	"switchfs/internal/client"
@@ -273,5 +274,196 @@ func TestLinkVotesLostReleasesLocks(t *testing.T) {
 				return
 			}
 		}
+	})
+}
+
+// TestCoordinatorCrashBetweenTxnHalves crashes the coordinator in the window
+// that releasing renameMu at the last vote opens: transaction 1 has committed
+// on its votes (the record is in the coordinator's WAL) but every decision is
+// lost, so its participants stay prepared and keep their locks — the shared
+// parent directory's among them; transaction 2, sent the moment the mutex was
+// free, is already prepared at the participants that need no lock of
+// transaction 1's, while its prepare at the directory's owner waits for the
+// directory lock. After recovery the commit is re-driven, transaction 2
+// resolves by presumed abort through its participants' termination protocol
+// and goes through on the client's retry, and no key lock is stranded.
+func TestCoordinatorCrashBetweenTxnHalves(t *testing.T) {
+	s, c := sim(t, Options{Servers: 4, Clients: 2, RetryTimeout: 200 * env.Microsecond})
+	// A parent directory the coordinator does not own, and file names in it
+	// owned by neither the coordinator nor the directory's owner: every
+	// prepare and vote crosses the network, and transaction 2 has
+	// participants that can prepare while the directory lock is taken.
+	pl := NewPreload(c)
+	pl.LogWAL = true
+	var parent core.DirRef
+	for i := 0; parent.ID.IsZero(); i++ {
+		name := fmt.Sprintf("p%d", i)
+		if c.Ring.OwnerOfFile(core.RootDirID, name) != 0 {
+			parent = pl.Dir("/" + name)
+		}
+	}
+	dirOwner := c.Ring.OwnerOf(parent.FP)
+	used := 0
+	pick := func() string {
+		for ; ; used++ {
+			name := fmt.Sprintf("f%d", used)
+			if o := c.Ring.OwnerOfFile(parent.ID, name); o != 0 && o != dirOwner {
+				used++
+				return "/" + parent.Key.Name + "/" + name
+			}
+		}
+	}
+	src1, dst1, src2, dst2 := pick(), pick(), pick(), pick()
+	c.Run(0, func(p *env.Proc, cl *client.Client) {
+		for _, f := range []string{src1, src2} {
+			if err := cl.Create(p, f, 0); err != nil {
+				t.Errorf("create %s: %v", f, err)
+			}
+		}
+		// Apply the deferred creates now, so neither rename has to.
+		if _, err := cl.StatDir(p, "/"+parent.Key.Name); err != nil {
+			t.Errorf("statdir: %v", err)
+		}
+	})
+
+	start := s.Now()
+	var first uint64
+	var crashedAfter env.Duration
+	s.Net().Filter = func(from, to env.NodeID, msg any) env.Verdict {
+		pkt, ok := msg.(*wire.Packet)
+		if !ok {
+			return env.Pass
+		}
+		switch b := pkt.Body.(type) {
+		case *wire.TxnDecision:
+			return env.Drop
+		case *wire.TxnPrepare:
+			if first == 0 {
+				first = b.Txn
+			}
+		case *wire.TxnVote:
+			if b.Txn != first && crashedAfter == 0 {
+				// Transaction 2's first vote is on the wire.
+				crashedAfter = s.Now() - start
+				s.After(0, func() { c.CrashServer(0) })
+				s.After(1*env.Millisecond, func() { s.Net().Filter = nil })
+				s.After(2*env.Millisecond, func() { c.RecoverServer(0) })
+			}
+		}
+		return env.Pass
+	}
+	for i, pr := range [][2]string{{src1, dst1}, {src2, dst2}} {
+		pr, cl := pr, c.Client(i)
+		s.Spawn(cl.ID(), func(p *env.Proc) {
+			p.Sleep(env.Duration(i) * env.Microsecond) // transaction 1 reaches the coordinator first
+			// The outcome the client sees may be success, the resent ENOENT of
+			// its own committed rename, or a timeout.
+			_ = cl.Rename(p, pr[0], pr[1])
+		})
+	}
+	s.Run()
+	// With the mutex held through the decision round, transaction 2's
+	// prepare leaves only once transaction 1 is decided everywhere — here
+	// through its participants' termination protocol, whose first poll comes
+	// 4 × RetryTimeout after they voted — and the window above does not exist.
+	if crashedAfter == 0 || crashedAfter > 400*env.Microsecond {
+		t.Fatalf("transaction 2 voted %v after the renames were issued (0: never): it did not prepare while transaction 1 was undecided", crashedAfter)
+	}
+
+	c.Run(0, func(p *env.Proc, cl *client.Client) {
+		gone := func(file string) bool {
+			_, err := cl.Stat(p, file)
+			if !wantNoTimeout(t, "stat "+file, err) {
+				return false
+			}
+			if err != nil && !errors.Is(err, core.ErrNotExist) {
+				t.Errorf("stat %s: %v", file, err)
+			}
+			return err != nil
+		}
+		if !gone(src1) || gone(dst1) {
+			t.Errorf("the committed rename %s -> %s was not re-driven to completion", src1, dst1)
+		}
+		listed := []string{path.Base(dst1)}
+		switch s2, d2 := gone(src2), gone(dst2); {
+		case s2 == d2:
+			t.Errorf("rename atomicity broken: %s gone=%v, %s gone=%v", src2, s2, dst2, d2)
+		case s2:
+			listed = append(listed, path.Base(dst2))
+		default:
+			listed = append(listed, path.Base(src2))
+		}
+		wantDir(t, p, cl, "/"+parent.Key.Name, listed...)
+	})
+	if pending := c.Servers[0].PendingTxnCommitRecords(); pending != 0 {
+		t.Errorf("%d unacknowledged commit-decision records survive recovery", pending)
+	}
+}
+
+// TestDirectoryRenameHoldsCoordinatorToItsEnd races one directory rename
+// with file renames. The file renames are decided after they left the
+// serialized section; the directory rename stays in it through its decision
+// (a later rename's loop check must see the outcome), and no other
+// transaction's prepare round starts while it is there.
+func TestDirectoryRenameHoldsCoordinatorToItsEnd(t *testing.T) {
+	s, c, rec := traceSim(t, Options{Servers: 8, Clients: 8, Costs: env.DefaultCosts()}, 4*renamePairs)
+	renameFixture(t, c)
+	dirClient := c.Client(7)
+	s.Spawn(dirClient.ID(), func(p *env.Proc) {
+		p.Sleep(40 * env.Microsecond) // land among the file renames
+		if err := dirClient.Rename(p, "/hot", "/moved"); err != nil {
+			t.Errorf("rename /hot -> /moved: %v", err)
+		}
+	})
+	var pairs [][2]string
+	for i, pr := range disjointPairs() {
+		if i%8 != 7 { // client 7 carries the directory rename alone
+			pairs = append(pairs, pr)
+		}
+	}
+	for i, pr := range pairs {
+		pr, cl := pr, c.Client(i%7)
+		s.Spawn(cl.ID(), func(p *env.Proc) {
+			if err := cl.Rename(p, pr[0], pr[1]); err != nil {
+				t.Errorf("rename %s -> %s: %v", pr[0], pr[1], err)
+			}
+		})
+	}
+	s.Run()
+
+	var dir *coordRounds
+	files := 0
+	rounds := coordinatorRounds(assertWellShaped(t, rec))
+	for _, x := range rounds {
+		switch {
+		case x.prepare == 0:
+			// not a rename (the fixture's creates and mkdirs)
+		case x.client == dirClient.ID():
+			dir = x
+		default:
+			files++
+			if x.decided <= x.serial {
+				t.Errorf("a file rename was decided at %v, inside its serialized section (ends %v)", x.decided, x.serial)
+			}
+		}
+	}
+	if dir == nil || files != len(pairs) {
+		t.Fatalf("traced %d file renames (want %d) and directory rename %v", files, len(pairs), dir != nil)
+	}
+	if dir.decided > dir.serial {
+		t.Errorf("the directory rename left its serialized section at %v, before its decision round ended at %v", dir.serial, dir.decided)
+	}
+	for _, x := range rounds {
+		if x != dir && x.prepare > dir.prepare && x.prepare < dir.serial {
+			t.Errorf("a prepare round started at %v, inside the directory rename's serialized section [%v, %v]",
+				x.prepare, dir.prepare, dir.serial)
+		}
+	}
+	c.Run(0, func(p *env.Proc, cl *client.Client) {
+		var hot []string
+		for i := 0; i < renamePairs; i++ {
+			hot = append(hot, fmt.Sprintf("f%d", i))
+		}
+		wantDir(t, p, cl, "/moved", hot...)
 	})
 }

@@ -70,7 +70,7 @@ func FigLincheckSeed(sc Scale, seed int64) Table {
 		row(mode, int(seeds), ops, 0, violations, packets)
 	}
 	diffMode("differential", func(s int64) []lincheck.Op {
-		return lincheck.GenProgram(s, 3, 40).Flatten()
+		return lincheck.GenProgram(s, 3, 40, lincheck.AdversarialMix).Flatten()
 	})
 	diffMode("differential-mix", func(s int64) []lincheck.Op {
 		return lincheck.MixProgram(s, 60)
@@ -102,7 +102,7 @@ func FigLincheckSeed(sc Scale, seed int64) Table {
 		row(mode, histories, ops, ambiguous, violations, packets)
 	}
 	runConcurrent("concurrent", func(s int64) (string, *lincheck.Report) {
-		return "concurrent", lincheck.CheckConcurrent(s, lincheck.GenProgram(s, 4, 7), nil)
+		return "concurrent", lincheck.CheckConcurrent(s, lincheck.GenProgram(s, 4, 7, lincheck.AdversarialMix), nil)
 	})
 
 	// Mode 3: concurrent histories across the fault-plan catalog. Rows are
@@ -117,7 +117,7 @@ func FigLincheckSeed(sc Scale, seed int64) Table {
 		i := i
 		runConcurrent("plan:"+pname, func(s int64) (string, *lincheck.Report) {
 			plan := lincheck.Plans(s)[i]
-			return "plan:" + plan.Name, lincheck.CheckConcurrent(s, lincheck.GenProgram(s, 3, 6), &plan)
+			return "plan:" + plan.Name, lincheck.CheckConcurrent(s, lincheck.GenProgram(s, 3, 6, lincheck.AdversarialMix), &plan)
 		})
 	}
 

@@ -189,7 +189,7 @@ func TestMutationBrokenRename(t *testing.T) {
 	// the broken model too.
 	detected := false
 	for seed := int64(1); seed <= 16 && !detected; seed++ {
-		prog := GenProgram(seed, 3, 40)
+		prog := GenProgram(seed, 3, 40, AdversarialMix)
 		detected = DiffWithModel(NewBrokenRenameModel(), seed, prog.Flatten()).Failed()
 	}
 	if !detected {

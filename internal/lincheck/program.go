@@ -26,10 +26,12 @@ type opWeight struct {
 	weight int
 }
 
-// programMix is the adversarial op mix: mutation-heavy, with every two-path
-// and directory op represented (PanguMix-style shape, compressed onto a tiny
-// namespace).
-var programMix = []opWeight{
+// Mix is a program's op mix: the op kinds it draws and their weights.
+type Mix []opWeight
+
+// AdversarialMix is mutation-heavy, with every two-path and directory op
+// represented (PanguMix-style shape, compressed onto a tiny namespace).
+var AdversarialMix = Mix{
 	{core.OpCreate, 16},
 	{core.OpMkdir, 14},
 	{core.OpDelete, 10},
@@ -44,6 +46,21 @@ var programMix = []opWeight{
 	{core.OpLink, 7},
 }
 
+// TwoPathMix is rename- and link-heavy — 54 of 100 draws are two-path
+// operations — with just enough creates and mkdirs for them to find sources.
+// Run with many clients it keeps several transactions at the coordinator at
+// once: one being decided while the next prepares.
+var TwoPathMix = Mix{
+	{core.OpRename, 36},
+	{core.OpLink, 18},
+	{core.OpCreate, 18},
+	{core.OpMkdir, 12},
+	{core.OpDelete, 5},
+	{core.OpReadDir, 5},
+	{core.OpStatDir, 3},
+	{core.OpStat, 3},
+}
+
 // chmodPerms is the perm pool for chmod draws (create/mkdir use the server
 // defaults so sequential systems with and without create-perm plumbing stay
 // comparable).
@@ -51,8 +68,9 @@ var chmodPerms = []core.Perm{0o600, 0o640, 0o700, 0o755}
 
 // GenProgram builds the deterministic program for a seed: `clients`
 // sequential lists of `opsPerClient` ops over a pool of ~10 colliding paths
-// up to three components deep. The same seed always yields the same program.
-func GenProgram(seed int64, clients, opsPerClient int) Program {
+// up to three components deep, drawn from mix. The same seed and mix always
+// yield the same program.
+func GenProgram(seed int64, clients, opsPerClient int, mix Mix) Program {
 	rnd := rand.New(rand.NewSource(seed*0x9E3779B9 + 1))
 
 	// Path pool: two root names, each with nested children — collisions by
@@ -71,12 +89,12 @@ func GenProgram(seed int64, clients, opsPerClient int) Program {
 	}
 
 	total := 0
-	for _, w := range programMix {
+	for _, w := range mix {
 		total += w.weight
 	}
 	pick := func() core.Op {
 		x := rnd.Intn(total)
-		for _, w := range programMix {
+		for _, w := range mix {
 			if x < w.weight {
 				return w.kind
 			}

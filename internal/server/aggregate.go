@@ -153,13 +153,14 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 
 	// Collect the local change-logs of the group under their exclusive
 	// protocol locks (this server may itself have logged updates to
-	// directories it owns).
-	var localLogs []wire.DirLog
+	// directories it owns). They head ctx.logs, so the batch below applies the
+	// local log first and the peers' logs in arrival order; no peer can answer
+	// before the fetch below is sent.
 	for _, dl := range locals {
 		dl.lock.Lock(p)
 		dl.qmu.Lock()
 		if dl.log.Len() > 0 {
-			localLogs = append(localLogs, wire.DirLog{Dir: dl.ref, Entries: dl.log.Snapshot()})
+			ctx.logs = append(ctx.logs, aggLog{from: s.cfg.ID, log: wire.DirLog{Dir: dl.ref, Entries: dl.log.Snapshot()}})
 		}
 		dl.heldBy = id
 		dl.qmu.Unlock()
@@ -235,11 +236,11 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 		}
 	}
 
-	// Apply (steps 7–8): group the collected logs by directory and apply
-	// under the inode locks. Per-peer acks let each sender trim exactly the
-	// entries it contributed.
+	// Apply (steps 7–8): every directory of the group as one batch under its
+	// inode lock. Per-peer acks let each sender trim exactly the entries it
+	// contributed.
 	s.mu.Lock()
-	collected := ctx.logs
+	logs := ctx.logs
 	delete(s.aggs, id)
 	if s.aggByFP[fp] == ctx {
 		delete(s.aggByFP, fp)
@@ -249,46 +250,37 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 		return false // fail-stopped: do not apply to this incarnation or ack peers
 	}
 
-	type srcLog struct {
-		src env.NodeID
-		log wire.DirLog
-	}
-	var all []srcLog
-	for _, l := range localLogs {
-		all = append(all, srcLog{src: s.cfg.ID, log: l})
-	}
-	for _, e := range collected {
-		all = append(all, srcLog{src: e.from, log: e.log})
-	}
+	s.applyByDir(p, logs)
+
+	// Acknowledge every peer (steps 9–10); peers whose entries we applied trim
+	// and unlock, and the peers that contributed nothing share one empty ack
+	// (receivers only read it) so their (unlocked) state stays clean.
 	acks := make(map[env.NodeID]*wire.AggAck)
-	for _, sl := range all {
-		l := s.lockOf(sl.log.Dir.Key)
-		l.Lock(p)
-		maxID := s.applyEntries(p, sl.src, sl.log)
-		l.Unlock()
-		if sl.src == s.cfg.ID {
+	for i := range logs {
+		l := &logs[i]
+		if l.from == s.cfg.ID {
 			continue // local trim happens below
 		}
-		a := acks[sl.src]
+		a := acks[l.from]
 		if a == nil {
 			a = &wire.AggAck{AggID: id, FP: fp, MaxIDs: make(map[core.DirID]uint64)}
-			acks[sl.src] = a
+			acks[l.from] = a
 		}
-		if a.MaxIDs[sl.log.Dir.ID] < maxID {
-			a.MaxIDs[sl.log.Dir.ID] = maxID
+		if a.MaxIDs[l.log.Dir.ID] < l.maxID {
+			a.MaxIDs[l.log.Dir.ID] = l.maxID
 		}
 	}
-
-	// Acknowledge every peer (steps 9–10); peers with no entries get an
-	// empty ack so their (unlocked) state stays clean, and peers whose
-	// entries we applied trim and unlock.
+	var empty *wire.AggAck
 	for _, peer := range s.cfg.Peers {
 		if peer == s.cfg.ID {
 			continue
 		}
 		a := acks[peer]
 		if a == nil {
-			a = &wire.AggAck{AggID: id, FP: fp}
+			if empty == nil {
+				empty = &wire.AggAck{AggID: id, FP: fp}
+			}
+			a = empty
 		}
 		s.reply(p, peer, a)
 	}
@@ -296,20 +288,10 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 
 	// Trim and unlock the local logs.
 	for _, dl := range locals {
-		var maxID uint64
-		dl.qmu.Lock()
-		for _, l := range localLogs {
-			if l.Dir.ID == dl.ref.ID {
-				for _, e := range l.Entries {
-					if e.ID > maxID {
-						maxID = e.ID
-					}
-				}
+		for i := range logs {
+			if l := &logs[i]; l.from == s.cfg.ID && l.log.Dir.ID == dl.ref.ID {
+				s.ackEntries(dl, l.maxID)
 			}
-		}
-		dl.qmu.Unlock()
-		if maxID > 0 {
-			s.ackEntries(dl, maxID)
 		}
 		dl.qmu.Lock()
 		dl.heldBy = 0
@@ -506,119 +488,160 @@ func (s *Server) handleAggAck(p *env.Proc, a *wire.AggAck) {
 	st.done.Complete(a)
 }
 
-// applyEntries applies one source's pending entries of one directory to the
-// inode and entry list. The caller holds the directory inode's exclusive
-// lock. Returns the largest entry ID seen (applied or deduplicated), so the
-// source can trim. With compaction disabled, each entry pays its own
-// attribute read-modify-write — the "+Async" configuration of Fig. 14; with
-// compaction, attribute deltas merge into one update (§5.3).
-func (s *Server) applyEntries(p *env.Proc, src env.NodeID, log wire.DirLog) uint64 {
+// applyByDir applies an aggregation's collected logs, every directory of the
+// group as one applyBatch under its inode lock. Logs group by directory
+// reference — id and key: a log still filed under a renamed directory's old
+// key is its own group — through a stable in-place partition; for the usual
+// single directory every log already sits where it belongs and nothing moves.
+func (s *Server) applyByDir(p *env.Proc, logs []aggLog) {
+	for start := 0; start < len(logs); {
+		ref := logs[start].log.Dir
+		end := start + 1
+		for j := end; j < len(logs); j++ {
+			if d := logs[j].log.Dir; d.ID == ref.ID && d.Key == ref.Key {
+				l := logs[j]
+				copy(logs[end+1:j+1], logs[end:j])
+				logs[end] = l
+				end++
+			}
+		}
+		l := s.lockOf(ref.Key)
+		l.Lock(p)
+		s.applyBatch(p, logs[start:end])
+		l.Unlock()
+		start = end
+	}
+}
+
+// applyBatch applies what several sources hold pending for ONE directory —
+// every log carries the same Dir, at most one log per source — to the inode
+// and entry list as one batch, and sets each log's maxID. The caller holds the
+// directory inode's exclusive lock, which also guards the directory's
+// watermarks.
+//
+// Each source is filtered by its own exactly-once watermark; what survives is
+// applied in the order given (an aggregation passes its local log first, then
+// the peers' in arrival order), so the last writer per name, the size delta
+// and the max timestamps are those of applying the sources one after another.
+// With compaction the batch pays one group commit — one synchronous WAL
+// write, the per-record marshaling spread over the cores — one attribute
+// read-modify-write from one compaction over the concatenation, and one
+// core-parallel entry-list apply (§5.3: compaction restores intra-server
+// parallelism). Without it every entry pays its own WAL write and attribute
+// read-modify-write — the "+Async" configuration of Fig. 14.
+func (s *Server) applyBatch(p *env.Proc, logs []aggLog) {
 	c := &s.cfg.Costs
-	mark := s.appliedMark(src, log.Dir.ID)
-	fresh := log.Entries[:0:0]
-	var maxID uint64
-	for _, e := range log.Entries {
-		if e.ID > maxID {
-			maxID = e.ID
-		}
-		if e.ID > mark {
-			fresh = append(fresh, e)
+	dir := logs[0].log.Dir
+	n := 0
+	for i := range logs {
+		l := &logs[i]
+		l.mark = s.appliedMark(l.from, dir.ID)
+		for _, e := range l.log.Entries {
+			if e.ID > l.maxID {
+				l.maxID = e.ID
+			}
+			if e.ID > l.mark {
+				n++
+			}
 		}
 	}
-	if len(fresh) == 0 {
-		return maxID
+	if n == 0 {
+		return
 	}
-	s.Stats.AggEntries += uint64(len(fresh))
+	s.Stats.AggEntries += uint64(n)
 
 	// Persist before applying: the owner's WAL now holds the entries, so
-	// the source may mark them applied (§A.1 "no change-log entry is lost").
-	// With compaction the batch group-commits: one synchronous WAL write
-	// covers the batch, with a small per-record marshaling cost.
+	// the sources may mark them applied (§A.1 "no change-log entry is lost").
 	wsp := s.cfg.Trace.Start(p, "wal:entries", "server")
 	if s.cfg.Compaction {
-		p.Compute(c.WALAppend + env.Duration(len(fresh))*c.LogAppend)
+		p.Compute(c.WALAppend)
+		s.parallelCompute(p, n, c.LogAppend)
 	}
-	for _, e := range fresh {
-		if !s.cfg.Compaction {
-			p.Compute(c.WALAppend)
+	fresh := make([]core.LogEntry, 0, n)
+	for i := range logs {
+		l := &logs[i]
+		for _, e := range l.log.Entries {
+			if e.ID <= l.mark {
+				continue
+			}
+			if !s.cfg.Compaction {
+				p.Compute(c.WALAppend)
+			}
+			mustAppend(s.wal, recAggEntry, encodeAggEntry(l.from, dir, e))
+			fresh = append(fresh, e)
 		}
-		mustAppend(s.wal, recAggEntry, encodeAggEntry(src, log.Dir, e))
 	}
 	wsp.End()
 
 	var in core.Inode
-	err := s.readInode(log.Dir.Key, &in)
+	err := s.readInode(dir.Key, &in)
 	p.Compute(c.KVGet)
-	if err != nil {
-		if err == core.ErrNotExist {
-			// The directory vanished (rmdir raced a straggling update); the
-			// entries are orphans — consume them so logs drain (§5.2.3).
-			s.Stats.Orphans += uint64(len(fresh))
-		}
-		s.setAppliedMark(src, log.Dir.ID, maxID)
-		return maxID
-	}
-
-	if s.cfg.Compaction {
+	switch {
+	case err == core.ErrNotExist:
+		// The directory vanished (rmdir raced a straggling update); the
+		// entries are orphans — consume them so logs drain (§5.2.3).
+		s.Stats.Orphans += uint64(n)
+	case err != nil:
+		// An undecodable inode: nothing to apply to; the entries are consumed.
+	case s.cfg.Compaction:
 		comp := core.Compact(fresh)
 		comp.ApplyToAttr(&in.Attr, p.Now())
 		p.Compute(c.KVGet + c.KVPut) // one attribute read-modify-write
-		s.storeInode(log.Dir.Key, &in)
+		s.storeInode(dir.Key, &in)
 		for _, op := range comp.Ops {
 			s.putDentry(in.ID, core.DirEntry{Name: op.Name, Type: op.Type, Perm: op.Perm}, op.Put)
 		}
 		// Compacted entry-list operations touch distinct names, so they
-		// apply in parallel across the server's cores — the intra-server
-		// parallelism +Compaction restores (§5.3, Fig. 14).
+		// apply in parallel across the server's cores.
 		s.parallelCompute(p, len(comp.Ops), c.LogApplyEntry)
-	} else {
+	default:
 		for _, e := range fresh {
 			one := core.Compact([]core.LogEntry{e})
 			one.ApplyToAttr(&in.Attr, p.Now())
 			p.Compute(c.KVGet + c.KVPut + c.LogApplyEntry)
-			s.storeInode(log.Dir.Key, &in)
+			s.storeInode(dir.Key, &in)
 			s.applyDentry(in.ID, e)
 		}
 	}
-	s.setAppliedMark(src, log.Dir.ID, maxID)
-	return maxID
+	for i := range logs {
+		s.setAppliedMark(logs[i].from, dir.ID, logs[i].maxID)
+	}
 }
 
-// parallelCompute spreads n units of per-item service time over the node's
-// cores: worker processes each burn a share concurrently.
+// minLaneItems is the least work a parallelCompute lane carries: below it a
+// spawned process, its future and its closure cost more than the fraction of
+// a microsecond they save.
+const minLaneItems = 8
+
+// parallelCompute charges n×each of service time, spread over the node's
+// cores when every lane gets at least minLaneItems items: worker processes
+// each burn a share concurrently with the caller's. A smaller batch is one
+// serial charge.
 func (s *Server) parallelCompute(p *env.Proc, n int, each env.Duration) {
-	if n <= 0 || each <= 0 {
-		return
-	}
-	lanes := s.cfg.Cores
-	if lanes > n {
-		lanes = n
-	}
-	if lanes <= 1 {
+	lanes := min(s.cfg.Cores, n/minLaneItems)
+	if lanes <= 1 || each <= 0 {
 		p.Compute(env.Duration(n) * each)
 		return
 	}
-	doneCh := make([]*env.Future, 0, lanes-1)
-	per := n / lanes
-	rem := n % lanes
+	done := make([]*env.Future, 0, lanes-1)
+	per, rem := n/lanes, n%lanes
 	for i := 1; i < lanes; i++ {
 		k := per
 		if i < rem {
 			k++
 		}
 		fut := env.NewFuture()
-		doneCh = append(doneCh, fut)
+		done = append(done, fut)
 		p.Spawn(func(wp *env.Proc) {
 			wp.Compute(env.Duration(k) * each)
 			fut.Complete(nil)
 		})
 	}
-	k0 := per
 	if rem > 0 {
-		k0++
+		per++
 	}
-	p.Compute(env.Duration(k0) * each)
-	for _, fut := range doneCh {
+	p.Compute(env.Duration(per) * each)
+	for _, fut := range done {
 		fut.Wait(p)
 	}
 }
@@ -730,9 +753,10 @@ func (s *Server) handleChangePush(p *env.Proc, from env.NodeID, cp *wire.ChangeP
 	defer s.fpExit(fp)
 	l := s.lockOf(cp.Log.Dir.Key)
 	l.Lock(p)
-	maxID := s.applyEntries(p, cp.From, cp.Log)
+	pushed := []aggLog{{from: cp.From, log: cp.Log}}
+	s.applyBatch(p, pushed)
 	l.Unlock()
-	s.reply(p, cp.From, &wire.ChangePushAck{Dir: cp.Log.Dir.ID, MaxID: maxID})
+	s.reply(p, cp.From, &wire.ChangePushAck{Dir: cp.Log.Dir.ID, MaxID: pushed[0].maxID})
 	if cp.Final {
 		return
 	}

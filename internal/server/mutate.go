@@ -349,7 +349,7 @@ func (s *Server) handleFallback(p *env.Proc, pkt *wire.Packet, cn *wire.CommitNo
 		// The directory's group migrated while this notice was in flight (or
 		// the switch rewrote against a stale AltDst). Forward to the current
 		// owner, preserving pkt.Origin: the origin server's identity drives
-		// the per-source watermarks in applyEntries and routes the CommitAck.
+		// the per-source watermarks in applyBatch and routes the CommitAck.
 		dst := s.ownerOfFP(fp)
 		if dst != s.cfg.ID {
 			p.Send(dst, &wire.Packet{Dst: dst, Origin: pkt.Origin,
@@ -382,7 +382,7 @@ func (s *Server) handleFallback(p *env.Proc, pkt *wire.Packet, cn *wire.CommitNo
 	dir := cn.Update.Dir
 	dl := s.lockOf(dir.Key)
 	dl.Lock(p)
-	s.applyEntries(p, pkt.Origin, cn.Update)
+	s.applyBatch(p, []aggLog{{from: pkt.Origin, log: cn.Update}})
 	dl.Unlock()
 	p.Send(cn.Client, &wire.Packet{Dst: cn.Client, Origin: s.cfg.ID,
 		Trace: p.TraceCtx(), Body: cn.Resp})
@@ -410,9 +410,10 @@ func (s *Server) adjustNlink(p *env.Proc, id core.FileID, delta int32) error {
 	if owner == s.cfg.ID {
 		return s.applyNlink(p, key, delta)
 	}
-	txn := &wire.TxnPrepare{
-		Ops: []wire.TxnOp{{Kind: wire.TxnAdjustNlink, Key: key,
-			Entry: core.LogEntry{ID: uint64(int64(delta))}}},
-	}
-	return s.runRemoteTxn(p, []env.NodeID{owner}, [][]wire.TxnOp{txn.Ops}, nil)
+	// A commutative one-shot: the participant applies at prepare time and
+	// takes no locks, so there is nothing to decide (or, after a given-up
+	// prepare, to abort).
+	ops := []wire.TxnOp{{Kind: wire.TxnAdjustNlink, Key: key,
+		Entry: core.LogEntry{ID: uint64(int64(delta))}}}
+	return s.endTxn(s.prepareTxn(p, []env.NodeID{owner}, [][]wire.TxnOp{ops}, nil))
 }

@@ -250,9 +250,6 @@ func (s *Server) redoAggEntry(src env.NodeID, dir core.DirRef, e core.LogEntry) 
 		s.storeInode(dir.Key, &in)
 		s.applyDentry(in.ID, e)
 	}
-	if e.ID > s.nextTxnEntry && src&txnSrcFlag != 0 {
-		s.nextTxnEntry = e.ID
-	}
 }
 
 // ownedDirFingerprints scans the KV store for directory inodes this server

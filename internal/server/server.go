@@ -159,11 +159,17 @@ type aggCtx struct {
 	retries int
 }
 
-// aggLog tags a collected change-log with the server that sent it, so acks
-// and exactly-once watermarks are per source.
+// aggLog tags one directory's pending change-log with the server that holds
+// it, so acks and exactly-once watermarks are per source. applyBatch fills
+// the last two fields.
 type aggLog struct {
 	from env.NodeID
 	log  wire.DirLog
+	// mark is the (from, directory) watermark the batch filtered against.
+	mark uint64
+	// maxID is the largest entry id seen, applied or deduplicated: the source
+	// may trim through it.
+	maxID uint64
 }
 
 // Server is one metadata server.
@@ -237,8 +243,10 @@ type Server struct {
 
 	// txns holds participant state for 2PC (rename, links, migration);
 	// txnVotes/txnDones hold coordinator-side collection state; renameMu
-	// serializes coordinated transactions cluster-wide (the centralized
-	// rename coordinator of §5.2).
+	// serializes the lock-acquiring half of coordinated transactions
+	// cluster-wide (the centralized rename coordinator of §5.2), and deciding
+	// is held shared by each transaction that left renameMu until its
+	// decision round ends, so a directory rename can wait them out.
 	txns       map[uint64]*txnState
 	txnVotes   map[uint64]*txnVotes
 	txnDones   map[uint64]*txnVotes
@@ -259,6 +267,7 @@ type Server struct {
 	txnRedrive []txnRedrive
 	txnRearm   []txnRearm
 	renameMu   env.Mutex
+	deciding   env.RWMutex
 
 	// ctlWait matches control-plane responses (ReadInode, ScanDir, AggNow,
 	// FlushAll, CloneInval) to their callers.
@@ -366,6 +375,10 @@ func New(e env.Env, cfg Config) *Server {
 	s.nextRemove = base
 	s.nextCtl = base
 	s.nextTxn = base
+	// Transaction entry ids likewise: they are compared against watermarks
+	// kept at the directories' owners, which survive a coordinator restart —
+	// an id at or below one would be dropped there as a duplicate.
+	s.nextTxnEntry = base
 	s.node = e.AddNode(cfg.ID, env.NodeConfig{Cores: cfg.Cores, Handler: s.handle})
 	s.bootstrapRoot()
 	return s

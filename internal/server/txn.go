@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/binary"
 	"sort"
 
@@ -12,9 +13,10 @@ import (
 
 // Rename and hard links are the synchronous, multi-inode operations of the
 // protocol (§5.2 "Rename", §5.5 "Support of hard links"). They run as
-// two-phase-commit transactions; renames (and links) are serialized through
-// the centralized coordinator, which both prevents distributed deadlock and
-// provides the orphaned-loop check of §5.2.
+// two-phase-commit transactions through the centralized coordinator, which
+// serializes their lock-acquiring half — preventing distributed deadlock —
+// and directory renames end to end, which provides the orphaned-loop check of
+// §5.2.
 
 // txnState is the participant-side context of a prepared transaction.
 type txnState struct {
@@ -26,10 +28,6 @@ type txnState struct {
 	// decision resolves the transaction.
 	lsn wal.LSN
 }
-
-// coordMutex serializes coordinator-side transactions. Stored per server but
-// only the coordinator's is used.
-var _ = sort.Ints // keep sort imported together with its use below
 
 // handleRename coordinates a rename (§5.2): up to four inodes across up to
 // four servers change together. If the source is a directory, its pending
@@ -93,36 +91,26 @@ func (s *Server) doRename(p *env.Proc, req *wire.RenameReq) error {
 	}
 	isDir := in.Type == core.TypeDir
 
-	// Serialize the transaction phase at the coordinator (§5.2: centralized
-	// rename coordinator). Serialization both orders directory renames for
-	// the loop check and excludes distributed lock-order cycles between
-	// concurrent rename transactions.
+	// Serialize lock acquisition at the coordinator (§5.2: centralized rename
+	// coordinator): prepares reach participants in different orders, so two
+	// transactions acquiring at once could form a cross-server lock cycle, and
+	// directory renames order their loop check here. See prepareTxn for what
+	// the mutex does not need to cover.
+	tsp := s.cfg.Trace.Start(p, "txn:run", "server")
+	defer tsp.End()
+	ssp := s.cfg.Trace.Start(p, "txn:serial", "server")
 	s.renameMu.Lock(p)
-	defer s.renameMu.Unlock()
 	var dentries []wire.TxnOp
 	if isDir {
-		// Orphaned-loop check: moving a directory under its own descendant
-		// would disconnect the subtree (§5.2). The client supplied the
-		// destination's ancestor chain during resolution.
-		for _, a := range req.Ancestors {
-			if a == in.ID {
-				return core.ErrLoop
-			}
-		}
-		if err := s.remoteAggregate(p, srcOwner, srcKey.Fingerprint()); err != nil {
-			return err
-		}
-		raw, err = s.readRemoteInode(p, srcOwner, srcKey)
-		if err != nil {
-			return err
-		}
-		if in, derr = core.DecodeInode(raw); derr != nil {
-			return core.ErrInvalid
-		}
-		// The entry list migrates with the inode: collect it for replay at
-		// the destination owner.
-		dentries, err = s.collectDentries(p, srcOwner, in.ID, srcKey.Fingerprint())
-		if err != nil {
+		// A directory rename moves the inode and entry list it reads here, so
+		// every earlier transaction must have applied its updates of them:
+		// wait out the decisions in flight. No new one can start — they are
+		// entered under renameMu, which stays held to this rename's end.
+		s.deciding.Lock(p)
+		s.deciding.Unlock()
+		if in, dentries, err = s.prepareDirMove(p, req, srcOwner, srcKey, in.ID); err != nil {
+			s.renameMu.Unlock()
+			ssp.End()
 			return err
 		}
 	}
@@ -174,15 +162,59 @@ func (s *Server) doRename(p *env.Proc, req *wire.RenameReq) error {
 		sorted[i] = parts[n].ops
 		sortedChecks[i] = parts[n].checks
 	}
-	if err := s.runTxn(p, ids, sorted, sortedChecks, false); err != nil {
+	t := s.prepareTxn(p, ids, sorted, sortedChecks)
+	if !isDir {
+		// Every vote is in: the next transaction may start acquiring while
+		// this one is decided (see prepareTxn).
+		s.deciding.RLock(p)
+		s.renameMu.Unlock()
+		ssp.End()
+		err = s.decideTxn(p, t)
+		s.deciding.RUnlock()
 		return err
 	}
-	if isDir {
+	// A directory rename keeps the coordinator to its end: a later rename's
+	// loop check must see this one's outcome, invalidation included.
+	err = s.decideTxn(p, t)
+	if err == nil {
 		// Clients may hold cached metadata for the renamed directory under
 		// its old path: invalidate everywhere (§5.2).
 		s.broadcastInval(p, []core.DirID{in.ID})
 	}
-	return nil
+	s.renameMu.Unlock()
+	ssp.End()
+	return err
+}
+
+// prepareDirMove is the directory half of a rename's serialized section: the
+// orphaned-loop check, an aggregation of the directory itself so the migrated
+// state is complete, and its inode and entry list as they stand after it —
+// the entry list migrates with the inode and is replayed at the destination
+// owner.
+func (s *Server) prepareDirMove(p *env.Proc, req *wire.RenameReq, srcOwner env.NodeID,
+	srcKey core.Key, id core.DirID) (*core.Inode, []wire.TxnOp, error) {
+
+	// Moving a directory under its own descendant would disconnect the
+	// subtree (§5.2). The client supplied the destination's ancestor chain
+	// during resolution.
+	for _, a := range req.Ancestors {
+		if a == id {
+			return nil, nil, core.ErrLoop
+		}
+	}
+	if err := s.remoteAggregate(p, srcOwner, srcKey.Fingerprint()); err != nil {
+		return nil, nil, err
+	}
+	raw, err := s.readRemoteInode(p, srcOwner, srcKey)
+	if err != nil {
+		return nil, nil, err
+	}
+	in, derr := core.DecodeInode(raw)
+	if derr != nil {
+		return nil, nil, core.ErrInvalid
+	}
+	dentries, err := s.collectDentries(p, srcOwner, in.ID, srcKey.Fingerprint())
+	return in, dentries, err
 }
 
 // handleLink coordinates hard-link creation (§5.5): split the source file
@@ -215,20 +247,25 @@ func (s *Server) doLink(p *env.Proc, req *wire.LinkReq) error {
 	if err := s.remoteAggregate(p, s.ownerOfFP(req.DstParent.FP), req.DstParent.FP); err != nil {
 		return err
 	}
+	tsp := s.cfg.Trace.Start(p, "txn:run", "server")
+	defer tsp.End()
+	ssp := s.cfg.Trace.Start(p, "txn:serial", "server")
 	s.renameMu.Lock(p)
-	defer s.renameMu.Unlock()
 
 	srcOwner := s.ownerOfKey(srcKey)
+	var in *core.Inode
 	raw, err := s.readRemoteInode(p, srcOwner, srcKey)
+	if err == nil {
+		if in, err = core.DecodeInode(raw); err != nil {
+			err = core.ErrInvalid
+		} else if in.Type == core.TypeDir {
+			err = core.ErrIsDir
+		}
+	}
 	if err != nil {
+		s.renameMu.Unlock()
+		ssp.End()
 		return err
-	}
-	in, derr := core.DecodeInode(raw)
-	if derr != nil {
-		return core.ErrInvalid
-	}
-	if in.Type == core.TypeDir {
-		return core.ErrIsDir
 	}
 
 	now := p.Now()
@@ -261,7 +298,10 @@ func (s *Server) doLink(p *env.Proc, req *wire.LinkReq) error {
 		ref := *in
 		ref.File = fid
 		sp := add(srcOwner)
-		sp.checks = append(sp.checks, wire.TxnCheck{Key: srcKey, MustExist: true})
+		// The source must still be unsplit at prepare: an earlier link that
+		// has left the serialized section may be undecided yet, and a second
+		// split would overwrite its attribute object and lose a reference.
+		sp.checks = append(sp.checks, wire.TxnCheck{Key: srcKey, MustExist: true, Same: raw})
 		sp.ops = append(sp.ops, wire.TxnOp{Kind: wire.TxnPutInode, Key: srcKey,
 			Inode: core.EncodeInode(&ref)})
 		ao := add(s.ownerOfKey(attrKey))
@@ -291,105 +331,122 @@ func (s *Server) doLink(p *env.Proc, req *wire.LinkReq) error {
 		ops[i] = parts[n].ops
 		checks[i] = parts[n].checks
 	}
-	return s.runTxn(p, ids, ops, checks, false)
+	t := s.prepareTxn(p, ids, ops, checks)
+	s.deciding.RLock(p)
+	s.renameMu.Unlock()
+	ssp.End()
+	err = s.decideTxn(p, t)
+	s.deciding.RUnlock()
+	return err
 }
 
-// runTxn drives two-phase commit over the participants. auto skips the
-// prepare phase for commutative single-participant updates.
+// coordTxn is a coordinator-side transaction between its two halves.
+type coordTxn struct {
+	id    uint64
+	parts []env.NodeID
+	votes *txnVotes
+	// prepared reports that every vote arrived; false when the prepare round
+	// gave up (or this incarnation fail-stopped) with votes outstanding.
+	prepared bool
+}
+
+// prepareTxn is the first half of two-phase commit: it sends the prepares and
+// collects the votes. It is the only part of a transaction that must run
+// under the coordinator's renameMu. While votes are outstanding, participants
+// are acquiring key locks, and two transactions acquiring at once could wait
+// on each other across servers; once every vote is in, the transaction holds
+// all its locks and waits for nothing, so it cannot be part of a cycle and
+// the next transaction may start acquiring while this one is decided. The
+// other order the mutex appears to give — TxnDirUpdate entry ids applied in
+// the order they were issued, which the (Coordinator|txnSrcFlag, directory)
+// watermark needs — is held by the directory's inode lock: lockTxnKeys takes
+// it for every TxnDirUpdate at prepare, in issue order because prepares are
+// serialized here, and the participant keeps it until it applied the decision.
+//
+// Every prepareTxn is followed by decideTxn (coordinated transactions) or
+// endTxn (one-shot participants, which have nothing to decide).
+func (s *Server) prepareTxn(p *env.Proc, parts []env.NodeID, ops [][]wire.TxnOp,
+	checks [][]wire.TxnCheck) *coordTxn {
+
+	s.mu.Lock()
+	s.nextTxn++
+	t := &coordTxn{id: uint64(s.cfg.ID)<<40 | s.nextTxn, parts: parts,
+		votes: &txnVotes{expect: make(map[env.NodeID]bool), done: env.NewFuture()}}
+	for _, n := range parts {
+		t.votes.expect[n] = true
+	}
+	s.txnVotes[t.id] = t.votes
+	s.mu.Unlock()
+
+	psp := s.cfg.Trace.Start(p, "txn:prepare", "server")
+	defer psp.End()
+	for try := 0; !s.dead; try++ {
+		for i, n := range parts {
+			var ck []wire.TxnCheck
+			if checks != nil {
+				ck = checks[i]
+			}
+			s.reply(p, n, &wire.TxnPrepare{Txn: t.id, From: s.cfg.ID, Ops: ops[i], Check: ck})
+		}
+		if _, ok := t.votes.done.WaitTimeout(p, s.cfg.RetryTimeout); ok {
+			t.prepared = true
+			break
+		}
+		s.Stats.Retries++
+		if try >= maxAggRetries {
+			break
+		}
+	}
+	return t
+}
+
+// endTxn forgets a transaction's votes and reports the prepare outcome. Until
+// it runs, status queries for the transaction answer Pending.
+func (s *Server) endTxn(t *coordTxn) error {
+	s.mu.Lock()
+	delete(s.txnVotes, t.id)
+	s.mu.Unlock()
+	switch {
+	case s.dead:
+		return core.ErrTimeout
+	case !t.prepared:
+		return core.ErrRetry
+	}
+	return t.votes.err
+}
+
+// decideTxn is the second half of two-phase commit: record the outcome and
+// drive it to every participant.
 //
 // A prepared participant holds its key locks until it learns the outcome, so
 // the decision phase must terminate at every participant: giving up after a
 // retry budget would leave those locks held forever — every later operation
 // on the keys (including plain stats, which share the inode locks) would
 // park behind them. The coordinator therefore (a) drives an explicit abort
-// decision when the prepare phase gives up, and (b) retransmits the decision
+// decision when the prepare phase gave up, and (b) retransmits the decision
 // until every participant acked or this incarnation fail-stops; a
 // participant that crashed meanwhile acks the duplicate from its fresh
 // incarnation. Coordinator crashes are covered by the participant-side
 // termination protocol (monitorTxn / handleTxnStatus): commits are persisted
-// to the WAL before the first decision packet, anything else is presumed
-// aborted.
+// to the WAL before the first decision packet leaves, anything else is
+// presumed aborted.
 //
 //detlint:wal-before-send recTxnCommit via=driveDecision
-func (s *Server) runTxn(p *env.Proc, parts []env.NodeID, ops [][]wire.TxnOp,
-	checks [][]wire.TxnCheck, auto bool) error {
-
-	tsp := s.cfg.Trace.Start(p, "txn:run", "server")
-	defer tsp.End()
-	s.mu.Lock()
-	s.nextTxn++
-	id := uint64(s.cfg.ID)<<40 | s.nextTxn
-	if s.txnVotes == nil {
-		s.txnVotes = make(map[uint64]*txnVotes)
-	}
-	tv := &txnVotes{expect: make(map[env.NodeID]bool), done: env.NewFuture()}
-	for _, n := range parts {
-		tv.expect[n] = true
-	}
-	s.txnVotes[id] = tv
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.txnVotes, id)
-		s.mu.Unlock()
-	}()
-
-	// Prepare.
-	prepared := true
-	psp := s.cfg.Trace.Start(p, "txn:prepare", "server")
-	for try := 0; ; try++ {
-		if s.dead {
-			psp.End()
-			return core.ErrTimeout
+func (s *Server) decideTxn(p *env.Proc, t *coordTxn) error {
+	// A commit outcome is fixed in the WAL before the first decision packet
+	// leaves (recordCommit); aborts are presumed and deliberately unlogged,
+	// so the two outcomes drive the decision from separate branches and
+	// walorder proves the ordering on the commit one.
+	if t.prepared && t.votes.err == nil {
+		s.recordCommit(p, t.id, t.parts)
+		if s.driveDecision(p, t.id, t.parts, true) {
+			s.ackDecision(t.id)
 		}
-		for i, n := range parts {
-			var ck []wire.TxnCheck
-			if checks != nil {
-				ck = checks[i]
-			}
-			s.reply(p, n, &wire.TxnPrepare{Txn: id, From: s.cfg.ID, Ops: ops[i], Check: ck})
-		}
-		if _, ok := tv.done.WaitTimeout(p, s.cfg.RetryTimeout); ok {
-			break
-		}
-		s.Stats.Retries++
-		if try >= maxAggRetries {
-			prepared = false
-			break
-		}
-	}
-	psp.End()
-	if auto {
-		// Auto participants apply at prepare time and take no locks — a
-		// given-up prepare leaves nothing to abort.
-		if !prepared {
-			return core.ErrRetry
-		}
-		return tv.err
-	}
-	// Decision. A commit outcome is fixed in the WAL before the first
-	// decision packet leaves (recordCommit); aborts are presumed and
-	// deliberately unlogged, so the two outcomes drive the decision from
-	// separate branches and walorder proves the ordering on the commit one.
-	commit := prepared && tv.err == nil
-	var acked bool
-	if commit {
-		s.recordCommit(p, id, parts)
-		acked = s.driveDecision(p, id, parts, true)
 	} else {
 		//detlint:ignore walorder -- presumed abort: an incarnation with no record answers abort, the same outcome
-		acked = s.driveDecision(p, id, parts, false)
+		s.driveDecision(p, t.id, t.parts, false)
 	}
-	if acked && commit {
-		s.ackDecision(id)
-	}
-	if s.dead {
-		return core.ErrTimeout
-	}
-	if !prepared {
-		return core.ErrRetry
-	}
-	return tv.err
+	return s.endTxn(t)
 }
 
 // recordCommit fixes a commit outcome before any decision packet leaves:
@@ -566,12 +623,6 @@ func (s *Server) monitorTxn(p *env.Proc, txn uint64, coord env.NodeID) {
 	}
 }
 
-// runRemoteTxn is the commutative single-shot variant used by adjustNlink.
-func (s *Server) runRemoteTxn(p *env.Proc, parts []env.NodeID, ops [][]wire.TxnOp,
-	checks [][]wire.TxnCheck) error {
-	return s.runTxn(p, parts, ops, checks, true)
-}
-
 // recordVote remembers the prepare outcome for retransmission replay.
 func (s *Server) recordVote(txn uint64, errno core.Errno) {
 	s.mu.Lock()
@@ -689,6 +740,8 @@ func (s *Server) handleTxnPrepare(p *env.Proc, tp *wire.TxnPrepare) {
 			err = core.ErrExist
 		case ck.MustExist && ck.IsDir && (rerr != nil || in.Type != core.TypeDir):
 			err = core.ErrNotDir
+		case ck.Same != nil && !s.inodeIs(ck.Key, ck.Same), s.entryPending(ck.Key):
+			err = core.ErrRetry
 		}
 		if err != nil {
 			break
@@ -727,6 +780,39 @@ func (s *Server) handleTxnPrepare(p *env.Proc, tp *wire.TxnPrepare) {
 	// coordinator dies before the decision reaches us.
 	s.watchTxn(tp.Txn, tp.From)
 	s.reply(p, tp.From, &wire.TxnVote{Txn: tp.Txn, From: s.cfg.ID})
+}
+
+// entryPending reports whether this server still holds an unapplied deferred
+// update of key's directory entry. Every asynchronous create and delete of a
+// name is logged by the name's owner — this server, for a key a transaction
+// checks here — and the key's lock, held from here to the decision, keeps
+// further ones out. A transaction's own update of that entry is applied
+// directly at the directory's owner, so it must not overtake a deferred one:
+// a later aggregation would re-apply the older update over it (a renamed-away
+// name listed again). The vote is retry; the coordinator's next attempt
+// aggregates the parent first, which drains the entry.
+func (s *Server) entryPending(key core.Key) bool {
+	s.mu.Lock()
+	dl := s.clogs[key.PID]
+	s.mu.Unlock()
+	if dl == nil {
+		return false
+	}
+	dl.qmu.Lock()
+	defer dl.qmu.Unlock()
+	for _, e := range dl.log.Snapshot() {
+		if e.Name == key.Name {
+			return true
+		}
+	}
+	return false
+}
+
+// inodeIs reports whether key's stored record is still raw.
+func (s *Server) inodeIs(key core.Key, raw []byte) bool {
+	var kb core.KeyBuf
+	cur, ok := s.kv.GetView(key.AppendTo(kb[:0]))
+	return ok && bytes.Equal(cur, raw)
 }
 
 // lockTxnKeys collects, orders (global key order — defense in depth against
@@ -882,8 +968,8 @@ func (s *Server) handleTxnDecision(p *env.Proc, td *wire.TxnDecision) {
 				// aggregation application for recovery. The pseudo-source
 				// keeps the exactly-once watermark separate from the
 				// coordinator's own change-log entries.
-				s.applyEntries(p, s.cfg.Coordinator|txnSrcFlag, wire.DirLog{
-					Dir: op.Dir, Entries: []core.LogEntry{op.Entry}})
+				s.applyBatch(p, []aggLog{{from: s.cfg.Coordinator | txnSrcFlag, log: wire.DirLog{
+					Dir: op.Dir, Entries: []core.LogEntry{op.Entry}}}})
 			case wire.TxnAdjustNlink:
 				s.applyNlink(p, op.Key, int32(int64(op.Entry.ID)))
 			case wire.TxnPutDentry:

@@ -414,6 +414,10 @@ type TxnCheck struct {
 	MustNotExist bool
 	// IsDir, when MustExist, additionally validates the object type.
 	IsDir bool
+	// Same, when set, is the stored record the coordinator read before the
+	// transaction and built its ops from: the record must still be these
+	// bytes, or the vote is retry.
+	Same []byte
 }
 
 // TxnVote is the participant's prepare answer.

@@ -21,7 +21,7 @@ func TestLincheckThroughSessions(t *testing.T) {
 	}
 	for _, seed := range seeds {
 		const clients = 3
-		prog := lincheck.GenProgram(seed, clients, 7)
+		prog := lincheck.GenProgram(seed, clients, 7, lincheck.AdversarialMix)
 		sim := switchfs.NewSimEnv(seed)
 		fs, err := switchfs.New(sim, switchfs.WithServers(4), switchfs.WithClients(clients))
 		if err != nil {
