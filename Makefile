@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: verify fmt vet build test bench bench-layers figures lint race detlint detlint-report determinism-smoke bench-json bench-smoke bench-compare bench-baseline chaos-smoke rebalance-smoke lincheck-smoke lincheck-sweep scale-smoke trace-smoke
+.PHONY: verify fmt vet build test bench bench-layers figures lint race clean detlint detlint-report determinism-smoke bench-json bench-smoke bench-compare bench-baseline chaos-smoke rebalance-smoke lincheck-smoke lincheck-sweep scale-smoke trace-smoke
 
 verify: fmt vet build test
 
@@ -55,8 +55,19 @@ trace-smoke:
 	@rm -f trace1.json trace2.json tbench1.json tbench2.json
 	@echo "trace-smoke: byte-identical and well-shaped"
 
+# race proves what detlint's rawgo can only forbid: the tree has no host
+# concurrency (one runtime, one runnable process, no sync or sync/atomic in
+# product code), so the race detector must stay silent with zero mutexes.
 race:
 	$(GO) test -race ./...
+
+# clean removes exactly the build, test and smoke products .gitignore lists.
+clean:
+	rm -rf bin .bench_build benchmark/out
+	rm -f bench.json chaos.json lincheck.json rebalance.json scale.json \
+		det1.json det2.json trace-compare.json trace-baseline.json \
+		trace1.json trace2.json tbench1.json tbench2.json
+	find . -path ./vendor -prune -o -type f \( -name '*.test' -o -name '*.prof' \) -exec rm -f {} +
 
 # bench-json regenerates the CI smoke artifact locally.
 bench-json:

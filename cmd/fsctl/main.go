@@ -1,6 +1,6 @@
 // Command fsctl runs an interactive-style script of filesystem operations
-// against an in-process SwitchFS cluster on the real (goroutine) runtime —
-// a smoke-testing and exploration tool.
+// against an in-process SwitchFS cluster on the deterministic simulator
+// (-seed picks the execution) — a smoke-testing and exploration tool.
 //
 // Usage:
 //
@@ -27,6 +27,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -221,7 +222,7 @@ func check(err error) {
 func main() {
 	servers := flag.Int("servers", 4, "metadata server count")
 	dataNodes := flag.Int("datanodes", 0, "data node count (open/read/write)")
-	seed := flag.Int64("seed", 1, "seed for 'chaos random'")
+	seed := flag.Int64("seed", 1, "seed for the simulated deployment and for 'chaos random'")
 	flag.Parse()
 	if flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "fsctl: no commands; try 'mkdir /a' 'create /a/f' 'ls /a', or 'fsctl chaos'")
@@ -246,19 +247,28 @@ func main() {
 		os.Exit(chaosCmd(flag.Args()[1:], chaosServers, chaosData, *seed))
 	}
 
-	e := switchfs.NewRealEnv()
-	fs, err := switchfs.New(e,
-		switchfs.WithServers(*servers),
-		switchfs.WithDataNodes(*dataNodes))
-	if err != nil {
+	if err := runScript(os.Stdout, *seed, *servers, *dataNodes, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "fsctl:", err)
 		os.Exit(1)
 	}
+}
+
+// runScript deploys a cluster on a simulator seeded with seed and runs the
+// filesystem commands in order, writing one transcript line (or listing) per
+// command to w. Command failures are part of the transcript; the returned
+// error reports a deployment that could not be built.
+func runScript(w io.Writer, seed int64, servers, dataNodes int, cmds []string) error {
+	fs, err := switchfs.New(switchfs.NewSimEnv(seed),
+		switchfs.WithServers(servers),
+		switchfs.WithDataNodes(dataNodes))
+	if err != nil {
+		return err
+	}
 
 	// An unbound session: each command dispatches on the client's node and
-	// blocks this goroutine until it completes.
+	// drives the simulation until it completes.
 	s := fs.Session(0)
-	for _, raw := range flag.Args() {
+	for _, raw := range cmds {
 		fields := strings.Fields(raw)
 		if len(fields) == 0 {
 			continue
@@ -284,20 +294,20 @@ func main() {
 			var a switchfs.Attr
 			a, err = s.Stat(arg(0))
 			if err == nil {
-				fmt.Printf("%s: %v mode=%o size=%d nlink=%d\n",
+				fmt.Fprintf(w, "%s: %v mode=%o size=%d nlink=%d\n",
 					arg(0), a.Type, a.Perm, a.Size, a.Nlink)
 			}
 		case "statdir":
 			var a switchfs.Attr
 			a, err = s.StatDir(arg(0))
 			if err == nil {
-				fmt.Printf("%s: dir mode=%o entries=%d\n", arg(0), a.Perm, a.Size)
+				fmt.Fprintf(w, "%s: dir mode=%o entries=%d\n", arg(0), a.Perm, a.Size)
 			}
 		case "ls":
 			var es []switchfs.DirEntry
 			es, err = s.ReadDir(arg(0))
 			for _, e := range es {
-				fmt.Printf("%v\t%s\n", e.Type, e.Name)
+				fmt.Fprintf(w, "%v\t%s\n", e.Type, e.Name)
 			}
 		case "mv":
 			err = s.Rename(arg(0), arg(1))
@@ -309,7 +319,7 @@ func main() {
 			var f *switchfs.File
 			f, err = s.Open(arg(0))
 			if err == nil {
-				fmt.Printf("%s: opened, type=%v\n", f.Name(), f.Attr().Type)
+				fmt.Fprintf(w, "%s: opened, type=%v\n", f.Name(), f.Attr().Type)
 				err = f.Close()
 			}
 		case "read", "write":
@@ -333,9 +343,10 @@ func main() {
 			err = fmt.Errorf("unknown command %q", cmd)
 		}
 		if err != nil {
-			fmt.Printf("%s: %v\n", raw, err)
+			fmt.Fprintf(w, "%s: %v\n", raw, err)
 		} else if cmd != "stat" && cmd != "statdir" && cmd != "ls" && cmd != "open" {
-			fmt.Printf("%s: ok\n", raw)
+			fmt.Fprintf(w, "%s: ok\n", raw)
 		}
 	}
+	return nil
 }

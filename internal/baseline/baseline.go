@@ -10,7 +10,6 @@ package baseline
 
 import (
 	"fmt"
-	"sync"
 
 	"switchfs/internal/core"
 	"switchfs/internal/env"
@@ -69,16 +68,15 @@ const (
 
 // Cluster is a deployed baseline system.
 type Cluster struct {
-	EnvH    env.Env
+	EnvH    *env.Sim
 	Opts    Options
 	servers []*bserver
 	clients []*bclient
 	idgen   *core.IDGen
-	idmu    sync.Mutex //detlint:ignore rawgo -- Real-mode guard for the id generator; leaf section, never held across a park
 }
 
 // New deploys a baseline cluster.
-func New(e env.Env, opts Options) *Cluster {
+func New(e *env.Sim, opts Options) *Cluster {
 	if opts.Servers == 0 {
 		opts.Servers = 8
 	}
@@ -147,17 +145,13 @@ func (c *Cluster) ClientNode(i int) env.NodeID { return c.clients[i%len(c.client
 func (c *Cluster) PerServerOps() []uint64 {
 	out := make([]uint64, len(c.servers))
 	for i, s := range c.servers {
-		s.mu.Lock()
 		out[i] = s.ops
-		s.mu.Unlock()
 	}
 	return out
 }
 
 // nextID allocates a directory id.
 func (c *Cluster) nextID() core.DirID {
-	c.idmu.Lock()
-	defer c.idmu.Unlock()
 	return c.idgen.Next()
 }
 
@@ -299,12 +293,9 @@ func (c *Cluster) subtreeOf(path string) int {
 // preloadDir ensures a directory path exists and returns its id.
 func (c *Cluster) preloadDir(path string) core.DirID {
 	cl := c.clients[0]
-	cl.mu.Lock()
 	if id, ok := cl.cache[path]; ok {
-		cl.mu.Unlock()
 		return id
 	}
-	cl.mu.Unlock()
 	comps, err := core.SplitPath(path)
 	if err != nil {
 		panic(err)
@@ -313,9 +304,7 @@ func (c *Cluster) preloadDir(path string) core.DirID {
 	walked := ""
 	for _, comp := range comps {
 		walked += "/" + comp
-		cl.mu.Lock()
 		id, ok := cl.cache[walked]
-		cl.mu.Unlock()
 		if ok {
 			cur = id
 			continue
@@ -332,9 +321,7 @@ func (c *Cluster) preloadDir(path string) core.DirID {
 		parentSrv.kv.Put(dirKey(cur), encodeDir(r))
 		// Share the resolved id with every client cache.
 		for _, cc := range c.clients {
-			cc.mu.Lock()
 			cc.cache[walked] = id
-			cc.mu.Unlock()
 		}
 		cur = id
 	}

@@ -150,10 +150,10 @@ func TestPreloadVisibleToClients(t *testing.T) {
 // separation, children spread across servers.
 func TestPlacementShapesMatchTab1(t *testing.T) {
 	simG := env.NewSim(9)
-	g := New(simG, Options{Mode: InfiniFS, Servers: 8, Clients: 1, Costs: env.ZeroCosts()})
+	g := New(simG, Options{Mode: InfiniFS, Servers: 8, Clients: 1, Costs: env.Costs{}})
 	simG.Shutdown()
 	simS := env.NewSim(9)
-	s := New(simS, Options{Mode: CFS, Servers: 8, Clients: 1, Costs: env.ZeroCosts()})
+	s := New(simS, Options{Mode: CFS, Servers: 8, Clients: 1, Costs: env.Costs{}})
 	simS.Shutdown()
 
 	pid := g.nextID()
@@ -175,7 +175,7 @@ func TestPlacementShapesMatchTab1(t *testing.T) {
 func TestCephSubtreePinning(t *testing.T) {
 	sim := env.NewSim(9)
 	defer sim.Shutdown()
-	c := New(sim, Options{Mode: Ceph, Servers: 8, Clients: 1, Costs: env.ZeroCosts()})
+	c := New(sim, Options{Mode: Ceph, Servers: 8, Clients: 1, Costs: env.Costs{}})
 	// Everything under one top-level directory shares a server.
 	s1 := c.subtreeOf("/top/a/b")
 	s2 := c.subtreeOf("/top/x")

@@ -1,8 +1,6 @@
 package baseline
 
 import (
-	"sync"
-
 	"switchfs/internal/core"
 	"switchfs/internal/env"
 	"switchfs/internal/fsapi"
@@ -14,7 +12,6 @@ type bclient struct {
 	c  *Cluster
 	id env.NodeID
 
-	mu    sync.Mutex //detlint:ignore rawgo -- Real-mode guard for the resolution cache; leaf section, never held across a park
 	cache map[string]core.DirID
 	calls map[uint64]*env.Future
 	rpcs  uint64
@@ -27,26 +24,18 @@ func (cl *bclient) handle(p *env.Proc, from env.NodeID, msg any) {
 	if !ok {
 		return
 	}
-	cl.mu.Lock()
 	fut := cl.calls[r.RPC]
-	cl.mu.Unlock()
 	if fut != nil {
 		fut.Complete(r)
 	}
 }
 
 func (cl *bclient) call(p *env.Proc, to env.NodeID, build func(rpc uint64) any) (*bresp, error) {
-	cl.mu.Lock()
 	cl.rpcs++
 	rpc := uint64(cl.id)<<40 | cl.rpcs
 	fut := env.NewFuture()
 	cl.calls[rpc] = fut
-	cl.mu.Unlock()
-	defer func() {
-		cl.mu.Lock()
-		delete(cl.calls, rpc)
-		cl.mu.Unlock()
-	}()
+	defer delete(cl.calls, rpc)
 	msg := build(rpc)
 	for try := 0; try < 64; try++ {
 		p.Send(to, msg)
@@ -73,9 +62,7 @@ func (cl *bclient) resolve(p *env.Proc, path string) (core.DirID, string, string
 	for _, comp := range comps[:len(comps)-1] {
 		walked += "/" + comp
 		p.Compute(cl.c.Opts.Costs.CacheLookup)
-		cl.mu.Lock()
 		id, hit := cl.cache[walked]
-		cl.mu.Unlock()
 		if hit {
 			cur = id
 			continue
@@ -91,9 +78,7 @@ func (cl *bclient) resolve(p *env.Proc, path string) (core.DirID, string, string
 		if resp.Err != core.ErrnoOK {
 			return core.DirID{}, "", "", resp.Err.Err()
 		}
-		cl.mu.Lock()
 		cl.cache[walked] = resp.Dir
-		cl.mu.Unlock()
 		cur = resp.Dir
 	}
 	dirPath := "/" + joinPath(comps[:len(comps)-1])
@@ -132,9 +117,7 @@ func (cl *bclient) do(p *env.Proc, op core.Op, path string) (*bresp, error) {
 	switch op {
 	case core.OpStatDir, core.OpReadDir:
 		// Directory reads address the directory itself.
-		cl.mu.Lock()
 		id, ok := cl.cache[path]
-		cl.mu.Unlock()
 		if !ok {
 			o := cl.c.ownerForDirID(dir, dirPath)
 			resp, err := cl.call(p, o.id, func(rpc uint64) any {
@@ -148,9 +131,7 @@ func (cl *bclient) do(p *env.Proc, op core.Op, path string) (*bresp, error) {
 				return nil, resp.Err.Err()
 			}
 			id = resp.Dir
-			cl.mu.Lock()
 			cl.cache[path] = id
-			cl.mu.Unlock()
 		}
 		owner = cl.c.ownerForDirID(id, path)
 		resp, err := cl.call(p, owner.id, func(rpc uint64) any {
@@ -171,9 +152,7 @@ func (cl *bclient) do(p *env.Proc, op core.Op, path string) (*bresp, error) {
 			return nil, err
 		}
 		if resp.Err == core.ErrnoOK {
-			cl.mu.Lock()
 			cl.cache[path] = resp.Dir
-			cl.mu.Unlock()
 		}
 		return resp, resp.Err.Err()
 	case core.OpRmdir:
@@ -221,13 +200,11 @@ func (cl *bclient) Rmdir(p *env.Proc, path string) error {
 // rmdir or rename, a recreated or moved directory gets a different id, and a
 // stale hit would route operations to the old one.
 func (cl *bclient) invalidatePrefix(path string) {
-	cl.mu.Lock()
 	for k := range cl.cache {
 		if k == path || (len(k) > len(path)+1 && k[:len(path)] == path && k[len(path)] == '/') {
 			delete(cl.cache, k)
 		}
 	}
-	cl.mu.Unlock()
 }
 
 // statAttr builds the attribute block for a stat/open response from the
@@ -327,17 +304,11 @@ func (cl *bclient) Data(p *env.Proc, shard int, write bool, bytes int64) error {
 		return nil
 	}
 	node := dataBase + env.NodeID(shard%cl.c.Opts.DataNodes)
-	cl.mu.Lock()
 	cl.rpcs++
 	rpc := uint64(cl.id)<<40 | cl.rpcs
 	fut := env.NewFuture()
 	cl.calls[rpc] = fut
-	cl.mu.Unlock()
-	defer func() {
-		cl.mu.Lock()
-		delete(cl.calls, rpc)
-		cl.mu.Unlock()
-	}()
+	defer delete(cl.calls, rpc)
 	for try := 0; try < 8; try++ {
 		p.Send(node, &bdata{RPC: rpc, From: cl.id, Bytes: bytes})
 		if _, ok := fut.WaitTimeout(p, 40*env.Millisecond); ok {

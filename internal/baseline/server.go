@@ -1,8 +1,6 @@
 package baseline
 
 import (
-	"sync"
-
 	"switchfs/internal/core"
 	"switchfs/internal/env"
 	"switchfs/internal/kv"
@@ -92,7 +90,6 @@ type bserver struct {
 	id env.NodeID
 	kv *kv.Store
 
-	mu    sync.Mutex //detlint:ignore rawgo -- Real-mode guard for the lock/call tables; leaf section, never held across a park
 	locks map[core.DirID]*env.RWMutex
 	calls map[uint64]*env.Future
 	rpcs  uint64
@@ -107,7 +104,7 @@ type bserver struct {
 	served   map[reqKey]any
 	servedQ  []reqKey
 	// ops counts executed (non-duplicate) client requests, for the
-	// per-server tallies figures carry (guarded by mu).
+	// per-server tallies figures carry.
 	ops uint64
 }
 
@@ -125,8 +122,6 @@ const servedWindow = 4096
 // caller replays resp — this keeps clients alive under response loss),
 // and (nil, true) for a duplicate still in flight (dropped).
 func (s *bserver) beginReq(k reqKey) (any, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if resp, ok := s.served[k]; ok {
 		return resp, true
 	}
@@ -139,7 +134,6 @@ func (s *bserver) beginReq(k reqKey) (any, bool) {
 
 // endReq retires an execution and its response into the served window.
 func (s *bserver) endReq(k reqKey, resp any) {
-	s.mu.Lock()
 	delete(s.inflight, k)
 	s.served[k] = resp
 	s.servedQ = append(s.servedQ, k)
@@ -147,12 +141,9 @@ func (s *bserver) endReq(k reqKey, resp any) {
 		delete(s.served, s.servedQ[0])
 		s.servedQ = s.servedQ[1:]
 	}
-	s.mu.Unlock()
 }
 
 func (s *bserver) lockOf(id core.DirID) *env.RWMutex {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	l := s.locks[id]
 	if l == nil {
 		l = &env.RWMutex{}
@@ -163,17 +154,11 @@ func (s *bserver) lockOf(id core.DirID) *env.RWMutex {
 
 // call performs a retried server-to-server RPC.
 func (s *bserver) call(p *env.Proc, to env.NodeID, build func(rpc uint64) any) *bsubResp {
-	s.mu.Lock()
 	s.rpcs++
 	rpc := uint64(s.id)<<40 | s.rpcs
 	fut := env.NewFuture()
 	s.calls[rpc] = fut
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.calls, rpc)
-		s.mu.Unlock()
-	}()
+	defer delete(s.calls, rpc)
 	msg := build(rpc)
 	for try := 0; try < 64; try++ {
 		p.Send(to, msg)
@@ -197,9 +182,7 @@ func (s *bserver) handle(p *env.Proc, from env.NodeID, msg any) {
 			}
 			return
 		}
-		s.mu.Lock()
 		s.ops++
-		s.mu.Unlock()
 		resp := &bresp{RPC: m.RPC}
 		s.handleReq(p, m, resp)
 		s.endReq(k, resp)
@@ -215,9 +198,7 @@ func (s *bserver) handle(p *env.Proc, from env.NodeID, msg any) {
 		s.handleSub(p, m, resp)
 		s.endReq(k, resp)
 	case *bsubResp:
-		s.mu.Lock()
 		fut := s.calls[m.RPC]
-		s.mu.Unlock()
 		if fut != nil {
 			fut.Complete(m)
 		}

@@ -16,7 +16,7 @@ type directedLink struct{ from, to env.NodeID }
 // seeded generator.
 type Injector struct {
 	c *cluster.Cluster
-	e env.Env
+	e *env.Sim
 	// active maps fault name → installed directed link rules, for Heal.
 	active map[string][]directedLink
 	// pending collects futures of recoveries and reconfigurations the plan
@@ -38,7 +38,7 @@ type pendingOp struct {
 
 // Apply schedules every event of the plan relative to the current virtual
 // time and returns the injector tracking its side effects.
-func Apply(e env.Env, c *cluster.Cluster, p Plan) *Injector {
+func Apply(e *env.Sim, c *cluster.Cluster, p Plan) *Injector {
 	inj := &Injector{c: c, e: e, active: make(map[string][]directedLink)}
 	for _, ev := range p.Sorted() {
 		ev := ev

@@ -7,7 +7,6 @@ package client
 import (
 	"errors"
 	"slices"
-	"sync"
 
 	"switchfs/internal/core"
 	"switchfs/internal/env"
@@ -51,10 +50,9 @@ type Config struct {
 // Client is one LibFS instance bound to an env node.
 type Client struct {
 	cfg  Config
-	env  env.Env
+	env  *env.Sim
 	node *env.Node
 
-	mu        sync.Mutex //detlint:ignore rawgo -- Real-mode guard for the name cache; leaf section, never held across a park
 	cache     map[string]cachedDir
 	byID      map[core.DirID][]string
 	invalSeen map[env.NodeID]uint64
@@ -91,7 +89,7 @@ var opSpans = func() (t [256]string) {
 
 // New builds a client and registers its node. Clients have unlimited cores:
 // client CPU is never the bottleneck in the paper's evaluation.
-func New(e env.Env, cfg Config) *Client {
+func New(e *env.Sim, cfg Config) *Client {
 	if cfg.RetryTimeout == 0 {
 		cfg.RetryTimeout = 2 * env.Millisecond
 	}
@@ -128,9 +126,7 @@ func (c *Client) handle(p *env.Proc, from env.NodeID, msg any) {
 	if rc != nil {
 		c.applyInval(from, rc)
 	}
-	c.mu.Lock()
 	fut := c.pending[rpc]
-	c.mu.Unlock()
 	if fut != nil {
 		fut.Complete(pkt.Body)
 	}
@@ -161,13 +157,6 @@ func respInfo(m wire.Msg) (uint64, *wire.RespCommon) {
 // applyInval drops cache entries named by piggybacked invalidation records
 // (lazy invalidation, §5.2).
 func (c *Client) applyInval(from env.NodeID, rc *wire.RespCommon) {
-	if len(rc.Inval) == 0 {
-		c.mu.Lock()
-		c.noteInvalSeq(from, rc.InvalSeqHigh)
-		c.mu.Unlock()
-		return
-	}
-	c.mu.Lock()
 	for _, e := range rc.Inval {
 		for _, path := range c.byID[e.Dir] {
 			delete(c.cache, path)
@@ -175,11 +164,10 @@ func (c *Client) applyInval(from env.NodeID, rc *wire.RespCommon) {
 		delete(c.byID, e.Dir)
 	}
 	c.noteInvalSeq(from, rc.InvalSeqHigh)
-	c.mu.Unlock()
 }
 
 // noteInvalSeq records the highest invalidation sequence seen from a server,
-// allocating the map on first write (callers hold c.mu).
+// allocating the map on first write.
 func (c *Client) noteInvalSeq(from env.NodeID, seq uint64) {
 	if seq > c.invalSeen[from] {
 		if c.invalSeen == nil {
@@ -194,7 +182,6 @@ func (c *Client) noteInvalSeq(from env.NodeID, seq uint64) {
 // /a and /a/b but not /ab — a raw string-prefix match would erase an
 // unrelated sibling's cache entries.
 func (c *Client) invalidatePrefix(prefix string) {
-	c.mu.Lock()
 	for path, e := range c.cache {
 		if !underPath(path, prefix) {
 			continue
@@ -211,7 +198,6 @@ func (c *Client) invalidatePrefix(prefix string) {
 			delete(c.byID, e.ref.ID)
 		}
 	}
-	c.mu.Unlock()
 }
 
 // underPath reports whether path equals prefix or lies beneath it as a
@@ -237,17 +223,11 @@ func (c *Client) ownerOfFP(fp core.Fingerprint) env.NodeID {
 // semantics for mutations).
 func (c *Client) call(p *env.Proc, dst env.NodeID, pkt *wire.Packet, rpc uint64) (wire.Msg, bool, error) {
 	fut := env.NewFuture()
-	c.mu.Lock()
 	if c.pending == nil {
 		c.pending = make(map[uint64]*env.Future)
 	}
 	c.pending[rpc] = fut
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.pending, rpc)
-		c.mu.Unlock()
-	}()
+	defer delete(c.pending, rpc)
 	// Every (re)transmission carries the SAME context — the op span that is
 	// ambient here — so a resent RPC joins its original trace and the
 	// server-side spans of every delivery parent into one tree.
@@ -284,17 +264,13 @@ func (c *Client) endOp(sp *trace.Handle, err error) {
 
 // nextRPC allocates a request id.
 func (c *Client) nextRPC() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.rpcSeq++
 	return c.rpcSeq
 }
 
 // reqCommon stamps the shared request fields.
 func (c *Client) reqCommon(rpc uint64, dst env.NodeID, ancestors []core.DirID) wire.ReqCommon {
-	c.mu.Lock()
 	seen := c.invalSeen[dst]
-	c.mu.Unlock()
 	return wire.ReqCommon{RPC: rpc, Client: c.cfg.ID, InvalSeq: seen, Ancestors: ancestors}
 }
 
@@ -325,9 +301,7 @@ func (c *Client) resolve(p *env.Proc, path string) (resolved, error) {
 	for end < len(path) {
 		walked := path[:end]
 		p.Compute(c.cfg.Costs.CacheLookup)
-		c.mu.Lock()
 		e, hit := c.cache[walked]
-		c.mu.Unlock()
 		if hit {
 			c.CacheHits++
 		} else {
@@ -345,7 +319,6 @@ func (c *Client) resolve(p *env.Proc, path string) (resolved, error) {
 			e.chain = make([]core.DirID, n+1)
 			copy(e.chain, chain)
 			e.chain[n] = e.ref.ID
-			c.mu.Lock()
 			if c.cache == nil {
 				c.cache = make(map[string]cachedDir)
 				c.byID = make(map[core.DirID][]string)
@@ -354,7 +327,6 @@ func (c *Client) resolve(p *env.Proc, path string) (resolved, error) {
 			if !hit {
 				c.byID[e.ref.ID] = append(c.byID[e.ref.ID], walked)
 			}
-			c.mu.Unlock()
 		}
 		cur, chain = e.ref, e.chain
 		comp, end = core.NextComponent(path, end)

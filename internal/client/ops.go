@@ -191,11 +191,9 @@ func (c *Client) dirRead(p *env.Proc, op core.Op, path string) (core.Attr, []cor
 		// needs key and fingerprint for routing. A cached entry supplies the
 		// ID when available.
 		ref := core.DirRef{Key: key, FP: key.Fingerprint()}
-		c.mu.Lock()
 		if e, ok := c.cache[path]; ok {
 			ref.ID = e.ref.ID
 		}
-		c.mu.Unlock()
 		a, es, err := c.dirReadRef(p, op, ref, r.ancestors)
 		attr, entries = a, es
 		return err
@@ -322,17 +320,11 @@ func (c *Client) dataCall(p *env.Proc, node env.NodeID, op core.Op, chunk wire.C
 	rpc := c.nextRPC()
 	req := &wire.DataReq{ReqCommon: c.reqCommon(rpc, node, nil), Op: op, Chunk: chunk, Bytes: bytes}
 	fut := env.NewFuture()
-	c.mu.Lock()
 	if c.pending == nil {
 		c.pending = make(map[uint64]*env.Future)
 	}
 	c.pending[rpc] = fut
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.pending, rpc)
-		c.mu.Unlock()
-	}()
+	defer delete(c.pending, rpc)
 	// One packet, stamped once: retransmissions must join the original trace.
 	pkt := &wire.Packet{Dst: node, Origin: c.cfg.ID, Body: req, Trace: p.TraceCtx()}
 	for try := 0; try < c.cfg.DataMaxRetries; try++ {

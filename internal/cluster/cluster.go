@@ -100,7 +100,7 @@ func (o *Options) Defaults() {
 
 // Cluster is a wired deployment.
 type Cluster struct {
-	Env  env.Env
+	Env  *env.Sim
 	Opts Options
 	// Ring is the shared versioned placement ring every server and client
 	// consults; migration and reconfiguration drive it (overrides, resets).
@@ -133,14 +133,14 @@ func ServerOf(slot uint32) env.NodeID { return serverBase + env.NodeID(slot) }
 
 // New builds a cluster. Pass Async/Compaction explicitly via NewWithModes for
 // the breakdown experiments; New enables the full design.
-func New(e env.Env, opts Options) *Cluster {
+func New(e *env.Sim, opts Options) *Cluster {
 	opts.Async = true
 	opts.Compaction = true
 	return NewWithModes(e, opts)
 }
 
 // NewWithModes builds a cluster honoring opts.Async and opts.Compaction.
-func NewWithModes(e env.Env, opts Options) *Cluster {
+func NewWithModes(e *env.Sim, opts Options) *Cluster {
 	opts.Defaults()
 	c := &Cluster{Env: e, Opts: opts}
 
@@ -355,11 +355,11 @@ func (c *Cluster) FillMetrics(reg *metrics.Registry) {
 	}
 	for i, sw := range c.Switches {
 		pre := fmt.Sprintf("switch.%d.", i)
-		reg.Add(pre+"queries", sw.Stats.Queries.Load())
-		reg.Add(pre+"inserts", sw.Stats.Inserts.Load())
-		reg.Add(pre+"removes", sw.Stats.Removes.Load())
-		reg.Add(pre+"overflows", sw.Stats.Overflows.Load())
-		reg.Add(pre+"forwarded", sw.Stats.Forwarded.Load())
+		reg.Add(pre+"queries", sw.Stats.Queries)
+		reg.Add(pre+"inserts", sw.Stats.Inserts)
+		reg.Add(pre+"removes", sw.Stats.Removes)
+		reg.Add(pre+"overflows", sw.Stats.Overflows)
+		reg.Add(pre+"forwarded", sw.Stats.Forwarded)
 	}
 	for i, d := range c.DataServers {
 		pre := fmt.Sprintf("data.%d.", i)
@@ -370,8 +370,8 @@ func (c *Cluster) FillMetrics(reg *metrics.Registry) {
 	}
 }
 
-// Run spawns fn on client i's node and, under Sim, drives the simulation
-// until fn completes. Under Real it blocks on a channel.
+// Run spawns fn on client i's node and drives the simulation until it drains;
+// fn must have completed by then.
 func (c *Cluster) Run(i int, fn func(p *env.Proc, cl *client.Client)) {
 	cl := c.Client(i)
 	done := false
@@ -379,30 +379,23 @@ func (c *Cluster) Run(i int, fn func(p *env.Proc, cl *client.Client)) {
 		fn(p, cl)
 		done = true
 	})
-	if s, ok := c.Env.(*env.Sim); ok {
-		s.Run()
-		if !done {
-			panic("cluster: simulation drained before the client finished (deadlock?)")
-		}
+	c.Env.Run()
+	if !done {
+		panic("cluster: simulation drained before the client finished (deadlock?)")
 	}
 }
 
-// RunNoDrain spawns fn on client i's node and, under Sim, stops the
-// simulation as soon as fn completes — pending proactive-aggregation timers
-// stay queued instead of draining. Fault-injection harnesses use this to
-// crash components while deferred updates are still outstanding.
+// RunNoDrain spawns fn on client i's node and stops the simulation as soon
+// as fn completes — pending proactive-aggregation timers stay queued instead
+// of draining. Fault-injection harnesses use this to crash components while
+// deferred updates are still outstanding.
 func (c *Cluster) RunNoDrain(i int, fn func(p *env.Proc, cl *client.Client)) {
 	cl := c.Client(i)
-	s, isSim := c.Env.(*env.Sim)
 	c.Env.Spawn(cl.ID(), func(p *env.Proc) {
 		fn(p, cl)
-		if isSim {
-			s.Stop()
-		}
+		c.Env.Stop()
 	})
-	if isSim {
-		s.Run()
-	}
+	c.Env.Run()
 }
 
 // CrashServer fail-stops server i (volatile state lost, WAL survives).

@@ -108,7 +108,7 @@ func TestDirtySetOverflowFallback(t *testing.T) {
 			t.Errorf("size=%d err=%v, want 10", attr.Size, err)
 		}
 	})
-	if c.Switches[0].Stats.Overflows.Load() == 0 {
+	if c.Switches[0].Stats.Overflows == 0 {
 		t.Error("no overflow was exercised")
 	}
 	for _, srv := range c.Servers {
@@ -409,7 +409,7 @@ func TestMultiSwitchDeployment(t *testing.T) {
 	// Traffic must actually spread across switches.
 	busy := 0
 	for _, sw := range c.Switches {
-		if sw.Stats.Inserts.Load() > 0 || sw.Stats.Queries.Load() > 0 {
+		if sw.Stats.Inserts > 0 || sw.Stats.Queries > 0 {
 			busy++
 		}
 	}
@@ -474,7 +474,7 @@ func TestTargetedRemoveDuplication(t *testing.T) {
 			}
 		}
 	})
-	if st := c.Switches[0].Stats.StaleRem.Load(); st == 0 {
+	if st := c.Switches[0].Stats.StaleRem; st == 0 {
 		t.Error("duplicated removes were never rejected by the sequence guard")
 	}
 }

@@ -25,7 +25,6 @@ package datanode
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"switchfs/internal/core"
 	"switchfs/internal/env"
@@ -116,10 +115,9 @@ type Stats struct {
 // Server is one data node.
 type Server struct {
 	cfg  Config
-	env  env.Env
+	env  *env.Sim
 	node *env.Node
 
-	mu       sync.Mutex //detlint:ignore rawgo -- Real-mode guard for the chunk store index; leaf section, never held across a park
 	store    map[wire.ChunkKey]chunkRec
 	dedup    map[dedupKey]wire.Msg
 	dedupLog []dedupKey
@@ -140,7 +138,7 @@ type Server struct {
 const dedupWindow = 4096
 
 // New builds a data node and registers it with the environment.
-func New(e env.Env, cfg Config) *Server {
+func New(e *env.Sim, cfg Config) *Server {
 	cfg.Defaults()
 	s := &Server{
 		cfg:     cfg,
@@ -172,15 +170,11 @@ func (s *Server) Slot() int { return s.cfg.Slot }
 
 // Chunks reports the stored chunk count (diagnostics and tests).
 func (s *Server) Chunks() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return len(s.store)
 }
 
 // ChunkVer returns the stored version of a chunk (0 when absent).
 func (s *Server) ChunkVer(k wire.ChunkKey) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.store[k].ver
 }
 
@@ -195,7 +189,7 @@ func (s *Server) Crash() {
 
 // Restart builds a fresh (empty) data node over the same id. The caller
 // then runs Recover on a process to re-replicate before it serves.
-func Restart(e env.Env, cfg Config) *Server {
+func Restart(e *env.Sim, cfg Config) *Server {
 	s := New(e, cfg)
 	s.serving = false
 	return s
@@ -223,7 +217,6 @@ func (s *Server) Recover(p *env.Proc) error {
 		}
 		reached++
 		resp := v.(*wire.DataPullResp)
-		s.mu.Lock()
 		for _, rec := range resp.Chunks {
 			if rec.Ver > s.store[rec.Chunk].ver {
 				s.store[rec.Chunk] = chunkRec{ver: rec.Ver, bytes: rec.Bytes,
@@ -231,7 +224,6 @@ func (s *Server) Recover(p *env.Proc) error {
 				s.Stats.PulledChunks++
 			}
 		}
-		s.mu.Unlock()
 	}
 	if s.cfg.Nodes > 1 && reached == 0 {
 		// No peer answered: nothing was re-replicated, and serving an empty
@@ -336,19 +328,15 @@ func (s *Server) handleData(p *env.Proc, req *wire.DataReq) {
 		// replicated write is still at the mercy of a single fail-stop, and
 		// surfacing it would let a reader observe content that then
 		// vanishes under <= r-1 failures.
-		s.mu.Lock()
 		rec := s.store[req.Chunk]
 		s.Stats.Reads++
-		s.mu.Unlock()
 		resp.Ver, resp.Bytes = rec.committed, rec.cbytes
 	case core.OpWrite:
-		s.mu.Lock()
 		rec := s.store[req.Chunk]
 		ver := rec.ver + 1
 		rec.ver, rec.bytes, rec.primary = ver, req.Bytes, uint32(s.cfg.Slot)
 		s.store[req.Chunk] = rec
 		s.Stats.Writes++
-		s.mu.Unlock()
 		if err := s.replicate(p, req.Chunk, ver, req.Bytes); err != nil {
 			// Not durably replicated: never acknowledge (and never serve —
 			// the committed watermark stays put). Release the in-flight
@@ -368,13 +356,11 @@ func (s *Server) handleData(p *env.Proc, req *wire.DataReq) {
 
 // commit advances a chunk's committed watermark after replication.
 func (s *Server) commit(chunk wire.ChunkKey, ver uint64, bytes int64) {
-	s.mu.Lock()
 	rec := s.store[chunk]
 	if ver > rec.committed {
 		rec.committed, rec.cbytes = ver, bytes
 		s.store[chunk] = rec
 	}
-	s.mu.Unlock()
 }
 
 // replicate ships one chunk version to the backups and waits for every ack,
@@ -391,28 +377,19 @@ func (s *Server) replicate(p *env.Proc, chunk wire.ChunkKey, ver uint64, bytes i
 	for _, slot := range backups {
 		st.need[s.cfg.NodeOf(slot)] = true
 	}
-	s.mu.Lock()
 	s.nextSeq++
 	seq := s.nextSeq
 	s.repWait[seq] = st
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.repWait, seq)
-		s.mu.Unlock()
-	}()
+	defer delete(s.repWait, seq)
 	for try := 0; try < maxRepRetries && !s.dead; try++ {
-		s.mu.Lock()
 		pending := make([]env.NodeID, 0, len(st.need))
 		for n := range st.need {
 			pending = append(pending, n)
 		}
 		if len(pending) == 0 {
 			s.Stats.RepRounds++
-			s.mu.Unlock()
 			return nil
 		}
-		s.mu.Unlock()
 		sort.Slice(pending, func(i, j int) bool { return pending[i] < pending[j] })
 		for _, n := range pending {
 			s.reply(p, n, &wire.DataRepReq{
@@ -421,14 +398,10 @@ func (s *Server) replicate(p *env.Proc, chunk wire.ChunkKey, ver uint64, bytes i
 			})
 		}
 		if _, ok := st.done.WaitTimeout(p, s.cfg.RetryTimeout); ok {
-			s.mu.Lock()
 			s.Stats.RepRounds++
-			s.mu.Unlock()
 			return nil
 		}
-		s.mu.Lock()
 		s.Stats.Retries++
-		s.mu.Unlock()
 	}
 	return core.ErrTimeout
 }
@@ -436,11 +409,8 @@ func (s *Server) replicate(p *env.Proc, chunk wire.ChunkKey, ver uint64, bytes i
 // handleRep applies a replicated chunk version on a backup (idempotent by
 // version) and always acks, so the primary unblocks even on duplicates.
 func (s *Server) handleRep(p *env.Proc, req *wire.DataRepReq) {
-	s.mu.Lock()
 	if req.Ver > s.store[req.Chunk].ver {
-		s.mu.Unlock()
 		p.Compute(s.cfg.Costs.DataIO)
-		s.mu.Lock()
 		if req.Ver > s.store[req.Chunk].ver {
 			// A replica copy is commit-grade: the primary only ships
 			// versions it is about to ack, and a pulled copy must be
@@ -450,29 +420,23 @@ func (s *Server) handleRep(p *env.Proc, req *wire.DataRepReq) {
 			s.Stats.Replicated++
 		}
 	}
-	s.mu.Unlock()
 	s.reply(p, req.From, &wire.DataRepAck{Seq: req.Seq, From: s.cfg.ID})
 }
 
 // handleRepAck marks one backup done for a pending replication round.
 func (s *Server) handleRepAck(ack *wire.DataRepAck) {
-	s.mu.Lock()
 	st := s.repWait[ack.Seq]
-	var done bool
 	if st != nil && st.need[ack.From] {
 		delete(st.need, ack.From)
-		done = len(st.need) == 0
-	}
-	s.mu.Unlock()
-	if done {
-		st.done.Complete(nil)
+		if len(st.need) == 0 {
+			st.done.Complete(nil)
+		}
 	}
 }
 
 // handlePull answers a recovery pull: every stored record whose replica set
 // includes the requester's slot, sorted for determinism.
 func (s *Server) handlePull(p *env.Proc, req *wire.DataPullReq) {
-	s.mu.Lock()
 	var recs []wire.ChunkRec
 	for k, rec := range s.store {
 		if rec.committed == 0 {
@@ -482,7 +446,6 @@ func (s *Server) handlePull(p *env.Proc, req *wire.DataPullReq) {
 			recs = append(recs, wire.ChunkRec{Chunk: k, Ver: rec.committed, Bytes: rec.cbytes, Primary: rec.primary})
 		}
 	}
-	s.mu.Unlock()
 	sort.Slice(recs, func(i, j int) bool {
 		if recs[i].Chunk.File != recs[j].Chunk.File {
 			return recs[i].Chunk.File < recs[j].Chunk.File
@@ -496,34 +459,24 @@ func (s *Server) handlePull(p *env.Proc, req *wire.DataPullReq) {
 
 // ctlCall performs one retried control round trip (recovery pull).
 func (s *Server) ctlCall(p *env.Proc, to env.NodeID, build func(ctl uint64) wire.Msg) (wire.Msg, error) {
-	s.mu.Lock()
 	s.nextCtl++
 	ctl := uint64(s.cfg.ID)<<24 | (s.nextCtl & (1<<24 - 1))
 	fut := env.NewFuture()
 	s.ctlWait[ctl] = fut
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.ctlWait, ctl)
-		s.mu.Unlock()
-	}()
+	defer delete(s.ctlWait, ctl)
 	msg := build(ctl)
 	for try := 0; try < maxPullRetries && !s.dead; try++ {
 		s.reply(p, to, msg)
 		if v, ok := fut.WaitTimeout(p, s.cfg.RetryTimeout); ok {
 			return v.(wire.Msg), nil
 		}
-		s.mu.Lock()
 		s.Stats.Retries++
-		s.mu.Unlock()
 	}
 	return nil, core.ErrTimeout
 }
 
 func (s *Server) completeCtl(ctl uint64, v wire.Msg) {
-	s.mu.Lock()
 	fut := s.ctlWait[ctl]
-	s.mu.Unlock()
 	if fut != nil {
 		fut.Complete(v)
 	}
@@ -543,12 +496,10 @@ func (s *Server) reply(p *env.Proc, to env.NodeID, body wire.Msg) {
 //detlint:dedup-check
 func (s *Server) replayIfDuplicate(p *env.Proc, req *wire.ReqCommon) bool {
 	k := dedupKey{client: req.Client, rpc: req.RPC}
-	s.mu.Lock()
 	resp, ok := s.dedup[k]
 	if ok {
 		s.Stats.DedupHits++
 	}
-	s.mu.Unlock()
 	if !ok {
 		return false
 	}
@@ -564,8 +515,6 @@ func (s *Server) replayIfDuplicate(p *env.Proc, req *wire.ReqCommon) bool {
 //detlint:dedup-check
 func (s *Server) begin(req *wire.ReqCommon) bool {
 	k := dedupKey{client: req.Client, rpc: req.RPC}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if _, ok := s.dedup[k]; ok {
 		return false
 	}
@@ -581,9 +530,7 @@ func (s *Server) begin(req *wire.ReqCommon) bool {
 
 // remember caches the response for retransmission replay.
 func (s *Server) remember(client env.NodeID, rpc uint64, resp wire.Msg) {
-	s.mu.Lock()
 	s.dedup[dedupKey{client: client, rpc: rpc}] = resp
-	s.mu.Unlock()
 }
 
 // forget releases an in-flight marker whose execution gave up unacked. The
@@ -592,7 +539,6 @@ func (s *Server) remember(client env.NodeID, rpc uint64, resp wire.Msg) {
 // duplicate-write hole.
 func (s *Server) forget(req *wire.ReqCommon) {
 	k := dedupKey{client: req.Client, rpc: req.RPC}
-	s.mu.Lock()
 	delete(s.dedup, k)
 	for i, q := range s.dedupLog {
 		if q == k {
@@ -600,5 +546,4 @@ func (s *Server) forget(req *wire.ReqCommon) {
 			break
 		}
 	}
-	s.mu.Unlock()
 }

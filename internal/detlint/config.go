@@ -15,7 +15,7 @@ var configJSON []byte
 // analyzer exposes flags that override the relevant fields, so one-off runs
 // (and the testdata suites) can retarget the suite without editing the file.
 type Config struct {
-	// EnvPackage is the import path of the dual-mode runtime. Methods named
+	// EnvPackage is the import path of the simulator runtime. Methods named
 	// Send, Spawn and After on types of this package are the packet-emission
 	// and scheduling roots the maprange and walorder analyzers trace.
 	EnvPackage string `json:"envPackage"`
@@ -39,14 +39,11 @@ type Config struct {
 	// ("switchfs/internal/bench.Figure").
 	TaintSinkTypes []string `json:"taintSinkTypes"`
 	// SimPackages are the packages whose code is executed under the
-	// deterministic simulator (maprange, wallclock).
+	// deterministic simulator, the simulator itself included: no unordered
+	// map iteration reaching the wire (maprange), no wall clock or global
+	// randomness (wallclock), and env.Proc/env primitives instead of raw
+	// goroutines, channels and sync types (rawgo).
 	SimPackages []string `json:"simPackages"`
-	// RawgoPackages are the packages that must use env.Proc/env primitives
-	// instead of raw goroutines, channels and sync types (rawgo).
-	RawgoPackages []string `json:"rawgoPackages"`
-	// WallclockAllowFiles are file suffixes exempt from the wallclock
-	// analyzer (the Real runtime's own implementation).
-	WallclockAllowFiles []string `json:"wallclockAllowFiles"`
 }
 
 func loadConfig() Config {
@@ -94,20 +91,9 @@ func pkgMatch(paths []string, path string) bool {
 	return false
 }
 
-// fileAllowed reports whether filename matches one of the configured
-// allowlist suffixes.
-func fileAllowed(allow []string, filename string) bool {
-	for _, suf := range allow {
-		if strings.HasSuffix(filename, suf) {
-			return true
-		}
-	}
-	return false
-}
-
 // isTestFile reports whether filename is a Go test file. The determinism
-// invariants govern protocol code; tests drive both runtime modes and
-// legitimately use goroutines, wall-clock timeouts and unordered iteration.
+// invariants govern protocol code; tests legitimately read the host
+// (goroutine counts, wall-clock timeouts) and iterate maps unordered.
 func isTestFile(filename string) bool {
 	return strings.HasSuffix(filename, "_test.go")
 }

@@ -16,8 +16,6 @@ func TestMaprange(t *testing.T) {
 
 func TestWallclock(t *testing.T) {
 	dtest.Run(t, "testdata/wallclock", Wallclock, "switchfs/internal/server")
-	// The Real runtime's own file is allowlisted by config, not comments.
-	dtest.Run(t, "testdata/wallclock", Wallclock, "switchfs/internal/env")
 }
 
 func TestRawgo(t *testing.T) {

@@ -33,7 +33,7 @@ func init() {
 	addListFlag(&Maprange.Flags, &conf.SimPackages, "packages",
 		"comma-separated import paths the analyzer governs")
 	Maprange.Flags.StringVar(&conf.EnvPackage, "env", conf.EnvPackage,
-		"import path of the dual-mode runtime package")
+		"import path of the simulator runtime package")
 }
 
 func runMaprange(pass *analysis.Pass) (any, error) {

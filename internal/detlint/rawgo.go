@@ -15,13 +15,14 @@ import (
 // scheduler with exactly one runnable process; a raw goroutine escapes the
 // scheduler (its interleaving is the Go runtime's choice, not the seed's),
 // and a channel or sync.Mutex park would wedge the token. The replacements
-// are env.Proc.Spawn, env.Future, env.Mutex, env.Cond and env.Semaphore,
-// which behave identically under Sim and Real.
+// are env.Proc.Spawn, env.Future, env.Mutex, env.RWMutex, env.Cond and
+// env.Semaphore. The simulator package itself is governed too: its workers
+// are iter.Pull coroutines resumed by one driver loop, so nothing in the
+// tree needs a host-level lock and the repository carries no rawgo
+// suppression (TestReportOverRepo fails on one).
 //
-// sync/atomic stays legal: atomic loads/stores don't park and don't
-// reorder observable protocol events. sync.Mutex fields that guard short
-// in-memory sections and are provably never held across a park may be
-// suppressed per declaration with //detlint:ignore rawgo and a reason.
+// sync/atomic stays legal for the analyzer: atomic loads/stores don't park
+// and don't reorder observable protocol events.
 var Rawgo = &analysis.Analyzer{
 	Name:     "rawgo",
 	Doc:      "forbid raw goroutines, channels and sync primitives in simulator-scheduled packages",
@@ -30,7 +31,7 @@ var Rawgo = &analysis.Analyzer{
 }
 
 func init() {
-	addListFlag(&Rawgo.Flags, &conf.RawgoPackages, "packages",
+	addListFlag(&Rawgo.Flags, &conf.SimPackages, "packages",
 		"comma-separated import paths the analyzer governs")
 }
 
@@ -44,7 +45,7 @@ var forbiddenSyncTypes = map[string]string{
 }
 
 func runRawgo(pass *analysis.Pass) (any, error) {
-	if !pkgMatch(conf.RawgoPackages, pass.Pkg.Path()) {
+	if !pkgMatch(conf.SimPackages, pass.Pkg.Path()) {
 		return nil, nil
 	}
 	r := newReporter(pass)

@@ -3,6 +3,7 @@ package detlint
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -104,5 +105,12 @@ func TestReportOverRepo(t *testing.T) {
 	var b strings.Builder
 	if err := WriteReport(&b, sups); err != nil {
 		t.Fatalf("%v\n%s", err, b.String())
+	}
+	// One runtime, one runnable process: nothing outside the fixtures has a
+	// second goroutine to guard against, so a host lock is never the answer.
+	for _, s := range sups {
+		if slices.Contains(s.Analyzers, "rawgo") {
+			t.Errorf("%s:%d suppresses rawgo (%s): use the env primitives instead", s.File, s.Line, s.Reason)
+		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 // The maprange and walorder analyzers both need to know which calls emit
 // packets. The roots are the runtime's own emission and scheduling methods
-// (env.Proc.Send, env.Proc.Spawn, env.Env.Spawn, env.Env.After); sendGraph
+// (env.Proc.Send, env.Proc.Spawn, env.Sim.Spawn, env.Sim.After); sendGraph
 // closes them over the package's static call graph so wrappers like
 // server.reply count too.
 

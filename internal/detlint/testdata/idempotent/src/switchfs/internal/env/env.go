@@ -1,4 +1,4 @@
-// Package env stubs the dual-mode runtime for the idempotent testdata: the
+// Package env stubs the simulator runtime for the idempotent testdata: the
 // send graph's emission roots are the Send/Spawn methods at this path.
 package env
 

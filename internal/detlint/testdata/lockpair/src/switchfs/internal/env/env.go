@@ -1,4 +1,4 @@
-// Package env stubs the dual-mode runtime for the lockpair testdata: the
+// Package env stubs the simulator runtime for the lockpair testdata: the
 // analyzer keys on the Lock/RLock/Acquire and Unlock/RUnlock/Release methods
 // of the Mutex, RWMutex and Semaphore types at this import path.
 package env

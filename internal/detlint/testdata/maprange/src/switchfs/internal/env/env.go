@@ -1,6 +1,6 @@
-// Package env stubs the dual-mode runtime for the detlint testdata: just
+// Package env stubs the simulator runtime for the detlint testdata: just
 // enough surface for the analyzers' emission-root detection (Proc.Send,
-// Proc.Spawn, Env.After). The import path mirrors the real runtime so the
+// Proc.Spawn, Sim.After). The import path mirrors the real runtime so the
 // suite's embedded config applies unchanged.
 package env
 
@@ -14,7 +14,7 @@ func (p *Proc) Send(to NodeID, msg any)           {}
 func (p *Proc) Spawn(name string, fn func(*Proc)) {}
 func (p *Proc) Compute(cost int64)                {}
 
-// Env is a stub of the runtime handle.
-type Env struct{}
+// Sim is a stub of the simulator handle.
+type Sim struct{}
 
-func (e *Env) After(delay int64, fn func(*Proc)) {}
+func (s *Sim) After(delay int64, fn func(*Proc)) {}

@@ -39,20 +39,6 @@ func drain(c chan int) int { // want `channel type in a simulator-scheduled pack
 	return n
 }
 
-// cache carries the documented suppression idiom: a Real-mode guard that is
-// provably never held across a park, suppressed at the declaration with a
-// written reason. Methods on the suppressed field are not re-reported.
-type cache struct {
-	mu sync.Mutex //detlint:ignore rawgo -- Real-mode guard for the map below; leaf section, never held across a park
-	m  map[string]int
-}
-
-func (c *cache) get(k string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.m[k]
-}
-
 // bump uses sync/atomic, which stays legal: no park, no observable ordering.
 var hits int64
 

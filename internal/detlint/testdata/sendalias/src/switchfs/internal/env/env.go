@@ -1,4 +1,4 @@
-// Package env stubs the dual-mode runtime for the sendalias testdata: the
+// Package env stubs the simulator runtime for the sendalias testdata: the
 // analyzer's emission roots are the Send/Spawn methods at this import path.
 package env
 

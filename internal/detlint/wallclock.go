@@ -11,16 +11,16 @@ import (
 
 // Wallclock forbids wall-clock reads, wall-clock timers and globally-seeded
 // randomness in packages the deterministic simulator executes. Protocol code
-// must take time from env.Env.Now / Proc.Now, delays from Proc.Sleep /
-// env.After, and randomness from an explicitly seeded rand.Rand — otherwise
+// must take time from Sim.Now / Proc.Now, delays from Proc.Sleep /
+// Sim.After, and randomness from an explicitly seeded rand.Rand — otherwise
 // two runs with the same seed diverge and the byte-for-byte determinism
 // gates (chaos-smoke, lincheck-smoke, bench -compare) turn red.
 //
 // Any mention of the forbidden functions is flagged, including passing one
 // as a value. Constructing a seeded generator (rand.New, rand.NewSource,
 // rand.NewPCG) stays legal; only the package-global convenience functions
-// and the wall-clock readers are banned. The Real runtime's implementation
-// file is allowlisted in detlint.json — via config, not comments.
+// and the wall-clock readers are banned. No file is exempt: the simulator
+// runtime is governed like the code it schedules.
 var Wallclock = &analysis.Analyzer{
 	Name:     "wallclock",
 	Doc:      "forbid wall-clock time and global randomness in simulator-visible packages",
@@ -31,22 +31,20 @@ var Wallclock = &analysis.Analyzer{
 func init() {
 	addListFlag(&Wallclock.Flags, &conf.SimPackages, "packages",
 		"comma-separated import paths the analyzer governs")
-	addListFlag(&Wallclock.Flags, &conf.WallclockAllowFiles, "allow-files",
-		"comma-separated file suffixes exempt from the check")
 }
 
 // forbiddenWallclock maps package path -> function name -> replacement hint.
 var forbiddenWallclock = map[string]map[string]string{
 	"time": {
-		"Now":       "env.Env.Now / Proc.Now",
+		"Now":       "Sim.Now / Proc.Now",
 		"Since":     "Proc.Now arithmetic",
 		"Until":     "Proc.Now arithmetic",
 		"Sleep":     "Proc.Sleep",
-		"After":     "env.Env.After",
-		"AfterFunc": "env.Env.After",
-		"Tick":      "env.Env.After rearmed",
-		"NewTimer":  "env.Env.After",
-		"NewTicker": "env.Env.After rearmed",
+		"After":     "Sim.After",
+		"AfterFunc": "Sim.After",
+		"Tick":      "Sim.After rearmed",
+		"NewTimer":  "Sim.After",
+		"NewTicker": "Sim.After rearmed",
 	},
 	"math/rand":    globalRandFuncs,
 	"math/rand/v2": globalRandFuncs,
@@ -79,8 +77,7 @@ func runWallclock(pass *analysis.Pass) (any, error) {
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	ins.Preorder([]ast.Node{(*ast.SelectorExpr)(nil)}, func(n ast.Node) {
 		sel := n.(*ast.SelectorExpr)
-		filename := pass.Fset.Position(sel.Pos()).Filename
-		if isTestFile(filename) || fileAllowed(conf.WallclockAllowFiles, filename) {
+		if isTestFile(pass.Fset.Position(sel.Pos()).Filename) {
 			return
 		}
 		obj, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)

@@ -37,7 +37,7 @@ func init() {
 	Walorder.Flags.StringVar(&conf.WalPackage, "wal", conf.WalPackage,
 		"import path of the write-ahead log package")
 	Walorder.Flags.StringVar(&conf.EnvPackage, "env", conf.EnvPackage,
-		"import path of the dual-mode runtime package")
+		"import path of the simulator runtime package")
 }
 
 func runWalorder(pass *analysis.Pass) (any, error) {

@@ -1,11 +1,10 @@
 package env
 
-// Costs is the calibrated service-time model used under Sim. Every cost is
-// the CPU time one software section occupies a server core (via
-// Proc.Compute), calibrated so that single-client operation latencies land in
-// the same few-microsecond regime the paper's DPDK testbed reports (Fig. 2b,
-// Fig. 13). Under Real all costs are zero: real code paths cost what they
-// cost.
+// Costs is the calibrated service-time model. Every cost is the CPU time one
+// software section occupies a server core (via Proc.Compute), calibrated so
+// that single-client operation latencies land in the same few-microsecond
+// regime the paper's DPDK testbed reports (Fig. 2b, Fig. 13). The zero value
+// disables service-time modeling.
 //
 // The reproduction targets shapes, not absolute microseconds; these constants
 // set the scale, and the protocol (hop counts, lock scopes, KV-operation
@@ -77,6 +76,3 @@ func DefaultCosts() Costs {
 		WALReplay:     2300 * Nanosecond,
 	}
 }
-
-// ZeroCosts disables service-time modeling (Real mode).
-func ZeroCosts() Costs { return Costs{} }

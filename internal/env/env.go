@@ -1,31 +1,23 @@
-// Package env provides the dual-mode runtime SwitchFS protocol code runs on.
+// Package env provides the runtime SwitchFS protocol code runs on.
 //
-// The same server, client, switch, and baseline implementations execute on
-// two environments:
-//
-//   - Sim: a deterministic discrete-event simulator with a virtual clock.
-//     Nodes have a configurable number of CPU cores (FIFO resources), links
-//     have configurable latency, jitter, loss and duplication, and all
-//     randomness is seeded. Benchmarks reproduce the paper's figures under
-//     Sim, because protocol-induced costs (RTT counts, lock serialization,
-//     per-op service time) are what the paper measures — and because virtual
-//     time can express "16 servers × 4 cores" on any host.
-//
-//   - Real: goroutines, channels and the wall clock. fsctl's ad-hoc
-//     commands run on Real.
+// The server, client, switch, and baseline implementations all execute on
+// Sim: a deterministic discrete-event simulator with a virtual clock. Nodes
+// have a configurable number of CPU cores (FIFO resources), links have
+// configurable latency, jitter, loss and duplication, and all randomness is
+// seeded. Benchmarks reproduce the paper's figures under Sim, because
+// protocol-induced costs (RTT counts, lock serialization, per-op service
+// time) are what the paper measures — and because virtual time can express
+// "16 servers × 4 cores" on any host.
 //
 // Protocol code is written against Proc (a lightweight process) and the
-// blocking primitives Future, Mutex, Cond and Semaphore, which behave
-// identically in both modes.
+// blocking primitives Future, Mutex, RWMutex, Cond and Semaphore. Processes
+// are coroutines resumed by one driver loop, so exactly one runs at a time
+// and nothing in the tree needs host-level synchronisation.
 package env
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
-// Time is a clock reading in nanoseconds (virtual under Sim, monotonic wall
-// time under Real).
+// Time is a virtual clock reading in nanoseconds.
 type Time = int64
 
 // Duration is a span of nanoseconds.
@@ -70,38 +62,10 @@ type NodeConfig struct {
 	Handler Handler
 }
 
-// Env is the runtime interface shared by Sim and Real.
-type Env interface {
-	// Now returns the current clock reading.
-	Now() Time
-	// AddNode registers a node. Registering an existing id replaces its
-	// handler and core count (used when a crashed server restarts).
-	AddNode(id NodeID, cfg NodeConfig) *Node
-	// Node returns a registered node, or nil.
-	Node(id NodeID) *Node
-	// Spawn starts a process bound to the given node.
-	Spawn(node NodeID, fn func(*Proc))
-	// After schedules fn to run once after d. fn runs in a non-process
-	// context and must not block on primitives.
-	After(d Duration, fn func()) *Timer
-	// Net returns the network fault/latency configuration.
-	Net() *NetConfig
-
-	// unexported hooks used by Proc and the primitives.
-	now() Time
-	sched(d Duration, fn func()) *Timer
-	unpark(p *Proc)
-	deliver(from, to NodeID, msg any, extraDelay Duration)
-	newProc(node *Node, fn func(*Proc))
-	randFloat() float64
-	randJitter(j Duration) Duration
-}
-
 // Node is a registered network endpoint with its CPU resource.
 type Node struct {
 	ID    NodeID
 	cores *Semaphore // nil when Cores == 0
-	env   Env
 	h     Handler
 	down  bool
 }
@@ -129,39 +93,36 @@ func (n *Node) SetCores(k int) {
 }
 
 // Proc is a lightweight process: protocol code's execution context. Procs
-// are cooperatively scheduled under Sim (exactly one runs at a time) and are
-// plain goroutines under Real.
+// are cooperatively scheduled: exactly one runs at a time.
 type Proc struct {
-	env  Env
+	env  *Sim
 	node *Node
-	// resume is Real's park/unpark channel; co is the pooled worker coroutine
-	// a Sim process runs on. Each is nil under the other runtime.
-	resume chan struct{}
-	co     *simProcState
-	// timedOut communicates Future/acquire timeout state between the timer
-	// callback and the resumed process.
+	// co is the pooled worker coroutine the process runs on.
+	co *simProcState
+	// timedOut communicates Future timeout state between the expiry event
+	// and the resumed process.
 	timedOut bool
-	// twGen numbers this process's Future waits under Sim; a queued expiry
-	// event whose generation no longer matches is a cancelled timeout.
+	// twGen numbers this process's Future waits; a queued expiry event whose
+	// generation no longer matches is a cancelled timeout.
 	twGen uint64
-	// state tracks the Sim scheduler lifecycle (idle/dispatched/running/
-	// parked); the scheduler asserts its invariants on every transition.
+	// state tracks the scheduler lifecycle (idle/dispatched/running/parked);
+	// the scheduler asserts its invariants on every transition.
 	state int
 	// tctx is the ambient tracing context: the span this process currently
 	// executes under. Handlers set it from the inbound packet's TraceCtx and
-	// nested spans push/restore it; the Sim scheduler clears it when a pooled
+	// nested spans push/restore it; the scheduler clears it when a pooled
 	// worker is re-dispatched so contexts never leak across handler bodies.
 	tctx TraceCtx
 }
 
-// Env returns the runtime this process runs on.
-func (p *Proc) Env() Env { return p.env }
+// Env returns the simulator this process runs on.
+func (p *Proc) Env() *Sim { return p.env }
 
 // Self returns the node this process is bound to.
 func (p *Proc) Self() NodeID { return p.node.ID }
 
 // Now returns the current clock reading.
-func (p *Proc) Now() Time { return p.env.now() }
+func (p *Proc) Now() Time { return p.env.cur }
 
 // Send transmits a message to another node, subject to the network's
 // latency, loss and duplication configuration. Send never blocks.
@@ -184,25 +145,19 @@ func (p *Proc) String() string { return fmt.Sprintf("proc@%d", p.node.ID) }
 
 // Timer is a cancellable scheduled callback.
 type Timer struct {
-	cancelled atomic.Bool
+	cancelled bool
 	fn        func()
-	// real-mode backing timer; nil under Sim.
-	stop func()
 }
 
 // Cancel prevents the callback from firing if it has not fired yet.
 func (t *Timer) Cancel() {
-	if t == nil {
-		return
-	}
-	t.cancelled.Store(true)
-	if t.stop != nil {
-		t.stop()
+	if t != nil {
+		t.cancelled = true
 	}
 }
 
 func (t *Timer) fire() {
-	if !t.cancelled.Load() && t.fn != nil {
+	if !t.cancelled && t.fn != nil {
 		t.fn()
 	}
 }

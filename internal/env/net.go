@@ -91,7 +91,7 @@ func DefaultNetConfig() NetConfig {
 // decide applies the filter, the link rule, and the global probabilities, in
 // that order. Random draws happen in a fixed order so identical seeds yield
 // identical executions regardless of which knobs are set.
-func (c *NetConfig) decide(from, to NodeID, msg any, e Env) (drop, dup bool, delay Duration) {
+func (c *NetConfig) decide(from, to NodeID, msg any, e *Sim) (drop, dup bool, delay Duration) {
 	delay = c.Latency + e.randJitter(c.Jitter)
 	if c.Filter != nil {
 		switch c.Filter(from, to, msg) {
@@ -106,19 +106,19 @@ func (c *NetConfig) decide(from, to NodeID, msg any, e Env) (drop, dup bool, del
 			if r.Cut {
 				return true, false, 0
 			}
-			if r.Drop > 0 && e.randFloat() < r.Drop {
+			if r.Drop > 0 && e.rnd.Float64() < r.Drop {
 				return true, false, 0
 			}
-			if r.Dup > 0 && e.randFloat() < r.Dup {
+			if r.Dup > 0 && e.rnd.Float64() < r.Dup {
 				dup = true
 			}
 			delay += r.Delay + e.randJitter(r.Jitter)
 		}
 	}
-	if c.DropProb > 0 && e.randFloat() < c.DropProb {
+	if c.DropProb > 0 && e.rnd.Float64() < c.DropProb {
 		return true, false, 0
 	}
-	if !dup && c.DupProb > 0 && e.randFloat() < c.DupProb {
+	if !dup && c.DupProb > 0 && e.rnd.Float64() < c.DupProb {
 		dup = true
 	}
 	return false, dup, delay

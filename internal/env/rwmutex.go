@@ -1,13 +1,10 @@
 package env
 
-import "sync"
-
 // RWMutex is a FIFO reader–writer lock for processes. Waiters are served in
 // arrival order (a writer blocks later readers), so writers cannot starve —
 // the discipline of the paper's per-inode locks, where directory reads share
 // while updates and aggregations exclude (§5.2.2).
 type RWMutex struct {
-	mu      sync.Mutex
 	readers int  // active readers
 	writer  bool // active writer
 	q       []rwWaiter
@@ -20,79 +17,61 @@ type rwWaiter struct {
 
 // RLock blocks p until a shared read lock is held.
 func (m *RWMutex) RLock(p *Proc) {
-	m.mu.Lock()
 	if !m.writer && len(m.q) == 0 {
 		m.readers++
-		m.mu.Unlock()
 		return
 	}
 	m.q = append(m.q, rwWaiter{p: p, write: false})
-	m.mu.Unlock()
 	p.park()
 }
 
 // RUnlock releases a read lock.
 func (m *RWMutex) RUnlock() {
-	m.mu.Lock()
 	m.readers--
 	if m.readers < 0 {
-		m.mu.Unlock()
 		panic("env: RUnlock without RLock")
 	}
-	wake := m.promote()
-	m.mu.Unlock()
-	for _, w := range wake {
-		w.env.unpark(w)
-	}
+	m.promote()
 }
 
 // Lock blocks p until the exclusive lock is held.
 func (m *RWMutex) Lock(p *Proc) {
-	m.mu.Lock()
 	if !m.writer && m.readers == 0 && len(m.q) == 0 {
 		m.writer = true
-		m.mu.Unlock()
 		return
 	}
 	m.q = append(m.q, rwWaiter{p: p, write: true})
-	m.mu.Unlock()
 	p.park()
 }
 
 // Unlock releases the exclusive lock.
 func (m *RWMutex) Unlock() {
-	m.mu.Lock()
 	if !m.writer {
-		m.mu.Unlock()
 		panic("env: Unlock without Lock")
 	}
 	m.writer = false
-	wake := m.promote()
-	m.mu.Unlock()
-	for _, w := range wake {
-		w.env.unpark(w)
-	}
+	m.promote()
 }
 
-// promote grants the lock to the head of the queue: one writer, or the
-// maximal run of readers. Caller holds m.mu; returns procs to unpark.
-func (m *RWMutex) promote() []*Proc {
+// promote grants the lock to the head of the queue — one writer, or the
+// maximal run of readers — and unparks the new holders in queue order.
+func (m *RWMutex) promote() {
 	if m.writer || len(m.q) == 0 {
-		return nil
+		return
 	}
-	var wake []*Proc
 	if m.q[0].write {
 		if m.readers == 0 {
 			m.writer = true
-			wake = append(wake, m.q[0].p)
+			w := m.q[0].p
 			m.q = m.q[1:]
+			w.env.unpark(w)
 		}
-		return wake
+		return
 	}
 	for len(m.q) > 0 && !m.q[0].write {
 		m.readers++
-		wake = append(wake, m.q[0].p)
+		w := m.q[0].p
 		m.q = m.q[1:]
+		w.env.unpark(w)
 	}
-	return wake
 }

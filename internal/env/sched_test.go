@@ -50,18 +50,6 @@ func TestRunReentrant(t *testing.T) {
 	}
 }
 
-// goroutinesDownTo reports the goroutine count, giving goroutines that are
-// on their way out (earlier tests' Real-mode processes) a chance to exit
-// while it is above want.
-func goroutinesDownTo(want int) int {
-	n := runtime.NumGoroutine()
-	for i := 0; i < 10000 && n > want; i++ {
-		runtime.Gosched()
-		n = runtime.NumGoroutine()
-	}
-	return n
-}
-
 // TestShutdownReleasesEveryWorker covers the three places a worker can be
 // when Shutdown arrives — parked inside a body, idle in the pool, dispatched
 // but never started — and requires every coroutine to be gone afterwards.
@@ -93,7 +81,7 @@ func TestShutdownReleasesEveryWorker(t *testing.T) {
 	if unwound != 20 {
 		t.Fatalf("%d of 20 parked bodies ran their deferred calls", unwound)
 	}
-	if after := goroutinesDownTo(before); after > before {
+	if after := runtime.NumGoroutine(); after > before {
 		t.Fatalf("goroutines: %d before NewSim, %d after Shutdown", before, after)
 	}
 	s.Shutdown() // idempotent

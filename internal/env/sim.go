@@ -76,16 +76,16 @@ func NewSim(seed int64) *Sim {
 
 // Now returns the virtual clock.
 func (s *Sim) Now() Time { return s.cur }
-func (s *Sim) now() Time { return s.cur }
 
 // Net returns the mutable network configuration.
 func (s *Sim) Net() *NetConfig { return &s.net }
 
-// AddNode registers (or re-registers) a node.
+// AddNode registers a node. Registering an existing id replaces its handler
+// and core count (used when a crashed server restarts).
 func (s *Sim) AddNode(id NodeID, cfg NodeConfig) *Node {
 	n := s.nodes[id]
 	if n == nil {
-		n = &Node{ID: id, env: s}
+		n = &Node{ID: id}
 		s.nodes[id] = n
 	}
 	n.h = cfg.Handler
@@ -110,8 +110,13 @@ func (s *Sim) Spawn(node NodeID, fn func(*Proc)) {
 	s.newProc(n, fn)
 }
 
-// After schedules a callback.
-func (s *Sim) After(d Duration, fn func()) *Timer { return s.sched(d, fn) }
+// After schedules fn to run once after d. fn runs in a non-process context
+// and must not block on primitives.
+func (s *Sim) After(d Duration, fn func()) *Timer {
+	t := &Timer{fn: fn}
+	s.push(d, event{kind: evTimer, msg: t})
+	return t
+}
 
 // SpawnAfter schedules fn to start on node after d of virtual time without
 // holding a goroutine in the meantime: the continuation is carried by a
@@ -145,12 +150,6 @@ func (s *Sim) push(d Duration, ev event) {
 	s.pq.push(ev)
 }
 
-func (s *Sim) sched(d Duration, fn func()) *Timer {
-	t := &Timer{fn: fn}
-	s.push(d, event{kind: evTimer, msg: t})
-	return t
-}
-
 // schedWake schedules proc p (currently transitioning to state `want`) to
 // run after d, with no allocation.
 func (s *Sim) schedWake(p *Proc, d Duration, want int) {
@@ -161,8 +160,6 @@ func (s *Sim) schedWake(p *Proc, d Duration, want int) {
 func (s *Sim) schedTimeout(p *Proc, f *Future, d Duration, gen uint64) {
 	s.push(d, event{kind: evTimeout, p: p, msg: f, aux: gen})
 }
-
-func (s *Sim) randFloat() float64 { return s.rnd.Float64() }
 
 func (s *Sim) randJitter(j Duration) Duration {
 	if j <= 0 {
@@ -376,27 +373,20 @@ func (s *Sim) fireTimeout(ev *event) {
 	if p.twGen != ev.aux {
 		return // the wait already ended; this timeout was cancelled
 	}
-	f.mu.Lock()
 	if f.done || f.waiter != p {
-		f.mu.Unlock()
 		return
 	}
 	f.waiter = nil
-	f.mu.Unlock()
 	p.timedOut = true
 	s.unpark(p)
 }
 
 // park is called from a running process to hand control back to the
-// scheduler until unparked. Under Sim the parking process itself drives the
-// event loop, so its own wakeup, when next, proceeds without a switch.
+// scheduler until unparked. The parking process itself drives the event
+// loop, so its own wakeup, when next, proceeds without a switch.
 func (p *Proc) park() {
-	if s, ok := p.env.(*Sim); ok {
-		p.state = stateParked
-		s.loop(p)
-		return
-	}
-	<-p.resume
+	p.state = stateParked
+	p.env.loop(p)
 }
 
 // unpark makes a parked process runnable at the current virtual time.
@@ -415,7 +405,7 @@ func (s *Sim) Run() Time {
 // RunFor executes events for d of virtual time, then stops (leaving pending
 // events queued). It returns the virtual time reached.
 func (s *Sim) RunFor(d Duration) Time {
-	s.sched(d, func() { s.stopped = true })
+	s.After(d, func() { s.stopped = true })
 	return s.Run()
 }
 

@@ -343,38 +343,3 @@ func TestShutdownKillsParkedProcs(t *testing.T) {
 	s.Run()
 	s.Shutdown() // must not hang
 }
-
-func TestRealEnvBasics(t *testing.T) {
-	r := NewReal()
-	r.AddNode(1, NodeConfig{})
-	done := make(chan Time, 1)
-	r.AddNode(2, NodeConfig{Handler: func(p *Proc, from NodeID, msg any) {
-		if msg != "ping" || from != 1 {
-			t.Errorf("got %v from %d", msg, from)
-		}
-		done <- p.Now()
-	}})
-	r.Spawn(1, func(p *Proc) { p.Send(2, "ping") })
-	<-done
-}
-
-func TestRealEnvFutureAndMutex(t *testing.T) {
-	r := NewReal()
-	r.AddNode(1, NodeConfig{})
-	f := NewFuture()
-	var m Mutex
-	got := make(chan any, 1)
-	r.Spawn(1, func(p *Proc) {
-		m.Lock(p)
-		v := f.Wait(p)
-		m.Unlock()
-		got <- v
-	})
-	r.Spawn(1, func(p *Proc) {
-		p.Sleep(Millisecond)
-		f.Complete(123)
-	})
-	if v := <-got; v != 123 {
-		t.Fatalf("got %v", v)
-	}
-}

@@ -43,7 +43,7 @@ func TestSpawnAfterIdleSessionsShareWorkers(t *testing.T) {
 			}
 			// Think for much longer than the body runs: the idle-session
 			// shape.
-			p.Env().(*Sim).SpawnAfter(1, Duration(sessions)*Microsecond, step)
+			p.Env().SpawnAfter(1, Duration(sessions)*Microsecond, step)
 		}
 		// Arrivals one body-length apart, so only a handful of bodies ever
 		// run concurrently even though thousands of sessions are live.
@@ -95,7 +95,7 @@ func TestSpawnAfterDeterministic(t *testing.T) {
 				p.Send(2, n)
 				n--
 				if n > 0 {
-					p.Env().(*Sim).SpawnAfter(1, 700, step)
+					p.Env().SpawnAfter(1, 700, step)
 				}
 			}
 			s.SpawnAfter(1, Duration(i*13), step)

@@ -17,7 +17,6 @@ import (
 	"bytes"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // groupLen is the length of the schema's group prefix: tag byte + 32-byte
@@ -65,9 +64,8 @@ func (sh *shard) ensureOrder() []string {
 	return sh.order
 }
 
-// Store is a sorted key-value map safe for concurrent use.
+// Store is a sorted key-value map.
 type Store struct {
-	mu     sync.RWMutex
 	shards map[string]*shard
 	// fallback holds non-conforming keys (full key as the suffix).
 	fallback *shard
@@ -98,8 +96,6 @@ func New() *Store {
 
 // Len returns the number of live keys.
 func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	return s.n
 }
 
@@ -145,8 +141,6 @@ func (s *Store) lookup(key []byte) (*shard, []byte) {
 
 // Get returns a copy of the value stored under key.
 func (s *Store) Get(key []byte) ([]byte, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	sh, suffix := s.lookup(key)
 	if sh == nil {
 		return nil, false
@@ -163,8 +157,6 @@ func (s *Store) Get(key []byte) ([]byte, bool) {
 // equal small value: the caller must not mutate it and must not retain it
 // across a Put/Delete of the same key — decode immediately.
 func (s *Store) GetView(key []byte) ([]byte, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	sh, suffix := s.lookup(key)
 	if sh == nil {
 		return nil, false
@@ -175,8 +167,6 @@ func (s *Store) GetView(key []byte) ([]byte, bool) {
 
 // Has reports key presence without copying the value.
 func (s *Store) Has(key []byte) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	sh, suffix := s.lookup(key)
 	if sh == nil {
 		return false
@@ -188,8 +178,6 @@ func (s *Store) Has(key []byte) bool {
 // Put stores a copy of val under key, overwriting any previous value. It
 // reports whether the key was newly inserted.
 func (s *Store) Put(key, val []byte) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var sh *shard
 	var suffix []byte
 	if conforming(key) {
@@ -215,8 +203,6 @@ func (s *Store) Put(key, val []byte) bool {
 
 // Delete removes key, reporting whether it was present.
 func (s *Store) Delete(key []byte) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	sh, suffix := s.lookup(key)
 	if sh == nil {
 		return false
@@ -235,12 +221,6 @@ func (s *Store) Delete(key []byte) bool {
 // and internal value slices valid only for the duration of the call: it must
 // not retain or mutate them.
 func (s *Store) Scan(prefix []byte, fn func(key, val []byte) bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	s.scanLocked(prefix, fn)
-}
-
-func (s *Store) scanLocked(prefix []byte, fn func(key, val []byte) bool) {
 	if len(prefix) >= groupLen && prefix[groupLen-1] == '/' {
 		// A conforming prefix selects exactly one shard (non-conforming keys
 		// can never match it).
@@ -264,14 +244,12 @@ func (s *Store) scanLocked(prefix []byte, fn func(key, val []byte) bool) {
 		}
 		return
 	}
-	s.iterateLocked(prefix, prefixSuccessor(prefix), fn)
+	s.Range(prefix, prefixSuccessor(prefix), fn)
 }
 
 // CountPrefix returns the number of keys with the given prefix. Counting a
 // whole group — the directory-emptiness check — is O(1).
 func (s *Store) CountPrefix(prefix []byte) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	if len(prefix) == groupLen && prefix[groupLen-1] == '/' {
 		if sh := s.shards[string(prefix)]; sh != nil {
 			return len(sh.m)
@@ -279,24 +257,13 @@ func (s *Store) CountPrefix(prefix []byte) int {
 		return 0
 	}
 	c := 0
-	s.scanLocked(prefix, func(_, _ []byte) bool { c++; return true })
+	s.Scan(prefix, func(_, _ []byte) bool { c++; return true })
 	return c
-}
-
-// Range calls fn for every live pair in [lo, hi) in key order until fn
-// returns false. A nil hi means "to the end". Key/value slices follow the
-// Scan contract.
-func (s *Store) Range(lo, hi []byte, fn func(key, val []byte) bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	s.iterateLocked(lo, hi, fn)
 }
 
 // Clear drops every key (crash simulation: a server's volatile state is
 // lost).
 func (s *Store) Clear() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.shards = make(map[string]*shard)
 	s.fallback = newShard()
 	s.prefixes = nil
@@ -356,11 +323,13 @@ func prefixSuccessor(prefix []byte) []byte {
 	return nil
 }
 
-// iterateLocked walks [lo, hi) in global byte order: group shards in prefix
+// Range calls fn for every live pair in [lo, hi) in key order until fn
+// returns false. A nil hi means "to the end". Key/value slices follow the
+// Scan contract. The walk is in global byte order: group shards in prefix
 // order (each in suffix order) merged two ways with the fallback shard.
 // Distinct group prefixes have equal length, so prefix order totally orders
 // the shards' disjoint key ranges; only the fallback interleaves.
-func (s *Store) iterateLocked(lo, hi []byte, fn func(key, val []byte) bool) {
+func (s *Store) Range(lo, hi []byte, fn func(key, val []byte) bool) {
 	fb := s.fallback.ensureOrder()
 	fi := 0
 	if len(lo) > 0 {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -187,29 +186,6 @@ func TestScanPrefixProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestConcurrentAccess(t *testing.T) {
-	s := New()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 2000; i++ {
-				k := []byte(fmt.Sprintf("g%d-%d", g, i%100))
-				switch i % 3 {
-				case 0:
-					s.Put(k, k)
-				case 1:
-					s.Get(k)
-				case 2:
-					s.Delete(k)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
 }
 
 func BenchmarkPut(b *testing.B) {

@@ -17,14 +17,12 @@ package metrics
 
 import (
 	"sort"
-	"sync"
 
 	"switchfs/internal/stats"
 )
 
 // Registry holds named metrics.
 type Registry struct {
-	mu       sync.Mutex //detlint:ignore rawgo -- Real-mode guard for the metric tables; leaf section, never held across a park
 	counters map[string]uint64
 	gauges   map[string]uint64
 	hists    map[string]*stats.Hist
@@ -44,9 +42,7 @@ func (r *Registry) Add(name string, delta uint64) {
 	if r == nil || delta == 0 {
 		return
 	}
-	r.mu.Lock()
 	r.counters[name] += delta
-	r.mu.Unlock()
 }
 
 // Inc increments a counter by one.
@@ -57,9 +53,7 @@ func (r *Registry) SetGauge(name string, v uint64) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
 	r.gauges[name] = v
-	r.mu.Unlock()
 }
 
 // Observe adds a sample (virtual nanoseconds, typically) to a histogram.
@@ -67,14 +61,12 @@ func (r *Registry) Observe(name string, v float64) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
 	h := r.hists[name]
 	if h == nil {
 		h = &stats.Hist{}
 		r.hists[name] = h
 	}
 	h.Add(v)
-	r.mu.Unlock()
 }
 
 // Snapshot flattens the registry into one name→value map: counters and
@@ -84,8 +76,6 @@ func (r *Registry) Snapshot() map[string]uint64 {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make(map[string]uint64, len(r.counters)+len(r.gauges)+3*len(r.hists))
 	for k, v := range r.counters {
 		out[k] = v

@@ -7,8 +7,6 @@
 package pswitch
 
 import (
-	"sync"
-
 	"switchfs/internal/core"
 	"switchfs/internal/env"
 )
@@ -26,18 +24,12 @@ const (
 type DirtySet struct {
 	stages    int
 	indexBits uint
-	regs      [][]uint32   // [stage][index]
-	locks     []sync.Mutex //detlint:ignore rawgo -- models the data-plane register shards; leaf sections that never park (the P4 pipeline has no blocking)
-
-	mu        sync.Mutex //detlint:ignore rawgo -- Real-mode guard for the sequence table; leaf section, never held across a park
+	regs      [][]uint32 // [stage][index]
 	removeSeq map[env.NodeID]uint64
 	occupied  int
 	// ForceOverflow makes every insert fail — the §7.3.2 experiment.
 	ForceOverflow bool
 }
-
-// lockShards bounds the per-set lock array; sets map onto shards.
-const lockShards = 1024
 
 // NewDirtySet builds a dirty set with the given geometry.
 func NewDirtySet(stages int, indexBits uint) *DirtySet {
@@ -51,7 +43,6 @@ func NewDirtySet(stages int, indexBits uint) *DirtySet {
 		stages:    stages,
 		indexBits: indexBits,
 		regs:      make([][]uint32, stages),
-		locks:     make([]sync.Mutex, lockShards), //detlint:ignore rawgo -- allocation of the register-shard guards suppressed above
 		removeSeq: make(map[env.NodeID]uint64),
 	}
 	for i := range d.regs {
@@ -64,26 +55,17 @@ func NewDirtySet(stages int, indexBits uint) *DirtySet {
 func (d *DirtySet) Capacity() int { return d.stages * (1 << d.indexBits) }
 
 // Occupied returns the number of live fingerprints.
-func (d *DirtySet) Occupied() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.occupied
-}
+func (d *DirtySet) Occupied() int { return d.occupied }
 
-//detlint:ignore rawgo -- hands back the register-shard guard suppressed above
-func (d *DirtySet) set(fp core.Fingerprint) (idx uint32, tag uint32, lock *sync.Mutex) {
-	idx = fp.Index(d.indexBits)
-	tag = fp.Tag(d.indexBits)
-	lock = &d.locks[idx%lockShards]
-	return
+// set returns fp's register index (its set) and the tag stored there.
+func (d *DirtySet) set(fp core.Fingerprint) (idx uint32, tag uint32) {
+	return fp.Index(d.indexBits), fp.Tag(d.indexBits)
 }
 
 // Query reports whether fp is in the set: the OR of per-stage register
 // queries (§6.3).
 func (d *DirtySet) Query(fp core.Fingerprint) bool {
-	idx, tag, l := d.set(fp)
-	l.Lock()
-	defer l.Unlock()
+	idx, tag := d.set(fp)
 	for s := 0; s < d.stages; s++ {
 		if d.regs[s][idx] == tag {
 			return true
@@ -100,9 +82,7 @@ func (d *DirtySet) Insert(fp core.Fingerprint) bool {
 	if d.ForceOverflow {
 		return false
 	}
-	idx, tag, l := d.set(fp)
-	l.Lock()
-	defer l.Unlock()
+	idx, tag := d.set(fp)
 	inserted := false
 	fresh := false
 	for s := 0; s < d.stages; s++ {
@@ -119,15 +99,11 @@ func (d *DirtySet) Insert(fp core.Fingerprint) bool {
 		} else if *r == tag {
 			// conditional remove of duplicates in later stages.
 			*r = 0
-			d.mu.Lock()
 			d.occupied--
-			d.mu.Unlock()
 		}
 	}
 	if fresh {
-		d.mu.Lock()
 		d.occupied++
-		d.mu.Unlock()
 	}
 	return inserted
 }
@@ -137,25 +113,18 @@ func (d *DirtySet) Insert(fp core.Fingerprint) bool {
 // §5.4.1. A zero origin bypasses the guard (administrative resets).
 func (d *DirtySet) Remove(fp core.Fingerprint, origin env.NodeID, seq uint64) bool {
 	if origin != 0 {
-		d.mu.Lock()
 		if seq <= d.removeSeq[origin] {
-			d.mu.Unlock()
 			return false
 		}
 		d.removeSeq[origin] = seq
-		d.mu.Unlock()
 	}
-	idx, tag, l := d.set(fp)
-	l.Lock()
-	defer l.Unlock()
+	idx, tag := d.set(fp)
 	removed := false
 	for s := 0; s < d.stages; s++ {
 		if d.regs[s][idx] == tag {
 			d.regs[s][idx] = 0
 			removed = true
-			d.mu.Lock()
 			d.occupied--
-			d.mu.Unlock()
 		}
 	}
 	return removed
@@ -164,17 +133,9 @@ func (d *DirtySet) Remove(fp core.Fingerprint, origin env.NodeID, seq uint64) bo
 // Reset clears all registers and sequence state (switch crash/reboot,
 // §5.4.2).
 func (d *DirtySet) Reset() {
-	for i := range d.locks {
-		d.locks[i].Lock()
-	}
-	d.mu.Lock()
 	for s := range d.regs {
 		clear(d.regs[s])
 	}
 	d.occupied = 0
 	d.removeSeq = make(map[env.NodeID]uint64)
-	d.mu.Unlock()
-	for i := range d.locks {
-		d.locks[i].Unlock()
-	}
 }

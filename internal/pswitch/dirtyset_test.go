@@ -231,9 +231,9 @@ func TestSwitchPacketRouting(t *testing.T) {
 
 func TestStatsCounters(t *testing.T) {
 	var st Stats
-	st.Queries.Add(2)
-	st.Inserts.Add(1)
-	if st.Queries.Load() != 2 || st.Inserts.Load() != 1 {
+	st.Queries += 2
+	st.Inserts++
+	if st.Queries != 2 || st.Inserts != 1 {
 		t.Fatal("counter bookkeeping broken")
 	}
 	_ = env.NodeID(0)

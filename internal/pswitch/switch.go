@@ -1,8 +1,6 @@
 package pswitch
 
 import (
-	"sync/atomic"
-
 	"switchfs/internal/core"
 	"switchfs/internal/env"
 	"switchfs/internal/trace"
@@ -31,12 +29,12 @@ type Config struct {
 
 // Stats counts data-plane activity.
 type Stats struct {
-	Queries   atomic.Uint64
-	Inserts   atomic.Uint64
-	Overflows atomic.Uint64
-	Removes   atomic.Uint64
-	StaleRem  atomic.Uint64
-	Forwarded atomic.Uint64
+	Queries   uint64
+	Inserts   uint64
+	Overflows uint64
+	Removes   uint64
+	StaleRem  uint64
+	Forwarded uint64
 }
 
 // Switch is the programmable-switch model: it parses dirty-set headers,
@@ -122,7 +120,7 @@ func (s *Switch) Handler(p *env.Proc, from env.NodeID, msg any) {
 		// Regular packet: route by destination MAC. The packet may be
 		// retransmitted by its sender, so it is forwarded untouched — no
 		// span context is grafted on.
-		s.Stats.Forwarded.Add(1)
+		s.Stats.Forwarded++
 		p.Send(pkt.Dst, pkt)
 		return
 	}
@@ -138,7 +136,7 @@ func (s *Switch) Handler(p *env.Proc, from env.NodeID, msg any) {
 	}
 	switch pkt.DS.Op {
 	case wire.DSQuery:
-		s.Stats.Queries.Add(1)
+		s.Stats.Queries++
 		ret := ds.Query(pkt.DS.FP)
 		// Forward a copy: the RET field is written into the packet, and the
 		// original may be retransmitted by its sender. Packet and header
@@ -152,7 +150,7 @@ func (s *Switch) Handler(p *env.Proc, from env.NodeID, msg any) {
 		p.Send(pkt.Dst, out)
 
 	case wire.DSInsert:
-		s.Stats.Inserts.Add(1)
+		s.Stats.Inserts++
 		cn, _ := pkt.Body.(*wire.CommitNotice)
 		if ds.Insert(pkt.DS.FP) {
 			// Success: multicast completion to the client and unlock signal
@@ -169,14 +167,14 @@ func (s *Switch) Handler(p *env.Proc, from env.NodeID, msg any) {
 		// Overflow: the address rewriter sends the packet to the alternative
 		// destination — the parent directory's owner — for synchronous
 		// fallback (§6.2 "Address rewriter").
-		s.Stats.Overflows.Add(1)
+		s.Stats.Overflows++
 		out := *pkt
 		out.Dst = pkt.DS.AltDst
 		out.Trace = sp.Ctx()
 		p.Send(out.Dst, &out)
 
 	case wire.DSRemove:
-		s.Stats.Removes.Add(1)
+		s.Stats.Removes++
 		if !ds.Remove(pkt.DS.FP, pkt.Origin, pkt.DS.Seq) {
 			s.Stales(pkt)
 		}
@@ -207,4 +205,4 @@ func dsSpanName(op wire.DSOp) string {
 }
 
 // Stales counts removes rejected by the sequence guard.
-func (s *Switch) Stales(*wire.Packet) { s.Stats.StaleRem.Add(1) }
+func (s *Switch) Stales(*wire.Packet) { s.Stats.StaleRem++ }

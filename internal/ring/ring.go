@@ -19,7 +19,6 @@ package ring
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"switchfs/internal/core"
 	"switchfs/internal/env"
@@ -29,7 +28,6 @@ import (
 // overrides. All methods are cheap and never park, so a read-modify sequence
 // inside one simulator event is atomic with respect to traffic.
 type Ring struct {
-	mu        sync.Mutex //detlint:ignore rawgo -- Real-mode guard; leaf sections, never held across a park (uncontended under Sim)
 	placement *core.Placement
 	overrides map[core.Fingerprint]uint32
 	version   uint64
@@ -57,16 +55,12 @@ func New(slots []uint32, vnodes int, nodeOf func(uint32) env.NodeID) *Ring {
 // Version returns the current ring version. It increases by exactly one on
 // every SetOverride/ClearOverride/Reset, never decreases, and starts at 1.
 func (r *Ring) Version() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.version
 }
 
 // OwnerOf returns the slot owning fingerprint group fp: the override if one
 // is pinned, the consistent-hash owner otherwise.
 func (r *Ring) OwnerOf(fp core.Fingerprint) uint32 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if slot, ok := r.overrides[fp]; ok {
 		return slot
 	}
@@ -92,16 +86,12 @@ func (r *Ring) NodeOf(slot uint32) env.NodeID { return r.nodeOf(slot) }
 // Installing the override a group already resolves to still bumps the
 // version — the caller is staging a migration and relies on the bump.
 func (r *Ring) SetOverride(fp core.Fingerprint, slot uint32) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.overrides[fp] = slot
 	r.version++
 }
 
 // ClearOverride removes fp's pin (a no-op without one does not bump).
 func (r *Ring) ClearOverride(fp core.Fingerprint) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if _, ok := r.overrides[fp]; !ok {
 		return
 	}
@@ -113,8 +103,6 @@ func (r *Ring) ClearOverride(fp core.Fingerprint) {
 // version (bulk reconfiguration: by the time the control plane resets, every
 // group has been migrated to its target owner, so the overrides are spent).
 func (r *Ring) Reset(slots []uint32) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.placement.Reset(slots)
 	r.overrides = make(map[core.Fingerprint]uint32)
 	r.version++
@@ -123,8 +111,6 @@ func (r *Ring) Reset(slots []uint32) {
 // Overrides returns the pinned placements sorted by fingerprint —
 // deterministic iteration for control-plane scans and figures.
 func (r *Ring) Overrides() []Override {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make([]Override, 0, len(r.overrides))
 	for fp, slot := range r.overrides {
 		out = append(out, Override{FP: fp, Slot: slot})
@@ -136,22 +122,16 @@ func (r *Ring) Overrides() []Override {
 // Slots returns the base member set in ascending order (overrides excluded:
 // an override pins a group to a member, it does not add members).
 func (r *Ring) Slots() []uint32 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.placement.Servers()
 }
 
 // NumSlots returns the base member count.
 func (r *Ring) NumSlots() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.placement.NumServers()
 }
 
 // String summarizes the ring for diagnostics.
 func (r *Ring) String() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return fmt.Sprintf("ring{v%d, %d slots, %d overrides}",
 		r.version, r.placement.NumServers(), len(r.overrides))
 }

@@ -116,7 +116,6 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 	asp := s.cfg.Trace.Start(p, "agg:run", "server")
 	defer asp.End()
 	s.Stats.Aggregations++
-	s.mu.Lock()
 	s.nextAgg++
 	id := uint64(s.cfg.ID)<<40 | s.nextAgg
 	ctx := &aggCtx{id: id, fp: fp, done: env.NewFuture(), expect: make(map[env.NodeID]bool)}
@@ -137,7 +136,6 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 		// half-registered aggregation.
 		delete(s.aggs, id)
 		delete(s.aggByFP, fp)
-		s.mu.Unlock()
 		return false
 	}
 	if s.cfg.Tracker == TrackerOwner {
@@ -149,7 +147,6 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 		delete(s.quiesce, fp)
 	}
 	locals := sortedClogs(s.clogsByFP[fp])
-	s.mu.Unlock()
 
 	// Collect the local change-logs of the group under their exclusive
 	// protocol locks (this server may itself have logged updates to
@@ -158,12 +155,10 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 	// before the fetch below is sent.
 	for _, dl := range locals {
 		dl.lock.Lock(p)
-		dl.qmu.Lock()
 		if dl.log.Len() > 0 {
 			ctx.logs = append(ctx.logs, aggLog{from: s.cfg.ID, log: wire.DirLog{Dir: dl.ref, Entries: dl.log.Snapshot()}})
 		}
 		dl.heldBy = id
-		dl.qmu.Unlock()
 	}
 
 	// Fetch from peers: remove the fingerprint and multicast (steps 5–6).
@@ -179,10 +174,8 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 	// seq per retry used to wipe newer inserts, leaving their change-log
 	// entries pending behind a "normal" directory until a proactive timer
 	// healed the staleness (caught by the chaos checker).
-	s.mu.Lock()
 	s.nextRemove++
 	seq := s.nextRemove
-	s.mu.Unlock()
 	for {
 		if s.cfg.Tracker == TrackerOwner {
 			// Sorted snapshot: each send draws latency/jitter from the
@@ -212,12 +205,10 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 			// entries, which re-surface through this server's recovery or
 			// the next aggregation — applying them to this dead
 			// incarnation's store (and letting peers trim) would lose them.
-			s.mu.Lock()
 			delete(s.aggs, id)
 			if s.aggByFP[fp] == ctx {
 				delete(s.aggByFP, fp)
 			}
-			s.mu.Unlock()
 			return false
 		}
 		if ctx.retries >= maxAggRetries {
@@ -227,11 +218,9 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 			// until then the group must read as dirty again (below) so no
 			// read mistakes the partial state for the full directory.
 			complete = false
-			s.mu.Lock()
 			for peer := range ctx.expect {
 				delete(ctx.expect, peer)
 			}
-			s.mu.Unlock()
 			break
 		}
 	}
@@ -239,13 +228,11 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 	// Apply (steps 7–8): every directory of the group as one batch under its
 	// inode lock. Per-peer acks let each sender trim exactly the entries it
 	// contributed.
-	s.mu.Lock()
 	logs := ctx.logs
 	delete(s.aggs, id)
 	if s.aggByFP[fp] == ctx {
 		delete(s.aggByFP, fp)
 	}
-	s.mu.Unlock()
 	if s.dead {
 		return false // fail-stopped: do not apply to this incarnation or ack peers
 	}
@@ -293,9 +280,7 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 				s.ackEntries(dl, l.maxID)
 			}
 		}
-		dl.qmu.Lock()
 		dl.heldBy = 0
-		dl.qmu.Unlock()
 		dl.lock.Unlock()
 	}
 
@@ -321,9 +306,7 @@ func (s *Server) markDirty(p *env.Proc, fp core.Fingerprint) {
 		return
 	}
 	if s.cfg.Tracker == TrackerOwner {
-		s.mu.Lock()
 		s.ownerDirty[fp] = true
-		s.mu.Unlock()
 		return
 	}
 	sw := s.cfg.SwitchFor(fp)
@@ -339,8 +322,6 @@ func (s *Server) markDirty(p *env.Proc, fp core.Fingerprint) {
 const completedAggCache = 256
 
 func (s *Server) rememberAggAcks(id uint64, acks map[env.NodeID]*wire.AggAck) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.doneAggs == nil {
 		s.doneAggs = make(map[uint64]map[env.NodeID]*wire.AggAck)
 	}
@@ -363,17 +344,13 @@ func (s *Server) handleAggFetch(p *env.Proc, f *wire.AggFetch) {
 	if f.Rmdir {
 		s.addInval(f.Dir)
 	}
-	s.mu.Lock()
 	if st := s.peerAggs[f.AggID]; st != nil {
 		if !st.ready {
 			// The original handler is still acquiring locks; it will send.
-			s.mu.Unlock()
 			return
 		}
 		// Duplicate fetch (owner retried): resend the same snapshot.
-		logs := st.logs
-		s.mu.Unlock()
-		s.reply(p, f.Owner, &wire.AggEntries{AggID: f.AggID, FP: f.FP, From: s.cfg.ID, Logs: logs})
+		s.reply(p, f.Owner, &wire.AggEntries{AggID: f.AggID, FP: f.FP, From: s.cfg.ID, Logs: st.logs})
 		return
 	}
 	st := &peerAggState{id: f.AggID, fp: f.FP, owner: f.Owner, done: env.NewFuture()}
@@ -382,25 +359,19 @@ func (s *Server) handleAggFetch(p *env.Proc, f *wire.AggFetch) {
 	}
 	s.peerAggs[f.AggID] = st
 	dls := sortedClogs(s.clogsByFP[f.FP])
-	s.mu.Unlock()
 
 	for _, dl := range dls {
 		dl.lock.Lock(p) // exclusive: blocks appenders while entries travel
-		dl.qmu.Lock()
 		if dl.log.Len() > 0 {
 			st.logs = append(st.logs, wire.DirLog{Dir: dl.ref, Entries: dl.log.Snapshot()})
 			st.locked = append(st.locked, dl)
 			dl.heldBy = f.AggID
-			dl.qmu.Unlock()
 		} else {
-			dl.qmu.Unlock()
 			dl.lock.Unlock()
 		}
 	}
 
-	s.mu.Lock()
 	st.ready = true
-	s.mu.Unlock()
 	msg := &wire.AggEntries{AggID: f.AggID, FP: f.FP, From: s.cfg.ID, Logs: st.logs}
 	for try := 0; ; try++ {
 		s.reply(p, f.Owner, msg)
@@ -416,9 +387,7 @@ func (s *Server) handleAggFetch(p *env.Proc, f *wire.AggFetch) {
 			// Owner unreachable: keep the entries (no trim) and release the
 			// locks so the system can make progress; the owner's recovery
 			// re-aggregates (§A.1).
-			s.mu.Lock()
 			delete(s.peerAggs, f.AggID)
-			s.mu.Unlock()
 			s.finishPeerAgg(st, &wire.AggAck{AggID: f.AggID, FP: f.FP})
 			return
 		}
@@ -433,22 +402,18 @@ func (s *Server) finishPeerAgg(st *peerAggState, a *wire.AggAck) {
 		if maxID, ok := a.MaxIDs[dl.ref.ID]; ok && maxID > 0 {
 			s.ackEntries(dl, maxID)
 		}
-		dl.qmu.Lock()
 		dl.heldBy = 0
-		dl.qmu.Unlock()
 		dl.lock.Unlock()
 	}
 }
 
 // handleAggEntries collects one peer's reply at the aggregation owner.
 func (s *Server) handleAggEntries(p *env.Proc, e *wire.AggEntries) {
-	s.mu.Lock()
 	ctx := s.aggs[e.AggID]
 	if ctx == nil {
 		// Late or duplicate reply to a completed aggregation: re-ack so the
 		// peer can trim and unlock.
 		acks := s.doneAggs[e.AggID]
-		s.mu.Unlock()
 		if acks != nil {
 			a := acks[e.From]
 			if a == nil {
@@ -459,16 +424,13 @@ func (s *Server) handleAggEntries(p *env.Proc, e *wire.AggEntries) {
 		return
 	}
 	if !ctx.expect[e.From] {
-		s.mu.Unlock()
 		return // duplicate within the active aggregation
 	}
 	delete(ctx.expect, e.From)
 	for _, l := range e.Logs {
 		ctx.logs = append(ctx.logs, aggLog{from: e.From, log: l})
 	}
-	rest := len(ctx.expect)
-	s.mu.Unlock()
-	if rest == 0 {
+	if len(ctx.expect) == 0 {
 		ctx.done.Complete(nil)
 	}
 }
@@ -476,15 +438,11 @@ func (s *Server) handleAggEntries(p *env.Proc, e *wire.AggEntries) {
 // handleAggAck finishes the peer side: it hands the ack to the waiting
 // fetch handler, which owns the trim-and-unlock (§5.2.2 steps 9a/9b).
 func (s *Server) handleAggAck(p *env.Proc, a *wire.AggAck) {
-	s.mu.Lock()
 	st := s.peerAggs[a.AggID]
-	if st != nil {
-		delete(s.peerAggs, a.AggID)
-	}
-	s.mu.Unlock()
 	if st == nil {
 		return
 	}
+	delete(s.peerAggs, a.AggID)
 	st.done.Complete(a)
 }
 
@@ -657,24 +615,18 @@ func (s *Server) maybePush(dl *dirLog) {
 	if !s.serving {
 		return
 	}
-	dl.qmu.Lock()
 	if dl.pushing || dl.log.Len() == 0 || dl.heldBy != 0 {
-		dl.qmu.Unlock()
 		return
 	}
 	dl.pushing = true
 	snap := dl.log.Snapshot()
-	dl.qmu.Unlock()
 	s.env.Spawn(s.cfg.ID, func(p *env.Proc) { s.pushLog(p, dl, snap) })
 }
 
 func (s *Server) pushLog(p *env.Proc, dl *dirLog, snap []core.LogEntry) {
 	defer func() {
-		dl.qmu.Lock()
 		dl.pushing = false
-		again := s.serving && dl.log.Len() >= s.cfg.PushEntries
-		dl.qmu.Unlock()
-		if again {
+		if s.serving && dl.log.Len() >= s.cfg.PushEntries {
 			s.maybePush(dl)
 		}
 	}()
@@ -684,12 +636,10 @@ func (s *Server) pushLog(p *env.Proc, dl *dirLog, snap []core.LogEntry) {
 	s.Stats.Pushes++
 	msg := &wire.ChangePush{From: s.cfg.ID, Log: wire.DirLog{Dir: dl.ref, Entries: snap}}
 	fut := env.NewFuture()
-	s.mu.Lock()
 	if s.pushWait == nil {
 		s.pushWait = make(map[core.DirID]*env.Future)
 	}
 	s.pushWait[dl.ref.ID] = fut
-	s.mu.Unlock()
 	acked := false
 	for try := 0; try < 8; try++ {
 		if s.dead {
@@ -712,21 +662,17 @@ func (s *Server) pushLog(p *env.Proc, dl *dirLog, snap []core.LogEntry) {
 		// reads aggregate (and collect them) instead of serving stale state.
 		s.markDirty(p, dl.ref.FP)
 	}
-	s.mu.Lock()
 	if s.pushWait[dl.ref.ID] == fut {
 		delete(s.pushWait, dl.ref.ID)
 	}
-	s.mu.Unlock()
 }
 
 // resetIdleTimer (re)arms the idle push trigger after an append.
 func (s *Server) resetIdleTimer(dl *dirLog) {
-	dl.qmu.Lock()
 	if dl.idle != nil {
 		dl.idle.Cancel()
 	}
 	dl.idle = s.env.After(s.cfg.PushIdle, func() { s.maybePush(dl) })
-	dl.qmu.Unlock()
 }
 
 // handleChangePush applies a proactively pushed change-log at the owner and
@@ -760,7 +706,6 @@ func (s *Server) handleChangePush(p *env.Proc, from env.NodeID, cp *wire.ChangeP
 	if cp.Final {
 		return
 	}
-	s.mu.Lock()
 	if t := s.quiesce[fp]; t != nil {
 		t.Cancel()
 	}
@@ -770,14 +715,11 @@ func (s *Server) handleChangePush(p *env.Proc, from env.NodeID, cp *wire.ChangeP
 		}
 		s.env.Spawn(s.cfg.ID, func(p *env.Proc) { s.aggregateFP(p, fp, nil) })
 	})
-	s.mu.Unlock()
 }
 
 // handleChangePushAck completes a pending push.
 func (s *Server) handleChangePushAck(p *env.Proc, a *wire.ChangePushAck) {
-	s.mu.Lock()
 	fut := s.pushWait[a.Dir]
-	s.mu.Unlock()
 	if fut != nil {
 		fut.Complete(a)
 	}
@@ -792,11 +734,9 @@ func (s *Server) addInval(dir core.DirID) {
 	if dir.IsZero() {
 		return
 	}
-	s.mu.Lock()
 	s.invalSeq++
 	s.invalSet[dir] = s.invalSeq
 	s.inval = append(s.inval, wire.InvalEntry{Seq: s.invalSeq, Dir: dir})
-	s.mu.Unlock()
 }
 
 // handleInvalBroadcast appends directories announced by a peer.
@@ -883,10 +823,8 @@ func (s *Server) doRmdir(p *env.Proc, req *wire.MutateReq) {
 
 	// Commit the removal (step 8) and defer the parent update.
 	entry := core.LogEntry{Time: p.Now(), Op: core.OpRmdir, Name: req.Name, Type: core.TypeDir}
-	s.mu.Lock()
 	s.nextEntry++
 	entry.ID = s.nextEntry
-	s.mu.Unlock()
 	walRec := s.encodeCommit(core.OpRmdir, key, req.Parent, entry, &in)
 	p.Compute(c.WALAppend + c.KVDel)
 	lsn := mustAppend(s.wal, recCommit, walRec)
@@ -899,10 +837,8 @@ func (s *Server) doRmdir(p *env.Proc, req *wire.MutateReq) {
 	}
 
 	p.Compute(c.LogAppend)
-	parentLog.qmu.Lock()
 	parentLog.log.Append(entry)
 	parentLog.walLSN[entry.ID] = lsn
-	parentLog.qmu.Unlock()
 
 	// As in doMutate, the dedup cache learns the response only after the
 	// commit ack — replaying it earlier would acknowledge the rmdir before

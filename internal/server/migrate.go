@@ -44,9 +44,7 @@ const recEvict uint8 = 10
 // new one, inflating the moved group's apparent heat and letting a retry
 // storm ping-pong the same hot group between servers.
 func (s *Server) tallyFP(fp core.Fingerprint) {
-	s.mu.Lock()
 	s.fpOps[fp]++
-	s.mu.Unlock()
 }
 
 // FPOp is one fingerprint group's operation tally.
@@ -58,12 +56,10 @@ type FPOp struct {
 // FPOps returns per-group op tallies, hottest first (ties broken by
 // fingerprint — deterministic for the balancer's selection).
 func (s *Server) FPOps() []FPOp {
-	s.mu.Lock()
 	out := make([]FPOp, 0, len(s.fpOps))
 	for fp, n := range s.fpOps {
 		out = append(out, FPOp{FP: fp, N: n})
 	}
-	s.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].N != out[j].N {
 			return out[i].N > out[j].N
@@ -76,47 +72,37 @@ func (s *Server) FPOps() []FPOp {
 // ResetFPOps clears the per-group tallies. The balancer calls it after each
 // pass so the next decision measures load since the last one, not history.
 func (s *Server) ResetFPOps() {
-	s.mu.Lock()
 	s.fpOps = make(map[core.Fingerprint]uint64)
-	s.mu.Unlock()
 }
 
 // fpEnter takes a busy reference on a fingerprint group: the op was admitted
 // under the current ring and a migration away must wait for fpExit.
 func (s *Server) fpEnter(fp core.Fingerprint) {
-	s.mu.Lock()
 	s.busy[fp]++
-	s.mu.Unlock()
 }
 
 // fpExit drops a busy reference.
 func (s *Server) fpExit(fp core.Fingerprint) {
-	s.mu.Lock()
 	s.busy[fp]--
 	if s.busy[fp] <= 0 {
 		delete(s.busy, fp)
 	}
-	s.mu.Unlock()
 }
 
 // BlockFP installs the arrival gate for a group migrating INTO this server:
 // requests that already route here park on the gate until the copy lands.
 // Called by the control plane in the same event as the ring override.
 func (s *Server) BlockFP(fp core.Fingerprint) {
-	s.mu.Lock()
 	if s.gates[fp] == nil {
 		s.gates[fp] = env.NewFuture()
 	}
-	s.mu.Unlock()
 }
 
 // UnblockFP releases the arrival gate (copy landed, or migration aborted and
 // the override rolled back — waiters re-check ownership either way).
 func (s *Server) UnblockFP(fp core.Fingerprint) {
-	s.mu.Lock()
 	fut := s.gates[fp]
 	delete(s.gates, fp)
-	s.mu.Unlock()
 	if fut != nil {
 		fut.Complete(nil)
 	}
@@ -127,9 +113,7 @@ func (s *Server) UnblockFP(fp core.Fingerprint) {
 // is the backpressure, and bounding the park keeps a stuck migration from
 // accumulating parked handlers.
 func (s *Server) gateWait(p *env.Proc, fp core.Fingerprint) error {
-	s.mu.Lock()
 	fut := s.gates[fp]
-	s.mu.Unlock()
 	if fut == nil {
 		return nil
 	}
@@ -199,23 +183,21 @@ func (s *Server) exitFPs(fps []core.Fingerprint) {
 // true — and because the poll, the copy, and the eviction share one simulator
 // event, the answer cannot go stale under it.
 func (s *Server) FPQuiescent(fp core.Fingerprint) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.recovering || s.busy[fp] > 0 {
 		return false
 	}
 	if st := s.fps[fp]; st != nil && st.aggActive {
 		return false
 	}
-	return !s.preparedTxnOnFPLocked(fp)
+	return !s.preparedTxnOnFP(fp)
 }
 
-// preparedTxnOnFPLocked reports whether a prepared, undecided transaction
-// has an op targeting the group. Migrating under one would strand the
-// prepared state: the decision would apply the ops to a store that no longer
-// owns (or holds) the keys. Caller holds s.mu; the scan is order-independent
-// (a pure any-match), so map iteration order cannot leak into behavior.
-func (s *Server) preparedTxnOnFPLocked(fp core.Fingerprint) bool {
+// preparedTxnOnFP reports whether a prepared, undecided transaction has an op
+// targeting the group. Migrating under one would strand the prepared state:
+// the decision would apply the ops to a store that no longer owns (or holds)
+// the keys. The scan is order-independent (a pure any-match), so map
+// iteration order cannot leak into behavior.
+func (s *Server) preparedTxnOnFP(fp core.Fingerprint) bool {
 	for _, st := range s.txns {
 		for _, op := range st.ops {
 			if opFP(op) == fp {
@@ -315,14 +297,12 @@ func (s *Server) StoredFingerprints() []core.Fingerprint {
 func (s *Server) EvictMigrated(fp core.Fingerprint) {
 	mustAppend(s.wal, recEvict, u64(nil, uint64(fp)))
 	s.evictFP(fp)
-	s.mu.Lock()
 	if t := s.quiesce[fp]; t != nil {
 		t.Cancel()
 		delete(s.quiesce, fp)
 	}
 	delete(s.ownerDirty, fp)
 	delete(s.fpOps, fp)
-	s.mu.Unlock()
 }
 
 // evictFP deletes the group's inode records and, for directories, their

@@ -134,10 +134,8 @@ func (s *Server) doMutate(p *env.Proc, req *wire.MutateReq) {
 	// change-log entry id is reserved before logging so recovery can rebuild
 	// the queue; per-name FIFO order is guaranteed by the target inode lock,
 	// not by global id order.
-	s.mu.Lock()
 	s.nextEntry++
 	entry.ID = s.nextEntry
-	s.mu.Unlock()
 	walRec := s.encodeCommit(req.Op, key, req.Parent, entry, &in)
 	wsp := s.cfg.Trace.Start(p, "wal:commit", "server")
 	p.Compute(c.WALAppend)
@@ -161,11 +159,9 @@ func (s *Server) doMutate(p *env.Proc, req *wire.MutateReq) {
 
 	// Append to the parent's change-log (step 5).
 	p.Compute(c.LogAppend)
-	parentLog.qmu.Lock()
 	parentLog.log.Append(entry)
 	parentLog.walLSN[entry.ID] = lsn
 	pending := parentLog.log.Len()
-	parentLog.qmu.Unlock()
 
 	// Dirty-set update and completion (steps 6–7). The response is cached
 	// for retransmission replay only AFTER the commit ack: the client's copy
@@ -212,12 +208,10 @@ func (s *Server) asyncCommit(p *env.Proc, parent core.DirRef, parentLog *dirLog,
 
 	csp := s.cfg.Trace.Start(p, "commit:async", "server")
 	defer csp.End()
-	s.mu.Lock()
 	s.nextCommit++
 	ctx := &commitCtx{id: s.nextCommit, done: env.NewFuture(),
 		dir: parent.ID, entryID: entry.ID}
 	s.commits[ctx.id] = ctx
-	s.mu.Unlock()
 
 	notice := &wire.CommitNotice{
 		Resp:     resp,
@@ -234,9 +228,7 @@ func (s *Server) asyncCommit(p *env.Proc, parent core.DirRef, parentLog *dirLog,
 		// Snapshot the pending log for the overflow fallback: the switch
 		// rewrites the packet to the parent's owner, which applies the whole
 		// log synchronously (§5.2.1, §6.2).
-		parentLog.qmu.Lock()
 		notice.Update = wire.DirLog{Dir: parent, Entries: parentLog.log.Snapshot()}
-		parentLog.qmu.Unlock()
 	}
 	for {
 		if s.dead {
@@ -264,9 +256,7 @@ func (s *Server) asyncCommit(p *env.Proc, parent core.DirRef, parentLog *dirLog,
 		v, ok := ctx.done.WaitTimeout(p, s.cfg.RetryTimeout)
 		if ok {
 			ack := v.(*wire.CommitAck)
-			s.mu.Lock()
 			delete(s.commits, ctx.id)
-			s.mu.Unlock()
 			if ack.Applied {
 				// Fallback applied the pending log remotely: mark applied
 				// and trim (§5.4.2 keeps recovery exactly-once).
@@ -292,11 +282,9 @@ func (s *Server) asyncCommit(p *env.Proc, parent core.DirRef, parentLog *dirLog,
 func (s *Server) syncCommit(p *env.Proc, req *wire.MutateReq, parentLog *dirLog,
 	entry core.LogEntry, lsn wal.LSN, kl *env.RWMutex, newDir core.DirID) {
 
-	s.mu.Lock()
 	s.nextCommit++
 	ctx := &commitCtx{id: s.nextCommit, done: env.NewFuture()}
 	s.commits[ctx.id] = ctx
-	s.mu.Unlock()
 
 	csp := s.cfg.Trace.Start(p, "commit:sync", "server")
 	defer csp.End()
@@ -317,9 +305,7 @@ func (s *Server) syncCommit(p *env.Proc, req *wire.MutateReq, parentLog *dirLog,
 		}
 		s.Stats.Retries++
 	}
-	s.mu.Lock()
 	delete(s.commits, ctx.id)
-	s.mu.Unlock()
 	// Cache the response for retransmission replay only now that the remote
 	// apply is acknowledged (the parent's owner also sent the client's copy).
 	s.remember(req.Client, req.RPC, resp)
@@ -331,9 +317,7 @@ func (s *Server) syncCommit(p *env.Proc, req *wire.MutateReq, parentLog *dirLog,
 
 // handleCommitAck completes a waiting commit context.
 func (s *Server) handleCommitAck(p *env.Proc, ack *wire.CommitAck) {
-	s.mu.Lock()
 	ctx := s.commits[ack.CommitID]
-	s.mu.Unlock()
 	if ctx != nil {
 		ctx.done.Complete(ack)
 	}
@@ -371,9 +355,7 @@ func (s *Server) handleFallback(p *env.Proc, pkt *wire.Packet, cn *wire.CommitNo
 	s.fpEnter(fp)
 	defer s.fpExit(fp)
 	if cn.MarkOnly {
-		s.mu.Lock()
 		s.ownerDirty[fp] = true
-		s.mu.Unlock()
 		p.Send(cn.Client, &wire.Packet{Dst: cn.Client, Origin: s.cfg.ID,
 			Trace: p.TraceCtx(), Body: cn.Resp})
 		s.reply(p, pkt.Origin, &wire.CommitAck{CommitID: cn.CommitID})
@@ -391,7 +373,6 @@ func (s *Server) handleFallback(p *env.Proc, pkt *wire.Packet, cn *wire.CommitNo
 
 // ackEntries marks entries ≤ maxID applied in the WAL and trims the log.
 func (s *Server) ackEntries(dl *dirLog, maxID uint64) {
-	dl.qmu.Lock()
 	for id, lsn := range dl.walLSN {
 		if id <= maxID {
 			mustMark(s.wal, lsn)
@@ -399,7 +380,6 @@ func (s *Server) ackEntries(dl *dirLog, maxID uint64) {
 		}
 	}
 	dl.log.AckThrough(maxID)
-	dl.qmu.Unlock()
 }
 
 // adjustNlink updates a hard-linked file's shared attribute object, possibly

@@ -169,9 +169,7 @@ func (s *Server) handleDirRead(p *env.Proc, pkt *wire.Packet, req *wire.DirReadR
 		scattered := false
 		switch s.cfg.Tracker {
 		case TrackerOwner:
-			s.mu.Lock()
 			scattered = s.ownerDirty[req.Dir.FP]
-			s.mu.Unlock()
 		default:
 			scattered = pkt.DS != nil && pkt.DS.Ret
 		}

@@ -50,7 +50,7 @@ func (s *Server) Crash() {
 
 // Restart builds a fresh server over the surviving WAL and re-registers the
 // node. The caller then runs Recover on a process to replay and re-join.
-func Restart(e env.Env, cfg Config, log wal.Log) *Server {
+func Restart(e *env.Sim, cfg Config, log wal.Log) *Server {
 	cfg.WAL = log
 	return New(e, cfg)
 }
@@ -82,13 +82,9 @@ func (s *Server) Recover(p *env.Proc) error {
 	// inserted before the crash (reads will aggregate) or may never have
 	// made it to the switch — pushing them to their owners restores
 	// visibility either way.
-	s.mu.Lock()
 	logs := sortedClogs(s.clogs)
-	s.mu.Unlock()
 	for _, dl := range logs {
-		dl.qmu.Lock()
 		snap := dl.log.Snapshot()
-		dl.qmu.Unlock()
 		if len(snap) == 0 {
 			continue
 		}
@@ -118,7 +114,6 @@ func (s *Server) Recover(p *env.Proc) error {
 			continue
 		}
 		resp := v.(*wire.CloneInvalResp)
-		s.mu.Lock()
 		for _, e := range resp.Entries {
 			if _, ok := s.invalSet[e.Dir]; !ok {
 				s.invalSeq++
@@ -126,7 +121,6 @@ func (s *Server) Recover(p *env.Proc) error {
 				s.inval = append(s.inval, wire.InvalEntry{Seq: s.invalSeq, Dir: e.Dir})
 			}
 		}
-		s.mu.Unlock()
 		break
 	}
 
@@ -156,10 +150,8 @@ func (s *Server) replayWAL() error {
 			}
 			if !r.Applied {
 				dl := s.clogOf(parent)
-				dl.qmu.Lock()
 				dl.log.Append(entry)
 				dl.walLSN[entry.ID] = r.LSN
-				dl.qmu.Unlock()
 			}
 			if op == core.OpRmdir {
 				s.addInval(in.ID)
@@ -284,9 +276,7 @@ func (s *Server) ownedDirFingerprints() []core.Fingerprint {
 func (s *Server) pushLogFinal(p *env.Proc, dl *dirLog, snap []core.LogEntry) {
 	msg := &wire.ChangePush{From: s.cfg.ID, Log: wire.DirLog{Dir: dl.ref, Entries: snap}, Final: true}
 	fut := env.NewFuture()
-	s.mu.Lock()
 	s.pushWait[dl.ref.ID] = fut
-	s.mu.Unlock()
 	acked := false
 	for try := 0; try < maxAggRetries; try++ {
 		if s.dead {
@@ -309,17 +299,13 @@ func (s *Server) pushLogFinal(p *env.Proc, dl *dirLog, snap []core.LogEntry) {
 		// normal fingerprint that a dead owner's aggregation removed.
 		s.markDirty(p, dl.ref.FP)
 	}
-	s.mu.Lock()
 	delete(s.pushWait, dl.ref.ID)
-	s.mu.Unlock()
 }
 
 // handleCloneInval serves a recovering peer (§5.4.2).
 func (s *Server) handleCloneInval(p *env.Proc, req *wire.CloneInvalReq) {
-	s.mu.Lock()
 	resp := &wire.CloneInvalResp{Ctl: req.Ctl, From: s.cfg.ID, Seq: s.invalSeq,
 		Entries: append([]wire.InvalEntry(nil), s.inval...)}
-	s.mu.Unlock()
 	s.reply(p, req.From, resp)
 }
 
@@ -329,13 +315,9 @@ func (s *Server) handleCloneInval(p *env.Proc, req *wire.CloneInvalReq) {
 // flush.
 func (s *Server) FlushAll(p *env.Proc) {
 	s.serving = false
-	s.mu.Lock()
 	logs := sortedClogs(s.clogs)
-	s.mu.Unlock()
 	for _, dl := range logs {
-		dl.qmu.Lock()
 		snap := dl.log.Snapshot()
-		dl.qmu.Unlock()
 		if len(snap) > 0 {
 			s.pushLogFinal(p, dl, snap)
 		}
@@ -369,8 +351,6 @@ func (s *Server) InjectDentry(dir core.DirID, e core.DirEntry, log bool) {
 // AppliedMarks returns dir's per-source exactly-once watermarks, sorted by
 // source id (directory migration).
 func (s *Server) AppliedMarks(dir core.DirID) []AppliedMark {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var out []AppliedMark
 	for k, v := range s.applied {
 		if k.dir == dir {
@@ -410,8 +390,6 @@ func (s *Server) InjectAppliedMark(src env.NodeID, dir core.DirID, id uint64, lo
 // completing across the remap would apply collected entries — and let
 // peers trim them — at a server that no longer owns the directory.
 func (s *Server) AggsQuiescent() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.recovering || len(s.aggs) != 0 || len(s.peerAggs) != 0 {
 		return false
 	}
@@ -456,20 +434,14 @@ func (s *Server) PendingTxnCommitRecords() int {
 // PendingClogEntries counts not-yet-applied change-log entries across all
 // directories (diagnostics).
 func (s *Server) PendingClogEntries() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	n := 0
 	for _, dl := range s.clogs {
-		dl.qmu.Lock()
 		n += dl.log.Len()
-		dl.qmu.Unlock()
 	}
 	return n
 }
 
 // SetPeers replaces the peer set after cluster reconfiguration (§5.5).
 func (s *Server) SetPeers(peers []env.NodeID) {
-	s.mu.Lock()
 	s.cfg.Peers = append([]env.NodeID(nil), peers...)
-	s.mu.Unlock()
 }

@@ -16,8 +16,6 @@ const txnSrcFlag = env.NodeID(1) << 31
 // entry; the (txn-src, dir) watermark at the participant then applies each
 // update exactly once across retransmissions.
 func (s *Server) nextTxnEntryID() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.nextTxnEntry++
 	return s.nextTxnEntry
 }
@@ -190,35 +188,27 @@ func (s *Server) broadcastInval(p *env.Proc, dirs []core.DirID) {
 
 // handleTxnVote collects a prepare vote at the coordinator.
 func (s *Server) handleTxnVote(v *wire.TxnVote) {
-	s.mu.Lock()
 	tv := s.txnVotes[v.Txn]
 	if tv == nil || !tv.expect[v.From] {
-		s.mu.Unlock()
 		return
 	}
 	delete(tv.expect, v.From)
 	if v.Err != core.ErrnoOK && tv.err == nil {
 		tv.err = v.Err.Err()
 	}
-	rest := len(tv.expect)
-	s.mu.Unlock()
-	if rest == 0 {
+	if len(tv.expect) == 0 {
 		tv.done.Complete(nil)
 	}
 }
 
 // handleTxnDone collects a decision ack at the coordinator.
 func (s *Server) handleTxnDone(d *wire.TxnDone) {
-	s.mu.Lock()
 	td := s.txnDones[d.Txn]
 	if td == nil || !td.expect[d.From] {
-		s.mu.Unlock()
 		return
 	}
 	delete(td.expect, d.From)
-	rest := len(td.expect)
-	s.mu.Unlock()
-	if rest == 0 {
+	if len(td.expect) == 0 {
 		td.done.Complete(nil)
 	}
 }

@@ -8,7 +8,6 @@ package server
 import (
 	"encoding/binary"
 	"sort"
-	"sync"
 
 	"switchfs/internal/core"
 	"switchfs/internal/env"
@@ -107,12 +106,10 @@ func (c *Config) Defaults() {
 // directory hold it SHARED (their appends commute — the contention-mitigation
 // point of §4.1/§5.3; per-name ordering is already serialized by the target
 // inode's exclusive lock), while an aggregation fetch holds it EXCLUSIVE so
-// it snapshots a stable log (§5.2.2 step 6). The short qmu mutex orders the
-// concurrent queue appends themselves and is never held across a park.
+// it snapshots a stable log (§5.2.2 step 6).
 type dirLog struct {
 	ref  core.DirRef
 	lock env.RWMutex
-	qmu  sync.Mutex //detlint:ignore rawgo -- Real-mode guard for queue appends; leaf section, never held across a park (uncontended under Sim)
 	log  core.ChangeLog
 	// walLSN maps entry ID → WAL record, for applied-marking.
 	walLSN map[uint64]wal.LSN
@@ -175,13 +172,12 @@ type aggLog struct {
 // Server is one metadata server.
 type Server struct {
 	cfg  Config
-	env  env.Env
+	env  *env.Sim
 	node *env.Node
 	kv   *kv.Store
 	wal  wal.Log
 
-	// mu guards the in-memory indexes below (never held across a park).
-	mu        sync.Mutex              //detlint:ignore rawgo -- Real-mode guard for the in-memory indexes; leaf section, never held across a park
+	// In-memory indexes.
 	locks     map[string]*env.RWMutex // per-inode locks, by encoded key
 	clogs     map[core.DirID]*dirLog
 	clogsByFP map[core.Fingerprint]map[core.DirID]*dirLog
@@ -323,7 +319,7 @@ type Stats struct {
 }
 
 // New builds a server and registers its node with the environment.
-func New(e env.Env, cfg Config) *Server {
+func New(e *env.Sim, cfg Config) *Server {
 	cfg.Defaults()
 	s := &Server{
 		cfg:        cfg,
@@ -435,8 +431,6 @@ func (s *Server) ownerOfKey(k core.Key) env.NodeID {
 func (s *Server) lockOf(k core.Key) *env.RWMutex {
 	var kb core.KeyBuf
 	ek := k.AppendTo(kb[:0])
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	l := s.locks[string(ek)] // no string is built for a lookup
 	if l == nil {
 		l = &env.RWMutex{}
@@ -447,8 +441,6 @@ func (s *Server) lockOf(k core.Key) *env.RWMutex {
 
 // clogOf returns (creating on demand) the change-log of a remote directory.
 func (s *Server) clogOf(ref core.DirRef) *dirLog {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	dl := s.clogs[ref.ID]
 	if dl == nil {
 		dl = &dirLog{ref: ref, walLSN: make(map[uint64]wal.LSN)}
@@ -473,8 +465,6 @@ func (s *Server) clogOf(ref core.DirRef) *dirLog {
 // pass the request's parent ref only after its staleness checks passed — a
 // stale pre-rename client must not re-key the log backwards.
 func (s *Server) rekeyClog(dl *dirLog, ref core.DirRef) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if dl.ref.Key == ref.Key {
 		return
 	}
@@ -518,8 +508,6 @@ func lessDirID(a, b core.DirID) bool {
 
 // fpOf returns (creating on demand) the per-fingerprint aggregation gate.
 func (s *Server) fpOf(fp core.Fingerprint) *fpState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	st := s.fps[fp]
 	if st == nil {
 		st = &fpState{}
@@ -658,9 +646,7 @@ func msgName(m wire.Msg) string {
 
 // tallyDir counts one client operation against its target directory.
 func (s *Server) tallyDir(id core.DirID) {
-	s.mu.Lock()
 	s.dirOps[id]++
-	s.mu.Unlock()
 }
 
 // DirOp is one directory's operation tally.
@@ -672,12 +658,10 @@ type DirOp struct {
 // DirOps returns per-directory op tallies, hottest first (ties broken by
 // directory id — deterministic for the metrics snapshot).
 func (s *Server) DirOps() []DirOp {
-	s.mu.Lock()
 	out := make([]DirOp, 0, len(s.dirOps))
 	for d, n := range s.dirOps {
 		out = append(out, DirOp{Dir: d, N: n})
 	}
-	s.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].N != out[j].N {
 			return out[i].N > out[j].N
@@ -689,9 +673,7 @@ func (s *Server) DirOps() []DirOp {
 
 // completeCtl finishes a pending control-plane call.
 func (s *Server) completeCtl(ctl uint64, v wire.Msg) {
-	s.mu.Lock()
 	fut := s.ctlWait[ctl]
-	s.mu.Unlock()
 	if fut != nil {
 		fut.Complete(v)
 	}
@@ -699,17 +681,11 @@ func (s *Server) completeCtl(ctl uint64, v wire.Msg) {
 
 // ctlCall performs a retried control-plane round trip to a peer.
 func (s *Server) ctlCall(p *env.Proc, to env.NodeID, build func(ctl uint64) wire.Msg) (wire.Msg, error) {
-	s.mu.Lock()
 	s.nextCtl++
 	ctl := uint64(s.cfg.ID)<<40 | s.nextCtl
 	fut := env.NewFuture()
 	s.ctlWait[ctl] = fut
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.ctlWait, ctl)
-		s.mu.Unlock()
-	}()
+	defer delete(s.ctlWait, ctl)
 	msg := build(ctl)
 	for try := 0; try < maxAggRetries; try++ {
 		if s.dead {
@@ -746,7 +722,6 @@ func (s *Server) send(p *env.Proc, pkt *wire.Packet) {
 // entries (lazy invalidation piggyback, §5.2).
 func (s *Server) respCommon(req *wire.ReqCommon, err error) wire.RespCommon {
 	rc := wire.RespCommon{RPC: req.RPC, Err: core.ErrnoOf(err)}
-	s.mu.Lock()
 	rc.InvalSeqHigh = s.invalSeq
 	if req.InvalSeq < s.invalSeq {
 		// Entries are appended with strictly ascending Seq, so the suffix the
@@ -763,7 +738,6 @@ func (s *Server) respCommon(req *wire.ReqCommon, err error) wire.RespCommon {
 			}
 		}
 	}
-	s.mu.Unlock()
 	return rc
 }
 
@@ -774,8 +748,6 @@ func (s *Server) respCommon(req *wire.ReqCommon, err error) wire.RespCommon {
 // current even if the directory id matches an old entry (a failed rmdir,
 // for example, plants entries for a directory that still exists).
 func (s *Server) checkAncestors(req *wire.ReqCommon) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for _, d := range req.Ancestors {
 		if seq, bad := s.invalSet[d]; bad && seq > req.InvalSeq {
 			return core.ErrStaleCache
@@ -790,7 +762,6 @@ const dedupWindow = 4096
 
 func (s *Server) remember(client env.NodeID, rpc uint64, resp wire.Msg) {
 	k := dedupKey{client: client, rpc: rpc}
-	s.mu.Lock()
 	if _, exists := s.dedup[k]; !exists {
 		s.dedup[k] = resp
 		s.dedupLog = append(s.dedupLog, k)
@@ -802,7 +773,6 @@ func (s *Server) remember(client env.NodeID, rpc uint64, resp wire.Msg) {
 	} else {
 		s.dedup[k] = resp
 	}
-	s.mu.Unlock()
 }
 
 // replayIfDuplicate replies with the cached response when (client, rpc) was
@@ -812,9 +782,7 @@ func (s *Server) remember(client env.NodeID, rpc uint64, resp wire.Msg) {
 //detlint:dedup-check
 func (s *Server) replayIfDuplicate(p *env.Proc, req *wire.ReqCommon) bool {
 	k := dedupKey{client: req.Client, rpc: req.RPC}
-	s.mu.Lock()
 	resp, ok := s.dedup[k]
-	s.mu.Unlock()
 	if !ok {
 		return false
 	}
@@ -830,8 +798,6 @@ func (s *Server) replayIfDuplicate(p *env.Proc, req *wire.ReqCommon) bool {
 //detlint:dedup-check
 func (s *Server) begin(req *wire.ReqCommon) bool {
 	k := dedupKey{client: req.Client, rpc: req.RPC}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if _, ok := s.dedup[k]; ok {
 		return false
 	}
@@ -847,17 +813,13 @@ func (s *Server) begin(req *wire.ReqCommon) bool {
 
 // appliedMark returns the exactly-once watermark for (src, dir).
 func (s *Server) appliedMark(src env.NodeID, dir core.DirID) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.applied[appliedKey{src: src, dir: dir}]
 }
 
 func (s *Server) setAppliedMark(src env.NodeID, dir core.DirID, id uint64) {
-	s.mu.Lock()
 	if s.applied[appliedKey{src: src, dir: dir}] < id {
 		s.applied[appliedKey{src: src, dir: dir}] = id
 	}
-	s.mu.Unlock()
 }
 
 // --- WAL record encoding ----------------------------------------------------

@@ -103,10 +103,8 @@ func TestDedupWindow(t *testing.T) {
 	for i := 2; i < dedupWindow+10; i++ {
 		s.begin(&wire.ReqCommon{RPC: uint64(i), Client: 9000})
 	}
-	s.mu.Lock()
 	_, still := s.dedup[dedupKey{client: 9000, rpc: 1}]
 	n := len(s.dedup)
-	s.mu.Unlock()
 	if still {
 		t.Fatal("oldest entry not evicted")
 	}
@@ -124,9 +122,7 @@ func TestInvalListSeqSemantics(t *testing.T) {
 		t.Fatal("stale ancestor accepted")
 	}
 	// A request that consumed up to the current sequence passes.
-	s.mu.Lock()
 	seq := s.invalSeq
-	s.mu.Unlock()
 	if err := s.checkAncestors(&wire.ReqCommon{InvalSeq: seq, Ancestors: []core.DirID{d}}); err != nil {
 		t.Fatalf("refreshed ancestor rejected: %v", err)
 	}
@@ -196,9 +192,7 @@ func TestClogIndexByFingerprint(t *testing.T) {
 	if s.clogOf(a) != dl {
 		t.Fatal("clogOf not idempotent")
 	}
-	s.mu.Lock()
 	byFP := s.clogsByFP[a.FP]
-	s.mu.Unlock()
 	if byFP[a.ID] != dl {
 		t.Fatal("fingerprint index missing the log")
 	}

@@ -368,7 +368,6 @@ type coordTxn struct {
 func (s *Server) prepareTxn(p *env.Proc, parts []env.NodeID, ops [][]wire.TxnOp,
 	checks [][]wire.TxnCheck) *coordTxn {
 
-	s.mu.Lock()
 	s.nextTxn++
 	t := &coordTxn{id: uint64(s.cfg.ID)<<40 | s.nextTxn, parts: parts,
 		votes: &txnVotes{expect: make(map[env.NodeID]bool), done: env.NewFuture()}}
@@ -376,7 +375,6 @@ func (s *Server) prepareTxn(p *env.Proc, parts []env.NodeID, ops [][]wire.TxnOp,
 		t.votes.expect[n] = true
 	}
 	s.txnVotes[t.id] = t.votes
-	s.mu.Unlock()
 
 	psp := s.cfg.Trace.Start(p, "txn:prepare", "server")
 	defer psp.End()
@@ -403,9 +401,7 @@ func (s *Server) prepareTxn(p *env.Proc, parts []env.NodeID, ops [][]wire.TxnOp,
 // endTxn forgets a transaction's votes and reports the prepare outcome. Until
 // it runs, status queries for the transaction answer Pending.
 func (s *Server) endTxn(t *coordTxn) error {
-	s.mu.Lock()
 	delete(s.txnVotes, t.id)
-	s.mu.Unlock()
 	switch {
 	case s.dead:
 		return core.ErrTimeout
@@ -469,10 +465,8 @@ func (s *Server) recordCommit(p *env.Proc, id uint64, parts []env.NodeID) {
 	}
 	lsn := mustAppend(s.wal, recTxnCommit, payload)
 	wsp.End()
-	s.mu.Lock()
 	s.txnDecided[id] = true
 	s.txnWAL[id] = lsn
-	s.mu.Unlock()
 }
 
 // driveDecision retransmits a decision until every participant acked. The
@@ -481,18 +475,12 @@ func (s *Server) recordCommit(p *env.Proc, id uint64, parts []env.NodeID) {
 // the participant's termination protocol pulls it (TxnStatusReq) or the
 // next coordinator recovery re-drives it. Reports whether all acks arrived.
 func (s *Server) driveDecision(p *env.Proc, id uint64, parts []env.NodeID, commit bool) bool {
-	s.mu.Lock()
 	td := &txnVotes{expect: make(map[env.NodeID]bool), done: env.NewFuture()}
 	for _, n := range parts {
 		td.expect[n] = true
 	}
 	s.txnDones[id] = td
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.txnDones, id)
-		s.mu.Unlock()
-	}()
+	defer delete(s.txnDones, id)
 	dsp := s.cfg.Trace.Start(p, "txn:decision", "server")
 	defer dsp.End()
 	for try := 0; ; try++ {
@@ -517,11 +505,9 @@ func (s *Server) driveDecision(p *env.Proc, id uint64, parts []env.NodeID, commi
 // droppable (bounding txnDecided to the in-flight set) and the WAL record
 // is marked applied so replay need not rebuild or re-drive it.
 func (s *Server) ackDecision(id uint64) {
-	s.mu.Lock()
 	delete(s.txnDecided, id)
 	lsn, ok := s.txnWAL[id]
 	delete(s.txnWAL, id)
-	s.mu.Unlock()
 	if ok {
 		mustMark(s.wal, lsn)
 	}
@@ -531,7 +517,6 @@ func (s *Server) ackDecision(id uint64) {
 func (s *Server) handleTxnStatus(p *env.Proc, req *wire.TxnStatusReq) {
 	p.Compute(s.cfg.Costs.Parse)
 	resp := &wire.TxnStatusResp{Ctl: req.Ctl, Txn: req.Txn}
-	s.mu.Lock()
 	if _, ok := s.txnDecided[req.Txn]; ok {
 		resp.Commit = true // only commits are recorded
 	} else if s.txnVotes[req.Txn] != nil || !s.serving {
@@ -543,7 +528,6 @@ func (s *Server) handleTxnStatus(p *env.Proc, req *wire.TxnStatusReq) {
 	// Otherwise: no record of the transaction — presumed abort (aborts are
 	// never recorded; decided-but-unacked aborts resolve to the same answer
 	// once the abort's decision phase ends and txnVotes is dropped).
-	s.mu.Unlock()
 	s.reply(p, req.From, resp)
 }
 
@@ -574,9 +558,7 @@ func (s *Server) inDoubtAfter() env.Duration { return 4 * s.cfg.RetryTimeout }
 // forever (every later operation on those keys would park behind them).
 func (s *Server) watchTxn(txn uint64, coord env.NodeID) {
 	s.env.After(s.inDoubtAfter(), func() {
-		s.mu.Lock()
 		_, pending := s.txns[txn]
-		s.mu.Unlock()
 		if !pending || s.dead {
 			return
 		}
@@ -597,9 +579,7 @@ func (s *Server) monitorTxn(p *env.Proc, txn uint64, coord env.NodeID) {
 		if s.dead {
 			return
 		}
-		s.mu.Lock()
 		_, pending := s.txns[txn]
-		s.mu.Unlock()
 		if !pending {
 			return // decision arrived while we slept or polled
 		}
@@ -625,12 +605,10 @@ func (s *Server) monitorTxn(p *env.Proc, txn uint64, coord env.NodeID) {
 
 // recordVote remembers the prepare outcome for retransmission replay.
 func (s *Server) recordVote(txn uint64, errno core.Errno) {
-	s.mu.Lock()
 	if s.txnVoted == nil {
 		s.txnVoted = make(map[uint64]core.Errno)
 	}
 	s.txnVoted[txn] = errno
-	s.mu.Unlock()
 }
 
 // txnVotes collects prepare votes (or decision acks).
@@ -650,21 +628,18 @@ func (s *Server) handleTxnPrepare(p *env.Proc, tp *wire.TxnPrepare) {
 	// Retransmission dedup: the first prepare may block acquiring locks, so
 	// a duplicate must never run a second lock acquisition — the zombie
 	// would hold the keys forever after the decision released the original.
-	s.mu.Lock()
 	if s.txnVoted == nil {
 		s.txnVoted = make(map[uint64]core.Errno)
 		s.txnStarted = make(map[uint64]bool)
 	}
 	if errno, voted := s.txnVoted[tp.Txn]; voted {
 		// Replay the recorded vote.
-		s.mu.Unlock()
 		//detlint:ignore walorder -- vote replay: the original execution already ordered the prepare record before this vote
 		s.reply(p, tp.From, &wire.TxnVote{Txn: tp.Txn, From: s.cfg.ID, Err: errno})
 		return
 	}
 	if s.txnStarted[tp.Txn] {
 		// Original still acquiring locks; it will vote. Drop the duplicate.
-		s.mu.Unlock()
 		return
 	}
 	s.txnStarted[tp.Txn] = true
@@ -675,7 +650,6 @@ func (s *Server) handleTxnPrepare(p *env.Proc, tp *wire.TxnPrepare) {
 		delete(s.txnStarted, old)
 		delete(s.txnVoted, old)
 	}
-	s.mu.Unlock()
 
 	// One-shot commutative application (adjustNlink).
 	autoOnly := true
@@ -768,9 +742,7 @@ func (s *Server) handleTxnPrepare(p *env.Proc, tp *wire.TxnPrepare) {
 	p.Compute(c.WALAppend)
 	st.lsn = mustAppend(s.wal, recTxnPrepare, encodeTxnPrepare(tp.Txn, tp.From, tp.Ops))
 	wsp.End()
-	s.mu.Lock()
 	s.txns[tp.Txn] = st
-	s.mu.Unlock()
 	// Registered: the prepared-txn scan now covers the footprint, in the same
 	// event as the registration — at no instant is the group neither busy nor
 	// prepared.
@@ -792,14 +764,10 @@ func (s *Server) handleTxnPrepare(p *env.Proc, tp *wire.TxnPrepare) {
 // name listed again). The vote is retry; the coordinator's next attempt
 // aggregates the parent first, which drains the entry.
 func (s *Server) entryPending(key core.Key) bool {
-	s.mu.Lock()
 	dl := s.clogs[key.PID]
-	s.mu.Unlock()
 	if dl == nil {
 		return false
 	}
-	dl.qmu.Lock()
-	defer dl.qmu.Unlock()
 	for _, e := range dl.log.Snapshot() {
 		if e.Name == key.Name {
 			return true
@@ -918,7 +886,6 @@ func (s *Server) rearmPreparedTxns(p *env.Proc) {
 	for _, ra := range rearms {
 		st := &txnState{id: ra.txn, ops: ra.ops, lsn: ra.lsn}
 		st.locks = s.lockTxnKeys(p, ra.ops, nil)
-		s.mu.Lock()
 		if s.txnVoted == nil {
 			s.txnVoted = make(map[uint64]core.Errno)
 			s.txnStarted = make(map[uint64]bool)
@@ -927,7 +894,6 @@ func (s *Server) rearmPreparedTxns(p *env.Proc) {
 		s.txnStarted[ra.txn] = true
 		s.txnVoted[ra.txn] = core.ErrnoOK
 		s.txnLog = append(s.txnLog, ra.txn)
-		s.mu.Unlock()
 		s.watchTxn(ra.txn, ra.coord)
 	}
 }
@@ -935,10 +901,8 @@ func (s *Server) rearmPreparedTxns(p *env.Proc) {
 // handleTxnDecision is the participant side of phase two.
 func (s *Server) handleTxnDecision(p *env.Proc, td *wire.TxnDecision) {
 	c := &s.cfg.Costs
-	s.mu.Lock()
 	st := s.txns[td.Txn]
 	delete(s.txns, td.Txn)
-	s.mu.Unlock()
 	if st == nil {
 		// Duplicate decision: ack again.
 		s.reply(p, s.cfg.Coordinator, &wire.TxnDone{Txn: td.Txn, From: s.cfg.ID})

@@ -26,7 +26,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 
 	"switchfs/internal/env"
 )
@@ -73,7 +72,6 @@ type traceBuf struct {
 
 // Recorder collects spans and tail-samples finished traces.
 type Recorder struct {
-	mu        sync.Mutex //detlint:ignore rawgo -- Real-mode guard for the span tables; leaf section, never held across a park
 	cfg       Config
 	nextTrace uint64
 	nextSpan  uint64
@@ -144,17 +142,14 @@ func (r *Recorder) StartRoot(p *env.Proc, name, cat string) *Handle {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
 	if len(r.active) >= r.cfg.MaxActive {
 		r.DroppedTraces++
-		r.mu.Unlock()
 		return nil
 	}
 	r.nextTrace++
 	r.nextSpan++
 	tid, sid := r.nextTrace, r.nextSpan
 	r.active[tid] = &traceBuf{id: tid, rootID: sid}
-	r.mu.Unlock()
 	return r.open(p, Span{Trace: tid, ID: sid, Name: name, Cat: cat})
 }
 
@@ -164,10 +159,8 @@ func (r *Recorder) StartSpan(p *env.Proc, ctx env.TraceCtx, name, cat string) *H
 	if r == nil || !ctx.Valid() {
 		return nil
 	}
-	r.mu.Lock()
 	r.nextSpan++
 	sid := r.nextSpan
-	r.mu.Unlock()
 	return r.open(p, Span{Trace: ctx.TraceID, ID: sid, Parent: ctx.SpanID, Name: name, Cat: cat})
 }
 
@@ -207,8 +200,6 @@ func (r *Recorder) Flag(traceID uint64, reason string) {
 	if r == nil || traceID == 0 {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if b := r.active[traceID]; b != nil {
 		if b.flagged == "" {
 			b.flagged = reason
@@ -222,8 +213,6 @@ func (r *Recorder) Flag(traceID uint64, reason string) {
 
 // record files a closed span, finishing the trace when it is the root.
 func (r *Recorder) record(s Span) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	b := r.active[s.Trace]
 	if b == nil {
 		b = r.kept[s.Trace] // late span of a kept trace (straggler)
@@ -275,12 +264,10 @@ func (r *Recorder) Spans() []Span {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
 	var out []Span
 	for _, b := range r.kept {
 		out = append(out, b.spans...)
 	}
-	r.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return spanLess(out[i], out[j]) })
 	return out
 }
@@ -290,12 +277,10 @@ func (r *Recorder) KeptTraces() []uint64 {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
 	ids := make([]uint64, 0, len(r.kept))
 	for id := range r.kept {
 		ids = append(ids, id)
 	}
-	r.mu.Unlock()
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }

@@ -9,7 +9,6 @@ package wal
 
 import (
 	"fmt"
-	"sync"
 )
 
 // LSN is a log sequence number: the position of a record, starting at 1.
@@ -45,7 +44,6 @@ type Log interface {
 // volatile structures are cleared; the Mem log is handed back to the
 // restarted server), which models stable storage.
 type Mem struct {
-	mu      sync.Mutex
 	records []Record
 }
 
@@ -54,8 +52,6 @@ func NewMem() *Mem { return &Mem{} }
 
 // Append implements Log.
 func (m *Mem) Append(kind uint8, payload []byte) (LSN, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	lsn := LSN(len(m.records) + 1)
 	m.records = append(m.records, Record{
 		LSN:     lsn,
@@ -67,8 +63,6 @@ func (m *Mem) Append(kind uint8, payload []byte) (LSN, error) {
 
 // MarkApplied implements Log.
 func (m *Mem) MarkApplied(lsn LSN) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if lsn == 0 || int(lsn) > len(m.records) {
 		return fmt.Errorf("wal: MarkApplied(%d) out of range (%d records)", lsn, len(m.records))
 	}
@@ -78,10 +72,8 @@ func (m *Mem) MarkApplied(lsn LSN) error {
 
 // Replay implements Log.
 func (m *Mem) Replay(fn func(r Record) error) error {
-	m.mu.Lock()
 	recs := make([]Record, len(m.records))
 	copy(recs, m.records)
-	m.mu.Unlock()
 	for _, r := range recs {
 		if err := fn(r); err != nil {
 			return err
@@ -92,8 +84,6 @@ func (m *Mem) Replay(fn func(r Record) error) error {
 
 // Len implements Log.
 func (m *Mem) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return len(m.records)
 }
 

@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"switchfs/internal/core"
 )
@@ -88,11 +87,8 @@ func (m Mix) Gen(ns Namespace, skew bool) Gen {
 	for _, e := range m {
 		total += e.Weight
 	}
-	var mu sync.Mutex
 	states := make(map[int]*mixWorkerState)
 	stateOf := func(w int) *mixWorkerState {
-		mu.Lock()
-		defer mu.Unlock()
 		st := states[w]
 		if st == nil {
 			st = &mixWorkerState{}

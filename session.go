@@ -16,8 +16,7 @@ import (
 // fn's process: operations run inline and are cheap. FS.Session returns an
 // unbound session whose operations each dispatch a fresh process on the
 // client's node and block until it completes — convenient for scripts and
-// tools, but every call drives the simulator (or crosses a goroutine
-// boundary) on its own.
+// tools, but every call drives the simulator on its own.
 //
 // All single-path operations return *PathError and two-path operations
 // return *LinkError, each wrapping one of the package's sentinel errors.
@@ -30,8 +29,7 @@ type Session struct {
 // ClientID returns the env node id of the session's client (diagnostics).
 func (s *Session) ClientID() int { return int(s.cl.ID()) }
 
-// Now returns the current clock reading in nanoseconds — virtual time under
-// the simulated environment, wall time under the real one. History
+// Now returns the current virtual clock reading in nanoseconds. History
 // recorders timestamp operation intervals with it.
 func (s *Session) Now() int64 {
 	if s.p != nil {
@@ -46,18 +44,17 @@ func (s *Session) run(fn func(p *env.Proc) error) error {
 	if s.p != nil {
 		return fn(s.p)
 	}
-	errc := make(chan error, 1)
-	s.fs.c.Env.Spawn(s.cl.ID(), func(p *env.Proc) { errc <- fn(p) })
-	if sim, ok := s.fs.c.Env.(*env.Sim); ok {
-		sim.Run()
-		select {
-		case err := <-errc:
-			return err
-		default:
-			panic("switchfs: simulation drained before the operation finished (deadlock?)")
-		}
+	var err error
+	done := false
+	s.fs.c.Env.Spawn(s.cl.ID(), func(p *env.Proc) {
+		err = fn(p)
+		done = true
+	})
+	s.fs.c.Env.Run()
+	if !done {
+		panic("switchfs: simulation drained before the operation finished (deadlock?)")
 	}
-	return <-errc
+	return err
 }
 
 // Create makes a regular file.

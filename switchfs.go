@@ -25,10 +25,10 @@
 // Session.Open, which routes reads and writes to the deployment's data
 // nodes.
 //
-// Under env.NewReal() the same protocol code runs on goroutines and the wall
-// clock; Session.Open and friends block the calling goroutine. See DESIGN.md
-// for the architecture and EXPERIMENTS.md for the paper-reproduction
-// results.
+// Everything runs on one runtime, the deterministic simulator: a session
+// call drives virtual time until the operation completes, and identical
+// seeds give identical executions. See DESIGN.md for the architecture and
+// EXPERIMENTS.md for the paper-reproduction results.
 package switchfs
 
 import (
@@ -47,8 +47,6 @@ type (
 	Proc = env.Proc
 	// Client is the raw LibFS handle (advanced use; sessions wrap it).
 	Client = client.Client
-	// Env is the runtime (simulated or real).
-	Env = env.Env
 	// Attr is a file or directory attribute block.
 	Attr = core.Attr
 	// DirEntry is one directory-listing entry.
@@ -75,14 +73,10 @@ type FS struct {
 // and benchmarks; identical seeds give identical executions.
 func NewSimEnv(seed int64) *env.Sim { return env.NewSim(seed) }
 
-// NewRealEnv builds the goroutine/wall-clock runtime used by the examples
-// and daemons.
-func NewRealEnv() *env.Real { return env.NewReal() }
-
 // New deploys a cluster (servers, switch(es), clients, data nodes) on the
 // environment. Options override the paper's evaluation defaults (§7.1):
 // eight 4-core metadata servers, one switch, one client, no data nodes.
-func New(e Env, opts ...Option) (*FS, error) {
+func New(e *env.Sim, opts ...Option) (*FS, error) {
 	cfg := defaultConfig()
 	for _, o := range opts {
 		o(&cfg)
@@ -98,76 +92,53 @@ func New(e Env, opts ...Option) (*FS, error) {
 		DataNodes:       cfg.dataNodes,
 		DataReplication: cfg.dataReplication,
 		RetryTimeout:    cfg.retryTimeout,
-	}
-	if _, isSim := e.(*env.Sim); isSim {
-		copts.Costs = env.DefaultCosts()
-	} else {
-		copts.Costs = env.ZeroCosts()
+		Costs:           env.DefaultCosts(),
 	}
 	return &FS{c: cluster.New(e, copts)}, nil
 }
 
 // Session returns an unbound session for client i (mod the client pool).
-// Each operation dispatches its own process on the client's node and blocks
-// until completion — under the simulated environment it drives the
-// simulation, under the real environment it waits on the spawned goroutine.
-// Use RunSession to amortize that dispatch over many operations.
+// Each operation dispatches its own process on the client's node and drives
+// the simulation until it completes. Use RunSession to amortize that dispatch
+// over many operations.
 func (f *FS) Session(i int) *Session {
 	return &Session{fs: f, cl: f.c.Client(i)}
 }
 
 // RunSession runs fn with a session bound to client i: fn executes as one
 // process on the client's node, and every operation on the session runs in
-// that process. Under the simulated environment RunSession drives the
-// simulation until fn completes; under the real environment it blocks the
-// caller until fn returns.
+// that process. RunSession drives the simulation until it drains; fn must
+// have completed by then.
 func (f *FS) RunSession(i int, fn func(s *Session)) {
-	done := make(chan struct{})
+	done := false
 	f.c.Env.Spawn(f.c.Client(i).ID(), func(p *env.Proc) {
 		fn(&Session{fs: f, cl: f.c.Client(i), p: p})
-		close(done)
+		done = true
 	})
-	if s, ok := f.c.Env.(*env.Sim); ok {
-		s.Run()
-		select {
-		case <-done:
-		default:
-			panic("switchfs: simulation drained before the session finished (deadlock?)")
-		}
-		return
+	f.c.Env.Run()
+	if !done {
+		panic("switchfs: simulation drained before the session finished (deadlock?)")
 	}
-	<-done
 }
 
 // RunSessions runs fn(i, session) concurrently for every i in [0, n): each
 // invocation executes as its own process on client i's node (mod the client
-// pool), so the sessions genuinely interleave — under the simulated
-// environment in deterministic virtual time. RunSessions returns when every
-// fn has completed. Checking harnesses use it to drive concurrent histories
-// through the public Session API.
+// pool), so the sessions genuinely interleave in deterministic virtual time.
+// RunSessions returns when every fn has completed. Checking harnesses use it
+// to drive concurrent histories through the public Session API.
 func (f *FS) RunSessions(n int, fn func(i int, s *Session)) {
-	done := make(chan struct{}, n)
+	done := 0
 	for i := 0; i < n; i++ {
 		i := i
 		cl := f.c.Client(i)
 		f.c.Env.Spawn(cl.ID(), func(p *env.Proc) {
 			fn(i, &Session{fs: f, cl: cl, p: p})
-			done <- struct{}{}
+			done++
 		})
 	}
-	if s, ok := f.c.Env.(*env.Sim); ok {
-		s.Run()
-		for i := 0; i < n; i++ {
-			select {
-			case <-done:
-			default:
-				panic("switchfs: simulation drained before every session finished (deadlock?)")
-			}
-		}
-		return
-	}
-	for i := 0; i < n; i++ {
-		<-done
+	f.c.Env.Run()
+	if done != n {
+		panic("switchfs: simulation drained before every session finished (deadlock?)")
 	}
 }
 

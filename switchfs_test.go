@@ -213,37 +213,3 @@ func TestSessionCrashRecovery(t *testing.T) {
 		}
 	})
 }
-
-func TestSessionRealEnv(t *testing.T) {
-	e := NewRealEnv()
-	fs, err := New(e, WithServers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// RunSession blocks until fn returns under the real environment too.
-	var got Attr
-	var serr error
-	fs.RunSession(0, func(s *Session) {
-		if serr = s.Mkdir("/real", 0); serr != nil {
-			return
-		}
-		if serr = s.Create("/real/f", 0); serr != nil {
-			return
-		}
-		got, serr = s.StatDir("/real")
-	})
-	if serr != nil {
-		t.Fatal(serr)
-	}
-	if got.Size != 1 {
-		t.Fatalf("size=%d", got.Size)
-	}
-	// Unbound sessions block per call on the real runtime.
-	s := fs.Session(0)
-	if err := s.Create("/real/g", 0); err != nil {
-		t.Fatal(err)
-	}
-	if attr, err := s.StatDir("/real"); err != nil || attr.Size != 2 {
-		t.Fatalf("unbound statdir: size=%d err=%v", attr.Size, err)
-	}
-}
