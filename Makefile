@@ -101,12 +101,15 @@ scale-smoke:
 # Both baseline targets run with -trace so the per-figure metrics deltas are
 # recorded in (and gated against) the committed trajectory; the trace file
 # itself is a byproduct and discarded.
+# GATED_FIGS is the one list of figures in the committed trajectory.
+GATED_FIGS = 12a,14,chaos,rebalance,data,lincheck,scale,recovery
+
 bench-compare:
-	$(GO) run ./cmd/fsbench -fig 12a,14,chaos,rebalance,data,lincheck,scale -scale tiny -trace trace-compare.json -compare bench/baseline.json
+	$(GO) run ./cmd/fsbench -fig $(GATED_FIGS) -scale tiny -trace trace-compare.json -compare bench/baseline.json
 	@rm -f trace-compare.json
 
 bench-baseline:
-	$(GO) run ./cmd/fsbench -fig 12a,14,chaos,rebalance,data,lincheck,scale -scale tiny -trace trace-baseline.json -format json -out bench/baseline.json
+	$(GO) run ./cmd/fsbench -fig $(GATED_FIGS) -scale tiny -trace trace-baseline.json -format json -out bench/baseline.json
 	$(GO) run ./cmd/fsbench -validate bench/baseline.json
 	@rm -f trace-baseline.json
 
@@ -162,8 +165,8 @@ bench:
 
 # bench-layers runs the per-layer Go microbenchmarks (ROADMAP 1c): the bare
 # simulator (handoff, send, timer), the change-log (snapshot, compaction), the
-# key and inode codecs, the kv store, the client's cached path resolution and
-# the server's durable-record encoders.
+# key and inode codecs, the kv store, the client's cached path resolution, the
+# server's durable-record encoders and its recovery (BenchmarkRecover).
 bench-layers:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/env ./internal/core ./internal/kv ./internal/client ./internal/server
 

@@ -346,6 +346,15 @@ func (c *Cluster) FillMetrics(reg *metrics.Registry) {
 		reg.Add(pre+"agg_entries", st.AggEntries)
 		reg.Add(pre+"pushes", st.Pushes)
 		reg.Add(pre+"retries", st.Retries)
+		reg.Add(pre+"recover_redo_us", st.RecoverRedoUs)
+		reg.Add(pre+"recover_redo_records", st.RecoverRedoRecords)
+		reg.Add(pre+"recover_redo_longest_lane", st.RecoverRedoLongestLane)
+		reg.Add(pre+"recover_redeliver_us", st.RecoverRedeliverUs)
+		reg.Add(pre+"recover_aggregate_us", st.RecoverAggregateUs)
+		reg.Add(pre+"recover_clone_us", st.RecoverCloneUs)
+		reg.Add(pre+"parked", st.Parked)
+		reg.Add(pre+"parked_superseded", st.ParkedSuperseded)
+		reg.Add(pre+"agg_released", st.AggReleased)
 		for rank, d := range dirs {
 			if rank >= metricsTopDirs {
 				break

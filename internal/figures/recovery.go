@@ -17,10 +17,12 @@ func recoverServerTime(seed int64, files, dirs int) (env.Duration, stats.Counter
 	sim := env.NewSim(seed)
 	defer sim.Shutdown()
 	c := cluster.New(sim, cluster.Options{Servers: 8, Clients: 1, SwitchIndexBits: 14,
-		Costs: env.DefaultCosts(),
+		Costs: env.DefaultCosts(), Trace: obsTrace,
 		// Proactive aggregation is parked so pending updates survive until
 		// the crash — the recovery has real change-logs to re-deliver.
 		PushEntries: 1 << 30, PushIdle: env.Second, OwnerQuiesce: env.Second})
+	// The recovered server's phase split lands in the figure's metrics.
+	defer c.FillMetrics(obsMetrics)
 	pl := cluster.NewPreload(c)
 	pl.LogWAL = true
 	perDir := files / dirs

@@ -18,6 +18,9 @@ type Program struct {
 	Ops [][]Op
 	// Paths is the sorted distinct path universe (the audit read set).
 	Paths []string
+	// Audit lists reads the post-run audit issues after its stat + readdir
+	// over Paths (a directed program's statdir of the directory it exercised).
+	Audit []Op
 }
 
 // opWeight mirrors a mix entry: an op kind and its draw weight.

@@ -66,6 +66,10 @@ type RunResult struct {
 	Issues []string
 	// Packets is the run's delivered-packet count (figure counters).
 	Packets uint64
+	// Parked counts the client requests the servers standing at the end of
+	// the run held while they recovered (crash walks: proof a crash instant
+	// met parked requests).
+	Parked uint64
 }
 
 // ambiguousErr classifies client-visible errors whose effect is unknown:
@@ -193,22 +197,27 @@ func RunConcurrent(seed int64, prog Program, plan *chaos.Plan) RunResult {
 	auditClient := len(prog.Ops)
 	cl := c.Client(0)
 	sim.Spawn(cl.ID(), func(p *env.Proc) {
+		read := func(op Op) {
+			t0 := p.Now()
+			out, _ := applyClient(p, cl, op)
+			ev := Event{Client: auditClient, Op: op, Out: out, Call: t0, Ret: p.Now()}
+			if ambiguousErr(out.Err) {
+				ev.TimedOut = true
+				ev.Out = Outcome{Err: core.ErrTimeout}
+			}
+			rec.Record(ev)
+		}
 		paths := append([]string{"/"}, prog.Paths...)
 		for _, path := range paths {
 			for _, kind := range []core.Op{core.OpStat, core.OpReadDir} {
 				if path == "/" && kind == core.OpStat {
 					kind = core.OpStatDir // the root has no parent to stat through
 				}
-				op := Op{Kind: kind, Path: path}
-				t0 := p.Now()
-				out, _ := applyClient(p, cl, op)
-				ev := Event{Client: auditClient, Op: op, Out: out, Call: t0, Ret: p.Now()}
-				if ambiguousErr(out.Err) {
-					ev.TimedOut = true
-					ev.Out = Outcome{Err: core.ErrTimeout}
-				}
-				rec.Record(ev)
+				read(Op{Kind: kind, Path: path})
 			}
+		}
+		for _, op := range prog.Audit {
+			read(op)
 		}
 		auditDone = true
 	})
@@ -218,6 +227,9 @@ func RunConcurrent(seed int64, prog Program, plan *chaos.Plan) RunResult {
 	}
 	res.History = rec.History()
 	res.Packets = sim.Delivered
+	for _, srv := range c.Servers {
+		res.Parked += srv.Stats.Parked
+	}
 	return res
 }
 

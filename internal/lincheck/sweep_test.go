@@ -7,8 +7,10 @@ import (
 	"testing"
 
 	"switchfs/internal/chaos"
+	"switchfs/internal/cluster"
 	"switchfs/internal/core"
 	"switchfs/internal/env"
+	"switchfs/internal/ring"
 )
 
 // sweepSeeds returns the seed budget: 4 under -short, 12 by default, and
@@ -196,5 +198,104 @@ func TestSweepCoordinatorCrashAcrossTxn(t *testing.T) {
 	if len(outcomes) < 5 {
 		t.Fatalf("the crash instants produced %d distinct outcome pairs: the sweep does not straddle the transactions: %v",
 			len(outcomes), outcomes)
+	}
+}
+
+// TestSweepOwnerCrashAcrossAggregation walks a crash of a DIRECTORY OWNER,
+// two microseconds at a time, across the aggregation two clients' statdirs
+// trigger while the directory's four creates are still pending in their file
+// owners' change-logs: whatever instant the crash picks — the change-logs
+// locked and the fetch in flight, the entries group-committed to the owner's
+// WAL and the ack not yet sent (the peers then keep what the successor has
+// already applied, and its WAL-rebuilt watermarks must drop the re-delivery),
+// the ack half delivered — the history must linearize and the post-recovery
+// statdir must read exactly the creates that were acknowledged. The second
+// walk fixes that crash and moves a SECOND one across the successor's
+// recovery, which holds the clients' retransmitted statdirs parked: the
+// parked set dies with the incarnation and the third serves each request
+// once. Both walks run with the links in order and under 5 µs of jitter.
+func TestSweepOwnerCrashAcrossAggregation(t *testing.T) {
+	prog := Program{
+		Ops: [][]Op{
+			{{Kind: core.OpMkdir, Path: "/a"}, {Kind: core.OpCreate, Path: "/a/x"},
+				{Kind: core.OpCreate, Path: "/a/y"}, {Kind: core.OpStatDir, Path: "/a"}},
+			{{Kind: core.OpStatDir, Path: "/"}, {Kind: core.OpCreate, Path: "/a/u"},
+				{Kind: core.OpCreate, Path: "/a/v"}, {Kind: core.OpStatDir, Path: "/a"}},
+		},
+		Paths: []string{"/a", "/a/u", "/a/v", "/a/x", "/a/y"},
+		Audit: []Op{{Kind: core.OpStatDir, Path: "/a"}},
+	}
+	owner := int(ring.New([]uint32{0, 1, 2, 3}, 0, cluster.ServerOf).OwnerOfFile(core.RootDirID, "a"))
+	// RunConcurrent paces a program over the plan's horizon: with this one the
+	// clients issue an op every 100 µs, so the statdirs of /a (the fourth)
+	// leave at +400 µs with every create younger than the 200 µs push timer.
+	// In a faulty run clients and servers retransmit every 500 µs.
+	const (
+		horizon = 500 * env.Microsecond
+		issue   = horizon / 5 * 4
+		tick    = 500 * env.Microsecond
+	)
+	everywhere := chaos.NodeSel{AllServers: true, AllClients: true, AllSwitches: true}
+	for _, jitter := range []env.Duration{0, 5 * env.Microsecond} {
+		run := func(name string, events ...chaos.Event) *Report {
+			plan := chaos.Plan{Name: name, Horizon: horizon, Events: events}
+			if jitter > 0 {
+				plan.Name += "+jitter"
+				plan.Events = append(plan.Events,
+					chaos.LinkFault(0, "jitter", everywhere, everywhere, chaos.Rule{Jitter: jitter}))
+			}
+			rep := CheckConcurrent(5, prog, &plan)
+			if rep.Failed() {
+				reportFailure(t, "plan "+plan.Name, 5, rep)
+			}
+			return rep
+		}
+		// Which of the clients' two statdirs waited a recovery out, per instant.
+		waited := func(rep *Report) (out [2]bool) {
+			for _, ev := range rep.Run.History {
+				if ev.Op.Kind == core.OpStatDir && ev.Op.Path == "/a" && ev.Client < 2 {
+					out[ev.Client] = ev.Ret-ev.Call > tick
+				}
+			}
+			return out
+		}
+
+		outcomes, parked := map[[2]bool]bool{}, 0
+		for at := issue; at < issue+120*env.Microsecond; at += 2 * env.Microsecond {
+			rep := run(fmt.Sprintf("owner-crash@%d", at),
+				chaos.CrashServer(at, owner), chaos.RecoverServer(at+2*tick, owner))
+			outcomes[waited(rep)] = true
+			if rep.Run.Parked > 0 {
+				parked++
+			}
+		}
+		// The walk must straddle the aggregation: from a crash before either
+		// statdir arrived (both wait, parked at the successor when it restarts
+		// before their retransmission) through one answered and one not, to
+		// both answered before the crash.
+		if len(outcomes) < 3 || parked < 8 {
+			t.Errorf("jitter %v: statdir outcomes %v, %d instants with parked requests: the walk does not straddle the aggregation",
+				jitter, outcomes, parked)
+		}
+
+		// Second walk: the owner dies mid-aggregation, restarts so that its
+		// ~30 µs recovery is under way when the statdirs' second
+		// retransmission arrives, and dies again inside that recovery — or
+		// after it released them. The third incarnation restarts on the same
+		// phase two rounds later: it parks the statdirs again exactly when the
+		// second never answered them.
+		first, restart := issue+38*env.Microsecond, issue+2*tick+15*env.Microsecond
+		parked = 0
+		for at := restart; at < restart+120*env.Microsecond; at += 2 * env.Microsecond {
+			rep := run(fmt.Sprintf("owner-crash@%d+recovery-crash@%d", first, at),
+				chaos.CrashServer(first, owner), chaos.RecoverServer(restart, owner),
+				chaos.CrashServer(at, owner), chaos.RecoverServer(restart+2*tick, owner))
+			if rep.Run.Parked > 0 {
+				parked++
+			}
+		}
+		if parked < 5 || parked > 55 {
+			t.Errorf("jitter %v: %d of 60 second crashes discarded parked requests: the walk does not straddle the recovery", jitter, parked)
+		}
 	}
 }

@@ -411,15 +411,24 @@ func (s *Server) finishPeerAgg(st *peerAggState, a *wire.AggAck) {
 func (s *Server) handleAggEntries(p *env.Proc, e *wire.AggEntries) {
 	ctx := s.aggs[e.AggID]
 	if ctx == nil {
-		// Late or duplicate reply to a completed aggregation: re-ack so the
-		// peer can trim and unlock.
-		acks := s.doneAggs[e.AggID]
-		if acks != nil {
+		acks, done := s.doneAggs[e.AggID]
+		switch {
+		case done:
+			// Late or duplicate reply to a completed aggregation: re-ack so
+			// the peer can trim and unlock.
 			a := acks[e.From]
 			if a == nil {
 				a = &wire.AggAck{AggID: e.AggID, FP: e.FP}
 			}
 			s.reply(p, e.From, a)
+		case e.AggID <= s.bootAgg:
+			// A predecessor's aggregation, which died with it: the empty ack
+			// makes the peer unlock and KEEP its entries (the give-up path it
+			// would reach a retry budget later). Recovery's forced aggregation
+			// collects them again, and the WAL-rebuilt watermarks drop what
+			// the predecessor had already group-committed.
+			s.Stats.AggReleased++
+			s.reply(p, e.From, &wire.AggAck{AggID: e.AggID, FP: e.FP})
 		}
 		return
 	}
@@ -571,22 +580,36 @@ func (s *Server) applyBatch(p *env.Proc, logs []aggLog) {
 // a microsecond they save.
 const minLaneItems = 8
 
-// parallelCompute charges n×each of service time, spread over the node's
-// cores when every lane gets at least minLaneItems items: worker processes
-// each burn a share concurrently with the caller's. A smaller batch is one
-// serial charge.
+// parallelCompute charges n×each of service time, split evenly over the
+// node's cores when every lane gets at least minLaneItems items. A smaller
+// batch is one serial charge.
 func (s *Server) parallelCompute(p *env.Proc, n int, each env.Duration) {
 	lanes := min(s.cfg.Cores, n/minLaneItems)
 	if lanes <= 1 || each <= 0 {
 		p.Compute(env.Duration(n) * each)
 		return
 	}
-	done := make([]*env.Future, 0, lanes-1)
+	var buf [16]int // stays on the stack: burnLanes keeps no reference
+	loads := buf[:0]
 	per, rem := n/lanes, n%lanes
-	for i := 1; i < lanes; i++ {
+	for i := 0; i < lanes; i++ {
 		k := per
 		if i < rem {
 			k++
+		}
+		loads = append(loads, k)
+	}
+	burnLanes(p, loads, each)
+}
+
+// burnLanes charges loads[i]×each of service time on lane i, all lanes at
+// once: worker processes each burn one lane concurrently with the caller's
+// (lane 0), and the call returns when the longest has finished.
+func burnLanes(p *env.Proc, loads []int, each env.Duration) {
+	done := make([]*env.Future, 0, len(loads)-1)
+	for _, k := range loads[1:] {
+		if k == 0 {
+			continue
 		}
 		fut := env.NewFuture()
 		done = append(done, fut)
@@ -595,10 +618,7 @@ func (s *Server) parallelCompute(p *env.Proc, n int, each env.Duration) {
 			fut.Complete(nil)
 		})
 	}
-	if rem > 0 {
-		per++
-	}
-	p.Compute(env.Duration(per) * each)
+	p.Compute(env.Duration(loads[0]) * each)
 	for _, fut := range done {
 		fut.Wait(p)
 	}

@@ -154,7 +154,7 @@ func TestChmodSurvivesReplay(t *testing.T) {
 	log := s.wal
 	s.Crash()
 	r := Restart(sim, s.cfg, log)
-	if err := r.replayWAL(); err != nil {
+	if _, err := r.replayWAL(); err != nil {
 		t.Fatalf("replay after chmod: %v", err)
 	}
 	var got core.Inode

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"switchfs/internal/core"
@@ -37,14 +38,15 @@ func encodeDentryRec(dir core.DirID, name string, put bool, t core.FileType, per
 }
 
 // Crash simulates a fail-stop: the node drops off the network and all
-// volatile state is lost. The WAL (stable storage) survives and is reused by
-// Restart. The dead flag terminates this incarnation's unbounded retry
-// loops — after Restart re-registers the node id, a retransmission from the
-// old incarnation would otherwise spin forever against a successor that no
-// longer holds its contexts.
+// volatile state is lost — the parked requests with it. The WAL (stable
+// storage) survives and is reused by Restart. The dead flag terminates this
+// incarnation's unbounded retry loops — after Restart re-registers the node
+// id, a retransmission from the old incarnation would otherwise spin forever
+// against a successor that no longer holds its contexts.
 func (s *Server) Crash() {
-	s.serving = false
 	s.dead = true
+	s.SetServing(false)
+	s.parked, s.parkedAt = nil, nil
 	s.node.SetDown(true)
 }
 
@@ -59,20 +61,40 @@ func Restart(e *env.Sim, cfg Config, log wal.Log) *Server {
 // the key-value store and the not-yet-applied change-log entries, (2) push
 // the rebuilt change-logs and proactively aggregate every directory this
 // server owns, so aggregations interrupted by the crash run to completion,
-// (3) clone the invalidation list from a peer, then resume serving.
+// (3) clone the invalidation list from a peer, then resume serving — which
+// releases the client requests parked meanwhile. With a Recorder attached
+// the run is its own root span, one child per phase. An unreplayable log
+// leaves the server fail-stopped.
 func (s *Server) Recover(p *env.Proc) error {
-	s.serving = false
 	s.recovering = true
-	defer func() { s.recovering = false }()
+	s.SetServing(false)
 	s.node.SetDown(false)
+	root := s.cfg.Trace.StartBackground(p, "recover", "server")
+	defer root.End()
+	phase := func(name string, us *uint64, run func()) {
+		sp := s.cfg.Trace.Start(p, name, "server")
+		start := p.Now()
+		run()
+		*us += uint64((p.Now() - start) / env.Microsecond)
+		sp.End()
+	}
 
-	n := s.wal.Len()
-	if err := s.replayWAL(); err != nil {
+	// Redo cost: recovery time is proportional to the records replayed
+	// (§7.7; checkpointing would shrink it, as the paper notes), spread over
+	// the cores by the key each record writes.
+	plan, err := s.replayWAL()
+	if err != nil {
+		s.recovering = false
+		s.Crash()
 		return err
 	}
-	// Redo cost: recovery time is proportional to the records replayed
-	// (§7.7; checkpointing would shrink it, as the paper notes).
-	p.Compute(env.Duration(n) * s.cfg.Costs.WALReplay)
+	s.Stats.RecoverRedoRecords += uint64(s.wal.Len())
+	s.Stats.RecoverRedoLongestLane += uint64(plan.longest())
+	phase("recover:redo", &s.Stats.RecoverRedoUs, func() {
+		for _, lanes := range plan.sections {
+			burnLanes(p, lanes, s.cfg.Costs.WALReplay)
+		}
+	})
 
 	// Rebuild in-doubt 2PC participant state (locks, replayed votes,
 	// termination monitors) before anything else can touch those keys.
@@ -81,21 +103,23 @@ func (s *Server) Recover(p *env.Proc) error {
 	// Re-deliver rebuilt change-logs: their fingerprints may have been
 	// inserted before the crash (reads will aggregate) or may never have
 	// made it to the switch — pushing them to their owners restores
-	// visibility either way.
-	logs := sortedClogs(s.clogs)
-	for _, dl := range logs {
-		snap := dl.log.Snapshot()
-		if len(snap) == 0 {
-			continue
-		}
-		s.pushLogFinal(p, dl, snap)
-	}
+	// visibility either way. All pushes are in flight together: this
+	// incarnation has not pushed anything yet, so each owns its pushWait slot.
+	phase("recover:redeliver", &s.Stats.RecoverRedeliverUs, func() {
+		logs := slices.DeleteFunc(sortedClogs(s.clogs), func(dl *dirLog) bool { return dl.log.Len() == 0 })
+		together(p, len(logs), func(wp *env.Proc, i int) {
+			s.pushLogFinal(wp, logs[i], logs[i].log.Snapshot())
+		})
+	})
 
 	// Proactively aggregate every directory this server owns (§A.1): any
 	// aggregation it had issued before the crash completes now.
-	for _, fp := range s.ownedDirFingerprints() {
-		s.aggregateFP(p, fp, &aggOpts{force: true})
-	}
+	phase("recover:aggregate", &s.Stats.RecoverAggregateUs, func() {
+		fps := s.ownedDirFingerprints()
+		together(p, len(fps), func(wp *env.Proc, i int) {
+			s.aggregateFP(wp, fps[i], &aggOpts{force: true})
+		})
+	})
 
 	// Re-drive un-acked 2PC commit decisions rebuilt from the WAL: in-doubt
 	// participants apply and ack, already-resolved ones ack the duplicate;
@@ -103,42 +127,102 @@ func (s *Server) Recover(p *env.Proc) error {
 	s.redriveCommits(p)
 
 	// Clone the invalidation list from the first reachable peer.
-	for _, peer := range s.cfg.Peers {
-		if peer == s.cfg.ID {
-			continue
-		}
-		v, err := s.ctlCall(p, peer, func(ctl uint64) wire.Msg {
-			return &wire.CloneInvalReq{Ctl: ctl, From: s.cfg.ID}
-		})
-		if err != nil {
-			continue
-		}
-		resp := v.(*wire.CloneInvalResp)
-		for _, e := range resp.Entries {
-			if _, ok := s.invalSet[e.Dir]; !ok {
-				s.invalSeq++
-				s.invalSet[e.Dir] = s.invalSeq
-				s.inval = append(s.inval, wire.InvalEntry{Seq: s.invalSeq, Dir: e.Dir})
+	phase("recover:clone", &s.Stats.RecoverCloneUs, func() {
+		for _, peer := range s.cfg.Peers {
+			if peer == s.cfg.ID {
+				continue
 			}
+			v, err := s.ctlCall(p, peer, func(ctl uint64) wire.Msg {
+				return &wire.CloneInvalReq{Ctl: ctl, From: s.cfg.ID}
+			})
+			if err != nil {
+				continue
+			}
+			for _, e := range v.(*wire.CloneInvalResp).Entries {
+				if _, ok := s.invalSet[e.Dir]; !ok {
+					s.invalSeq++
+					s.invalSet[e.Dir] = s.invalSeq
+					s.inval = append(s.inval, wire.InvalEntry{Seq: s.invalSeq, Dir: e.Dir})
+				}
+			}
+			return
 		}
-		break
-	}
+	})
 
-	s.serving = true
+	s.recovering = false
+	s.SetServing(true)
 	return nil
 }
 
+// together runs fn(·, 0) … fn(·, n-1), each on a process of its own, and
+// returns when all have finished: n independent round trips cost the longest,
+// and an unreachable peer one retry budget instead of one per item.
+func together(p *env.Proc, n int, fn func(wp *env.Proc, i int)) {
+	done := make([]*env.Future, n)
+	for i := range done {
+		fut := env.NewFuture()
+		done[i] = fut
+		p.Spawn(func(wp *env.Proc) {
+			fn(wp, i)
+			fut.Complete(nil)
+		})
+	}
+	for _, fut := range done {
+		fut.Wait(p)
+	}
+}
+
+// redoPlan is the virtual-time shape of one redo pass (an extension: the
+// paper replays its log on one core). Records that write one key — an inode,
+// a directory entry, a watermark — take the redo lane their key hashes to, so
+// per-key order is LSN order by construction and the lanes run side by side:
+// size deltas and max-timestamps commute (applyBatch's argument for its
+// core-parallel entry apply). Records that span keys are barriers: a serial
+// section of their own between two parallel ones.
+type redoPlan struct {
+	sections [][]int // run one after another; records per lane
+	serial   bool    // the last section is a run of barriers
+	lanes    int
+}
+
+// section returns the open section of the given kind, closing the other.
+func (r *redoPlan) section(serial bool) []int {
+	if len(r.sections) == 0 || r.serial != serial {
+		r.sections = append(r.sections, make([]int, r.lanes))
+		r.serial = serial
+	}
+	return r.sections[len(r.sections)-1]
+}
+
+// keyed charges one record to the lane of the key it writes.
+func (r *redoPlan) keyed(key uint64) { r.section(false)[key%uint64(r.lanes)]++ }
+
+// barrier charges one record that spans keys: every lane waits for it.
+func (r *redoPlan) barrier() { r.section(true)[0]++ }
+
+// longest is the record count on the plan's critical path: what the redo
+// costs in units of Costs.WALReplay.
+func (r *redoPlan) longest() (n int) {
+	for _, lanes := range r.sections {
+		n += slices.Max(lanes)
+	}
+	return n
+}
+
 // replayWAL redoes committed operations in commit order (§A.2.2: recovery
-// reproduces the pre-crash serialization).
-func (s *Server) replayWAL() error {
+// reproduces the pre-crash serialization) on the host, one record after
+// another, and returns what the pass costs in virtual time.
+func (s *Server) replayWAL() (redoPlan, error) {
+	plan := redoPlan{lanes: s.cfg.Cores}
 	s.bootstrapRoot()
-	return s.wal.Replay(func(r wal.Record) error {
+	err := s.wal.Replay(func(r wal.Record) error {
 		switch r.Kind {
 		case recCommit:
 			op, key, parent, entry, in, err := decodeCommit(r.Payload)
 			if err != nil {
 				return err
 			}
+			plan.keyed(core.Hash64(key.PID, key.Name))
 			switch op {
 			case core.OpCreate, core.OpMkdir:
 				s.storeInode(key, in)
@@ -159,12 +243,14 @@ func (s *Server) replayWAL() error {
 		case recAggEntry:
 			src := env.NodeID(binary.BigEndian.Uint64(r.Payload))
 			dir, entry, _ := decodeEntry(r.Payload[8:])
+			plan.keyed(core.Hash64(dir.ID, entry.Name))
 			s.redoAggEntry(src, dir, entry)
 		case recInode:
 			key, in, err := decodeInodeRec(r.Payload)
 			if err != nil {
 				return err
 			}
+			plan.keyed(core.Hash64(key.PID, key.Name))
 			s.storeInode(key, in)
 		case recDentry:
 			dir := core.DirIDFromBytes(r.Payload)
@@ -172,15 +258,16 @@ func (s *Server) replayWAL() error {
 			t := core.FileType(r.Payload[33])
 			perm := core.Perm(binary.BigEndian.Uint16(r.Payload[34:]))
 			name := string(r.Payload[36:])
+			plan.keyed(core.Hash64(dir, name))
 			s.putDentry(dir, core.DirEntry{Name: name, Type: t, Perm: perm}, put)
 		case recMark:
 			src := env.NodeID(binary.BigEndian.Uint64(r.Payload))
 			dir := core.DirIDFromBytes(r.Payload[8:])
 			id := binary.BigEndian.Uint64(r.Payload[40:])
-			if s.applied[appliedKey{src: src, dir: dir}] < id {
-				s.applied[appliedKey{src: src, dir: dir}] = id
-			}
+			plan.keyed(core.Hash64(dir, "") ^ uint64(src))
+			s.setAppliedMark(src, dir, id)
 		case recDelDentries:
+			plan.barrier()
 			dir := core.DirIDFromBytes(r.Payload)
 			prefix := core.EntryPrefix(dir)
 			var keys [][]byte
@@ -192,6 +279,7 @@ func (s *Server) replayWAL() error {
 				s.kv.Delete(k)
 			}
 		case recTxnCommit:
+			plan.barrier()
 			// A commit decision some participant may not have learned yet
 			// (the record is marked applied once every participant acked):
 			// rebuild it so in-doubt status queries are answered with commit
@@ -208,11 +296,13 @@ func (s *Server) replayWAL() error {
 				s.txnRedrive = append(s.txnRedrive, txnRedrive{txn: txn, parts: parts})
 			}
 		case recEvict:
+			plan.barrier()
 			// The group migrated away: drop its records, or this restart
 			// would resurrect inodes that live (and have advanced) on the
 			// server the group moved to.
 			s.evictFP(core.Fingerprint(binary.BigEndian.Uint64(r.Payload)))
 		case recTxnPrepare:
+			plan.barrier()
 			// A prepared, undecided transaction: this incarnation must hold
 			// its locks and be able to apply the (possibly already-decided)
 			// commit — rebuilt after replay by rearmPreparedTxns.
@@ -225,6 +315,7 @@ func (s *Server) replayWAL() error {
 		}
 		return nil
 	})
+	return plan, err
 }
 
 // redoAggEntry re-applies one owner-side change-log application during
@@ -249,13 +340,13 @@ func (s *Server) redoAggEntry(src env.NodeID, dir core.DirRef, e core.LogEntry) 
 func (s *Server) ownedDirFingerprints() []core.Fingerprint {
 	seen := make(map[core.Fingerprint]bool)
 	var out []core.Fingerprint
+	var in core.Inode // one value for the whole scan, dentries included
 	s.kv.Scan(nil, func(k, v []byte) bool {
 		key, err := core.DecodeKey(k)
 		if err != nil {
 			return true
 		}
-		in, err := core.DecodeInode(v)
-		if err != nil || in.Type != core.TypeDir {
+		if core.DecodeInodeInto(&in, v) != nil || in.Type != core.TypeDir {
 			return true
 		}
 		fp := key.Fingerprint()
@@ -314,15 +405,15 @@ func (s *Server) handleCloneInval(p *env.Proc, req *wire.CloneInvalReq) {
 // (switch recovery, §5.4.2; reconfiguration, §5.5). Serving stops during the
 // flush.
 func (s *Server) FlushAll(p *env.Proc) {
-	s.serving = false
-	logs := sortedClogs(s.clogs)
-	for _, dl := range logs {
-		snap := dl.log.Snapshot()
-		if len(snap) > 0 {
+	s.SetServing(false)
+	// One push after another: a proactive push of the same log may still be
+	// in flight, and the two share their directory's pushWait slot.
+	for _, dl := range sortedClogs(s.clogs) {
+		if snap := dl.log.Snapshot(); len(snap) > 0 {
 			s.pushLogFinal(p, dl, snap)
 		}
 	}
-	s.serving = true
+	s.SetServing(true)
 }
 
 // handleFlushAll runs FlushAll on a control request and confirms.
@@ -414,9 +505,6 @@ func (s *Server) Cores() int { return s.cfg.Cores }
 // Serving reports whether the server accepts normal requests.
 func (s *Server) Serving() bool { return s.serving }
 
-// SetServing toggles request serving (cluster reconfiguration).
-func (s *Server) SetServing(v bool) { s.serving = v }
-
 // PendingTxnCommitRecords counts un-retired 2PC commit-decision records in
 // the WAL (diagnostics; the redrive regression tests assert recovery
 // retires them instead of replaying them forever).
@@ -429,6 +517,20 @@ func (s *Server) PendingTxnCommitRecords() int {
 		return nil
 	})
 	return n
+}
+
+// HeldAggs returns the ids of the aggregations holding change-log locks on
+// this server, ascending (diagnostics: an owner's recovery must leave none of
+// its predecessor's behind).
+func (s *Server) HeldAggs() []uint64 {
+	var ids []uint64
+	for _, dl := range s.clogs {
+		if dl.heldBy != 0 && !slices.Contains(ids, dl.heldBy) {
+			ids = append(ids, dl.heldBy)
+		}
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // PendingClogEntries counts not-yet-applied change-log entries across all

@@ -270,6 +270,15 @@ type Server struct {
 	ctlWait map[uint64]*env.Future
 
 	serving bool
+	// parked holds the client requests that arrived while !serving — the
+	// latest copy per (client, rpc), in arrival order of the first — until
+	// SetServing(true) re-dispatches them. Volatile: Crash discards it.
+	parked   []parkedReq
+	parkedAt map[dedupKey]int
+	// bootAgg is the aggregation id this incarnation's counter was seeded
+	// with (ids are origin<<40 | counter, so one origin's ids order by issue):
+	// ids at or below it were issued by a predecessor.
+	bootAgg uint64
 	// dead marks a fail-stopped incarnation: its processes must unwind
 	// instead of retrying into a restarted successor.
 	dead bool
@@ -305,6 +314,12 @@ type dedupKey struct {
 	rpc    uint64
 }
 
+// parkedReq is one client request held while the server is not serving.
+type parkedReq struct {
+	from env.NodeID
+	pkt  *wire.Packet
+}
+
 // Stats counts server-side protocol activity.
 type Stats struct {
 	Ops          uint64
@@ -316,6 +331,14 @@ type Stats struct {
 	Pushes       uint64
 	Retries      uint64
 	Orphans      uint64
+
+	// §5.4.2 recovery by phase (virtual µs), the redo pass in records and in
+	// records on its critical path.
+	RecoverRedoUs, RecoverRedeliverUs, RecoverAggregateUs, RecoverCloneUs uint64
+	RecoverRedoRecords, RecoverRedoLongestLane                            uint64
+	// Requests held while not serving, retransmissions that replaced a held
+	// copy, and empty acks that released a predecessor's aggregation.
+	Parked, ParkedSuperseded, AggReleased uint64
 }
 
 // New builds a server and registers its node with the environment.
@@ -368,6 +391,7 @@ func New(e *env.Sim, cfg Config) *Server {
 	base := uint64(e.Now())
 	s.nextCommit = base
 	s.nextAgg = base
+	s.bootAgg = uint64(cfg.ID)<<40 | base
 	s.nextRemove = base
 	s.nextCtl = base
 	s.nextTxn = base
@@ -524,12 +548,11 @@ func (s *Server) handle(p *env.Proc, from env.NodeID, msg any) {
 	}
 	if !s.serving {
 		// A recovering server does not serve normal client requests
-		// (§5.4.2), but the recovery protocols themselves — aggregation
-		// fetches, change-log pushes, invalidation clones, transactions in
-		// flight — must keep flowing between servers.
-		switch pkt.Body.(type) {
-		case *wire.LookupReq, *wire.FileReq, *wire.DirReadReq, *wire.MutateReq,
-			*wire.RenameReq, *wire.LinkReq:
+		// (§5.4.2): they wait for it to resume. The recovery protocols
+		// themselves — aggregation fetches, change-log pushes, invalidation
+		// clones, transactions in flight — must keep flowing between servers.
+		if req, ok := pkt.Body.(interface{ Common() *wire.ReqCommon }); ok {
+			s.park(from, pkt, req.Common())
 			return
 		}
 	}
@@ -600,6 +623,46 @@ func (s *Server) handle(p *env.Proc, from env.NodeID, msg any) {
 		s.completeCtl(b.Ctl, b)
 	case *wire.FlushAllReq:
 		s.handleFlushAll(p, pkt.Origin, b)
+	}
+}
+
+// park holds a client request until the server resumes, replacing an earlier
+// copy of the same request: a blocked operation then costs outage + recovery
+// + one service time instead of waiting for its next retransmission. A
+// fail-stopped incarnation holds nothing — no one would ever release it.
+func (s *Server) park(from env.NodeID, pkt *wire.Packet, req *wire.ReqCommon) {
+	if s.dead {
+		return
+	}
+	k := dedupKey{client: req.Client, rpc: req.RPC}
+	if i, held := s.parkedAt[k]; held {
+		s.parked[i] = parkedReq{from: from, pkt: pkt}
+		s.Stats.ParkedSuperseded++
+		return
+	}
+	if s.parkedAt == nil {
+		s.parkedAt = make(map[dedupKey]int)
+	}
+	s.parkedAt[k] = len(s.parked)
+	s.parked = append(s.parked, parkedReq{from: from, pkt: pkt})
+	s.Stats.Parked++
+}
+
+// SetServing toggles request serving; it is the one place serving becomes
+// true (end of Recover, end of FlushAll, reconfiguration's resume), and there
+// every parked request re-enters handle on a process of its own — ownership,
+// staleness, begin's in-flight attach and the dedup window all run at release
+// time. A fail-stopped incarnation never serves, and a recovering one only
+// once Recover says so.
+func (s *Server) SetServing(v bool) {
+	s.serving = v && !s.dead && !s.recovering
+	if !s.serving {
+		return
+	}
+	parked := s.parked
+	s.parked, s.parkedAt = nil, nil
+	for _, m := range parked {
+		s.env.Spawn(s.cfg.ID, func(p *env.Proc) { s.handle(p, m.from, m.pkt) })
 	}
 }
 

@@ -66,8 +66,11 @@ type traceBuf struct {
 	rootID  uint64
 	spans   []Span
 	flagged string // non-empty: keep regardless of duration
-	done    bool
-	dur     env.Duration
+	// background marks work no client operation is the root of (a server's
+	// recovery): always kept, and kept apart from the operation traces.
+	background bool
+	done       bool
+	dur        env.Duration
 }
 
 // Recorder collects spans and tail-samples finished traces.
@@ -153,6 +156,18 @@ func (r *Recorder) StartRoot(p *env.Proc, name, cat string) *Handle {
 	return r.open(p, Span{Trace: tid, ID: sid, Name: name, Cat: cat})
 }
 
+// StartBackground is StartRoot for work that is not a client operation (a
+// server's recovery). The trace is always kept, reported by Background and
+// written by WriteJSON, and never among Spans: operation counts, tail
+// sampling and the critical-path summary see operations only.
+func (r *Recorder) StartBackground(p *env.Proc, name, cat string) *Handle {
+	h := r.StartRoot(p, name, cat)
+	if h != nil {
+		r.active[h.s.Trace].background = true
+	}
+	return h
+}
+
 // StartSpan opens a child of the given context (typically a packet's). It
 // returns nil — and records nothing — when the context is invalid.
 func (r *Recorder) StartSpan(p *env.Proc, ctx env.TraceCtx, name, cat string) *Handle {
@@ -234,7 +249,7 @@ func (r *Recorder) record(s Span) {
 // sample applies the tail-sampling policy to a finished trace. Caller holds
 // the lock.
 func (r *Recorder) sample(b *traceBuf) {
-	if b.flagged != "" {
+	if b.flagged != "" || b.background {
 		r.kept[b.id] = b
 		return
 	}
@@ -258,15 +273,22 @@ func (r *Recorder) sample(b *traceBuf) {
 	}
 }
 
-// Spans returns every kept span in deterministic order (trace id, start
-// time, span id).
-func (r *Recorder) Spans() []Span {
+// Spans returns every kept span of the operation traces in deterministic
+// order (trace id, start time, span id).
+func (r *Recorder) Spans() []Span { return r.spans(false) }
+
+// Background returns the spans of the background traces, in the same order.
+func (r *Recorder) Background() []Span { return r.spans(true) }
+
+func (r *Recorder) spans(background bool) []Span {
 	if r == nil {
 		return nil
 	}
 	var out []Span
 	for _, b := range r.kept {
-		out = append(out, b.spans...)
+		if b.background == background {
+			out = append(out, b.spans...)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return spanLess(out[i], out[j]) })
 	return out
@@ -327,10 +349,11 @@ type jsonFile struct {
 	DisplayTimeUnit string      `json:"displayTimeUnit"`
 }
 
-// WriteJSON exports the kept spans as Chrome trace-event JSON. The output is
+// WriteJSON exports the kept spans, operation and background traces alike, as
+// Chrome trace-event JSON. The output is
 // a deterministic function of the kept spans: same seed, same bytes.
 func (r *Recorder) WriteJSON(w io.Writer) error {
-	return WriteJSON(w, r.Spans())
+	return WriteJSON(w, append(r.Spans(), r.Background()...))
 }
 
 // WriteJSON exports spans (already or not yet sorted) in the Chrome

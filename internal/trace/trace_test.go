@@ -205,3 +205,36 @@ func TestMaxActiveDropsDeterministically(t *testing.T) {
 		t.Errorf("kept %d traces, want 2", got)
 	}
 }
+
+// TestBackgroundTracesKeptApart: a background root is always kept, exported,
+// and never counted among the operation traces — not by Spans, not by the
+// tail sampler's budget.
+func TestBackgroundTracesKeptApart(t *testing.T) {
+	r := runSpans(1, Config{Keep: 1}, func(p *env.Proc, r *Recorder) {
+		bg := r.StartBackground(p, "recover", "server")
+		child := r.Start(p, "recover:redo", "server")
+		p.Sleep(env.Microsecond)
+		child.End()
+		bg.End()
+		for i := 1; i <= 3; i++ {
+			h := r.StartRoot(p, fmt.Sprintf("op%d", i), "t")
+			p.Sleep(env.Duration(i) * env.Microsecond)
+			h.End()
+		}
+	})
+	if ops := r.Spans(); len(ops) != 1 || ops[0].Name != "op3" {
+		t.Fatalf("operation spans %v, want the slowest op alone", ops)
+	}
+	bg := r.Background()
+	if len(bg) != 2 || bg[0].Name != "recover" || bg[1].Parent != bg[0].ID {
+		t.Fatalf("background spans %v, want recover and its child", bg)
+	}
+	var buf bytes.Buffer
+	if err := r.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	exported, err := ParseJSON(&buf)
+	if err != nil || len(exported) != 3 || Validate(exported) != nil {
+		t.Fatalf("export holds %d spans (%v), want both traces, well-shaped", len(exported), err)
+	}
+}

@@ -114,6 +114,10 @@ type ReqCommon struct {
 	Ancestors []core.DirID
 }
 
+// Common returns the header itself, so a handler can reach it through any of
+// the client requests that embed it.
+func (r *ReqCommon) Common() *ReqCommon { return r }
+
 // RespCommon carries the fields every response shares.
 type RespCommon struct {
 	RPC uint64
