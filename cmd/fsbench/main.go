@@ -5,14 +5,16 @@
 //
 //	fsbench -fig all -scale quick
 //	fsbench -fig 12a,13,14 -scale paper
-//	fsbench -fig 12a,14 -scale tiny -format json -out BENCH_12a_14.json
-//	fsbench -fig 12a,14 -scale tiny -compare BENCH_12a_14.json
+//	fsbench -fig 12a,14 -scale tiny -format json -out run.json
+//	fsbench -fig 12a,14 -scale tiny -compare run.json
 //	fsbench -fig 12a -scale tiny -trace trace.json
-//	fsbench -validate BENCH_12a_14.json
+//	fsbench -fig gated -scale tiny -trace trace.json -compare bench/baseline.json
+//	fsbench -validate run.json
 //
 // Figure ids: 2a 2b 2c 2d 12a 12b 13 14 overflow 15a 15b 16 17 18a 18b 19
-// recovery chaos rebalance data lincheck scale. Scales: tiny, quick, paper
-// (paper takes minutes per figure). The chaos figure runs the fault-plan
+// recovery chaos rebalance data lincheck scale; `all` selects every one and
+// `gated` the set committed in bench/baseline.json. Scales: tiny, quick,
+// paper (paper takes minutes per figure). The chaos figure runs the fault-plan
 // availability harness; -seed selects its random plan (and simulation seeds),
 // and any checker violation aborts the run non-zero. The rebalance figure
 // drives a skewed workload while the hot-directory balancer and a live
@@ -25,37 +27,46 @@
 // diffs against the baseline, concurrent histories fault-free and under
 // fault plans); any divergence or non-linearizable history aborts with a
 // minimized counterexample trace. The scale figure sweeps open-loop client
-// populations against namespace sizes and reports the engine's memory
-// prices (namespace bytes/entry, harness bytes/op and allocs/op).
+// populations against namespace sizes.
 //
 // -format json emits the versioned internal/bench schema (figure cells,
-// per-row op/packet counters, wall time); -compare re-runs the selected
-// figures and diffs them against a previous JSON result, exiting non-zero
-// on per-cell regressions; -validate checks a result file against the
-// schema without running anything.
+// per-row op/packet counters, per-figure metrics deltas); -compare re-runs
+// the selected figures and diffs them against a previous JSON result,
+// exiting non-zero on per-cell regressions, counter or metric drift and
+// shape changes; -validate checks a result file against the schema without
+// running anything.
 //
 // -trace=<path> records causal spans (virtual-time, tail-sampled) across
 // every figure run and writes a Chrome trace-event JSON file loadable in
 // Perfetto; it also attaches per-figure metrics-registry deltas to the
-// result. Both are pure functions of the seed: two same-seed runs write
-// byte-identical trace files, and -compare gates on metric drift exactly
-// like counter drift. Inspect or validate a trace with `fsctl trace`.
+// result. Inspect or validate a trace with `fsctl trace`.
+//
+// Everything fsbench writes is virtual time or a deterministic count, so the
+// result and the trace are pure functions of (-fig, -scale, -seed) and two
+// runs are byte-identical; TestGate holds the tree to that and to
+// bench/baseline.json on every `go test ./...`. What a run costs the host
+// (wall time, bytes/op, allocs/op, live heap) is benchmark/'s and `go test
+// -bench`'s to measure.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
-	"time"
 
 	"switchfs/internal/bench"
 	"switchfs/internal/figures"
 	"switchfs/internal/metrics"
-	"switchfs/internal/stats"
 	"switchfs/internal/trace"
 )
+
+// gatedFigs is the one list of figures in the committed trajectory
+// (bench/baseline.json): what `-fig gated` selects.
+const gatedFigs = "12a,14,chaos,rebalance,data,lincheck,scale,recovery"
 
 var registry = []struct {
 	id string
@@ -85,107 +96,121 @@ var registry = []struct {
 	{"scale", figures.FigScale},
 }
 
-func usageRegistry(w *os.File) {
+// figureIDs lists the registry's ids in generation order.
+func figureIDs() []string {
 	ids := make([]string, len(registry))
 	for i, e := range registry {
 		ids[i] = e.id
 	}
-	fmt.Fprintf(w, "known figure ids: %s\n", strings.Join(ids, " "))
+	return ids
 }
 
-func main() {
-	figFlag := flag.String("fig", "all", "comma-separated figure ids, or 'all'")
-	scaleFlag := flag.String("scale", "quick", "tiny | quick | paper")
-	formatFlag := flag.String("format", "text", "text | json")
-	outFlag := flag.String("out", "", "write results to this file (json format)")
-	compareFlag := flag.String("compare", "", "diff results against a previous json result file")
-	thresholdFlag := flag.Float64("threshold", 10, "regression threshold in percent for -compare")
-	memThresholdFlag := flag.Float64("memthreshold", 25, "regression threshold in percent for the bytes/op and allocs/op figure columns in -compare")
-	validateFlag := flag.String("validate", "", "validate a json result file against the schema and exit")
-	seedFlag := flag.Int64("seed", 1, "seed for the chaos and data figures' plans and simulations")
-	stampFlag := flag.Bool("stamp", true, "record wall-clock metadata (CreatedAt, per-figure WallSeconds); -stamp=false zeroes both so same-seed runs are byte-identical")
-	traceFlag := flag.String("trace", "", "record causal spans for every figure run and write a Chrome trace-event JSON file here; also attaches per-figure metrics deltas to the result")
-	traceKeepFlag := flag.Int("tracekeep", 32, "tail-sampling budget: slowest root ops kept per run (flagged ops kept in addition)")
-	flag.Parse()
+func usageRegistry(w io.Writer) {
+	fmt.Fprintf(w, "known figure ids: %s\n", strings.Join(figureIDs(), " "))
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole tool on its own flag set and writers: parse args, run the
+// selected figures, write and compare as asked, return the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fsbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	figFlag := fs.String("fig", "all", "comma-separated figure ids, 'all', or 'gated' ("+gatedFigs+")")
+	scaleFlag := fs.String("scale", "quick", "tiny | quick | paper")
+	formatFlag := fs.String("format", "text", "text | json")
+	outFlag := fs.String("out", "", "write results to this file (json format)")
+	compareFlag := fs.String("compare", "", "diff results against a previous json result file")
+	thresholdFlag := fs.Float64("threshold", 10, "regression threshold in percent for -compare")
+	validateFlag := fs.String("validate", "", "validate a json result file against the schema and exit")
+	seedFlag := fs.Int64("seed", 1, "seed for the chaos, rebalance, data, lincheck and scale figures' plans and simulations")
+	traceFlag := fs.String("trace", "", "record causal spans for every figure run and write a Chrome trace-event JSON file here; also attaches per-figure metrics deltas to the result")
+	traceKeepFlag := fs.Int("tracekeep", 32, "tail-sampling budget: slowest root ops kept per run (flagged ops kept in addition)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, format string, a ...any) int {
+		fmt.Fprintf(stderr, "fsbench: "+format+"\n", a...)
+		return code
+	}
 
 	if *validateFlag != "" {
 		r, err := bench.Load(*validateFlag)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fsbench: %v\n", err)
-			os.Exit(1)
+			return fail(1, "%v", err)
 		}
-		fmt.Printf("%s: valid (schema %d, scale %s, %d figures)\n",
+		fmt.Fprintf(stdout, "%s: valid (schema %d, scale %s, %d figures)\n",
 			*validateFlag, r.Schema, r.Scale, len(r.Figures))
-		return
+		return 0
 	}
 
 	var sc figures.Scale
 	switch *scaleFlag {
 	case "tiny":
-		sc = figures.Scale{Dirs: 16, FilesPerDir: 16, Workers: 32, OpsPerWorker: 20,
-			ServerCounts: []int{4, 8}, CoreCounts: []int{2, 4}, BurstSizes: []int{10, 200},
-			ScaleClients: []int{100, 1000}, ScaleEntries: []int{10_000, 100_000}}
+		sc = figures.Tiny()
 	case "quick":
 		sc = figures.Quick()
 	case "paper":
 		sc = figures.Paper()
 	default:
-		fmt.Fprintf(os.Stderr, "fsbench: unknown scale %q\n", *scaleFlag)
-		os.Exit(2)
+		return fail(2, "unknown scale %q", *scaleFlag)
 	}
+	sc.Seed = *seedFlag
 	if *formatFlag != "text" && *formatFlag != "json" {
-		fmt.Fprintf(os.Stderr, "fsbench: unknown format %q\n", *formatFlag)
-		os.Exit(2)
+		return fail(2, "unknown format %q", *formatFlag)
 	}
 
 	// Resolve the figure selection up front: an unknown id is an error (it
 	// used to silently run nothing and exit 0).
 	known := map[string]bool{}
-	for _, e := range registry {
-		known[e.id] = true
+	for _, id := range figureIDs() {
+		known[id] = true
+	}
+	ids := *figFlag
+	switch ids {
+	case "all":
+		ids = strings.Join(figureIDs(), ",")
+	case "gated":
+		ids = gatedFigs
 	}
 	want := map[string]bool{}
-	all := *figFlag == "all"
-	if !all {
-		for _, id := range strings.Split(*figFlag, ",") {
-			id = strings.TrimSpace(id)
-			if id == "" {
-				continue
-			}
-			if !known[id] {
-				fmt.Fprintf(os.Stderr, "fsbench: unknown figure id %q\n", id)
-				usageRegistry(os.Stderr)
-				os.Exit(2)
-			}
-			want[id] = true
+	for _, id := range strings.Split(ids, ",") {
+		id = strings.TrimSpace(id)
+		if id == "" {
+			continue
 		}
-		if len(want) == 0 {
-			fmt.Fprintf(os.Stderr, "fsbench: no figure selected by -fig %q\n", *figFlag)
-			usageRegistry(os.Stderr)
-			os.Exit(2)
+		if !known[id] {
+			fail(2, "unknown figure id %q", id)
+			usageRegistry(stderr)
+			return 2
 		}
+		want[id] = true
+	}
+	if len(want) == 0 {
+		fail(2, "no figure selected by -fig %q", *figFlag)
+		usageRegistry(stderr)
+		return 2
 	}
 
 	// Validate flag combinations and the comparison baseline BEFORE the
 	// figures run: a paper-scale generation takes minutes per figure, and a
 	// late flag error would throw the whole run away.
 	if *outFlag != "" && *formatFlag != "json" {
-		fmt.Fprintf(os.Stderr, "fsbench: -out requires -format json\n")
-		os.Exit(2)
+		return fail(2, "-out requires -format json")
 	}
 	var baseline *bench.Result
 	if *compareFlag != "" {
 		var err error
 		baseline, err = bench.Load(*compareFlag)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fsbench: %v\n", err)
-			os.Exit(1)
+			return fail(1, "%v", err)
 		}
 		if baseline.Scale != *scaleFlag {
-			fmt.Fprintf(os.Stderr,
-				"fsbench: baseline %s was recorded at -scale %s, this run is -scale %s — comparing different configurations cell-by-cell is meaningless\n",
+			return fail(2, "baseline %s was recorded at -scale %s, this run is -scale %s — comparing different configurations cell-by-cell is meaningless",
 				*compareFlag, baseline.Scale, *scaleFlag)
-			os.Exit(2)
 		}
 	}
 
@@ -195,168 +220,121 @@ func main() {
 		Scale:     *scaleFlag,
 		GoVersion: runtime.Version(),
 	}
-	if *stampFlag {
-		result.CreatedAt = time.Now().UTC().Format(time.RFC3339) //detlint:ignore dettaint -- provenance stamp, only written when -stamp opts out of byte-identical output
-	} else {
-		// Byte-identical-output mode: allocator readings (figure-internal
-		// memory cells and the per-figure bytes/op columns below) are not
-		// bit-deterministic, so they are zeroed along with the wall clock.
-		figures.SetMemAccounting(false)
-	}
 	// Observability: one recorder and registry shared across the selected
 	// figures. Both are pure functions of the simulation seeds, so the trace
 	// file and the per-figure metrics deltas are byte-identical across
-	// same-seed runs (trace-smoke gates this in CI).
+	// same-seed runs (TestGate holds them to it).
 	var rec *trace.Recorder
 	var reg *metrics.Registry
 	if *traceFlag != "" {
 		rec = trace.New(trace.Config{Keep: *traceKeepFlag})
 		reg = metrics.New()
 		figures.SetObservability(rec, reg)
-	}
-	// Bind flag-dependent figures now that flags are parsed; dispatch stays
-	// uniform over the registry.
-	figFor := func(id string, fn func(figures.Scale) figures.Table) func(figures.Scale) figures.Table {
-		switch id {
-		case "chaos":
-			return func(sc figures.Scale) figures.Table { return figures.FigChaosSeed(sc, *seedFlag) }
-		case "rebalance":
-			return func(sc figures.Scale) figures.Table { return figures.FigRebalanceSeed(sc, *seedFlag) }
-		case "data":
-			return func(sc figures.Scale) figures.Table { return figures.FigDataSeed(sc, *seedFlag) }
-		case "lincheck":
-			return func(sc figures.Scale) figures.Table { return figures.FigLincheckSeed(sc, *seedFlag) }
-		case "scale":
-			return func(sc figures.Scale) figures.Table { return figures.FigScaleSeed(sc, *seedFlag) }
-		}
-		return fn
+		defer figures.SetObservability(nil, nil)
 	}
 	for _, entry := range registry {
-		if !all && !want[entry.id] {
+		if !want[entry.id] {
 			continue
 		}
-		start := time.Now()          //detlint:ignore dettaint -- wall-clock telemetry, zeroed below unless -stamp opts out of byte-identical output
-		memBefore := stats.ReadMem() //detlint:ignore dettaint -- allocator telemetry, gated to zero by SetMemAccounting/-stamp in deterministic mode
 		metBefore := reg.Snapshot()
-		tab := figFor(entry.id, entry.fn)(sc)
-		memBytes, memAllocs := stats.ReadMem().AllocDelta(memBefore) //detlint:ignore dettaint -- allocator telemetry, gated to zero by SetMemAccounting/-stamp in deterministic mode
-		wall := time.Since(start).Seconds()                          //detlint:ignore dettaint -- wall-clock telemetry, zeroed below unless -stamp opts out of byte-identical output
-		stampedWall := wall
-		if !*stampFlag {
-			stampedWall = 0
-		}
+		tab := entry.fn(sc)
 		if *formatFlag == "text" && *compareFlag == "" {
-			fmt.Println(tab.String())
-			fmt.Printf("(generated in %.1fs wall time)\n\n", wall)
+			fmt.Fprintf(stdout, "%s\n", tab)
 		}
-		fig := bench.Figure{
-			ID:          tab.ID,
-			Title:       tab.Title,
-			Header:      tab.Header,
-			Rows:        tab.Rows,
-			Counters:    tab.Meta,
-			WallSeconds: stampedWall,
-			Metrics:     metrics.Delta(metBefore, reg.Snapshot()),
-		}
-		// Figure-level allocator cost, normalized by the figure's total op
-		// count — the CI allocation gate. Zeroed alongside the wall clock so
-		// -stamp=false output stays byte-identical across same-seed runs.
-		if *stampFlag {
-			var ops uint64
-			for _, c := range tab.Meta {
-				ops += c.Ops
-			}
-			fig.MemBytesPerOp = stats.PerOp(memBytes, ops)
-			fig.MemAllocsPerOp = stats.PerOp(memAllocs, ops)
-		}
-		result.Figures = append(result.Figures, fig)
+		result.Figures = append(result.Figures, bench.Figure{
+			ID:       tab.ID,
+			Title:    tab.Title,
+			Header:   tab.Header,
+			Rows:     tab.Rows,
+			Counters: tab.Meta,
+			Metrics:  metrics.Delta(metBefore, reg.Snapshot()),
+		})
 	}
 
 	if rec != nil {
 		f, err := os.Create(*traceFlag)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fsbench: %v\n", err)
-			os.Exit(1)
+			return fail(1, "%v", err)
 		}
-		if err := rec.WriteJSON(f); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
+		err = rec.WriteJSON(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		fmt.Fprintf(os.Stderr, "fsbench: wrote trace %s (%d traces kept)\n",
+		if err != nil {
+			return fail(1, "%s: %v", *traceFlag, err)
+		}
+		fmt.Fprintf(stderr, "fsbench: wrote trace %s (%d traces kept)\n",
 			*traceFlag, len(rec.KeptTraces()))
-		fmt.Fprint(os.Stderr, rec.Summary(5))
+		fmt.Fprint(stderr, rec.Summary(5))
 	}
 
 	if *outFlag != "" {
 		// Write the fresh result even when comparing, so refreshing a
 		// baseline and gating against the old one are one run.
 		if err := bench.Write(*outFlag, result); err != nil {
-			fmt.Fprintf(os.Stderr, "fsbench: %v\n", err)
-			os.Exit(1)
+			return fail(1, "%v", err)
 		}
-		fmt.Fprintf(os.Stderr, "fsbench: wrote %s (%d figures)\n", *outFlag, len(result.Figures))
+		fmt.Fprintf(stderr, "fsbench: wrote %s (%d figures)\n", *outFlag, len(result.Figures))
 	}
 
 	if baseline != nil {
 		cmp := bench.Compare(baseline, result, bench.CompareOpts{
-			ThresholdPct:    *thresholdFlag,
-			CheckCounters:   true,
-			MemThresholdPct: *memThresholdFlag,
+			ThresholdPct:  *thresholdFlag,
+			CheckCounters: true,
 		})
-		report(cmp, *thresholdFlag)
+		report(stdout, cmp, *thresholdFlag)
 		// Counter drift is a determinism/configuration failure, not noise:
 		// it must gate exactly like a regression. Shape changes (figures or
 		// rows present in only one run) gate the same way — silently skipping
 		// them would let a baseline refresh hide a dropped row.
 		if len(cmp.Regressions()) > 0 || cmp.ShapeChanges() || len(cmp.Drift) > 0 ||
 			len(cmp.MetricsDrift) > 0 {
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	if *formatFlag == "json" && *outFlag == "" {
 		data, err := bench.Marshal(result)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fsbench: %v\n", err)
-			os.Exit(1)
+			return fail(1, "%v", err)
 		}
-		os.Stdout.Write(data)
+		stdout.Write(data)
 	}
+	return 0
 }
 
 // report prints a comparison, regressions first.
-func report(cmp *bench.Comparison, threshold float64) {
+func report(w io.Writer, cmp *bench.Comparison, threshold float64) {
 	for _, id := range cmp.MissingFigures {
-		fmt.Printf("MISSING  %s: figure absent from this run\n", id)
+		fmt.Fprintf(w, "MISSING  %s: figure absent from this run\n", id)
 	}
 	for _, id := range cmp.AddedFigures {
-		fmt.Printf("ADDED    %s: figure absent from the baseline\n", id)
+		fmt.Fprintf(w, "ADDED    %s: figure absent from the baseline\n", id)
 	}
 	for _, rc := range cmp.RowsRemoved {
-		fmt.Printf("ROW-GONE %s[%s]: row %d present only in the baseline\n", rc.Figure, rc.Label, rc.Row)
+		fmt.Fprintf(w, "ROW-GONE %s[%s]: row %d present only in the baseline\n", rc.Figure, rc.Label, rc.Row)
 	}
 	for _, rc := range cmp.RowsAdded {
-		fmt.Printf("ROW-NEW  %s[%s]: row %d absent from the baseline\n", rc.Figure, rc.Label, rc.Row)
+		fmt.Fprintf(w, "ROW-NEW  %s[%s]: row %d absent from the baseline\n", rc.Figure, rc.Label, rc.Row)
 	}
 	for _, d := range cmp.Drift {
-		fmt.Printf("DRIFT    %s[%s]: counters changed: %s -> %s (non-determinism or config change)\n",
+		fmt.Fprintf(w, "DRIFT    %s[%s]: counters changed: %s -> %s (non-determinism or config change)\n",
 			d.Figure, d.Label, d.Old, d.New)
 	}
 	for _, d := range cmp.MetricsDrift {
-		fmt.Printf("MDRIFT   %s{%s}: metric changed: %d -> %d (non-determinism or config change)\n",
+		fmt.Fprintf(w, "MDRIFT   %s{%s}: metric changed: %d -> %d (non-determinism or config change)\n",
 			d.Figure, d.Key, d.Old, d.New)
 	}
 	regs := 0
 	for _, d := range cmp.Deltas {
 		if d.Regression {
-			fmt.Printf("REGRESS  %s[%s]: %.1f -> %.1f (%+.1f%%, threshold %.0f%%)\n",
+			fmt.Fprintf(w, "REGRESS  %s[%s]: %.1f -> %.1f (%+.1f%%, threshold %.0f%%)\n",
 				d.Figure, d.Label, d.Old, d.New, d.Pct, threshold)
 			regs++
 		}
 	}
-	fmt.Printf("compared: %d cells changed, %d regressions, %d figures missing/added, %d rows removed/added, %d counter drifts, %d metric drifts\n",
+	fmt.Fprintf(w, "compared: %d cells changed, %d regressions, %d figures missing/added, %d rows removed/added, %d counter drifts, %d metric drifts\n",
 		len(cmp.Deltas), regs, len(cmp.MissingFigures)+len(cmp.AddedFigures),
 		len(cmp.RowsRemoved)+len(cmp.RowsAdded), len(cmp.Drift), len(cmp.MetricsDrift))
 }

@@ -1,9 +1,11 @@
 // Package bench defines the machine-readable benchmark result format the
-// figure harnesses emit (`fsbench -format json`) and CI gates on. A result
-// file (`BENCH_<fig>.json` trajectory) carries a schema version, the run
-// configuration, every figure's table cells, per-row deterministic counters
-// (op and packet counts), and wall-clock cost — enough to diff two runs
-// cell by cell and flag regressions.
+// figure harnesses emit (`fsbench -format json`) and the gate compares. A
+// result file carries a schema version, the run configuration, every
+// figure's table cells, per-row deterministic counters (op and packet
+// counts) and per-figure metrics deltas — all virtual-time or counted, so a
+// file is a pure function of the flags that produced it and two runs diff
+// cell by cell. Host cost (wall time, bytes/op, allocs/op) is measured by
+// benchmark/ and `go test -bench`, not here.
 package bench
 
 import (
@@ -31,14 +33,11 @@ type Result struct {
 	Scale string `json:"scale"`
 	// GoVersion records the toolchain for cross-run context.
 	GoVersion string `json:"go_version,omitempty"`
-	// CreatedAt is an RFC3339 timestamp (informational only; comparisons
-	// never read it).
-	CreatedAt string `json:"created_at,omitempty"`
 	// Figures holds one entry per generated figure, in generation order.
 	Figures []Figure `json:"figures"`
 }
 
-// Figure is one figure's table plus its measurement cost.
+// Figure is one figure's table plus its deterministic counters.
 type Figure struct {
 	ID     string     `json:"id"`
 	Title  string     `json:"title"`
@@ -47,15 +46,6 @@ type Figure struct {
 	// Counters carries per-row deterministic op/packet counts, aligned
 	// with Rows (absent for legacy producers).
 	Counters []stats.Counters `json:"counters,omitempty"`
-	// WallSeconds is the wall-clock time generating the figure took.
-	WallSeconds float64 `json:"wall_seconds"`
-	// MemBytesPerOp / MemAllocsPerOp are the harness process's allocator
-	// cost of generating the figure, normalized by the figure's total op
-	// count: simulator overhead, not simulated-system performance. Zero when
-	// memory accounting is off (determinism smoke runs disable it — the
-	// allocator totals are runtime-scheduling sensitive).
-	MemBytesPerOp  float64 `json:"mem_bytes_per_op,omitempty"`
-	MemAllocsPerOp float64 `json:"mem_allocs_per_op,omitempty"`
 	// Metrics is the deterministic metrics-registry delta attributed to this
 	// figure (internal/metrics snapshots taken around its generation):
 	// per-server op/aggregation/retry tallies, switch pipe totals, hot
@@ -105,14 +95,10 @@ func (r *Result) Validate() error {
 // Write validates r and writes it as indented JSON via a temp-file rename,
 // so a crashed run never leaves a half-written result.
 func Write(path string, r *Result) error {
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(r, "", "  ")
+	data, err := Marshal(r)
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return err
@@ -173,10 +159,6 @@ func DirectionOf(title string) Direction {
 	case strings.Contains(t, "µs") || strings.Contains(t, "latency") ||
 		strings.Contains(t, " ms") || strings.Contains(t, "seconds"):
 		return LowerBetter
-	case strings.Contains(t, "bytes/op") || strings.Contains(t, "allocs/op") ||
-		strings.Contains(t, "b/op") || strings.Contains(t, "b/entry"):
-		// Memory-accounting columns: allocator cost, smaller is better.
-		return LowerBetter
 	default:
 		return Neutral
 	}
@@ -217,11 +199,6 @@ type CompareOpts struct {
 	// CheckCounters additionally reports rows whose deterministic op or
 	// packet counters differ at all — configuration drift, not noise.
 	CheckCounters bool
-	// MemThresholdPct flags figure-level bytes/op or allocs/op growth beyond
-	// this many percent (default 25 — allocator totals carry more run-to-run
-	// noise than simulated-time cells). Figures where either side reports 0
-	// (accounting off) are skipped.
-	MemThresholdPct float64
 }
 
 // CounterDrift is a row whose deterministic counters changed between runs.
@@ -296,9 +273,6 @@ func Compare(old, new_ *Result, opts CompareOpts) *Comparison {
 	if opts.ThresholdPct <= 0 {
 		opts.ThresholdPct = 10
 	}
-	if opts.MemThresholdPct <= 0 {
-		opts.MemThresholdPct = 25
-	}
 	newByID := map[string]*Figure{}
 	for i := range new_.Figures {
 		newByID[new_.Figures[i].ID] = &new_.Figures[i]
@@ -335,7 +309,6 @@ func Compare(old, new_ *Result, opts CompareOpts) *Comparison {
 				Figure: nf.ID, Row: r, Label: rowLabel(nf, r),
 			})
 		}
-		compareMem(cmp, of, nf, opts.MemThresholdPct)
 		if opts.CheckCounters && len(of.Metrics) > 0 && len(nf.Metrics) > 0 {
 			compareMetrics(cmp, of, nf)
 		}
@@ -382,32 +355,6 @@ func Compare(old, new_ *Result, opts CompareOpts) *Comparison {
 		}
 	}
 	return cmp
-}
-
-// compareMem gates the figure-level allocator columns. Both sides must
-// report a value — a zero means accounting was off for that run, not that
-// generation was free — and only growth past memThreshold in the worse
-// (higher) direction flags a regression.
-func compareMem(cmp *Comparison, of, nf *Figure, memThreshold float64) {
-	pairs := []struct {
-		label    string
-		old, new float64
-	}{
-		{"bytes/op", of.MemBytesPerOp, nf.MemBytesPerOp},
-		{"allocs/op", of.MemAllocsPerOp, nf.MemAllocsPerOp},
-	}
-	for _, p := range pairs {
-		if p.old == 0 || p.new == 0 || p.old == p.new {
-			continue
-		}
-		pct := (p.new - p.old) / p.old * 100
-		cmp.Deltas = append(cmp.Deltas, Delta{
-			Figure: of.ID, Row: -1, Col: -1,
-			Label: "figure/" + p.label,
-			Old:   p.old, New: p.new, Pct: pct,
-			Regression: pct > memThreshold,
-		})
-	}
 }
 
 // compareMetrics diffs the deterministic figure-level metrics maps key by

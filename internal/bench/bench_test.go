@@ -26,14 +26,12 @@ func sample() *Result {
 					{Ops: 960, PacketsDelivered: 12000},
 					{Ops: 960, PacketsDelivered: 14000},
 				},
-				WallSeconds: 1.5,
 			},
 			{
-				ID:          "Fig13",
-				Title:       "operation latency (µs), single client, 8 servers",
-				Header:      []string{"op", "SwitchFS"},
-				Rows:        [][]string{{"stat", "5.1"}},
-				WallSeconds: 0.2,
+				ID:     "Fig13",
+				Title:  "operation latency (µs), single client, 8 servers",
+				Header: []string{"op", "SwitchFS"},
+				Rows:   [][]string{{"stat", "5.1"}},
 			},
 		},
 	}
@@ -57,6 +55,18 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if got.Figures[0].Counters[1].PacketsDelivered != 14000 {
 		t.Fatalf("round trip mangled counters: %+v", got.Figures[0].Counters)
+	}
+}
+
+// TestLoadParentFormat: a file as PR 22 wrote it, the removed host-clock
+// fields present, still loads under SchemaVersion 1 with its cells intact.
+func TestLoadParentFormat(t *testing.T) {
+	r, err := Load(filepath.Join("testdata", "parent_format.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := r.Figures[0]; f.Rows[0][1] != "5.1" || f.Counters[0].Ops != 7 || f.Metrics["server.0.ops"] != 7 {
+		t.Fatalf("parent-format file mangled: %+v", r)
 	}
 }
 
@@ -196,46 +206,5 @@ func TestCompareRowShape(t *testing.T) {
 	// Identical shapes report nothing.
 	if c := Compare(old, old, CompareOpts{}); c.ShapeChanges() {
 		t.Fatalf("identical runs report shape changes: %+v", c)
-	}
-}
-
-func TestCompareMemColumns(t *testing.T) {
-	old, new_ := sample(), sample()
-	old.Figures[0].MemBytesPerOp = 1000
-	old.Figures[0].MemAllocsPerOp = 10
-	// +50% bytes/op: regression past the 25% default. Allocs within bounds.
-	new_.Figures[0].MemBytesPerOp = 1500
-	new_.Figures[0].MemAllocsPerOp = 11
-	cmp := Compare(old, new_, CompareOpts{})
-	regs := cmp.Regressions()
-	if len(regs) != 1 || regs[0].Label != "figure/bytes/op" {
-		t.Fatalf("regs = %+v", regs)
-	}
-	if len(cmp.Deltas) != 2 {
-		t.Fatalf("want 2 mem deltas, got %+v", cmp.Deltas)
-	}
-
-	// A zero side means accounting was off — no gate, no delta.
-	new_.Figures[0].MemBytesPerOp = 0
-	new_.Figures[0].MemAllocsPerOp = 10
-	cmp = Compare(old, new_, CompareOpts{})
-	if len(cmp.Deltas) != 0 {
-		t.Fatalf("accounting-off run should not be gated: %+v", cmp.Deltas)
-	}
-
-	// Improvement is a delta, never a regression.
-	new_.Figures[0].MemBytesPerOp = 400
-	new_.Figures[0].MemAllocsPerOp = 10
-	cmp = Compare(old, new_, CompareOpts{})
-	if len(cmp.Regressions()) != 0 || len(cmp.Deltas) != 1 {
-		t.Fatalf("improvement misclassified: %+v", cmp.Deltas)
-	}
-}
-
-func TestDirectionOfMemUnits(t *testing.T) {
-	for _, h := range []string{"bytes/op", "allocs/op", "sim B/op", "ns B/entry"} {
-		if DirectionOf(h) != LowerBetter {
-			t.Errorf("%q should be lower-better", h)
-		}
 	}
 }

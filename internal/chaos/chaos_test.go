@@ -86,8 +86,7 @@ func TestBuiltinPlansRunClean(t *testing.T) {
 }
 
 // TestRunDeterministic runs the same plan on the same seeds twice and
-// requires byte-identical timelines (rows and counters) — the property the
-// chaos-smoke CI job gates on.
+// requires byte-identical timelines (rows and counters).
 func TestRunDeterministic(t *testing.T) {
 	run := func() *Report {
 		sim, c := deploy(t, 7)
@@ -111,7 +110,7 @@ func TestRunDeterministic(t *testing.T) {
 // violations.
 func TestRandomPlanDeterministicAndClean(t *testing.T) {
 	g := testGeometry()
-	for seed := int64(1); seed <= 4; seed++ {
+	for _, seed := range []int64{1, 2, 3, 4, 7} {
 		p1 := RandomPlan(seed, g, 8*ms)
 		p2 := RandomPlan(seed, g, 8*ms)
 		if !reflect.DeepEqual(p1, p2) {

@@ -53,8 +53,8 @@ func TestDataPlansRunClean(t *testing.T) {
 	}
 }
 
-// TestDataPlanDeterministic: same plan, same seeds, byte-identical rows —
-// the property chaos-smoke gates with data-fault plans included.
+// TestDataPlanDeterministic: same plan, same seeds, byte-identical rows,
+// data-fault plans included.
 func TestDataPlanDeterministic(t *testing.T) {
 	run := func() *Report {
 		sim, c := deployData(t, 7)

@@ -3,7 +3,7 @@
 // against a cluster (Apply), a model-based invariant checker replaying the
 // completed client operations against an in-memory namespace oracle
 // (Checker), and an availability/latency timeline harness (Run) that the
-// FigChaos figure family and the chaos-smoke CI job drive.
+// FigChaos figure family drives.
 //
 // The paper demonstrates recovery for a handful of hand-written scenarios
 // (§5.4, §7.7); this package turns those scenarios into data. A plan is a

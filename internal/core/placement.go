@@ -101,24 +101,6 @@ func (p *Placement) OwnerOfKey(k Key, isDir bool) uint32 {
 	return p.OwnerOfFile(k.PID, k.Name)
 }
 
-// GroupPlacement is the P/C-grouping ring used by Emulated-InfiniFS and
-// IndexFS: every child inode and dentry of a directory is colocated with the
-// directory (per-directory hashing), while directory inodes themselves are
-// spread by their own key.
-type GroupPlacement struct{ Placement }
-
-// NewGroupPlacement builds the grouping variant over the same ring machinery.
-func NewGroupPlacement(servers []uint32, vnodes int) *GroupPlacement {
-	return &GroupPlacement{Placement: *NewPlacement(servers, vnodes)}
-}
-
-// OwnerOfChild places a child (file inode or dentry) of directory pid: it
-// always lands on the directory's server — the source of the large-directory
-// hotspot (§2.1).
-func (g *GroupPlacement) OwnerOfChild(pid DirID) uint32 {
-	return g.locate(splitmix64(pid[3] ^ pid[0]))
-}
-
 // String summarizes the ring for diagnostics.
 func (p *Placement) String() string {
 	return fmt.Sprintf("placement{%d servers × %d vnodes}", len(p.servers), p.vnodes)

@@ -1,6 +1,6 @@
 // Package detlint is a go/analysis suite that proves, at compile time, the
-// determinism and protocol invariants the repo's empirical harnesses (bench
-// -compare, chaos-smoke, lincheck-smoke) can only probe after the fact:
+// determinism and protocol invariants the repo's empirical harnesses
+// (cmd/fsbench's TestGate, the lincheck sweep) can only probe after the fact:
 //
 //   - maprange: map iteration order must not leak into packet emission,
 //     escaping slices, or last-writer-wins state (the PR 5 change-log bug

@@ -10,12 +10,12 @@ import (
 // Dettaint tracks nondeterminism from its sources into the artifacts that
 // must be seed-stable: packet payloads, WAL records, and bench rows. The
 // sources are configured in detlint.json (taintSources) — wall-clock reads,
-// scheduler internals like env.Sim.WorkerCount, allocator probes like
-// stats.ReadMem — plus slices built in map-iteration order, which
-// generalizes maprange across function and package boundaries: a helper
-// that returns an unsorted map snapshot exports a fact, and a caller in any
-// governed package that lets that value reach a sink is diagnosed, unless
-// it sorts the slice first (the caller-side sortedClogs idiom).
+// scheduler internals like env.Sim.WorkerCount — plus slices built in
+// map-iteration order, which generalizes maprange across function and
+// package boundaries: a helper that returns an unsorted map snapshot exports
+// a fact, and a caller in any governed package that lets that value reach a
+// sink is diagnosed, unless it sorts the slice first (the caller-side
+// sortedClogs idiom).
 //
 // Propagation is a per-function fixpoint over assignments, coarse at struct
 // granularity (tainting res.Workers taints res). Returning a tainted value
@@ -24,8 +24,7 @@ import (
 //
 // A //detlint:ignore dettaint on the source line declares the value
 // deterministic (with the written reason) and stops propagation there —
-// e.g. WorkerCount under the token-passing scheduler, or CreatedAt stamps
-// that -stamp=false zeroes before comparison.
+// e.g. WorkerCount under the token-passing scheduler.
 var Dettaint = &analysis.Analyzer{
 	Name:      "dettaint",
 	Doc:       "track nondeterminism sources into packet payloads, WAL records and bench rows",

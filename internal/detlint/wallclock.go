@@ -14,7 +14,7 @@ import (
 // must take time from Sim.Now / Proc.Now, delays from Proc.Sleep /
 // Sim.After, and randomness from an explicitly seeded rand.Rand — otherwise
 // two runs with the same seed diverge and the byte-for-byte determinism
-// gates (chaos-smoke, lincheck-smoke, bench -compare) turn red.
+// gate (cmd/fsbench's TestGate) turns red.
 //
 // Any mention of the forbidden functions is flagged, including passing one
 // as a value. Constructing a seeded generator (rand.New, rand.NewSource,

@@ -103,15 +103,6 @@ func (m *Mutex) Lock(p *Proc) {
 	p.park()
 }
 
-// TryLock acquires the lock if it is free.
-func (m *Mutex) TryLock() bool {
-	if m.held {
-		return false
-	}
-	m.held = true
-	return true
-}
-
 // Unlock releases the lock, handing it to the head waiter if any. Unlock may
 // be called from a different process than the one that locked — the protocol
 // uses this when a switch multicast tells the committing server to release
@@ -128,9 +119,6 @@ func (m *Mutex) Unlock() {
 	}
 	m.held = false
 }
-
-// Held reports whether the mutex is currently held (diagnostics only).
-func (m *Mutex) Held() bool { return m.held }
 
 // Cond is a condition variable usable with Mutex.
 type Cond struct {
@@ -152,15 +140,6 @@ func (c *Cond) Broadcast() {
 	q := c.q
 	c.q = nil
 	for _, w := range q {
-		w.env.unpark(w)
-	}
-}
-
-// Signal wakes one waiter.
-func (c *Cond) Signal() {
-	if len(c.q) > 0 {
-		w := c.q[0]
-		c.q = c.q[1:]
 		w.env.unpark(w)
 	}
 }

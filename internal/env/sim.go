@@ -42,9 +42,6 @@ type Sim struct {
 	// Stats observable by harnesses.
 	Delivered uint64
 	Dropped   uint64
-	// lastBusy is the virtual time of the last real work (a process ran);
-	// cancelled-timer no-ops do not advance it.
-	lastBusy Time
 }
 
 type simProcState struct {
@@ -339,7 +336,6 @@ func (s *Sim) loop(me *Proc) {
 
 // wake marks p, which must be in state want, running.
 func (s *Sim) wake(p *Proc, want uint64) {
-	s.lastBusy = s.cur
 	if p.state != int(want) {
 		panic(fmt.Sprintf("env: scheduling a proc in state %d, want %d", p.state, want))
 	}
@@ -411,10 +407,6 @@ func (s *Sim) RunFor(d Duration) Time {
 
 // Stop halts Run after the current event.
 func (s *Sim) Stop() { s.stopped = true }
-
-// LastBusy returns the virtual time of the most recent process execution —
-// the drain point of background work, ignoring trailing cancelled timers.
-func (s *Sim) LastBusy() Time { return s.lastBusy }
 
 // Shutdown kills every live process so the worker coroutines exit: stop makes
 // a parked worker's yield return false, which unwinds its body (deferred

@@ -15,11 +15,10 @@ import (
 // row per time window. The model-based chaos.Checker replays every completed
 // operation against the namespace oracle; any invariant violation fails the
 // figure loudly — this figure doubles as the repo's availability gate.
-func FigChaos(sc Scale) Table { return FigChaosSeed(sc, 1) }
-
-// FigChaosSeed is FigChaos with an explicit seed for the random plan and
-// the simulations (`fsbench -fig chaos -seed N` sweeps scenario space).
-func FigChaosSeed(sc Scale, seed int64) Table {
+// sc.Seed picks the random plan and the simulations (`fsbench -fig chaos
+// -seed N` sweeps scenario space).
+func FigChaos(sc Scale) Table {
+	seed := sc.seed()
 	t := Table{
 		ID:    "chaos",
 		Title: "Availability and p99 latency under fault plans (chaos harness)",

@@ -17,11 +17,9 @@ import (
 // stripes, verify no acknowledged write was lost). Placement comes from the
 // metadata path end to end — files are created and opened through the
 // normal protocol and chunks are striped over the DataLoc slots Open
-// returned, exactly as File.Write does.
-func FigData(sc Scale) Table { return FigDataSeed(sc, 1) }
-
-// FigDataSeed is FigData with an explicit simulation seed.
-func FigDataSeed(sc Scale, seed int64) Table {
+// returned, exactly as File.Write does. sc.Seed seeds the simulations.
+func FigData(sc Scale) Table {
+	seed := sc.seed()
 	t := Table{
 		ID:    "data",
 		Title: "striped data plane: replicated chunk throughput and recovery (§7.6)",

@@ -15,12 +15,10 @@ import (
 // fault-plan catalog (chaos plan reuse), each searched WGL-style for a legal
 // linearization. One row per mode; any divergence or non-linearizable
 // history panics with the minimized counterexample — like FigChaos, this
-// figure doubles as a correctness gate.
-func FigLincheck(sc Scale) Table { return FigLincheckSeed(sc, 1) }
-
-// FigLincheckSeed is FigLincheck starting the sweep at an explicit seed
+// figure doubles as a correctness gate. The sweep starts at sc.Seed
 // (`fsbench -fig lincheck -seed N` sweeps scenario space).
-func FigLincheckSeed(sc Scale, seed int64) Table {
+func FigLincheck(sc Scale) Table {
+	seed := sc.seed()
 	t := Table{
 		ID:    "lincheck",
 		Title: "Linearizability and differential-model checking (seed sweep)",

@@ -19,12 +19,10 @@ import (
 // no-stop-the-world gate: in the plans without a crash, a window with
 // traffic but zero successful operations fails the run — migration must
 // never make the namespace unavailable — and a plan that migrates nothing
-// fails too (the scenario would not be testing rebalance at all).
-func FigRebalance(sc Scale) Table { return FigRebalanceSeed(sc, 1) }
-
-// FigRebalanceSeed is FigRebalance with an explicit seed
-// (`fsbench -fig rebalance -seed N`).
-func FigRebalanceSeed(sc Scale, seed int64) Table {
+// fails too (the scenario would not be testing rebalance at all). sc.Seed
+// seeds the simulations and the workload (`fsbench -fig rebalance -seed N`).
+func FigRebalance(sc Scale) Table {
+	seed := sc.seed()
 	t := Table{
 		ID:    "rebalance",
 		Title: "Availability and p99 latency during live rebalance and reconfiguration (skewed load)",

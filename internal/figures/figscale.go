@@ -1,9 +1,7 @@
 package figures
 
 import (
-	"fmt"
 	"math/rand"
-	"runtime"
 	"strconv"
 
 	"switchfs/internal/core"
@@ -12,39 +10,19 @@ import (
 	"switchfs/internal/workload"
 )
 
-// memAccounting gates the allocator-derived cells (namespace bytes/entry,
-// run bytes/op and allocs/op). The figure tables themselves are derived from
-// virtual time and deterministic counters; the memory cells read the host
-// allocator, which is not bit-deterministic, so byte-identical-output runs
-// (determinism smoke) turn them off via SetMemAccounting.
-var memAccounting = true
-
-// SetMemAccounting enables or disables the allocator-derived cells; when off
-// they render as 0.
-func SetMemAccounting(on bool) { memAccounting = on }
-
-// MemAccounting reports the current setting.
-func MemAccounting() bool { return memAccounting }
-
 // FigScale is the million-client scale figure (ROADMAP north star): an
 // open-loop sweep of client-session population × namespace size on one
-// SwitchFS deployment, reporting sustained throughput, p99 latency, the
-// simulator's goroutine-pool high-water mark, and the engine's memory
-// prices — namespace bytes per preloaded entry and harness bytes/allocs per
-// operation. Sessions run open-loop (workload.RunOpen): an idle session is a
-// queued event, not a parked goroutine, which is what lets the population
-// reach the upper cells.
-func FigScale(sc Scale) Table { return FigScaleSeed(sc, 1) }
-
-// FigScaleSeed is FigScale with an explicit simulation seed.
-func FigScaleSeed(sc Scale, seed int64) Table {
+// SwitchFS deployment, reporting sustained throughput, p99 latency and the
+// simulator's worker-pool high-water mark. Sessions run open-loop
+// (workload.RunOpen): an idle session is a queued event, not a parked
+// worker, which is what lets the population reach the upper cells. What a
+// session and a namespace entry cost the host is benchmark/'s to measure
+// (live_heap_mib, bytes_per_op, kv.bytes_per_entry).
+func FigScale(sc Scale) Table {
 	t := Table{
-		ID:    "scale",
-		Title: "client/namespace scale: open-loop sessions, compact namespace (Kops/s)",
-		Header: []string{
-			"clients", "entries", "Kops/s", "p99 µs", "workers",
-			"ns B/entry", "bytes/op", "allocs/op",
-		},
+		ID:     "scale",
+		Title:  "client/namespace scale: open-loop sessions, compact namespace (Kops/s)",
+		Header: []string{"clients", "entries", "Kops/s", "p99 µs", "workers"},
 	}
 	clients, entries := sc.ScaleClients, sc.ScaleEntries
 	if len(clients) == 0 || len(clients) != len(entries) {
@@ -52,7 +30,7 @@ func FigScaleSeed(sc Scale, seed int64) Table {
 		entries = []int{10_000, 100_000}
 	}
 	for i := range clients {
-		row, rc := scaleCell(seed, clients[i], entries[i])
+		row, rc := scaleCell(sc.seed(), clients[i], entries[i])
 		t.AddRow(rc, row)
 	}
 	return t
@@ -83,24 +61,8 @@ func scaleCell(seed int64, clients, entries int) ([]string, stats.Counters) {
 	sim, sys, shutdown := deploySwitchFS(seed, servers, cores, clients, 0)
 	defer shutdown()
 	ns := workload.MultiDir(dirs, filesPerDir)
+	ns.Preload(sys)
 
-	// Namespace footprint: live-heap growth across the preload, after forced
-	// collections on both sides so transient garbage is not billed.
-	var nsBytesPerEntry float64
-	if memAccounting {
-		runtime.GC()
-		before := stats.ReadMem() //detlint:ignore dettaint -- allocator cells are telemetry, gated off by SetMemAccounting in byte-identical mode
-		ns.Preload(sys)
-		runtime.GC()
-		after := stats.ReadMem() //detlint:ignore dettaint -- allocator cells are telemetry, gated off by SetMemAccounting in byte-identical mode
-		if after.HeapAlloc > before.HeapAlloc {
-			nsBytesPerEntry = float64(after.HeapAlloc-before.HeapAlloc) / float64(entries)
-		}
-	} else {
-		ns.Preload(sys)
-	}
-
-	before := stats.ReadMem() //detlint:ignore dettaint -- allocator cells are telemetry, gated off by SetMemAccounting in byte-identical mode
 	res := workload.RunOpen(sim, sys, workload.OpenCfg{
 		Sessions:      clients,
 		OpsPerSession: opsPerSession,
@@ -109,12 +71,6 @@ func scaleCell(seed int64, clients, entries int) ([]string, stats.Counters) {
 		Seed:          seed,
 		Gen:           scaleMix(ns),
 	})
-	var bytesOp, allocsOp float64
-	if memAccounting {
-		db, da := stats.ReadMem().AllocDelta(before) //detlint:ignore dettaint -- allocator cells are telemetry, gated off by SetMemAccounting in byte-identical mode
-		bytesOp = stats.PerOp(db, uint64(res.Ops))
-		allocsOp = stats.PerOp(da, uint64(res.Ops))
-	}
 	rc := stats.Counters{
 		Ops:              uint64(res.Ops),
 		Errs:             uint64(res.Errs),
@@ -127,9 +83,6 @@ func scaleCell(seed int64, clients, entries int) ([]string, stats.Counters) {
 		kops(res.ThroughputOps()),
 		us(res.Lat.Percentile(0.99)),
 		strconv.Itoa(res.Workers),
-		fmt.Sprintf("%.1f", nsBytesPerEntry),
-		fmt.Sprintf("%.1f", bytesOp),
-		fmt.Sprintf("%.2f", allocsOp),
 	}
 	return row, rc
 }

@@ -33,6 +33,33 @@ type Scale struct {
 	// Empty (or mismatched) lists fall back to the tiny two-cell sweep.
 	ScaleClients []int
 	ScaleEntries []int
+	// Seed selects the execution of the seed-swept figures (chaos,
+	// rebalance, data, lincheck, scale): their plans, workloads and
+	// simulations. 0 reads as 1.
+	Seed int64
+}
+
+func (sc Scale) seed() int64 {
+	if sc.Seed == 0 {
+		return 1
+	}
+	return sc.Seed
+}
+
+// Tiny is the smallest scale every figure's shape still holds at: what the
+// gate (`fsbench -fig gated -scale tiny`) and the figure tests run.
+func Tiny() Scale {
+	return Scale{
+		Dirs:         16,
+		FilesPerDir:  16,
+		Workers:      32,
+		OpsPerWorker: 20,
+		ServerCounts: []int{4, 8},
+		CoreCounts:   []int{2, 4},
+		BurstSizes:   []int{10, 200},
+		ScaleClients: []int{100, 1000},
+		ScaleEntries: []int{10_000, 100_000},
+	}
 }
 
 // Quick is the reduced scale used by the bench targets.
@@ -46,7 +73,7 @@ func Quick() Scale {
 		CoreCounts:   []int{2, 4, 6},
 		BurstSizes:   []int{10, 50, 1000},
 		// The 1e5-client / 1e7-entry cell is the acceptance bar for the
-		// scale work: it must finish in CI-smoke-feasible time.
+		// scale work: it must finish in minutes, not hours.
 		ScaleClients: []int{100, 1000, 10_000, 100_000},
 		ScaleEntries: []int{10_000, 100_000, 1_000_000, 10_000_000},
 	}
@@ -162,10 +189,10 @@ func deploy(seed int64, k sysKind, servers, cores, clients, dataNodes int,
 			tweak(&opts)
 		}
 		opts.Trace = obsTrace
+		// No tweak means the full design; a tweak's Async/Compaction
+		// choice (the Fig. 14 breakdown) is honoured as given.
 		var c *cluster.Cluster
-		if opts.Async || opts.Compaction {
-			c = cluster.NewWithModes(sim, opts)
-		} else if tweak == nil {
+		if tweak == nil {
 			c = cluster.New(sim, opts)
 		} else {
 			c = cluster.NewWithModes(sim, opts)

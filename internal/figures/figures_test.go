@@ -6,19 +6,6 @@ import (
 	"testing"
 )
 
-// tiny keeps figure tests fast; shape assertions still hold at this scale.
-func tiny() Scale {
-	return Scale{
-		Dirs:         16,
-		FilesPerDir:  16,
-		Workers:      32,
-		OpsPerWorker: 20,
-		ServerCounts: []int{4, 8},
-		CoreCounts:   []int{2, 4},
-		BurstSizes:   []int{10, 200},
-	}
-}
-
 // cell parses a numeric table cell.
 func cell(t *testing.T, tab Table, row, col int) float64 {
 	t.Helper()
@@ -30,7 +17,7 @@ func cell(t *testing.T, tab Table, row, col int) float64 {
 }
 
 func TestFig2aShape(t *testing.T) {
-	tab := Fig2a(tiny())
+	tab := Fig2a(Tiny())
 	t.Log("\n" + tab.String())
 	// E-CFS (col 2) must scale with servers; E-InfiniFS (col 1) must not.
 	if cfsGrowth := cell(t, tab, 1, 2) / cell(t, tab, 0, 2); cfsGrowth < 1.4 {
@@ -46,7 +33,7 @@ func TestFig2aShape(t *testing.T) {
 }
 
 func TestFig2bShape(t *testing.T) {
-	tab := Fig2b(tiny())
+	tab := Fig2b(Tiny())
 	t.Log("\n" + tab.String())
 	// create (row 1): E-CFS pays cross-server coordination over E-InfiniFS.
 	if cell(t, tab, 1, 2) <= cell(t, tab, 1, 1) {
@@ -55,7 +42,7 @@ func TestFig2bShape(t *testing.T) {
 }
 
 func TestFig2cdShape(t *testing.T) {
-	c := Fig2c(tiny())
+	c := Fig2c(Tiny())
 	t.Log("\n" + c.String())
 	// Neither baseline scales with servers under a shared directory.
 	for col := 1; col <= 2; col++ {
@@ -63,7 +50,7 @@ func TestFig2cdShape(t *testing.T) {
 			t.Errorf("%s col %d scaled %.2f× with servers under contention", c.ID, col, g)
 		}
 	}
-	d := Fig2d(tiny())
+	d := Fig2d(Tiny())
 	t.Log("\n" + d.String())
 	for col := 1; col <= 2; col++ {
 		if g := cell(t, d, 1, col) / cell(t, d, 0, col); g > 1.5 {
@@ -73,7 +60,7 @@ func TestFig2cdShape(t *testing.T) {
 }
 
 func TestFig12aShape(t *testing.T) {
-	tab := Fig12a(tiny())
+	tab := Fig12a(Tiny())
 	t.Log("\n" + tab.String())
 	// Row layout: op × servers; cols: Ceph, E-InfiniFS, E-CFS, SwitchFS.
 	// create at the largest server count: SwitchFS wins, CephFS loses.
@@ -93,7 +80,7 @@ func TestFig12aShape(t *testing.T) {
 }
 
 func TestFig13Shape(t *testing.T) {
-	tab := Fig13(tiny())
+	tab := Fig13(Tiny())
 	t.Log("\n" + tab.String())
 	find := func(op string) int {
 		for i, r := range tab.Rows {
@@ -123,10 +110,10 @@ func TestFig13Shape(t *testing.T) {
 }
 
 func TestFig14Shape(t *testing.T) {
-	tab := Fig14(tiny())
+	tab := Fig14(Tiny())
 	t.Log("\n" + tab.String())
 	// Rows: Baseline×cores, +Async×cores, +Compaction×cores.
-	n := len(tiny().CoreCounts)
+	n := len(Tiny().CoreCounts)
 	baseThr := cell(t, tab, n-1, 2)
 	asyncThr := cell(t, tab, 2*n-1, 2)
 	compThr := cell(t, tab, 3*n-1, 2)
@@ -146,7 +133,7 @@ func TestFig14Shape(t *testing.T) {
 }
 
 func TestOverflowShape(t *testing.T) {
-	tab := Overflow(tiny())
+	tab := Overflow(Tiny())
 	t.Log("\n" + tab.String())
 	if cell(t, tab, 1, 1) >= cell(t, tab, 0, 1) {
 		t.Error("forced overflow did not reduce throughput")
@@ -157,14 +144,14 @@ func TestOverflowShape(t *testing.T) {
 }
 
 func TestFig15Shape(t *testing.T) {
-	a := Fig15a(tiny())
+	a := Fig15a(Tiny())
 	t.Log("\n" + a.String())
 	for r := range a.Rows {
 		if cell(t, a, r, 2) <= cell(t, a, r, 1) {
 			t.Errorf("%s: dedicated server not slower for %s", a.ID, a.Rows[r][0])
 		}
 	}
-	b := Fig15b(tiny())
+	b := Fig15b(Tiny())
 	t.Log("\n" + b.String())
 	last := len(b.Rows) - 1
 	if cell(t, b, last, 1) <= cell(t, b, last, 2) {
@@ -173,7 +160,7 @@ func TestFig15Shape(t *testing.T) {
 }
 
 func TestFig16Shape(t *testing.T) {
-	tab := Fig16(tiny())
+	tab := Fig16(Tiny())
 	t.Log("\n" + tab.String())
 	// Heavy load: the owner-tracking variant's p99 exceeds SwitchFS's.
 	if cell(t, tab, 3, 6) <= cell(t, tab, 2, 6) {
@@ -182,7 +169,7 @@ func TestFig16Shape(t *testing.T) {
 }
 
 func TestFig17Shape(t *testing.T) {
-	tab := Fig17(tiny())
+	tab := Fig17(Tiny())
 	t.Log("\n" + tab.String())
 	// With 32 in-flight: baselines drop from burst 10 to the large burst;
 	// SwitchFS stays within 40%.
@@ -202,7 +189,7 @@ func TestFig17Shape(t *testing.T) {
 }
 
 func TestFig18Shape(t *testing.T) {
-	a := Fig18a(tiny())
+	a := Fig18a(Tiny())
 	t.Log("\n" + a.String())
 	// statdir latency grows with preceding creates, then converges: the
 	// K=1000 value must be below K=100 × 20 (bounded by proactive pushes).
@@ -212,12 +199,12 @@ func TestFig18Shape(t *testing.T) {
 	if cell(t, a, 3, 1) > cell(t, a, 2, 1)*20 {
 		t.Error("statdir latency did not converge (proactive pushes broken?)")
 	}
-	b := Fig18b(tiny())
+	b := Fig18b(Tiny())
 	t.Log("\n" + b.String())
 }
 
 func TestFig19Shape(t *testing.T) {
-	tab := Fig19(tiny())
+	tab := Fig19(Tiny())
 	t.Log("\n" + tab.String())
 	for r := range tab.Rows {
 		sf := cell(t, tab, r, 4)
@@ -233,7 +220,7 @@ func TestFig19Shape(t *testing.T) {
 }
 
 func TestRecoveryTable(t *testing.T) {
-	tab := Recovery(tiny())
+	tab := Recovery(Tiny())
 	t.Log("\n" + tab.String())
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tab.Rows))
@@ -250,7 +237,7 @@ func TestRecoveryTable(t *testing.T) {
 }
 
 func TestFig12bShape(t *testing.T) {
-	tab := Fig12b(tiny())
+	tab := Fig12b(Tiny())
 	t.Log("\n" + tab.String())
 	// Columns: op, servers, Ceph, IndexFS, E-InfiniFS, E-CFS, SwitchFS.
 	// create at 8 servers (row 1): SwitchFS and E-InfiniFS beat E-CFS
@@ -269,7 +256,7 @@ func TestFig12bShape(t *testing.T) {
 		t.Error("E-InfiniFS create clearly below E-CFS over multiple directories")
 	}
 	// mkdir (rows 4-5): SwitchFS beats every baseline (async vs 2PC).
-	mk := 2*len(tiny().ServerCounts) + 1
+	mk := 2*len(Tiny().ServerCounts) + 1
 	for col := 2; col <= 5; col++ {
 		if tab.Rows[mk][col] == "-" {
 			continue

@@ -1,6 +1,6 @@
 // Observability hooks: an optional trace recorder and metrics registry that
-// every subsequently deployed SwitchFS cluster feeds. Package-level like
-// memAccounting because the figure functions construct their own clusters
+// every subsequently deployed SwitchFS cluster feeds. Package-level
+// because the figure functions construct their own clusters
 // internally; fsbench installs the pair before running figures and collects
 // the trace file / metric snapshots after.
 package figures

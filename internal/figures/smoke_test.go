@@ -40,121 +40,110 @@ func TestSmokeThroughput(t *testing.T) {
 	}
 }
 
-// TestFigChaosShape runs the chaos figure at a reduced scale: one row per
-// (plan, window), availability cells parseable, counters aligned — and, by
-// virtue of FigChaosSeed panicking on checker violations, a full invariant
-// pass over every built-in fault plan.
+// checkTable asserts what every figure table owes the bench schema: its id,
+// one counter set per row, rectangular rows.
+func checkTable(t *testing.T, tab Table, id string) {
+	t.Helper()
+	if tab.ID != id {
+		t.Fatalf("id=%q, want %q", tab.ID, id)
+	}
+	if len(tab.Meta) != len(tab.Rows) {
+		t.Fatalf("%s: %d counter rows for %d rows", id, len(tab.Meta), len(tab.Rows))
+	}
+	for _, row := range tab.Rows {
+		if len(row) != len(tab.Header) {
+			t.Fatalf("%s: ragged row %v", id, row)
+		}
+	}
+}
+
+// TestFigChaosShape runs the chaos figure at the gate's scale, at the
+// baseline's seed and at one more (7: its own random plan): one row per
+// (plan, window), counters aligned — and, by virtue of FigChaos panicking on
+// checker violations, a full invariant pass over every built-in fault plan.
 func TestFigChaosShape(t *testing.T) {
-	sc := Scale{Dirs: 8, FilesPerDir: 8, Workers: 32, OpsPerWorker: 10,
-		ServerCounts: []int{4}, CoreCounts: []int{2}, BurstSizes: []int{10}}
-	tab := FigChaos(sc)
-	if tab.ID != "chaos" {
-		t.Fatalf("id=%q", tab.ID)
-	}
-	if len(tab.Rows) == 0 || len(tab.Rows)%8 != 0 {
-		t.Fatalf("%d rows, want a multiple of 8 windows", len(tab.Rows))
-	}
-	if len(tab.Meta) != len(tab.Rows) {
-		t.Fatalf("%d counter rows for %d rows", len(tab.Meta), len(tab.Rows))
-	}
-	totalOps := uint64(0)
-	for _, c := range tab.Meta {
-		totalOps += c.Ops
-	}
-	if totalOps == 0 {
-		t.Fatal("chaos harness completed no operations")
-	}
-	for _, row := range tab.Rows {
-		if len(row) != len(tab.Header) {
-			t.Fatalf("ragged row %v", row)
+	for _, seed := range []int64{1, 7} {
+		sc := Tiny()
+		sc.Seed = seed
+		tab := FigChaos(sc)
+		checkTable(t, tab, "chaos")
+		if len(tab.Rows) == 0 || len(tab.Rows)%8 != 0 {
+			t.Fatalf("seed %d: %d rows, want a multiple of 8 windows", seed, len(tab.Rows))
+		}
+		totalOps := uint64(0)
+		for _, c := range tab.Meta {
+			totalOps += c.Ops
+		}
+		if totalOps == 0 {
+			t.Fatalf("seed %d: chaos harness completed no operations", seed)
 		}
 	}
 }
 
-// TestFigLincheckShape runs the lincheck figure at a reduced scale: one row
-// per mode (differential, concurrent, one per fault plan), each with a zero
-// violation cell — the figure panics on any divergence or non-linearizable
-// history, so completing at all is the correctness pass.
+// TestFigLincheckShape runs the lincheck figure at the gate's scale from the
+// baseline's seed and from one more (7): one row per mode (differential,
+// concurrent, one per fault plan), each with a zero violation cell — the
+// figure panics on any divergence or non-linearizable history, so completing
+// at all is the correctness pass.
 func TestFigLincheckShape(t *testing.T) {
-	sc := Scale{Dirs: 8, FilesPerDir: 8, Workers: 16, OpsPerWorker: 10,
-		ServerCounts: []int{4}, CoreCounts: []int{2}, BurstSizes: []int{10}}
-	tab := FigLincheck(sc)
-	if tab.ID != "lincheck" {
-		t.Fatalf("id=%q", tab.ID)
-	}
-	// two differential modes + concurrent + 7 plan rows (incl. the
-	// reconfig-crash and rebalance-crash migration plans).
-	if len(tab.Rows) != 10 {
-		t.Fatalf("%d rows, want 10 modes", len(tab.Rows))
-	}
-	if len(tab.Meta) != len(tab.Rows) {
-		t.Fatalf("%d counter rows for %d rows", len(tab.Meta), len(tab.Rows))
-	}
-	for _, row := range tab.Rows {
-		if len(row) != len(tab.Header) {
-			t.Fatalf("ragged row %v", row)
+	for _, seed := range []int64{1, 7} {
+		sc := Tiny()
+		sc.Seed = seed
+		tab := FigLincheck(sc)
+		checkTable(t, tab, "lincheck")
+		// two differential modes + concurrent + 7 plan rows (incl. the
+		// reconfig-crash and rebalance-crash migration plans).
+		if len(tab.Rows) != 10 {
+			t.Fatalf("seed %d: %d rows, want 10 modes", seed, len(tab.Rows))
 		}
-		if row[len(row)-1] != "0" {
-			t.Fatalf("mode %s reports violations: %v", row[0], row)
+		for _, row := range tab.Rows {
+			if row[len(row)-1] != "0" {
+				t.Fatalf("seed %d: mode %s reports violations: %v", seed, row[0], row)
+			}
 		}
-	}
-	for _, c := range tab.Meta {
-		if c.Ops == 0 || c.PacketsDelivered == 0 {
-			t.Fatalf("mode with zero ops/packets: %+v", tab.Meta)
+		for _, c := range tab.Meta {
+			if c.Ops == 0 || c.PacketsDelivered == 0 {
+				t.Fatalf("seed %d: mode with zero ops/packets: %+v", seed, tab.Meta)
+			}
 		}
 	}
 }
 
-// TestFigRebalanceShape runs the rebalance figure at a reduced scale: one
-// row per (plan, window) plus a Σ row per plan — and, because
-// FigRebalanceSeed panics on a zero-availability traffic window during pure
-// migration, on a plan that moves nothing, and on any checker violation,
-// completing at all is the live-migration availability pass.
+// TestFigRebalanceShape runs the rebalance figure at the gate's scale, at the
+// baseline's seed and at one more (7): one row per (plan, window) plus a Σ
+// row per plan — and, because FigRebalance panics on a zero-availability
+// traffic window during pure migration, on a plan that moves nothing, and on
+// any checker violation, completing at all is the live-migration
+// availability pass.
 func TestFigRebalanceShape(t *testing.T) {
-	sc := Scale{Dirs: 8, FilesPerDir: 8, Workers: 32, OpsPerWorker: 10,
-		ServerCounts: []int{4}, CoreCounts: []int{2}, BurstSizes: []int{10}}
-	tab := FigRebalance(sc)
-	if tab.ID != "rebalance" {
-		t.Fatalf("id=%q", tab.ID)
-	}
-	// 8 windows + one Σ row per plan.
-	if len(tab.Rows) == 0 || len(tab.Rows)%9 != 0 {
-		t.Fatalf("%d rows, want a multiple of 9 (8 windows + Σ)", len(tab.Rows))
-	}
-	if len(tab.Meta) != len(tab.Rows) {
-		t.Fatalf("%d counter rows for %d rows", len(tab.Meta), len(tab.Rows))
-	}
-	for _, row := range tab.Rows {
-		if len(row) != len(tab.Header) {
-			t.Fatalf("ragged row %v", row)
+	for _, seed := range []int64{1, 7} {
+		sc := Tiny()
+		sc.Seed = seed
+		tab := FigRebalance(sc)
+		checkTable(t, tab, "rebalance")
+		// 8 windows + one Σ row per plan.
+		if len(tab.Rows) == 0 || len(tab.Rows)%9 != 0 {
+			t.Fatalf("seed %d: %d rows, want a multiple of 9 (8 windows + Σ)", seed, len(tab.Rows))
 		}
-		if row[1] == "Σ" && (row[len(row)-1] == "0" || row[len(row)-1] == "") {
-			t.Fatalf("plan %s migrated no groups: %v", row[0], row)
+		for _, row := range tab.Rows {
+			if row[1] == "Σ" && (row[len(row)-1] == "0" || row[len(row)-1] == "") {
+				t.Fatalf("seed %d: plan %s migrated no groups: %v", seed, row[0], row)
+			}
 		}
 	}
 }
 
-// TestFigDataShape runs the data-plane figure at a reduced scale: one row
+// TestFigDataShape runs the data-plane figure at the gate's scale: one row
 // per (nodes, replication) config plus the recovery row, and — because
 // FigData panics on a lost acknowledged content write — a durability pass
 // over the crash/re-replication cycle.
 func TestFigDataShape(t *testing.T) {
-	sc := Scale{Dirs: 8, FilesPerDir: 8, Workers: 32, OpsPerWorker: 10,
-		ServerCounts: []int{4}, CoreCounts: []int{2}, BurstSizes: []int{10}}
-	tab := FigData(sc)
-	if tab.ID != "data" {
-		t.Fatalf("id=%q", tab.ID)
-	}
+	tab := FigData(Tiny())
+	checkTable(t, tab, "data")
 	if len(tab.Rows) != 6 {
 		t.Fatalf("%d rows, want 5 throughput configs + 1 recovery row", len(tab.Rows))
 	}
-	if len(tab.Meta) != len(tab.Rows) {
-		t.Fatalf("%d counter rows for %d rows", len(tab.Meta), len(tab.Rows))
-	}
-	for i, row := range tab.Rows {
-		if len(row) != len(tab.Header) {
-			t.Fatalf("ragged row %v", row)
-		}
+	for i := range tab.Rows {
 		if tab.Meta[i].IsZero() {
 			t.Errorf("row %d has empty counters", i)
 		}
@@ -170,26 +159,17 @@ func TestFigDataShape(t *testing.T) {
 }
 
 // TestFigScaleShape runs the scale figure over a small two-cell sweep: one
-// row per (clients, entries) pair, rectangular rows, live counters, a
-// worker-pool high-water mark far below the session population (idle
-// sessions are queued events, not goroutines), and memory cells present
-// exactly when accounting is on.
+// row per (clients, entries) pair, live counters, and a worker-pool
+// high-water mark far below the session population (idle sessions are queued
+// events, not workers).
 func TestFigScaleShape(t *testing.T) {
 	sc := Scale{ScaleClients: []int{50, 500}, ScaleEntries: []int{2000, 20000}}
 	tab := FigScale(sc)
-	if tab.ID != "scale" {
-		t.Fatalf("id=%q", tab.ID)
-	}
+	checkTable(t, tab, "scale")
 	if len(tab.Rows) != 2 {
 		t.Fatalf("%d rows, want one per sweep cell", len(tab.Rows))
 	}
-	if len(tab.Meta) != len(tab.Rows) {
-		t.Fatalf("%d counter rows for %d rows", len(tab.Meta), len(tab.Rows))
-	}
-	for i, row := range tab.Rows {
-		if len(row) != len(tab.Header) {
-			t.Fatalf("ragged row %v", row)
-		}
+	for i := range tab.Rows {
 		if tab.Meta[i].IsZero() {
 			t.Errorf("row %d has empty counters", i)
 		}
@@ -200,24 +180,6 @@ func TestFigScaleShape(t *testing.T) {
 	var workers int
 	fmt.Sscanf(tab.Rows[1][4], "%d", &workers)
 	if workers <= 0 || workers > 100 {
-		t.Errorf("worker pool %d for 500 sessions — idle sessions are holding goroutines", workers)
-	}
-	var bytesOp float64
-	fmt.Sscanf(tab.Rows[1][6], "%f", &bytesOp)
-	if bytesOp <= 0 {
-		t.Errorf("bytes/op cell %q not populated with accounting on", tab.Rows[1][6])
-	}
-
-	// With accounting off, the allocator cells render as zero (the
-	// byte-identical determinism mode).
-	SetMemAccounting(false)
-	defer SetMemAccounting(true)
-	tab = FigScale(Scale{ScaleClients: []int{50}, ScaleEntries: []int{2000}})
-	for _, col := range []int{5, 6, 7} {
-		var v float64
-		fmt.Sscanf(tab.Rows[0][col], "%f", &v)
-		if v != 0 {
-			t.Errorf("accounting off but column %d = %q", col, tab.Rows[0][col])
-		}
+		t.Errorf("worker pool %d for 500 sessions — idle sessions are holding workers", workers)
 	}
 }

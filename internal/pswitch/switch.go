@@ -72,9 +72,6 @@ func (s *Switch) SetServers(ids []env.NodeID) {
 // a slowed pipe). Zero restores nominal speed.
 func (s *Switch) SetExtraDelay(d env.Duration) { s.extraDelay = d }
 
-// ExtraDelay reports the current gray-failure slowdown.
-func (s *Switch) ExtraDelay() env.Duration { return s.extraDelay }
-
 // ForceOverflow makes every insert fail on all pipes (§7.3.2).
 func (s *Switch) ForceOverflow(v bool) {
 	for _, p := range s.pipes {

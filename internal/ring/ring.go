@@ -125,11 +125,6 @@ func (r *Ring) Slots() []uint32 {
 	return r.placement.Servers()
 }
 
-// NumSlots returns the base member count.
-func (r *Ring) NumSlots() int {
-	return r.placement.NumServers()
-}
-
 // String summarizes the ring for diagnostics.
 func (r *Ring) String() string {
 	return fmt.Sprintf("ring{v%d, %d slots, %d overrides}",

@@ -510,8 +510,8 @@ func (s *Server) rekeyClog(dl *dirLog, ref core.DirRef) {
 // sortedClogs snapshots a change-log map ordered by directory id. Map
 // iteration order is randomized per process, and any order that leaks into
 // message emission (pushes, aggregation collection) breaks the simulator's
-// cross-process determinism guarantee — the chaos/lincheck smoke gates diff
-// two separate runs byte for byte.
+// cross-process determinism guarantee — the baseline gate (cmd/fsbench's
+// TestGate) diffs this run against a committed one cell for cell.
 func sortedClogs(m map[core.DirID]*dirLog) []*dirLog {
 	out := make([]*dirLog, 0, len(m))
 	for _, dl := range m {

@@ -7,7 +7,7 @@
 // travels in wire packet headers and in each Proc's ambient slot. All
 // timestamps are virtual (env.Time), so a trace is a pure function of the
 // simulation seed: two same-seed runs export byte-identical trace files,
-// and CI gates on exactly that (trace-smoke).
+// and cmd/fsbench's TestGate holds the tree to exactly that.
 //
 // Memory is bounded by tail-based sampling: a trace's spans buffer while the
 // op is in flight, and when the root span ends the trace is kept only if it
@@ -417,7 +417,7 @@ func ParseJSON(rd io.Reader) ([]Span, error) {
 
 // Validate checks structural well-formedness: spans non-empty, ids unique,
 // and every non-root parent resolvable within its own trace (no orphan
-// spans). It is the shape gate trace-smoke runs in CI.
+// spans). It is the shape check TestGate and `fsctl trace -validate` run.
 func Validate(spans []Span) error {
 	if len(spans) == 0 {
 		return fmt.Errorf("trace: no spans")

@@ -126,6 +126,6 @@ func RunOpen(sim *env.Sim, sys fsapi.System, cfg OpenCfg) OpenResult {
 	}
 	res.Elapsed = end - start
 	res.Drained = drainedAt - start
-	res.Workers = sim.WorkerCount() //detlint:ignore dettaint -- pool high-water is a pure function of the seed under the token-passing scheduler (trace-smoke gates it)
+	res.Workers = sim.WorkerCount() //detlint:ignore dettaint -- pool high-water is a pure function of the seed under the token-passing scheduler (TestGate holds the scale figure's workers column to it)
 	return res
 }

@@ -110,14 +110,6 @@ func (r Result) ThroughputOps() float64 {
 	return float64(r.Ops) / (float64(d) / 1e9)
 }
 
-// PeakOps returns ops/second over the closed-loop window only.
-func (r Result) PeakOps() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Ops) / (float64(r.Elapsed) / 1e9)
-}
-
 // Run executes the workload to completion on the simulator and returns
 // aggregate results. The caller owns cluster construction and preloading.
 func Run(sim *env.Sim, sys fsapi.System, cfg RunCfg) Result {
