@@ -19,8 +19,11 @@ import (
 //  2. the source stops admitting new requests the instant the override lands
 //     (its ownership check fails → ErrRetry → clients re-resolve), while
 //     requests admitted earlier drain under their busy references;
-//  3. once the source is FPQuiescent the copy+evict runs in one event;
-//  4. UnblockFP releases the gate and the destination serves.
+//  3. once the source is FPQuiescent it delivers the deferred directory
+//     updates it logged for names of the group (FlushGroup): a name's updates
+//     live only at the name's owner, so none stays behind;
+//  4. quiescent still, the copy+evict runs in one event;
+//  5. UnblockFP releases the gate and the destination serves.
 
 const (
 	// migratePollStep is the quiescence poll interval.
@@ -84,9 +87,12 @@ func (c *Cluster) MigrateFP(p *env.Proc, fp core.Fingerprint, dstSlot uint32) er
 				dst.UnblockFP(fp)
 				return nil
 			}
-		} else if src.FPQuiescent(fp) {
-			// Poll, copy and evict share this event — atomic with respect to
-			// traffic, so the quiescence answer cannot go stale under it.
+		} else if src.FPQuiescent(fp) && src.FlushGroup(p, fp) && src.FPQuiescent(fp) {
+			// The flush parks only when the source held updates of the group,
+			// and none can appear after it: the source admits nothing for the
+			// group anymore. The last poll, copy and evict share this event —
+			// atomic with respect to traffic, so the quiescence answer cannot
+			// go stale under it.
 			copyGroup(src, dst, fp)
 			c.moves++
 			src.EvictMigrated(fp)

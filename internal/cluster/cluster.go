@@ -355,6 +355,8 @@ func (c *Cluster) FillMetrics(reg *metrics.Registry) {
 		reg.Add(pre+"parked", st.Parked)
 		reg.Add(pre+"parked_superseded", st.ParkedSuperseded)
 		reg.Add(pre+"agg_released", st.AggReleased)
+		reg.Add(pre+"rename_flushes", st.RenameFlushes)
+		reg.Add(pre+"rename_flush_pushes", st.RenameFlushPushes)
 		for rank, d := range dirs {
 			if rank >= metricsTopDirs {
 				break

@@ -396,3 +396,74 @@ func TestReconfigureUnderLoad(t *testing.T) {
 		}
 	})
 }
+
+// TestMigratedNameLeavesNoDeferredUpdateBehind pins the invariant the 2PC
+// checks rest on: a name's deferred directory updates live only at the name's
+// owner. /d/x is created on server A and x's group live-migrates to B inside
+// A's push-idle window; then, with no directory read in between, x is deleted
+// at B or renamed away — and must not be listed afterwards. A's link to the
+// directory's owner is slow, so an update A kept past the migration would
+// reach the directory after everything B did to the name.
+func TestMigratedNameLeavesNoDeferredUpdateBehind(t *testing.T) {
+	for _, mode := range []string{"delete", "rename"} {
+		t.Run(mode, func(t *testing.T) {
+			s, c := sim(t, Options{Servers: 4, Clients: 1})
+			c.Run(0, func(p *env.Proc, cl *client.Client) {
+				if err := cl.Mkdir(p, "/d", 0); err != nil {
+					t.Fatalf("mkdir: %v", err)
+				}
+			})
+			dirOwner := c.Ring.OwnerOfFile(core.RootDirID, "d")
+			var kb core.KeyBuf
+			raw, _ := c.Servers[dirOwner].KV().Get(core.Key{PID: core.RootDirID, Name: "d"}.AppendTo(kb[:0]))
+			in, err := core.DecodeInode(raw)
+			if err != nil {
+				t.Fatalf("directory inode: %v", err)
+			}
+			// x lives on A, y on neither A nor the directory's owner, and the
+			// group moves to a B that is neither.
+			var x, y string
+			var a, b uint32
+			for i := 0; x == "" || y == ""; i++ {
+				name := fmt.Sprintf("n%d", i)
+				switch slot := c.Ring.OwnerOfFile(in.ID, name); {
+				case x == "" && slot != dirOwner:
+					x, a = name, slot
+				case x != "" && y == "" && slot != dirOwner && slot != a:
+					y = name
+				}
+			}
+			for b = 0; b == a || b == dirOwner; b++ {
+			}
+			fp := core.FingerprintOf(in.ID, x)
+			s.Net().SetLink(ServerOf(a), ServerOf(dirOwner), env.LinkRule{Delay: 400 * env.Microsecond})
+
+			c.Run(0, func(p *env.Proc, cl *client.Client) {
+				if err := cl.Create(p, "/d/"+x, 0); err != nil {
+					t.Fatalf("create: %v", err)
+				}
+				if err := c.MigrateFP(p, fp, b); err != nil {
+					t.Fatalf("migrate: %v", err)
+				}
+				if mode == "delete" {
+					err = cl.Delete(p, "/d/"+x)
+				} else {
+					err = cl.Rename(p, "/d/"+x, "/d/"+y)
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", mode, err)
+				}
+			})
+			if n := c.Servers[a].PendingClogEntries(); n != 0 {
+				t.Errorf("%d entries still pending at the migration source", n)
+			}
+			c.Run(0, func(p *env.Proc, cl *client.Client) {
+				if mode == "delete" {
+					wantDir(t, p, cl, "/d")
+				} else {
+					wantDir(t, p, cl, "/d", y)
+				}
+			})
+		})
+	}
+}

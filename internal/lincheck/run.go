@@ -70,6 +70,9 @@ type RunResult struct {
 	// the run held while they recovered (crash walks: proof a crash instant
 	// met parked requests).
 	Parked uint64
+	// Flushes counts the transaction pre-flushes that found their name's
+	// deferred update still pending (proof a rename met the push-idle window).
+	Flushes uint64
 }
 
 // ambiguousErr classifies client-visible errors whose effect is unknown:
@@ -229,6 +232,7 @@ func RunConcurrent(seed int64, prog Program, plan *chaos.Plan) RunResult {
 	res.Packets = sim.Delivered
 	for _, srv := range c.Servers {
 		res.Parked += srv.Stats.Parked
+		res.Flushes += srv.Stats.RenameFlushes
 	}
 	return res
 }

@@ -299,3 +299,58 @@ func TestSweepOwnerCrashAcrossAggregation(t *testing.T) {
 		}
 	}
 }
+
+// TestRegressionRenameInsidePushIdleWindow: eight clients each create a file
+// in one shared directory and rename it at once, long before the 200 µs idle
+// push would deliver the create's deferred directory update, then list the
+// directory. The update is pending at the name's owner when the rename
+// reaches the coordinator: the pre-flush delivers it (Flushes counts the
+// renames that met it), so no rename spends serialized prepares on retry votes until the
+// idle push has run — all eight, queued behind one another on the directory's
+// inode lock, are back before their sources' idle pushes could have left —
+// and the listing never shows a renamed-away name.
+//
+// The seeded mutation, run in a scratch copy (EXPERIMENTS.md "PR 24"): with
+// the two flush calls removed from doRename the histories stay linearizable —
+// entryPending votes retry until the idle push drains the name — and this
+// test fails on the latency bound alone; with entryPending removed too it
+// fails the checker (a renamed-away name listed again).
+func TestRegressionRenameInsidePushIdleWindow(t *testing.T) {
+	const clients = 8
+	prog := Program{Paths: []string{"/a"}}
+	for i := 0; i < clients; i++ {
+		x, y := fmt.Sprintf("/a/x%d", i), fmt.Sprintf("/a/y%d", i)
+		prog.Ops = append(prog.Ops, []Op{
+			{Kind: core.OpMkdir, Path: "/a"}, // one wins; afterwards /a exists for all
+			{Kind: core.OpCreate, Path: x},
+			{Kind: core.OpRename, Path: x, Path2: y},
+			{Kind: core.OpReadDir, Path: "/a"},
+		})
+	}
+	const pushIdle = 200 * env.Microsecond // server.Config.Defaults
+	for seed := int64(1); seed <= 4; seed++ {
+		rep := CheckConcurrent(seed, prog, nil)
+		if rep.Failed() {
+			reportFailure(t, "rename inside the push-idle window", seed, rep)
+		}
+		if rep.Run.Flushes == 0 {
+			t.Errorf("seed %d: no pre-flush met a pending name: the renames missed the push-idle window", seed)
+		}
+		// The idle push of a client's create cannot leave before created[client]
+		// + pushIdle: a rename back earlier did not wait for it.
+		var created [clients]env.Time
+		for _, ev := range rep.Run.History {
+			switch {
+			case ev.Client >= clients:
+			case ev.Op.Kind == core.OpCreate:
+				created[ev.Client] = ev.Ret
+			case ev.Op.Kind != core.OpRename:
+			case ev.Out.Err != nil:
+				t.Errorf("seed %d: %s: %v", seed, ev.Op, ev.Out.Err)
+			case ev.Ret >= created[ev.Client]+pushIdle:
+				t.Errorf("seed %d: %s returned %v after its source's create: it waited the idle push out instead of flushing",
+					seed, ev.Op, ev.Ret-created[ev.Client])
+			}
+		}
+	}
+}

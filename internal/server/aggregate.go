@@ -382,6 +382,9 @@ func (s *Server) handleAggFetch(p *env.Proc, f *wire.AggFetch) {
 			s.finishPeerAgg(st, ack)
 			return
 		}
+		if s.dead {
+			return // fail-stopped: send drops everything, and the locks die with the incarnation
+		}
 		s.Stats.Retries++
 		if try >= maxAggRetries {
 			// Owner unreachable: keep the entries (no trim) and release the
@@ -627,26 +630,30 @@ func burnLanes(p *env.Proc, loads []int, each env.Duration) {
 // --- Proactive aggregation (§5.3) -------------------------------------------
 
 // maybePush ships a change-log to its directory's owner when it filled an
-// MTU or went idle. A server that stopped serving (FlushAll, recovery)
-// skips: the flush path ships the backlog itself, and re-triggering here
-// would spin — pushLog's early return plus its own re-trigger used to
-// respawn each other at the same virtual instant, freezing the simulation.
-func (s *Server) maybePush(dl *dirLog) {
+// MTU, went idle, or a flush waits for it, and reports whether it started a
+// push. A server that stopped serving (FlushAll, recovery) skips: the flush
+// path ships the backlog itself, and re-triggering here would spin —
+// pushLog's early return plus its own re-trigger used to respawn each other
+// at the same virtual instant, freezing the simulation.
+func (s *Server) maybePush(dl *dirLog) bool {
 	if !s.serving {
-		return
+		return false
 	}
 	if dl.pushing || dl.log.Len() == 0 || dl.heldBy != 0 {
-		return
+		return false
 	}
 	dl.pushing = true
 	snap := dl.log.Snapshot()
 	s.env.Spawn(s.cfg.ID, func(p *env.Proc) { s.pushLog(p, dl, snap) })
+	return true
 }
 
 func (s *Server) pushLog(p *env.Proc, dl *dirLog, snap []core.LogEntry) {
 	defer func() {
 		dl.pushing = false
-		if s.serving && dl.log.Len() >= s.cfg.PushEntries {
+		// A flush still waiting was registered behind this push's snapshot:
+		// the remainder goes now.
+		if s.serving && (dl.log.Len() >= s.cfg.PushEntries || len(dl.flushes) > 0) {
 			s.maybePush(dl)
 		}
 	}()
@@ -679,11 +686,78 @@ func (s *Server) pushLog(p *env.Proc, dl *dirLog, snap []core.LogEntry) {
 	if !acked {
 		// The owner stayed unreachable: the entries remain pending here,
 		// possibly behind a normal fingerprint. Keep the group scattered so
-		// reads aggregate (and collect them) instead of serving stale state.
+		// reads aggregate (and collect them) instead of serving stale state,
+		// and tell the waiting flushes.
 		s.markDirty(p, dl.ref.FP)
+		dl.settleFlushes(0, false)
 	}
 	if s.pushWait[dl.ref.ID] == fut {
 		delete(s.pushWait, dl.ref.ID)
+	}
+}
+
+// settleFlushes completes the flushes an acknowledgment through id covers, or
+// — when the push gave up instead — all of them, unacknowledged.
+func (dl *dirLog) settleFlushes(id uint64, acked bool) {
+	kept := dl.flushes[:0]
+	for _, f := range dl.flushes {
+		if acked && f.through > id {
+			kept = append(kept, f)
+			continue
+		}
+		f.done.Complete(acked)
+	}
+	dl.flushes = kept
+}
+
+// pendingNamed reports whether the log holds a deferred update of name, and
+// the largest id logged.
+func (dl *dirLog) pendingNamed(name string) (through uint64, named bool) {
+	for _, e := range dl.log.Snapshot() {
+		named = named || e.Name == name
+		through = max(through, e.ID)
+	}
+	return through, named
+}
+
+// flushLog delivers what dl holds if it holds a deferred update of name, and
+// reports whether the directory's owner acknowledged it. It is trigger and
+// wait, not a push path of its own: it forces the proactive push unless one
+// (or an aggregation) already has the log, and waits until ackEntries has
+// passed the largest id logged.
+//
+// An update acknowledged to its client is in the log, so a log that does not
+// hold the name answers at once. Otherwise the log's exclusive lock is taken
+// as a barrier: appenders reserve their ids under the shared lock, so once it
+// is granted every id up to the largest logged has been appended, the forced
+// push's snapshot has no gap below it, and an acknowledgment through that id
+// covers the name.
+func (s *Server) flushLog(p *env.Proc, dl *dirLog, name string) bool {
+	if _, named := dl.pendingNamed(name); !named {
+		return true
+	}
+	dl.lock.Lock(p)
+	through, named := dl.pendingNamed(name)
+	dl.lock.Unlock()
+	if !named {
+		return true // an aggregation held the log, and its ack trimmed it
+	}
+	s.Stats.RenameFlushes++
+	f := logFlush{through: through, done: env.NewFuture()}
+	dl.flushes = append(dl.flushes, f)
+	for {
+		// Refused while a push is in flight, which re-triggers for the flushes
+		// it leaves waiting, and while an aggregation holds the log, whose ack
+		// trims it as a push's does.
+		if s.maybePush(dl) {
+			s.Stats.RenameFlushPushes++
+		}
+		if v, ok := f.done.WaitTimeout(p, s.cfg.RetryTimeout); ok {
+			return v.(bool)
+		}
+		if s.dead {
+			return false
+		}
 	}
 }
 
@@ -722,7 +796,7 @@ func (s *Server) handleChangePush(p *env.Proc, from env.NodeID, cp *wire.ChangeP
 	pushed := []aggLog{{from: cp.From, log: cp.Log}}
 	s.applyBatch(p, pushed)
 	l.Unlock()
-	s.reply(p, cp.From, &wire.ChangePushAck{Dir: cp.Log.Dir.ID, MaxID: pushed[0].maxID})
+	replyNew(s, p, cp.From, wire.ChangePushAck{Dir: cp.Log.Dir.ID, MaxID: pushed[0].maxID})
 	if cp.Final {
 		return
 	}

@@ -1,13 +1,16 @@
 package server
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
 	"switchfs/internal/core"
 	"switchfs/internal/env"
+	"switchfs/internal/ring"
 	"switchfs/internal/wire"
 )
 
@@ -188,5 +191,68 @@ func BenchmarkEncodeEntry(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		benchSink = encodeAggEntry(3, dir, e)
+	}
+}
+
+// TestRenameAllocationBudget keeps a rename's allocation count from rotting:
+// file renames inside one directory on a one-server deployment, so the
+// coordinator, both names' owners and the directory's owner are one node and
+// every 2PC message still crosses the (loopback) network — the pre-flush and
+// the read run locally, one prepare, vote, decision and done each. The count
+// is deterministic under Sim; the budget sits between what the change that
+// sent those four and the control replies as one allocation with their packet
+// measured (80.28) and what allocating packet and body apart costs (84.28).
+func TestRenameAllocationBudget(t *testing.T) {
+	const renames, budget = 200, 82.0
+	sim := env.NewSim(3)
+	t.Cleanup(sim.Shutdown)
+	const client env.NodeID = 9000
+	done := 0
+	sim.AddNode(client, env.NodeConfig{Handler: func(p *env.Proc, from env.NodeID, msg any) {
+		if resp, ok := msg.(*wire.Packet).Body.(*wire.RenameResp); ok && resp.Err == core.ErrnoOK {
+			done++
+		}
+	}})
+	s := New(sim, Config{ID: 100, Coordinator: 100,
+		Ring:      ring.New([]uint32{0}, 0, func(uint32) env.NodeID { return 100 }),
+		Peers:     []env.NodeID{100},
+		SwitchFor: func(core.Fingerprint) env.NodeID { return 1 },
+		Async:     true, Compaction: true})
+	root := core.RootRef()
+	file := &core.Inode{Attr: core.Attr{Type: core.TypeRegular, Perm: 0o644, Nlink: 1}}
+	reqs := make([]*wire.Packet, renames)
+	for i := range reqs {
+		src := fmt.Sprintf("src-%04d", i)
+		s.storeInode(core.Key{PID: root.ID, Name: src}, file)
+		s.putDentry(root.ID, core.DirEntry{Name: src, Type: core.TypeRegular, Perm: 0o644}, true)
+		reqs[i] = &wire.Packet{Dst: 100, Origin: client, Body: &wire.RenameReq{
+			ReqCommon: wire.ReqCommon{RPC: uint64(i + 1), Client: client},
+			SrcParent: root, SrcName: src, DstParent: root, DstName: fmt.Sprintf("dst-%04d", i)}}
+	}
+	run := func(pkts []*wire.Packet) float64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		sim.Spawn(client, func(p *env.Proc) {
+			for _, pkt := range pkts {
+				want := done + 1
+				p.Send(100, pkt)
+				for done < want {
+					p.Sleep(env.Microsecond)
+				}
+			}
+		})
+		sim.Run()
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs-before.Mallocs) / float64(len(pkts))
+	}
+	run(reqs[:20]) // warm the lock table, the dedup window and the worker pool
+	perOp := run(reqs[20:])
+	t.Logf("rename: %.2f allocs/op (budget %.1f)", perOp, budget)
+	if done != renames {
+		t.Fatalf("%d of %d renames succeeded", done, renames)
+	}
+	if perOp > budget {
+		t.Errorf("rename: %.2f allocs/op, over the budget of %.1f", perOp, budget)
 	}
 }

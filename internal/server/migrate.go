@@ -15,6 +15,9 @@ import (
 // Change-log entries FOR a migrated directory are not moved: they live at the
 // servers owning the *children's* fingerprints and re-route to the new owner
 // because every push recomputes the owner from the ring on each retry.
+// Change-log entries this server logged for NAMES of the group are delivered
+// before the group leaves: a name's deferred updates live only at the name's
+// owner, which is where a transaction looks for them (entryPending).
 //
 // The protocol is gate-and-drain, no quiesce:
 //
@@ -26,9 +29,11 @@ import (
 //     (checkOwnership fails → ErrRetry → clients re-resolve), while requests
 //     admitted before it finish under their busy reference;
 //   - once the source reports FPQuiescent (no busy ops, no aggregation in
-//     flight, no prepared-but-undecided transaction touching the group), the
-//     copy runs in one simulator event — atomic with respect to traffic —
-//     and the source evicts its copy behind a WAL record;
+//     flight, no prepared-but-undecided transaction touching the group) it
+//     flushes the deferred updates it logged for the group's names
+//     (FlushGroup); quiescent still, the copy runs in one simulator event —
+//     atomic with respect to traffic — and the source evicts its copy behind
+//     a WAL record;
 //   - UnblockFP releases the gate and the destination serves.
 
 // recEvict marks a fingerprint group migrated away from this server: replay

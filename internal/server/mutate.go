@@ -371,7 +371,8 @@ func (s *Server) handleFallback(p *env.Proc, pkt *wire.Packet, cn *wire.CommitNo
 	s.reply(p, pkt.Origin, &wire.CommitAck{CommitID: cn.CommitID, Applied: true})
 }
 
-// ackEntries marks entries ≤ maxID applied in the WAL and trims the log.
+// ackEntries marks entries ≤ maxID applied in the WAL, trims the log and
+// releases the flushes that waited for them.
 func (s *Server) ackEntries(dl *dirLog, maxID uint64) {
 	for id, lsn := range dl.walLSN {
 		if id <= maxID {
@@ -380,6 +381,7 @@ func (s *Server) ackEntries(dl *dirLog, maxID uint64) {
 		}
 	}
 	dl.log.AckThrough(maxID)
+	dl.settleFlushes(maxID, true)
 }
 
 // adjustNlink updates a hard-linked file's shared attribute object, possibly

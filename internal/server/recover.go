@@ -395,9 +395,8 @@ func (s *Server) pushLogFinal(p *env.Proc, dl *dirLog, snap []core.LogEntry) {
 
 // handleCloneInval serves a recovering peer (§5.4.2).
 func (s *Server) handleCloneInval(p *env.Proc, req *wire.CloneInvalReq) {
-	resp := &wire.CloneInvalResp{Ctl: req.Ctl, From: s.cfg.ID, Seq: s.invalSeq,
-		Entries: append([]wire.InvalEntry(nil), s.inval...)}
-	s.reply(p, req.From, resp)
+	replyNew(s, p, req.From, wire.CloneInvalResp{Ctl: req.Ctl, From: s.cfg.ID, Seq: s.invalSeq,
+		Entries: append([]wire.InvalEntry(nil), s.inval...)})
 }
 
 // FlushAll pushes every pending change-log entry to its owner; with the
@@ -419,7 +418,7 @@ func (s *Server) FlushAll(p *env.Proc) {
 // handleFlushAll runs FlushAll on a control request and confirms.
 func (s *Server) handleFlushAll(p *env.Proc, from env.NodeID, req *wire.FlushAllReq) {
 	s.FlushAll(p)
-	s.reply(p, from, &wire.FlushAllResp{Ctl: req.Ctl, From: s.cfg.ID})
+	replyNew(s, p, from, wire.FlushAllResp{Ctl: req.Ctl, From: s.cfg.ID})
 }
 
 // InjectInode installs an inode record directly (fixture loading); when log

@@ -486,3 +486,44 @@ func BenchmarkRecover(b *testing.B) {
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N)/records, "allocs/record")
 	b.ReportMetric(float64(virtual)/1e3, "virtual-us")
 }
+
+// TestFailStopEndsPeerAggregation: an incarnation that fail-stops while it
+// answers an aggregation fetch — its owner silent, the change-log locked —
+// leaves the retry loop at its next timeout: no process of it is alive one
+// RetryTimeout after the crash, where it used to spin its hundred silent
+// rounds (200 ms of virtual time every crash run had to drain).
+func TestFailStopEndsPeerAggregation(t *testing.T) {
+	sim := env.NewSim(3)
+	t.Cleanup(sim.Shutdown)
+	const peer, owner env.NodeID = 100, 101
+	replies := 0
+	sim.AddNode(owner, env.NodeConfig{Cores: 1, Handler: func(p *env.Proc, from env.NodeID, msg any) {
+		if _, ok := msg.(*wire.Packet).Body.(*wire.AggEntries); ok {
+			replies++ // never acknowledged
+		}
+	}})
+	s := New(sim, Config{ID: peer,
+		Ring:      ring.New([]uint32{0}, 0, func(uint32) env.NodeID { return owner }),
+		Peers:     []env.NodeID{peer, owner},
+		SwitchFor: func(core.Fingerprint) env.NodeID { return 1 },
+		Async:     true, Compaction: true})
+	dir := core.DirRef{ID: core.DirID{1, 2, 3, 4}, Key: core.Key{PID: core.RootDirID, Name: "d"}}
+	dir.FP = dir.Key.Fingerprint()
+	s.clogOf(dir).log.Append(core.LogEntry{ID: 1, Op: core.OpCreate, Name: "x"})
+
+	const crashAt = 3 * env.Millisecond
+	sim.Spawn(peer, func(p *env.Proc) {
+		s.handleAggFetch(p, &wire.AggFetch{AggID: 7, FP: dir.FP, Owner: owner})
+	})
+	sim.After(crashAt, s.Crash)
+	end := sim.Run()
+	if replies != 2 {
+		t.Errorf("%d replies reached the owner, want the first and one retransmission before the crash", replies)
+	}
+	if limit := crashAt + s.cfg.RetryTimeout; end > limit {
+		t.Errorf("the simulation drained at %v: the dead incarnation was still running after %v", end, limit)
+	}
+	if s.clogs[dir.ID].log.Len() != 1 {
+		t.Error("the abandoned aggregation trimmed the change-log")
+	}
+}

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"slices"
+
 	"switchfs/internal/core"
 	"switchfs/internal/env"
 	"switchfs/internal/wire"
@@ -20,9 +22,16 @@ func (s *Server) nextTxnEntryID() uint64 {
 	return s.nextTxnEntry
 }
 
-// readRemoteInode reads a raw inode record from its owner.
-func (s *Server) readRemoteInode(p *env.Proc, owner env.NodeID, key core.Key) ([]byte, error) {
+// readRemoteInode reads a raw inode record from its owner — with flush, after
+// the owner delivered the deferred updates of the key's name (flushEntry), in
+// the same round trip.
+func (s *Server) readRemoteInode(p *env.Proc, owner env.NodeID, key core.Key, flush bool) ([]byte, error) {
 	if owner == s.cfg.ID {
+		if flush {
+			if err := s.flushEntry(p, key); err != nil {
+				return nil, err
+			}
+		}
 		p.Compute(s.cfg.Costs.KVGet)
 		// Same admission as the remote path: the group may have migrated away
 		// between the caller's owner computation and this read.
@@ -39,7 +48,7 @@ func (s *Server) readRemoteInode(p *env.Proc, owner env.NodeID, key core.Key) ([
 		return raw, nil
 	}
 	v, err := s.ctlCall(p, owner, func(ctl uint64) wire.Msg {
-		return &wire.ReadInodeReq{Ctl: ctl, From: s.cfg.ID, Key: key}
+		return &wire.ReadInodeReq{Ctl: ctl, From: s.cfg.ID, Key: key, Flush: flush}
 	})
 	if err != nil {
 		return nil, err
@@ -53,7 +62,15 @@ func (s *Server) readRemoteInode(p *env.Proc, owner env.NodeID, key core.Key) ([
 
 func (s *Server) handleReadInode(p *env.Proc, req *wire.ReadInodeReq) {
 	p.Compute(s.cfg.Costs.Parse + s.cfg.Costs.KVGet)
-	resp := &wire.ReadInodeResp{Ctl: req.Ctl}
+	pkt, resp := wire.NewPacket[wire.ReadInodeResp](req.From, s.cfg.ID)
+	resp.Ctl = req.Ctl
+	if req.Flush {
+		if err := s.flushEntry(p, req.Key); err != nil {
+			resp.Err = core.ErrnoOf(err)
+			s.send(p, pkt)
+			return
+		}
+	}
 	// Admission as for client ops: a read routed under a stale ring (or
 	// racing an inbound migration copy) must answer retry — answering
 	// ErrNotExist from a store the group just left would fail a rename
@@ -61,7 +78,7 @@ func (s *Server) handleReadInode(p *env.Proc, req *wire.ReadInodeReq) {
 	fp := req.Key.Fingerprint()
 	if err := s.admitFP(p, fp); err != nil {
 		resp.Err = core.ErrnoOf(err)
-		s.reply(p, req.From, resp)
+		s.send(p, pkt)
 		return
 	}
 	var kb core.KeyBuf
@@ -72,7 +89,7 @@ func (s *Server) handleReadInode(p *env.Proc, req *wire.ReadInodeReq) {
 	} else {
 		resp.Raw = raw
 	}
-	s.reply(p, req.From, resp)
+	s.send(p, pkt)
 }
 
 // collectDentries fetches a directory's full entry list from its owner and
@@ -119,14 +136,15 @@ func (s *Server) collectDentries(p *env.Proc, owner env.NodeID, dir core.DirID,
 func (s *Server) handleScanDir(p *env.Proc, req *wire.ScanDirReq) {
 	c := &s.cfg.Costs
 	p.Compute(c.Parse)
-	resp := &wire.ScanDirResp{Ctl: req.Ctl}
+	pkt, resp := wire.NewPacket[wire.ScanDirResp](req.From, s.cfg.ID)
+	resp.Ctl = req.Ctl
 	// Fingerprint 0 is reserved — core.FingerprintOf never produces it for a
 	// real group — so the zero value soundly marks control-plane scans that
 	// opt out of migration admission.
 	if req.FP != 0 {
 		if err := s.admitFP(p, req.FP); err != nil {
 			resp.Err = core.ErrnoOf(err)
-			s.reply(p, req.From, resp)
+			s.send(p, pkt)
 			return
 		}
 		defer s.fpExit(req.FP)
@@ -142,7 +160,72 @@ func (s *Server) handleScanDir(p *env.Proc, req *wire.ScanDirReq) {
 		return true
 	})
 	p.Compute(env.Duration(n) * c.KVScanEntry)
-	s.reply(p, req.From, resp)
+	s.send(p, pkt)
+}
+
+// flushEntry delivers the deferred updates of key's directory entry that this
+// server — the owner of key, where every asynchronous create and delete of
+// the name is logged — still holds in its change-log, and returns once the
+// directory's owner acknowledged them. It is the liveness half of the
+// entryPending check a transaction makes on key at prepare, which votes retry
+// while such an update is pending. ErrRetry when the name's group is not
+// served here (the log that can hold the name is elsewhere) or the directory's
+// owner stayed unreachable: the transaction must not queue behind state that
+// may be missing acknowledged updates.
+func (s *Server) flushEntry(p *env.Proc, key core.Key) error {
+	fp := key.Fingerprint()
+	if err := s.admitFP(p, fp); err != nil {
+		return err
+	}
+	defer s.fpExit(fp)
+	dl := s.clogs[key.PID]
+	if dl != nil && !s.flushLog(p, dl, key.Name) {
+		return core.ErrRetry
+	}
+	return nil
+}
+
+// flushRemoteEntry runs flushEntry at key's owner.
+func (s *Server) flushRemoteEntry(p *env.Proc, owner env.NodeID, key core.Key) error {
+	if owner == s.cfg.ID {
+		return s.flushEntry(p, key)
+	}
+	v, err := s.ctlCall(p, owner, func(ctl uint64) wire.Msg {
+		return &wire.FlushEntryReq{Ctl: ctl, From: s.cfg.ID, Key: key}
+	})
+	if err != nil {
+		return err
+	}
+	if v.(*wire.FlushEntryResp).Incomplete {
+		return core.ErrRetry
+	}
+	return nil
+}
+
+func (s *Server) handleFlushEntry(p *env.Proc, req *wire.FlushEntryReq) {
+	p.Compute(s.cfg.Costs.Parse)
+	err := s.flushEntry(p, req.Key)
+	replyNew(s, p, req.From, wire.FlushEntryResp{Ctl: req.Ctl, Incomplete: err != nil})
+}
+
+// FlushGroup delivers every deferred update this server holds for a name of
+// the fingerprint group, and reports whether the directories' owners
+// acknowledged them all. A migration source calls it once it stopped
+// admitting the group and before the copy: a name's deferred updates live
+// only at the name's owner (entryPending and flushEntry look nowhere else),
+// so none may stay behind when the name's group leaves.
+func (s *Server) FlushGroup(p *env.Proc, fp core.Fingerprint) bool {
+	for _, dl := range sortedClogs(s.clogs) {
+		pending := dl.log.Snapshot()
+		i := slices.IndexFunc(pending, func(e core.LogEntry) bool {
+			return core.FingerprintOf(dl.ref.ID, e.Name) == fp
+		})
+		// One flush per log: it delivers the log through its largest id.
+		if i >= 0 && !s.flushLog(p, dl, pending[i].Name) {
+			return false
+		}
+	}
+	return true
 }
 
 // remoteAggregate makes fp's owner aggregate the group now. An incomplete
@@ -170,7 +253,7 @@ func (s *Server) remoteAggregate(p *env.Proc, owner env.NodeID, fp core.Fingerpr
 
 func (s *Server) handleAggNow(p *env.Proc, req *wire.AggNowReq) {
 	complete := s.aggregateFP(p, req.FP, nil)
-	s.reply(p, req.From, &wire.AggNowResp{Ctl: req.Ctl, Incomplete: !complete})
+	replyNew(s, p, req.From, wire.AggNowResp{Ctl: req.Ctl, Incomplete: !complete})
 }
 
 // broadcastInval plants directories in every peer's invalidation list and

@@ -120,6 +120,16 @@ type dirLog struct {
 	// heldBy, when nonzero, is the aggregation currently holding the
 	// exclusive protocol lock pending the owner's ack (§5.2.2 step 9a).
 	heldBy uint64
+	// flushes are the waits for the owner to acknowledge the log through an
+	// entry id (flushLog); ackEntries and a push that gives up settle them.
+	flushes []logFlush
+}
+
+// logFlush waits for a change-log to be acknowledged through an entry id; done
+// completes with whether the directory's owner acknowledged it.
+type logFlush struct {
+	through uint64
+	done    *env.Future
 }
 
 // fpState serializes aggregations per fingerprint group and blocks directory
@@ -266,7 +276,7 @@ type Server struct {
 	deciding   env.RWMutex
 
 	// ctlWait matches control-plane responses (ReadInode, ScanDir, AggNow,
-	// FlushAll, CloneInval) to their callers.
+	// FlushEntry, FlushAll, CloneInval) to their callers.
 	ctlWait map[uint64]*env.Future
 
 	serving bool
@@ -339,6 +349,11 @@ type Stats struct {
 	// Requests held while not serving, retransmissions that replaced a held
 	// copy, and empty acks that released a predecessor's aggregation.
 	Parked, ParkedSuperseded, AggReleased uint64
+	// Pre-flushes (a transaction's of a name, a migration source's of a log)
+	// that found a deferred update pending and waited for its delivery, and
+	// the pushes they had to start themselves (the rest shared a push or an
+	// aggregation already in flight).
+	RenameFlushes, RenameFlushPushes uint64
 }
 
 // New builds a server and registers its node with the environment.
@@ -617,6 +632,10 @@ func (s *Server) handle(p *env.Proc, from env.NodeID, msg any) {
 		s.completeCtl(b.Ctl, b)
 	case *wire.AggNowResp:
 		s.completeCtl(b.Ctl, b)
+	case *wire.FlushEntryReq:
+		s.handleFlushEntry(p, b)
+	case *wire.FlushEntryResp:
+		s.completeCtl(b.Ctl, b)
 	case *wire.CloneInvalReq:
 		s.handleCloneInval(p, b)
 	case *wire.CloneInvalResp:
@@ -769,6 +788,17 @@ func (s *Server) ctlCall(p *env.Proc, to env.NodeID, build func(ctl uint64) wire
 // stale replies would otherwise reach the network again.
 func (s *Server) reply(p *env.Proc, to env.NodeID, body wire.Msg) {
 	s.send(p, &wire.Packet{Dst: to, Origin: s.cfg.ID, Body: body})
+}
+
+// replyNew is reply for a body given by value: the packet and its copy of the
+// body are one allocation (wire.NewPacket).
+func replyNew[B any, P interface {
+	*B
+	wire.Msg
+}](s *Server, p *env.Proc, to env.NodeID, body B) {
+	pkt, b := wire.NewPacket[B, P](to, s.cfg.ID)
+	*b = body
+	s.send(p, pkt)
 }
 
 // send is reply for a packet the handler built together with its body

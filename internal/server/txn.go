@@ -56,26 +56,13 @@ func (s *Server) doRename(p *env.Proc, req *wire.RenameReq) error {
 	srcKey := core.Key{PID: req.SrcParent.ID, Name: req.SrcName}
 	dstKey := core.Key{PID: req.DstParent.ID, Name: req.DstName}
 
-	// Aggregate both parents first (outside the serialized section — these
-	// overlap across concurrent renames): the rename's direct directory
-	// updates must serialize after every already-committed deferred update
-	// to those directories, otherwise a later aggregation would re-order a
-	// pending create after the rename's entry-list change.
-	if err := s.remoteAggregate(p, s.ownerOfFP(req.SrcParent.FP), req.SrcParent.FP); err != nil {
-		return err
-	}
-	if req.DstParent.FP != req.SrcParent.FP {
-		if err := s.remoteAggregate(p, s.ownerOfFP(req.DstParent.FP), req.DstParent.FP); err != nil {
-			return err
-		}
-	}
-
-	// Read the source inode to learn its type; if it is a directory,
-	// aggregate it first so the migrated state is complete (§5.2: "if the
-	// source is a directory, SwitchFS initiates an aggregation at the
-	// beginning of rename").
+	// Before it queues (outside the serialized section — these overlap across
+	// concurrent renames), the rename waits for the two change-logs that can
+	// hold a deferred update of its names, each at its name's owner: prepare
+	// votes retry while one is pending (entryPending). The source's flush
+	// rides the read that learns its type.
 	srcOwner := s.ownerOfKey(srcKey)
-	raw, err := s.readRemoteInode(p, srcOwner, srcKey)
+	raw, err := s.readRemoteInode(p, srcOwner, srcKey, true)
 	if err != nil {
 		return err
 	}
@@ -88,6 +75,10 @@ func (s *Server) doRename(p *env.Proc, req *wire.RenameReq) error {
 		// read above already rejected the missing source (POSIX: rename of
 		// a nonexistent path to itself is ENOENT, not success).
 		return nil
+	}
+	dstOwner := s.ownerOfKey(dstKey)
+	if err := s.flushRemoteEntry(p, dstOwner, dstKey); err != nil {
+		return err
 	}
 	isDir := in.Type == core.TypeDir
 
@@ -117,7 +108,6 @@ func (s *Server) doRename(p *env.Proc, req *wire.RenameReq) error {
 
 	// Participants and their prepare-phase checks/ops.
 	now := p.Now()
-	dstOwner := s.ownerOfKey(dstKey)
 	type part struct {
 		ops    []wire.TxnOp
 		checks []wire.TxnCheck
@@ -205,7 +195,7 @@ func (s *Server) prepareDirMove(p *env.Proc, req *wire.RenameReq, srcOwner env.N
 	if err := s.remoteAggregate(p, srcOwner, srcKey.Fingerprint()); err != nil {
 		return nil, nil, err
 	}
-	raw, err := s.readRemoteInode(p, srcOwner, srcKey)
+	raw, err := s.readRemoteInode(p, srcOwner, srcKey, false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -241,10 +231,12 @@ func (s *Server) doLink(p *env.Proc, req *wire.LinkReq) error {
 	}
 	srcKey := core.Key{PID: req.SrcParent.ID, Name: req.SrcName}
 	dstKey := core.Key{PID: req.DstParent.ID, Name: req.DstName}
-	// As in rename, the destination parent's deferred updates must apply
-	// before the link's direct entry-list insertion (outside the serialized
-	// section).
-	if err := s.remoteAggregate(p, s.ownerOfFP(req.DstParent.FP), req.DstParent.FP); err != nil {
+	// As in rename, the deferred updates of both checked names are delivered
+	// before the link queues.
+	if err := s.flushRemoteEntry(p, s.ownerOfKey(dstKey), dstKey); err != nil {
+		return err
+	}
+	if err := s.flushRemoteEntry(p, s.ownerOfKey(srcKey), srcKey); err != nil {
 		return err
 	}
 	tsp := s.cfg.Trace.Start(p, "txn:run", "server")
@@ -254,7 +246,7 @@ func (s *Server) doLink(p *env.Proc, req *wire.LinkReq) error {
 
 	srcOwner := s.ownerOfKey(srcKey)
 	var in *core.Inode
-	raw, err := s.readRemoteInode(p, srcOwner, srcKey)
+	raw, err := s.readRemoteInode(p, srcOwner, srcKey, false)
 	if err == nil {
 		if in, err = core.DecodeInode(raw); err != nil {
 			err = core.ErrInvalid
@@ -384,7 +376,7 @@ func (s *Server) prepareTxn(p *env.Proc, parts []env.NodeID, ops [][]wire.TxnOp,
 			if checks != nil {
 				ck = checks[i]
 			}
-			s.reply(p, n, &wire.TxnPrepare{Txn: t.id, From: s.cfg.ID, Ops: ops[i], Check: ck})
+			replyNew(s, p, n, wire.TxnPrepare{Txn: t.id, From: s.cfg.ID, Ops: ops[i], Check: ck})
 		}
 		if _, ok := t.votes.done.WaitTimeout(p, s.cfg.RetryTimeout); ok {
 			t.prepared = true
@@ -488,7 +480,7 @@ func (s *Server) driveDecision(p *env.Proc, id uint64, parts []env.NodeID, commi
 			return false
 		}
 		for _, n := range parts {
-			s.reply(p, n, &wire.TxnDecision{Txn: id, Commit: commit})
+			replyNew(s, p, n, wire.TxnDecision{Txn: id, Commit: commit})
 		}
 		if _, ok := td.done.WaitTimeout(p, s.cfg.RetryTimeout); ok {
 			return true
@@ -516,7 +508,8 @@ func (s *Server) ackDecision(id uint64) {
 // handleTxnStatus answers a participant's termination-protocol query.
 func (s *Server) handleTxnStatus(p *env.Proc, req *wire.TxnStatusReq) {
 	p.Compute(s.cfg.Costs.Parse)
-	resp := &wire.TxnStatusResp{Ctl: req.Ctl, Txn: req.Txn}
+	pkt, resp := wire.NewPacket[wire.TxnStatusResp](req.From, s.cfg.ID)
+	resp.Ctl, resp.Txn = req.Ctl, req.Txn
 	if _, ok := s.txnDecided[req.Txn]; ok {
 		resp.Commit = true // only commits are recorded
 	} else if s.txnVotes[req.Txn] != nil || !s.serving {
@@ -528,7 +521,7 @@ func (s *Server) handleTxnStatus(p *env.Proc, req *wire.TxnStatusReq) {
 	// Otherwise: no record of the transaction — presumed abort (aborts are
 	// never recorded; decided-but-unacked aborts resolve to the same answer
 	// once the abort's decision phase ends and txnVotes is dropped).
-	s.reply(p, req.From, resp)
+	s.send(p, pkt)
 }
 
 // redriveCommits re-sends every replayed, still-unacknowledged commit
@@ -621,7 +614,7 @@ type txnVotes struct {
 // handleTxnPrepare is the participant side of phase one: lock keys in global
 // order, run checks, vote.
 //
-//detlint:wal-before-send recTxnPrepare via=reply
+//detlint:wal-before-send recTxnPrepare via=replyNew
 func (s *Server) handleTxnPrepare(p *env.Proc, tp *wire.TxnPrepare) {
 	c := &s.cfg.Costs
 	p.Compute(c.Parse + c.TxnOverhead)
@@ -635,7 +628,7 @@ func (s *Server) handleTxnPrepare(p *env.Proc, tp *wire.TxnPrepare) {
 	if errno, voted := s.txnVoted[tp.Txn]; voted {
 		// Replay the recorded vote.
 		//detlint:ignore walorder -- vote replay: the original execution already ordered the prepare record before this vote
-		s.reply(p, tp.From, &wire.TxnVote{Txn: tp.Txn, From: s.cfg.ID, Err: errno})
+		replyNew(s, p, tp.From, wire.TxnVote{Txn: tp.Txn, From: s.cfg.ID, Err: errno})
 		return
 	}
 	if s.txnStarted[tp.Txn] {
@@ -667,7 +660,7 @@ func (s *Server) handleTxnPrepare(p *env.Proc, tp *wire.TxnPrepare) {
 		if aerr := s.admitFPs(p, afps); aerr != nil {
 			s.recordVote(tp.Txn, core.ErrnoOf(aerr))
 			//detlint:ignore walorder -- retry vote: nothing was applied, nothing to log
-			s.reply(p, tp.From, &wire.TxnVote{Txn: tp.Txn, From: s.cfg.ID, Err: core.ErrnoOf(aerr)})
+			replyNew(s, p, tp.From, wire.TxnVote{Txn: tp.Txn, From: s.cfg.ID, Err: core.ErrnoOf(aerr)})
 			return
 		}
 		var err error
@@ -680,7 +673,7 @@ func (s *Server) handleTxnPrepare(p *env.Proc, tp *wire.TxnPrepare) {
 		s.exitFPs(afps)
 		s.recordVote(tp.Txn, core.ErrnoOf(err))
 		//detlint:ignore walorder -- commutative auto-apply: durability came from recInode inside applyNlink; there is no prepared state to log
-		s.reply(p, tp.From, &wire.TxnVote{Txn: tp.Txn, From: s.cfg.ID, Err: core.ErrnoOf(err)})
+		replyNew(s, p, tp.From, wire.TxnVote{Txn: tp.Txn, From: s.cfg.ID, Err: core.ErrnoOf(err)})
 		return
 	}
 
@@ -696,7 +689,7 @@ func (s *Server) handleTxnPrepare(p *env.Proc, tp *wire.TxnPrepare) {
 	if aerr := s.admitFPs(p, fps); aerr != nil {
 		s.recordVote(tp.Txn, core.ErrnoOf(aerr))
 		//detlint:ignore walorder -- retry vote: nothing was prepared; presumed abort needs no record
-		s.reply(p, tp.From, &wire.TxnVote{Txn: tp.Txn, From: s.cfg.ID, Err: core.ErrnoOf(aerr)})
+		replyNew(s, p, tp.From, wire.TxnVote{Txn: tp.Txn, From: s.cfg.ID, Err: core.ErrnoOf(aerr)})
 		return
 	}
 	st := &txnState{id: tp.Txn, ops: tp.Ops}
@@ -728,7 +721,7 @@ func (s *Server) handleTxnPrepare(p *env.Proc, tp *wire.TxnPrepare) {
 		s.exitFPs(fps)
 		s.recordVote(tp.Txn, core.ErrnoOf(err))
 		//detlint:ignore walorder -- abort vote: nothing was prepared; presumed abort needs no record
-		s.reply(p, tp.From, &wire.TxnVote{Txn: tp.Txn, From: s.cfg.ID, Err: core.ErrnoOf(err)})
+		replyNew(s, p, tp.From, wire.TxnVote{Txn: tp.Txn, From: s.cfg.ID, Err: core.ErrnoOf(err)})
 		return
 	}
 	// Persist the prepared state before the vote leaves: once the
@@ -751,29 +744,27 @@ func (s *Server) handleTxnPrepare(p *env.Proc, tp *wire.TxnPrepare) {
 	// Prepared and locked: arm the termination protocol in case the
 	// coordinator dies before the decision reaches us.
 	s.watchTxn(tp.Txn, tp.From)
-	s.reply(p, tp.From, &wire.TxnVote{Txn: tp.Txn, From: s.cfg.ID})
+	replyNew(s, p, tp.From, wire.TxnVote{Txn: tp.Txn, From: s.cfg.ID})
 }
 
 // entryPending reports whether this server still holds an unapplied deferred
 // update of key's directory entry. Every asynchronous create and delete of a
 // name is logged by the name's owner — this server, for a key a transaction
-// checks here — and the key's lock, held from here to the decision, keeps
-// further ones out. A transaction's own update of that entry is applied
-// directly at the directory's owner, so it must not overtake a deferred one:
-// a later aggregation would re-apply the older update over it (a renamed-away
-// name listed again). The vote is retry; the coordinator's next attempt
-// aggregates the parent first, which drains the entry.
+// checks here — and delivered before the name's group migrates away
+// (FlushGroup), so no other log holds one; the key's lock, held from here to
+// the decision, keeps further ones out. A transaction's own update of that
+// entry is applied directly at the directory's owner, so it must not overtake
+// a deferred one: a later aggregation would re-apply the older update over it
+// (a renamed-away name listed again). The vote is retry; the coordinator's
+// next attempt starts with a flush of the name here (flushEntry), which drains
+// the entry.
 func (s *Server) entryPending(key core.Key) bool {
 	dl := s.clogs[key.PID]
 	if dl == nil {
 		return false
 	}
-	for _, e := range dl.log.Snapshot() {
-		if e.Name == key.Name {
-			return true
-		}
-	}
-	return false
+	_, named := dl.pendingNamed(key.Name)
+	return named
 }
 
 // inodeIs reports whether key's stored record is still raw.
@@ -905,7 +896,7 @@ func (s *Server) handleTxnDecision(p *env.Proc, td *wire.TxnDecision) {
 	delete(s.txns, td.Txn)
 	if st == nil {
 		// Duplicate decision: ack again.
-		s.reply(p, s.cfg.Coordinator, &wire.TxnDone{Txn: td.Txn, From: s.cfg.ID})
+		replyNew(s, p, s.cfg.Coordinator, wire.TxnDone{Txn: td.Txn, From: s.cfg.ID})
 		return
 	}
 	// Busy references re-taken in the same event as the deregistration above:
@@ -964,5 +955,5 @@ func (s *Server) handleTxnDecision(p *env.Proc, td *wire.TxnDecision) {
 	// Resolved: the prepared-state record need not be rebuilt on replay.
 	mustMark(s.wal, st.lsn)
 	s.exitFPs(fps)
-	s.reply(p, s.cfg.Coordinator, &wire.TxnDone{Txn: td.Txn, From: s.cfg.ID})
+	replyNew(s, p, s.cfg.Coordinator, wire.TxnDone{Txn: td.Txn, From: s.cfg.ID})
 }

@@ -354,11 +354,13 @@ const (
 )
 
 // ReadInodeReq reads a raw inode record (coordinator-side resolution during
-// rename/link).
+// rename/link). Flush asks for what FlushEntryReq asks, on the same key,
+// before the read: a rename's source name and its inode share an owner.
 type ReadInodeReq struct {
-	Ctl  uint64
-	From env.NodeID
-	Key  core.Key
+	Ctl   uint64
+	From  env.NodeID
+	Key   core.Key
+	Flush bool
 }
 
 // ReadInodeResp returns the record.
@@ -386,8 +388,26 @@ type ScanDirResp struct {
 	Entries []core.DirEntry
 }
 
+// FlushEntryReq asks the owner of Key to deliver what its change-log for Key's
+// directory holds, if it holds a deferred update of Key's name, and to answer
+// once the directory's owner acknowledged it (what a rename or link waits for
+// before it queues).
+type FlushEntryReq struct {
+	Ctl  uint64
+	From env.NodeID
+	Key  core.Key
+}
+
+// FlushEntryResp confirms no deferred update of the name is pending anymore.
+// Incomplete reports that the directory's owner stayed unreachable (or the
+// name's group is no longer served here): the caller must retry.
+type FlushEntryResp struct {
+	Ctl        uint64
+	Incomplete bool
+}
+
 // AggNowReq asks a directory owner to aggregate a fingerprint group now
-// (directory rename pre-aggregation, §5.2).
+// (aggregation of a renamed directory itself, §5.2).
 type AggNowReq struct {
 	Ctl  uint64
 	From env.NodeID
@@ -636,6 +656,8 @@ func (*ScanDirReq) msg()     {}
 func (*ScanDirResp) msg()    {}
 func (*AggNowReq) msg()      {}
 func (*AggNowResp) msg()     {}
+func (*FlushEntryReq) msg()  {}
+func (*FlushEntryResp) msg() {}
 func (*DataReq) msg()        {}
 func (*DataResp) msg()       {}
 func (*DataRepReq) msg()     {}
