@@ -290,14 +290,18 @@ func Run(sim *env.Sim, c *cluster.Cluster, plan Plan, o Options) *Report {
 	rep.Issues = append(rep.Issues, inj.HealAndRecover(sim)...)
 
 	// Drain deferred work, then check change-log/dirty-set consistency: a
-	// healed, drained cluster holds no pending change-log entries.
-	c.Run(0, func(p *env.Proc, cl *client.Client) { c.Drain(p) })
-	for i, srv := range c.Servers {
-		if n := srv.PendingClogEntries(); n > 0 {
-			rep.Issues = append(rep.Issues,
-				fmt.Sprintf("server %d holds %d change-log entries after heal+drain", i, n))
+	// healed, drained cluster holds no pending change-log entries. The count is
+	// read in the instant Drain returns — once the simulation has run quiet,
+	// retransmissions that landed later would hide a drain that ended early.
+	c.Run(0, func(p *env.Proc, cl *client.Client) {
+		c.Drain(p)
+		for i, srv := range c.Servers {
+			if n := srv.PendingClogEntries(); n > 0 {
+				rep.Issues = append(rep.Issues,
+					fmt.Sprintf("server %d holds %d change-log entries after heal+drain", i, n))
+			}
 		}
-	}
+	})
 
 	// Final audit through the normal read path (leftover dirty fingerprints
 	// force real aggregations here).

@@ -17,9 +17,12 @@ type aggOpts struct {
 	force bool
 }
 
-// maxAggRetries bounds fetch retransmissions before proceeding with the
-// replies at hand (a peer that stays down re-delivers its entries during its
-// own recovery, §A.1).
+// maxAggRetries bounds the retransmissions of the exchanges that should not
+// give up early: an aggregation's fetch, which then proceeds with the replies
+// at hand (a peer that stays down re-delivers its entries during its own
+// recovery, §A.1), control calls, 2PC rounds, and a change-log delivery made
+// while not serving — a flush or a recovery, where a proactive push, which the
+// next trigger repeats, gives up after 8.
 const maxAggRetries = 100
 
 // peerAggState is the peer-side context of an aggregation it is serving:
@@ -631,73 +634,83 @@ func burnLanes(p *env.Proc, loads []int, each env.Duration) {
 
 // maybePush ships a change-log to its directory's owner when it filled an
 // MTU, went idle, or a flush waits for it, and reports whether it started a
-// push. A server that stopped serving (FlushAll, recovery) skips: the flush
-// path ships the backlog itself, and re-triggering here would spin —
-// pushLog's early return plus its own re-trigger used to respawn each other
-// at the same virtual instant, freezing the simulation.
+// push. A server that is not serving refuses: FlushAll or Recover delivers
+// the whole log itself (and a fail-stopped one sends nothing).
 func (s *Server) maybePush(dl *dirLog) bool {
-	if !s.serving {
-		return false
-	}
-	if dl.pushing || dl.log.Len() == 0 || dl.heldBy != 0 {
+	if !s.serving || dl.pushing || dl.log.Len() == 0 || dl.heldBy != 0 {
 		return false
 	}
 	dl.pushing = true
 	snap := dl.log.Snapshot()
-	s.env.Spawn(s.cfg.ID, func(p *env.Proc) { s.pushLog(p, dl, snap) })
-	return true
-}
-
-func (s *Server) pushLog(p *env.Proc, dl *dirLog, snap []core.LogEntry) {
-	defer func() {
+	s.env.Spawn(s.cfg.ID, func(p *env.Proc) {
+		s.deliver(p, dl, snap)
 		dl.pushing = false
 		// A flush still waiting was registered behind this push's snapshot:
 		// the remainder goes now.
-		if s.serving && (dl.log.Len() >= s.cfg.PushEntries || len(dl.flushes) > 0) {
+		if dl.log.Len() >= s.cfg.PushEntries || len(dl.flushes) > 0 {
 			s.maybePush(dl)
 		}
-	}()
-	if !s.serving {
-		return
-	}
-	s.Stats.Pushes++
-	msg := &wire.ChangePush{From: s.cfg.ID, Log: wire.DirLog{Dir: dl.ref, Entries: snap}}
-	fut := env.NewFuture()
-	if s.pushWait == nil {
-		s.pushWait = make(map[core.DirID]*env.Future)
-	}
-	s.pushWait[dl.ref.ID] = fut
-	acked := false
-	for try := 0; try < 8; try++ {
-		if s.dead {
-			break // recovery re-pushes from the WAL-rebuilt log
-		}
-		// Owner recomputed per retry: a migration can move the directory's
-		// group mid-push, and the entries must chase the current owner.
-		s.reply(p, s.ownerOfFP(dl.ref.FP), msg)
-		if v, ok := fut.WaitTimeout(p, s.cfg.RetryTimeout); ok {
-			ack := v.(*wire.ChangePushAck)
-			s.ackEntries(dl, ack.MaxID)
-			acked = true
-			break
-		}
-		s.Stats.Retries++
-	}
-	if !acked {
-		// The owner stayed unreachable: the entries remain pending here,
-		// possibly behind a normal fingerprint. Keep the group scattered so
-		// reads aggregate (and collect them) instead of serving stale state,
-		// and tell the waiting flushes.
-		s.markDirty(p, dl.ref.FP)
-		dl.settleFlushes(0, false)
-	}
-	if s.pushWait[dl.ref.ID] == fut {
-		delete(s.pushWait, dl.ref.ID)
-	}
+	})
+	return true
 }
 
-// settleFlushes completes the flushes an acknowledgment through id covers, or
-// — when the push gave up instead — all of them, unacknowledged.
+// deliver ships snap — what dl held when the delivery started — to the
+// directory's owner and returns once dl is acknowledged through snap's largest
+// id. Every acknowledgment trims the log (handleChangePushAck), so whichever
+// push's ack gets there first ends the wait. It is the one way a change-log
+// reaches its owner: the proactive push, FlushAll and recovery's re-delivery
+// all call it. A server that is not serving is flushing or recovering: its
+// pushes are Final and retry for maxAggRetries timeouts instead of 8.
+func (s *Server) deliver(p *env.Proc, dl *dirLog, snap []core.LogEntry) {
+	final := !s.serving
+	budget := 8
+	if final {
+		budget = maxAggRetries
+	}
+	var through uint64
+	for _, e := range snap {
+		through = max(through, e.ID)
+	}
+	s.Stats.Pushes++
+	msg := &wire.ChangePush{From: s.cfg.ID, Log: wire.DirLog{Dir: dl.ref, Entries: snap}, Final: final}
+	acked := dl.awaitAck(through)
+	for timeouts := 0; timeouts < budget && !s.dead; {
+		// The owner is recomputed per retry: a migration can move the
+		// directory's group mid-push, and the old owner drops mis-routed
+		// pushes, so the entries chase the current one.
+		s.reply(p, s.ownerOfFP(dl.ref.FP), msg)
+		v, ok := acked.WaitTimeout(p, s.cfg.RetryTimeout)
+		switch {
+		case !ok:
+			timeouts++
+			s.Stats.Retries++
+		case v.(bool):
+			return
+		default:
+			// A concurrent delivery gave up and failed every wait on the log;
+			// this one keeps its own budget.
+			acked = dl.awaitAck(through)
+		}
+	}
+	// The owner stayed unreachable (or this incarnation fail-stopped, and its
+	// recovery re-delivers from the WAL-rebuilt log): the entries remain
+	// pending here, possibly behind a normal fingerprint. Keep the group
+	// scattered so reads aggregate (and collect them) instead of serving stale
+	// state, and fail the waits on the log.
+	s.markDirty(p, dl.ref.FP)
+	dl.settleFlushes(0, false)
+}
+
+// awaitAck registers a wait for dl to be acknowledged through an entry id; the
+// future completes with whether it was.
+func (dl *dirLog) awaitAck(through uint64) *env.Future {
+	f := logFlush{through: through, done: env.NewFuture()}
+	dl.flushes = append(dl.flushes, f)
+	return f.done
+}
+
+// settleFlushes completes the waits an acknowledgment through id covers, or
+// — when a delivery gave up instead — all of them, unacknowledged.
 func (dl *dirLog) settleFlushes(id uint64, acked bool) {
 	kept := dl.flushes[:0]
 	for _, f := range dl.flushes {
@@ -743,8 +756,7 @@ func (s *Server) flushLog(p *env.Proc, dl *dirLog, name string) bool {
 		return true // an aggregation held the log, and its ack trimmed it
 	}
 	s.Stats.RenameFlushes++
-	f := logFlush{through: through, done: env.NewFuture()}
-	dl.flushes = append(dl.flushes, f)
+	acked := dl.awaitAck(through)
 	for {
 		// Refused while a push is in flight, which re-triggers for the flushes
 		// it leaves waiting, and while an aggregation holds the log, whose ack
@@ -752,7 +764,7 @@ func (s *Server) flushLog(p *env.Proc, dl *dirLog, name string) bool {
 		if s.maybePush(dl) {
 			s.Stats.RenameFlushPushes++
 		}
-		if v, ok := f.done.WaitTimeout(p, s.cfg.RetryTimeout); ok {
+		if v, ok := acked.WaitTimeout(p, s.cfg.RetryTimeout); ok {
 			return v.(bool)
 		}
 		if s.dead {
@@ -811,11 +823,12 @@ func (s *Server) handleChangePush(p *env.Proc, from env.NodeID, cp *wire.ChangeP
 	})
 }
 
-// handleChangePushAck completes a pending push.
-func (s *Server) handleChangePushAck(p *env.Proc, a *wire.ChangePushAck) {
-	fut := s.pushWait[a.Dir]
-	if fut != nil {
-		fut.Complete(a)
+// handleChangePushAck trims the log through what the owner applied, or had
+// applied already, whichever push the ack answers: it releases every wait the
+// ack covers. Acks are idempotent — the owner's watermark covers MaxID.
+func (s *Server) handleChangePushAck(a *wire.ChangePushAck) {
+	if dl := s.clogs[a.Dir]; dl != nil {
+		s.ackEntries(dl, a.MaxID)
 	}
 }
 

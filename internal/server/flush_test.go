@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -191,5 +192,75 @@ func TestFlushEntryTable(t *testing.T) {
 		if r.s.busy[core.Key{PID: r.dir.ID, Name: "x"}.Fingerprint()] != 0 {
 			t.Errorf("%s: the name's group is still busy", c.what)
 		}
+	}
+}
+
+// TestFlushAllMeetsInFlightPush starts a flush-all in the instant a proactive
+// push of the same log is in flight, one entry behind it. The directory's
+// owner is a stub that acknowledges every push through its largest id. Each
+// acknowledgment trims the log whichever push it answers, so when FlushAll
+// returns nothing is pending, and neither push retransmits, gives up (dirty
+// mark) or reaches the owner once the flush is over — where every non-final
+// push restarts the owner's quiesce timer, one aggregation per arrival.
+func TestFlushAllMeetsInFlightPush(t *testing.T) {
+	const owner env.NodeID = 101
+	sim := env.NewSim(3)
+	t.Cleanup(sim.Shutdown)
+	var pushes, inserts, lateProactive int
+	var flushedAt env.Time
+	flushed := false
+	sim.AddNode(1, env.NodeConfig{Handler: func(p *env.Proc, from env.NodeID, msg any) {
+		if ds := msg.(*wire.Packet).DS; ds != nil && ds.Op == wire.DSInsert {
+			inserts++
+		}
+	}})
+	sim.AddNode(owner, env.NodeConfig{Handler: func(p *env.Proc, from env.NodeID, msg any) {
+		cp, ok := msg.(*wire.Packet).Body.(*wire.ChangePush)
+		if !ok {
+			return
+		}
+		pushes++
+		if flushed && !cp.Final {
+			lateProactive++
+		}
+		var maxID uint64
+		for _, e := range cp.Log.Entries {
+			maxID = max(maxID, e.ID)
+		}
+		p.Send(from, &wire.Packet{Dst: from, Origin: owner,
+			Body: &wire.ChangePushAck{Dir: cp.Log.Dir.ID, MaxID: maxID}})
+	}})
+	s := New(sim, Config{ID: 100, Costs: env.DefaultCosts(),
+		Ring:      ring.New([]uint32{0}, 0, func(uint32) env.NodeID { return owner }),
+		Peers:     []env.NodeID{100, owner},
+		SwitchFor: func(core.Fingerprint) env.NodeID { return 1 },
+		Async:     true, Compaction: true})
+	key := core.Key{PID: core.RootDirID, Name: "d"}
+	dl := s.clogOf(core.DirRef{ID: core.DirID{9, 9, 9, 9}, Key: key, FP: key.Fingerprint()})
+	logged := func(id uint64) {
+		dl.log.Append(core.LogEntry{ID: id, Time: 1, Op: core.OpCreate, Name: fmt.Sprint("f", id), Type: core.TypeRegular, Perm: 0o644})
+	}
+	pending := -1
+	sim.Spawn(100, func(p *env.Proc) {
+		logged(1)
+		if !s.maybePush(dl) { // its process runs first in this instant
+			t.Error("proactive push refused")
+		}
+		logged(2)
+		p.Spawn(func(fp *env.Proc) {
+			s.FlushAll(fp)
+			pending, flushedAt, flushed = s.PendingClogEntries(), fp.Now(), true
+		})
+	})
+	sim.Run()
+	if !flushed {
+		t.Fatal("FlushAll never returned")
+	}
+	got := []int{pushes, int(s.Stats.Retries), inserts, pending, lateProactive}
+	if want := []int{2, 0, 0, 0, 0}; !reflect.DeepEqual(got, want) {
+		t.Errorf("pushes, retransmissions, dirty marks, pending at return, proactive pushes after it = %v, want %v", got, want)
+	}
+	if env.Duration(flushedAt) > 10*env.Microsecond {
+		t.Errorf("FlushAll returned at %v, want within one round trip", flushedAt)
 	}
 }

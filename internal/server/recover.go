@@ -103,14 +103,8 @@ func (s *Server) Recover(p *env.Proc) error {
 	// Re-deliver rebuilt change-logs: their fingerprints may have been
 	// inserted before the crash (reads will aggregate) or may never have
 	// made it to the switch — pushing them to their owners restores
-	// visibility either way. All pushes are in flight together: this
-	// incarnation has not pushed anything yet, so each owns its pushWait slot.
-	phase("recover:redeliver", &s.Stats.RecoverRedeliverUs, func() {
-		logs := slices.DeleteFunc(sortedClogs(s.clogs), func(dl *dirLog) bool { return dl.log.Len() == 0 })
-		together(p, len(logs), func(wp *env.Proc, i int) {
-			s.pushLogFinal(wp, logs[i], logs[i].log.Snapshot())
-		})
-	})
+	// visibility either way.
+	phase("recover:redeliver", &s.Stats.RecoverRedeliverUs, func() { s.deliverAll(p) })
 
 	// Proactively aggregate every directory this server owns (§A.1): any
 	// aggregation it had issued before the crash completes now.
@@ -362,35 +356,13 @@ func (s *Server) ownedDirFingerprints() []core.Fingerprint {
 	return out
 }
 
-// pushLogFinal synchronously delivers a change-log to its owner (recovery
-// and flush-all); entries are marked applied on ack.
-func (s *Server) pushLogFinal(p *env.Proc, dl *dirLog, snap []core.LogEntry) {
-	msg := &wire.ChangePush{From: s.cfg.ID, Log: wire.DirLog{Dir: dl.ref, Entries: snap}, Final: true}
-	fut := env.NewFuture()
-	s.pushWait[dl.ref.ID] = fut
-	acked := false
-	for try := 0; try < maxAggRetries; try++ {
-		if s.dead {
-			break // a later recovery rebuilds and re-pushes this log
-		}
-		// The owner is recomputed per retry: a migration may re-route the
-		// group mid-push, and the old owner drops mis-routed pushes.
-		s.reply(p, s.ownerOfFP(dl.ref.FP), msg)
-		if v, ok := fut.WaitTimeout(p, s.cfg.RetryTimeout); ok {
-			ack := v.(*wire.ChangePushAck)
-			s.ackEntries(dl, ack.MaxID)
-			acked = true
-			break
-		}
-		s.Stats.Retries++
-	}
-	if !acked {
-		// The owner stayed unreachable: the entries stay pending here. Mark
-		// the group dirty so reads aggregate them instead of trusting a
-		// normal fingerprint that a dead owner's aggregation removed.
-		s.markDirty(p, dl.ref.FP)
-	}
-	delete(s.pushWait, dl.ref.ID)
+// deliverAll delivers every change-log that holds entries, all in flight
+// together (Recover, FlushAll).
+func (s *Server) deliverAll(p *env.Proc) {
+	logs := slices.DeleteFunc(sortedClogs(s.clogs), func(dl *dirLog) bool { return dl.log.Len() == 0 })
+	together(p, len(logs), func(wp *env.Proc, i int) {
+		s.deliver(wp, logs[i], logs[i].log.Snapshot())
+	})
 }
 
 // handleCloneInval serves a recovering peer (§5.4.2).
@@ -399,19 +371,13 @@ func (s *Server) handleCloneInval(p *env.Proc, req *wire.CloneInvalReq) {
 		Entries: append([]wire.InvalEntry(nil), s.inval...)})
 }
 
-// FlushAll pushes every pending change-log entry to its owner; with the
+// FlushAll delivers every pending change-log entry to its owner; with the
 // dirty set reset, the filesystem returns to a consistent all-normal state
 // (switch recovery, §5.4.2; reconfiguration, §5.5). Serving stops during the
 // flush.
 func (s *Server) FlushAll(p *env.Proc) {
 	s.SetServing(false)
-	// One push after another: a proactive push of the same log may still be
-	// in flight, and the two share their directory's pushWait slot.
-	for _, dl := range sortedClogs(s.clogs) {
-		if snap := dl.log.Snapshot(); len(snap) > 0 {
-			s.pushLogFinal(p, dl, snap)
-		}
-	}
+	s.deliverAll(p)
 	s.SetServing(true)
 }
 

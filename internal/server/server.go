@@ -115,13 +115,14 @@ type dirLog struct {
 	walLSN map[uint64]wal.LSN
 	// idle triggers proactive pushes (§5.3).
 	idle *env.Timer
-	// pushing guards against concurrent pushes of the same log.
+	// pushing guards against concurrent proactive pushes of the same log.
 	pushing bool
 	// heldBy, when nonzero, is the aggregation currently holding the
 	// exclusive protocol lock pending the owner's ack (§5.2.2 step 9a).
 	heldBy uint64
 	// flushes are the waits for the owner to acknowledge the log through an
-	// entry id (flushLog); ackEntries and a push that gives up settle them.
+	// entry id (deliver, flushLog); ackEntries settles those it covers, and a
+	// delivery that gives up fails them all.
 	flushes []logFlush
 }
 
@@ -226,7 +227,6 @@ type Server struct {
 	peerAggs   map[uint64]*peerAggState
 	doneAggs   map[uint64]map[env.NodeID]*wire.AggAck
 	doneAggLog []uint64
-	pushWait   map[core.DirID]*env.Future
 	dedup      map[dedupKey]wire.Msg
 	dedupLog   []dedupKey
 
@@ -388,7 +388,6 @@ func New(e *env.Sim, cfg Config) *Server {
 		ctlWait:    make(map[uint64]*env.Future),
 		peerAggs:   make(map[uint64]*peerAggState),
 		doneAggs:   make(map[uint64]map[env.NodeID]*wire.AggAck),
-		pushWait:   make(map[core.DirID]*env.Future),
 		idgen:      core.NewIDGen(uint64(cfg.ID)),
 		serving:    true,
 	}
@@ -601,7 +600,7 @@ func (s *Server) handle(p *env.Proc, from env.NodeID, msg any) {
 	case *wire.ChangePush:
 		s.handleChangePush(p, from, b)
 	case *wire.ChangePushAck:
-		s.handleChangePushAck(p, b)
+		s.handleChangePushAck(b)
 	case *wire.InvalBroadcast:
 		s.handleInvalBroadcast(p, from, b)
 	case *wire.RenameReq:

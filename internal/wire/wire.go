@@ -294,7 +294,9 @@ type AggAck struct {
 type ChangePush struct {
 	From env.NodeID
 	Log  DirLog
-	// Final marks pushes sent during server shutdown/recovery flushes.
+	// Final marks a push from a server that is not serving — it is flushing
+	// every log or recovering — so no more pushes follow: the owner applies
+	// and acks without (re)starting its quiesce timer.
 	Final bool
 }
 
