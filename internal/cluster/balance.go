@@ -31,7 +31,7 @@ const (
 	// migrateBudget bounds the drain wait. It must outlast the slowest thing
 	// a busy reference can cover: a prepared transaction's termination
 	// protocol against a live coordinator (a few retry timeouts) and an
-	// aggregation that gives up on an unreachable peer (maxAggRetries ×
+	// aggregation that gives up on an unreachable peer (maxTries ×
 	// RetryTimeout ≈ 200ms at defaults).
 	migrateBudget = 250 * env.Millisecond
 	// rebalanceMinGap is the absolute op-count spread below which the

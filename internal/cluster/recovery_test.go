@@ -10,6 +10,7 @@ import (
 	"switchfs/internal/env"
 	"switchfs/internal/server"
 	"switchfs/internal/trace"
+	"switchfs/internal/wire"
 )
 
 // Tests of §5.4.2 recovery's three mechanisms at cluster level: a restarted
@@ -354,4 +355,76 @@ func TestParkedRequestsServedAtResume(t *testing.T) {
 				srv.Serving(), srv.Node().Down(), srv.Stats.Parked, srv.Stats.Ops)
 		}
 	})
+}
+
+// TestSyncCommitEndsAtFailStop crashes a Baseline-mode server (Fig. 14's
+// synchronous commit) while a create it executes waits for the parent's owner
+// to acknowledge the update — every acknowledgment to it is lost until the
+// restart — and then restarts it and drains. Once the successor holds the node
+// id, the fail-stopped incarnation must send nothing: a commit that kept
+// retransmitting would keep the simulation from ever coming to rest.
+func TestSyncCommitEndsAtFailStop(t *testing.T) {
+	s := env.NewSim(7)
+	t.Cleanup(s.Shutdown)
+	c := NewWithModes(s, Options{Servers: 4, Clients: 1, SwitchIndexBits: 8, Costs: env.DefaultCosts()})
+	pl := NewPreload(c)
+	pl.LogWAL = true
+	// A directory server 1 does not own, and a name in it whose inode it does.
+	var dir, path string
+	for i := 0; dir == ""; i++ {
+		if name := fmt.Sprintf("d%d", i); c.Ring.OwnerOfFile(core.RootDirID, name) != 1 {
+			dir = "/" + name
+		}
+	}
+	ref := pl.Dir(dir)
+	for i := 0; path == ""; i++ {
+		if name := fmt.Sprintf("x%d", i); c.Ring.OwnerOfFile(ref.ID, name) == 1 {
+			path = dir + "/" + name
+		}
+	}
+	victim := c.Servers[1].ID()
+	restarted := false
+	crashed := map[uint64]bool{} // commit ids the crashed incarnation sent
+	late := 0                    // its notices sent after the restart
+	s.Net().Filter = func(from, to env.NodeID, msg any) env.Verdict {
+		switch b := msg.(*wire.Packet).Body.(type) {
+		case *wire.CommitAck:
+			if to == victim && !restarted {
+				return env.Drop
+			}
+		case *wire.CommitNotice:
+			if from != victim {
+				break
+			}
+			if !restarted {
+				crashed[b.CommitID] = true
+			} else if crashed[b.CommitID] {
+				late++
+			}
+		}
+		return env.Pass
+	}
+	c.SpawnClient(0, func(p *env.Proc) { c.Client(0).Create(p, path, 0) })
+	s.After(3*env.Millisecond, func() { c.CrashServer(1) }) // after one retransmission
+	var rec *env.Future
+	s.After(4*env.Millisecond, func() { restarted, rec = true, c.RecoverServer(1) })
+	drained := false
+	c.SpawnClient(0, func(p *env.Proc) {
+		p.Sleep(5 * env.Millisecond)
+		rec.Wait(p)
+		c.Drain(p)
+		drained = true
+		p.Sleep(20 * env.Millisecond) // every fail-stopped wait would have retransmitted by now
+		s.Stop()
+	})
+	s.Run()
+	if len(crashed) == 0 {
+		t.Fatal("no synchronous commit was in flight at the crash")
+	}
+	if !drained {
+		t.Fatal("Drain did not return")
+	}
+	if late != 0 {
+		t.Errorf("the fail-stopped incarnation sent %d commit notices after its successor started", late)
+	}
 }

@@ -1,6 +1,7 @@
 package lincheck
 
 import (
+	"strings"
 	"testing"
 
 	"switchfs/internal/core"
@@ -171,18 +172,11 @@ func TestMutationBrokenRename(t *testing.T) {
 	if r := broken(h); r.Ok {
 		t.Fatal("broken rename model not detected")
 	}
-	min := MinimizeAgainst(broken, h)
-	if len(min) == 0 || len(min) > 2 {
-		t.Fatalf("counterexample not minimized: %d events\n%s", len(min), min)
-	}
-	found := false
-	for _, e := range min {
-		if e.Op.Kind == core.OpRename {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("minimized counterexample lost the rename:\n%s", min)
+	// Nothing is removable: the rename's EEXIST is the violation, and the
+	// create of its destination is what makes that answer correct — dropping
+	// it would hand back a counterexample the real semantics rejects too.
+	if min := MinimizeAgainst(broken, h); len(min) != len(h) {
+		t.Fatalf("the counterexample lost an event:\n%s", min)
 	}
 
 	// Against the real system: some seed's differential program must expose
@@ -197,29 +191,53 @@ func TestMutationBrokenRename(t *testing.T) {
 	}
 }
 
+// TestMinimizePreservesViolation pads lost-write histories with noise.
+// Minimize must strip the noise and keep a failing core that is still a
+// history the system could produce: the acknowledged write the reads contradict
+// stays, instead of the "minimal" read of a directory nobody created.
 func TestMinimizePreservesViolation(t *testing.T) {
-	// Pad a lost-write violation with unrelated noise; Minimize must strip
-	// the noise and keep a failing core.
-	h := History{
-		ev(0, op(core.OpMkdir, "/d"), okOut(), 0, 5),
-		ev(0, op(core.OpCreate, "/d/x"), okOut(), 10, 15),
-		ev(0, op(core.OpCreate, "/f"), okOut(), 20, 25),
-		ev(1, op(core.OpStatDir, "/d"),
-			Outcome{Attr: core.Attr{Type: core.TypeDir, Perm: core.DefaultDirPerm, Size: 1}}, 30, 35),
-		ev(1, op(core.OpStat, "/f"), errOut(core.ErrNotExist), 40, 45),
-	}
-	if r := Check(h); r.Ok {
-		t.Fatal("padded history unexpectedly linearizable")
-	}
-	min := Minimize(h)
-	if r := Check(min); r.Ok {
-		t.Fatal("minimized history no longer fails")
-	}
-	// Minimization may legally shrink past the "intended" core to any
-	// smaller failing subset (dropping a causal write turns its read into
-	// the violation); what matters is that the result is tiny and fails.
-	if len(min) > 2 {
-		t.Fatalf("minimization left %d events:\n%s", len(min), min)
+	for _, c := range []struct {
+		what string
+		h    History
+		keep []string // events the counterexample must hold
+		max  int
+	}{
+		{what: "a stat misses a create that returned before it",
+			h: History{
+				ev(0, op(core.OpMkdir, "/d"), okOut(), 0, 5),
+				ev(0, op(core.OpCreate, "/d/x"), okOut(), 10, 15),
+				ev(0, op(core.OpCreate, "/f"), okOut(), 20, 25),
+				ev(1, op(core.OpStatDir, "/d"),
+					Outcome{Attr: core.Attr{Type: core.TypeDir, Perm: core.DefaultDirPerm, Size: 1}}, 30, 35),
+				ev(1, op(core.OpStat, "/f"), errOut(core.ErrNotExist), 40, 45),
+			},
+			keep: []string{"create /f", "stat /f"}, max: 4},
+		{what: "the audit's listing misses one of two acknowledged creates",
+			h: History{
+				ev(0, op(core.OpMkdir, "/d"), okOut(), 0, 5),
+				ev(1, op(core.OpCreate, "/d/x"), okOut(), 10, 15),
+				ev(2, op(core.OpCreate, "/d/y"), okOut(), 12, 18),
+				ev(3, op(core.OpReadDir, "/d"), Outcome{Attr: core.Attr{Type: core.TypeDir, Perm: core.DefaultDirPerm, Size: 1},
+					Entries: []core.DirEntry{{Name: "y", Type: core.TypeRegular, Perm: core.DefaultFilePerm}}}, 30, 35),
+				ev(3, op(core.OpStat, "/d/y"), Outcome{Attr: core.Attr{Type: core.TypeRegular, Perm: core.DefaultFilePerm, Nlink: 1}}, 36, 40),
+			},
+			keep: []string{"mkdir /d", "create /d/x", "readdir /d"}, max: 4},
+	} {
+		if r := Check(c.h); r.Ok {
+			t.Fatalf("%s: padded history unexpectedly linearizable", c.what)
+		}
+		min := Minimize(c.h)
+		if r := Check(min); r.Ok {
+			t.Errorf("%s: minimized history no longer fails:\n%s", c.what, min)
+		}
+		if len(min) > c.max {
+			t.Errorf("%s: minimization left %d events, want at most %d:\n%s", c.what, len(min), c.max, min)
+		}
+		for _, want := range c.keep {
+			if !strings.Contains(min.String(), want) {
+				t.Errorf("%s: the counterexample lost %q:\n%s", c.what, want, min)
+			}
+		}
 	}
 }
 

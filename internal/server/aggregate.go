@@ -17,14 +17,6 @@ type aggOpts struct {
 	force bool
 }
 
-// maxAggRetries bounds the retransmissions of the exchanges that should not
-// give up early: an aggregation's fetch, which then proceeds with the replies
-// at hand (a peer that stays down re-delivers its entries during its own
-// recovery, §A.1), control calls, 2PC rounds, and a change-log delivery made
-// while not serving — a flush or a recovery, where a proactive push, which the
-// next trigger repeats, gives up after 8.
-const maxAggRetries = 100
-
 // peerAggState is the peer-side context of an aggregation it is serving:
 // the change-logs it locked and the ack it awaits (§5.2.2 steps 6, 9a).
 type peerAggState struct {
@@ -33,7 +25,7 @@ type peerAggState struct {
 	owner  env.NodeID
 	logs   []wire.DirLog
 	locked []*dirLog
-	done   *env.Future
+	done   env.Future
 	// ready flips once the snapshot exists; duplicate fetches arriving
 	// earlier are dropped — answering them with the (empty) placeholder
 	// would let the owner complete without this peer's entries while the
@@ -121,7 +113,8 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 	s.Stats.Aggregations++
 	s.nextAgg++
 	id := uint64(s.cfg.ID)<<40 | s.nextAgg
-	ctx := &aggCtx{id: id, fp: fp, done: env.NewFuture(), expect: make(map[env.NodeID]bool)}
+	ctx := &aggCtx{id: id, fp: fp}
+	ctx.expect = make(map[env.NodeID]bool)
 	for _, peer := range s.cfg.Peers {
 		if peer != s.cfg.ID {
 			ctx.expect[peer] = true
@@ -179,7 +172,7 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 	// healed the staleness (caught by the chaos checker).
 	s.nextRemove++
 	seq := s.nextRemove
-	for {
+	s.call(p, &ctx.done, maxTries, func() {
 		if s.cfg.Tracker == TrackerOwner {
 			// Sorted snapshot: each send draws latency/jitter from the
 			// seeded RNG, so emitting in map order would make two runs with
@@ -187,46 +180,20 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 			for _, peer := range sortedNodeIDs(ctx.expect) {
 				s.reply(p, peer, fetch)
 			}
-		} else {
-			sw := s.cfg.SwitchFor(fp)
-			p.Send(sw, &wire.Packet{
-				DS:     &wire.DSHeader{Op: wire.DSRemove, FP: fp, Seq: seq},
-				Dst:    sw,
-				Origin: s.cfg.ID,
-				Trace:  p.TraceCtx(),
-				Body:   fetch,
-			})
+			return
 		}
-		if _, ok := ctx.done.WaitTimeout(p, s.cfg.RetryTimeout); ok {
-			break
-		}
-		ctx.retries++
-		s.Stats.Retries++
-		if s.dead {
-			// Fail-stopped mid-aggregation: abandon without applying or
-			// acking. Peers time out, release their locks and KEEP their
-			// entries, which re-surface through this server's recovery or
-			// the next aggregation — applying them to this dead
-			// incarnation's store (and letting peers trim) would lose them.
-			delete(s.aggs, id)
-			if s.aggByFP[fp] == ctx {
-				delete(s.aggByFP, fp)
-			}
-			return false
-		}
-		if ctx.retries >= maxAggRetries {
-			// Proceed with what we have so responsive peers can trim, but
-			// report the aggregation incomplete: the unreachable peer's
-			// acknowledged entries re-surface only via its recovery, and
-			// until then the group must read as dirty again (below) so no
-			// read mistakes the partial state for the full directory.
-			complete = false
-			for peer := range ctx.expect {
-				delete(ctx.expect, peer)
-			}
-			break
-		}
-	}
+		sw := s.cfg.SwitchFor(fp)
+		s.send(p, &wire.Packet{DS: &wire.DSHeader{Op: wire.DSRemove, FP: fp, Seq: seq},
+			Dst: sw, Origin: s.cfg.ID, Body: fetch})
+	}, func() {
+		// Proceed with what we have so responsive peers can trim, but report
+		// the aggregation incomplete: the unreachable peer's acknowledged
+		// entries re-surface only via its recovery, and until then the group
+		// must read as dirty again (below) so no read mistakes the partial
+		// state for the full directory.
+		complete = false
+		clear(ctx.expect)
+	})
 
 	// Apply (steps 7–8): every directory of the group as one batch under its
 	// inode lock. Per-peer acks let each sender trim exactly the entries it
@@ -237,7 +204,12 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 		delete(s.aggByFP, fp)
 	}
 	if s.dead {
-		return false // fail-stopped: do not apply to this incarnation or ack peers
+		// Fail-stopped mid-aggregation: abandon without applying or acking.
+		// Peers time out, release their locks and KEEP their entries, which
+		// re-surface through this server's recovery or the next aggregation —
+		// applying them to this dead incarnation's store (and letting peers
+		// trim) would lose them.
+		return false
 	}
 
 	s.applyByDir(p, logs)
@@ -356,7 +328,7 @@ func (s *Server) handleAggFetch(p *env.Proc, f *wire.AggFetch) {
 		s.reply(p, f.Owner, &wire.AggEntries{AggID: f.AggID, FP: f.FP, From: s.cfg.ID, Logs: st.logs})
 		return
 	}
-	st := &peerAggState{id: f.AggID, fp: f.FP, owner: f.Owner, done: env.NewFuture()}
+	st := &peerAggState{id: f.AggID, fp: f.FP, owner: f.Owner}
 	if s.peerAggs == nil {
 		s.peerAggs = make(map[uint64]*peerAggState)
 	}
@@ -376,27 +348,17 @@ func (s *Server) handleAggFetch(p *env.Proc, f *wire.AggFetch) {
 
 	st.ready = true
 	msg := &wire.AggEntries{AggID: f.AggID, FP: f.FP, From: s.cfg.ID, Logs: st.logs}
-	for try := 0; ; try++ {
-		s.reply(p, f.Owner, msg)
-		if v, ok := st.done.WaitTimeout(p, s.cfg.RetryTimeout); ok {
-			// This handler owns the locks: trim per the owner's ack and
-			// release (§5.2.2 steps 9a/9b).
-			ack := v.(*wire.AggAck)
-			s.finishPeerAgg(st, ack)
-			return
-		}
-		if s.dead {
-			return // fail-stopped: send drops everything, and the locks die with the incarnation
-		}
-		s.Stats.Retries++
-		if try >= maxAggRetries {
-			// Owner unreachable: keep the entries (no trim) and release the
-			// locks so the system can make progress; the owner's recovery
-			// re-aggregates (§A.1).
-			delete(s.peerAggs, f.AggID)
-			s.finishPeerAgg(st, &wire.AggAck{AggID: f.AggID, FP: f.FP})
-			return
-		}
+	v, ok := s.call(p, &st.done, maxTries+1, func() { s.reply(p, f.Owner, msg) }, func() {
+		// Owner unreachable: keep the entries (no trim) and release the locks
+		// so the system can make progress; the owner's recovery re-aggregates
+		// (§A.1).
+		delete(s.peerAggs, f.AggID)
+		s.finishPeerAgg(st, &wire.AggAck{AggID: f.AggID, FP: f.FP})
+	})
+	if ok {
+		// This handler owns the locks: trim per the owner's ack and release
+		// (§5.2.2 steps 9a/9b).
+		s.finishPeerAgg(st, v.(*wire.AggAck))
 	}
 }
 
@@ -441,13 +403,10 @@ func (s *Server) handleAggEntries(p *env.Proc, e *wire.AggEntries) {
 	if !ctx.expect[e.From] {
 		return // duplicate within the active aggregation
 	}
-	delete(ctx.expect, e.From)
 	for _, l := range e.Logs {
 		ctx.logs = append(ctx.logs, aggLog{from: e.From, log: l})
 	}
-	if len(ctx.expect) == 0 {
-		ctx.done.Complete(nil)
-	}
+	ctx.answer(e.From, nil)
 }
 
 // handleAggAck finishes the peer side: it hands the ack to the waiting
@@ -660,12 +619,12 @@ func (s *Server) maybePush(dl *dirLog) bool {
 // push's ack gets there first ends the wait. It is the one way a change-log
 // reaches its owner: the proactive push, FlushAll and recovery's re-delivery
 // all call it. A server that is not serving is flushing or recovering: its
-// pushes are Final and retry for maxAggRetries timeouts instead of 8.
+// pushes are Final and get maxTries sends instead of pushTries.
 func (s *Server) deliver(p *env.Proc, dl *dirLog, snap []core.LogEntry) {
 	final := !s.serving
-	budget := 8
+	tries := pushTries
 	if final {
-		budget = maxAggRetries
+		tries = maxTries
 	}
 	var through uint64
 	for _, e := range snap {
@@ -673,48 +632,40 @@ func (s *Server) deliver(p *env.Proc, dl *dirLog, snap []core.LogEntry) {
 	}
 	s.Stats.Pushes++
 	msg := &wire.ChangePush{From: s.cfg.ID, Log: wire.DirLog{Dir: dl.ref, Entries: snap}, Final: final}
-	acked := dl.awaitAck(through)
-	for timeouts := 0; timeouts < budget && !s.dead; {
-		// The owner is recomputed per retry: a migration can move the
+	acked := dl.awaitAck(through, true)
+	s.call(p, acked, tries, func() {
+		// The owner is recomputed per try: a migration can move the
 		// directory's group mid-push, and the old owner drops mis-routed
 		// pushes, so the entries chase the current one.
 		s.reply(p, s.ownerOfFP(dl.ref.FP), msg)
-		v, ok := acked.WaitTimeout(p, s.cfg.RetryTimeout)
-		switch {
-		case !ok:
-			timeouts++
-			s.Stats.Retries++
-		case v.(bool):
-			return
-		default:
-			// A concurrent delivery gave up and failed every wait on the log;
-			// this one keeps its own budget.
-			acked = dl.awaitAck(through)
-		}
-	}
-	// The owner stayed unreachable (or this incarnation fail-stopped, and its
-	// recovery re-delivers from the WAL-rebuilt log): the entries remain
-	// pending here, possibly behind a normal fingerprint. Keep the group
-	// scattered so reads aggregate (and collect them) instead of serving stale
-	// state, and fail the waits on the log.
-	s.markDirty(p, dl.ref.FP)
-	dl.settleFlushes(0, false)
+	}, func() {
+		// The owner stayed unreachable: the entries remain pending here,
+		// possibly behind a normal fingerprint. Keep the group scattered so
+		// reads aggregate (and collect them) instead of serving stale state,
+		// and fail the flushes waiting on the log.
+		s.markDirty(p, dl.ref.FP)
+		dl.settleFlushes(0, acked)
+	})
 }
 
 // awaitAck registers a wait for dl to be acknowledged through an entry id; the
-// future completes with whether it was.
-func (dl *dirLog) awaitAck(through uint64) *env.Future {
-	f := logFlush{through: through, done: env.NewFuture()}
+// future completes with whether it was. A delivery's own wait (push) ends only
+// with an acknowledgment: another delivery giving up does not cut its budget
+// short.
+func (dl *dirLog) awaitAck(through uint64, push bool) *env.Future {
+	f := logFlush{through: through, done: env.NewFuture(), push: push}
 	dl.flushes = append(dl.flushes, f)
 	return f.done
 }
 
-// settleFlushes completes the waits an acknowledgment through id covers, or
-// — when a delivery gave up instead — all of them, unacknowledged.
-func (dl *dirLog) settleFlushes(id uint64, acked bool) {
+// settleFlushes completes the waits an acknowledgment through id covers, or —
+// when the delivery waiting on gaveUp gave up instead — the flushes' waits and
+// its own, unacknowledged.
+func (dl *dirLog) settleFlushes(id uint64, gaveUp *env.Future) {
+	acked := gaveUp == nil
 	kept := dl.flushes[:0]
 	for _, f := range dl.flushes {
-		if acked && f.through > id {
+		if acked && f.through > id || !acked && f.push && f.done != gaveUp {
 			kept = append(kept, f)
 			continue
 		}
@@ -756,21 +707,16 @@ func (s *Server) flushLog(p *env.Proc, dl *dirLog, name string) bool {
 		return true // an aggregation held the log, and its ack trimmed it
 	}
 	s.Stats.RenameFlushes++
-	acked := dl.awaitAck(through)
-	for {
+	acked := dl.awaitAck(through, false)
+	v, ok := s.call(p, acked, 0, func() {
 		// Refused while a push is in flight, which re-triggers for the flushes
 		// it leaves waiting, and while an aggregation holds the log, whose ack
 		// trims it as a push's does.
 		if s.maybePush(dl) {
 			s.Stats.RenameFlushPushes++
 		}
-		if v, ok := acked.WaitTimeout(p, s.cfg.RetryTimeout); ok {
-			return v.(bool)
-		}
-		if s.dead {
-			return false
-		}
-	}
+	}, nil)
+	return ok && v.(bool)
 }
 
 // resetIdleTimer (re)arms the idle push trigger after an append.

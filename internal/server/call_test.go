@@ -1,0 +1,168 @@
+package server
+
+import (
+	"reflect"
+	"testing"
+
+	"switchfs/internal/core"
+	"switchfs/internal/env"
+	"switchfs/internal/ring"
+	"switchfs/internal/wire"
+)
+
+// TestCallTable drives the one retried call through every way it can end. The
+// server (100) calls the owner of a fingerprint group, which the ring places
+// on peer 101 or 102: stubs that record each request and answer the ones the
+// case names, after a delay and optionally once more later.
+func TestCallTable(t *testing.T) {
+	const (
+		timeout = 2 * env.Millisecond
+		rtt     = 10 * env.Microsecond // generous bound on one round trip
+	)
+	for _, c := range []struct {
+		what     string
+		tries    int
+		answer   map[int]bool // the requests (1-based, across peers) answered
+		delay    env.Duration // each answer leaves this long after its request
+		again    env.Duration // and is repeated this much later (0: once)
+		crashAt  env.Duration // the server fail-stops at this instant (0: never)
+		moveAt   env.Duration // the group moves to peer 102 at this instant (0: never)
+		sent     []env.NodeID // the destination of every send, in order
+		ok       bool
+		giveUps  int
+		retries  uint64
+		returned env.Duration // the call returns no earlier, and within rtt
+	}{
+		{what: "a reply before the timeout: one send, nothing counted",
+			tries: 3, answer: map[int]bool{1: true},
+			sent: []env.NodeID{101}, ok: true},
+		{what: "the second send answered: one retry",
+			tries: 3, answer: map[int]bool{2: true},
+			sent: []env.NodeID{101, 101}, ok: true, retries: 1, returned: timeout},
+		{what: "never answered: gives up after exactly N sends, once",
+			tries: 3,
+			sent:  []env.NodeID{101, 101, 101}, giveUps: 1, retries: 3, returned: 3 * timeout},
+		{what: "fail-stop mid-wait: nothing more is sent and nothing is given up",
+			tries: 5, crashAt: timeout + env.Microsecond,
+			sent: []env.NodeID{101, 101}, retries: 2, returned: 2 * timeout},
+		{what: "no budget: sends until answered",
+			tries: 0, answer: map[int]bool{7: true},
+			sent: []env.NodeID{101, 101, 101, 101, 101, 101, 101}, ok: true, retries: 6,
+			returned: 6 * timeout},
+		{what: "the group moves mid-call: every try resolves the destination",
+			tries: 3, answer: map[int]bool{2: true}, moveAt: env.Microsecond / 2,
+			sent: []env.NodeID{101, 102}, ok: true, retries: 1, returned: timeout},
+		{what: "a duplicate reply after completion is dropped",
+			tries: 3, answer: map[int]bool{1: true}, again: timeout,
+			sent: []env.NodeID{101}, ok: true},
+		{what: "a late reply after the give-up is dropped",
+			tries: 1, answer: map[int]bool{1: true}, delay: timeout + env.Microsecond,
+			sent: []env.NodeID{101}, giveUps: 1, retries: 1, returned: timeout},
+	} {
+		sim := env.NewSim(3)
+		fp := core.Key{PID: core.RootDirID, Name: "d"}.Fingerprint()
+		rg := ring.New([]uint32{0, 1}, 0, func(slot uint32) env.NodeID { return 101 + env.NodeID(slot) })
+		rg.SetOverride(fp, 0)
+		s := New(sim, Config{ID: 100, Costs: env.DefaultCosts(), Ring: rg,
+			Peers: []env.NodeID{100}, SwitchFor: func(core.Fingerprint) env.NodeID { return 1 }})
+		var sent []env.NodeID
+		got := 0 // requests the peers received
+		for _, peer := range []env.NodeID{101, 102} {
+			sim.AddNode(peer, env.NodeConfig{Handler: func(p *env.Proc, from env.NodeID, msg any) {
+				req := msg.(*wire.Packet).Body.(*wire.AggNowReq)
+				if got++; !c.answer[got] {
+					return
+				}
+				p.Sleep(c.delay)
+				p.Send(from, &wire.Packet{Dst: from, Origin: peer, Body: &wire.AggNowResp{Ctl: req.Ctl}})
+				if c.again > 0 {
+					p.Sleep(c.again)
+					p.Send(from, &wire.Packet{Dst: from, Origin: peer, Body: &wire.AggNowResp{Ctl: req.Ctl, Incomplete: true}})
+				}
+			}})
+		}
+		sim.Net().Filter = func(from, to env.NodeID, msg any) env.Verdict {
+			if from == 100 {
+				sent = append(sent, to)
+			}
+			return env.Pass
+		}
+		if c.crashAt > 0 {
+			sim.After(c.crashAt, s.Crash)
+		}
+		if c.moveAt > 0 {
+			sim.After(c.moveAt, func() { rg.SetOverride(fp, 1) })
+		}
+		var a *awaiting
+		var v any
+		var ok bool
+		var returned env.Time
+		giveUps := 0
+		sim.Spawn(100, func(p *env.Proc) {
+			id := s.newID()
+			a = s.await(id, nil)
+			msg := &wire.AggNowReq{Ctl: id, From: 100, FP: fp}
+			v, ok = s.call(p, &a.done, c.tries, func() { s.reply(p, s.ownerOfFP(fp), msg) },
+				func() { giveUps++ })
+			delete(s.calls, id)
+			returned = p.Now()
+		})
+		sim.Run()
+		sim.Shutdown()
+		if !reflect.DeepEqual(sent, c.sent) {
+			t.Errorf("%s: sent to %v, want %v", c.what, sent, c.sent)
+		}
+		if ok != c.ok || giveUps != c.giveUps || s.Stats.Retries != c.retries {
+			t.Errorf("%s: ok %v, %d give-ups, %d retries; want %v, %d, %d",
+				c.what, ok, giveUps, s.Stats.Retries, c.ok, c.giveUps, c.retries)
+		}
+		if at := env.Duration(returned); at < c.returned || at > c.returned+rtt {
+			t.Errorf("%s: returned at %v, want %v", c.what, returned, c.returned)
+		}
+		if len(s.calls) != 0 {
+			t.Errorf("%s: %d calls left registered", c.what, len(s.calls))
+		}
+		// Only a registered call takes a reply: a repeated one must not have
+		// reached the wait once the call ended.
+		if resp, _ := v.(*wire.AggNowResp); ok && (resp == nil || resp.Incomplete) {
+			t.Errorf("%s: returned %v, want the first reply", c.what, v)
+		}
+		if late, _ := a.done.Peek(); late != v {
+			t.Errorf("%s: the wait holds %v after the call returned %v", c.what, late, v)
+		}
+	}
+}
+
+// BenchmarkPeerCall is the call layer benchmark (`make bench-layers`): one
+// control call per op whose first request is lost, so it pays one round trip
+// and one retransmission.
+func BenchmarkPeerCall(b *testing.B) {
+	sim := env.NewSim(3)
+	defer sim.Shutdown()
+	s := New(sim, Config{ID: 100, Costs: env.DefaultCosts(),
+		Ring:  ring.New([]uint32{0}, 0, func(uint32) env.NodeID { return 101 }),
+		Peers: []env.NodeID{100}, SwitchFor: func(core.Fingerprint) env.NodeID { return 1 }})
+	got := 0
+	sim.AddNode(101, env.NodeConfig{Handler: func(p *env.Proc, from env.NodeID, msg any) {
+		if got++; got%2 == 0 {
+			req := msg.(*wire.Packet).Body.(*wire.AggNowReq)
+			p.Send(from, &wire.Packet{Dst: from, Origin: 101, Body: &wire.AggNowResp{Ctl: req.Ctl}})
+		}
+	}})
+	sim.Spawn(100, func(p *env.Proc) {
+		for i := 0; i < b.N; i++ {
+			if _, err := s.ctlCall(p, 101, func(ctl uint64) wire.Msg {
+				return &wire.AggNowReq{Ctl: ctl, From: 100}
+			}); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	sim.Run()
+	if s.Stats.Retries != uint64(b.N) {
+		b.Fatalf("%d retransmissions for %d calls", s.Stats.Retries, b.N)
+	}
+}

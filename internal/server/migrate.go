@@ -354,7 +354,7 @@ func (s *Server) evictFP(fp core.Fingerprint) {
 // Reports whether the server reached quiescence (false: budget expired).
 func (s *Server) DrainAggs(p *env.Proc) bool {
 	const step = 100 * env.Microsecond
-	deadline := p.Now() + env.Duration(maxAggRetries)*s.cfg.RetryTimeout
+	deadline := p.Now() + env.Duration(maxTries)*s.cfg.RetryTimeout
 	for {
 		if s.dead || s.node.Down() {
 			return true

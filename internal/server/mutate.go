@@ -201,22 +201,21 @@ func (s *Server) replyMutate(p *env.Proc, req *wire.MutateReq, err error) {
 }
 
 // asyncCommit sends the dirty-set insert and waits for the commit ack
-// (success multicast leg 7b, or the fallback owner's ack). Retransmission
-// makes the path robust to packet loss; inserts are idempotent (§5.4.1).
+// (success multicast leg 7b, or the fallback owner's ack), until it arrives or
+// this incarnation fail-stops; inserts are idempotent (§5.4.1).
 func (s *Server) asyncCommit(p *env.Proc, parent core.DirRef, parentLog *dirLog,
 	entry core.LogEntry, resp *wire.MutateResp, client env.NodeID) {
 
 	csp := s.cfg.Trace.Start(p, "commit:async", "server")
 	defer csp.End()
-	s.nextCommit++
-	ctx := &commitCtx{id: s.nextCommit, done: env.NewFuture(),
-		dir: parent.ID, entryID: entry.ID}
-	s.commits[ctx.id] = ctx
+	id := s.newID()
+	acked := s.await(id, nil)
+	defer delete(s.calls, id)
 
 	notice := &wire.CommitNotice{
 		Resp:     resp,
 		Client:   client,
-		CommitID: ctx.id,
+		CommitID: id,
 		MarkOnly: s.cfg.Tracker == TrackerOwner,
 	}
 	if s.cfg.Tracker == TrackerOwner {
@@ -230,61 +229,47 @@ func (s *Server) asyncCommit(p *env.Proc, parent core.DirRef, parentLog *dirLog,
 		// log synchronously (§5.2.1, §6.2).
 		notice.Update = wire.DirLog{Dir: parent, Entries: parentLog.log.Snapshot()}
 	}
-	for {
-		if s.dead {
-			return // fail-stopped: this incarnation retries no further
-		}
-		// The destination and the fallback owner are recomputed per retry: a
-		// migration can re-route the parent's group mid-commit, and a packet
-		// built once with a stale AltDst would keep steering the switch's
-		// overflow rewrite at a server that no longer owns the directory
-		// (the old owner forwards in-flight stragglers, but retransmissions
-		// must route right at the source).
-		var dst env.NodeID
-		var pkt *wire.Packet
+	v, ok := s.call(p, &acked.done, 0, func() {
+		// The fallback owner is recomputed per try: a migration can re-route
+		// the parent's group mid-commit, and a packet built once with a stale
+		// AltDst would keep steering the switch's overflow rewrite at a server
+		// that no longer owns the directory.
 		if s.cfg.Tracker == TrackerOwner {
-			dst = s.ownerOfFP(parent.FP)
-			pkt = &wire.Packet{Dst: dst, Origin: s.cfg.ID, Trace: p.TraceCtx(), Body: notice}
-		} else {
-			dst = s.cfg.SwitchFor(parent.FP)
-			var hdr *wire.DSHeader
-			pkt, hdr = wire.Carve[wire.DSHeader]()
-			*hdr = wire.DSHeader{Op: wire.DSInsert, FP: parent.FP, AltDst: s.ownerOfFP(parent.FP)}
-			*pkt = wire.Packet{DS: hdr, Dst: dst, Origin: s.cfg.ID, Trace: p.TraceCtx(), Body: notice}
-		}
-		p.Send(dst, pkt)
-		v, ok := ctx.done.WaitTimeout(p, s.cfg.RetryTimeout)
-		if ok {
-			ack := v.(*wire.CommitAck)
-			delete(s.commits, ctx.id)
-			if ack.Applied {
-				// Fallback applied the pending log remotely: mark applied
-				// and trim (§5.4.2 keeps recovery exactly-once).
-				s.Stats.Fallbacks++
-				maxID := uint64(0)
-				for _, e := range notice.Update.Entries {
-					if e.ID > maxID {
-						maxID = e.ID
-					}
-				}
-				s.ackEntries(parentLog, maxID)
-			} else {
-				s.Stats.AsyncCommits++
-			}
+			s.reply(p, s.ownerOfFP(parent.FP), notice)
 			return
 		}
-		s.Stats.Retries++
+		pkt, hdr := wire.Carve[wire.DSHeader]()
+		*hdr = wire.DSHeader{Op: wire.DSInsert, FP: parent.FP, AltDst: s.ownerOfFP(parent.FP)}
+		*pkt = wire.Packet{DS: hdr, Dst: s.cfg.SwitchFor(parent.FP), Origin: s.cfg.ID, Body: notice}
+		s.send(p, pkt)
+	}, nil)
+	if !ok {
+		return
+	}
+	if v.(*wire.CommitAck).Applied {
+		// Fallback applied the pending log remotely: mark applied and trim
+		// (§5.4.2 keeps recovery exactly-once).
+		s.Stats.Fallbacks++
+		maxID := uint64(0)
+		for _, e := range notice.Update.Entries {
+			maxID = max(maxID, e.ID)
+		}
+		s.ackEntries(parentLog, maxID)
+	} else {
+		s.Stats.AsyncCommits++
 	}
 }
 
 // syncCommit is the Baseline path of Fig. 14: ship the single update to the
-// parent's owner and wait for it to apply before replying; all locks held.
+// parent's owner and wait for it to apply before replying; all locks held. A
+// fail-stopped incarnation leaves the commit to its recovery: the WAL record
+// stays unmarked, and the locks die with it.
 func (s *Server) syncCommit(p *env.Proc, req *wire.MutateReq, parentLog *dirLog,
 	entry core.LogEntry, lsn wal.LSN, kl *env.RWMutex, newDir core.DirID) {
 
-	s.nextCommit++
-	ctx := &commitCtx{id: s.nextCommit, done: env.NewFuture()}
-	s.commits[ctx.id] = ctx
+	id := s.newID()
+	acked := s.await(id, nil)
+	defer delete(s.calls, id)
 
 	csp := s.cfg.Trace.Start(p, "commit:sync", "server")
 	defer csp.End()
@@ -292,20 +277,12 @@ func (s *Server) syncCommit(p *env.Proc, req *wire.MutateReq, parentLog *dirLog,
 	notice := &wire.CommitNotice{
 		Resp:     resp,
 		Client:   req.Client,
-		CommitID: ctx.id,
+		CommitID: id,
 		Update:   wire.DirLog{Dir: req.Parent, Entries: []core.LogEntry{entry}},
 	}
-	dst := s.ownerOfFP(req.Parent.FP)
-	pkt := &wire.Packet{Dst: dst, Origin: s.cfg.ID, Trace: p.TraceCtx(), Body: notice}
-	for {
-		p.Send(dst, pkt)
-		if v, ok := ctx.done.WaitTimeout(p, s.cfg.RetryTimeout); ok {
-			_ = v
-			break
-		}
-		s.Stats.Retries++
+	if _, ok := s.call(p, &acked.done, 0, func() { s.reply(p, s.ownerOfFP(req.Parent.FP), notice) }, nil); !ok {
+		return
 	}
-	delete(s.commits, ctx.id)
 	// Cache the response for retransmission replay only now that the remote
 	// apply is acknowledged (the parent's owner also sent the client's copy).
 	s.remember(req.Client, req.RPC, resp)
@@ -313,14 +290,6 @@ func (s *Server) syncCommit(p *env.Proc, req *wire.MutateReq, parentLog *dirLog,
 	mustMark(s.wal, lsn)
 	kl.Unlock()
 	parentLog.lock.RUnlock()
-}
-
-// handleCommitAck completes a waiting commit context.
-func (s *Server) handleCommitAck(p *env.Proc, ack *wire.CommitAck) {
-	ctx := s.commits[ack.CommitID]
-	if ctx != nil {
-		ctx.done.Complete(ack)
-	}
 }
 
 // handleFallback runs on the parent directory's owner when (a) a dirty-set
@@ -342,7 +311,7 @@ func (s *Server) handleFallback(p *env.Proc, pkt *wire.Packet, cn *wire.CommitNo
 		return
 	}
 	if s.gateWait(p, fp) != nil {
-		return // migration inbound; the origin's retry loop re-sends
+		return // migration inbound; the origin's call re-sends
 	}
 	if s.checkOwnership(fp) != nil {
 		dst := s.ownerOfFP(fp)
@@ -381,7 +350,7 @@ func (s *Server) ackEntries(dl *dirLog, maxID uint64) {
 		}
 	}
 	dl.log.AckThrough(maxID)
-	dl.settleFlushes(maxID, true)
+	dl.settleFlushes(maxID, nil)
 }
 
 // adjustNlink updates a hard-linked file's shared attribute object, possibly

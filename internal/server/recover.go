@@ -39,9 +39,9 @@ func encodeDentryRec(dir core.DirID, name string, put bool, t core.FileType, per
 
 // Crash simulates a fail-stop: the node drops off the network and all
 // volatile state is lost — the parked requests with it. The WAL (stable
-// storage) survives and is reused by Restart. The dead flag terminates this
-// incarnation's unbounded retry loops — after Restart re-registers the node
-// id, a retransmission from the old incarnation would otherwise spin forever
+// storage) survives and is reused by Restart. The dead flag ends this
+// incarnation's calls (Server.call) — after Restart re-registers the node id,
+// a retransmission from the old incarnation would otherwise spin forever
 // against a successor that no longer holds its contexts.
 func (s *Server) Crash() {
 	s.dead = true

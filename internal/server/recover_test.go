@@ -397,7 +397,7 @@ func TestHandleAggEntriesTable(t *testing.T) {
 	dir := core.DirRef{ID: core.DirID{1, 2, 3, 4}, Key: core.Key{PID: core.RootDirID, Name: "d"}}
 	dir.FP = dir.Key.Fingerprint()
 	logs := []wire.DirLog{{Dir: dir, Entries: []core.LogEntry{{ID: 3, Op: core.OpCreate, Name: "x"}}}}
-	active := &aggCtx{id: s.bootAgg + 1, fp: dir.FP, done: env.NewFuture(), expect: map[env.NodeID]bool{peer: true}}
+	active := &aggCtx{awaiting: awaiting{expect: map[env.NodeID]bool{peer: true}}, id: s.bootAgg + 1, fp: dir.FP}
 	s.aggs[active.id] = active
 	remembered := &wire.AggAck{AggID: s.bootAgg + 2, FP: dir.FP, MaxIDs: map[core.DirID]uint64{dir.ID: 3}}
 	s.rememberAggAcks(remembered.AggID, map[env.NodeID]*wire.AggAck{peer: remembered})

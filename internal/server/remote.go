@@ -275,23 +275,8 @@ func (s *Server) handleTxnVote(v *wire.TxnVote) {
 	if tv == nil || !tv.expect[v.From] {
 		return
 	}
-	delete(tv.expect, v.From)
 	if v.Err != core.ErrnoOK && tv.err == nil {
 		tv.err = v.Err.Err()
 	}
-	if len(tv.expect) == 0 {
-		tv.done.Complete(nil)
-	}
-}
-
-// handleTxnDone collects a decision ack at the coordinator.
-func (s *Server) handleTxnDone(d *wire.TxnDone) {
-	td := s.txnDones[d.Txn]
-	if td == nil || !td.expect[d.From] {
-		return
-	}
-	delete(td.expect, d.From)
-	if len(td.expect) == 0 {
-		td.done.Complete(nil)
-	}
+	tv.answer(v.From, nil)
 }

@@ -122,15 +122,17 @@ type dirLog struct {
 	heldBy uint64
 	// flushes are the waits for the owner to acknowledge the log through an
 	// entry id (deliver, flushLog); ackEntries settles those it covers, and a
-	// delivery that gives up fails them all.
+	// delivery that gives up fails the flushLog ones.
 	flushes []logFlush
 }
 
 // logFlush waits for a change-log to be acknowledged through an entry id; done
-// completes with whether the directory's owner acknowledged it.
+// completes with whether the directory's owner acknowledged it. push marks a
+// delivery's own wait.
 type logFlush struct {
 	through uint64
 	done    *env.Future
+	push    bool
 }
 
 // fpState serializes aggregations per fingerprint group and blocks directory
@@ -148,23 +150,13 @@ type fpState struct {
 	mu             env.Mutex
 }
 
-// commitCtx is a double-inode operation waiting for its switch leg.
-type commitCtx struct {
-	id      uint64
-	done    *env.Future // completed by CommitAck
-	lsn     wal.LSN
-	dir     core.DirID
-	entryID uint64
-}
-
-// aggCtx is an in-flight aggregation this server owns.
+// aggCtx is an in-flight aggregation this server owns: it awaits every peer's
+// entries.
 type aggCtx struct {
-	id      uint64
-	fp      core.Fingerprint
-	expect  map[env.NodeID]bool // peers not yet replied
-	logs    []aggLog
-	done    *env.Future
-	retries int
+	awaiting
+	id   uint64
+	fp   core.Fingerprint
+	logs []aggLog
 }
 
 // aggLog tags one directory's pending change-log with the server that holds
@@ -220,8 +212,10 @@ type Server struct {
 	// group. UnblockFP completes the future.
 	gates map[core.Fingerprint]*env.Future
 
-	// Pending protocol contexts.
-	commits    map[uint64]*commitCtx
+	// Pending protocol contexts. calls is the registry of plain
+	// request/response exchanges (commit acks, control replies, decision
+	// acks), keyed by ids from nextID.
+	calls      map[uint64]*awaiting
 	aggs       map[uint64]*aggCtx
 	aggByFP    map[core.Fingerprint]*aggCtx
 	peerAggs   map[uint64]*peerAggState
@@ -237,25 +231,22 @@ type Server struct {
 	ownerDirty map[core.Fingerprint]bool
 
 	// Monotonic counters.
-	nextCommit   uint64
+	nextID       uint64
 	nextEntry    uint64
 	nextAgg      uint64
 	nextRemove   uint64
-	nextTxn      uint64
 	nextTxnEntry uint64
-	nextCtl      uint64
 
 	idgen *core.IDGen
 
 	// txns holds participant state for 2PC (rename, links, migration);
-	// txnVotes/txnDones hold coordinator-side collection state; renameMu
+	// txnVotes holds the coordinator's prepare rounds; renameMu
 	// serializes the lock-acquiring half of coordinated transactions
 	// cluster-wide (the centralized rename coordinator of §5.2), and deciding
 	// is held shared by each transaction that left renameMu until its
 	// decision round ends, so a directory rename can wait them out.
 	txns       map[uint64]*txnState
-	txnVotes   map[uint64]*txnVotes
-	txnDones   map[uint64]*txnVotes
+	txnVotes   map[uint64]*awaiting
 	txnStarted map[uint64]bool
 	txnVoted   map[uint64]core.Errno
 	txnLog     []uint64
@@ -274,10 +265,6 @@ type Server struct {
 	txnRearm   []txnRearm
 	renameMu   env.Mutex
 	deciding   env.RWMutex
-
-	// ctlWait matches control-plane responses (ReadInode, ScanDir, AggNow,
-	// FlushEntry, FlushAll, CloneInval) to their callers.
-	ctlWait map[uint64]*env.Future
 
 	serving bool
 	// parked holds the client requests that arrived while !serving — the
@@ -374,18 +361,16 @@ func New(e *env.Sim, cfg Config) *Server {
 		fpOps:      make(map[core.Fingerprint]uint64),
 		busy:       make(map[core.Fingerprint]int),
 		gates:      make(map[core.Fingerprint]*env.Future),
-		commits:    make(map[uint64]*commitCtx),
+		calls:      make(map[uint64]*awaiting),
 		aggs:       make(map[uint64]*aggCtx),
 		aggByFP:    make(map[core.Fingerprint]*aggCtx),
 		dedup:      make(map[dedupKey]wire.Msg),
 		quiesce:    make(map[core.Fingerprint]*env.Timer),
 		ownerDirty: make(map[core.Fingerprint]bool),
 		txns:       make(map[uint64]*txnState),
-		txnVotes:   make(map[uint64]*txnVotes),
-		txnDones:   make(map[uint64]*txnVotes),
+		txnVotes:   make(map[uint64]*awaiting),
 		txnDecided: make(map[uint64]bool),
 		txnWAL:     make(map[uint64]wal.LSN),
-		ctlWait:    make(map[uint64]*env.Future),
 		peerAggs:   make(map[uint64]*peerAggState),
 		doneAggs:   make(map[uint64]map[env.NodeID]*wire.AggAck),
 		idgen:      core.NewIDGen(uint64(cfg.ID)),
@@ -398,17 +383,15 @@ func New(e *env.Sim, cfg Config) *Server {
 	// restarted incarnation must never reuse its predecessor's identifier
 	// space. Reused dirty-set remove sequence numbers would be rejected by
 	// the switch's §5.4.1 staleness guard (or, worse, a later reuse would
-	// pass it and erase live fingerprints), and reused aggregation/commit/
-	// control ids would collide with the dead incarnation's still-pending
+	// pass it and erase live fingerprints), and reused aggregation and call
+	// ids would collide with the dead incarnation's still-pending
 	// protocol state at peers. Time is the model's stand-in for the paper's
 	// persisted epoch; one tick always separates crash from restart.
 	base := uint64(e.Now())
-	s.nextCommit = base
+	s.nextID = base
 	s.nextAgg = base
 	s.bootAgg = uint64(cfg.ID)<<40 | base
 	s.nextRemove = base
-	s.nextCtl = base
-	s.nextTxn = base
 	// Transaction entry ids likewise: they are compared against watermarks
 	// kept at the directories' owners, which survive a coordinator restart —
 	// an id at or below one would be dropped there as a duplicate.
@@ -586,7 +569,7 @@ func (s *Server) handle(p *env.Proc, from env.NodeID, msg any) {
 	case *wire.MutateReq:
 		s.handleMutate(p, b)
 	case *wire.CommitAck:
-		s.handleCommitAck(p, b)
+		s.answer(b.CommitID, 0, b)
 	case *wire.CommitNotice:
 		// Overflow fallback: the switch rewrote the insert packet to us —
 		// we own the parent directory and apply the update synchronously.
@@ -614,11 +597,11 @@ func (s *Server) handle(p *env.Proc, from env.NodeID, msg any) {
 	case *wire.TxnVote:
 		s.handleTxnVote(b)
 	case *wire.TxnDone:
-		s.handleTxnDone(b)
+		s.answer(b.Txn, b.From, nil)
 	case *wire.TxnStatusReq:
 		s.handleTxnStatus(p, b)
 	case *wire.TxnStatusResp:
-		s.completeCtl(b.Ctl, b)
+		s.answer(b.Ctl, 0, b)
 	case *wire.ReadInodeReq:
 		s.handleReadInode(p, b)
 	case *wire.ScanDirReq:
@@ -626,19 +609,19 @@ func (s *Server) handle(p *env.Proc, from env.NodeID, msg any) {
 	case *wire.AggNowReq:
 		s.handleAggNow(p, b)
 	case *wire.ReadInodeResp:
-		s.completeCtl(b.Ctl, b)
+		s.answer(b.Ctl, 0, b)
 	case *wire.ScanDirResp:
-		s.completeCtl(b.Ctl, b)
+		s.answer(b.Ctl, 0, b)
 	case *wire.AggNowResp:
-		s.completeCtl(b.Ctl, b)
+		s.answer(b.Ctl, 0, b)
 	case *wire.FlushEntryReq:
 		s.handleFlushEntry(p, b)
 	case *wire.FlushEntryResp:
-		s.completeCtl(b.Ctl, b)
+		s.answer(b.Ctl, 0, b)
 	case *wire.CloneInvalReq:
 		s.handleCloneInval(p, b)
 	case *wire.CloneInvalResp:
-		s.completeCtl(b.Ctl, b)
+		s.answer(b.Ctl, 0, b)
 	case *wire.FlushAllReq:
 		s.handleFlushAll(p, pkt.Origin, b)
 	}
@@ -750,35 +733,6 @@ func (s *Server) DirOps() []DirOp {
 		return lessDirID(out[i].Dir, out[j].Dir)
 	})
 	return out
-}
-
-// completeCtl finishes a pending control-plane call.
-func (s *Server) completeCtl(ctl uint64, v wire.Msg) {
-	fut := s.ctlWait[ctl]
-	if fut != nil {
-		fut.Complete(v)
-	}
-}
-
-// ctlCall performs a retried control-plane round trip to a peer.
-func (s *Server) ctlCall(p *env.Proc, to env.NodeID, build func(ctl uint64) wire.Msg) (wire.Msg, error) {
-	s.nextCtl++
-	ctl := uint64(s.cfg.ID)<<40 | s.nextCtl
-	fut := env.NewFuture()
-	s.ctlWait[ctl] = fut
-	defer delete(s.ctlWait, ctl)
-	msg := build(ctl)
-	for try := 0; try < maxAggRetries; try++ {
-		if s.dead {
-			break
-		}
-		s.reply(p, to, msg)
-		if v, ok := fut.WaitTimeout(p, s.cfg.RetryTimeout); ok {
-			return v.(wire.Msg), nil
-		}
-		s.Stats.Retries++
-	}
-	return nil, core.ErrTimeout
 }
 
 // reply sends a response packet straight to the client (L2 path). A dead

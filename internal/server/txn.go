@@ -336,7 +336,7 @@ func (s *Server) doLink(p *env.Proc, req *wire.LinkReq) error {
 type coordTxn struct {
 	id    uint64
 	parts []env.NodeID
-	votes *txnVotes
+	votes *awaiting
 	// prepared reports that every vote arrived; false when the prepare round
 	// gave up (or this incarnation fail-stopped) with votes outstanding.
 	prepared bool
@@ -360,17 +360,12 @@ type coordTxn struct {
 func (s *Server) prepareTxn(p *env.Proc, parts []env.NodeID, ops [][]wire.TxnOp,
 	checks [][]wire.TxnCheck) *coordTxn {
 
-	s.nextTxn++
-	t := &coordTxn{id: uint64(s.cfg.ID)<<40 | s.nextTxn, parts: parts,
-		votes: &txnVotes{expect: make(map[env.NodeID]bool), done: env.NewFuture()}}
-	for _, n := range parts {
-		t.votes.expect[n] = true
-	}
+	t := &coordTxn{id: s.newID(), parts: parts, votes: expecting(parts)}
 	s.txnVotes[t.id] = t.votes
 
 	psp := s.cfg.Trace.Start(p, "txn:prepare", "server")
 	defer psp.End()
-	for try := 0; !s.dead; try++ {
+	_, t.prepared = s.call(p, &t.votes.done, maxTries+1, func() {
 		for i, n := range parts {
 			var ck []wire.TxnCheck
 			if checks != nil {
@@ -378,15 +373,7 @@ func (s *Server) prepareTxn(p *env.Proc, parts []env.NodeID, ops [][]wire.TxnOp,
 			}
 			replyNew(s, p, n, wire.TxnPrepare{Txn: t.id, From: s.cfg.ID, Ops: ops[i], Check: ck})
 		}
-		if _, ok := t.votes.done.WaitTimeout(p, s.cfg.RetryTimeout); ok {
-			t.prepared = true
-			break
-		}
-		s.Stats.Retries++
-		if try >= maxAggRetries {
-			break
-		}
-	}
+	}, nil)
 	return t
 }
 
@@ -461,35 +448,23 @@ func (s *Server) recordCommit(p *env.Proc, id uint64, parts []env.NodeID) {
 	s.txnWAL[id] = lsn
 }
 
-// driveDecision retransmits a decision until every participant acked. The
-// retry budget keeps a never-recovering participant from holding this
-// process alive forever; on give-up the recorded commit stays, and either
-// the participant's termination protocol pulls it (TxnStatusReq) or the
-// next coordinator recovery re-drives it. Reports whether all acks arrived.
+// driveDecision retransmits a decision until every participant acked, under
+// the transaction's id in the call registry. The budget keeps a
+// never-recovering participant from holding this process alive forever; on
+// give-up the recorded commit stays, and either the participant's termination
+// protocol pulls it (TxnStatusReq) or the next coordinator recovery re-drives
+// it. Reports whether all acks arrived.
 func (s *Server) driveDecision(p *env.Proc, id uint64, parts []env.NodeID, commit bool) bool {
-	td := &txnVotes{expect: make(map[env.NodeID]bool), done: env.NewFuture()}
-	for _, n := range parts {
-		td.expect[n] = true
-	}
-	s.txnDones[id] = td
-	defer delete(s.txnDones, id)
+	acks := s.await(id, parts)
+	defer delete(s.calls, id)
 	dsp := s.cfg.Trace.Start(p, "txn:decision", "server")
 	defer dsp.End()
-	for try := 0; ; try++ {
-		if s.dead {
-			return false
-		}
+	_, ok := s.call(p, &acks.done, maxTries+1, func() {
 		for _, n := range parts {
 			replyNew(s, p, n, wire.TxnDecision{Txn: id, Commit: commit})
 		}
-		if _, ok := td.done.WaitTimeout(p, s.cfg.RetryTimeout); ok {
-			return true
-		}
-		s.Stats.Retries++
-		if try >= maxAggRetries {
-			return false
-		}
-	}
+	}, nil)
+	return ok
 }
 
 // ackDecision retires a fully-acknowledged commit: every participant
@@ -568,7 +543,7 @@ func (s *Server) monitorTxn(p *env.Proc, txn uint64, coord env.NodeID) {
 	// timeouts — a detectable wedge — instead of the monitor keeping the
 	// simulation alive forever. Validated plans always recover crashes, so
 	// the budget is only reachable under hand-written scenarios.
-	for try := 0; try < maxAggRetries; try++ {
+	for try := 0; try < maxTries; try++ {
 		if s.dead {
 			return
 		}
@@ -602,13 +577,6 @@ func (s *Server) recordVote(txn uint64, errno core.Errno) {
 		s.txnVoted = make(map[uint64]core.Errno)
 	}
 	s.txnVoted[txn] = errno
-}
-
-// txnVotes collects prepare votes (or decision acks).
-type txnVotes struct {
-	expect map[env.NodeID]bool
-	err    error
-	done   *env.Future
 }
 
 // handleTxnPrepare is the participant side of phase one: lock keys in global
