@@ -16,23 +16,22 @@ lint: vet detlint
 		echo "staticcheck not installed; ran go vet + detlint only"; \
 	fi
 
-# detlint runs the determinism/protocol analyzer suite (internal/detlint)
-# over the whole tree through the vet driver. The build must be clean:
-# every diagnostic is either fixed or carries a //detlint:ignore with a
-# written reason.
+# detlint is the static gate, and tier-1 already runs it (`go test ./...`):
+# cmd/detlint's TestVetTree runs the determinism/protocol analyzer suite
+# (internal/detlint) over the whole tree through `go vet` and requires
+# it clean — every diagnostic is either fixed or carries a //detlint:ignore
+# with a written reason — and requires a seeded broken package to fail.
 detlint:
-	$(GO) build -o bin/detlint ./cmd/detlint
-	$(GO) vet -vettool=$(CURDIR)/bin/detlint ./...
+	$(GO) test -count=1 -run TestVetTree -v ./cmd/detlint
 
 # detlint-report prints the suppression inventory — every //detlint:
 # directive with its location and written reason — and fails if any
-# directive is malformed or reason-less. CI runs it in the detlint job so
-# an unjustified suppression cannot land.
+# directive is malformed or reason-less. Tier-1's TestReportOverRepo holds
+# the tree to the same check.
 detlint-report:
-	$(GO) build -o bin/detlint ./cmd/detlint
-	./bin/detlint -report .
+	$(GO) run ./cmd/detlint -report .
 
-# race proves what detlint's rawgo can only forbid: the tree has no host
+# race proves what detlint's hostapi can only forbid: the tree has no host
 # concurrency (one runtime, one runnable process, no sync or sync/atomic in
 # product code), so the race detector must stay silent with zero mutexes.
 race:

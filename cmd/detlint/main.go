@@ -4,14 +4,14 @@
 //
 //	go vet -vettool=$(pwd)/bin/detlint ./...
 //
-// (which is what `make detlint` and the CI detlint job do), and composes
-// with the standard vet analyzers' build cache.
+// and composes with the standard vet analyzers' build cache. TestVetTree
+// does exactly that inside `go test ./...` (`make detlint` runs it alone).
 //
 // `detlint -report [dir]` instead prints the suppression inventory — every
 // //detlint: directive in the tree with its location and written reason —
-// and exits non-zero if any directive is malformed or reason-less. The CI
-// detlint job runs it (`make detlint-report`) so an unjustified suppression
-// cannot land. Any other direct invocation prints unitchecker usage.
+// and exits non-zero if any directive is malformed or reason-less
+// (`make detlint-report`; TestReportOverRepo gates the same check). Any
+// other direct invocation prints unitchecker usage.
 package main
 
 import (

@@ -32,13 +32,6 @@ type Config struct {
 	// RetryTimeout and MaxRetries bound request retransmission.
 	RetryTimeout env.Duration
 	MaxRetries   int
-	// DataRetryTimeout and DataMaxRetries bound data-node retransmission.
-	// Zero values derive from RetryTimeout: data accesses queue behind
-	// hundreds of microseconds of I/O plus a replication round, so the
-	// data timeout scales the configured metadata timeout up rather than
-	// ignoring it.
-	DataRetryTimeout env.Duration
-	DataMaxRetries   int
 	// Trace records causal spans for this client's operations (nil: off).
 	// Each op entry point opens a root span; retransmission rounds and
 	// lookups nest under it, and the op's TraceCtx travels in every packet
@@ -98,12 +91,6 @@ func New(e *env.Sim, cfg Config) *Client {
 		// participant holds a change-log lock for up to 100 retransmission
 		// rounds before giving up (§5.4.1 recovery interplay).
 		cfg.MaxRetries = 250
-	}
-	if cfg.DataRetryTimeout == 0 {
-		cfg.DataRetryTimeout = 20 * cfg.RetryTimeout
-	}
-	if cfg.DataMaxRetries == 0 {
-		cfg.DataMaxRetries = 8
 	}
 	// Maps are allocated lazily at their first write: nil-map reads are
 	// valid Go, and at million-client scale an idle session's four empty

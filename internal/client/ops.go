@@ -310,11 +310,10 @@ func (c *Client) LinkR(p *env.Proc, src, dst string) (bool, error) {
 	return c.twoPath(p, core.OpLink, src, dst)
 }
 
-// dataCall performs one data-node round trip. Data accesses queue behind
-// hundreds of microseconds of I/O (plus a replication round), so the
-// timeout scales from the session's configured retry policy instead of the
-// raw metadata RPC timeout — retransmitting at metadata pace would trigger
-// retransmit storms against a busy data node.
+// dataCall performs one data-node round trip, sent at most 8 times. Data
+// accesses queue behind hundreds of microseconds of I/O (plus a replication
+// round), so each try waits 20 metadata retry timeouts — retransmitting at
+// metadata pace would trigger retransmit storms against a busy data node.
 func (c *Client) dataCall(p *env.Proc, node env.NodeID, op core.Op, chunk wire.ChunkKey, bytes int64) (*wire.DataResp, error) {
 	sp := c.op(p, op)
 	rpc := c.nextRPC()
@@ -327,10 +326,10 @@ func (c *Client) dataCall(p *env.Proc, node env.NodeID, op core.Op, chunk wire.C
 	defer delete(c.pending, rpc)
 	// One packet, stamped once: retransmissions must join the original trace.
 	pkt := &wire.Packet{Dst: node, Origin: c.cfg.ID, Body: req, Trace: p.TraceCtx()}
-	for try := 0; try < c.cfg.DataMaxRetries; try++ {
+	for try := 0; try < 8; try++ {
 		att := c.cfg.Trace.Start(p, "attempt", "client")
 		p.Send(node, pkt)
-		v, ok := fut.WaitTimeout(p, c.cfg.DataRetryTimeout)
+		v, ok := fut.WaitTimeout(p, 20*c.cfg.RetryTimeout)
 		att.End()
 		if ok {
 			resp := v.(*wire.DataResp)

@@ -42,18 +42,14 @@ type Options struct {
 	Switches int
 	Costs    env.Costs
 	Tracker  server.TrackerMode
-	// TrackerCores sizes the dedicated-server tracker (Fig. 15: 12 cores).
-	TrackerCores int
-	// TrackerOpCost is the dedicated tracker's per-packet CPU time.
-	TrackerOpCost env.Duration
 	// Async and Compaction gate the §7.3.1 contribution-breakdown modes;
 	// both default to true (full SwitchFS).
 	Async      bool
 	Compaction bool
 	// ForceOverflow makes every dirty-set insert fail (§7.3.2).
 	ForceOverflow bool
-	// Switch geometry; zero means paper defaults (10 × 2^17).
-	SwitchStages    int
+	// SwitchIndexBits sizes each of the switch's 10 dirty-set stages; zero
+	// means the paper's 2^17 slots.
 	SwitchIndexBits uint
 	// Protocol tunables forwarded to servers.
 	PushEntries  int
@@ -83,12 +79,6 @@ func (o *Options) Defaults() {
 	}
 	if o.Switches == 0 {
 		o.Switches = 1
-	}
-	if o.TrackerCores == 0 {
-		o.TrackerCores = 12
-	}
-	if o.TrackerOpCost == 0 {
-		o.TrackerOpCost = 1 * env.Microsecond
 	}
 	if o.DataReplication == 0 {
 		o.DataReplication = 2
@@ -161,7 +151,6 @@ func NewWithModes(e *env.Sim, opts Options) *Cluster {
 	switch opts.Tracker {
 	case server.TrackerServer:
 		sw := pswitch.New(trackerNode, pswitch.Config{
-			Stages:    opts.SwitchStages,
 			IndexBits: opts.SwitchIndexBits,
 			Servers:   peers,
 			Trace:     opts.Trace,
@@ -170,12 +159,12 @@ func NewWithModes(e *env.Sim, opts Options) *Cluster {
 			sw.ForceOverflow(true)
 		}
 		c.Switches = []*pswitch.Switch{sw}
-		// The dedicated server pays CPU per packet and has finite cores —
-		// the throughput ceiling of Fig. 15(b).
+		// The dedicated server pays 1 µs of CPU per packet on 12 cores — the
+		// throughput ceiling of Fig. 15(b).
 		e.AddNode(trackerNode, env.NodeConfig{
-			Cores: opts.TrackerCores,
+			Cores: 12,
 			Handler: func(p *env.Proc, from env.NodeID, msg any) {
-				p.Compute(opts.TrackerOpCost)
+				p.Compute(1 * env.Microsecond)
 				sw.Handler(p, from, msg)
 			},
 		})
@@ -188,7 +177,6 @@ func NewWithModes(e *env.Sim, opts Options) *Cluster {
 		for i := 0; i < opts.Switches; i++ {
 			id := switchBase + env.NodeID(i)
 			sw := pswitch.New(id, pswitch.Config{
-				Stages:    opts.SwitchStages,
 				IndexBits: opts.SwitchIndexBits,
 				Pipes:     1,
 				PipeDelay: opts.Costs.SwitchPipe,

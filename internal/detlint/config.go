@@ -3,21 +3,21 @@ package detlint
 import (
 	_ "embed"
 	"encoding/json"
-	"flag"
 	"fmt"
+	"slices"
 	"strings"
 )
 
 //go:embed detlint.json
 var configJSON []byte
 
-// Config is the compiled-in analyzer configuration (detlint.json). Each
-// analyzer exposes flags that override the relevant fields, so one-off runs
-// (and the testdata suites) can retarget the suite without editing the file.
+// Config is the compiled-in analyzer configuration (detlint.json): the
+// policy is reviewable in one place, and the testdata suites stub packages
+// at the same import paths.
 type Config struct {
 	// EnvPackage is the import path of the simulator runtime. Methods named
 	// Send, Spawn and After on types of this package are the packet-emission
-	// and scheduling roots the maprange and walorder analyzers trace.
+	// and scheduling roots the summary traces.
 	EnvPackage string `json:"envPackage"`
 	// WalPackage is the import path of the write-ahead log; method Append on
 	// its types is the durability root the walorder analyzer traces.
@@ -40,9 +40,8 @@ type Config struct {
 	TaintSinkTypes []string `json:"taintSinkTypes"`
 	// SimPackages are the packages whose code is executed under the
 	// deterministic simulator, the simulator itself included: no unordered
-	// map iteration reaching the wire (maprange), no wall clock or global
-	// randomness (wallclock), and env.Proc/env primitives instead of raw
-	// goroutines, channels and sync types (rawgo).
+	// map iteration reaching the wire (maprange), and no wall clock, global
+	// randomness, raw goroutines, channels or sync types (hostapi).
 	SimPackages []string `json:"simPackages"`
 }
 
@@ -54,41 +53,12 @@ func loadConfig() Config {
 	return c
 }
 
-// conf is the process-wide configuration; analyzer flags mutate the fields
-// they name before the first Run.
+// conf is the process-wide configuration.
 var conf = loadConfig()
-
-// listFlag adapts a []string config field to a comma-separated flag value.
-type listFlag struct{ p *[]string }
-
-func (f listFlag) String() string {
-	if f.p == nil {
-		return ""
-	}
-	return strings.Join(*f.p, ",")
-}
-
-func (f listFlag) Set(s string) error {
-	if s == "" {
-		*f.p = nil
-		return nil
-	}
-	*f.p = strings.Split(s, ",")
-	return nil
-}
-
-func addListFlag(fs *flag.FlagSet, p *[]string, name, usage string) {
-	fs.Var(listFlag{p}, name, usage)
-}
 
 // pkgMatch reports whether path is one of the configured package paths.
 func pkgMatch(paths []string, path string) bool {
-	for _, p := range paths {
-		if path == p {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(paths, path)
 }
 
 // isTestFile reports whether filename is a Go test file. The determinism

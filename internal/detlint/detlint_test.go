@@ -14,12 +14,14 @@ func TestMaprange(t *testing.T) {
 	dtest.Run(t, "testdata/maprange", Maprange, "switchfs/internal/server")
 }
 
+// hostapi has two fixtures: the wall clock and global randomness, and host
+// concurrency.
 func TestWallclock(t *testing.T) {
-	dtest.Run(t, "testdata/wallclock", Wallclock, "switchfs/internal/server")
+	dtest.Run(t, "testdata/wallclock", Hostapi, "switchfs/internal/server")
 }
 
 func TestRawgo(t *testing.T) {
-	dtest.Run(t, "testdata/rawgo", Rawgo, "switchfs/internal/server")
+	dtest.Run(t, "testdata/rawgo", Hostapi, "switchfs/internal/server")
 }
 
 func TestWalorder(t *testing.T) {

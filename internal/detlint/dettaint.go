@@ -29,16 +29,8 @@ var Dettaint = &analysis.Analyzer{
 	Name:      "dettaint",
 	Doc:       "track nondeterminism sources into packet payloads, WAL records and bench rows",
 	FactTypes: []analysis.Fact{(*taintedResult)(nil)},
+	Requires:  []*analysis.Analyzer{summaryAnalyzer},
 	Run:       runDettaint,
-}
-
-func init() {
-	addListFlag(&Dettaint.Flags, &conf.TaintPackages, "pkgs",
-		"packages governed by the dettaint analyzer")
-	addListFlag(&Dettaint.Flags, &conf.TaintSources, "sources",
-		"nondeterminism source functions (pkg.Func or pkg.Type.Method)")
-	addListFlag(&Dettaint.Flags, &conf.TaintSinkTypes, "sinks",
-		"sink types for nondeterministic values (pkg.Type)")
 }
 
 // taintedResult is the cross-package fact: the function's return value
@@ -106,31 +98,20 @@ func runDettaint(pass *analysis.Pass) (any, error) {
 	if !pkgMatch(conf.TaintPackages, pass.Pkg.Path()) {
 		return nil, nil
 	}
-	files := filesOf(pass)
-	r := newReporter(pass)
-	g := newSendGraph(pass, files)
-	ap := newAppendGraph(pass, files)
-
-	var fns []*ast.FuncDecl
-	for _, f := range files {
-		for _, d := range f.Decls {
-			if fn, isFn := d.(*ast.FuncDecl); isFn && fn.Body != nil {
-				fns = append(fns, fn)
-			}
-		}
-	}
+	s := summaryOf(pass)
+	r := s.reporter(pass)
 	// Phase 1: propagate facts to a fixpoint, so same-package helpers are
 	// classified whatever their declaration order. Phase 2 reports.
 	for changed := true; changed; {
 		changed = false
-		for _, fn := range fns {
-			if checkTaint(pass, r, g, ap, fn, false) {
+		for _, fn := range s.funcs {
+			if checkTaint(pass, r, s, fn, false) {
 				changed = true
 			}
 		}
 	}
-	for _, fn := range fns {
-		checkTaint(pass, r, g, ap, fn, true)
+	for _, fn := range s.funcs {
+		checkTaint(pass, r, s, fn, true)
 	}
 	return nil, nil
 }
@@ -142,9 +123,8 @@ type taintState map[types.Object]string
 // (closures included: captured locals share the object space). With report
 // unset it only computes and exports facts; it returns whether a new fact
 // was exported.
-func checkTaint(pass *analysis.Pass, r *reporter, g *sendGraph, ap *appendGraph,
-	fn *ast.FuncDecl, report bool) bool {
-
+func checkTaint(pass *analysis.Pass, r *reporter, s *summary, fn *ast.FuncDecl, report bool) bool {
+	info := s.info
 	tainted := make(taintState)
 
 	// sourceCallReason classifies a call as a taint source: a configured
@@ -152,7 +132,7 @@ func checkTaint(pass *analysis.Pass, r *reporter, g *sendGraph, ap *appendGraph,
 	// fact. A dettaint suppression on the call's line declares the value
 	// deterministic and stops propagation.
 	sourceCallReason := func(call *ast.CallExpr) (string, bool) {
-		callee := calleeFunc(pass, call)
+		callee := calleeFunc(info, call)
 		if callee == nil {
 			return "", false
 		}
@@ -183,7 +163,7 @@ func checkTaint(pass *analysis.Pass, r *reporter, g *sendGraph, ap *appendGraph,
 			case *ast.FuncLit:
 				return false
 			case *ast.CallExpr:
-				if isBuiltinCall(pass, n, "len") || isBuiltinCall(pass, n, "cap") {
+				if isBuiltinCall(info, n, "len") || isBuiltinCall(info, n, "cap") {
 					return false
 				}
 				if why, isSource := sourceCallReason(n); isSource {
@@ -191,11 +171,7 @@ func checkTaint(pass *analysis.Pass, r *reporter, g *sendGraph, ap *appendGraph,
 					return false
 				}
 			case *ast.Ident:
-				obj := pass.TypesInfo.Uses[n]
-				if obj == nil {
-					obj = pass.TypesInfo.Defs[n]
-				}
-				if why, isTainted := tainted[obj]; isTainted {
+				if why, isTainted := tainted[objOf(info, n)]; isTainted {
 					reason, found = why, true
 					return false
 				}
@@ -208,11 +184,8 @@ func checkTaint(pass *analysis.Pass, r *reporter, g *sendGraph, ap *appendGraph,
 	taintLHS := func(lhs ast.Expr, reason string) bool {
 		var obj types.Object
 		if id, isIdent := ast.Unparen(lhs).(*ast.Ident); isIdent {
-			obj = pass.TypesInfo.Defs[id]
-			if obj == nil {
-				obj = pass.TypesInfo.Uses[id]
-			}
-		} else if v := baseVarOf(pass, lhs); v != nil {
+			obj = objOf(info, id)
+		} else if v := baseVarOf(info, lhs); v != nil {
 			obj = v // coarse: res.Workers = … taints res
 		}
 		if obj == nil || tainted[obj] != "" {
@@ -259,8 +232,8 @@ func checkTaint(pass *analysis.Pass, r *reporter, g *sendGraph, ap *appendGraph,
 						}
 					}
 				}
-				if _, isMap := typeUnder(pass.TypesInfo.TypeOf(n.X)).(*types.Map); isMap {
-					if markMapOrderAppends(pass, r, fn, n, tainted) {
+				if _, isMap := typeUnder(info.TypeOf(n.X)).(*types.Map); isMap {
+					if markMapOrderAppends(r, info, fn, n, tainted) {
 						changed = true
 					}
 				}
@@ -279,7 +252,7 @@ func checkTaint(pass *analysis.Pass, r *reporter, g *sendGraph, ap *appendGraph,
 		if !isSel {
 			return true
 		}
-		obj, isFn := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+		obj, isFn := info.Uses[sel.Sel].(*types.Func)
 		if !isFn || obj.Pkg() == nil {
 			return true
 		}
@@ -288,7 +261,7 @@ func checkTaint(pass *analysis.Pass, r *reporter, g *sendGraph, ap *appendGraph,
 		}
 		for _, arg := range call.Args {
 			if id, isIdent := ast.Unparen(arg).(*ast.Ident); isIdent {
-				o := pass.TypesInfo.Uses[id]
+				o := info.Uses[id]
 				if why, isTainted := tainted[o]; isTainted && isOrderReason(why) {
 					delete(tainted, o)
 				}
@@ -300,7 +273,7 @@ func checkTaint(pass *analysis.Pass, r *reporter, g *sendGraph, ap *appendGraph,
 	// Facts: a tainted return makes the taint visible to callers in other
 	// packages (closure returns belong to the closure, not the function).
 	newFact := false
-	if fnObj, isObj := pass.TypesInfo.Defs[fn.Name].(*types.Func); isObj &&
+	if fnObj := s.funcObj(fn); fnObj != nil &&
 		fn.Type.Results != nil && len(tainted) > 0 {
 		ast.Inspect(fn.Body, func(m ast.Node) bool {
 			switch m := m.(type) {
@@ -332,14 +305,12 @@ func checkTaint(pass *analysis.Pass, r *reporter, g *sendGraph, ap *appendGraph,
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			sink := ""
-			if g.callEmits(n) {
+			if s.callEmits(n) {
 				sink = "a packet emission"
-			} else if _, isAppend := ap.walAppendKindArg(n); isAppend {
-				sink = "a WAL record"
-			} else if callee := calleeFunc(pass, n); callee != nil && ap.appendsParam[callee] {
+			} else if s.isAppendCall(n) {
 				sink = "a WAL record"
 			} else if sel, isSel := n.Fun.(*ast.SelectorExpr); isSel &&
-				isSinkType(pass.TypesInfo.TypeOf(sel.X)) {
+				isSinkType(info.TypeOf(sel.X)) {
 				sink = "a bench/figure row"
 			}
 			if sink == "" {
@@ -355,7 +326,7 @@ func checkTaint(pass *analysis.Pass, r *reporter, g *sendGraph, ap *appendGraph,
 			}
 		case *ast.AssignStmt:
 			for i, lhs := range n.Lhs {
-				if !sinkFieldWrite(pass, lhs) {
+				if !sinkFieldWrite(info, lhs) {
 					continue
 				}
 				var rhs ast.Expr
@@ -374,7 +345,7 @@ func checkTaint(pass *analysis.Pass, r *reporter, g *sendGraph, ap *appendGraph,
 				}
 			}
 		case *ast.CompositeLit:
-			if !isSinkType(pass.TypesInfo.TypeOf(n)) {
+			if !isSinkType(info.TypeOf(n)) {
 				return true
 			}
 			for _, elt := range n.Elts {
@@ -399,7 +370,7 @@ func isOrderReason(why string) bool {
 
 // markMapOrderAppends taints slices appended to inside a map-range body
 // without a sort after the loop (the cross-function half of maprange).
-func markMapOrderAppends(pass *analysis.Pass, r *reporter, fn *ast.FuncDecl,
+func markMapOrderAppends(r *reporter, info *types.Info, fn *ast.FuncDecl,
 	rng *ast.RangeStmt, tainted taintState) bool {
 
 	changed := false
@@ -414,18 +385,15 @@ func markMapOrderAppends(pass *analysis.Pass, r *reporter, fn *ast.FuncDecl,
 				continue
 			}
 			call, isCall := as.Rhs[i].(*ast.CallExpr)
-			if !isCall || !isBuiltinCall(pass, call, "append") {
+			if !isCall || !isBuiltinCall(info, call, "append") {
 				continue
 			}
-			obj := pass.TypesInfo.Uses[id]
-			if obj == nil {
-				obj = pass.TypesInfo.Defs[id]
-			}
+			obj := objOf(info, id)
 			// Only slices that outlive the loop carry the order out.
 			if obj == nil || obj.Pos() >= rng.Pos() || tainted[obj] != "" {
 				continue
 			}
-			if sortedAfterLoop(pass, fn, rng, obj) {
+			if sortedAfterLoop(info, fn, rng, obj) {
 				continue
 			}
 			if r.idx.suppressed("dettaint", rng.Pos()) || r.idx.suppressed("dettaint", id.Pos()) {
@@ -441,16 +409,16 @@ func markMapOrderAppends(pass *analysis.Pass, r *reporter, fn *ast.FuncDecl,
 
 // sinkFieldWrite reports whether lhs writes a field of a sink-typed value
 // (fig.WallSeconds = …, res.Rows[i] = …).
-func sinkFieldWrite(pass *analysis.Pass, lhs ast.Expr) bool {
+func sinkFieldWrite(info *types.Info, lhs ast.Expr) bool {
 	for {
 		switch x := ast.Unparen(lhs).(type) {
 		case *ast.SelectorExpr:
-			if isSinkType(pass.TypesInfo.TypeOf(x.X)) {
+			if isSinkType(info.TypeOf(x.X)) {
 				return true
 			}
 			lhs = x.X
 		case *ast.IndexExpr:
-			if isSinkType(pass.TypesInfo.TypeOf(x.X)) {
+			if isSinkType(info.TypeOf(x.X)) {
 				return true
 			}
 			lhs = x.X

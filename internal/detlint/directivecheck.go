@@ -2,6 +2,7 @@ package detlint
 
 import (
 	"go/ast"
+	"slices"
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
@@ -11,18 +12,21 @@ import (
 // suppressions must name known analyzers and carry a written reason, and
 // wal-before-send annotations must be well-formed and sit on a function
 // declaration. A suppression that cannot justify itself is a diagnostic —
-// the suppression policy is part of the invariant.
+// the suppression policy is part of the invariant. It parses each directive
+// exactly as `detlint -report` does (parseSuppression).
 var Detdirective = &analysis.Analyzer{
-	Name: "detdirective",
-	Doc:  "validate //detlint: directives (ignore reasons, annotation placement)",
-	Run:  runDetdirective,
+	Name:     "detdirective",
+	Doc:      "validate //detlint: directives (ignore reasons, annotation placement)",
+	Requires: []*analysis.Analyzer{summaryAnalyzer},
+	Run:      runDetdirective,
 }
 
 func runDetdirective(pass *analysis.Pass) (any, error) {
-	r := newReporter(pass)
-	for _, f := range filesOf(pass) {
-		// Doc comments attached to function declarations are legal homes
-		// for wal-before-send; remember their comment groups.
+	s := summaryOf(pass)
+	r := s.reporter(pass)
+	for _, f := range s.files {
+		// Doc comments attached to function declarations are the legal homes
+		// of every directive but ignore; remember their comment groups.
 		funcDocs := make(map[*ast.CommentGroup]bool)
 		for _, d := range f.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok && fd.Doc != nil {
@@ -31,54 +35,21 @@ func runDetdirective(pass *analysis.Pass) (any, error) {
 		}
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				checkDirectiveComment(r, c, funcDocs[cg])
+				sup, ok := parseSuppression(c.Text)
+				switch {
+				case !ok:
+					continue
+				case !slices.Contains(directiveKinds, sup.Kind):
+					r.reportf(c.Pos(), "unknown detlint directive %q (known: %s)", sup.Kind, strings.Join(directiveKinds, ", "))
+					continue
+				case sup.Malformed != "":
+					r.reportf(c.Pos(), "malformed //detlint:%s: %s", sup.Kind, sup.Malformed)
+				}
+				if sup.Kind != directiveIgnore && !funcDocs[cg] {
+					r.reportf(c.Pos(), "//detlint:%s must be in a function declaration's doc comment", sup.Kind)
+				}
 			}
 		}
 	}
 	return nil, nil
-}
-
-func checkDirectiveComment(r *reporter, c *ast.Comment, inFuncDoc bool) {
-	if !strings.HasPrefix(c.Text, directivePrefix) {
-		return
-	}
-	if rest, ok := cutDirective(c.Text, directiveIgnore); ok {
-		if d := parseIgnore(c.Pos(), rest); d.malformed != "" {
-			r.reportf(c.Pos(), "malformed //detlint:ignore: %s", d.malformed)
-		}
-		return
-	}
-	if rest, ok := cutDirective(c.Text, directiveWalSend); ok {
-		d := parseWalSend(c.Pos(), rest)
-		if d.bad != "" {
-			r.reportf(c.Pos(), "malformed //detlint:wal-before-send: %s", d.bad)
-		}
-		if !inFuncDoc {
-			r.reportf(c.Pos(), "//detlint:wal-before-send must be in a function declaration's doc comment")
-		}
-		return
-	}
-	if reason, ok := cutDirective(c.Text, directiveLockEscape); ok {
-		if directiveArg(reason) == "" {
-			r.reportf(c.Pos(), "malformed //detlint:lock-escapes: missing reason (want `//detlint:lock-escapes <reason>`)")
-		}
-		if !inFuncDoc {
-			r.reportf(c.Pos(), "//detlint:lock-escapes must be in a function declaration's doc comment")
-		}
-		return
-	}
-	if rest, ok := cutDirective(c.Text, directiveDedupCheck); ok {
-		if directiveArg(rest) != "" {
-			r.reportf(c.Pos(), "malformed //detlint:dedup-check: takes no arguments")
-		}
-		if !inFuncDoc {
-			r.reportf(c.Pos(), "//detlint:dedup-check must be in a function declaration's doc comment")
-		}
-		return
-	}
-	name := c.Text[len(directivePrefix):]
-	if i := strings.IndexAny(name, " \t"); i >= 0 {
-		name = name[:i]
-	}
-	r.reportf(c.Pos(), "unknown detlint directive %q (known: ignore, wal-before-send, lock-escapes, dedup-check)", name)
 }

@@ -38,11 +38,13 @@ const (
 	directiveDedupCheck = "dedup-check"
 )
 
+// directiveKinds are the directives the suite understands.
+var directiveKinds = []string{directiveIgnore, directiveWalSend, directiveLockEscape, directiveDedupCheck}
+
 // analyzerNames is the set of valid targets for //detlint:ignore.
 var analyzerNames = map[string]bool{
 	"maprange":     true,
-	"wallclock":    true,
-	"rawgo":        true,
+	"hostapi":      true,
 	"walorder":     true,
 	"detdirective": true,
 	"lockpair":     true,
@@ -154,10 +156,6 @@ func cutDirective(comment, name string) (rest string, ok bool) {
 type reporter struct {
 	pass *analysis.Pass
 	idx  *ignoreIndex
-}
-
-func newReporter(pass *analysis.Pass) *reporter {
-	return &reporter{pass: pass, idx: buildIgnoreIndex(pass.Fset, filesOf(pass))}
 }
 
 func (r *reporter) reportf(pos token.Pos, format string, args ...any) {

@@ -8,13 +8,13 @@ func TestParseIgnore(t *testing.T) {
 		analyzers int
 		malformed bool
 	}{
-		{"rawgo -- guarded, never parks", 1, false},
+		{"hostapi -- guarded, never parks", 1, false},
 		{"maprange,walorder -- sorted upstream", 2, false},
-		{"rawgo", 1, true},              // no reason
-		{"rawgo --", 1, true},           // empty reason
+		{"hostapi", 1, true},            // no reason
+		{"hostapi --", 1, true},         // empty reason
 		{"-- some reason", 0, true},     // no analyzer
 		{"nosuch -- a reason", 1, true}, // unknown analyzer
-		{"rawgo --- odd", 1, false},     // "--- odd" still cuts at "--", reason "- odd"
+		{"hostapi --- odd", 1, false},   // "--- odd" still cuts at "--", reason "- odd"
 	}
 	for _, c := range cases {
 		d := parseIgnore(0, c.rest)
@@ -41,7 +41,7 @@ func TestParseWalSend(t *testing.T) {
 }
 
 func TestCutDirective(t *testing.T) {
-	if rest, ok := cutDirective("//detlint:ignore rawgo -- x", "ignore"); !ok || rest != "rawgo -- x" {
+	if rest, ok := cutDirective("//detlint:ignore hostapi -- x", "ignore"); !ok || rest != "hostapi -- x" {
 		t.Errorf("cutDirective: got %q, %v", rest, ok)
 	}
 	if _, ok := cutDirective("//detlint:ignorex", "ignore"); ok {

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
@@ -19,11 +20,9 @@ import (
 //
 // A handler is a function named handle* taking a request struct that embeds
 // wire.ReqCommon (the retransmittable-request marker). If the handler
-// transitively reaches a state mutation — a WAL append, a kv Put/Delete, or
-// a plain store into a map reachable from its receiver or parameters
-// (commutative `m[k]++` tallies are exempt) — then on its CFG every side
-// effect (mutation or packet emission) must be dominated by a call to a
-// function annotated:
+// mutates state (the summary's mutates), then on its CFG every side effect
+// (mutation or packet emission) must be dominated by a call to a function
+// annotated:
 //
 //	//detlint:dedup-check
 //
@@ -33,180 +32,18 @@ import (
 var Idempotent = &analysis.Analyzer{
 	Name:     "idempotent",
 	Doc:      "check that mutating RPC handlers consult the dedup cache before their first side effect",
-	Requires: []*analysis.Analyzer{ctrlflow.Analyzer},
+	Requires: []*analysis.Analyzer{ctrlflow.Analyzer, summaryAnalyzer},
 	Run:      runIdempotent,
-}
-
-func init() {
-	Idempotent.Flags.StringVar(&conf.KvPackage, "kv", conf.KvPackage,
-		"import path of the key-value store package")
-}
-
-// kvWriteMethods are the mutating methods of the kv package's store.
-var kvWriteMethods = map[string]bool{"Put": true, "Delete": true}
-
-// isKvWrite reports whether call mutates a kv-package store.
-func isKvWrite(pass *analysis.Pass, call *ast.CallExpr) bool {
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return false
-	}
-	obj, isFn := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if !isFn || obj.Pkg() == nil || obj.Pkg().Path() != conf.KvPackage {
-		return false
-	}
-	sig, isSig := obj.Type().(*types.Signature)
-	return isSig && sig.Recv() != nil && kvWriteMethods[obj.Name()]
-}
-
-// effectGraph classifies a package's functions by whether they (transitively)
-// mutate durable or protocol-visible state. Dedup-check functions are left
-// out of the lattice: their cache bookkeeping is the mechanism, not an
-// effect.
-type effectGraph struct {
-	pass  *analysis.Pass
-	ap    *appendGraph
-	decls map[*types.Func]*ast.FuncDecl
-	// dedupCheck holds the //detlint:dedup-check annotated functions.
-	dedupCheck map[*types.Func]bool
-	// mutates holds functions that transitively reach a WAL append, kv
-	// write, or a non-commutative store into receiver/parameter state.
-	mutates map[*types.Func]bool
-}
-
-func newEffectGraph(pass *analysis.Pass, files []*ast.File, ap *appendGraph) *effectGraph {
-	eg := &effectGraph{
-		pass:       pass,
-		ap:         ap,
-		decls:      make(map[*types.Func]*ast.FuncDecl),
-		dedupCheck: make(map[*types.Func]bool),
-		mutates:    make(map[*types.Func]bool),
-	}
-	for _, f := range files {
-		for _, d := range f.Decls {
-			fd, isFn := d.(*ast.FuncDecl)
-			if !isFn || fd.Body == nil {
-				continue
-			}
-			obj, isObj := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !isObj {
-				continue
-			}
-			eg.decls[obj] = fd
-			if funcIsDedupCheck(fd) {
-				eg.dedupCheck[obj] = true
-			}
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for obj, fd := range eg.decls {
-			if eg.mutates[obj] || eg.dedupCheck[obj] {
-				continue
-			}
-			own := ownedRoots(pass, fd)
-			found := false
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if found {
-					return false
-				}
-				if eg.nodeMutates(n, own) {
-					found = true
-					return false
-				}
-				return true
-			})
-			if found {
-				eg.mutates[obj] = true
-				changed = true
-			}
-		}
-	}
-	return eg
-}
-
-// ownedRoots returns the objects a function's state is rooted at: its
-// receiver and parameters.
-func ownedRoots(pass *analysis.Pass, fd *ast.FuncDecl) map[types.Object]bool {
-	out := paramObjs(pass, fd)
-	if fd.Recv != nil {
-		for _, f := range fd.Recv.List {
-			for _, name := range f.Names {
-				if o := pass.TypesInfo.Defs[name]; o != nil {
-					out[o] = true
-				}
-			}
-		}
-	}
-	return out
-}
-
-// nodeMutates reports whether one AST node is a state mutation for the
-// effect lattice.
-func (eg *effectGraph) nodeMutates(n ast.Node, own map[types.Object]bool) bool {
-	switch n := n.(type) {
-	case *ast.AssignStmt:
-		// Plain stores into owned maps; `m[k] += x` style accumulation is a
-		// commutative tally, not protocol state.
-		if n.Tok != token.ASSIGN {
-			return false
-		}
-		for _, lhs := range n.Lhs {
-			if eg.ownedMapIndex(lhs, own) {
-				return true
-			}
-		}
-	case *ast.CallExpr:
-		if isBuiltinCall(eg.pass, n, "delete") && len(n.Args) > 0 {
-			if v := baseVarOf(eg.pass, n.Args[0]); v != nil && own[v] {
-				return true
-			}
-			return false
-		}
-		if isKvWrite(eg.pass, n) {
-			return true
-		}
-		if len(eg.ap.callAppends(n)) > 0 || eg.callsAppendHelper(n) {
-			return true
-		}
-		if callee := calleeFunc(eg.pass, n); callee != nil {
-			if eg.mutates[callee] && !eg.dedupCheck[callee] {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// ownedMapIndex reports whether lhs is an index store into a map rooted at
-// an owned object.
-func (eg *effectGraph) ownedMapIndex(lhs ast.Expr, own map[types.Object]bool) bool {
-	ix, isIndex := ast.Unparen(lhs).(*ast.IndexExpr)
-	if !isIndex {
-		return false
-	}
-	if _, isMap := typeUnder(eg.pass.TypesInfo.TypeOf(ix.X)).(*types.Map); !isMap {
-		return false
-	}
-	v := baseVarOf(eg.pass, ix.X)
-	return v != nil && own[v]
-}
-
-// callsAppendHelper reports whether call invokes an appendsParam helper
-// (mustAppend with a non-constant kind still appends).
-func (eg *effectGraph) callsAppendHelper(call *ast.CallExpr) bool {
-	callee := calleeFunc(eg.pass, call)
-	return callee != nil && eg.ap.appendsParam[callee]
 }
 
 // isRetransmittableHandler reports whether fn is an RPC handler for a
 // request type that embeds wire.ReqCommon.
-func isRetransmittableHandler(pass *analysis.Pass, fn *ast.FuncDecl) bool {
-	if !strings.HasPrefix(fn.Name.Name, "handle") || fn.Type.Params == nil {
+func isRetransmittableHandler(info *types.Info, fn *ast.FuncDecl) bool {
+	if !strings.HasPrefix(fn.Name.Name, "handle") {
 		return false
 	}
 	for _, f := range fn.Type.Params.List {
-		t := pass.TypesInfo.TypeOf(f.Type)
+		t := info.TypeOf(f.Type)
 		if p, isPtr := t.(*types.Pointer); isPtr {
 			t = p.Elem()
 		}
@@ -215,8 +52,7 @@ func isRetransmittableHandler(pass *analysis.Pass, fn *ast.FuncDecl) bool {
 			continue
 		}
 		for i := 0; i < st.NumFields(); i++ {
-			ft := st.Field(i).Type()
-			if n, isNamed := ft.(*types.Named); isNamed &&
+			if n, isNamed := st.Field(i).Type().(*types.Named); isNamed &&
 				n.Obj().Name() == "ReqCommon" &&
 				n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == conf.WirePackage {
 				return true
@@ -230,24 +66,13 @@ func runIdempotent(pass *analysis.Pass) (any, error) {
 	if !pkgMatch(conf.SimPackages, pass.Pkg.Path()) {
 		return nil, nil
 	}
-	files := filesOf(pass)
-	r := newReporter(pass)
-	g := newSendGraph(pass, files)
-	ap := newAppendGraph(pass, files)
-	eg := newEffectGraph(pass, files, ap)
+	s := summaryOf(pass)
+	r := s.reporter(pass)
 	cfgs := pass.ResultOf[ctrlflow.Analyzer].(*ctrlflow.CFGs)
-
-	for _, f := range files {
-		for _, d := range f.Decls {
-			fn, isFn := d.(*ast.FuncDecl)
-			if !isFn || fn.Body == nil || !isRetransmittableHandler(pass, fn) {
-				continue
-			}
-			obj, isObj := pass.TypesInfo.Defs[fn.Name].(*types.Func)
-			if !isObj || !eg.mutates[obj] {
-				continue // read-only handler: duplicate replies are harmless
-			}
-			checkIdempotent(pass, r, g, eg, cfgs.FuncDecl(fn), fn)
+	for _, fn := range s.funcs {
+		// A read-only handler is exempt: duplicate replies are harmless.
+		if isRetransmittableHandler(s.info, fn) && s.mutates[s.funcObj(fn)] {
+			checkIdempotent(r, s, cfgs.FuncDecl(fn), fn)
 		}
 	}
 	return nil, nil
@@ -255,116 +80,37 @@ func runIdempotent(pass *analysis.Pass) (any, error) {
 
 // checkIdempotent verifies one mutating handler's CFG: every effect must be
 // dominated by a dedup-check call.
-func checkIdempotent(pass *analysis.Pass, r *reporter, g *sendGraph, eg *effectGraph,
-	graph *cfg.CFG, fn *ast.FuncDecl) {
-
-	own := ownedRoots(pass, fn)
-
-	// Collect top-level effect sites and dedup-check calls. Nested literals
-	// run on their own schedule (the Spawn that starts them is the effect
-	// here); deferred calls run after the check on every complete path.
-	type site struct {
-		pos     token.Pos
-		isCheck bool
-	}
-	var sites []site
-	haveCheck := false
-	var walk func(n ast.Node)
-	walk = func(n ast.Node) {
-		ast.Inspect(n, func(m ast.Node) bool {
-			switch m := m.(type) {
-			case *ast.FuncLit:
-				return false
-			case *ast.DeferStmt:
-				return false
-			case *ast.AssignStmt:
-				if m.Tok == token.ASSIGN {
-					for _, lhs := range m.Lhs {
-						if eg.ownedMapIndex(lhs, own) {
-							sites = append(sites, site{pos: lhs.Pos()})
-						}
-					}
-				}
-				return true
-			case *ast.CallExpr:
-				if callee := calleeFunc(pass, m); callee != nil && eg.dedupCheck[callee] {
-					sites = append(sites, site{pos: m.Pos(), isCheck: true})
-					haveCheck = true
-					return true
-				}
-				if eg.nodeMutates(m, own) || g.callEmits(m) {
-					sites = append(sites, site{pos: m.Pos()})
-				}
-				return true
+func checkIdempotent(r *reporter, s *summary, g *cfg.CFG, fn *ast.FuncDecl) {
+	own := paramIndex(s.info, fn)
+	var checks, effects []token.Pos
+	inspectTop(fn.Body, func(n ast.Node) {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if n.Tok != token.ASSIGN {
+				return
 			}
-			return true
-		})
-	}
-	walk(fn.Body)
+			for _, lhs := range n.Lhs {
+				if s.ownedMapIndex(lhs, own) {
+					effects = append(effects, lhs.Pos())
+				}
+			}
+		case *ast.CallExpr:
+			if callee := calleeFunc(s.info, n); callee != nil && s.dedupCheck[callee] {
+				checks = append(checks, n.Pos())
+			} else if s.nodeMutates(n, own) || s.callEmits(n) {
+				effects = append(effects, n.Pos())
+			}
+		}
+	})
 
-	if !haveCheck {
+	if len(checks) == 0 {
 		r.reportf(fn.Name.Pos(),
 			"%s mutates state for a retransmittable RPC but never consults the dedup cache: a duplicate request re-executes the mutation (PR 2/4 re-execution class); call a //detlint:dedup-check helper first",
 			fn.Name.Name)
 		return
 	}
-
-	// Blocks reachable from entry without passing a check, as in walorder.
-	blockOf := make(map[token.Pos]*cfg.Block)
-	checkPos := make(map[*cfg.Block][]token.Pos)
-	for _, b := range graph.Blocks {
-		for _, n := range b.Nodes {
-			for _, s := range sites {
-				if n.Pos() <= s.pos && s.pos < n.End() {
-					blockOf[s.pos] = b
-					if s.isCheck {
-						checkPos[b] = append(checkPos[b], s.pos)
-					}
-				}
-			}
-		}
-	}
-	reachableNoCheck := make(map[*cfg.Block]bool)
-	if len(graph.Blocks) > 0 {
-		work := []*cfg.Block{graph.Blocks[0]}
-		reachableNoCheck[graph.Blocks[0]] = true
-		for len(work) > 0 {
-			b := work[0]
-			work = work[1:]
-			if len(checkPos[b]) > 0 {
-				continue
-			}
-			for _, s := range b.Succs {
-				if !reachableNoCheck[s] {
-					reachableNoCheck[s] = true
-					work = append(work, s)
-				}
-			}
-		}
-	}
-
-	var worst token.Pos
-	for _, s := range sites {
-		if s.isCheck {
-			continue
-		}
-		b, located := blockOf[s.pos]
-		if !located || !reachableNoCheck[b] {
-			continue
-		}
-		dominated := false
-		for _, p := range checkPos[b] {
-			if p < s.pos {
-				dominated = true
-				break
-			}
-		}
-		if !dominated && (worst == token.NoPos || s.pos < worst) {
-			worst = s.pos
-		}
-	}
-	if worst != token.NoPos {
-		r.reportf(worst,
+	if bad := unguarded(g, checks, effects); len(bad) > 0 {
+		r.reportf(slices.Min(bad),
 			"side effect reachable before the dedup-cache check in %s: a retransmitted RPC re-executes it (PR 2/4 re-execution class); consult the //detlint:dedup-check helper on every path first",
 			fn.Name.Name)
 	}

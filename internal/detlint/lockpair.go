@@ -41,13 +41,8 @@ import (
 var Lockpair = &analysis.Analyzer{
 	Name:     "lockpair",
 	Doc:      "check that sim locks are released on every return path",
-	Requires: []*analysis.Analyzer{ctrlflow.Analyzer},
+	Requires: []*analysis.Analyzer{ctrlflow.Analyzer, summaryAnalyzer},
 	Run:      runLockpair,
-}
-
-func init() {
-	addListFlag(&Lockpair.Flags, &conf.SimPackages, "pkgs",
-		"packages governed by the lockpair analyzer")
 }
 
 // envAcquireMethods / envReleaseMethods are the env lock-class method names.
@@ -59,17 +54,13 @@ var (
 
 // envLockCall classifies call as an acquire or release of an env lock and
 // returns the receiver expression (the lock).
-func envLockCall(pass *analysis.Pass, call *ast.CallExpr) (lock ast.Expr, acquire, ok bool) {
+func envLockCall(info *types.Info, call *ast.CallExpr) (lock ast.Expr, acquire, ok bool) {
 	sel, isSel := call.Fun.(*ast.SelectorExpr)
 	if !isSel {
 		return nil, false, false
 	}
-	obj, isFn := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if !isFn || obj.Pkg() == nil || obj.Pkg().Path() != conf.EnvPackage {
-		return nil, false, false
-	}
-	sig, isSig := obj.Type().(*types.Signature)
-	if !isSig || sig.Recv() == nil || !envLockTypes[recvTypeName(sig)] {
+	obj, isFn := info.Uses[sel.Sel].(*types.Func)
+	if !isFn || !isMethodOf(obj, conf.EnvPackage) || !envLockTypes[recvTypeName(obj.Type().(*types.Signature))] {
 		return nil, false, false
 	}
 	switch {
@@ -79,18 +70,6 @@ func envLockCall(pass *analysis.Pass, call *ast.CallExpr) (lock ast.Expr, acquir
 		return sel.X, false, true
 	}
 	return nil, false, false
-}
-
-// recvTypeName returns the name of a method's receiver type, sans pointer.
-func recvTypeName(sig *types.Signature) string {
-	t := sig.Recv().Type()
-	if p, isPtr := t.(*types.Pointer); isPtr {
-		t = p.Elem()
-	}
-	if n, isNamed := t.(*types.Named); isNamed {
-		return n.Obj().Name()
-	}
-	return ""
 }
 
 // lockRef names a lock by the variable it is reachable from plus the selector
@@ -105,39 +84,35 @@ type lockRef struct {
 
 // lockRefOf resolves expr to a lockRef. Unkeyable expressions (call results
 // used inline, channel receives) return ok=false and are not checked.
-func lockRefOf(pass *analysis.Pass, expr ast.Expr) (lockRef, bool) {
+func lockRefOf(info *types.Info, expr ast.Expr) (lockRef, bool) {
 	switch e := ast.Unparen(expr).(type) {
 	case *ast.Ident:
-		obj := pass.TypesInfo.Uses[e]
-		if obj == nil {
-			obj = pass.TypesInfo.Defs[e]
-		}
-		if v, isVar := obj.(*types.Var); isVar {
+		if v, isVar := objOf(info, e).(*types.Var); isVar {
 			return lockRef{root: v}, true
 		}
 	case *ast.SelectorExpr:
 		// Package-qualified variable: pkg.Var.
 		if x, isIdent := ast.Unparen(e.X).(*ast.Ident); isIdent {
-			if _, isPkg := pass.TypesInfo.Uses[x].(*types.PkgName); isPkg {
-				if v, isVar := pass.TypesInfo.Uses[e.Sel].(*types.Var); isVar {
+			if _, isPkg := info.Uses[x].(*types.PkgName); isPkg {
+				if v, isVar := info.Uses[e.Sel].(*types.Var); isVar {
 					return lockRef{root: v}, true
 				}
 				return lockRef{}, false
 			}
 		}
-		base, ok := lockRefOf(pass, e.X)
+		base, ok := lockRefOf(info, e.X)
 		if !ok {
 			return lockRef{}, false
 		}
 		return lockRef{root: base.root, path: base.path + "." + e.Sel.Name}, true
 	case *ast.IndexExpr:
-		base, ok := lockRefOf(pass, e.X)
+		base, ok := lockRefOf(info, e.X)
 		if !ok {
 			return lockRef{}, false
 		}
 		return lockRef{root: base.root, path: base.path + ".[]"}, true
 	case *ast.StarExpr:
-		return lockRefOf(pass, e.X)
+		return lockRefOf(info, e.X)
 	}
 	return lockRef{}, false
 }
@@ -161,144 +136,34 @@ func (ev releaseEvent) matches(ref lockRef) bool {
 	return ev.ref.path == ref.path
 }
 
-// releaseGraph classifies same-package functions by which of their parameters
-// (receiver = index -1) they transitively release a lock through.
-type releaseGraph struct {
-	pass  *analysis.Pass
-	decls map[*types.Func]*ast.FuncDecl
-	// releasesParam maps a function to parameter indices from which a lock
-	// release is reachable. The receiver is index -1.
-	releasesParam map[*types.Func]map[int]bool
-}
-
-func newReleaseGraph(pass *analysis.Pass, files []*ast.File) *releaseGraph {
-	rg := &releaseGraph{
-		pass:          pass,
-		decls:         make(map[*types.Func]*ast.FuncDecl),
-		releasesParam: make(map[*types.Func]map[int]bool),
-	}
-	for _, f := range files {
-		for _, d := range f.Decls {
-			if fd, isFn := d.(*ast.FuncDecl); isFn && fd.Body != nil {
-				if obj, isObj := pass.TypesInfo.Defs[fd.Name].(*types.Func); isObj {
-					rg.decls[obj] = fd
-				}
-			}
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for obj, fd := range rg.decls {
-			idx := rg.paramIndex(fd)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, isCall := n.(*ast.CallExpr)
-				if !isCall {
-					return true
-				}
-				for _, ref := range rg.callReleaseRoots(call) {
-					if i, isParam := idx[ref.root]; isParam && !rg.releasesParam[obj][i] {
-						rg.add(obj, i)
-						changed = true
-					}
-				}
-				return true
-			})
-		}
-	}
-	return rg
-}
-
-func (rg *releaseGraph) add(obj *types.Func, i int) {
-	m := rg.releasesParam[obj]
-	if m == nil {
-		m = make(map[int]bool)
-		rg.releasesParam[obj] = m
-	}
-	m[i] = true
-}
-
-// paramIndex maps a declaration's parameter objects to their index, with the
-// receiver at -1.
-func (rg *releaseGraph) paramIndex(fd *ast.FuncDecl) map[types.Object]int {
-	out := make(map[types.Object]int)
-	if fd.Recv != nil {
-		for _, f := range fd.Recv.List {
-			for _, name := range f.Names {
-				if o := rg.pass.TypesInfo.Defs[name]; o != nil {
-					out[o] = -1
-				}
-			}
-		}
-	}
-	if fd.Type.Params == nil {
-		return out
-	}
-	i := 0
-	for _, f := range fd.Type.Params.List {
-		for _, name := range f.Names {
-			if o := rg.pass.TypesInfo.Defs[name]; o != nil {
-				out[o] = i
-			}
-			i++
-		}
-		if len(f.Names) == 0 {
-			i++
-		}
-	}
-	return out
-}
-
-// callReleaseRoots returns the lockRefs this call releases something under: a
-// direct env release yields the lock itself; a call to a classified helper
-// yields the argument (or receiver) it releases through.
-func (rg *releaseGraph) callReleaseRoots(call *ast.CallExpr) []lockRef {
-	if lock, acquire, isLock := envLockCall(rg.pass, call); isLock && !acquire {
-		if ref, ok := lockRefOf(rg.pass, lock); ok {
-			return []lockRef{ref}
-		}
-		return nil
-	}
-	return helperReleaseRefs(rg, call)
-}
-
 func runLockpair(pass *analysis.Pass) (any, error) {
 	if !pkgMatch(conf.SimPackages, pass.Pkg.Path()) {
 		return nil, nil
 	}
-	files := filesOf(pass)
-	r := newReporter(pass)
-	rg := newReleaseGraph(pass, files)
+	s := summaryOf(pass)
+	r := s.reporter(pass)
 	cfgs := pass.ResultOf[ctrlflow.Analyzer].(*ctrlflow.CFGs)
-
-	for _, f := range files {
-		for _, d := range f.Decls {
-			fn, isFn := d.(*ast.FuncDecl)
-			if !isFn || fn.Body == nil {
-				continue
-			}
-			if _, escapes := funcLockEscapes(fn); escapes {
-				continue
-			}
-			checkLockPairing(pass, r, rg, cfgs.FuncDecl(fn), fn.Body, fn.Name.Name)
-			// Function literals have their own CFG and their own pairing
-			// obligation (spawned process bodies, retry loops).
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				if lit, isLit := n.(*ast.FuncLit); isLit {
-					if g := cfgs.FuncLit(lit); g != nil {
-						checkLockPairing(pass, r, rg, g, lit.Body, "function literal")
-					}
-				}
-				return true
-			})
+	for _, fn := range s.funcs {
+		if _, escapes := funcLockEscapes(fn); escapes {
+			continue
 		}
+		checkLockPairing(r, s, cfgs.FuncDecl(fn), fn.Body, fn.Name.Name)
+		// Function literals have their own CFG and their own pairing
+		// obligation (spawned process bodies, retry loops).
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			if lit, isLit := n.(*ast.FuncLit); isLit {
+				if g := cfgs.FuncLit(lit); g != nil {
+					checkLockPairing(r, s, g, lit.Body, "function literal")
+				}
+			}
+			return true
+		})
 	}
 	return nil, nil
 }
 
 // checkLockPairing verifies one function body against its CFG.
-func checkLockPairing(pass *analysis.Pass, r *reporter, rg *releaseGraph,
-	graph *cfg.CFG, body *ast.BlockStmt, name string) {
-
+func checkLockPairing(r *reporter, s *summary, g *cfg.CFG, body *ast.BlockStmt, name string) {
 	type acquireSite struct {
 		call *ast.CallExpr
 		ref  lockRef
@@ -312,104 +177,65 @@ func checkLockPairing(pass *analysis.Pass, r *reporter, rg *releaseGraph,
 	closureReleases := make(map[types.Object][]lockRef)
 
 	// Walk the top level of the body: nested literals are separate CFGs and
-	// are checked on their own (their captured acquires/releases belong to
-	// their own pairing obligation or their callers' event stream).
-	var walk func(n ast.Node, deferred bool)
-	collectCall := func(call *ast.CallExpr, pos token.Pos) {
-		if lock, acquire, isLock := envLockCall(pass, call); isLock {
-			ref, keyable := lockRefOf(pass, lock)
-			if !keyable {
-				return
-			}
-			if acquire {
-				acquires = append(acquires, acquireSite{call: call, ref: ref})
-			} else {
-				releases = append(releases, releaseEvent{pos: pos, ref: ref})
-			}
-			return
-		}
-		if fun, isIdent := call.Fun.(*ast.Ident); isIdent {
-			if obj := pass.TypesInfo.Uses[fun]; obj != nil {
-				for _, ref := range closureReleases[obj] {
-					releases = append(releases, releaseEvent{pos: pos, ref: ref})
+	// are checked on their own. A deferred call runs at every return; for
+	// pairing it is a release from its registration point onward.
+	ast.Inspect(body, func(m ast.Node) bool {
+		switch m := m.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.AssignStmt:
+			for i, rhs := range m.Rhs {
+				lit, isLit := rhs.(*ast.FuncLit)
+				if !isLit || i >= len(m.Lhs) {
+					continue
 				}
-			}
-		}
-		for _, ref := range helperReleaseRefs(rg, call) {
-			releases = append(releases, releaseEvent{pos: pos, ref: ref, prefix: true})
-		}
-	}
-	walk = func(n ast.Node, deferred bool) {
-		ast.Inspect(n, func(m ast.Node) bool {
-			switch m := m.(type) {
-			case *ast.FuncLit:
-				return false
-			case *ast.DeferStmt:
-				// The deferred call runs at every return; for pairing it is a
-				// release from its registration point onward.
-				walk(m.Call, true)
-				return false
-			case *ast.AssignStmt:
-				for i, rhs := range m.Rhs {
-					lit, isLit := rhs.(*ast.FuncLit)
-					if !isLit || i >= len(m.Lhs) {
-						continue
-					}
-					id, isIdent := m.Lhs[i].(*ast.Ident)
-					if !isIdent {
-						continue
-					}
-					obj := pass.TypesInfo.Defs[id]
-					if obj == nil {
-						obj = pass.TypesInfo.Uses[id]
-					}
-					if obj == nil {
-						continue
-					}
-					ast.Inspect(lit.Body, func(k ast.Node) bool {
-						if k, isCall := k.(*ast.CallExpr); isCall {
-							if lock, acquire, isLock := envLockCall(pass, k); isLock && !acquire {
-								if ref, keyable := lockRefOf(pass, lock); keyable {
-									closureReleases[obj] = append(closureReleases[obj], ref)
-								}
-							}
+				id, isIdent := m.Lhs[i].(*ast.Ident)
+				if !isIdent {
+					continue
+				}
+				obj := objOf(s.info, id)
+				if obj == nil {
+					continue
+				}
+				eachCall(lit.Body, func(k *ast.CallExpr) {
+					if lock, acquire, isLock := envLockCall(s.info, k); isLock && !acquire {
+						if ref, keyable := lockRefOf(s.info, lock); keyable {
+							closureReleases[obj] = append(closureReleases[obj], ref)
 						}
-						return true
-					})
+					}
+				})
+			}
+		case *ast.CallExpr:
+			if lock, acquire, isLock := envLockCall(s.info, m); isLock {
+				if ref, keyable := lockRefOf(s.info, lock); keyable && acquire {
+					acquires = append(acquires, acquireSite{call: m, ref: ref})
+				} else if keyable {
+					releases = append(releases, releaseEvent{pos: m.Pos(), ref: ref})
 				}
 				return true
-			case *ast.CallExpr:
-				collectCall(m, m.Pos())
-				return true
 			}
-			return true
-		})
-	}
-	walk(body, false)
-
+			if fun, isIdent := m.Fun.(*ast.Ident); isIdent {
+				for _, ref := range closureReleases[s.info.Uses[fun]] {
+					releases = append(releases, releaseEvent{pos: m.Pos(), ref: ref})
+				}
+			}
+			for _, ref := range s.helperReleaseRefs(m) {
+				releases = append(releases, releaseEvent{pos: m.Pos(), ref: ref, prefix: true})
+			}
+		}
+		return true
+	})
 	if len(acquires) == 0 {
 		return
 	}
 
-	// Map acquire calls and release events to their basic blocks.
-	acquireBlock := make(map[*ast.CallExpr]*cfg.Block)
 	releaseIn := make(map[*cfg.Block][]releaseEvent)
-	for _, b := range graph.Blocks {
-		for _, n := range b.Nodes {
-			for _, a := range acquires {
-				if n.Pos() <= a.call.Pos() && a.call.End() <= n.End() {
-					acquireBlock[a.call] = b
-				}
-			}
-			for _, ev := range releases {
-				if n.Pos() <= ev.pos && ev.pos < n.End() {
-					releaseIn[b] = append(releaseIn[b], ev)
-				}
-			}
+	for _, ev := range releases {
+		if b := blockAt(g, ev.pos); b != nil {
+			releaseIn[b] = append(releaseIn[b], ev)
 		}
 	}
-
-	blockReleases := func(b *cfg.Block, ref lockRef, after token.Pos) bool {
+	releasesAfter := func(b *cfg.Block, ref lockRef, after token.Pos) bool {
 		for _, ev := range releaseIn[b] {
 			if ev.pos > after && ev.matches(ref) {
 				return true
@@ -417,75 +243,22 @@ func checkLockPairing(pass *analysis.Pass, r *reporter, rg *releaseGraph,
 		}
 		return false
 	}
-
 	for _, a := range acquires {
-		b, located := acquireBlock[a.call]
-		if !located {
-			continue // unreachable code
-		}
-		// Straight-line tail of the acquire's own block.
-		if blockReleases(b, a.ref, a.call.Pos()) {
+		b := blockAt(g, a.call.Pos())
+		// Unreachable code, or released in the acquire's own straight-line tail.
+		if b == nil || releasesAfter(b, a.ref, a.call.Pos()) {
 			continue
 		}
-		// BFS: find a return reachable without passing a release.
-		var leak *cfg.Block
-		seen := map[*cfg.Block]bool{b: true}
-		work := []*cfg.Block{b}
-		if len(b.Succs) == 0 && b.Return() != nil {
-			leak = b
-		}
-		for len(work) > 0 && leak == nil {
-			cur := work[0]
-			work = work[1:]
-			for _, s := range cur.Succs {
-				if seen[s] {
-					continue
-				}
-				seen[s] = true
-				if blockReleases(s, a.ref, token.NoPos) {
-					continue // paths through s release before leaving it
-				}
-				if len(s.Succs) == 0 {
-					if s.Return() != nil {
-						leak = s
-						break
-					}
-					continue // panic/no-return exit: not a pairing leak
-				}
-				work = append(work, s)
+		// A return reachable without passing a release leaks; a panic or
+		// no-return exit does not.
+		released := func(blk *cfg.Block) bool { return blk != b && releasesAfter(blk, a.ref, token.NoPos) }
+		for blk := range reachable(b, released) {
+			if !released(blk) && len(blk.Succs) == 0 && blk.Return() != nil {
+				r.reportf(a.call.Pos(),
+					"lock acquired here is still held on a return path of %s: release it on every path or annotate the function //detlint:lock-escapes <reason> (2PC lock-leak class)",
+					name)
+				break
 			}
 		}
-		if leak != nil {
-			r.reportf(a.call.Pos(),
-				"lock acquired here is still held on a return path of %s: release it on every path or annotate the function //detlint:lock-escapes <reason> (PR 5 2PC lock-leak class)",
-				name)
-		}
 	}
-}
-
-// helperReleaseRefs returns prefix release refs for a call to a classified
-// releasing helper (receiver at index -1).
-func helperReleaseRefs(rg *releaseGraph, call *ast.CallExpr) []lockRef {
-	callee := calleeFunc(rg.pass, call)
-	if callee == nil {
-		return nil
-	}
-	var out []lockRef
-	for i := range rg.releasesParam[callee] {
-		var arg ast.Expr
-		if i == -1 {
-			if sel, isSel := call.Fun.(*ast.SelectorExpr); isSel {
-				arg = sel.X
-			}
-		} else if i < len(call.Args) {
-			arg = call.Args[i]
-		}
-		if arg == nil {
-			continue
-		}
-		if ref, ok := lockRefOf(rg.pass, arg); ok {
-			out = append(out, ref)
-		}
-	}
-	return out
 }

@@ -25,24 +25,16 @@ import (
 var Maprange = &analysis.Analyzer{
 	Name:     "maprange",
 	Doc:      "flag map iteration whose body observes the (randomized) iteration order",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
+	Requires: []*analysis.Analyzer{inspect.Analyzer, summaryAnalyzer},
 	Run:      runMaprange,
-}
-
-func init() {
-	addListFlag(&Maprange.Flags, &conf.SimPackages, "packages",
-		"comma-separated import paths the analyzer governs")
-	Maprange.Flags.StringVar(&conf.EnvPackage, "env", conf.EnvPackage,
-		"import path of the simulator runtime package")
 }
 
 func runMaprange(pass *analysis.Pass) (any, error) {
 	if !pkgMatch(conf.SimPackages, pass.Pkg.Path()) {
 		return nil, nil
 	}
-	files := filesOf(pass)
-	r := newReporter(pass)
-	g := newSendGraph(pass, files)
+	s := summaryOf(pass)
+	r := s.reporter(pass)
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 
 	ins.WithStack([]ast.Node{(*ast.RangeStmt)(nil)}, func(n ast.Node, push bool, stack []ast.Node) bool {
@@ -62,22 +54,14 @@ func runMaprange(pass *analysis.Pass) (any, error) {
 				fn = fd
 			}
 		}
-		checkMapRange(pass, r, g, fn, rng)
+		checkMapRange(r, s, fn, rng)
 		return true
 	})
 	return nil, nil
 }
 
-// typeUnder unwraps aliases and named types.
-func typeUnder(t types.Type) types.Type {
-	if t == nil {
-		return nil
-	}
-	return t.Underlying()
-}
-
-func checkMapRange(pass *analysis.Pass, r *reporter, g *sendGraph, fn *ast.FuncDecl, rng *ast.RangeStmt) {
-	info := pass.TypesInfo
+func checkMapRange(r *reporter, s *summary, fn *ast.FuncDecl, rng *ast.RangeStmt) {
+	info := s.info
 	// loopLocal reports whether expr mentions any identifier declared inside
 	// the range statement (the loop variables or body locals) — such a
 	// reference makes a write per-iteration-keyed rather than last-writer-
@@ -89,10 +73,7 @@ func checkMapRange(pass *analysis.Pass, r *reporter, g *sendGraph, fn *ast.FuncD
 			if !ok {
 				return true
 			}
-			obj := info.Defs[id]
-			if obj == nil {
-				obj = info.Uses[id]
-			}
+			obj := objOf(info, id)
 			if obj != nil && rng.Pos() <= obj.Pos() && obj.Pos() < rng.End() {
 				found = true
 			}
@@ -115,14 +96,14 @@ func checkMapRange(pass *analysis.Pass, r *reporter, g *sendGraph, fn *ast.FuncD
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		switch st := n.(type) {
 		case *ast.CallExpr:
-			if g.callEmits(st) {
+			if s.callEmits(st) {
 				r.reportf(st.Pos(), "packet emission inside range over map: iteration order is randomized per process and leaks into the message sequence; iterate a sorted snapshot instead (e.g. the sortedClogs idiom)")
 				return true
 			}
-			if isBuiltinCall(pass, st, "delete") && len(st.Args) == 2 {
+			if isBuiltinCall(info, st, "delete") && len(st.Args) == 2 {
 				// delete keyed by a loop-derived value clears per-entry
 				// state; any other delete mutates shared maps in map order.
-				if !loopLocal(st.Args[1]) && !sameExpr(pass, st.Args[0], rng.X) {
+				if !loopLocal(st.Args[1]) && !sameExpr(info, st.Args[0], rng.X) {
 					r.reportf(st.Pos(), "delete with loop-independent key inside range over map: the surviving entry depends on iteration order")
 				}
 			}
@@ -137,7 +118,7 @@ func checkMapRange(pass *analysis.Pass, r *reporter, g *sendGraph, fn *ast.FuncD
 				if i < len(st.Rhs) {
 					rhs = st.Rhs[i]
 				}
-				checkMapRangeStore(pass, r, fn, rng, lhs, rhs, loopLocal, declaredOutside)
+				checkMapRangeStore(r, info, fn, rng, lhs, rhs, loopLocal, declaredOutside)
 			}
 		}
 		return true
@@ -145,7 +126,7 @@ func checkMapRange(pass *analysis.Pass, r *reporter, g *sendGraph, fn *ast.FuncD
 }
 
 // checkMapRangeStore vets one `lhs = rhs` inside a map-range body.
-func checkMapRangeStore(pass *analysis.Pass, r *reporter, fn *ast.FuncDecl, rng *ast.RangeStmt,
+func checkMapRangeStore(r *reporter, info *types.Info, fn *ast.FuncDecl, rng *ast.RangeStmt,
 	lhs, rhs ast.Expr, loopLocal func(ast.Expr) bool, declaredOutside func(*ast.Ident) (types.Object, bool)) {
 
 	if id, ok := lhs.(*ast.Ident); ok {
@@ -153,8 +134,8 @@ func checkMapRangeStore(pass *analysis.Pass, r *reporter, fn *ast.FuncDecl, rng 
 		if !outside {
 			return
 		}
-		if call, ok := rhs.(*ast.CallExpr); ok && isBuiltinCall(pass, call, "append") {
-			if sortedAfterLoop(pass, fn, rng, obj) {
+		if call, ok := rhs.(*ast.CallExpr); ok && isBuiltinCall(info, call, "append") {
+			if sortedAfterLoop(info, fn, rng, obj) {
 				return
 			}
 			r.reportf(lhs.Pos(), "append to %s inside range over map without a sort after the loop: element order follows the randomized iteration order; sort the slice before it escapes (sortedClogs idiom)", id.Name)
@@ -172,22 +153,11 @@ func checkMapRangeStore(pass *analysis.Pass, r *reporter, fn *ast.FuncDecl, rng 
 	r.reportf(lhs.Pos(), "order-dependent store inside range over map: the target is not keyed by the loop variables, so the surviving value depends on iteration order")
 }
 
-// isBuiltinCall reports whether call invokes the named builtin (the
-// type-checker records builtins in Uses as *types.Builtin).
-func isBuiltinCall(pass *analysis.Pass, call *ast.CallExpr, name string) bool {
-	id, ok := call.Fun.(*ast.Ident)
-	if !ok || id.Name != name {
-		return false
-	}
-	_, isBuiltin := pass.TypesInfo.Uses[id].(*types.Builtin)
-	return isBuiltin || pass.TypesInfo.Uses[id] == nil
-}
-
 // sortedAfterLoop reports whether fn sorts obj (a slice) after the range
 // statement: a call to sort.* or slices.Sort* with obj as an argument whose
 // position follows the loop. This is what makes the sorted-snapshot helpers
 // (sortedClogs and friends) pass without annotations.
-func sortedAfterLoop(pass *analysis.Pass, fn *ast.FuncDecl, rng *ast.RangeStmt, obj types.Object) bool {
+func sortedAfterLoop(info *types.Info, fn *ast.FuncDecl, rng *ast.RangeStmt, obj types.Object) bool {
 	if fn == nil || fn.Body == nil {
 		return false
 	}
@@ -204,7 +174,7 @@ func sortedAfterLoop(pass *analysis.Pass, fn *ast.FuncDecl, rng *ast.RangeStmt, 
 		if !ok {
 			return true
 		}
-		fnObj, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+		fnObj, ok := info.Uses[sel.Sel].(*types.Func)
 		if !ok || fnObj.Pkg() == nil {
 			return true
 		}
@@ -212,7 +182,7 @@ func sortedAfterLoop(pass *analysis.Pass, fn *ast.FuncDecl, rng *ast.RangeStmt, 
 			return true
 		}
 		for _, arg := range call.Args {
-			if id, ok := arg.(*ast.Ident); ok && pass.TypesInfo.Uses[id] == obj {
+			if id, ok := arg.(*ast.Ident); ok && info.Uses[id] == obj {
 				found = true
 			}
 		}
@@ -223,24 +193,24 @@ func sortedAfterLoop(pass *analysis.Pass, fn *ast.FuncDecl, rng *ast.RangeStmt, 
 
 // sameExpr reports whether two expressions statically denote the same
 // variable (ident or selector chain resolving to the same objects).
-func sameExpr(pass *analysis.Pass, a, b ast.Expr) bool {
-	oa, ok1 := exprObj(pass, a)
-	ob, ok2 := exprObj(pass, b)
+func sameExpr(info *types.Info, a, b ast.Expr) bool {
+	oa, ok1 := exprObj(info, a)
+	ob, ok2 := exprObj(info, b)
 	return ok1 && ok2 && oa == ob
 }
 
-func exprObj(pass *analysis.Pass, e ast.Expr) (types.Object, bool) {
+func exprObj(info *types.Info, e ast.Expr) (types.Object, bool) {
 	switch e := e.(type) {
 	case *ast.Ident:
-		if o := pass.TypesInfo.Uses[e]; o != nil {
+		if o := info.Uses[e]; o != nil {
 			return o, true
 		}
 	case *ast.SelectorExpr:
-		if o := pass.TypesInfo.Uses[e.Sel]; o != nil {
+		if o := info.Uses[e.Sel]; o != nil {
 			return o, true
 		}
 	case *ast.ParenExpr:
-		return exprObj(pass, e.X)
+		return exprObj(info, e.X)
 	}
 	return nil, false
 }

@@ -102,7 +102,7 @@ func parseSuppression(text string) (Suppression, bool) {
 	if rest, ok := cutDirective(text, directiveLockEscape); ok {
 		s := Suppression{Kind: directiveLockEscape, Reason: directiveArg(rest)}
 		if s.Reason == "" {
-			s.Malformed = "missing reason"
+			s.Malformed = "missing reason (want `//detlint:lock-escapes <reason>`)"
 		}
 		return s, true
 	}
@@ -122,8 +122,8 @@ func parseSuppression(text string) (Suppression, bool) {
 
 // WriteReport prints the inventory, one directive per line, and returns an
 // error when any directive is malformed or a suppression carries no written
-// reason — the CI report step fails on that error, so a reason-less
-// suppression cannot land.
+// reason — TestReportOverRepo (and `make detlint-report`) fails on that
+// error, so a reason-less suppression cannot land.
 func WriteReport(w io.Writer, sups []Suppression) error {
 	bad := 0
 	for _, s := range sups {

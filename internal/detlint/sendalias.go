@@ -31,40 +31,27 @@ import (
 var Sendalias = &analysis.Analyzer{
 	Name:     "sendalias",
 	Doc:      "flag writes to a wire packet after it was passed to Send",
-	Requires: []*analysis.Analyzer{ctrlflow.Analyzer},
+	Requires: []*analysis.Analyzer{ctrlflow.Analyzer, summaryAnalyzer},
 	Run:      runSendalias,
-}
-
-func init() {
-	Sendalias.Flags.StringVar(&conf.WirePackage, "wire", conf.WirePackage,
-		"import path of the wire message package")
 }
 
 func runSendalias(pass *analysis.Pass) (any, error) {
 	if !pkgMatch(conf.SimPackages, pass.Pkg.Path()) {
 		return nil, nil
 	}
-	files := filesOf(pass)
-	r := newReporter(pass)
-	g := newSendGraph(pass, files)
+	s := summaryOf(pass)
+	r := s.reporter(pass)
 	cfgs := pass.ResultOf[ctrlflow.Analyzer].(*ctrlflow.CFGs)
-
-	for _, f := range files {
-		for _, d := range f.Decls {
-			fn, isFn := d.(*ast.FuncDecl)
-			if !isFn || fn.Body == nil {
-				continue
-			}
-			checkSendAlias(pass, r, g, cfgs.FuncDecl(fn))
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				if lit, isLit := n.(*ast.FuncLit); isLit {
-					if graph := cfgs.FuncLit(lit); graph != nil {
-						checkSendAlias(pass, r, g, graph)
-					}
+	for _, fn := range s.funcs {
+		checkSendAlias(r, s, cfgs.FuncDecl(fn))
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			if lit, isLit := n.(*ast.FuncLit); isLit {
+				if graph := cfgs.FuncLit(lit); graph != nil {
+					checkSendAlias(r, s, graph)
 				}
-				return true
-			})
-		}
+			}
+			return true
+		})
 	}
 	return nil, nil
 }
@@ -110,49 +97,9 @@ func (s sentState) equal(o sentState) bool {
 	return true
 }
 
-// baseVarOf returns the variable an lvalue or argument expression is rooted
-// at: &out.pkt → out, pkt.Trace → pkt, locks[i].msg → locks.
-func baseVarOf(pass *analysis.Pass, e ast.Expr) *types.Var {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			obj := pass.TypesInfo.Uses[x]
-			if obj == nil {
-				obj = pass.TypesInfo.Defs[x]
-			}
-			if v, isVar := obj.(*types.Var); isVar {
-				return v
-			}
-			return nil
-		case *ast.SelectorExpr:
-			// A package-qualified name roots at the named var itself.
-			if id, isIdent := ast.Unparen(x.X).(*ast.Ident); isIdent {
-				if _, isPkg := pass.TypesInfo.Uses[id].(*types.PkgName); isPkg {
-					if v, isVar := pass.TypesInfo.Uses[x.Sel].(*types.Var); isVar {
-						return v
-					}
-					return nil
-				}
-			}
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.UnaryExpr:
-			if x.Op != token.AND {
-				return nil
-			}
-			e = x.X
-		default:
-			return nil
-		}
-	}
-}
-
 // checkSendAlias runs the dataflow over one CFG. The first fixpoint rounds
 // only propagate; a final pass over stable states reports.
-func checkSendAlias(pass *analysis.Pass, r *reporter, g *sendGraph, graph *cfg.CFG) {
+func checkSendAlias(r *reporter, s *summary, graph *cfg.CFG) {
 	if len(graph.Blocks) == 0 {
 		return
 	}
@@ -164,15 +111,11 @@ func checkSendAlias(pass *analysis.Pass, r *reporter, g *sendGraph, graph *cfg.C
 	markWrite := func(lhs ast.Expr, state sentState, report bool) {
 		switch target := ast.Unparen(lhs).(type) {
 		case *ast.Ident:
-			obj := pass.TypesInfo.Uses[target]
-			if obj == nil {
-				obj = pass.TypesInfo.Defs[target]
-			}
-			if v, isVar := obj.(*types.Var); isVar {
+			if v, isVar := objOf(s.info, target).(*types.Var); isVar {
 				delete(state, v) // whole-variable rebinding: fresh value
 			}
 		default:
-			if v := baseVarOf(pass, lhs); v != nil && state[v] {
+			if v := baseVarOf(s.info, lhs); v != nil && state[v] {
 				if report && !reported[lhs.Pos()] {
 					reported[lhs.Pos()] = true
 					r.reportf(lhs.Pos(),
@@ -201,10 +144,10 @@ func checkSendAlias(pass *analysis.Pass, r *reporter, g *sendGraph, graph *cfg.C
 				for _, arg := range m.Args {
 					applyNode(arg, state, report)
 				}
-				if g.callEmits(m) {
+				if s.callEmits(m) {
 					for _, arg := range m.Args {
-						if isWireType(pass.TypesInfo.TypeOf(arg)) {
-							if v := baseVarOf(pass, arg); v != nil {
+						if isWireType(s.info.TypeOf(arg)) {
+							if v := baseVarOf(s.info, arg); v != nil {
 								state[v] = true
 							}
 						}
@@ -227,13 +170,13 @@ func checkSendAlias(pass *analysis.Pass, r *reporter, g *sendGraph, graph *cfg.C
 			for _, n := range b.Nodes {
 				applyNode(n, state, false)
 			}
-			for _, s := range b.Succs {
-				merged := in[s].clone()
+			for _, succ := range b.Succs {
+				merged := in[succ].clone()
 				for v := range state {
 					merged[v] = true
 				}
-				if !merged.equal(in[s]) {
-					in[s] = merged
+				if !merged.equal(in[succ]) {
+					in[succ] = merged
 					changed = true
 				}
 			}

@@ -4,7 +4,7 @@
 // why some expectations also match the resulting parse errors.
 package server
 
-//detlint:ignore rawgo // want `malformed //detlint:ignore: missing reason`
+//detlint:ignore hostapi // want `malformed //detlint:ignore: missing reason`
 var a int
 
 //detlint:ignore nosuch -- covered elsewhere // want `unknown analyzer "nosuch"`

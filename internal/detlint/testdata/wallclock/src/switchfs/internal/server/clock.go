@@ -37,6 +37,6 @@ func goodArith(a, b time.Time) time.Duration { return a.Sub(b) }
 
 // suppressedNow shows a justified suppression: the reporter must honor it.
 func suppressedNow() time.Time {
-	//detlint:ignore wallclock -- startup banner only, before the simulation begins
+	//detlint:ignore hostapi -- startup banner only, before the simulation begins
 	return time.Now()
 }

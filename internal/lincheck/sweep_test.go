@@ -148,6 +148,54 @@ func TestRegressionRenamedDirChangeLog(t *testing.T) {
 	}
 }
 
+// TestRegressionNlinkUnderTxnLock pins class C of the wide sweep, a directory
+// that stays wedged with one client and no fault. A second hard link adjusts
+// the file's shared attribute object inside a coordinated transaction, whose
+// prepare locks the attribute key; the commit decision then adjusted the link
+// count through the locking applyNlink, parked on its own lock, and held every
+// key the transaction took on that server for good. The coordinator's
+// retransmitted decision was acked as a duplicate, so the link itself
+// returned ok. The last two programs are the differential seeds that found
+// it, minimised.
+func TestRegressionNlinkUnderTxnLock(t *testing.T) {
+	links := []Op{
+		{Kind: core.OpCreate, Path: "/f"},
+		{Kind: core.OpLink, Path: "/f", Path2: "/g"},
+		{Kind: core.OpLink, Path: "/f", Path2: "/h"},
+		{Kind: core.OpLink, Path: "/f", Path2: "/i"},
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		if rep := RunDiff(seed, links); rep.Failed() {
+			t.Errorf("three links, seed %d:\n%s", seed, rep.Divergences)
+		}
+	}
+	for _, c := range []struct {
+		seed int64
+		ops  []Op
+	}{
+		{93, []Op{
+			{Kind: core.OpMkdir, Path: "/a"},
+			{Kind: core.OpMkdir, Path: "/a/x"},
+			{Kind: core.OpCreate, Path: "/a/x/u"},
+			{Kind: core.OpLink, Path: "/a/x/u", Path2: "/a/x/t"},
+			{Kind: core.OpLink, Path: "/a/x/u", Path2: "/a/y"},
+			{Kind: core.OpDelete, Path: "/a/x/t"},
+		}},
+		{361, []Op{
+			{Kind: core.OpMkdir, Path: "/b"},
+			{Kind: core.OpMkdir, Path: "/a"},
+			{Kind: core.OpCreate, Path: "/a/y"},
+			{Kind: core.OpLink, Path: "/a/y", Path2: "/b/x"},
+			{Kind: core.OpLink, Path: "/a/y", Path2: "/c"},
+			{Kind: core.OpRename, Path: "/a/y", Path2: "/a"},
+		}},
+	} {
+		if rep := RunDiff(c.seed, c.ops); rep.Failed() {
+			t.Errorf("differential seed %d:\n%s", c.seed, rep.Divergences)
+		}
+	}
+}
+
 // TestSweepCoordinatorCrashAcrossTxn walks a coordinator crash, two
 // microseconds at a time, across two renames that share their parent
 // directory and reach the coordinator together: whatever instant the crash

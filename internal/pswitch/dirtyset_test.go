@@ -209,7 +209,7 @@ func TestCapacityMatchesPaper(t *testing.T) {
 func TestSwitchPacketRouting(t *testing.T) {
 	// Integration of the switch model with the env: see cluster tests for
 	// full-protocol coverage; here the multi-pipe partitioning is checked.
-	sw := New(1, Config{Stages: 4, IndexBits: 8, Pipes: 4})
+	sw := New(1, Config{IndexBits: 8, Pipes: 4})
 	seen := map[int]bool{}
 	for i := uint64(0); i < 64; i++ {
 		f := fp(i)

@@ -9,15 +9,12 @@ import (
 
 // Config parameterizes a switch instance.
 type Config struct {
-	// Stages and IndexBits set the dirty-set geometry (§6.3).
-	Stages    int
+	// IndexBits sets each stage's register count (§6.3); the stage count
+	// is the paper's DefaultStages.
 	IndexBits uint
 	// Pipes is the number of egress pipes; pipes share nothing and each
-	// owns the fingerprints of one prefix range (§6.2). Packets whose
-	// fingerprint lives on a different pipe than their ingress port are
-	// mirrored, paying MirrorDelay.
-	Pipes       int
-	MirrorDelay env.Duration
+	// owns the fingerprints of one prefix range (§6.2).
+	Pipes int
 	// PipeDelay is the pipeline traversal time for packets carrying a
 	// dirty-set operation.
 	PipeDelay env.Duration
@@ -57,7 +54,7 @@ func New(id env.NodeID, cfg Config) *Switch {
 	}
 	s := &Switch{ID: id, cfg: cfg}
 	for i := 0; i < cfg.Pipes; i++ {
-		s.pipes = append(s.pipes, NewDirtySet(cfg.Stages, cfg.IndexBits))
+		s.pipes = append(s.pipes, NewDirtySet(DefaultStages, cfg.IndexBits))
 	}
 	return s
 }
@@ -125,12 +122,6 @@ func (s *Switch) Handler(p *env.Proc, from env.NodeID, msg any) {
 	defer sp.End()
 	p.Sleep(s.cfg.PipeDelay + s.extraDelay)
 	ds := s.pipeOf(pkt.DS.FP)
-	if len(s.pipes) > 1 && s.cfg.MirrorDelay > 0 {
-		// Cross-pipe access mirrors the packet to the owning pipe (§6.2).
-		if int(from)%len(s.pipes) != int(uint64(pkt.DS.FP)>>(core.FingerprintBits-8))%len(s.pipes) {
-			p.Sleep(s.cfg.MirrorDelay)
-		}
-	}
 	switch pkt.DS.Op {
 	case wire.DSQuery:
 		s.Stats.Queries++

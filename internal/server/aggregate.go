@@ -738,16 +738,9 @@ func (s *Server) handleChangePush(p *env.Proc, from env.NodeID, cp *wire.ChangeP
 	// chase the current owner (or stay pending behind a dirty mark). Applying
 	// them here would strand acknowledged entries on a server reads no longer
 	// reach.
-	if s.checkOwnership(fp) != nil {
+	if s.admitFP(p, fp) != nil {
 		return
 	}
-	if s.gateWait(p, fp) != nil {
-		return
-	}
-	if s.checkOwnership(fp) != nil {
-		return
-	}
-	s.fpEnter(fp)
 	defer s.fpExit(fp)
 	l := s.lockOf(cp.Log.Dir.Key)
 	l.Lock(p)

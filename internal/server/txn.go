@@ -894,7 +894,7 @@ func (s *Server) handleTxnDecision(p *env.Proc, td *wire.TxnDecision) {
 				s.applyBatch(p, []aggLog{{from: s.cfg.Coordinator | txnSrcFlag, log: wire.DirLog{
 					Dir: op.Dir, Entries: []core.LogEntry{op.Entry}}}})
 			case wire.TxnAdjustNlink:
-				s.applyNlink(p, op.Key, int32(int64(op.Entry.ID)))
+				s.applyNlinkLocked(p, op.Key, int32(int64(op.Entry.ID)))
 			case wire.TxnPutDentry:
 				p.Compute(c.WALAppend + c.KVPut)
 				mustAppend(s.wal, recDentry,

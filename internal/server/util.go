@@ -82,10 +82,17 @@ func fileAttrKey(id core.FileID) core.Key {
 // cross-server locking is needed (the same argument as §5.3's type (a)
 // actions).
 func (s *Server) applyNlink(p *env.Proc, key core.Key, delta int32) error {
-	c := &s.cfg.Costs
 	l := s.lockOf(key)
 	l.Lock(p)
 	defer l.Unlock()
+	return s.applyNlinkLocked(p, key, delta)
+}
+
+// applyNlinkLocked is applyNlink for a caller that already holds key's lock:
+// a committed transaction's decision, whose prepare locked every key it
+// touches. Taking the lock again would park the decision on itself.
+func (s *Server) applyNlinkLocked(p *env.Proc, key core.Key, delta int32) error {
+	c := &s.cfg.Costs
 	p.Compute(c.KVGet)
 	var in core.Inode
 	if err := s.readInode(key, &in); err != nil {
