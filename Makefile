@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: verify fmt vet build test bench bench-layers figures lint race clean detlint detlint-report bench-compare bench-baseline lincheck-sweep
+.PHONY: verify fmt vet build test bench bench-layers figures lint race clean detlint detlint-report bench-compare bench-baseline
 
 verify: fmt vet build test
 
@@ -56,11 +56,6 @@ bench-compare:
 bench-baseline:
 	@mkdir -p bin
 	$(GO) run ./cmd/fsbench -fig gated -scale tiny -trace bin/trace-baseline.json -format json -out bench/baseline.json
-
-# lincheck-sweep is the long-form acceptance sweep: 64 seeds through every
-# lincheck test mode (go test entry point).
-lincheck-sweep:
-	LINCHECK_SEEDS=64 $(GO) test ./internal/lincheck/ -run 'TestSweep' -v
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

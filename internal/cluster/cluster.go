@@ -42,10 +42,9 @@ type Options struct {
 	Switches int
 	Costs    env.Costs
 	Tracker  server.TrackerMode
-	// Async and Compaction gate the §7.3.1 contribution-breakdown modes;
-	// both default to true (full SwitchFS).
-	Async      bool
-	Compaction bool
+	// Updates picks the §7.3.1 contribution-breakdown row; zero is the full
+	// design.
+	Updates server.UpdateMode
 	// ForceOverflow makes every dirty-set insert fail (§7.3.2).
 	ForceOverflow bool
 	// SwitchIndexBits sizes each of the switch's 10 dirty-set stages; zero
@@ -121,16 +120,8 @@ type Cluster struct {
 // ServerOf maps a placement slot to a node id.
 func ServerOf(slot uint32) env.NodeID { return serverBase + env.NodeID(slot) }
 
-// New builds a cluster. Pass Async/Compaction explicitly via NewWithModes for
-// the breakdown experiments; New enables the full design.
+// New builds a cluster.
 func New(e *env.Sim, opts Options) *Cluster {
-	opts.Async = true
-	opts.Compaction = true
-	return NewWithModes(e, opts)
-}
-
-// NewWithModes builds a cluster honoring opts.Async and opts.Compaction.
-func NewWithModes(e *env.Sim, opts Options) *Cluster {
 	opts.Defaults()
 	c := &Cluster{Env: e, Opts: opts}
 
@@ -212,8 +203,7 @@ func NewWithModes(e *env.Sim, opts Options) *Cluster {
 			WAL:          w,
 			Tracker:      opts.Tracker,
 			DataNodes:    opts.DataNodes,
-			Async:        opts.Async,
-			Compaction:   opts.Compaction,
+			Updates:      opts.Updates,
 			PushEntries:  opts.PushEntries,
 			PushIdle:     opts.PushIdle,
 			OwnerQuiesce: opts.OwnerQuiesce,
@@ -473,8 +463,7 @@ func serverConfigOf(c *Cluster, i int) server.Config {
 		Coordinator:  ServerOf(0),
 		Tracker:      c.Opts.Tracker,
 		DataNodes:    c.Opts.DataNodes,
-		Async:        c.Opts.Async,
-		Compaction:   c.Opts.Compaction,
+		Updates:      c.Opts.Updates,
 		PushEntries:  c.Opts.PushEntries,
 		PushIdle:     c.Opts.PushIdle,
 		OwnerQuiesce: c.Opts.OwnerQuiesce,

@@ -6,6 +6,7 @@ import (
 
 	"switchfs/internal/core"
 	"switchfs/internal/env"
+	"switchfs/internal/server"
 	"switchfs/internal/workload"
 )
 
@@ -29,10 +30,10 @@ func (d *drainProbe) Drain(p *env.Proc) {
 // figures stop their clocks, so when it returns every deferred update must have
 // reached its directory's owner.
 func TestDrainLeavesNothingPending(t *testing.T) {
-	for _, compaction := range []bool{false, true} {
+	for _, updates := range []server.UpdateMode{server.UpdateAsync, server.UpdateCompacted} {
 		sim := env.NewSim(9)
-		c := NewWithModes(sim, Options{Servers: 8, CoresPerServer: 2, Clients: 8,
-			Costs: env.DefaultCosts(), SwitchIndexBits: 14, Async: true, Compaction: compaction})
+		c := New(sim, Options{Servers: 8, CoresPerServer: 2, Clients: 8,
+			Costs: env.DefaultCosts(), SwitchIndexBits: 14, Updates: updates})
 		probe := &drainProbe{Cluster: c}
 		ns := workload.SingleDir(16)
 		ns.Preload(probe)
@@ -40,11 +41,11 @@ func TestDrainLeavesNothingPending(t *testing.T) {
 			Seed: 1, Gen: ns.FreshFiles(core.OpCreate)})
 		sim.Shutdown()
 		if res.Errs != 0 {
-			t.Errorf("compaction %v: %d of %d creates failed", compaction, res.Errs, res.Ops)
+			t.Errorf("updates %d: %d of %d creates failed", updates, res.Errs, res.Ops)
 		}
 		if want := make([]int, 8); !slices.Equal(probe.pending, want) {
-			t.Errorf("compaction %v: entries pending per server when Drain returned %v, want %v",
-				compaction, probe.pending, want)
+			t.Errorf("updates %d: entries pending per server when Drain returned %v, want %v",
+				updates, probe.pending, want)
 		}
 	}
 }

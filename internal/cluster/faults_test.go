@@ -8,6 +8,7 @@ import (
 	"switchfs/internal/client"
 	"switchfs/internal/core"
 	"switchfs/internal/env"
+	"switchfs/internal/server"
 	"switchfs/internal/wire"
 )
 
@@ -421,10 +422,7 @@ func TestMultiSwitchDeployment(t *testing.T) {
 func TestBaselineSyncMode(t *testing.T) {
 	s := env.NewSim(7)
 	t.Cleanup(s.Shutdown)
-	opts := Options{Servers: 4, Clients: 1, SwitchIndexBits: 8}
-	opts.Async = false
-	opts.Compaction = false
-	c := NewWithModes(s, opts)
+	c := New(s, Options{Servers: 4, Clients: 1, SwitchIndexBits: 8, Updates: server.UpdateSync})
 	c.Run(0, func(p *env.Proc, cl *client.Client) {
 		cl.Mkdir(p, "/d", 0)
 		for i := 0; i < 10; i++ {

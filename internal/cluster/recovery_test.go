@@ -366,7 +366,8 @@ func TestParkedRequestsServedAtResume(t *testing.T) {
 func TestSyncCommitEndsAtFailStop(t *testing.T) {
 	s := env.NewSim(7)
 	t.Cleanup(s.Shutdown)
-	c := NewWithModes(s, Options{Servers: 4, Clients: 1, SwitchIndexBits: 8, Costs: env.DefaultCosts()})
+	c := New(s, Options{Servers: 4, Clients: 1, SwitchIndexBits: 8, Costs: env.DefaultCosts(),
+		Updates: server.UpdateSync})
 	pl := NewPreload(c)
 	pl.LogWAL = true
 	// A directory server 1 does not own, and a name in it whose inode it does.

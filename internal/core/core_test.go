@@ -231,78 +231,6 @@ func TestErrnoRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPlacementDeterministicAndComplete(t *testing.T) {
-	p1 := NewPlacement([]uint32{0, 1, 2, 3}, 0)
-	p2 := NewPlacement([]uint32{3, 2, 1, 0}, 0) // order-insensitive
-	g := NewIDGen(5)
-	for i := 0; i < 2000; i++ {
-		k := Key{PID: g.Next(), Name: "f"}
-		if p1.OwnerOfKey(k, false) != p2.OwnerOfKey(k, false) {
-			t.Fatal("placement depends on server-list order")
-		}
-	}
-}
-
-func TestPlacementBalance(t *testing.T) {
-	p := NewPlacement([]uint32{0, 1, 2, 3, 4, 5, 6, 7}, 0)
-	counts := map[uint32]int{}
-	g := NewIDGen(6)
-	const n = 20000
-	for i := 0; i < n; i++ {
-		counts[p.OwnerOfFile(g.Next(), "f")]++
-	}
-	for s, c := range counts {
-		if c < n/8/3 || c > n/8*3 {
-			t.Fatalf("server %d owns %d of %d (poor balance)", s, c, n)
-		}
-	}
-}
-
-func TestPlacementFingerprintGroupInvariant(t *testing.T) {
-	// Every directory in a fingerprint group must land on one server: the
-	// file and fingerprint routes must agree.
-	p := NewPlacement([]uint32{0, 1, 2, 3}, 0)
-	g := NewIDGen(7)
-	for i := 0; i < 2000; i++ {
-		pid := g.Next()
-		name := fmt.Sprintf("d%d", i)
-		fp := FingerprintOf(pid, name)
-		if p.OwnerOfDir(pid, name) != p.OwnerOfFingerprint(fp) {
-			t.Fatal("directory placement disagrees with fingerprint placement")
-		}
-		if p.OwnerOfFile(pid, name) != p.OwnerOfFingerprint(fp) {
-			t.Fatal("file placement disagrees with fingerprint placement")
-		}
-	}
-}
-
-func TestPlacementMinimalMovementOnReset(t *testing.T) {
-	p := NewPlacement([]uint32{0, 1, 2, 3}, 0)
-	g := NewIDGen(8)
-	type obj struct{ k Key }
-	var objs []obj
-	before := map[int]uint32{}
-	for i := 0; i < 5000; i++ {
-		k := Key{PID: g.Next(), Name: "f"}
-		objs = append(objs, obj{k})
-		before[i] = p.OwnerOfKey(k, false)
-	}
-	p.Reset([]uint32{0, 1, 2, 3, 4}) // add one server
-	moved := 0
-	for i, o := range objs {
-		if p.OwnerOfKey(o.k, false) != before[i] {
-			moved++
-		}
-	}
-	// Consistent hashing: roughly 1/5 of keys move; far less than 1/2.
-	if moved > len(objs)/2 {
-		t.Fatalf("%d of %d keys moved after adding one server", moved, len(objs))
-	}
-	if moved == 0 {
-		t.Fatal("no keys moved to the new server")
-	}
-}
-
 // --- change-log and compaction ------------------------------------------------
 
 func TestChangeLogAppendAckThrough(t *testing.T) {

@@ -1,6 +1,6 @@
 // Package core defines the protocol-level types of SwitchFS: directory
 // identifiers, fingerprints, the metadata schema (inodes, dentries, keys),
-// directory states, change-logs with compaction, and metadata placement.
+// directory states, and change-logs with compaction.
 //
 // These types are shared by the SwitchFS servers, clients, the programmable
 // switch model, and the emulated baseline systems, so that all systems under
@@ -62,22 +62,22 @@ type IDGen struct {
 func NewIDGen(node uint64) *IDGen { return &IDGen{node: node} }
 
 // Next returns a fresh DirID. Ids are unique per (node, seq) and whitened
-// with splitmix64 so that their bits are uniformly distributed — DirIDs feed
+// with Mix64 so that their bits are uniformly distributed — DirIDs feed
 // the fingerprint hash and the placement hash.
 func (g *IDGen) Next() DirID {
 	g.seq++
 	s := g.seq
 	return DirID{
-		splitmix64(g.node*0x9E3779B97F4A7C15 + 0x1234),
-		splitmix64(s),
-		splitmix64(g.node ^ (s << 32)),
+		Mix64(g.node*0x9E3779B97F4A7C15 + 0x1234),
+		Mix64(s),
+		Mix64(g.node ^ (s << 32)),
 		g.node<<48 | (s & 0xFFFFFFFFFFFF),
 	}
 }
 
-// splitmix64 is the finalizer of the SplitMix64 generator; a strong, cheap
-// 64-bit mixing function.
-func splitmix64(x uint64) uint64 {
+// Mix64 is the finalizer of the SplitMix64 generator; a strong, cheap 64-bit
+// mixing function.
+func Mix64(x uint64) uint64 {
 	x += 0x9E3779B97F4A7C15
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
 	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
@@ -132,7 +132,7 @@ func (f Fingerprint) Tag(indexBits uint) uint32 {
 }
 
 // hash64Dir is a deterministic 64-bit hash of a (DirID, name) pair (FNV-1a
-// over the id words and the name bytes, then strengthened with splitmix64).
+// over the id words and the name bytes, then strengthened with Mix64).
 // Determinism matters: placement must agree across clients, servers, and
 // across process restarts.
 func hash64Dir(pid DirID, name string) uint64 {
@@ -151,7 +151,7 @@ func hash64Dir(pid DirID, name string) uint64 {
 		h ^= uint64(name[i])
 		h *= prime64
 	}
-	return splitmix64(h)
+	return Mix64(h)
 }
 
 // Hash64 exposes the schema hash for placement decisions.

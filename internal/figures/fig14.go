@@ -3,6 +3,7 @@ package figures
 import (
 	"switchfs/internal/cluster"
 	"switchfs/internal/core"
+	"switchfs/internal/server"
 	"switchfs/internal/stats"
 	"switchfs/internal/workload"
 )
@@ -18,19 +19,18 @@ func Fig14(sc Scale) Table {
 		Header: []string{"config", "cores", "Kops/s", "mean µs", "p99 µs"}}
 	ns := workload.SingleDir(sc.FilesPerDir)
 	configs := []struct {
-		name        string
-		async, comp bool
+		name    string
+		updates server.UpdateMode
 	}{
-		{"Baseline", false, false},
-		{"+Async", true, false},
-		{"+Compaction", true, true},
+		{"Baseline", server.UpdateSync},
+		{"+Async", server.UpdateAsync},
+		{"+Compaction", server.UpdateCompacted},
 	}
 	for _, cfg := range configs {
 		for _, cores := range sc.CoreCounts {
 			var rc stats.Counters
 			sim, sys, done := deploy(9, sysSwitchFS, 8, cores, 8, 0, func(o *cluster.Options) {
-				o.Async = cfg.async
-				o.Compaction = cfg.comp
+				o.Updates = cfg.updates
 			})
 			ns.Preload(sys)
 			res := runOn(sim, sys, ns, ns.FreshFiles(core.OpCreate), sc.Workers, sc.OpsPerWorker, 8, &rc)
@@ -54,8 +54,6 @@ func Overflow(sc Scale) Table {
 	for _, forced := range []bool{false, true} {
 		var rc stats.Counters
 		sim, sys, done := deploy(10, sysSwitchFS, 8, 4, 8, 0, func(o *cluster.Options) {
-			o.Async = true
-			o.Compaction = true
 			o.ForceOverflow = forced
 		})
 		ns.Preload(sys)

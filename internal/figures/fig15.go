@@ -21,8 +21,6 @@ func Fig15a(sc Scale) Table {
 		var rc stats.Counters
 		for _, tracker := range []server.TrackerMode{server.TrackerSwitch, server.TrackerServer} {
 			sim, sys, done := deploy(11, sysSwitchFS, 8, 4, 1, 0, func(o *cluster.Options) {
-				o.Async = true
-				o.Compaction = true
 				o.Tracker = tracker
 			})
 			ns.Preload(sys)
@@ -48,8 +46,6 @@ func Fig15b(sc Scale) Table {
 		var rc stats.Counters
 		for _, tracker := range []server.TrackerMode{server.TrackerSwitch, server.TrackerServer} {
 			sim, sys, done := deploy(12, sysSwitchFS, n, 12, 16, 0, func(o *cluster.Options) {
-				o.Async = true
-				o.Compaction = true
 				o.Tracker = tracker
 			})
 			ns.Preload(sys)
@@ -85,8 +81,6 @@ func Fig16(sc Scale) Table {
 			}
 			var rc stats.Counters
 			sim, sys, done := deploy(13, sysSwitchFS, 8, 4, 8, 0, func(o *cluster.Options) {
-				o.Async = true
-				o.Compaction = true
 				o.Tracker = tracker
 			})
 			ns.Preload(sys)

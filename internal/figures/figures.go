@@ -189,14 +189,7 @@ func deploy(seed int64, k sysKind, servers, cores, clients, dataNodes int,
 			tweak(&opts)
 		}
 		opts.Trace = obsTrace
-		// No tweak means the full design; a tweak's Async/Compaction
-		// choice (the Fig. 14 breakdown) is honoured as given.
-		var c *cluster.Cluster
-		if tweak == nil {
-			c = cluster.New(sim, opts)
-		} else {
-			c = cluster.NewWithModes(sim, opts)
-		}
+		c := cluster.New(sim, opts)
 		// Teardown snapshots the cluster's counters into the shared metrics
 		// registry (no-op when observability is off).
 		return sim, c, func() {
@@ -224,10 +217,7 @@ func deploy(seed int64, k sysKind, servers, cores, clients, dataNodes int,
 
 // deploySwitchFS is deploy with full SwitchFS defaults.
 func deploySwitchFS(seed int64, servers, cores, clients, dataNodes int) (*env.Sim, fsapi.System, func()) {
-	return deploy(seed, sysSwitchFS, servers, cores, clients, dataNodes, func(o *cluster.Options) {
-		o.Async = true
-		o.Compaction = true
-	})
+	return deploy(seed, sysSwitchFS, servers, cores, clients, dataNodes, nil)
 }
 
 // kops formats ops/s as Kops/s.

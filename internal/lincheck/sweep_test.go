@@ -13,10 +13,11 @@ import (
 	"switchfs/internal/ring"
 )
 
-// sweepSeeds returns the seed budget: 4 under -short, 12 by default, and
-// whatever LINCHECK_SEEDS says (the acceptance sweep exports
-// LINCHECK_SEEDS=64).
-func sweepSeeds(t *testing.T) int64 {
+// sweepSeeds returns a sweep's seed budget: whatever LINCHECK_SEEDS says, 4
+// under -short, and otherwise its default width. The widths follow cost — per
+// seed about 3 ms differential, 1.5 ms fault-free and 11 ms faulty on two
+// cores — so no sweep spends more than about three seconds of tier-1.
+func sweepSeeds(t *testing.T, width int64) int64 {
 	if s := os.Getenv("LINCHECK_SEEDS"); s != "" {
 		n, err := strconv.ParseInt(s, 10, 64)
 		if err != nil || n <= 0 {
@@ -27,7 +28,7 @@ func sweepSeeds(t *testing.T) int64 {
 	if testing.Short() {
 		return 4
 	}
-	return 12
+	return width
 }
 
 func reportFailure(t *testing.T, what string, seed int64, rep *Report) {
@@ -44,7 +45,7 @@ func reportFailure(t *testing.T, what string, seed int64, rep *Report) {
 // adversarial mix, and the two-path mix on eight clients, where transactions
 // queue at the coordinator and one is decided while the next prepares.
 func TestSweepFaultFree(t *testing.T) {
-	for seed := int64(1); seed <= sweepSeeds(t); seed++ {
+	for seed := int64(1); seed <= sweepSeeds(t, 256); seed++ {
 		for name, prog := range map[string]Program{
 			"fault-free":          GenProgram(seed, 4, 7, AdversarialMix),
 			"fault-free two-path": GenProgram(seed, 8, 4, TwoPathMix),
@@ -60,7 +61,7 @@ func TestSweepFaultFree(t *testing.T) {
 // both mixes (the two-path programs are shorter: every timed-out mutation
 // adds a ghost event to a history the search bounds at 64).
 func TestSweepFaulty(t *testing.T) {
-	for seed := int64(1); seed <= sweepSeeds(t); seed++ {
+	for seed := int64(1); seed <= sweepSeeds(t, 64); seed++ {
 		for name, prog := range map[string]Program{
 			"plan ":          GenProgram(seed, 3, 6, AdversarialMix),
 			"two-path plan ": GenProgram(seed, 8, 3, TwoPathMix),
@@ -78,7 +79,7 @@ func TestSweepFaulty(t *testing.T) {
 // programs: the adversarial small-pool generator and the PanguMix-derived
 // trace shape (workload.Program).
 func TestSweepDifferential(t *testing.T) {
-	for seed := int64(1); seed <= sweepSeeds(t); seed++ {
+	for seed := int64(1); seed <= sweepSeeds(t, 1024); seed++ {
 		for name, ops := range map[string][]Op{
 			"pool": GenProgram(seed, 3, 40, AdversarialMix).Flatten(),
 			"mix":  MixProgram(seed, 60),
@@ -193,6 +194,26 @@ func TestRegressionNlinkUnderTxnLock(t *testing.T) {
 		if rep := RunDiff(c.seed, c.ops); rep.Failed() {
 			t.Errorf("differential seed %d:\n%s", c.seed, rep.Divergences)
 		}
+	}
+}
+
+// TestRegressionLookupWaitsOutRmdir pins class A of the wide sweep: an rmdir
+// and a mkdir under its directory both acknowledged, the child orphaned, with
+// no fault injected. In seed 587 the rmdir of /b plants /b in its owner's
+// invalidation list and starts its forced aggregation; a lookup of b reaches
+// the owner in that window and finds /b, which the rmdir has not locked yet.
+// Its reply carries the planted sequence number with the directory, so the
+// client caches /b as current, and its mkdir /b/x passes checkAncestors after
+// the rmdir found /b empty. A lookup now waits out an rmdir of its key.
+func TestRegressionLookupWaitsOutRmdir(t *testing.T) {
+	for _, seed := range []int64{232, 552, 587, 634} {
+		if rep := CheckConcurrent(seed, GenProgram(seed, 4, 7, AdversarialMix), nil); rep.Failed() {
+			reportFailure(t, "fault-free", seed, rep)
+		}
+	}
+	plan, _ := chaos.BuiltinPlan(Geometry, "server-crash")
+	if rep := CheckConcurrent(397, GenProgram(397, 3, 6, AdversarialMix), &plan); rep.Failed() {
+		reportFailure(t, "plan server-crash", 397, rep)
 	}
 }
 

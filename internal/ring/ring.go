@@ -1,6 +1,6 @@
 // Package ring is the versioned placement ring consulted by clients,
-// servers, and the cluster control plane. It layers two mechanisms over the
-// consistent-hash base (core.Placement):
+// servers, and the cluster control plane. It layers two mechanisms over its
+// consistent-hash base (placement):
 //
 //   - explicit per-fingerprint overrides, so a single hot directory group can
 //     be migrated to a chosen slot without perturbing anything else, and
@@ -28,7 +28,7 @@ import (
 // overrides. All methods are cheap and never park, so a read-modify sequence
 // inside one simulator event is atomic with respect to traffic.
 type Ring struct {
-	placement *core.Placement
+	placement *placement
 	overrides map[core.Fingerprint]uint32
 	version   uint64
 	nodeOf    func(uint32) env.NodeID
@@ -42,10 +42,10 @@ type Override struct {
 
 // New builds a ring over the given slots. nodeOf maps a placement slot to
 // the owning server's NodeID (the cluster's address layout); vnodes <= 0
-// selects core.DefaultVNodes.
+// selects the default.
 func New(slots []uint32, vnodes int, nodeOf func(uint32) env.NodeID) *Ring {
 	return &Ring{
-		placement: core.NewPlacement(slots, vnodes),
+		placement: newPlacement(slots, vnodes),
 		overrides: make(map[core.Fingerprint]uint32),
 		version:   1,
 		nodeOf:    nodeOf,
@@ -64,7 +64,7 @@ func (r *Ring) OwnerOf(fp core.Fingerprint) uint32 {
 	if slot, ok := r.overrides[fp]; ok {
 		return slot
 	}
-	return r.placement.OwnerOfFingerprint(fp)
+	return r.placement.ownerOf(fp)
 }
 
 // OwnerNode returns the NodeID owning fingerprint group fp.
@@ -103,7 +103,7 @@ func (r *Ring) ClearOverride(fp core.Fingerprint) {
 // version (bulk reconfiguration: by the time the control plane resets, every
 // group has been migrated to its target owner, so the overrides are spent).
 func (r *Ring) Reset(slots []uint32) {
-	r.placement.Reset(slots)
+	r.placement.reset(slots)
 	r.overrides = make(map[core.Fingerprint]uint32)
 	r.version++
 }
@@ -122,11 +122,11 @@ func (r *Ring) Overrides() []Override {
 // Slots returns the base member set in ascending order (overrides excluded:
 // an override pins a group to a member, it does not add members).
 func (r *Ring) Slots() []uint32 {
-	return r.placement.Servers()
+	return append([]uint32(nil), r.placement.slots...)
 }
 
 // String summarizes the ring for diagnostics.
 func (r *Ring) String() string {
 	return fmt.Sprintf("ring{v%d, %d slots, %d overrides}",
-		r.version, r.placement.NumServers(), len(r.overrides))
+		r.version, len(r.placement.slots), len(r.overrides))
 }

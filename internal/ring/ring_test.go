@@ -96,6 +96,33 @@ func TestOverridePrecedence(t *testing.T) {
 	}
 }
 
+// keyFPs returns the fingerprints of n file keys in fresh directories.
+func keyFPs(seed uint64, n int) []core.Fingerprint {
+	g := core.NewIDGen(seed)
+	fps := make([]core.Fingerprint, n)
+	for i := range fps {
+		fps[i] = core.FingerprintOf(g.Next(), "f")
+	}
+	return fps
+}
+
+// File keys land on a member slot, and on the same one whatever order the
+// member set is given in.
+func TestPlacementDeterministicAndComplete(t *testing.T) {
+	slots := []uint32{0, 1, 2, 3}
+	a := New(slots, 0, nodeOf)
+	b := New([]uint32{3, 2, 1, 0}, 0, nodeOf)
+	for _, fp := range keyFPs(5, 2000) {
+		owner := a.OwnerOf(fp)
+		if owner != b.OwnerOf(fp) {
+			t.Fatal("placement depends on slot-list order")
+		}
+		if owner >= uint32(len(slots)) {
+			t.Fatalf("fingerprint %v placed on non-member slot %d", fp, owner)
+		}
+	}
+}
+
 // Equal inputs must produce identical placement — across instances and
 // across slot-order permutations (the base ring sorts its member set).
 func TestDeterministicPlacement(t *testing.T) {
@@ -128,11 +155,52 @@ func TestDeterministicPlacement(t *testing.T) {
 func TestAgreesWithPlacementBase(t *testing.T) {
 	slots := []uint32{0, 1, 2, 3, 4, 5, 6, 7}
 	r := New(slots, 0, nodeOf)
-	p := core.NewPlacement(slots, 0)
+	p := newPlacement(slots, 0)
 	for i := 0; i < 200; i++ {
 		fp := fpOf(i)
-		if r.OwnerOf(fp) != p.OwnerOfFingerprint(fp) {
+		if r.OwnerOf(fp) != p.ownerOf(fp) {
 			t.Fatalf("ring disagrees with base placement for %v", fp)
 		}
+	}
+}
+
+// Consistent hashing spreads keys over eight slots within a factor of three
+// of an even share.
+func TestBalance(t *testing.T) {
+	r := New([]uint32{0, 1, 2, 3, 4, 5, 6, 7}, 0, nodeOf)
+	const n = 20000
+	counts := map[uint32]int{}
+	for _, fp := range keyFPs(6, n) {
+		counts[r.OwnerOf(fp)]++
+	}
+	for slot, c := range counts {
+		if c < n/8/3 || c > n/8*3 {
+			t.Fatalf("slot %d owns %d of %d (poor balance)", slot, c, n)
+		}
+	}
+}
+
+// Growing the member set by one slot moves some keys to it, and far fewer
+// than half of them.
+func TestMinimalMovementOnReset(t *testing.T) {
+	r := New([]uint32{0, 1, 2, 3}, 0, nodeOf)
+	fps := keyFPs(8, 5000)
+	before := make([]uint32, len(fps))
+	for i, fp := range fps {
+		before[i] = r.OwnerOf(fp)
+	}
+	r.Reset([]uint32{0, 1, 2, 3, 4})
+	moved := 0
+	for i, fp := range fps {
+		if r.OwnerOf(fp) != before[i] {
+			moved++
+		}
+	}
+	// Roughly 1/5 of the keys move.
+	if moved > len(fps)/2 {
+		t.Fatalf("%d of %d keys moved after adding one slot", moved, len(fps))
+	}
+	if moved == 0 {
+		t.Fatal("no keys moved to the new slot")
 	}
 }

@@ -484,8 +484,9 @@ func (s *Server) applyBatch(p *env.Proc, logs []aggLog) {
 
 	// Persist before applying: the owner's WAL now holds the entries, so
 	// the sources may mark them applied (§A.1 "no change-log entry is lost").
+	compaction := s.cfg.Updates == UpdateCompacted
 	wsp := s.cfg.Trace.Start(p, "wal:entries", "server")
-	if s.cfg.Compaction {
+	if compaction {
 		p.Compute(c.WALAppend)
 		s.parallelCompute(p, n, c.LogAppend)
 	}
@@ -496,7 +497,7 @@ func (s *Server) applyBatch(p *env.Proc, logs []aggLog) {
 			if e.ID <= l.mark {
 				continue
 			}
-			if !s.cfg.Compaction {
+			if !compaction {
 				p.Compute(c.WALAppend)
 			}
 			mustAppend(s.wal, recAggEntry, encodeAggEntry(l.from, dir, e))
@@ -515,7 +516,7 @@ func (s *Server) applyBatch(p *env.Proc, logs []aggLog) {
 		s.Stats.Orphans += uint64(n)
 	case err != nil:
 		// An undecodable inode: nothing to apply to; the entries are consumed.
-	case s.cfg.Compaction:
+	case compaction:
 		comp := core.Compact(fresh)
 		comp.ApplyToAttr(&in.Attr, p.Now())
 		p.Compute(c.KVGet + c.KVPut) // one attribute read-modify-write
@@ -795,105 +796,47 @@ func (s *Server) handleInvalBroadcast(p *env.Proc, from env.NodeID, b *wire.Inva
 
 // --- rmdir (§5.2.3) -----------------------------------------------------------
 
-// doRmdir removes an empty directory: aggregate its pending updates first to
-// decide emptiness against the latest state, broadcast invalidation, then
-// commit the removal as an asynchronous update to the parent.
-func (s *Server) doRmdir(p *env.Proc, req *wire.MutateReq) {
-	c := &s.cfg.Costs
-	key := core.Key{PID: req.Parent.ID, Name: req.Name}
+// aggregateTarget is rmdir's aggregation-first half: it admits the target's
+// group, learns the target directory, plants it in the invalidation list and
+// aggregates its group, collecting every pending update to the directory and
+// planting it in every peer's invalidation list (Fig. 6 steps 4–7). On nil
+// return the caller holds the group's busy reference.
+func (s *Server) aggregateTarget(p *env.Proc, key core.Key) (core.DirID, error) {
 	fp := key.Fingerprint()
-	parentLog := s.clogOf(req.Parent)
-
-	p.Compute(c.LockOp)
 	if err := s.admitFP(p, fp); err != nil {
-		// Routed here under a stale ring (migration or reconfiguration in
-		// flight): the record may live on the new owner — retry, don't
-		// report ENOENT.
-		s.replyMutate(p, req, err)
-		return
+		// Routed here under a stale ring: the record may live on the new
+		// owner — retry, don't report ENOENT.
+		return core.DirID{}, err
 	}
 	s.tallyFP(fp)
-	// Pre-check existence and type without locks to learn the target id.
-	p.Compute(c.KVGet)
+	// Uncharged: doMutate's read of the key under its lock pays the KVGet.
 	var in core.Inode
-	if err := s.readDirInode(key, &in); err != nil {
+	err := s.readDirInode(key, &in)
+	if err == nil {
+		s.addInval(in.ID)
+		if !s.aggregateFP(p, fp, &aggOpts{rmdir: true, dir: in.ID, force: true}) {
+			// Emptiness cannot be decided against state that may be missing an
+			// unreachable peer's acknowledged entries.
+			err = core.ErrRetry
+		}
+	}
+	if err != nil {
 		s.fpExit(fp)
-		s.replyMutate(p, req, err)
-		return
 	}
-	target := core.DirRef{ID: in.ID, Key: key, FP: fp}
+	return in.ID, err
+}
 
-	// Aggregate the target's fingerprint group BEFORE locking the target's
-	// inode: collects every pending update to the directory and plants it in
-	// every peer's invalidation list (Fig. 6 steps 4–7). Taking the inode
-	// lock first could deadlock against a concurrent aggregation's apply
-	// phase, which needs that lock.
-	s.addInval(target.ID)
-	if !s.aggregateFP(p, target.FP, &aggOpts{rmdir: true, dir: target.ID, force: true}) {
-		// Emptiness cannot be decided against state that may be missing an
-		// unreachable peer's acknowledged entries.
-		s.fpExit(fp)
-		s.replyMutate(p, req, core.ErrRetry)
-		return
+// waitRemoval parks until no rmdir of key is in flight.
+func (s *Server) waitRemoval(p *env.Proc, key core.Key) {
+	for rl := s.removals[key]; rl != nil; rl = s.removals[key] {
+		rl.RLock(p)
+		rl.RUnlock()
 	}
+}
 
-	parentLog.lock.RLock(p)
-	kl := s.lockOf(key)
-	kl.Lock(p)
-	fail := func(err error) {
-		s.fpExit(fp)
-		kl.Unlock()
-		parentLog.lock.RUnlock()
-		s.replyMutate(p, req, err)
-	}
-	if err := s.checkAncestors(&req.ReqCommon); err != nil {
-		fail(err)
-		return
-	}
-	// Parent ref is current (stale caches rejected above): re-key the
-	// change-log if the parent was renamed since it was created.
-	s.rekeyClog(parentLog, req.Parent)
-	// Re-validate under the lock: the directory may have raced away.
-	var kb core.KeyBuf
-	if !s.kv.Has(key.AppendTo(kb[:0])) {
-		fail(core.ErrNotExist)
-		return
-	}
-
-	// Emptiness check against the aggregated entry list.
-	p.Compute(c.KVScanEntry)
-	if s.kv.CountPrefix(core.EntryPrefix(target.ID)) != 0 {
-		fail(core.ErrNotEmpty)
-		return
-	}
-
-	// Commit the removal (step 8) and defer the parent update.
-	entry := core.LogEntry{Time: p.Now(), Op: core.OpRmdir, Name: req.Name, Type: core.TypeDir}
-	s.nextEntry++
-	entry.ID = s.nextEntry
-	walRec := s.encodeCommit(core.OpRmdir, key, req.Parent, entry, &in)
-	p.Compute(c.WALAppend + c.KVDel)
-	lsn := mustAppend(s.wal, recCommit, walRec)
-	s.storeInode(key, nil)
-
-	if !s.cfg.Async {
-		s.syncCommit(p, req, parentLog, entry, lsn, kl, core.DirID{})
-		s.fpExit(fp)
-		return
-	}
-
-	p.Compute(c.LogAppend)
-	parentLog.log.Append(entry)
-	parentLog.walLSN[entry.ID] = lsn
-
-	// As in doMutate, the dedup cache learns the response only after the
-	// commit ack — replaying it earlier would acknowledge the rmdir before
-	// its dirty-set insert is visible to reads.
-	resp := &wire.MutateResp{RespCommon: s.respCommon(&req.ReqCommon, nil)}
-	s.asyncCommit(p, req.Parent, parentLog, entry, resp, req.Client)
-	s.remember(req.Client, req.RPC, resp)
-	kl.Unlock()
-	parentLog.lock.RUnlock()
-	s.fpExit(fp)
-	s.resetIdleTimer(parentLog)
+// endRemoval ends the rmdir of key that holds rl, releasing the lookups and
+// rmdirs that wait it out.
+func (s *Server) endRemoval(key core.Key, rl *env.RWMutex) {
+	delete(s.removals, key)
+	rl.Unlock()
 }

@@ -16,7 +16,7 @@ import (
 
 // newCostedServer is newTestServer with the calibrated service times, so
 // virtual durations can be compared.
-func newCostedServer(t testing.TB, compaction bool) (*env.Sim, *Server) {
+func newCostedServer(t testing.TB, updates UpdateMode) (*env.Sim, *Server) {
 	t.Helper()
 	sim := env.NewSim(3)
 	t.Cleanup(sim.Shutdown)
@@ -26,7 +26,7 @@ func newCostedServer(t testing.TB, compaction bool) (*env.Sim, *Server) {
 		Ring:      ring.New([]uint32{0}, 0, func(uint32) env.NodeID { return 100 }),
 		Peers:     []env.NodeID{100},
 		SwitchFor: func(core.Fingerprint) env.NodeID { return 1 },
-		Async:     true, Compaction: compaction,
+		Updates:   updates,
 	})
 	return sim, s
 }
@@ -155,9 +155,9 @@ type applyOutcome struct {
 	maxIDs  []uint64 // by source
 }
 
-func runApply(t *testing.T, c *applyCase, compaction bool, apply func(p *env.Proc, s *Server, logs []aggLog)) applyOutcome {
+func runApply(t *testing.T, c *applyCase, updates UpdateMode, apply func(p *env.Proc, s *Server, logs []aggLog)) applyOutcome {
 	t.Helper()
-	sim, s := newCostedServer(t, compaction)
+	sim, s := newCostedServer(t, updates)
 	c.install(s)
 	logs := append([]aggLog(nil), c.logs...)
 	var out applyOutcome
@@ -212,18 +212,18 @@ func runApply(t *testing.T, c *applyCase, compaction bool, apply func(p *env.Pro
 // the same order leaves — with and without compaction — and never takes more
 // virtual time.
 func TestApplyBatchMatchesPerSource(t *testing.T) {
-	for _, compaction := range []bool{true, false} {
+	for _, updates := range []UpdateMode{UpdateCompacted, UpdateAsync} {
 		for seed := int64(0); seed < 150; seed++ {
 			c := genApplyCase(rand.New(rand.NewSource(seed)))
-			batch := runApply(t, &c, compaction, func(p *env.Proc, s *Server, logs []aggLog) {
+			batch := runApply(t, &c, updates, func(p *env.Proc, s *Server, logs []aggLog) {
 				s.applyByDir(p, logs)
 			})
-			each := runApply(t, &c, compaction, func(p *env.Proc, s *Server, logs []aggLog) {
+			each := runApply(t, &c, updates, func(p *env.Proc, s *Server, logs []aggLog) {
 				for i := range logs {
 					s.applyByDir(p, logs[i:i+1])
 				}
 			})
-			what := fmt.Sprintf("seed %d compaction %v", seed, compaction)
+			what := fmt.Sprintf("seed %d compaction %v", seed, updates == UpdateCompacted)
 			if !reflect.DeepEqual(batch.store, each.store) {
 				t.Fatalf("%s: store differs:\nbatch %q\neach  %q", what, batch.store, each.store)
 			}
@@ -257,7 +257,7 @@ func TestApplyBatchMatchesPerSource(t *testing.T) {
 // two keys, interleaved — each group is applied once, in first-appearance
 // order, keeping its members' order.
 func TestApplyByDirGroups(t *testing.T) {
-	sim, s := newCostedServer(t, true)
+	sim, s := newCostedServer(t, UpdateCompacted)
 	ref := func(id uint64, name string) core.DirRef {
 		k := core.Key{PID: core.RootDirID, Name: name}
 		return core.DirRef{ID: core.DirID{id, 1, 1, 1}, Key: k, FP: k.Fingerprint()}
@@ -304,7 +304,7 @@ func TestApplyByDirGroups(t *testing.T) {
 // drops an id that arrives after a larger one as a duplicate, so directory
 // updates have to be applied in the order their ids were issued.
 func TestOutOfOrderEntryIDsAreDropped(t *testing.T) {
-	sim, s := newCostedServer(t, true)
+	sim, s := newCostedServer(t, UpdateCompacted)
 	key := core.Key{PID: core.RootDirID, Name: "d"}
 	dir := core.DirRef{ID: core.DirID{4, 4, 4, 4}, Key: key, FP: key.Fingerprint()}
 	s.storeInode(dir.Key, &core.Inode{ID: dir.ID, Attr: core.Attr{Type: core.TypeDir}})
@@ -338,7 +338,7 @@ func TestParallelComputeLanes(t *testing.T) {
 	for _, tc := range []struct{ n, lanes int }{
 		{1, 1}, {2, 1}, {15, 1}, {16, 2}, {23, 2}, {24, 3}, {29, 3}, {32, 4}, {33, 4}, {256, 4},
 	} {
-		sim, s := newCostedServer(t, true)
+		sim, s := newCostedServer(t, UpdateCompacted)
 		var took env.Duration
 		sim.Spawn(100, func(p *env.Proc) {
 			t0 := p.Now()
@@ -369,7 +369,7 @@ func BenchmarkApplyBatch(b *testing.B) {
 				Op: core.OpCreate, Name: fmt.Sprintf("file-%d-%06d", i, k), Type: core.TypeRegular, Perm: 0o644})
 		}
 	}
-	sim, s := newCostedServer(b, true)
+	sim, s := newCostedServer(b, UpdateCompacted)
 	s.storeInode(dir.Key, &core.Inode{ID: dir.ID, Attr: core.Attr{Type: core.TypeDir}})
 	batch := make([]aggLog, len(logs))
 	b.ReportAllocs()

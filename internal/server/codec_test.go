@@ -216,8 +216,7 @@ func TestRenameAllocationBudget(t *testing.T) {
 	s := New(sim, Config{ID: 100, Coordinator: 100,
 		Ring:      ring.New([]uint32{0}, 0, func(uint32) env.NodeID { return 100 }),
 		Peers:     []env.NodeID{100},
-		SwitchFor: func(core.Fingerprint) env.NodeID { return 1 },
-		Async:     true, Compaction: true})
+		SwitchFor: func(core.Fingerprint) env.NodeID { return 1 }})
 	root := core.RootRef()
 	file := &core.Inode{Attr: core.Attr{Type: core.TypeRegular, Perm: 0o644, Nlink: 1}}
 	reqs := make([]*wire.Packet, renames)

@@ -58,8 +58,7 @@ func newFlushRig(t *testing.T) *flushRig {
 	r.s = New(r.sim, Config{ID: 100, Costs: env.DefaultCosts(),
 		Ring:      ring.New([]uint32{0}, 0, func(uint32) env.NodeID { return 100 }),
 		Peers:     []env.NodeID{100},
-		SwitchFor: func(core.Fingerprint) env.NodeID { return 1 },
-		Async:     true, Compaction: true})
+		SwitchFor: func(core.Fingerprint) env.NodeID { return 1 }})
 	key := core.Key{PID: core.RootDirID, Name: "d"}
 	r.dir = core.DirRef{ID: core.DirID{9, 9, 9, 9}, Key: key, FP: key.Fingerprint()}
 	r.s.storeInode(key, &core.Inode{ID: r.dir.ID, Attr: core.Attr{Type: core.TypeDir, Perm: core.DefaultDirPerm, Nlink: 2}})
@@ -233,8 +232,7 @@ func TestFlushAllMeetsInFlightPush(t *testing.T) {
 	s := New(sim, Config{ID: 100, Costs: env.DefaultCosts(),
 		Ring:      ring.New([]uint32{0}, 0, func(uint32) env.NodeID { return owner }),
 		Peers:     []env.NodeID{100, owner},
-		SwitchFor: func(core.Fingerprint) env.NodeID { return 1 },
-		Async:     true, Compaction: true})
+		SwitchFor: func(core.Fingerprint) env.NodeID { return 1 }})
 	key := core.Key{PID: core.RootDirID, Name: "d"}
 	dl := s.clogOf(core.DirRef{ID: core.DirID{9, 9, 9, 9}, Key: key, FP: key.Fingerprint()})
 	logged := func(id uint64) {

@@ -7,9 +7,8 @@ import (
 	"switchfs/internal/wire"
 )
 
-// handleMutate executes create, delete, mkdir (asynchronously per §5.2.1)
-// and rmdir (aggregation-first per §5.2.3). The request is addressed to the
-// owner of the target object's inode.
+// handleMutate executes create, delete, mkdir and rmdir, asynchronously per
+// §5.2.1. The request is addressed to the owner of the target object's inode.
 func (s *Server) handleMutate(p *env.Proc, req *wire.MutateReq) {
 	p.Compute(s.cfg.Costs.Parse)
 	if s.replayIfDuplicate(p, &req.ReqCommon) {
@@ -20,14 +19,10 @@ func (s *Server) handleMutate(p *env.Proc, req *wire.MutateReq) {
 	}
 	s.Stats.Ops++
 	s.tallyDir(req.Parent.ID)
-	if req.Op == core.OpRmdir {
-		s.doRmdir(p, req)
-		return
-	}
 	s.doMutate(p, req)
 }
 
-// doMutate is the local half of create/delete/mkdir.
+// doMutate is the local half of create, delete, mkdir and rmdir.
 //
 //detlint:wal-before-send recCommit via=syncCommit,asyncCommit
 func (s *Server) doMutate(p *env.Proc, req *wire.MutateReq) {
@@ -35,6 +30,25 @@ func (s *Server) doMutate(p *env.Proc, req *wire.MutateReq) {
 	key := core.Key{PID: req.Parent.ID, Name: req.Name}
 	fp := key.Fingerprint()
 	parentLog := s.clogOf(req.Parent)
+	admitted := false
+	var target core.DirID
+	if req.Op == core.OpRmdir {
+		// The rmdir prologue (§5.2.3, Fig. 6 steps 4–7) registers the removal
+		// — lookups of the key wait it out — and aggregates the target before
+		// the locks below: the aggregation's apply phase takes the target's
+		// inode lock. One rmdir of a key runs at a time.
+		s.waitRemoval(p, key)
+		rl := &env.RWMutex{}
+		rl.Lock(p)
+		s.removals[key] = rl
+		defer s.endRemoval(key, rl)
+		var err error
+		if target, err = s.aggregateTarget(p, key); err != nil {
+			s.replyMutate(p, req, err)
+			return
+		}
+		admitted = true
+	}
 
 	// Locking (Fig. 4 step 2): shared lock on the parent's change-log —
 	// concurrent updates to one directory commute — and an exclusive lock on
@@ -43,7 +57,6 @@ func (s *Server) doMutate(p *env.Proc, req *wire.MutateReq) {
 	parentLog.lock.RLock(p)
 	kl := s.lockOf(key)
 	kl.Lock(p)
-	admitted := false
 	fail := func(err error) {
 		if admitted {
 			s.fpExit(fp)
@@ -59,12 +72,14 @@ func (s *Server) doMutate(p *env.Proc, req *wire.MutateReq) {
 		fail(err)
 		return
 	}
-	if err := s.admitFP(p, fp); err != nil {
-		fail(err)
-		return
+	if !admitted {
+		if err := s.admitFP(p, fp); err != nil {
+			fail(err)
+			return
+		}
+		admitted = true
+		s.tallyFP(fp)
 	}
-	admitted = true
-	s.tallyFP(fp)
 	// The parent ref is current (stale caches were just rejected): if the
 	// directory was renamed since this change-log was created, re-key the
 	// log so this entry aggregates under the directory's current
@@ -125,6 +140,21 @@ func (s *Server) doMutate(p *env.Proc, req *wire.MutateReq) {
 				return
 			}
 		}
+	case core.OpRmdir:
+		if rerr != nil || old.ID != target {
+			// Gone, or renamed away and re-created, since the prologue found
+			// it: the retry finds what the key holds now.
+			fail(core.ErrRetry)
+			return
+		}
+		p.Compute(c.KVScanEntry)
+		if s.kv.CountPrefix(core.EntryPrefix(target)) != 0 {
+			fail(core.ErrNotEmpty)
+			return
+		}
+		// The record carries the target: replay re-plants its id.
+		in = old
+		entry.Op, entry.Type = core.OpRmdir, core.TypeDir
 	default:
 		fail(core.ErrInvalid)
 		return
@@ -141,7 +171,7 @@ func (s *Server) doMutate(p *env.Proc, req *wire.MutateReq) {
 	p.Compute(c.WALAppend)
 	var lsn = mustAppend(s.wal, recCommit, walRec)
 	wsp.End()
-	if req.Op == core.OpDelete {
+	if req.Op == core.OpDelete || req.Op == core.OpRmdir {
 		p.Compute(c.KVDel)
 		s.storeInode(key, nil)
 	} else {
@@ -149,7 +179,7 @@ func (s *Server) doMutate(p *env.Proc, req *wire.MutateReq) {
 		s.storeInode(key, &in)
 	}
 
-	if !s.cfg.Async {
+	if s.cfg.Updates == UpdateSync {
 		// Baseline (Fig. 14): synchronous cross-server update of the parent
 		// directory before replying. Locks are held across the round trip.
 		s.syncCommit(p, req, parentLog, entry, lsn, kl, newDir)
@@ -298,30 +328,19 @@ func (s *Server) syncCommit(p *env.Proc, req *wire.MutateReq, parentLog *dirLog,
 func (s *Server) handleFallback(p *env.Proc, pkt *wire.Packet, cn *wire.CommitNotice) {
 	p.Compute(s.cfg.Costs.Parse)
 	fp := cn.Update.Dir.FP
-	if s.checkOwnership(fp) != nil {
+	if s.admitFP(p, fp) != nil {
 		// The directory's group migrated while this notice was in flight (or
 		// the switch rewrote against a stale AltDst). Forward to the current
 		// owner, preserving pkt.Origin: the origin server's identity drives
 		// the per-source watermarks in applyBatch and routes the CommitAck.
-		dst := s.ownerOfFP(fp)
-		if dst != s.cfg.ID {
+		// A migration still inbound leaves it to the origin's call, which
+		// re-sends.
+		if dst := s.ownerOfFP(fp); dst != s.cfg.ID {
 			p.Send(dst, &wire.Packet{Dst: dst, Origin: pkt.Origin,
 				Trace: p.TraceCtx(), Body: cn})
 		}
 		return
 	}
-	if s.gateWait(p, fp) != nil {
-		return // migration inbound; the origin's call re-sends
-	}
-	if s.checkOwnership(fp) != nil {
-		dst := s.ownerOfFP(fp)
-		if dst != s.cfg.ID {
-			p.Send(dst, &wire.Packet{Dst: dst, Origin: pkt.Origin,
-				Trace: p.TraceCtx(), Body: cn})
-		}
-		return
-	}
-	s.fpEnter(fp)
 	defer s.fpExit(fp)
 	if cn.MarkOnly {
 		s.ownerDirty[fp] = true
@@ -364,7 +383,6 @@ func (s *Server) adjustNlink(p *env.Proc, id core.FileID, delta int32) error {
 	// A commutative one-shot: the participant applies at prepare time and
 	// takes no locks, so there is nothing to decide (or, after a given-up
 	// prepare, to abort).
-	ops := []wire.TxnOp{{Kind: wire.TxnAdjustNlink, Key: key,
-		Entry: core.LogEntry{ID: uint64(int64(delta))}}}
-	return s.endTxn(s.prepareTxn(p, []env.NodeID{owner}, [][]wire.TxnOp{ops}, nil))
+	return s.endTxn(s.prepareTxn(p, txnPlan{owner: {Ops: []wire.TxnOp{{Kind: wire.TxnAdjustNlink,
+		Key: key, Entry: core.LogEntry{ID: uint64(int64(delta))}}}}}))
 }

@@ -7,9 +7,14 @@ import (
 )
 
 // handleLookup resolves one path component to directory metadata — the
-// client cache-miss path (§5.2.1 step 1). Lookup takes the directory's read
-// lock, so a lookup racing an rmdir waits and observes the final state
-// (§5.2.3 "Discussion").
+// client cache-miss path (§5.2.1 step 1). It reads under the key's read lock
+// and waits out an rmdir of the key in flight, so a lookup racing an rmdir
+// observes its final state (§5.2.3 "Discussion"). The rmdir plants its
+// invalidation before it takes the key's lock: a lookup that read the
+// directory in between would hand the client the planted sequence number
+// together with the directory, and a create under it would then pass
+// checkAncestors. The wait runs in the event of the read, after the KVGet
+// charge, and releases the read lock the rmdir's commit needs.
 //
 //detlint:ignore idempotent -- lookup is a pure read; the lock-table insert lockOf may perform is idempotent
 func (s *Server) handleLookup(p *env.Proc, req *wire.LookupReq) {
@@ -26,6 +31,11 @@ func (s *Server) handleLookup(p *env.Proc, req *wire.LookupReq) {
 		l := s.lockOf(key)
 		l.RLock(p)
 		p.Compute(c.KVGet)
+		for s.removals[key] != nil {
+			l.RUnlock()
+			s.waitRemoval(p, key)
+			l.RLock(p)
+		}
 		var in core.Inode
 		if err = s.readDirInode(key, &in); err == nil {
 			resp.Dir = in.ID

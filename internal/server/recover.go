@@ -281,7 +281,6 @@ func (s *Server) replayWAL() (redoPlan, error) {
 			// record can retire instead of replaying forever.
 			if !r.Applied {
 				txn := binary.BigEndian.Uint64(r.Payload)
-				s.txnDecided[txn] = true
 				s.txnWAL[txn] = r.LSN
 				var parts []env.NodeID
 				for off := 8; off+8 <= len(r.Payload); off += 8 {

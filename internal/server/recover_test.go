@@ -85,8 +85,7 @@ func newReplayServer(t testing.TB, log wal.Log, cores int) (*env.Sim, *Server) {
 	s := New(sim, Config{ID: 100, Cores: cores, Costs: env.DefaultCosts(), WAL: log,
 		Ring:      ring.New([]uint32{0}, 0, func(uint32) env.NodeID { return 100 }),
 		Peers:     []env.NodeID{100},
-		SwitchFor: func(core.Fingerprint) env.NodeID { return 1 },
-		Async:     true, Compaction: true})
+		SwitchFor: func(core.Fingerprint) env.NodeID { return 1 }})
 	return sim, s
 }
 
@@ -386,8 +385,7 @@ func TestHandleAggEntriesTable(t *testing.T) {
 		s = New(sim, Config{ID: owner,
 			Ring:      ring.New([]uint32{0}, 0, func(uint32) env.NodeID { return owner }),
 			Peers:     []env.NodeID{owner, peer},
-			SwitchFor: func(core.Fingerprint) env.NodeID { return 1 },
-			Async:     true, Compaction: true})
+			SwitchFor: func(core.Fingerprint) env.NodeID { return 1 }})
 	})
 	sim.Run()
 	if s.bootAgg != uint64(owner)<<40|uint64(5*env.Millisecond) {
@@ -505,8 +503,7 @@ func TestFailStopEndsPeerAggregation(t *testing.T) {
 	s := New(sim, Config{ID: peer,
 		Ring:      ring.New([]uint32{0}, 0, func(uint32) env.NodeID { return owner }),
 		Peers:     []env.NodeID{peer, owner},
-		SwitchFor: func(core.Fingerprint) env.NodeID { return 1 },
-		Async:     true, Compaction: true})
+		SwitchFor: func(core.Fingerprint) env.NodeID { return 1 }})
 	dir := core.DirRef{ID: core.DirID{1, 2, 3, 4}, Key: core.Key{PID: core.RootDirID, Name: "d"}}
 	dir.FP = dir.Key.Fingerprint()
 	s.clogOf(dir).log.Append(core.LogEntry{ID: 1, Op: core.OpCreate, Name: "x"})

@@ -33,6 +33,17 @@ const (
 	TrackerOwner
 )
 
+// UpdateMode is how a double-inode operation updates its parent directory:
+// one row of Fig. 14's contribution breakdown (§7.3.1).
+type UpdateMode uint8
+
+// Update modes; the zero value is the full design.
+const (
+	UpdateCompacted UpdateMode = iota // deferred, the log compacted before it applies (§5.3): "+Compaction"
+	UpdateAsync                       // deferred, the log applied entry by entry: "+Async"
+	UpdateSync                        // synchronous cross-server update before the reply: "Baseline"
+)
+
 // Config parameterizes one metadata server.
 type Config struct {
 	ID    env.NodeID
@@ -57,14 +68,8 @@ type Config struct {
 	// assign the file's content placement: a DataLoc slot list the client
 	// stripes chunks across (returned at Open, §7.6).
 	DataNodes int
-
-	// Async enables asynchronous metadata updates; false degrades every
-	// double-inode op to the synchronous cross-server protocol ("Baseline"
-	// of Fig. 14).
-	Async bool
-	// Compaction enables change-log compaction before application (§5.3);
-	// false applies entries one by one ("+Async" of Fig. 14).
-	Compaction bool
+	// Updates picks the Fig. 14 row; zero is the full design.
+	Updates UpdateMode
 
 	// PushEntries is the MTU-fill threshold of proactive change-log pushes
 	// (the paper's implementation bounds per-server aggregation work to 29
@@ -185,6 +190,10 @@ type Server struct {
 	clogs     map[core.DirID]*dirLog
 	clogsByFP map[core.Fingerprint]map[core.DirID]*dirLog
 	fps       map[core.Fingerprint]*fpState
+	// removals holds, per directory key an rmdir is removing, the lock that
+	// rmdir holds from before it plants its invalidation to its end: lookups
+	// of the key wait it out (handleLookup).
+	removals map[core.Key]*env.RWMutex
 
 	// Invalidation list (§5.2): append-only within a run.
 	invalSeq uint64
@@ -250,14 +259,13 @@ type Server struct {
 	txnStarted map[uint64]bool
 	txnVoted   map[uint64]core.Errno
 	txnLog     []uint64
-	// txnDecided records coordinator-side commit decisions for the
-	// participant termination protocol (TxnStatusReq), WAL-backed (with the
-	// participant set) before the first decision packet leaves so a
-	// restarted coordinator still answers — and re-drives — them; anything
-	// absent is a presumed abort. Entries retire once every participant
-	// acked the decision.
-	txnDecided map[uint64]bool
-	txnWAL     map[uint64]wal.LSN
+	// txnWAL holds the coordinator-side commit decisions, by their WAL
+	// record, for the participant termination protocol (TxnStatusReq): each
+	// is logged (with the participant set) before the first decision packet
+	// leaves, so a restarted coordinator still answers — and re-drives — it;
+	// anything absent is a presumed abort. Entries retire once every
+	// participant acked the decision.
+	txnWAL map[uint64]wal.LSN
 	// txnRedrive holds replayed, unacknowledged commit decisions awaiting
 	// re-delivery during recovery; txnRearm holds replayed, undecided
 	// prepared transactions awaiting lock/vote/monitor rebuild.
@@ -355,6 +363,7 @@ func New(e *env.Sim, cfg Config) *Server {
 		clogs:      make(map[core.DirID]*dirLog),
 		clogsByFP:  make(map[core.Fingerprint]map[core.DirID]*dirLog),
 		fps:        make(map[core.Fingerprint]*fpState),
+		removals:   make(map[core.Key]*env.RWMutex),
 		invalSet:   make(map[core.DirID]uint64),
 		applied:    make(map[appliedKey]uint64),
 		dirOps:     make(map[core.DirID]uint64),
@@ -369,7 +378,6 @@ func New(e *env.Sim, cfg Config) *Server {
 		ownerDirty: make(map[core.Fingerprint]bool),
 		txns:       make(map[uint64]*txnState),
 		txnVotes:   make(map[uint64]*awaiting),
-		txnDecided: make(map[uint64]bool),
 		txnWAL:     make(map[uint64]wal.LSN),
 		peerAggs:   make(map[uint64]*peerAggState),
 		doneAggs:   make(map[uint64]map[env.NodeID]*wire.AggAck),
@@ -875,7 +883,6 @@ const (
 	recCommit   uint8 = 1 // double-inode commit: inode mutation + clog entry
 	recAggEntry uint8 = 2 // change-log entry applied at the directory owner
 	recInode    uint8 = 3 // direct inode put/delete (sync ops, txns, mkdir)
-	recDirAttr  uint8 = 4 // direct directory attribute overwrite
 )
 
 // recTxnCommit (kind 8, see recover.go for kinds 5–7) persists a 2PC commit

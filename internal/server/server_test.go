@@ -21,7 +21,6 @@ func newTestServer(t *testing.T) (*env.Sim, *Server) {
 		Ring:      ring.New([]uint32{0}, 0, func(uint32) env.NodeID { return 100 }),
 		Peers:     []env.NodeID{100},
 		SwitchFor: func(core.Fingerprint) env.NodeID { return 1 },
-		Async:     true, Compaction: true,
 	})
 	return sim, s
 }

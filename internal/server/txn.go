@@ -108,51 +108,34 @@ func (s *Server) doRename(p *env.Proc, req *wire.RenameReq) error {
 
 	// Participants and their prepare-phase checks/ops.
 	now := p.Now()
-	type part struct {
-		ops    []wire.TxnOp
-		checks []wire.TxnCheck
-	}
-	parts := map[env.NodeID]*part{}
-	add := func(n env.NodeID) *part {
-		if parts[n] == nil {
-			parts[n] = &part{}
-		}
-		return parts[n]
-	}
+	plan := txnPlan{}
 	et := in.Type
 	// Source owner: delete the source inode (and its dentries if a dir).
-	sp := add(srcOwner)
-	sp.checks = append(sp.checks, wire.TxnCheck{Key: srcKey, MustExist: true})
-	sp.ops = append(sp.ops, wire.TxnOp{Kind: wire.TxnDelInode, Key: srcKey})
+	sp := plan.at(srcOwner)
+	sp.Check = append(sp.Check, wire.TxnCheck{Key: srcKey, MustExist: true})
+	sp.Ops = append(sp.Ops, wire.TxnOp{Kind: wire.TxnDelInode, Key: srcKey})
 	if isDir {
-		sp.ops = append(sp.ops, wire.TxnOp{Kind: wire.TxnDelDentries,
+		sp.Ops = append(sp.Ops, wire.TxnOp{Kind: wire.TxnDelDentries,
 			Dir: core.DirRef{ID: in.ID}})
 	}
 	// Destination owner: create the destination inode with the same body.
 	moved := *in
-	dp := add(dstOwner)
-	dp.checks = append(dp.checks, wire.TxnCheck{Key: dstKey, MustNotExist: true})
-	dp.ops = append(dp.ops, wire.TxnOp{Kind: wire.TxnPutInode, Key: dstKey,
+	dp := plan.at(dstOwner)
+	dp.Check = append(dp.Check, wire.TxnCheck{Key: dstKey, MustNotExist: true})
+	dp.Ops = append(dp.Ops, wire.TxnOp{Kind: wire.TxnPutInode, Key: dstKey,
 		Inode: core.EncodeInode(&moved)})
-	dp.ops = append(dp.ops, dentries...)
+	dp.Ops = append(dp.Ops, dentries...)
 	// Parent owners: synchronous entry-list/attribute updates.
-	spo := add(s.ownerOfFP(req.SrcParent.FP))
-	spo.ops = append(spo.ops, wire.TxnOp{Kind: wire.TxnDirUpdate, Dir: req.SrcParent,
+	spo := plan.at(s.ownerOfFP(req.SrcParent.FP))
+	spo.Ops = append(spo.Ops, wire.TxnOp{Kind: wire.TxnDirUpdate, Dir: req.SrcParent,
 		Entry: core.LogEntry{ID: s.nextTxnEntryID(), Time: now, Op: core.OpDelete,
 			Name: req.SrcName, Type: et}})
-	dpo := add(s.ownerOfFP(req.DstParent.FP))
-	dpo.ops = append(dpo.ops, wire.TxnOp{Kind: wire.TxnDirUpdate, Dir: req.DstParent,
+	dpo := plan.at(s.ownerOfFP(req.DstParent.FP))
+	dpo.Ops = append(dpo.Ops, wire.TxnOp{Kind: wire.TxnDirUpdate, Dir: req.DstParent,
 		Entry: core.LogEntry{ID: s.nextTxnEntryID(), Time: now, Op: core.OpCreate,
 			Name: req.DstName, Type: et, Perm: in.Perm}})
 
-	ids := sortedNodeIDs(parts)
-	sorted := make([][]wire.TxnOp, len(ids))
-	sortedChecks := make([][]wire.TxnCheck, len(ids))
-	for i, n := range ids {
-		sorted[i] = parts[n].ops
-		sortedChecks[i] = parts[n].checks
-	}
-	t := s.prepareTxn(p, ids, sorted, sortedChecks)
+	t := s.prepareTxn(p, plan)
 	if !isDir {
 		// Every vote is in: the next transaction may start acquiring while
 		// this one is decided (see prepareTxn).
@@ -262,23 +245,7 @@ func (s *Server) doLink(p *env.Proc, req *wire.LinkReq) error {
 
 	now := p.Now()
 	fid := in.File
-	parts := map[env.NodeID]*struct {
-		ops    []wire.TxnOp
-		checks []wire.TxnCheck
-	}{}
-	add := func(n env.NodeID) *struct {
-		ops    []wire.TxnOp
-		checks []wire.TxnCheck
-	} {
-		if parts[n] == nil {
-			parts[n] = &struct {
-				ops    []wire.TxnOp
-				checks []wire.TxnCheck
-			}{}
-		}
-		return parts[n]
-	}
-
+	plan := txnPlan{}
 	if fid == 0 {
 		// First link: split the file into a reference and a shared
 		// attribute object (§5.5).
@@ -289,41 +256,34 @@ func (s *Server) doLink(p *env.Proc, req *wire.LinkReq) error {
 		attr.Nlink = 2
 		ref := *in
 		ref.File = fid
-		sp := add(srcOwner)
+		sp := plan.at(srcOwner)
 		// The source must still be unsplit at prepare: an earlier link that
 		// has left the serialized section may be undecided yet, and a second
 		// split would overwrite its attribute object and lose a reference.
-		sp.checks = append(sp.checks, wire.TxnCheck{Key: srcKey, MustExist: true, Same: raw})
-		sp.ops = append(sp.ops, wire.TxnOp{Kind: wire.TxnPutInode, Key: srcKey,
+		sp.Check = append(sp.Check, wire.TxnCheck{Key: srcKey, MustExist: true, Same: raw})
+		sp.Ops = append(sp.Ops, wire.TxnOp{Kind: wire.TxnPutInode, Key: srcKey,
 			Inode: core.EncodeInode(&ref)})
-		ao := add(s.ownerOfKey(attrKey))
-		ao.ops = append(ao.ops, wire.TxnOp{Kind: wire.TxnPutInode, Key: attrKey,
+		ao := plan.at(s.ownerOfKey(attrKey))
+		ao.Ops = append(ao.Ops, wire.TxnOp{Kind: wire.TxnPutInode, Key: attrKey,
 			Inode: core.EncodeInode(&attr)})
 	} else {
 		attrKey := fileAttrKey(fid)
-		ao := add(s.ownerOfKey(attrKey))
-		ao.ops = append(ao.ops, wire.TxnOp{Kind: wire.TxnAdjustNlink, Key: attrKey,
+		ao := plan.at(s.ownerOfKey(attrKey))
+		ao.Ops = append(ao.Ops, wire.TxnOp{Kind: wire.TxnAdjustNlink, Key: attrKey,
 			Entry: core.LogEntry{ID: 1}})
 	}
 	newRef := *in
 	newRef.File = fid
-	do := add(s.ownerOfKey(dstKey))
-	do.checks = append(do.checks, wire.TxnCheck{Key: dstKey, MustNotExist: true})
-	do.ops = append(do.ops, wire.TxnOp{Kind: wire.TxnPutInode, Key: dstKey,
+	do := plan.at(s.ownerOfKey(dstKey))
+	do.Check = append(do.Check, wire.TxnCheck{Key: dstKey, MustNotExist: true})
+	do.Ops = append(do.Ops, wire.TxnOp{Kind: wire.TxnPutInode, Key: dstKey,
 		Inode: core.EncodeInode(&newRef)})
-	po := add(s.ownerOfFP(req.DstParent.FP))
-	po.ops = append(po.ops, wire.TxnOp{Kind: wire.TxnDirUpdate, Dir: req.DstParent,
+	po := plan.at(s.ownerOfFP(req.DstParent.FP))
+	po.Ops = append(po.Ops, wire.TxnOp{Kind: wire.TxnDirUpdate, Dir: req.DstParent,
 		Entry: core.LogEntry{ID: s.nextTxnEntryID(), Time: now, Op: core.OpCreate,
 			Name: req.DstName, Type: in.Type, Perm: in.Perm}})
 
-	ids := sortedNodeIDs(parts)
-	ops := make([][]wire.TxnOp, len(ids))
-	checks := make([][]wire.TxnCheck, len(ids))
-	for i, n := range ids {
-		ops[i] = parts[n].ops
-		checks[i] = parts[n].checks
-	}
-	t := s.prepareTxn(p, ids, ops, checks)
+	t := s.prepareTxn(p, plan)
 	s.deciding.RLock(p)
 	s.renameMu.Unlock()
 	ssp.End()
@@ -357,24 +317,34 @@ type coordTxn struct {
 //
 // Every prepareTxn is followed by decideTxn (coordinated transactions) or
 // endTxn (one-shot participants, which have nothing to decide).
-func (s *Server) prepareTxn(p *env.Proc, parts []env.NodeID, ops [][]wire.TxnOp,
-	checks [][]wire.TxnCheck) *coordTxn {
-
+func (s *Server) prepareTxn(p *env.Proc, plan txnPlan) *coordTxn {
+	parts := sortedNodeIDs(plan)
 	t := &coordTxn{id: s.newID(), parts: parts, votes: expecting(parts)}
 	s.txnVotes[t.id] = t.votes
+	for _, n := range parts {
+		plan[n].Txn, plan[n].From = t.id, s.cfg.ID
+	}
 
 	psp := s.cfg.Trace.Start(p, "txn:prepare", "server")
 	defer psp.End()
 	_, t.prepared = s.call(p, &t.votes.done, maxTries+1, func() {
-		for i, n := range parts {
-			var ck []wire.TxnCheck
-			if checks != nil {
-				ck = checks[i]
-			}
-			replyNew(s, p, n, wire.TxnPrepare{Txn: t.id, From: s.cfg.ID, Ops: ops[i], Check: ck})
+		for _, n := range parts {
+			s.reply(p, n, plan[n])
 		}
 	}, nil)
 	return t
+}
+
+// txnPlan is a transaction's prepare round: each participant's ops and the
+// checks it votes on.
+type txnPlan map[env.NodeID]*wire.TxnPrepare
+
+// at returns participant n's prepare, adding n to the plan.
+func (pl txnPlan) at(n env.NodeID) *wire.TxnPrepare {
+	if pl[n] == nil {
+		pl[n] = &wire.TxnPrepare{}
+	}
+	return pl[n]
 }
 
 // endTxn forgets a transaction's votes and reports the prepare outcome. Until
@@ -430,8 +400,8 @@ func (s *Server) decideTxn(p *env.Proc, t *coordTxn) error {
 // every participant. Aborts are never recorded — an incarnation with no
 // record answers presumed-abort, which is the same outcome.
 func (s *Server) recordCommit(p *env.Proc, id uint64, parts []env.NodeID) {
-	// WAL first, in-memory flag after: the compute parks, and a status
-	// query answered from the flag in that window would be a commit
+	// WAL first, in-memory record after: the compute parks, and a status
+	// query answered from the record in that window would be a commit
 	// decision a crash could then erase — one participant committed, the
 	// restarted coordinator presuming abort for the rest. Until the append
 	// lands, queries see txnVotes and answer Pending.
@@ -442,10 +412,8 @@ func (s *Server) recordCommit(p *env.Proc, id uint64, parts []env.NodeID) {
 	for _, n := range parts {
 		payload = u64(payload, uint64(n))
 	}
-	lsn := mustAppend(s.wal, recTxnCommit, payload)
+	s.txnWAL[id] = mustAppend(s.wal, recTxnCommit, payload)
 	wsp.End()
-	s.txnDecided[id] = true
-	s.txnWAL[id] = lsn
 }
 
 // driveDecision retransmits a decision until every participant acked, under
@@ -469,10 +437,9 @@ func (s *Server) driveDecision(p *env.Proc, id uint64, parts []env.NodeID, commi
 
 // ackDecision retires a fully-acknowledged commit: every participant
 // acked, so no one can be in doubt anymore — the in-memory record is
-// droppable (bounding txnDecided to the in-flight set) and the WAL record
+// droppable (bounding txnWAL to the in-flight set) and the WAL record
 // is marked applied so replay need not rebuild or re-drive it.
 func (s *Server) ackDecision(id uint64) {
-	delete(s.txnDecided, id)
 	lsn, ok := s.txnWAL[id]
 	delete(s.txnWAL, id)
 	if ok {
@@ -485,7 +452,7 @@ func (s *Server) handleTxnStatus(p *env.Proc, req *wire.TxnStatusReq) {
 	p.Compute(s.cfg.Costs.Parse)
 	pkt, resp := wire.NewPacket[wire.TxnStatusResp](req.From, s.cfg.ID)
 	resp.Ctl, resp.Txn = req.Ctl, req.Txn
-	if _, ok := s.txnDecided[req.Txn]; ok {
+	if _, ok := s.txnWAL[req.Txn]; ok {
 		resp.Commit = true // only commits are recorded
 	} else if s.txnVotes[req.Txn] != nil || !s.serving {
 		// Still collecting votes (the decision phase will reach the
