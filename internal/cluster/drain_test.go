@@ -10,17 +10,19 @@ import (
 	"switchfs/internal/workload"
 )
 
-// drainProbe reads every server's pending change-log entries at the instant
-// Drain returns, before anything else in the simulation can run.
+// drainProbe reads every server's pending change-log entries and locked keys
+// at the instant Drain returns, before anything else in the simulation can
+// run.
 type drainProbe struct {
 	*Cluster
-	pending []int
+	pending, locked []int
 }
 
 func (d *drainProbe) Drain(p *env.Proc) {
 	d.Cluster.Drain(p)
 	for _, srv := range d.Servers {
 		d.pending = append(d.pending, srv.PendingClogEntries())
+		d.locked = append(d.locked, srv.LockedKeys())
 	}
 }
 
@@ -28,7 +30,8 @@ func (d *drainProbe) Drain(p *env.Proc) {
 // two cores each, 32 workers creating 20 files each in one shared directory —
 // with asynchronous updates, with and without compaction. Drain is where the
 // figures stop their clocks, so when it returns every deferred update must have
-// reached its directory's owner.
+// reached its directory's owner — and with no operation in flight, no server
+// may hold an inode lock in its table.
 func TestDrainLeavesNothingPending(t *testing.T) {
 	for _, updates := range []server.UpdateMode{server.UpdateAsync, server.UpdateCompacted} {
 		sim := env.NewSim(9)
@@ -46,6 +49,10 @@ func TestDrainLeavesNothingPending(t *testing.T) {
 		if want := make([]int, 8); !slices.Equal(probe.pending, want) {
 			t.Errorf("updates %d: entries pending per server when Drain returned %v, want %v",
 				updates, probe.pending, want)
+		}
+		if want := make([]int, 8); !slices.Equal(probe.locked, want) {
+			t.Errorf("updates %d: locked keys per server when Drain returned %v, want %v",
+				updates, probe.locked, want)
 		}
 	}
 }

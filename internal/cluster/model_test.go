@@ -230,6 +230,13 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 					}
 				}
 			})
+			// The run drained: every operation, rename and aggregation
+			// ended, so no server keeps an inode lock in its table.
+			for _, srv := range c.Servers {
+				if n := srv.LockedKeys(); n != 0 {
+					t.Errorf("server %d: %d keys in the lock table at quiescence, want 0", srv.ID(), n)
+				}
+			}
 		})
 	}
 }

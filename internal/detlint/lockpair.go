@@ -27,7 +27,8 @@ import (
 //   - a deferred call: defer kl.Unlock() (counted where the defer runs)
 //   - a same-package helper that releases one of its parameters or its
 //     receiver (transitively): syncCommit(p, req, parentLog, …, kl, …)
-//   - a local closure that releases captured locks: fail := func(){kl.Unlock()}
+//   - a local closure that releases captured locks, directly or through such
+//     a helper: fail := func(){s.unlockKey(kl)}
 //
 // Lock/RLock and Unlock/RUnlock on the same lock object are treated as one
 // class: which mode a branch took is path-sensitive, pairing is not.
@@ -171,10 +172,11 @@ func checkLockPairing(r *reporter, s *summary, g *cfg.CFG, body *ast.BlockStmt, 
 	var acquires []acquireSite
 	var releases []releaseEvent
 
-	// closureReleases maps local closure variables to the lockRefs their
-	// bodies release (captured locks): a call to the variable is a release
-	// event for each (the doMutate fail-closure pattern).
-	closureReleases := make(map[types.Object][]lockRef)
+	// closureReleases maps local closure variables to the releases their
+	// bodies make of captured locks, directly or through a helper: a call to
+	// the variable is each of those release events (the doMutate
+	// fail-closure pattern).
+	closureReleases := make(map[types.Object][]releaseEvent)
 
 	// Walk the top level of the body: nested literals are separate CFGs and
 	// are checked on their own. A deferred call runs at every return; for
@@ -198,10 +200,14 @@ func checkLockPairing(r *reporter, s *summary, g *cfg.CFG, body *ast.BlockStmt, 
 					continue
 				}
 				eachCall(lit.Body, func(k *ast.CallExpr) {
-					if lock, acquire, isLock := envLockCall(s.info, k); isLock && !acquire {
-						if ref, keyable := lockRefOf(s.info, lock); keyable {
-							closureReleases[obj] = append(closureReleases[obj], ref)
+					if lock, acquire, isLock := envLockCall(s.info, k); isLock {
+						if ref, keyable := lockRefOf(s.info, lock); keyable && !acquire {
+							closureReleases[obj] = append(closureReleases[obj], releaseEvent{ref: ref})
 						}
+						return
+					}
+					for _, ref := range s.helperReleaseRefs(k) {
+						closureReleases[obj] = append(closureReleases[obj], releaseEvent{ref: ref, prefix: true})
 					}
 				})
 			}
@@ -215,8 +221,9 @@ func checkLockPairing(r *reporter, s *summary, g *cfg.CFG, body *ast.BlockStmt, 
 				return true
 			}
 			if fun, isIdent := m.Fun.(*ast.Ident); isIdent {
-				for _, ref := range closureReleases[s.info.Uses[fun]] {
-					releases = append(releases, releaseEvent{pos: m.Pos(), ref: ref})
+				for _, ev := range closureReleases[s.info.Uses[fun]] {
+					ev.pos = m.Pos()
+					releases = append(releases, ev)
 				}
 			}
 			for _, ref := range s.helperReleaseRefs(m) {

@@ -92,6 +92,21 @@ func (s *Server) closureRelease(p *env.Proc, kl *keyLock, bad bool) {
 	kl.lock.Unlock()
 }
 
+// closureHelperRelease releases through a local closure that calls a
+// releasing helper (the doMutate fail-closure over unlockKey): clean.
+func (s *Server) closureHelperRelease(p *env.Proc, kl *keyLock, bad bool) {
+	kl.lock.Lock(p)
+	fail := func() {
+		finish(kl)
+	}
+	if bad {
+		fail()
+		return
+	}
+	work()
+	kl.lock.Unlock()
+}
+
 // helperRelease hands the lock to a same-package helper that releases its
 // parameter (the syncCommit pattern): clean.
 func (s *Server) helperRelease(p *env.Proc, kl *keyLock) {

@@ -93,3 +93,60 @@ func BenchmarkSimTimer(b *testing.B) {
 		b.Fatalf("fired %d of %d", fired, b.N)
 	}
 }
+
+// BenchmarkWaitTimeoutAnswered: the RPC shape — a 2 ms WaitTimeout that a
+// peer answers 1 µs later, so every expiry is cancelled. slots is the
+// queue's slot high-water mark: the expiries still held at once, which would
+// be 2 000 if answered waits left theirs queued until they fired.
+func BenchmarkWaitTimeoutAnswered(b *testing.B) {
+	s := NewSim(1)
+	defer s.Shutdown()
+	s.AddNode(1, NodeConfig{})
+	var f Future
+	answered := 0
+	s.Spawn(1, func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			f = Future{}
+			if _, ok := f.WaitTimeout(p, 2*Millisecond); ok {
+				answered++
+			}
+		}
+	})
+	s.Spawn(1, func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(Microsecond)
+			f.Complete(nil)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Run()
+	if answered != b.N {
+		b.Fatalf("answered %d of %d", answered, b.N)
+	}
+	b.ReportMetric(float64(s.pq.top), "slots")
+}
+
+// BenchmarkTimerReset: the idle-push shape — one 200 µs timer re-armed every
+// 1 µs, firing once at the end. Re-arming reuses the Timer and unlinks its
+// pending event, so the queue holds one timer event whatever b.N is.
+func BenchmarkTimerReset(b *testing.B) {
+	s := NewSim(1)
+	defer s.Shutdown()
+	s.AddNode(1, NodeConfig{})
+	fired := 0
+	tm := s.After(200*Microsecond, func() { fired++ })
+	s.Spawn(1, func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			tm.Reset(200 * Microsecond)
+			p.Sleep(Microsecond)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Run()
+	if fired != 1 {
+		b.Fatalf("fired %d times, want once", fired)
+	}
+	b.ReportMetric(float64(s.pq.top), "slots")
+}

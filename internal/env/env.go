@@ -102,9 +102,9 @@ type Proc struct {
 	// timedOut communicates Future timeout state between the expiry event
 	// and the resumed process.
 	timedOut bool
-	// twGen numbers this process's Future waits; a queued expiry event whose
-	// generation no longer matches is a cancelled timeout.
-	twGen uint64
+	// tw is the expiry event of the Future wait in progress; an expiry of
+	// another sequence number belongs to a wait that already ended.
+	tw evRef
 	// state tracks the scheduler lifecycle (idle/dispatched/running/parked);
 	// the scheduler asserts its invariants on every transition.
 	state int
@@ -145,19 +145,34 @@ func (p *Proc) String() string { return fmt.Sprintf("proc@%d", p.node.ID) }
 
 // Timer is a cancellable scheduled callback.
 type Timer struct {
-	cancelled bool
-	fn        func()
+	s  *Sim
+	fn func()
+	// ev is the one event that may fire fn; the zero evRef when none is
+	// pending. An event of another sequence number is stale.
+	ev evRef
 }
 
-// Cancel prevents the callback from firing if it has not fired yet.
+// Cancel prevents the callback from firing if it has not fired yet. Its
+// event leaves the queue, unless it sits in the current bucket's heap or the
+// far heap: there it stays and fires as a no-op.
 func (t *Timer) Cancel() {
 	if t != nil {
-		t.cancelled = true
+		t.s.pq.remove(t.ev)
+		t.ev = evRef{}
 	}
 }
 
-func (t *Timer) fire() {
-	if !t.cancelled && t.fn != nil {
+// Reset re-arms t to fire once, d from now, whether it is pending, fired or
+// cancelled. A pending event is dropped as by Cancel; the timer is reused,
+// so re-arming allocates nothing.
+func (t *Timer) Reset(d Duration) {
+	t.s.pq.remove(t.ev)
+	t.ev = t.s.push(d, event{kind: evTimer, msg: t})
+}
+
+func (t *Timer) fire(seq uint64) {
+	if seq == t.ev.seq && t.fn != nil {
+		t.ev = evRef{}
 		t.fn()
 	}
 }

@@ -16,10 +16,11 @@ import (
 // The slab is a list of fixed-size chunks of event values addressed by int32
 // slot id (0 is nil, so the zero eventQueue is ready). ring holds one list
 // head per bucket and event.next threads the list. A slot whose event moves
-// on to the now heap is zeroed — dropping its p and msg references — and put
-// on a free list the next push pops, so fresh slots are handed out only while
-// all earlier ones are live: the queue's memory is the peak number of events
-// queued at one instant, rounded up to a chunk, however many pass through.
+// on to the now heap, or is removed, is zeroed — dropping its p and msg
+// references — and put on a free list the next push pops, so fresh slots are
+// handed out only while all earlier ones are live: the queue's memory is the
+// peak number of events queued at one instant, rounded up to a chunk, however
+// many pass through.
 // Chunks are never recopied (growth appends one) and never released.
 //
 // The structure pops events in exactly (at, seq) order — the total order of
@@ -32,8 +33,18 @@ import (
 // Why it is faster than one big heap: the common events (message deliveries
 // ~1.5 µs out, process wakeups at the current instant) index into the ring
 // or the small now heap, while long-lived retransmission timeouts (~2 ms
-// out, almost always stale by the time they fire) park in their buckets
-// without inflating the comparison depth of every hot push/pop.
+// out) wait in their buckets without inflating the comparison depth of every
+// hot push/pop.
+//
+// Nearly every such timeout is answered first, and a wait or Timer that ends
+// early takes its event back out (remove): push hands out the ring slot it
+// filed the event in, and the slot, checked against the event's sequence
+// number, is unlinked from its bucket's list and freed. So the slab holds the
+// timeouts still pending, not every one armed in the last 2 ms. Removal
+// never reorders the events that stay — pop order is (at, seq) and neither
+// changes — so it moves no virtual time. An event already in the now or far
+// heap cannot be unlinked; its owner's staleness check (the sequence number
+// it waits on) turns it into a no-op when it fires.
 
 // Event kinds. The tagged union avoids allocating a closure + Timer + heap
 // interface box per scheduled event — the dominant allocation source of the
@@ -46,8 +57,8 @@ const (
 	evWake
 	// evDeliver hands message msg from node `from` to node `to`.
 	evDeliver
-	// evTimeout expires a Future wait for p when p's timeout generation
-	// still equals aux (stale generations are cancelled timeouts).
+	// evTimeout expires a Future wait for p when p still waits on this
+	// event's sequence number (others belong to waits that ended).
 	evTimeout
 	// evSpawn starts msg (a func(*Proc)) on node `to` when it fires: a
 	// parked-to-heap continuation. Until then the pending session costs one
@@ -187,22 +198,24 @@ func (q *eventQueue) alloc() (int32, *event) {
 	return q.top, q.slot(q.top)
 }
 
-// push enqueues ev; ev.at must be ≥ the time of the last popped event.
-func (q *eventQueue) push(ev event) {
+// push enqueues ev; ev.at must be ≥ the time of the last popped event. It
+// returns the ring slot ev was filed in, or 0 when it went to a heap.
+func (q *eventQueue) push(ev event) int32 {
 	q.n++
 	if o := ordinalOf(ev.at); o < q.cur+ringSize {
-		q.link(o, &ev)
-	} else {
-		q.far.push(ev)
+		return q.link(o, &ev)
 	}
+	q.far.push(ev)
+	return 0
 }
 
 // link files ev, of ordinal o inside the window, where pop will find it: in
-// the now heap when o is current, else at the head of its bucket's list.
-func (q *eventQueue) link(o int64, ev *event) {
+// the now heap when o is current, else at the head of its bucket's list. It
+// returns the slot, or 0 for the now heap.
+func (q *eventQueue) link(o int64, ev *event) int32 {
 	if o <= q.cur {
 		q.now.push(*ev)
-		return
+		return 0
 	}
 	s := o & ringMask
 	i, e := q.alloc()
@@ -213,6 +226,46 @@ func (q *eventQueue) link(o int64, ev *event) {
 		q.nRing++
 	}
 	q.ring[s] = i
+	return i
+}
+
+// evRef names one pushed event for remove: the slot push returned and the
+// event's sequence number (≥ 1), which tells whether the slot still holds it.
+// The zero evRef names no event.
+type evRef struct {
+	slot int32
+	seq  uint64
+}
+
+// remove unlinks the event r names if it still waits in its ring slot, and
+// reports whether it did. Once the event has moved to the now heap or left
+// the queue, the slot is free or holds another event — or Shutdown dropped
+// the slab — and remove does nothing.
+func (q *eventQueue) remove(r evRef) bool {
+	if r.slot == 0 || r.slot > q.top || q.slot(r.slot).seq != r.seq {
+		return false
+	}
+	e := q.slot(r.slot)
+	s := ordinalOf(e.at) & ringMask
+	if q.ring[s] == r.slot {
+		q.ring[s] = e.next
+		if e.next == 0 {
+			q.occ[s>>6] &^= 1 << uint(s&63)
+			q.nRing--
+		}
+	} else {
+		// The list is singly linked and pushes prepend, so the walk passes
+		// the events filed in this bucket after this one.
+		prev := q.slot(q.ring[s])
+		for prev.next != r.slot {
+			prev = q.slot(prev.next)
+		}
+		prev.next = e.next
+	}
+	*e = event{next: q.free}
+	q.free = r.slot
+	q.n--
+	return true
 }
 
 // pop dequeues the (at, seq)-minimal event. Call only when Len() > 0.

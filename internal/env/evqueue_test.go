@@ -72,15 +72,19 @@ func checkSlab(t *testing.T, q *eventQueue, walkRing bool) {
 }
 
 // TestEventQueueOrdering drives the ladder queue with randomized interleaved
-// push/pop schedules and checks every pop against a reference model sorted
-// by (at, seq) — the total order the simulator's determinism rests on.
+// push/pop/remove schedules and checks every pop against a reference model
+// sorted by (at, seq) — the total order the simulator's determinism rests
+// on. A removal must succeed exactly while the event still waits in the ring
+// slot push filed it in, and must leave the order of the rest untouched.
 func TestEventQueueOrdering(t *testing.T) {
 	rnd := rand.New(rand.NewSource(42))
+	removed := 0
 	for trial := 0; trial < 50; trial++ {
 		var q eventQueue
 		var ref []event
 		var cur Time
 		var seq uint64
+		slots := make(map[uint64]int32) // by seq: the slot push returned
 		// Delay mix mirroring the simulator: immediate wakeups, link-latency
 		// deliveries, retransmission timeouts beyond the ring window, and
 		// occasional far-future timers.
@@ -98,8 +102,28 @@ func TestEventQueueOrdering(t *testing.T) {
 				}
 				seq++
 				ev := event{at: cur + d, seq: seq, aux: seq}
-				q.push(ev)
+				slots[seq] = q.push(ev)
 				ref = append(ref, ev)
+				continue
+			}
+			if rnd.Intn(4) == 0 {
+				k := rnd.Intn(len(ref))
+				ev := ref[k]
+				inNow := false
+				for _, e := range q.now {
+					inNow = inNow || e.seq == ev.seq
+				}
+				// Pushed into the ring and not yet loaded into the now heap:
+				// exactly then the slot still holds the event.
+				want := slots[ev.seq] != 0 && !inNow
+				if got := q.remove(evRef{slot: slots[ev.seq], seq: ev.seq}); got != want {
+					t.Fatalf("trial %d step %d: remove(seq %d, slot %d) = %v, want %v",
+						trial, step, ev.seq, slots[ev.seq], got, want)
+				}
+				if want {
+					ref = append(ref[:k], ref[k+1:]...)
+					removed++
+				}
 				continue
 			}
 			sort.Slice(ref, func(i, j int) bool { return ref[i].before(&ref[j]) })
@@ -126,6 +150,9 @@ func TestEventQueueOrdering(t *testing.T) {
 			cur = got.at
 		}
 		checkSlab(t, &q, true)
+	}
+	if removed < 1000 {
+		t.Fatalf("only %d removals succeeded: the schedule does not exercise remove", removed)
 	}
 }
 

@@ -51,16 +51,19 @@ func (f *Future) WaitTimeout(p *Proc, d Duration) (v any, ok bool) {
 		return f.val, true
 	}
 	f.waiter = p
-	// The expiry is a plain queue event guarded by the proc's timeout
-	// generation — no Timer or closure per wait.
-	p.twGen++
-	p.env.schedTimeout(p, f, d, p.twGen)
+	// The expiry is a plain queue event, recognised by its sequence number —
+	// no Timer or closure per wait.
+	p.tw = p.env.push(d, event{kind: evTimeout, p: p, msg: f})
 	p.park()
-	p.twGen++ // cancel: a pending expiry event is now stale
+	tw := p.tw
+	p.tw = evRef{}
 	if p.timedOut {
 		p.timedOut = false
 		return nil, false
 	}
+	// Answered in time: the expiry leaves the queue, or — already in the
+	// current bucket's heap — fires as a no-op.
+	p.env.pq.remove(tw)
 	return f.val, true
 }
 

@@ -110,8 +110,8 @@ func (s *Sim) Spawn(node NodeID, fn func(*Proc)) {
 // After schedules fn to run once after d. fn runs in a non-process context
 // and must not block on primitives.
 func (s *Sim) After(d Duration, fn func()) *Timer {
-	t := &Timer{fn: fn}
-	s.push(d, event{kind: evTimer, msg: t})
+	t := &Timer{s: s, fn: fn}
+	t.ev = s.push(d, event{kind: evTimer, msg: t})
 	return t
 }
 
@@ -136,26 +136,22 @@ func (s *Sim) SpawnAfter(node NodeID, d Duration, fn func(*Proc)) {
 // witness that parked sessions are not holding stacks.
 func (s *Sim) WorkerCount() int { return len(s.all) }
 
-// push enqueues ev at cur+d with the next insertion sequence number.
-func (s *Sim) push(d Duration, ev event) {
+// push enqueues ev at cur+d with the next insertion sequence number and
+// returns the reference that removes it.
+func (s *Sim) push(d Duration, ev event) evRef {
 	if d < 0 {
 		d = 0
 	}
 	ev.at = s.cur + d
 	s.seq++
 	ev.seq = s.seq
-	s.pq.push(ev)
+	return evRef{slot: s.pq.push(ev), seq: ev.seq}
 }
 
 // schedWake schedules proc p (currently transitioning to state `want`) to
 // run after d, with no allocation.
 func (s *Sim) schedWake(p *Proc, d Duration, want int) {
 	s.push(d, event{kind: evWake, p: p, aux: uint64(want)})
-}
-
-// schedTimeout schedules a Future-wait expiry for p; gen guards staleness.
-func (s *Sim) schedTimeout(p *Proc, f *Future, d Duration, gen uint64) {
-	s.push(d, event{kind: evTimeout, p: p, msg: f, aux: gen})
 }
 
 func (s *Sim) randJitter(j Duration) Duration {
@@ -347,7 +343,7 @@ func (s *Sim) wake(p *Proc, want uint64) {
 func (s *Sim) exec(ev *event) {
 	switch ev.kind {
 	case evTimer:
-		ev.msg.(*Timer).fire()
+		ev.msg.(*Timer).fire(ev.seq)
 	case evTimeout:
 		s.fireTimeout(ev)
 	case evDeliver:
@@ -363,11 +359,11 @@ func (s *Sim) exec(ev *event) {
 }
 
 // fireTimeout expires a Future wait unless the wait already completed (the
-// generation is stale or the future found its value).
+// expiry is stale or the future found its value).
 func (s *Sim) fireTimeout(ev *event) {
 	p, f := ev.p, ev.msg.(*Future)
-	if p.twGen != ev.aux {
-		return // the wait already ended; this timeout was cancelled
+	if p.tw.seq != ev.seq {
+		return // the wait already ended; this expiry could not be unlinked
 	}
 	if f.done || f.waiter != p {
 		return

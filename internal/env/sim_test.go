@@ -308,9 +308,88 @@ func TestTimerCancel(t *testing.T) {
 	fired := false
 	tm := s.After(Microsecond, func() { fired = true })
 	tm.Cancel()
+	if s.pq.Len() != 0 {
+		t.Fatalf("cancelled timer left %d events queued", s.pq.Len())
+	}
 	s.Run()
 	if fired {
 		t.Fatal("cancelled timer fired")
+	}
+}
+
+// TestWaitTimeoutAnsweredLeavesQueue: a wait answered before its expiry
+// leaves the queue as it found it — the expiry goes with the wait.
+func TestWaitTimeoutAnsweredLeavesQueue(t *testing.T) {
+	s := NewSim(1)
+	defer s.Shutdown()
+	s.AddNode(1, NodeConfig{})
+	s.After(Second, func() {}) // stays queued throughout
+	f := NewFuture()
+	before, after := -1, -2
+	var ok bool
+	s.Spawn(1, func(p *Proc) {
+		before = s.pq.Len()
+		s.After(Microsecond, func() { f.Complete(1) })
+		_, ok = f.WaitTimeout(p, 2*Millisecond)
+		after = s.pq.Len()
+	})
+	if end := s.Run(); !ok || before != after || end != Second {
+		t.Fatalf("ok=%v, Len %d before the wait and %d after, Run ended at %d", ok, before, after, end)
+	}
+}
+
+// TestTimerResetInCurrentBucket re-arms a timer whose event already moved to
+// the current bucket's heap, where it cannot be unlinked: the old event must
+// not fire, and the re-armed one fires exactly once.
+func TestTimerResetInCurrentBucket(t *testing.T) {
+	s := NewSim(1)
+	defer s.Shutdown()
+	var fired []Time
+	tm := s.After(10*Microsecond, func() { fired = append(fired, s.Now()) })
+	s.After(9900, func() { // same 512 ns bucket as 10 µs
+		if len(s.pq.now) != 1 || s.pq.now[0].seq != tm.ev.seq {
+			t.Fatalf("the timer's event is not waiting in the now heap: %+v", s.pq.now)
+		}
+		tm.Reset(5 * Microsecond)
+	})
+	s.Run()
+	if len(fired) != 1 || fired[0] != 14900 {
+		t.Fatalf("fired at %v, want once at 14900", fired)
+	}
+	// A second Reset from outside the run unlinks the pending event.
+	tm.Reset(Microsecond)
+	n := s.pq.Len()
+	tm.Reset(2 * Microsecond)
+	if s.pq.Len() != n {
+		t.Fatalf("Reset of a pending ring event: Len %d → %d", n, s.pq.Len())
+	}
+	s.Run()
+	if len(fired) != 2 || fired[1] != 16900 {
+		t.Fatalf("fired at %v, want a second time at 16900", fired)
+	}
+}
+
+// TestCancelNotUnlinkable cancels timers whose events sit where remove cannot
+// reach them — the now heap and the far heap: they stay queued and fire as
+// no-ops.
+func TestCancelNotUnlinkable(t *testing.T) {
+	s := NewSim(1)
+	defer s.Shutdown()
+	fired := 0
+	far := s.After(40*Millisecond, func() { fired++ }) // beyond the ring window
+	if len(s.pq.far) != 1 || far.ev.slot != 0 {
+		t.Fatalf("a 40 ms timer was not filed in the far heap (slot %d)", far.ev.slot)
+	}
+	near := s.After(10*Microsecond, func() { fired++ })
+	s.After(9900, func() { // near's event is in the now heap by now
+		near.Cancel()
+		far.Cancel()
+		if s.pq.Len() != 2 {
+			t.Fatalf("Len=%d after cancelling two unlinkable events, want both still queued", s.pq.Len())
+		}
+	})
+	if end := s.Run(); fired != 0 || end != 40*Millisecond {
+		t.Fatalf("fired %d cancelled timers, Run ended at %d", fired, end)
 	}
 }
 

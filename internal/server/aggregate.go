@@ -440,7 +440,7 @@ func (s *Server) applyByDir(p *env.Proc, logs []aggLog) {
 		l := s.lockOf(ref.Key)
 		l.Lock(p)
 		s.applyBatch(p, logs[start:end])
-		l.Unlock()
+		s.unlockKey(l)
 		start = end
 	}
 }
@@ -692,11 +692,13 @@ func (dl *dirLog) pendingNamed(name string) (through uint64, named bool) {
 // passed the largest id logged.
 //
 // An update acknowledged to its client is in the log, so a log that does not
-// hold the name answers at once. Otherwise the log's exclusive lock is taken
-// as a barrier: appenders reserve their ids under the shared lock, so once it
-// is granted every id up to the largest logged has been appended, the forced
-// push's snapshot has no gap below it, and an acknowledgment through that id
-// covers the name.
+// hold the name answers at once. Appenders reserve an id and append it in one
+// event (doMutate), so the log receives its ids in ascending order: no id
+// below the largest logged is still on its way, the forced push's snapshot
+// has no gap below it, and an acknowledgment through that id covers the name.
+// The log's exclusive lock is still taken first, as a barrier: it waits out
+// an aggregation holding the log, whose ack may have trimmed the name
+// already, and the appenders in flight under the shared lock.
 func (s *Server) flushLog(p *env.Proc, dl *dirLog, name string) bool {
 	if _, named := dl.pendingNamed(name); !named {
 		return true
@@ -722,10 +724,11 @@ func (s *Server) flushLog(p *env.Proc, dl *dirLog, name string) bool {
 
 // resetIdleTimer (re)arms the idle push trigger after an append.
 func (s *Server) resetIdleTimer(dl *dirLog) {
-	if dl.idle != nil {
-		dl.idle.Cancel()
+	if dl.idle == nil {
+		dl.idle = s.env.After(s.cfg.PushIdle, func() { s.maybePush(dl) })
+		return
 	}
-	dl.idle = s.env.After(s.cfg.PushIdle, func() { s.maybePush(dl) })
+	dl.idle.Reset(s.cfg.PushIdle)
 }
 
 // handleChangePush applies a proactively pushed change-log at the owner and
@@ -747,13 +750,14 @@ func (s *Server) handleChangePush(p *env.Proc, from env.NodeID, cp *wire.ChangeP
 	l.Lock(p)
 	pushed := []aggLog{{from: cp.From, log: cp.Log}}
 	s.applyBatch(p, pushed)
-	l.Unlock()
+	s.unlockKey(l)
 	replyNew(s, p, cp.From, wire.ChangePushAck{Dir: cp.Log.Dir.ID, MaxID: pushed[0].maxID})
 	if cp.Final {
 		return
 	}
 	if t := s.quiesce[fp]; t != nil {
-		t.Cancel()
+		t.Reset(s.cfg.OwnerQuiesce)
+		return
 	}
 	s.quiesce[fp] = s.env.After(s.cfg.OwnerQuiesce, func() {
 		if !s.serving {

@@ -109,20 +109,24 @@ func TestSizedEncoders(t *testing.T) {
 }
 
 // TestHandlerAllocationBudgets pins the request path's stack-scratch reads:
-// a lock-table hit and an inode read decode by value without allocating; a
-// store write costs what the store keeps, not the encodings handed to it.
+// a lock pin and its release — of a key already pinned, or of a fresh key
+// served from the free list — and an inode read decode by value without
+// allocating; a store write costs what the store keeps, not the encodings
+// handed to it.
 func TestHandlerAllocationBudgets(t *testing.T) {
 	_, s := newTestServer(t)
 	key := core.Key{PID: core.DirID{1, 2, 3, 4}, Name: "file-000123"}
 	in := &core.Inode{Attr: core.Attr{Type: core.TypeRegular, Perm: 0o644, Nlink: 1}}
 	s.storeInode(key, in)
 	s.lockOf(key)
+	fresh := core.Key{PID: key.PID, Name: "file-000124"}
 	var got core.Inode
 	for _, c := range []struct {
 		name string
 		fn   func()
 	}{
-		{"lockOf hit", func() { s.lockOf(key) }},
+		{"lockOf hit", func() { s.unpin(s.lockOf(key)) }},
+		{"lockOf from the free list", func() { s.unpin(s.lockOf(fresh)) }},
 		{"readInode", func() {
 			if err := s.readInode(key, &got); err != nil || got.Attr != in.Attr {
 				t.Fatalf("readInode: %+v, %v", got, err)

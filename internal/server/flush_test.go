@@ -130,17 +130,17 @@ func TestFlushEntryTable(t *testing.T) {
 				r.s.maybePush(r.dl)
 			},
 			pushes: [][]uint64{{1}}, flushes: 1, forced: 0, listed: []string{"x"}, before: 2 * rtt},
-		{what: "an appender under the shared lock with a smaller reserved id: the barrier waits for it",
+		{what: "an appender in flight under the shared lock: the barrier waits for it",
 			setup: func(r *flushRig) {
 				r.logged(6, "x")
 				r.sim.Spawn(100, func(p *env.Proc) {
-					r.dl.lock.RLock(p) // id 5 reserved, its WAL write under way
+					r.dl.lock.RLock(p) // a mutation charging its commit
 					p.Sleep(50 * env.Microsecond)
-					r.logged(5, "late")
+					r.logged(7, "late")
 					r.dl.lock.RUnlock()
 				})
 			},
-			pushes: [][]uint64{{6, 5}}, flushes: 1, forced: 1, listed: []string{"late", "x"},
+			pushes: [][]uint64{{6, 7}}, flushes: 1, forced: 1, listed: []string{"late", "x"},
 			after: 50 * env.Microsecond, before: 50*env.Microsecond + 2*rtt},
 		{what: "the directory's owner unreachable: incomplete once the push gave up, fingerprint marked dirty",
 			setup:  func(r *flushRig) { r.logged(1, "x"); r.dropPush = true },

@@ -61,7 +61,7 @@ func (s *Server) doMutate(p *env.Proc, req *wire.MutateReq) {
 		if admitted {
 			s.fpExit(fp)
 		}
-		kl.Unlock()
+		s.unlockKey(kl)
 		parentLog.lock.RUnlock()
 		s.replyMutate(p, req, err)
 	}
@@ -161,23 +161,28 @@ func (s *Server) doMutate(p *env.Proc, req *wire.MutateReq) {
 	}
 
 	// Commit (step 4): persist the operation, then execute (step 5). The
-	// change-log entry id is reserved before logging so recovery can rebuild
-	// the queue; per-name FIFO order is guaranteed by the target inode lock,
-	// not by global id order.
-	s.nextEntry++
-	entry.ID = s.nextEntry
-	walRec := s.encodeCommit(req.Op, key, req.Parent, entry, &in)
+	// service times are charged first; then one event reserves the change-log
+	// entry id, logs the operation, stores the inode and appends the entry.
+	// So every change-log receives its ids in ascending order, and a snapshot
+	// of it — a push, the overflow notice below — never lacks an id below its
+	// largest: the owner's per-source watermark (applyBatch) would drop that
+	// id when it arrived later. The WAL record carries the id, so recovery
+	// rebuilds the same log.
+	kvCost, stored := c.KVPut, &in
+	if req.Op == core.OpDelete || req.Op == core.OpRmdir {
+		kvCost, stored = c.KVDel, nil
+	}
 	wsp := s.cfg.Trace.Start(p, "wal:commit", "server")
 	p.Compute(c.WALAppend)
-	var lsn = mustAppend(s.wal, recCommit, walRec)
 	wsp.End()
-	if req.Op == core.OpDelete || req.Op == core.OpRmdir {
-		p.Compute(c.KVDel)
-		s.storeInode(key, nil)
-	} else {
-		p.Compute(c.KVPut)
-		s.storeInode(key, &in)
+	p.Compute(kvCost)
+	if s.cfg.Updates != UpdateSync {
+		p.Compute(c.LogAppend)
 	}
+	s.nextEntry++
+	entry.ID = s.nextEntry
+	lsn := mustAppend(s.wal, recCommit, s.encodeCommit(req.Op, key, req.Parent, entry, &in))
+	s.storeInode(key, stored)
 
 	if s.cfg.Updates == UpdateSync {
 		// Baseline (Fig. 14): synchronous cross-server update of the parent
@@ -188,7 +193,6 @@ func (s *Server) doMutate(p *env.Proc, req *wire.MutateReq) {
 	}
 
 	// Append to the parent's change-log (step 5).
-	p.Compute(c.LogAppend)
 	parentLog.log.Append(entry)
 	parentLog.walLSN[entry.ID] = lsn
 	pending := parentLog.log.Len()
@@ -208,7 +212,7 @@ func (s *Server) doMutate(p *env.Proc, req *wire.MutateReq) {
 	// busy reference is held through the commit ack: a migration must not
 	// copy the group away between the local mutation and the client's copy
 	// of the response leaving (the dedup cache stays authoritative here).
-	kl.Unlock()
+	s.unlockKey(kl)
 	parentLog.lock.RUnlock()
 	s.fpExit(fp)
 
@@ -295,7 +299,7 @@ func (s *Server) asyncCommit(p *env.Proc, parent core.DirRef, parentLog *dirLog,
 // fail-stopped incarnation leaves the commit to its recovery: the WAL record
 // stays unmarked, and the locks die with it.
 func (s *Server) syncCommit(p *env.Proc, req *wire.MutateReq, parentLog *dirLog,
-	entry core.LogEntry, lsn wal.LSN, kl *env.RWMutex, newDir core.DirID) {
+	entry core.LogEntry, lsn wal.LSN, kl *keyLock, newDir core.DirID) {
 
 	id := s.newID()
 	acked := s.await(id, nil)
@@ -318,7 +322,7 @@ func (s *Server) syncCommit(p *env.Proc, req *wire.MutateReq, parentLog *dirLog,
 	s.remember(req.Client, req.RPC, resp)
 	s.Stats.SyncCommits++
 	mustMark(s.wal, lsn)
-	kl.Unlock()
+	s.unlockKey(kl)
 	parentLog.lock.RUnlock()
 }
 
@@ -353,7 +357,7 @@ func (s *Server) handleFallback(p *env.Proc, pkt *wire.Packet, cn *wire.CommitNo
 	dl := s.lockOf(dir.Key)
 	dl.Lock(p)
 	s.applyBatch(p, []aggLog{{from: pkt.Origin, log: cn.Update}})
-	dl.Unlock()
+	s.unlockKey(dl)
 	p.Send(cn.Client, &wire.Packet{Dst: cn.Client, Origin: s.cfg.ID,
 		Trace: p.TraceCtx(), Body: cn.Resp})
 	s.reply(p, pkt.Origin, &wire.CommitAck{CommitID: cn.CommitID, Applied: true})

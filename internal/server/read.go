@@ -16,7 +16,7 @@ import (
 // checkAncestors. The wait runs in the event of the read, after the KVGet
 // charge, and releases the read lock the rmdir's commit needs.
 //
-//detlint:ignore idempotent -- lookup is a pure read; the lock-table insert lockOf may perform is idempotent
+//detlint:ignore idempotent -- lookup is a pure read; its only table write is the lock pin, which its own release takes back out
 func (s *Server) handleLookup(p *env.Proc, req *wire.LookupReq) {
 	c := &s.cfg.Costs
 	p.Compute(c.Parse)
@@ -32,7 +32,7 @@ func (s *Server) handleLookup(p *env.Proc, req *wire.LookupReq) {
 		l.RLock(p)
 		p.Compute(c.KVGet)
 		for s.removals[key] != nil {
-			l.RUnlock()
+			l.RUnlock() // the pin stays: the re-lock finds the same lock
 			s.waitRemoval(p, key)
 			l.RLock(p)
 		}
@@ -41,7 +41,7 @@ func (s *Server) handleLookup(p *env.Proc, req *wire.LookupReq) {
 			resp.Dir = in.ID
 			resp.Attr = in.Attr
 		}
-		l.RUnlock()
+		s.runlockKey(l)
 		s.fpExit(fp)
 	}
 	resp.RespCommon = s.respCommon(&req.ReqCommon, err)
@@ -77,7 +77,7 @@ func (s *Server) readDirInode(key core.Key, in *core.Inode) error {
 // traditional DFS (§5.2 "Single-inode operations"). Chmod, the one FileReq
 // that mutates, is dispatched to handleChmod instead.
 //
-//detlint:ignore idempotent -- stat/open/close are pure reads; the lock-table insert lockOf may perform is idempotent
+//detlint:ignore idempotent -- stat/open/close are pure reads; their only table write is the lock pin, which their own release takes back out
 func (s *Server) handleFile(p *env.Proc, req *wire.FileReq) {
 	c := &s.cfg.Costs
 	p.Compute(c.Parse)
@@ -105,7 +105,7 @@ func (s *Server) handleFile(p *env.Proc, req *wire.FileReq) {
 				err = core.ErrInvalid
 			}
 		}
-		l.RUnlock()
+		s.runlockKey(l)
 		s.fpExit(fp)
 	}
 	resp.RespCommon = s.respCommon(&req.ReqCommon, err)
@@ -150,7 +150,7 @@ func (s *Server) handleChmod(p *env.Proc, req *wire.FileReq) {
 			s.putInode(key, &in)
 			resp.Attr = in.Attr
 		}
-		l.Unlock()
+		s.unlockKey(l)
 		s.fpExit(fp)
 	}
 	resp.RespCommon = s.respCommon(&req.ReqCommon, err)
@@ -224,7 +224,7 @@ func (s *Server) handleDirRead(p *env.Proc, pkt *wire.Packet, req *wire.DirReadR
 					p.Compute(env.Duration(n) * c.KVScanEntry)
 				}
 			}
-			l.RUnlock()
+			s.runlockKey(l)
 		}
 		s.fpExit(req.Dir.FP)
 	}

@@ -185,8 +185,10 @@ type Server struct {
 	kv   *kv.Store
 	wal  wal.Log
 
-	// In-memory indexes.
-	locks     map[string]*env.RWMutex // per-inode locks, by encoded key
+	// In-memory indexes. locks holds the inode locks of the operations in
+	// flight (lockOf); freeLocks keeps released ones for reuse.
+	locks     map[core.Key]*keyLock
+	freeLocks []*keyLock
 	clogs     map[core.DirID]*dirLog
 	clogsByFP map[core.Fingerprint]map[core.DirID]*dirLog
 	fps       map[core.Fingerprint]*fpState
@@ -359,7 +361,7 @@ func New(e *env.Sim, cfg Config) *Server {
 		env:        e,
 		kv:         kv.New(),
 		wal:        cfg.WAL,
-		locks:      make(map[string]*env.RWMutex),
+		locks:      make(map[core.Key]*keyLock),
 		clogs:      make(map[core.DirID]*dirLog),
 		clogsByFP:  make(map[core.Fingerprint]map[core.DirID]*dirLog),
 		fps:        make(map[core.Fingerprint]*fpState),
@@ -456,17 +458,62 @@ func (s *Server) ownerOfKey(k core.Key) env.NodeID {
 	return s.ownerOfFP(k.Fingerprint())
 }
 
-// lockOf returns (creating on demand) the lock of an inode key.
-func (s *Server) lockOf(k core.Key) *env.RWMutex {
-	var kb core.KeyBuf
-	ek := k.AppendTo(kb[:0])
-	l := s.locks[string(ek)] // no string is built for a lookup
+// keyLock is the lock of one inode key (§5.2.1, Fig. 4 step 2). pins counts
+// the operations that took it from lockOf and have not released it yet, the
+// holders and the queued waiters alike: while any is pinned the lock stays
+// the key's, and the last release takes it out of the table.
+type keyLock struct {
+	env.RWMutex
+	key  core.Key
+	pins int
+}
+
+// lockOf pins the lock of an inode key, taking one from the free list when
+// no operation in flight uses the key. Every lockOf is matched by exactly one
+// unpin, unlockKey or runlockKey; a caller that lets go of the lock while it
+// waits for something else keeps its pin, so it comes back to the same lock.
+func (s *Server) lockOf(k core.Key) *keyLock {
+	l := s.locks[k]
 	if l == nil {
-		l = &env.RWMutex{}
-		s.locks[string(ek)] = l
+		if n := len(s.freeLocks); n > 0 {
+			l = s.freeLocks[n-1]
+			s.freeLocks = s.freeLocks[:n-1]
+		} else {
+			l = &keyLock{}
+		}
+		l.key = k
+		s.locks[k] = l
 	}
+	l.pins++
 	return l
 }
+
+// unpin drops one pin of l; the last one moves l from the table to the free
+// list. Every holder and waiter holds a pin, so that lock is free.
+func (s *Server) unpin(l *keyLock) {
+	if l.pins--; l.pins > 0 {
+		return
+	}
+	delete(s.locks, l.key)
+	l.key = core.Key{}
+	s.freeLocks = append(s.freeLocks, l)
+}
+
+// unlockKey releases l's exclusive hold and its pin.
+func (s *Server) unlockKey(l *keyLock) {
+	l.Unlock()
+	s.unpin(l)
+}
+
+// runlockKey releases a shared hold of l and its pin.
+func (s *Server) runlockKey(l *keyLock) {
+	l.RUnlock()
+	s.unpin(l)
+}
+
+// LockedKeys reports how many inode keys have a lock in the table: the keys
+// of operations in flight, zero once the server is quiescent.
+func (s *Server) LockedKeys() int { return len(s.locks) }
 
 // clogOf returns (creating on demand) the change-log of a remote directory.
 func (s *Server) clogOf(ref core.DirRef) *dirLog {
@@ -524,6 +571,14 @@ func sortedClogs(m map[core.DirID]*dirLog) []*dirLog {
 	}
 	sort.Slice(out, func(i, j int) bool { return lessDirID(out[i].ref.ID, out[j].ref.ID) })
 	return out
+}
+
+// lessKey orders inode keys as their encodings sort: by parent, then name.
+func lessKey(a, b core.Key) bool {
+	if a.PID != b.PID {
+		return lessDirID(a.PID, b.PID)
+	}
+	return a.Name < b.Name
 }
 
 func lessDirID(a, b core.DirID) bool {

@@ -168,15 +168,132 @@ func TestAppliedWatermark(t *testing.T) {
 	}
 }
 
+// TestLockTableReuse: the table holds a key's lock exactly while some
+// caller pins it, every pin of one key gets the same lock, and a released
+// lock is reused for the next key instead of allocated.
 func TestLockTableReuse(t *testing.T) {
 	_, s := newTestServer(t)
 	k := core.Key{PID: core.RootDirID, Name: "f"}
-	if s.lockOf(k) != s.lockOf(k) {
-		t.Fatal("lockOf returned distinct locks for one key")
-	}
 	k2 := core.Key{PID: core.RootDirID, Name: "g"}
-	if s.lockOf(k) == s.lockOf(k2) {
-		t.Fatal("distinct keys share a lock")
+	a, b := s.lockOf(k), s.lockOf(k)
+	if a != b || a.pins != 2 {
+		t.Fatalf("two pins of one key: distinct locks %v or pins %d, want one lock pinned twice", a != b, a.pins)
+	}
+	c := s.lockOf(k2)
+	if c == a || s.LockedKeys() != 2 {
+		t.Fatalf("distinct keys: shared lock %v, %d keys in the table, want 2", c == a, s.LockedKeys())
+	}
+	s.unpin(a)
+	if s.locks[k] != a {
+		t.Fatal("the lock left the table with a pin still on it")
+	}
+	s.unpin(b)
+	s.unpin(c)
+	if s.LockedKeys() != 0 || len(s.freeLocks) != 2 {
+		t.Fatalf("all unpinned: %d keys in the table, %d free locks, want 0 and 2", s.LockedKeys(), len(s.freeLocks))
+	}
+	if d := s.lockOf(core.Key{PID: core.RootDirID, Name: "h"}); d != c || d.key.Name != "h" || d.pins != 1 {
+		t.Fatalf("a new key got lock %p (key %v, %d pins), want the last freed one %p", d, d.key, d.pins, c)
+	}
+}
+
+// TestLockQueuedWaiterKeepsEntry: a waiter queued on a key's lock holds a
+// pin, so the holder's release leaves the lock in the table and hands it to
+// the waiter; only the waiter's release takes it out.
+func TestLockQueuedWaiterKeepsEntry(t *testing.T) {
+	sim, s := newTestServer(t)
+	k := core.Key{PID: core.RootDirID, Name: "f"}
+	var first, second *keyLock
+	afterHolder := -1
+	sim.Spawn(100, func(p *env.Proc) {
+		first = s.lockOf(k)
+		first.Lock(p)
+		p.Sleep(10 * env.Microsecond)
+		s.unlockKey(first)
+		afterHolder = s.LockedKeys()
+	})
+	sim.Spawn(100, func(p *env.Proc) {
+		p.Sleep(env.Microsecond)
+		second = s.lockOf(k)
+		second.Lock(p) // queues behind the holder
+		if p.Now() != 10*env.Microsecond || s.locks[k] != second || second.pins != 1 {
+			t.Errorf("waiter granted at %v with %d pins (in the table: %v), want at 10µs with its own pin",
+				p.Now(), second.pins, s.locks[k] == second)
+		}
+		s.unlockKey(second)
+	})
+	sim.Run()
+	if first != second || afterHolder != 1 || s.LockedKeys() != 0 {
+		t.Fatalf("same lock %v, %d keys after the holder's release (want 1), %d at the end (want 0)",
+			first == second, afterHolder, s.LockedKeys())
+	}
+}
+
+// TestLookupRelockKeepsPin: a lookup that meets an rmdir of its key lets go
+// of the key's lock while it waits, but not of its pin — the lock stays the
+// key's, so the re-lock after the wait cannot land on a lock the free list
+// handed to another key meanwhile.
+func TestLookupRelockKeepsPin(t *testing.T) {
+	sim, s := newTestServer(t)
+	key := core.Key{PID: core.RootDirID, Name: "d"}
+	s.storeInode(key, &core.Inode{ID: core.DirID{7, 7, 7, 7}, Attr: core.Attr{Type: core.TypeDir, Perm: core.DefaultDirPerm, Nlink: 2}})
+	sim.Spawn(100, func(p *env.Proc) {
+		rl := &env.RWMutex{} // an rmdir of the key in flight, as doMutate registers it
+		rl.Lock(p)
+		s.removals[key] = rl
+		p.Sleep(20 * env.Microsecond)
+		s.endRemoval(key, rl)
+	})
+	sim.Spawn(100, func(p *env.Proc) {
+		p.Sleep(env.Microsecond)
+		s.handleLookup(p, &wire.LookupReq{ReqCommon: wire.ReqCommon{RPC: 1, Client: 9000},
+			Parent: key.PID, Name: key.Name})
+	})
+	sim.Spawn(100, func(p *env.Proc) {
+		p.Sleep(10 * env.Microsecond) // the lookup waits on the removal
+		l := s.locks[key]
+		if l == nil || l.pins != 1 {
+			t.Fatalf("while the lookup waits: lock in the table %v, want one pin", l != nil)
+		}
+		// Another key's operation runs start to end meanwhile: it must get a
+		// lock of its own, not the waiting lookup's.
+		other := s.lockOf(core.Key{PID: core.RootDirID, Name: "e"})
+		other.Lock(p)
+		if other == l {
+			t.Error("another key was handed the waiting lookup's lock")
+		}
+		s.unlockKey(other)
+		if s.locks[key] != l {
+			t.Error("the waiting lookup's lock left the table")
+		}
+	})
+	sim.Run()
+	if s.LockedKeys() != 0 {
+		t.Fatalf("%d keys locked after the run, want 0", s.LockedKeys())
+	}
+}
+
+// TestLockTxnKeysDuplicateOnePin: a transaction naming one key twice — an op
+// and a check — holds that key's lock once, with one pin, so the decision's
+// single release takes it out of the table.
+func TestLockTxnKeysDuplicateOnePin(t *testing.T) {
+	sim, s := newTestServer(t)
+	k := core.Key{PID: core.RootDirID, Name: "f"}
+	k2 := core.Key{PID: core.RootDirID, Name: "a"}
+	var locks []*keyLock
+	sim.Spawn(100, func(p *env.Proc) {
+		locks = s.lockTxnKeys(p, []wire.TxnOp{{Kind: wire.TxnPutInode, Key: k}, {Kind: wire.TxnDelInode, Key: k2}},
+			[]wire.TxnCheck{{Key: k, MustExist: true}})
+	})
+	sim.Run()
+	if len(locks) != 2 || locks[0].key != k2 || locks[1].key != k || locks[1].pins != 1 || locks[0].pins != 1 {
+		t.Fatalf("got %d locks, want [a f] in key order with one pin each", len(locks))
+	}
+	for _, l := range locks {
+		s.unlockKey(l)
+	}
+	if s.LockedKeys() != 0 {
+		t.Fatalf("%d keys locked after the release, want 0", s.LockedKeys())
 	}
 }
 

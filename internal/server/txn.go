@@ -21,7 +21,7 @@ import (
 // txnState is the participant-side context of a prepared transaction.
 type txnState struct {
 	id    uint64
-	locks []*env.RWMutex
+	locks []*keyLock
 	ops   []wire.TxnOp
 	done  *env.Future
 	// lsn is the prepared-state WAL record, marked applied once the
@@ -651,7 +651,7 @@ func (s *Server) handleTxnPrepare(p *env.Proc, tp *wire.TxnPrepare) {
 	}
 	if err != nil {
 		for _, l := range st.locks {
-			l.Unlock()
+			s.unlockKey(l)
 		}
 		s.exitFPs(fps)
 		s.recordVote(tp.Txn, core.ErrnoOf(err))
@@ -711,40 +711,33 @@ func (s *Server) inodeIs(key core.Key, raw []byte) bool {
 
 // lockTxnKeys collects, orders (global key order — defense in depth against
 // lock cycles between transactions) and acquires the locks a prepared
-// transaction holds until its decision.
+// transaction holds until its decision, one pin and one hold per key.
 //
 //detlint:lock-escapes the acquired key locks are returned to the caller and held in the prepared-txn record until handleTxnDecision releases them
-func (s *Server) lockTxnKeys(p *env.Proc, ops []wire.TxnOp, checks []wire.TxnCheck) []*env.RWMutex {
-	type lk struct {
-		ek   string
-		lock *env.RWMutex
-	}
-	var lks []lk
-	addKey := func(k core.Key) {
-		var kb core.KeyBuf
-		lks = append(lks, lk{ek: string(k.AppendTo(kb[:0])), lock: s.lockOf(k)})
-	}
+func (s *Server) lockTxnKeys(p *env.Proc, ops []wire.TxnOp, checks []wire.TxnCheck) []*keyLock {
+	var locks []*keyLock
 	for _, op := range ops {
 		switch op.Kind {
 		case wire.TxnPutInode, wire.TxnDelInode, wire.TxnAdjustNlink:
-			addKey(op.Key)
+			locks = append(locks, s.lockOf(op.Key))
 		case wire.TxnDirUpdate:
-			addKey(op.Dir.Key)
+			locks = append(locks, s.lockOf(op.Dir.Key))
 		}
 	}
 	for _, ck := range checks {
-		addKey(ck.Key)
+		locks = append(locks, s.lockOf(ck.Key))
 	}
-	sort.Slice(lks, func(i, j int) bool { return lks[i].ek < lks[j].ek })
-	locks := make([]*env.RWMutex, 0, len(lks))
-	for i, l := range lks {
-		if i > 0 && l.lock == lks[i-1].lock {
-			continue // one lock per key: a repeated key sorts next to itself
+	sort.Slice(locks, func(i, j int) bool { return lessKey(locks[i].key, locks[j].key) })
+	held := locks[:0]
+	for _, l := range locks {
+		if len(held) > 0 && l == held[len(held)-1] {
+			s.unpin(l) // a repeated key sorts next to itself
+			continue
 		}
-		l.lock.Lock(p)
-		locks = append(locks, l.lock)
+		l.Lock(p)
+		held = append(held, l)
 	}
-	return locks
+	return held
 }
 
 // encodeTxnPrepare packs a prepared transaction's durable state: txn id,
@@ -885,7 +878,7 @@ func (s *Server) handleTxnDecision(p *env.Proc, td *wire.TxnDecision) {
 		}
 	}
 	for _, l := range st.locks {
-		l.Unlock()
+		s.unlockKey(l)
 	}
 	// Resolved: the prepared-state record need not be rebuilt on replay.
 	mustMark(s.wal, st.lsn)

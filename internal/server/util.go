@@ -84,7 +84,7 @@ func fileAttrKey(id core.FileID) core.Key {
 func (s *Server) applyNlink(p *env.Proc, key core.Key, delta int32) error {
 	l := s.lockOf(key)
 	l.Lock(p)
-	defer l.Unlock()
+	defer s.unlockKey(l)
 	return s.applyNlinkLocked(p, key, delta)
 }
 
