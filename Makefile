@@ -75,11 +75,12 @@ bench:
 
 # bench-layers runs the per-layer Go microbenchmarks (ROADMAP 1c): the bare
 # simulator (handoff, send, timer), the change-log (snapshot, compaction), the
-# key and inode codecs, the kv store, the client's cached path resolution, the
-# server's durable-record encoders, its recovery (BenchmarkRecover) and its one
-# way to wait for a peer (BenchmarkPeerCall).
+# key and inode codecs, the kv store, the write-ahead log (append and replay),
+# the client's cached path resolution, the server's durable-record encoders,
+# its recovery (BenchmarkRecover) and its one way to wait for a peer
+# (BenchmarkPeerCall).
 bench-layers:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/env ./internal/core ./internal/kv ./internal/client ./internal/server
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/env ./internal/core ./internal/kv ./internal/wal ./internal/client ./internal/server
 
 figures:
 	$(GO) run ./cmd/fsbench -fig all -scale quick

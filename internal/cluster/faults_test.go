@@ -158,6 +158,47 @@ func TestServerCrashRecovery(t *testing.T) {
 	})
 }
 
+// TestRestartedServerMintsFreshDirIDs: a server that crashed after its first
+// mkdir and restarted must not hand its next directory the same DirID. (The
+// restarted incarnation's id generator used to start again at sequence 0,
+// while every other per-origin counter starts at the clock.)
+func TestRestartedServerMintsFreshDirIDs(t *testing.T) {
+	s, c := sim(t, Options{Servers: 4, Clients: 1})
+	owner := c.Ring.OwnerOfFile(core.RootDirID, "a")
+	second := ""
+	for i := 0; second == ""; i++ {
+		if name := fmt.Sprintf("b%d", i); c.Ring.OwnerOfFile(core.RootDirID, name) == owner {
+			second = name
+		}
+	}
+	mkdir := func(name string) {
+		c.Run(0, func(p *env.Proc, cl *client.Client) {
+			if err := cl.Mkdir(p, "/"+name, 0); err != nil {
+				t.Errorf("mkdir /%s: %v", name, err)
+			}
+		})
+	}
+	mkdir("a")
+	c.CrashServer(int(owner))
+	fut := c.RecoverServer(int(owner))
+	s.Run()
+	if !fut.Done() {
+		t.Fatal("recovery did not complete")
+	}
+	mkdir(second)
+	idOf := func(name string) core.DirID {
+		raw, _ := c.Servers[owner].KV().Get(core.Key{PID: core.RootDirID, Name: name}.Encode())
+		in, err := core.DecodeInode(raw)
+		if err != nil || in.Type != core.TypeDir {
+			t.Fatalf("/%s at its owner: %+v, %v", name, in, err)
+		}
+		return in.ID
+	}
+	if a, b := idOf("a"), idOf(second); a == b {
+		t.Fatalf("/a and /%s share DirID %v across the restart", second, a)
+	}
+}
+
 func TestSwitchCrashRecovery(t *testing.T) {
 	s, c := sim(t, Options{Servers: 4, Clients: 1})
 	c.Run(0, func(p *env.Proc, cl *client.Client) {

@@ -59,7 +59,11 @@ type IDGen struct {
 }
 
 // NewIDGen returns a generator whose ids embed the given node number.
-func NewIDGen(node uint64) *IDGen { return &IDGen{node: node} }
+func NewIDGen(node uint64) *IDGen { return NewIDGenAt(node, 0) }
+
+// NewIDGenAt returns a generator whose first id follows sequence number seq:
+// a restarted server starts past every id its predecessor issued.
+func NewIDGenAt(node, seq uint64) *IDGen { return &IDGen{node: node, seq: seq} }
 
 // Next returns a fresh DirID. Ids are unique per (node, seq) and whitened
 // with Mix64 so that their bits are uniformly distributed — DirIDs feed

@@ -17,6 +17,7 @@ import (
 	"bytes"
 	"sort"
 	"strings"
+	"unsafe"
 )
 
 // groupLen is the length of the schema's group prefix: tag byte + 32-byte
@@ -112,7 +113,8 @@ func (s *Store) intern(b []byte) string {
 
 // internVal returns a stored copy of val, deduplicated when small. Stored
 // values are never mutated in place (Put installs a fresh value), so sharing
-// one slice across keys is safe.
+// one slice across keys is safe — and for the same reason the intern table's
+// key is the stored copy itself, viewed as a string, not a second copy.
 func (s *Store) internVal(val []byte) []byte {
 	if len(val) == 0 {
 		return nil
@@ -123,7 +125,7 @@ func (s *Store) internVal(val []byte) []byte {
 		}
 		v := append([]byte(nil), val...)
 		if len(s.vals) < internValCap {
-			s.vals[string(v)] = v
+			s.vals[unsafe.String(&v[0], len(v))] = v
 		}
 		return v
 	}

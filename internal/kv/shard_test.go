@@ -146,6 +146,34 @@ func TestValueInterningShares(t *testing.T) {
 	}
 }
 
+// TestInternKeyIsTheStoredCopy: the value table is keyed by the stored copy
+// itself. A caller that rewrites its slice after Put changes neither what Get
+// returns nor what later Puts intern against: the rewritten bytes intern as a
+// value of their own, and the original bytes still find the first copy.
+func TestInternKeyIsTheStoredCopy(t *testing.T) {
+	s := kv.New()
+	buf := []byte("value-one")
+	k1, k2, k3 := schemaKey('i', dirID(1), "a"), schemaKey('i', dirID(2), "b"), schemaKey('i', dirID(3), "c")
+	s.Put(k1, buf)
+	copy(buf, "VALUE")
+	s.Put(k2, buf)
+	s.Put(k3, []byte("value-one"))
+	for k, want := range map[string]string{string(k1): "value-one", string(k2): "VALUE-one", string(k3): "value-one"} {
+		if v, _ := s.Get([]byte(k)); string(v) != want {
+			t.Errorf("key %q reads %q, want %q", k[34:], v, want)
+		}
+	}
+	v1, _ := s.GetView(k1)
+	v2, _ := s.GetView(k2)
+	v3, _ := s.GetView(k3)
+	if &v1[0] != &v3[0] {
+		t.Error("equal values no longer share one backing array")
+	}
+	if &v1[0] == &v2[0] || &v1[0] == &buf[0] || &v2[0] == &buf[0] {
+		t.Error("a stored value aliases another value or the caller's slice")
+	}
+}
+
 // TestLargeValuesNotShared checks values above the interning bound are
 // independent copies.
 func TestLargeValuesNotShared(t *testing.T) {

@@ -149,6 +149,52 @@ func TestRegressionRenamedDirChangeLog(t *testing.T) {
 	}
 }
 
+// planNamed returns the catalog plan the sweep runs under name for seed.
+func planNamed(t *testing.T, seed int64, name string) *chaos.Plan {
+	t.Helper()
+	for _, p := range Plans(seed) {
+		if p.Name == name {
+			return &p
+		}
+	}
+	t.Fatalf("no plan %q for seed %d", name, seed)
+	return nil
+}
+
+// TestRegressionRestartKeepsDirIDsUnique pins class E of the wide sweep: a
+// readdir of a directory just created listed another directory's entries
+// (mkdir /a; mkdir /a/x; readdir /a/x = [x(dir)]), or answered ENOTDIR, under
+// random plans only. A restarted server's DirID generator started again at
+// sequence 0, so the new incarnation's first mkdir minted the DirID of the
+// dead one's first directory. It is now seeded from the same clock base as
+// the server's other per-origin counters.
+func TestRegressionRestartKeepsDirIDsUnique(t *testing.T) {
+	if rep := CheckConcurrent(117, GenProgram(117, 8, 3, TwoPathMix), planNamed(t, 117, "random-117")); rep.Failed() {
+		reportFailure(t, "two-path plan random-117", 117, rep)
+	}
+	if rep := CheckConcurrent(691, GenProgram(691, 3, 6, AdversarialMix), planNamed(t, 691, "random-691")); rep.Failed() {
+		reportFailure(t, "plan random-691", 691, rep)
+	}
+}
+
+// TestRegressionRenameRechecksAncestorsInTurn pins the part of class B that
+// a stale ancestor check caused: a rename or link resolved through a
+// directory that a rename queued ahead of it moved, and both were
+// acknowledged. The coordinator checked the request's ancestors on entry,
+// before it waited for renameMu, while the directory rename ahead of it
+// broadcasts its invalidation at its end, still holding the mutex. It now
+// checks them again once the mutex is its own.
+func TestRegressionRenameRechecksAncestorsInTurn(t *testing.T) {
+	for _, seed := range []int64{351, 904} {
+		if rep := CheckConcurrent(seed, GenProgram(seed, 8, 4, TwoPathMix), nil); rep.Failed() {
+			reportFailure(t, "fault-free two-path", seed, rep)
+		}
+	}
+	if rep := CheckConcurrent(109, GenProgram(109, 8, 3, TwoPathMix), planNamed(t, 109, "server-crash")); rep.Failed() {
+		reportFailure(t, "two-path plan server-crash", 109, rep)
+	}
+}
+
 // TestRegressionNlinkUnderTxnLock pins class C of the wide sweep, a directory
 // that stays wedged with one client and no fault. A second hard link adjusts
 // the file's shared attribute object inside a coordinated transaction, whose

@@ -500,7 +500,8 @@ func (s *Server) applyBatch(p *env.Proc, logs []aggLog) {
 			if !compaction {
 				p.Compute(c.WALAppend)
 			}
-			mustAppend(s.wal, recAggEntry, encodeAggEntry(l.from, dir, e))
+			s.walBuf = encodeAggEntry(s.walBuf[:0], l.from, dir, e)
+			mustAppend(s.wal, recAggEntry, s.walBuf)
 			fresh = append(fresh, e)
 		}
 	}

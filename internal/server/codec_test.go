@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -39,51 +41,51 @@ func sameInode(a, b *core.Inode) bool {
 	return a.Attr == b.Attr && a.ID == b.ID && a.File == b.File && slices.Equal(a.DataLoc, b.DataLoc)
 }
 
-// TestSizedEncoders: every durable record is allocated once, at its exact
-// length. For random values each encoder's result has len == cap == its size
-// function — a wrong size function fails here instead of silently regrowing
-// (or over-allocating) on the commit path — and the decoders round-trip it.
-func TestSizedEncoders(t *testing.T) {
-	_, s := newTestServer(t)
+// TestEncodersAppend: every WAL encoder appends its record to the buffer it
+// is handed, as the server's reused record buffer needs. For random values
+// each encoder leaves a non-empty prefix intact, and the decoders round-trip
+// what follows it.
+func TestEncodersAppend(t *testing.T) {
 	rnd := rand.New(rand.NewSource(11))
-	exact := func(what string, b []byte, size int) {
+	prefix := []byte("an earlier record")
+	// rec encodes after a copy of prefix and returns the record alone.
+	rec := func(what string, enc func(b []byte) []byte) []byte {
 		t.Helper()
-		if len(b) != size || cap(b) != size {
-			t.Fatalf("%s: len %d cap %d, size function says %d", what, len(b), cap(b), size)
+		b := enc(slices.Clone(prefix))
+		if !bytes.HasPrefix(b, prefix) {
+			t.Fatalf("%s overwrote the bytes before it: %q", what, b)
 		}
+		return b[len(prefix):]
 	}
 	for i := 0; i < 500; i++ {
 		dir, e, in := randDirRef(rnd), randEntry(rnd), randInode(rnd)
 		key := core.Key{PID: dir.ID, Name: e.Name}
 		src := env.NodeID(rnd.Uint32())
 
-		b := encodeEntry(make([]byte, 0, entrySize(dir, e)), dir, e)
-		exact("encodeEntry", b, entrySize(dir, e))
-
-		b = s.encodeCommit(e.Op, key, dir, e, in)
-		exact("encodeCommit", b, commitSize(key, dir, e, in))
+		b := rec("encodeCommit", func(b []byte) []byte { return encodeCommit(b, e.Op, key, dir, e, in) })
 		op, k2, d2, e2, in2, err := decodeCommit(b)
 		if err != nil || op != e.Op || k2 != key || d2 != dir || e2 != e || !sameInode(in2, in) {
 			t.Fatalf("commit round trip: %v %v %v %+v %+v %v", op, k2, d2, e2, in2, err)
 		}
 
-		b = encodeAggEntry(src, dir, e)
-		exact("encodeAggEntry", b, 8+entrySize(dir, e))
-		if d2, e2, rest := decodeEntry(b[8:]); d2 != dir || e2 != e || len(rest) != 0 {
+		b = rec("encodeAggEntry", func(b []byte) []byte { return encodeAggEntry(b, src, dir, e) })
+		if d2, e2, rest := decodeEntry(b[8:]); env.NodeID(binary.BigEndian.Uint64(b)) != src || d2 != dir || e2 != e || len(rest) != 0 {
 			t.Fatalf("agg entry round trip: %v %+v (%d left)", d2, e2, len(rest))
 		}
 
-		for _, rec := range []*core.Inode{in, nil} {
-			b = encodeInodeRec(key, rec)
-			exact("encodeInodeRec", b, inodeRecSize(key, rec))
+		for _, want := range []*core.Inode{in, nil} {
+			b = rec("encodeInodeRec", func(b []byte) []byte { return encodeInodeRec(b, key, want) })
 			k2, in2, err := decodeInodeRec(b)
-			if err != nil || k2 != key || (rec == nil) != (in2 == nil) || (rec != nil && !sameInode(in2, rec)) {
+			if err != nil || k2 != key || (want == nil) != (in2 == nil) || (want != nil && !sameInode(in2, want)) {
 				t.Fatalf("inode record round trip: %v %+v %v", k2, in2, err)
 			}
 		}
 
-		b = encodeDentryRec(dir.ID, e.Name, i%2 == 0, e.Type, e.Perm)
-		exact("encodeDentryRec", b, 32+1+1+2+len(e.Name))
+		b = rec("encodeDentryRec", func(b []byte) []byte { return encodeDentryRec(b, dir.ID, e.Name, i%2 == 0, e.Type, e.Perm) })
+		if core.DirIDFromBytes(b) != dir.ID || (b[32] == 1) != (i%2 == 0) || core.FileType(b[33]) != e.Type ||
+			core.Perm(binary.BigEndian.Uint16(b[34:])) != e.Perm || string(b[36:]) != e.Name {
+			t.Fatalf("dentry record round trip: %q", b)
+		}
 
 		ops := make([]wire.TxnOp, rnd.Intn(5))
 		for j := range ops {
@@ -93,8 +95,7 @@ func TestSizedEncoders(t *testing.T) {
 				ops[j].Inode = core.EncodeInode(randInode(rnd))
 			}
 		}
-		b = encodeTxnPrepare(uint64(i), src, ops)
-		exact("encodeTxnPrepare", b, txnPrepareSize(ops))
+		b = rec("encodeTxnPrepare", func(b []byte) []byte { return encodeTxnPrepare(b, uint64(i), src, ops) })
 		txn, coord, ops2 := decodeTxnPrepare(b)
 		if txn != uint64(i) || coord != src || len(ops2) != len(ops) {
 			t.Fatalf("txn prepare round trip: txn %d coord %d, %d ops", txn, coord, len(ops2))
@@ -105,6 +106,37 @@ func TestSizedEncoders(t *testing.T) {
 				t.Fatalf("txn op %d round trip: %+v, want %+v", j, got, op)
 			}
 		}
+	}
+}
+
+// TestRecordBufferReuse: once the server's record buffer has grown, encoding
+// into it allocates nothing, and logging what it holds allocates nothing
+// beyond the log's own amortized growth.
+func TestRecordBufferReuse(t *testing.T) {
+	_, s := newTestServer(t)
+	parent := core.DirRef{ID: core.DirID{1, 2, 3, 4}, Key: core.Key{PID: core.RootDirID, Name: "hot"}}
+	parent.FP = parent.Key.Fingerprint()
+	key := core.Key{PID: parent.ID, Name: "file-000123"}
+	e := core.LogEntry{ID: 7, Time: 99, Op: core.OpCreate, Name: key.Name, Type: core.TypeRegular, Perm: 0o644}
+	in := &core.Inode{Attr: core.Attr{Type: core.TypeRegular, Perm: 0o644, Nlink: 1}, DataLoc: []uint32{1, 2}}
+	ops := []wire.TxnOp{{Kind: wire.TxnPutInode, Key: key, Inode: core.EncodeInode(in), Dir: parent, Entry: e}}
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"encodeCommit", func() { s.walBuf = encodeCommit(s.walBuf[:0], e.Op, key, parent, e, in) }},
+		{"encodeAggEntry", func() { s.walBuf = encodeAggEntry(s.walBuf[:0], 3, parent, e) }},
+		{"encodeInodeRec", func() { s.walBuf = encodeInodeRec(s.walBuf[:0], key, in) }},
+		{"encodeDentryRec", func() { s.walBuf = encodeDentryRec(s.walBuf[:0], key.PID, key.Name, true, e.Type, e.Perm) }},
+		{"encodeTxnPrepare", func() { s.walBuf = encodeTxnPrepare(s.walBuf[:0], 9, 100, ops) }},
+	} {
+		c.fn() // the first record may grow the buffer
+		if n := testing.AllocsPerRun(100, c.fn); n != 0 {
+			t.Errorf("%s into the warm buffer: %v allocs/op, want 0", c.name, n)
+		}
+	}
+	if n := testing.AllocsPerRun(1000, func() { s.putInode(key, in) }); n >= 0.1 {
+		t.Errorf("putInode: %v allocs/op, want the log's amortized growth only", n)
 	}
 }
 
@@ -171,12 +203,12 @@ func TestChmodSurvivesReplay(t *testing.T) {
 }
 
 // Layer microbenchmarks of the durable-record encoders (`make bench-layers`):
-// one allocation per record, whatever the name lengths.
+// each encodes into one reused buffer, as the server does, so no allocation
+// per record, whatever the name lengths.
 
 var benchSink []byte
 
 func BenchmarkEncodeCommit(b *testing.B) {
-	s := &Server{}
 	parent := core.DirRef{ID: core.DirID{1, 2, 3, 4}, Key: core.Key{PID: core.RootDirID, Name: "hot"}}
 	parent.FP = parent.Key.Fingerprint()
 	key := core.Key{PID: parent.ID, Name: "file-000123"}
@@ -184,7 +216,7 @@ func BenchmarkEncodeCommit(b *testing.B) {
 	in := &core.Inode{Attr: core.Attr{Type: core.TypeRegular, Perm: 0o644, Nlink: 1}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		benchSink = s.encodeCommit(core.OpCreate, key, parent, e, in)
+		benchSink = encodeCommit(benchSink[:0], core.OpCreate, key, parent, e, in)
 	}
 }
 
@@ -194,7 +226,7 @@ func BenchmarkEncodeEntry(b *testing.B) {
 	e := core.LogEntry{ID: 7, Time: 99, Op: core.OpCreate, Name: "file-000123", Type: core.TypeRegular, Perm: 0o644}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		benchSink = encodeAggEntry(3, dir, e)
+		benchSink = encodeAggEntry(benchSink[:0], 3, dir, e)
 	}
 }
 

@@ -300,7 +300,8 @@ func (s *Server) StoredFingerprints() []core.Fingerprint {
 // a WAL record, and retires the group's owner-side timers and dirty marks.
 // Runs in the event that copied the group out (the source is FPQuiescent).
 func (s *Server) EvictMigrated(fp core.Fingerprint) {
-	mustAppend(s.wal, recEvict, u64(nil, uint64(fp)))
+	s.walBuf = u64(s.walBuf[:0], uint64(fp))
+	mustAppend(s.wal, recEvict, s.walBuf)
 	s.evictFP(fp)
 	if t := s.quiesce[fp]; t != nil {
 		t.Cancel()

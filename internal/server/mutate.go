@@ -181,7 +181,8 @@ func (s *Server) doMutate(p *env.Proc, req *wire.MutateReq) {
 	}
 	s.nextEntry++
 	entry.ID = s.nextEntry
-	lsn := mustAppend(s.wal, recCommit, s.encodeCommit(req.Op, key, req.Parent, entry, &in))
+	s.walBuf = encodeCommit(s.walBuf[:0], req.Op, key, req.Parent, entry, &in)
+	lsn := mustAppend(s.wal, recCommit, s.walBuf)
 	s.storeInode(key, stored)
 
 	if s.cfg.Updates == UpdateSync {

@@ -23,8 +23,8 @@ const (
 	recMark uint8 = 7
 )
 
-func encodeDentryRec(dir core.DirID, name string, put bool, t core.FileType, perm core.Perm) []byte {
-	b := make([]byte, 0, 32+1+1+2+len(name))
+// encodeDentryRec appends a recDentry record to b.
+func encodeDentryRec(b []byte, dir core.DirID, name string, put bool, t core.FileType, perm core.Perm) []byte {
 	b = dir.AppendBinary(b)
 	if put {
 		b = append(b, 1)
@@ -390,7 +390,8 @@ func (s *Server) handleFlushAll(p *env.Proc, from env.NodeID, req *wire.FlushAll
 // is set the record is WAL-backed so it survives a simulated crash.
 func (s *Server) InjectInode(key core.Key, in *core.Inode, log bool) {
 	if log {
-		mustAppend(s.wal, recInode, encodeInodeRec(key, in))
+		s.walBuf = encodeInodeRec(s.walBuf[:0], key, in)
+		mustAppend(s.wal, recInode, s.walBuf)
 	}
 	s.storeInode(key, in)
 }
@@ -398,7 +399,8 @@ func (s *Server) InjectInode(key core.Key, in *core.Inode, log bool) {
 // InjectDentry installs a directory-entry record directly (fixture loading).
 func (s *Server) InjectDentry(dir core.DirID, e core.DirEntry, log bool) {
 	if log {
-		mustAppend(s.wal, recDentry, encodeDentryRec(dir, e.Name, true, e.Type, e.Perm))
+		s.walBuf = encodeDentryRec(s.walBuf[:0], dir, e.Name, true, e.Type, e.Perm)
+		mustAppend(s.wal, recDentry, s.walBuf)
 	}
 	s.putDentry(dir, e, true)
 }
@@ -428,11 +430,10 @@ type AppliedMark struct {
 // deduplicated at this owner.
 func (s *Server) InjectAppliedMark(src env.NodeID, dir core.DirID, id uint64, log bool) {
 	if log {
-		b := make([]byte, 0, 8+32+8)
-		b = u64(b, uint64(src))
+		b := u64(s.walBuf[:0], uint64(src))
 		b = dir.AppendBinary(b)
-		b = u64(b, id)
-		mustAppend(s.wal, recMark, b)
+		s.walBuf = u64(b, id)
+		mustAppend(s.wal, recMark, s.walBuf)
 	}
 	s.setAppliedMark(src, dir, id)
 }

@@ -146,20 +146,20 @@ type redoRecords struct{ log *wal.Mem }
 func (r redoRecords) commit(dir core.DirRef, name string) {
 	e := core.LogEntry{ID: uint64(r.log.Len() + 1), Op: core.OpCreate, Name: name, Type: core.TypeRegular}
 	in := &core.Inode{Attr: core.Attr{Type: core.TypeRegular, Nlink: 1}}
-	mustAppend(r.log, recCommit, (&Server{}).encodeCommit(core.OpCreate, core.Key{PID: dir.ID, Name: name}, dir, e, in))
+	mustAppend(r.log, recCommit, encodeCommit(nil, core.OpCreate, core.Key{PID: dir.ID, Name: name}, dir, e, in))
 }
 
 func (r redoRecords) aggEntry(src env.NodeID, dir core.DirRef, name string) {
 	e := core.LogEntry{ID: uint64(r.log.Len() + 1), Op: core.OpCreate, Name: name, Type: core.TypeRegular}
-	mustAppend(r.log, recAggEntry, encodeAggEntry(src, dir, e))
+	mustAppend(r.log, recAggEntry, encodeAggEntry(nil, src, dir, e))
 }
 
 func (r redoRecords) inode(key core.Key) {
-	mustAppend(r.log, recInode, encodeInodeRec(key, &core.Inode{Attr: core.Attr{Type: core.TypeRegular, Nlink: 1}}))
+	mustAppend(r.log, recInode, encodeInodeRec(nil, key, &core.Inode{Attr: core.Attr{Type: core.TypeRegular, Nlink: 1}}))
 }
 
 func (r redoRecords) dentry(dir core.DirID, name string) {
-	mustAppend(r.log, recDentry, encodeDentryRec(dir, name, true, core.TypeRegular, 0o644))
+	mustAppend(r.log, recDentry, encodeDentryRec(nil, dir, name, true, core.TypeRegular, 0o644))
 }
 
 func (r redoRecords) delDentries(dir core.DirID) {

@@ -184,6 +184,12 @@ type Server struct {
 	node *env.Node
 	kv   *kv.Store
 	wal  wal.Log
+	// walBuf is the one buffer every WAL record is encoded into, reused from
+	// record to record: the encoders append to walBuf[:0] and the grown
+	// buffer is kept. That is safe because Append copies the payload, and
+	// because a record is encoded and appended in one event, with no park in
+	// between, so no other process can encode into it meanwhile.
+	walBuf []byte
 
 	// In-memory indexes. locks holds the inode locks of the operations in
 	// flight (lockOf); freeLocks keeps released ones for reuse.
@@ -383,7 +389,6 @@ func New(e *env.Sim, cfg Config) *Server {
 		txnWAL:     make(map[uint64]wal.LSN),
 		peerAggs:   make(map[uint64]*peerAggState),
 		doneAggs:   make(map[uint64]map[env.NodeID]*wire.AggAck),
-		idgen:      core.NewIDGen(uint64(cfg.ID)),
 		serving:    true,
 	}
 	if s.wal == nil {
@@ -393,11 +398,13 @@ func New(e *env.Sim, cfg Config) *Server {
 	// restarted incarnation must never reuse its predecessor's identifier
 	// space. Reused dirty-set remove sequence numbers would be rejected by
 	// the switch's §5.4.1 staleness guard (or, worse, a later reuse would
-	// pass it and erase live fingerprints), and reused aggregation and call
+	// pass it and erase live fingerprints), reused aggregation and call
 	// ids would collide with the dead incarnation's still-pending
-	// protocol state at peers. Time is the model's stand-in for the paper's
-	// persisted epoch; one tick always separates crash from restart.
+	// protocol state at peers, and a reused DirID would name two directories
+	// at once. Time is the model's stand-in for the paper's persisted epoch;
+	// one tick always separates crash from restart.
 	base := uint64(e.Now())
+	s.idgen = core.NewIDGenAt(uint64(cfg.ID), base)
 	s.nextID = base
 	s.nextAgg = base
 	s.bootAgg = uint64(cfg.ID)<<40 | base
@@ -954,14 +961,6 @@ const (
 )
 
 func u64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
-
-// Every durable record is allocated once at its exact length: each encoder
-// has a size companion, and TestSizedEncoders pins len == cap == size.
-
-// entrySize is the length encodeEntry appends.
-func entrySize(dir core.DirRef, e core.LogEntry) int {
-	return 32 + 32 + 8 + len(dir.Key.Name) + 8 + 8 + 8 + 4 + 8 + len(e.Name)
-}
 
 func encodeEntry(b []byte, dir core.DirRef, e core.LogEntry) []byte {
 	b = dir.ID.AppendBinary(b)

@@ -26,7 +26,6 @@ func newTestServer(t *testing.T) (*env.Sim, *Server) {
 }
 
 func TestCommitRecordRoundTrip(t *testing.T) {
-	_, s := newTestServer(t)
 	parent := core.DirRef{ID: core.DirID{1, 2, 3, 4},
 		Key: core.Key{PID: core.RootDirID, Name: "p"}}
 	parent.FP = parent.Key.Fingerprint()
@@ -34,7 +33,7 @@ func TestCommitRecordRoundTrip(t *testing.T) {
 	in := &core.Inode{Attr: core.Attr{Type: core.TypeRegular, Perm: 0o644, Nlink: 1}}
 	key := core.Key{PID: parent.ID, Name: "f"}
 
-	payload := s.encodeCommit(core.OpCreate, key, parent, entry, in)
+	payload := encodeCommit(nil, core.OpCreate, key, parent, entry, in)
 	op, gotKey, gotParent, gotEntry, gotIn, err := decodeCommit(payload)
 	if err != nil {
 		t.Fatal(err)
@@ -76,12 +75,12 @@ func TestInodeRecordRoundTrip(t *testing.T) {
 	key := core.Key{PID: core.DirID{5, 6, 7, 8}, Name: "x"}
 	in := &core.Inode{Attr: core.Attr{Type: core.TypeDir, Perm: 0o700, Nlink: 2},
 		ID: core.DirID{1, 1, 2, 3}}
-	k2, in2, err := decodeInodeRec(encodeInodeRec(key, in))
+	k2, in2, err := decodeInodeRec(encodeInodeRec(nil, key, in))
 	if err != nil || k2 != key || in2.Attr != in.Attr || in2.ID != in.ID {
 		t.Fatalf("put record: key=%v err=%v", k2, err)
 	}
 	// Deletion marker.
-	k3, in3, err := decodeInodeRec(encodeInodeRec(key, nil))
+	k3, in3, err := decodeInodeRec(encodeInodeRec(nil, key, nil))
 	if err != nil || k3 != key || in3 != nil {
 		t.Fatalf("delete record: key=%v inode=%v err=%v", k3, in3, err)
 	}

@@ -91,6 +91,14 @@ func (s *Server) doRename(p *env.Proc, req *wire.RenameReq) error {
 	defer tsp.End()
 	ssp := s.cfg.Trace.Start(p, "txn:serial", "server")
 	s.renameMu.Lock(p)
+	// Check again now that it is this transaction's turn: a directory rename
+	// it queued behind broadcasts its invalidation before it releases the
+	// mutex, so an ancestor that rename moved reads stale only from here on.
+	if err := s.checkAncestors(&req.ReqCommon); err != nil {
+		s.renameMu.Unlock()
+		ssp.End()
+		return err
+	}
 	var dentries []wire.TxnOp
 	if isDir {
 		// A directory rename moves the inode and entry list it reads here, so
@@ -226,6 +234,12 @@ func (s *Server) doLink(p *env.Proc, req *wire.LinkReq) error {
 	defer tsp.End()
 	ssp := s.cfg.Trace.Start(p, "txn:serial", "server")
 	s.renameMu.Lock(p)
+	// As in rename: a directory rename queued ahead may have moved an ancestor.
+	if err := s.checkAncestors(&req.ReqCommon); err != nil {
+		s.renameMu.Unlock()
+		ssp.End()
+		return err
+	}
 
 	srcOwner := s.ownerOfKey(srcKey)
 	var in *core.Inode
@@ -407,12 +421,11 @@ func (s *Server) recordCommit(p *env.Proc, id uint64, parts []env.NodeID) {
 	// lands, queries see txnVotes and answer Pending.
 	wsp := s.cfg.Trace.Start(p, "wal:txn-commit", "server")
 	p.Compute(s.cfg.Costs.WALAppend)
-	payload := make([]byte, 0, 8+8*len(parts))
-	payload = u64(payload, id)
+	s.walBuf = u64(s.walBuf[:0], id)
 	for _, n := range parts {
-		payload = u64(payload, uint64(n))
+		s.walBuf = u64(s.walBuf, uint64(n))
 	}
-	s.txnWAL[id] = mustAppend(s.wal, recTxnCommit, payload)
+	s.txnWAL[id] = mustAppend(s.wal, recTxnCommit, s.walBuf)
 	wsp.End()
 }
 
@@ -668,7 +681,8 @@ func (s *Server) handleTxnPrepare(p *env.Proc, tp *wire.TxnPrepare) {
 	// monitor from this record; the decision marks it applied.
 	wsp := s.cfg.Trace.Start(p, "wal:txn-prepare", "server")
 	p.Compute(c.WALAppend)
-	st.lsn = mustAppend(s.wal, recTxnPrepare, encodeTxnPrepare(tp.Txn, tp.From, tp.Ops))
+	s.walBuf = encodeTxnPrepare(s.walBuf[:0], tp.Txn, tp.From, tp.Ops)
+	st.lsn = mustAppend(s.wal, recTxnPrepare, s.walBuf)
 	wsp.End()
 	s.txns[tp.Txn] = st
 	// Registered: the prepared-txn scan now covers the footprint, in the same
@@ -740,11 +754,10 @@ func (s *Server) lockTxnKeys(p *env.Proc, ops []wire.TxnOp, checks []wire.TxnChe
 	return held
 }
 
-// encodeTxnPrepare packs a prepared transaction's durable state: txn id,
-// coordinator, and the op list (checks already validated — only the
+// encodeTxnPrepare appends a prepared transaction's durable state to b: txn
+// id, coordinator, and the op list (checks already validated — only the
 // appliable ops matter to a restarted incarnation).
-func encodeTxnPrepare(txn uint64, coord env.NodeID, ops []wire.TxnOp) []byte {
-	b := make([]byte, 0, txnPrepareSize(ops))
+func encodeTxnPrepare(b []byte, txn uint64, coord env.NodeID, ops []wire.TxnOp) []byte {
 	b = u64(b, txn)
 	b = u64(b, uint64(coord))
 	b = u64(b, uint64(len(ops)))
@@ -757,14 +770,6 @@ func encodeTxnPrepare(txn uint64, coord env.NodeID, ops []wire.TxnOp) []byte {
 		b = encodeEntry(b, op.Dir, op.Entry)
 	}
 	return b
-}
-
-func txnPrepareSize(ops []wire.TxnOp) int {
-	n := 8 + 8 + 8
-	for _, op := range ops {
-		n += 1 + 8 + op.Key.EncodedLen() + 8 + len(op.Inode) + entrySize(op.Dir, op.Entry)
-	}
-	return n
 }
 
 func decodeTxnPrepare(b []byte) (txn uint64, coord env.NodeID, ops []wire.TxnOp) {
@@ -857,13 +862,14 @@ func (s *Server) handleTxnDecision(p *env.Proc, td *wire.TxnDecision) {
 				s.applyNlinkLocked(p, op.Key, int32(int64(op.Entry.ID)))
 			case wire.TxnPutDentry:
 				p.Compute(c.WALAppend + c.KVPut)
-				mustAppend(s.wal, recDentry,
-					encodeDentryRec(op.Dir.ID, op.Entry.Name, true, op.Entry.Type, op.Entry.Perm))
+				s.walBuf = encodeDentryRec(s.walBuf[:0], op.Dir.ID, op.Entry.Name, true, op.Entry.Type, op.Entry.Perm)
+				mustAppend(s.wal, recDentry, s.walBuf)
 				s.putDentry(op.Dir.ID, core.DirEntry{
 					Name: op.Entry.Name, Type: op.Entry.Type, Perm: op.Entry.Perm}, true)
 			case wire.TxnDelDentries:
 				p.Compute(c.WALAppend)
-				mustAppend(s.wal, recDelDentries, op.Dir.ID.AppendBinary(nil))
+				s.walBuf = op.Dir.ID.AppendBinary(s.walBuf[:0])
+				mustAppend(s.wal, recDelDentries, s.walBuf)
 				prefix := core.EntryPrefix(op.Dir.ID)
 				var keys [][]byte
 				s.kv.Scan(prefix, func(k, v []byte) bool {

@@ -111,7 +111,8 @@ func (s *Server) applyNlinkLocked(p *env.Proc, key core.Key, delta int32) error 
 
 // putInode logs (recInode) and stores key's inode; a nil inode deletes.
 func (s *Server) putInode(key core.Key, in *core.Inode) {
-	mustAppend(s.wal, recInode, encodeInodeRec(key, in))
+	s.walBuf = encodeInodeRec(s.walBuf[:0], key, in)
+	mustAppend(s.wal, recInode, s.walBuf)
 	s.storeInode(key, in)
 }
 
@@ -150,30 +151,24 @@ func (s *Server) applyDentry(id core.DirID, e core.LogEntry) {
 	}
 }
 
-// encodeCommit serializes a recCommit WAL record: the committed double-inode
-// operation, its inode image, and the deferred parent update (§5.2.1 step 4).
-func (s *Server) encodeCommit(op core.Op, key core.Key, parent core.DirRef,
+// encodeCommit appends a recCommit WAL record to b: the committed
+// double-inode operation, its inode image, and the deferred parent update
+// (§5.2.1 step 4).
+func encodeCommit(b []byte, op core.Op, key core.Key, parent core.DirRef,
 	entry core.LogEntry, in *core.Inode) []byte {
 
-	b := make([]byte, 0, commitSize(key, parent, entry, in))
 	b = append(b, byte(op))
 	b = key.PID.AppendBinary(b)
 	b = u64(b, uint64(len(key.Name)))
 	b = append(b, key.Name...)
 	b = u64(b, uint64(core.InodeSize(in)))
 	b = core.AppendInode(b, in)
-	b = encodeEntry(b, parent, entry)
-	return b
+	return encodeEntry(b, parent, entry)
 }
 
-func commitSize(key core.Key, parent core.DirRef, entry core.LogEntry, in *core.Inode) int {
-	return 1 + 32 + 8 + len(key.Name) + 8 + core.InodeSize(in) + entrySize(parent, entry)
-}
-
-// encodeAggEntry serializes a recAggEntry record: one change-log entry of
+// encodeAggEntry appends a recAggEntry record to b: one change-log entry of
 // dir, received from src, about to be applied at the owner.
-func encodeAggEntry(src env.NodeID, dir core.DirRef, e core.LogEntry) []byte {
-	b := make([]byte, 0, 8+entrySize(dir, e))
+func encodeAggEntry(b []byte, src env.NodeID, dir core.DirRef, e core.LogEntry) []byte {
 	b = u64(b, uint64(src))
 	return encodeEntry(b, dir, e)
 }
@@ -206,10 +201,9 @@ func decodeCommit(b []byte) (op core.Op, key core.Key, parent core.DirRef,
 	return
 }
 
-// encodeInodeRec serializes a recInode record: a direct inode put (nil inode
-// means delete).
-func encodeInodeRec(key core.Key, in *core.Inode) []byte {
-	b := make([]byte, 0, inodeRecSize(key, in))
+// encodeInodeRec appends a recInode record to b: a direct inode put (nil
+// inode means delete).
+func encodeInodeRec(b []byte, key core.Key, in *core.Inode) []byte {
 	if in == nil {
 		b = append(b, 0)
 	} else {
@@ -222,14 +216,6 @@ func encodeInodeRec(key core.Key, in *core.Inode) []byte {
 		b = core.AppendInode(b, in)
 	}
 	return b
-}
-
-func inodeRecSize(key core.Key, in *core.Inode) int {
-	n := 1 + 32 + 8 + len(key.Name)
-	if in != nil {
-		n += core.InodeSize(in)
-	}
-	return n
 }
 
 // decodeInodeRec parses a recInode record.
