@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: verify fmt vet build test bench bench-layers figures lint race clean detlint detlint-report bench-compare bench-baseline
+.PHONY: verify fmt vet build test bench bench-layers figures lint race clean detlint detlint-report bench-compare bench-baseline sweep-wide
 
 verify: fmt vet build test
 
@@ -56,6 +56,15 @@ bench-compare:
 bench-baseline:
 	@mkdir -p bin
 	$(GO) run ./cmd/fsbench -fig gated -scale tiny -trace bin/trace-baseline.json -format json -out bench/baseline.json
+
+# sweep-wide runs the lincheck sweeps at 1 024 seeds each and prints the
+# failing (mode, seed) lines, sorted, on stdout and their count on stderr. It
+# is not a gate. To compare two trees, save each list
+# (`make -s sweep-wide > after.txt`) and diff them with `comm`.
+sweep-wide:
+	@LINCHECK_SEEDS=1024 $(GO) test -count=1 -run TestSweep ./internal/lincheck 2>&1 \
+		| sed -nE 's/^.*_test\.go:[0-9]+: (.* seed [0-9]+)( failed:|: [0-9]+ divergences).*/\1/p' \
+		| sort -u | awk '{ print } END { print NR " failing lines" > "/dev/stderr" }'
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

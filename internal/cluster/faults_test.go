@@ -160,8 +160,7 @@ func TestServerCrashRecovery(t *testing.T) {
 
 // TestRestartedServerMintsFreshDirIDs: a server that crashed after its first
 // mkdir and restarted must not hand its next directory the same DirID. (The
-// restarted incarnation's id generator used to start again at sequence 0,
-// while every other per-origin counter starts at the clock.)
+// restarted incarnation's DirID generator used to start again at sequence 0.)
 func TestRestartedServerMintsFreshDirIDs(t *testing.T) {
 	s, c := sim(t, Options{Servers: 4, Clients: 1})
 	owner := c.Ring.OwnerOfFile(core.RootDirID, "a")

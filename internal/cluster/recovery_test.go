@@ -127,9 +127,10 @@ func TestRecoveryDoesNotWaitOutDeadAggregation(t *testing.T) {
 		s.After(7*env.Millisecond+100*env.Microsecond, func() {
 			// One retransmission round (2 ms) after the restart every peer
 			// has re-sent its entries and been released.
+			successor := core.NewIncarnation(uint64(c.ServerID(1)), uint64(restarted))
 			for i, srv := range c.Servers {
 				for _, id := range srv.HeldAggs() {
-					if id>>40 == uint64(c.ServerID(1)) && id&(1<<40-1) <= uint64(restarted) {
+					if successor.Predecessor(id) {
 						held = append(held, fmt.Sprintf("server %d by aggregation %#x", i, id))
 					}
 				}

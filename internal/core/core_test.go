@@ -25,6 +25,45 @@ func TestIDGenUniqueness(t *testing.T) {
 	}
 }
 
+// TestIncarnationsDisjoint: two incarnations of one node booted 1 ns and
+// 2^24 ns apart, the first issuing as many ids of each kind as the
+// nanoseconds it lived, issue disjoint ranges of scalar ids and DirIDs, and
+// the predecessor test classifies every scalar id by its issuer.
+func TestIncarnationsDisjoint(t *testing.T) {
+	const node, boot = 7, 1 << 30
+	for _, gap := range []uint64{1, 1 << 24} {
+		pred, succ := NewIncarnation(node, boot), NewIncarnation(node, boot+gap)
+		// Scalar ids ascend, so the ranges are disjoint when the predecessor's
+		// last id is below the successor's first. DirIDs do not: the
+		// successor's first ones are filed by their last word, for cheap
+		// lookups.
+		first := succ.Next()
+		dirs := map[uint64][]DirID{}
+		for i := 0; i < 1000; i++ {
+			dir := succ.NextDirID()
+			dirs[dir[3]] = append(dirs[dir[3]], dir)
+		}
+		var last uint64
+		for i := uint64(0); i < gap; i++ {
+			id, dir := pred.Next(), pred.NextDirID()
+			if id <= last || slices.Contains(dirs[dir[3]], dir) {
+				t.Fatalf("gap %d: the predecessor's id %d (%#x, %v) is out of order or also the successor's", gap, i, id, dir)
+			}
+			if !succ.Predecessor(id) || pred.Predecessor(id) {
+				t.Fatalf("gap %d: the predecessor's id %#x misclassified", gap, id)
+			}
+			last = id
+		}
+		if next := succ.Next(); last >= first || succ.Predecessor(first) || succ.Predecessor(next) || next <= first {
+			t.Fatalf("gap %d: the predecessor ended at %#x, the successor issues %#x, %#x", gap, last, first, next)
+		}
+		other := NewIncarnation(node+1, 0)
+		if succ.Predecessor(other.Next()) {
+			t.Fatalf("gap %d: another node's id classified as a predecessor's", gap)
+		}
+	}
+}
+
 func TestDirIDRoundTrip(t *testing.T) {
 	f := func(a, b, c, d uint64) bool {
 		id := DirID{a, b, c, d}

@@ -50,8 +50,9 @@ func DirIDFromBytes(b []byte) DirID {
 }
 
 // IDGen deterministically generates unique 256-bit directory identifiers.
-// Each metadata server owns one generator seeded with its node id, so ids
-// allocated by different servers never collide. IDGen is not safe for
+// Generators seeded with different node numbers never collide. A metadata
+// server draws its DirIDs through its Incarnation; the preloader and the
+// baseline systems own a bare generator each. IDGen is not safe for
 // concurrent use; servers serialize allocation under their directory locks.
 type IDGen struct {
 	node uint64
@@ -59,11 +60,7 @@ type IDGen struct {
 }
 
 // NewIDGen returns a generator whose ids embed the given node number.
-func NewIDGen(node uint64) *IDGen { return NewIDGenAt(node, 0) }
-
-// NewIDGenAt returns a generator whose first id follows sequence number seq:
-// a restarted server starts past every id its predecessor issued.
-func NewIDGenAt(node, seq uint64) *IDGen { return &IDGen{node: node, seq: seq} }
+func NewIDGen(node uint64) *IDGen { return &IDGen{node: node} }
 
 // Next returns a fresh DirID. Ids are unique per (node, seq) and whitened
 // with Mix64 so that their bits are uniformly distributed — DirIDs feed
@@ -77,6 +74,47 @@ func (g *IDGen) Next() DirID {
 		Mix64(g.node ^ (s << 32)),
 		g.node<<48 | (s & 0xFFFFFFFFFFFF),
 	}
+}
+
+// seqBits is the width of the sequence half of a scalar id.
+const seqBits = 40
+
+// Incarnation issues every identifier one incarnation of a node hands out:
+// scalar ids (call, transaction, aggregation and entry ids, sequence numbers)
+// as node<<40 | n, and DirIDs. Both sequences start at the boot instant in
+// virtual nanoseconds, so a restarted node never reuses an id its predecessor
+// issued as long as an incarnation issues no more ids of a kind than the
+// nanoseconds it lives (DESIGN.md "Identifiers and incarnations"). Not safe
+// for concurrent use.
+type Incarnation struct {
+	node, boot, n uint64
+	dirs          IDGen
+}
+
+// NewIncarnation returns the identifier source of node's incarnation booted
+// at virtual time boot (ns).
+func NewIncarnation(node, boot uint64) Incarnation {
+	return Incarnation{node: node, boot: boot, n: boot, dirs: IDGen{node: node, seq: boot}}
+}
+
+// Next returns a fresh scalar id, larger than every one issued before by this
+// node: its predecessors' and this incarnation's.
+func (c *Incarnation) Next() uint64 {
+	c.n++
+	return c.node<<seqBits | c.n
+}
+
+// NextDirID returns a fresh directory id.
+func (c *Incarnation) NextDirID() DirID { return c.dirs.Next() }
+
+// Boot returns the boot instant: every per-incarnation sequence, scalar or
+// not, issued by a predecessor is at or below it (0 at the first boot).
+func (c *Incarnation) Boot() uint64 { return c.boot }
+
+// Predecessor reports whether a scalar id was issued by an earlier
+// incarnation of this node.
+func (c *Incarnation) Predecessor(id uint64) bool {
+	return id>>seqBits == c.node && id&(1<<seqBits-1) <= c.boot
 }
 
 // Mix64 is the finalizer of the SplitMix64 generator; a strong, cheap 64-bit

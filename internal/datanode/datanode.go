@@ -123,8 +123,8 @@ type Server struct {
 	dedupLog []dedupKey
 	repWait  map[uint64]*repState
 	ctlWait  map[uint64]*env.Future
-	nextSeq  uint64
-	nextCtl  uint64
+	// ids issues this incarnation's replication round and control ids.
+	ids core.Incarnation
 
 	serving bool
 	// dead marks a fail-stopped incarnation: its in-flight processes must
@@ -149,12 +149,7 @@ func New(e *env.Sim, cfg Config) *Server {
 		ctlWait: make(map[uint64]*env.Future),
 		serving: true,
 	}
-	// Seed per-origin counters from the clock so a restarted incarnation
-	// never reuses its predecessor's sequence space (the same discipline as
-	// the metadata servers).
-	base := uint64(e.Now())
-	s.nextSeq = base
-	s.nextCtl = base
+	s.ids = core.NewIncarnation(uint64(cfg.ID), uint64(e.Now()))
 	s.node = e.AddNode(cfg.ID, env.NodeConfig{Cores: cfg.Cores, Handler: s.handle})
 	return s
 }
@@ -377,8 +372,7 @@ func (s *Server) replicate(p *env.Proc, chunk wire.ChunkKey, ver uint64, bytes i
 	for _, slot := range backups {
 		st.need[s.cfg.NodeOf(slot)] = true
 	}
-	s.nextSeq++
-	seq := s.nextSeq
+	seq := s.ids.Next()
 	s.repWait[seq] = st
 	defer delete(s.repWait, seq)
 	for try := 0; try < maxRepRetries && !s.dead; try++ {
@@ -459,8 +453,7 @@ func (s *Server) handlePull(p *env.Proc, req *wire.DataPullReq) {
 
 // ctlCall performs one retried control round trip (recovery pull).
 func (s *Server) ctlCall(p *env.Proc, to env.NodeID, build func(ctl uint64) wire.Msg) (wire.Msg, error) {
-	s.nextCtl++
-	ctl := uint64(s.cfg.ID)<<24 | (s.nextCtl & (1<<24 - 1))
+	ctl := s.ids.Next()
 	fut := env.NewFuture()
 	s.ctlWait[ctl] = fut
 	defer delete(s.ctlWait, ctl)

@@ -8,6 +8,7 @@ import (
 	"switchfs/internal/client"
 	"switchfs/internal/cluster"
 	"switchfs/internal/core"
+	"switchfs/internal/datanode"
 	"switchfs/internal/env"
 	"switchfs/internal/wire"
 )
@@ -335,5 +336,38 @@ func TestRecoveryFailsWithNoPeers(t *testing.T) {
 	}
 	if c.DataNodesDown() != 0 {
 		t.Errorf("DataNodesDown=%d after retries", c.DataNodesDown())
+	}
+}
+
+// TestRestartedNodeDrawsFreshCtl: two incarnations of a data node booted
+// 2^24 ns apart must not send the same recovery-pull control id, or a late
+// reply to the first would complete the second's pull. The ids used to keep
+// only the low 24 bits of a clock-seeded counter.
+func TestRestartedNodeDrawsFreshCtl(t *testing.T) {
+	sim := env.NewSim(1)
+	defer sim.Shutdown()
+	const self, peer env.NodeID = 200, 201
+	var ctls []uint64
+	sim.AddNode(peer, env.NodeConfig{Cores: 1, Handler: func(p *env.Proc, from env.NodeID, msg any) {
+		if req, ok := msg.(*wire.Packet).Body.(*wire.DataPullReq); ok {
+			ctls = append(ctls, req.Ctl)
+			p.Send(from, &wire.Packet{Dst: from, Origin: peer, Body: &wire.DataPullResp{Ctl: req.Ctl, From: peer}})
+		}
+	}})
+	cfg := datanode.Config{ID: self, Nodes: 2, NodeOf: func(slot int) env.NodeID { return self + env.NodeID(slot) }}
+	boot := func() {
+		n := datanode.Restart(sim, cfg)
+		sim.Spawn(self, func(p *env.Proc) {
+			if err := n.Recover(p); err != nil {
+				t.Error(err)
+			}
+			n.Crash()
+		})
+	}
+	boot()
+	sim.After(1<<24, boot)
+	sim.Run()
+	if len(ctls) != 2 || ctls[0] == ctls[1] {
+		t.Fatalf("the two incarnations' pulls carried control ids %#x, want two distinct ones", ctls)
 	}
 }

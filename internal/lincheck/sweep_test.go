@@ -166,14 +166,18 @@ func planNamed(t *testing.T, seed int64, name string) *chaos.Plan {
 // (mkdir /a; mkdir /a/x; readdir /a/x = [x(dir)]), or answered ENOTDIR, under
 // random plans only. A restarted server's DirID generator started again at
 // sequence 0, so the new incarnation's first mkdir minted the DirID of the
-// dead one's first directory. It is now seeded from the same clock base as
-// the server's other per-origin counters.
+// dead one's first directory. DirIDs now come from the server's incarnation,
+// like every other id it issues. Adversarial random-905 had this shape until
+// a schedule change moved it; it stays as a directed input.
 func TestRegressionRestartKeepsDirIDsUnique(t *testing.T) {
 	if rep := CheckConcurrent(117, GenProgram(117, 8, 3, TwoPathMix), planNamed(t, 117, "random-117")); rep.Failed() {
 		reportFailure(t, "two-path plan random-117", 117, rep)
 	}
-	if rep := CheckConcurrent(691, GenProgram(691, 3, 6, AdversarialMix), planNamed(t, 691, "random-691")); rep.Failed() {
-		reportFailure(t, "plan random-691", 691, rep)
+	for _, seed := range []int64{691, 905} {
+		name := fmt.Sprintf("random-%d", seed)
+		if rep := CheckConcurrent(seed, GenProgram(seed, 3, 6, AdversarialMix), planNamed(t, seed, name)); rep.Failed() {
+			reportFailure(t, "plan "+name, seed, rep)
+		}
 	}
 }
 
@@ -183,9 +187,10 @@ func TestRegressionRestartKeepsDirIDsUnique(t *testing.T) {
 // acknowledged. The coordinator checked the request's ancestors on entry,
 // before it waited for renameMu, while the directory rename ahead of it
 // broadcasts its invalidation at its end, still holding the mutex. It now
-// checks them again once the mutex is its own.
+// checks them again once the mutex is its own. Fault-free two-path 243 is
+// another program of class B's shape, kept as a directed input.
 func TestRegressionRenameRechecksAncestorsInTurn(t *testing.T) {
-	for _, seed := range []int64{351, 904} {
+	for _, seed := range []int64{243, 351, 904} {
 		if rep := CheckConcurrent(seed, GenProgram(seed, 8, 4, TwoPathMix), nil); rep.Failed() {
 			reportFailure(t, "fault-free two-path", seed, rep)
 		}

@@ -111,8 +111,7 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 	asp := s.cfg.Trace.Start(p, "agg:run", "server")
 	defer asp.End()
 	s.Stats.Aggregations++
-	s.nextAgg++
-	id := uint64(s.cfg.ID)<<40 | s.nextAgg
+	id := s.ids.Next()
 	ctx := &aggCtx{id: id, fp: fp}
 	ctx.expect = make(map[env.NodeID]bool)
 	for _, peer := range s.cfg.Peers {
@@ -169,9 +168,11 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 	// it while the piggybacked fetch still re-multicasts. Allocating a fresh
 	// seq per retry used to wipe newer inserts, leaving their change-log
 	// entries pending behind a "normal" directory until a proactive timer
-	// healed the staleness (caught by the chaos checker).
-	s.nextRemove++
-	seq := s.nextRemove
+	// healed the staleness (caught by the chaos checker). It is drawn here,
+	// not taken from the aggregation id: the guard wants one origin's removes
+	// in ascending order, and an aggregation whose id is older may have waited
+	// on its local locks above while a younger one sent its remove.
+	seq := s.ids.Next()
 	s.call(p, &ctx.done, maxTries, func() {
 		if s.cfg.Tracker == TrackerOwner {
 			// Sorted snapshot: each send draws latency/jitter from the
@@ -389,7 +390,7 @@ func (s *Server) handleAggEntries(p *env.Proc, e *wire.AggEntries) {
 				a = &wire.AggAck{AggID: e.AggID, FP: e.FP}
 			}
 			s.reply(p, e.From, a)
-		case e.AggID <= s.bootAgg:
+		case s.ids.Predecessor(e.AggID):
 			// A predecessor's aggregation, which died with it: the empty ack
 			// makes the peer unlock and KEEP its entries (the give-up path it
 			// would reach a retry budget later). Recovery's forced aggregation

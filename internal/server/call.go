@@ -75,16 +75,10 @@ func expecting(peers []env.NodeID) *awaiting {
 	return a
 }
 
-// newID draws the next id from the server's one counter: call ids (commit
-// acks, control replies) and transaction ids, whose decision acks share the
-// call registry.
-func (s *Server) newID() uint64 {
-	s.nextID++
-	return uint64(s.cfg.ID)<<40 | s.nextID
-}
-
 // await registers a call under id in the registry; the caller deletes the
-// entry when the call ends, so a late or duplicate reply finds nothing.
+// entry when the call ends, so a late or duplicate reply finds nothing. Call
+// ids (commit acks, control replies) and transaction ids, whose decision acks
+// share the registry, come from s.ids.
 func (s *Server) await(id uint64, peers []env.NodeID) *awaiting {
 	a := expecting(peers)
 	s.calls[id] = a
@@ -100,7 +94,7 @@ func (s *Server) answer(id uint64, from env.NodeID, v any) {
 
 // ctlCall performs a control-plane round trip to a peer.
 func (s *Server) ctlCall(p *env.Proc, to env.NodeID, build func(ctl uint64) wire.Msg) (wire.Msg, error) {
-	id := s.newID()
+	id := s.ids.Next()
 	a := s.await(id, nil)
 	defer delete(s.calls, id)
 	msg := build(id)

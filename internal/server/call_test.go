@@ -99,7 +99,7 @@ func TestCallTable(t *testing.T) {
 		var returned env.Time
 		giveUps := 0
 		sim.Spawn(100, func(p *env.Proc) {
-			id := s.newID()
+			id := s.ids.Next()
 			a = s.await(id, nil)
 			msg := &wire.AggNowReq{Ctl: id, From: 100, FP: fp}
 			v, ok = s.call(p, &a.done, c.tries, func() { s.reply(p, s.ownerOfFP(fp), msg) },

@@ -117,7 +117,7 @@ func (s *Server) doMutate(p *env.Proc, req *wire.MutateReq) {
 			perm = core.DefaultDirPerm
 		}
 		now := p.Now()
-		newDir = s.idgen.Next()
+		newDir = s.ids.NextDirID()
 		in.Attr = core.Attr{Type: core.TypeDir, Perm: perm, Nlink: 2,
 			Atime: now, Mtime: now, Ctime: now}
 		in.ID = newDir
@@ -179,8 +179,7 @@ func (s *Server) doMutate(p *env.Proc, req *wire.MutateReq) {
 	if s.cfg.Updates != UpdateSync {
 		p.Compute(c.LogAppend)
 	}
-	s.nextEntry++
-	entry.ID = s.nextEntry
+	entry.ID = s.ids.Next()
 	s.walBuf = encodeCommit(s.walBuf[:0], req.Op, key, req.Parent, entry, &in)
 	lsn := mustAppend(s.wal, recCommit, s.walBuf)
 	s.storeInode(key, stored)
@@ -243,7 +242,7 @@ func (s *Server) asyncCommit(p *env.Proc, parent core.DirRef, parentLog *dirLog,
 
 	csp := s.cfg.Trace.Start(p, "commit:async", "server")
 	defer csp.End()
-	id := s.newID()
+	id := s.ids.Next()
 	acked := s.await(id, nil)
 	defer delete(s.calls, id)
 
@@ -302,7 +301,7 @@ func (s *Server) asyncCommit(p *env.Proc, parent core.DirRef, parentLog *dirLog,
 func (s *Server) syncCommit(p *env.Proc, req *wire.MutateReq, parentLog *dirLog,
 	entry core.LogEntry, lsn wal.LSN, kl *keyLock, newDir core.DirID) {
 
-	id := s.newID()
+	id := s.ids.Next()
 	acked := s.await(id, nil)
 	defer delete(s.calls, id)
 

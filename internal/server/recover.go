@@ -120,32 +120,36 @@ func (s *Server) Recover(p *env.Proc) error {
 	// fully-acked records retire so they stop replaying.
 	s.redriveCommits(p)
 
-	// Clone the invalidation list from the first reachable peer.
-	phase("recover:clone", &s.Stats.RecoverCloneUs, func() {
-		for _, peer := range s.cfg.Peers {
-			if peer == s.cfg.ID {
-				continue
-			}
-			v, err := s.ctlCall(p, peer, func(ctl uint64) wire.Msg {
-				return &wire.CloneInvalReq{Ctl: ctl, From: s.cfg.ID}
-			})
-			if err != nil {
-				continue
-			}
-			for _, e := range v.(*wire.CloneInvalResp).Entries {
-				if _, ok := s.invalSet[e.Dir]; !ok {
-					s.invalSeq++
-					s.invalSet[e.Dir] = s.invalSeq
-					s.inval = append(s.inval, wire.InvalEntry{Seq: s.invalSeq, Dir: e.Dir})
-				}
-			}
-			return
-		}
-	})
+	phase("recover:clone", &s.Stats.RecoverCloneUs, func() { s.cloneInval(p) })
 
 	s.recovering = false
 	s.SetServing(true)
 	return nil
+}
+
+// cloneInval copies the invalidation list of the first reachable peer, one
+// entry per distinct directory. The copies are numbered from this
+// incarnation's sequence, which starts above every predecessor's: a client's
+// watermark may have consumed the predecessor's entries up to a number the
+// distinct copies alone would not reach again.
+func (s *Server) cloneInval(p *env.Proc) {
+	for _, peer := range s.cfg.Peers {
+		if peer == s.cfg.ID {
+			continue
+		}
+		v, err := s.ctlCall(p, peer, func(ctl uint64) wire.Msg {
+			return &wire.CloneInvalReq{Ctl: ctl, From: s.cfg.ID}
+		})
+		if err != nil {
+			continue
+		}
+		for _, e := range v.(*wire.CloneInvalResp).Entries {
+			if _, ok := s.invalSet[e.Dir]; !ok {
+				s.addInval(e.Dir)
+			}
+		}
+		return
+	}
 }
 
 // together runs fn(·, 0) … fn(·, n-1), each on a process of its own, and
@@ -222,9 +226,6 @@ func (s *Server) replayWAL() (redoPlan, error) {
 				s.storeInode(key, in)
 			case core.OpDelete, core.OpRmdir:
 				s.storeInode(key, nil)
-			}
-			if entry.ID > s.nextEntry {
-				s.nextEntry = entry.ID
 			}
 			if !r.Applied {
 				dl := s.clogOf(parent)

@@ -3,9 +3,11 @@ package server
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -72,7 +74,7 @@ func replayDump(s *Server) string {
 	}
 	sort.Strings(marks)
 	sb.WriteString(strings.Join(marks, ""))
-	fmt.Fprintf(&sb, "nextEntry %d\ninval %+v\nredrive %+v\nrearm %+v\n", s.nextEntry, s.inval, s.txnRedrive, s.txnRearm)
+	fmt.Fprintf(&sb, "inval %+v\nredrive %+v\nrearm %+v\n", s.inval, s.txnRedrive, s.txnRearm)
 	return sb.String()
 }
 
@@ -90,19 +92,18 @@ func newReplayServer(t testing.TB, log wal.Log, cores int) (*env.Sim, *Server) {
 }
 
 // TestReplayEquivalence pins what the redo pass rebuilds: the store, the
-// change-logs with their WAL positions, the watermarks, nextEntry, the
-// invalidation list and the 2PC re-arm and redrive lists are those the
-// sequential replay of PR 21 produced from the same four logs (digests
-// captured there with this very dump).
+// change-logs with their WAL positions, the watermarks, the invalidation list
+// and the 2PC re-arm and redrive lists are those the sequential replay of PR
+// 21 produced from the same four logs (digests of this very dump).
 func TestReplayEquivalence(t *testing.T) {
 	golden := []struct {
 		records int
 		sha     string
 	}{
-		{90, "f8b81fad24cd170953f0aab87f09f82d0c3f4187e619501214732ca5f2fc1f46"},
-		{51, "3363493e3578ff03d102db6861398e6ffc1b01b2636118d0263b61c6139c8cae"},
-		{50, "71fd7871b5048c5f0b8e6e2089f9b69cd34261271c1ddb67d184041919f30a26"},
-		{38, "0cfeb536ddb9ee72a708191ec1bae64297597904fdaac83f478e327a6f793786"},
+		{90, "6c0494886bc6a814d3d3eb9fbadf46d7e352d5ef1d9c2fb6855e72c1f93f23b5"},
+		{51, "ba923527f2d11b88986e540ea93c08e13f118facc2f610dc62357691a92bbc50"},
+		{50, "50711dc4539520a86f7a982a5084e10884cc131b45783234814d7ff13de749f7"},
+		{38, "29f1586e4e697a5d75b6867fe39adf14ef21dd5190b25b78e5dbc0509b12ffd3"},
 	}
 	logs := loadWALs(t)
 	if len(logs) != len(golden) {
@@ -369,6 +370,54 @@ func TestRecoverErrorFailStops(t *testing.T) {
 	}
 }
 
+// restartedAt builds owner's incarnation booted at virtual time boot, with
+// peer as its one peer: a restarted server, whose ids start above zero.
+func restartedAt(t *testing.T, sim *env.Sim, boot env.Duration, owner, peer env.NodeID) *Server {
+	t.Helper()
+	var s *Server
+	sim.After(boot, func() {
+		s = New(sim, Config{ID: owner,
+			Ring:      ring.New([]uint32{0}, 0, func(uint32) env.NodeID { return owner }),
+			Peers:     []env.NodeID{owner, peer},
+			SwitchFor: func(core.Fingerprint) env.NodeID { return 1 }})
+	})
+	sim.Run()
+	return s
+}
+
+// TestCloneInvalNumbersAbovePredecessor: a restarted server clones its peer's
+// invalidation list one entry per directory, so it counts fewer entries than
+// its predecessor did for a directory invalidated twice. A client that
+// consumed the predecessor's entries through sequence 2 must still find the
+// successor's next invalidation stale, and be shipped it.
+func TestCloneInvalNumbersAbovePredecessor(t *testing.T) {
+	sim := env.NewSim(3)
+	t.Cleanup(sim.Shutdown)
+	const owner, peer env.NodeID = 100, 101
+	d, x := core.DirID{1, 2, 3, 4}, core.DirID{5, 6, 7, 8}
+	sim.AddNode(peer, env.NodeConfig{Cores: 1, Handler: func(p *env.Proc, from env.NodeID, msg any) {
+		if req, ok := msg.(*wire.Packet).Body.(*wire.CloneInvalReq); ok {
+			p.Send(from, &wire.Packet{Dst: from, Origin: peer, Body: &wire.CloneInvalResp{Ctl: req.Ctl, From: peer,
+				Seq: 2, Entries: []wire.InvalEntry{{Seq: 1, Dir: d}, {Seq: 2, Dir: d}}}})
+		}
+	}})
+	s := restartedAt(t, sim, 5*env.Millisecond, owner, peer)
+	sim.Spawn(owner, s.cloneInval)
+	sim.Run()
+	if _, ok := s.invalSet[d]; !ok {
+		t.Fatal("the peer's list was not cloned")
+	}
+	s.addInval(x)
+
+	req := &wire.ReqCommon{InvalSeq: 2, Ancestors: []core.DirID{x}}
+	if err := s.checkAncestors(req); !errors.Is(err, core.ErrStaleCache) {
+		t.Errorf("an ancestor invalidated after the restart passed a client at sequence 2: %v", err)
+	}
+	if rc := s.respCommon(req, nil); !slices.ContainsFunc(rc.Inval, func(e wire.InvalEntry) bool { return e.Dir == x }) {
+		t.Errorf("a response to a client at sequence 2 shipped %+v, without the new invalidation", rc.Inval)
+	}
+}
+
 // TestHandleAggEntriesTable covers the four answers an AggEntries can get.
 func TestHandleAggEntriesTable(t *testing.T) {
 	sim := env.NewSim(3)
@@ -380,24 +429,19 @@ func TestHandleAggEntriesTable(t *testing.T) {
 			acks = append(acks, a)
 		}
 	}})
-	var s *Server
-	sim.After(5*env.Millisecond, func() { // a restarted incarnation: its id space starts above zero
-		s = New(sim, Config{ID: owner,
-			Ring:      ring.New([]uint32{0}, 0, func(uint32) env.NodeID { return owner }),
-			Peers:     []env.NodeID{owner, peer},
-			SwitchFor: func(core.Fingerprint) env.NodeID { return 1 }})
-	})
-	sim.Run()
-	if s.bootAgg != uint64(owner)<<40|uint64(5*env.Millisecond) {
-		t.Fatalf("bootAgg %#x", s.bootAgg)
-	}
+	const boot = 5 * env.Millisecond
+	s := restartedAt(t, sim, boot, owner, peer)
 
+	// Ids the predecessors issued: an early one, and the last one a
+	// predecessor booted a nanosecond before this incarnation can have issued.
+	early := core.NewIncarnation(uint64(owner), 0)
+	last := core.NewIncarnation(uint64(owner), uint64(boot-1))
 	dir := core.DirRef{ID: core.DirID{1, 2, 3, 4}, Key: core.Key{PID: core.RootDirID, Name: "d"}}
 	dir.FP = dir.Key.Fingerprint()
 	logs := []wire.DirLog{{Dir: dir, Entries: []core.LogEntry{{ID: 3, Op: core.OpCreate, Name: "x"}}}}
-	active := &aggCtx{awaiting: awaiting{expect: map[env.NodeID]bool{peer: true}}, id: s.bootAgg + 1, fp: dir.FP}
+	active := &aggCtx{awaiting: awaiting{expect: map[env.NodeID]bool{peer: true}}, id: s.ids.Next(), fp: dir.FP}
 	s.aggs[active.id] = active
-	remembered := &wire.AggAck{AggID: s.bootAgg + 2, FP: dir.FP, MaxIDs: map[core.DirID]uint64{dir.ID: 3}}
+	remembered := &wire.AggAck{AggID: s.ids.Next(), FP: dir.FP, MaxIDs: map[core.DirID]uint64{dir.ID: 3}}
 	s.rememberAggAcks(remembered.AggID, map[env.NodeID]*wire.AggAck{peer: remembered})
 
 	for _, c := range []struct {
@@ -407,11 +451,11 @@ func TestHandleAggEntriesTable(t *testing.T) {
 		wantMax  uint64
 		released uint64
 	}{
-		{"a predecessor's id: empty ack, the peer keeps its entries", s.bootAgg - 7, true, 0, 1},
-		{"the boot id itself is a predecessor's", s.bootAgg, true, 0, 2},
+		{"a predecessor's id: empty ack, the peer keeps its entries", early.Next(), true, 0, 1},
+		{"the last id a predecessor can have issued", last.Next(), true, 0, 2},
 		{"an id in aggs: collected, no ack yet", active.id, false, 0, 2},
 		{"an id in doneAggs: the remembered ack again", remembered.AggID, true, 3, 2},
-		{"an unknown id of this incarnation: ignored", s.bootAgg + 50, false, 0, 2},
+		{"an unknown id of this incarnation: ignored", s.ids.Next(), false, 0, 2},
 	} {
 		acks = nil
 		sim.Spawn(owner, func(p *env.Proc) {

@@ -12,15 +12,10 @@ import (
 
 // txnSrcFlag distinguishes transaction-applied directory updates from the
 // coordinator's own change-log entries in the exactly-once watermark space.
+// A TxnDirUpdate entry's id comes from s.ids, so the (txn-src, dir) watermark
+// at the participant applies each update exactly once across retransmissions
+// and coordinator restarts.
 const txnSrcFlag = env.NodeID(1) << 31
-
-// nextTxnEntryID reserves a monotonically increasing id for a TxnDirUpdate
-// entry; the (txn-src, dir) watermark at the participant then applies each
-// update exactly once across retransmissions.
-func (s *Server) nextTxnEntryID() uint64 {
-	s.nextTxnEntry++
-	return s.nextTxnEntry
-}
 
 // readRemoteInode reads a raw inode record from its owner — with flush, after
 // the owner delivered the deferred updates of the key's name (flushEntry), in

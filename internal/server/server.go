@@ -203,7 +203,8 @@ type Server struct {
 	// of the key wait it out (handleLookup).
 	removals map[core.Key]*env.RWMutex
 
-	// Invalidation list (§5.2): append-only within a run.
+	// Invalidation list (§5.2): append-only within a run. Its sequence starts
+	// at the incarnation's boot instant, above every predecessor's.
 	invalSeq uint64
 	inval    []wire.InvalEntry
 	invalSet map[core.DirID]uint64
@@ -231,7 +232,7 @@ type Server struct {
 
 	// Pending protocol contexts. calls is the registry of plain
 	// request/response exchanges (commit acks, control replies, decision
-	// acks), keyed by ids from nextID.
+	// acks), keyed by ids drawn from ids.
 	calls      map[uint64]*awaiting
 	aggs       map[uint64]*aggCtx
 	aggByFP    map[core.Fingerprint]*aggCtx
@@ -247,14 +248,9 @@ type Server struct {
 	// Owner-tracker mode: fingerprints dirtied on this owner (Fig. 16).
 	ownerDirty map[core.Fingerprint]bool
 
-	// Monotonic counters.
-	nextID       uint64
-	nextEntry    uint64
-	nextAgg      uint64
-	nextRemove   uint64
-	nextTxnEntry uint64
-
-	idgen *core.IDGen
+	// ids issues every identifier of this incarnation: call, transaction,
+	// aggregation, change-log entry and remove ids, and DirIDs.
+	ids core.Incarnation
 
 	// txns holds participant state for 2PC (rename, links, migration);
 	// txnVotes holds the coordinator's prepare rounds; renameMu
@@ -288,10 +284,6 @@ type Server struct {
 	// SetServing(true) re-dispatches them. Volatile: Crash discards it.
 	parked   []parkedReq
 	parkedAt map[dedupKey]int
-	// bootAgg is the aggregation id this incarnation's counter was seeded
-	// with (ids are origin<<40 | counter, so one origin's ids order by issue):
-	// ids at or below it were issued by a predecessor.
-	bootAgg uint64
 	// dead marks a fail-stopped incarnation: its processes must unwind
 	// instead of retrying into a restarted successor.
 	dead bool
@@ -394,25 +386,8 @@ func New(e *env.Sim, cfg Config) *Server {
 	if s.wal == nil {
 		s.wal = wal.NewMem()
 	}
-	// Seed every per-origin protocol counter from the virtual clock: a
-	// restarted incarnation must never reuse its predecessor's identifier
-	// space. Reused dirty-set remove sequence numbers would be rejected by
-	// the switch's §5.4.1 staleness guard (or, worse, a later reuse would
-	// pass it and erase live fingerprints), reused aggregation and call
-	// ids would collide with the dead incarnation's still-pending
-	// protocol state at peers, and a reused DirID would name two directories
-	// at once. Time is the model's stand-in for the paper's persisted epoch;
-	// one tick always separates crash from restart.
-	base := uint64(e.Now())
-	s.idgen = core.NewIDGenAt(uint64(cfg.ID), base)
-	s.nextID = base
-	s.nextAgg = base
-	s.bootAgg = uint64(cfg.ID)<<40 | base
-	s.nextRemove = base
-	// Transaction entry ids likewise: they are compared against watermarks
-	// kept at the directories' owners, which survive a coordinator restart —
-	// an id at or below one would be dropped there as a duplicate.
-	s.nextTxnEntry = base
+	s.ids = core.NewIncarnation(uint64(cfg.ID), uint64(e.Now()))
+	s.invalSeq = s.ids.Boot()
 	s.node = e.AddNode(cfg.ID, env.NodeConfig{Cores: cfg.Cores, Handler: s.handle})
 	s.bootstrapRoot()
 	return s

@@ -136,11 +136,11 @@ func (s *Server) doRename(p *env.Proc, req *wire.RenameReq) error {
 	// Parent owners: synchronous entry-list/attribute updates.
 	spo := plan.at(s.ownerOfFP(req.SrcParent.FP))
 	spo.Ops = append(spo.Ops, wire.TxnOp{Kind: wire.TxnDirUpdate, Dir: req.SrcParent,
-		Entry: core.LogEntry{ID: s.nextTxnEntryID(), Time: now, Op: core.OpDelete,
+		Entry: core.LogEntry{ID: s.ids.Next(), Time: now, Op: core.OpDelete,
 			Name: req.SrcName, Type: et}})
 	dpo := plan.at(s.ownerOfFP(req.DstParent.FP))
 	dpo.Ops = append(dpo.Ops, wire.TxnOp{Kind: wire.TxnDirUpdate, Dir: req.DstParent,
-		Entry: core.LogEntry{ID: s.nextTxnEntryID(), Time: now, Op: core.OpCreate,
+		Entry: core.LogEntry{ID: s.ids.Next(), Time: now, Op: core.OpCreate,
 			Name: req.DstName, Type: et, Perm: in.Perm}})
 
 	t := s.prepareTxn(p, plan)
@@ -294,7 +294,7 @@ func (s *Server) doLink(p *env.Proc, req *wire.LinkReq) error {
 		Inode: core.EncodeInode(&newRef)})
 	po := plan.at(s.ownerOfFP(req.DstParent.FP))
 	po.Ops = append(po.Ops, wire.TxnOp{Kind: wire.TxnDirUpdate, Dir: req.DstParent,
-		Entry: core.LogEntry{ID: s.nextTxnEntryID(), Time: now, Op: core.OpCreate,
+		Entry: core.LogEntry{ID: s.ids.Next(), Time: now, Op: core.OpCreate,
 			Name: req.DstName, Type: in.Type, Perm: in.Perm}})
 
 	t := s.prepareTxn(p, plan)
@@ -333,7 +333,7 @@ type coordTxn struct {
 // endTxn (one-shot participants, which have nothing to decide).
 func (s *Server) prepareTxn(p *env.Proc, plan txnPlan) *coordTxn {
 	parts := sortedNodeIDs(plan)
-	t := &coordTxn{id: s.newID(), parts: parts, votes: expecting(parts)}
+	t := &coordTxn{id: s.ids.Next(), parts: parts, votes: expecting(parts)}
 	s.txnVotes[t.id] = t.votes
 	for _, n := range parts {
 		plan[n].Txn, plan[n].From = t.id, s.cfg.ID
