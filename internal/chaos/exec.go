@@ -20,15 +20,10 @@ type Injector struct {
 	// active maps fault name → installed directed link rules, for Heal.
 	active map[string][]directedLink
 	// pending collects futures of recoveries and reconfigurations the plan
-	// started; AwaitClean verifies they completed.
+	// started; awaitClean verifies they completed.
 	pending []pendingOp
 	// errs records apply-time problems (bad targets, double heal).
 	errs []string
-	// OnDataWipe fires when a data-node crash takes the cluster to >= r
-	// concurrent data-node failures: some chunk's whole replica set may be
-	// gone, so acked content is no longer guaranteed (the harness taints
-	// the data oracle).
-	OnDataWipe func()
 }
 
 type pendingOp struct {
@@ -158,9 +153,6 @@ func (inj *Injector) exec(ev Event) {
 	case KindCrashDataNode:
 		if ev.Data >= 0 && ev.Data < len(c.DataServers) && !c.DataServers[ev.Data].Node().Down() {
 			c.CrashDataNode(ev.Data)
-			if c.DataNodesDown() >= c.Opts.DataReplication && inj.OnDataWipe != nil {
-				inj.OnDataWipe()
-			}
 		}
 	case KindRecoverDataNode:
 		if ev.Data >= 0 && ev.Data < len(c.DataServers) && c.DataServers[ev.Data].Node().Down() {
@@ -201,10 +193,10 @@ func (inj *Injector) track(what string, fut *env.Future) {
 	inj.pending = append(inj.pending, pendingOp{what: what, fut: fut})
 }
 
-// AwaitClean verifies (after the simulation drained) that every recovery and
+// awaitClean verifies (after the simulation drained) that every recovery and
 // reconfiguration the plan started ran to completion without error, and that
 // no apply-time problems were recorded. It returns the list of issues.
-func (inj *Injector) AwaitClean() []string {
+func (inj *Injector) awaitClean() []string {
 	issues := append([]string(nil), inj.errs...)
 	for _, op := range inj.pending {
 		v, ok := op.fut.Peek()
@@ -219,9 +211,15 @@ func (inj *Injector) AwaitClean() []string {
 	return issues
 }
 
-// ForceHeal clears every still-installed link rule (plans are validated to
-// heal themselves; this is the harness's defense before the final audit).
-func (inj *Injector) ForceHeal() {
+// HealAndRecover opens the epilogue of every checked run (lincheck.Run):
+// collect the plan's completion issues, force-heal whatever it left behind
+// (link rules, degraded cores, slowed switches), restart every still-crashed
+// server and data node, and drive the simulation until those recoveries
+// finish. Validated plans heal and recover themselves — this is defense
+// against hand-written plans and the precondition for the final drain and
+// audit over a healthy cluster.
+func (inj *Injector) HealAndRecover(sim *env.Sim) []string {
+	issues := inj.awaitClean()
 	inj.e.Net().ClearLinks()
 	inj.active = make(map[string][]directedLink)
 	for i := range inj.c.Servers {
@@ -230,17 +228,6 @@ func (inj *Injector) ForceHeal() {
 	for i := range inj.c.Switches {
 		inj.c.SlowSwitch(i, 0)
 	}
-}
-
-// HealAndRecover is the shared post-run epilogue of the checking harnesses
-// (chaos.Run, lincheck): collect the plan's completion issues, force-heal
-// whatever it left behind, restart every still-crashed server and data node,
-// and drive the simulation until those recoveries finish. Validated plans
-// recover their own crashes — this is defense against hand-written plans and
-// the precondition for a final audit over a healthy cluster.
-func (inj *Injector) HealAndRecover(sim *env.Sim) []string {
-	issues := inj.AwaitClean()
-	inj.ForceHeal()
 	recovering := false
 	for i := range inj.c.Servers {
 		if inj.c.Servers[i].Node().Down() {
@@ -256,7 +243,7 @@ func (inj *Injector) HealAndRecover(sim *env.Sim) []string {
 	}
 	if recovering {
 		sim.Run()
-		issues = append(issues, inj.AwaitClean()...)
+		issues = append(issues, inj.awaitClean()...)
 	}
 	return issues
 }

@@ -1,9 +1,8 @@
 // Package chaos is the declarative fault-injection subsystem: typed fault
-// events scheduled at virtual times (a Plan), executed deterministically
-// against a cluster (Apply), a model-based invariant checker replaying the
-// completed client operations against an in-memory namespace oracle
-// (Checker), and an availability/latency timeline harness (Run) that the
-// FigChaos figure family drives.
+// events scheduled at virtual times (a Plan) and executed deterministically
+// against a cluster (Apply, the Injector). Checked runs across a plan —
+// lincheck's concurrent programs and the closed-loop mix the FigChaos and
+// FigRebalance figures drive — are lincheck.Run's.
 //
 // The paper demonstrates recovery for a handful of hand-written scenarios
 // (§5.4, §7.7); this package turns those scenarios into data. A plan is a

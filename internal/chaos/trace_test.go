@@ -1,10 +1,12 @@
-package chaos
+package chaos_test
 
 import (
 	"testing"
 
+	"switchfs/internal/chaos"
 	"switchfs/internal/cluster"
 	"switchfs/internal/env"
+	"switchfs/internal/lincheck"
 	"switchfs/internal/trace"
 )
 
@@ -15,7 +17,7 @@ import (
 func TestTraceShapeUnderChaosPlan(t *testing.T) {
 	for _, name := range []string{"server-crash", "flaky-links"} {
 		t.Run(name, func(t *testing.T) {
-			g := testGeometry()
+			g := metaGeometry
 			sim := env.NewSim(42)
 			t.Cleanup(sim.Shutdown)
 			rec := trace.New(trace.Config{Keep: 32})
@@ -23,12 +25,12 @@ func TestTraceShapeUnderChaosPlan(t *testing.T) {
 				Servers: g.Servers, Clients: g.Clients, Switches: g.Switches,
 				SwitchIndexBits: 8, Costs: env.DefaultCosts(), Trace: rec,
 			})
-			plan, ok := BuiltinPlan(g, name)
+			plan, ok := chaos.BuiltinPlan(g, name)
 			if !ok {
 				t.Fatalf("unknown plan %s", name)
 			}
-			rep := Run(sim, c, plan, Options{Workers: 6, Seed: 3})
-			for _, v := range rep.Checker.Violations() {
+			res := lincheck.RunMix(sim, c, plan, lincheck.MixOptions{Workers: 6, Seed: 3})
+			for _, v := range lincheck.Replay(res.History).Violations {
 				t.Errorf("violation: %s", v)
 			}
 

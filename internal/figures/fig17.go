@@ -97,11 +97,8 @@ func statdirAfterCreates(seed int64, servers, k int) (float64, stats.Counters) {
 
 // runClient runs fn on client 0 and drives the simulation to completion.
 func runClient(sim *env.Sim, sys fsapi.System, fn func(p *env.Proc, fs fsapi.FS)) {
-	type spawner interface {
-		SpawnClient(i int, fn func(p *env.Proc))
-	}
 	fs := sys.ClientFS(0)
-	sys.(spawner).SpawnClient(0, func(p *env.Proc) { fn(p, fs) })
+	sys.SpawnClient(0, func(p *env.Proc) { fn(p, fs) })
 	sim.Run()
 }
 

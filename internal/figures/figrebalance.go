@@ -7,6 +7,7 @@ import (
 	"switchfs/internal/chaos"
 	"switchfs/internal/cluster"
 	"switchfs/internal/env"
+	"switchfs/internal/lincheck"
 	"switchfs/internal/stats"
 )
 
@@ -32,13 +33,6 @@ func FigRebalance(sc Scale) Table {
 	}
 
 	servers := sc.ServerCounts[0]
-	workers := sc.Workers / 8
-	if workers < 4 {
-		workers = 4
-	}
-	if workers > 16 {
-		workers = 16
-	}
 	const hot = 0 // the slot every worker directory starts on
 
 	ms := env.Millisecond
@@ -94,36 +88,19 @@ func FigRebalance(sc Scale) Table {
 			Servers: servers, Clients: 2, Switches: 1,
 			SwitchIndexBits: 12, Costs: env.DefaultCosts(),
 		})
-		rep := chaos.Run(sim, c, plan, chaos.Options{
-			Workers: workers, Seed: seed, Skewed: true, SkewServer: hot,
+		res := lincheck.RunMix(sim, c, plan, lincheck.MixOptions{
+			Workers: mixWorkers(sc), Seed: seed, Hot: c.ServerID(hot),
 		})
 		totOk, totErrs := 0, 0
-		for w, row := range rep.Rows {
-			totOk += row.Ok
-			totErrs += row.Errs
-			avail := 100.0
-			if row.Ok+row.Errs > 0 {
-				avail = 100 * float64(row.Ok) / float64(row.Ok+row.Errs)
-			}
-			if !s.crashes && row.Ok+row.Errs > 0 && row.Ok == 0 {
+		for w, win := range res.Windows() {
+			totOk += win.Ok
+			totErrs += win.Timeouts
+			if !s.crashes && win.Ok+win.Timeouts > 0 && win.Ok == 0 {
 				failures = append(failures, fmt.Sprintf(
 					"%s: window %d had traffic but zero successful ops — migration stalled the namespace",
 					plan.Name, w))
 			}
-			t.AddRow(row.Counters, []string{
-				plan.Name,
-				fmt.Sprintf("%d", w),
-				fmt.Sprintf("%.1f", float64(row.Start)/1e6),
-				fmt.Sprintf("%d", row.Ok),
-				fmt.Sprintf("%d", row.Errs),
-				fmt.Sprintf("%.1f", avail),
-				us(rep.Rows[w].P99),
-				"",
-			})
-		}
-		avail := 100.0
-		if totOk+totErrs > 0 {
-			avail = 100 * float64(totOk) / float64(totOk+totErrs)
+			t.AddRow(win.Counters, append(windowCells(plan.Name, w, win), ""))
 		}
 		// The Σ row's counters carry the final per-server op distribution —
 		// the deterministic load-spread signal the baseline gate pins.
@@ -134,7 +111,7 @@ func FigRebalance(sc Scale) Table {
 			plan.Name, "Σ", "-",
 			fmt.Sprintf("%d", totOk),
 			fmt.Sprintf("%d", totErrs),
-			fmt.Sprintf("%.1f", avail),
+			fmt.Sprintf("%.1f", availability(totOk, totErrs)),
 			"-",
 			fmt.Sprintf("%d", c.Moves()),
 		})
@@ -142,12 +119,7 @@ func FigRebalance(sc Scale) Table {
 			failures = append(failures, fmt.Sprintf(
 				"%s: zero groups migrated — the scenario exercised nothing", plan.Name))
 		}
-		for _, v := range rep.Checker.Violations() {
-			failures = append(failures, fmt.Sprintf("%s: %s", plan.Name, v))
-		}
-		for _, iss := range rep.Issues {
-			failures = append(failures, fmt.Sprintf("%s: %s", plan.Name, iss))
-		}
+		failures = append(failures, mixFailures(plan.Name, res)...)
 		sim.Shutdown()
 	}
 	if len(failures) > 0 {

@@ -13,9 +13,10 @@ import (
 // FigScale is the million-client scale figure (ROADMAP north star): an
 // open-loop sweep of client-session population × namespace size on one
 // SwitchFS deployment, reporting sustained throughput, p99 latency and the
-// simulator's worker-pool high-water mark. Sessions run open-loop
-// (workload.RunOpen): an idle session is a queued event, not a parked
-// worker, which is what lets the population reach the upper cells. What a
+// simulator's worker-pool high-water mark. Sessions think between
+// operations (workload.Run with Think set): an idle session is a queued
+// event, not a parked worker, which is what lets the population reach the
+// upper cells. What a
 // session and a namespace entry cost the host is benchmark/'s to measure
 // (live_heap_mib, bytes_per_op, kv.bytes_per_entry).
 func FigScale(sc Scale) Table {
@@ -63,13 +64,13 @@ func scaleCell(seed int64, clients, entries int) ([]string, stats.Counters) {
 	ns := workload.MultiDir(dirs, filesPerDir)
 	ns.Preload(sys)
 
-	res := workload.RunOpen(sim, sys, workload.OpenCfg{
-		Sessions:      clients,
-		OpsPerSession: opsPerSession,
-		Clients:       clients,
-		Think:         think,
-		Seed:          seed,
-		Gen:           scaleMix(ns),
+	res := workload.Run(sim, sys, workload.RunCfg{
+		Workers:      clients,
+		OpsPerWorker: opsPerSession,
+		Clients:      clients,
+		Think:        think,
+		Seed:         seed,
+		Gen:          scaleMix(ns),
 	})
 	rc := stats.Counters{
 		Ops:              uint64(res.Ops),
@@ -81,7 +82,7 @@ func scaleCell(seed int64, clients, entries int) ([]string, stats.Counters) {
 		strconv.Itoa(clients),
 		strconv.Itoa(entries),
 		kops(res.ThroughputOps()),
-		us(res.Lat.Percentile(0.99)),
+		us(res.All.Percentile(0.99)),
 		strconv.Itoa(res.Workers),
 	}
 	return row, rc

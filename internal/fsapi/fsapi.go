@@ -45,6 +45,10 @@ type System interface {
 	// Preload installs a namespace without going through the protocol:
 	// filesPerDir files named f0..fN-1 in each listed directory.
 	Preload(dirs []string, filesPerDir int)
+	// SpawnClient runs fn as a process on client i's node (mod the client
+	// pool): the workers of a workload and the readers of a harness issue
+	// from the node whose FS they use.
+	SpawnClient(i int, fn func(p *env.Proc))
 	// Drain applies all deferred background work immediately (change-log
 	// flushes), so sustained-throughput measurements charge systems for the
 	// work their operations deferred. Synchronous systems are already

@@ -33,7 +33,7 @@ const searchBudget = 4 << 20
 // operation that returned before another was invoked comes first — and (b)
 // replay legally against the sequential Model?
 //
-// At-least-once ambiguity is modeled exactly like the chaos checker's taint,
+// At-least-once ambiguity is modeled exactly like Replay's taint,
 // in interval form:
 //
 //   - a timed-out operation has an open interval: it may linearize at any

@@ -195,10 +195,7 @@ func runSequential(seed int64, ops []Op, deploy func(*env.Sim) fsapi.System,
 	sys := deploy(sim)
 	fs := sys.ClientFS(0)
 	outs = make([]Outcome, len(ops))
-	type spawner interface {
-		SpawnClient(i int, fn func(p *env.Proc))
-	}
-	sys.(spawner).SpawnClient(0, func(p *env.Proc) {
+	sys.SpawnClient(0, func(p *env.Proc) {
 		for i, op := range ops {
 			outs[i] = applyFS(p, fs, op)
 		}

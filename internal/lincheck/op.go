@@ -1,25 +1,31 @@
 // Package lincheck checks SwitchFS's full metadata API for linearizability
-// and for agreement with the in-repo baseline implementation.
+// and for agreement with the in-repo baseline implementation, and owns the
+// one runner every checked run goes through.
 //
-// Three pieces compose:
+// The pieces:
 //
 //   - Model, a pure sequential reference implementation of the fsapi surface
 //     (plus hard links) with the exact error semantics of the public Session
 //     API — ErrNotExist/ErrExist/ErrNotDir/ErrIsDir/ErrNotEmpty/ErrInvalid/
 //     ErrLoop, in the order the servers check them;
-//   - a history recorder that logs each operation's invocation/response
-//     interval in virtual time, tolerant of the at-least-once ambiguity of
-//     UDP RPC (a timed-out mutation may apply late or never; a retransmitted
-//     one may observe its own earlier effect) — the same taint discipline as
-//     the chaos checker, in interval form;
-//   - Check, a WGL/porcupine-style linearizability search over recorded
-//     concurrent histories, with Minimize shrinking any counterexample to a
-//     small printable trace.
+//   - Run, the checked-run runner: it spawns a Source's client op loops on a
+//     cluster — fault-free or across a chaos plan — records one History of
+//     invocation/response intervals in virtual time, and ends every run with
+//     the same epilogue (heal and recover, wedge check, drain, audit reads).
+//     Two sources feed it: generated programs (RunConcurrent) and the
+//     closed-loop chaos mix (RunMix);
+//   - two oracles over a History, both tolerant of the at-least-once
+//     ambiguity of UDP RPC (a timed-out mutation may apply late or never; a
+//     retransmitted one may observe its own earlier effect): Check, a
+//     WGL/porcupine-style linearizability search for short histories, with
+//     Minimize shrinking any counterexample to a small printable trace; and
+//     Replay, the three-valued oracle for the long, per-client-sequential
+//     histories of a chaos mix.
 //
 // Programs are generated deterministically from a seed (GenProgram), run
-// concurrently against SwitchFS — fault-free or under chaos plans
-// (RunConcurrent) — and sequentially against SwitchFS, the baseline, and the
-// model at once (RunDiff), diffing per-op results and final namespace trees.
+// concurrently against SwitchFS (RunConcurrent) and sequentially against
+// SwitchFS, the baseline, and the model at once (RunDiff), diffing per-op
+// results and final namespace trees.
 package lincheck
 
 import (
@@ -29,6 +35,7 @@ import (
 
 	"switchfs/internal/core"
 	"switchfs/internal/env"
+	"switchfs/internal/wire"
 )
 
 // Op is one generated operation.
@@ -40,6 +47,9 @@ type Op struct {
 	// Perm parameterizes create/mkdir/chmod (zero means the server default
 	// for create/mkdir, and literal zero for chmod, matching the servers).
 	Perm core.Perm
+	// Chunk addresses a content-chunk read or write (OpRead, OpWrite) on the
+	// chunk's primary data node.
+	Chunk wire.ChunkKey
 }
 
 func (o Op) String() string {
@@ -48,6 +58,8 @@ func (o Op) String() string {
 		return fmt.Sprintf("%s %s -> %s", o.Kind, o.Path, o.Path2)
 	case core.OpCreate, core.OpMkdir, core.OpChmod:
 		return fmt.Sprintf("%s %s %#o", o.Kind, o.Path, o.Perm)
+	case core.OpRead, core.OpWrite:
+		return fmt.Sprintf("%s chunk %d/%d", o.Kind, o.Chunk.File, o.Chunk.Stripe)
 	default:
 		return fmt.Sprintf("%s %s", o.Kind, o.Path)
 	}
@@ -55,11 +67,14 @@ func (o Op) String() string {
 
 // Outcome is an operation's observed (or modeled) result. Only the fields
 // meaningful for the op kind are set: Attr for stat/open/close/statdir,
-// Entries for readdir.
+// Entries for readdir, Version for chunk reads and writes.
 type Outcome struct {
 	Err     error
 	Attr    core.Attr
 	Entries []core.DirEntry
+	// Version is the chunk version the primary acknowledged (write) or
+	// reported (read; 0 for a never-written chunk).
+	Version uint64
 }
 
 func (o Outcome) String() string {
@@ -78,6 +93,9 @@ func (o Outcome) String() string {
 		}
 		fmt.Fprintf(&b, " [%s]", strings.Join(names, " "))
 	}
+	if o.Version != 0 {
+		fmt.Fprintf(&b, " v%d", o.Version)
+	}
 	return b.String()
 }
 
@@ -94,13 +112,15 @@ type Event struct {
 	// Client identifies the issuing session (audit reads use a fresh id).
 	Client int
 	Op     Op
-	Out    Outcome
+	// Out is the observation, with the client's raw error.
+	Out Outcome
 	// Call and Ret are the invocation/response instants in virtual time.
 	Call, Ret env.Time
 	// TimedOut marks an ambiguous operation: the client gave up, but the
 	// request (or a retransmission still queued) may execute at any later
 	// point — or never. The checker linearizes it anywhere after Call or
-	// drops it entirely.
+	// drops it entirely. It classifies Out.Err (ambiguousErr); Replay keeps
+	// its own, narrower rule.
 	TimedOut bool
 	// Resent marks a retransmitted mutation: if a server crash discarded the
 	// RPC dedup cache between tries, the retry re-executed and may have
@@ -108,9 +128,16 @@ type Event struct {
 	// create, ENOENT from its own delete/rename). The checker then accepts
 	// the success interpretation too.
 	Resent bool
+	// Wipe marks no operation but the instant a plan's data-node crash left
+	// at least r data nodes down: any chunk's whole replica set may be gone
+	// from then on. Only chunk histories carry it; Replay reads it.
+	Wipe bool
 }
 
 func (e Event) String() string {
+	if e.Wipe {
+		return fmt.Sprintf("%-5s [%8d] data wipe: >= r data nodes down", "plan", e.Call)
+	}
 	who := fmt.Sprintf("c%d", e.Client)
 	if e.Client < 0 {
 		who = "ghost"
@@ -136,21 +163,6 @@ func (h History) String() string {
 	}
 	return b.String()
 }
-
-// Recorder accumulates events. Under the simulator exactly one process runs
-// at a time, so appends are totally ordered and deterministic.
-type Recorder struct {
-	events History
-}
-
-// NewRecorder builds an empty recorder.
-func NewRecorder() *Recorder { return &Recorder{} }
-
-// Record appends one completed operation.
-func (r *Recorder) Record(ev Event) { r.events = append(r.events, ev) }
-
-// History returns the recorded events.
-func (r *Recorder) History() History { return r.events }
 
 // errno compresses an error to a comparable code. Timeouts must be filtered
 // by the caller first (core.ErrnoOf folds unknown errors to ErrnoInvalid).

@@ -8,7 +8,9 @@ import (
 	"switchfs/internal/client"
 	"switchfs/internal/cluster"
 	"switchfs/internal/core"
+	"switchfs/internal/datanode"
 	"switchfs/internal/env"
+	"switchfs/internal/stats"
 )
 
 // Geometry is the deployment the concurrent runners stand up (the plan
@@ -57,12 +59,34 @@ func Plans(seed int64) []chaos.Plan {
 	return append(plans, chaos.RandomPlan(seed, Geometry, 8*ms))
 }
 
-// RunResult is a recorded concurrent execution.
+// Source drives the clients of one checked run.
+type Source struct {
+	// Clients is the number of client op loops: loop w issues through
+	// c.Client(w); the audit reads through c.Client(0), recorded as client
+	// Clients.
+	Clients int
+	// Next returns client w's next operation, or false when w is done. It
+	// may sleep p first: that is how a source paces its clients.
+	Next func(p *env.Proc, w int) (Op, bool)
+	// Audit returns the reads to issue once the cluster is healed and
+	// drained, given the clients' history.
+	Audit func(History) []Op
+}
+
+// windows is the number of availability windows (RunResult.Windows) a
+// plan's horizon is split into.
+const windows = 8
+
+// RunResult is a recorded checked run.
 type RunResult struct {
 	History History
-	// Issues are harness-level failures outside the checker: clients whose
+	// Loaded is where the audit begins: History[:Loaded] holds the clients'
+	// operations (and any data-wipe marker), the rest the audit reads.
+	Loaded int
+	// Issues are harness-level failures outside the oracles: clients whose
 	// operations never returned (a wedged protocol path), recoveries that
-	// did not complete, unclean plans.
+	// did not complete, unclean plans, change-log entries surviving the
+	// final drain.
 	Issues []string
 	// Packets is the run's delivered-packet count (figure counters).
 	Packets uint64
@@ -73,6 +97,59 @@ type RunResult struct {
 	// Flushes counts the transaction pre-flushes that found their name's
 	// deferred update still pending (proof a rename met the push-idle window).
 	Flushes uint64
+	// Start is the instant the clients started. Across a plan, Samples
+	// holds the cumulative packet counters at each window boundary
+	// (windows+1 of them), Span the window length.
+	Start   env.Time
+	Span    env.Duration
+	Samples []stats.Counters
+}
+
+// Window is one bucket of a run's availability/latency timeline.
+type Window struct {
+	// Start is the window's offset from the run start.
+	Start env.Duration
+	// Ok counts client operations completing in the window with a definite
+	// outcome; Timeouts those whose retry budget expired (ErrTimeout) — the
+	// unavailability signal.
+	Ok, Timeouts int
+	// P99 is the 99th-percentile latency in nanoseconds of the operations
+	// completing in the window.
+	P99 float64
+	// Counters carries the window's operation and packet counts.
+	Counters stats.Counters
+}
+
+// Windows buckets the clients' operations by completion instant into the
+// run's sampler windows (the last one also takes everything completing after
+// the horizon). It is nil for a fault-free run, which has no samplers.
+func (r RunResult) Windows() []Window {
+	n := len(r.Samples) - 1
+	if n <= 0 {
+		return nil
+	}
+	ws := make([]Window, n)
+	hists := make([]stats.Hist, n)
+	for _, e := range r.History[:r.Loaded] {
+		if e.Wipe {
+			continue
+		}
+		b := min(max(int((e.Ret-r.Start)/r.Span), 0), n-1)
+		if errors.Is(e.Out.Err, core.ErrTimeout) {
+			ws[b].Timeouts++
+		} else {
+			ws[b].Ok++
+		}
+		hists[b].Add(float64(e.Ret - e.Call))
+	}
+	for b := range ws {
+		ws[b].Start = r.Span * env.Duration(b)
+		ws[b].P99 = hists[b].Percentile(0.99)
+		ws[b].Counters = r.Samples[b+1].Sub(r.Samples[b])
+		ws[b].Counters.Ops = uint64(ws[b].Ok + ws[b].Timeouts)
+		ws[b].Counters.Errs = uint64(ws[b].Timeouts)
+	}
+	return ws
 }
 
 // ambiguousErr classifies client-visible errors whose effect is unknown:
@@ -85,9 +162,13 @@ func ambiguousErr(err error) bool {
 		errors.Is(err, core.ErrStaleCache)
 }
 
+// chunkBytes is the size of every chunk write a checked run issues.
+const chunkBytes = 4096
+
 // applyClient executes one op through the raw client (the session surface
-// with resent reporting), returning the observation.
-func applyClient(p *env.Proc, cl *client.Client, op Op) (Outcome, bool) {
+// with resent reporting), returning the observation. Chunk operations go to
+// the chunk's primary data node.
+func applyClient(p *env.Proc, c *cluster.Cluster, cl *client.Client, op Op) (Outcome, bool) {
 	var out Outcome
 	var resent bool
 	switch op.Kind {
@@ -119,17 +200,153 @@ func applyClient(p *env.Proc, cl *client.Client, op Op) (Outcome, bool) {
 		resent, out.Err = cl.RenameR(p, op.Path, op.Path2)
 	case core.OpLink:
 		resent, out.Err = cl.LinkR(p, op.Path, op.Path2)
+	case core.OpWrite:
+		node := c.DataNodes[datanode.PrimarySlot(op.Chunk, len(c.DataNodes))]
+		out.Version, out.Err = cl.WriteChunk(p, node, op.Chunk, chunkBytes)
+	case core.OpRead:
+		node := c.DataNodes[datanode.PrimarySlot(op.Chunk, len(c.DataNodes))]
+		out.Version, _, out.Err = cl.ReadChunk(p, node, op.Chunk)
 	default:
 		out.Err = core.ErrInvalid
 	}
 	return out, resent
 }
 
+// Run drives src's clients on an already-built cluster — fault-free, or
+// across plan — recording one history, then ends the way every checked run
+// ends: heal and recover whatever the plan left behind, report clients that
+// never finished, drain deferred work and require that no server holds a
+// change-log entry, and append src's audit reads to the history. Boundary
+// samplers are queued first, then the plan's timers, then the clients, so
+// same-instant events keep that order. The same cluster, plan and source
+// always record the same history.
+func Run(sim *env.Sim, c *cluster.Cluster, plan *chaos.Plan, src Source) RunResult {
+	res := RunResult{Start: sim.Now()}
+	observe := func(p *env.Proc, w int, cl *client.Client, op Op) {
+		t0 := p.Now()
+		out, resent := applyClient(p, c, cl, op)
+		res.History = append(res.History, Event{Client: w, Op: op, Out: out, Call: t0, Ret: p.Now(),
+			TimedOut: ambiguousErr(out.Err), Resent: resent})
+	}
+	snap := func() stats.Counters {
+		return stats.Counters{PacketsDelivered: sim.Delivered, PacketsDropped: sim.Dropped}
+	}
+	sampled := 1 // the next boundary sampler to fire; they fire in order
+	var inj *chaos.Injector
+	if plan != nil {
+		res.Span = plan.Horizon / windows
+		if res.Span <= 0 {
+			res.Span = env.Millisecond
+		}
+		res.Samples = make([]stats.Counters, windows+1)
+		res.Samples[0] = snap()
+		for w := 1; w < windows; w++ {
+			sim.After(res.Span*env.Duration(w), func() { res.Samples[w], sampled = snap(), w+1 })
+		}
+		inj = chaos.Apply(sim, c, *plan)
+		if len(c.DataNodes) > 0 {
+			// A data-node crash that leaves >= r data nodes down may wipe a
+			// chunk's whole replica set: the marker, queued behind the
+			// plan's own timer, tells Replay to stop pinning versions.
+			wiped := false
+			for _, ev := range plan.Events {
+				if ev.Kind != chaos.KindCrashDataNode {
+					continue
+				}
+				sim.After(ev.At, func() {
+					if !wiped && c.DataNodesDown() >= c.Opts.DataReplication {
+						wiped = true
+						res.History = append(res.History, Event{Client: -1, Call: sim.Now(), Ret: sim.Now(), Wipe: true})
+					}
+				})
+			}
+		}
+	}
+
+	// Under the simulator exactly one process runs at a time, so the
+	// history is totally ordered: completion order.
+	finished := make([]bool, src.Clients)
+	for w := range finished {
+		cl := c.Client(w)
+		sim.Spawn(cl.ID(), func(p *env.Proc) {
+			for op, ok := src.Next(p, w); ok; op, ok = src.Next(p, w) {
+				observe(p, w, cl, op)
+			}
+			finished[w] = true
+		})
+	}
+	sim.Run()
+	if res.Samples != nil {
+		// Samplers that never fired (a client stopping the simulation early
+		// leaves trailing timers queued) inherit the final totals.
+		for final := snap(); sampled <= windows; sampled++ {
+			res.Samples[sampled] = final
+		}
+	}
+
+	if inj != nil {
+		res.Issues = append(res.Issues, inj.HealAndRecover(sim)...)
+	}
+	for w, ok := range finished {
+		if !ok {
+			res.Issues = append(res.Issues,
+				fmt.Sprintf("client %d never completed its program (wedged operation)", w))
+		}
+	}
+
+	// A healed, drained cluster holds no pending change-log entries. The
+	// count is read in the instant Drain returns — once the simulation has
+	// run quiet, retransmissions that landed later would hide a drain that
+	// ended early.
+	cl := c.Client(0)
+	drained := false
+	sim.Spawn(cl.ID(), func(p *env.Proc) {
+		c.Drain(p)
+		for i, srv := range c.Servers {
+			if n := srv.PendingClogEntries(); n > 0 {
+				res.Issues = append(res.Issues,
+					fmt.Sprintf("server %d holds %d change-log entries after heal+drain", i, n))
+			}
+		}
+		drained = true
+	})
+	sim.Run()
+	if !drained {
+		res.Issues = append(res.Issues, "final drain never completed (wedged flush)")
+	}
+
+	// The audit reads back through the normal read path (leftover dirty
+	// fingerprints force real aggregations here): lost acknowledged writes,
+	// resurrections and wrong trees all surface as observations no oracle
+	// accepts.
+	res.Loaded = len(res.History)
+	reads := src.Audit(res.History)
+	audited := false
+	sim.Spawn(cl.ID(), func(p *env.Proc) {
+		for _, op := range reads {
+			observe(p, src.Clients, cl, op)
+		}
+		audited = true
+	})
+	sim.Run()
+	if !audited {
+		res.Issues = append(res.Issues, "post-run audit never completed (wedged read path)")
+	}
+	res.Packets = sim.Delivered
+	for _, srv := range c.Servers {
+		res.Parked += srv.Stats.Parked
+		res.Flushes += srv.Stats.RenameFlushes
+	}
+	return res
+}
+
 // RunConcurrent executes the program's clients concurrently against a fresh
-// SwitchFS deployment — fault-free, or across a chaos plan — then heals,
-// recovers, and appends a sequential post-run audit (stat + readdir over the
-// whole path universe) to the history. Same seed, program and plan always
-// produce an identical history.
+// SwitchFS deployment — fault-free, or across a chaos plan — through Run.
+// Across a plan each client's ops are paced over the horizon, so faults
+// land between (and inside) operations instead of after the last one. The
+// audit reads stat + readdir over the whole path universe, then
+// prog.Audit. Same seed, program and plan always produce an identical
+// history.
 func RunConcurrent(seed int64, prog Program, plan *chaos.Plan) RunResult {
 	sim := env.NewSim(seed)
 	defer sim.Shutdown()
@@ -148,93 +365,35 @@ func RunConcurrent(seed int64, prog Program, plan *chaos.Plan) RunResult {
 	}
 	c := cluster.New(sim, opts)
 
-	var res RunResult
-	rec := NewRecorder()
-	finished := make([]bool, len(prog.Ops))
-	for w := range prog.Ops {
-		w := w
-		ops := prog.Ops[w]
-		cl := c.Client(w)
-		var spread env.Duration
-		if plan != nil && len(ops) > 0 {
-			// Pace the program across the horizon so faults land between
-			// (and inside) operations instead of after the last one.
-			spread = plan.Horizon / env.Duration(len(ops)+1)
-		}
-		sim.Spawn(cl.ID(), func(p *env.Proc) {
-			for _, op := range ops {
-				if spread > 0 {
+	issued := make([]int, len(prog.Ops))
+	return Run(sim, c, plan, Source{
+		Clients: len(prog.Ops),
+		Next: func(p *env.Proc, w int) (Op, bool) {
+			ops := prog.Ops[w]
+			if issued[w] == len(ops) {
+				return Op{}, false
+			}
+			if plan != nil {
+				if spread := plan.Horizon / env.Duration(len(ops)+1); spread > 0 {
 					p.Sleep(spread)
 				}
-				t0 := p.Now()
-				out, resent := applyClient(p, cl, op)
-				ev := Event{Client: w, Op: op, Out: out, Call: t0, Ret: p.Now(), Resent: resent}
-				if ambiguousErr(out.Err) {
-					ev.TimedOut = true
-					ev.Out = Outcome{Err: core.ErrTimeout}
+			}
+			issued[w]++
+			return ops[issued[w]-1], true
+		},
+		Audit: func(History) []Op {
+			var reads []Op
+			for _, path := range append([]string{"/"}, prog.Paths...) {
+				for _, kind := range []core.Op{core.OpStat, core.OpReadDir} {
+					if path == "/" && kind == core.OpStat {
+						kind = core.OpStatDir // the root has no parent to stat through
+					}
+					reads = append(reads, Op{Kind: kind, Path: path})
 				}
-				rec.Record(ev)
 			}
-			finished[w] = true
-		})
-	}
-	var inj *chaos.Injector
-	if plan != nil {
-		inj = chaos.Apply(sim, c, *plan)
-	}
-	sim.Run()
-	if inj != nil {
-		res.Issues = append(res.Issues, inj.HealAndRecover(sim)...)
-	}
-	for w, ok := range finished {
-		if !ok {
-			res.Issues = append(res.Issues,
-				fmt.Sprintf("client %d never completed its program (wedged operation)", w))
-		}
-	}
-
-	// Post-run audit: with the cluster healed and recovered, read the whole
-	// universe back sequentially. Lost acknowledged writes, resurrections
-	// and wrong trees all surface here as non-linearizable observations.
-	auditDone := false
-	auditClient := len(prog.Ops)
-	cl := c.Client(0)
-	sim.Spawn(cl.ID(), func(p *env.Proc) {
-		read := func(op Op) {
-			t0 := p.Now()
-			out, _ := applyClient(p, cl, op)
-			ev := Event{Client: auditClient, Op: op, Out: out, Call: t0, Ret: p.Now()}
-			if ambiguousErr(out.Err) {
-				ev.TimedOut = true
-				ev.Out = Outcome{Err: core.ErrTimeout}
-			}
-			rec.Record(ev)
-		}
-		paths := append([]string{"/"}, prog.Paths...)
-		for _, path := range paths {
-			for _, kind := range []core.Op{core.OpStat, core.OpReadDir} {
-				if path == "/" && kind == core.OpStat {
-					kind = core.OpStatDir // the root has no parent to stat through
-				}
-				read(Op{Kind: kind, Path: path})
-			}
-		}
-		for _, op := range prog.Audit {
-			read(op)
-		}
-		auditDone = true
+			return append(reads, prog.Audit...)
+		},
 	})
-	sim.Run()
-	if !auditDone {
-		res.Issues = append(res.Issues, "post-run audit never completed (wedged read path)")
-	}
-	res.History = rec.History()
-	res.Packets = sim.Delivered
-	for _, srv := range c.Servers {
-		res.Parked += srv.Stats.Parked
-		res.Flushes += srv.Stats.RenameFlushes
-	}
-	return res
 }
 
 // Report is the outcome of one checked concurrent run.

@@ -66,15 +66,25 @@ func pathf(dir string, parts ...any) string {
 	return string(b)
 }
 
-// RunCfg configures a closed-loop run.
+// RunCfg configures a run: Workers client sessions, each issuing
+// OpsPerWorker operations. With Think zero the run is a closed loop — each
+// session issues its next operation the moment the last returns. Otherwise a
+// session thinks for Think of virtual time between operations and costs no
+// worker while thinking: its continuation waits on the simulator's event
+// queue (env.SpawnAfter), so the population can scale to millions while the
+// worker pool stays at the in-flight level (roughly Workers × service-time /
+// Think). Session starts are then staggered across one think window so
+// arrivals spread evenly.
 type RunCfg struct {
-	// Workers is the number of concurrent in-flight requests (the paper
-	// stresses servers with up to 512).
+	// Workers is the number of concurrent sessions (the paper stresses
+	// servers with up to 512 in flight).
 	Workers int
-	// OpsPerWorker bounds each worker's operation count.
+	// OpsPerWorker bounds each session's operation count.
 	OpsPerWorker int
-	// Clients is the client-node pool to spread workers over.
+	// Clients is the client-node pool to spread sessions over.
 	Clients int
+	// Think is the virtual idle time between a session's operations.
+	Think env.Duration
 	// Seed makes generation deterministic.
 	Seed int64
 	Gen  Gen
@@ -84,8 +94,8 @@ type RunCfg struct {
 type Result struct {
 	Ops  int
 	Errs int
-	// Elapsed is the closed-loop window (first issue to last completion);
-	// Drained additionally covers background work the operations deferred
+	// Elapsed is the run window (first issue to last completion); Drained
+	// additionally covers background work the operations deferred
 	// (change-log pushes and aggregations). Sustained throughput uses
 	// Drained: deferred work is still work the servers must absorb.
 	Elapsed env.Duration
@@ -94,6 +104,9 @@ type Result struct {
 	Lat map[core.Op]*stats.Hist
 	// All merges every class.
 	All *stats.Hist
+	// Workers is the simulator's peak pooled-worker count — the witness that
+	// thinking sessions were not holding worker stacks.
+	Workers int
 }
 
 // ThroughputOps returns sustained ops/second of virtual time: completed
@@ -126,13 +139,15 @@ func Run(sim *env.Sim, sys fsapi.System, cfg RunCfg) Result {
 	allDone := env.NewFuture()
 	for w := 0; w < cfg.Workers; w++ {
 		w := w
-		fs := sys.ClientFS(w % cfg.Clients)
+		ci := w % cfg.Clients
+		fs := sys.ClientFS(ci)
 		rnd := newRand(cfg.Seed + int64(w)*7919)
-		// Spawn on the owning client's node: the adapter knows its node via
-		// the FS implementation; workers piggyback on client node ids by
-		// running on the simulator's registered nodes through the FS calls.
-		spawnOn(sim, sys, w%cfg.Clients, func(p *env.Proc) {
-			for i := 0; i < cfg.OpsPerWorker; i++ {
+		i := 0
+		// step issues the session's operations from i on; a thinking
+		// session re-queues itself after each one.
+		var step func(p *env.Proc)
+		step = func(p *env.Proc) {
+			for i < cfg.OpsPerWorker {
 				call := cfg.Gen(rnd, w, i)
 				t0 := p.Now()
 				err := Apply(p, fs, call)
@@ -148,6 +163,10 @@ func Run(sim *env.Sim, sys fsapi.System, cfg RunCfg) Result {
 				if err != nil {
 					res.Errs++
 				}
+				if i++; cfg.Think > 0 && i < cfg.OpsPerWorker {
+					sim.SpawnAfter(p.Self(), cfg.Think, step)
+					return
+				}
 			}
 			done++
 			if t := p.Now(); t > end {
@@ -156,11 +175,16 @@ func Run(sim *env.Sim, sys fsapi.System, cfg RunCfg) Result {
 			if done == cfg.Workers {
 				allDone.Complete(nil)
 			}
-		})
+		}
+		if cfg.Think <= 0 {
+			sys.SpawnClient(ci, step)
+		} else {
+			sim.After(env.Duration(w)*cfg.Think/env.Duration(cfg.Workers), func() { sys.SpawnClient(ci, step) })
+		}
 	}
 	// The drainer immediately flushes deferred work when the load ends, so
 	// the sustained window excludes timer dead-air but includes the backlog.
-	spawnOn(sim, sys, 0, func(p *env.Proc) {
+	sys.SpawnClient(0, func(p *env.Proc) {
 		allDone.Wait(p)
 		sys.Drain(p)
 		drainedAt = p.Now()
@@ -171,6 +195,7 @@ func Run(sim *env.Sim, sys fsapi.System, cfg RunCfg) Result {
 	}
 	res.Elapsed = end - start
 	res.Drained = drainedAt - start
+	res.Workers = sim.WorkerCount() //detlint:ignore dettaint -- pool high-water is a pure function of the seed under the token-passing scheduler (TestGate holds the scale figure's workers column to it)
 	return res
 }
 
@@ -239,19 +264,6 @@ func Program(gen Gen, seed int64, workers, opsPerWorker int) [][]OpCall {
 		prog[w] = ops
 	}
 	return prog
-}
-
-// spawnOn starts a worker process on client i's env node. Cluster adapters
-// register client nodes; we locate them via the system-specific hook.
-func spawnOn(sim *env.Sim, sys fsapi.System, i int, fn func(p *env.Proc)) {
-	type spawner interface {
-		SpawnClient(i int, fn func(p *env.Proc))
-	}
-	if sp, ok := sys.(spawner); ok {
-		sp.SpawnClient(i, fn)
-		return
-	}
-	panic("workload: system does not expose SpawnClient")
 }
 
 // --- namespaces ---------------------------------------------------------------

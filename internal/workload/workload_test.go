@@ -279,6 +279,39 @@ func TestRunCollectsLatencies(t *testing.T) {
 	}
 }
 
+// TestRunThinkingSessionsHoldNoWorkers: with a think time, Run staggers the
+// sessions across one think window and re-queues each between operations,
+// so the worker pool stays at the in-flight level, far below the session
+// count, while every operation still completes.
+func TestRunThinkingSessionsHoldNoWorkers(t *testing.T) {
+	sim := env.NewSim(5)
+	defer sim.Shutdown()
+	c := cluster.New(sim, cluster.Options{Servers: 4, Clients: 16,
+		Costs: env.DefaultCosts(), SwitchIndexBits: 10})
+	ns := MultiDir(4, 8)
+	ns.Preload(c)
+	const sessions, ops = 400, 3
+	res := Run(sim, c, RunCfg{
+		Workers:      sessions,
+		OpsPerWorker: ops,
+		Clients:      16,
+		Think:        10 * env.Millisecond,
+		Seed:         1,
+		Gen:          ns.UniformFiles(core.OpStat),
+	})
+	if res.Ops != sessions*ops || res.Errs != 0 || res.All.N() != sessions*ops {
+		t.Fatalf("ops=%d errs=%d samples=%d, want %d ops", res.Ops, res.Errs, res.All.N(), sessions*ops)
+	}
+	// Three operations two think windows apart, the first staggered over one.
+	if res.Elapsed < 2*10*env.Millisecond {
+		t.Fatalf("elapsed %v: sessions did not think between operations", res.Elapsed)
+	}
+	if res.Workers >= sessions/4 {
+		t.Fatalf("%d pooled workers for %d thinking sessions", res.Workers, sessions)
+	}
+	t.Logf("%d thinking sessions on %d pooled workers", sessions, res.Workers)
+}
+
 func TestHistPercentiles(t *testing.T) {
 	var h stats.Hist
 	for i := 1; i <= 100; i++ {

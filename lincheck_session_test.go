@@ -11,7 +11,7 @@ import (
 
 // TestLincheckThroughSessions drives concurrent programs through the PUBLIC
 // Session API (FS.RunSessions), records invocation/response intervals in
-// virtual time with the lincheck recorder, and requires the histories to be
+// virtual time as a lincheck.History, and requires the histories to be
 // linearizable against the sequential model. This pins the whole stack the
 // way applications see it: *PathError/*LinkError unwrapping included.
 func TestLincheckThroughSessions(t *testing.T) {
@@ -27,7 +27,7 @@ func TestLincheckThroughSessions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := lincheck.NewRecorder()
+		var h lincheck.History
 		fs.RunSessions(clients, func(i int, s *switchfs.Session) {
 			for _, op := range prog.Ops[i] {
 				t0 := s.Now()
@@ -37,11 +37,10 @@ func TestLincheckThroughSessions(t *testing.T) {
 					ev.TimedOut = true
 					ev.Out = lincheck.Outcome{Err: core.ErrTimeout}
 				}
-				rec.Record(ev)
+				h = append(h, ev)
 			}
 		})
 		sim.Shutdown()
-		h := rec.History()
 		if res := lincheck.Check(h); !res.Ok {
 			t.Errorf("seed %d: session history not linearizable; minimized counterexample:\n%s",
 				seed, lincheck.Minimize(h))
