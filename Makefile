@@ -86,10 +86,10 @@ bench:
 # simulator (handoff, send, timer), the change-log (snapshot, compaction), the
 # key and inode codecs, the kv store, the write-ahead log (append and replay),
 # the client's cached path resolution, the server's durable-record encoders,
-# its recovery (BenchmarkRecover) and its one way to wait for a peer
-# (BenchmarkPeerCall).
+# its recovery (BenchmarkRecover) and the nodes' one way to wait for a peer
+# (internal/rpc's BenchmarkPeerCall).
 bench-layers:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/env ./internal/core ./internal/kv ./internal/wal ./internal/client ./internal/server
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/env ./internal/core ./internal/kv ./internal/wal ./internal/client ./internal/server ./internal/rpc
 
 figures:
 	$(GO) run ./cmd/fsbench -fig all -scale quick

@@ -14,6 +14,7 @@ import (
 	"switchfs/internal/core"
 	"switchfs/internal/env"
 	"switchfs/internal/kv"
+	"switchfs/internal/rpc"
 )
 
 // Mode selects the emulated system.
@@ -98,7 +99,7 @@ func New(e *env.Sim, opts Options) *Cluster {
 			locks:    make(map[core.DirID]*env.RWMutex),
 			calls:    make(map[uint64]*env.Future),
 			inflight: make(map[reqKey]bool),
-			served:   make(map[reqKey]any),
+			served:   rpc.NewWindow[reqKey, any](4096),
 		}
 		e.AddNode(s.id, env.NodeConfig{Cores: opts.CoresPerServer, Handler: s.handle})
 		c.servers = append(c.servers, s)

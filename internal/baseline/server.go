@@ -4,6 +4,7 @@ import (
 	"switchfs/internal/core"
 	"switchfs/internal/env"
 	"switchfs/internal/kv"
+	"switchfs/internal/rpc"
 )
 
 // Baseline message types (the baselines share the env network but speak
@@ -99,10 +100,10 @@ type bserver struct {
 	// a duplicate of an answered request replays the cached response.
 	// Without this, a contended directory turns retransmission rounds into
 	// extra serialized work: the queue (and the parked-process population)
-	// grows without bound and the run crawls.
+	// grows without bound and the run crawls. served holds the last 4 096
+	// answered requests.
 	inflight map[reqKey]bool
-	served   map[reqKey]any
-	servedQ  []reqKey
+	served   *rpc.Window[reqKey, any]
 	// ops counts executed (non-duplicate) client requests, for the
 	// per-server tallies figures carry.
 	ops uint64
@@ -114,15 +115,12 @@ type reqKey struct {
 	rpc  uint64
 }
 
-// servedWindow bounds the served-request memory per server.
-const servedWindow = 4096
-
 // beginReq registers a request execution. It returns (nil, false) for a
 // fresh request, (resp, true) for a duplicate of an answered one (the
 // caller replays resp — this keeps clients alive under response loss),
 // and (nil, true) for a duplicate still in flight (dropped).
 func (s *bserver) beginReq(k reqKey) (any, bool) {
-	if resp, ok := s.served[k]; ok {
+	if resp, _, ok := s.served.Get(k); ok {
 		return resp, true
 	}
 	if s.inflight[k] {
@@ -135,12 +133,7 @@ func (s *bserver) beginReq(k reqKey) (any, bool) {
 // endReq retires an execution and its response into the served window.
 func (s *bserver) endReq(k reqKey, resp any) {
 	delete(s.inflight, k)
-	s.served[k] = resp
-	s.servedQ = append(s.servedQ, k)
-	if len(s.servedQ) > servedWindow {
-		delete(s.served, s.servedQ[0])
-		s.servedQ = s.servedQ[1:]
-	}
+	s.served.Put(k, resp)
 }
 
 func (s *bserver) lockOf(id core.DirID) *env.RWMutex {

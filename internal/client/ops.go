@@ -366,8 +366,10 @@ func (c *Client) ReadChunk(p *env.Proc, node env.NodeID, chunk wire.ChunkKey) (u
 	return resp.Ver, resp.Bytes, nil
 }
 
-// Data performs a data-node read or write of one chunk (legacy
-// shard-addressed surface of the end-to-end workloads, §7.6).
+// Data performs a data-node read or write of one chunk, addressed by node:
+// the shard-addressed surface of the end-to-end workloads (§7.6). The
+// cluster's fsapi.FS adapter calls it for every Data op, which the cnn-data
+// benchmark workload and the §7.6 figures issue.
 func (c *Client) Data(p *env.Proc, node env.NodeID, op core.Op, chunk wire.ChunkKey, bytes int64) error {
 	_, err := c.dataCall(p, node, op, chunk, bytes)
 	return err

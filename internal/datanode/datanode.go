@@ -15,19 +15,23 @@
 // restarted node is a replica of back from its peers (re-replication of
 // under-replicated stripes) before the node serves again.
 //
-// Client requests are deduplicated per (client, RPC) exactly like the
-// metadata servers (§5.4.1): a retransmitted DataReq replays the cached
-// response instead of re-executing, so duplicated or reordered packets
-// cannot bump a chunk's version twice. Replication packets need no cache —
-// backups apply by version comparison, which is idempotent.
+// Client requests are deduplicated per (client, RPC) with the metadata
+// servers' window (rpc.Window, §5.4.1): a retransmitted DataReq replays the
+// recorded response instead of re-executing, so duplicated or reordered
+// packets cannot bump a chunk's version twice. Replication packets need no
+// memo — backups apply by version comparison, which is idempotent. The
+// primary's replication rounds and a recovering node's pulls wait through the
+// metadata servers' retried call (rpc.Calls).
 package datanode
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"switchfs/internal/core"
 	"switchfs/internal/env"
+	"switchfs/internal/rpc"
 	"switchfs/internal/trace"
 	"switchfs/internal/wire"
 )
@@ -95,12 +99,6 @@ type dedupKey struct {
 	rpc    uint64
 }
 
-// repState tracks one in-flight replication round on the primary.
-type repState struct {
-	need map[env.NodeID]bool
-	done *env.Future
-}
-
 // Stats counts data-plane activity (deterministic under Sim).
 type Stats struct {
 	Reads        uint64
@@ -118,12 +116,12 @@ type Server struct {
 	env  *env.Sim
 	node *env.Node
 
-	store    map[wire.ChunkKey]chunkRec
-	dedup    map[dedupKey]wire.Msg
-	dedupLog []dedupKey
-	repWait  map[uint64]*repState
-	ctlWait  map[uint64]*env.Future
-	// ids issues this incarnation's replication round and control ids.
+	store map[wire.ChunkKey]chunkRec
+	// served remembers the last 4 096 client RPCs taken up (§5.4.1).
+	served *rpc.Window[dedupKey, wire.Msg]
+	// rpc waits for peers: replication rounds and recovery pulls, under ids
+	// from ids, this incarnation's identifier source.
+	rpc rpc.Calls
 	ids core.Incarnation
 
 	serving bool
@@ -135,8 +133,6 @@ type Server struct {
 	Stats Stats
 }
 
-const dedupWindow = 4096
-
 // New builds a data node and registers it with the environment.
 func New(e *env.Sim, cfg Config) *Server {
 	cfg.Defaults()
@@ -144,11 +140,10 @@ func New(e *env.Sim, cfg Config) *Server {
 		cfg:     cfg,
 		env:     e,
 		store:   make(map[wire.ChunkKey]chunkRec),
-		dedup:   make(map[dedupKey]wire.Msg),
-		repWait: make(map[uint64]*repState),
-		ctlWait: make(map[uint64]*env.Future),
+		served:  rpc.NewWindow[dedupKey, wire.Msg](4096),
 		serving: true,
 	}
+	s.rpc = rpc.NewCalls(cfg.RetryTimeout, &s.dead, &s.Stats.Retries)
 	s.ids = core.NewIncarnation(uint64(cfg.ID), uint64(e.Now()))
 	s.node = e.AddNode(cfg.ID, env.NodeConfig{Cores: cfg.Cores, Handler: s.handle})
 	return s
@@ -203,11 +198,10 @@ func (s *Server) Recover(p *env.Proc) error {
 		if slot == s.cfg.Slot {
 			continue
 		}
-		peer := s.cfg.NodeOf(slot)
-		v, err := s.ctlCall(p, peer, func(ctl uint64) wire.Msg {
-			return &wire.DataPullReq{Ctl: ctl, From: s.cfg.ID, Slot: uint32(s.cfg.Slot)}
-		})
-		if err != nil {
+		peer, ctl := s.cfg.NodeOf(slot), s.ids.Next()
+		req := &wire.DataPullReq{Ctl: ctl, From: s.cfg.ID, Slot: uint32(s.cfg.Slot)}
+		v, ok := s.rpc.Request(p, ctl, maxPullRetries, func() { s.reply(p, peer, req) })
+		if !ok {
 			continue // peer down; replication covers unless wiped
 		}
 		reached++
@@ -255,8 +249,8 @@ func holdsSlot(primary uint32, nodes, r, slot int) bool {
 }
 
 // PrimarySlot maps a chunk key to its default primary placement slot — the
-// hash used when no DataLoc placement is available (harnesses, legacy
-// shard-addressed accesses).
+// hash used when no DataLoc placement is available. lincheck's chunk ops
+// address their primary with it.
 func PrimarySlot(chunk wire.ChunkKey, nodes int) int {
 	if nodes <= 0 {
 		return 0
@@ -299,11 +293,11 @@ func (s *Server) handle(p *env.Proc, from env.NodeID, msg any) {
 		s.handleRep(p, b)
 		sp.End()
 	case *wire.DataRepAck:
-		s.handleRepAck(b)
+		s.rpc.Answer(b.Seq, b.From, nil)
 	case *wire.DataPullReq:
 		s.handlePull(p, b)
 	case *wire.DataPullResp:
-		s.completeCtl(b.Ctl, b)
+		s.rpc.Answer(b.Ctl, b.From, b)
 	}
 }
 
@@ -337,7 +331,7 @@ func (s *Server) handleData(p *env.Proc, req *wire.DataReq) {
 			// the committed watermark stays put). Release the in-flight
 			// marker so a post-heal retransmission re-executes
 			// (at-least-once; the fresh attempt assigns a newer version).
-			s.forget(&req.ReqCommon)
+			s.served.Delete(dedupKey{client: req.Client, rpc: req.RPC})
 			return
 		}
 		s.commit(req.Chunk, ver, req.Bytes)
@@ -345,7 +339,7 @@ func (s *Server) handleData(p *env.Proc, req *wire.DataReq) {
 	default:
 		resp.Err = core.ErrnoOf(core.ErrInvalid)
 	}
-	s.remember(req.Client, req.RPC, resp)
+	s.served.Put(dedupKey{client: req.Client, rpc: req.RPC}, resp)
 	s.reply(p, req.Client, resp)
 }
 
@@ -367,37 +361,28 @@ func (s *Server) replicate(p *env.Proc, chunk wire.ChunkKey, ver uint64, bytes i
 	}
 	rsp := s.cfg.Trace.Start(p, "data:replicate", "data")
 	defer rsp.End()
-	st := &repState{need: make(map[env.NodeID]bool), done: env.NewFuture()}
-	backups := replicaSlots(uint32(s.cfg.Slot), s.cfg.Nodes, r)[1:]
-	for _, slot := range backups {
-		st.need[s.cfg.NodeOf(slot)] = true
+	var backups []env.NodeID
+	for _, slot := range replicaSlots(uint32(s.cfg.Slot), s.cfg.Nodes, r)[1:] {
+		backups = append(backups, s.cfg.NodeOf(slot))
 	}
+	slices.Sort(backups)
 	seq := s.ids.Next()
-	s.repWait[seq] = st
-	defer delete(s.repWait, seq)
-	for try := 0; try < maxRepRetries && !s.dead; try++ {
-		pending := make([]env.NodeID, 0, len(st.need))
-		for n := range st.need {
-			pending = append(pending, n)
+	acks := s.rpc.Await(seq, backups)
+	defer s.rpc.End(seq)
+	if _, ok := s.rpc.Call(p, &acks.Done, maxRepRetries, func() {
+		for _, n := range backups {
+			if acks.Expect[n] {
+				s.reply(p, n, &wire.DataRepReq{
+					Seq: seq, From: s.cfg.ID, Primary: uint32(s.cfg.Slot),
+					Chunk: chunk, Ver: ver, Bytes: bytes,
+				})
+			}
 		}
-		if len(pending) == 0 {
-			s.Stats.RepRounds++
-			return nil
-		}
-		sort.Slice(pending, func(i, j int) bool { return pending[i] < pending[j] })
-		for _, n := range pending {
-			s.reply(p, n, &wire.DataRepReq{
-				Seq: seq, From: s.cfg.ID, Primary: uint32(s.cfg.Slot),
-				Chunk: chunk, Ver: ver, Bytes: bytes,
-			})
-		}
-		if _, ok := st.done.WaitTimeout(p, s.cfg.RetryTimeout); ok {
-			s.Stats.RepRounds++
-			return nil
-		}
-		s.Stats.Retries++
+	}, nil); !ok {
+		return core.ErrTimeout
 	}
-	return core.ErrTimeout
+	s.Stats.RepRounds++
+	return nil
 }
 
 // handleRep applies a replicated chunk version on a backup (idempotent by
@@ -415,17 +400,6 @@ func (s *Server) handleRep(p *env.Proc, req *wire.DataRepReq) {
 		}
 	}
 	s.reply(p, req.From, &wire.DataRepAck{Seq: req.Seq, From: s.cfg.ID})
-}
-
-// handleRepAck marks one backup done for a pending replication round.
-func (s *Server) handleRepAck(ack *wire.DataRepAck) {
-	st := s.repWait[ack.Seq]
-	if st != nil && st.need[ack.From] {
-		delete(st.need, ack.From)
-		if len(st.need) == 0 {
-			st.done.Complete(nil)
-		}
-	}
 }
 
 // handlePull answers a recovery pull: every stored record whose replica set
@@ -451,30 +425,6 @@ func (s *Server) handlePull(p *env.Proc, req *wire.DataPullReq) {
 	s.reply(p, req.From, &wire.DataPullResp{Ctl: req.Ctl, From: s.cfg.ID, Chunks: recs})
 }
 
-// ctlCall performs one retried control round trip (recovery pull).
-func (s *Server) ctlCall(p *env.Proc, to env.NodeID, build func(ctl uint64) wire.Msg) (wire.Msg, error) {
-	ctl := s.ids.Next()
-	fut := env.NewFuture()
-	s.ctlWait[ctl] = fut
-	defer delete(s.ctlWait, ctl)
-	msg := build(ctl)
-	for try := 0; try < maxPullRetries && !s.dead; try++ {
-		s.reply(p, to, msg)
-		if v, ok := fut.WaitTimeout(p, s.cfg.RetryTimeout); ok {
-			return v.(wire.Msg), nil
-		}
-		s.Stats.Retries++
-	}
-	return nil, core.ErrTimeout
-}
-
-func (s *Server) completeCtl(ctl uint64, v wire.Msg) {
-	fut := s.ctlWait[ctl]
-	if fut != nil {
-		fut.Complete(v)
-	}
-}
-
 // reply sends a packet unless this incarnation fail-stopped.
 func (s *Server) reply(p *env.Proc, to env.NodeID, body wire.Msg) {
 	if s.dead {
@@ -483,19 +433,16 @@ func (s *Server) reply(p *env.Proc, to env.NodeID, body wire.Msg) {
 	p.Send(to, &wire.Packet{Dst: to, Origin: s.cfg.ID, Trace: p.TraceCtx(), Body: body})
 }
 
-// replayIfDuplicate answers a retransmitted RPC from the dedup cache. A nil
-// cached response marks an execution in progress; the duplicate is dropped.
+// replayIfDuplicate answers a retransmitted RPC from the served window. An
+// execution still in progress drops the duplicate.
 //
 //detlint:dedup-check
 func (s *Server) replayIfDuplicate(p *env.Proc, req *wire.ReqCommon) bool {
-	k := dedupKey{client: req.Client, rpc: req.RPC}
-	resp, ok := s.dedup[k]
-	if ok {
-		s.Stats.DedupHits++
-	}
+	resp, _, ok := s.served.Get(dedupKey{client: req.Client, rpc: req.RPC})
 	if !ok {
 		return false
 	}
+	s.Stats.DedupHits++
 	if resp != nil {
 		s.reply(p, req.Client, resp)
 	}
@@ -507,36 +454,5 @@ func (s *Server) replayIfDuplicate(p *env.Proc, req *wire.ReqCommon) bool {
 //
 //detlint:dedup-check
 func (s *Server) begin(req *wire.ReqCommon) bool {
-	k := dedupKey{client: req.Client, rpc: req.RPC}
-	if _, ok := s.dedup[k]; ok {
-		return false
-	}
-	s.dedup[k] = nil
-	s.dedupLog = append(s.dedupLog, k)
-	if len(s.dedupLog) > dedupWindow {
-		old := s.dedupLog[0]
-		s.dedupLog = s.dedupLog[1:]
-		delete(s.dedup, old)
-	}
-	return true
-}
-
-// remember caches the response for retransmission replay.
-func (s *Server) remember(client env.NodeID, rpc uint64, resp wire.Msg) {
-	s.dedup[dedupKey{client: client, rpc: rpc}] = resp
-}
-
-// forget releases an in-flight marker whose execution gave up unacked. The
-// dedupLog slot goes with it: a stale slot would otherwise evict a
-// re-execution's cached response one full window early, re-opening the
-// duplicate-write hole.
-func (s *Server) forget(req *wire.ReqCommon) {
-	k := dedupKey{client: req.Client, rpc: req.RPC}
-	delete(s.dedup, k)
-	for i, q := range s.dedupLog {
-		if q == k {
-			s.dedupLog = append(s.dedupLog[:i], s.dedupLog[i+1:]...)
-			break
-		}
-	}
+	return s.served.Begin(dedupKey{client: req.Client, rpc: req.RPC})
 }

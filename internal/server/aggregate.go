@@ -113,10 +113,10 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 	s.Stats.Aggregations++
 	id := s.ids.Next()
 	ctx := &aggCtx{id: id, fp: fp}
-	ctx.expect = make(map[env.NodeID]bool)
+	ctx.Expect = make(map[env.NodeID]bool)
 	for _, peer := range s.cfg.Peers {
 		if peer != s.cfg.ID {
-			ctx.expect[peer] = true
+			ctx.Expect[peer] = true
 		}
 	}
 	s.aggs[id] = ctx
@@ -158,8 +158,8 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 
 	// Fetch from peers: remove the fingerprint and multicast (steps 5–6).
 	fetch := &wire.AggFetch{AggID: id, FP: fp, Owner: s.cfg.ID, Rmdir: opts.rmdir, Dir: opts.dir}
-	if len(ctx.expect) == 0 {
-		ctx.done.Complete(nil)
+	if len(ctx.Expect) == 0 {
+		ctx.Done.Complete(nil)
 	}
 	complete := true
 	// One remove sequence number per aggregation: a RETRANSMITTED remove must
@@ -173,12 +173,12 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 	// in ascending order, and an aggregation whose id is older may have waited
 	// on its local locks above while a younger one sent its remove.
 	seq := s.ids.Next()
-	s.call(p, &ctx.done, maxTries, func() {
+	s.rpc.Call(p, &ctx.Done, maxTries, func() {
 		if s.cfg.Tracker == TrackerOwner {
 			// Sorted snapshot: each send draws latency/jitter from the
 			// seeded RNG, so emitting in map order would make two runs with
 			// the same seed diverge (caught by detlint maprange).
-			for _, peer := range sortedNodeIDs(ctx.expect) {
+			for _, peer := range sortedNodeIDs(ctx.Expect) {
 				s.reply(p, peer, fetch)
 			}
 			return
@@ -193,7 +193,7 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 		// must read as dirty again (below) so no read mistakes the partial
 		// state for the full directory.
 		complete = false
-		clear(ctx.expect)
+		clear(ctx.Expect)
 	})
 
 	// Apply (steps 7–8): every directory of the group as one batch under its
@@ -247,7 +247,7 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 		}
 		s.reply(p, peer, a)
 	}
-	s.rememberAggAcks(id, acks)
+	s.aggAcks.Put(id, acks)
 
 	// Trim and unlock the local logs.
 	for _, dl := range locals {
@@ -294,22 +294,6 @@ func (s *Server) markDirty(p *env.Proc, fp core.Fingerprint) {
 	})
 }
 
-// completedAggCache bounds the re-ack cache.
-const completedAggCache = 256
-
-func (s *Server) rememberAggAcks(id uint64, acks map[env.NodeID]*wire.AggAck) {
-	if s.doneAggs == nil {
-		s.doneAggs = make(map[uint64]map[env.NodeID]*wire.AggAck)
-	}
-	s.doneAggs[id] = acks
-	s.doneAggLog = append(s.doneAggLog, id)
-	if len(s.doneAggLog) > completedAggCache {
-		old := s.doneAggLog[0]
-		s.doneAggLog = s.doneAggLog[1:]
-		delete(s.doneAggs, old)
-	}
-}
-
 // handleAggFetch runs on every non-owner server: lock the group's
 // change-logs, snapshot, and stream the entries to the owner, retrying until
 // acknowledged (§5.2.2 step 6).
@@ -349,7 +333,7 @@ func (s *Server) handleAggFetch(p *env.Proc, f *wire.AggFetch) {
 
 	st.ready = true
 	msg := &wire.AggEntries{AggID: f.AggID, FP: f.FP, From: s.cfg.ID, Logs: st.logs}
-	v, ok := s.call(p, &st.done, maxTries+1, func() { s.reply(p, f.Owner, msg) }, func() {
+	v, ok := s.rpc.Call(p, &st.done, maxTries+1, func() { s.reply(p, f.Owner, msg) }, func() {
 		// Owner unreachable: keep the entries (no trim) and release the locks
 		// so the system can make progress; the owner's recovery re-aggregates
 		// (§A.1).
@@ -380,7 +364,7 @@ func (s *Server) finishPeerAgg(st *peerAggState, a *wire.AggAck) {
 func (s *Server) handleAggEntries(p *env.Proc, e *wire.AggEntries) {
 	ctx := s.aggs[e.AggID]
 	if ctx == nil {
-		acks, done := s.doneAggs[e.AggID]
+		acks, _, done := s.aggAcks.Get(e.AggID)
 		switch {
 		case done:
 			// Late or duplicate reply to a completed aggregation: re-ack so
@@ -401,13 +385,13 @@ func (s *Server) handleAggEntries(p *env.Proc, e *wire.AggEntries) {
 		}
 		return
 	}
-	if !ctx.expect[e.From] {
+	if !ctx.Expect[e.From] {
 		return // duplicate within the active aggregation
 	}
 	for _, l := range e.Logs {
 		ctx.logs = append(ctx.logs, aggLog{from: e.From, log: l})
 	}
-	ctx.answer(e.From, nil)
+	ctx.Answer(e.From, nil)
 }
 
 // handleAggAck finishes the peer side: it hands the ack to the waiting
@@ -636,7 +620,7 @@ func (s *Server) deliver(p *env.Proc, dl *dirLog, snap []core.LogEntry) {
 	s.Stats.Pushes++
 	msg := &wire.ChangePush{From: s.cfg.ID, Log: wire.DirLog{Dir: dl.ref, Entries: snap}, Final: final}
 	acked := dl.awaitAck(through, true)
-	s.call(p, acked, tries, func() {
+	s.rpc.Call(p, acked, tries, func() {
 		// The owner is recomputed per try: a migration can move the
 		// directory's group mid-push, and the old owner drops mis-routed
 		// pushes, so the entries chase the current one.
@@ -713,7 +697,7 @@ func (s *Server) flushLog(p *env.Proc, dl *dirLog, name string) bool {
 	}
 	s.Stats.RenameFlushes++
 	acked := dl.awaitAck(through, false)
-	v, ok := s.call(p, acked, 0, func() {
+	v, ok := s.rpc.Call(p, acked, 0, func() {
 		// Refused while a push is in flight, which re-triggers for the flushes
 		// it leaves waiting, and while an aggregation holds the log, whose ack
 		// trims it as a push's does.

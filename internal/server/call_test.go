@@ -7,13 +7,15 @@ import (
 	"switchfs/internal/core"
 	"switchfs/internal/env"
 	"switchfs/internal/ring"
+	"switchfs/internal/rpc"
 	"switchfs/internal/wire"
 )
 
-// TestCallTable drives the one retried call through every way it can end. The
-// server (100) calls the owner of a fingerprint group, which the ring places
-// on peer 101 or 102: stubs that record each request and answer the ones the
-// case names, after a delay and optionally once more later.
+// TestCallTable drives the one retried call, as the metadata server makes it,
+// through every way it can end. The server (100) calls the owner of a
+// fingerprint group, which the ring places on peer 101 or 102: stubs that
+// record each request and answer the ones the case names, after a delay and
+// optionally once more later.
 func TestCallTable(t *testing.T) {
 	const (
 		timeout = 2 * env.Millisecond
@@ -93,18 +95,18 @@ func TestCallTable(t *testing.T) {
 		if c.moveAt > 0 {
 			sim.After(c.moveAt, func() { rg.SetOverride(fp, 1) })
 		}
-		var a *awaiting
+		var a *rpc.Awaiting
 		var v any
 		var ok bool
 		var returned env.Time
 		giveUps := 0
 		sim.Spawn(100, func(p *env.Proc) {
 			id := s.ids.Next()
-			a = s.await(id, nil)
+			a = s.rpc.Await(id, nil)
 			msg := &wire.AggNowReq{Ctl: id, From: 100, FP: fp}
-			v, ok = s.call(p, &a.done, c.tries, func() { s.reply(p, s.ownerOfFP(fp), msg) },
+			v, ok = s.rpc.Call(p, &a.Done, c.tries, func() { s.reply(p, s.ownerOfFP(fp), msg) },
 				func() { giveUps++ })
-			delete(s.calls, id)
+			s.rpc.End(id)
 			returned = p.Now()
 		})
 		sim.Run()
@@ -119,50 +121,16 @@ func TestCallTable(t *testing.T) {
 		if at := env.Duration(returned); at < c.returned || at > c.returned+rtt {
 			t.Errorf("%s: returned at %v, want %v", c.what, returned, c.returned)
 		}
-		if len(s.calls) != 0 {
-			t.Errorf("%s: %d calls left registered", c.what, len(s.calls))
+		if n := s.rpc.Pending(); n != 0 {
+			t.Errorf("%s: %d calls left registered", c.what, n)
 		}
 		// Only a registered call takes a reply: a repeated one must not have
 		// reached the wait once the call ended.
 		if resp, _ := v.(*wire.AggNowResp); ok && (resp == nil || resp.Incomplete) {
 			t.Errorf("%s: returned %v, want the first reply", c.what, v)
 		}
-		if late, _ := a.done.Peek(); late != v {
+		if late, _ := a.Done.Peek(); late != v {
 			t.Errorf("%s: the wait holds %v after the call returned %v", c.what, late, v)
 		}
-	}
-}
-
-// BenchmarkPeerCall is the call layer benchmark (`make bench-layers`): one
-// control call per op whose first request is lost, so it pays one round trip
-// and one retransmission.
-func BenchmarkPeerCall(b *testing.B) {
-	sim := env.NewSim(3)
-	defer sim.Shutdown()
-	s := New(sim, Config{ID: 100, Costs: env.DefaultCosts(),
-		Ring:  ring.New([]uint32{0}, 0, func(uint32) env.NodeID { return 101 }),
-		Peers: []env.NodeID{100}, SwitchFor: func(core.Fingerprint) env.NodeID { return 1 }})
-	got := 0
-	sim.AddNode(101, env.NodeConfig{Handler: func(p *env.Proc, from env.NodeID, msg any) {
-		if got++; got%2 == 0 {
-			req := msg.(*wire.Packet).Body.(*wire.AggNowReq)
-			p.Send(from, &wire.Packet{Dst: from, Origin: 101, Body: &wire.AggNowResp{Ctl: req.Ctl}})
-		}
-	}})
-	sim.Spawn(100, func(p *env.Proc) {
-		for i := 0; i < b.N; i++ {
-			if _, err := s.ctlCall(p, 101, func(ctl uint64) wire.Msg {
-				return &wire.AggNowReq{Ctl: ctl, From: 100}
-			}); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	sim.Run()
-	if s.Stats.Retries != uint64(b.N) {
-		b.Fatalf("%d retransmissions for %d calls", s.Stats.Retries, b.N)
 	}
 }

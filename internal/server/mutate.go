@@ -243,9 +243,6 @@ func (s *Server) asyncCommit(p *env.Proc, parent core.DirRef, parentLog *dirLog,
 	csp := s.cfg.Trace.Start(p, "commit:async", "server")
 	defer csp.End()
 	id := s.ids.Next()
-	acked := s.await(id, nil)
-	defer delete(s.calls, id)
-
 	notice := &wire.CommitNotice{
 		Resp:     resp,
 		Client:   client,
@@ -263,7 +260,7 @@ func (s *Server) asyncCommit(p *env.Proc, parent core.DirRef, parentLog *dirLog,
 		// log synchronously (§5.2.1, §6.2).
 		notice.Update = wire.DirLog{Dir: parent, Entries: parentLog.log.Snapshot()}
 	}
-	v, ok := s.call(p, &acked.done, 0, func() {
+	v, ok := s.rpc.Request(p, id, 0, func() {
 		// The fallback owner is recomputed per try: a migration can re-route
 		// the parent's group mid-commit, and a packet built once with a stale
 		// AltDst would keep steering the switch's overflow rewrite at a server
@@ -276,7 +273,7 @@ func (s *Server) asyncCommit(p *env.Proc, parent core.DirRef, parentLog *dirLog,
 		*hdr = wire.DSHeader{Op: wire.DSInsert, FP: parent.FP, AltDst: s.ownerOfFP(parent.FP)}
 		*pkt = wire.Packet{DS: hdr, Dst: s.cfg.SwitchFor(parent.FP), Origin: s.cfg.ID, Body: notice}
 		s.send(p, pkt)
-	}, nil)
+	})
 	if !ok {
 		return
 	}
@@ -302,9 +299,6 @@ func (s *Server) syncCommit(p *env.Proc, req *wire.MutateReq, parentLog *dirLog,
 	entry core.LogEntry, lsn wal.LSN, kl *keyLock, newDir core.DirID) {
 
 	id := s.ids.Next()
-	acked := s.await(id, nil)
-	defer delete(s.calls, id)
-
 	csp := s.cfg.Trace.Start(p, "commit:sync", "server")
 	defer csp.End()
 	resp := &wire.MutateResp{RespCommon: s.respCommon(&req.ReqCommon, nil), Dir: newDir}
@@ -314,7 +308,7 @@ func (s *Server) syncCommit(p *env.Proc, req *wire.MutateReq, parentLog *dirLog,
 		CommitID: id,
 		Update:   wire.DirLog{Dir: req.Parent, Entries: []core.LogEntry{entry}},
 	}
-	if _, ok := s.call(p, &acked.done, 0, func() { s.reply(p, s.ownerOfFP(req.Parent.FP), notice) }, nil); !ok {
+	if _, ok := s.rpc.Request(p, id, 0, func() { s.reply(p, s.ownerOfFP(req.Parent.FP), notice) }); !ok {
 		return
 	}
 	// Cache the response for retransmission replay only now that the remote

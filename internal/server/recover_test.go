@@ -15,6 +15,7 @@ import (
 	"switchfs/internal/core"
 	"switchfs/internal/env"
 	"switchfs/internal/ring"
+	"switchfs/internal/rpc"
 	"switchfs/internal/wal"
 	"switchfs/internal/wire"
 )
@@ -439,10 +440,10 @@ func TestHandleAggEntriesTable(t *testing.T) {
 	dir := core.DirRef{ID: core.DirID{1, 2, 3, 4}, Key: core.Key{PID: core.RootDirID, Name: "d"}}
 	dir.FP = dir.Key.Fingerprint()
 	logs := []wire.DirLog{{Dir: dir, Entries: []core.LogEntry{{ID: 3, Op: core.OpCreate, Name: "x"}}}}
-	active := &aggCtx{awaiting: awaiting{expect: map[env.NodeID]bool{peer: true}}, id: s.ids.Next(), fp: dir.FP}
+	active := &aggCtx{Awaiting: rpc.Awaiting{Expect: map[env.NodeID]bool{peer: true}}, id: s.ids.Next(), fp: dir.FP}
 	s.aggs[active.id] = active
 	remembered := &wire.AggAck{AggID: s.ids.Next(), FP: dir.FP, MaxIDs: map[core.DirID]uint64{dir.ID: 3}}
-	s.rememberAggAcks(remembered.AggID, map[env.NodeID]*wire.AggAck{peer: remembered})
+	s.aggAcks.Put(remembered.AggID, map[env.NodeID]*wire.AggAck{peer: remembered})
 
 	for _, c := range []struct {
 		what     string
@@ -454,7 +455,7 @@ func TestHandleAggEntriesTable(t *testing.T) {
 		{"a predecessor's id: empty ack, the peer keeps its entries", early.Next(), true, 0, 1},
 		{"the last id a predecessor can have issued", last.Next(), true, 0, 2},
 		{"an id in aggs: collected, no ack yet", active.id, false, 0, 2},
-		{"an id in doneAggs: the remembered ack again", remembered.AggID, true, 3, 2},
+		{"an id in aggAcks: the remembered ack again", remembered.AggID, true, 3, 2},
 		{"an unknown id of this incarnation: ignored", s.ids.Next(), false, 0, 2},
 	} {
 		acks = nil
@@ -472,7 +473,7 @@ func TestHandleAggEntriesTable(t *testing.T) {
 			t.Errorf("%s: agg_released %d, want %d", c.what, s.Stats.AggReleased, c.released)
 		}
 	}
-	if _, done := active.done.Peek(); !done || len(active.logs) != 1 {
+	if _, done := active.Done.Peek(); !done || len(active.logs) != 1 {
 		t.Errorf("the active aggregation did not collect its peer's log: %+v", active)
 	}
 }

@@ -10,6 +10,31 @@ import (
 
 // Control-plane helpers used by the rename/link coordinator and recovery.
 
+// Budgets of a call (rpc.Calls.Call), in sends that may go unanswered before
+// it gives up.
+const (
+	// pushTries bounds a proactive change-log push: the next trigger repeats
+	// it.
+	pushTries = 8
+	// maxTries bounds the exchanges that should not give up early: an
+	// aggregation's fetch, which then proceeds with the replies at hand (a
+	// peer that stays down re-delivers its entries during its own recovery,
+	// §A.1), control calls, and a change-log delivery made while not serving.
+	// A peer's aggregation reply and the 2PC rounds send once more.
+	maxTries = 100
+)
+
+// ctlCall performs a control-plane round trip to a peer.
+func (s *Server) ctlCall(p *env.Proc, to env.NodeID, build func(ctl uint64) wire.Msg) (wire.Msg, error) {
+	id := s.ids.Next()
+	msg := build(id)
+	v, ok := s.rpc.Request(p, id, maxTries, func() { s.reply(p, to, msg) })
+	if !ok {
+		return nil, core.ErrTimeout
+	}
+	return v.(wire.Msg), nil
+}
+
 // txnSrcFlag distinguishes transaction-applied directory updates from the
 // coordinator's own change-log entries in the exactly-once watermark space.
 // A TxnDirUpdate entry's id comes from s.ids, so the (txn-src, dir) watermark
@@ -266,12 +291,12 @@ func (s *Server) broadcastInval(p *env.Proc, dirs []core.DirID) {
 
 // handleTxnVote collects a prepare vote at the coordinator.
 func (s *Server) handleTxnVote(v *wire.TxnVote) {
-	tv := s.txnVotes[v.Txn]
-	if tv == nil || !tv.expect[v.From] {
+	t := s.txnVotes[v.Txn]
+	if t == nil || !t.votes.Expect[v.From] {
 		return
 	}
-	if v.Err != core.ErrnoOK && tv.err == nil {
-		tv.err = v.Err.Err()
+	if v.Err != core.ErrnoOK && t.err == nil {
+		t.err = v.Err.Err()
 	}
-	tv.answer(v.From, nil)
+	t.votes.Answer(v.From, nil)
 }

@@ -13,6 +13,7 @@ import (
 	"switchfs/internal/env"
 	"switchfs/internal/kv"
 	"switchfs/internal/ring"
+	"switchfs/internal/rpc"
 	"switchfs/internal/trace"
 	"switchfs/internal/wal"
 	"switchfs/internal/wire"
@@ -158,7 +159,7 @@ type fpState struct {
 // aggCtx is an in-flight aggregation this server owns: it awaits every peer's
 // entries.
 type aggCtx struct {
-	awaiting
+	rpc.Awaiting
 	id   uint64
 	fp   core.Fingerprint
 	logs []aggLog
@@ -230,17 +231,17 @@ type Server struct {
 	// group. UnblockFP completes the future.
 	gates map[core.Fingerprint]*env.Future
 
-	// Pending protocol contexts. calls is the registry of plain
+	// Pending protocol contexts. rpc waits for peers and registers the plain
 	// request/response exchanges (commit acks, control replies, decision
-	// acks), keyed by ids drawn from ids.
-	calls      map[uint64]*awaiting
-	aggs       map[uint64]*aggCtx
-	aggByFP    map[core.Fingerprint]*aggCtx
-	peerAggs   map[uint64]*peerAggState
-	doneAggs   map[uint64]map[env.NodeID]*wire.AggAck
-	doneAggLog []uint64
-	dedup      map[dedupKey]wire.Msg
-	dedupLog   []dedupKey
+	// acks), keyed by ids drawn from ids. aggAcks remembers the acks of the
+	// last 256 aggregations, to re-ack a late peer; served remembers the last
+	// 4 096 client RPCs this incarnation took up (§5.4.1).
+	rpc      rpc.Calls
+	aggs     map[uint64]*aggCtx
+	aggByFP  map[core.Fingerprint]*aggCtx
+	peerAggs map[uint64]*peerAggState
+	aggAcks  *rpc.Window[uint64, map[env.NodeID]*wire.AggAck]
+	served   *rpc.Window[dedupKey, wire.Msg]
 
 	// Owner-side quiesce timers for proactive aggregation.
 	quiesce map[core.Fingerprint]*env.Timer
@@ -253,16 +254,16 @@ type Server struct {
 	ids core.Incarnation
 
 	// txns holds participant state for 2PC (rename, links, migration);
-	// txnVotes holds the coordinator's prepare rounds; renameMu
-	// serializes the lock-acquiring half of coordinated transactions
-	// cluster-wide (the centralized rename coordinator of §5.2), and deciding
-	// is held shared by each transaction that left renameMu until its
-	// decision round ends, so a directory rename can wait them out.
-	txns       map[uint64]*txnState
-	txnVotes   map[uint64]*awaiting
-	txnStarted map[uint64]bool
-	txnVoted   map[uint64]core.Errno
-	txnLog     []uint64
+	// prepares remembers the last 4 096 prepares taken up and, once each
+	// voted, its vote (replayed to a retransmission); txnVotes holds the
+	// coordinator's prepare rounds; renameMu serializes the lock-acquiring
+	// half of coordinated transactions cluster-wide (the centralized rename
+	// coordinator of §5.2), and deciding is held shared by each transaction
+	// that left renameMu until its decision round ends, so a directory rename
+	// can wait them out.
+	txns     map[uint64]*txnState
+	prepares *rpc.Window[uint64, core.Errno]
+	txnVotes map[uint64]*coordTxn
 	// txnWAL holds the coordinator-side commit decisions, by their WAL
 	// record, for the participant termination protocol (TxnStatusReq): each
 	// is logged (with the participant set) before the first decision packet
@@ -370,22 +371,23 @@ func New(e *env.Sim, cfg Config) *Server {
 		fpOps:      make(map[core.Fingerprint]uint64),
 		busy:       make(map[core.Fingerprint]int),
 		gates:      make(map[core.Fingerprint]*env.Future),
-		calls:      make(map[uint64]*awaiting),
 		aggs:       make(map[uint64]*aggCtx),
 		aggByFP:    make(map[core.Fingerprint]*aggCtx),
-		dedup:      make(map[dedupKey]wire.Msg),
+		served:     rpc.NewWindow[dedupKey, wire.Msg](4096),
 		quiesce:    make(map[core.Fingerprint]*env.Timer),
 		ownerDirty: make(map[core.Fingerprint]bool),
 		txns:       make(map[uint64]*txnState),
-		txnVotes:   make(map[uint64]*awaiting),
+		prepares:   rpc.NewWindow[uint64, core.Errno](4096),
+		txnVotes:   make(map[uint64]*coordTxn),
 		txnWAL:     make(map[uint64]wal.LSN),
 		peerAggs:   make(map[uint64]*peerAggState),
-		doneAggs:   make(map[uint64]map[env.NodeID]*wire.AggAck),
+		aggAcks:    rpc.NewWindow[uint64, map[env.NodeID]*wire.AggAck](256),
 		serving:    true,
 	}
 	if s.wal == nil {
 		s.wal = wal.NewMem()
 	}
+	s.rpc = rpc.NewCalls(cfg.RetryTimeout, &s.dead, &s.Stats.Retries)
 	s.ids = core.NewIncarnation(uint64(cfg.ID), uint64(e.Now()))
 	s.invalSeq = s.ids.Boot()
 	s.node = e.AddNode(cfg.ID, env.NodeConfig{Cores: cfg.Cores, Handler: s.handle})
@@ -614,7 +616,7 @@ func (s *Server) handle(p *env.Proc, from env.NodeID, msg any) {
 	case *wire.MutateReq:
 		s.handleMutate(p, b)
 	case *wire.CommitAck:
-		s.answer(b.CommitID, 0, b)
+		s.rpc.Answer(b.CommitID, 0, b)
 	case *wire.CommitNotice:
 		// Overflow fallback: the switch rewrote the insert packet to us —
 		// we own the parent directory and apply the update synchronously.
@@ -642,11 +644,11 @@ func (s *Server) handle(p *env.Proc, from env.NodeID, msg any) {
 	case *wire.TxnVote:
 		s.handleTxnVote(b)
 	case *wire.TxnDone:
-		s.answer(b.Txn, b.From, nil)
+		s.rpc.Answer(b.Txn, b.From, nil)
 	case *wire.TxnStatusReq:
 		s.handleTxnStatus(p, b)
 	case *wire.TxnStatusResp:
-		s.answer(b.Ctl, 0, b)
+		s.rpc.Answer(b.Ctl, 0, b)
 	case *wire.ReadInodeReq:
 		s.handleReadInode(p, b)
 	case *wire.ScanDirReq:
@@ -654,19 +656,19 @@ func (s *Server) handle(p *env.Proc, from env.NodeID, msg any) {
 	case *wire.AggNowReq:
 		s.handleAggNow(p, b)
 	case *wire.ReadInodeResp:
-		s.answer(b.Ctl, 0, b)
+		s.rpc.Answer(b.Ctl, 0, b)
 	case *wire.ScanDirResp:
-		s.answer(b.Ctl, 0, b)
+		s.rpc.Answer(b.Ctl, 0, b)
 	case *wire.AggNowResp:
-		s.answer(b.Ctl, 0, b)
+		s.rpc.Answer(b.Ctl, 0, b)
 	case *wire.FlushEntryReq:
 		s.handleFlushEntry(p, b)
 	case *wire.FlushEntryResp:
-		s.answer(b.Ctl, 0, b)
+		s.rpc.Answer(b.Ctl, 0, b)
 	case *wire.CloneInvalReq:
 		s.handleCloneInval(p, b)
 	case *wire.CloneInvalResp:
-		s.answer(b.Ctl, 0, b)
+		s.rpc.Answer(b.Ctl, 0, b)
 	case *wire.FlushAllReq:
 		s.handleFlushAll(p, pkt.Origin, b)
 	}
@@ -847,33 +849,19 @@ func (s *Server) checkAncestors(req *wire.ReqCommon) error {
 	return nil
 }
 
-// remember caches a response for client-RPC deduplication: retransmitted
+// remember records a response for client-RPC deduplication: retransmitted
 // requests replay the response instead of re-executing (§5.4.1).
-const dedupWindow = 4096
-
 func (s *Server) remember(client env.NodeID, rpc uint64, resp wire.Msg) {
-	k := dedupKey{client: client, rpc: rpc}
-	if _, exists := s.dedup[k]; !exists {
-		s.dedup[k] = resp
-		s.dedupLog = append(s.dedupLog, k)
-		if len(s.dedupLog) > dedupWindow {
-			old := s.dedupLog[0]
-			s.dedupLog = s.dedupLog[1:]
-			delete(s.dedup, old)
-		}
-	} else {
-		s.dedup[k] = resp
-	}
+	s.served.Put(dedupKey{client: client, rpc: rpc}, resp)
 }
 
-// replayIfDuplicate replies with the cached response when (client, rpc) was
-// already executed. inFlight reports an execution still in progress, in
-// which case the duplicate is dropped (the original will answer).
+// replayIfDuplicate replies with the recorded response when (client, rpc) was
+// already executed. An execution still in progress drops the duplicate (the
+// original will answer).
 //
 //detlint:dedup-check
 func (s *Server) replayIfDuplicate(p *env.Proc, req *wire.ReqCommon) bool {
-	k := dedupKey{client: req.Client, rpc: req.RPC}
-	resp, ok := s.dedup[k]
+	resp, _, ok := s.served.Get(dedupKey{client: req.Client, rpc: req.RPC})
 	if !ok {
 		return false
 	}
@@ -888,18 +876,7 @@ func (s *Server) replayIfDuplicate(p *env.Proc, req *wire.ReqCommon) bool {
 //
 //detlint:dedup-check
 func (s *Server) begin(req *wire.ReqCommon) bool {
-	k := dedupKey{client: req.Client, rpc: req.RPC}
-	if _, ok := s.dedup[k]; ok {
-		return false
-	}
-	s.dedup[k] = nil
-	s.dedupLog = append(s.dedupLog, k)
-	if len(s.dedupLog) > dedupWindow {
-		old := s.dedupLog[0]
-		s.dedupLog = s.dedupLog[1:]
-		delete(s.dedup, old)
-	}
-	return true
+	return s.served.Begin(dedupKey{client: req.Client, rpc: req.RPC})
 }
 
 // appliedMark returns the exactly-once watermark for (src, dir).

@@ -86,7 +86,10 @@ func TestInodeRecordRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDedupWindow checks the client-RPC memo: an RPC is taken up once, and the
+// memo keeps the newest 4 096, evicting the oldest first.
 func TestDedupWindow(t *testing.T) {
+	const window = 4096
 	_, s := newTestServer(t)
 	req := &wire.ReqCommon{RPC: 1, Client: 9000}
 	if !s.begin(req) {
@@ -98,16 +101,39 @@ func TestDedupWindow(t *testing.T) {
 	resp := &wire.MutateResp{RespCommon: wire.RespCommon{RPC: 1}}
 	s.remember(req.Client, req.RPC, resp)
 	// The window evicts oldest entries.
-	for i := 2; i < dedupWindow+10; i++ {
+	for i := 2; i < window+10; i++ {
 		s.begin(&wire.ReqCommon{RPC: uint64(i), Client: 9000})
 	}
-	_, still := s.dedup[dedupKey{client: 9000, rpc: 1}]
-	n := len(s.dedup)
-	if still {
+	if _, _, still := s.served.Get(dedupKey{client: 9000, rpc: 1}); still {
 		t.Fatal("oldest entry not evicted")
 	}
-	if n > dedupWindow {
-		t.Fatalf("dedup map grew to %d (window %d)", n, dedupWindow)
+	if n := s.served.Len(); n > window {
+		t.Fatalf("dedup window grew to %d (bound %d)", n, window)
+	}
+}
+
+// TestRearmKeepsPrepareWindowBounded re-arms more in-doubt transactions than
+// the prepare window holds, as recovery does from the WAL: the window stays at
+// its bound, the oldest re-armed transaction leaves it, and the newest still
+// replays its recorded vote.
+func TestRearmKeepsPrepareWindowBounded(t *testing.T) {
+	const window = 4096
+	sim, s := newTestServer(t)
+	ids := make([]uint64, window+5)
+	for i := range ids {
+		ids[i] = s.ids.Next()
+		s.txnRearm = append(s.txnRearm, txnRearm{txn: ids[i], coord: 101})
+	}
+	sim.Spawn(100, s.rearmPreparedTxns)
+	sim.RunFor(env.Microsecond)
+	if n := s.prepares.Len(); n != window {
+		t.Fatalf("prepare window holds %d after re-arming %d, want %d", n, len(ids), window)
+	}
+	if _, _, ok := s.prepares.Get(ids[0]); ok {
+		t.Error("the oldest re-armed transaction is still in the window")
+	}
+	if errno, voted, _ := s.prepares.Get(ids[len(ids)-1]); !voted || errno != core.ErrnoOK {
+		t.Errorf("the newest re-armed transaction: voted %v errno %v, want its OK vote", voted, errno)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"switchfs/internal/core"
 	"switchfs/internal/env"
+	"switchfs/internal/rpc"
 	"switchfs/internal/wal"
 	"switchfs/internal/wire"
 )
@@ -310,7 +311,9 @@ func (s *Server) doLink(p *env.Proc, req *wire.LinkReq) error {
 type coordTxn struct {
 	id    uint64
 	parts []env.NodeID
-	votes *awaiting
+	votes *rpc.Awaiting
+	// err is the prepare round's first refusal.
+	err error
 	// prepared reports that every vote arrived; false when the prepare round
 	// gave up (or this incarnation fail-stopped) with votes outstanding.
 	prepared bool
@@ -333,15 +336,15 @@ type coordTxn struct {
 // endTxn (one-shot participants, which have nothing to decide).
 func (s *Server) prepareTxn(p *env.Proc, plan txnPlan) *coordTxn {
 	parts := sortedNodeIDs(plan)
-	t := &coordTxn{id: s.ids.Next(), parts: parts, votes: expecting(parts)}
-	s.txnVotes[t.id] = t.votes
+	t := &coordTxn{id: s.ids.Next(), parts: parts, votes: rpc.Expecting(parts)}
+	s.txnVotes[t.id] = t
 	for _, n := range parts {
 		plan[n].Txn, plan[n].From = t.id, s.cfg.ID
 	}
 
 	psp := s.cfg.Trace.Start(p, "txn:prepare", "server")
 	defer psp.End()
-	_, t.prepared = s.call(p, &t.votes.done, maxTries+1, func() {
+	_, t.prepared = s.rpc.Call(p, &t.votes.Done, maxTries+1, func() {
 		for _, n := range parts {
 			s.reply(p, n, plan[n])
 		}
@@ -371,7 +374,7 @@ func (s *Server) endTxn(t *coordTxn) error {
 	case !t.prepared:
 		return core.ErrRetry
 	}
-	return t.votes.err
+	return t.err
 }
 
 // decideTxn is the second half of two-phase commit: record the outcome and
@@ -396,7 +399,7 @@ func (s *Server) decideTxn(p *env.Proc, t *coordTxn) error {
 	// leaves (recordCommit); aborts are presumed and deliberately unlogged,
 	// so the two outcomes drive the decision from separate branches and
 	// walorder proves the ordering on the commit one.
-	if t.prepared && t.votes.err == nil {
+	if t.prepared && t.err == nil {
 		s.recordCommit(p, t.id, t.parts)
 		if s.driveDecision(p, t.id, t.parts, true) {
 			s.ackDecision(t.id)
@@ -436,11 +439,11 @@ func (s *Server) recordCommit(p *env.Proc, id uint64, parts []env.NodeID) {
 // protocol pulls it (TxnStatusReq) or the next coordinator recovery re-drives
 // it. Reports whether all acks arrived.
 func (s *Server) driveDecision(p *env.Proc, id uint64, parts []env.NodeID, commit bool) bool {
-	acks := s.await(id, parts)
-	defer delete(s.calls, id)
+	acks := s.rpc.Await(id, parts)
+	defer s.rpc.End(id)
 	dsp := s.cfg.Trace.Start(p, "txn:decision", "server")
 	defer dsp.End()
-	_, ok := s.call(p, &acks.done, maxTries+1, func() {
+	_, ok := s.rpc.Call(p, &acks.Done, maxTries+1, func() {
 		for _, n := range parts {
 			replyNew(s, p, n, wire.TxnDecision{Txn: id, Commit: commit})
 		}
@@ -551,14 +554,6 @@ func (s *Server) monitorTxn(p *env.Proc, txn uint64, coord env.NodeID) {
 	}
 }
 
-// recordVote remembers the prepare outcome for retransmission replay.
-func (s *Server) recordVote(txn uint64, errno core.Errno) {
-	if s.txnVoted == nil {
-		s.txnVoted = make(map[uint64]core.Errno)
-	}
-	s.txnVoted[txn] = errno
-}
-
 // handleTxnPrepare is the participant side of phase one: lock keys in global
 // order, run checks, vote.
 //
@@ -569,28 +564,18 @@ func (s *Server) handleTxnPrepare(p *env.Proc, tp *wire.TxnPrepare) {
 	// Retransmission dedup: the first prepare may block acquiring locks, so
 	// a duplicate must never run a second lock acquisition — the zombie
 	// would hold the keys forever after the decision released the original.
-	if s.txnVoted == nil {
-		s.txnVoted = make(map[uint64]core.Errno)
-		s.txnStarted = make(map[uint64]bool)
-	}
-	if errno, voted := s.txnVoted[tp.Txn]; voted {
+	errno, voted, started := s.prepares.Get(tp.Txn)
+	if voted {
 		// Replay the recorded vote.
 		//detlint:ignore walorder -- vote replay: the original execution already ordered the prepare record before this vote
 		replyNew(s, p, tp.From, wire.TxnVote{Txn: tp.Txn, From: s.cfg.ID, Err: errno})
 		return
 	}
-	if s.txnStarted[tp.Txn] {
+	if started {
 		// Original still acquiring locks; it will vote. Drop the duplicate.
 		return
 	}
-	s.txnStarted[tp.Txn] = true
-	s.txnLog = append(s.txnLog, tp.Txn)
-	if len(s.txnLog) > dedupWindow {
-		old := s.txnLog[0]
-		s.txnLog = s.txnLog[1:]
-		delete(s.txnStarted, old)
-		delete(s.txnVoted, old)
-	}
+	s.prepares.Begin(tp.Txn)
 
 	// One-shot commutative application (adjustNlink).
 	autoOnly := true
@@ -606,7 +591,7 @@ func (s *Server) handleTxnPrepare(p *env.Proc, tp *wire.TxnPrepare) {
 		// that does not — or no longer does — hold the attribute object.
 		afps := txnFPs(tp.Ops, nil)
 		if aerr := s.admitFPs(p, afps); aerr != nil {
-			s.recordVote(tp.Txn, core.ErrnoOf(aerr))
+			s.prepares.Put(tp.Txn, core.ErrnoOf(aerr))
 			//detlint:ignore walorder -- retry vote: nothing was applied, nothing to log
 			replyNew(s, p, tp.From, wire.TxnVote{Txn: tp.Txn, From: s.cfg.ID, Err: core.ErrnoOf(aerr)})
 			return
@@ -619,7 +604,7 @@ func (s *Server) handleTxnPrepare(p *env.Proc, tp *wire.TxnPrepare) {
 			}
 		}
 		s.exitFPs(afps)
-		s.recordVote(tp.Txn, core.ErrnoOf(err))
+		s.prepares.Put(tp.Txn, core.ErrnoOf(err))
 		//detlint:ignore walorder -- commutative auto-apply: durability came from recInode inside applyNlink; there is no prepared state to log
 		replyNew(s, p, tp.From, wire.TxnVote{Txn: tp.Txn, From: s.cfg.ID, Err: core.ErrnoOf(err)})
 		return
@@ -635,7 +620,7 @@ func (s *Server) handleTxnPrepare(p *env.Proc, tp *wire.TxnPrepare) {
 	// prepared.
 	fps := txnFPs(tp.Ops, tp.Check)
 	if aerr := s.admitFPs(p, fps); aerr != nil {
-		s.recordVote(tp.Txn, core.ErrnoOf(aerr))
+		s.prepares.Put(tp.Txn, core.ErrnoOf(aerr))
 		//detlint:ignore walorder -- retry vote: nothing was prepared; presumed abort needs no record
 		replyNew(s, p, tp.From, wire.TxnVote{Txn: tp.Txn, From: s.cfg.ID, Err: core.ErrnoOf(aerr)})
 		return
@@ -667,7 +652,7 @@ func (s *Server) handleTxnPrepare(p *env.Proc, tp *wire.TxnPrepare) {
 			s.unlockKey(l)
 		}
 		s.exitFPs(fps)
-		s.recordVote(tp.Txn, core.ErrnoOf(err))
+		s.prepares.Put(tp.Txn, core.ErrnoOf(err))
 		//detlint:ignore walorder -- abort vote: nothing was prepared; presumed abort needs no record
 		replyNew(s, p, tp.From, wire.TxnVote{Txn: tp.Txn, From: s.cfg.ID, Err: core.ErrnoOf(err)})
 		return
@@ -689,7 +674,7 @@ func (s *Server) handleTxnPrepare(p *env.Proc, tp *wire.TxnPrepare) {
 	// event as the registration — at no instant is the group neither busy nor
 	// prepared.
 	s.exitFPs(fps)
-	s.recordVote(tp.Txn, core.ErrnoOK)
+	s.prepares.Put(tp.Txn, core.ErrnoOK)
 	// Prepared and locked: arm the termination protocol in case the
 	// coordinator dies before the decision reaches us.
 	s.watchTxn(tp.Txn, tp.From)
@@ -810,14 +795,8 @@ func (s *Server) rearmPreparedTxns(p *env.Proc) {
 	for _, ra := range rearms {
 		st := &txnState{id: ra.txn, ops: ra.ops, lsn: ra.lsn}
 		st.locks = s.lockTxnKeys(p, ra.ops, nil)
-		if s.txnVoted == nil {
-			s.txnVoted = make(map[uint64]core.Errno)
-			s.txnStarted = make(map[uint64]bool)
-		}
 		s.txns[ra.txn] = st
-		s.txnStarted[ra.txn] = true
-		s.txnVoted[ra.txn] = core.ErrnoOK
-		s.txnLog = append(s.txnLog, ra.txn)
+		s.prepares.Put(ra.txn, core.ErrnoOK)
 		s.watchTxn(ra.txn, ra.coord)
 	}
 }

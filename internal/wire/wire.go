@@ -240,9 +240,6 @@ type CommitAck struct {
 	Applied  bool
 }
 
-// SyncApplyResp is unused on the fast path; the fallback owner acks with
-// CommitAck and answers the client with Resp directly.
-
 // --- Aggregation -------------------------------------------------------------
 
 // AggFetch is the body of a DSRemove packet: the switch multicasts it to
