@@ -25,9 +25,9 @@
 package datanode
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"switchfs/internal/core"
 	"switchfs/internal/env"
@@ -370,13 +370,11 @@ func (s *Server) replicate(p *env.Proc, chunk wire.ChunkKey, ver uint64, bytes i
 	acks := s.rpc.Await(seq, backups)
 	defer s.rpc.End(seq)
 	if _, ok := s.rpc.Call(p, &acks.Done, maxRepRetries, func() {
-		for _, n := range backups {
-			if acks.Expect[n] {
-				s.reply(p, n, &wire.DataRepReq{
-					Seq: seq, From: s.cfg.ID, Primary: uint32(s.cfg.Slot),
-					Chunk: chunk, Ver: ver, Bytes: bytes,
-				})
-			}
+		for _, n := range acks.Expect {
+			s.reply(p, n, &wire.DataRepReq{
+				Seq: seq, From: s.cfg.ID, Primary: uint32(s.cfg.Slot),
+				Chunk: chunk, Ver: ver, Bytes: bytes,
+			})
 		}
 	}, nil); !ok {
 		return core.ErrTimeout
@@ -414,11 +412,8 @@ func (s *Server) handlePull(p *env.Proc, req *wire.DataPullReq) {
 			recs = append(recs, wire.ChunkRec{Chunk: k, Ver: rec.committed, Bytes: rec.cbytes, Primary: rec.primary})
 		}
 	}
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].Chunk.File != recs[j].Chunk.File {
-			return recs[i].Chunk.File < recs[j].Chunk.File
-		}
-		return recs[i].Chunk.Stripe < recs[j].Chunk.Stripe
+	slices.SortFunc(recs, func(a, b wire.ChunkRec) int {
+		return cmp.Or(cmp.Compare(a.Chunk.File, b.Chunk.File), cmp.Compare(a.Chunk.Stripe, b.Chunk.Stripe))
 	})
 	// Transfer cost scales with the volume re-replicated.
 	p.Compute(env.Duration(len(recs)) * s.cfg.Costs.DataIO / 8)

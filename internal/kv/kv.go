@@ -223,22 +223,14 @@ func (s *Store) Delete(key []byte) bool {
 // and internal value slices valid only for the duration of the call: it must
 // not retain or mutate them.
 func (s *Store) Scan(prefix []byte, fn func(key, val []byte) bool) {
-	if len(prefix) >= groupLen && prefix[groupLen-1] == '/' {
-		// A conforming prefix selects exactly one shard (non-conforming keys
-		// can never match it).
-		sh := s.shards[string(prefix[:groupLen])]
-		if sh == nil {
+	if conforming(prefix) {
+		sh, names := s.groupNames(prefix)
+		if len(names) == 0 {
 			return
 		}
-		rest := string(prefix[groupLen:])
-		order := sh.ensureOrder()
-		start := sort.SearchStrings(order, rest)
 		buf := make([]byte, 0, groupLen+64)
 		buf = append(buf, prefix[:groupLen]...)
-		for _, name := range order[start:] {
-			if !strings.HasPrefix(name, rest) {
-				return
-			}
+		for _, name := range names {
 			buf = append(buf[:groupLen], name...)
 			if !fn(buf, sh.m[name]) {
 				return
@@ -247,6 +239,41 @@ func (s *Store) Scan(prefix []byte, fn func(key, val []byte) bool) {
 		return
 	}
 	s.Range(prefix, prefixSuccessor(prefix), fn)
+}
+
+// ScanNames is Scan for a caller that wants each key's suffix past the
+// prefix as a string — a directory's entry names — and may keep it: under a
+// group prefix the suffix is a substring of the store's interned name, so
+// nothing is copied. Values follow Scan's rules.
+func (s *Store) ScanNames(prefix []byte, fn func(name string, val []byte) bool) {
+	if conforming(prefix) {
+		sh, names := s.groupNames(prefix)
+		rest := len(prefix) - groupLen
+		for _, name := range names {
+			if !fn(name[rest:], sh.m[name]) {
+				return
+			}
+		}
+		return
+	}
+	s.Range(prefix, prefixSuccessor(prefix), func(k, v []byte) bool { return fn(string(k[len(prefix):]), v) })
+}
+
+// groupNames returns the shard a conforming prefix selects — exactly one:
+// non-conforming keys can never match it — and its sorted names that extend
+// the prefix past the group.
+func (s *Store) groupNames(prefix []byte) (*shard, []string) {
+	sh := s.shards[string(prefix[:groupLen])]
+	if sh == nil {
+		return nil, nil
+	}
+	rest := string(prefix[groupLen:])
+	order := sh.ensureOrder()
+	order = order[sort.SearchStrings(order, rest):]
+	if rest != "" {
+		order = order[:sort.Search(len(order), func(i int) bool { return !strings.HasPrefix(order[i], rest) })]
+	}
+	return sh, order
 }
 
 // CountPrefix returns the number of keys with the given prefix. Counting a

@@ -293,6 +293,40 @@ func TestScanPrefixInsideGroup(t *testing.T) {
 	}
 }
 
+// TestScanNamesMatchesScan: ScanNames visits what Scan visits, in order,
+// under a whole group, a prefix inside one and a non-conforming prefix, and
+// hands out each name past the prefix. Under a group prefix the names are the
+// store's own strings: visiting them copies nothing.
+func TestScanNamesMatchesScan(t *testing.T) {
+	s := kv.New()
+	id := dirID(4)
+	for _, n := range []string{"ab", "abc", "abd", "b", "aa"} {
+		s.Put(schemaKey('e', id, n), []byte(n))
+		s.Put([]byte("flat/"+n), []byte(n))
+	}
+	for _, prefix := range [][]byte{schemaKey('e', id, ""), schemaKey('e', id, "ab"), schemaKey('e', dirID(5), ""), []byte("flat/a")} {
+		var want, got []string
+		s.Scan(prefix, func(k, v []byte) bool {
+			want = append(want, string(k[len(prefix):])+"="+string(v))
+			return true
+		})
+		s.ScanNames(prefix, func(name string, v []byte) bool {
+			got = append(got, name+"="+string(v))
+			return true
+		})
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("prefix %q: ScanNames %v, Scan %v", prefix, got, want)
+		}
+	}
+	group := schemaKey('e', id, "")
+	names := 0
+	if n := testing.AllocsPerRun(100, func() {
+		s.ScanNames(group, func(name string, v []byte) bool { names += len(name); return true })
+	}); n != 0 {
+		t.Errorf("ScanNames over a group: %v allocs, want 0", n)
+	}
+}
+
 func sortByteSlices(b [][]byte) {
 	for i := 1; i < len(b); i++ {
 		for j := i; j > 0 && bytes.Compare(b[j], b[j-1]) < 0; j-- {

@@ -1,6 +1,10 @@
 package rpc
 
-import "switchfs/internal/env"
+import (
+	"slices"
+
+	"switchfs/internal/env"
+)
 
 // Calls is one node incarnation's way to wait for a peer (DESIGN.md "Waiting
 // for a peer"): the retried call and the registry of the calls in flight,
@@ -9,14 +13,14 @@ type Calls struct {
 	timeout env.Duration
 	dead    *bool
 	retries *uint64
-	reg     map[uint64]*Awaiting
+	reg     map[uint64]answerer
 }
 
 // NewCalls returns the calls of an incarnation that waits timeout for each
 // try, stops once *dead is set (it fail-stopped) and counts every unanswered
 // send in *retries.
 func NewCalls(timeout env.Duration, dead *bool, retries *uint64) Calls {
-	return Calls{timeout: timeout, dead: dead, retries: retries, reg: make(map[uint64]*Awaiting)}
+	return Calls{timeout: timeout, dead: dead, retries: retries, reg: make(map[uint64]answerer)}
 }
 
 // Call sends a try, waits for done, and repeats until done completes —
@@ -40,17 +44,24 @@ func (c *Calls) Call(p *env.Proc, done *env.Future, tries int, send, giveUp func
 
 // Request is a Call registered under id whose first reply ends it.
 func (c *Calls) Request(p *env.Proc, id uint64, tries int, send func()) (any, bool) {
-	a := c.Await(id, nil)
+	done := c.AwaitReply(id)
 	defer c.End(id)
-	return c.Call(p, &a.Done, tries, send, nil)
+	return c.Call(p, done, tries, send, nil)
 }
 
-// Await registers a call under id, waiting for one reply from each of peers
-// (from any one peer when there are none). The caller ends it with End, so a
-// late or duplicate reply finds nothing. Ids come from the node's
-// incarnation, which issues each once.
+// AwaitReply registers a call under id that the first reply, from any peer,
+// completes. The caller ends it with End, so a late or duplicate reply finds
+// nothing. Ids come from the node's incarnation, which issues each once.
+func (c *Calls) AwaitReply(id uint64) *env.Future {
+	r := &firstReply{}
+	c.reg[id] = r
+	return &r.Future
+}
+
+// Await registers a call under id waiting for one reply from each of peers,
+// ascending, which it takes (see Awaiting). The caller ends it with End.
 func (c *Calls) Await(id uint64, peers []env.NodeID) *Awaiting {
-	a := Expecting(peers)
+	a := &Awaiting{Expect: peers}
 	c.reg[id] = a
 	return a
 }
@@ -68,36 +79,42 @@ func (c *Calls) End(id uint64) { delete(c.reg, id) }
 // Pending reports the number of registered calls.
 func (c *Calls) Pending() int { return len(c.reg) }
 
-// Awaiting is what a call waits for: Done completes with the reply or, when
-// Expect names peers, once each of them has answered.
+// answerer is a registered call's wait.
+type answerer interface{ Answer(from env.NodeID, v any) }
+
+// firstReply is the wait of a call whose first reply ends it: a bare future,
+// so the registry entry of every Request is no larger than the future itself.
+type firstReply struct{ env.Future }
+
+func (r *firstReply) Answer(_ env.NodeID, v any) { r.Complete(v) }
+
+// Awaiting is a wait for one reply from each of a set of peers: Done
+// completes, with the last reply, once every peer in Expect has answered.
+//
+// Expect is the peers still to answer, in ascending id order: a caller that
+// re-sends to them walks it. Answer deletes the peer from it in place, so an
+// Awaiting owns the array behind Expect; a caller that still needs the full
+// set passes a copy.
 type Awaiting struct {
 	Done   env.Future
-	Expect map[env.NodeID]bool
+	Expect []env.NodeID
 }
 
-// Expecting returns a wait for one reply from each of peers (from any one
-// peer when there are none).
-func Expecting(peers []env.NodeID) *Awaiting {
-	a := &Awaiting{}
-	if len(peers) > 0 {
-		a.Expect = make(map[env.NodeID]bool, len(peers))
-		for _, n := range peers {
-			a.Expect[n] = true
-		}
-	}
-	return a
+// Expects reports whether n has yet to answer.
+func (a *Awaiting) Expects(n env.NodeID) bool {
+	_, ok := slices.BinarySearch(a.Expect, n)
+	return ok
 }
 
-// Answer takes from's reply; one from a peer it does not expect is dropped.
+// Answer takes from's reply; one from a peer it does not expect — a stranger,
+// or a peer that already answered — is dropped.
 func (a *Awaiting) Answer(from env.NodeID, v any) {
-	if a.Expect != nil {
-		if !a.Expect[from] {
-			return
-		}
-		delete(a.Expect, from)
-		if len(a.Expect) > 0 {
-			return
-		}
+	i, ok := slices.BinarySearch(a.Expect, from)
+	if !ok {
+		return
 	}
-	a.Done.Complete(v)
+	a.Expect = slices.Delete(a.Expect, i, i+1)
+	if len(a.Expect) == 0 {
+		a.Done.Complete(v)
+	}
 }

@@ -1,6 +1,9 @@
 package server
 
 import (
+	"cmp"
+	"slices"
+
 	"switchfs/internal/core"
 	"switchfs/internal/env"
 	"switchfs/internal/wire"
@@ -18,14 +21,12 @@ type aggOpts struct {
 }
 
 // peerAggState is the peer-side context of an aggregation it is serving:
-// the change-logs it locked and the ack it awaits (§5.2.2 steps 6, 9a).
+// the reply it sends, the change-logs it locked and the ack it awaits
+// (§5.2.2 steps 6, 9a).
 type peerAggState struct {
-	id     uint64
-	fp     core.Fingerprint
-	owner  env.NodeID
-	logs   []wire.DirLog
-	locked []*dirLog
-	done   env.Future
+	entries wire.AggEntries
+	locked  []*dirLog
+	done    env.Future
 	// ready flips once the snapshot exists; duplicate fetches arriving
 	// earlier are dropped — answering them with the (empty) placeholder
 	// would let the owner complete without this peer's entries while the
@@ -113,12 +114,8 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 	s.Stats.Aggregations++
 	id := s.ids.Next()
 	ctx := &aggCtx{id: id, fp: fp}
-	ctx.Expect = make(map[env.NodeID]bool)
-	for _, peer := range s.cfg.Peers {
-		if peer != s.cfg.ID {
-			ctx.Expect[peer] = true
-		}
-	}
+	ctx.Expect = slices.DeleteFunc(slices.Clone(s.cfg.Peers), func(n env.NodeID) bool { return n == s.cfg.ID })
+	slices.Sort(ctx.Expect)
 	s.aggs[id] = ctx
 	s.aggByFP[fp] = ctx
 	if s.ownerOfFP(fp) != s.cfg.ID {
@@ -141,7 +138,8 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 		t.Cancel()
 		delete(s.quiesce, fp)
 	}
-	locals := sortedClogs(s.clogsByFP[fp])
+	var buf [4]*dirLog
+	locals := sortedClogs(buf[:0], s.clogsByFP[fp])
 
 	// Collect the local change-logs of the group under their exclusive
 	// protocol locks (this server may itself have logged updates to
@@ -157,7 +155,7 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 	}
 
 	// Fetch from peers: remove the fingerprint and multicast (steps 5–6).
-	fetch := &wire.AggFetch{AggID: id, FP: fp, Owner: s.cfg.ID, Rmdir: opts.rmdir, Dir: opts.dir}
+	fetch := wire.AggFetch{AggID: id, FP: fp, Owner: s.cfg.ID, Rmdir: opts.rmdir, Dir: opts.dir}
 	if len(ctx.Expect) == 0 {
 		ctx.Done.Complete(nil)
 	}
@@ -175,17 +173,19 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 	seq := s.ids.Next()
 	s.rpc.Call(p, &ctx.Done, maxTries, func() {
 		if s.cfg.Tracker == TrackerOwner {
-			// Sorted snapshot: each send draws latency/jitter from the
-			// seeded RNG, so emitting in map order would make two runs with
-			// the same seed diverge (caught by detlint maprange).
-			for _, peer := range sortedNodeIDs(ctx.Expect) {
-				s.reply(p, peer, fetch)
+			// Peers are walked in ascending id order, as every walk whose
+			// order can reach the network must be: each send draws
+			// latency/jitter from the seeded RNG, so a map's order would make
+			// two runs with the same seed diverge (detlint maprange).
+			for _, peer := range ctx.Expect {
+				replyNew(s, p, peer, fetch)
 			}
 			return
 		}
-		sw := s.cfg.SwitchFor(fp)
-		s.send(p, &wire.Packet{DS: &wire.DSHeader{Op: wire.DSRemove, FP: fp, Seq: seq},
-			Dst: sw, Origin: s.cfg.ID, Body: fetch})
+		pkt, hdr := wire.Carve[wire.DSHeader]()
+		*hdr = wire.DSHeader{Op: wire.DSRemove, FP: fp, Seq: seq}
+		*pkt = wire.Packet{DS: hdr, Dst: s.cfg.SwitchFor(fp), Origin: s.cfg.ID, Body: &fetch}
+		s.send(p, pkt)
 	}, func() {
 		// Proceed with what we have so responsive peers can trim, but report
 		// the aggregation incomplete: the unreachable peer's acknowledged
@@ -193,7 +193,7 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 		// must read as dirty again (below) so no read mistakes the partial
 		// state for the full directory.
 		complete = false
-		clear(ctx.Expect)
+		ctx.Expect = ctx.Expect[:0]
 	})
 
 	// Apply (steps 7–8): every directory of the group as one batch under its
@@ -216,36 +216,13 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 	s.applyByDir(p, logs)
 
 	// Acknowledge every peer (steps 9–10); peers whose entries we applied trim
-	// and unlock, and the peers that contributed nothing share one empty ack
-	// (receivers only read it) so their (unlocked) state stays clean.
-	acks := make(map[env.NodeID]*wire.AggAck)
-	for i := range logs {
-		l := &logs[i]
-		if l.from == s.cfg.ID {
-			continue // local trim happens below
-		}
-		a := acks[l.from]
-		if a == nil {
-			a = &wire.AggAck{AggID: id, FP: fp, MaxIDs: make(map[core.DirID]uint64)}
-			acks[l.from] = a
-		}
-		if a.MaxIDs[l.log.Dir.ID] < l.maxID {
-			a.MaxIDs[l.log.Dir.ID] = l.maxID
-		}
-	}
-	var empty *wire.AggAck
+	// and unlock, and the peers that contributed nothing get an empty ack so
+	// their (unlocked) state stays clean.
+	acks := peerAcks(id, fp, s.cfg.ID, logs)
 	for _, peer := range s.cfg.Peers {
-		if peer == s.cfg.ID {
-			continue
+		if peer != s.cfg.ID {
+			replyNew(s, p, peer, ackOf(acks, peer, id, fp))
 		}
-		a := acks[peer]
-		if a == nil {
-			if empty == nil {
-				empty = &wire.AggAck{AggID: id, FP: fp}
-			}
-			a = empty
-		}
-		s.reply(p, peer, a)
 	}
 	s.aggAcks.Put(id, acks)
 
@@ -285,13 +262,10 @@ func (s *Server) markDirty(p *env.Proc, fp core.Fingerprint) {
 		s.ownerDirty[fp] = true
 		return
 	}
-	sw := s.cfg.SwitchFor(fp)
-	p.Send(sw, &wire.Packet{
-		DS:     &wire.DSHeader{Op: wire.DSInsert, FP: fp, AltDst: s.ownerOfFP(fp)},
-		Dst:    sw,
-		Origin: s.cfg.ID,
-		Trace:  p.TraceCtx(),
-	})
+	pkt, hdr := wire.Carve[wire.DSHeader]()
+	*hdr = wire.DSHeader{Op: wire.DSInsert, FP: fp, AltDst: s.ownerOfFP(fp)}
+	*pkt = wire.Packet{DS: hdr, Dst: s.cfg.SwitchFor(fp), Origin: s.cfg.ID}
+	s.send(p, pkt)
 }
 
 // handleAggFetch runs on every non-owner server: lock the group's
@@ -310,20 +284,19 @@ func (s *Server) handleAggFetch(p *env.Proc, f *wire.AggFetch) {
 			return
 		}
 		// Duplicate fetch (owner retried): resend the same snapshot.
-		s.reply(p, f.Owner, &wire.AggEntries{AggID: f.AggID, FP: f.FP, From: s.cfg.ID, Logs: st.logs})
+		replyNew(s, p, f.Owner, st.entries)
 		return
 	}
-	st := &peerAggState{id: f.AggID, fp: f.FP, owner: f.Owner}
+	st := &peerAggState{entries: wire.AggEntries{AggID: f.AggID, FP: f.FP, From: s.cfg.ID}}
 	if s.peerAggs == nil {
 		s.peerAggs = make(map[uint64]*peerAggState)
 	}
 	s.peerAggs[f.AggID] = st
-	dls := sortedClogs(s.clogsByFP[f.FP])
-
-	for _, dl := range dls {
+	var buf [4]*dirLog
+	for _, dl := range sortedClogs(buf[:0], s.clogsByFP[f.FP]) {
 		dl.lock.Lock(p) // exclusive: blocks appenders while entries travel
 		if dl.log.Len() > 0 {
-			st.logs = append(st.logs, wire.DirLog{Dir: dl.ref, Entries: dl.log.Snapshot()})
+			st.entries.Logs = append(st.entries.Logs, wire.DirLog{Dir: dl.ref, Entries: dl.log.Snapshot()})
 			st.locked = append(st.locked, dl)
 			dl.heldBy = f.AggID
 		} else {
@@ -332,8 +305,7 @@ func (s *Server) handleAggFetch(p *env.Proc, f *wire.AggFetch) {
 	}
 
 	st.ready = true
-	msg := &wire.AggEntries{AggID: f.AggID, FP: f.FP, From: s.cfg.ID, Logs: st.logs}
-	v, ok := s.rpc.Call(p, &st.done, maxTries+1, func() { s.reply(p, f.Owner, msg) }, func() {
+	v, ok := s.rpc.Call(p, &st.done, maxTries+1, func() { replyNew(s, p, f.Owner, st.entries) }, func() {
 		// Owner unreachable: keep the entries (no trim) and release the locks
 		// so the system can make progress; the owner's recovery re-aggregates
 		// (§A.1).
@@ -352,8 +324,8 @@ func (s *Server) handleAggFetch(p *env.Proc, f *wire.AggFetch) {
 // lock release has a single owner.
 func (s *Server) finishPeerAgg(st *peerAggState, a *wire.AggAck) {
 	for _, dl := range st.locked {
-		if maxID, ok := a.MaxIDs[dl.ref.ID]; ok && maxID > 0 {
-			s.ackEntries(dl, maxID)
+		if i := slices.IndexFunc(a.MaxIDs, func(m wire.DirMax) bool { return m.Dir == dl.ref.ID }); i >= 0 && a.MaxIDs[i].MaxID > 0 {
+			s.ackEntries(dl, a.MaxIDs[i].MaxID)
 		}
 		dl.heldBy = 0
 		dl.lock.Unlock()
@@ -369,11 +341,7 @@ func (s *Server) handleAggEntries(p *env.Proc, e *wire.AggEntries) {
 		case done:
 			// Late or duplicate reply to a completed aggregation: re-ack so
 			// the peer can trim and unlock.
-			a := acks[e.From]
-			if a == nil {
-				a = &wire.AggAck{AggID: e.AggID, FP: e.FP}
-			}
-			s.reply(p, e.From, a)
+			replyNew(s, p, e.From, ackOf(acks, e.From, e.AggID, e.FP))
 		case s.ids.Predecessor(e.AggID):
 			// A predecessor's aggregation, which died with it: the empty ack
 			// makes the peer unlock and KEEP its entries (the give-up path it
@@ -381,11 +349,11 @@ func (s *Server) handleAggEntries(p *env.Proc, e *wire.AggEntries) {
 			// collects them again, and the WAL-rebuilt watermarks drop what
 			// the predecessor had already group-committed.
 			s.Stats.AggReleased++
-			s.reply(p, e.From, &wire.AggAck{AggID: e.AggID, FP: e.FP})
+			replyNew(s, p, e.From, wire.AggAck{AggID: e.AggID, FP: e.FP})
 		}
 		return
 	}
-	if !ctx.Expect[e.From] {
+	if !ctx.Expects(e.From) {
 		return // duplicate within the active aggregation
 	}
 	for _, l := range e.Logs {
@@ -403,6 +371,47 @@ func (s *Server) handleAggAck(p *env.Proc, a *wire.AggAck) {
 	}
 	delete(s.peerAggs, a.AggID)
 	st.done.Complete(a)
+}
+
+// peerAck is the ack an aggregation owes a peer whose entries it applied.
+type peerAck struct {
+	peer env.NodeID
+	ack  wire.AggAck
+}
+
+// peerAcks builds the acks aggregation id owes the peers whose logs it
+// applied, ascending by peer: the largest id applied per directory. A peer
+// answers once, with one log per directory, so its logs — ordered here by
+// source — are its ack's MaxIDs, all carved from one array.
+func peerAcks(id uint64, fp core.Fingerprint, self env.NodeID, logs []aggLog) []peerAck {
+	slices.SortStableFunc(logs, func(a, b aggLog) int { return cmp.Compare(a.from, b.from) })
+	var acks []peerAck
+	var maxes []wire.DirMax
+	for i := range logs {
+		l := &logs[i]
+		if l.from == self {
+			continue
+		}
+		if maxes == nil {
+			acks, maxes = make([]peerAck, 0, len(logs)), make([]wire.DirMax, 0, len(logs))
+		}
+		if len(acks) == 0 || acks[len(acks)-1].peer != l.from {
+			acks = append(acks, peerAck{peer: l.from, ack: wire.AggAck{AggID: id, FP: fp, MaxIDs: maxes[len(maxes):]}})
+		}
+		maxes = append(maxes, wire.DirMax{Dir: l.log.Dir.ID, MaxID: l.maxID})
+		a := &acks[len(acks)-1].ack
+		a.MaxIDs = a.MaxIDs[:len(a.MaxIDs)+1]
+	}
+	return acks
+}
+
+// ackOf returns the ack aggregation id owes peer: its entry in acks, or an
+// empty one.
+func ackOf(acks []peerAck, peer env.NodeID, id uint64, fp core.Fingerprint) wire.AggAck {
+	if i, ok := slices.BinarySearchFunc(acks, peer, func(a peerAck, n env.NodeID) int { return cmp.Compare(a.peer, n) }); ok {
+		return acks[i].ack
+	}
+	return wire.AggAck{AggID: id, FP: fp}
 }
 
 // applyByDir applies an aggregation's collected logs, every directory of the
@@ -618,13 +627,13 @@ func (s *Server) deliver(p *env.Proc, dl *dirLog, snap []core.LogEntry) {
 		through = max(through, e.ID)
 	}
 	s.Stats.Pushes++
-	msg := &wire.ChangePush{From: s.cfg.ID, Log: wire.DirLog{Dir: dl.ref, Entries: snap}, Final: final}
+	msg := wire.ChangePush{From: s.cfg.ID, Log: wire.DirLog{Dir: dl.ref, Entries: snap}, Final: final}
 	acked := dl.awaitAck(through, true)
 	s.rpc.Call(p, acked, tries, func() {
 		// The owner is recomputed per try: a migration can move the
 		// directory's group mid-push, and the old owner drops mis-routed
 		// pushes, so the entries chase the current one.
-		s.reply(p, s.ownerOfFP(dl.ref.FP), msg)
+		replyNew(s, p, s.ownerOfFP(dl.ref.FP), msg)
 	}, func() {
 		// The owner stayed unreachable: the entries remain pending here,
 		// possibly behind a normal fingerprint. Keep the group scattered so
@@ -781,7 +790,7 @@ func (s *Server) handleInvalBroadcast(p *env.Proc, from env.NodeID, b *wire.Inva
 	for _, d := range b.Dirs {
 		s.addInval(d)
 	}
-	s.reply(p, from, &wire.InvalAck{From: s.cfg.ID})
+	replyNew(s, p, from, wire.InvalAck{From: s.cfg.ID})
 }
 
 // --- rmdir (§5.2.3) -----------------------------------------------------------

@@ -7,7 +7,6 @@ import (
 	"switchfs/internal/core"
 	"switchfs/internal/env"
 	"switchfs/internal/ring"
-	"switchfs/internal/rpc"
 	"switchfs/internal/wire"
 )
 
@@ -95,16 +94,16 @@ func TestCallTable(t *testing.T) {
 		if c.moveAt > 0 {
 			sim.After(c.moveAt, func() { rg.SetOverride(fp, 1) })
 		}
-		var a *rpc.Awaiting
+		var done *env.Future
 		var v any
 		var ok bool
 		var returned env.Time
 		giveUps := 0
 		sim.Spawn(100, func(p *env.Proc) {
 			id := s.ids.Next()
-			a = s.rpc.Await(id, nil)
+			done = s.rpc.AwaitReply(id)
 			msg := &wire.AggNowReq{Ctl: id, From: 100, FP: fp}
-			v, ok = s.rpc.Call(p, &a.Done, c.tries, func() { s.reply(p, s.ownerOfFP(fp), msg) },
+			v, ok = s.rpc.Call(p, done, c.tries, func() { s.reply(p, s.ownerOfFP(fp), msg) },
 				func() { giveUps++ })
 			s.rpc.End(id)
 			returned = p.Now()
@@ -129,7 +128,7 @@ func TestCallTable(t *testing.T) {
 		if resp, _ := v.(*wire.AggNowResp); ok && (resp == nil || resp.Incomplete) {
 			t.Errorf("%s: returned %v, want the first reply", c.what, v)
 		}
-		if late, _ := a.Done.Peek(); late != v {
+		if late, _ := done.Peek(); late != v {
 			t.Errorf("%s: the wait holds %v after the call returned %v", c.what, late, v)
 		}
 	}

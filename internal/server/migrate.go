@@ -1,7 +1,8 @@
 package server
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"switchfs/internal/core"
 	"switchfs/internal/env"
@@ -65,11 +66,11 @@ func (s *Server) FPOps() []FPOp {
 	for fp, n := range s.fpOps {
 		out = append(out, FPOp{FP: fp, N: n})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].N != out[j].N {
-			return out[i].N > out[j].N
+	slices.SortFunc(out, func(a, b FPOp) int {
+		if c := cmp.Compare(b.N, a.N); c != 0 {
+			return c
 		}
-		return out[i].FP < out[j].FP
+		return cmp.Compare(a.FP, b.FP)
 	})
 	return out
 }
@@ -253,25 +254,23 @@ func opFP(op wire.TxnOp) core.Fingerprint {
 	return 0
 }
 
-// txnFPs returns the distinct fingerprint groups a transaction's ops and
-// checks touch, sorted (deterministic admission and release order).
-func txnFPs(ops []wire.TxnOp, checks []wire.TxnCheck) []core.Fingerprint {
-	seen := make(map[core.Fingerprint]bool)
-	var out []core.Fingerprint
-	add := func(fp core.Fingerprint) {
-		if fp != 0 && !seen[fp] {
-			seen[fp] = true
-			out = append(out, fp)
+// txnFPs collects into buf's array (grown if short) the distinct fingerprint
+// groups a transaction's ops and checks touch, sorted (deterministic
+// admission and release order).
+func txnFPs(buf []core.Fingerprint, ops []wire.TxnOp, checks []wire.TxnCheck) []core.Fingerprint {
+	fps := buf[:0]
+	for _, op := range ops {
+		if fp := opFP(op); fp != 0 {
+			fps = append(fps, fp)
 		}
 	}
-	for _, op := range ops {
-		add(opFP(op))
-	}
 	for _, ck := range checks {
-		add(ck.Key.Fingerprint())
+		if fp := ck.Key.Fingerprint(); fp != 0 {
+			fps = append(fps, fp)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(fps)
+	return slices.Compact(fps)
 }
 
 // StoredFingerprints returns the distinct fingerprints of every inode record
@@ -292,7 +291,7 @@ func (s *Server) StoredFingerprints() []core.Fingerprint {
 		}
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -266,7 +266,7 @@ func (s *Server) asyncCommit(p *env.Proc, parent core.DirRef, parentLog *dirLog,
 		// AltDst would keep steering the switch's overflow rewrite at a server
 		// that no longer owns the directory.
 		if s.cfg.Tracker == TrackerOwner {
-			s.reply(p, s.ownerOfFP(parent.FP), notice)
+			replyNew(s, p, s.ownerOfFP(parent.FP), *notice)
 			return
 		}
 		pkt, hdr := wire.Carve[wire.DSHeader]()
@@ -302,13 +302,13 @@ func (s *Server) syncCommit(p *env.Proc, req *wire.MutateReq, parentLog *dirLog,
 	csp := s.cfg.Trace.Start(p, "commit:sync", "server")
 	defer csp.End()
 	resp := &wire.MutateResp{RespCommon: s.respCommon(&req.ReqCommon, nil), Dir: newDir}
-	notice := &wire.CommitNotice{
+	notice := wire.CommitNotice{
 		Resp:     resp,
 		Client:   req.Client,
 		CommitID: id,
 		Update:   wire.DirLog{Dir: req.Parent, Entries: []core.LogEntry{entry}},
 	}
-	if _, ok := s.rpc.Request(p, id, 0, func() { s.reply(p, s.ownerOfFP(req.Parent.FP), notice) }); !ok {
+	if _, ok := s.rpc.Request(p, id, 0, func() { replyNew(s, p, s.ownerOfFP(req.Parent.FP), notice) }); !ok {
 		return
 	}
 	// Cache the response for retransmission replay only now that the remote
@@ -344,7 +344,7 @@ func (s *Server) handleFallback(p *env.Proc, pkt *wire.Packet, cn *wire.CommitNo
 		s.ownerDirty[fp] = true
 		p.Send(cn.Client, &wire.Packet{Dst: cn.Client, Origin: s.cfg.ID,
 			Trace: p.TraceCtx(), Body: cn.Resp})
-		s.reply(p, pkt.Origin, &wire.CommitAck{CommitID: cn.CommitID})
+		replyNew(s, p, pkt.Origin, wire.CommitAck{CommitID: cn.CommitID})
 		return
 	}
 	dir := cn.Update.Dir
@@ -354,7 +354,7 @@ func (s *Server) handleFallback(p *env.Proc, pkt *wire.Packet, cn *wire.CommitNo
 	s.unlockKey(dl)
 	p.Send(cn.Client, &wire.Packet{Dst: cn.Client, Origin: s.cfg.ID,
 		Trace: p.TraceCtx(), Body: cn.Resp})
-	s.reply(p, pkt.Origin, &wire.CommitAck{CommitID: cn.CommitID, Applied: true})
+	replyNew(s, p, pkt.Origin, wire.CommitAck{CommitID: cn.CommitID, Applied: true})
 }
 
 // ackEntries marks entries ≤ maxID applied in the WAL, trims the log and
@@ -381,6 +381,7 @@ func (s *Server) adjustNlink(p *env.Proc, id core.FileID, delta int32) error {
 	// A commutative one-shot: the participant applies at prepare time and
 	// takes no locks, so there is nothing to decide (or, after a given-up
 	// prepare, to abort).
-	return s.endTxn(s.prepareTxn(p, txnPlan{owner: {Ops: []wire.TxnOp{{Kind: wire.TxnAdjustNlink,
-		Key: key, Entry: core.LogEntry{ID: uint64(int64(delta))}}}}}))
+	var plan txnPlan
+	plan.at(owner).Ops = []wire.TxnOp{{Kind: wire.TxnAdjustNlink, Key: key, Entry: core.LogEntry{ID: uint64(int64(delta))}}}
+	return s.endTxn(s.prepareTxn(p, &plan))
 }

@@ -211,14 +211,18 @@ func (s *Server) handleDirRead(p *env.Proc, pkt *wire.Packet, req *wire.DirReadR
 			if err = s.readDirInode(req.Dir.Key, &in); err == nil {
 				resp.Attr = in.Attr
 				if req.Op == core.OpReadDir {
-					prefix := core.EntryPrefix(in.ID)
-					n := 0
-					s.kv.Scan(prefix, func(k, v []byte) bool {
-						name := string(k[len(prefix):])
+					// One array, sized by the group's count; each name is
+					// the store's own string.
+					var kb core.KeyBuf
+					prefix := core.AppendEntryKey(kb[:0], in.ID, "")
+					n := s.kv.CountPrefix(prefix)
+					if n > 0 {
+						resp.Entries = make([]core.DirEntry, 0, n)
+					}
+					s.kv.ScanNames(prefix, func(name string, v []byte) bool {
 						if de, e := core.DecodeDirEntry(name, v); e == nil {
 							resp.Entries = append(resp.Entries, de)
 						}
-						n++
 						return true
 					})
 					p.Compute(env.Duration(n) * c.KVScanEntry)

@@ -1,10 +1,10 @@
 package server
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 
 	"switchfs/internal/core"
 	"switchfs/internal/env"
@@ -137,8 +137,8 @@ func (s *Server) cloneInval(p *env.Proc) {
 		if peer == s.cfg.ID {
 			continue
 		}
-		v, err := s.ctlCall(p, peer, func(ctl uint64) wire.Msg {
-			return &wire.CloneInvalReq{Ctl: ctl, From: s.cfg.ID}
+		v, err := ctlCall(s, p, peer, func(ctl uint64) wire.CloneInvalReq {
+			return wire.CloneInvalReq{Ctl: ctl, From: s.cfg.ID}
 		})
 		if err != nil {
 			continue
@@ -359,7 +359,7 @@ func (s *Server) ownedDirFingerprints() []core.Fingerprint {
 // deliverAll delivers every change-log that holds entries, all in flight
 // together (Recover, FlushAll).
 func (s *Server) deliverAll(p *env.Proc) {
-	logs := slices.DeleteFunc(sortedClogs(s.clogs), func(dl *dirLog) bool { return dl.log.Len() == 0 })
+	logs := slices.DeleteFunc(sortedClogs(nil, s.clogs), func(dl *dirLog) bool { return dl.log.Len() == 0 })
 	together(p, len(logs), func(wp *env.Proc, i int) {
 		s.deliver(wp, logs[i], logs[i].log.Snapshot())
 	})
@@ -415,7 +415,7 @@ func (s *Server) AppliedMarks(dir core.DirID) []AppliedMark {
 			out = append(out, AppliedMark{Src: k.src, ID: v})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Src < out[j].Src })
+	slices.SortFunc(out, func(a, b AppliedMark) int { return cmp.Compare(a.Src, b.Src) })
 	return out
 }
 

@@ -58,13 +58,13 @@ func replayDump(s *Server) string {
 		fmt.Fprintf(&sb, "kv %x=%x\n", k, v)
 		return true
 	})
-	for _, dl := range sortedClogs(s.clogs) {
+	for _, dl := range sortedClogs(nil, s.clogs) {
 		fmt.Fprintf(&sb, "clog %+v %+v\n", dl.ref, dl.log.Snapshot())
 		ids := make([]uint64, 0, len(dl.walLSN))
 		for id := range dl.walLSN {
 			ids = append(ids, id)
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		slices.Sort(ids)
 		for _, id := range ids {
 			fmt.Fprintf(&sb, " lsn %d=%d\n", id, dl.walLSN[id])
 		}
@@ -440,10 +440,10 @@ func TestHandleAggEntriesTable(t *testing.T) {
 	dir := core.DirRef{ID: core.DirID{1, 2, 3, 4}, Key: core.Key{PID: core.RootDirID, Name: "d"}}
 	dir.FP = dir.Key.Fingerprint()
 	logs := []wire.DirLog{{Dir: dir, Entries: []core.LogEntry{{ID: 3, Op: core.OpCreate, Name: "x"}}}}
-	active := &aggCtx{Awaiting: rpc.Awaiting{Expect: map[env.NodeID]bool{peer: true}}, id: s.ids.Next(), fp: dir.FP}
+	active := &aggCtx{Awaiting: rpc.Awaiting{Expect: []env.NodeID{peer}}, id: s.ids.Next(), fp: dir.FP}
 	s.aggs[active.id] = active
-	remembered := &wire.AggAck{AggID: s.ids.Next(), FP: dir.FP, MaxIDs: map[core.DirID]uint64{dir.ID: 3}}
-	s.aggAcks.Put(remembered.AggID, map[env.NodeID]*wire.AggAck{peer: remembered})
+	remembered := wire.AggAck{AggID: s.ids.Next(), FP: dir.FP, MaxIDs: []wire.DirMax{{Dir: dir.ID, MaxID: 3}}}
+	s.aggAcks.Put(remembered.AggID, []peerAck{{peer: peer, ack: remembered}})
 
 	for _, c := range []struct {
 		what     string
@@ -466,7 +466,7 @@ func TestHandleAggEntriesTable(t *testing.T) {
 		if got := len(acks) == 1; got != c.wantAck {
 			t.Fatalf("%s: %d acks", c.what, len(acks))
 		}
-		if c.wantAck && (acks[0].AggID != c.id || acks[0].MaxIDs[dir.ID] != c.wantMax) {
+		if c.wantAck && (acks[0].AggID != c.id || maxIDOf(acks[0], dir.ID) != c.wantMax) {
 			t.Errorf("%s: ack %+v", c.what, acks[0])
 		}
 		if s.Stats.AggReleased != c.released {
@@ -476,6 +476,16 @@ func TestHandleAggEntriesTable(t *testing.T) {
 	if _, done := active.Done.Peek(); !done || len(active.logs) != 1 {
 		t.Errorf("the active aggregation did not collect its peer's log: %+v", active)
 	}
+}
+
+// maxIDOf returns the largest id a acknowledges of dir (0: none).
+func maxIDOf(a *wire.AggAck, dir core.DirID) uint64 {
+	for _, m := range a.MaxIDs {
+		if m.Dir == dir {
+			return m.MaxID
+		}
+	}
+	return 0
 }
 
 // BenchmarkRecover is the recovery layer benchmark (`make bench-layers`):

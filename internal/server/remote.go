@@ -24,11 +24,15 @@ const (
 	maxTries = 100
 )
 
-// ctlCall performs a control-plane round trip to a peer.
-func (s *Server) ctlCall(p *env.Proc, to env.NodeID, build func(ctl uint64) wire.Msg) (wire.Msg, error) {
+// ctlCall performs a control-plane round trip to a peer: build makes the
+// request for the call's id, and every try sends it in a packet of its own.
+func ctlCall[B any, P interface {
+	*B
+	wire.Msg
+}](s *Server, p *env.Proc, to env.NodeID, build func(ctl uint64) B) (wire.Msg, error) {
 	id := s.ids.Next()
-	msg := build(id)
-	v, ok := s.rpc.Request(p, id, maxTries, func() { s.reply(p, to, msg) })
+	req := build(id)
+	v, ok := s.rpc.Request(p, id, maxTries, func() { replyNew[B, P](s, p, to, req) })
 	if !ok {
 		return nil, core.ErrTimeout
 	}
@@ -67,8 +71,8 @@ func (s *Server) readRemoteInode(p *env.Proc, owner env.NodeID, key core.Key, fl
 		}
 		return raw, nil
 	}
-	v, err := s.ctlCall(p, owner, func(ctl uint64) wire.Msg {
-		return &wire.ReadInodeReq{Ctl: ctl, From: s.cfg.ID, Key: key, Flush: flush}
+	v, err := ctlCall(s, p, owner, func(ctl uint64) wire.ReadInodeReq {
+		return wire.ReadInodeReq{Ctl: ctl, From: s.cfg.ID, Key: key, Flush: flush}
 	})
 	if err != nil {
 		return nil, err
@@ -121,17 +125,15 @@ func (s *Server) collectDentries(p *env.Proc, owner env.NodeID, dir core.DirID,
 
 	var entries []core.DirEntry
 	if owner == s.cfg.ID {
-		prefix := core.EntryPrefix(dir)
-		s.kv.Scan(prefix, func(k, v []byte) bool {
-			name := string(k[len(prefix):])
+		s.kv.ScanNames(core.EntryPrefix(dir), func(name string, v []byte) bool {
 			if de, err := core.DecodeDirEntry(name, v); err == nil {
 				entries = append(entries, de)
 			}
 			return true
 		})
 	} else {
-		v, err := s.ctlCall(p, owner, func(ctl uint64) wire.Msg {
-			return &wire.ScanDirReq{Ctl: ctl, From: s.cfg.ID, Dir: dir, FP: fp}
+		v, err := ctlCall(s, p, owner, func(ctl uint64) wire.ScanDirReq {
+			return wire.ScanDirReq{Ctl: ctl, From: s.cfg.ID, Dir: dir, FP: fp}
 		})
 		if err != nil {
 			return nil, err
@@ -169,10 +171,8 @@ func (s *Server) handleScanDir(p *env.Proc, req *wire.ScanDirReq) {
 		}
 		defer s.fpExit(req.FP)
 	}
-	prefix := core.EntryPrefix(req.Dir)
 	n := 0
-	s.kv.Scan(prefix, func(k, v []byte) bool {
-		name := string(k[len(prefix):])
+	s.kv.ScanNames(core.EntryPrefix(req.Dir), func(name string, v []byte) bool {
 		if de, err := core.DecodeDirEntry(name, v); err == nil {
 			resp.Entries = append(resp.Entries, de)
 		}
@@ -210,8 +210,8 @@ func (s *Server) flushRemoteEntry(p *env.Proc, owner env.NodeID, key core.Key) e
 	if owner == s.cfg.ID {
 		return s.flushEntry(p, key)
 	}
-	v, err := s.ctlCall(p, owner, func(ctl uint64) wire.Msg {
-		return &wire.FlushEntryReq{Ctl: ctl, From: s.cfg.ID, Key: key}
+	v, err := ctlCall(s, p, owner, func(ctl uint64) wire.FlushEntryReq {
+		return wire.FlushEntryReq{Ctl: ctl, From: s.cfg.ID, Key: key}
 	})
 	if err != nil {
 		return err
@@ -235,7 +235,7 @@ func (s *Server) handleFlushEntry(p *env.Proc, req *wire.FlushEntryReq) {
 // only at the name's owner (entryPending and flushEntry look nowhere else),
 // so none may stay behind when the name's group leaves.
 func (s *Server) FlushGroup(p *env.Proc, fp core.Fingerprint) bool {
-	for _, dl := range sortedClogs(s.clogs) {
+	for _, dl := range sortedClogs(nil, s.clogs) {
 		pending := dl.log.Snapshot()
 		i := slices.IndexFunc(pending, func(e core.LogEntry) bool {
 			return core.FingerprintOf(dl.ref.ID, e.Name) == fp
@@ -259,8 +259,8 @@ func (s *Server) remoteAggregate(p *env.Proc, owner env.NodeID, fp core.Fingerpr
 		}
 		return nil
 	}
-	v, err := s.ctlCall(p, owner, func(ctl uint64) wire.Msg {
-		return &wire.AggNowReq{Ctl: ctl, From: s.cfg.ID, FP: fp}
+	v, err := ctlCall(s, p, owner, func(ctl uint64) wire.AggNowReq {
+		return wire.AggNowReq{Ctl: ctl, From: s.cfg.ID, FP: fp}
 	})
 	if err != nil {
 		return err
@@ -284,7 +284,7 @@ func (s *Server) broadcastInval(p *env.Proc, dirs []core.DirID) {
 	}
 	for _, peer := range s.cfg.Peers {
 		if peer != s.cfg.ID {
-			s.reply(p, peer, &wire.InvalBroadcast{From: s.cfg.ID, Dirs: dirs})
+			replyNew(s, p, peer, wire.InvalBroadcast{From: s.cfg.ID, Dirs: dirs})
 		}
 	}
 }
@@ -292,7 +292,7 @@ func (s *Server) broadcastInval(p *env.Proc, dirs []core.DirID) {
 // handleTxnVote collects a prepare vote at the coordinator.
 func (s *Server) handleTxnVote(v *wire.TxnVote) {
 	t := s.txnVotes[v.Txn]
-	if t == nil || !t.votes.Expect[v.From] {
+	if t == nil || !t.votes.Expects(v.From) {
 		return
 	}
 	if v.Err != core.ErrnoOK && t.err == nil {

@@ -6,8 +6,11 @@
 package server
 
 import (
+	"cmp"
 	"encoding/binary"
+	"slices"
 	"sort"
+	"strings"
 
 	"switchfs/internal/core"
 	"switchfs/internal/env"
@@ -240,7 +243,7 @@ type Server struct {
 	aggs     map[uint64]*aggCtx
 	aggByFP  map[core.Fingerprint]*aggCtx
 	peerAggs map[uint64]*peerAggState
-	aggAcks  *rpc.Window[uint64, map[env.NodeID]*wire.AggAck]
+	aggAcks  *rpc.Window[uint64, []peerAck]
 	served   *rpc.Window[dedupKey, wire.Msg]
 
 	// Owner-side quiesce timers for proactive aggregation.
@@ -381,7 +384,7 @@ func New(e *env.Sim, cfg Config) *Server {
 		txnVotes:   make(map[uint64]*coordTxn),
 		txnWAL:     make(map[uint64]wal.LSN),
 		peerAggs:   make(map[uint64]*peerAggState),
-		aggAcks:    rpc.NewWindow[uint64, map[env.NodeID]*wire.AggAck](256),
+		aggAcks:    rpc.NewWindow[uint64, []peerAck](256),
 		serving:    true,
 	}
 	if s.wal == nil {
@@ -543,36 +546,27 @@ func (s *Server) rekeyClog(dl *dirLog, ref core.DirRef) {
 	m[ref.ID] = dl
 }
 
-// sortedClogs snapshots a change-log map ordered by directory id. Map
-// iteration order is randomized per process, and any order that leaks into
-// message emission (pushes, aggregation collection) breaks the simulator's
-// cross-process determinism guarantee — the baseline gate (cmd/fsbench's
-// TestGate) diffs this run against a committed one cell for cell.
-func sortedClogs(m map[core.DirID]*dirLog) []*dirLog {
-	out := make([]*dirLog, 0, len(m))
+// sortedClogs collects a change-log map's logs into buf's array (grown if
+// short) in directory id order, the snapshot every walk over change-logs
+// takes (see runAggregation: no map order may reach the network).
+func sortedClogs(buf []*dirLog, m map[core.DirID]*dirLog) []*dirLog {
+	out := buf[:0]
 	for _, dl := range m {
 		out = append(out, dl)
 	}
-	sort.Slice(out, func(i, j int) bool { return lessDirID(out[i].ref.ID, out[j].ref.ID) })
+	slices.SortFunc(out, func(a, b *dirLog) int { return cmpDirID(a.ref.ID, b.ref.ID) })
 	return out
 }
 
-// lessKey orders inode keys as their encodings sort: by parent, then name.
-func lessKey(a, b core.Key) bool {
-	if a.PID != b.PID {
-		return lessDirID(a.PID, b.PID)
+// cmpKey orders inode keys as their encodings sort: by parent, then name.
+func cmpKey(a, b core.Key) int {
+	if c := cmpDirID(a.PID, b.PID); c != 0 {
+		return c
 	}
-	return a.Name < b.Name
+	return strings.Compare(a.Name, b.Name)
 }
 
-func lessDirID(a, b core.DirID) bool {
-	for k := 0; k < len(a); k++ {
-		if a[k] != b[k] {
-			return a[k] < b[k]
-		}
-	}
-	return false
-}
+func cmpDirID(a, b core.DirID) int { return slices.Compare(a[:], b[:]) }
 
 // fpOf returns (creating on demand) the per-fingerprint aggregation gate.
 func (s *Server) fpOf(fp core.Fingerprint) *fpState {
@@ -773,25 +767,24 @@ func (s *Server) DirOps() []DirOp {
 	for d, n := range s.dirOps {
 		out = append(out, DirOp{Dir: d, N: n})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].N != out[j].N {
-			return out[i].N > out[j].N
+	slices.SortFunc(out, func(a, b DirOp) int {
+		if c := cmp.Compare(b.N, a.N); c != 0 {
+			return c
 		}
-		return lessDirID(out[i].Dir, out[j].Dir)
+		return cmpDirID(a.Dir, b.Dir)
 	})
 	return out
 }
 
-// reply sends a response packet straight to the client (L2 path). A dead
-// incarnation sends nothing: its processes may still be unwinding after a
-// fail-stop, and once a restarted successor re-registers the node id their
-// stale replies would otherwise reach the network again.
+// reply sends a body already built, in a packet of its own: only a memoized
+// response replayed to a retransmission (replayIfDuplicate) goes this way.
+// Every other message is built where it is sent (replyNew, wire.NewPacket).
 func (s *Server) reply(p *env.Proc, to env.NodeID, body wire.Msg) {
 	s.send(p, &wire.Packet{Dst: to, Origin: s.cfg.ID, Body: body})
 }
 
-// replyNew is reply for a body given by value: the packet and its copy of the
-// body are one allocation (wire.NewPacket).
+// replyNew sends a body given by value: the packet and its copy of the body
+// are one allocation (wire.NewPacket).
 func replyNew[B any, P interface {
 	*B
 	wire.Msg
@@ -801,8 +794,10 @@ func replyNew[B any, P interface {
 	s.send(p, pkt)
 }
 
-// send is reply for a packet the handler built together with its body
-// (wire.NewPacket): it stamps the trace context and sends to pkt.Dst.
+// send stamps a packet with the trace context and sends it to pkt.Dst. A
+// dead incarnation sends nothing: its processes may still be unwinding after
+// a fail-stop, and once a restarted successor re-registers the node id their
+// stale messages would otherwise reach the network again.
 func (s *Server) send(p *env.Proc, pkt *wire.Packet) {
 	if s.dead {
 		return

@@ -307,7 +307,7 @@ func TestLockTxnKeysDuplicateOnePin(t *testing.T) {
 	k2 := core.Key{PID: core.RootDirID, Name: "a"}
 	var locks []*keyLock
 	sim.Spawn(100, func(p *env.Proc) {
-		locks = s.lockTxnKeys(p, []wire.TxnOp{{Kind: wire.TxnPutInode, Key: k}, {Kind: wire.TxnDelInode, Key: k2}},
+		locks = s.lockTxnKeys(p, nil, []wire.TxnOp{{Kind: wire.TxnPutInode, Key: k}, {Kind: wire.TxnDelInode, Key: k2}},
 			[]wire.TxnCheck{{Key: k, MustExist: true}})
 	})
 	sim.Run()

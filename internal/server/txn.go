@@ -2,8 +2,9 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
-	"sort"
+	"slices"
 
 	"switchfs/internal/core"
 	"switchfs/internal/env"
@@ -45,9 +46,10 @@ func (s *Server) handleRename(p *env.Proc, req *wire.RenameReq) {
 	}
 	s.Stats.Ops++
 	err := s.doRename(p, req)
-	resp := &wire.RenameResp{RespCommon: s.respCommon(&req.ReqCommon, err)}
+	pkt, resp := wire.NewPacket[wire.RenameResp](req.Client, s.cfg.ID)
+	resp.RespCommon = s.respCommon(&req.ReqCommon, err)
 	s.remember(req.Client, req.RPC, resp)
-	s.reply(p, req.Client, resp)
+	s.send(p, pkt)
 }
 
 func (s *Server) doRename(p *env.Proc, req *wire.RenameReq) error {
@@ -117,7 +119,7 @@ func (s *Server) doRename(p *env.Proc, req *wire.RenameReq) error {
 
 	// Participants and their prepare-phase checks/ops.
 	now := p.Now()
-	plan := txnPlan{}
+	var plan txnPlan
 	et := in.Type
 	// Source owner: delete the source inode (and its dentries if a dir).
 	sp := plan.at(srcOwner)
@@ -144,7 +146,7 @@ func (s *Server) doRename(p *env.Proc, req *wire.RenameReq) error {
 		Entry: core.LogEntry{ID: s.ids.Next(), Time: now, Op: core.OpCreate,
 			Name: req.DstName, Type: et, Perm: in.Perm}})
 
-	t := s.prepareTxn(p, plan)
+	t := s.prepareTxn(p, &plan)
 	if !isDir {
 		// Every vote is in: the next transaction may start acquiring while
 		// this one is decided (see prepareTxn).
@@ -212,9 +214,10 @@ func (s *Server) handleLink(p *env.Proc, req *wire.LinkReq) {
 	}
 	s.Stats.Ops++
 	err := s.doLink(p, req)
-	resp := &wire.LinkResp{RespCommon: s.respCommon(&req.ReqCommon, err)}
+	pkt, resp := wire.NewPacket[wire.LinkResp](req.Client, s.cfg.ID)
+	resp.RespCommon = s.respCommon(&req.ReqCommon, err)
 	s.remember(req.Client, req.RPC, resp)
-	s.reply(p, req.Client, resp)
+	s.send(p, pkt)
 }
 
 func (s *Server) doLink(p *env.Proc, req *wire.LinkReq) error {
@@ -260,7 +263,7 @@ func (s *Server) doLink(p *env.Proc, req *wire.LinkReq) error {
 
 	now := p.Now()
 	fid := in.File
-	plan := txnPlan{}
+	var plan txnPlan
 	if fid == 0 {
 		// First link: split the file into a reference and a shared
 		// attribute object (§5.5).
@@ -298,7 +301,7 @@ func (s *Server) doLink(p *env.Proc, req *wire.LinkReq) error {
 		Entry: core.LogEntry{ID: s.ids.Next(), Time: now, Op: core.OpCreate,
 			Name: req.DstName, Type: in.Type, Perm: in.Perm}})
 
-	t := s.prepareTxn(p, plan)
+	t := s.prepareTxn(p, &plan)
 	s.deciding.RLock(p)
 	s.renameMu.Unlock()
 	ssp.End()
@@ -309,9 +312,12 @@ func (s *Server) doLink(p *env.Proc, req *wire.LinkReq) error {
 
 // coordTxn is a coordinator-side transaction between its two halves.
 type coordTxn struct {
-	id    uint64
+	id uint64
+	// parts are the participants, ascending; votes.Expect starts as a copy.
+	// Both are carved from nodes.
 	parts []env.NodeID
-	votes *rpc.Awaiting
+	votes rpc.Awaiting
+	nodes [2 * maxTxnParts]env.NodeID
 	// err is the prepare round's first refusal.
 	err error
 	// prepared reports that every vote arrived; false when the prepare round
@@ -334,34 +340,53 @@ type coordTxn struct {
 //
 // Every prepareTxn is followed by decideTxn (coordinated transactions) or
 // endTxn (one-shot participants, which have nothing to decide).
-func (s *Server) prepareTxn(p *env.Proc, plan txnPlan) *coordTxn {
-	parts := sortedNodeIDs(plan)
-	t := &coordTxn{id: s.ids.Next(), parts: parts, votes: rpc.Expecting(parts)}
-	s.txnVotes[t.id] = t
-	for _, n := range parts {
-		plan[n].Txn, plan[n].From = t.id, s.cfg.ID
+func (s *Server) prepareTxn(p *env.Proc, plan *txnPlan) *coordTxn {
+	t := &coordTxn{id: s.ids.Next()}
+	parts := plan.parts[:plan.n]
+	for i := range parts {
+		parts[i].prep.Txn, parts[i].prep.From = t.id, s.cfg.ID
+		t.nodes[i], t.nodes[maxTxnParts+i] = parts[i].to, parts[i].to
 	}
+	t.parts, t.votes.Expect = t.nodes[:plan.n:plan.n], t.nodes[maxTxnParts:maxTxnParts+plan.n]
+	s.txnVotes[t.id] = t
 
 	psp := s.cfg.Trace.Start(p, "txn:prepare", "server")
 	defer psp.End()
 	_, t.prepared = s.rpc.Call(p, &t.votes.Done, maxTries+1, func() {
-		for _, n := range parts {
-			s.reply(p, n, plan[n])
+		for i := range parts {
+			replyNew(s, p, parts[i].to, parts[i].prep)
 		}
 	}, nil)
 	return t
 }
 
-// txnPlan is a transaction's prepare round: each participant's ops and the
-// checks it votes on.
-type txnPlan map[env.NodeID]*wire.TxnPrepare
+// maxTxnParts bounds a transaction's participants: a rename has the owners
+// of its source, its destination and their parents; a link those of its
+// source, the attribute object, its destination and its parent.
+const maxTxnParts = 4
 
-// at returns participant n's prepare, adding n to the plan.
-func (pl txnPlan) at(n env.NodeID) *wire.TxnPrepare {
-	if pl[n] == nil {
-		pl[n] = &wire.TxnPrepare{}
+// txnPlan is a transaction's prepare round: each participant's ops and the
+// checks it votes on, in ascending node order.
+type txnPlan struct {
+	n     int
+	parts [maxTxnParts]txnPart
+}
+
+type txnPart struct {
+	to   env.NodeID
+	prep wire.TxnPrepare
+}
+
+// at returns participant n's prepare, adding n to the plan. The pointer is
+// good until the next at.
+func (pl *txnPlan) at(n env.NodeID) *wire.TxnPrepare {
+	i, ok := slices.BinarySearchFunc(pl.parts[:pl.n], n, func(pt txnPart, n env.NodeID) int { return cmp.Compare(pt.to, n) })
+	if !ok {
+		pl.n++
+		copy(pl.parts[i+1:pl.n], pl.parts[i:])
+		pl.parts[i] = txnPart{to: n}
 	}
-	return pl[n]
+	return &pl.parts[i].prep
 }
 
 // endTxn forgets a transaction's votes and reports the prepare outcome. Until
@@ -439,7 +464,7 @@ func (s *Server) recordCommit(p *env.Proc, id uint64, parts []env.NodeID) {
 // protocol pulls it (TxnStatusReq) or the next coordinator recovery re-drives
 // it. Reports whether all acks arrived.
 func (s *Server) driveDecision(p *env.Proc, id uint64, parts []env.NodeID, commit bool) bool {
-	acks := s.rpc.Await(id, parts)
+	acks := s.rpc.Await(id, slices.Clone(parts))
 	defer s.rpc.End(id)
 	dsp := s.cfg.Trace.Start(p, "txn:decision", "server")
 	defer dsp.End()
@@ -534,8 +559,8 @@ func (s *Server) monitorTxn(p *env.Proc, txn uint64, coord env.NodeID) {
 		if !pending {
 			return // decision arrived while we slept or polled
 		}
-		v, err := s.ctlCall(p, coord, func(ctl uint64) wire.Msg {
-			return &wire.TxnStatusReq{Ctl: ctl, From: s.cfg.ID, Txn: txn}
+		v, err := ctlCall(s, p, coord, func(ctl uint64) wire.TxnStatusReq {
+			return wire.TxnStatusReq{Ctl: ctl, From: s.cfg.ID, Txn: txn}
 		})
 		if err != nil {
 			// Coordinator unreachable (crashed or partitioned): keep
@@ -589,7 +614,8 @@ func (s *Server) handleTxnPrepare(p *env.Proc, tp *wire.TxnPrepare) {
 		// adjustment routed under a stale ring (or racing an inbound
 		// migration copy) must vote retry rather than apply against a store
 		// that does not — or no longer does — hold the attribute object.
-		afps := txnFPs(tp.Ops, nil)
+		var buf [2 * maxTxnParts]core.Fingerprint
+		afps := txnFPs(buf[:0], tp.Ops, nil)
 		if aerr := s.admitFPs(p, afps); aerr != nil {
 			s.prepares.Put(tp.Txn, core.ErrnoOf(aerr))
 			//detlint:ignore walorder -- retry vote: nothing was applied, nothing to log
@@ -618,7 +644,8 @@ func (s *Server) handleTxnPrepare(p *env.Proc, tp *wire.TxnPrepare) {
 	// a group touched by a prepared-but-undecided transaction never
 	// migrates, so the decision always finds the keys where they were
 	// prepared.
-	fps := txnFPs(tp.Ops, tp.Check)
+	var buf [2 * maxTxnParts]core.Fingerprint
+	fps := txnFPs(buf[:0], tp.Ops, tp.Check)
 	if aerr := s.admitFPs(p, fps); aerr != nil {
 		s.prepares.Put(tp.Txn, core.ErrnoOf(aerr))
 		//detlint:ignore walorder -- retry vote: nothing was prepared; presumed abort needs no record
@@ -626,7 +653,7 @@ func (s *Server) handleTxnPrepare(p *env.Proc, tp *wire.TxnPrepare) {
 		return
 	}
 	st := &txnState{id: tp.Txn, ops: tp.Ops}
-	st.locks = s.lockTxnKeys(p, tp.Ops, tp.Check)
+	st.locks = s.lockTxnKeys(p, make([]*keyLock, 0, len(tp.Ops)+len(tp.Check)), tp.Ops, tp.Check)
 
 	var err error
 	for _, ck := range tp.Check {
@@ -708,13 +735,14 @@ func (s *Server) inodeIs(key core.Key, raw []byte) bool {
 	return ok && bytes.Equal(cur, raw)
 }
 
-// lockTxnKeys collects, orders (global key order — defense in depth against
-// lock cycles between transactions) and acquires the locks a prepared
-// transaction holds until its decision, one pin and one hold per key.
+// lockTxnKeys collects into buf's array (grown if short), orders (global key
+// order — defense in depth against lock cycles between transactions) and
+// acquires the locks a prepared transaction holds until its decision, one pin
+// and one hold per key.
 //
 //detlint:lock-escapes the acquired key locks are returned to the caller and held in the prepared-txn record until handleTxnDecision releases them
-func (s *Server) lockTxnKeys(p *env.Proc, ops []wire.TxnOp, checks []wire.TxnCheck) []*keyLock {
-	var locks []*keyLock
+func (s *Server) lockTxnKeys(p *env.Proc, buf []*keyLock, ops []wire.TxnOp, checks []wire.TxnCheck) []*keyLock {
+	locks := buf[:0]
 	for _, op := range ops {
 		switch op.Kind {
 		case wire.TxnPutInode, wire.TxnDelInode, wire.TxnAdjustNlink:
@@ -726,7 +754,7 @@ func (s *Server) lockTxnKeys(p *env.Proc, ops []wire.TxnOp, checks []wire.TxnChe
 	for _, ck := range checks {
 		locks = append(locks, s.lockOf(ck.Key))
 	}
-	sort.Slice(locks, func(i, j int) bool { return lessKey(locks[i].key, locks[j].key) })
+	slices.SortFunc(locks, func(a, b *keyLock) int { return cmpKey(a.key, b.key) })
 	held := locks[:0]
 	for _, l := range locks {
 		if len(held) > 0 && l == held[len(held)-1] {
@@ -794,7 +822,7 @@ func (s *Server) rearmPreparedTxns(p *env.Proc) {
 	s.txnRearm = nil
 	for _, ra := range rearms {
 		st := &txnState{id: ra.txn, ops: ra.ops, lsn: ra.lsn}
-		st.locks = s.lockTxnKeys(p, ra.ops, nil)
+		st.locks = s.lockTxnKeys(p, nil, ra.ops, nil)
 		s.txns[ra.txn] = st
 		s.prepares.Put(ra.txn, core.ErrnoOK)
 		s.watchTxn(ra.txn, ra.coord)
@@ -814,7 +842,8 @@ func (s *Server) handleTxnDecision(p *env.Proc, td *wire.TxnDecision) {
 	// Busy references re-taken in the same event as the deregistration above:
 	// the apply phase below parks, and without them a migration could observe
 	// the group neither busy nor prepared and copy it away mid-apply.
-	fps := txnFPs(st.ops, nil)
+	var buf [2 * maxTxnParts]core.Fingerprint
+	fps := txnFPs(buf[:0], st.ops, nil)
 	for _, fp := range fps {
 		s.fpEnter(fp)
 	}

@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"switchfs/internal/core"
 	"switchfs/internal/env"
@@ -26,20 +25,6 @@ func mustMark(l wal.Log, lsn wal.LSN) {
 	if err := l.MarkApplied(lsn); err != nil {
 		panic(fmt.Sprintf("server: WAL mark failed: %v", err))
 	}
-}
-
-// sortedNodeIDs snapshots a node-keyed map's keys in ascending id order: the
-// peer-set counterpart of sortedClogs. Any map iteration whose order can
-// reach the network (sends, RNG draws, lock acquisitions) must go through a
-// sorted snapshot, or cross-run byte determinism breaks (maprange enforces
-// this).
-func sortedNodeIDs[V any](m map[env.NodeID]V) []env.NodeID {
-	out := make([]env.NodeID, 0, len(m))
-	for n := range m {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // maxStripeWidth caps how many data slots one file stripes over: wide

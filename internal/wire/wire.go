@@ -279,8 +279,14 @@ type AggEntries struct {
 type AggAck struct {
 	AggID uint64
 	FP    core.Fingerprint
-	// MaxIDs holds, per directory id, the largest entry ID applied.
-	MaxIDs map[core.DirID]uint64
+	// MaxIDs holds, per directory, the largest entry ID applied.
+	MaxIDs []DirMax
+}
+
+// DirMax is the largest entry ID applied from one directory's log.
+type DirMax struct {
+	Dir   core.DirID
+	MaxID uint64
 }
 
 // --- Proactive aggregation ----------------------------------------------------
