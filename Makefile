@@ -17,10 +17,13 @@ lint: vet detlint
 	fi
 
 # detlint is the static gate, and tier-1 already runs it (`go test ./...`):
-# cmd/detlint's TestVetTree runs the determinism/protocol analyzer suite
+# cmd/detlint's TestVetTree runs the determinism analyzer suite
 # (internal/detlint) over the whole tree through `go vet` and requires
 # it clean — every diagnostic is either fixed or carries a //detlint:ignore
 # with a written reason — and requires a seeded broken package to fail.
+# The protocol rules (a retransmission answered from the memo, a vote,
+# decision or commit notice sent after its WAL record) are kept by the code
+# and tested in internal/server, not linted.
 detlint:
 	$(GO) test -count=1 -run TestVetTree -v ./cmd/detlint
 

@@ -104,9 +104,7 @@ type Stats struct {
 	Reads        uint64
 	Writes       uint64
 	Replicated   uint64 // backup-side applies
-	RepRounds    uint64 // primary-side replication rounds completed
 	Retries      uint64
-	DedupHits    uint64
 	PulledChunks uint64 // records installed during recovery
 }
 
@@ -269,46 +267,55 @@ func StripeSlot(loc []uint32, stripe, nodes int) int {
 	return int(loc[stripe%len(loc)]) % nodes
 }
 
-// handle dispatches inbound packets.
-func (s *Server) handle(p *env.Proc, from env.NodeID, msg any) {
+// routes is the data node's dispatch table (DESIGN.md "One dispatch"): a
+// span name where the node opens one, and whether a message is a client
+// request and, if so, deduplicated.
+var routes rpc.Routes[*Server]
+
+func init() {
+	routes = rpc.NewRoutes(
+		// Every chunk access is deduplicated, reads included.
+		rpc.Client("data:io", rpc.Always, (*Server).handleData),
+		// Replication flows even while recovering: applies are idempotent
+		// by version and keep the store converging.
+		rpc.Peer("data:rep", (*Server).handleRep),
+		rpc.Peer("", func(s *Server, _ *env.Proc, _ *wire.Packet, m *wire.DataRepAck) { s.rpc.Answer(m.Seq, m.From, nil) }),
+		rpc.Peer("", (*Server).handlePull),
+		rpc.Peer("", func(s *Server, _ *env.Proc, _ *wire.Packet, m *wire.DataPullResp) { s.rpc.Answer(m.Ctl, m.From, m) }),
+	)
+}
+
+// handle is the env message handler: the one dispatch of every message the
+// node receives. A deduplicated client request passes the replay-or-begin
+// step (rpc.Window.Admit) over the served window before its handler runs.
+func (s *Server) handle(p *env.Proc, _ env.NodeID, msg any) {
 	pkt, ok := msg.(*wire.Packet)
 	if !ok {
 		return
 	}
-	switch b := pkt.Body.(type) {
-	case *wire.DataReq:
-		if !s.serving {
-			// A recovering node must not serve reads of a half-pulled
-			// store (a wiped chunk would read as version 0 — a lost
-			// acknowledged write). Dropping makes the client retry.
-			return
-		}
-		sp := s.cfg.Trace.StartSpan(p, pkt.Trace, "data:io", "data")
-		s.handleData(p, b)
-		sp.End()
-	case *wire.DataRepReq:
-		// Replication flows even while recovering: applies are idempotent
-		// by version and keep the store converging.
-		sp := s.cfg.Trace.StartSpan(p, pkt.Trace, "data:rep", "data")
-		s.handleRep(p, b)
-		sp.End()
-	case *wire.DataRepAck:
-		s.rpc.Answer(b.Seq, b.From, nil)
-	case *wire.DataPullReq:
-		s.handlePull(p, b)
-	case *wire.DataPullResp:
-		s.rpc.Answer(b.Ctl, b.From, b)
-	}
-}
-
-// handleData serves one client chunk access with (client, RPC) dedup.
-func (s *Server) handleData(p *env.Proc, req *wire.DataReq) {
-	if s.replayIfDuplicate(p, &req.ReqCommon) {
+	r := routes.Of(pkt.Body)
+	if r == nil || r.Client && !s.serving {
+		// A recovering node must not serve reads of a half-pulled store (a
+		// wiped chunk would read as version 0 — a lost acknowledged write).
+		// Dropping makes the client retry.
 		return
 	}
-	if !s.begin(&req.ReqCommon) {
-		return // another delivery of this RPC is executing; it will answer
+	if r.Name != "" {
+		sp := s.cfg.Trace.StartSpan(p, pkt.Trace, r.Name, "data")
+		defer sp.End()
 	}
+	if r.Client && r.Dedup(pkt.Body) {
+		req := pkt.Body.(wire.Request).Common()
+		replay := func(resp wire.Msg) { s.reply(p, req.Client, resp) }
+		if !s.served.Admit(dedupKey{client: req.Client, rpc: req.RPC}, replay) {
+			return
+		}
+	}
+	r.Serve(s, p, pkt)
+}
+
+// handleData serves one client chunk access.
+func (s *Server) handleData(p *env.Proc, _ *wire.Packet, req *wire.DataReq) {
 	p.Compute(s.cfg.Costs.DataIO)
 	resp := &wire.DataResp{RespCommon: wire.RespCommon{RPC: req.RPC}}
 	switch req.Op {
@@ -379,13 +386,12 @@ func (s *Server) replicate(p *env.Proc, chunk wire.ChunkKey, ver uint64, bytes i
 	}, nil); !ok {
 		return core.ErrTimeout
 	}
-	s.Stats.RepRounds++
 	return nil
 }
 
 // handleRep applies a replicated chunk version on a backup (idempotent by
 // version) and always acks, so the primary unblocks even on duplicates.
-func (s *Server) handleRep(p *env.Proc, req *wire.DataRepReq) {
+func (s *Server) handleRep(p *env.Proc, _ *wire.Packet, req *wire.DataRepReq) {
 	if req.Ver > s.store[req.Chunk].ver {
 		p.Compute(s.cfg.Costs.DataIO)
 		if req.Ver > s.store[req.Chunk].ver {
@@ -402,7 +408,7 @@ func (s *Server) handleRep(p *env.Proc, req *wire.DataRepReq) {
 
 // handlePull answers a recovery pull: every stored record whose replica set
 // includes the requester's slot, sorted for determinism.
-func (s *Server) handlePull(p *env.Proc, req *wire.DataPullReq) {
+func (s *Server) handlePull(p *env.Proc, _ *wire.Packet, req *wire.DataPullReq) {
 	var recs []wire.ChunkRec
 	for k, rec := range s.store {
 		if rec.committed == 0 {
@@ -426,28 +432,4 @@ func (s *Server) reply(p *env.Proc, to env.NodeID, body wire.Msg) {
 		return
 	}
 	p.Send(to, &wire.Packet{Dst: to, Origin: s.cfg.ID, Trace: p.TraceCtx(), Body: body})
-}
-
-// replayIfDuplicate answers a retransmitted RPC from the served window. An
-// execution still in progress drops the duplicate.
-//
-//detlint:dedup-check
-func (s *Server) replayIfDuplicate(p *env.Proc, req *wire.ReqCommon) bool {
-	resp, _, ok := s.served.Get(dedupKey{client: req.Client, rpc: req.RPC})
-	if !ok {
-		return false
-	}
-	s.Stats.DedupHits++
-	if resp != nil {
-		s.reply(p, req.Client, resp)
-	}
-	return true
-}
-
-// begin marks (client, rpc) in flight so concurrent deliveries of the same
-// RPC execute at most once.
-//
-//detlint:dedup-check
-func (s *Server) begin(req *wire.ReqCommon) bool {
-	return s.served.Begin(dedupKey{client: req.Client, rpc: req.RPC})
 }

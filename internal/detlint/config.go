@@ -20,15 +20,11 @@ type Config struct {
 	// and scheduling roots the summary traces.
 	EnvPackage string `json:"envPackage"`
 	// WalPackage is the import path of the write-ahead log; method Append on
-	// its types is the durability root the walorder analyzer traces.
+	// its types makes a WAL record, one of dettaint's sinks.
 	WalPackage string `json:"walPackage"`
 	// WirePackage is the import path of the wire message package; its types
-	// are the packet values the sendalias analyzer tracks across Send, and
-	// ReqCommon embedded in a request marks it retransmittable (idempotent).
+	// are the packet values the sendalias analyzer tracks across Send.
 	WirePackage string `json:"wirePackage"`
-	// KvPackage is the import path of the key-value store; its Put/Delete
-	// methods are state mutations for the idempotent analyzer.
-	KvPackage string `json:"kvPackage"`
 	// TaintPackages are the packages the dettaint analyzer governs: the sim
 	// packages plus the bench/figure pipeline the rows flow through.
 	TaintPackages []string `json:"taintPackages"`

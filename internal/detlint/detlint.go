@@ -11,25 +11,28 @@
 //     hostapi, testdata/wallclock;
 //   - a raw goroutine, channel or sync park escapes the token-passing
 //     scheduler: hostapi, testdata/rawgo;
-//   - a protocol decision is sent before its WAL record is appended (a 2PC
-//     commit a crash forgets): walorder, testdata/walorder;
 //   - a sim lock is still held on a return path (a 2PC prepare that gives
 //     up holding its key locks): lockpair, testdata/lockpair;
 //   - a packet is written after it crossed Send (stamping a packet that is
 //     still in flight): sendalias, testdata/sendalias;
-//   - a retransmitted RPC re-executes its mutation instead of replaying the
-//     dedup cache: idempotent, testdata/idempotent;
 //   - a nondeterministic value (wall clock, pool internals, map-order slice)
 //     reaches a packet, WAL record or bench row, across functions and
 //     packages: dettaint, testdata/dettaint;
 //   - a suppression without a written reason, or a malformed directive:
 //     detdirective, testdata/detdirective.
 //
+// Two protocol rules are not linted: the code keeps each at one place
+// (DESIGN.md "One dispatch", "Log, then send"). A retransmitted request
+// passes one replay-or-begin step in its node's dispatch table, so it is
+// answered from the memo and never runs again; a prepared vote, a commit
+// decision or a commit notice is sent only by a function that takes its WAL
+// record.
+//
 // Every analyzer but maprange's and hostapi's syntax walks asks the same
 // questions of the package's call graph, and one summary analyzer answers
-// them once per package (emits, appends record r, mutates, releases
-// parameter i), together with the ignore-directive index. walorder,
-// idempotent and lockpair share one CFG reachability query (flow.go).
+// them once per package (emits, appends a record, releases parameter i),
+// together with the ignore-directive index. lockpair asks one CFG
+// reachability query (flow.go).
 //
 // The suite runs through cmd/detlint under `go vet -vettool`; cmd/detlint's
 // TestVetTree does that over the whole tree inside `go test ./...`. Policy —
@@ -45,10 +48,8 @@ func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		Maprange,
 		Hostapi,
-		Walorder,
 		Lockpair,
 		Sendalias,
-		Idempotent,
 		Dettaint,
 		Detdirective,
 	}

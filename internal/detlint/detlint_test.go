@@ -24,20 +24,12 @@ func TestRawgo(t *testing.T) {
 	dtest.Run(t, "testdata/rawgo", Hostapi, "switchfs/internal/server")
 }
 
-func TestWalorder(t *testing.T) {
-	dtest.Run(t, "testdata/walorder", Walorder, "switchfs/internal/server")
-}
-
 func TestLockpair(t *testing.T) {
 	dtest.Run(t, "testdata/lockpair", Lockpair, "switchfs/internal/server")
 }
 
 func TestSendalias(t *testing.T) {
 	dtest.Run(t, "testdata/sendalias", Sendalias, "switchfs/internal/pswitch")
-}
-
-func TestIdempotent(t *testing.T) {
-	dtest.Run(t, "testdata/idempotent", Idempotent, "switchfs/internal/server")
 }
 
 func TestDettaint(t *testing.T) {

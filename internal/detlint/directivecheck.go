@@ -10,7 +10,7 @@ import (
 
 // Detdirective validates the suite's own directives in every package:
 // suppressions must name known analyzers and carry a written reason, and
-// wal-before-send annotations must be well-formed and sit on a function
+// lock-escapes annotations must carry one too and sit on a function
 // declaration. A suppression that cannot justify itself is a diagnostic —
 // the suppression policy is part of the invariant. It parses each directive
 // exactly as `detlint -report` does (parseSuppression).

@@ -15,41 +15,26 @@ import (
 //	    line immediately below the comment. The reason is mandatory: a
 //	    suppression without one is itself a diagnostic (detdirective).
 //
-//	//detlint:wal-before-send <record> [via=<fn>[,<fn>...]]
-//	    On a function declaration: every packet emission in the function
-//	    (or, with via=, every call to the named emitters) must be dominated
-//	    by a WAL append of <record>. Checked by walorder on the CFG.
-//
 //	//detlint:lock-escapes <reason>
 //	    On a function declaration: the function intentionally returns or
 //	    hands off a lock it acquired (lockTxnKeys, Cond.Wait); lockpair
 //	    skips it. The reason is mandatory.
-//
-//	//detlint:dedup-check
-//	    On a function declaration: calling this function consults the
-//	    at-least-once dedup cache (replayIfDuplicate, begin). The
-//	    idempotent analyzer requires such a call before a mutating
-//	    handler's first side effect.
 const (
 	directivePrefix     = "//detlint:"
 	directiveIgnore     = "ignore"
-	directiveWalSend    = "wal-before-send"
 	directiveLockEscape = "lock-escapes"
-	directiveDedupCheck = "dedup-check"
 )
 
 // directiveKinds are the directives the suite understands.
-var directiveKinds = []string{directiveIgnore, directiveWalSend, directiveLockEscape, directiveDedupCheck}
+var directiveKinds = []string{directiveIgnore, directiveLockEscape}
 
 // analyzerNames is the set of valid targets for //detlint:ignore.
 var analyzerNames = map[string]bool{
 	"maprange":     true,
 	"hostapi":      true,
-	"walorder":     true,
 	"detdirective": true,
 	"lockpair":     true,
 	"sendalias":    true,
-	"idempotent":   true,
 	"dettaint":     true,
 }
 
@@ -176,48 +161,6 @@ func filesOf(pass *analysis.Pass) []*ast.File {
 	return out
 }
 
-// walSendDirective is one parsed //detlint:wal-before-send annotation.
-type walSendDirective struct {
-	pos    token.Pos
-	record string
-	via    []string
-	bad    string // non-empty: parse problem
-}
-
-// parseWalSend parses the text after "//detlint:wal-before-send".
-func parseWalSend(pos token.Pos, rest string) walSendDirective {
-	d := walSendDirective{pos: pos}
-	fields := strings.Fields(rest)
-	if len(fields) == 0 {
-		d.bad = "missing record name (want `//detlint:wal-before-send <record> [via=<fn>,...]`)"
-		return d
-	}
-	d.record = fields[0]
-	for _, f := range fields[1:] {
-		if v, ok := strings.CutPrefix(f, "via="); ok && v != "" {
-			d.via = append(d.via, strings.Split(v, ",")...)
-			continue
-		}
-		d.bad = "unrecognized argument " + quote(f)
-	}
-	return d
-}
-
-// funcWalSendDirectives extracts wal-before-send annotations from a function
-// declaration's doc comment.
-func funcWalSendDirectives(fn *ast.FuncDecl) []walSendDirective {
-	if fn.Doc == nil {
-		return nil
-	}
-	var out []walSendDirective
-	for _, c := range fn.Doc.List {
-		if rest, ok := cutDirective(c.Text, directiveWalSend); ok {
-			out = append(out, parseWalSend(c.Pos(), rest))
-		}
-	}
-	return out
-}
-
 // funcLockEscapes reports whether fn's doc comment carries a lock-escapes
 // annotation. The returned reason may be empty (malformed); detdirective
 // reports that, lockpair still honours the escape so one problem yields one
@@ -242,18 +185,4 @@ func directiveArg(rest string) string {
 		rest = rest[:i]
 	}
 	return strings.TrimSpace(rest)
-}
-
-// funcIsDedupCheck reports whether fn's doc comment marks it as a dedup-cache
-// consultation point for the idempotent analyzer.
-func funcIsDedupCheck(fn *ast.FuncDecl) bool {
-	if fn.Doc == nil {
-		return false
-	}
-	for _, c := range fn.Doc.List {
-		if _, found := cutDirective(c.Text, directiveDedupCheck); found {
-			return true
-		}
-	}
-	return false
 }

@@ -9,7 +9,7 @@ func TestParseIgnore(t *testing.T) {
 		malformed bool
 	}{
 		{"hostapi -- guarded, never parks", 1, false},
-		{"maprange,walorder -- sorted upstream", 2, false},
+		{"maprange,dettaint -- sorted upstream", 2, false},
 		{"hostapi", 1, true},            // no reason
 		{"hostapi --", 1, true},         // empty reason
 		{"-- some reason", 0, true},     // no analyzer
@@ -24,19 +24,6 @@ func TestParseIgnore(t *testing.T) {
 		if got := d.malformed != ""; got != c.malformed {
 			t.Errorf("parseIgnore(%q): malformed=%q, want malformed=%v", c.rest, d.malformed, c.malformed)
 		}
-	}
-}
-
-func TestParseWalSend(t *testing.T) {
-	d := parseWalSend(0, "recTxnCommit via=driveDecision,reply")
-	if d.bad != "" || d.record != "recTxnCommit" || len(d.via) != 2 {
-		t.Errorf("parseWalSend: got %+v", d)
-	}
-	if d := parseWalSend(0, ""); d.bad == "" {
-		t.Error("parseWalSend(empty): expected a parse problem")
-	}
-	if d := parseWalSend(0, "recX frobnicate=1"); d.bad == "" {
-		t.Error("parseWalSend(bad arg): expected a parse problem")
 	}
 }
 

@@ -174,7 +174,7 @@ func checkLockPairing(r *reporter, s *summary, g *cfg.CFG, body *ast.BlockStmt, 
 
 	// closureReleases maps local closure variables to the releases their
 	// bodies make of captured locks, directly or through a helper: a call to
-	// the variable is each of those release events (the doMutate
+	// the variable is each of those release events (the handleMutate
 	// fail-closure pattern).
 	closureReleases := make(map[types.Object][]releaseEvent)
 

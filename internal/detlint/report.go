@@ -12,21 +12,16 @@ import (
 )
 
 // Suppression is one //detlint: directive found in the tree: a diagnostic
-// suppression (ignore) or an invariant annotation (wal-before-send,
-// lock-escapes, dedup-check). The inventory makes the suite's escape hatches
-// reviewable in one place — every hole in the net, with its written reason.
+// suppression (ignore) or an invariant annotation (lock-escapes). The
+// inventory makes the suite's escape hatches reviewable in one place — every
+// hole in the net, with its written reason.
 type Suppression struct {
 	File      string
 	Line      int
-	Kind      string   // ignore, wal-before-send, lock-escapes, dedup-check
+	Kind      string   // ignore, lock-escapes
 	Analyzers []string // ignore: the analyzers it silences
 	Reason    string
 	Malformed string // non-empty: why the directive is invalid
-}
-
-// needsReason reports whether this directive kind must justify itself.
-func (s Suppression) needsReason() bool {
-	return s.Kind == directiveIgnore || s.Kind == directiveLockEscape
 }
 
 // CollectSuppressions parses every non-test .go file under root and returns
@@ -91,25 +86,10 @@ func parseSuppression(text string) (Suppression, bool) {
 		return Suppression{Kind: directiveIgnore, Analyzers: d.analyzers,
 			Reason: d.reason, Malformed: d.malformed}, true
 	}
-	if rest, ok := cutDirective(text, directiveWalSend); ok {
-		d := parseWalSend(token.NoPos, rest)
-		reason := d.record
-		if len(d.via) > 0 {
-			reason += " via=" + strings.Join(d.via, ",")
-		}
-		return Suppression{Kind: directiveWalSend, Reason: reason, Malformed: d.bad}, true
-	}
 	if rest, ok := cutDirective(text, directiveLockEscape); ok {
 		s := Suppression{Kind: directiveLockEscape, Reason: directiveArg(rest)}
 		if s.Reason == "" {
 			s.Malformed = "missing reason (want `//detlint:lock-escapes <reason>`)"
-		}
-		return s, true
-	}
-	if rest, ok := cutDirective(text, directiveDedupCheck); ok {
-		s := Suppression{Kind: directiveDedupCheck}
-		if directiveArg(rest) != "" {
-			s.Malformed = "takes no arguments"
 		}
 		return s, true
 	}

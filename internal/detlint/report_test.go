@@ -106,6 +106,14 @@ func TestReportOverRepo(t *testing.T) {
 	if err := WriteReport(&b, sups); err != nil {
 		t.Fatalf("%v\n%s", err, b.String())
 	}
+	// The inventory is held at its size: the rules the code keeps itself (the
+	// dispatch's replay-or-begin step, log-then-send) retired the directives
+	// that proved them after the fact, and an escape hatch coming back must
+	// be a decision, made here.
+	const maxDirectives = 5
+	if len(sups) > maxDirectives {
+		t.Errorf("%d detlint directives in the tree, want at most %d:\n%s", len(sups), maxDirectives, b.String())
+	}
 	// One runtime, one runnable process: nothing outside the fixtures has a
 	// second goroutine to guard against or a host clock to read, so a host
 	// API is never the answer.

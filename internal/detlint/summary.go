@@ -5,27 +5,20 @@ import (
 	"go/token"
 	"go/types"
 	"reflect"
-	"slices"
 
 	"golang.org/x/tools/go/analysis"
 )
 
 // summaryAnalyzer answers, once per package, what the package's own
 // functions do when called. Every analyzer that asks "does this call emit a
-// packet / append WAL record r / mutate protocol state / release this lock"
-// reads the same result instead of rebuilding its own call graph; it reports
-// nothing itself:
+// packet / make a WAL record / release this lock" reads the same result
+// instead of rebuilding its own call graph; it reports nothing itself:
 //
 //   - emits: the function (or a local closure variable) transitively reaches
 //     an env emission root — Proc.Send, Proc.Spawn, Sim.Spawn, Sim.After — so
 //     wrappers like server.reply count too;
-//   - appends: the WAL record constants the function appends anywhere in its
-//     body, directly, through a helper taking the kind as a parameter
-//     (mustAppend), or through a callee that appends it (recordCommit);
-//   - mutates: the function reaches a WAL append, a kv Put/Delete, or a plain
-//     store into a map rooted at its receiver or parameters (commutative
-//     `m[k] += x` tallies are exempt). //detlint:dedup-check functions are
-//     left out: their cache bookkeeping is the mechanism, not an effect;
+//   - appendsParam: the function appends a WAL record whose kind it takes as
+//     a parameter (mustAppend), so its arguments become the record;
 //   - releases: the parameters (receiver = -1) through which the function
 //     releases a sim lock.
 //
@@ -33,7 +26,7 @@ import (
 // filters its diagnostics through one parse of the suppressions.
 var summaryAnalyzer = &analysis.Analyzer{
 	Name:       "summary",
-	Doc:        "summarize once per package what each function emits, appends, mutates and releases",
+	Doc:        "summarize once per package what each function emits, appends and releases",
 	Run:        runSummary,
 	ResultType: reflect.TypeOf((*summary)(nil)),
 }
@@ -51,11 +44,8 @@ type summary struct {
 	// (`fail := func(...) {...}` closures that reply to the client).
 	emitsVar map[*types.Var]bool
 	// appendsParam holds helpers whose WAL append takes the record kind from
-	// a parameter (mustAppend): a call passing a record constant appends it.
+	// a parameter (mustAppend): a call of one makes a WAL record.
 	appendsParam map[*types.Func]bool
-	appends      map[*types.Func]map[string]bool
-	dedupCheck   map[*types.Func]bool
-	mutates      map[*types.Func]bool
 	releases     map[*types.Func]map[int]bool
 }
 
@@ -66,9 +56,6 @@ func runSummary(pass *analysis.Pass) (any, error) {
 		emits:        make(map[*types.Func]bool),
 		emitsVar:     make(map[*types.Var]bool),
 		appendsParam: make(map[*types.Func]bool),
-		appends:      make(map[*types.Func]map[string]bool),
-		dedupCheck:   make(map[*types.Func]bool),
-		mutates:      make(map[*types.Func]bool),
 		releases:     make(map[*types.Func]map[int]bool),
 	}
 	s.ignores = buildIgnoreIndex(pass.Fset, s.files)
@@ -76,13 +63,10 @@ func runSummary(pass *analysis.Pass) (any, error) {
 		for _, d := range f.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
 				s.funcs = append(s.funcs, fd)
-				if funcIsDedupCheck(fd) {
-					s.dedupCheck[s.funcObj(fd)] = true
-				}
 			}
 		}
 	}
-	s.fixpoint(s.stepEmits, s.stepAppends, s.stepMutates, s.stepReleases)
+	s.fixpoint(s.stepEmits, s.stepAppendsParam, s.stepReleases)
 	return s, nil
 }
 
@@ -103,9 +87,8 @@ func (s *summary) funcObj(fd *ast.FuncDecl) *types.Func {
 }
 
 // fixpoint applies every step to every function until a whole round changes
-// nothing. Each summary only grows, and grows monotonically in the others (a
-// function that appends more also mutates more), so running them in one loop
-// reaches the same least fixpoint as running them one after another.
+// nothing. Each summary only grows, so running them in one loop reaches the
+// same least fixpoint as running them one after another.
 func (s *summary) fixpoint(steps ...func(*types.Func, *ast.FuncDecl) bool) {
 	for changed := true; changed; {
 		changed = false
@@ -163,43 +146,21 @@ func (s *summary) stepEmits(obj *types.Func, fd *ast.FuncDecl) bool {
 	return changed
 }
 
-func (s *summary) stepAppends(obj *types.Func, fd *ast.FuncDecl) bool {
-	changed := false
+func (s *summary) stepAppendsParam(obj *types.Func, fd *ast.FuncDecl) bool {
+	if s.appendsParam[obj] {
+		return false
+	}
 	params := paramIndex(s.info, fd)
 	eachCall(fd.Body, func(call *ast.CallExpr) {
-		if kind, ok := s.walAppendKind(call); ok && !s.appendsParam[obj] {
+		if kind, ok := s.walAppendKind(call); ok {
 			if id, isIdent := kind.(*ast.Ident); isIdent {
 				if _, isParam := params[s.info.Uses[id]]; isParam {
 					s.appendsParam[obj] = true
-					changed = true
 				}
 			}
 		}
-		for _, rec := range s.callAppends(call) {
-			if !s.appends[obj][rec] {
-				if s.appends[obj] == nil {
-					s.appends[obj] = make(map[string]bool)
-				}
-				s.appends[obj][rec] = true
-				changed = true
-			}
-		}
 	})
-	return changed
-}
-
-func (s *summary) stepMutates(obj *types.Func, fd *ast.FuncDecl) bool {
-	if s.mutates[obj] || s.dedupCheck[obj] {
-		return false
-	}
-	own := paramIndex(s.info, fd)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if s.nodeMutates(n, own) {
-			s.mutates[obj] = true
-		}
-		return !s.mutates[obj]
-	})
-	return s.mutates[obj]
+	return s.appendsParam[obj]
 }
 
 func (s *summary) stepReleases(obj *types.Func, fd *ast.FuncDecl) bool {
@@ -274,96 +235,6 @@ func (s *summary) isAppendCall(call *ast.CallExpr) bool {
 	return callee != nil && s.appendsParam[callee]
 }
 
-// callAppends returns the record constants this call appends: a direct WAL
-// Append with a constant kind, a call to an appendsParam helper passing a
-// record constant, or a call to a function that appends records itself.
-func (s *summary) callAppends(call *ast.CallExpr) []string {
-	if kind, ok := s.walAppendKind(call); ok {
-		if name, isConst := constIdentName(s.info, kind); isConst {
-			return []string{name}
-		}
-		return nil
-	}
-	callee := calleeFunc(s.info, call)
-	if callee == nil {
-		return nil
-	}
-	var out []string
-	if s.appendsParam[callee] {
-		for _, arg := range call.Args {
-			if name, isConst := constIdentName(s.info, arg); isConst {
-				out = append(out, name)
-			}
-		}
-	}
-	for rec := range s.appends[callee] {
-		out = append(out, rec)
-	}
-	return out
-}
-
-// appendsRecord reports whether call is an append point for record rec.
-func (s *summary) appendsRecord(call *ast.CallExpr, rec string) bool {
-	return slices.Contains(s.callAppends(call), rec)
-}
-
-// nodeMutates reports whether one AST node is a state mutation, given the
-// objects (receiver and parameters, see paramIndex) the enclosing function's
-// state is rooted at.
-func (s *summary) nodeMutates(n ast.Node, own map[types.Object]int) bool {
-	switch n := n.(type) {
-	case *ast.AssignStmt:
-		// Plain stores into owned maps; `m[k] += x` style accumulation is a
-		// commutative tally, not protocol state.
-		if n.Tok != token.ASSIGN {
-			return false
-		}
-		for _, lhs := range n.Lhs {
-			if s.ownedMapIndex(lhs, own) {
-				return true
-			}
-		}
-	case *ast.CallExpr:
-		if isBuiltinCall(s.info, n, "delete") && len(n.Args) > 0 {
-			return ownedVar(baseVarOf(s.info, n.Args[0]), own)
-		}
-		if isKvWrite(s.info, n) || s.isAppendCall(n) || len(s.callAppends(n)) > 0 {
-			return true
-		}
-		if callee := calleeFunc(s.info, n); callee != nil {
-			return s.mutates[callee] && !s.dedupCheck[callee]
-		}
-	}
-	return false
-}
-
-// ownedMapIndex reports whether lhs is an index store into a map rooted at
-// an owned object.
-func (s *summary) ownedMapIndex(lhs ast.Expr, own map[types.Object]int) bool {
-	ix, isIndex := ast.Unparen(lhs).(*ast.IndexExpr)
-	if !isIndex {
-		return false
-	}
-	if _, isMap := typeUnder(s.info.TypeOf(ix.X)).(*types.Map); !isMap {
-		return false
-	}
-	return ownedVar(baseVarOf(s.info, ix.X), own)
-}
-
-func ownedVar(v *types.Var, own map[types.Object]int) bool {
-	_, ok := own[v]
-	return v != nil && ok
-}
-
-// kvWriteMethods are the mutating methods of the kv package's store.
-var kvWriteMethods = map[string]bool{"Put": true, "Delete": true}
-
-// isKvWrite reports whether call mutates a kv-package store.
-func isKvWrite(info *types.Info, call *ast.CallExpr) bool {
-	obj := calleeFunc(info, call)
-	return obj != nil && isMethodOf(obj, conf.KvPackage) && kvWriteMethods[obj.Name()]
-}
-
 // callReleaseRoots returns the lockRefs this call releases something under: a
 // direct env release yields the lock itself; a call to a releasing helper
 // yields the argument (or receiver) it releases through.
@@ -428,18 +299,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// calleeName returns the syntactic name a call invokes (for via= matching):
-// the method or function identifier, covering closures bound to locals.
-func calleeName(call *ast.CallExpr) string {
-	switch fun := call.Fun.(type) {
-	case *ast.SelectorExpr:
-		return fun.Sel.Name
-	case *ast.Ident:
-		return fun.Name
-	}
-	return ""
-}
-
 // isMethodOf reports whether obj is a method of a type declared in pkg.
 func isMethodOf(obj *types.Func, pkg string) bool {
 	sig, ok := obj.Type().(*types.Signature)
@@ -484,17 +343,6 @@ func paramIndex(info *types.Info, fd *ast.FuncDecl) map[types.Object]int {
 		}
 	}
 	return out
-}
-
-func constIdentName(info *types.Info, e ast.Expr) (string, bool) {
-	id, ok := e.(*ast.Ident)
-	if !ok {
-		return "", false
-	}
-	if _, isConst := info.Uses[id].(*types.Const); !isConst {
-		return "", false
-	}
-	return id.Name, true
 }
 
 // isBuiltinCall reports whether call invokes the named builtin (the

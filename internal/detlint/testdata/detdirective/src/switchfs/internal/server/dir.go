@@ -16,23 +16,18 @@ var c int
 //detlint:frobnicate now // want `unknown detlint directive "frobnicate"`
 var d int
 
-func placed() {
-	//detlint:wal-before-send recX // want `unrecognized argument` `must be in a function declaration's doc comment`
-	_ = 0
-}
-
-// wellFormed carries valid directives: no diagnostics.
+// The protocol rules the code now keeps have no directives left.
 //
-//detlint:wal-before-send recX via=reply
+//detlint:wal-before-send recX // want `unknown detlint directive "wal-before-send"`
 func wellFormed() {
-	//detlint:ignore maprange,walorder -- a written reason satisfies the policy
+	//detlint:ignore maprange,lockpair -- a written reason satisfies the policy
 	_ = 0
 }
 
 //detlint:lock-escapes // want `malformed //detlint:lock-escapes: missing reason` `must be in a function declaration's doc comment`
 var e int
 
-//detlint:dedup-check with args // want `malformed //detlint:dedup-check: takes no arguments` `must be in a function declaration's doc comment`
+//detlint:dedup-check // want `unknown detlint directive "dedup-check"`
 var g int
 
 // escapes hands its locks to the prepared-transaction record.
@@ -40,12 +35,7 @@ var g int
 //detlint:lock-escapes locks transfer to the prepared-txn record
 func escapes() {}
 
-// checker consults the at-least-once dedup cache.
-//
-//detlint:dedup-check
-func checker() {}
-
-func misplacedDedup() {
-	//detlint:dedup-check // want `must be in a function declaration's doc comment`
+func misplaced() {
+	//detlint:lock-escapes held by the caller // want `must be in a function declaration's doc comment`
 	_ = 0
 }

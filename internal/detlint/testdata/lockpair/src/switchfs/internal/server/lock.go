@@ -78,7 +78,7 @@ func (s *Server) mixedMode(p *env.Proc, write bool) {
 }
 
 // closureRelease releases through a local closure on the failure path (the
-// doMutate fail-closure pattern): clean.
+// handleMutate fail-closure pattern): clean.
 func (s *Server) closureRelease(p *env.Proc, kl *keyLock, bad bool) {
 	kl.lock.Lock(p)
 	fail := func() {
@@ -93,7 +93,7 @@ func (s *Server) closureRelease(p *env.Proc, kl *keyLock, bad bool) {
 }
 
 // closureHelperRelease releases through a local closure that calls a
-// releasing helper (the doMutate fail-closure over unlockKey): clean.
+// releasing helper (the handleMutate fail-closure over unlockKey): clean.
 func (s *Server) closureHelperRelease(p *env.Proc, kl *keyLock, bad bool) {
 	kl.lock.Lock(p)
 	fail := func() {

@@ -63,7 +63,9 @@ func (m *sliceMemo) del(k int) {
 
 // TestWindowMatchesSliceMemo drives Window and the slice memo through the same
 // seeded random sequences — begin, put, get, delete, a re-begin after a
-// delete, and enough fresh keys to overflow the bound — and requires the same
+// delete, the replay-or-begin step (Admit, whose reference is a get and then
+// a begin of an absent key), and enough fresh keys to overflow the bound —
+// and requires the same
 // answer to every operation and the same live keys, oldest first, after each.
 func TestWindowMatchesSliceMemo(t *testing.T) {
 	for _, bound := range []int{1, 2, 7, 64} {
@@ -86,7 +88,7 @@ func TestWindowMatchesSliceMemo(t *testing.T) {
 			}
 			for step := 0; step < 2000; step++ {
 				what := ""
-				switch op := rng.Intn(6); op {
+				switch op := rng.Intn(7); op {
 				case 0, 1:
 					k := key()
 					what = fmt.Sprintf("begin %d", k)
@@ -123,6 +125,21 @@ func TestWindowMatchesSliceMemo(t *testing.T) {
 					if v != mv || done != mdone || ok != mok {
 						t.Fatalf("bound %d seed %d step %d: %s = (%d, %v, %v), want (%d, %v, %v)",
 							bound, seed, step, what, v, done, ok, mv, mdone, mok)
+					}
+				case 6:
+					k := key()
+					what = fmt.Sprintf("admit %d", k)
+					mv, mdone, mok := m.get(k)
+					if !mok {
+						m.begin(k)
+					}
+					if !mdone {
+						mv = 0 // only a recorded request is replayed
+					}
+					replayed := 0
+					if run := w.Admit(k, func(v int) { replayed = v }); run != !mok || replayed != mv {
+						t.Fatalf("bound %d seed %d step %d: %s = (run %v, replayed %d), want (%v, %d)",
+							bound, seed, step, what, run, replayed, !mok, mv)
 					}
 				}
 				if got := w.live(); !slices.Equal(got, m.log) || w.Len() != len(m.vals) {

@@ -273,7 +273,7 @@ func (s *Server) markDirty(p *env.Proc, fp core.Fingerprint) {
 // acknowledged (§5.2.2 step 6).
 //
 //detlint:lock-escapes the snapshotted change-log locks transfer to peerAggState.locked (dl.heldBy = f.AggID) and are released by finishPeerAgg on ack or give-up
-func (s *Server) handleAggFetch(p *env.Proc, f *wire.AggFetch) {
+func (s *Server) handleAggFetch(p *env.Proc, _ *wire.Packet, f *wire.AggFetch) {
 	p.Compute(s.cfg.Costs.Parse)
 	if f.Rmdir {
 		s.addInval(f.Dir)
@@ -333,7 +333,7 @@ func (s *Server) finishPeerAgg(st *peerAggState, a *wire.AggAck) {
 }
 
 // handleAggEntries collects one peer's reply at the aggregation owner.
-func (s *Server) handleAggEntries(p *env.Proc, e *wire.AggEntries) {
+func (s *Server) handleAggEntries(p *env.Proc, _ *wire.Packet, e *wire.AggEntries) {
 	ctx := s.aggs[e.AggID]
 	if ctx == nil {
 		acks, _, done := s.aggAcks.Get(e.AggID)
@@ -364,7 +364,7 @@ func (s *Server) handleAggEntries(p *env.Proc, e *wire.AggEntries) {
 
 // handleAggAck finishes the peer side: it hands the ack to the waiting
 // fetch handler, which owns the trim-and-unlock (§5.2.2 steps 9a/9b).
-func (s *Server) handleAggAck(p *env.Proc, a *wire.AggAck) {
+func (s *Server) handleAggAck(p *env.Proc, _ *wire.Packet, a *wire.AggAck) {
 	st := s.peerAggs[a.AggID]
 	if st == nil {
 		return
@@ -688,7 +688,7 @@ func (dl *dirLog) pendingNamed(name string) (through uint64, named bool) {
 //
 // An update acknowledged to its client is in the log, so a log that does not
 // hold the name answers at once. Appenders reserve an id and append it in one
-// event (doMutate), so the log receives its ids in ascending order: no id
+// event (handleMutate), so the log receives its ids in ascending order: no id
 // below the largest logged is still on its way, the forced push's snapshot
 // has no gap below it, and an acknowledgment through that id covers the name.
 // The log's exclusive lock is still taken first, as a barrier: it waits out
@@ -729,7 +729,7 @@ func (s *Server) resetIdleTimer(dl *dirLog) {
 // handleChangePush applies a proactively pushed change-log at the owner and
 // (re)starts the quiesce timer; when pushes stop arriving the owner
 // aggregates on its own so the next read finds the directory normal (§5.3).
-func (s *Server) handleChangePush(p *env.Proc, from env.NodeID, cp *wire.ChangePush) {
+func (s *Server) handleChangePush(p *env.Proc, _ *wire.Packet, cp *wire.ChangePush) {
 	p.Compute(s.cfg.Costs.Parse)
 	fp := cp.Log.Dir.FP
 	// A push routed here under a stale ring is dropped without an ack: the
@@ -765,7 +765,7 @@ func (s *Server) handleChangePush(p *env.Proc, from env.NodeID, cp *wire.ChangeP
 // handleChangePushAck trims the log through what the owner applied, or had
 // applied already, whichever push the ack answers: it releases every wait the
 // ack covers. Acks are idempotent — the owner's watermark covers MaxID.
-func (s *Server) handleChangePushAck(a *wire.ChangePushAck) {
+func (s *Server) handleChangePushAck(_ *env.Proc, _ *wire.Packet, a *wire.ChangePushAck) {
 	if dl := s.clogs[a.Dir]; dl != nil {
 		s.ackEntries(dl, a.MaxID)
 	}
@@ -786,11 +786,11 @@ func (s *Server) addInval(dir core.DirID) {
 }
 
 // handleInvalBroadcast appends directories announced by a peer.
-func (s *Server) handleInvalBroadcast(p *env.Proc, from env.NodeID, b *wire.InvalBroadcast) {
+func (s *Server) handleInvalBroadcast(p *env.Proc, _ *wire.Packet, b *wire.InvalBroadcast) {
 	for _, d := range b.Dirs {
 		s.addInval(d)
 	}
-	replyNew(s, p, from, wire.InvalAck{From: s.cfg.ID})
+	replyNew(s, p, b.From, wire.InvalAck{From: s.cfg.ID})
 }
 
 // --- rmdir (§5.2.3) -----------------------------------------------------------
@@ -808,7 +808,7 @@ func (s *Server) aggregateTarget(p *env.Proc, key core.Key) (core.DirID, error) 
 		return core.DirID{}, err
 	}
 	s.tallyFP(fp)
-	// Uncharged: doMutate's read of the key under its lock pays the KVGet.
+	// Uncharged: handleMutate's read of the key under its lock pays the KVGet.
 	var in core.Inode
 	err := s.readDirInode(key, &in)
 	if err == nil {

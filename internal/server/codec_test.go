@@ -147,7 +147,8 @@ func TestRecordBufferReuse(t *testing.T) {
 // handed to it. The protocol bookkeeping of the 2PC and aggregation rounds
 // allocates nothing into buffers its callers size once: a transaction's
 // fingerprint footprint, its key locks taken and released, and a group's
-// change-logs in order.
+// change-logs in order. So does the dispatch: a message's route and a
+// deduplicated request's replay-or-begin step.
 func TestHandlerAllocationBudgets(t *testing.T) {
 	sim, s := newTestServer(t)
 	key := core.Key{PID: core.DirID{1, 2, 3, 4}, Name: "file-000123"}
@@ -169,6 +170,12 @@ func TestHandlerAllocationBudgets(t *testing.T) {
 		s.clogOf(core.DirRef{ID: core.DirID{i, 9, 9, 9}, Key: other, FP: group})
 	}
 	clogs := make([]*dirLog, 0, 3)
+	// The dispatch: a duplicate of a create still in flight, which the
+	// replay-or-begin step drops, and a peer message (an ack for a log this
+	// server does not hold). A memo replay's one packet is not counted.
+	dup := &wire.Packet{Dst: 100, Origin: 9000, Body: &wire.MutateReq{ReqCommon: wire.ReqCommon{RPC: 1, Client: 9000}}}
+	s.served.Begin(dedupKey{client: 9000, rpc: 1})
+	ack := &wire.Packet{Dst: 100, Origin: 101, Body: &wire.ChangePushAck{Dir: core.DirID{9}}}
 	var p *env.Proc
 	for _, c := range []struct {
 		name string
@@ -196,6 +203,8 @@ func TestHandlerAllocationBudgets(t *testing.T) {
 				s.unlockKey(l)
 			}
 		}},
+		{"dispatch of a duplicate in flight", func() { s.handle(p, 9000, dup) }},
+		{"dispatch of a peer message", func() { s.handle(p, 101, ack) }},
 		{"sortedClogs", func() {
 			if clogs = sortedClogs(clogs, s.clogsByFP[group]); len(clogs) != 3 || clogs[0].ref.ID[0] != 1 || clogs[2].ref.ID[0] != 3 {
 				t.Fatalf("sortedClogs: %d logs, want 3 in directory order", len(clogs))
@@ -224,7 +233,7 @@ func TestChmodSurvivesReplay(t *testing.T) {
 	key := core.Key{PID: parent.ID, Name: "f"}
 	s.InjectInode(key, &core.Inode{Attr: core.Attr{Type: core.TypeRegular, Perm: 0o644, Nlink: 1}}, true)
 	sim.Spawn(100, func(p *env.Proc) {
-		s.handleChmod(p, &wire.FileReq{ReqCommon: wire.ReqCommon{RPC: 1, Client: 9000},
+		s.handleFile(p, nil, &wire.FileReq{ReqCommon: wire.ReqCommon{RPC: 1, Client: 9000},
 			Op: core.OpChmod, Parent: parent, Name: "f", Perm: 0o600})
 	})
 	sim.Run()

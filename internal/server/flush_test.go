@@ -65,7 +65,7 @@ func newFlushRig(t *testing.T) *flushRig {
 	return r
 }
 
-// logged appends a pending create to the directory's change-log, as doMutate
+// logged appends a pending create to the directory's change-log, as handleMutate
 // leaves it once the client has its answer.
 func (r *flushRig) logged(id uint64, name string) {
 	if r.dl == nil {

@@ -9,23 +9,9 @@ import (
 
 // handleMutate executes create, delete, mkdir and rmdir, asynchronously per
 // §5.2.1. The request is addressed to the owner of the target object's inode.
-func (s *Server) handleMutate(p *env.Proc, req *wire.MutateReq) {
-	p.Compute(s.cfg.Costs.Parse)
-	if s.replayIfDuplicate(p, &req.ReqCommon) {
-		return
-	}
-	if !s.begin(&req.ReqCommon) {
-		return // in flight; the original execution will reply
-	}
+func (s *Server) handleMutate(p *env.Proc, _ *wire.Packet, req *wire.MutateReq) {
 	s.Stats.Ops++
 	s.tallyDir(req.Parent.ID)
-	s.doMutate(p, req)
-}
-
-// doMutate is the local half of create, delete, mkdir and rmdir.
-//
-//detlint:wal-before-send recCommit via=syncCommit,asyncCommit
-func (s *Server) doMutate(p *env.Proc, req *wire.MutateReq) {
 	c := &s.cfg.Costs
 	key := core.Key{PID: req.Parent.ID, Name: req.Name}
 	fp := key.Fingerprint()
@@ -194,7 +180,6 @@ func (s *Server) doMutate(p *env.Proc, req *wire.MutateReq) {
 
 	// Append to the parent's change-log (step 5).
 	parentLog.log.Append(entry)
-	parentLog.walLSN[entry.ID] = lsn
 	pending := parentLog.log.Len()
 
 	// Dirty-set update and completion (steps 6–7). The response is cached
@@ -202,10 +187,10 @@ func (s *Server) doMutate(p *env.Proc, req *wire.MutateReq) {
 	// travels via the switch multicast at insert time, and replaying it any
 	// earlier would acknowledge a write whose fingerprint is not yet in the
 	// dirty set — a read racing the (fault-stretched) insert window would
-	// then miss an acknowledged update. Until then begin()'s in-progress
+	// then miss an acknowledged update. Until then the dispatch's in-flight
 	// marker silently drops duplicates.
 	resp := &wire.MutateResp{RespCommon: s.respCommon(&req.ReqCommon, nil), Dir: newDir}
-	s.asyncCommit(p, req.Parent, parentLog, entry, resp, req.Client)
+	s.asyncCommit(p, req.Parent, parentLog, entry, lsn, resp, req.Client)
 	s.remember(req.Client, req.RPC, resp)
 
 	// Unlocking happens when the switch (or the fallback owner) acks. The
@@ -236,10 +221,14 @@ func (s *Server) replyMutate(p *env.Proc, req *wire.MutateReq, err error) {
 
 // asyncCommit sends the dirty-set insert and waits for the commit ack
 // (success multicast leg 7b, or the fallback owner's ack), until it arrives or
-// this incarnation fail-stops; inserts are idempotent (§5.4.1).
+// this incarnation fail-stops; inserts are idempotent (§5.4.1). Like every
+// sender of a message that must not leave before its WAL record (DESIGN.md
+// "Log, then send"), it takes the record: entry's recCommit, which the
+// owner's acknowledgment of the entry marks applied (ackEntries).
 func (s *Server) asyncCommit(p *env.Proc, parent core.DirRef, parentLog *dirLog,
-	entry core.LogEntry, resp *wire.MutateResp, client env.NodeID) {
+	entry core.LogEntry, rec wal.LSN, resp *wire.MutateResp, client env.NodeID) {
 
+	parentLog.walLSN[entry.ID] = rec
 	csp := s.cfg.Trace.Start(p, "commit:async", "server")
 	defer csp.End()
 	id := s.ids.Next()
@@ -292,11 +281,12 @@ func (s *Server) asyncCommit(p *env.Proc, parent core.DirRef, parentLog *dirLog,
 }
 
 // syncCommit is the Baseline path of Fig. 14: ship the single update to the
-// parent's owner and wait for it to apply before replying; all locks held. A
-// fail-stopped incarnation leaves the commit to its recovery: the WAL record
-// stays unmarked, and the locks die with it.
+// parent's owner and wait for it to apply before replying; all locks held. It
+// takes entry's recCommit record, as asyncCommit does, and marks it applied
+// once the owner acknowledged. A fail-stopped incarnation leaves the commit
+// to its recovery: the WAL record stays unmarked, and the locks die with it.
 func (s *Server) syncCommit(p *env.Proc, req *wire.MutateReq, parentLog *dirLog,
-	entry core.LogEntry, lsn wal.LSN, kl *keyLock, newDir core.DirID) {
+	entry core.LogEntry, rec wal.LSN, kl *keyLock, newDir core.DirID) {
 
 	id := s.ids.Next()
 	csp := s.cfg.Trace.Start(p, "commit:sync", "server")
@@ -315,7 +305,7 @@ func (s *Server) syncCommit(p *env.Proc, req *wire.MutateReq, parentLog *dirLog,
 	// apply is acknowledged (the parent's owner also sent the client's copy).
 	s.remember(req.Client, req.RPC, resp)
 	s.Stats.SyncCommits++
-	mustMark(s.wal, lsn)
+	mustMark(s.wal, rec)
 	s.unlockKey(kl)
 	parentLog.lock.RUnlock()
 }

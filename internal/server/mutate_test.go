@@ -37,8 +37,8 @@ func TestChangeLogIDsAscend(t *testing.T) {
 	mutate := func(at env.Duration, rpc uint64, op core.Op, name string) {
 		sim.Spawn(100, func(p *env.Proc) {
 			p.Sleep(at)
-			s.handleMutate(p, &wire.MutateReq{ReqCommon: wire.ReqCommon{RPC: rpc, Client: 9000},
-				Op: op, Parent: dir, Name: name})
+			s.handle(p, 9000, &wire.Packet{Dst: 100, Origin: 9000, Body: &wire.MutateReq{
+				ReqCommon: wire.ReqCommon{RPC: rpc, Client: 9000}, Op: op, Parent: dir, Name: name}})
 		})
 	}
 	mutate(0, 1, core.OpCreate, "a")

@@ -15,11 +15,8 @@ import (
 // together with the directory, and a create under it would then pass
 // checkAncestors. The wait runs in the event of the read, after the KVGet
 // charge, and releases the read lock the rmdir's commit needs.
-//
-//detlint:ignore idempotent -- lookup is a pure read; its only table write is the lock pin, which its own release takes back out
-func (s *Server) handleLookup(p *env.Proc, req *wire.LookupReq) {
+func (s *Server) handleLookup(p *env.Proc, _ *wire.Packet, req *wire.LookupReq) {
 	c := &s.cfg.Costs
-	p.Compute(c.Parse)
 	key := core.Key{PID: req.Parent, Name: req.Name}
 	fp := key.Fingerprint()
 	pkt, resp := wire.NewPacket[wire.LookupResp](req.Client, s.cfg.ID)
@@ -72,15 +69,17 @@ func (s *Server) readDirInode(key core.Key, in *core.Inode) error {
 	return err
 }
 
-// handleFile serves the synchronous read-only single-inode file operations:
-// stat, open, close. They read the file inode in place, exactly as in a
-// traditional DFS (§5.2 "Single-inode operations"). Chmod, the one FileReq
-// that mutates, is dispatched to handleChmod instead.
-//
-//detlint:ignore idempotent -- stat/open/close are pure reads; their only table write is the lock pin, which their own release takes back out
-func (s *Server) handleFile(p *env.Proc, req *wire.FileReq) {
+// handleFile serves the synchronous single-inode file operations: stat,
+// open and close read the file inode in place, exactly as in a traditional
+// DFS (§5.2 "Single-inode operations"), and chmod updates its permissions in
+// place. Chmod is the one FileReq that mutates durable state, so it takes the
+// inode's lock exclusive, its response is remembered, and its route
+// deduplicates it: a retransmitted stale chmod replays its response instead
+// of re-appending the WAL record and clobbering a newer chmod's permissions
+// and ctime (TestDuplicateChmodNotReexecuted).
+func (s *Server) handleFile(p *env.Proc, _ *wire.Packet, req *wire.FileReq) {
 	c := &s.cfg.Costs
-	p.Compute(c.Parse)
+	chmod := req.Op == core.OpChmod
 	s.Stats.Ops++
 	s.tallyDir(req.Parent.ID)
 	key := core.Key{PID: req.Parent.ID, Name: req.Name}
@@ -93,7 +92,11 @@ func (s *Server) handleFile(p *env.Proc, req *wire.FileReq) {
 	if err == nil {
 		s.tallyFP(fp)
 		l := s.lockOf(key)
-		l.RLock(p)
+		if chmod {
+			l.Lock(p)
+		} else {
+			l.RLock(p)
+		}
 		p.Compute(c.KVGet)
 		var in core.Inode
 		if err = s.readInode(key, &in); err == nil {
@@ -101,72 +104,37 @@ func (s *Server) handleFile(p *env.Proc, req *wire.FileReq) {
 			case core.OpStat, core.OpOpen, core.OpClose:
 				resp.Attr = in.Attr
 				resp.DataLoc = in.DataLoc
+			case core.OpChmod:
+				in.Perm = req.Perm
+				in.Ctime = p.Now()
+				p.Compute(c.WALAppend + c.KVPut)
+				s.putInode(key, &in)
+				resp.Attr = in.Attr
 			default:
 				err = core.ErrInvalid
 			}
 		}
-		s.runlockKey(l)
-		s.fpExit(fp)
-	}
-	resp.RespCommon = s.respCommon(&req.ReqCommon, err)
-	s.send(p, pkt)
-}
-
-// handleChmod updates a file inode's permissions in place. Chmod is the one
-// FileReq that mutates durable state, so unlike its read-only siblings it
-// runs behind the retransmission dedup cache: before this split, a duplicate
-// chmod arriving after the original committed re-appended the WAL record and
-// rewrote the inode — so a retransmitted stale chmod could clobber a newer
-// chmod's permissions and ctime (caught by detlint idempotent, PR 2/4
-// re-execution class; pinned by TestDuplicateChmodNotReexecuted).
-func (s *Server) handleChmod(p *env.Proc, req *wire.FileReq) {
-	c := &s.cfg.Costs
-	p.Compute(c.Parse)
-	if s.replayIfDuplicate(p, &req.ReqCommon) {
-		return
-	}
-	if !s.begin(&req.ReqCommon) {
-		return // in flight; the original execution will reply
-	}
-	s.Stats.Ops++
-	s.tallyDir(req.Parent.ID)
-	key := core.Key{PID: req.Parent.ID, Name: req.Name}
-	fp := key.Fingerprint()
-	pkt, resp := wire.NewPacket[wire.FileResp](req.Client, s.cfg.ID)
-	err := s.checkAncestors(&req.ReqCommon)
-	if err == nil {
-		err = s.admitFP(p, fp)
-	}
-	if err == nil {
-		s.tallyFP(fp)
-		l := s.lockOf(key)
-		l.Lock(p)
-		p.Compute(c.KVGet)
-		var in core.Inode
-		if err = s.readInode(key, &in); err == nil {
-			in.Perm = req.Perm
-			in.Ctime = p.Now()
-			p.Compute(c.WALAppend + c.KVPut)
-			s.putInode(key, &in)
-			resp.Attr = in.Attr
+		if chmod {
+			s.unlockKey(l)
+		} else {
+			s.runlockKey(l)
 		}
-		s.unlockKey(l)
 		s.fpExit(fp)
 	}
 	resp.RespCommon = s.respCommon(&req.ReqCommon, err)
-	s.remember(req.Client, req.RPC, resp)
+	if chmod {
+		s.remember(req.Client, req.RPC, resp)
+	}
 	s.send(p, pkt)
 }
 
 // handleDirRead serves statdir and readdir (§5.2.2). The packet travelled
 // through the switch, which annotated the dirty-set query result; a
 // scattered directory triggers (or joins) a metadata aggregation before the
-// read returns.
-//
-//detlint:ignore idempotent -- statdir/readdir are reads; the aggregation a re-execution may re-trigger converges to the same state
+// read returns. It is not deduplicated: a re-execution re-reads, and the
+// aggregation it may re-trigger converges to the same state.
 func (s *Server) handleDirRead(p *env.Proc, pkt *wire.Packet, req *wire.DirReadReq) {
 	c := &s.cfg.Costs
-	p.Compute(c.Parse)
 	s.Stats.Ops++
 	s.tallyDir(req.Dir.ID)
 	out, resp := wire.NewPacket[wire.DirReadResp](req.Client, s.cfg.ID)

@@ -366,7 +366,7 @@ func (s *Server) deliverAll(p *env.Proc) {
 }
 
 // handleCloneInval serves a recovering peer (§5.4.2).
-func (s *Server) handleCloneInval(p *env.Proc, req *wire.CloneInvalReq) {
+func (s *Server) handleCloneInval(p *env.Proc, _ *wire.Packet, req *wire.CloneInvalReq) {
 	replyNew(s, p, req.From, wire.CloneInvalResp{Ctl: req.Ctl, From: s.cfg.ID, Seq: s.invalSeq,
 		Entries: append([]wire.InvalEntry(nil), s.inval...)})
 }
@@ -382,9 +382,9 @@ func (s *Server) FlushAll(p *env.Proc) {
 }
 
 // handleFlushAll runs FlushAll on a control request and confirms.
-func (s *Server) handleFlushAll(p *env.Proc, from env.NodeID, req *wire.FlushAllReq) {
+func (s *Server) handleFlushAll(p *env.Proc, pkt *wire.Packet, req *wire.FlushAllReq) {
 	s.FlushAll(p)
-	replyNew(s, p, from, wire.FlushAllResp{Ctl: req.Ctl, From: s.cfg.ID})
+	replyNew(s, p, pkt.Origin, wire.FlushAllResp{Ctl: req.Ctl, From: s.cfg.ID})
 }
 
 // InjectInode installs an inode record directly (fixture loading); when log

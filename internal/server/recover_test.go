@@ -460,7 +460,7 @@ func TestHandleAggEntriesTable(t *testing.T) {
 	} {
 		acks = nil
 		sim.Spawn(owner, func(p *env.Proc) {
-			s.handleAggEntries(p, &wire.AggEntries{AggID: c.id, FP: dir.FP, From: peer, Logs: logs})
+			s.handleAggEntries(p, nil, &wire.AggEntries{AggID: c.id, FP: dir.FP, From: peer, Logs: logs})
 		})
 		sim.Run()
 		if got := len(acks) == 1; got != c.wantAck {
@@ -565,7 +565,7 @@ func TestFailStopEndsPeerAggregation(t *testing.T) {
 
 	const crashAt = 3 * env.Millisecond
 	sim.Spawn(peer, func(p *env.Proc) {
-		s.handleAggFetch(p, &wire.AggFetch{AggID: 7, FP: dir.FP, Owner: owner})
+		s.handleAggFetch(p, nil, &wire.AggFetch{AggID: 7, FP: dir.FP, Owner: owner})
 	})
 	sim.After(crashAt, s.Crash)
 	end := sim.Run()

@@ -84,7 +84,7 @@ func (s *Server) readRemoteInode(p *env.Proc, owner env.NodeID, key core.Key, fl
 	return resp.Raw, nil
 }
 
-func (s *Server) handleReadInode(p *env.Proc, req *wire.ReadInodeReq) {
+func (s *Server) handleReadInode(p *env.Proc, _ *wire.Packet, req *wire.ReadInodeReq) {
 	p.Compute(s.cfg.Costs.Parse + s.cfg.Costs.KVGet)
 	pkt, resp := wire.NewPacket[wire.ReadInodeResp](req.From, s.cfg.ID)
 	resp.Ctl = req.Ctl
@@ -155,7 +155,7 @@ func (s *Server) collectDentries(p *env.Proc, owner env.NodeID, dir core.DirID,
 	return ops, nil
 }
 
-func (s *Server) handleScanDir(p *env.Proc, req *wire.ScanDirReq) {
+func (s *Server) handleScanDir(p *env.Proc, _ *wire.Packet, req *wire.ScanDirReq) {
 	c := &s.cfg.Costs
 	p.Compute(c.Parse)
 	pkt, resp := wire.NewPacket[wire.ScanDirResp](req.From, s.cfg.ID)
@@ -222,7 +222,7 @@ func (s *Server) flushRemoteEntry(p *env.Proc, owner env.NodeID, key core.Key) e
 	return nil
 }
 
-func (s *Server) handleFlushEntry(p *env.Proc, req *wire.FlushEntryReq) {
+func (s *Server) handleFlushEntry(p *env.Proc, _ *wire.Packet, req *wire.FlushEntryReq) {
 	p.Compute(s.cfg.Costs.Parse)
 	err := s.flushEntry(p, req.Key)
 	replyNew(s, p, req.From, wire.FlushEntryResp{Ctl: req.Ctl, Incomplete: err != nil})
@@ -271,13 +271,14 @@ func (s *Server) remoteAggregate(p *env.Proc, owner env.NodeID, fp core.Fingerpr
 	return nil
 }
 
-func (s *Server) handleAggNow(p *env.Proc, req *wire.AggNowReq) {
+func (s *Server) handleAggNow(p *env.Proc, _ *wire.Packet, req *wire.AggNowReq) {
 	complete := s.aggregateFP(p, req.FP, nil)
 	replyNew(s, p, req.From, wire.AggNowResp{Ctl: req.Ctl, Incomplete: !complete})
 }
 
-// broadcastInval plants directories in every peer's invalidation list and
-// waits for acknowledgments (rmdir/rename/chmod of directories, §5.2).
+// broadcastInval plants directories in this server's invalidation list and
+// sends them to every peer's (a directory rename, §5.2). It sends
+// and returns: each peer answers with an InvalAck, which nothing consumes.
 func (s *Server) broadcastInval(p *env.Proc, dirs []core.DirID) {
 	for _, d := range dirs {
 		s.addInval(d)
@@ -290,7 +291,7 @@ func (s *Server) broadcastInval(p *env.Proc, dirs []core.DirID) {
 }
 
 // handleTxnVote collects a prepare vote at the coordinator.
-func (s *Server) handleTxnVote(v *wire.TxnVote) {
+func (s *Server) handleTxnVote(_ *env.Proc, _ *wire.Packet, v *wire.TxnVote) {
 	t := s.txnVotes[v.Txn]
 	if t == nil || !t.votes.Expects(v.From) {
 		return

@@ -304,7 +304,7 @@ type appliedKey struct {
 }
 
 // txnRedrive is one commit decision rebuilt from the WAL whose acks the
-// crashed incarnation never finished collecting.
+// crashed incarnation never finished collecting (its record is in txnWAL).
 type txnRedrive struct {
 	txn   uint64
 	parts []env.NodeID
@@ -578,94 +578,88 @@ func (s *Server) fpOf(fp core.Fingerprint) *fpState {
 	return st
 }
 
-// handle is the env message handler: it dispatches by body type.
+// routes is the server's dispatch table (DESIGN.md "One dispatch"): each
+// message type's span name, whether it is a client request and, if so,
+// whether it is deduplicated.
+var routes rpc.Routes[*Server]
+
+func init() {
+	routes = rpc.NewRoutes(
+		rpc.Client("lookup", rpc.Never, (*Server).handleLookup),
+		// Chmod is the one FileReq that mutates durable state.
+		rpc.Client("file", func(m *wire.FileReq) bool { return m.Op == core.OpChmod }, (*Server).handleFile),
+		rpc.Client("dirread", rpc.Never, (*Server).handleDirRead),
+		rpc.Client("mutate", rpc.Always, (*Server).handleMutate),
+		rpc.Client("rename", rpc.Always, (*Server).handleRename),
+		rpc.Client("link", rpc.Always, (*Server).handleLink),
+
+		rpc.Peer("fallback", (*Server).handleFallback),
+		rpc.Peer("agg:fetch", (*Server).handleAggFetch),
+		rpc.Peer("agg:entries", (*Server).handleAggEntries),
+		rpc.Peer("agg:ack", (*Server).handleAggAck),
+		rpc.Peer("push", (*Server).handleChangePush),
+		rpc.Peer("push-ack", (*Server).handleChangePushAck),
+		rpc.Peer("txn:prepare", (*Server).handleTxnPrepare),
+		rpc.Peer("txn:decision", (*Server).handleTxnDecision),
+		rpc.Peer("txn:vote", (*Server).handleTxnVote),
+		rpc.Peer("ctl", (*Server).handleInvalBroadcast),
+		rpc.Peer("ctl", (*Server).handleTxnStatus),
+		rpc.Peer("ctl", (*Server).handleReadInode),
+		rpc.Peer("ctl", (*Server).handleScanDir),
+		rpc.Peer("ctl", (*Server).handleAggNow),
+		rpc.Peer("ctl", (*Server).handleFlushEntry),
+		rpc.Peer("ctl", (*Server).handleCloneInval),
+		rpc.Peer("ctl", (*Server).handleFlushAll),
+		// No node consumes an invalidation's ack: broadcastInval does not wait.
+		rpc.Peer("ctl", func(*Server, *env.Proc, *wire.Packet, *wire.InvalAck) {}),
+
+		// The answers to this server's calls end their waits.
+		rpc.Peer("commit-ack", func(s *Server, _ *env.Proc, _ *wire.Packet, m *wire.CommitAck) { s.rpc.Answer(m.CommitID, 0, m) }),
+		rpc.Peer("txn:done", func(s *Server, _ *env.Proc, _ *wire.Packet, m *wire.TxnDone) { s.rpc.Answer(m.Txn, m.From, nil) }),
+		rpc.Peer("ctl", func(s *Server, _ *env.Proc, _ *wire.Packet, m *wire.TxnStatusResp) { s.rpc.Answer(m.Ctl, 0, m) }),
+		rpc.Peer("ctl", func(s *Server, _ *env.Proc, _ *wire.Packet, m *wire.ReadInodeResp) { s.rpc.Answer(m.Ctl, 0, m) }),
+		rpc.Peer("ctl", func(s *Server, _ *env.Proc, _ *wire.Packet, m *wire.ScanDirResp) { s.rpc.Answer(m.Ctl, 0, m) }),
+		rpc.Peer("ctl", func(s *Server, _ *env.Proc, _ *wire.Packet, m *wire.AggNowResp) { s.rpc.Answer(m.Ctl, 0, m) }),
+		rpc.Peer("ctl", func(s *Server, _ *env.Proc, _ *wire.Packet, m *wire.FlushEntryResp) { s.rpc.Answer(m.Ctl, 0, m) }),
+		rpc.Peer("ctl", func(s *Server, _ *env.Proc, _ *wire.Packet, m *wire.CloneInvalResp) { s.rpc.Answer(m.Ctl, 0, m) }),
+	)
+}
+
+// handle is the env message handler: the one dispatch of every message the
+// server receives. A client request is parsed on arrival, and a deduplicated
+// one then passes the replay-or-begin step (rpc.Window.Admit) over the
+// served window: a retransmission is answered from the memo and never runs
+// again (§5.4.1).
 func (s *Server) handle(p *env.Proc, from env.NodeID, msg any) {
 	pkt, ok := msg.(*wire.Packet)
 	if !ok {
 		return
 	}
-	if !s.serving {
+	r := routes.Of(pkt.Body)
+	if r == nil {
+		return
+	}
+	if r.Client && !s.serving {
 		// A recovering server does not serve normal client requests
 		// (§5.4.2): they wait for it to resume. The recovery protocols
 		// themselves — aggregation fetches, change-log pushes, invalidation
 		// clones, transactions in flight — must keep flowing between servers.
-		if req, ok := pkt.Body.(interface{ Common() *wire.ReqCommon }); ok {
-			s.park(from, pkt, req.Common())
-			return
-		}
+		s.park(from, pkt, pkt.Body.(wire.Request).Common())
+		return
 	}
-	sp := s.cfg.Trace.StartSpan(p, pkt.Trace, msgName(pkt.Body), "server")
+	sp := s.cfg.Trace.StartSpan(p, pkt.Trace, r.Name, "server")
 	defer sp.End()
-	switch b := pkt.Body.(type) {
-	case *wire.LookupReq:
-		s.handleLookup(p, b)
-	case *wire.FileReq:
-		if b.Op == core.OpChmod {
-			s.handleChmod(p, b)
-		} else {
-			s.handleFile(p, b)
+	if r.Client {
+		p.Compute(s.cfg.Costs.Parse)
+		if r.Dedup(pkt.Body) {
+			req := pkt.Body.(wire.Request).Common()
+			replay := func(resp wire.Msg) { s.reply(p, req.Client, resp) }
+			if !s.served.Admit(dedupKey{client: req.Client, rpc: req.RPC}, replay) {
+				return
+			}
 		}
-	case *wire.DirReadReq:
-		s.handleDirRead(p, pkt, b)
-	case *wire.MutateReq:
-		s.handleMutate(p, b)
-	case *wire.CommitAck:
-		s.rpc.Answer(b.CommitID, 0, b)
-	case *wire.CommitNotice:
-		// Overflow fallback: the switch rewrote the insert packet to us —
-		// we own the parent directory and apply the update synchronously.
-		s.handleFallback(p, pkt, b)
-	case *wire.AggFetch:
-		s.handleAggFetch(p, b)
-	case *wire.AggEntries:
-		s.handleAggEntries(p, b)
-	case *wire.AggAck:
-		s.handleAggAck(p, b)
-	case *wire.ChangePush:
-		s.handleChangePush(p, from, b)
-	case *wire.ChangePushAck:
-		s.handleChangePushAck(b)
-	case *wire.InvalBroadcast:
-		s.handleInvalBroadcast(p, from, b)
-	case *wire.RenameReq:
-		s.handleRename(p, b)
-	case *wire.LinkReq:
-		s.handleLink(p, b)
-	case *wire.TxnPrepare:
-		s.handleTxnPrepare(p, b)
-	case *wire.TxnDecision:
-		s.handleTxnDecision(p, b)
-	case *wire.TxnVote:
-		s.handleTxnVote(b)
-	case *wire.TxnDone:
-		s.rpc.Answer(b.Txn, b.From, nil)
-	case *wire.TxnStatusReq:
-		s.handleTxnStatus(p, b)
-	case *wire.TxnStatusResp:
-		s.rpc.Answer(b.Ctl, 0, b)
-	case *wire.ReadInodeReq:
-		s.handleReadInode(p, b)
-	case *wire.ScanDirReq:
-		s.handleScanDir(p, b)
-	case *wire.AggNowReq:
-		s.handleAggNow(p, b)
-	case *wire.ReadInodeResp:
-		s.rpc.Answer(b.Ctl, 0, b)
-	case *wire.ScanDirResp:
-		s.rpc.Answer(b.Ctl, 0, b)
-	case *wire.AggNowResp:
-		s.rpc.Answer(b.Ctl, 0, b)
-	case *wire.FlushEntryReq:
-		s.handleFlushEntry(p, b)
-	case *wire.FlushEntryResp:
-		s.rpc.Answer(b.Ctl, 0, b)
-	case *wire.CloneInvalReq:
-		s.handleCloneInval(p, b)
-	case *wire.CloneInvalResp:
-		s.rpc.Answer(b.Ctl, 0, b)
-	case *wire.FlushAllReq:
-		s.handleFlushAll(p, pkt.Origin, b)
 	}
+	r.Serve(s, p, pkt)
 }
 
 // park holds a client request until the server resumes, replacing an earlier
@@ -693,7 +687,7 @@ func (s *Server) park(from env.NodeID, pkt *wire.Packet, req *wire.ReqCommon) {
 // SetServing toggles request serving; it is the one place serving becomes
 // true (end of Recover, end of FlushAll, reconfiguration's resume), and there
 // every parked request re-enters handle on a process of its own — ownership,
-// staleness, begin's in-flight attach and the dedup window all run at release
+// staleness and the dispatch's replay-or-begin step all run at release
 // time. A fail-stopped incarnation never serves, and a recovering one only
 // once Recover says so.
 func (s *Server) SetServing(v bool) {
@@ -706,47 +700,6 @@ func (s *Server) SetServing(v bool) {
 	for _, m := range parked {
 		s.env.Spawn(s.cfg.ID, func(p *env.Proc) { s.handle(p, m.from, m.pkt) })
 	}
-}
-
-// msgName labels a handler span after the wire message it serves.
-func msgName(m wire.Msg) string {
-	switch m.(type) {
-	case *wire.LookupReq:
-		return "lookup"
-	case *wire.FileReq:
-		return "file"
-	case *wire.DirReadReq:
-		return "dirread"
-	case *wire.MutateReq:
-		return "mutate"
-	case *wire.CommitAck:
-		return "commit-ack"
-	case *wire.CommitNotice:
-		return "fallback"
-	case *wire.AggFetch:
-		return "agg:fetch"
-	case *wire.AggEntries:
-		return "agg:entries"
-	case *wire.AggAck:
-		return "agg:ack"
-	case *wire.ChangePush:
-		return "push"
-	case *wire.ChangePushAck:
-		return "push-ack"
-	case *wire.RenameReq:
-		return "rename"
-	case *wire.LinkReq:
-		return "link"
-	case *wire.TxnPrepare:
-		return "txn:prepare"
-	case *wire.TxnDecision:
-		return "txn:decision"
-	case *wire.TxnVote:
-		return "txn:vote"
-	case *wire.TxnDone:
-		return "txn:done"
-	}
-	return "ctl"
 }
 
 // tallyDir counts one client operation against its target directory.
@@ -777,7 +730,7 @@ func (s *Server) DirOps() []DirOp {
 }
 
 // reply sends a body already built, in a packet of its own: only a memoized
-// response replayed to a retransmission (replayIfDuplicate) goes this way.
+// response replayed to a retransmission (handle) goes this way.
 // Every other message is built where it is sent (replyNew, wire.NewPacket).
 func (s *Server) reply(p *env.Proc, to env.NodeID, body wire.Msg) {
 	s.send(p, &wire.Packet{Dst: to, Origin: s.cfg.ID, Body: body})
@@ -848,30 +801,6 @@ func (s *Server) checkAncestors(req *wire.ReqCommon) error {
 // requests replay the response instead of re-executing (§5.4.1).
 func (s *Server) remember(client env.NodeID, rpc uint64, resp wire.Msg) {
 	s.served.Put(dedupKey{client: client, rpc: rpc}, resp)
-}
-
-// replayIfDuplicate replies with the recorded response when (client, rpc) was
-// already executed. An execution still in progress drops the duplicate (the
-// original will answer).
-//
-//detlint:dedup-check
-func (s *Server) replayIfDuplicate(p *env.Proc, req *wire.ReqCommon) bool {
-	resp, _, ok := s.served.Get(dedupKey{client: req.Client, rpc: req.RPC})
-	if !ok {
-		return false
-	}
-	if resp != nil {
-		s.reply(p, req.Client, resp)
-	}
-	return true
-}
-
-// begin marks (client, rpc) as in progress so retransmissions do not
-// re-execute a mutation concurrently.
-//
-//detlint:dedup-check
-func (s *Server) begin(req *wire.ReqCommon) bool {
-	return s.served.Begin(dedupKey{client: req.Client, rpc: req.RPC})
 }
 
 // appliedMark returns the exactly-once watermark for (src, dir).

@@ -91,18 +91,18 @@ func TestInodeRecordRoundTrip(t *testing.T) {
 func TestDedupWindow(t *testing.T) {
 	const window = 4096
 	_, s := newTestServer(t)
-	req := &wire.ReqCommon{RPC: 1, Client: 9000}
-	if !s.begin(req) {
+	req := dedupKey{client: 9000, rpc: 1}
+	if !s.served.Begin(req) {
 		t.Fatal("first begin refused")
 	}
-	if s.begin(req) {
+	if s.served.Begin(req) {
 		t.Fatal("second begin of the same rpc accepted")
 	}
 	resp := &wire.MutateResp{RespCommon: wire.RespCommon{RPC: 1}}
-	s.remember(req.Client, req.RPC, resp)
+	s.remember(req.client, req.rpc, resp)
 	// The window evicts oldest entries.
 	for i := 2; i < window+10; i++ {
-		s.begin(&wire.ReqCommon{RPC: uint64(i), Client: 9000})
+		s.served.Begin(dedupKey{client: 9000, rpc: uint64(i)})
 	}
 	if _, _, still := s.served.Get(dedupKey{client: 9000, rpc: 1}); still {
 		t.Fatal("oldest entry not evicted")
@@ -263,7 +263,7 @@ func TestLookupRelockKeepsPin(t *testing.T) {
 	key := core.Key{PID: core.RootDirID, Name: "d"}
 	s.storeInode(key, &core.Inode{ID: core.DirID{7, 7, 7, 7}, Attr: core.Attr{Type: core.TypeDir, Perm: core.DefaultDirPerm, Nlink: 2}})
 	sim.Spawn(100, func(p *env.Proc) {
-		rl := &env.RWMutex{} // an rmdir of the key in flight, as doMutate registers it
+		rl := &env.RWMutex{} // an rmdir of the key in flight, as handleMutate registers it
 		rl.Lock(p)
 		s.removals[key] = rl
 		p.Sleep(20 * env.Microsecond)
@@ -271,7 +271,7 @@ func TestLookupRelockKeepsPin(t *testing.T) {
 	})
 	sim.Spawn(100, func(p *env.Proc) {
 		p.Sleep(env.Microsecond)
-		s.handleLookup(p, &wire.LookupReq{ReqCommon: wire.ReqCommon{RPC: 1, Client: 9000},
+		s.handleLookup(p, nil, &wire.LookupReq{ReqCommon: wire.ReqCommon{RPC: 1, Client: 9000},
 			Parent: key.PID, Name: key.Name})
 	})
 	sim.Spawn(100, func(p *env.Proc) {
@@ -354,12 +354,11 @@ func TestFileAttrKeyIsolated(t *testing.T) {
 	_ = fmt.Sprint(k)
 }
 
-// TestDuplicateChmodNotReexecuted pins the PR 2/4 re-execution fix: chmod
-// runs behind the dedup cache (handleChmod), so a retransmitted chmod that
-// arrives after a newer chmod committed replays its cached response instead
-// of re-executing. Before the split out of handleFile, the duplicate
-// re-appended the WAL record and snapped the permissions back to the stale
-// value (caught by detlint idempotent).
+// TestDuplicateChmodNotReexecuted pins the re-execution fix: the FileReq
+// route deduplicates chmod, so a retransmitted chmod that arrives after a
+// newer chmod committed replays its cached response instead of re-executing.
+// Without it the duplicate re-appended the WAL record and snapped the
+// permissions back to the stale value.
 func TestDuplicateChmodNotReexecuted(t *testing.T) {
 	sim, s := newTestServer(t)
 	parent := core.DirRef{ID: core.DirID{1, 2, 3, 4},
@@ -380,17 +379,18 @@ func TestDuplicateChmodNotReexecuted(t *testing.T) {
 		}
 		return got.Perm
 	}
-	chmod := func(rpc uint64, pm core.Perm) *wire.FileReq {
-		return &wire.FileReq{ReqCommon: wire.ReqCommon{RPC: rpc, Client: 9000},
-			Op: core.OpChmod, Parent: parent, Name: "f", Perm: pm}
+	chmod := func(p *env.Proc, rpc uint64, pm core.Perm) {
+		s.handle(p, 9000, &wire.Packet{Dst: 100, Origin: 9000, Body: &wire.FileReq{
+			ReqCommon: wire.ReqCommon{RPC: rpc, Client: 9000},
+			Op:        core.OpChmod, Parent: parent, Name: "f", Perm: pm}})
 	}
 
 	var walAfterNewer int
 	sim.Spawn(100, func(p *env.Proc) {
-		s.handleChmod(p, chmod(1, 0o600)) // original executes and commits
-		s.handleChmod(p, chmod(2, 0o700)) // a newer chmod commits after it
+		chmod(p, 1, 0o600) // original executes and commits
+		chmod(p, 2, 0o700) // a newer chmod commits after it
 		walAfterNewer = s.wal.Len()
-		s.handleChmod(p, chmod(1, 0o600)) // stale retransmission of rpc 1
+		chmod(p, 1, 0o600) // stale retransmission of rpc 1
 	})
 	sim.Run()
 

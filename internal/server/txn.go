@@ -35,15 +35,7 @@ type txnState struct {
 // four servers change together. If the source is a directory, its pending
 // updates are aggregated first and its entry list migrates to the
 // destination owner (the directory's placement follows its key).
-func (s *Server) handleRename(p *env.Proc, req *wire.RenameReq) {
-	c := &s.cfg.Costs
-	p.Compute(c.Parse)
-	if s.replayIfDuplicate(p, &req.ReqCommon) {
-		return
-	}
-	if !s.begin(&req.ReqCommon) {
-		return
-	}
+func (s *Server) handleRename(p *env.Proc, _ *wire.Packet, req *wire.RenameReq) {
 	s.Stats.Ops++
 	err := s.doRename(p, req)
 	pkt, resp := wire.NewPacket[wire.RenameResp](req.Client, s.cfg.ID)
@@ -204,14 +196,7 @@ func (s *Server) prepareDirMove(p *env.Proc, req *wire.RenameReq, srcOwner env.N
 // handleLink coordinates hard-link creation (§5.5): split the source file
 // into reference + attribute objects if needed, bump the link count, create
 // the new reference, and update the destination parent.
-func (s *Server) handleLink(p *env.Proc, req *wire.LinkReq) {
-	p.Compute(s.cfg.Costs.Parse)
-	if s.replayIfDuplicate(p, &req.ReqCommon) {
-		return
-	}
-	if !s.begin(&req.ReqCommon) {
-		return
-	}
+func (s *Server) handleLink(p *env.Proc, _ *wire.Packet, req *wire.LinkReq) {
 	s.Stats.Ops++
 	err := s.doLink(p, req)
 	pkt, resp := wire.NewPacket[wire.LinkResp](req.Client, s.cfg.ID)
@@ -417,21 +402,13 @@ func (s *Server) endTxn(t *coordTxn) error {
 // termination protocol (monitorTxn / handleTxnStatus): commits are persisted
 // to the WAL before the first decision packet leaves, anything else is
 // presumed aborted.
-//
-//detlint:wal-before-send recTxnCommit via=driveDecision
 func (s *Server) decideTxn(p *env.Proc, t *coordTxn) error {
-	// A commit outcome is fixed in the WAL before the first decision packet
-	// leaves (recordCommit); aborts are presumed and deliberately unlogged,
-	// so the two outcomes drive the decision from separate branches and
-	// walorder proves the ordering on the commit one.
+	rec := noRecord // presumed abort: an incarnation with no record answers abort
 	if t.prepared && t.err == nil {
-		s.recordCommit(p, t.id, t.parts)
-		if s.driveDecision(p, t.id, t.parts, true) {
-			s.ackDecision(t.id)
-		}
-	} else {
-		//detlint:ignore walorder -- presumed abort: an incarnation with no record answers abort, the same outcome
-		s.driveDecision(p, t.id, t.parts, false)
+		rec = s.recordCommit(p, t.id, t.parts)
+	}
+	if s.driveDecision(p, t.id, t.parts, rec) && rec != noRecord {
+		s.ackDecision(t.id)
 	}
 	return s.endTxn(t)
 }
@@ -440,8 +417,9 @@ func (s *Server) decideTxn(p *env.Proc, t *coordTxn) error {
 // WAL-logged with the participant set so a restarted coordinator both
 // answers in-doubt status queries with commit and re-drives the decision to
 // every participant. Aborts are never recorded — an incarnation with no
-// record answers presumed-abort, which is the same outcome.
-func (s *Server) recordCommit(p *env.Proc, id uint64, parts []env.NodeID) {
+// record answers presumed-abort, which is the same outcome. It returns the
+// record, which the decision's sender takes (driveDecision).
+func (s *Server) recordCommit(p *env.Proc, id uint64, parts []env.NodeID) wal.LSN {
 	// WAL first, in-memory record after: the compute parks, and a status
 	// query answered from the record in that window would be a commit
 	// decision a crash could then erase — one participant committed, the
@@ -453,24 +431,28 @@ func (s *Server) recordCommit(p *env.Proc, id uint64, parts []env.NodeID) {
 	for _, n := range parts {
 		s.walBuf = u64(s.walBuf, uint64(n))
 	}
-	s.txnWAL[id] = mustAppend(s.wal, recTxnCommit, s.walBuf)
+	rec := mustAppend(s.wal, recTxnCommit, s.walBuf)
+	s.txnWAL[id] = rec
 	wsp.End()
+	return rec
 }
 
 // driveDecision retransmits a decision until every participant acked, under
-// the transaction's id in the call registry. The budget keeps a
-// never-recovering participant from holding this process alive forever; on
-// give-up the recorded commit stays, and either the participant's termination
-// protocol pulls it (TxnStatusReq) or the next coordinator recovery re-drives
-// it. Reports whether all acks arrived.
-func (s *Server) driveDecision(p *env.Proc, id uint64, parts []env.NodeID, commit bool) bool {
+// the transaction's id in the call registry. The decision is commit exactly
+// when it carries its recTxnCommit record, rec: a commit cannot leave before
+// its record (DESIGN.md "Log, then send"), and an abort, presumed, carries
+// noRecord. The budget keeps a never-recovering participant from holding this
+// process alive forever; on give-up the recorded commit stays, and either the
+// participant's termination protocol pulls it (TxnStatusReq) or the next
+// coordinator recovery re-drives it. Reports whether all acks arrived.
+func (s *Server) driveDecision(p *env.Proc, id uint64, parts []env.NodeID, rec wal.LSN) bool {
 	acks := s.rpc.Await(id, slices.Clone(parts))
 	defer s.rpc.End(id)
 	dsp := s.cfg.Trace.Start(p, "txn:decision", "server")
 	defer dsp.End()
 	_, ok := s.rpc.Call(p, &acks.Done, maxTries+1, func() {
 		for _, n := range parts {
-			replyNew(s, p, n, wire.TxnDecision{Txn: id, Commit: commit})
+			replyNew(s, p, n, wire.TxnDecision{Txn: id, Commit: rec != noRecord})
 		}
 	}, nil)
 	return ok
@@ -489,7 +471,7 @@ func (s *Server) ackDecision(id uint64) {
 }
 
 // handleTxnStatus answers a participant's termination-protocol query.
-func (s *Server) handleTxnStatus(p *env.Proc, req *wire.TxnStatusReq) {
+func (s *Server) handleTxnStatus(p *env.Proc, _ *wire.Packet, req *wire.TxnStatusReq) {
 	p.Compute(s.cfg.Costs.Parse)
 	pkt, resp := wire.NewPacket[wire.TxnStatusResp](req.From, s.cfg.ID)
 	resp.Ctl, resp.Txn = req.Ctl, req.Txn
@@ -516,7 +498,7 @@ func (s *Server) redriveCommits(p *env.Proc) {
 	redrives := s.txnRedrive
 	s.txnRedrive = nil
 	for _, rd := range redrives {
-		if s.driveDecision(p, rd.txn, rd.parts, true) {
+		if s.driveDecision(p, rd.txn, rd.parts, s.txnWAL[rd.txn]) {
 			s.ackDecision(rd.txn)
 		}
 	}
@@ -574,16 +556,14 @@ func (s *Server) monitorTxn(p *env.Proc, txn uint64, coord env.NodeID) {
 			p.Sleep(s.inDoubtAfter())
 			continue
 		}
-		s.handleTxnDecision(p, &wire.TxnDecision{Txn: txn, Commit: resp.Commit})
+		s.handleTxnDecision(p, nil, &wire.TxnDecision{Txn: txn, Commit: resp.Commit})
 		return
 	}
 }
 
 // handleTxnPrepare is the participant side of phase one: lock keys in global
 // order, run checks, vote.
-//
-//detlint:wal-before-send recTxnPrepare via=replyNew
-func (s *Server) handleTxnPrepare(p *env.Proc, tp *wire.TxnPrepare) {
+func (s *Server) handleTxnPrepare(p *env.Proc, _ *wire.Packet, tp *wire.TxnPrepare) {
 	c := &s.cfg.Costs
 	p.Compute(c.Parse + c.TxnOverhead)
 	// Retransmission dedup: the first prepare may block acquiring locks, so
@@ -591,9 +571,9 @@ func (s *Server) handleTxnPrepare(p *env.Proc, tp *wire.TxnPrepare) {
 	// would hold the keys forever after the decision released the original.
 	errno, voted, started := s.prepares.Get(tp.Txn)
 	if voted {
-		// Replay the recorded vote.
-		//detlint:ignore walorder -- vote replay: the original execution already ordered the prepare record before this vote
-		replyNew(s, p, tp.From, wire.TxnVote{Txn: tp.Txn, From: s.cfg.ID, Err: errno})
+		// Replay the recorded vote: the original execution logged it if it
+		// prepared.
+		s.vote(p, tp, errno, noRecord)
 		return
 	}
 	if started {
@@ -617,9 +597,7 @@ func (s *Server) handleTxnPrepare(p *env.Proc, tp *wire.TxnPrepare) {
 		var buf [2 * maxTxnParts]core.Fingerprint
 		afps := txnFPs(buf[:0], tp.Ops, nil)
 		if aerr := s.admitFPs(p, afps); aerr != nil {
-			s.prepares.Put(tp.Txn, core.ErrnoOf(aerr))
-			//detlint:ignore walorder -- retry vote: nothing was applied, nothing to log
-			replyNew(s, p, tp.From, wire.TxnVote{Txn: tp.Txn, From: s.cfg.ID, Err: core.ErrnoOf(aerr)})
+			s.vote(p, tp, core.ErrnoOf(aerr), noRecord)
 			return
 		}
 		var err error
@@ -630,9 +608,8 @@ func (s *Server) handleTxnPrepare(p *env.Proc, tp *wire.TxnPrepare) {
 			}
 		}
 		s.exitFPs(afps)
-		s.prepares.Put(tp.Txn, core.ErrnoOf(err))
-		//detlint:ignore walorder -- commutative auto-apply: durability came from recInode inside applyNlink; there is no prepared state to log
-		replyNew(s, p, tp.From, wire.TxnVote{Txn: tp.Txn, From: s.cfg.ID, Err: core.ErrnoOf(err)})
+		// Nothing is left prepared: applyNlink logged each adjustment.
+		s.vote(p, tp, core.ErrnoOf(err), noRecord)
 		return
 	}
 
@@ -647,9 +624,7 @@ func (s *Server) handleTxnPrepare(p *env.Proc, tp *wire.TxnPrepare) {
 	var buf [2 * maxTxnParts]core.Fingerprint
 	fps := txnFPs(buf[:0], tp.Ops, tp.Check)
 	if aerr := s.admitFPs(p, fps); aerr != nil {
-		s.prepares.Put(tp.Txn, core.ErrnoOf(aerr))
-		//detlint:ignore walorder -- retry vote: nothing was prepared; presumed abort needs no record
-		replyNew(s, p, tp.From, wire.TxnVote{Txn: tp.Txn, From: s.cfg.ID, Err: core.ErrnoOf(aerr)})
+		s.vote(p, tp, core.ErrnoOf(aerr), noRecord)
 		return
 	}
 	st := &txnState{id: tp.Txn, ops: tp.Ops}
@@ -679,9 +654,7 @@ func (s *Server) handleTxnPrepare(p *env.Proc, tp *wire.TxnPrepare) {
 			s.unlockKey(l)
 		}
 		s.exitFPs(fps)
-		s.prepares.Put(tp.Txn, core.ErrnoOf(err))
-		//detlint:ignore walorder -- abort vote: nothing was prepared; presumed abort needs no record
-		replyNew(s, p, tp.From, wire.TxnVote{Txn: tp.Txn, From: s.cfg.ID, Err: core.ErrnoOf(err)})
+		s.vote(p, tp, core.ErrnoOf(err), noRecord)
 		return
 	}
 	// Persist the prepared state before the vote leaves: once the
@@ -701,11 +674,22 @@ func (s *Server) handleTxnPrepare(p *env.Proc, tp *wire.TxnPrepare) {
 	// event as the registration — at no instant is the group neither busy nor
 	// prepared.
 	s.exitFPs(fps)
-	s.prepares.Put(tp.Txn, core.ErrnoOK)
-	// Prepared and locked: arm the termination protocol in case the
-	// coordinator dies before the decision reaches us.
-	s.watchTxn(tp.Txn, tp.From)
-	replyNew(s, p, tp.From, wire.TxnVote{Txn: tp.Txn, From: s.cfg.ID})
+	s.vote(p, tp, core.ErrnoOK, st.lsn)
+}
+
+// vote records errno as tp's vote and sends it to the coordinator. The vote
+// that leaves this participant prepared carries its recTxnPrepare record,
+// rec: the coordinator may commit on it, so it must not leave before a
+// restarted incarnation could apply that commit (DESIGN.md "Log, then send").
+// It also arms the termination protocol, in case the coordinator dies before
+// the decision reaches us. Every other vote — a replay, a refusal, the
+// commutative one-shot — leaves nothing prepared and carries noRecord.
+func (s *Server) vote(p *env.Proc, tp *wire.TxnPrepare, errno core.Errno, rec wal.LSN) {
+	s.prepares.Put(tp.Txn, errno)
+	if rec != noRecord {
+		s.watchTxn(tp.Txn, tp.From)
+	}
+	replyNew(s, p, tp.From, wire.TxnVote{Txn: tp.Txn, From: s.cfg.ID, Err: errno})
 }
 
 // entryPending reports whether this server still holds an unapplied deferred
@@ -830,7 +814,7 @@ func (s *Server) rearmPreparedTxns(p *env.Proc) {
 }
 
 // handleTxnDecision is the participant side of phase two.
-func (s *Server) handleTxnDecision(p *env.Proc, td *wire.TxnDecision) {
+func (s *Server) handleTxnDecision(p *env.Proc, _ *wire.Packet, td *wire.TxnDecision) {
 	c := &s.cfg.Costs
 	st := s.txns[td.Txn]
 	delete(s.txns, td.Txn)

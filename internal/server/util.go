@@ -20,6 +20,10 @@ func mustAppend(l wal.Log, kind uint8, payload []byte) wal.LSN {
 	return lsn
 }
 
+// noRecord is the record a message carries when it needs none: the first
+// record's LSN is 1.
+const noRecord wal.LSN = 0
+
 // mustMark wraps applied-marking, same contract as mustAppend.
 func mustMark(l wal.Log, lsn wal.LSN) {
 	if err := l.MarkApplied(lsn); err != nil {

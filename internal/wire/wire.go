@@ -118,6 +118,12 @@ type ReqCommon struct {
 // the client requests that embed it.
 func (r *ReqCommon) Common() *ReqCommon { return r }
 
+// Request is a client request: a body that embeds ReqCommon.
+type Request interface {
+	Msg
+	Common() *ReqCommon
+}
+
 // RespCommon carries the fields every response shares.
 type RespCommon struct {
 	RPC uint64
