@@ -90,11 +90,13 @@ bench:
 # key and inode codecs, the kv store, the write-ahead log (append and replay),
 # the client's cached path resolution, the server's durable-record encoders,
 # its recovery (BenchmarkRecover), a 2PC rename and an aggregation round
-# (BenchmarkRename, BenchmarkAggregate: allocations per round with -benchmem)
-# and the nodes' one way to wait for a peer (internal/rpc's BenchmarkPeerCall).
+# (BenchmarkRename, BenchmarkAggregate: allocations per round with -benchmem),
+# the nodes' one way to wait for a peer (internal/rpc's BenchmarkPeerCall) and
+# a replicated write through a data node's primary and backup
+# (BenchmarkReplicatedWrite).
 # BENCHFLAGS adds go test flags: CI's smoke step passes -benchtime 1x.
 bench-layers:
-	$(GO) test -run '^$$' -bench . -benchmem $(BENCHFLAGS) ./internal/env ./internal/core ./internal/kv ./internal/wal ./internal/client ./internal/server ./internal/rpc
+	$(GO) test -run '^$$' -bench . -benchmem $(BENCHFLAGS) ./internal/env ./internal/core ./internal/kv ./internal/wal ./internal/client ./internal/server ./internal/rpc ./internal/datanode
 
 figures:
 	$(GO) run ./cmd/fsbench -fig all -scale quick

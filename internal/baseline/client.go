@@ -33,17 +33,29 @@ func (cl *bclient) handle(p *env.Proc, from env.NodeID, msg any) {
 func (cl *bclient) call(p *env.Proc, to env.NodeID, build func(rpc uint64) any) (*bresp, error) {
 	cl.rpcs++
 	rpc := uint64(cl.id)<<40 | cl.rpcs
-	fut := env.NewFuture()
-	cl.calls[rpc] = fut
-	defer delete(cl.calls, rpc)
-	msg := build(rpc)
-	for try := 0; try < 64; try++ {
-		p.Send(to, msg)
-		if v, ok := fut.WaitTimeout(p, cl.c.Opts.RetryTimeout); ok {
-			return v.(*bresp), nil
-		}
+	if v, ok := retry(p, cl.calls, rpc, to, build(rpc), 64, cl.c.Opts.RetryTimeout); ok {
+		return v.(*bresp), nil
 	}
 	return nil, core.ErrTimeout
+}
+
+// retry sends msg to to until a reply, registered in calls under rpc, reaches
+// p's reply slot, or tries sends went unanswered, waiting wait for each. It
+// deregisters before releasing the slot, so a late reply finds nothing.
+func retry(p *env.Proc, calls map[uint64]*env.Future, rpc uint64, to env.NodeID, msg any, tries int, wait env.Duration) (any, bool) {
+	fut := p.TakeReply()
+	calls[rpc] = fut
+	defer func() {
+		delete(calls, rpc)
+		p.ReleaseReply()
+	}()
+	for try := 0; try < tries; try++ {
+		p.Send(to, msg)
+		if v, ok := fut.WaitTimeout(p, wait); ok {
+			return v, true
+		}
+	}
+	return nil, false
 }
 
 // resolve walks a path's directories, returning the parent's id, the leaf
@@ -306,16 +318,10 @@ func (cl *bclient) Data(p *env.Proc, shard int, write bool, bytes int64) error {
 	node := dataBase + env.NodeID(shard%cl.c.Opts.DataNodes)
 	cl.rpcs++
 	rpc := uint64(cl.id)<<40 | cl.rpcs
-	fut := env.NewFuture()
-	cl.calls[rpc] = fut
-	defer delete(cl.calls, rpc)
-	for try := 0; try < 8; try++ {
-		p.Send(node, &bdata{RPC: rpc, From: cl.id, Bytes: bytes})
-		if _, ok := fut.WaitTimeout(p, 40*env.Millisecond); ok {
-			return nil
-		}
+	if _, ok := retry(p, cl.calls, rpc, node, &bdata{RPC: rpc, From: cl.id, Bytes: bytes}, 8, 40*env.Millisecond); !ok {
+		return core.ErrTimeout
 	}
-	return core.ErrTimeout
+	return nil
 }
 
 // ClientFS implements fsapi.System.

@@ -149,15 +149,8 @@ func (s *bserver) lockOf(id core.DirID) *env.RWMutex {
 func (s *bserver) call(p *env.Proc, to env.NodeID, build func(rpc uint64) any) *bsubResp {
 	s.rpcs++
 	rpc := uint64(s.id)<<40 | s.rpcs
-	fut := env.NewFuture()
-	s.calls[rpc] = fut
-	defer delete(s.calls, rpc)
-	msg := build(rpc)
-	for try := 0; try < 64; try++ {
-		p.Send(to, msg)
-		if v, ok := fut.WaitTimeout(p, s.c.Opts.RetryTimeout); ok {
-			return v.(*bsubResp)
-		}
+	if v, ok := retry(p, s.calls, rpc, to, build(rpc), 64, s.c.Opts.RetryTimeout); ok {
+		return v.(*bsubResp)
 	}
 	return &bsubResp{RPC: rpc, Err: core.ErrnoUnavailable}
 }

@@ -205,25 +205,29 @@ func (c *Client) ownerOfFP(fp core.Fingerprint) env.NodeID {
 	return c.cfg.Ring.OwnerNode(fp)
 }
 
-// call sends one request and waits for its response, retransmitting on
-// timeout. resent reports whether any retransmission happened (at-least-once
-// semantics for mutations).
-func (c *Client) call(p *env.Proc, dst env.NodeID, pkt *wire.Packet, rpc uint64) (wire.Msg, bool, error) {
-	fut := env.NewFuture()
+// call sends one request and waits for its response on p's reply slot,
+// retransmitting every wait until tries sends went unanswered, when it flags
+// the op's trace with flag. resent reports whether any retransmission
+// happened (at-least-once semantics for mutations).
+func (c *Client) call(p *env.Proc, dst env.NodeID, pkt *wire.Packet, rpc uint64, tries int, wait env.Duration, flag string) (wire.Msg, bool, error) {
+	fut := p.TakeReply()
 	if c.pending == nil {
 		c.pending = make(map[uint64]*env.Future)
 	}
 	c.pending[rpc] = fut
-	defer delete(c.pending, rpc)
+	defer func() {
+		delete(c.pending, rpc)
+		p.ReleaseReply()
+	}()
 	// Every (re)transmission carries the SAME context — the op span that is
 	// ambient here — so a resent RPC joins its original trace and the
 	// server-side spans of every delivery parent into one tree.
 	pkt.Trace = p.TraceCtx()
 	resent := false
-	for try := 0; try < c.cfg.MaxRetries; try++ {
+	for try := 0; try < tries; try++ {
 		att := c.cfg.Trace.Start(p, "attempt", "client")
 		p.Send(dst, pkt)
-		v, ok := fut.WaitTimeout(p, c.cfg.RetryTimeout)
+		v, ok := fut.WaitTimeout(p, wait)
 		att.End()
 		if ok {
 			return v.(wire.Msg), resent, nil
@@ -231,7 +235,7 @@ func (c *Client) call(p *env.Proc, dst env.NodeID, pkt *wire.Packet, rpc uint64)
 		resent = true
 		c.Retries++
 	}
-	c.cfg.Trace.Flag(pkt.Trace.TraceID, "rpc-timeout")
+	c.cfg.Trace.Flag(pkt.Trace.TraceID, flag)
 	return nil, resent, core.ErrTimeout
 }
 
@@ -332,7 +336,7 @@ func (c *Client) lookupOne(p *env.Proc, parent core.DirRef, name string, ancesto
 	rpc := c.nextRPC()
 	pkt, req := wire.NewPacket[wire.LookupReq](dst, c.cfg.ID)
 	*req = wire.LookupReq{ReqCommon: c.reqCommon(rpc, dst, ancestors), Parent: parent.ID, Name: name}
-	v, _, err := c.call(p, dst, pkt, rpc)
+	v, _, err := c.call(p, dst, pkt, rpc, c.cfg.MaxRetries, c.cfg.RetryTimeout, "rpc-timeout")
 	if err != nil {
 		return core.DirRef{}, err
 	}

@@ -286,6 +286,45 @@ func TestResolveCachedAllocatesNothing(t *testing.T) {
 	})
 }
 
+// TestCachedStatAllocatesItsPacket: a stat through a warm cache allocates
+// exactly its request packet, carved with its body; it waits on the process's
+// reply slot. The server answers lookups fresh (the warm-up resolves the
+// parent) and file requests from one packet it rewrites.
+func TestCachedStatAllocatesItsPacket(t *testing.T) {
+	sim := env.NewSim(1)
+	defer sim.Shutdown()
+	dir := core.DirID{0, 0, 1, 1}
+	out, resp := wire.NewPacket[wire.FileResp](testClientID, fakeServerID)
+	sim.AddNode(fakeServerID, env.NodeConfig{Handler: func(p *env.Proc, from env.NodeID, msg any) {
+		switch b := msg.(*wire.Packet).Body.(type) {
+		case *wire.LookupReq:
+			o, r := wire.NewPacket[wire.LookupResp](from, fakeServerID)
+			r.RPC, r.Dir = b.RPC, dir
+			p.Send(from, o)
+		case *wire.FileReq:
+			resp.RPC = b.RPC
+			p.Send(from, out)
+		}
+	}})
+	c := New(sim, Config{
+		ID:    testClientID,
+		Ring:  ring.New([]uint32{0}, 0, func(uint32) env.NodeID { return fakeServerID }),
+		Costs: env.DefaultCosts(),
+	})
+	allocs := -1.0
+	sim.Spawn(testClientID, func(p *env.Proc) {
+		allocs = testing.AllocsPerRun(100, func() {
+			if _, err := c.Stat(p, "/d/file-000123"); err != nil {
+				t.Fatal(err)
+			}
+		})
+	})
+	sim.Run()
+	if allocs != 1 || c.Lookups != 1 || c.Retries != 0 {
+		t.Errorf("cached stat: %v allocs/op, %d lookups, %d retries; want 1, 1, 0", allocs, c.Lookups, c.Retries)
+	}
+}
+
 // TestOpSpanNames: the span-name table holds exactly what the per-op
 // concatenation used to build, for every op value including unknown ones.
 func TestOpSpanNames(t *testing.T) {

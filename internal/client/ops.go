@@ -38,7 +38,7 @@ func (c *Client) mutateR(p *env.Proc, op core.Op, path string, perm core.Perm) (
 			Name:      r.name,
 			Perm:      perm,
 		}
-		v, re, err := c.call(p, dst, pkt, rpc)
+		v, re, err := c.call(p, dst, pkt, rpc, c.cfg.MaxRetries, c.cfg.RetryTimeout, "rpc-timeout")
 		resent = resent || re
 		if err != nil {
 			return err
@@ -128,7 +128,7 @@ func (c *Client) fileOp(p *env.Proc, op core.Op, path string, perm core.Perm) (c
 			Name:      r.name,
 			Perm:      perm,
 		}
-		v, re, err := c.call(p, dst, pkt, rpc)
+		v, re, err := c.call(p, dst, pkt, rpc, c.cfg.MaxRetries, c.cfg.RetryTimeout, "rpc-timeout")
 		resent = resent || re
 		if err != nil {
 			return err
@@ -220,7 +220,7 @@ func (c *Client) dirReadRef(p *env.Proc, op core.Op, ref core.DirRef, ancestors 
 		pkt.DS = &wire.DSHeader{Op: wire.DSQuery, FP: ref.FP}
 		dst = c.cfg.SwitchFor(ref.FP)
 	}
-	v, _, err := c.call(p, dst, pkt, rpc)
+	v, _, err := c.call(p, dst, pkt, rpc, c.cfg.MaxRetries, c.cfg.RetryTimeout, "rpc-timeout")
 	if err != nil {
 		return core.Attr{}, nil, err
 	}
@@ -267,7 +267,7 @@ func (c *Client) twoPath(p *env.Proc, op core.Op, src, dst string) (bool, error)
 					DstParent: rd.parent, DstName: rd.name,
 				}
 			}
-			v, re, err := c.call(p, coord, &wire.Packet{Dst: coord, Origin: c.cfg.ID, Body: body}, rpc)
+			v, re, err := c.call(p, coord, &wire.Packet{Dst: coord, Origin: c.cfg.ID, Body: body}, rpc, c.cfg.MaxRetries, c.cfg.RetryTimeout, "rpc-timeout")
 			resent = resent || re
 			if err != nil {
 				return err
@@ -317,31 +317,16 @@ func (c *Client) LinkR(p *env.Proc, src, dst string) (bool, error) {
 func (c *Client) dataCall(p *env.Proc, node env.NodeID, op core.Op, chunk wire.ChunkKey, bytes int64) (*wire.DataResp, error) {
 	sp := c.op(p, op)
 	rpc := c.nextRPC()
-	req := &wire.DataReq{ReqCommon: c.reqCommon(rpc, node, nil), Op: op, Chunk: chunk, Bytes: bytes}
-	fut := env.NewFuture()
-	if c.pending == nil {
-		c.pending = make(map[uint64]*env.Future)
+	pkt, req := wire.NewPacket[wire.DataReq](node, c.cfg.ID)
+	req.ReqCommon, req.Op, req.Chunk, req.Bytes = c.reqCommon(rpc, node, nil), op, chunk, bytes
+	v, _, err := c.call(p, node, pkt, rpc, 8, 20*c.cfg.RetryTimeout, "data-timeout")
+	var resp *wire.DataResp
+	if err == nil {
+		resp = v.(*wire.DataResp)
+		err = resp.Err.Err()
 	}
-	c.pending[rpc] = fut
-	defer delete(c.pending, rpc)
-	// One packet, stamped once: retransmissions must join the original trace.
-	pkt := &wire.Packet{Dst: node, Origin: c.cfg.ID, Body: req, Trace: p.TraceCtx()}
-	for try := 0; try < 8; try++ {
-		att := c.cfg.Trace.Start(p, "attempt", "client")
-		p.Send(node, pkt)
-		v, ok := fut.WaitTimeout(p, 20*c.cfg.RetryTimeout)
-		att.End()
-		if ok {
-			resp := v.(*wire.DataResp)
-			err := resp.Err.Err()
-			c.endOp(sp, err)
-			return resp, err
-		}
-		c.Retries++
-	}
-	c.cfg.Trace.Flag(pkt.Trace.TraceID, "data-timeout")
-	c.endOp(sp, core.ErrTimeout)
-	return nil, core.ErrTimeout
+	c.endOp(sp, err)
+	return resp, err
 }
 
 // WriteChunk writes one content chunk to its primary data node. The ack —

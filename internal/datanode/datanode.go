@@ -197,8 +197,8 @@ func (s *Server) Recover(p *env.Proc) error {
 			continue
 		}
 		peer, ctl := s.cfg.NodeOf(slot), s.ids.Next()
-		req := &wire.DataPullReq{Ctl: ctl, From: s.cfg.ID, Slot: uint32(s.cfg.Slot)}
-		v, ok := s.rpc.Request(p, ctl, maxPullRetries, func() { s.reply(p, peer, req) })
+		req := wire.DataPullReq{Ctl: ctl, From: s.cfg.ID, Slot: uint32(s.cfg.Slot)}
+		v, ok := s.rpc.Request(p, ctl, maxPullRetries, func() { replyNew(s, p, peer, req) })
 		if !ok {
 			continue // peer down; replication covers unless wiped
 		}
@@ -378,7 +378,7 @@ func (s *Server) replicate(p *env.Proc, chunk wire.ChunkKey, ver uint64, bytes i
 	defer s.rpc.End(seq)
 	if _, ok := s.rpc.Call(p, &acks.Done, maxRepRetries, func() {
 		for _, n := range acks.Expect {
-			s.reply(p, n, &wire.DataRepReq{
+			replyNew(s, p, n, wire.DataRepReq{
 				Seq: seq, From: s.cfg.ID, Primary: uint32(s.cfg.Slot),
 				Chunk: chunk, Ver: ver, Bytes: bytes,
 			})
@@ -403,7 +403,7 @@ func (s *Server) handleRep(p *env.Proc, _ *wire.Packet, req *wire.DataRepReq) {
 			s.Stats.Replicated++
 		}
 	}
-	s.reply(p, req.From, &wire.DataRepAck{Seq: req.Seq, From: s.cfg.ID})
+	replyNew(s, p, req.From, wire.DataRepAck{Seq: req.Seq, From: s.cfg.ID})
 }
 
 // handlePull answers a recovery pull: every stored record whose replica set
@@ -423,13 +423,33 @@ func (s *Server) handlePull(p *env.Proc, _ *wire.Packet, req *wire.DataPullReq) 
 	})
 	// Transfer cost scales with the volume re-replicated.
 	p.Compute(env.Duration(len(recs)) * s.cfg.Costs.DataIO / 8)
-	s.reply(p, req.From, &wire.DataPullResp{Ctl: req.Ctl, From: s.cfg.ID, Chunks: recs})
+	replyNew(s, p, req.From, wire.DataPullResp{Ctl: req.Ctl, From: s.cfg.ID, Chunks: recs})
 }
 
-// reply sends a packet unless this incarnation fail-stopped.
-func (s *Server) reply(p *env.Proc, to env.NodeID, body wire.Msg) {
+// reply sends a client's response, built before and remembered in the served
+// window, in a packet of its own: the window never pins a packet per entry.
+// Every other message is carved with its packet (replyNew).
+func (s *Server) reply(p *env.Proc, to env.NodeID, resp wire.Msg) {
+	s.send(p, &wire.Packet{Dst: to, Origin: s.cfg.ID, Body: resp})
+}
+
+// replyNew sends a body given by value: the packet and its copy of the body
+// are one allocation (wire.NewPacket).
+func replyNew[B any, P interface {
+	*B
+	wire.Msg
+}](s *Server, p *env.Proc, to env.NodeID, body B) {
+	pkt, b := wire.NewPacket[B, P](to, s.cfg.ID)
+	*b = body
+	s.send(p, pkt)
+}
+
+// send stamps a packet with the trace context and sends it to pkt.Dst, unless
+// this incarnation fail-stopped.
+func (s *Server) send(p *env.Proc, pkt *wire.Packet) {
 	if s.dead {
 		return
 	}
-	p.Send(to, &wire.Packet{Dst: to, Origin: s.cfg.ID, Trace: p.TraceCtx(), Body: body})
+	pkt.Trace = p.TraceCtx()
+	p.Send(pkt.Dst, pkt)
 }

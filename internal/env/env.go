@@ -102,6 +102,8 @@ type Proc struct {
 	// timedOut communicates Future timeout state between the expiry event
 	// and the resumed process.
 	timedOut bool
+	// replyHeld marks reply taken by a call (TakeReply).
+	replyHeld bool
 	// tw is the expiry event of the Future wait in progress; an expiry of
 	// another sequence number belongs to a wait that already ended.
 	tw evRef
@@ -113,7 +115,27 @@ type Proc struct {
 	// nested spans push/restore it; the scheduler clears it when a pooled
 	// worker is re-dispatched so contexts never leak across handler bodies.
 	tctx TraceCtx
+	// reply is the process's reply slot: the one future each of its calls
+	// waits on (DESIGN.md "Waiting for a peer").
+	reply Future
 }
+
+// TakeReply takes p's reply slot for one call and returns it reset. A
+// process makes one call at a time: taking a held slot panics. The call's
+// registry must stop naming the slot before ReleaseReply, so a late reply
+// finds nothing; a completion that still reaches a released slot is wiped by
+// the next TakeReply.
+func (p *Proc) TakeReply() *Future {
+	if p.replyHeld {
+		panic("env: reply slot taken twice")
+	}
+	p.replyHeld = true
+	p.reply = Future{}
+	return &p.reply
+}
+
+// ReleaseReply returns p's reply slot once its call deregistered.
+func (p *Proc) ReleaseReply() { p.replyHeld = false }
 
 // Env returns the simulator this process runs on.
 func (p *Proc) Env() *Sim { return p.env }

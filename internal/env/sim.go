@@ -269,6 +269,9 @@ func (s *Sim) workerLoop(st *simProcState) {
 		default:
 			panic("env: worker dispatched with no function")
 		}
+		if st.p.replyHeld {
+			panic("env: dispatch returned holding its reply slot")
+		}
 		st.p.state = stateIdle
 		s.free = append(s.free, st)
 		// Keep the simulation moving until this worker is dispatched again.

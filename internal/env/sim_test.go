@@ -1,6 +1,7 @@
 package env
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -421,4 +422,64 @@ func TestShutdownKillsParkedProcs(t *testing.T) {
 	}
 	s.Run()
 	s.Shutdown() // must not hang
+}
+
+// TestReplySlotLateCompleteDropped: a completion that reaches a process's
+// reply slot after its call released it does not wake the process's next
+// call, which times out.
+func TestReplySlotLateCompleteDropped(t *testing.T) {
+	s := NewSim(1)
+	defer s.Shutdown()
+	s.AddNode(1, NodeConfig{})
+	var first, late any
+	var ok bool
+	s.Spawn(1, func(p *Proc) {
+		f := p.TakeReply()
+		s.After(Microsecond, func() { f.Complete(1) })
+		first, _ = f.WaitTimeout(p, Millisecond)
+		p.ReleaseReply()
+		f.Complete(2) // late: the call already released its slot
+		late, ok = p.TakeReply().WaitTimeout(p, 3*Microsecond)
+		p.ReleaseReply()
+	})
+	s.Run()
+	if first != 1 || ok || late != nil {
+		t.Fatalf("first call got %v; next call got %v, %v; want 1, then a timeout", first, late, ok)
+	}
+}
+
+// TestReplySlotHeldTwicePanics: a process makes one call at a time, so taking
+// its slot while a call holds it panics.
+func TestReplySlotHeldTwicePanics(t *testing.T) {
+	s := NewSim(1)
+	defer s.Shutdown()
+	s.AddNode(1, NodeConfig{})
+	s.Spawn(1, func(p *Proc) {
+		p.TakeReply()
+		p.TakeReply()
+	})
+	defer func() {
+		if r, _ := recover().(string); !strings.Contains(r, "reply slot taken twice") {
+			t.Fatalf("Run recovered %q, want the slot's panic", r)
+		}
+	}()
+	s.Run()
+	t.Fatal("taking a held slot did not panic")
+}
+
+// TestReplySlotHeldPastDispatchPanics: a dispatch that returns while its
+// call still holds the slot panics in the scheduler, before the pooled
+// worker can carry the slot into its next body.
+func TestReplySlotHeldPastDispatchPanics(t *testing.T) {
+	s := NewSim(1)
+	defer s.Shutdown()
+	s.AddNode(1, NodeConfig{})
+	s.Spawn(1, func(p *Proc) { p.TakeReply() })
+	defer func() {
+		if r, _ := recover().(string); !strings.Contains(r, "holding its reply slot") {
+			t.Fatalf("Run recovered %q, want the dispatch's panic", r)
+		}
+	}()
+	s.Run()
+	t.Fatal("returning with the slot held did not panic")
 }

@@ -42,20 +42,17 @@ func (c *Calls) Call(p *env.Proc, done *env.Future, tries int, send, giveUp func
 	return nil, false
 }
 
-// Request is a Call registered under id whose first reply ends it.
+// Request is a Call registered under id whose first reply, from any peer,
+// ends it. It waits on p's reply slot, and deregisters before releasing it,
+// so a late or duplicate reply finds nothing. Ids come from the node's
+// incarnation, which issues each once.
 func (c *Calls) Request(p *env.Proc, id uint64, tries int, send func()) (any, bool) {
-	done := c.AwaitReply(id)
-	defer c.End(id)
-	return c.Call(p, done, tries, send, nil)
-}
-
-// AwaitReply registers a call under id that the first reply, from any peer,
-// completes. The caller ends it with End, so a late or duplicate reply finds
-// nothing. Ids come from the node's incarnation, which issues each once.
-func (c *Calls) AwaitReply(id uint64) *env.Future {
-	r := &firstReply{}
-	c.reg[id] = r
-	return &r.Future
+	done := p.TakeReply()
+	c.reg[id] = (*firstReply)(done)
+	v, ok := c.Call(p, done, tries, send, nil)
+	c.End(id)
+	p.ReleaseReply()
+	return v, ok
 }
 
 // Await registers a call under id waiting for one reply from each of peers,
@@ -82,11 +79,11 @@ func (c *Calls) Pending() int { return len(c.reg) }
 // answerer is a registered call's wait.
 type answerer interface{ Answer(from env.NodeID, v any) }
 
-// firstReply is the wait of a call whose first reply ends it: a bare future,
-// so the registry entry of every Request is no larger than the future itself.
-type firstReply struct{ env.Future }
+// firstReply is the wait of a call whose first reply ends it: the calling
+// process's reply slot, registered as it is.
+type firstReply env.Future
 
-func (r *firstReply) Answer(_ env.NodeID, v any) { r.Complete(v) }
+func (r *firstReply) Answer(_ env.NodeID, v any) { (*env.Future)(r).Complete(v) }
 
 // Awaiting is a wait for one reply from each of a set of peers: Done
 // completes, with the last reply, once every peer in Expect has answered.

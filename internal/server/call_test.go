@@ -10,8 +10,8 @@ import (
 	"switchfs/internal/wire"
 )
 
-// TestCallTable drives the one retried call, as the metadata server makes it,
-// through every way it can end. The server (100) calls the owner of a
+// TestCallTable drives the one retried call, as the metadata server makes it
+// (a Request, waiting for its first reply), through every way it can end. The server (100) calls the owner of a
 // fingerprint group, which the ring places on peer 101 or 102: stubs that
 // record each request and answer the ones the case names, after a delay and
 // optionally once more later.
@@ -30,7 +30,6 @@ func TestCallTable(t *testing.T) {
 		moveAt   env.Duration // the group moves to peer 102 at this instant (0: never)
 		sent     []env.NodeID // the destination of every send, in order
 		ok       bool
-		giveUps  int
 		retries  uint64
 		returned env.Duration // the call returns no earlier, and within rtt
 	}{
@@ -40,10 +39,10 @@ func TestCallTable(t *testing.T) {
 		{what: "the second send answered: one retry",
 			tries: 3, answer: map[int]bool{2: true},
 			sent: []env.NodeID{101, 101}, ok: true, retries: 1, returned: timeout},
-		{what: "never answered: gives up after exactly N sends, once",
+		{what: "never answered: gives up after exactly N sends",
 			tries: 3,
-			sent:  []env.NodeID{101, 101, 101}, giveUps: 1, retries: 3, returned: 3 * timeout},
-		{what: "fail-stop mid-wait: nothing more is sent and nothing is given up",
+			sent:  []env.NodeID{101, 101, 101}, retries: 3, returned: 3 * timeout},
+		{what: "fail-stop mid-wait: nothing more is sent",
 			tries: 5, crashAt: timeout + env.Microsecond,
 			sent: []env.NodeID{101, 101}, retries: 2, returned: 2 * timeout},
 		{what: "no budget: sends until answered",
@@ -58,7 +57,7 @@ func TestCallTable(t *testing.T) {
 			sent: []env.NodeID{101}, ok: true},
 		{what: "a late reply after the give-up is dropped",
 			tries: 1, answer: map[int]bool{1: true}, delay: timeout + env.Microsecond,
-			sent: []env.NodeID{101}, giveUps: 1, retries: 1, returned: timeout},
+			sent: []env.NodeID{101}, retries: 1, returned: timeout},
 	} {
 		sim := env.NewSim(3)
 		fp := core.Key{PID: core.RootDirID, Name: "d"}.Fingerprint()
@@ -94,28 +93,25 @@ func TestCallTable(t *testing.T) {
 		if c.moveAt > 0 {
 			sim.After(c.moveAt, func() { rg.SetOverride(fp, 1) })
 		}
-		var done *env.Future
-		var v any
+		var v, late any
 		var ok bool
 		var returned env.Time
-		giveUps := 0
 		sim.Spawn(100, func(p *env.Proc) {
 			id := s.ids.Next()
-			done = s.rpc.AwaitReply(id)
 			msg := &wire.AggNowReq{Ctl: id, From: 100, FP: fp}
-			v, ok = s.rpc.Call(p, done, c.tries, func() { s.reply(p, s.ownerOfFP(fp), msg) },
-				func() { giveUps++ })
-			s.rpc.End(id)
+			v, ok = s.rpc.Request(p, id, c.tries, func() { s.reply(p, s.ownerOfFP(fp), msg) })
 			returned = p.Now()
+			// The process's next wait outlasts every repeated reply.
+			late, _ = p.TakeReply().WaitTimeout(p, 2*timeout)
+			p.ReleaseReply()
 		})
 		sim.Run()
 		sim.Shutdown()
 		if !reflect.DeepEqual(sent, c.sent) {
 			t.Errorf("%s: sent to %v, want %v", c.what, sent, c.sent)
 		}
-		if ok != c.ok || giveUps != c.giveUps || s.Stats.Retries != c.retries {
-			t.Errorf("%s: ok %v, %d give-ups, %d retries; want %v, %d, %d",
-				c.what, ok, giveUps, s.Stats.Retries, c.ok, c.giveUps, c.retries)
+		if ok != c.ok || s.Stats.Retries != c.retries {
+			t.Errorf("%s: ok %v, %d retries; want %v, %d", c.what, ok, s.Stats.Retries, c.ok, c.retries)
 		}
 		if at := env.Duration(returned); at < c.returned || at > c.returned+rtt {
 			t.Errorf("%s: returned at %v, want %v", c.what, returned, c.returned)
@@ -123,13 +119,13 @@ func TestCallTable(t *testing.T) {
 		if n := s.rpc.Pending(); n != 0 {
 			t.Errorf("%s: %d calls left registered", c.what, n)
 		}
-		// Only a registered call takes a reply: a repeated one must not have
-		// reached the wait once the call ended.
+		// Only a registered call takes a reply: the first one ends it, and a
+		// repeat finds no call, so the process's next wait does not see it.
 		if resp, _ := v.(*wire.AggNowResp); ok && (resp == nil || resp.Incomplete) {
 			t.Errorf("%s: returned %v, want the first reply", c.what, v)
 		}
-		if late, _ := done.Peek(); late != v {
-			t.Errorf("%s: the wait holds %v after the call returned %v", c.what, late, v)
+		if late != nil {
+			t.Errorf("%s: a reply after the call ended reached the next wait: %v", c.what, late)
 		}
 	}
 }

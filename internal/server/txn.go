@@ -25,7 +25,6 @@ type txnState struct {
 	id    uint64
 	locks []*keyLock
 	ops   []wire.TxnOp
-	done  *env.Future
 	// lsn is the prepared-state WAL record, marked applied once the
 	// decision resolves the transaction.
 	lsn wal.LSN
