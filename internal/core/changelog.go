@@ -178,7 +178,7 @@ func Compact(entries []LogEntry) Compacted {
 // ApplyToAttr merges the compacted attribute update into a directory inode's
 // attributes: entry-count delta and overwrite-max timestamps. Entry-list
 // mutations are applied separately by the owner against its dentry records.
-func (c Compacted) ApplyToAttr(a *Attr, now int64) {
+func (c Compacted) ApplyToAttr(a *Attr) {
 	a.Size += c.NetEntries
 	if a.Size < 0 {
 		a.Size = 0
@@ -189,5 +189,4 @@ func (c Compacted) ApplyToAttr(a *Attr, now int64) {
 	if c.MaxTime > a.Ctime {
 		a.Ctime = c.MaxTime
 	}
-	_ = now
 }

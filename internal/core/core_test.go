@@ -469,7 +469,7 @@ func TestCompactEquivalence(t *testing.T) {
 			}
 		}
 		var attr Attr
-		c.ApplyToAttr(&attr, 0)
+		c.ApplyToAttr(&attr)
 		if attr.Size != refSize && !(refSize < 0 && attr.Size == 0) {
 			t.Fatalf("trial %d: size %d, want %d", trial, attr.Size, refSize)
 		}
@@ -485,7 +485,7 @@ func TestCompactEquivalence(t *testing.T) {
 func TestApplyToAttrClampsSize(t *testing.T) {
 	c := Compacted{NetEntries: -5}
 	a := Attr{Size: 2}
-	c.ApplyToAttr(&a, 0)
+	c.ApplyToAttr(&a)
 	if a.Size != 0 {
 		t.Fatalf("size=%d, want clamped 0", a.Size)
 	}

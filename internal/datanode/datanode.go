@@ -20,8 +20,9 @@
 // recorded response instead of re-executing, so duplicated or reordered
 // packets cannot bump a chunk's version twice. Replication packets need no
 // memo — backups apply by version comparison, which is idempotent. The
-// primary's replication rounds and a recovering node's pulls wait through the
-// metadata servers' retried call (rpc.Calls).
+// primary's replication rounds wait through the metadata servers' retried
+// call (rpc.Calls), and a recovering node's pull is a control exchange, as
+// the metadata servers' are (rpc.Ask, servePull).
 package datanode
 
 import (
@@ -141,8 +142,8 @@ func New(e *env.Sim, cfg Config) *Server {
 		served:  rpc.NewWindow[dedupKey, wire.Msg](4096),
 		serving: true,
 	}
-	s.rpc = rpc.NewCalls(cfg.RetryTimeout, &s.dead, &s.Stats.Retries)
 	s.ids = core.NewIncarnation(uint64(cfg.ID), uint64(e.Now()))
+	s.rpc = rpc.NewCalls(cfg.ID, &s.ids, s.send, cfg.RetryTimeout, &s.dead, &s.Stats.Retries)
 	s.node = e.AddNode(cfg.ID, env.NodeConfig{Cores: cfg.Cores, Handler: s.handle})
 	return s
 }
@@ -196,15 +197,13 @@ func (s *Server) Recover(p *env.Proc) error {
 		if slot == s.cfg.Slot {
 			continue
 		}
-		peer, ctl := s.cfg.NodeOf(slot), s.ids.Next()
-		req := wire.DataPullReq{Ctl: ctl, From: s.cfg.ID, Slot: uint32(s.cfg.Slot)}
-		v, ok := s.rpc.Request(p, ctl, maxPullRetries, func() { replyNew(s, p, peer, req) })
-		if !ok {
+		pulled, err := rpc.Ask(s, p, s.cfg.NodeOf(slot), maxPullRetries, (*Server).servePull,
+			wire.DataPullReq{Slot: uint32(s.cfg.Slot)})
+		if err != nil {
 			continue // peer down; replication covers unless wiped
 		}
 		reached++
-		resp := v.(*wire.DataPullResp)
-		for _, rec := range resp.Chunks {
+		for _, rec := range pulled.Chunks {
 			if rec.Ver > s.store[rec.Chunk].ver {
 				s.store[rec.Chunk] = chunkRec{ver: rec.Ver, bytes: rec.Bytes,
 					committed: rec.Ver, cbytes: rec.Bytes, primary: rec.Primary}
@@ -280,8 +279,8 @@ func init() {
 		// by version and keep the store converging.
 		rpc.Peer("data:rep", (*Server).handleRep),
 		rpc.Peer("", func(s *Server, _ *env.Proc, _ *wire.Packet, m *wire.DataRepAck) { s.rpc.Answer(m.Seq, m.From, nil) }),
-		rpc.Peer("", (*Server).handlePull),
-		rpc.Peer("", func(s *Server, _ *env.Proc, _ *wire.Packet, m *wire.DataPullResp) { s.rpc.Answer(m.Ctl, m.From, m) }),
+		rpc.Exchange("", (*Server).servePull),
+		rpc.Replies[*Server](""),
 	)
 }
 
@@ -406,9 +405,9 @@ func (s *Server) handleRep(p *env.Proc, _ *wire.Packet, req *wire.DataRepReq) {
 	replyNew(s, p, req.From, wire.DataRepAck{Seq: req.Seq, From: s.cfg.ID})
 }
 
-// handlePull answers a recovery pull: every stored record whose replica set
+// servePull answers a recovery pull: every stored record whose replica set
 // includes the requester's slot, sorted for determinism.
-func (s *Server) handlePull(p *env.Proc, _ *wire.Packet, req *wire.DataPullReq) {
+func (s *Server) servePull(p *env.Proc, req wire.DataPullReq, _ bool) wire.DataPullResp {
 	var recs []wire.ChunkRec
 	for k, rec := range s.store {
 		if rec.committed == 0 {
@@ -423,8 +422,11 @@ func (s *Server) handlePull(p *env.Proc, _ *wire.Packet, req *wire.DataPullReq) 
 	})
 	// Transfer cost scales with the volume re-replicated.
 	p.Compute(env.Duration(len(recs)) * s.cfg.Costs.DataIO / 8)
-	replyNew(s, p, req.From, wire.DataPullResp{Ctl: req.Ctl, From: s.cfg.ID, Chunks: recs})
+	return wire.DataPullResp{Chunks: recs}
 }
+
+// Calls returns this incarnation's calls (rpc.Node).
+func (s *Server) Calls() *rpc.Calls { return &s.rpc }
 
 // reply sends a client's response, built before and remembered in the served
 // window, in a packet of its own: the window never pins a packet per entry.

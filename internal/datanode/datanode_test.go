@@ -350,8 +350,8 @@ func TestRestartedNodeDrawsFreshCtl(t *testing.T) {
 	var ctls []uint64
 	sim.AddNode(peer, env.NodeConfig{Cores: 1, Handler: func(p *env.Proc, from env.NodeID, msg any) {
 		if req, ok := msg.(*wire.Packet).Body.(*wire.DataPullReq); ok {
-			ctls = append(ctls, req.Ctl)
-			p.Send(from, &wire.Packet{Dst: from, Origin: peer, Body: &wire.DataPullResp{Ctl: req.Ctl, From: peer}})
+			ctls = append(ctls, req.ID)
+			p.Send(from, &wire.Packet{Dst: from, Origin: peer, Body: &wire.DataPullResp{CtlResp: wire.CtlResp{ID: req.ID}}})
 		}
 	}})
 	cfg := datanode.Config{ID: self, Nodes: 2, NodeOf: func(slot int) env.NodeID { return self + env.NodeID(slot) }}

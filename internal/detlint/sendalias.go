@@ -27,7 +27,7 @@ import (
 // variable is a diagnostic; rebinding the whole variable clears the mark.
 // Block states iterate to fixpoint, so a retry loop that stamps the packet
 // between sends is caught across the back edge while build-once-resend
-// calls (ctlCall, deliver) stay clean.
+// calls (rpc.Ask, deliver) stay clean.
 var Sendalias = &analysis.Analyzer{
 	Name:     "sendalias",
 	Doc:      "flag writes to a wire packet after it was passed to Send",

@@ -25,10 +25,6 @@ func Fig17(sc Scale) Table {
 			var rc stats.Counters
 			for _, k := range []sysKind{sysInfiniFS, sysCFS, sysSwitchFS} {
 				sim, sys, done := deploy(14, k, 8, 4, 8, 0, nil)
-				if k == sysSwitchFS {
-					done()
-					sim, sys, done = deploySwitchFS(14, 8, 4, 8, 0)
-				}
 				ns.Preload(sys)
 				res := runOn(sim, sys, ns, ns.Bursts(burst, inflight), inflight, sc.OpsPerWorker, 8, &rc)
 				done()

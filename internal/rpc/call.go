@@ -3,24 +3,33 @@ package rpc
 import (
 	"slices"
 
+	"switchfs/internal/core"
 	"switchfs/internal/env"
+	"switchfs/internal/wire"
 )
 
 // Calls is one node incarnation's way to wait for a peer (DESIGN.md "Waiting
 // for a peer"): the retried call and the registry of the calls in flight,
-// whose replies arrive as packets and reach their waiter through Answer.
+// whose replies arrive as packets and reach their waiter through Answer, and
+// the control exchanges it makes and serves (Ask, Exchange).
 type Calls struct {
+	self    env.NodeID
+	ids     *core.Incarnation
+	send    func(*env.Proc, *wire.Packet)
 	timeout env.Duration
 	dead    *bool
 	retries *uint64
 	reg     map[uint64]answerer
 }
 
-// NewCalls returns the calls of an incarnation that waits timeout for each
-// try, stops once *dead is set (it fail-stopped) and counts every unanswered
-// send in *retries.
-func NewCalls(timeout env.Duration, dead *bool, retries *uint64) Calls {
-	return Calls{timeout: timeout, dead: dead, retries: retries, reg: make(map[uint64]answerer)}
+// NewCalls returns the calls of node self's incarnation, which draws call ids
+// from ids and sends its packets with send (which sends nothing once the
+// incarnation fail-stopped). It waits timeout for each try, stops once *dead
+// is set and counts every unanswered send in *retries.
+func NewCalls(self env.NodeID, ids *core.Incarnation, send func(*env.Proc, *wire.Packet),
+	timeout env.Duration, dead *bool, retries *uint64) Calls {
+	return Calls{self: self, ids: ids, send: send, timeout: timeout, dead: dead, retries: retries,
+		reg: make(map[uint64]answerer)}
 }
 
 // Call sends a try, waits for done, and repeats until done completes —

@@ -16,22 +16,22 @@ func BenchmarkPeerCall(b *testing.B) {
 	defer sim.Shutdown()
 	var dead bool
 	var retries uint64
-	calls := NewCalls(2*env.Millisecond, &dead, &retries)
+	calls := NewCalls(100, nil, nil, 2*env.Millisecond, &dead, &retries)
 	sim.AddNode(100, env.NodeConfig{Cores: 4, Handler: func(p *env.Proc, from env.NodeID, msg any) {
 		resp := msg.(*wire.Packet).Body.(*wire.AggNowResp)
-		calls.Answer(resp.Ctl, from, resp)
+		calls.Answer(resp.ID, from, resp)
 	}})
 	got := 0
 	sim.AddNode(101, env.NodeConfig{Handler: func(p *env.Proc, from env.NodeID, msg any) {
 		if got++; got%2 == 0 {
 			req := msg.(*wire.Packet).Body.(*wire.AggNowReq)
-			p.Send(from, &wire.Packet{Dst: from, Origin: 101, Body: &wire.AggNowResp{Ctl: req.Ctl}})
+			p.Send(from, &wire.Packet{Dst: from, Origin: 101, Body: &wire.AggNowResp{CtlResp: wire.CtlResp{ID: req.ID}}})
 		}
 	}})
 	sim.Spawn(100, func(p *env.Proc) {
 		for i := 0; i < b.N; i++ {
 			id := uint64(i + 1)
-			msg := &wire.AggNowReq{Ctl: id, From: 100}
+			msg := &wire.AggNowReq{CtlReq: wire.CtlReq{ID: id, From: 100}}
 			if _, ok := calls.Request(p, id, 100, func() {
 				p.Send(101, &wire.Packet{Dst: 101, Origin: 100, Trace: p.TraceCtx(), Body: msg})
 			}); !ok {
@@ -57,29 +57,29 @@ func TestRequestAllocatesNothing(t *testing.T) {
 	defer sim.Shutdown()
 	var dead bool
 	var retries uint64
-	calls := NewCalls(2*env.Millisecond, &dead, &retries)
+	calls := NewCalls(100, nil, nil, 2*env.Millisecond, &dead, &retries)
 	sim.AddNode(100, env.NodeConfig{Handler: func(p *env.Proc, from env.NodeID, msg any) {
 		resp := msg.(*wire.Packet).Body.(*wire.AggNowResp)
-		calls.Answer(resp.Ctl, from, resp)
+		calls.Answer(resp.ID, from, resp)
 	}})
 	var bodies [2]wire.AggNowResp
 	for i, peer := range []env.NodeID{101, 102} {
 		resp := &wire.Packet{Dst: 100, Origin: peer, Body: &bodies[i]}
 		sim.AddNode(peer, env.NodeConfig{Handler: func(p *env.Proc, from env.NodeID, msg any) {
 			p.Sleep(env.Duration(i) * env.Microsecond)
-			bodies[i].Ctl = msg.(*wire.Packet).Body.(*wire.AggNowReq).Ctl
+			bodies[i].ID = msg.(*wire.Packet).Body.(*wire.AggNowReq).ID
 			p.Send(from, resp)
 		}})
 	}
-	req := &wire.AggNowReq{From: 100}
+	req := &wire.AggNowReq{CtlReq: wire.CtlReq{From: 100}}
 	pkts := []*wire.Packet{{Dst: 101, Origin: 100, Body: req}, {Dst: 102, Origin: 100, Body: req}}
 	var allocs float64
 	var v any
 	var ok bool
 	sim.Spawn(100, func(p *env.Proc) {
 		allocs = testing.AllocsPerRun(100, func() {
-			req.Ctl++
-			v, ok = calls.Request(p, req.Ctl, 3, func() {
+			req.ID++
+			v, ok = calls.Request(p, req.ID, 3, func() {
 				for _, pkt := range pkts {
 					p.Send(pkt.Dst, pkt)
 				}
@@ -108,7 +108,7 @@ func TestCallGivesUpOnce(t *testing.T) {
 		sim.AddNode(100, env.NodeConfig{})
 		var dead bool
 		var retries uint64
-		calls := NewCalls(env.Millisecond, &dead, &retries)
+		calls := NewCalls(100, nil, nil, env.Millisecond, &dead, &retries)
 		if c.crashAt > 0 {
 			sim.After(c.crashAt, func() { dead = true })
 		}
@@ -151,7 +151,7 @@ func TestAwaitingTable(t *testing.T) {
 	} {
 		var dead bool
 		var retries uint64
-		calls := NewCalls(env.Millisecond, &dead, &retries)
+		calls := NewCalls(100, nil, nil, env.Millisecond, &dead, &retries)
 		a := calls.Await(id, slices.Clone(c.peers))
 		for i, from := range c.answers {
 			calls.Answer(id, from, i)
@@ -180,7 +180,7 @@ func TestAwaitingTable(t *testing.T) {
 func TestAwaitingAnswerAllocatesNothing(t *testing.T) {
 	var dead bool
 	var retries uint64
-	calls := NewCalls(env.Millisecond, &dead, &retries)
+	calls := NewCalls(100, nil, nil, env.Millisecond, &dead, &retries)
 	a := calls.Await(1, make([]env.NodeID, 0, 3))
 	if n := testing.AllocsPerRun(100, func() {
 		a.Expect, a.Done = append(a.Expect[:0], 3, 5, 9), env.Future{}

@@ -47,8 +47,17 @@ func NewRoutes[N any](routes ...Route[N]) Routes[N] {
 
 var requestType = reflect.TypeFor[wire.Request]()
 
-// Of returns the route of m's type, or nil.
-func (rs Routes[N]) Of(m wire.Msg) *Route[N] { return rs[reflect.TypeOf(m)] }
+// Of returns the route of m's type, or nil. A control reply with no route of
+// its own takes the table's Replies route.
+func (rs Routes[N]) Of(m wire.Msg) *Route[N] {
+	if r := rs[reflect.TypeOf(m)]; r != nil {
+		return r
+	}
+	if _, ok := m.(wire.ControlReply); ok {
+		return rs[replyType]
+	}
+	return nil
+}
 
 // Client routes a client request to h, deduplicated when dedup says so
 // (Always, Never, or a test of the request).

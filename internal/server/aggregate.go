@@ -513,7 +513,7 @@ func (s *Server) applyBatch(p *env.Proc, logs []aggLog) {
 		// An undecodable inode: nothing to apply to; the entries are consumed.
 	case compaction:
 		comp := core.Compact(fresh)
-		comp.ApplyToAttr(&in.Attr, p.Now())
+		comp.ApplyToAttr(&in.Attr)
 		p.Compute(c.KVGet + c.KVPut) // one attribute read-modify-write
 		s.storeInode(dir.Key, &in)
 		for _, op := range comp.Ops {
@@ -525,7 +525,7 @@ func (s *Server) applyBatch(p *env.Proc, logs []aggLog) {
 	default:
 		for _, e := range fresh {
 			one := core.Compact([]core.LogEntry{e})
-			one.ApplyToAttr(&in.Attr, p.Now())
+			one.ApplyToAttr(&in.Attr)
 			p.Compute(c.KVGet + c.KVPut + c.LogApplyEntry)
 			s.storeInode(dir.Key, &in)
 			s.applyDentry(in.ID, e)

@@ -74,10 +74,10 @@ func TestCallTable(t *testing.T) {
 					return
 				}
 				p.Sleep(c.delay)
-				p.Send(from, &wire.Packet{Dst: from, Origin: peer, Body: &wire.AggNowResp{Ctl: req.Ctl}})
+				p.Send(from, &wire.Packet{Dst: from, Origin: peer, Body: &wire.AggNowResp{CtlResp: wire.CtlResp{ID: req.ID}}})
 				if c.again > 0 {
 					p.Sleep(c.again)
-					p.Send(from, &wire.Packet{Dst: from, Origin: peer, Body: &wire.AggNowResp{Ctl: req.Ctl, Incomplete: true}})
+					p.Send(from, &wire.Packet{Dst: from, Origin: peer, Body: &wire.AggNowResp{CtlResp: wire.CtlResp{ID: req.ID, Err: core.ErrnoRetry}}})
 				}
 			}})
 		}
@@ -98,7 +98,7 @@ func TestCallTable(t *testing.T) {
 		var returned env.Time
 		sim.Spawn(100, func(p *env.Proc) {
 			id := s.ids.Next()
-			msg := &wire.AggNowReq{Ctl: id, From: 100, FP: fp}
+			msg := &wire.AggNowReq{CtlReq: wire.CtlReq{ID: id, From: 100}, FP: fp}
 			v, ok = s.rpc.Request(p, id, c.tries, func() { s.reply(p, s.ownerOfFP(fp), msg) })
 			returned = p.Now()
 			// The process's next wait outlasts every repeated reply.
@@ -121,7 +121,7 @@ func TestCallTable(t *testing.T) {
 		}
 		// Only a registered call takes a reply: the first one ends it, and a
 		// repeat finds no call, so the process's next wait does not see it.
-		if resp, _ := v.(*wire.AggNowResp); ok && (resp == nil || resp.Incomplete) {
+		if resp, _ := v.(*wire.AggNowResp); ok && (resp == nil || resp.Err != core.ErrnoOK) {
 			t.Errorf("%s: returned %v, want the first reply", c.what, v)
 		}
 		if late != nil {

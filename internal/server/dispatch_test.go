@@ -138,6 +138,9 @@ func TestDuplicatesAnsweredFromWindow(t *testing.T) {
 	// that is for some request has a row above (FileReq: chmod).
 	t.Run("completeness", func(t *testing.T) {
 		for typ, r := range routes {
+			if typ.Kind() == reflect.Interface {
+				continue // the control replies' route
+			}
 			_, embeds := typ.Elem().FieldByName("ReqCommon")
 			if r.Client != embeds || (r.Dedup != nil) != embeds {
 				t.Errorf("%v: client %v, dedup declared %v; it embeds ReqCommon: %v", typ, r.Client, r.Dedup != nil, embeds)

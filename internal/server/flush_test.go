@@ -78,7 +78,7 @@ func (r *flushRig) logged(id uint64, name string) {
 // server's handler.
 func (r *flushRig) flush(p *env.Proc, name string) {
 	r.s.handle(p, flushCoord, &wire.Packet{Dst: 100, Origin: flushCoord, Body: &wire.FlushEntryReq{
-		Ctl: 1, From: flushCoord, Key: core.Key{PID: r.dir.ID, Name: name}}})
+		CtlReq: wire.CtlReq{ID: 1, From: flushCoord}, Key: core.Key{PID: r.dir.ID, Name: name}}})
 }
 
 func (r *flushRig) listed() map[string]bool {
@@ -159,8 +159,8 @@ func TestFlushEntryTable(t *testing.T) {
 			t.Errorf("%s: no answer", c.what)
 			continue
 		}
-		if r.resp.Incomplete != c.incomplete {
-			t.Errorf("%s: Incomplete=%v, want %v", c.what, r.resp.Incomplete, c.incomplete)
+		if incomplete := r.resp.Err == core.ErrnoRetry; incomplete != c.incomplete {
+			t.Errorf("%s: answered %v, want retry %v", c.what, r.resp.Err.Err(), c.incomplete)
 		}
 		if !reflect.DeepEqual(r.pushes, c.pushes) {
 			t.Errorf("%s: pushes on the wire %v, want %v", c.what, r.pushes, c.pushes)

@@ -333,15 +333,23 @@ func (s *Server) evictFP(fp core.Fingerprint) {
 		s.kv.Delete(k)
 	}
 	for _, d := range dirs {
-		prefix := core.EntryPrefix(d)
-		var dks [][]byte
-		s.kv.Scan(prefix, func(k, v []byte) bool {
-			dks = append(dks, append([]byte(nil), k...))
-			return true
-		})
-		for _, k := range dks {
-			s.kv.Delete(k)
-		}
+		s.delDentries(d, nil)
+	}
+}
+
+// delDentries deletes directory dir's entry list. charge, if not nil, runs
+// between the scan and the deletes with the number of entries found.
+func (s *Server) delDentries(dir core.DirID, charge func(n int)) {
+	var keys [][]byte
+	s.kv.Scan(core.EntryPrefix(dir), func(k, _ []byte) bool {
+		keys = append(keys, append([]byte(nil), k...))
+		return true
+	})
+	if charge != nil {
+		charge(len(keys))
+	}
+	for _, k := range keys {
+		s.kv.Delete(k)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"switchfs/internal/core"
 	"switchfs/internal/env"
+	"switchfs/internal/rpc"
 	"switchfs/internal/wal"
 	"switchfs/internal/wire"
 )
@@ -137,13 +138,11 @@ func (s *Server) cloneInval(p *env.Proc) {
 		if peer == s.cfg.ID {
 			continue
 		}
-		v, err := ctlCall(s, p, peer, func(ctl uint64) wire.CloneInvalReq {
-			return wire.CloneInvalReq{Ctl: ctl, From: s.cfg.ID}
-		})
+		list, err := rpc.Ask(s, p, peer, maxTries, (*Server).serveCloneInval, wire.CloneInvalReq{})
 		if err != nil {
 			continue
 		}
-		for _, e := range v.(*wire.CloneInvalResp).Entries {
+		for _, e := range list.Entries {
 			if _, ok := s.invalSet[e.Dir]; !ok {
 				s.addInval(e.Dir)
 			}
@@ -263,16 +262,7 @@ func (s *Server) replayWAL() (redoPlan, error) {
 			s.setAppliedMark(src, dir, id)
 		case recDelDentries:
 			plan.barrier()
-			dir := core.DirIDFromBytes(r.Payload)
-			prefix := core.EntryPrefix(dir)
-			var keys [][]byte
-			s.kv.Scan(prefix, func(k, v []byte) bool {
-				keys = append(keys, append([]byte(nil), k...))
-				return true
-			})
-			for _, k := range keys {
-				s.kv.Delete(k)
-			}
+			s.delDentries(core.DirIDFromBytes(r.Payload), nil)
 		case recTxnCommit:
 			plan.barrier()
 			// A commit decision some participant may not have learned yet
@@ -323,7 +313,7 @@ func (s *Server) redoAggEntry(src env.NodeID, dir core.DirRef, e core.LogEntry) 
 	var in core.Inode
 	if s.readInode(dir.Key, &in) == nil {
 		one := core.Compact([]core.LogEntry{e})
-		one.ApplyToAttr(&in.Attr, e.Time)
+		one.ApplyToAttr(&in.Attr)
 		s.storeInode(dir.Key, &in)
 		s.applyDentry(in.ID, e)
 	}
@@ -365,10 +355,10 @@ func (s *Server) deliverAll(p *env.Proc) {
 	})
 }
 
-// handleCloneInval serves a recovering peer (§5.4.2).
-func (s *Server) handleCloneInval(p *env.Proc, _ *wire.Packet, req *wire.CloneInvalReq) {
-	replyNew(s, p, req.From, wire.CloneInvalResp{Ctl: req.Ctl, From: s.cfg.ID, Seq: s.invalSeq,
-		Entries: append([]wire.InvalEntry(nil), s.inval...)})
+// serveCloneInval serves a recovering peer (§5.4.2) this server's
+// invalidation list.
+func (s *Server) serveCloneInval(_ *env.Proc, _ wire.CloneInvalReq, _ bool) wire.CloneInvalResp {
+	return wire.CloneInvalResp{Entries: append([]wire.InvalEntry(nil), s.inval...)}
 }
 
 // FlushAll delivers every pending change-log entry to its owner; with the
@@ -379,12 +369,6 @@ func (s *Server) FlushAll(p *env.Proc) {
 	s.SetServing(false)
 	s.deliverAll(p)
 	s.SetServing(true)
-}
-
-// handleFlushAll runs FlushAll on a control request and confirms.
-func (s *Server) handleFlushAll(p *env.Proc, pkt *wire.Packet, req *wire.FlushAllReq) {
-	s.FlushAll(p)
-	replyNew(s, p, pkt.Origin, wire.FlushAllResp{Ctl: req.Ctl, From: s.cfg.ID})
 }
 
 // InjectInode installs an inode record directly (fixture loading); when log

@@ -398,8 +398,8 @@ func TestCloneInvalNumbersAbovePredecessor(t *testing.T) {
 	d, x := core.DirID{1, 2, 3, 4}, core.DirID{5, 6, 7, 8}
 	sim.AddNode(peer, env.NodeConfig{Cores: 1, Handler: func(p *env.Proc, from env.NodeID, msg any) {
 		if req, ok := msg.(*wire.Packet).Body.(*wire.CloneInvalReq); ok {
-			p.Send(from, &wire.Packet{Dst: from, Origin: peer, Body: &wire.CloneInvalResp{Ctl: req.Ctl, From: peer,
-				Seq: 2, Entries: []wire.InvalEntry{{Seq: 1, Dir: d}, {Seq: 2, Dir: d}}}})
+			p.Send(from, &wire.Packet{Dst: from, Origin: peer, Body: &wire.CloneInvalResp{CtlResp: wire.CtlResp{ID: req.ID},
+				Entries: []wire.InvalEntry{{Seq: 1, Dir: d}, {Seq: 2, Dir: d}}}})
 		}
 	}})
 	s := restartedAt(t, sim, 5*env.Millisecond, owner, peer)

@@ -8,7 +8,15 @@ import (
 	"switchfs/internal/wire"
 )
 
-// Control-plane helpers used by the rename/link coordinator and recovery.
+// The control exchanges a server serves (DESIGN.md "Waiting for a peer"): the
+// rename and link coordinator reads, flushes, scans and aggregates at the
+// owners of the keys it touches (§5.2), a participant in doubt polls the
+// coordinator (serveTxnStatus) and a recovering server clones a peer's
+// invalidation list (serveCloneInval, §5.4.2). Each is one serve function
+// that returns its reply: its route in the dispatch table serves a request
+// that came by packet, and rpc.Ask serves one in place when the owner is
+// this server. The charges of the packet path are fixed; in place, the
+// arrival Parse is all that is left out.
 
 // Budgets of a call (rpc.Calls.Call), in sends that may go unanswered before
 // it gives up.
@@ -24,21 +32,6 @@ const (
 	maxTries = 100
 )
 
-// ctlCall performs a control-plane round trip to a peer: build makes the
-// request for the call's id, and every try sends it in a packet of its own.
-func ctlCall[B any, P interface {
-	*B
-	wire.Msg
-}](s *Server, p *env.Proc, to env.NodeID, build func(ctl uint64) B) (wire.Msg, error) {
-	id := s.ids.Next()
-	req := build(id)
-	v, ok := s.rpc.Request(p, id, maxTries, func() { replyNew[B, P](s, p, to, req) })
-	if !ok {
-		return nil, core.ErrTimeout
-	}
-	return v.(wire.Msg), nil
-}
-
 // txnSrcFlag distinguishes transaction-applied directory updates from the
 // coordinator's own change-log entries in the exactly-once watermark space.
 // A TxnDirUpdate entry's id comes from s.ids, so the (txn-src, dir) watermark
@@ -46,131 +39,41 @@ func ctlCall[B any, P interface {
 // and coordinator restarts.
 const txnSrcFlag = env.NodeID(1) << 31
 
-// readRemoteInode reads a raw inode record from its owner — with flush, after
-// the owner delivered the deferred updates of the key's name (flushEntry), in
-// the same round trip.
-func (s *Server) readRemoteInode(p *env.Proc, owner env.NodeID, key core.Key, flush bool) ([]byte, error) {
-	if owner == s.cfg.ID {
-		if flush {
-			if err := s.flushEntry(p, key); err != nil {
-				return nil, err
-			}
-		}
-		p.Compute(s.cfg.Costs.KVGet)
-		// Same admission as the remote path: the group may have migrated away
-		// between the caller's owner computation and this read.
-		fp := key.Fingerprint()
-		if err := s.admitFP(p, fp); err != nil {
-			return nil, err
-		}
-		var kb core.KeyBuf
-		raw, ok := s.kv.Get(key.AppendTo(kb[:0]))
-		s.fpExit(fp)
-		if !ok {
-			return nil, core.ErrNotExist
-		}
-		return raw, nil
-	}
-	v, err := ctlCall(s, p, owner, func(ctl uint64) wire.ReadInodeReq {
-		return wire.ReadInodeReq{Ctl: ctl, From: s.cfg.ID, Key: key, Flush: flush}
-	})
-	if err != nil {
-		return nil, err
-	}
-	resp := v.(*wire.ReadInodeResp)
-	if resp.Err != core.ErrnoOK {
-		return nil, resp.Err.Err()
-	}
-	return resp.Raw, nil
-}
-
-func (s *Server) handleReadInode(p *env.Proc, _ *wire.Packet, req *wire.ReadInodeReq) {
-	p.Compute(s.cfg.Costs.Parse + s.cfg.Costs.KVGet)
-	pkt, resp := wire.NewPacket[wire.ReadInodeResp](req.From, s.cfg.ID)
-	resp.Ctl = req.Ctl
+// serveReadInode answers a ReadInodeReq: key's raw inode record — with
+// Flush, after this server delivered the deferred updates of the key's name
+// (flushEntry). Admission as for client ops: a read routed under a stale ring
+// (or racing an inbound migration copy) must answer retry — answering
+// ErrNotExist from a store the group just left would fail a rename against a
+// file that exists.
+func (s *Server) serveReadInode(p *env.Proc, req wire.ReadInodeReq, byPacket bool) wire.ReadInodeResp {
+	p.Compute(s.arrival(byPacket) + s.cfg.Costs.KVGet)
 	if req.Flush {
 		if err := s.flushEntry(p, req.Key); err != nil {
-			resp.Err = core.ErrnoOf(err)
-			s.send(p, pkt)
-			return
+			return wire.ReadInodeResp{CtlResp: failed(err)}
 		}
 	}
-	// Admission as for client ops: a read routed under a stale ring (or
-	// racing an inbound migration copy) must answer retry — answering
-	// ErrNotExist from a store the group just left would fail a rename
-	// against a file that exists.
 	fp := req.Key.Fingerprint()
 	if err := s.admitFP(p, fp); err != nil {
-		resp.Err = core.ErrnoOf(err)
-		s.send(p, pkt)
-		return
+		return wire.ReadInodeResp{CtlResp: failed(err)}
 	}
+	defer s.fpExit(fp)
 	var kb core.KeyBuf
 	raw, ok := s.kv.Get(req.Key.AppendTo(kb[:0]))
-	s.fpExit(fp)
 	if !ok {
-		resp.Err = core.ErrnoNotExist
-	} else {
-		resp.Raw = raw
+		return wire.ReadInodeResp{CtlResp: failed(core.ErrNotExist)}
 	}
-	s.send(p, pkt)
+	return wire.ReadInodeResp{Raw: raw}
 }
 
-// collectDentries fetches a directory's full entry list from its owner and
-// converts it into dentry-put transaction ops for the new owner. fp is the
-// fingerprint of the directory's own key, validated by the remote owner
-// against the ring.
-func (s *Server) collectDentries(p *env.Proc, owner env.NodeID, dir core.DirID,
-	fp core.Fingerprint) ([]wire.TxnOp, error) {
-
-	var entries []core.DirEntry
-	if owner == s.cfg.ID {
-		s.kv.ScanNames(core.EntryPrefix(dir), func(name string, v []byte) bool {
-			if de, err := core.DecodeDirEntry(name, v); err == nil {
-				entries = append(entries, de)
-			}
-			return true
-		})
-	} else {
-		v, err := ctlCall(s, p, owner, func(ctl uint64) wire.ScanDirReq {
-			return wire.ScanDirReq{Ctl: ctl, From: s.cfg.ID, Dir: dir, FP: fp}
-		})
-		if err != nil {
-			return nil, err
-		}
-		resp := v.(*wire.ScanDirResp)
-		if resp.Err != core.ErrnoOK {
-			return nil, resp.Err.Err()
-		}
-		entries = resp.Entries
+// serveScanDir answers a ScanDirReq with the directory's entry list, admitted
+// under the fingerprint of the directory's own key.
+func (s *Server) serveScanDir(p *env.Proc, req wire.ScanDirReq, byPacket bool) wire.ScanDirResp {
+	p.Compute(s.arrival(byPacket))
+	if err := s.admitFP(p, req.FP); err != nil {
+		return wire.ScanDirResp{CtlResp: failed(err)}
 	}
-	ops := make([]wire.TxnOp, 0, len(entries))
-	for _, e := range entries {
-		ops = append(ops, wire.TxnOp{
-			Kind:  wire.TxnPutDentry,
-			Dir:   core.DirRef{ID: dir},
-			Entry: core.LogEntry{Name: e.Name, Type: e.Type, Perm: e.Perm},
-		})
-	}
-	return ops, nil
-}
-
-func (s *Server) handleScanDir(p *env.Proc, _ *wire.Packet, req *wire.ScanDirReq) {
-	c := &s.cfg.Costs
-	p.Compute(c.Parse)
-	pkt, resp := wire.NewPacket[wire.ScanDirResp](req.From, s.cfg.ID)
-	resp.Ctl = req.Ctl
-	// Fingerprint 0 is reserved — core.FingerprintOf never produces it for a
-	// real group — so the zero value soundly marks control-plane scans that
-	// opt out of migration admission.
-	if req.FP != 0 {
-		if err := s.admitFP(p, req.FP); err != nil {
-			resp.Err = core.ErrnoOf(err)
-			s.send(p, pkt)
-			return
-		}
-		defer s.fpExit(req.FP)
-	}
+	defer s.fpExit(req.FP)
+	var resp wire.ScanDirResp
 	n := 0
 	s.kv.ScanNames(core.EntryPrefix(req.Dir), func(name string, v []byte) bool {
 		if de, err := core.DecodeDirEntry(name, v); err == nil {
@@ -179,8 +82,8 @@ func (s *Server) handleScanDir(p *env.Proc, _ *wire.Packet, req *wire.ScanDirReq
 		n++
 		return true
 	})
-	p.Compute(env.Duration(n) * c.KVScanEntry)
-	s.send(p, pkt)
+	p.Compute(env.Duration(n) * s.cfg.Costs.KVScanEntry)
+	return resp
 }
 
 // flushEntry delivers the deferred updates of key's directory entry that this
@@ -205,27 +108,10 @@ func (s *Server) flushEntry(p *env.Proc, key core.Key) error {
 	return nil
 }
 
-// flushRemoteEntry runs flushEntry at key's owner.
-func (s *Server) flushRemoteEntry(p *env.Proc, owner env.NodeID, key core.Key) error {
-	if owner == s.cfg.ID {
-		return s.flushEntry(p, key)
-	}
-	v, err := ctlCall(s, p, owner, func(ctl uint64) wire.FlushEntryReq {
-		return wire.FlushEntryReq{Ctl: ctl, From: s.cfg.ID, Key: key}
-	})
-	if err != nil {
-		return err
-	}
-	if v.(*wire.FlushEntryResp).Incomplete {
-		return core.ErrRetry
-	}
-	return nil
-}
-
-func (s *Server) handleFlushEntry(p *env.Proc, _ *wire.Packet, req *wire.FlushEntryReq) {
-	p.Compute(s.cfg.Costs.Parse)
-	err := s.flushEntry(p, req.Key)
-	replyNew(s, p, req.From, wire.FlushEntryResp{Ctl: req.Ctl, Incomplete: err != nil})
+// serveFlushEntry answers a FlushEntryReq: flushEntry on its key.
+func (s *Server) serveFlushEntry(p *env.Proc, req wire.FlushEntryReq, byPacket bool) wire.FlushEntryResp {
+	p.Compute(s.arrival(byPacket))
+	return wire.FlushEntryResp{CtlResp: failed(s.flushEntry(p, req.Key))}
 }
 
 // FlushGroup delivers every deferred update this server holds for a name of
@@ -248,33 +134,28 @@ func (s *Server) FlushGroup(p *env.Proc, fp core.Fingerprint) bool {
 	return true
 }
 
-// remoteAggregate makes fp's owner aggregate the group now. An incomplete
-// aggregation (unreachable peer) surfaces as ErrRetry: the caller's
-// transaction must not serialize against state that may be missing
-// acknowledged updates.
-func (s *Server) remoteAggregate(p *env.Proc, owner env.NodeID, fp core.Fingerprint) error {
-	if owner == s.cfg.ID {
-		if !s.aggregateFP(p, fp, nil) { // the arrived-time rule gives freshness
-			return core.ErrRetry
-		}
-		return nil
+// serveAggNow answers an AggNowReq: this server, the group's owner,
+// aggregates it now. An incomplete aggregation (unreachable peer) answers
+// retry: the caller's transaction must not serialize against state that may
+// be missing acknowledged updates.
+func (s *Server) serveAggNow(p *env.Proc, req wire.AggNowReq, _ bool) wire.AggNowResp {
+	if !s.aggregateFP(p, req.FP, nil) { // the arrived-time rule gives freshness
+		return wire.AggNowResp{CtlResp: failed(core.ErrRetry)}
 	}
-	v, err := ctlCall(s, p, owner, func(ctl uint64) wire.AggNowReq {
-		return wire.AggNowReq{Ctl: ctl, From: s.cfg.ID, FP: fp}
-	})
-	if err != nil {
-		return err
-	}
-	if v.(*wire.AggNowResp).Incomplete {
-		return core.ErrRetry
-	}
-	return nil
+	return wire.AggNowResp{}
 }
 
-func (s *Server) handleAggNow(p *env.Proc, _ *wire.Packet, req *wire.AggNowReq) {
-	complete := s.aggregateFP(p, req.FP, nil)
-	replyNew(s, p, req.From, wire.AggNowResp{Ctl: req.Ctl, Incomplete: !complete})
+// arrival is what a control request owes for its arrival when its exchange
+// parses it: Parse by packet, nothing served in place.
+func (s *Server) arrival(byPacket bool) env.Duration {
+	if byPacket {
+		return s.cfg.Costs.Parse
+	}
+	return 0
 }
+
+// failed is the header of a control reply that reports err.
+func failed(err error) wire.CtlResp { return wire.CtlResp{Err: core.ErrnoOf(err)} }
 
 // broadcastInval plants directories in this server's invalidation list and
 // sends them to every peer's (a directory rename, §5.2). It sends

@@ -390,8 +390,8 @@ func New(e *env.Sim, cfg Config) *Server {
 	if s.wal == nil {
 		s.wal = wal.NewMem()
 	}
-	s.rpc = rpc.NewCalls(cfg.RetryTimeout, &s.dead, &s.Stats.Retries)
 	s.ids = core.NewIncarnation(uint64(cfg.ID), uint64(e.Now()))
+	s.rpc = rpc.NewCalls(cfg.ID, &s.ids, s.send, cfg.RetryTimeout, &s.dead, &s.Stats.Retries)
 	s.invalSeq = s.ids.Boot()
 	s.node = e.AddNode(cfg.ID, env.NodeConfig{Cores: cfg.Cores, Handler: s.handle})
 	s.bootstrapRoot()
@@ -603,25 +603,19 @@ func init() {
 		rpc.Peer("txn:decision", (*Server).handleTxnDecision),
 		rpc.Peer("txn:vote", (*Server).handleTxnVote),
 		rpc.Peer("ctl", (*Server).handleInvalBroadcast),
-		rpc.Peer("ctl", (*Server).handleTxnStatus),
-		rpc.Peer("ctl", (*Server).handleReadInode),
-		rpc.Peer("ctl", (*Server).handleScanDir),
-		rpc.Peer("ctl", (*Server).handleAggNow),
-		rpc.Peer("ctl", (*Server).handleFlushEntry),
-		rpc.Peer("ctl", (*Server).handleCloneInval),
-		rpc.Peer("ctl", (*Server).handleFlushAll),
+		rpc.Exchange("ctl", (*Server).serveTxnStatus),
+		rpc.Exchange("ctl", (*Server).serveReadInode),
+		rpc.Exchange("ctl", (*Server).serveScanDir),
+		rpc.Exchange("ctl", (*Server).serveAggNow),
+		rpc.Exchange("ctl", (*Server).serveFlushEntry),
+		rpc.Exchange("ctl", (*Server).serveCloneInval),
 		// No node consumes an invalidation's ack: broadcastInval does not wait.
 		rpc.Peer("ctl", func(*Server, *env.Proc, *wire.Packet, *wire.InvalAck) {}),
 
 		// The answers to this server's calls end their waits.
 		rpc.Peer("commit-ack", func(s *Server, _ *env.Proc, _ *wire.Packet, m *wire.CommitAck) { s.rpc.Answer(m.CommitID, 0, m) }),
 		rpc.Peer("txn:done", func(s *Server, _ *env.Proc, _ *wire.Packet, m *wire.TxnDone) { s.rpc.Answer(m.Txn, m.From, nil) }),
-		rpc.Peer("ctl", func(s *Server, _ *env.Proc, _ *wire.Packet, m *wire.TxnStatusResp) { s.rpc.Answer(m.Ctl, 0, m) }),
-		rpc.Peer("ctl", func(s *Server, _ *env.Proc, _ *wire.Packet, m *wire.ReadInodeResp) { s.rpc.Answer(m.Ctl, 0, m) }),
-		rpc.Peer("ctl", func(s *Server, _ *env.Proc, _ *wire.Packet, m *wire.ScanDirResp) { s.rpc.Answer(m.Ctl, 0, m) }),
-		rpc.Peer("ctl", func(s *Server, _ *env.Proc, _ *wire.Packet, m *wire.AggNowResp) { s.rpc.Answer(m.Ctl, 0, m) }),
-		rpc.Peer("ctl", func(s *Server, _ *env.Proc, _ *wire.Packet, m *wire.FlushEntryResp) { s.rpc.Answer(m.Ctl, 0, m) }),
-		rpc.Peer("ctl", func(s *Server, _ *env.Proc, _ *wire.Packet, m *wire.CloneInvalResp) { s.rpc.Answer(m.Ctl, 0, m) }),
+		rpc.Replies[*Server]("ctl"),
 	)
 }
 
@@ -728,6 +722,10 @@ func (s *Server) DirOps() []DirOp {
 	})
 	return out
 }
+
+// Calls returns this incarnation's calls (rpc.Node): the control exchanges
+// it makes and serves go through them.
+func (s *Server) Calls() *rpc.Calls { return &s.rpc }
 
 // reply sends a body already built, in a packet of its own: only a memoized
 // response replayed to a retransmission (handle) goes this way.

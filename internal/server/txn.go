@@ -56,11 +56,11 @@ func (s *Server) doRename(p *env.Proc, req *wire.RenameReq) error {
 	// votes retry while one is pending (entryPending). The source's flush
 	// rides the read that learns its type.
 	srcOwner := s.ownerOfKey(srcKey)
-	raw, err := s.readRemoteInode(p, srcOwner, srcKey, true)
+	src, err := rpc.Ask(s, p, srcOwner, maxTries, (*Server).serveReadInode, wire.ReadInodeReq{Key: srcKey, Flush: true})
 	if err != nil {
 		return err
 	}
-	in, derr := core.DecodeInode(raw)
+	in, derr := core.DecodeInode(src.Raw)
 	if derr != nil {
 		return core.ErrInvalid
 	}
@@ -71,7 +71,7 @@ func (s *Server) doRename(p *env.Proc, req *wire.RenameReq) error {
 		return nil
 	}
 	dstOwner := s.ownerOfKey(dstKey)
-	if err := s.flushRemoteEntry(p, dstOwner, dstKey); err != nil {
+	if _, err := rpc.Ask(s, p, dstOwner, maxTries, (*Server).serveFlushEntry, wire.FlushEntryReq{Key: dstKey}); err != nil {
 		return err
 	}
 	isDir := in.Type == core.TypeDir
@@ -177,19 +177,32 @@ func (s *Server) prepareDirMove(p *env.Proc, req *wire.RenameReq, srcOwner env.N
 			return nil, nil, core.ErrLoop
 		}
 	}
-	if err := s.remoteAggregate(p, srcOwner, srcKey.Fingerprint()); err != nil {
+	fp := srcKey.Fingerprint()
+	if _, err := rpc.Ask(s, p, srcOwner, maxTries, (*Server).serveAggNow, wire.AggNowReq{FP: fp}); err != nil {
 		return nil, nil, err
 	}
-	raw, err := s.readRemoteInode(p, srcOwner, srcKey, false)
+	src, err := rpc.Ask(s, p, srcOwner, maxTries, (*Server).serveReadInode, wire.ReadInodeReq{Key: srcKey})
 	if err != nil {
 		return nil, nil, err
 	}
-	in, derr := core.DecodeInode(raw)
+	in, derr := core.DecodeInode(src.Raw)
 	if derr != nil {
 		return nil, nil, core.ErrInvalid
 	}
-	dentries, err := s.collectDentries(p, srcOwner, in.ID, srcKey.Fingerprint())
-	return in, dentries, err
+	list, err := rpc.Ask(s, p, srcOwner, maxTries, (*Server).serveScanDir, wire.ScanDirReq{Dir: in.ID, FP: fp})
+	if err != nil {
+		return nil, nil, err
+	}
+	// The entry list becomes dentry puts at the new owner.
+	dentries := make([]wire.TxnOp, 0, len(list.Entries))
+	for _, e := range list.Entries {
+		dentries = append(dentries, wire.TxnOp{
+			Kind:  wire.TxnPutDentry,
+			Dir:   core.DirRef{ID: in.ID},
+			Entry: core.LogEntry{Name: e.Name, Type: e.Type, Perm: e.Perm},
+		})
+	}
+	return in, dentries, nil
 }
 
 // handleLink coordinates hard-link creation (§5.5): split the source file
@@ -212,10 +225,10 @@ func (s *Server) doLink(p *env.Proc, req *wire.LinkReq) error {
 	dstKey := core.Key{PID: req.DstParent.ID, Name: req.DstName}
 	// As in rename, the deferred updates of both checked names are delivered
 	// before the link queues.
-	if err := s.flushRemoteEntry(p, s.ownerOfKey(dstKey), dstKey); err != nil {
+	if _, err := rpc.Ask(s, p, s.ownerOfKey(dstKey), maxTries, (*Server).serveFlushEntry, wire.FlushEntryReq{Key: dstKey}); err != nil {
 		return err
 	}
-	if err := s.flushRemoteEntry(p, s.ownerOfKey(srcKey), srcKey); err != nil {
+	if _, err := rpc.Ask(s, p, s.ownerOfKey(srcKey), maxTries, (*Server).serveFlushEntry, wire.FlushEntryReq{Key: srcKey}); err != nil {
 		return err
 	}
 	tsp := s.cfg.Trace.Start(p, "txn:run", "server")
@@ -231,9 +244,9 @@ func (s *Server) doLink(p *env.Proc, req *wire.LinkReq) error {
 
 	srcOwner := s.ownerOfKey(srcKey)
 	var in *core.Inode
-	raw, err := s.readRemoteInode(p, srcOwner, srcKey, false)
+	src, err := rpc.Ask(s, p, srcOwner, maxTries, (*Server).serveReadInode, wire.ReadInodeReq{Key: srcKey})
 	if err == nil {
-		if in, err = core.DecodeInode(raw); err != nil {
+		if in, err = core.DecodeInode(src.Raw); err != nil {
 			err = core.ErrInvalid
 		} else if in.Type == core.TypeDir {
 			err = core.ErrIsDir
@@ -262,7 +275,7 @@ func (s *Server) doLink(p *env.Proc, req *wire.LinkReq) error {
 		// The source must still be unsplit at prepare: an earlier link that
 		// has left the serialized section may be undecided yet, and a second
 		// split would overwrite its attribute object and lose a reference.
-		sp.Check = append(sp.Check, wire.TxnCheck{Key: srcKey, MustExist: true, Same: raw})
+		sp.Check = append(sp.Check, wire.TxnCheck{Key: srcKey, MustExist: true, Same: src.Raw})
 		sp.Ops = append(sp.Ops, wire.TxnOp{Kind: wire.TxnPutInode, Key: srcKey,
 			Inode: core.EncodeInode(&ref)})
 		ao := plan.at(s.ownerOfKey(attrKey))
@@ -398,7 +411,7 @@ func (s *Server) endTxn(t *coordTxn) error {
 // until every participant acked or this incarnation fail-stops; a
 // participant that crashed meanwhile acks the duplicate from its fresh
 // incarnation. Coordinator crashes are covered by the participant-side
-// termination protocol (monitorTxn / handleTxnStatus): commits are persisted
+// termination protocol (monitorTxn / serveTxnStatus): commits are persisted
 // to the WAL before the first decision packet leaves, anything else is
 // presumed aborted.
 func (s *Server) decideTxn(p *env.Proc, t *coordTxn) error {
@@ -469,23 +482,19 @@ func (s *Server) ackDecision(id uint64) {
 	}
 }
 
-// handleTxnStatus answers a participant's termination-protocol query.
-func (s *Server) handleTxnStatus(p *env.Proc, _ *wire.Packet, req *wire.TxnStatusReq) {
-	p.Compute(s.cfg.Costs.Parse)
-	pkt, resp := wire.NewPacket[wire.TxnStatusResp](req.From, s.cfg.ID)
-	resp.Ctl, resp.Txn = req.Ctl, req.Txn
+// serveTxnStatus answers a participant's termination-protocol query.
+func (s *Server) serveTxnStatus(p *env.Proc, req wire.TxnStatusReq, byPacket bool) wire.TxnStatusResp {
+	p.Compute(s.arrival(byPacket))
 	if _, ok := s.txnWAL[req.Txn]; ok {
-		resp.Commit = true // only commits are recorded
-	} else if s.txnVotes[req.Txn] != nil || !s.serving {
-		// Still collecting votes (the decision phase will reach the
-		// participant), or this incarnation has not finished recovering —
-		// either way the outcome is not known *yet*.
-		resp.Pending = true
+		return wire.TxnStatusResp{Commit: true} // only commits are recorded
 	}
-	// Otherwise: no record of the transaction — presumed abort (aborts are
-	// never recorded; decided-but-unacked aborts resolve to the same answer
-	// once the abort's decision phase ends and txnVotes is dropped).
-	s.send(p, pkt)
+	// Still collecting votes (the decision phase will reach the participant),
+	// or this incarnation has not finished recovering — either way the
+	// outcome is not known *yet*. Otherwise: no record of the transaction —
+	// presumed abort (aborts are never recorded; decided-but-unacked aborts
+	// resolve to the same answer once the abort's decision phase ends and
+	// txnVotes is dropped).
+	return wire.TxnStatusResp{Pending: s.txnVotes[req.Txn] != nil || !s.serving}
 }
 
 // redriveCommits re-sends every replayed, still-unacknowledged commit
@@ -540,9 +549,7 @@ func (s *Server) monitorTxn(p *env.Proc, txn uint64, coord env.NodeID) {
 		if !pending {
 			return // decision arrived while we slept or polled
 		}
-		v, err := ctlCall(s, p, coord, func(ctl uint64) wire.TxnStatusReq {
-			return wire.TxnStatusReq{Ctl: ctl, From: s.cfg.ID, Txn: txn}
-		})
+		resp, err := rpc.Ask(s, p, coord, maxTries, (*Server).serveTxnStatus, wire.TxnStatusReq{Txn: txn})
 		if err != nil {
 			// Coordinator unreachable (crashed or partitioned): keep
 			// waiting — presumed abort may only be applied on a definitive
@@ -550,7 +557,6 @@ func (s *Server) monitorTxn(p *env.Proc, txn uint64, coord env.NodeID) {
 			p.Sleep(s.inDoubtAfter())
 			continue
 		}
-		resp := v.(*wire.TxnStatusResp)
 		if resp.Pending {
 			p.Sleep(s.inDoubtAfter())
 			continue
@@ -861,16 +867,7 @@ func (s *Server) handleTxnDecision(p *env.Proc, _ *wire.Packet, td *wire.TxnDeci
 				p.Compute(c.WALAppend)
 				s.walBuf = op.Dir.ID.AppendBinary(s.walBuf[:0])
 				mustAppend(s.wal, recDelDentries, s.walBuf)
-				prefix := core.EntryPrefix(op.Dir.ID)
-				var keys [][]byte
-				s.kv.Scan(prefix, func(k, v []byte) bool {
-					keys = append(keys, append([]byte(nil), k...))
-					return true
-				})
-				p.Compute(env.Duration(len(keys)) * c.KVDel)
-				for _, k := range keys {
-					s.kv.Delete(k)
-				}
+				s.delDentries(op.Dir.ID, func(n int) { p.Compute(env.Duration(n) * c.KVDel) })
 			}
 		}
 	}

@@ -141,6 +141,47 @@ type InvalEntry struct {
 	Dir core.DirID
 }
 
+// --- Control exchanges ---------------------------------------------------------
+
+// CtlReq carries the fields every control request shares: a request one node
+// makes of a peer and that the peer answers with one reply (DESIGN.md
+// "Waiting for a peer").
+type CtlReq struct {
+	// ID names the requester's call; the reply echoes it.
+	ID uint64
+	// From is the requester, the reply's address.
+	From env.NodeID
+}
+
+// Head returns the header itself, so a route can reach it through any of the
+// control requests that embed it.
+func (r *CtlReq) Head() *CtlReq { return r }
+
+// Control is a control request: a body that embeds CtlReq.
+type Control interface {
+	Msg
+	Head() *CtlReq
+}
+
+// CtlResp carries the fields every control reply shares.
+type CtlResp struct {
+	// ID is the id of the call the reply answers.
+	ID  uint64
+	Err core.Errno
+}
+
+// Head returns the header itself.
+func (r *CtlResp) Head() *CtlResp { return r }
+
+// Failure returns the error the reply reports (nil: none).
+func (r CtlResp) Failure() error { return r.Err.Err() }
+
+// ControlReply is a control reply: a body that embeds CtlResp.
+type ControlReply interface {
+	Msg
+	Head() *CtlResp
+}
+
 // --- Path resolution -------------------------------------------------------
 
 // LookupReq resolves one path component to directory metadata (cache miss
@@ -368,16 +409,14 @@ const (
 // rename/link). Flush asks for what FlushEntryReq asks, on the same key,
 // before the read: a rename's source name and its inode share an owner.
 type ReadInodeReq struct {
-	Ctl   uint64
-	From  env.NodeID
+	CtlReq
 	Key   core.Key
 	Flush bool
 }
 
 // ReadInodeResp returns the record.
 type ReadInodeResp struct {
-	Ctl uint64
-	Err core.Errno
+	CtlResp
 	Raw []byte
 }
 
@@ -386,16 +425,14 @@ type ReadInodeResp struct {
 // ring so a scan routed under a stale placement retries instead of returning
 // a partial (or vanished) entry list.
 type ScanDirReq struct {
-	Ctl  uint64
-	From env.NodeID
-	Dir  core.DirID
-	FP   core.Fingerprint
+	CtlReq
+	Dir core.DirID
+	FP  core.Fingerprint
 }
 
 // ScanDirResp returns the entries.
 type ScanDirResp struct {
-	Ctl     uint64
-	Err     core.Errno
+	CtlResp
 	Entries []core.DirEntry
 }
 
@@ -404,33 +441,29 @@ type ScanDirResp struct {
 // once the directory's owner acknowledged it (what a rename or link waits for
 // before it queues).
 type FlushEntryReq struct {
-	Ctl  uint64
-	From env.NodeID
-	Key  core.Key
+	CtlReq
+	Key core.Key
 }
 
-// FlushEntryResp confirms no deferred update of the name is pending anymore.
-// Incomplete reports that the directory's owner stayed unreachable (or the
-// name's group is no longer served here): the caller must retry.
+// FlushEntryResp confirms no deferred update of the name is pending anymore;
+// Err retry reports that the directory's owner stayed unreachable (or the
+// name's group is no longer served here).
 type FlushEntryResp struct {
-	Ctl        uint64
-	Incomplete bool
+	CtlResp
 }
 
 // AggNowReq asks a directory owner to aggregate a fingerprint group now
 // (aggregation of a renamed directory itself, §5.2).
 type AggNowReq struct {
-	Ctl  uint64
-	From env.NodeID
-	FP   core.Fingerprint
+	CtlReq
+	FP core.Fingerprint
 }
 
-// AggNowResp confirms the aggregation ran. Incomplete reports that a peer
+// AggNowResp confirms the aggregation ran. Err retry reports that a peer
 // stayed unreachable past the retry budget, so the aggregated state may
 // miss its acknowledged entries (the caller must not build on it).
 type AggNowResp struct {
-	Ctl        uint64
-	Incomplete bool
+	CtlResp
 }
 
 // TxnPrepare asks a participant to lock and validate its ops.
@@ -479,17 +512,15 @@ type TxnDone struct {
 // (prepared, locks held, no decision) polls the coordinator; an incarnation
 // with no record of the transaction answers abort (presumed abort).
 type TxnStatusReq struct {
-	Ctl  uint64
-	From env.NodeID
-	Txn  uint64
+	CtlReq
+	Txn uint64
 }
 
 // TxnStatusResp carries the coordinator's answer. Pending means this
 // incarnation is still deciding — keep waiting. Otherwise Commit is the
 // decision (false for both aborted and unknown transactions).
 type TxnStatusResp struct {
-	Ctl     uint64
-	Txn     uint64
+	CtlResp
 	Commit  bool
 	Pending bool
 }
@@ -527,28 +558,13 @@ type LinkResp struct {
 // CloneInvalReq asks a peer for its invalidation list (server recovery,
 // §5.4.2).
 type CloneInvalReq struct {
-	Ctl  uint64
-	From env.NodeID
+	CtlReq
 }
 
 // CloneInvalResp returns the peer's invalidation list.
 type CloneInvalResp struct {
-	Ctl     uint64
-	From    env.NodeID
-	Seq     uint64
+	CtlResp
 	Entries []InvalEntry
-}
-
-// FlushAllReq orders a server to aggregate every directory it owns (switch
-// recovery and reconfiguration, §5.4.2/§5.5).
-type FlushAllReq struct {
-	Ctl uint64
-}
-
-// FlushAllResp confirms all aggregations completed.
-type FlushAllResp struct {
-	Ctl  uint64
-	From env.NodeID
 }
 
 // --- Data access (end-to-end workloads, §7.6) -------------------------------
@@ -616,8 +632,7 @@ type ChunkRec struct {
 // set includes the requesting node's slot (re-replication after a
 // fail-stop: the restarted node's volatile store is empty).
 type DataPullReq struct {
-	Ctl  uint64
-	From env.NodeID
+	CtlReq
 	// Slot is the requester's placement slot.
 	Slot uint32
 }
@@ -625,8 +640,7 @@ type DataPullReq struct {
 // DataPullResp returns the matching chunk records, sorted by chunk key so
 // recovery is deterministic.
 type DataPullResp struct {
-	Ctl    uint64
-	From   env.NodeID
+	CtlResp
 	Chunks []ChunkRec
 }
 
@@ -659,8 +673,6 @@ func (*LinkReq) msg()        {}
 func (*LinkResp) msg()       {}
 func (*CloneInvalReq) msg()  {}
 func (*CloneInvalResp) msg() {}
-func (*FlushAllReq) msg()    {}
-func (*FlushAllResp) msg()   {}
 func (*ReadInodeReq) msg()   {}
 func (*ReadInodeResp) msg()  {}
 func (*ScanDirReq) msg()     {}
