@@ -87,13 +87,14 @@ bench:
 
 # bench-layers runs the per-layer Go microbenchmarks (ROADMAP 1c): the bare
 # simulator (handoff, send, timer), the change-log (snapshot, compaction), the
-# key and inode codecs, the kv store, the write-ahead log (append and replay),
-# the client's cached path resolution, the server's durable-record encoders,
-# its recovery (BenchmarkRecover), a 2PC rename and an aggregation round
-# (BenchmarkRename, BenchmarkAggregate: allocations per round with -benchmem),
-# the nodes' one way to wait for a peer (internal/rpc's BenchmarkPeerCall) and
-# a replicated write through a data node's primary and backup
-# (BenchmarkReplicatedWrite).
+# key and inode codecs, the kv store (BenchmarkPutUnique: live heap per
+# entry for unique names and inode-sized values), the write-ahead log (append
+# and replay), the client's cached path resolution, the server's
+# durable-record encoders, its recovery (BenchmarkRecover), a 2PC rename and
+# an aggregation round (BenchmarkRename, BenchmarkAggregate: allocations per
+# round with -benchmem), the nodes' one way to wait for a peer (internal/rpc's
+# BenchmarkPeerCall) and a replicated write through a data node's primary and
+# backup (BenchmarkReplicatedWrite).
 # BENCHFLAGS adds go test flags: CI's smoke step passes -benchtime 1x.
 bench-layers:
 	$(GO) test -run '^$$' -bench . -benchmem $(BENCHFLAGS) ./internal/env ./internal/core ./internal/kv ./internal/wal ./internal/client ./internal/server ./internal/rpc ./internal/datanode

@@ -10,15 +10,14 @@ import (
 	"switchfs/internal/workload"
 )
 
-// FigScale is the million-client scale figure (ROADMAP north star): an
-// open-loop sweep of client-session population × namespace size on one
-// SwitchFS deployment, reporting sustained throughput, p99 latency and the
-// simulator's worker-pool high-water mark. Sessions think between
-// operations (workload.Run with Think set): an idle session is a queued
-// event, not a parked worker, which is what lets the population reach the
-// upper cells. What a
-// session and a namespace entry cost the host is benchmark/'s to measure
-// (live_heap_mib, bytes_per_op, kv.bytes_per_entry).
+// FigScale is the million-client scale figure: an open-loop sweep of
+// client-session population × namespace size on one SwitchFS deployment,
+// reporting sustained throughput, p99 latency and the simulator's
+// worker-pool high-water mark. Sessions think between operations
+// (workload.Run with Think set): an idle session is a queued event, not a
+// parked worker, which is what lets the population reach the upper cells.
+// What a session and a namespace entry cost the host is benchmark/'s to
+// measure (live_heap_mib, bytes_per_op, kv.bytes_per_entry).
 func FigScale(sc Scale) Table {
 	t := Table{
 		ID:     "scale",

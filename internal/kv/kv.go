@@ -3,34 +3,55 @@
 // §7.1). Keys follow the metadata schema of Tab. 3 (a one-byte table tag, a
 // 32-byte directory id, a '/' separator, and a component name), so the store
 // shards by that 34-byte group prefix: each directory's records live in
-// their own small map, component names are interned once per server instead
-// of once per dentry per map, and small values (dentry records, identical
-// preloaded inodes) are deduplicated. Ordered prefix scans — directory entry
-// lists enumerate children with one scan — are served from per-shard sorted
-// indexes rebuilt lazily after mutations. Keys outside the schema shape
-// (tests, baseline directory records) fall back to a flat shard that merges
-// into scans in global byte order, so the external contract is unchanged: a
-// byte-ordered map with prefix scans.
+// their own small map. Two small direct-mapped caches share recurring bytes
+// across keys: a component name repeated in many directories is stored once
+// while it stays cached, and so is a small value (a dentry record, identical
+// preloaded inodes); a name or value seen once costs one copy and no table
+// entry, and nothing deleted is retained. Ordered prefix scans — directory
+// entry lists enumerate children with one scan — are served from per-shard
+// sorted indexes rebuilt lazily after mutations. Keys outside the schema
+// shape (tests, baseline directory records) fall back to a flat shard that
+// merges into scans in global byte order, so the external contract is
+// unchanged: a byte-ordered map with prefix scans.
 package kv
 
 import (
 	"bytes"
+	"encoding/binary"
 	"sort"
 	"strings"
-	"unsafe"
 )
 
 // groupLen is the length of the schema's group prefix: tag byte + 32-byte
 // directory id + '/'.
 const groupLen = 34
 
-// Value-interning bounds: values no longer than internValMax bytes are
-// deduplicated through a table capped at internValCap distinct values (the
-// cap stops a stream of unique values from doubling its own footprint).
+// Intern caches: internSlots slots each for names and for values no longer
+// than internValMax bytes. A slot holds the last name or value that hashed
+// to it, so the caches cost a fixed 10 KiB per store however many distinct
+// names and values pass through.
 const (
+	internBits   = 8
+	internSlots  = 1 << internBits
 	internValMax = 128
-	internValCap = 1 << 16
 )
+
+// internSlot is the cache slot of b: FNV-1a, a word at a time, then a
+// Fibonacci multiply whose top bits every input bit reaches (FNV's own top
+// bits barely see the last byte, which is where f1 and f2 differ). The hash
+// is fixed, not seeded, so what the caches share — and the heap the store
+// holds — is the same in every process.
+func internSlot(b []byte) int {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for ; len(b) >= 8; b = b[8:] {
+		h = (h ^ binary.LittleEndian.Uint64(b)) * prime
+	}
+	for _, c := range b {
+		h = (h ^ uint64(c)) * prime
+	}
+	return int((h * 0x9e3779b97f4a7c15) >> (64 - internBits))
+}
 
 // conforming reports whether key has the tag+id+'/' group shape. A key
 // matching this shape always lives in its group shard, and a key that does
@@ -65,34 +86,27 @@ func (sh *shard) ensureOrder() []string {
 	return sh.order
 }
 
-// Store is a sorted key-value map.
+// Store is a sorted key-value map. It copies keys and values in, sharing
+// recurring names and small values through two bounded intern caches.
 type Store struct {
 	shards map[string]*shard
 	// fallback holds non-conforming keys (full key as the suffix).
 	fallback *shard
 	// prefixes is the sorted shard-prefix list; nil after a shard is added.
 	prefixes []string
-	// names interns suffixes: a component name is stored once per server no
-	// matter how many directories (or tables) repeat it. The table is
-	// append-only — deleting every key carrying a name does not free it —
-	// which is the right trade for a metadata server whose working set of
-	// names recurs.
-	names map[string]string
-	// vals interns small values (≤ internValMax bytes, ≤ internValCap
-	// distinct): dentry records and freshly-created inodes repeat a handful
-	// of byte patterns across millions of keys.
-	vals map[string][]byte
+	// names caches suffixes: a component name that many directories (or
+	// tables) repeat is stored once while it holds its slot.
+	names [internSlots]string
+	// vals caches small values (≤ internValMax bytes): dentry records and
+	// freshly-created inodes repeat a handful of byte patterns across
+	// millions of keys.
+	vals [internSlots][]byte
 	n    int
 }
 
 // New creates an empty store.
 func New() *Store {
-	return &Store{
-		shards:   make(map[string]*shard),
-		fallback: newShard(),
-		names:    make(map[string]string),
-		vals:     make(map[string][]byte),
-	}
+	return &Store{shards: make(map[string]*shard), fallback: newShard()}
 }
 
 // Len returns the number of live keys.
@@ -100,36 +114,32 @@ func (s *Store) Len() int {
 	return s.n
 }
 
-// intern returns the canonical string for b, adding it to the name table on
-// first sight.
+// intern returns a string equal to b: the cached one on a hit, else a fresh
+// copy, which takes over b's slot.
 func (s *Store) intern(b []byte) string {
-	if v, ok := s.names[string(b)]; ok {
-		return v
+	slot := &s.names[internSlot(b)]
+	if *slot != string(b) {
+		*slot = string(b)
 	}
-	v := string(b)
-	s.names[v] = v
-	return v
+	return *slot
 }
 
-// internVal returns a stored copy of val, deduplicated when small. Stored
-// values are never mutated in place (Put installs a fresh value), so sharing
-// one slice across keys is safe — and for the same reason the intern table's
-// key is the stored copy itself, viewed as a string, not a second copy.
+// internVal returns a stored copy of val: for a small value, the cached one
+// on a hit, else a fresh copy, which takes over val's slot. Stored values are
+// never mutated in place (Put installs a fresh value), so sharing one slice
+// across keys is safe.
 func (s *Store) internVal(val []byte) []byte {
 	if len(val) == 0 {
 		return nil
 	}
-	if len(val) <= internValMax {
-		if v, ok := s.vals[string(val)]; ok {
-			return v
-		}
-		v := append([]byte(nil), val...)
-		if len(s.vals) < internValCap {
-			s.vals[unsafe.String(&v[0], len(v))] = v
-		}
-		return v
+	if len(val) > internValMax {
+		return append([]byte(nil), val...)
 	}
-	return append([]byte(nil), val...)
+	slot := &s.vals[internSlot(val)]
+	if !bytes.Equal(*slot, val) {
+		*slot = append([]byte(nil), val...)
+	}
+	return *slot
 }
 
 // lookup finds the shard and suffix for key without allocating. A nil shard
@@ -243,8 +253,8 @@ func (s *Store) Scan(prefix []byte, fn func(key, val []byte) bool) {
 
 // ScanNames is Scan for a caller that wants each key's suffix past the
 // prefix as a string — a directory's entry names — and may keep it: under a
-// group prefix the suffix is a substring of the store's interned name, so
-// nothing is copied. Values follow Scan's rules.
+// group prefix the suffix is a substring of the store's own copy of the
+// name, so nothing is copied. Values follow Scan's rules.
 func (s *Store) ScanNames(prefix []byte, fn func(name string, val []byte) bool) {
 	if conforming(prefix) {
 		sh, names := s.groupNames(prefix)
@@ -296,8 +306,7 @@ func (s *Store) Clear() {
 	s.shards = make(map[string]*shard)
 	s.fallback = newShard()
 	s.prefixes = nil
-	s.names = make(map[string]string)
-	s.vals = make(map[string][]byte)
+	s.names, s.vals = [internSlots]string{}, [internSlots][]byte{}
 	s.n = 0
 }
 

@@ -2,9 +2,12 @@ package kv
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -198,6 +201,29 @@ func BenchmarkPut(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Put(keys[i%len(keys)], keys[i%len(keys)])
 	}
+}
+
+// BenchmarkPutUnique puts unique names with unique inode-sized values into
+// one directory, the hotdir shape, and reports the live heap each entry adds.
+func BenchmarkPutUnique(b *testing.B) {
+	s := New()
+	key := make([]byte, groupLen, groupLen+24)
+	key[groupLen-1] = '/'
+	val := make([]byte, 89)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := strconv.AppendInt(append(key[:groupLen], 'f'), int64(i), 10)
+		binary.BigEndian.PutUint64(val, uint64(i))
+		s.Put(k, val)
+	}
+	b.StopTimer()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(s)
+	b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/float64(b.N), "heap-B/entry")
 }
 
 func BenchmarkGet(b *testing.B) {

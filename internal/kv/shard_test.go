@@ -1,12 +1,14 @@
 package kv_test
 
 // Tests for the sharded + interned representation behind the Store API:
-// group-shard routing, name/value interning, ordered merges across the
+// group-shard routing, the name and value intern caches, ordered merges across the
 // conforming/fallback split, and the O(1) group CountPrefix.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"switchfs/internal/core"
@@ -146,10 +148,11 @@ func TestValueInterningShares(t *testing.T) {
 	}
 }
 
-// TestInternKeyIsTheStoredCopy: the value table is keyed by the stored copy
-// itself. A caller that rewrites its slice after Put changes neither what Get
-// returns nor what later Puts intern against: the rewritten bytes intern as a
-// value of their own, and the original bytes still find the first copy.
+// TestInternKeyIsTheStoredCopy: the value cache holds the store's own copy,
+// never the caller's slice. A caller that rewrites its slice after Put
+// changes neither what Get returns nor what a later Put of the original bytes
+// shares: the rewritten bytes are a value of their own, and the original
+// bytes still find the first copy.
 func TestInternKeyIsTheStoredCopy(t *testing.T) {
 	s := kv.New()
 	buf := []byte("value-one")
@@ -171,6 +174,37 @@ func TestInternKeyIsTheStoredCopy(t *testing.T) {
 	}
 	if &v1[0] == &v2[0] || &v1[0] == &buf[0] || &v2[0] == &buf[0] {
 		t.Error("a stored value aliases another value or the caller's slice")
+	}
+}
+
+// TestInternCachesBounded: the intern caches retain no more than their
+// slots. Putting, then deleting, 100 000 unique names with unique inode-sized
+// values leaves the store holding at most 64 KiB more than an empty one: no
+// table keeps a name or a value for every key that ever passed through.
+func TestInternCachesBounded(t *testing.T) {
+	const n, budget = 100_000, 64 << 10
+	live := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	s := kv.New()
+	s.Put(schemaKey('i', dirID(1), "warm"), []byte("shard"))
+	before := live()
+	val := make([]byte, 90)
+	for i := 0; i < n; i++ {
+		k := schemaKey('i', dirID(1), fmt.Sprintf("name-%06d", i))
+		binary.BigEndian.PutUint64(val, uint64(i))
+		s.Put(k, val)
+		s.Delete(k)
+	}
+	after := live()
+	runtime.KeepAlive(s)
+	grown := int64(after) - int64(before)
+	t.Logf("store grew %d bytes over %d unique puts and deletes", grown, n)
+	if grown > budget {
+		t.Errorf("store retains %d bytes after %d unique puts and deletes, want at most %d", grown, n, budget)
 	}
 }
 

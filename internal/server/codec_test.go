@@ -2,8 +2,8 @@ package server
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -44,7 +44,8 @@ func sameInode(a, b *core.Inode) bool {
 // TestEncodersAppend: every WAL encoder appends its record to the buffer it
 // is handed, as the server's reused record buffer needs. For random values
 // each encoder leaves a non-empty prefix intact, and the decoders round-trip
-// what follows it.
+// what follows it. The first rows put ids, times, sources and transaction
+// ids at the uvarint edges; a delete's commit record carries no inode image.
 func TestEncodersAppend(t *testing.T) {
 	rnd := rand.New(rand.NewSource(11))
 	prefix := []byte("an earlier record")
@@ -57,20 +58,36 @@ func TestEncodersAppend(t *testing.T) {
 		}
 		return b[len(prefix):]
 	}
+	edges := []uint64{0, 127, 128, 1 << 14, 1<<63 - 1}
 	for i := 0; i < 500; i++ {
 		dir, e, in := randDirRef(rnd), randEntry(rnd), randInode(rnd)
+		src, txn := env.NodeID(rnd.Uint32()), uint64(i)
+		if i < len(edges) {
+			e.ID, e.Time, txn = edges[i], int64(edges[i]), edges[i]
+			src = env.NodeID(min(edges[i], math.MaxUint32))
+		}
 		key := core.Key{PID: dir.ID, Name: e.Name}
-		src := env.NodeID(rnd.Uint32())
 
-		b := rec("encodeCommit", func(b []byte) []byte { return encodeCommit(b, e.Op, key, dir, e, in) })
-		op, k2, d2, e2, in2, err := decodeCommit(b)
-		if err != nil || op != e.Op || k2 != key || d2 != dir || e2 != e || !sameInode(in2, in) {
-			t.Fatalf("commit round trip: %v %v %v %+v %+v %v", op, k2, d2, e2, in2, err)
+		for _, op := range []core.Op{e.Op, core.OpDelete} {
+			e := e
+			e.Op = op
+			b := rec("encodeCommit", func(b []byte) []byte { return encodeCommit(b, dir, e, in) })
+			k2, d2, e2, in2, err := decodeCommit(b)
+			if err != nil || k2 != key || d2 != dir || e2 != e {
+				t.Fatalf("commit round trip: %v %v %+v %v", k2, d2, e2, err)
+			}
+			if op == core.OpDelete {
+				if in2 != nil || len(b) != len(encodeEntry(nil, dir, e)) {
+					t.Fatalf("delete commit carries an inode image: %d bytes, %+v", len(b), in2)
+				}
+			} else if !sameInode(in2, in) {
+				t.Fatalf("commit round trip: inode %+v, want %+v", in2, in)
+			}
 		}
 
-		b = rec("encodeAggEntry", func(b []byte) []byte { return encodeAggEntry(b, src, dir, e) })
-		if d2, e2, rest := decodeEntry(b[8:]); env.NodeID(binary.BigEndian.Uint64(b)) != src || d2 != dir || e2 != e || len(rest) != 0 {
-			t.Fatalf("agg entry round trip: %v %+v (%d left)", d2, e2, len(rest))
+		b := rec("encodeAggEntry", func(b []byte) []byte { return encodeAggEntry(b, src, dir, e) })
+		if s2, d2, e2, err := decodeAggEntry(b); err != nil || s2 != src || d2 != dir || e2 != e {
+			t.Fatalf("agg entry round trip: %d %v %+v %v", s2, d2, e2, err)
 		}
 
 		for _, want := range []*core.Inode{in, nil} {
@@ -82,9 +99,33 @@ func TestEncodersAppend(t *testing.T) {
 		}
 
 		b = rec("encodeDentryRec", func(b []byte) []byte { return encodeDentryRec(b, dir.ID, e.Name, i%2 == 0, e.Type, e.Perm) })
-		if core.DirIDFromBytes(b) != dir.ID || (b[32] == 1) != (i%2 == 0) || core.FileType(b[33]) != e.Type ||
-			core.Perm(binary.BigEndian.Uint16(b[34:])) != e.Perm || string(b[36:]) != e.Name {
-			t.Fatalf("dentry record round trip: %q", b)
+		if d2, de, put, err := decodeDentryRec(b); err != nil || d2 != dir.ID || put != (i%2 == 0) ||
+			de != (core.DirEntry{Name: e.Name, Type: e.Type, Perm: e.Perm}) {
+			t.Fatalf("dentry record round trip: %v %+v %v %v", d2, de, put, err)
+		}
+
+		b = rec("encodeDelDentries", func(b []byte) []byte { return encodeDelDentries(b, dir.ID) })
+		if d2, err := decodeDelDentries(b); err != nil || d2 != dir.ID {
+			t.Fatalf("entry-list drop round trip: %v %v", d2, err)
+		}
+
+		b = rec("encodeMark", func(b []byte) []byte { return encodeMark(b, src, dir.ID, e.ID) })
+		if s2, d2, id, err := decodeMark(b); err != nil || s2 != src || d2 != dir.ID || id != e.ID {
+			t.Fatalf("watermark round trip: %d %v %d %v", s2, d2, id, err)
+		}
+
+		parts := make([]env.NodeID, rnd.Intn(4))
+		for j := range parts {
+			parts[j] = env.NodeID(rnd.Uint32())
+		}
+		b = rec("encodeTxnCommit", func(b []byte) []byte { return encodeTxnCommit(b, txn, parts) })
+		if txn2, parts2, err := decodeTxnCommit(b); err != nil || txn2 != txn || !slices.Equal(parts2, parts) {
+			t.Fatalf("2PC commit round trip: %d %v %v", txn2, parts2, err)
+		}
+
+		b = rec("encodeEvict", func(b []byte) []byte { return encodeEvict(b, dir.FP) })
+		if fp, err := decodeEvict(b); err != nil || fp != dir.FP {
+			t.Fatalf("eviction round trip: %v %v", fp, err)
 		}
 
 		ops := make([]wire.TxnOp, rnd.Intn(5))
@@ -95,10 +136,10 @@ func TestEncodersAppend(t *testing.T) {
 				ops[j].Inode = core.EncodeInode(randInode(rnd))
 			}
 		}
-		b = rec("encodeTxnPrepare", func(b []byte) []byte { return encodeTxnPrepare(b, uint64(i), src, ops) })
-		txn, coord, ops2 := decodeTxnPrepare(b)
-		if txn != uint64(i) || coord != src || len(ops2) != len(ops) {
-			t.Fatalf("txn prepare round trip: txn %d coord %d, %d ops", txn, coord, len(ops2))
+		b = rec("encodeTxnPrepare", func(b []byte) []byte { return encodeTxnPrepare(b, txn, src, ops) })
+		txn2, coord, ops2, err := decodeTxnPrepare(b)
+		if err != nil || txn2 != txn || coord != src || len(ops2) != len(ops) {
+			t.Fatalf("txn prepare round trip: txn %d coord %d, %d ops, %v", txn2, coord, len(ops2), err)
 		}
 		for j, op := range ops {
 			got := ops2[j]
@@ -106,6 +147,25 @@ func TestEncodersAppend(t *testing.T) {
 				t.Fatalf("txn op %d round trip: %+v, want %+v", j, got, op)
 			}
 		}
+	}
+}
+
+// TestCreateRecordBytes pins a create's log footprint, through the real
+// encoders: an 8-byte name created in directory d0 as entry 12 345 at t = 3 ms
+// logs its commit at the name's owner and its aggregation entry at d0's owner
+// in at most 290 bytes. (With every length and id 8 bytes wide, and the
+// commit repeating its key and op and stating the inode's length, the two
+// took 390.)
+func TestCreateRecordBytes(t *testing.T) {
+	d0 := core.DirRef{ID: core.DirID{7, 1, 2, 3}, Key: core.Key{PID: core.RootDirID, Name: "d0"}}
+	d0.FP = d0.Key.Fingerprint()
+	now := int64(3 * env.Millisecond)
+	e := core.LogEntry{ID: 12345, Time: now, Op: core.OpCreate, Name: "f0000001", Type: core.TypeRegular, Perm: core.DefaultFilePerm}
+	in := &core.Inode{Attr: core.Attr{Type: core.TypeRegular, Perm: core.DefaultFilePerm, Nlink: 1, Atime: now, Mtime: now, Ctime: now}}
+	commit, agg := len(encodeCommit(nil, d0, e, in)), len(encodeAggEntry(nil, 101, d0, e))
+	t.Logf("create: %d + %d = %d bytes logged", commit, agg, commit+agg)
+	if commit+agg > 290 {
+		t.Errorf("create logs %d + %d = %d bytes, want at most 290", commit, agg, commit+agg)
 	}
 }
 
@@ -124,10 +184,12 @@ func TestRecordBufferReuse(t *testing.T) {
 		name string
 		fn   func()
 	}{
-		{"encodeCommit", func() { s.walBuf = encodeCommit(s.walBuf[:0], e.Op, key, parent, e, in) }},
+		{"encodeCommit", func() { s.walBuf = encodeCommit(s.walBuf[:0], parent, e, in) }},
 		{"encodeAggEntry", func() { s.walBuf = encodeAggEntry(s.walBuf[:0], 3, parent, e) }},
 		{"encodeInodeRec", func() { s.walBuf = encodeInodeRec(s.walBuf[:0], key, in) }},
 		{"encodeDentryRec", func() { s.walBuf = encodeDentryRec(s.walBuf[:0], key.PID, key.Name, true, e.Type, e.Perm) }},
+		{"encodeMark", func() { s.walBuf = encodeMark(s.walBuf[:0], 3, key.PID, 7) }},
+		{"encodeTxnCommit", func() { s.walBuf = encodeTxnCommit(s.walBuf[:0], 9, []env.NodeID{100, 101}) }},
 		{"encodeTxnPrepare", func() { s.walBuf = encodeTxnPrepare(s.walBuf[:0], 9, 100, ops) }},
 	} {
 		c.fn() // the first record may grow the buffer
@@ -264,7 +326,7 @@ func BenchmarkEncodeCommit(b *testing.B) {
 	in := &core.Inode{Attr: core.Attr{Type: core.TypeRegular, Perm: 0o644, Nlink: 1}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		benchSink = encodeCommit(benchSink[:0], core.OpCreate, key, parent, e, in)
+		benchSink = encodeCommit(benchSink[:0], parent, e, in)
 	}
 }
 

@@ -37,12 +37,6 @@ import (
 //     a WAL record;
 //   - UnblockFP releases the gate and the destination serves.
 
-// recEvict marks a fingerprint group migrated away from this server: replay
-// must drop the group's records, or a restarted source would resurrect
-// inodes that now live (and have advanced) on another server. Payload: the
-// fingerprint, big-endian.
-const recEvict uint8 = 10
-
 // tallyFP counts one admitted client operation against its fingerprint group
 // — the balancer's view of directory heat in migration units. Call sites
 // tally only after admitFP succeeds: an op bounced with ErrRetry around a
@@ -227,7 +221,13 @@ func (s *Server) PreparedTxnOnFPInWAL(fp core.Fingerprint) bool {
 		if found || r.Kind != recTxnPrepare || r.Applied {
 			return nil
 		}
-		_, _, ops := decodeTxnPrepare(r.Payload)
+		_, _, ops, err := decodeTxnPrepare(r.Payload)
+		if err != nil {
+			// An unreadable prepare cannot be shown to spare the group (and
+			// leaves the server unrecoverable): hold the group where it is.
+			found = true
+			return nil
+		}
 		for _, op := range ops {
 			if opFP(op) == fp {
 				found = true
@@ -299,7 +299,7 @@ func (s *Server) StoredFingerprints() []core.Fingerprint {
 // a WAL record, and retires the group's owner-side timers and dirty marks.
 // Runs in the event that copied the group out (the source is FPQuiescent).
 func (s *Server) EvictMigrated(fp core.Fingerprint) {
-	s.walBuf = u64(s.walBuf[:0], uint64(fp))
+	s.walBuf = encodeEvict(s.walBuf[:0], fp)
 	mustAppend(s.wal, recEvict, s.walBuf)
 	s.evictFP(fp)
 	if t := s.quiesce[fp]; t != nil {

@@ -166,7 +166,7 @@ func (s *Server) handleMutate(p *env.Proc, _ *wire.Packet, req *wire.MutateReq) 
 		p.Compute(c.LogAppend)
 	}
 	entry.ID = s.ids.Next()
-	s.walBuf = encodeCommit(s.walBuf[:0], req.Op, key, req.Parent, entry, &in)
+	s.walBuf = encodeCommit(s.walBuf[:0], req.Parent, entry, &in)
 	lsn := mustAppend(s.wal, recCommit, s.walBuf)
 	s.storeInode(key, stored)
 

@@ -1,0 +1,369 @@
+package server
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+
+	"switchfs/internal/core"
+	"switchfs/internal/env"
+	"switchfs/internal/wire"
+)
+
+// WAL record kinds.
+const (
+	recCommit   uint8 = 1 // double-inode commit: inode mutation + clog entry
+	recAggEntry uint8 = 2 // change-log entry applied at the directory owner
+	recInode    uint8 = 3 // direct inode put/delete (sync ops, txns, mkdir)
+
+	// Dentry mutations performed outside the aggregation path (entry-list
+	// migration during directory rename).
+	recDentry      uint8 = 5 // put/delete one dentry
+	recDelDentries uint8 = 6 // drop a directory's whole entry list
+	// recMark persists an exactly-once watermark transferred with a
+	// migrated directory (§5.5): without it, a source re-pushing entries
+	// already applied at the previous owner would double-apply them here.
+	recMark uint8 = 7
+
+	// recTxnCommit persists a 2PC commit decision at the coordinator before
+	// the first decision packet leaves: a restarted coordinator must answer
+	// an in-doubt participant's status query with commit, never
+	// presumed-abort, for a transaction whose decision some participant may
+	// already have applied. recTxnPrepare persists a participant's prepared
+	// op set before its vote leaves: a restarted participant must still be
+	// able to apply a commit decided on that vote. Both are marked applied
+	// once resolved (full ack / decision received).
+	recTxnCommit  uint8 = 8
+	recTxnPrepare uint8 = 9
+
+	// recEvict marks a fingerprint group migrated away from this server:
+	// replay must drop the group's records, or a restarted source would
+	// resurrect inodes that now live (and have advanced) on another server.
+	recEvict uint8 = 10
+)
+
+// Record layouts. Every length, count, entry id, source id and timestamp is
+// a uvarint; directory ids take 32 bytes, fingerprints 8 and permissions 2,
+// big-endian. An inode image is core.AppendInode's and, last in its record,
+// runs to the end. No field is written twice: a commit's key is (parent id,
+// entry name) and its op the entry's, so its decoder derives both, and a
+// delete carries no inode image. Each kind's decoder sits next to its
+// encoder and returns an error for a payload it cannot parse, so a corrupt
+// log fail-stops the server (Recover) instead of panicking the process.
+
+var (
+	errShort    = errors.New("truncated field")
+	errTrailing = errors.New("trailing bytes")
+)
+
+// recReader reads one record's fields in order. The first read past the end,
+// or of a uvarint that overflows its field, sets err; every read after it
+// returns zero values, so a decoder checks err once, in end.
+type recReader struct {
+	b   []byte
+	err error
+}
+
+func (r *recReader) take(n uint64) []byte {
+	if r.err == nil && n > uint64(len(r.b)) {
+		r.err = errShort
+	}
+	if r.err != nil {
+		return nil
+	}
+	v := r.b[:n]
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *recReader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.b)
+	switch {
+	case n == 0:
+		r.err = errShort
+	case n < 0:
+		r.err = errors.New("uvarint overflow")
+	default:
+		r.b = r.b[n:]
+	}
+	return v
+}
+
+func (r *recReader) node() env.NodeID {
+	v := r.uvarint()
+	if v > math.MaxUint32 && r.err == nil {
+		r.err = errors.New("node id overflow")
+	}
+	return env.NodeID(v)
+}
+
+// fixed takes n ≤ 32 bytes, or past an error n zero bytes.
+func (r *recReader) fixed(n int) []byte {
+	if b := r.take(uint64(n)); r.err == nil {
+		return b
+	}
+	return zeros[:n]
+}
+
+var zeros [32]byte
+
+func (r *recReader) u8() byte { return r.fixed(1)[0] }
+
+func (r *recReader) u16() uint16 { return binary.BigEndian.Uint16(r.fixed(2)) }
+
+func (r *recReader) u64() uint64 { return binary.BigEndian.Uint64(r.fixed(8)) }
+
+func (r *recReader) dirID() core.DirID { return core.DirIDFromBytes(r.fixed(32)) }
+
+func (r *recReader) bytes() []byte { return r.take(r.uvarint()) }
+
+func (r *recReader) str() string { return string(r.bytes()) }
+
+func (r *recReader) key() core.Key {
+	return core.Key{PID: r.dirID(), Name: r.str()}
+}
+
+// rest takes every byte left.
+func (r *recReader) rest() []byte { return r.take(uint64(len(r.b))) }
+
+// inode reads the inode image that runs to the record's end.
+func (r *recReader) inode() *core.Inode {
+	b := r.rest()
+	if r.err != nil {
+		return nil
+	}
+	in, err := core.DecodeInode(b)
+	if err == nil && core.InodeSize(in) != len(b) {
+		err = errTrailing
+	}
+	r.err = err
+	return in
+}
+
+// end reports the first error, or bytes left over, as a corrupt record of
+// the named kind.
+func (r *recReader) end(kind string) error {
+	if r.err == nil && len(r.b) != 0 {
+		r.err = errTrailing
+	}
+	if r.err != nil {
+		return fmt.Errorf("server: corrupt %s record: %w", kind, r.err)
+	}
+	return nil
+}
+
+func appendStr(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+func appendKey(b []byte, k core.Key) []byte { return appendStr(k.PID.AppendBinary(b), k.Name) }
+
+// encodeEntry appends one change-log entry of dir: the body of a recAggEntry
+// record, the head of a recCommit record and the update of a prepared op.
+func encodeEntry(b []byte, dir core.DirRef, e core.LogEntry) []byte {
+	b = dir.ID.AppendBinary(b)
+	b = appendKey(b, dir.Key)
+	b = binary.BigEndian.AppendUint64(b, uint64(dir.FP))
+	b = binary.AppendUvarint(b, e.ID)
+	b = binary.AppendUvarint(b, uint64(e.Time))
+	b = append(b, byte(e.Op), byte(e.Type))
+	b = binary.BigEndian.AppendUint16(b, uint16(e.Perm))
+	return appendStr(b, e.Name)
+}
+
+// entry reads what encodeEntry wrote.
+func (r *recReader) entry() (dir core.DirRef, e core.LogEntry) {
+	dir.ID = r.dirID()
+	dir.Key = r.key()
+	dir.FP = core.Fingerprint(r.u64())
+	e.ID = r.uvarint()
+	e.Time = int64(r.uvarint())
+	e.Op = core.Op(r.u8())
+	e.Type = core.FileType(r.u8())
+	e.Perm = core.Perm(r.u16())
+	e.Name = r.str()
+	return dir, e
+}
+
+// encodeCommit appends a recCommit WAL record to b: the committed
+// double-inode operation's deferred parent update (§5.2.1 step 4) and,
+// unless the entry is a delete, the inode image the operation stored. The
+// operation's key is (parent.ID, entry.Name) and its op entry.Op.
+func encodeCommit(b []byte, parent core.DirRef, entry core.LogEntry, in *core.Inode) []byte {
+	b = encodeEntry(b, parent, entry)
+	if entry.Op != core.OpDelete {
+		b = core.AppendInode(b, in)
+	}
+	return b
+}
+
+// decodeCommit parses a recCommit record; in is nil for a delete.
+func decodeCommit(b []byte) (key core.Key, parent core.DirRef, entry core.LogEntry, in *core.Inode, err error) {
+	r := recReader{b: b}
+	parent, entry = r.entry()
+	if entry.Op != core.OpDelete {
+		in = r.inode()
+	}
+	return core.Key{PID: parent.ID, Name: entry.Name}, parent, entry, in, r.end("commit")
+}
+
+// encodeAggEntry appends a recAggEntry record to b: one change-log entry of
+// dir, received from src, about to be applied at the owner.
+func encodeAggEntry(b []byte, src env.NodeID, dir core.DirRef, e core.LogEntry) []byte {
+	return encodeEntry(binary.AppendUvarint(b, uint64(src)), dir, e)
+}
+
+// decodeAggEntry parses a recAggEntry record.
+func decodeAggEntry(b []byte) (src env.NodeID, dir core.DirRef, e core.LogEntry, err error) {
+	r := recReader{b: b}
+	src = r.node()
+	dir, e = r.entry()
+	return src, dir, e, r.end("aggregation entry")
+}
+
+// encodeInodeRec appends a recInode record to b: a direct inode put, or for
+// a nil inode a delete, which carries no image.
+func encodeInodeRec(b []byte, key core.Key, in *core.Inode) []byte {
+	b = appendKey(b, key)
+	if in != nil {
+		b = core.AppendInode(b, in)
+	}
+	return b
+}
+
+// decodeInodeRec parses a recInode record; in is nil for a delete.
+func decodeInodeRec(b []byte) (key core.Key, in *core.Inode, err error) {
+	r := recReader{b: b}
+	key = r.key()
+	if len(r.b) > 0 {
+		in = r.inode()
+	}
+	return key, in, r.end("inode")
+}
+
+// encodeDentryRec appends a recDentry record to b: the name runs to the end.
+func encodeDentryRec(b []byte, dir core.DirID, name string, put bool, t core.FileType, perm core.Perm) []byte {
+	b = dir.AppendBinary(b)
+	if put {
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
+	}
+	b = append(b, byte(t))
+	b = binary.BigEndian.AppendUint16(b, uint16(perm))
+	return append(b, name...)
+}
+
+// decodeDentryRec parses a recDentry record.
+func decodeDentryRec(b []byte) (dir core.DirID, e core.DirEntry, put bool, err error) {
+	r := recReader{b: b}
+	dir = r.dirID()
+	put = r.u8() == 1
+	e.Type = core.FileType(r.u8())
+	e.Perm = core.Perm(r.u16())
+	e.Name = string(r.rest())
+	return dir, e, put, r.end("dentry")
+}
+
+// encodeDelDentries appends a recDelDentries record to b.
+func encodeDelDentries(b []byte, dir core.DirID) []byte { return dir.AppendBinary(b) }
+
+// decodeDelDentries parses a recDelDentries record.
+func decodeDelDentries(b []byte) (core.DirID, error) {
+	r := recReader{b: b}
+	dir := r.dirID()
+	return dir, r.end("entry-list drop")
+}
+
+// encodeMark appends a recMark record to b: src's watermark id for dir.
+func encodeMark(b []byte, src env.NodeID, dir core.DirID, id uint64) []byte {
+	b = binary.AppendUvarint(b, uint64(src))
+	b = dir.AppendBinary(b)
+	return binary.AppendUvarint(b, id)
+}
+
+// decodeMark parses a recMark record.
+func decodeMark(b []byte) (src env.NodeID, dir core.DirID, id uint64, err error) {
+	r := recReader{b: b}
+	src = r.node()
+	dir = r.dirID()
+	id = r.uvarint()
+	return src, dir, id, r.end("watermark")
+}
+
+// encodeTxnCommit appends a recTxnCommit record to b: the transaction and,
+// to the end, its participants.
+func encodeTxnCommit(b []byte, txn uint64, parts []env.NodeID) []byte {
+	b = binary.AppendUvarint(b, txn)
+	for _, n := range parts {
+		b = binary.AppendUvarint(b, uint64(n))
+	}
+	return b
+}
+
+// decodeTxnCommit parses a recTxnCommit record.
+func decodeTxnCommit(b []byte) (txn uint64, parts []env.NodeID, err error) {
+	r := recReader{b: b}
+	txn = r.uvarint()
+	for r.err == nil && len(r.b) > 0 {
+		parts = append(parts, r.node())
+	}
+	return txn, parts, r.end("2PC commit")
+}
+
+// encodeTxnPrepare appends a prepared transaction's durable state to b: txn
+// id, coordinator, and the op list (checks already validated — only the
+// appliable ops matter to a restarted incarnation).
+func encodeTxnPrepare(b []byte, txn uint64, coord env.NodeID, ops []wire.TxnOp) []byte {
+	b = binary.AppendUvarint(b, txn)
+	b = binary.AppendUvarint(b, uint64(coord))
+	b = binary.AppendUvarint(b, uint64(len(ops)))
+	for _, op := range ops {
+		b = append(b, byte(op.Kind))
+		b = appendKey(b, op.Key)
+		b = append(binary.AppendUvarint(b, uint64(len(op.Inode))), op.Inode...)
+		b = encodeEntry(b, op.Dir, op.Entry)
+	}
+	return b
+}
+
+// decodeTxnPrepare parses a recTxnPrepare record.
+func decodeTxnPrepare(b []byte) (txn uint64, coord env.NodeID, ops []wire.TxnOp, err error) {
+	r := recReader{b: b}
+	txn = r.uvarint()
+	coord = r.node()
+	n := r.uvarint()
+	if n > uint64(len(r.b)) && r.err == nil {
+		r.err = errShort // every op takes at least its kind byte
+	}
+	if r.err == nil {
+		ops = make([]wire.TxnOp, 0, n)
+	}
+	for i := uint64(0); i < n && r.err == nil; i++ {
+		var op wire.TxnOp
+		op.Kind = wire.TxnKind(r.u8())
+		op.Key = r.key()
+		if in := r.bytes(); len(in) > 0 {
+			op.Inode = append([]byte(nil), in...)
+		}
+		op.Dir, op.Entry = r.entry()
+		ops = append(ops, op)
+	}
+	return txn, coord, ops, r.end("2PC prepare")
+}
+
+// encodeEvict appends a recEvict record to b.
+func encodeEvict(b []byte, fp core.Fingerprint) []byte {
+	return binary.BigEndian.AppendUint64(b, uint64(fp))
+}
+
+// decodeEvict parses a recEvict record.
+func decodeEvict(b []byte) (core.Fingerprint, error) {
+	r := recReader{b: b}
+	fp := core.Fingerprint(r.u64())
+	return fp, r.end("eviction")
+}

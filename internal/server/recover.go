@@ -2,7 +2,6 @@ package server
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -12,31 +11,6 @@ import (
 	"switchfs/internal/wal"
 	"switchfs/internal/wire"
 )
-
-// Additional WAL kinds for dentry mutations performed outside the
-// aggregation path (entry-list migration during directory rename).
-const (
-	recDentry      uint8 = 5 // put/delete one dentry
-	recDelDentries uint8 = 6 // drop a directory's whole entry list
-	// recMark persists an exactly-once watermark transferred with a
-	// migrated directory (§5.5): without it, a source re-pushing entries
-	// already applied at the previous owner would double-apply them here.
-	recMark uint8 = 7
-)
-
-// encodeDentryRec appends a recDentry record to b.
-func encodeDentryRec(b []byte, dir core.DirID, name string, put bool, t core.FileType, perm core.Perm) []byte {
-	b = dir.AppendBinary(b)
-	if put {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	b = append(b, byte(t))
-	b = binary.BigEndian.AppendUint16(b, uint16(perm))
-	b = append(b, name...)
-	return b
-}
 
 // Crash simulates a fail-stop: the node drops off the network and all
 // volatile state is lost — the parked requests with it. The WAL (stable
@@ -215,12 +189,12 @@ func (s *Server) replayWAL() (redoPlan, error) {
 	err := s.wal.Replay(func(r wal.Record) error {
 		switch r.Kind {
 		case recCommit:
-			op, key, parent, entry, in, err := decodeCommit(r.Payload)
+			key, parent, entry, in, err := decodeCommit(r.Payload)
 			if err != nil {
 				return err
 			}
 			plan.keyed(core.Hash64(key.PID, key.Name))
-			switch op {
+			switch entry.Op {
 			case core.OpCreate, core.OpMkdir:
 				s.storeInode(key, in)
 			case core.OpDelete, core.OpRmdir:
@@ -231,12 +205,14 @@ func (s *Server) replayWAL() (redoPlan, error) {
 				dl.log.Append(entry)
 				dl.walLSN[entry.ID] = r.LSN
 			}
-			if op == core.OpRmdir {
+			if entry.Op == core.OpRmdir {
 				s.addInval(in.ID)
 			}
 		case recAggEntry:
-			src := env.NodeID(binary.BigEndian.Uint64(r.Payload))
-			dir, entry, _ := decodeEntry(r.Payload[8:])
+			src, dir, entry, err := decodeAggEntry(r.Payload)
+			if err != nil {
+				return err
+			}
 			plan.keyed(core.Hash64(dir.ID, entry.Name))
 			s.redoAggEntry(src, dir, entry)
 		case recInode:
@@ -247,22 +223,26 @@ func (s *Server) replayWAL() (redoPlan, error) {
 			plan.keyed(core.Hash64(key.PID, key.Name))
 			s.storeInode(key, in)
 		case recDentry:
-			dir := core.DirIDFromBytes(r.Payload)
-			put := r.Payload[32] == 1
-			t := core.FileType(r.Payload[33])
-			perm := core.Perm(binary.BigEndian.Uint16(r.Payload[34:]))
-			name := string(r.Payload[36:])
-			plan.keyed(core.Hash64(dir, name))
-			s.putDentry(dir, core.DirEntry{Name: name, Type: t, Perm: perm}, put)
+			dir, e, put, err := decodeDentryRec(r.Payload)
+			if err != nil {
+				return err
+			}
+			plan.keyed(core.Hash64(dir, e.Name))
+			s.putDentry(dir, e, put)
 		case recMark:
-			src := env.NodeID(binary.BigEndian.Uint64(r.Payload))
-			dir := core.DirIDFromBytes(r.Payload[8:])
-			id := binary.BigEndian.Uint64(r.Payload[40:])
+			src, dir, id, err := decodeMark(r.Payload)
+			if err != nil {
+				return err
+			}
 			plan.keyed(core.Hash64(dir, "") ^ uint64(src))
 			s.setAppliedMark(src, dir, id)
 		case recDelDentries:
+			dir, err := decodeDelDentries(r.Payload)
+			if err != nil {
+				return err
+			}
 			plan.barrier()
-			s.delDentries(core.DirIDFromBytes(r.Payload), nil)
+			s.delDentries(dir, nil)
 		case recTxnCommit:
 			plan.barrier()
 			// A commit decision some participant may not have learned yet
@@ -271,27 +251,33 @@ func (s *Server) replayWAL() (redoPlan, error) {
 			// instead of presumed-abort, and queue it for re-delivery so the
 			// record can retire instead of replaying forever.
 			if !r.Applied {
-				txn := binary.BigEndian.Uint64(r.Payload)
-				s.txnWAL[txn] = r.LSN
-				var parts []env.NodeID
-				for off := 8; off+8 <= len(r.Payload); off += 8 {
-					parts = append(parts, env.NodeID(binary.BigEndian.Uint64(r.Payload[off:])))
+				txn, parts, err := decodeTxnCommit(r.Payload)
+				if err != nil {
+					return err
 				}
+				s.txnWAL[txn] = r.LSN
 				s.txnRedrive = append(s.txnRedrive, txnRedrive{txn: txn, parts: parts})
 			}
 		case recEvict:
+			fp, err := decodeEvict(r.Payload)
+			if err != nil {
+				return err
+			}
 			plan.barrier()
 			// The group migrated away: drop its records, or this restart
 			// would resurrect inodes that live (and have advanced) on the
 			// server the group moved to.
-			s.evictFP(core.Fingerprint(binary.BigEndian.Uint64(r.Payload)))
+			s.evictFP(fp)
 		case recTxnPrepare:
 			plan.barrier()
 			// A prepared, undecided transaction: this incarnation must hold
 			// its locks and be able to apply the (possibly already-decided)
 			// commit — rebuilt after replay by rearmPreparedTxns.
 			if !r.Applied {
-				txn, coord, ops := decodeTxnPrepare(r.Payload)
+				txn, coord, ops, err := decodeTxnPrepare(r.Payload)
+				if err != nil {
+					return err
+				}
 				s.txnRearm = append(s.txnRearm, txnRearm{txn: txn, coord: coord, ops: ops, lsn: r.LSN})
 			}
 		default:
@@ -415,9 +401,7 @@ type AppliedMark struct {
 // deduplicated at this owner.
 func (s *Server) InjectAppliedMark(src env.NodeID, dir core.DirID, id uint64, log bool) {
 	if log {
-		b := u64(s.walBuf[:0], uint64(src))
-		b = dir.AppendBinary(b)
-		s.walBuf = u64(b, id)
+		s.walBuf = encodeMark(s.walBuf[:0], src, dir, id)
 		mustAppend(s.wal, recMark, s.walBuf)
 	}
 	s.setAppliedMark(src, dir, id)

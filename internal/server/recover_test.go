@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -25,8 +26,10 @@ import (
 // directories, linking, chmod-ing; duplicating links, one group migration,
 // server 1 crashed and recovered), snapshotted mid-activity so every record
 // kind is present and commits, prepares and one decision are still unapplied.
-// Format: per server a big-endian u32 record count, then per record kind,
-// applied flag, u32 payload length, payload.
+// The payloads were written in an earlier record layout and transcoded once
+// to the one record.go defines; TestReplayEquivalence's digests and record
+// counts did not change. Format: per server a big-endian u32 record count,
+// then per record kind, applied flag, u32 payload length, payload.
 func loadWALs(t testing.TB) []*wal.Mem {
 	t.Helper()
 	b, err := os.ReadFile("testdata/faulty_run.wal")
@@ -148,7 +151,7 @@ type redoRecords struct{ log *wal.Mem }
 func (r redoRecords) commit(dir core.DirRef, name string) {
 	e := core.LogEntry{ID: uint64(r.log.Len() + 1), Op: core.OpCreate, Name: name, Type: core.TypeRegular}
 	in := &core.Inode{Attr: core.Attr{Type: core.TypeRegular, Nlink: 1}}
-	mustAppend(r.log, recCommit, encodeCommit(nil, core.OpCreate, core.Key{PID: dir.ID, Name: name}, dir, e, in))
+	mustAppend(r.log, recCommit, encodeCommit(nil, dir, e, in))
 }
 
 func (r redoRecords) aggEntry(src env.NodeID, dir core.DirRef, name string) {
@@ -165,10 +168,12 @@ func (r redoRecords) dentry(dir core.DirID, name string) {
 }
 
 func (r redoRecords) delDentries(dir core.DirID) {
-	mustAppend(r.log, recDelDentries, dir.AppendBinary(nil))
+	mustAppend(r.log, recDelDentries, encodeDelDentries(nil, dir))
 }
 
-func (r redoRecords) txnCommit(txn uint64) { mustAppend(r.log, recTxnCommit, u64(nil, txn)) }
+func (r redoRecords) txnCommit(txn uint64) {
+	mustAppend(r.log, recTxnCommit, encodeTxnCommit(nil, txn, nil))
+}
 
 // TestRedoLanes is the table test of the redo charge: which lane a record
 // takes is a pure function of the key it writes, records that span keys are
@@ -351,23 +356,52 @@ func TestRecoverChargesLongestLane(t *testing.T) {
 }
 
 // TestRecoverErrorFailStops: a log that cannot be replayed leaves the server
-// fail-stopped — nothing parked, nothing serving, node down.
+// fail-stopped — nothing parked, nothing serving, node down — whatever the
+// record kind that cannot be parsed: one row per kind, its payload cut inside
+// its fixed part, one uvarint that overflows, and one unknown kind. Recover
+// returns an error; no decoder panics.
 func TestRecoverErrorFailStops(t *testing.T) {
-	log := wal.NewMem()
-	mustAppend(log, 99, []byte("not a record"))
-	sim, s := newReplayServer(t, log, 4)
-	var err error
-	sim.Spawn(100, func(p *env.Proc) { err = s.Recover(p) })
-	sim.Run()
-	if err == nil {
-		t.Fatal("Recover replayed an unknown record kind")
-	}
-	if s.Serving() || !s.node.Down() || len(s.parked) != 0 {
-		t.Fatalf("after a failed Recover: serving=%v down=%v parked=%d", s.Serving(), s.node.Down(), len(s.parked))
-	}
-	s.handle(nil, 9000, &wire.Packet{Body: &wire.LookupReq{ReqCommon: wire.ReqCommon{RPC: 1, Client: 9000}}})
-	if len(s.parked) != 0 {
-		t.Fatal("a fail-stopped server parked a request")
+	dir := core.DirRef{ID: core.DirID{1, 2, 3, 4}, Key: core.Key{PID: core.RootDirID, Name: "d"}}
+	dir.FP = dir.Key.Fingerprint()
+	e := core.LogEntry{ID: 7, Time: 99, Op: core.OpCreate, Name: "f", Type: core.TypeRegular, Perm: 0o644}
+	key := core.Key{PID: dir.ID, Name: e.Name}
+	in := &core.Inode{Attr: core.Attr{Type: core.TypeRegular, Perm: 0o644, Nlink: 1}}
+	ops := []wire.TxnOp{{Kind: wire.TxnPutInode, Key: key, Inode: core.EncodeInode(in), Dir: dir, Entry: e}}
+	for _, c := range []struct {
+		name    string
+		kind    uint8
+		payload []byte
+	}{
+		{"unknown kind", 99, []byte("not a record")},
+		{"commit cut in its directory", recCommit, encodeCommit(nil, dir, e, in)[:40]},
+		{"aggregation entry cut in its directory", recAggEntry, encodeAggEntry(nil, 3, dir, e)[:20]},
+		{"inode cut in its key", recInode, encodeInodeRec(nil, key, in)[:10]},
+		{"dentry cut in its flags", recDentry, encodeDentryRec(nil, dir.ID, e.Name, true, e.Type, e.Perm)[:33]},
+		{"entry-list drop cut in its directory", recDelDentries, encodeDelDentries(nil, dir.ID)[:16]},
+		{"watermark cut in its directory", recMark, encodeMark(nil, 3, dir.ID, 9)[:20]},
+		{"2PC commit cut in its transaction id", recTxnCommit, encodeTxnCommit(nil, 1<<20, []env.NodeID{100})[:1]},
+		{"eviction cut in its fingerprint", recEvict, encodeEvict(nil, dir.FP)[:4]},
+		{"2PC prepare cut in its op", recTxnPrepare, encodeTxnPrepare(nil, 9, 100, ops)[:10]},
+		{"uvarint overflow", recMark, bytes.Repeat([]byte{0xff}, 11)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			log := wal.NewMem()
+			mustAppend(log, c.kind, c.payload)
+			sim, s := newReplayServer(t, log, 4)
+			var err error
+			sim.Spawn(100, func(p *env.Proc) { err = s.Recover(p) })
+			sim.Run()
+			if err == nil {
+				t.Fatal("Recover replayed the record")
+			}
+			if s.Serving() || !s.node.Down() || len(s.parked) != 0 {
+				t.Fatalf("after a failed Recover: serving=%v down=%v parked=%d", s.Serving(), s.node.Down(), len(s.parked))
+			}
+			s.handle(nil, 9000, &wire.Packet{Body: &wire.LookupReq{ReqCommon: wire.ReqCommon{RPC: 1, Client: 9000}}})
+			if len(s.parked) != 0 {
+				t.Fatal("a fail-stopped server parked a request")
+			}
+		})
 	}
 }
 

@@ -7,7 +7,6 @@ package server
 
 import (
 	"cmp"
-	"encoding/binary"
 	"slices"
 	"sort"
 	"strings"
@@ -810,71 +809,4 @@ func (s *Server) setAppliedMark(src env.NodeID, dir core.DirID, id uint64) {
 	if s.applied[appliedKey{src: src, dir: dir}] < id {
 		s.applied[appliedKey{src: src, dir: dir}] = id
 	}
-}
-
-// --- WAL record encoding ----------------------------------------------------
-
-// WAL record kinds.
-const (
-	recCommit   uint8 = 1 // double-inode commit: inode mutation + clog entry
-	recAggEntry uint8 = 2 // change-log entry applied at the directory owner
-	recInode    uint8 = 3 // direct inode put/delete (sync ops, txns, mkdir)
-)
-
-// recTxnCommit (kind 8, see recover.go for kinds 5–7) persists a 2PC commit
-// decision at the coordinator before the first decision packet leaves: a
-// restarted coordinator must answer an in-doubt participant's status query
-// with commit, never presumed-abort, for a transaction whose decision some
-// participant may already have applied. recTxnPrepare persists a
-// participant's prepared op set before its vote leaves: a restarted
-// participant must still be able to apply a commit decided on that vote.
-// Both are marked applied once resolved (full ack / decision received).
-const (
-	recTxnCommit  uint8 = 8
-	recTxnPrepare uint8 = 9
-)
-
-func u64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
-
-func encodeEntry(b []byte, dir core.DirRef, e core.LogEntry) []byte {
-	b = dir.ID.AppendBinary(b)
-	b = dir.Key.PID.AppendBinary(b)
-	b = u64(b, uint64(len(dir.Key.Name)))
-	b = append(b, dir.Key.Name...)
-	b = u64(b, uint64(dir.FP))
-	b = u64(b, e.ID)
-	b = u64(b, uint64(e.Time))
-	b = append(b, byte(e.Op), byte(e.Type))
-	b = binary.BigEndian.AppendUint16(b, uint16(e.Perm))
-	b = u64(b, uint64(len(e.Name)))
-	b = append(b, e.Name...)
-	return b
-}
-
-func decodeEntry(b []byte) (core.DirRef, core.LogEntry, []byte) {
-	var ref core.DirRef
-	var e core.LogEntry
-	ref.ID = core.DirIDFromBytes(b)
-	b = b[32:]
-	ref.Key.PID = core.DirIDFromBytes(b)
-	b = b[32:]
-	n := binary.BigEndian.Uint64(b)
-	b = b[8:]
-	ref.Key.Name = string(b[:n])
-	b = b[n:]
-	ref.FP = core.Fingerprint(binary.BigEndian.Uint64(b))
-	b = b[8:]
-	e.ID = binary.BigEndian.Uint64(b)
-	b = b[8:]
-	e.Time = int64(binary.BigEndian.Uint64(b))
-	b = b[8:]
-	e.Op = core.Op(b[0])
-	e.Type = core.FileType(b[1])
-	e.Perm = core.Perm(binary.BigEndian.Uint16(b[2:]))
-	b = b[4:]
-	n = binary.BigEndian.Uint64(b)
-	b = b[8:]
-	e.Name = string(b[:n])
-	b = b[n:]
-	return ref, e, b
 }

@@ -33,13 +33,13 @@ func TestCommitRecordRoundTrip(t *testing.T) {
 	in := &core.Inode{Attr: core.Attr{Type: core.TypeRegular, Perm: 0o644, Nlink: 1}}
 	key := core.Key{PID: parent.ID, Name: "f"}
 
-	payload := encodeCommit(nil, core.OpCreate, key, parent, entry, in)
-	op, gotKey, gotParent, gotEntry, gotIn, err := decodeCommit(payload)
+	payload := encodeCommit(nil, parent, entry, in)
+	gotKey, gotParent, gotEntry, gotIn, err := decodeCommit(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if op != core.OpCreate || gotKey != key || gotParent != parent || gotEntry != entry {
-		t.Fatalf("round trip mismatch: op=%v key=%v parent=%v entry=%+v", op, gotKey, gotParent, gotEntry)
+	if gotKey != key || gotParent != parent || gotEntry != entry {
+		t.Fatalf("round trip mismatch: key=%v parent=%v entry=%+v", gotKey, gotParent, gotEntry)
 	}
 	if gotIn.Attr != in.Attr {
 		t.Fatalf("inode attr mismatch: %+v", gotIn.Attr)
@@ -47,7 +47,7 @@ func TestCommitRecordRoundTrip(t *testing.T) {
 }
 
 func TestCommitRecordRejectsGarbage(t *testing.T) {
-	if _, _, _, _, _, err := decodeCommit([]byte{1, 2}); err == nil {
+	if _, _, _, _, err := decodeCommit([]byte{1, 2}); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }
@@ -62,9 +62,9 @@ func TestEntryRecordRoundTrip(t *testing.T) {
 			FP:  core.FingerprintOf(core.RootDirID, "d")}
 		e := core.LogEntry{ID: id, Time: int64(tm % (1 << 60)), Op: core.OpDelete,
 			Name: name, Type: core.TypeRegular, Perm: 0o600}
-		b := encodeEntry(nil, ref, e)
-		gotRef, gotE, rest := decodeEntry(b)
-		return gotRef == ref && gotE == e && len(rest) == 0
+		r := recReader{b: encodeEntry(nil, ref, e)}
+		gotRef, gotE := r.entry()
+		return gotRef == ref && gotE == e && r.end("entry") == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"cmp"
-	"encoding/binary"
 	"slices"
 
 	"switchfs/internal/core"
@@ -439,10 +438,7 @@ func (s *Server) recordCommit(p *env.Proc, id uint64, parts []env.NodeID) wal.LS
 	// lands, queries see txnVotes and answer Pending.
 	wsp := s.cfg.Trace.Start(p, "wal:txn-commit", "server")
 	p.Compute(s.cfg.Costs.WALAppend)
-	s.walBuf = u64(s.walBuf[:0], id)
-	for _, n := range parts {
-		s.walBuf = u64(s.walBuf, uint64(n))
-	}
+	s.walBuf = encodeTxnCommit(s.walBuf[:0], id, parts)
 	rec := mustAppend(s.wal, recTxnCommit, s.walBuf)
 	s.txnWAL[id] = rec
 	wsp.End()
@@ -756,52 +752,6 @@ func (s *Server) lockTxnKeys(p *env.Proc, buf []*keyLock, ops []wire.TxnOp, chec
 	return held
 }
 
-// encodeTxnPrepare appends a prepared transaction's durable state to b: txn
-// id, coordinator, and the op list (checks already validated — only the
-// appliable ops matter to a restarted incarnation).
-func encodeTxnPrepare(b []byte, txn uint64, coord env.NodeID, ops []wire.TxnOp) []byte {
-	b = u64(b, txn)
-	b = u64(b, uint64(coord))
-	b = u64(b, uint64(len(ops)))
-	for _, op := range ops {
-		b = append(b, byte(op.Kind))
-		b = u64(b, uint64(op.Key.EncodedLen()))
-		b = op.Key.AppendTo(b)
-		b = u64(b, uint64(len(op.Inode)))
-		b = append(b, op.Inode...)
-		b = encodeEntry(b, op.Dir, op.Entry)
-	}
-	return b
-}
-
-func decodeTxnPrepare(b []byte) (txn uint64, coord env.NodeID, ops []wire.TxnOp) {
-	txn = binary.BigEndian.Uint64(b)
-	coord = env.NodeID(binary.BigEndian.Uint64(b[8:]))
-	n := binary.BigEndian.Uint64(b[16:])
-	b = b[24:]
-	ops = make([]wire.TxnOp, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var op wire.TxnOp
-		op.Kind = wire.TxnKind(b[0])
-		b = b[1:]
-		kl := binary.BigEndian.Uint64(b)
-		b = b[8:]
-		if key, err := core.DecodeKey(b[:kl]); err == nil {
-			op.Key = key
-		}
-		b = b[kl:]
-		il := binary.BigEndian.Uint64(b)
-		b = b[8:]
-		if il > 0 {
-			op.Inode = append([]byte(nil), b[:il]...)
-		}
-		b = b[il:]
-		op.Dir, op.Entry, b = decodeEntry(b)
-		ops = append(ops, op)
-	}
-	return txn, coord, ops
-}
-
 // rearmPreparedTxns rebuilds the in-doubt participant state replayed from
 // the WAL (§5.4.2 extension): re-acquire the key locks, replay the recorded
 // vote for retransmitted prepares, and arm the termination monitor. Runs on
@@ -865,7 +815,7 @@ func (s *Server) handleTxnDecision(p *env.Proc, _ *wire.Packet, td *wire.TxnDeci
 					Name: op.Entry.Name, Type: op.Entry.Type, Perm: op.Entry.Perm}, true)
 			case wire.TxnDelDentries:
 				p.Compute(c.WALAppend)
-				s.walBuf = op.Dir.ID.AppendBinary(s.walBuf[:0])
+				s.walBuf = encodeDelDentries(s.walBuf[:0], op.Dir.ID)
 				mustAppend(s.wal, recDelDentries, s.walBuf)
 				s.delDentries(op.Dir.ID, func(n int) { p.Compute(env.Duration(n) * c.KVDel) })
 			}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"switchfs/internal/core"
@@ -138,92 +137,4 @@ func (s *Server) applyDentry(id core.DirID, e core.LogEntry) {
 	case core.OpDelete, core.OpRmdir:
 		s.putDentry(id, core.DirEntry{Name: e.Name}, false)
 	}
-}
-
-// encodeCommit appends a recCommit WAL record to b: the committed
-// double-inode operation, its inode image, and the deferred parent update
-// (§5.2.1 step 4).
-func encodeCommit(b []byte, op core.Op, key core.Key, parent core.DirRef,
-	entry core.LogEntry, in *core.Inode) []byte {
-
-	b = append(b, byte(op))
-	b = key.PID.AppendBinary(b)
-	b = u64(b, uint64(len(key.Name)))
-	b = append(b, key.Name...)
-	b = u64(b, uint64(core.InodeSize(in)))
-	b = core.AppendInode(b, in)
-	return encodeEntry(b, parent, entry)
-}
-
-// encodeAggEntry appends a recAggEntry record to b: one change-log entry of
-// dir, received from src, about to be applied at the owner.
-func encodeAggEntry(b []byte, src env.NodeID, dir core.DirRef, e core.LogEntry) []byte {
-	b = u64(b, uint64(src))
-	return encodeEntry(b, dir, e)
-}
-
-// decodeCommit parses a recCommit record.
-func decodeCommit(b []byte) (op core.Op, key core.Key, parent core.DirRef,
-	entry core.LogEntry, in *core.Inode, err error) {
-
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("server: corrupt commit record: %v", r)
-		}
-	}()
-	op = core.Op(b[0])
-	b = b[1:]
-	key.PID = core.DirIDFromBytes(b)
-	b = b[32:]
-	n := binary.BigEndian.Uint64(b)
-	b = b[8:]
-	key.Name = string(b[:n])
-	b = b[n:]
-	n = binary.BigEndian.Uint64(b)
-	b = b[8:]
-	in, err = core.DecodeInode(b[:n])
-	if err != nil {
-		return
-	}
-	b = b[n:]
-	parent, entry, _ = decodeEntry(b)
-	return
-}
-
-// encodeInodeRec appends a recInode record to b: a direct inode put (nil
-// inode means delete).
-func encodeInodeRec(b []byte, key core.Key, in *core.Inode) []byte {
-	if in == nil {
-		b = append(b, 0)
-	} else {
-		b = append(b, 1)
-	}
-	b = key.PID.AppendBinary(b)
-	b = u64(b, uint64(len(key.Name)))
-	b = append(b, key.Name...)
-	if in != nil {
-		b = core.AppendInode(b, in)
-	}
-	return b
-}
-
-// decodeInodeRec parses a recInode record.
-func decodeInodeRec(b []byte) (key core.Key, in *core.Inode, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("server: corrupt inode record: %v", r)
-		}
-	}()
-	put := b[0] == 1
-	b = b[1:]
-	key.PID = core.DirIDFromBytes(b)
-	b = b[32:]
-	n := binary.BigEndian.Uint64(b)
-	b = b[8:]
-	key.Name = string(b[:n])
-	b = b[n:]
-	if put {
-		in, err = core.DecodeInode(b)
-	}
-	return
 }
