@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: verify fmt vet build test bench bench-layers figures lint race clean detlint detlint-report bench-compare bench-baseline sweep-wide
+.PHONY: verify fmt vet build test bench bench-layers figures lint race clean detlint detlint-report bench-compare bench-baseline sweep-wide sweep-check
 
 verify: fmt vet build test
 
@@ -60,14 +60,29 @@ bench-baseline:
 	@mkdir -p bin
 	$(GO) run ./cmd/fsbench -fig gated -scale tiny -trace bin/trace-baseline.json -format json -out bench/baseline.json
 
-# sweep-wide runs the lincheck sweeps at 1 024 seeds each and prints the
-# failing (mode, seed) lines, sorted, on stdout and their count on stderr. It
-# is not a gate. To compare two trees, save each list
-# (`make -s sweep-wide > after.txt`) and diff them with `comm`.
+# SWEEP_WIDE runs the lincheck sweeps at 1 024 seeds each; SWEEP_LINES turns
+# its output into the failing (mode, seed) lines, sorted.
+SWEEP_WIDE = LINCHECK_SEEDS=1024 $(GO) test -count=1 -run TestSweep ./internal/lincheck
+SWEEP_LINES = sed -nE 's/^.*_test\.go:[0-9]+: (.* seed [0-9]+)( failed:|: [0-9]+ divergences).*/\1/p' | sort -u
+
+# sweep-wide prints the failing lines on stdout and their count on stderr. To
+# compare two trees, save each list (`make -s sweep-wide > after.txt`) and
+# diff them with `comm`.
 sweep-wide:
-	@LINCHECK_SEEDS=1024 $(GO) test -count=1 -run TestSweep ./internal/lincheck 2>&1 \
-		| sed -nE 's/^.*_test\.go:[0-9]+: (.* seed [0-9]+)( failed:|: [0-9]+ divergences).*/\1/p' \
-		| sort -u | awk '{ print } END { print NR " failing lines" > "/dev/stderr" }'
+	@$(SWEEP_WIDE) 2>&1 | $(SWEEP_LINES) \
+		| awk '{ print } END { print NR " failing lines" > "/dev/stderr" }'
+
+# sweep-check is the wide sweep as a gate (CI's sweep job; not tier-1): the
+# failing lines must equal internal/lincheck/testdata/sweep-wide.txt, so a
+# new failure fails it, and so does a fixed one whose line is still listed —
+# a fix removes its lines from the file. A sweep that does not build or that
+# panics fails it too, rather than print no lines.
+sweep-check:
+	@mkdir -p bin
+	@$(SWEEP_WIDE) > bin/sweep-wide.log 2>&1; \
+	if grep -qE '^panic:|\[(build|setup) failed\]' bin/sweep-wide.log; then \
+		cat bin/sweep-wide.log; exit 1; fi; \
+	cat bin/sweep-wide.log | $(SWEEP_LINES) | diff -u internal/lincheck/testdata/sweep-wide.txt -
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

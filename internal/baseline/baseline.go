@@ -93,13 +93,12 @@ func New(e *env.Sim, opts Options) *Cluster {
 	c := &Cluster{EnvH: e, Opts: opts, idgen: core.NewIDGen(0xBA5E)}
 	for i := 0; i < opts.Servers; i++ {
 		s := &bserver{
-			c:        c,
-			id:       serverBase + env.NodeID(i),
-			kv:       kv.New(),
-			locks:    make(map[core.DirID]*env.RWMutex),
-			calls:    make(map[uint64]*env.Future),
-			inflight: make(map[reqKey]bool),
-			served:   rpc.NewWindow[reqKey, any](4096),
+			c:      c,
+			id:     serverBase + env.NodeID(i),
+			kv:     kv.New(),
+			locks:  make(map[core.DirID]*env.RWMutex),
+			calls:  make(map[uint64]*env.Future),
+			served: rpc.NewWindow[reqKey, any](4096),
 		}
 		e.AddNode(s.id, env.NodeConfig{Cores: opts.CoresPerServer, Handler: s.handle})
 		c.servers = append(c.servers, s)

@@ -30,13 +30,17 @@ func (cl *bclient) handle(p *env.Proc, from env.NodeID, msg any) {
 	}
 }
 
+// call performs a retried request and returns the reply with its errno as
+// the error (ErrTimeout when no reply came).
 func (cl *bclient) call(p *env.Proc, to env.NodeID, build func(rpc uint64) any) (*bresp, error) {
 	cl.rpcs++
 	rpc := uint64(cl.id)<<40 | cl.rpcs
-	if v, ok := retry(p, cl.calls, rpc, to, build(rpc), 64, cl.c.Opts.RetryTimeout); ok {
-		return v.(*bresp), nil
+	v, ok := retry(p, cl.calls, rpc, to, build(rpc), 64, cl.c.Opts.RetryTimeout)
+	if !ok {
+		return nil, core.ErrTimeout
 	}
-	return nil, core.ErrTimeout
+	resp := v.(*bresp)
+	return resp, resp.Err.Err()
 }
 
 // retry sends msg to to until a reply, registered in calls under rpc, reaches
@@ -87,9 +91,6 @@ func (cl *bclient) resolve(p *env.Proc, path string) (core.DirID, string, string
 		if err != nil {
 			return core.DirID{}, "", "", err
 		}
-		if resp.Err != core.ErrnoOK {
-			return core.DirID{}, "", "", resp.Err.Err()
-		}
 		cl.cache[walked] = resp.Dir
 		cur = resp.Dir
 	}
@@ -113,13 +114,9 @@ func (cl *bclient) do(p *env.Proc, op core.Op, path string) (*bresp, error) {
 	if (op == core.OpStatDir || op == core.OpReadDir) && path == "/" {
 		// The root needs no resolution (it is pre-cached as "/").
 		owner := cl.c.ownerForDirID(core.RootDirID, "/")
-		resp, err := cl.call(p, owner.id, func(rpc uint64) any {
+		return cl.call(p, owner.id, func(rpc uint64) any {
 			return &breq{RPC: rpc, From: cl.id, Op: op, Dir: core.RootDirID, DirPath: "/"}
 		})
-		if err != nil {
-			return nil, err
-		}
-		return resp, resp.Err.Err()
 	}
 	dir, name, dirPath, err := cl.resolve(p, path)
 	if err != nil {
@@ -139,20 +136,13 @@ func (cl *bclient) do(p *env.Proc, op core.Op, path string) (*bresp, error) {
 			if err != nil {
 				return nil, err
 			}
-			if resp.Err != core.ErrnoOK {
-				return nil, resp.Err.Err()
-			}
 			id = resp.Dir
 			cl.cache[path] = id
 		}
 		owner = cl.c.ownerForDirID(id, path)
-		resp, err := cl.call(p, owner.id, func(rpc uint64) any {
+		return cl.call(p, owner.id, func(rpc uint64) any {
 			return &breq{RPC: rpc, From: cl.id, Op: op, Dir: id, DirPath: path}
 		})
-		if err != nil {
-			return nil, err
-		}
-		return resp, resp.Err.Err()
 	case core.OpMkdir:
 		newID := cl.c.nextID()
 		owner = cl.c.ownerForDirID(dir, dirPath)
@@ -160,13 +150,10 @@ func (cl *bclient) do(p *env.Proc, op core.Op, path string) (*bresp, error) {
 			return &breq{RPC: rpc, From: cl.id, Op: op, Dir: dir, DirPath: dirPath,
 				Name: name, NewDir: newID}
 		})
-		if err != nil {
-			return nil, err
-		}
-		if resp.Err == core.ErrnoOK {
+		if err == nil {
 			cl.cache[path] = resp.Dir
 		}
-		return resp, resp.Err.Err()
+		return resp, err
 	case core.OpRmdir:
 		owner = cl.c.ownerForDirID(dir, dirPath)
 	case core.OpCreate, core.OpDelete:
@@ -174,13 +161,9 @@ func (cl *bclient) do(p *env.Proc, op core.Op, path string) (*bresp, error) {
 	default: // stat/open/close/chmod
 		owner = cl.c.fileServerForPath(dir, name, dirPath)
 	}
-	resp, err := cl.call(p, owner.id, func(rpc uint64) any {
+	return cl.call(p, owner.id, func(rpc uint64) any {
 		return &breq{RPC: rpc, From: cl.id, Op: op, Dir: dir, DirPath: dirPath, Name: name}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return resp, resp.Err.Err()
 }
 
 // --- fsapi.FS -----------------------------------------------------------------
@@ -287,15 +270,12 @@ func (cl *bclient) twoPath(p *env.Proc, op core.Op, src, dst string) error {
 		return err
 	}
 	owner := cl.c.fileServerForPath(sdir, sname, sdirPath)
-	resp, err := cl.call(p, owner.id, func(rpc uint64) any {
+	_, err = cl.call(p, owner.id, func(rpc uint64) any {
 		return &breq{RPC: rpc, From: cl.id, Op: op,
 			Dir: sdir, DirPath: sdirPath, Name: sname,
 			Dir2: ddir, Dir2Path: ddirPath, Name2: dname}
 	})
-	if err != nil {
-		return err
-	}
-	return resp.Err.Err()
+	return err
 }
 
 func (cl *bclient) Rename(p *env.Proc, src, dst string) error {

@@ -10,8 +10,9 @@ import (
 
 // TestLinkRuleDupReorderPreservesDedup mirrors the SwitchFS-side test in
 // internal/cluster: per-link duplication and reorder on every client↔server
-// link must not re-execute mutations on the baseline servers (their
-// inflight/served RPC cache provides exactly-once effects).
+// and server↔server link must not re-execute mutations on the baseline
+// servers (every request, a client's or a peer's sub-operation, passes the
+// served window's Admit, which provides exactly-once effects).
 func TestLinkRuleDupReorderPreservesDedup(t *testing.T) {
 	for _, mode := range []Mode{InfiniFS, CFS} {
 		mode := mode
@@ -21,6 +22,11 @@ func TestLinkRuleDupReorderPreservesDedup(t *testing.T) {
 			for i := 0; i < c.Opts.Servers; i++ {
 				sim.Net().SetLink(c.ClientNode(0), c.ServerNode(i), rule)
 				sim.Net().SetLink(c.ServerNode(i), c.ClientNode(0), rule)
+				for j := 0; j < c.Opts.Servers; j++ {
+					if j != i {
+						sim.Net().SetLink(c.ServerNode(i), c.ServerNode(j), rule)
+					}
+				}
 			}
 			run(sim, c, func(p *env.Proc, fs fsapi.FS) {
 				if err := fs.Mkdir(p, "/d"); err != nil {

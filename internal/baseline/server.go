@@ -94,46 +94,24 @@ type bserver struct {
 	locks map[core.DirID]*env.RWMutex
 	calls map[uint64]*env.Future
 	rpcs  uint64
-	// inflight/served dedup client retransmissions, like the real systems'
-	// RPC stacks (and SwitchFS's §5.4.1 cache): a duplicate of a request
-	// still executing is dropped (the original's response answers it), and
-	// a duplicate of an answered request replays the cached response.
-	// Without this, a contended directory turns retransmission rounds into
-	// extra serialized work: the queue (and the parked-process population)
-	// grows without bound and the run crawls. served holds the last 4 096
-	// answered requests.
-	inflight map[reqKey]bool
-	served   *rpc.Window[reqKey, any]
+	// served dedups client and peer retransmissions, like the real systems'
+	// RPC stacks (and SwitchFS's §5.4.1 cache): every request passes
+	// served.Admit in handle, so a duplicate of a request still executing
+	// is dropped (the original's response answers it), and a duplicate of
+	// an answered request replays the cached response. Without this, a
+	// contended directory turns retransmission rounds into extra serialized
+	// work: the queue (and the parked-process population) grows without
+	// bound and the run crawls. served holds the last 4 096 requests.
+	served *rpc.Window[reqKey, any]
 	// ops counts executed (non-duplicate) client requests, for the
 	// per-server tallies figures carry.
 	ops uint64
 }
 
-// reqKey identifies a client request across retransmissions.
+// reqKey identifies a request, a client's or a peer's, across retransmissions.
 type reqKey struct {
 	from env.NodeID
 	rpc  uint64
-}
-
-// beginReq registers a request execution. It returns (nil, false) for a
-// fresh request, (resp, true) for a duplicate of an answered one (the
-// caller replays resp — this keeps clients alive under response loss),
-// and (nil, true) for a duplicate still in flight (dropped).
-func (s *bserver) beginReq(k reqKey) (any, bool) {
-	if resp, _, ok := s.served.Get(k); ok {
-		return resp, true
-	}
-	if s.inflight[k] {
-		return nil, true
-	}
-	s.inflight[k] = true
-	return nil, false
-}
-
-// endReq retires an execution and its response into the served window.
-func (s *bserver) endReq(k reqKey, resp any) {
-	delete(s.inflight, k)
-	s.served.Put(k, resp)
 }
 
 func (s *bserver) lockOf(id core.DirID) *env.RWMutex {
@@ -145,44 +123,43 @@ func (s *bserver) lockOf(id core.DirID) *env.RWMutex {
 	return l
 }
 
-// call performs a retried server-to-server RPC.
-func (s *bserver) call(p *env.Proc, to env.NodeID, build func(rpc uint64) any) *bsubResp {
+// call performs a retried server-to-server RPC and returns the reply's errno
+// (ErrnoUnavailable when no reply came).
+func (s *bserver) call(p *env.Proc, to env.NodeID, build func(rpc uint64) any) core.Errno {
 	s.rpcs++
 	rpc := uint64(s.id)<<40 | s.rpcs
 	if v, ok := retry(p, s.calls, rpc, to, build(rpc), 64, s.c.Opts.RetryTimeout); ok {
-		return v.(*bsubResp)
+		return v.(*bsubResp).Err
 	}
-	return &bsubResp{RPC: rpc, Err: core.ErrnoUnavailable}
+	return core.ErrnoUnavailable
 }
 
-// handle dispatches baseline messages.
+// handle dispatches baseline messages, and it is the one place a server
+// answers a request: a client request or a peer's sub-operation passes the
+// replay-or-begin step (rpc.Window.Admit) before any CPU is charged — a
+// duplicate would otherwise queue on the cores and the directory lock
+// behind the original — and its handler returns the errno handle sends.
 func (s *bserver) handle(p *env.Proc, from env.NodeID, msg any) {
 	switch m := msg.(type) {
 	case *breq:
-		// Deduplicate before charging any CPU: a duplicate would otherwise
-		// queue on the cores and the directory lock behind the original.
 		k := reqKey{from: m.From, rpc: m.RPC}
-		if cached, dup := s.beginReq(k); dup {
-			if cached != nil {
-				p.Send(m.From, cached)
-			}
+		if !s.served.Admit(k, func(v any) { p.Send(m.From, v) }) {
 			return
 		}
 		s.ops++
 		resp := &bresp{RPC: m.RPC}
-		s.handleReq(p, m, resp)
-		s.endReq(k, resp)
+		resp.Err = s.handleReq(p, m, resp)
+		p.Send(m.From, resp)
+		s.served.Put(k, resp)
 	case *bsub:
 		k := reqKey{from: m.From, rpc: m.RPC}
-		if cached, dup := s.beginReq(k); dup {
-			if cached != nil {
-				p.Send(m.From, cached)
-			}
+		if !s.served.Admit(k, func(v any) { p.Send(m.From, v) }) {
 			return
 		}
 		resp := &bsubResp{RPC: m.RPC}
-		s.handleSub(p, m, resp)
-		s.endReq(k, resp)
+		resp.Err = s.handleSub(p, m, resp)
+		p.Send(m.From, resp)
+		s.served.Put(k, resp)
 	case *bsubResp:
 		fut := s.calls[m.RPC]
 		if fut != nil {
@@ -201,13 +178,11 @@ func (s *bserver) stack(p *env.Proc) {
 	}
 }
 
-func (s *bserver) handleReq(p *env.Proc, m *breq, resp *bresp) {
+// handleReq executes a client request, filling resp's payload, and returns
+// its errno.
+func (s *bserver) handleReq(p *env.Proc, m *breq, resp *bresp) core.Errno {
 	s.stack(p)
 	c := &s.c.Opts.Costs
-	fail := func(err core.Errno) {
-		resp.Err = err
-		p.Send(m.From, resp)
-	}
 	switch m.Op {
 	case core.OpLookup:
 		l := s.lockOf(m.Dir)
@@ -216,17 +191,14 @@ func (s *bserver) handleReq(p *env.Proc, m *breq, resp *bresp) {
 		raw, ok := s.kv.GetView(fileKey(m.Dir, m.Name))
 		l.RUnlock()
 		if !ok || len(raw) < 1 {
-			fail(core.ErrnoNotExist)
-			return
+			return core.ErrnoNotExist
 		}
 		if raw[0] != 2 {
 			// Path component exists but is not a directory: ENOTDIR, as in
 			// the real systems (and SwitchFS's lookup).
-			fail(core.ErrnoNotDir)
-			return
+			return core.ErrnoNotDir
 		}
 		resp.Dir = core.DirIDFromBytes(raw[2:]) // skip marker + 'D'
-		p.Send(m.From, resp)
 
 	case core.OpStat, core.OpOpen, core.OpClose:
 		l := s.lockOf(m.Dir)
@@ -235,14 +207,12 @@ func (s *bserver) handleReq(p *env.Proc, m *breq, resp *bresp) {
 		raw, ok := s.kv.GetView(fileKey(m.Dir, m.Name))
 		l.RUnlock()
 		if !ok {
-			fail(core.ErrnoNotExist)
-			return
+			return core.ErrnoNotExist
 		}
 		resp.Type = core.TypeRegular
 		if len(raw) > 0 {
 			resp.Type = core.FileType(raw[0])
 		}
-		p.Send(m.From, resp)
 
 	case core.OpChmod:
 		l := s.lockOf(m.Dir)
@@ -254,10 +224,8 @@ func (s *bserver) handleReq(p *env.Proc, m *breq, resp *bresp) {
 		}
 		l.Unlock()
 		if !ok {
-			fail(core.ErrnoNotExist)
-			return
+			return core.ErrnoNotExist
 		}
-		p.Send(m.From, resp)
 
 	case core.OpStatDir, core.OpReadDir:
 		l := s.lockOf(m.Dir)
@@ -278,32 +246,26 @@ func (s *bserver) handleReq(p *env.Proc, m *breq, resp *bresp) {
 		}
 		l.RUnlock()
 		if !ok {
-			fail(core.ErrnoNotExist)
-			return
+			return core.ErrnoNotExist
 		}
 		rec := decodeDir(raw)
 		resp.Size = rec.Size
 		resp.Perm = rec.Perm
-		p.Send(m.From, resp)
 
 	case core.OpCreate, core.OpDelete:
-		s.createDelete(p, m, resp)
-
+		return s.createDelete(p, m)
 	case core.OpMkdir:
-		s.mkdir(p, m, resp)
-
+		return s.mkdir(p, m, resp)
 	case core.OpRmdir:
-		s.rmdir(p, m, resp)
-
+		return s.rmdir(p, m)
 	case core.OpRename:
-		s.rename(p, m, resp)
-
+		return s.rename(p, m)
 	case core.OpLink:
-		s.link(p, m, resp)
-
+		return s.link(p, m)
 	default:
-		fail(core.ErrnoInvalid)
+		return core.ErrnoInvalid
 	}
+	return core.ErrnoOK
 }
 
 // createDelete executes the synchronous double-inode file operations. Under
@@ -311,29 +273,22 @@ func (s *bserver) handleReq(p *env.Proc, m *breq, resp *bresp) {
 // local (one server, one directory lock). Under separation the file inode is
 // local but the parent update is a cross-server transaction — the extra
 // round trip and serialization SwitchFS removes (§3.2).
-func (s *bserver) createDelete(p *env.Proc, m *breq, resp *bresp) {
+func (s *bserver) createDelete(p *env.Proc, m *breq) core.Errno {
 	c := &s.c.Opts.Costs
 	put := m.Op == core.OpCreate
 	parentSrv := s.c.ownerForDirID(m.Dir, m.DirPath)
 
 	p.Compute(c.KVGet)
 	raw, exists := s.kv.GetView(fileKey(m.Dir, m.Name))
-	if put && exists {
-		resp.Err = core.ErrnoExist
-		p.Send(m.From, resp)
-		return
-	}
-	if !put && !exists {
-		resp.Err = core.ErrnoNotExist
-		p.Send(m.From, resp)
-		return
-	}
-	if !put && len(raw) > 0 && raw[0] == 2 {
+	switch {
+	case put && exists:
+		return core.ErrnoExist
+	case !put && !exists:
+		return core.ErrnoNotExist
+	case !put && len(raw) > 0 && raw[0] == 2:
 		// Unlinking a directory is rmdir's job: EISDIR (deleting the pointer
 		// record here would strand the directory inode and its entries).
-		resp.Err = core.ErrnoIsDir
-		p.Send(m.From, resp)
-		return
+		return core.ErrnoIsDir
 	}
 
 	if parentSrv == s {
@@ -342,30 +297,27 @@ func (s *bserver) createDelete(p *env.Proc, m *breq, resp *bresp) {
 		l.Lock(p)
 		p.Compute(c.WALAppend + c.TxnOverhead)
 		s.applyParent(p, m.Dir, m.Name, put, core.TypeRegular)
-		if put {
-			p.Compute(c.KVPut)
-			s.kv.Put(fileKey(m.Dir, m.Name), []byte{1})
-		} else {
-			p.Compute(c.KVDel)
-			s.kv.Delete(fileKey(m.Dir, m.Name))
-		}
+		s.putFile(p, m, put)
 		l.Unlock()
-		p.Send(m.From, resp)
-		return
+		return core.ErrnoOK
 	}
 
 	// Cross-server: prepare locally, update the parent remotely, commit.
 	p.Compute(c.WALAppend + c.TxnOverhead)
-	sub := s.call(p, parentSrv.id, func(rpc uint64) any {
+	if err := s.call(p, parentSrv.id, func(rpc uint64) any {
 		return &bsub{RPC: rpc, From: s.id, Kind: subParentApply,
 			Dir: m.Dir, Name: m.Name, Put: put, Type: core.TypeRegular}
-	})
-	if sub.Err != core.ErrnoOK {
-		resp.Err = sub.Err
-		p.Send(m.From, resp)
-		return
+	}); err != core.ErrnoOK {
+		return err
 	}
 	p.Compute(c.TxnOverhead)
+	s.putFile(p, m, put)
+	return core.ErrnoOK
+}
+
+// putFile installs (put) or removes the request's file record.
+func (s *bserver) putFile(p *env.Proc, m *breq, put bool) {
+	c := &s.c.Opts.Costs
 	if put {
 		p.Compute(c.KVPut)
 		s.kv.Put(fileKey(m.Dir, m.Name), []byte{1})
@@ -373,23 +325,21 @@ func (s *bserver) createDelete(p *env.Proc, m *breq, resp *bresp) {
 		p.Compute(c.KVDel)
 		s.kv.Delete(fileKey(m.Dir, m.Name))
 	}
-	p.Send(m.From, resp)
 }
 
 // mkdir updates the parent (locally — the request is routed to the parent's
 // owner) and installs the new directory inode on its own server, which is a
 // cross-server step in every baseline (Tab. 1).
-func (s *bserver) mkdir(p *env.Proc, m *breq, resp *bresp) {
+func (s *bserver) mkdir(p *env.Proc, m *breq, resp *bresp) core.Errno {
 	c := &s.c.Opts.Costs
 	p.Compute(c.KVGet)
 	if s.kv.Has(fileKey(m.Dir, m.Name)) {
-		resp.Err = core.ErrnoExist
-		p.Send(m.From, resp)
-		return
+		return core.ErrnoExist
 	}
 	dirSrv := s.c.ownerForDirID(m.NewDir, m.DirPath+"/"+m.Name)
 	l := s.lockOf(m.Dir)
 	l.Lock(p)
+	defer l.Unlock()
 	p.Compute(c.WALAppend + c.TxnOverhead)
 	s.applyParent(p, m.Dir, m.Name, true, core.TypeDir)
 	p.Compute(c.KVPut)
@@ -397,71 +347,49 @@ func (s *bserver) mkdir(p *env.Proc, m *breq, resp *bresp) {
 	if dirSrv == s {
 		p.Compute(c.KVPut)
 		s.kv.Put(dirKey(m.NewDir), encodeDir(&dirRecord{Perm: core.DefaultDirPerm}))
-	} else {
-		sub := s.call(p, dirSrv.id, func(rpc uint64) any {
-			return &bsub{RPC: rpc, From: s.id, Kind: subCreateDir, Dir: m.NewDir}
-		})
-		if sub.Err != core.ErrnoOK {
-			l.Unlock()
-			resp.Err = sub.Err
-			p.Send(m.From, resp)
-			return
-		}
+	} else if err := s.call(p, dirSrv.id, func(rpc uint64) any {
+		return &bsub{RPC: rpc, From: s.id, Kind: subCreateDir, Dir: m.NewDir}
+	}); err != core.ErrnoOK {
+		return err
 	}
-	l.Unlock()
 	resp.Dir = m.NewDir
-	p.Send(m.From, resp)
+	return core.ErrnoOK
 }
 
 // rmdir validates emptiness at the directory's server and removes it, then
 // updates the parent.
-func (s *bserver) rmdir(p *env.Proc, m *breq, resp *bresp) {
+func (s *bserver) rmdir(p *env.Proc, m *breq) core.Errno {
 	c := &s.c.Opts.Costs
 	if s.c.Opts.Mode == IndexFS {
 		// The paper notes IndexFS's rmdir is incomplete; results omit it.
-		resp.Err = core.ErrnoInvalid
-		p.Send(m.From, resp)
-		return
+		return core.ErrnoInvalid
 	}
 	p.Compute(c.KVGet)
 	raw, ok := s.kv.GetView(fileKey(m.Dir, m.Name))
 	if !ok || len(raw) < 1 {
-		resp.Err = core.ErrnoNotExist
-		p.Send(m.From, resp)
-		return
+		return core.ErrnoNotExist
 	}
 	if raw[0] != 2 {
-		resp.Err = core.ErrnoNotDir
-		p.Send(m.From, resp)
-		return
+		return core.ErrnoNotDir
 	}
 	target := core.DirIDFromBytes(raw[2:])
 	dirSrv := s.c.ownerForDirID(target, m.DirPath+"/"+m.Name)
 	l := s.lockOf(m.Dir)
 	l.Lock(p)
+	defer l.Unlock()
 	if dirSrv == s {
 		if s.deleteDirIfEmpty(p, target) != core.ErrnoOK {
-			l.Unlock()
-			resp.Err = core.ErrnoNotEmpty
-			p.Send(m.From, resp)
-			return
+			return core.ErrnoNotEmpty
 		}
-	} else {
-		sub := s.call(p, dirSrv.id, func(rpc uint64) any {
-			return &bsub{RPC: rpc, From: s.id, Kind: subDeleteDirIfEmpty, Dir: target}
-		})
-		if sub.Err != core.ErrnoOK {
-			l.Unlock()
-			resp.Err = sub.Err
-			p.Send(m.From, resp)
-			return
-		}
+	} else if err := s.call(p, dirSrv.id, func(rpc uint64) any {
+		return &bsub{RPC: rpc, From: s.id, Kind: subDeleteDirIfEmpty, Dir: target}
+	}); err != core.ErrnoOK {
+		return err
 	}
 	p.Compute(c.WALAppend + c.TxnOverhead + c.KVDel)
 	s.kv.Delete(fileKey(m.Dir, m.Name))
 	s.applyParent(p, m.Dir, m.Name, false, core.TypeDir)
-	l.Unlock()
-	p.Send(m.From, resp)
+	return core.ErrnoOK
 }
 
 // joinFull assembles a full path from a parent directory path and a leaf
@@ -473,23 +401,26 @@ func joinFull(dirPath, name string) string {
 	return dirPath + "/" + name
 }
 
-// dstExists checks the destination record of a two-path op at its server.
-func (s *bserver) dstExists(p *env.Proc, m *breq) (bool, core.Errno) {
+// dstFree checks at its server that a two-path op's destination record is
+// absent: ErrnoExist if it is there.
+func (s *bserver) dstFree(p *env.Proc, m *breq) core.Errno {
 	dstSrv := s.c.fileServerForPath(m.Dir2, m.Name2, m.Dir2Path)
 	if dstSrv == s {
 		p.Compute(s.c.Opts.Costs.KVGet)
-		return s.kv.Has(fileKey(m.Dir2, m.Name2)), core.ErrnoOK
+		if s.kv.Has(fileKey(m.Dir2, m.Name2)) {
+			return core.ErrnoExist
+		}
+		return core.ErrnoOK
 	}
-	sub := s.call(p, dstSrv.id, func(rpc uint64) any {
+	switch err := s.call(p, dstSrv.id, func(rpc uint64) any {
 		return &bsub{RPC: rpc, From: s.id, Kind: subGetFile, Dir: m.Dir2, Name: m.Name2}
-	})
-	switch sub.Err {
+	}); err {
 	case core.ErrnoOK:
-		return true, core.ErrnoOK
+		return core.ErrnoExist
 	case core.ErrnoNotExist:
-		return false, core.ErrnoOK
+		return core.ErrnoOK
 	default:
-		return false, sub.Err
+		return err
 	}
 }
 
@@ -535,18 +466,15 @@ func (s *bserver) applyParentAt(p *env.Proc, dir core.DirID, dirPath, name strin
 // is ELOOP, and renaming an object to itself is a no-op. The moved record
 // keeps its marker byte, so a renamed directory's pointer (and therefore its
 // id and children) survives the move.
-func (s *bserver) rename(p *env.Proc, m *breq, resp *bresp) {
+func (s *bserver) rename(p *env.Proc, m *breq) core.Errno {
 	c := &s.c.Opts.Costs
 	p.Compute(c.KVGet)
 	raw, ok := s.kv.GetView(fileKey(m.Dir, m.Name))
 	if !ok || len(raw) < 1 {
-		resp.Err = core.ErrnoNotExist
-		p.Send(m.From, resp)
-		return
+		return core.ErrnoNotExist
 	}
 	if m.Dir == m.Dir2 && m.Name == m.Name2 {
-		p.Send(m.From, resp) // rename to itself: no-op success
-		return
+		return core.ErrnoOK // rename to itself: no-op success
 	}
 	typ := core.FileType(raw[0])
 	srcFull := joinFull(m.DirPath, m.Name)
@@ -554,20 +482,10 @@ func (s *bserver) rename(p *env.Proc, m *breq, resp *bresp) {
 	if typ == core.TypeDir &&
 		(dstFull == srcFull || len(dstFull) > len(srcFull)+1 &&
 			dstFull[:len(srcFull)] == srcFull && dstFull[len(srcFull)] == '/') {
-		resp.Err = core.ErrnoLoop
-		p.Send(m.From, resp)
-		return
+		return core.ErrnoLoop
 	}
-	exists, errno := s.dstExists(p, m)
-	if errno != core.ErrnoOK {
-		resp.Err = errno
-		p.Send(m.From, resp)
-		return
-	}
-	if exists {
-		resp.Err = core.ErrnoExist
-		p.Send(m.From, resp)
-		return
+	if err := s.dstFree(p, m); err != core.ErrnoOK {
+		return err
 	}
 
 	// Remove source (local: the request is routed to the source's server).
@@ -581,39 +499,27 @@ func (s *bserver) rename(p *env.Proc, m *breq, resp *bresp) {
 	// Install destination with the preserved record.
 	s.putDst(p, m, moved)
 	s.applyParentAt(p, m.Dir2, m.Dir2Path, m.Name2, true, typ)
-	p.Send(m.From, resp)
+	return core.ErrnoOK
 }
 
 // link creates a hard link: the baselines store no shared attribute object,
 // so observably the link is a second reference record with the same type.
-func (s *bserver) link(p *env.Proc, m *breq, resp *bresp) {
+func (s *bserver) link(p *env.Proc, m *breq) core.Errno {
 	c := &s.c.Opts.Costs
 	p.Compute(c.KVGet)
 	raw, ok := s.kv.GetView(fileKey(m.Dir, m.Name))
 	if !ok || len(raw) < 1 {
-		resp.Err = core.ErrnoNotExist
-		p.Send(m.From, resp)
-		return
+		return core.ErrnoNotExist
 	}
 	if raw[0] == 2 {
-		resp.Err = core.ErrnoIsDir
-		p.Send(m.From, resp)
-		return
+		return core.ErrnoIsDir
 	}
-	exists, errno := s.dstExists(p, m)
-	if errno != core.ErrnoOK {
-		resp.Err = errno
-		p.Send(m.From, resp)
-		return
-	}
-	if exists {
-		resp.Err = core.ErrnoExist
-		p.Send(m.From, resp)
-		return
+	if err := s.dstFree(p, m); err != core.ErrnoOK {
+		return err
 	}
 	s.putDst(p, m, raw)
 	s.applyParentAt(p, m.Dir2, m.Dir2Path, m.Name2, true, core.FileType(raw[0]))
-	p.Send(m.From, resp)
+	return core.ErrnoOK
 }
 
 // applyParent performs the dentry + attribute update of a directory on this
@@ -656,8 +562,9 @@ func (s *bserver) deleteDirIfEmpty(p *env.Proc, dir core.DirID) core.Errno {
 	return core.ErrnoOK
 }
 
-// handleSub serves server-to-server sub-operations.
-func (s *bserver) handleSub(p *env.Proc, m *bsub, resp *bsubResp) {
+// handleSub serves a server-to-server sub-operation, filling resp's payload,
+// and returns its errno.
+func (s *bserver) handleSub(p *env.Proc, m *bsub, resp *bsubResp) core.Errno {
 	s.stack(p)
 	c := &s.c.Opts.Costs
 	switch m.Kind {
@@ -671,7 +578,7 @@ func (s *bserver) handleSub(p *env.Proc, m *bsub, resp *bsubResp) {
 		p.Compute(c.WALAppend + c.KVPut)
 		s.kv.Put(dirKey(m.Dir), encodeDir(&dirRecord{Perm: core.DefaultDirPerm}))
 	case subDeleteDirIfEmpty:
-		resp.Err = s.deleteDirIfEmpty(p, m.Dir)
+		return s.deleteDirIfEmpty(p, m.Dir)
 	case subPutFile:
 		p.Compute(c.WALAppend + c.KVPut)
 		raw := m.Raw
@@ -686,11 +593,10 @@ func (s *bserver) handleSub(p *env.Proc, m *bsub, resp *bsubResp) {
 		p.Compute(c.KVGet)
 		raw, ok := s.kv.GetView(fileKey(m.Dir, m.Name))
 		if !ok {
-			resp.Err = core.ErrnoNotExist
-		} else {
-			// The view crosses the wire inside a message: copy it out.
-			resp.Raw = append([]byte(nil), raw...)
+			return core.ErrnoNotExist
 		}
+		// The view crosses the wire inside a message: copy it out.
+		resp.Raw = append([]byte(nil), raw...)
 	}
-	p.Send(m.From, resp)
+	return core.ErrnoOK
 }

@@ -101,11 +101,15 @@ func TestUnderPath(t *testing.T) {
 
 // fakeServer answers lookups from a table and file/rename requests with
 // success, recording every request's Ancestors: enough of a metadata server
-// to drive resolve end to end on a Sim without importing one.
+// to drive resolve end to end on a Sim without importing one. The first
+// staleRenames RenameReqs are refused with ErrnoStaleCache, as a coordinator
+// refuses a request resolved through a directory renamed since.
 type fakeServer struct {
-	ids       map[core.Key]core.DirID
-	ancestors [][]core.DirID // of each FileReq, in arrival order
-	lookups   int
+	ids          map[core.Key]core.DirID
+	ancestors    [][]core.DirID // of each FileReq, in arrival order
+	lookups      int
+	staleRenames int
+	renames      []wire.RenameReq // in arrival order
 }
 
 const (
@@ -133,8 +137,13 @@ func (f *fakeServer) handle(p *env.Proc, from env.NodeID, msg any) {
 		resp.RPC = b.RPC
 		out = o
 	case *wire.RenameReq:
+		f.renames = append(f.renames, *b)
 		o, resp := wire.NewPacket[wire.RenameResp](from, fakeServerID)
 		resp.RPC = b.RPC
+		if f.staleRenames > 0 {
+			f.staleRenames--
+			resp.Err = core.ErrnoStaleCache
+		}
 		out = o
 	}
 	p.Send(from, out)
@@ -249,6 +258,41 @@ func TestAncestorChainsAreImmutable(t *testing.T) {
 		}
 		if again := stat(core.RootDirID, idA2, idB2); !sameArray(again, fifth) {
 			t.Fatal("the republished chain was not reused by the next resolve")
+		}
+	})
+}
+
+// TestStaleRenameReResolvesSource: a rename refused as stale must be resent
+// with both paths resolved anew. The source's parent /b is cached under its
+// old id when the rename is sent; the coordinator refuses it, and the retry
+// must carry the id /b has now — resending the source resolution captured
+// before the refusal lets the rename act on whatever the old id still names.
+func TestStaleRenameReResolvesSource(t *testing.T) {
+	idA, idB, idB2 := core.DirID{0, 0, 0, 10}, core.DirID{0, 0, 0, 20}, core.DirID{0, 0, 0, 21}
+	f := &fakeServer{ids: map[core.Key]core.DirID{
+		{PID: core.RootDirID, Name: "a"}: idA,
+		{PID: core.RootDirID, Name: "b"}: idB,
+	}}
+	withFakeServer(t, f, func(p *env.Proc, c *Client) {
+		if _, err := c.Stat(p, "/b/x"); err != nil {
+			t.Fatalf("stat: %v", err)
+		}
+		// /b is now another directory; the client's cache still says idB.
+		f.ids[core.Key{PID: core.RootDirID, Name: "b"}] = idB2
+		f.staleRenames = 1
+		if err := c.Rename(p, "/b/x", "/a/y"); err != nil {
+			t.Fatalf("rename: %v", err)
+		}
+		if len(f.renames) != 2 {
+			t.Fatalf("%d rename requests, want 2 (one refused, one retried)", len(f.renames))
+		}
+		if got := f.renames[0].SrcParent.ID; got != idB {
+			t.Fatalf("first request's source parent %v, want the cached %v", got, idB)
+		}
+		retry := f.renames[1]
+		if retry.SrcParent.ID != idB2 || retry.DstParent.ID != idA {
+			t.Errorf("retried request's parents src %v dst %v, want %v and %v (both re-resolved)",
+				retry.SrcParent.ID, retry.DstParent.ID, idB2, idA)
 		}
 	})
 }

@@ -246,39 +246,42 @@ func (c *Client) ReadDir(p *env.Proc, path string) ([]core.DirEntry, error) {
 func (c *Client) twoPath(p *env.Proc, op core.Op, src, dst string) (bool, error) {
 	sp := c.op(p, op)
 	var resent bool
+	// One loop resolves both paths: a stale answer may concern either, so
+	// its retry re-resolves both.
 	err := c.withResolution(p, src, func(rs resolved) error {
-		return c.withResolution(p, dst, func(rd resolved) error {
-			p.Compute(c.cfg.Costs.ClientOp)
-			anc := make([]core.DirID, 0, len(rs.ancestors)+len(rd.ancestors))
-			anc = append(append(anc, rs.ancestors...), rd.ancestors...)
-			rpc := c.nextRPC()
-			coord := c.cfg.Coordinator
-			var body wire.Msg
-			if op == core.OpRename {
-				body = &wire.RenameReq{
-					ReqCommon: c.reqCommon(rpc, coord, anc),
-					SrcParent: rs.parent, SrcName: rs.name,
-					DstParent: rd.parent, DstName: rd.name,
-				}
-			} else {
-				body = &wire.LinkReq{
-					ReqCommon: c.reqCommon(rpc, coord, anc),
-					SrcParent: rs.parent, SrcName: rs.name,
-					DstParent: rd.parent, DstName: rd.name,
-				}
+		rd, err := c.resolve(p, dst)
+		if err != nil {
+			return err
+		}
+		p.Compute(c.cfg.Costs.ClientOp)
+		anc := make([]core.DirID, 0, len(rs.ancestors)+len(rd.ancestors))
+		anc = append(append(anc, rs.ancestors...), rd.ancestors...)
+		rpc := c.nextRPC()
+		coord := c.cfg.Coordinator
+		var body wire.Msg
+		if op == core.OpRename {
+			body = &wire.RenameReq{
+				ReqCommon: c.reqCommon(rpc, coord, anc),
+				SrcParent: rs.parent, SrcName: rs.name,
+				DstParent: rd.parent, DstName: rd.name,
 			}
-			v, re, err := c.call(p, coord, &wire.Packet{Dst: coord, Origin: c.cfg.ID, Body: body}, rpc, c.cfg.MaxRetries, c.cfg.RetryTimeout, "rpc-timeout")
-			resent = resent || re
-			if err != nil {
-				return err
+		} else {
+			body = &wire.LinkReq{
+				ReqCommon: c.reqCommon(rpc, coord, anc),
+				SrcParent: rs.parent, SrcName: rs.name,
+				DstParent: rd.parent, DstName: rd.name,
 			}
-			rrpc, rc := respInfo(v)
-			_ = rrpc
-			if rc == nil {
-				return core.ErrInvalid
-			}
-			return rc.Err.Err()
-		})
+		}
+		v, re, err := c.call(p, coord, &wire.Packet{Dst: coord, Origin: c.cfg.ID, Body: body}, rpc, c.cfg.MaxRetries, c.cfg.RetryTimeout, "rpc-timeout")
+		resent = resent || re
+		if err != nil {
+			return err
+		}
+		_, rc := respInfo(v)
+		if rc == nil {
+			return core.ErrInvalid
+		}
+		return rc.Err.Err()
 	})
 	c.endOp(sp, err)
 	return resent, err

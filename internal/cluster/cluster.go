@@ -100,7 +100,7 @@ type Cluster struct {
 	DataNodes []env.NodeID
 	// DataServers are the data-plane nodes behind the DataNodes ids.
 	DataServers []*datanode.Server
-	wals        []wal.Log
+	wals        []*wal.Mem
 	// dataDown counts data nodes currently fail-stopped (a recovering node
 	// counts until its re-replication pull completes): while dataDown >= r,
 	// a chunk's whole replica set may be gone at once.

@@ -200,6 +200,23 @@ func TestRegressionRenameRechecksAncestorsInTurn(t *testing.T) {
 	}
 }
 
+// TestRegressionStaleTwoPathReResolvesBoth pins the rest of class B: a rename
+// or link the coordinator refused as stale was resent with the source
+// resolution captured before the refusal, because the client re-resolved
+// only the destination. In fault-free 414, rename /b/x → /b is refused after
+// rename /b → /a decides; the retry still names b's old id as the source
+// parent, with a fresh invalidation sequence, and commits — creating /b out
+// of /a/x. Client.twoPath now resolves both paths in one loop. Two-path 88
+// under server-crash is the same class under a fault plan.
+func TestRegressionStaleTwoPathReResolvesBoth(t *testing.T) {
+	if rep := CheckConcurrent(414, GenProgram(414, 8, 4, TwoPathMix), nil); rep.Failed() {
+		reportFailure(t, "fault-free two-path", 414, rep)
+	}
+	if rep := CheckConcurrent(88, GenProgram(88, 8, 3, TwoPathMix), planNamed(t, 88, "server-crash")); rep.Failed() {
+		reportFailure(t, "two-path plan server-crash", 88, rep)
+	}
+}
+
 // TestRegressionNlinkUnderTxnLock pins class C of the wide sweep, a directory
 // that stays wedged with one client and no fault. A second hard link adjusts
 // the file's shared attribute object inside a coordinated transaction, whose

@@ -4,7 +4,8 @@
 // Window, the bounded memo of the requests a node served, whose Admit is the
 // replay-or-begin step those requests pass; and Calls, the one retried call
 // with its registry of calls in flight. The metadata server and the data
-// node use all three; the baseline file systems use only Window.
+// node use all three; the baseline file systems use only Window, whose Admit
+// every baseline request passes in its server's one dispatch.
 package rpc
 
 // Window remembers the last bound requests a node took up, keyed by request,

@@ -162,7 +162,7 @@ func TestDuplicatesAnsweredFromWindow(t *testing.T) {
 // holds reports whether the WAL holds a record of kind whose payload starts
 // with id, a uvarint (a transaction's records), or, for id 0, any record of
 // kind.
-func holds(log wal.Log, kind uint8, id uint64) bool {
+func holds(log *wal.Mem, kind uint8, id uint64) bool {
 	found := false
 	log.Replay(func(r wal.Record) error {
 		if lead, _ := binary.Uvarint(r.Payload); r.Kind == kind && (id == 0 || lead == id) {

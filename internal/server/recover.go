@@ -27,7 +27,7 @@ func (s *Server) Crash() {
 
 // Restart builds a fresh server over the surviving WAL and re-registers the
 // node. The caller then runs Recover on a process to replay and re-join.
-func Restart(e *env.Sim, cfg Config, log wal.Log) *Server {
+func Restart(e *env.Sim, cfg Config, log *wal.Mem) *Server {
 	cfg.WAL = log
 	return New(e, cfg)
 }

@@ -84,7 +84,7 @@ func replayDump(s *Server) string {
 
 // newReplayServer is a one-server deployment over log with the calibrated
 // service times and the given core count.
-func newReplayServer(t testing.TB, log wal.Log, cores int) (*env.Sim, *Server) {
+func newReplayServer(t testing.TB, log *wal.Mem, cores int) (*env.Sim, *Server) {
 	t.Helper()
 	sim := env.NewSim(3)
 	t.Cleanup(sim.Shutdown)

@@ -65,7 +65,7 @@ type Config struct {
 	SwitchFor func(core.Fingerprint) env.NodeID
 	// Coordinator is the rename/reconfiguration coordinator's NodeID.
 	Coordinator env.NodeID
-	WAL         wal.Log
+	WAL         *wal.Mem
 	Tracker     TrackerMode
 	// DataNodes is the deployed data-node count. When nonzero, creates
 	// assign the file's content placement: a DataLoc slot list the client
@@ -186,7 +186,7 @@ type Server struct {
 	env  *env.Sim
 	node *env.Node
 	kv   *kv.Store
-	wal  wal.Log
+	wal  *wal.Mem
 	// walBuf is the one buffer every WAL record is encoded into, reused from
 	// record to record: the encoders append to walBuf[:0] and the grown
 	// buffer is kept. That is safe because Append copies the payload, and
@@ -413,7 +413,7 @@ func (s *Server) bootstrapRoot() {
 func (s *Server) KV() *kv.Store { return s.kv }
 
 // WAL exposes the log for crash orchestration.
-func (s *Server) WAL() wal.Log { return s.wal }
+func (s *Server) WAL() *wal.Mem { return s.wal }
 
 // ID returns the server's node id.
 func (s *Server) ID() env.NodeID { return s.cfg.ID }

@@ -8,10 +8,10 @@ import (
 	"switchfs/internal/wal"
 )
 
-// mustAppend wraps WAL appends: in-memory logs cannot fail, and a file log
-// that cannot persist leaves the server unable to honor its durability
-// contract — crash loudly rather than acknowledge unlogged operations.
-func mustAppend(l wal.Log, kind uint8, payload []byte) wal.LSN {
+// mustAppend wraps WAL appends: a log that could not persist would leave the
+// server unable to honor its durability contract — crash loudly rather than
+// acknowledge unlogged operations.
+func mustAppend(l *wal.Mem, kind uint8, payload []byte) wal.LSN {
 	lsn, err := l.Append(kind, payload)
 	if err != nil {
 		panic(fmt.Sprintf("server: WAL append failed: %v", err))
@@ -24,7 +24,7 @@ func mustAppend(l wal.Log, kind uint8, payload []byte) wal.LSN {
 const noRecord wal.LSN = 0
 
 // mustMark wraps applied-marking, same contract as mustAppend.
-func mustMark(l wal.Log, lsn wal.LSN) {
+func mustMark(l *wal.Mem, lsn wal.LSN) {
 	if err := l.MarkApplied(lsn); err != nil {
 		panic(fmt.Sprintf("server: WAL mark failed: %v", err))
 	}

@@ -30,20 +30,6 @@ type Record struct {
 	Applied bool
 }
 
-// Log is the interface the server logs through.
-type Log interface {
-	// Append durably adds a record and returns its LSN.
-	Append(kind uint8, payload []byte) (LSN, error)
-	// MarkApplied durably marks the record at lsn as applied.
-	MarkApplied(lsn LSN) error
-	// Replay streams every record in order.
-	Replay(fn func(r Record) error) error
-	// Len returns the number of records.
-	Len() int
-	// Close releases resources.
-	Close() error
-}
-
 // --- In-memory backend ---------------------------------------------------
 
 // chunkSize is the arena's allocation unit.
@@ -71,8 +57,10 @@ type Mem struct {
 // NewMem creates an empty in-memory log.
 func NewMem() *Mem { return &Mem{} }
 
-// Append implements Log. The payload is copied, so the caller may reuse its
-// buffer as soon as Append returns.
+// Append durably adds a record and returns its LSN. The payload is copied,
+// so the caller may reuse its buffer as soon as Append returns. An in-memory
+// append never fails; the error stays in the signature for the callers that
+// check the durability contract.
 func (m *Mem) Append(kind uint8, payload []byte) (LSN, error) {
 	n := len(payload)
 	e := entry{n: uint32(n), kind: kind}
@@ -92,7 +80,7 @@ func (m *Mem) Append(kind uint8, payload []byte) (LSN, error) {
 	return LSN(len(m.index)), nil
 }
 
-// MarkApplied implements Log.
+// MarkApplied durably marks the record at lsn as applied.
 func (m *Mem) MarkApplied(lsn LSN) error {
 	if lsn == 0 || int(lsn) > len(m.index) {
 		return fmt.Errorf("wal: MarkApplied(%d) out of range (%d records)", lsn, len(m.index))
@@ -101,10 +89,10 @@ func (m *Mem) MarkApplied(lsn LSN) error {
 	return nil
 }
 
-// Replay implements Log. It walks a snapshot of the index taken on entry:
-// records the callback appends or marks are not seen. Payloads are views of
-// the arena, valid for the log's lifetime; the callback must not write
-// through them.
+// Replay streams every record in order. It walks a snapshot of the index
+// taken on entry: records the callback appends or marks are not seen.
+// Payloads are views of the arena, valid for the log's lifetime; the
+// callback must not write through them.
 func (m *Mem) Replay(fn func(r Record) error) error {
 	for i, e := range slices.Clone(m.index) {
 		end := e.off + e.n
@@ -116,12 +104,7 @@ func (m *Mem) Replay(fn func(r Record) error) error {
 	return nil
 }
 
-// Len implements Log.
+// Len returns the number of records.
 func (m *Mem) Len() int {
 	return len(m.index)
 }
-
-// Close implements Log.
-func (m *Mem) Close() error { return nil }
-
-var _ Log = (*Mem)(nil)

@@ -7,7 +7,7 @@ import (
 	"unsafe"
 )
 
-func testLog(t *testing.T, l Log) {
+func testLog(t *testing.T, l *Mem) {
 	t.Helper()
 	lsn1, err := l.Append(1, []byte("op-1"))
 	if err != nil || lsn1 != 1 {
