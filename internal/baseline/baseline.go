@@ -14,7 +14,6 @@ import (
 	"switchfs/internal/core"
 	"switchfs/internal/env"
 	"switchfs/internal/kv"
-	"switchfs/internal/rpc"
 )
 
 // Mode selects the emulated system.
@@ -97,18 +96,17 @@ func New(e *env.Sim, opts Options) *Cluster {
 			id:     serverBase + env.NodeID(i),
 			kv:     kv.New(),
 			locks:  make(map[core.DirID]*env.RWMutex),
-			calls:  make(map[uint64]*env.Future),
-			served: rpc.NewWindow[reqKey, any](4096),
+			caller: caller{calls: make(map[uint64]*env.Future)},
 		}
 		e.AddNode(s.id, env.NodeConfig{Cores: opts.CoresPerServer, Handler: s.handle})
 		c.servers = append(c.servers, s)
 	}
 	for i := 0; i < opts.Clients; i++ {
 		cl := &bclient{
-			c:     c,
-			id:    clientBase + env.NodeID(i),
-			cache: map[string]core.DirID{"/": core.RootDirID},
-			calls: make(map[uint64]*env.Future),
+			c:      c,
+			id:     clientBase + env.NodeID(i),
+			cache:  map[string]core.DirID{"/": core.RootDirID},
+			caller: caller{calls: make(map[uint64]*env.Future)},
 		}
 		e.AddNode(cl.id, env.NodeConfig{Handler: cl.handle})
 		c.clients = append(c.clients, cl)

@@ -13,8 +13,7 @@ type bclient struct {
 	id env.NodeID
 
 	cache map[string]core.DirID
-	calls map[uint64]*env.Future
-	rpcs  uint64
+	caller
 }
 
 var _ fsapi.FS = (*bclient)(nil)
@@ -30,17 +29,39 @@ func (cl *bclient) handle(p *env.Proc, from env.NodeID, msg any) {
 	}
 }
 
-// call performs a retried request and returns the reply with its errno as
-// the error (ErrTimeout when no reply came).
-func (cl *bclient) call(p *env.Proc, to env.NodeID, build func(rpc uint64) any) (*bresp, error) {
-	cl.rpcs++
-	rpc := uint64(cl.id)<<40 | cl.rpcs
-	v, ok := retry(p, cl.calls, rpc, to, build(rpc), 64, cl.c.Opts.RetryTimeout)
+// call stamps m with its id, sender and acknowledgement, performs it as a
+// retried request and returns the reply with its errno as the error
+// (ErrTimeout when no reply came).
+func (cl *bclient) call(p *env.Proc, to env.NodeID, m *breq) (*bresp, error) {
+	m.RPC, m.Acked = cl.next(cl.id)
+	m.From = cl.id
+	v, ok := retry(p, cl.calls, m.RPC, to, m, 64, cl.c.Opts.RetryTimeout)
 	if !ok {
 		return nil, core.ErrTimeout
 	}
 	resp := v.(*bresp)
 	return resp, resp.Err.Err()
+}
+
+// caller is a node's side of its retried requests: it issues their ids,
+// uint64(node)<<40 | n for n = 1, 2, …, and retry registers each call in
+// calls under its id before the caller next yields.
+type caller struct {
+	calls map[uint64]*env.Future
+	rpcs  uint64
+	// acked is the n below which every call finished, answered or given up.
+	acked uint64
+}
+
+// next issues node's next request id and the acknowledgement the request
+// carries: every id below it finished. An issued id not in calls is
+// finished, and the acknowledgement passes each id once.
+func (c *caller) next(node env.NodeID) (rpc, acked uint64) {
+	c.rpcs++
+	for c.acked < c.rpcs && c.calls[uint64(node)<<40|c.acked] == nil {
+		c.acked++
+	}
+	return uint64(node)<<40 | c.rpcs, uint64(node)<<40 | c.acked
 }
 
 // retry sends msg to to until a reply, registered in calls under rpc, reaches
@@ -84,10 +105,8 @@ func (cl *bclient) resolve(p *env.Proc, path string) (core.DirID, string, string
 			continue
 		}
 		owner := cl.c.ownerForDirID(cur, parentPath(walked))
-		resp, err := cl.call(p, owner.id, func(rpc uint64) any {
-			return &breq{RPC: rpc, From: cl.id, Op: core.OpLookup, Dir: cur,
-				DirPath: parentPath(walked), Name: comp}
-		})
+		resp, err := cl.call(p, owner.id, &breq{Op: core.OpLookup, Dir: cur,
+			DirPath: parentPath(walked), Name: comp})
 		if err != nil {
 			return core.DirID{}, "", "", err
 		}
@@ -114,9 +133,7 @@ func (cl *bclient) do(p *env.Proc, op core.Op, path string) (*bresp, error) {
 	if (op == core.OpStatDir || op == core.OpReadDir) && path == "/" {
 		// The root needs no resolution (it is pre-cached as "/").
 		owner := cl.c.ownerForDirID(core.RootDirID, "/")
-		return cl.call(p, owner.id, func(rpc uint64) any {
-			return &breq{RPC: rpc, From: cl.id, Op: op, Dir: core.RootDirID, DirPath: "/"}
-		})
+		return cl.call(p, owner.id, &breq{Op: op, Dir: core.RootDirID, DirPath: "/"})
 	}
 	dir, name, dirPath, err := cl.resolve(p, path)
 	if err != nil {
@@ -129,10 +146,8 @@ func (cl *bclient) do(p *env.Proc, op core.Op, path string) (*bresp, error) {
 		id, ok := cl.cache[path]
 		if !ok {
 			o := cl.c.ownerForDirID(dir, dirPath)
-			resp, err := cl.call(p, o.id, func(rpc uint64) any {
-				return &breq{RPC: rpc, From: cl.id, Op: core.OpLookup, Dir: dir,
-					DirPath: dirPath, Name: name}
-			})
+			resp, err := cl.call(p, o.id, &breq{Op: core.OpLookup, Dir: dir,
+				DirPath: dirPath, Name: name})
 			if err != nil {
 				return nil, err
 			}
@@ -140,16 +155,12 @@ func (cl *bclient) do(p *env.Proc, op core.Op, path string) (*bresp, error) {
 			cl.cache[path] = id
 		}
 		owner = cl.c.ownerForDirID(id, path)
-		return cl.call(p, owner.id, func(rpc uint64) any {
-			return &breq{RPC: rpc, From: cl.id, Op: op, Dir: id, DirPath: path}
-		})
+		return cl.call(p, owner.id, &breq{Op: op, Dir: id, DirPath: path})
 	case core.OpMkdir:
 		newID := cl.c.nextID()
 		owner = cl.c.ownerForDirID(dir, dirPath)
-		resp, err := cl.call(p, owner.id, func(rpc uint64) any {
-			return &breq{RPC: rpc, From: cl.id, Op: op, Dir: dir, DirPath: dirPath,
-				Name: name, NewDir: newID}
-		})
+		resp, err := cl.call(p, owner.id, &breq{Op: op, Dir: dir, DirPath: dirPath,
+			Name: name, NewDir: newID})
 		if err == nil {
 			cl.cache[path] = resp.Dir
 		}
@@ -161,9 +172,7 @@ func (cl *bclient) do(p *env.Proc, op core.Op, path string) (*bresp, error) {
 	default: // stat/open/close/chmod
 		owner = cl.c.fileServerForPath(dir, name, dirPath)
 	}
-	return cl.call(p, owner.id, func(rpc uint64) any {
-		return &breq{RPC: rpc, From: cl.id, Op: op, Dir: dir, DirPath: dirPath, Name: name}
-	})
+	return cl.call(p, owner.id, &breq{Op: op, Dir: dir, DirPath: dirPath, Name: name})
 }
 
 // --- fsapi.FS -----------------------------------------------------------------
@@ -270,11 +279,9 @@ func (cl *bclient) twoPath(p *env.Proc, op core.Op, src, dst string) error {
 		return err
 	}
 	owner := cl.c.fileServerForPath(sdir, sname, sdirPath)
-	_, err = cl.call(p, owner.id, func(rpc uint64) any {
-		return &breq{RPC: rpc, From: cl.id, Op: op,
-			Dir: sdir, DirPath: sdirPath, Name: sname,
-			Dir2: ddir, Dir2Path: ddirPath, Name2: dname}
-	})
+	_, err = cl.call(p, owner.id, &breq{Op: op,
+		Dir: sdir, DirPath: sdirPath, Name: sname,
+		Dir2: ddir, Dir2Path: ddirPath, Name2: dname})
 	return err
 }
 
@@ -296,8 +303,7 @@ func (cl *bclient) Data(p *env.Proc, shard int, write bool, bytes int64) error {
 		return nil
 	}
 	node := dataBase + env.NodeID(shard%cl.c.Opts.DataNodes)
-	cl.rpcs++
-	rpc := uint64(cl.id)<<40 | cl.rpcs
+	rpc, _ := cl.next(cl.id)
 	if _, ok := retry(p, cl.calls, rpc, node, &bdata{RPC: rpc, From: cl.id, Bytes: bytes}, 8, 40*env.Millisecond); !ok {
 		return core.ErrTimeout
 	}

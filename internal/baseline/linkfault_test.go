@@ -12,7 +12,7 @@ import (
 // internal/cluster: per-link duplication and reorder on every client↔server
 // and server↔server link must not re-execute mutations on the baseline
 // servers (every request, a client's or a peer's sub-operation, passes the
-// served window's Admit, which provides exactly-once effects).
+// served memo's Admit, which provides exactly-once effects).
 func TestLinkRuleDupReorderPreservesDedup(t *testing.T) {
 	for _, mode := range []Mode{InfiniFS, CFS} {
 		mode := mode

@@ -12,7 +12,10 @@ import (
 
 // breq is a client request.
 type breq struct {
-	RPC      uint64
+	RPC uint64
+	// Acked is the sender's acknowledgement: it finished every call below
+	// it (caller.next).
+	Acked    uint64
 	From     env.NodeID
 	Op       core.Op
 	Dir      core.DirID // parent (double-inode ops, file ops) or target dir
@@ -42,13 +45,14 @@ type bresp struct {
 // bsub is a server-to-server sub-operation of a synchronous multi-server
 // update (the cross-server coordination SwitchFS hides, §3.2 Challenge #1).
 type bsub struct {
-	RPC  uint64
-	From env.NodeID
-	Kind subKind
-	Dir  core.DirID
-	Name string
-	Put  bool // parent update: insert (true) or remove (false)
-	Type core.FileType
+	RPC   uint64
+	Acked uint64
+	From  env.NodeID
+	Kind  subKind
+	Dir   core.DirID
+	Name  string
+	Put   bool // parent update: insert (true) or remove (false)
+	Type  core.FileType
 	// Raw is the record body for subPutFile (rename/link move records
 	// verbatim so markers and directory pointers survive).
 	Raw []byte
@@ -92,8 +96,7 @@ type bserver struct {
 	kv *kv.Store
 
 	locks map[core.DirID]*env.RWMutex
-	calls map[uint64]*env.Future
-	rpcs  uint64
+	caller
 	// served dedups client and peer retransmissions, like the real systems'
 	// RPC stacks (and SwitchFS's §5.4.1 cache): every request passes
 	// served.Admit in handle, so a duplicate of a request still executing
@@ -101,17 +104,12 @@ type bserver struct {
 	// an answered request replays the cached response. Without this, a
 	// contended directory turns retransmission rounds into extra serialized
 	// work: the queue (and the parked-process population) grows without
-	// bound and the run crawls. served holds the last 4 096 requests.
-	served *rpc.Window[reqKey, any]
+	// bound and the run crawls. served holds each sender's requests until
+	// the sender acknowledges them.
+	served rpc.Served[any]
 	// ops counts executed (non-duplicate) client requests, for the
 	// per-server tallies figures carry.
 	ops uint64
-}
-
-// reqKey identifies a request, a client's or a peer's, across retransmissions.
-type reqKey struct {
-	from env.NodeID
-	rpc  uint64
 }
 
 func (s *bserver) lockOf(id core.DirID) *env.RWMutex {
@@ -123,12 +121,13 @@ func (s *bserver) lockOf(id core.DirID) *env.RWMutex {
 	return l
 }
 
-// call performs a retried server-to-server RPC and returns the reply's errno
+// call stamps m with its id, sender and acknowledgement, performs it as a
+// retried server-to-server RPC and returns the reply's errno
 // (ErrnoUnavailable when no reply came).
-func (s *bserver) call(p *env.Proc, to env.NodeID, build func(rpc uint64) any) core.Errno {
-	s.rpcs++
-	rpc := uint64(s.id)<<40 | s.rpcs
-	if v, ok := retry(p, s.calls, rpc, to, build(rpc), 64, s.c.Opts.RetryTimeout); ok {
+func (s *bserver) call(p *env.Proc, to env.NodeID, m *bsub) core.Errno {
+	m.RPC, m.Acked = s.next(s.id)
+	m.From = s.id
+	if v, ok := retry(p, s.calls, m.RPC, to, m, 64, s.c.Opts.RetryTimeout); ok {
 		return v.(*bsubResp).Err
 	}
 	return core.ErrnoUnavailable
@@ -136,30 +135,28 @@ func (s *bserver) call(p *env.Proc, to env.NodeID, build func(rpc uint64) any) c
 
 // handle dispatches baseline messages, and it is the one place a server
 // answers a request: a client request or a peer's sub-operation passes the
-// replay-or-begin step (rpc.Window.Admit) before any CPU is charged — a
+// replay-or-begin step (rpc.Served.Admit) before any CPU is charged — a
 // duplicate would otherwise queue on the cores and the directory lock
 // behind the original — and its handler returns the errno handle sends.
 func (s *bserver) handle(p *env.Proc, from env.NodeID, msg any) {
 	switch m := msg.(type) {
 	case *breq:
-		k := reqKey{from: m.From, rpc: m.RPC}
-		if !s.served.Admit(k, func(v any) { p.Send(m.From, v) }) {
+		if !s.served.Admit(m.From, m.RPC, m.Acked, func(v any) { p.Send(m.From, v) }) {
 			return
 		}
 		s.ops++
 		resp := &bresp{RPC: m.RPC}
 		resp.Err = s.handleReq(p, m, resp)
 		p.Send(m.From, resp)
-		s.served.Put(k, resp)
+		s.served.Put(m.From, m.RPC, resp)
 	case *bsub:
-		k := reqKey{from: m.From, rpc: m.RPC}
-		if !s.served.Admit(k, func(v any) { p.Send(m.From, v) }) {
+		if !s.served.Admit(m.From, m.RPC, m.Acked, func(v any) { p.Send(m.From, v) }) {
 			return
 		}
 		resp := &bsubResp{RPC: m.RPC}
 		resp.Err = s.handleSub(p, m, resp)
 		p.Send(m.From, resp)
-		s.served.Put(k, resp)
+		s.served.Put(m.From, m.RPC, resp)
 	case *bsubResp:
 		fut := s.calls[m.RPC]
 		if fut != nil {
@@ -304,10 +301,8 @@ func (s *bserver) createDelete(p *env.Proc, m *breq) core.Errno {
 
 	// Cross-server: prepare locally, update the parent remotely, commit.
 	p.Compute(c.WALAppend + c.TxnOverhead)
-	if err := s.call(p, parentSrv.id, func(rpc uint64) any {
-		return &bsub{RPC: rpc, From: s.id, Kind: subParentApply,
-			Dir: m.Dir, Name: m.Name, Put: put, Type: core.TypeRegular}
-	}); err != core.ErrnoOK {
+	if err := s.call(p, parentSrv.id, &bsub{Kind: subParentApply,
+		Dir: m.Dir, Name: m.Name, Put: put, Type: core.TypeRegular}); err != core.ErrnoOK {
 		return err
 	}
 	p.Compute(c.TxnOverhead)
@@ -347,9 +342,7 @@ func (s *bserver) mkdir(p *env.Proc, m *breq, resp *bresp) core.Errno {
 	if dirSrv == s {
 		p.Compute(c.KVPut)
 		s.kv.Put(dirKey(m.NewDir), encodeDir(&dirRecord{Perm: core.DefaultDirPerm}))
-	} else if err := s.call(p, dirSrv.id, func(rpc uint64) any {
-		return &bsub{RPC: rpc, From: s.id, Kind: subCreateDir, Dir: m.NewDir}
-	}); err != core.ErrnoOK {
+	} else if err := s.call(p, dirSrv.id, &bsub{Kind: subCreateDir, Dir: m.NewDir}); err != core.ErrnoOK {
 		return err
 	}
 	resp.Dir = m.NewDir
@@ -381,9 +374,7 @@ func (s *bserver) rmdir(p *env.Proc, m *breq) core.Errno {
 		if s.deleteDirIfEmpty(p, target) != core.ErrnoOK {
 			return core.ErrnoNotEmpty
 		}
-	} else if err := s.call(p, dirSrv.id, func(rpc uint64) any {
-		return &bsub{RPC: rpc, From: s.id, Kind: subDeleteDirIfEmpty, Dir: target}
-	}); err != core.ErrnoOK {
+	} else if err := s.call(p, dirSrv.id, &bsub{Kind: subDeleteDirIfEmpty, Dir: target}); err != core.ErrnoOK {
 		return err
 	}
 	p.Compute(c.WALAppend + c.TxnOverhead + c.KVDel)
@@ -412,9 +403,7 @@ func (s *bserver) dstFree(p *env.Proc, m *breq) core.Errno {
 		}
 		return core.ErrnoOK
 	}
-	switch err := s.call(p, dstSrv.id, func(rpc uint64) any {
-		return &bsub{RPC: rpc, From: s.id, Kind: subGetFile, Dir: m.Dir2, Name: m.Name2}
-	}); err {
+	switch err := s.call(p, dstSrv.id, &bsub{Kind: subGetFile, Dir: m.Dir2, Name: m.Name2}); err {
 	case core.ErrnoOK:
 		return core.ErrnoExist
 	case core.ErrnoNotExist:
@@ -434,10 +423,8 @@ func (s *bserver) putDst(p *env.Proc, m *breq, raw []byte) {
 		s.kv.Put(fileKey(m.Dir2, m.Name2), append([]byte(nil), raw...))
 		return
 	}
-	s.call(p, dstSrv.id, func(rpc uint64) any {
-		return &bsub{RPC: rpc, From: s.id, Kind: subPutFile,
-			Dir: m.Dir2, Name: m.Name2, Raw: append([]byte(nil), raw...)}
-	})
+	s.call(p, dstSrv.id, &bsub{Kind: subPutFile,
+		Dir: m.Dir2, Name: m.Name2, Raw: append([]byte(nil), raw...)})
 }
 
 // applyParentAt routes a dentry insert/remove to the named directory's owner.
@@ -454,10 +441,8 @@ func (s *bserver) applyParentAt(p *env.Proc, dir core.DirID, dirPath, name strin
 		l.Unlock()
 		return
 	}
-	s.call(p, owner.id, func(rpc uint64) any {
-		return &bsub{RPC: rpc, From: s.id, Kind: subParentApply,
-			Dir: dir, Name: name, Put: put, Type: t}
-	})
+	s.call(p, owner.id, &bsub{Kind: subParentApply,
+		Dir: dir, Name: name, Put: put, Type: t})
 }
 
 // rename moves a file or directory: synchronous multi-inode update with the

@@ -51,6 +51,9 @@ type Client struct {
 	invalSeen map[env.NodeID]uint64
 	rpcSeq    uint64
 	pending   map[uint64]*env.Future
+	// acked is the client's acknowledgement (wire.ReqCommon.Acked): every
+	// RPC id below it is finished, answered or given up.
+	acked uint64
 
 	// Stats observable by harnesses.
 	Lookups    uint64
@@ -259,10 +262,16 @@ func (c *Client) nextRPC() uint64 {
 	return c.rpcSeq
 }
 
-// reqCommon stamps the shared request fields.
+// reqCommon stamps the shared request fields of request rpc, the id nextRPC
+// just allocated. Its acknowledgement first moves past every finished id: an
+// id is registered in pending before its process next yields, so an id below
+// rpc that is not pending is finished. Each id is passed once.
 func (c *Client) reqCommon(rpc uint64, dst env.NodeID, ancestors []core.DirID) wire.ReqCommon {
+	for c.acked < rpc && c.pending[c.acked] == nil {
+		c.acked++
+	}
 	seen := c.invalSeen[dst]
-	return wire.ReqCommon{RPC: rpc, Client: c.cfg.ID, InvalSeq: seen, Ancestors: ancestors}
+	return wire.ReqCommon{RPC: rpc, Acked: c.acked, Client: c.cfg.ID, InvalSeq: seen, Ancestors: ancestors}
 }
 
 // resolved is the output of path resolution for one target. ancestors is a

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"errors"
 	"slices"
 	"testing"
 
@@ -103,10 +104,13 @@ func TestUnderPath(t *testing.T) {
 // success, recording every request's Ancestors: enough of a metadata server
 // to drive resolve end to end on a Sim without importing one. The first
 // staleRenames RenameReqs are refused with ErrnoStaleCache, as a coordinator
-// refuses a request resolved through a directory renamed since.
+// refuses a request resolved through a directory renamed since. A FileReq
+// for the name silent goes unanswered.
 type fakeServer struct {
 	ids          map[core.Key]core.DirID
 	ancestors    [][]core.DirID // of each FileReq, in arrival order
+	files        []wire.FileReq // in arrival order
+	silent       string
 	lookups      int
 	staleRenames int
 	renames      []wire.RenameReq // in arrival order
@@ -133,6 +137,10 @@ func (f *fakeServer) handle(p *env.Proc, from env.NodeID, msg any) {
 		out = o
 	case *wire.FileReq:
 		f.ancestors = append(f.ancestors, b.Ancestors)
+		f.files = append(f.files, *b)
+		if b.Name == f.silent {
+			return
+		}
 		o, resp := wire.NewPacket[wire.FileResp](from, fakeServerID)
 		resp.RPC = b.RPC
 		out = o
@@ -166,6 +174,51 @@ func withFakeServer(t *testing.T, f *fakeServer, fn func(p *env.Proc, c *Client)
 	sim.Run()
 	if !ran {
 		t.Fatal("client process did not finish")
+	}
+}
+
+// TestAckedTrailsTheOldestCallInFlight: every request carries the client's
+// acknowledgement, the lowest RPC id still in flight on any of its processes.
+// Two processes share the client and the server stays silent to one call:
+// the other process's requests acknowledge nothing from that call's id on,
+// and once the call times out the acknowledgement moves past it.
+func TestAckedTrailsTheOldestCallInFlight(t *testing.T) {
+	f := &fakeServer{silent: "stuck"}
+	withFakeServer(t, f, func(p *env.Proc, c *Client) {
+		gaveUp := false
+		p.Spawn(func(q *env.Proc) {
+			if _, err := c.Stat(q, "/stuck"); !errors.Is(err, core.ErrTimeout) {
+				t.Errorf("the unanswered stat returned %v, want a timeout", err)
+			}
+			gaveUp = true
+		})
+		p.Sleep(env.Microsecond) // the silent call goes first
+		for i := 0; i < 3; i++ {
+			if _, err := c.Stat(p, "/f"); err != nil {
+				t.Fatalf("stat: %v", err)
+			}
+		}
+		for !gaveUp {
+			p.Sleep(c.cfg.RetryTimeout)
+		}
+		if _, err := c.Stat(p, "/f"); err != nil {
+			t.Fatalf("stat: %v", err)
+		}
+	})
+	var stuck uint64
+	var acks []uint64 // of the answered stats, in order
+	for _, r := range f.files {
+		if r.Name == "stuck" {
+			stuck = r.RPC
+		} else {
+			acks = append(acks, r.Acked)
+		}
+	}
+	if want := []uint64{stuck, stuck, stuck}; len(acks) != 4 || !slices.Equal(acks[:3], want) {
+		t.Fatalf("the stats while call %d was in flight acknowledged %v, want %v", stuck, acks, want)
+	}
+	if acks[3] <= stuck {
+		t.Errorf("the stat after call %d gave up acknowledged %d, want past it", stuck, acks[3])
 	}
 }
 

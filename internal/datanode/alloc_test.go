@@ -44,7 +44,7 @@ func writeRig(tb testing.TB) func(from, to int) {
 func TestWriteAllocationBudget(t *testing.T) {
 	const writes, warm, budget = 200, 20, 9.07
 	write := writeRig(t)
-	write(0, warm) // warm the served windows and the worker pool
+	write(0, warm) // warm the served memos and the worker pool
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)

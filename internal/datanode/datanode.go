@@ -16,7 +16,7 @@
 // under-replicated stripes) before the node serves again.
 //
 // Client requests are deduplicated per (client, RPC) with the metadata
-// servers' window (rpc.Window, §5.4.1): a retransmitted DataReq replays the
+// servers' memo (rpc.Served, §5.4.1): a retransmitted DataReq replays the
 // recorded response instead of re-executing, so duplicated or reordered
 // packets cannot bump a chunk's version twice. Replication packets need no
 // memo — backups apply by version comparison, which is idempotent. The
@@ -95,11 +95,6 @@ type chunkRec struct {
 	primary   uint32
 }
 
-type dedupKey struct {
-	client env.NodeID
-	rpc    uint64
-}
-
 // Stats counts data-plane activity (deterministic under Sim).
 type Stats struct {
 	Reads        uint64
@@ -116,8 +111,9 @@ type Server struct {
 	node *env.Node
 
 	store map[wire.ChunkKey]chunkRec
-	// served remembers the last 4 096 client RPCs taken up (§5.4.1).
-	served *rpc.Window[dedupKey, wire.Msg]
+	// served remembers the client RPCs taken up until their clients
+	// acknowledge them (§5.4.1).
+	served rpc.Served[wire.Msg]
 	// rpc waits for peers: replication rounds and recovery pulls, under ids
 	// from ids, this incarnation's identifier source.
 	rpc rpc.Calls
@@ -139,7 +135,6 @@ func New(e *env.Sim, cfg Config) *Server {
 		cfg:     cfg,
 		env:     e,
 		store:   make(map[wire.ChunkKey]chunkRec),
-		served:  rpc.NewWindow[dedupKey, wire.Msg](4096),
 		serving: true,
 	}
 	s.ids = core.NewIncarnation(uint64(cfg.ID), uint64(e.Now()))
@@ -286,7 +281,7 @@ func init() {
 
 // handle is the env message handler: the one dispatch of every message the
 // node receives. A deduplicated client request passes the replay-or-begin
-// step (rpc.Window.Admit) over the served window before its handler runs.
+// step (rpc.Served.Admit) over the served memo before its handler runs.
 func (s *Server) handle(p *env.Proc, _ env.NodeID, msg any) {
 	pkt, ok := msg.(*wire.Packet)
 	if !ok {
@@ -306,7 +301,7 @@ func (s *Server) handle(p *env.Proc, _ env.NodeID, msg any) {
 	if r.Client && r.Dedup(pkt.Body) {
 		req := pkt.Body.(wire.Request).Common()
 		replay := func(resp wire.Msg) { s.reply(p, req.Client, resp) }
-		if !s.served.Admit(dedupKey{client: req.Client, rpc: req.RPC}, replay) {
+		if !s.served.Admit(req.Client, req.RPC, req.Acked, replay) {
 			return
 		}
 	}
@@ -337,7 +332,7 @@ func (s *Server) handleData(p *env.Proc, _ *wire.Packet, req *wire.DataReq) {
 			// the committed watermark stays put). Release the in-flight
 			// marker so a post-heal retransmission re-executes
 			// (at-least-once; the fresh attempt assigns a newer version).
-			s.served.Delete(dedupKey{client: req.Client, rpc: req.RPC})
+			s.served.Delete(req.Client, req.RPC)
 			return
 		}
 		s.commit(req.Chunk, ver, req.Bytes)
@@ -345,7 +340,7 @@ func (s *Server) handleData(p *env.Proc, _ *wire.Packet, req *wire.DataReq) {
 	default:
 		resp.Err = core.ErrnoOf(core.ErrInvalid)
 	}
-	s.served.Put(dedupKey{client: req.Client, rpc: req.RPC}, resp)
+	s.served.Put(req.Client, req.RPC, resp)
 	s.reply(p, req.Client, resp)
 }
 
@@ -429,7 +424,7 @@ func (s *Server) servePull(p *env.Proc, req wire.DataPullReq, _ bool) wire.DataP
 func (s *Server) Calls() *rpc.Calls { return &s.rpc }
 
 // reply sends a client's response, built before and remembered in the served
-// window, in a packet of its own: the window never pins a packet per entry.
+// memo, in a packet of its own: the memo never pins a packet per entry.
 // Every other message is carved with its packet (replyNew).
 func (s *Server) reply(p *env.Proc, to env.NodeID, resp wire.Msg) {
 	s.send(p, &wire.Packet{Dst: to, Origin: s.cfg.ID, Body: resp})

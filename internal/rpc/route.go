@@ -20,7 +20,7 @@ type Route[N any] struct {
 	// not serving (the metadata server holds it, the data node drops it).
 	Client bool
 	// Dedup reports whether a client request passes the replay-or-begin step
-	// (Window.Admit) before its handler runs; every client route declares it.
+	// (Served.Admit) before its handler runs; every client route declares it.
 	Dedup func(wire.Msg) bool
 	// Serve runs the handler.
 	Serve func(n N, p *env.Proc, pkt *wire.Packet)

@@ -1,19 +1,20 @@
 // Package rpc is what every node kind needs to turn at-least-once UDP
 // exchanges into exactly-once ones (§5.4.1) and to wait for a peer: Routes,
 // the dispatch table that says which client requests are deduplicated;
-// Window, the bounded memo of the requests a node served, whose Admit is the
-// replay-or-begin step those requests pass; and Calls, the one retried call
-// with its registry of calls in flight. The metadata server and the data
-// node use all three; the baseline file systems use only Window, whose Admit
-// every baseline request passes in its server's one dispatch.
+// Served, the memo of the client requests a node took up, which the clients'
+// acknowledgements release and whose Admit is the replay-or-begin step those
+// requests pass; Window, the bounded memo of the server-to-server requests,
+// which carry no acknowledgement; and Calls, the one retried call with its
+// registry of calls in flight. The metadata server uses all four, the data
+// node all but Window; the baseline file systems use only Served, whose
+// Admit every baseline request passes in its server's one dispatch.
 package rpc
 
 // Window remembers the last bound requests a node took up, keyed by request,
 // so a duplicate is answered from the memo instead of re-executing. A key is
-// in flight from Begin (or Admit) until Put records its value. When an
-// insertion makes the live count pass the bound, the oldest first-inserted
-// key leaves; Delete removes a key and frees its slot, so it never costs a
-// younger key its place. Every operation is O(1).
+// in flight from Begin until Put records its value. When an insertion makes
+// the live count pass the bound, the oldest first-inserted key leaves. Every
+// operation is O(1).
 type Window[K comparable, V any] struct {
 	bound int
 	at    map[K]int32
@@ -46,23 +47,6 @@ func (w *Window[K, V]) Begin(k K) bool {
 	return true
 }
 
-// Admit is the replay-or-begin step a deduplicated request passes before its
-// handler runs (§5.4.1), and it reports whether the handler runs. A key new
-// to the window is marked in flight and runs. A duplicate of a request the
-// window recorded is answered with replay(v); a duplicate of one still in
-// flight is dropped, since its first delivery will answer.
-func (w *Window[K, V]) Admit(k K, replay func(V)) bool {
-	i, ok := w.at[k]
-	if !ok {
-		w.insert(k, *new(V), false)
-		return true
-	}
-	if s := &w.slots[i]; s.done {
-		replay(s.val)
-	}
-	return false
-}
-
 // Put records v as k's value, inserting k as the newest key if it is absent.
 func (w *Window[K, V]) Put(k K, v V) {
 	if i, ok := w.at[k]; ok {
@@ -80,13 +64,6 @@ func (w *Window[K, V]) Get(k K) (v V, done, ok bool) {
 		return v, false, false
 	}
 	return w.slots[i].val, w.slots[i].done, true
-}
-
-// Delete removes k, if present, and frees its slot.
-func (w *Window[K, V]) Delete(k K) {
-	if i, ok := w.at[k]; ok {
-		w.release(i)
-	}
 }
 
 // Len reports the number of keys in the window.

@@ -9,8 +9,7 @@ import (
 
 // sliceMemo is the served-request memo as the servers kept it before Window:
 // a map and a FIFO slice of first insertions, trimmed from the front when
-// its length passes the bound; a delete scans the slice for the key's slot.
-// It is the reference Window must reproduce.
+// its length passes the bound. It is the reference Window must reproduce.
 type sliceMemo struct {
 	bound int
 	vals  map[int]int
@@ -50,31 +49,17 @@ func (m *sliceMemo) get(k int) (int, bool, bool) {
 	return v, m.done[k], ok
 }
 
-func (m *sliceMemo) del(k int) {
-	delete(m.vals, k)
-	delete(m.done, k)
-	for i, q := range m.log {
-		if q == k {
-			m.log = append(m.log[:i], m.log[i+1:]...)
-			break
-		}
-	}
-}
-
 // TestWindowMatchesSliceMemo drives Window and the slice memo through the same
-// seeded random sequences — begin, put, get, delete, a re-begin after a
-// delete, the replay-or-begin step (Admit, whose reference is a get and then
-// a begin of an absent key), and enough fresh keys to overflow the bound —
-// and requires the same
-// answer to every operation and the same live keys, oldest first, after each.
+// seeded random sequences — begin, put, get, and enough fresh keys to
+// overflow the bound — and requires the same answer to every operation and
+// the same live keys, oldest first, after each.
 func TestWindowMatchesSliceMemo(t *testing.T) {
 	for _, bound := range []int{1, 2, 7, 64} {
 		for seed := int64(1); seed <= 50; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			w := NewWindow[int, int](bound)
 			m := &sliceMemo{bound: bound, vals: map[int]int{}, done: map[int]bool{}}
-			next := 0         // the next fresh key
-			var deleted []int // keys deleted and not yet re-begun
+			next := 0 // the next fresh key
 			key := func() int {
 				// Mostly keys seen lately, some older ones, some fresh.
 				switch r := rng.Intn(10); {
@@ -88,7 +73,7 @@ func TestWindowMatchesSliceMemo(t *testing.T) {
 			}
 			for step := 0; step < 2000; step++ {
 				what := ""
-				switch op := rng.Intn(7); op {
+				switch op := rng.Intn(4); op {
 				case 0, 1:
 					k := key()
 					what = fmt.Sprintf("begin %d", k)
@@ -102,44 +87,12 @@ func TestWindowMatchesSliceMemo(t *testing.T) {
 					m.put(k, v)
 				case 3:
 					k := key()
-					what = fmt.Sprintf("delete %d", k)
-					w.Delete(k)
-					m.del(k)
-					deleted = append(deleted, k)
-				case 4:
-					if len(deleted) == 0 {
-						continue
-					}
-					i := rng.Intn(len(deleted))
-					k := deleted[i]
-					deleted = slices.Delete(deleted, i, i+1)
-					what = fmt.Sprintf("re-begin %d after delete", k)
-					if got, want := w.Begin(k), m.begin(k); got != want {
-						t.Fatalf("bound %d seed %d step %d: %s = %v, want %v", bound, seed, step, what, got, want)
-					}
-				case 5:
-					k := key()
 					what = fmt.Sprintf("get %d", k)
 					v, done, ok := w.Get(k)
 					mv, mdone, mok := m.get(k)
 					if v != mv || done != mdone || ok != mok {
 						t.Fatalf("bound %d seed %d step %d: %s = (%d, %v, %v), want (%d, %v, %v)",
 							bound, seed, step, what, v, done, ok, mv, mdone, mok)
-					}
-				case 6:
-					k := key()
-					what = fmt.Sprintf("admit %d", k)
-					mv, mdone, mok := m.get(k)
-					if !mok {
-						m.begin(k)
-					}
-					if !mdone {
-						mv = 0 // only a recorded request is replayed
-					}
-					replayed := 0
-					if run := w.Admit(k, func(v int) { replayed = v }); run != !mok || replayed != mv {
-						t.Fatalf("bound %d seed %d step %d: %s = (run %v, replayed %d), want (%v, %d)",
-							bound, seed, step, what, run, replayed, !mok, mv)
 					}
 				}
 				if got := w.live(); !slices.Equal(got, m.log) || w.Len() != len(m.vals) {
@@ -158,25 +111,4 @@ func (w *Window[K, V]) live() []K {
 		out = append(out, w.slots[i].key)
 	}
 	return out
-}
-
-// TestWindowDeleteFreesSlot pins what the data node relies on: a key deleted
-// while in flight gives its slot back, so a re-execution's response stays for
-// a full window instead of leaving one slot early.
-func TestWindowDeleteFreesSlot(t *testing.T) {
-	const bound = 4
-	w := NewWindow[int, string](bound)
-	w.Begin(0)
-	w.Delete(0)
-	w.Begin(1)
-	w.Put(1, "one")
-	for k := 2; k < 2+bound-1; k++ {
-		w.Begin(k)
-	}
-	if v, done, ok := w.Get(1); !ok || !done || v != "one" {
-		t.Fatalf("key 1 after %d younger keys: (%q, %v, %v), want its value", bound-1, v, done, ok)
-	}
-	if len(w.slots) != bound+1 {
-		t.Errorf("%d slots allocated for a bound of %d", len(w.slots)-1, bound)
-	}
 }

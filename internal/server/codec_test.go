@@ -236,7 +236,7 @@ func TestHandlerAllocationBudgets(t *testing.T) {
 	// replay-or-begin step drops, and a peer message (an ack for a log this
 	// server does not hold). A memo replay's one packet is not counted.
 	dup := &wire.Packet{Dst: 100, Origin: 9000, Body: &wire.MutateReq{ReqCommon: wire.ReqCommon{RPC: 1, Client: 9000}}}
-	s.served.Begin(dedupKey{client: 9000, rpc: 1})
+	s.served.Admit(9000, 1, 0, nil)
 	ack := &wire.Packet{Dst: 100, Origin: 101, Body: &wire.ChangePushAck{Dir: core.DirID{9}}}
 	var p *env.Proc
 	for _, c := range []struct {

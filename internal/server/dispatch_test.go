@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/binary"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -157,6 +158,65 @@ func TestDuplicatesAnsweredFromWindow(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestRetransmissionOutlivesOtherClients: a node remembers a client's answered
+// request until that client acknowledges it, however many requests of other
+// clients it takes up meanwhile. A create and a data write are answered, then
+// 4 097 other clients' requests of the same kind arrive — more than a memo
+// bounded at 4 096 requests keeps — and then the first request is
+// retransmitted. It is replayed, not run again: a second create would fail
+// with EEXIST, a second write would take a second version.
+func TestRetransmissionOutlivesOtherClients(t *testing.T) {
+	const others = 4097
+	root := core.RootRef()
+	chunk := wire.ChunkKey{File: 7}
+	for _, c := range []struct {
+		name  string
+		dst   env.NodeID
+		req   func(client env.NodeID, i int) wire.Msg
+		check func(t *testing.T, r *rig)
+	}{
+		{"create", rigServer, func(client env.NodeID, i int) wire.Msg {
+			return &wire.MutateReq{ReqCommon: wire.ReqCommon{RPC: 1, Client: client},
+				Op: core.OpCreate, Parent: root, Name: fmt.Sprintf("f%d", i)}
+		}, func(t *testing.T, r *rig) {
+			if runs := r.s.Stats.Ops; runs != 1+others {
+				t.Errorf("the handler ran %d times, want %d", runs, 1+others)
+			}
+		}},
+		{"data write", rigData, func(client env.NodeID, i int) wire.Msg {
+			return &wire.DataReq{ReqCommon: wire.ReqCommon{RPC: 1, Client: client},
+				Op: core.OpWrite, Chunk: wire.ChunkKey{File: chunk.File + uint32(i)}, Bytes: 4096}
+		}, func(t *testing.T, r *rig) {
+			if v := r.d.ChunkVer(chunk); v != 1 || r.resp[1].(*wire.DataResp).Ver != 1 {
+				t.Errorf("chunk at version %d, replayed version %d; want 1, 1", v, r.resp[1].(*wire.DataResp).Ver)
+			}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := newRig(t)
+			first := c.req(rigClient, 0)
+			r.send(c.dst, 0, first)
+			r.sim.Run()
+			for i := 1; i <= others; i++ {
+				r.send(c.dst, 0, c.req(rigClient+env.NodeID(i), i))
+			}
+			r.sim.Run()
+			r.send(c.dst, 0, first)
+			r.sim.Run()
+			if len(r.resp) != 2 {
+				t.Fatalf("%d responses to the request and its late retransmission, want 2", len(r.resp))
+			}
+			if rc := reflect.ValueOf(r.resp[1]).Elem().FieldByName("RespCommon").Interface().(wire.RespCommon); rc.Err != core.ErrnoOK {
+				t.Errorf("the retransmission ran again and failed: %v", rc.Err.Err())
+			}
+			c.check(t, r)
+			if r.resp[1] != r.resp[0] {
+				t.Error("the retransmission was not answered with the recorded response")
+			}
+		})
+	}
 }
 
 // holds reports whether the WAL holds a record of kind whose payload starts

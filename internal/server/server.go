@@ -236,14 +236,15 @@ type Server struct {
 	// Pending protocol contexts. rpc waits for peers and registers the plain
 	// request/response exchanges (commit acks, control replies, decision
 	// acks), keyed by ids drawn from ids. aggAcks remembers the acks of the
-	// last 256 aggregations, to re-ack a late peer; served remembers the last
-	// 4 096 client RPCs this incarnation took up (§5.4.1).
+	// last 256 aggregations, to re-ack a late peer; served remembers the
+	// client RPCs this incarnation took up until their clients acknowledge
+	// them (§5.4.1).
 	rpc      rpc.Calls
 	aggs     map[uint64]*aggCtx
 	aggByFP  map[core.Fingerprint]*aggCtx
 	peerAggs map[uint64]*peerAggState
 	aggAcks  *rpc.Window[uint64, []peerAck]
-	served   *rpc.Window[dedupKey, wire.Msg]
+	served   rpc.Served[wire.Msg]
 
 	// Owner-side quiesce timers for proactive aggregation.
 	quiesce map[core.Fingerprint]*env.Timer
@@ -375,7 +376,6 @@ func New(e *env.Sim, cfg Config) *Server {
 		gates:      make(map[core.Fingerprint]*env.Future),
 		aggs:       make(map[uint64]*aggCtx),
 		aggByFP:    make(map[core.Fingerprint]*aggCtx),
-		served:     rpc.NewWindow[dedupKey, wire.Msg](4096),
 		quiesce:    make(map[core.Fingerprint]*env.Timer),
 		ownerDirty: make(map[core.Fingerprint]bool),
 		txns:       make(map[uint64]*txnState),
@@ -620,9 +620,9 @@ func init() {
 
 // handle is the env message handler: the one dispatch of every message the
 // server receives. A client request is parsed on arrival, and a deduplicated
-// one then passes the replay-or-begin step (rpc.Window.Admit) over the
-// served window: a retransmission is answered from the memo and never runs
-// again (§5.4.1).
+// one then passes the replay-or-begin step (rpc.Served.Admit) over the
+// served memo: a retransmission is answered from the memo and never runs
+// again, and one the client already finished is dropped (§5.4.1).
 func (s *Server) handle(p *env.Proc, from env.NodeID, msg any) {
 	pkt, ok := msg.(*wire.Packet)
 	if !ok {
@@ -647,7 +647,7 @@ func (s *Server) handle(p *env.Proc, from env.NodeID, msg any) {
 		if r.Dedup(pkt.Body) {
 			req := pkt.Body.(wire.Request).Common()
 			replay := func(resp wire.Msg) { s.reply(p, req.Client, resp) }
-			if !s.served.Admit(dedupKey{client: req.Client, rpc: req.RPC}, replay) {
+			if !s.served.Admit(req.Client, req.RPC, req.Acked, replay) {
 				return
 			}
 		}
@@ -797,7 +797,7 @@ func (s *Server) checkAncestors(req *wire.ReqCommon) error {
 // remember records a response for client-RPC deduplication: retransmitted
 // requests replay the response instead of re-executing (§5.4.1).
 func (s *Server) remember(client env.NodeID, rpc uint64, resp wire.Msg) {
-	s.served.Put(dedupKey{client: client, rpc: rpc}, resp)
+	s.served.Put(client, rpc, resp)
 }
 
 // appliedMark returns the exactly-once watermark for (src, dir).

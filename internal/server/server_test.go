@@ -86,29 +86,25 @@ func TestInodeRecordRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDedupWindow checks the client-RPC memo: an RPC is taken up once, and the
-// memo keeps the newest 4 096, evicting the oldest first.
-func TestDedupWindow(t *testing.T) {
-	const window = 4096
-	_, s := newTestServer(t)
-	req := dedupKey{client: 9000, rpc: 1}
-	if !s.served.Begin(req) {
-		t.Fatal("first begin refused")
+// TestServedReleasedByAck: the client-RPC memo keeps a client's requests only
+// until the client acknowledges them. One client makes 10 000 creates one
+// after another, each acknowledging every earlier one, and the server holds
+// at most one memo for it — the last reply, which a retransmission could
+// still ask for.
+func TestServedReleasedByAck(t *testing.T) {
+	const ops = 10000
+	r := newRig(t)
+	root := core.RootRef()
+	for i := uint64(1); i <= ops; i++ {
+		r.send(rigServer, 0, &wire.MutateReq{ReqCommon: wire.ReqCommon{RPC: i, Acked: i, Client: rigClient},
+			Op: core.OpCreate, Parent: root, Name: fmt.Sprintf("f%d", i)})
+		r.sim.Run()
 	}
-	if s.served.Begin(req) {
-		t.Fatal("second begin of the same rpc accepted")
+	if len(r.resp) != ops {
+		t.Fatalf("%d creates answered, want %d", len(r.resp), ops)
 	}
-	resp := &wire.MutateResp{RespCommon: wire.RespCommon{RPC: 1}}
-	s.remember(req.client, req.rpc, resp)
-	// The window evicts oldest entries.
-	for i := 2; i < window+10; i++ {
-		s.served.Begin(dedupKey{client: 9000, rpc: uint64(i)})
-	}
-	if _, _, still := s.served.Get(dedupKey{client: 9000, rpc: 1}); still {
-		t.Fatal("oldest entry not evicted")
-	}
-	if n := s.served.Len(); n > window {
-		t.Fatalf("dedup window grew to %d (bound %d)", n, window)
+	if n := r.s.served.Held(rigClient); n > 1 {
+		t.Errorf("the server holds %d memos for a client with one request unacknowledged, want at most 1", n)
 	}
 }
 

@@ -100,8 +100,12 @@ func NewPacket[B any, P interface {
 // ReqCommon carries the fields every client request shares.
 type ReqCommon struct {
 	// RPC matches responses to requests and deduplicates retransmissions:
-	// servers remember recently-executed (client, RPC) pairs.
+	// servers remember the (client, RPC) pairs they took up.
 	RPC uint64
+	// Acked is the client's acknowledgement: every RPC id below it is
+	// finished at the client, answered or given up, so a server releases
+	// its memos of them and drops a late copy of one (rpc.Served).
+	Acked uint64
 	// Client is the reply address.
 	Client env.NodeID
 	// InvalSeq is the highest invalidation-list sequence number (per
