@@ -108,10 +108,10 @@ bench:
 # durable-record encoders, its recovery (BenchmarkRecover), a 2PC rename and
 # an aggregation round (BenchmarkRename, BenchmarkAggregate: allocations per
 # round with -benchmem), the nodes' one way to wait for a peer (internal/rpc's
-# BenchmarkPeerCall), the memo of served client requests (BenchmarkServedAdmit:
-# ns and allocs per replay-or-begin step, and the heap one idle client keeps
-# at a node) and a replicated write through a data node's primary and backup
-# (BenchmarkReplicatedWrite).
+# BenchmarkPeerCall), the one memo of served requests, client requests and 2PC
+# prepares alike (BenchmarkServedAdmit: ns and allocs per replay-or-begin step,
+# and the heap one idle client keeps at a node) and a replicated write
+# through a data node's primary and backup (BenchmarkReplicatedWrite).
 # BENCHFLAGS adds go test flags: CI's smoke step passes -benchtime 1x.
 bench-layers:
 	$(GO) test -run '^$$' -bench . -benchmem $(BENCHFLAGS) ./internal/env ./internal/core ./internal/kv ./internal/wal ./internal/client ./internal/server ./internal/rpc ./internal/datanode

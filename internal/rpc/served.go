@@ -1,3 +1,14 @@
+// Package rpc is what every node kind needs to turn at-least-once UDP
+// exchanges into exactly-once ones (§5.4.1) and to wait for a peer: Routes,
+// the dispatch table that says which client requests are deduplicated;
+// Served, the memo of the requests a node took up, which their senders'
+// acknowledgements release and whose Admit is the replay-or-begin step those
+// requests pass; and Calls, the one retried call with its registry of calls
+// in flight. The metadata server uses all three — Served for its clients'
+// requests and for 2PC prepares, which carry their coordinator's
+// acknowledgement — and so does the data node; the baseline file systems use
+// only Served, whose Admit every baseline request passes in its server's one
+// dispatch.
 package rpc
 
 import (
@@ -7,14 +18,16 @@ import (
 	"switchfs/internal/env"
 )
 
-// Served remembers the client requests a node took up, so a duplicate is
-// answered from the memo instead of re-executing (§5.4.1): RIFL's completion
-// records, released by the client's acknowledgement. Every request carries
-// one, the RPC id below which the client finished every call, answered or
-// given up: no request below it is waited for any more. Per client, Served
-// keeps that floor and the memos of the requests at or above it, in RPC
-// order — those still in flight and those answered but not yet acknowledged.
-// The zero value is an empty memo.
+// Served remembers the requests a node took up, so a duplicate is answered
+// from the memo instead of re-executing (§5.4.1): RIFL's completion records,
+// released by the sender's acknowledgement. Every request carries one, the id
+// below which its sender finished every call, answered or given up: no
+// request below it is waited for any more. The sender — called the client
+// below — is a client, whose requests are keyed by RPC id, or a 2PC
+// coordinator, whose prepares are keyed by transaction id. Per client, Served
+// keeps that floor and the memos of the requests at or above it, in id order:
+// those still in flight and those answered but not yet acknowledged. Nothing
+// else bounds it. The zero value is an empty memo.
 type Served[V any] struct {
 	clients map[env.NodeID]*servedClient[V]
 }

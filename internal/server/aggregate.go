@@ -1,7 +1,6 @@
 package server
 
 import (
-	"cmp"
 	"slices"
 
 	"switchfs/internal/core"
@@ -200,7 +199,6 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 	// inode lock. Per-peer acks let each sender trim exactly the entries it
 	// contributed.
 	logs := ctx.logs
-	delete(s.aggs, id)
 	if s.aggByFP[fp] == ctx {
 		delete(s.aggByFP, fp)
 	}
@@ -210,21 +208,33 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 		// re-surface through this server's recovery or the next aggregation —
 		// applying them to this dead incarnation's store (and letting peers
 		// trim) would lose them.
+		delete(s.aggs, id)
 		return false
 	}
 
 	s.applyByDir(p, logs)
 
-	// Acknowledge every peer (steps 9–10); peers whose entries we applied trim
-	// and unlock, and the peers that contributed nothing get an empty ack so
-	// their (unlocked) state stays clean.
-	acks := peerAcks(id, fp, s.cfg.ID, logs)
+	// Acknowledge every peer (steps 9–10) with what the watermarks now give
+	// its logs: peers whose entries we applied trim and unlock, and the peers
+	// that contributed nothing get an empty ack so their (unlocked) state
+	// stays clean. The acks' MaxIDs are carved from one array. Only then does
+	// the aggregation leave aggs: a reply retransmitted during the apply is
+	// dropped as a duplicate, where the watermarks would not yet cover it.
+	maxes := make([]wire.DirMax, 0, len(logs))
 	for _, peer := range s.cfg.Peers {
-		if peer != s.cfg.ID {
-			replyNew(s, p, peer, ackOf(acks, peer, id, fp))
+		if peer == s.cfg.ID {
+			continue
 		}
+		a := wire.AggAck{AggID: id, FP: fp, MaxIDs: maxes[len(maxes):]}
+		for i := range logs {
+			if logs[i].from == peer {
+				s.ackLog(&a, peer, &logs[i].log)
+			}
+		}
+		maxes = maxes[:len(maxes)+len(a.MaxIDs)]
+		replyNew(s, p, peer, a)
 	}
-	s.aggAcks.Put(id, acks)
+	delete(s.aggs, id)
 
 	// Trim and unlock the local logs.
 	for _, dl := range locals {
@@ -336,13 +346,7 @@ func (s *Server) finishPeerAgg(st *peerAggState, a *wire.AggAck) {
 func (s *Server) handleAggEntries(p *env.Proc, _ *wire.Packet, e *wire.AggEntries) {
 	ctx := s.aggs[e.AggID]
 	if ctx == nil {
-		acks, _, done := s.aggAcks.Get(e.AggID)
-		switch {
-		case done:
-			// Late or duplicate reply to a completed aggregation: re-ack so
-			// the peer can trim and unlock.
-			replyNew(s, p, e.From, ackOf(acks, e.From, e.AggID, e.FP))
-		case s.ids.Predecessor(e.AggID):
+		if s.ids.Predecessor(e.AggID) {
 			// A predecessor's aggregation, which died with it: the empty ack
 			// makes the peer unlock and KEEP its entries (the give-up path it
 			// would reach a retry budget later). Recovery's forced aggregation
@@ -350,7 +354,15 @@ func (s *Server) handleAggEntries(p *env.Proc, _ *wire.Packet, e *wire.AggEntrie
 			// the predecessor had already group-committed.
 			s.Stats.AggReleased++
 			replyNew(s, p, e.From, wire.AggAck{AggID: e.AggID, FP: e.FP})
+			return
 		}
+		// Late or duplicate reply to an aggregation this incarnation finished:
+		// re-ack from the watermarks so the peer can trim and unlock.
+		a := wire.AggAck{AggID: e.AggID, FP: e.FP}
+		for i := range e.Logs {
+			s.ackLog(&a, e.From, &e.Logs[i])
+		}
+		replyNew(s, p, e.From, a)
 		return
 	}
 	if !ctx.Expects(e.From) {
@@ -373,45 +385,22 @@ func (s *Server) handleAggAck(p *env.Proc, _ *wire.Packet, a *wire.AggAck) {
 	st.done.Complete(a)
 }
 
-// peerAck is the ack an aggregation owes a peer whose entries it applied.
-type peerAck struct {
-	peer env.NodeID
-	ack  wire.AggAck
-}
-
-// peerAcks builds the acks aggregation id owes the peers whose logs it
-// applied, ascending by peer: the largest id applied per directory. A peer
-// answers once, with one log per directory, so its logs — ordered here by
-// source — are its ack's MaxIDs, all carved from one array.
-func peerAcks(id uint64, fp core.Fingerprint, self env.NodeID, logs []aggLog) []peerAck {
-	slices.SortStableFunc(logs, func(a, b aggLog) int { return cmp.Compare(a.from, b.from) })
-	var acks []peerAck
-	var maxes []wire.DirMax
-	for i := range logs {
-		l := &logs[i]
-		if l.from == self {
-			continue
+// ackLog adds to a the ack of l, a directory log that peer from sent: the
+// largest id in l at or below from's watermark of the directory. applyBatch sets the
+// mark only once the entries' records are in the WAL, so the ack never runs
+// ahead of the log (DESIGN.md "Log, then send"); a log wholly above the mark
+// adds nothing, and the peer keeps it.
+func (s *Server) ackLog(a *wire.AggAck, from env.NodeID, l *wire.DirLog) {
+	mark := s.appliedMark(from, l.Dir.ID)
+	var through uint64
+	for _, e := range l.Entries {
+		if e.ID <= mark {
+			through = max(through, e.ID)
 		}
-		if maxes == nil {
-			acks, maxes = make([]peerAck, 0, len(logs)), make([]wire.DirMax, 0, len(logs))
-		}
-		if len(acks) == 0 || acks[len(acks)-1].peer != l.from {
-			acks = append(acks, peerAck{peer: l.from, ack: wire.AggAck{AggID: id, FP: fp, MaxIDs: maxes[len(maxes):]}})
-		}
-		maxes = append(maxes, wire.DirMax{Dir: l.log.Dir.ID, MaxID: l.maxID})
-		a := &acks[len(acks)-1].ack
-		a.MaxIDs = a.MaxIDs[:len(a.MaxIDs)+1]
 	}
-	return acks
-}
-
-// ackOf returns the ack aggregation id owes peer: its entry in acks, or an
-// empty one.
-func ackOf(acks []peerAck, peer env.NodeID, id uint64, fp core.Fingerprint) wire.AggAck {
-	if i, ok := slices.BinarySearchFunc(acks, peer, func(a peerAck, n env.NodeID) int { return cmp.Compare(a.peer, n) }); ok {
-		return acks[i].ack
+	if through > 0 {
+		a.MaxIDs = append(a.MaxIDs, wire.DirMax{Dir: l.Dir.ID, MaxID: through})
 	}
-	return wire.AggAck{AggID: id, FP: fp}
 }
 
 // applyByDir applies an aggregation's collected logs, every directory of the

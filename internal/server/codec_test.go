@@ -480,7 +480,7 @@ func allocsPerOp(fn func(), ops int) float64 {
 func TestRenameAllocationBudget(t *testing.T) {
 	const renames, warm, budget = 200, 20, 29.24
 	rename := renameRig(t, renames)
-	rename(0, warm) // warm the lock table, the dedup window and the worker pool
+	rename(0, warm) // warm the lock table, the prepare memo and the worker pool
 	perOp := allocsPerOp(func() { rename(warm, renames) }, renames-warm)
 	t.Logf("rename: %.2f allocs/op (budget %.2f)", perOp, budget)
 	if perOp > budget {

@@ -163,7 +163,7 @@ func TestControlExchangeTable(t *testing.T) {
 
 		{what: "TxnStatus: committed", setup: func(r *ctlRig) { r.s.txnWAL[7] = 1 }, serve: status,
 			want: wire.TxnStatusResp{Commit: true}},
-		{what: "TxnStatus: still voting", setup: func(r *ctlRig) { r.s.txnVotes[7] = &coordTxn{} }, serve: status,
+		{what: "TxnStatus: still voting", setup: func(r *ctlRig) { r.s.txnVotes = []*coordTxn{{id: 7}} }, serve: status,
 			want: wire.TxnStatusResp{Pending: true}},
 		{what: "TxnStatus: not serving yet", setup: func(r *ctlRig) { r.s.serving = false }, serve: status,
 			want: wire.TxnStatusResp{Pending: true}},

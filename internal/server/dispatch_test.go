@@ -71,14 +71,14 @@ func (r *rig) file(name string) {
 	r.s.putDentry(root.ID, core.DirEntry{Name: name, Type: core.TypeRegular, Perm: 0o644}, true)
 }
 
-// TestDuplicatesAnsweredFromWindow sends every deduplicated request type
+// TestDuplicatesAnsweredFromMemo sends every deduplicated request type
 // through its node's dispatch three times: the original, a duplicate that
 // arrives while the original executes — dropped, the original answers — and
 // a duplicate that arrives after the reply, answered with the very response
-// the window recorded. Neither duplicate runs the handler again: the
+// the memo recorded. Neither duplicate runs the handler again: the
 // executions and the durable state (WAL records, chunk version) stay as the
 // original left them.
-func TestDuplicatesAnsweredFromWindow(t *testing.T) {
+func TestDuplicatesAnsweredFromMemo(t *testing.T) {
 	root := core.RootRef()
 	common := wire.ReqCommon{RPC: 1, Client: rigClient}
 	type effects struct{ runs, durable uint64 }

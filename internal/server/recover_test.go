@@ -453,55 +453,121 @@ func TestCloneInvalNumbersAbovePredecessor(t *testing.T) {
 	}
 }
 
-// TestHandleAggEntriesTable covers the four answers an AggEntries can get.
-func TestHandleAggEntriesTable(t *testing.T) {
-	sim := env.NewSim(3)
-	t.Cleanup(sim.Shutdown)
-	const owner, peer env.NodeID = 100, 101
-	var acks []*wire.AggAck
-	sim.AddNode(peer, env.NodeConfig{Cores: 1, Handler: func(p *env.Proc, from env.NodeID, msg any) {
-		if a, ok := msg.(*wire.Packet).Body.(*wire.AggAck); ok {
-			acks = append(acks, a)
+// aggOwnerRig is aggOwner's incarnation booted at boot, with the given
+// service times, aggregating the group of dir with one peer, aggPeer. A
+// switch stub forwards each fetch to the peer, and the peer answers every
+// fetch with its log of dir, holding the ids entries, then sends copies more
+// of that reply, one every 100 ns; it keeps every ack it receives in acks.
+type aggOwnerRig struct {
+	sim     *env.Sim
+	s       *Server
+	dir     core.DirRef
+	entries []uint64
+	copies  int
+	acks    []*wire.AggAck
+}
+
+const aggOwner, aggPeer env.NodeID = 100, 101
+
+func newAggOwnerRig(t *testing.T, boot env.Duration, costs env.Costs, entries ...uint64) *aggOwnerRig {
+	t.Helper()
+	const owner, peer, sw = aggOwner, aggPeer, env.NodeID(1)
+	r := &aggOwnerRig{sim: env.NewSim(3), entries: entries}
+	t.Cleanup(r.sim.Shutdown)
+	r.dir = core.DirRef{ID: core.DirID{1, 2, 3, 4}, Key: core.Key{PID: core.RootDirID, Name: "d"}}
+	r.dir.FP = r.dir.Key.Fingerprint()
+	r.sim.AddNode(sw, env.NodeConfig{Handler: func(p *env.Proc, _ env.NodeID, msg any) {
+		if pkt := msg.(*wire.Packet); pkt.DS != nil && pkt.DS.Op == wire.DSRemove {
+			p.Send(peer, &wire.Packet{Dst: peer, Origin: pkt.Origin, Body: pkt.Body})
 		}
 	}})
+	r.sim.AddNode(peer, env.NodeConfig{Cores: 1, Handler: func(p *env.Proc, _ env.NodeID, msg any) {
+		switch m := msg.(*wire.Packet).Body.(type) {
+		case *wire.AggAck:
+			r.acks = append(r.acks, m)
+		case *wire.AggFetch:
+			body := r.reply(m.AggID, r.entries...)
+			p.Send(owner, &wire.Packet{Dst: owner, Origin: peer, Body: body})
+			for range r.copies {
+				p.Sleep(100 * env.Nanosecond)
+				p.Send(owner, &wire.Packet{Dst: owner, Origin: peer, Body: body})
+			}
+		}
+	}})
+	r.sim.After(boot, func() {
+		r.s = New(r.sim, Config{ID: owner, Costs: costs,
+			Ring:      ring.New([]uint32{0}, 0, func(uint32) env.NodeID { return owner }),
+			Peers:     []env.NodeID{owner, peer},
+			SwitchFor: func(core.Fingerprint) env.NodeID { return sw }})
+	})
+	r.sim.Run()
+	return r
+}
+
+// reply is the peer's answer to aggregation id: its log of the directory,
+// holding the ids entries.
+func (r *aggOwnerRig) reply(id uint64, entries ...uint64) *wire.AggEntries {
+	l := wire.DirLog{Dir: r.dir}
+	for _, e := range entries {
+		l.Entries = append(l.Entries, core.LogEntry{ID: e, Op: core.OpCreate, Name: fmt.Sprintf("x%d", e)})
+	}
+	return &wire.AggEntries{AggID: id, FP: r.dir.FP, From: aggPeer, Logs: []wire.DirLog{l}}
+}
+
+// TestHandleAggEntriesTable covers the answers an AggEntries can get: an
+// empty ack for a predecessor's aggregation, none while the aggregation
+// collects, and for one this incarnation finished, however long ago, the ack
+// the (peer, directory) watermark gives.
+func TestHandleAggEntriesTable(t *testing.T) {
+	const owner, peer = aggOwner, aggPeer
 	const boot = 5 * env.Millisecond
-	s := restartedAt(t, sim, boot, owner, peer)
+	r := newAggOwnerRig(t, boot, env.Costs{}, 3)
+	s, sim := r.s, r.sim
+
+	// 258 aggregations, each collecting the peer's entry 3: the first applies
+	// it and raises the watermark to 3, the 257 after it find it applied.
+	sim.Spawn(owner, func(p *env.Proc) {
+		for range 1 + 257 {
+			s.aggregateFP(p, r.dir.FP, &aggOpts{force: true})
+		}
+	})
+	sim.Run()
+	if len(r.acks) != 258 || maxIDOf(r.acks[0], r.dir.ID) != 3 || maxIDOf(r.acks[257], r.dir.ID) != 3 {
+		t.Fatalf("%d aggregations acked, want 258 acks through entry 3", len(r.acks))
+	}
+	first, latest := r.acks[0].AggID, r.acks[257].AggID
 
 	// Ids the predecessors issued: an early one, and the last one a
 	// predecessor booted a nanosecond before this incarnation can have issued.
 	early := core.NewIncarnation(uint64(owner), 0)
 	last := core.NewIncarnation(uint64(owner), uint64(boot-1))
-	dir := core.DirRef{ID: core.DirID{1, 2, 3, 4}, Key: core.Key{PID: core.RootDirID, Name: "d"}}
-	dir.FP = dir.Key.Fingerprint()
-	logs := []wire.DirLog{{Dir: dir, Entries: []core.LogEntry{{ID: 3, Op: core.OpCreate, Name: "x"}}}}
-	active := &aggCtx{Awaiting: rpc.Awaiting{Expect: []env.NodeID{peer}}, id: s.ids.Next(), fp: dir.FP}
+	active := &aggCtx{Awaiting: rpc.Awaiting{Expect: []env.NodeID{peer}}, id: s.ids.Next(), fp: r.dir.FP}
 	s.aggs[active.id] = active
-	remembered := wire.AggAck{AggID: s.ids.Next(), FP: dir.FP, MaxIDs: []wire.DirMax{{Dir: dir.ID, MaxID: 3}}}
-	s.aggAcks.Put(remembered.AggID, []peerAck{{peer: peer, ack: remembered}})
 
 	for _, c := range []struct {
 		what     string
 		id       uint64
+		entries  []uint64
 		wantAck  bool
 		wantMax  uint64
 		released uint64
 	}{
-		{"a predecessor's id: empty ack, the peer keeps its entries", early.Next(), true, 0, 1},
-		{"the last id a predecessor can have issued", last.Next(), true, 0, 2},
-		{"an id in aggs: collected, no ack yet", active.id, false, 0, 2},
-		{"an id in aggAcks: the remembered ack again", remembered.AggID, true, 3, 2},
-		{"an unknown id of this incarnation: ignored", s.ids.Next(), false, 0, 2},
+		{"a predecessor's id: empty ack, the peer keeps its entries", early.Next(), []uint64{3}, true, 0, 1},
+		{"the last id a predecessor can have issued", last.Next(), []uint64{3}, true, 0, 2},
+		{"an id in aggs: collected, no ack yet", active.id, []uint64{3}, false, 0, 2},
+		{"finished: the ack the watermark gives", latest, []uint64{3}, true, 3, 2},
+		{"finished, entries partly above the mark: through the mark", latest, []uint64{2, 3, 5}, true, 3, 2},
+		{"finished, entries wholly above the mark: an empty ack", latest, []uint64{4, 5}, true, 0, 2},
+		{"finished 257 aggregations earlier: the ack the watermark gives", first, []uint64{3}, true, 3, 2},
 	} {
-		acks = nil
-		sim.Spawn(owner, func(p *env.Proc) {
-			s.handleAggEntries(p, nil, &wire.AggEntries{AggID: c.id, FP: dir.FP, From: peer, Logs: logs})
-		})
+		r.acks = nil
+		sim.Spawn(owner, func(p *env.Proc) { s.handleAggEntries(p, nil, r.reply(c.id, c.entries...)) })
 		sim.Run()
-		if got := len(acks) == 1; got != c.wantAck {
-			t.Fatalf("%s: %d acks", c.what, len(acks))
+		if got := len(r.acks) == 1; got != c.wantAck {
+			t.Fatalf("%s: %d acks", c.what, len(r.acks))
 		}
-		if c.wantAck && (acks[0].AggID != c.id || maxIDOf(acks[0], dir.ID) != c.wantMax) {
-			t.Errorf("%s: ack %+v", c.what, acks[0])
+		if c.wantAck && (r.acks[0].AggID != c.id || maxIDOf(r.acks[0], r.dir.ID) != c.wantMax) {
+			t.Errorf("%s: ack %+v", c.what, r.acks[0])
 		}
 		if s.Stats.AggReleased != c.released {
 			t.Errorf("%s: agg_released %d, want %d", c.what, s.Stats.AggReleased, c.released)
@@ -509,6 +575,30 @@ func TestHandleAggEntriesTable(t *testing.T) {
 	}
 	if _, done := active.Done.Peek(); !done || len(active.logs) != 1 {
 		t.Errorf("the active aggregation did not collect its peer's log: %+v", active)
+	}
+}
+
+// TestAggEntriesDuringApplyUnanswered: the peer sends its reply and then 500
+// copies of it, one every 100 ns, so copies reach the owner while it applies
+// the first (which takes microseconds of service time). Those copies get no
+// reply: the watermarks do not cover the entry yet, so an ack from them would
+// be empty, and the peer would keep an entry the owner is applying. Every ack
+// the peer does get — the completion ack and the re-acks of the copies that
+// arrive after it — covers the entry.
+func TestAggEntriesDuringApplyUnanswered(t *testing.T) {
+	r := newAggOwnerRig(t, 0, env.DefaultCosts(), 3)
+	r.copies = 500
+	r.s.storeInode(r.dir.Key, &core.Inode{ID: r.dir.ID, Attr: core.Attr{Type: core.TypeDir, Perm: core.DefaultDirPerm, Nlink: 2}})
+	r.sim.Spawn(aggOwner, func(p *env.Proc) { r.s.aggregateFP(p, r.dir.FP, &aggOpts{force: true}) })
+	r.sim.Run()
+	if len(r.acks) == 0 || len(r.acks) > r.copies {
+		t.Errorf("%d acks for a reply and %d copies: want the completion ack, and no reply to the copies that arrived during the apply",
+			len(r.acks), r.copies)
+	}
+	for _, a := range r.acks {
+		if maxIDOf(a, r.dir.ID) != 3 {
+			t.Fatalf("an ack %+v does not cover the applied entry 3", a)
+		}
 	}
 }
 

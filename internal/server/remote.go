@@ -173,8 +173,12 @@ func (s *Server) broadcastInval(p *env.Proc, dirs []core.DirID) {
 
 // handleTxnVote collects a prepare vote at the coordinator.
 func (s *Server) handleTxnVote(_ *env.Proc, _ *wire.Packet, v *wire.TxnVote) {
-	t := s.txnVotes[v.Txn]
-	if t == nil || !t.votes.Expects(v.From) {
+	i, ok := s.findTxn(v.Txn)
+	if !ok {
+		return
+	}
+	t := s.txnVotes[i]
+	if !t.votes.Expects(v.From) {
 		return
 	}
 	if v.Err != core.ErrnoOK && t.err == nil {

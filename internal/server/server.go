@@ -235,15 +235,15 @@ type Server struct {
 
 	// Pending protocol contexts. rpc waits for peers and registers the plain
 	// request/response exchanges (commit acks, control replies, decision
-	// acks), keyed by ids drawn from ids. aggAcks remembers the acks of the
-	// last 256 aggregations, to re-ack a late peer; served remembers the
-	// client RPCs this incarnation took up until their clients acknowledge
-	// them (§5.4.1).
+	// acks), keyed by ids drawn from ids. aggs holds the aggregations this
+	// incarnation owns until their acks are sent; a late peer is re-acked
+	// from the applied watermarks (ackLog). served remembers the client RPCs
+	// this incarnation took up until their clients acknowledge them
+	// (§5.4.1).
 	rpc      rpc.Calls
 	aggs     map[uint64]*aggCtx
 	aggByFP  map[core.Fingerprint]*aggCtx
 	peerAggs map[uint64]*peerAggState
-	aggAcks  *rpc.Window[uint64, []peerAck]
 	served   rpc.Served[wire.Msg]
 
 	// Owner-side quiesce timers for proactive aggregation.
@@ -257,16 +257,17 @@ type Server struct {
 	ids core.Incarnation
 
 	// txns holds participant state for 2PC (rename, links, migration);
-	// prepares remembers the last 4 096 prepares taken up and, once each
-	// voted, its vote (replayed to a retransmission); txnVotes holds the
-	// coordinator's prepare rounds; renameMu serializes the lock-acquiring
-	// half of coordinated transactions cluster-wide (the centralized rename
-	// coordinator of §5.2), and deciding is held shared by each transaction
-	// that left renameMu until its decision round ends, so a directory rename
-	// can wait them out.
+	// prepares remembers, per coordinator, the prepares taken up and, once
+	// each voted, its vote (replayed to a retransmission) until the
+	// coordinator acknowledges the round; txnVotes holds the coordinator's
+	// open prepare rounds, ascending by id; renameMu serializes the
+	// lock-acquiring half of coordinated transactions cluster-wide (the
+	// centralized rename coordinator of §5.2), and deciding is held shared by
+	// each transaction that left renameMu until its decision round ends, so a
+	// directory rename can wait them out.
 	txns     map[uint64]*txnState
-	prepares *rpc.Window[uint64, core.Errno]
-	txnVotes map[uint64]*coordTxn
+	prepares rpc.Served[core.Errno]
+	txnVotes []*coordTxn
 	// txnWAL holds the coordinator-side commit decisions, by their WAL
 	// record, for the participant termination protocol (TxnStatusReq): each
 	// is logged (with the participant set) before the first decision packet
@@ -379,11 +380,8 @@ func New(e *env.Sim, cfg Config) *Server {
 		quiesce:    make(map[core.Fingerprint]*env.Timer),
 		ownerDirty: make(map[core.Fingerprint]bool),
 		txns:       make(map[uint64]*txnState),
-		prepares:   rpc.NewWindow[uint64, core.Errno](4096),
-		txnVotes:   make(map[uint64]*coordTxn),
 		txnWAL:     make(map[uint64]wal.LSN),
 		peerAggs:   make(map[uint64]*peerAggState),
-		aggAcks:    rpc.NewWindow[uint64, []peerAck](256),
 		serving:    true,
 	}
 	if s.wal == nil {

@@ -108,31 +108,6 @@ func TestServedReleasedByAck(t *testing.T) {
 	}
 }
 
-// TestRearmKeepsPrepareWindowBounded re-arms more in-doubt transactions than
-// the prepare window holds, as recovery does from the WAL: the window stays at
-// its bound, the oldest re-armed transaction leaves it, and the newest still
-// replays its recorded vote.
-func TestRearmKeepsPrepareWindowBounded(t *testing.T) {
-	const window = 4096
-	sim, s := newTestServer(t)
-	ids := make([]uint64, window+5)
-	for i := range ids {
-		ids[i] = s.ids.Next()
-		s.txnRearm = append(s.txnRearm, txnRearm{txn: ids[i], coord: 101})
-	}
-	sim.Spawn(100, s.rearmPreparedTxns)
-	sim.RunFor(env.Microsecond)
-	if n := s.prepares.Len(); n != window {
-		t.Fatalf("prepare window holds %d after re-arming %d, want %d", n, len(ids), window)
-	}
-	if _, _, ok := s.prepares.Get(ids[0]); ok {
-		t.Error("the oldest re-armed transaction is still in the window")
-	}
-	if errno, voted, _ := s.prepares.Get(ids[len(ids)-1]); !voted || errno != core.ErrnoOK {
-		t.Errorf("the newest re-armed transaction: voted %v errno %v, want its OK vote", voted, errno)
-	}
-}
-
 func TestInvalListSeqSemantics(t *testing.T) {
 	_, s := newTestServer(t)
 	d := core.DirID{1, 2, 3, 4}

@@ -337,14 +337,16 @@ type coordTxn struct {
 // Every prepareTxn is followed by decideTxn (coordinated transactions) or
 // endTxn (one-shot participants, which have nothing to decide).
 func (s *Server) prepareTxn(p *env.Proc, plan *txnPlan) *coordTxn {
+	// Ids ascend, so appending keeps txnVotes sorted, and its head is the
+	// oldest round still open: every prepare acknowledges the rounds below it.
 	t := &coordTxn{id: s.ids.Next()}
+	s.txnVotes = append(s.txnVotes, t)
 	parts := plan.parts[:plan.n]
 	for i := range parts {
-		parts[i].prep.Txn, parts[i].prep.From = t.id, s.cfg.ID
+		parts[i].prep.Txn, parts[i].prep.From, parts[i].prep.Acked = t.id, s.cfg.ID, s.txnVotes[0].id
 		t.nodes[i], t.nodes[maxTxnParts+i] = parts[i].to, parts[i].to
 	}
 	t.parts, t.votes.Expect = t.nodes[:plan.n:plan.n], t.nodes[maxTxnParts:maxTxnParts+plan.n]
-	s.txnVotes[t.id] = t
 
 	psp := s.cfg.Trace.Start(p, "txn:prepare", "server")
 	defer psp.End()
@@ -354,6 +356,12 @@ func (s *Server) prepareTxn(p *env.Proc, plan *txnPlan) *coordTxn {
 		}
 	}, nil)
 	return t
+}
+
+// findTxn returns the position of transaction id among the open prepare
+// rounds, and whether it is open.
+func (s *Server) findTxn(id uint64) (int, bool) {
+	return slices.BinarySearchFunc(s.txnVotes, id, func(t *coordTxn, id uint64) int { return cmp.Compare(t.id, id) })
 }
 
 // maxTxnParts bounds a transaction's participants: a rename has the owners
@@ -388,7 +396,9 @@ func (pl *txnPlan) at(n env.NodeID) *wire.TxnPrepare {
 // endTxn forgets a transaction's votes and reports the prepare outcome. Until
 // it runs, status queries for the transaction answer Pending.
 func (s *Server) endTxn(t *coordTxn) error {
-	delete(s.txnVotes, t.id)
+	if i, ok := s.findTxn(t.id); ok {
+		s.txnVotes = slices.Delete(s.txnVotes, i, i+1)
+	}
 	switch {
 	case s.dead:
 		return core.ErrTimeout
@@ -489,8 +499,9 @@ func (s *Server) serveTxnStatus(p *env.Proc, req wire.TxnStatusReq, byPacket boo
 	// outcome is not known *yet*. Otherwise: no record of the transaction —
 	// presumed abort (aborts are never recorded; decided-but-unacked aborts
 	// resolve to the same answer once the abort's decision phase ends and
-	// txnVotes is dropped).
-	return wire.TxnStatusResp{Pending: s.txnVotes[req.Txn] != nil || !s.serving}
+	// the round leaves txnVotes).
+	_, voting := s.findTxn(req.Txn)
+	return wire.TxnStatusResp{Pending: voting || !s.serving}
 }
 
 // redriveCommits re-sends every replayed, still-unacknowledged commit
@@ -570,18 +581,12 @@ func (s *Server) handleTxnPrepare(p *env.Proc, _ *wire.Packet, tp *wire.TxnPrepa
 	// Retransmission dedup: the first prepare may block acquiring locks, so
 	// a duplicate must never run a second lock acquisition — the zombie
 	// would hold the keys forever after the decision released the original.
-	errno, voted, started := s.prepares.Get(tp.Txn)
-	if voted {
-		// Replay the recorded vote: the original execution logged it if it
-		// prepared.
-		s.vote(p, tp, errno, noRecord)
+	// A duplicate of a vote cast replays it (the original execution logged
+	// it if it prepared); one of a prepare still acquiring is dropped, as is
+	// one of a round the coordinator has ended.
+	if !s.prepares.Admit(tp.From, tp.Txn, tp.Acked, func(errno core.Errno) { s.vote(p, tp, errno, noRecord) }) {
 		return
 	}
-	if started {
-		// Original still acquiring locks; it will vote. Drop the duplicate.
-		return
-	}
-	s.prepares.Begin(tp.Txn)
 
 	// One-shot commutative application (adjustNlink).
 	autoOnly := true
@@ -686,7 +691,7 @@ func (s *Server) handleTxnPrepare(p *env.Proc, _ *wire.Packet, tp *wire.TxnPrepa
 // the decision reaches us. Every other vote — a replay, a refusal, the
 // commutative one-shot — leaves nothing prepared and carries noRecord.
 func (s *Server) vote(p *env.Proc, tp *wire.TxnPrepare, errno core.Errno, rec wal.LSN) {
-	s.prepares.Put(tp.Txn, errno)
+	s.prepares.Put(tp.From, tp.Txn, errno)
 	if rec != noRecord {
 		s.watchTxn(tp.Txn, tp.From)
 	}
@@ -763,7 +768,7 @@ func (s *Server) rearmPreparedTxns(p *env.Proc) {
 		st := &txnState{id: ra.txn, ops: ra.ops, lsn: ra.lsn}
 		st.locks = s.lockTxnKeys(p, nil, ra.ops, nil)
 		s.txns[ra.txn] = st
-		s.prepares.Put(ra.txn, core.ErrnoOK)
+		s.prepares.Put(ra.coord, ra.txn, core.ErrnoOK)
 		s.watchTxn(ra.txn, ra.coord)
 	}
 }

@@ -472,8 +472,12 @@ type AggNowResp struct {
 
 // TxnPrepare asks a participant to lock and validate its ops.
 type TxnPrepare struct {
-	Txn   uint64
-	From  env.NodeID
+	Txn  uint64
+	From env.NodeID
+	// Acked is the coordinator's acknowledgement: every transaction it
+	// numbered below it has ended its prepare round, so a participant
+	// releases its memos of them and drops a late copy of one (rpc.Served).
+	Acked uint64
 	Ops   []TxnOp
 	Check []TxnCheck
 }
