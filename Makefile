@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: verify fmt vet build test bench bench-layers figures lint race clean detlint detlint-report bench-compare bench-baseline sweep-wide sweep-check
+.PHONY: verify fmt vet build test bench bench-layers figures lint race clean detlint detlint-report bench-compare bench-baseline sweep-wide sweep-check fuzz
 
 verify: fmt vet build test
 
@@ -115,6 +115,16 @@ bench:
 # BENCHFLAGS adds go test flags: CI's smoke step passes -benchtime 1x.
 bench-layers:
 	$(GO) test -run '^$$' -bench . -benchmem $(BENCHFLAGS) ./internal/env ./internal/core ./internal/kv ./internal/wal ./internal/client ./internal/server ./internal/rpc ./internal/datanode
+
+# fuzz runs the two decoder fuzz targets for FUZZTIME each (go test fuzzes
+# one target per run): FuzzDecodeInode (internal/core: the inode image
+# decoder never panics and accepts only what AppendInode produces) and
+# FuzzRecordDecoders (internal/server: no WAL record decoder panics on any
+# payload). Tier-1 runs both seed corpora; this searches beyond them.
+FUZZTIME ?= 20s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeInode$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecoders$$' -fuzztime $(FUZZTIME) ./internal/server
 
 figures:
 	$(GO) run ./cmd/fsbench -fig all -scale quick

@@ -2,8 +2,10 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"slices"
+	"math"
+	"math/bits"
 	"strings"
 )
 
@@ -254,39 +256,137 @@ func NextComponent(path string, i int) (comp string, end int) {
 	return path[i+1 : end], end
 }
 
-// inodeFixed is the encoded inode's fixed part; 4 bytes per data location
-// follow it.
-const inodeFixed = 1 + 2 + 4 + 4 + 8 + 8 + 8 + 8 + 4 + 32 + 8 + 2
+// The inode image is the one encoding of an inode: the value stored in the
+// KV store, the image in WAL records and the bytes carried on the wire.
+//
+//	type (1 B) · perm (2 B, big-endian) · presence (1 B) · nlink · atime ·
+//	the fields whose presence bit is set, in bit order:
+//	uid · gid · size · mtime · ctime · file · data locations · id
+//
+// Every field after the presence byte is a uvarint, except id, which is 32
+// bytes big-endian; data locations are a count, then each location. A bit is
+// set exactly when its field differs from its default: zero, or no data
+// location, except that mtime defaults to atime and ctime to mtime. So a
+// fresh file, whose three timestamps are equal, takes 5 bytes plus its atime.
+// The image is canonical: every inode has exactly one, and the decoder
+// accepts nothing else, so two images are byte-equal exactly when their
+// inodes are equal (a 2PC check compares stored images that way).
+const (
+	hasUID byte = 1 << iota
+	hasGID
+	hasSize
+	hasMtime
+	hasCtime
+	hasFile
+	hasDataLoc
+	hasID
+)
 
-// InodeBuf is stack scratch for one encoded inode, the counterpart of KeyBuf:
-// AppendInode(buf[:0], in) spills to the heap past 9 data locations.
+// presence is in's presence byte.
+func presence(in *Inode) byte {
+	var p byte
+	if in.UID != 0 {
+		p |= hasUID
+	}
+	if in.GID != 0 {
+		p |= hasGID
+	}
+	if in.Size != 0 {
+		p |= hasSize
+	}
+	if in.Mtime != in.Atime {
+		p |= hasMtime
+	}
+	if in.Ctime != in.Mtime {
+		p |= hasCtime
+	}
+	if in.File != 0 {
+		p |= hasFile
+	}
+	if len(in.DataLoc) != 0 {
+		p |= hasDataLoc
+	}
+	if in.ID != (DirID{}) {
+		p |= hasID
+	}
+	return p
+}
+
+// InodeBuf is stack scratch for one inode image, the counterpart of KeyBuf:
+// AppendInode(buf[:0], in) stays off the heap for every inode without data
+// locations (at most 101 bytes) and spills to it only when the locations
+// take more than the 27 bytes left — past 5 of them in the worst case.
 type InodeBuf [128]byte
 
-// InodeSize is the length of in's encoding.
-func InodeSize(in *Inode) int { return inodeFixed + 4*len(in.DataLoc) }
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
-// AppendInode appends in's encoding — the record stored in the KV store and
-// the WAL — to dst.
-func AppendInode(dst []byte, in *Inode) []byte {
-	n, size := len(dst), InodeSize(in)
-	dst = slices.Grow(dst, size)[:n+size]
-	b := dst[n:]
-	b[0] = byte(in.Type)
-	binary.BigEndian.PutUint16(b[1:], uint16(in.Perm))
-	binary.BigEndian.PutUint32(b[3:], in.UID)
-	binary.BigEndian.PutUint32(b[7:], in.GID)
-	binary.BigEndian.PutUint64(b[11:], uint64(in.Size))
-	binary.BigEndian.PutUint64(b[19:], uint64(in.Atime))
-	binary.BigEndian.PutUint64(b[27:], uint64(in.Mtime))
-	binary.BigEndian.PutUint64(b[35:], uint64(in.Ctime))
-	binary.BigEndian.PutUint32(b[43:], in.Nlink)
-	for i, w := range in.ID {
-		binary.BigEndian.PutUint64(b[47+8*i:], w)
+// InodeSize is the length of in's image.
+func InodeSize(in *Inode) int {
+	p := presence(in)
+	n := 4 + uvarintLen(uint64(in.Nlink)) + uvarintLen(uint64(in.Atime))
+	if p&hasUID != 0 {
+		n += uvarintLen(uint64(in.UID))
 	}
-	binary.BigEndian.PutUint64(b[79:], uint64(in.File))
-	binary.BigEndian.PutUint16(b[87:], uint16(len(in.DataLoc)))
-	for i, d := range in.DataLoc {
-		binary.BigEndian.PutUint32(b[inodeFixed+4*i:], d)
+	if p&hasGID != 0 {
+		n += uvarintLen(uint64(in.GID))
+	}
+	if p&hasSize != 0 {
+		n += uvarintLen(uint64(in.Size))
+	}
+	if p&hasMtime != 0 {
+		n += uvarintLen(uint64(in.Mtime))
+	}
+	if p&hasCtime != 0 {
+		n += uvarintLen(uint64(in.Ctime))
+	}
+	if p&hasFile != 0 {
+		n += uvarintLen(uint64(in.File))
+	}
+	if p&hasDataLoc != 0 {
+		n += uvarintLen(uint64(len(in.DataLoc)))
+		for _, d := range in.DataLoc {
+			n += uvarintLen(uint64(d))
+		}
+	}
+	if p&hasID != 0 {
+		n += 32
+	}
+	return n
+}
+
+// AppendInode appends in's image to dst.
+func AppendInode(dst []byte, in *Inode) []byte {
+	p := presence(in)
+	dst = append(dst, byte(in.Type), byte(in.Perm>>8), byte(in.Perm), p)
+	dst = binary.AppendUvarint(dst, uint64(in.Nlink))
+	dst = binary.AppendUvarint(dst, uint64(in.Atime))
+	if p&hasUID != 0 {
+		dst = binary.AppendUvarint(dst, uint64(in.UID))
+	}
+	if p&hasGID != 0 {
+		dst = binary.AppendUvarint(dst, uint64(in.GID))
+	}
+	if p&hasSize != 0 {
+		dst = binary.AppendUvarint(dst, uint64(in.Size))
+	}
+	if p&hasMtime != 0 {
+		dst = binary.AppendUvarint(dst, uint64(in.Mtime))
+	}
+	if p&hasCtime != 0 {
+		dst = binary.AppendUvarint(dst, uint64(in.Ctime))
+	}
+	if p&hasFile != 0 {
+		dst = binary.AppendUvarint(dst, uint64(in.File))
+	}
+	if p&hasDataLoc != 0 {
+		dst = binary.AppendUvarint(dst, uint64(len(in.DataLoc)))
+		for _, d := range in.DataLoc {
+			dst = binary.AppendUvarint(dst, uint64(d))
+		}
+	}
+	if p&hasID != 0 {
+		dst = in.ID.AppendBinary(dst)
 	}
 	return dst
 }
@@ -294,36 +394,112 @@ func AppendInode(dst []byte, in *Inode) []byte {
 // EncodeInode serializes an inode into a fresh slice of exactly its size.
 func EncodeInode(in *Inode) []byte { return AppendInode(make([]byte, 0, InodeSize(in)), in) }
 
-// DecodeInodeInto parses the output of EncodeInode into *in, overwriting
-// every field. Nothing in *in aliases b afterwards (DataLoc is copied), so b
-// may be store memory (kv.GetView) and in may live on the caller's stack.
+// Why DecodeInodeInto refuses an image.
+var (
+	errImageShort    = errors.New("core: inode image truncated")
+	errImageOverlong = errors.New("core: inode image has an overlong uvarint")
+	errImageOverflow = errors.New("core: inode image field overflows")
+	errImageDefault  = errors.New("core: inode image marks a default field present")
+	errImageTrailing = errors.New("core: inode image has trailing bytes")
+)
+
+// imageReader reads an image's fields in order. The first bad read sets
+// err; every read after it returns zero, so the decoder checks err once.
+type imageReader struct {
+	b   []byte
+	p   byte // presence
+	err error
+}
+
+func (r *imageReader) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+}
+
+// uvarint reads a uvarint in its shortest form.
+func (r *imageReader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.b)
+	switch {
+	case n == 0:
+		r.err = errImageShort
+	case n < 0:
+		r.err = errImageOverflow
+	case n > 1 && r.b[n-1] == 0: // a zero last group adds nothing
+		r.err = errImageOverlong
+	default:
+		r.b = r.b[n:]
+		return v
+	}
+	return 0
+}
+
+// u32 checks that v, a field just read, fits a uint32.
+func (r *imageReader) u32(v uint64) uint32 {
+	if v > math.MaxUint32 {
+		r.fail(errImageOverflow)
+	}
+	return uint32(v)
+}
+
+// opt reads the field of presence bit bit: def when the bit is clear, and
+// anything but def when it is set.
+func (r *imageReader) opt(bit byte, def uint64) uint64 {
+	if r.p&bit == 0 {
+		return def
+	}
+	v := r.uvarint()
+	if v == def {
+		r.fail(errImageDefault)
+	}
+	return v
+}
+
+// DecodeInodeInto parses an image AppendInode produced into *in, overwriting
+// every field, and refuses any other bytes: a truncated or overlong field, a
+// value past its field's width, a present field holding its default, or
+// bytes after the image. Nothing in *in aliases b afterwards (DataLoc is
+// copied), so b may be store memory (kv.GetView) and in may live on the
+// caller's stack. On error *in holds no meaningful value.
 func DecodeInodeInto(in *Inode, b []byte) error {
-	if len(b) < inodeFixed {
-		return fmt.Errorf("core: inode record too short (%d bytes)", len(b))
+	if len(b) < 4 {
+		return errImageShort
 	}
-	n := int(binary.BigEndian.Uint16(b[87:]))
-	if len(b) < inodeFixed+4*n {
-		return fmt.Errorf("core: inode record truncated data locations")
-	}
+	r := imageReader{b: b[4:], p: b[3]}
 	in.Type = FileType(b[0])
 	in.Perm = Perm(binary.BigEndian.Uint16(b[1:]))
-	in.UID = binary.BigEndian.Uint32(b[3:])
-	in.GID = binary.BigEndian.Uint32(b[7:])
-	in.Size = int64(binary.BigEndian.Uint64(b[11:]))
-	in.Atime = int64(binary.BigEndian.Uint64(b[19:]))
-	in.Mtime = int64(binary.BigEndian.Uint64(b[27:]))
-	in.Ctime = int64(binary.BigEndian.Uint64(b[35:]))
-	in.Nlink = binary.BigEndian.Uint32(b[43:])
-	in.ID = DirIDFromBytes(b[47:])
-	in.File = FileID(binary.BigEndian.Uint64(b[79:]))
+	in.Nlink = r.u32(r.uvarint())
+	in.Atime = int64(r.uvarint())
+	in.UID = r.u32(r.opt(hasUID, 0))
+	in.GID = r.u32(r.opt(hasGID, 0))
+	in.Size = int64(r.opt(hasSize, 0))
+	in.Mtime = int64(r.opt(hasMtime, uint64(in.Atime)))
+	in.Ctime = int64(r.opt(hasCtime, uint64(in.Mtime)))
+	in.File = FileID(r.opt(hasFile, 0))
 	in.DataLoc = nil
-	if n > 0 {
+	if n := r.opt(hasDataLoc, 0); n > uint64(len(r.b)) {
+		r.fail(errImageShort) // every location takes at least a byte
+	} else if n > 0 {
 		in.DataLoc = make([]uint32, n)
 		for i := range in.DataLoc {
-			in.DataLoc[i] = binary.BigEndian.Uint32(b[inodeFixed+4*i:])
+			in.DataLoc[i] = r.u32(r.uvarint())
 		}
 	}
-	return nil
+	in.ID = DirID{}
+	if r.p&hasID != 0 {
+		if len(r.b) < 32 {
+			r.fail(errImageShort)
+		} else if in.ID, r.b = DirIDFromBytes(r.b), r.b[32:]; in.ID == (DirID{}) {
+			r.fail(errImageDefault)
+		}
+	}
+	if len(r.b) != 0 {
+		r.fail(errImageTrailing)
+	}
+	return r.err
 }
 
 // DecodeInode parses the output of EncodeInode into a fresh inode.

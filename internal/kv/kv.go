@@ -3,16 +3,19 @@
 // §7.1). Keys follow the metadata schema of Tab. 3 (a one-byte table tag, a
 // 32-byte directory id, a '/' separator, and a component name), so the store
 // shards by that 34-byte group prefix: each directory's records live in
-// their own small map. Two small direct-mapped caches share recurring bytes
-// across keys: a component name repeated in many directories is stored once
-// while it stays cached, and so is a small value (a dentry record, identical
-// preloaded inodes); a name or value seen once costs one copy and no table
-// entry, and nothing deleted is retained. Ordered prefix scans — directory
-// entry lists enumerate children with one scan — are served from per-shard
-// sorted indexes rebuilt lazily after mutations. Keys outside the schema
-// shape (tests, baseline directory records) fall back to a flat shard that
-// merges into scans in global byte order, so the external contract is
-// unchanged: a byte-ordered map with prefix scans.
+// their own small map. Values are stored as given, one copy each: an inode
+// is core.AppendInode's compact image (a fresh file's is 5 bytes plus its
+// timestamp, a fresh directory's 37 plus it), a dentry 3 bytes. Two small
+// direct-mapped caches share recurring bytes across keys: a component name
+// repeated in many directories is stored once while it stays cached, and so
+// is a small value (a dentry record, identical preloaded inodes); a name or
+// value seen once costs one copy and no table entry, and nothing deleted is
+// retained. Ordered prefix scans — directory entry lists enumerate children
+// with one scan — are served from per-shard sorted indexes rebuilt lazily
+// after mutations. Keys outside the schema shape (tests, baseline directory
+// records) fall back to a flat shard that merges into scans in global byte
+// order, so the external contract is unchanged: a byte-ordered map with
+// prefix scans.
 package kv
 
 import (

@@ -13,6 +13,7 @@ import (
 	"switchfs/internal/core"
 	"switchfs/internal/env"
 	"switchfs/internal/ring"
+	"switchfs/internal/wal"
 	"switchfs/internal/wire"
 )
 
@@ -153,9 +154,9 @@ func TestEncodersAppend(t *testing.T) {
 // TestCreateRecordBytes pins a create's log footprint, through the real
 // encoders: an 8-byte name created in directory d0 as entry 12 345 at t = 3 ms
 // logs its commit at the name's owner and its aggregation entry at d0's owner
-// in at most 290 bytes. (With every length and id 8 bytes wide, and the
+// in at most 200 bytes. (With every length and id 8 bytes wide, and the
 // commit repeating its key and op and stating the inode's length, the two
-// took 390.)
+// took 390; with uvarint fields and an 89-byte fixed-width inode image, 278.)
 func TestCreateRecordBytes(t *testing.T) {
 	d0 := core.DirRef{ID: core.DirID{7, 1, 2, 3}, Key: core.Key{PID: core.RootDirID, Name: "d0"}}
 	d0.FP = d0.Key.Fingerprint()
@@ -164,8 +165,35 @@ func TestCreateRecordBytes(t *testing.T) {
 	in := &core.Inode{Attr: core.Attr{Type: core.TypeRegular, Perm: core.DefaultFilePerm, Nlink: 1, Atime: now, Mtime: now, Ctime: now}}
 	commit, agg := len(encodeCommit(nil, d0, e, in)), len(encodeAggEntry(nil, 101, d0, e))
 	t.Logf("create: %d + %d = %d bytes logged", commit, agg, commit+agg)
-	if commit+agg > 290 {
-		t.Errorf("create logs %d + %d = %d bytes, want at most 290", commit, agg, commit+agg)
+	if commit+agg > 200 {
+		t.Errorf("create logs %d + %d = %d bytes, want at most 200", commit, agg, commit+agg)
+	}
+}
+
+// TestInodeImageBytes pins the inode image a server stores for a fresh file
+// and a fresh directory, created through the handler one second into the
+// run: the header, nlink and a 5-byte timestamp (the three are equal), and
+// for the directory its 32-byte id.
+func TestInodeImageBytes(t *testing.T) {
+	r := newRig(t)
+	root := core.RootRef()
+	for i, c := range []struct {
+		op   core.Op
+		name string
+	}{{core.OpCreate, "f"}, {core.OpMkdir, "d"}} {
+		r.send(rigServer, env.Second, &wire.MutateReq{ReqCommon: wire.ReqCommon{RPC: uint64(i + 1), Client: rigClient},
+			Op: c.op, Parent: root, Name: c.name})
+	}
+	r.sim.Run()
+	for name, want := range map[string]int{"f": 10, "d": 42} {
+		var kb core.KeyBuf
+		raw, ok := r.s.kv.GetView(core.Key{PID: root.ID, Name: name}.AppendTo(kb[:0]))
+		if !ok {
+			t.Fatalf("%s was not created", name)
+		}
+		if len(raw) != want {
+			t.Errorf("%s's image is %d bytes (%x), want %d", name, len(raw), raw, want)
+		}
 	}
 }
 
@@ -521,4 +549,30 @@ func BenchmarkAggregate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	agg(20, 20+b.N)
+}
+
+// FuzzRecordDecoders feeds one payload to every WAL record decoder: each
+// returns, with an error or without, and none panics, so a corrupt log
+// fail-stops Recover instead of the process. The seed corpus, which tier-1
+// runs, is every record of testdata/faulty_run.wal, cut short and extended.
+func FuzzRecordDecoders(f *testing.F) {
+	for _, log := range loadWALs(f) {
+		log.Replay(func(r wal.Record) error {
+			f.Add(r.Payload)
+			f.Add(r.Payload[:len(r.Payload)/2])
+			f.Add(append(slices.Clone(r.Payload), 0x80))
+			return nil
+		})
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		decodeCommit(b)
+		decodeAggEntry(b)
+		decodeInodeRec(b)
+		decodeDentryRec(b)
+		decodeDelDentries(b)
+		decodeMark(b)
+		decodeTxnCommit(b)
+		decodeTxnPrepare(b)
+		decodeEvict(b)
+	})
 }

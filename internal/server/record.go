@@ -45,9 +45,11 @@ const (
 
 // Record layouts. Every length, count, entry id, source id and timestamp is
 // a uvarint; directory ids take 32 bytes, fingerprints 8 and permissions 2,
-// big-endian. An inode image is core.AppendInode's and, last in its record,
-// runs to the end. No field is written twice: a commit's key is (parent id,
-// entry name) and its op the entry's, so its decoder derives both, and a
+// big-endian. An inode image is core.AppendInode's, the same bytes the store
+// keeps and the wire carries (a fresh file's is 5 bytes and its timestamp):
+// last in a commit or inode record, it runs to the end; in a prepared op it
+// is length-prefixed. No field is written twice: a commit's key is (parent
+// id, entry name) and its op the entry's, so its decoder derives both, and a
 // delete carries no inode image. Each kind's decoder sits next to its
 // encoder and returns an error for a payload it cannot parse, so a corrupt
 // log fail-stops the server (Recover) instead of panicking the process.
@@ -130,16 +132,14 @@ func (r *recReader) key() core.Key {
 // rest takes every byte left.
 func (r *recReader) rest() []byte { return r.take(uint64(len(r.b))) }
 
-// inode reads the inode image that runs to the record's end.
+// inode reads the inode image that runs to the record's end; the image
+// decoder refuses bytes past the image itself.
 func (r *recReader) inode() *core.Inode {
 	b := r.rest()
 	if r.err != nil {
 		return nil
 	}
 	in, err := core.DecodeInode(b)
-	if err == nil && core.InodeSize(in) != len(b) {
-		err = errTrailing
-	}
 	r.err = err
 	return in
 }

@@ -26,9 +26,9 @@ import (
 // directories, linking, chmod-ing; duplicating links, one group migration,
 // server 1 crashed and recovered), snapshotted mid-activity so every record
 // kind is present and commits, prepares and one decision are still unapplied.
-// The payloads were written in an earlier record layout and transcoded once
-// to the one record.go defines; TestReplayEquivalence's digests and record
-// counts did not change. Format: per server a big-endian u32 record count,
+// The payloads were written in earlier record and inode image layouts and
+// transcoded once to the ones record.go and core.AppendInode define;
+// TestReplayEquivalence's digests and record counts did not change. Format: per server a big-endian u32 record count,
 // then per record kind, applied flag, u32 payload length, payload.
 func loadWALs(t testing.TB) []*wal.Mem {
 	t.Helper()
@@ -55,10 +55,16 @@ func loadWALs(t testing.TB) []*wal.Mem {
 }
 
 // replayDump is everything replayWAL rebuilds, in one canonical string.
+// Inode images, in the store and in prepared ops, are printed decoded: the
+// dump pins what the store holds, not how it is encoded.
 func replayDump(s *Server) string {
 	var sb strings.Builder
 	s.kv.Scan(nil, func(k, v []byte) bool {
-		fmt.Fprintf(&sb, "kv %x=%x\n", k, v)
+		if _, err := core.DecodeKey(k); err == nil {
+			fmt.Fprintf(&sb, "kv %x=%s\n", k, inodeDump(v))
+		} else {
+			fmt.Fprintf(&sb, "kv %x=%x\n", k, v)
+		}
 		return true
 	})
 	for _, dl := range sortedClogs(nil, s.clogs) {
@@ -78,8 +84,29 @@ func replayDump(s *Server) string {
 	}
 	sort.Strings(marks)
 	sb.WriteString(strings.Join(marks, ""))
-	fmt.Fprintf(&sb, "inval %+v\nredrive %+v\nrearm %+v\n", s.inval, s.txnRedrive, s.txnRearm)
+	fmt.Fprintf(&sb, "inval %+v\nredrive %+v\n", s.inval, s.txnRedrive)
+	for _, ra := range s.txnRearm {
+		fmt.Fprintf(&sb, "rearm %d coord %d lsn %d\n", ra.txn, ra.coord, ra.lsn)
+		for _, op := range ra.ops {
+			img := op.Inode
+			op.Inode = nil
+			fmt.Fprintf(&sb, " op %+v inode %s\n", op, inodeDump(img))
+		}
+	}
 	return sb.String()
+}
+
+// inodeDump prints a stored inode image by value, so the dump does not
+// depend on the image's encoding.
+func inodeDump(b []byte) string {
+	if len(b) == 0 {
+		return "none"
+	}
+	in, err := core.DecodeInode(b)
+	if err != nil {
+		return fmt.Sprintf("undecodable %x", b)
+	}
+	return fmt.Sprintf("%+v", *in)
 }
 
 // newReplayServer is a one-server deployment over log with the calibrated
@@ -98,16 +125,17 @@ func newReplayServer(t testing.TB, log *wal.Mem, cores int) (*env.Sim, *Server) 
 // TestReplayEquivalence pins what the redo pass rebuilds: the store, the
 // change-logs with their WAL positions, the watermarks, the invalidation list
 // and the 2PC re-arm and redrive lists are those the sequential replay of PR
-// 21 produced from the same four logs (digests of this very dump).
+// 21 produced from the same four logs (digests of this very dump, taken
+// before the inode image became compact).
 func TestReplayEquivalence(t *testing.T) {
 	golden := []struct {
 		records int
 		sha     string
 	}{
-		{90, "6c0494886bc6a814d3d3eb9fbadf46d7e352d5ef1d9c2fb6855e72c1f93f23b5"},
-		{51, "ba923527f2d11b88986e540ea93c08e13f118facc2f610dc62357691a92bbc50"},
-		{50, "50711dc4539520a86f7a982a5084e10884cc131b45783234814d7ff13de749f7"},
-		{38, "29f1586e4e697a5d75b6867fe39adf14ef21dd5190b25b78e5dbc0509b12ffd3"},
+		{90, "489baf22b05332dba94f25a6352b0db7640ff47b512a1fcb132bc66f1f950f70"},
+		{51, "08ebc30d1f84fc29d690802bedefa9d6549e8db501d6bbb10be20d141046c75c"},
+		{50, "aa860a257e9b6bd9a3217224746cc6c53eb6731cea85e1b219cd4e3491eac41f"},
+		{38, "115a79ff3a3ac6ee70bec4f4d0684688c39e1d7085f7fdcb85b21e92d61aa376"},
 	}
 	logs := loadWALs(t)
 	if len(logs) != len(golden) {

@@ -111,9 +111,17 @@ func (s *Server) doRename(p *env.Proc, req *wire.RenameReq) error {
 	now := p.Now()
 	var plan txnPlan
 	et := in.Type
-	// Source owner: delete the source inode (and its dentries if a dir).
+	// Source owner: delete the source inode (and its dentries if a dir). A
+	// file's body was read before the rename queued, so, as in link, the
+	// source must still hold it at prepare: a chmod committed since would be
+	// lost with the move. A directory was read again under renameMu, with
+	// the decisions in flight waited out.
 	sp := plan.at(srcOwner)
-	sp.Check = append(sp.Check, wire.TxnCheck{Key: srcKey, MustExist: true})
+	srcCheck := wire.TxnCheck{Key: srcKey, MustExist: true}
+	if !isDir {
+		srcCheck.Same = src.Raw
+	}
+	sp.Check = append(sp.Check, srcCheck)
 	sp.Ops = append(sp.Ops, wire.TxnOp{Kind: wire.TxnDelInode, Key: srcKey})
 	if isDir {
 		sp.Ops = append(sp.Ops, wire.TxnOp{Kind: wire.TxnDelDentries,

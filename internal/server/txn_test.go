@@ -187,3 +187,53 @@ func TestRearmHoldsVotesUntilAcked(t *testing.T) {
 		t.Errorf("%d votes held once the coordinator acknowledged all but the newest re-armed round, want 2 (it and the new round)", n)
 	}
 }
+
+// TestRenameKeepsConcurrentChmod: a file rename moves the source inode it
+// read before it queued for the coordinator, so a chmod that commits at the
+// source owner in between must either reach the destination or make the
+// rename's prepare vote retry — never be dropped with the moved body. The
+// coordinator's mutex is held across the chmod, as an earlier transaction
+// would hold it.
+func TestRenameKeepsConcurrentChmod(t *testing.T) {
+	r := newRig(t)
+	r.file("src")
+	root := core.RootRef()
+	r.sim.Spawn(rigServer, func(p *env.Proc) {
+		r.s.renameMu.Lock(p)
+		p.Sleep(500 * env.Microsecond)
+		r.s.renameMu.Unlock()
+	})
+	r.send(rigServer, 10*env.Microsecond, &wire.RenameReq{ReqCommon: wire.ReqCommon{RPC: 1, Client: rigClient},
+		SrcParent: root, SrcName: "src", DstParent: root, DstName: "dst"})
+	r.send(rigServer, 200*env.Microsecond, &wire.FileReq{ReqCommon: wire.ReqCommon{RPC: 2, Client: rigClient},
+		Op: core.OpChmod, Parent: root, Name: "src", Perm: 0o600})
+	r.sim.Run()
+
+	var renamed, chmodded core.Errno = 255, 255
+	for _, m := range r.resp {
+		switch m := m.(type) {
+		case *wire.RenameResp:
+			renamed = m.Err
+		case *wire.FileResp:
+			chmodded = m.Err
+		}
+	}
+	if chmodded != core.ErrnoOK {
+		t.Fatalf("chmod answered %v", chmodded.Err())
+	}
+	var src, dst core.Inode
+	srcErr := r.s.readInode(core.Key{PID: root.ID, Name: "src"}, &src)
+	dstErr := r.s.readInode(core.Key{PID: root.ID, Name: "dst"}, &dst)
+	switch renamed {
+	case core.ErrnoOK:
+		if srcErr != core.ErrNotExist || dstErr != nil || dst.Perm != 0o600 {
+			t.Fatalf("rename committed: source %v, destination %v with mode %o, want the chmod's 600", srcErr, dstErr, dst.Perm)
+		}
+	case core.ErrnoRetry:
+		if srcErr != nil || src.Perm != 0o600 || dstErr != core.ErrNotExist {
+			t.Fatalf("rename voted retry: source %v with mode %o, destination %v", srcErr, src.Perm, dstErr)
+		}
+	default:
+		t.Fatalf("rename answered %v (errno %d)", renamed.Err(), renamed)
+	}
+}

@@ -381,7 +381,8 @@ type TxnOp struct {
 	// Kind selects the mutation.
 	Kind TxnKind
 	Key  core.Key
-	// Inode is the value for puts.
+	// Inode is the value for puts: the inode image (core.AppendInode) the
+	// participant stores and logs as it is.
 	Inode []byte
 	// Dir and Entry adjust a directory's attributes/entry list.
 	Dir   core.DirRef
@@ -421,6 +422,7 @@ type ReadInodeReq struct {
 // ReadInodeResp returns the record.
 type ReadInodeResp struct {
 	CtlResp
+	// Raw is the stored inode image, a copy.
 	Raw []byte
 }
 
@@ -492,7 +494,8 @@ type TxnCheck struct {
 	IsDir bool
 	// Same, when set, is the stored record the coordinator read before the
 	// transaction and built its ops from: the record must still be these
-	// bytes, or the vote is retry.
+	// bytes, or the vote is retry. The inode image is canonical, so equal
+	// bytes mean an equal inode.
 	Same []byte
 }
 
