@@ -118,6 +118,9 @@ type Proc struct {
 	// reply is the process's reply slot: the one future each of its calls
 	// waits on (DESIGN.md "Waiting for a peer").
 	reply Future
+	// nextWaiter is the process queued behind this one on the Future both
+	// wait for.
+	nextWaiter *Proc
 }
 
 // TakeReply takes p's reply slot for one call and returns it reset. A

@@ -5,12 +5,14 @@ package env
 // it. Only one process runs at a time, so their state is plain fields: a
 // method body runs to its next park without interleaving.
 
-// Future is a one-shot mailbox: at most one process waits for a value that
-// is completed at most once (duplicate completions are ignored — exactly what
-// a retransmitting RPC layer needs).
+// Future is a one-shot mailbox: a value completed at most once (duplicate
+// completions are ignored — exactly what a retransmitting RPC layer needs).
+// Any number of processes may Wait for it, and Complete wakes them in the
+// order they came; WaitTimeout is for a sole waiter.
 type Future struct {
-	done   bool
-	val    any
+	done bool
+	val  any
+	// waiter heads the waiters; the later ones queue through nextWaiter.
 	waiter *Proc
 }
 
@@ -27,8 +29,11 @@ func (f *Future) Complete(v any) {
 	f.val = v
 	w := f.waiter
 	f.waiter = nil
-	if w != nil {
+	for w != nil {
+		next := w.nextWaiter
+		w.nextWaiter = nil
 		w.env.unpark(w)
+		w = next
 	}
 }
 
@@ -38,7 +43,11 @@ func (f *Future) Done() bool { return f.done }
 // Wait blocks p until the future completes and returns the value.
 func (f *Future) Wait(p *Proc) any {
 	if !f.done {
-		f.waiter = p
+		at := &f.waiter
+		for *at != nil {
+			at = &(*at).nextWaiter
+		}
+		*at = p
 		p.park()
 	}
 	return f.val

@@ -1,6 +1,7 @@
 package env
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -155,6 +156,32 @@ func TestFutureWaitThenComplete(t *testing.T) {
 	s.Run()
 	if got != "done" || at != 10*Microsecond {
 		t.Fatalf("got %v at %d", got, at)
+	}
+}
+
+// TestFutureWakesEveryWaiterInOrder: three processes wait on one future;
+// its completion wakes each of them, in the order they came, with the value.
+func TestFutureWakesEveryWaiterInOrder(t *testing.T) {
+	s := NewSim(1)
+	defer s.Shutdown()
+	s.AddNode(1, NodeConfig{})
+	f := NewFuture()
+	var woke []int
+	for i := 0; i < 3; i++ {
+		s.Spawn(1, func(p *Proc) {
+			p.Sleep(Duration(i) * Microsecond)
+			if v := f.Wait(p); v == "done" && p.Now() == 10*Microsecond {
+				woke = append(woke, i)
+			}
+		})
+	}
+	s.Spawn(1, func(p *Proc) {
+		p.Sleep(10 * Microsecond)
+		f.Complete("done")
+	})
+	s.Run()
+	if fmt.Sprint(woke) != "[0 1 2]" {
+		t.Fatalf("woke %v at 10µs with the value, want [0 1 2]", woke)
 	}
 }
 

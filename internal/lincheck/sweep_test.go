@@ -14,10 +14,12 @@ import (
 )
 
 // sweepSeeds returns a sweep's seed budget: whatever LINCHECK_SEEDS says, 4
-// under -short, and otherwise its default width. The widths follow cost — per
-// seed about 3 ms differential, 1.5 ms fault-free and 11 ms faulty on two
-// cores — so no sweep spends more than about three seconds of tier-1.
-func sweepSeeds(t *testing.T, width int64) int64 {
+// under -short, raceWidth under the race detector, and otherwise 1 024. At
+// 1 024 seeds the three sweeps cost, run one seed after another on a two-core
+// box, about 2 s fault-free, 13 s faulty and 4 s differential; sweep spreads
+// them over parallel subtests, so they take about half that in wall time. A
+// sweep widens only if tier-1 can pay for it.
+func sweepSeeds(t *testing.T, raceWidth int64) int64 {
 	if s := os.Getenv("LINCHECK_SEEDS"); s != "" {
 		n, err := strconv.ParseInt(s, 10, 64)
 		if err != nil || n <= 0 {
@@ -28,7 +30,30 @@ func sweepSeeds(t *testing.T, width int64) int64 {
 	if testing.Short() {
 		return 4
 	}
-	return width
+	if underRace {
+		return raceWidth
+	}
+	return 1024
+}
+
+// sweepChunk is the seeds one parallel subtest of a sweep checks.
+const sweepChunk = 64
+
+// sweep runs check on the seeds 1 … sweepSeeds(t, raceWidth), sweepChunk
+// seeds per subtest, the subtests in parallel with each other and with the
+// other sweeps.
+func sweep(t *testing.T, raceWidth int64, check func(t *testing.T, seed int64)) {
+	t.Parallel()
+	n := sweepSeeds(t, raceWidth)
+	for lo := int64(1); lo <= n; lo += sweepChunk {
+		hi := min(lo+sweepChunk-1, n)
+		t.Run(fmt.Sprintf("seeds %d-%d", lo, hi), func(t *testing.T) {
+			t.Parallel()
+			for seed := lo; seed <= hi; seed++ {
+				check(t, seed)
+			}
+		})
+	}
 }
 
 func reportFailure(t *testing.T, what string, seed int64, rep *Report) {
@@ -45,7 +70,7 @@ func reportFailure(t *testing.T, what string, seed int64, rep *Report) {
 // adversarial mix, and the two-path mix on eight clients, where transactions
 // queue at the coordinator and one is decided while the next prepares.
 func TestSweepFaultFree(t *testing.T) {
-	for seed := int64(1); seed <= sweepSeeds(t, 256); seed++ {
+	sweep(t, 256, func(t *testing.T, seed int64) {
 		for name, prog := range map[string]Program{
 			"fault-free":          GenProgram(seed, 4, 7, AdversarialMix),
 			"fault-free two-path": GenProgram(seed, 8, 4, TwoPathMix),
@@ -54,14 +79,14 @@ func TestSweepFaultFree(t *testing.T) {
 				reportFailure(t, name, seed, rep)
 			}
 		}
-	}
+	})
 }
 
 // TestSweepFaulty checks concurrent histories across the plan catalog, with
 // both mixes (the two-path programs are shorter: every timed-out mutation
 // adds a ghost event to a history the search bounds at 64).
 func TestSweepFaulty(t *testing.T) {
-	for seed := int64(1); seed <= sweepSeeds(t, 64); seed++ {
+	sweep(t, 64, func(t *testing.T, seed int64) {
 		for name, prog := range map[string]Program{
 			"plan ":          GenProgram(seed, 3, 6, AdversarialMix),
 			"two-path plan ": GenProgram(seed, 8, 3, TwoPathMix),
@@ -72,14 +97,14 @@ func TestSweepFaulty(t *testing.T) {
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestSweepDifferential diffs model, SwitchFS and baseline over sequential
 // programs: the adversarial small-pool generator and the PanguMix-derived
 // trace shape (workload.Program).
 func TestSweepDifferential(t *testing.T) {
-	for seed := int64(1); seed <= sweepSeeds(t, 1024); seed++ {
+	sweep(t, 1024, func(t *testing.T, seed int64) {
 		for name, ops := range map[string][]Op{
 			"pool": GenProgram(seed, 3, 40, AdversarialMix).Flatten(),
 			"mix":  MixProgram(seed, 60),
@@ -91,7 +116,7 @@ func TestSweepDifferential(t *testing.T) {
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestRunConcurrentDeterministic pins the recorder: one seed, two runs,
@@ -282,6 +307,31 @@ func TestRegressionLookupWaitsOutRmdir(t *testing.T) {
 	plan, _ := chaos.BuiltinPlan(Geometry, "server-crash")
 	if rep := CheckConcurrent(397, GenProgram(397, 3, 6, AdversarialMix), &plan); rep.Failed() {
 		reportFailure(t, "plan server-crash", 397, rep)
+	}
+}
+
+// TestRegressionRenameDetachesSource pins class F of the wide sweep: an entry
+// created in a directory while that directory's rename was in flight was
+// acknowledged, then missing from the renamed directory. In fault-free
+// two-path 528, create /a/x is ok inside rename /a → /c, and readdir /c is
+// then empty. The rename aggregated and scanned the directory, and only after
+// its decision broadcast the invalidation, unawaited, so a create committed
+// in between appended to a change-log nothing collected again. A directory
+// rename now detaches its source as rmdir does, before it reads it: lookups
+// of the key wait, and the directory is planted in every server's
+// invalidation list by the aggregation that collects its entries. Two-path
+// 2518 and 3074 fail when the detach does not make lookups wait.
+func TestRegressionRenameDetachesSource(t *testing.T) {
+	if rep := CheckConcurrent(965, GenProgram(965, 4, 7, AdversarialMix), nil); rep.Failed() {
+		reportFailure(t, "fault-free", 965, rep)
+	}
+	for _, seed := range []int64{528, 2518, 3074} {
+		if rep := CheckConcurrent(seed, GenProgram(seed, 8, 4, TwoPathMix), nil); rep.Failed() {
+			reportFailure(t, "fault-free two-path", seed, rep)
+		}
+	}
+	if rep := CheckConcurrent(507, GenProgram(507, 8, 3, TwoPathMix), planNamed(t, 507, "switch-reboot")); rep.Failed() {
+		reportFailure(t, "two-path plan switch-reboot", 507, rep)
 	}
 }
 

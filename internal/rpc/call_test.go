@@ -18,20 +18,20 @@ func BenchmarkPeerCall(b *testing.B) {
 	var retries uint64
 	calls := NewCalls(100, nil, nil, 2*env.Millisecond, &dead, &retries)
 	sim.AddNode(100, env.NodeConfig{Cores: 4, Handler: func(p *env.Proc, from env.NodeID, msg any) {
-		resp := msg.(*wire.Packet).Body.(*wire.AggNowResp)
+		resp := msg.(*wire.Packet).Body.(*wire.FlushEntryResp)
 		calls.Answer(resp.ID, from, resp)
 	}})
 	got := 0
 	sim.AddNode(101, env.NodeConfig{Handler: func(p *env.Proc, from env.NodeID, msg any) {
 		if got++; got%2 == 0 {
-			req := msg.(*wire.Packet).Body.(*wire.AggNowReq)
-			p.Send(from, &wire.Packet{Dst: from, Origin: 101, Body: &wire.AggNowResp{CtlResp: wire.CtlResp{ID: req.ID}}})
+			req := msg.(*wire.Packet).Body.(*wire.FlushEntryReq)
+			p.Send(from, &wire.Packet{Dst: from, Origin: 101, Body: &wire.FlushEntryResp{CtlResp: wire.CtlResp{ID: req.ID}}})
 		}
 	}})
 	sim.Spawn(100, func(p *env.Proc) {
 		for i := 0; i < b.N; i++ {
 			id := uint64(i + 1)
-			msg := &wire.AggNowReq{CtlReq: wire.CtlReq{ID: id, From: 100}}
+			msg := &wire.FlushEntryReq{CtlReq: wire.CtlReq{ID: id, From: 100}}
 			if _, ok := calls.Request(p, id, 100, func() {
 				p.Send(101, &wire.Packet{Dst: 101, Origin: 100, Trace: p.TraceCtx(), Body: msg})
 			}); !ok {
@@ -59,19 +59,19 @@ func TestRequestAllocatesNothing(t *testing.T) {
 	var retries uint64
 	calls := NewCalls(100, nil, nil, 2*env.Millisecond, &dead, &retries)
 	sim.AddNode(100, env.NodeConfig{Handler: func(p *env.Proc, from env.NodeID, msg any) {
-		resp := msg.(*wire.Packet).Body.(*wire.AggNowResp)
+		resp := msg.(*wire.Packet).Body.(*wire.FlushEntryResp)
 		calls.Answer(resp.ID, from, resp)
 	}})
-	var bodies [2]wire.AggNowResp
+	var bodies [2]wire.FlushEntryResp
 	for i, peer := range []env.NodeID{101, 102} {
 		resp := &wire.Packet{Dst: 100, Origin: peer, Body: &bodies[i]}
 		sim.AddNode(peer, env.NodeConfig{Handler: func(p *env.Proc, from env.NodeID, msg any) {
 			p.Sleep(env.Duration(i) * env.Microsecond)
-			bodies[i].ID = msg.(*wire.Packet).Body.(*wire.AggNowReq).ID
+			bodies[i].ID = msg.(*wire.Packet).Body.(*wire.FlushEntryReq).ID
 			p.Send(from, resp)
 		}})
 	}
-	req := &wire.AggNowReq{CtlReq: wire.CtlReq{From: 100}}
+	req := &wire.FlushEntryReq{CtlReq: wire.CtlReq{From: 100}}
 	pkts := []*wire.Packet{{Dst: 101, Origin: 100, Body: req}, {Dst: 102, Origin: 100, Body: req}}
 	var allocs float64
 	var v any

@@ -35,7 +35,7 @@ func TestRepliesRoute(t *testing.T) {
 		}
 		n.calls.End(uint64(id))
 	}
-	if NewRoutes(Peer("ack", func(*ctlNode, *env.Proc, *wire.Packet, *wire.CommitAck) {})).Of(&wire.AggNowResp{}) != nil {
+	if NewRoutes(Peer("ack", func(*ctlNode, *env.Proc, *wire.Packet, *wire.CommitAck) {})).Of(&wire.FlushEntryResp{}) != nil {
 		t.Error("a table without a replies route routed a control reply")
 	}
 }

@@ -10,12 +10,12 @@ import (
 
 // aggOpts tunes one aggregation.
 type aggOpts struct {
-	// rmdir marks rmdir-triggered aggregations: peers append dir to their
-	// invalidation lists before replying (§5.2.3 step 5).
-	rmdir bool
-	dir   core.DirID
+	// detach, when nonzero, is the directory a detach aggregates: peers plant
+	// it in their invalidation lists before they lock their change-logs
+	// (§5.2.3 step 5).
+	detach core.DirID
 	// force runs an aggregation even if another one completed while
-	// waiting (rmdir must observe the very latest state).
+	// waiting (a detach must observe the very latest state).
 	force bool
 }
 
@@ -116,7 +116,6 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 	ctx.Expect = slices.DeleteFunc(slices.Clone(s.cfg.Peers), func(n env.NodeID) bool { return n == s.cfg.ID })
 	slices.Sort(ctx.Expect)
 	s.aggs[id] = ctx
-	s.aggByFP[fp] = ctx
 	if s.ownerOfFP(fp) != s.cfg.ID {
 		// The group migrated away between the trigger (a read, a quiesce
 		// timer) and this registration. Aggregating a group this server no
@@ -126,7 +125,6 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 		// event as the registration above, so FPQuiescent never observes a
 		// half-registered aggregation.
 		delete(s.aggs, id)
-		delete(s.aggByFP, fp)
 		return false
 	}
 	if s.cfg.Tracker == TrackerOwner {
@@ -154,7 +152,7 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 	}
 
 	// Fetch from peers: remove the fingerprint and multicast (steps 5–6).
-	fetch := wire.AggFetch{AggID: id, FP: fp, Owner: s.cfg.ID, Rmdir: opts.rmdir, Dir: opts.dir}
+	fetch := wire.AggFetch{AggID: id, FP: fp, Owner: s.cfg.ID, Detach: opts.detach}
 	if len(ctx.Expect) == 0 {
 		ctx.Done.Complete(nil)
 	}
@@ -199,9 +197,6 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 	// inode lock. Per-peer acks let each sender trim exactly the entries it
 	// contributed.
 	logs := ctx.logs
-	if s.aggByFP[fp] == ctx {
-		delete(s.aggByFP, fp)
-	}
 	if s.dead {
 		// Fail-stopped mid-aggregation: abandon without applying or acking.
 		// Peers time out, release their locks and KEEP their entries, which
@@ -285,9 +280,7 @@ func (s *Server) markDirty(p *env.Proc, fp core.Fingerprint) {
 //detlint:lock-escapes the snapshotted change-log locks transfer to peerAggState.locked (dl.heldBy = f.AggID) and are released by finishPeerAgg on ack or give-up
 func (s *Server) handleAggFetch(p *env.Proc, _ *wire.Packet, f *wire.AggFetch) {
 	p.Compute(s.cfg.Costs.Parse)
-	if f.Rmdir {
-		s.addInval(f.Dir)
-	}
+	s.addInval(f.Detach)
 	if st := s.peerAggs[f.AggID]; st != nil {
 		if !st.ready {
 			// The original handler is still acquiring locks; it will send.
@@ -298,9 +291,6 @@ func (s *Server) handleAggFetch(p *env.Proc, _ *wire.Packet, f *wire.AggFetch) {
 		return
 	}
 	st := &peerAggState{entries: wire.AggEntries{AggID: f.AggID, FP: f.FP, From: s.cfg.ID}}
-	if s.peerAggs == nil {
-		s.peerAggs = make(map[uint64]*peerAggState)
-	}
 	s.peerAggs[f.AggID] = st
 	var buf [4]*dirLog
 	for _, dl := range sortedClogs(buf[:0], s.clogsByFP[f.FP]) {
@@ -762,9 +752,9 @@ func (s *Server) handleChangePushAck(_ *env.Proc, _ *wire.Packet, a *wire.Change
 
 // --- Invalidation (§5.2) -----------------------------------------------------
 
-// addInval appends a directory to the invalidation list. Re-invalidating a
-// directory bumps its sequence so clients that consumed the earlier entry
-// still observe the new one.
+// addInval appends a directory to the invalidation list; the zero id is no
+// directory. Re-invalidating a directory bumps its sequence so clients that
+// consumed the earlier entry still observe the new one.
 func (s *Server) addInval(dir core.DirID) {
 	if dir.IsZero() {
 		return
@@ -774,57 +764,81 @@ func (s *Server) addInval(dir core.DirID) {
 	s.inval = append(s.inval, wire.InvalEntry{Seq: s.invalSeq, Dir: dir})
 }
 
-// handleInvalBroadcast appends directories announced by a peer.
-func (s *Server) handleInvalBroadcast(p *env.Proc, _ *wire.Packet, b *wire.InvalBroadcast) {
-	for _, d := range b.Dirs {
-		s.addInval(d)
-	}
-	replyNew(s, p, b.From, wire.InvalAck{From: s.cfg.ID})
+// --- Detach (§5.2.3) ----------------------------------------------------------
+
+// detachment is a detach of a directory's key in flight, by an rmdir or a
+// directory rename. While it is registered in Server.removals, lookups of the
+// key wait (handleLookup), and so does the next detach of the key.
+type detachment struct {
+	ended env.Future
+	// move names the directory rename the detach is for, zero for an rmdir,
+	// which ends its own. A rename's detach outlives its exchange until the
+	// rename's prepare here holds the key's lock, or it lapses.
+	move uint64
 }
 
-// --- rmdir (§5.2.3) -----------------------------------------------------------
-
-// aggregateTarget is rmdir's aggregation-first half: it admits the target's
-// group, learns the target directory, plants it in the invalidation list and
-// aggregates its group, collecting every pending update to the directory and
-// planting it in every peer's invalidation list (Fig. 6 steps 4–7). On nil
-// return the caller holds the group's busy reference.
-func (s *Server) aggregateTarget(p *env.Proc, key core.Key) (core.DirID, error) {
+// detach is the prologue an rmdir and a directory rename share (§5.2.3,
+// Fig. 6 steps 4–7). It registers the detach of key (a rename's retransmitted
+// detach reuses its own registration; any other waits out the one in
+// flight), admits the key's group, learns the directory, plants it in the
+// invalidation list and runs the forced aggregation that collects every
+// deferred update to it and plants it at every peer, whose exclusive
+// change-log locks wait out the writers in flight: every later writer under
+// the directory fails its ancestor check. The apply phase takes the
+// directory's inode lock, so the caller cannot hold it across detach. The
+// caller ends the registration returned (endDetach); on nil error it holds
+// the group's busy reference.
+func (s *Server) detach(p *env.Proc, key core.Key, move uint64) (*detachment, core.DirID, error) {
+	d := s.removals[key]
+	if d == nil || move == 0 || d.move != move {
+		s.waitDetach(p, key)
+		d = &detachment{move: move}
+		s.removals[key] = d
+	}
 	fp := key.Fingerprint()
 	if err := s.admitFP(p, fp); err != nil {
 		// Routed here under a stale ring: the record may live on the new
 		// owner — retry, don't report ENOENT.
-		return core.DirID{}, err
+		return d, core.DirID{}, err
 	}
 	s.tallyFP(fp)
-	// Uncharged: handleMutate's read of the key under its lock pays the KVGet.
+	// Uncharged: an rmdir pays the KVGet of its read under the key's lock, a
+	// rename that of its read after the aggregation.
 	var in core.Inode
 	err := s.readDirInode(key, &in)
 	if err == nil {
 		s.addInval(in.ID)
-		if !s.aggregateFP(p, fp, &aggOpts{rmdir: true, dir: in.ID, force: true}) {
-			// Emptiness cannot be decided against state that may be missing an
-			// unreachable peer's acknowledged entries.
+		if !s.aggregateFP(p, fp, &aggOpts{detach: in.ID, force: true}) {
+			// Neither emptiness nor the entry list a rename moves can be
+			// decided against state that may be missing an unreachable peer's
+			// acknowledged entries.
 			err = core.ErrRetry
 		}
 	}
 	if err != nil {
 		s.fpExit(fp)
 	}
-	return in.ID, err
+	return d, in.ID, err
 }
 
-// waitRemoval parks until no rmdir of key is in flight.
-func (s *Server) waitRemoval(p *env.Proc, key core.Key) {
-	for rl := s.removals[key]; rl != nil; rl = s.removals[key] {
-		rl.RLock(p)
-		rl.RUnlock()
+// waitDetach parks until no detach of key is in flight.
+func (s *Server) waitDetach(p *env.Proc, key core.Key) {
+	for d := s.removals[key]; d != nil; d = s.removals[key] {
+		d.ended.Wait(p)
 	}
 }
 
-// endRemoval ends the rmdir of key that holds rl, releasing the lookups and
-// rmdirs that wait it out.
-func (s *Server) endRemoval(key core.Key, rl *env.RWMutex) {
+// endDetach ends d, a detach of key, unless it ended already: the lookups and
+// detaches that wait it out proceed.
+func (s *Server) endDetach(key core.Key, d *detachment) {
+	if s.removals[key] != d {
+		return
+	}
 	delete(s.removals, key)
-	rl.Unlock()
+	d.ended.Complete(nil)
 }
+
+// detachLapse is how long a directory rename's detach waits for the rename's
+// prepare after its exchange: generous, as inDoubtAfter is, yet finite, so a
+// coordinator that died holds the key's lookups no longer.
+func (s *Server) detachLapse() env.Duration { return 4 * s.cfg.RetryTimeout }

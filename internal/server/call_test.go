@@ -60,7 +60,8 @@ func TestCallTable(t *testing.T) {
 			sent: []env.NodeID{101}, retries: 1, returned: timeout},
 	} {
 		sim := env.NewSim(3)
-		fp := core.Key{PID: core.RootDirID, Name: "d"}.Fingerprint()
+		key := core.Key{PID: core.RootDirID, Name: "d"}
+		fp := key.Fingerprint()
 		rg := ring.New([]uint32{0, 1}, 0, func(slot uint32) env.NodeID { return 101 + env.NodeID(slot) })
 		rg.SetOverride(fp, 0)
 		s := New(sim, Config{ID: 100, Costs: env.DefaultCosts(), Ring: rg,
@@ -69,15 +70,15 @@ func TestCallTable(t *testing.T) {
 		got := 0 // requests the peers received
 		for _, peer := range []env.NodeID{101, 102} {
 			sim.AddNode(peer, env.NodeConfig{Handler: func(p *env.Proc, from env.NodeID, msg any) {
-				req := msg.(*wire.Packet).Body.(*wire.AggNowReq)
+				req := msg.(*wire.Packet).Body.(*wire.FlushEntryReq)
 				if got++; !c.answer[got] {
 					return
 				}
 				p.Sleep(c.delay)
-				p.Send(from, &wire.Packet{Dst: from, Origin: peer, Body: &wire.AggNowResp{CtlResp: wire.CtlResp{ID: req.ID}}})
+				p.Send(from, &wire.Packet{Dst: from, Origin: peer, Body: &wire.FlushEntryResp{CtlResp: wire.CtlResp{ID: req.ID}}})
 				if c.again > 0 {
 					p.Sleep(c.again)
-					p.Send(from, &wire.Packet{Dst: from, Origin: peer, Body: &wire.AggNowResp{CtlResp: wire.CtlResp{ID: req.ID, Err: core.ErrnoRetry}}})
+					p.Send(from, &wire.Packet{Dst: from, Origin: peer, Body: &wire.FlushEntryResp{CtlResp: wire.CtlResp{ID: req.ID, Err: core.ErrnoRetry}}})
 				}
 			}})
 		}
@@ -98,7 +99,7 @@ func TestCallTable(t *testing.T) {
 		var returned env.Time
 		sim.Spawn(100, func(p *env.Proc) {
 			id := s.ids.Next()
-			msg := &wire.AggNowReq{CtlReq: wire.CtlReq{ID: id, From: 100}, FP: fp}
+			msg := &wire.FlushEntryReq{CtlReq: wire.CtlReq{ID: id, From: 100}, Key: key}
 			v, ok = s.rpc.Request(p, id, c.tries, func() { s.reply(p, s.ownerOfFP(fp), msg) })
 			returned = p.Now()
 			// The process's next wait outlasts every repeated reply.
@@ -121,7 +122,7 @@ func TestCallTable(t *testing.T) {
 		}
 		// Only a registered call takes a reply: the first one ends it, and a
 		// repeat finds no call, so the process's next wait does not see it.
-		if resp, _ := v.(*wire.AggNowResp); ok && (resp == nil || resp.Err != core.ErrnoOK) {
+		if resp, _ := v.(*wire.FlushEntryResp); ok && (resp == nil || resp.Err != core.ErrnoOK) {
 			t.Errorf("%s: returned %v, want the first reply", c.what, v)
 		}
 		if late != nil {

@@ -82,6 +82,18 @@ func (r *ctlRig) pending() int {
 	return r.dl.log.Len()
 }
 
+// dirRaw is d's stored inode image.
+func (r *ctlRig) dirRaw() []byte {
+	var kb core.KeyBuf
+	raw, _ := r.s.kv.Get(r.dir.Key.AppendTo(kb[:0]))
+	return raw
+}
+
+// detachReq detaches d for a rename (move 5).
+func (r *ctlRig) detachReq() wire.DetachDirReq {
+	return wire.DetachDirReq{Key: r.dir.Key, Dir: r.dir.ID, Move: 5}
+}
+
 func (r *ctlRig) dirSize() int64 {
 	var kb core.KeyBuf
 	raw, _ := r.s.kv.Get(r.dir.Key.AppendTo(kb[:0]))
@@ -95,6 +107,8 @@ func (r *ctlRig) dirSize() int64 {
 // TestControlExchangeTable runs each control exchange's serve function on a
 // bare server for the states its request can meet: the key present, absent,
 // its group not served here (retry), and a deferred update of it pending.
+// Every detach has ended once the run drained: a failed one at once, one that
+// succeeded when no prepare came for it (its lapse).
 func TestControlExchangeTable(t *testing.T) {
 	retry := wire.CtlResp{Err: core.ErrnoRetry}
 	raw := core.EncodeInode(&ctlFile)
@@ -104,14 +118,9 @@ func TestControlExchangeTable(t *testing.T) {
 			return r.s.serveReadInode(p, wire.ReadInodeReq{Key: r.key, Flush: flush}, false)
 		}
 	}
-	scanD := func(r *ctlRig, p *env.Proc) any {
-		return r.s.serveScanDir(p, wire.ScanDirReq{Dir: r.dir.ID, FP: r.dir.FP}, false)
-	}
+	detachD := func(r *ctlRig, p *env.Proc) any { return r.s.serveDetachDir(p, r.detachReq(), false) }
 	flushX := func(r *ctlRig, p *env.Proc) any {
 		return r.s.serveFlushEntry(p, wire.FlushEntryReq{Key: r.key}, false)
-	}
-	aggD := func(r *ctlRig, p *env.Proc) any {
-		return r.s.serveAggNow(p, wire.AggNowReq{FP: r.dir.FP}, false)
 	}
 	status := func(r *ctlRig, p *env.Proc) any {
 		return r.s.serveTxnStatus(p, wire.TxnStatusReq{Txn: 7}, false)
@@ -140,26 +149,27 @@ func TestControlExchangeTable(t *testing.T) {
 		{what: "ReadInode: pending, no flush asked", setup: func(r *ctlRig) { r.file(); r.logged(1, "x") },
 			serve: readX(false), want: wire.ReadInodeResp{Raw: raw}, pending: 1},
 
-		{what: "ScanDir: present", setup: func(r *ctlRig) { r.s.putDentry(r.dir.ID, entry, true) }, serve: scanD,
-			want: wire.ScanDirResp{Entries: []core.DirEntry{entry}}},
-		{what: "ScanDir: absent", serve: scanD, want: wire.ScanDirResp{}},
-		{what: "ScanDir: not owned here",
-			setup: func(r *ctlRig) { r.s.putDentry(r.dir.ID, entry, true); r.disown(r.dir.FP) }, serve: scanD,
-			want: wire.ScanDirResp{CtlResp: retry}},
-		{what: "ScanDir: a pending entry is not listed", setup: func(r *ctlRig) { r.logged(1, "x") }, serve: scanD,
-			want: wire.ScanDirResp{}, pending: 1},
+		{what: "DetachDir: present", setup: func(r *ctlRig) { r.s.putDentry(r.dir.ID, entry, true) }, serve: detachD,
+			want: func(r *ctlRig) any { return wire.DetachDirResp{Raw: r.dirRaw(), Entries: []core.DirEntry{entry}} }},
+		{what: "DetachDir: absent", setup: func(r *ctlRig) { r.s.storeInode(r.dir.Key, nil) }, serve: detachD,
+			want: wire.DetachDirResp{CtlResp: wire.CtlResp{Err: core.ErrnoNotExist}}, size: -1},
+		{what: "DetachDir: not owned here",
+			setup: func(r *ctlRig) { r.s.putDentry(r.dir.ID, entry, true); r.logged(1, "y"); r.disown(r.dir.FP) },
+			serve: detachD, want: wire.DetachDirResp{CtlResp: retry}, pending: 1},
+		{what: "DetachDir: the key holds another directory", serve: func(r *ctlRig, p *env.Proc) any {
+			req := r.detachReq()
+			req.Dir = core.DirID{7}
+			return r.s.serveDetachDir(p, req, false)
+		}, want: wire.DetachDirResp{CtlResp: retry}},
+		{what: "DetachDir: a pending entry is aggregated into the list", setup: func(r *ctlRig) { r.logged(1, "x") },
+			serve: detachD, size: 1,
+			want: func(r *ctlRig) any { return wire.DetachDirResp{Raw: r.dirRaw(), Entries: []core.DirEntry{entry}} }},
 
 		{what: "FlushEntry: nothing pending", setup: (*ctlRig).file, serve: flushX, want: wire.FlushEntryResp{}},
 		{what: "FlushEntry: not owned here", setup: func(r *ctlRig) { r.logged(1, "x"); r.disown(r.key.Fingerprint()) },
 			serve: flushX, want: wire.FlushEntryResp{CtlResp: retry}, pending: 1},
 		{what: "FlushEntry: pending, delivered", setup: func(r *ctlRig) { r.logged(1, "x") }, serve: flushX,
 			want: wire.FlushEntryResp{}, size: 1},
-
-		{what: "AggNow: nothing pending", serve: aggD, want: wire.AggNowResp{}},
-		{what: "AggNow: not owned here", setup: func(r *ctlRig) { r.logged(1, "x"); r.disown(r.dir.FP) }, serve: aggD,
-			want: wire.AggNowResp{CtlResp: retry}, pending: 1},
-		{what: "AggNow: pending, applied", setup: func(r *ctlRig) { r.logged(1, "x"); r.logged(2, "y") }, serve: aggD,
-			want: wire.AggNowResp{}, size: 2},
 
 		{what: "TxnStatus: committed", setup: func(r *ctlRig) { r.s.txnWAL[7] = 1 }, serve: status,
 			want: wire.TxnStatusResp{Commit: true}},
@@ -196,6 +206,9 @@ func TestControlExchangeTable(t *testing.T) {
 		}
 		if n := r.dirSize(); n != c.size {
 			t.Errorf("%s: d counts %d entries, want %d", c.what, n, c.size)
+		}
+		if n := len(r.s.removals); n != 0 {
+			t.Errorf("%s: %d detaches still registered", c.what, n)
 		}
 	}
 }
@@ -242,14 +255,12 @@ func TestControlExchangeInPlaceMatchesPacket(t *testing.T) {
 	for _, c := range []ctlPair{
 		pairOf("ReadInode with a flush", pendingX, (*Server).serveReadInode,
 			func(r *ctlRig) wire.ReadInodeReq { return wire.ReadInodeReq{Key: r.key, Flush: true} }, true),
-		pairOf("ScanDir", entries, (*Server).serveScanDir,
-			func(r *ctlRig) wire.ScanDirReq { return wire.ScanDirReq{Dir: r.dir.ID, FP: r.dir.FP} }, true),
-		pairOf("ScanDir not owned here", func(r *ctlRig) { entries(r); r.disown(r.dir.FP) }, (*Server).serveScanDir,
-			func(r *ctlRig) wire.ScanDirReq { return wire.ScanDirReq{Dir: r.dir.ID, FP: r.dir.FP} }, true),
+		pairOf("DetachDir, a pending entry aggregated", func(r *ctlRig) { entries(r); r.logged(1, "x") },
+			(*Server).serveDetachDir, (*ctlRig).detachReq, true),
+		pairOf("DetachDir not owned here", func(r *ctlRig) { entries(r); r.disown(r.dir.FP) },
+			(*Server).serveDetachDir, (*ctlRig).detachReq, true),
 		pairOf("FlushEntry", pendingX, (*Server).serveFlushEntry,
 			func(r *ctlRig) wire.FlushEntryReq { return wire.FlushEntryReq{Key: r.key} }, true),
-		pairOf("AggNow", func(r *ctlRig) { r.logged(1, "x"); r.logged(2, "y") }, (*Server).serveAggNow,
-			func(r *ctlRig) wire.AggNowReq { return wire.AggNowReq{FP: r.dir.FP} }, false),
 		pairOf("TxnStatus", func(r *ctlRig) { r.s.txnWAL[7] = 1 }, (*Server).serveTxnStatus,
 			func(*ctlRig) wire.TxnStatusReq { return wire.TxnStatusReq{Txn: 7} }, true),
 		pairOf("CloneInval", func(r *ctlRig) { r.s.addInval(r.dir.ID) }, (*Server).serveCloneInval,

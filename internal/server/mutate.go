@@ -19,21 +19,15 @@ func (s *Server) handleMutate(p *env.Proc, _ *wire.Packet, req *wire.MutateReq) 
 	admitted := false
 	var target core.DirID
 	if req.Op == core.OpRmdir {
-		// The rmdir prologue (§5.2.3, Fig. 6 steps 4–7) registers the removal
-		// — lookups of the key wait it out — and aggregates the target before
-		// the locks below: the aggregation's apply phase takes the target's
-		// inode lock. One rmdir of a key runs at a time.
-		s.waitRemoval(p, key)
-		rl := &env.RWMutex{}
-		rl.Lock(p)
-		s.removals[key] = rl
-		defer s.endRemoval(key, rl)
-		var err error
-		if target, err = s.aggregateTarget(p, key); err != nil {
+		// The rmdir prologue is the detach (§5.2.3, Fig. 6 steps 4–7), run
+		// before the locks below; the rmdir ends it when it ends.
+		d, dir, err := s.detach(p, key, 0)
+		defer s.endDetach(key, d)
+		if err != nil {
 			s.replyMutate(p, req, err)
 			return
 		}
-		admitted = true
+		target, admitted = dir, true
 	}
 
 	// Locking (Fig. 4 step 2): shared lock on the parent's change-log —

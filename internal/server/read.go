@@ -8,9 +8,10 @@ import (
 
 // handleLookup resolves one path component to directory metadata — the
 // client cache-miss path (§5.2.1 step 1). It reads under the key's read lock
-// and waits out an rmdir of the key in flight, so a lookup racing an rmdir
-// observes its final state (§5.2.3 "Discussion"). The rmdir plants its
-// invalidation before it takes the key's lock: a lookup that read the
+// and waits out a detach of the key in flight (an rmdir, or a directory
+// rename until its prepare holds the key's lock), so a lookup racing either
+// observes its final state (§5.2.3 "Discussion"). A detach plants its
+// invalidation before the key's lock is taken: a lookup that read the
 // directory in between would hand the client the planted sequence number
 // together with the directory, and a create under it would then pass
 // checkAncestors. The wait runs in the event of the read, after the KVGet
@@ -30,7 +31,7 @@ func (s *Server) handleLookup(p *env.Proc, _ *wire.Packet, req *wire.LookupReq) 
 		p.Compute(c.KVGet)
 		for s.removals[key] != nil {
 			l.RUnlock() // the pin stays: the re-lock finds the same lock
-			s.waitRemoval(p, key)
+			s.waitDetach(p, key)
 			l.RLock(p)
 		}
 		var in core.Inode
@@ -179,21 +180,7 @@ func (s *Server) handleDirRead(p *env.Proc, pkt *wire.Packet, req *wire.DirReadR
 			if err = s.readDirInode(req.Dir.Key, &in); err == nil {
 				resp.Attr = in.Attr
 				if req.Op == core.OpReadDir {
-					// One array, sized by the group's count; each name is
-					// the store's own string.
-					var kb core.KeyBuf
-					prefix := core.AppendEntryKey(kb[:0], in.ID, "")
-					n := s.kv.CountPrefix(prefix)
-					if n > 0 {
-						resp.Entries = make([]core.DirEntry, 0, n)
-					}
-					s.kv.ScanNames(prefix, func(name string, v []byte) bool {
-						if de, e := core.DecodeDirEntry(name, v); e == nil {
-							resp.Entries = append(resp.Entries, de)
-						}
-						return true
-					})
-					p.Compute(env.Duration(n) * c.KVScanEntry)
+					resp.Entries = s.entryList(p, in.ID)
 				}
 			}
 			s.runlockKey(l)
@@ -202,4 +189,25 @@ func (s *Server) handleDirRead(p *env.Proc, pkt *wire.Packet, req *wire.DirReadR
 	}
 	resp.RespCommon = s.respCommon(&req.ReqCommon, err)
 	s.send(p, out)
+}
+
+// entryList returns directory id's entry list — one array, sized by the
+// count; each name is the store's own string — and charges a scan of every
+// entry.
+func (s *Server) entryList(p *env.Proc, id core.DirID) []core.DirEntry {
+	var kb core.KeyBuf
+	prefix := core.AppendEntryKey(kb[:0], id, "")
+	n := s.kv.CountPrefix(prefix)
+	var out []core.DirEntry
+	if n > 0 {
+		out = make([]core.DirEntry, 0, n)
+	}
+	s.kv.ScanNames(prefix, func(name string, v []byte) bool {
+		if de, err := core.DecodeDirEntry(name, v); err == nil {
+			out = append(out, de)
+		}
+		return true
+	})
+	p.Compute(env.Duration(n) * s.cfg.Costs.KVScanEntry)
+	return out
 }

@@ -9,13 +9,13 @@ import (
 )
 
 // The control exchanges a server serves (DESIGN.md "Waiting for a peer"): the
-// rename and link coordinator reads, flushes, scans and aggregates at the
-// owners of the keys it touches (§5.2), a participant in doubt polls the
-// coordinator (serveTxnStatus) and a recovering server clones a peer's
-// invalidation list (serveCloneInval, §5.4.2). Each is one serve function
-// that returns its reply: its route in the dispatch table serves a request
-// that came by packet, and rpc.Ask serves one in place when the owner is
-// this server. The charges of the packet path are fixed; in place, the
+// rename and link coordinator reads and flushes at the owners of the keys it
+// touches and detaches a directory it moves (§5.2), a participant in doubt
+// polls the coordinator (serveTxnStatus) and a recovering server clones a
+// peer's invalidation list (serveCloneInval, §5.4.2). Each is one serve
+// function that returns its reply: its route in the dispatch table serves a
+// request that came by packet, and rpc.Ask serves one in place when the owner
+// is this server. The charges of the packet path are fixed; in place, the
 // arrival Parse is all that is left out.
 
 // Budgets of a call (rpc.Calls.Call), in sends that may go unanswered before
@@ -65,25 +65,34 @@ func (s *Server) serveReadInode(p *env.Proc, req wire.ReadInodeReq, byPacket boo
 	return wire.ReadInodeResp{Raw: raw}
 }
 
-// serveScanDir answers a ScanDirReq with the directory's entry list, admitted
-// under the fingerprint of the directory's own key.
-func (s *Server) serveScanDir(p *env.Proc, req wire.ScanDirReq, byPacket bool) wire.ScanDirResp {
+// serveDetachDir answers a DetachDirReq: this server, the owner of the
+// directory's key, detaches the directory for its rename (detach) and returns
+// its inode image and entry list as the detach's aggregation left them. The
+// registration outlives the exchange: the rename's prepare here ends it once
+// it holds the key's lock (handleTxnPrepare), or it lapses (detachLapse). A
+// key that no longer holds the directory the rename resolved answers retry,
+// and so does an incomplete aggregation or a group not served here.
+func (s *Server) serveDetachDir(p *env.Proc, req wire.DetachDirReq, byPacket bool) wire.DetachDirResp {
 	p.Compute(s.arrival(byPacket))
-	if err := s.admitFP(p, req.FP); err != nil {
-		return wire.ScanDirResp{CtlResp: failed(err)}
+	fp := req.Key.Fingerprint()
+	d, dir, err := s.detach(p, req.Key, req.Move)
+	if err == nil && dir != req.Dir {
+		s.fpExit(fp)
+		err = core.ErrRetry // another directory now: the retry checks its loop
 	}
-	defer s.fpExit(req.FP)
-	var resp wire.ScanDirResp
-	n := 0
-	s.kv.ScanNames(core.EntryPrefix(req.Dir), func(name string, v []byte) bool {
-		if de, err := core.DecodeDirEntry(name, v); err == nil {
-			resp.Entries = append(resp.Entries, de)
-		}
-		n++
-		return true
-	})
-	p.Compute(env.Duration(n) * s.cfg.Costs.KVScanEntry)
-	return resp
+	if err == core.ErrNotDir {
+		err = core.ErrRetry // a file now: the retry renames it as one
+	}
+	if err != nil {
+		s.endDetach(req.Key, d)
+		return wire.DetachDirResp{CtlResp: failed(err)}
+	}
+	defer s.fpExit(fp)
+	s.env.After(s.detachLapse(), func() { s.endDetach(req.Key, d) })
+	p.Compute(s.cfg.Costs.KVGet)
+	var kb core.KeyBuf
+	raw, _ := s.kv.Get(req.Key.AppendTo(kb[:0]))
+	return wire.DetachDirResp{Raw: raw, Entries: s.entryList(p, dir)}
 }
 
 // flushEntry delivers the deferred updates of key's directory entry that this
@@ -134,17 +143,6 @@ func (s *Server) FlushGroup(p *env.Proc, fp core.Fingerprint) bool {
 	return true
 }
 
-// serveAggNow answers an AggNowReq: this server, the group's owner,
-// aggregates it now. An incomplete aggregation (unreachable peer) answers
-// retry: the caller's transaction must not serialize against state that may
-// be missing acknowledged updates.
-func (s *Server) serveAggNow(p *env.Proc, req wire.AggNowReq, _ bool) wire.AggNowResp {
-	if !s.aggregateFP(p, req.FP, nil) { // the arrived-time rule gives freshness
-		return wire.AggNowResp{CtlResp: failed(core.ErrRetry)}
-	}
-	return wire.AggNowResp{}
-}
-
 // arrival is what a control request owes for its arrival when its exchange
 // parses it: Parse by packet, nothing served in place.
 func (s *Server) arrival(byPacket bool) env.Duration {
@@ -156,20 +154,6 @@ func (s *Server) arrival(byPacket bool) env.Duration {
 
 // failed is the header of a control reply that reports err.
 func failed(err error) wire.CtlResp { return wire.CtlResp{Err: core.ErrnoOf(err)} }
-
-// broadcastInval plants directories in this server's invalidation list and
-// sends them to every peer's (a directory rename, §5.2). It sends
-// and returns: each peer answers with an InvalAck, which nothing consumes.
-func (s *Server) broadcastInval(p *env.Proc, dirs []core.DirID) {
-	for _, d := range dirs {
-		s.addInval(d)
-	}
-	for _, peer := range s.cfg.Peers {
-		if peer != s.cfg.ID {
-			replyNew(s, p, peer, wire.InvalBroadcast{From: s.cfg.ID, Dirs: dirs})
-		}
-	}
-}
 
 // handleTxnVote collects a prepare vote at the coordinator.
 func (s *Server) handleTxnVote(_ *env.Proc, _ *wire.Packet, v *wire.TxnVote) {

@@ -201,10 +201,10 @@ type Server struct {
 	clogs     map[core.DirID]*dirLog
 	clogsByFP map[core.Fingerprint]map[core.DirID]*dirLog
 	fps       map[core.Fingerprint]*fpState
-	// removals holds, per directory key an rmdir is removing, the lock that
-	// rmdir holds from before it plants its invalidation to its end: lookups
-	// of the key wait it out (handleLookup).
-	removals map[core.Key]*env.RWMutex
+	// removals holds, per directory key an rmdir or a directory rename is
+	// detaching, the detach in flight, registered from before it plants its
+	// invalidation: lookups of the key wait it out (handleLookup).
+	removals map[core.Key]*detachment
 
 	// Invalidation list (§5.2): append-only within a run. Its sequence starts
 	// at the incarnation's boot instant, above every predecessor's.
@@ -242,7 +242,6 @@ type Server struct {
 	// (§5.4.1).
 	rpc      rpc.Calls
 	aggs     map[uint64]*aggCtx
-	aggByFP  map[core.Fingerprint]*aggCtx
 	peerAggs map[uint64]*peerAggState
 	served   rpc.Served[wire.Msg]
 
@@ -368,7 +367,7 @@ func New(e *env.Sim, cfg Config) *Server {
 		clogs:      make(map[core.DirID]*dirLog),
 		clogsByFP:  make(map[core.Fingerprint]map[core.DirID]*dirLog),
 		fps:        make(map[core.Fingerprint]*fpState),
-		removals:   make(map[core.Key]*env.RWMutex),
+		removals:   make(map[core.Key]*detachment),
 		invalSet:   make(map[core.DirID]uint64),
 		applied:    make(map[appliedKey]uint64),
 		dirOps:     make(map[core.DirID]uint64),
@@ -376,7 +375,6 @@ func New(e *env.Sim, cfg Config) *Server {
 		busy:       make(map[core.Fingerprint]int),
 		gates:      make(map[core.Fingerprint]*env.Future),
 		aggs:       make(map[uint64]*aggCtx),
-		aggByFP:    make(map[core.Fingerprint]*aggCtx),
 		quiesce:    make(map[core.Fingerprint]*env.Timer),
 		ownerDirty: make(map[core.Fingerprint]bool),
 		txns:       make(map[uint64]*txnState),
@@ -599,15 +597,11 @@ func init() {
 		rpc.Peer("txn:prepare", (*Server).handleTxnPrepare),
 		rpc.Peer("txn:decision", (*Server).handleTxnDecision),
 		rpc.Peer("txn:vote", (*Server).handleTxnVote),
-		rpc.Peer("ctl", (*Server).handleInvalBroadcast),
 		rpc.Exchange("ctl", (*Server).serveTxnStatus),
 		rpc.Exchange("ctl", (*Server).serveReadInode),
-		rpc.Exchange("ctl", (*Server).serveScanDir),
-		rpc.Exchange("ctl", (*Server).serveAggNow),
+		rpc.Exchange("ctl", (*Server).serveDetachDir),
 		rpc.Exchange("ctl", (*Server).serveFlushEntry),
 		rpc.Exchange("ctl", (*Server).serveCloneInval),
-		// No node consumes an invalidation's ack: broadcastInval does not wait.
-		rpc.Peer("ctl", func(*Server, *env.Proc, *wire.Packet, *wire.InvalAck) {}),
 
 		// The answers to this server's calls end their waits.
 		rpc.Peer("commit-ack", func(s *Server, _ *env.Proc, _ *wire.Packet, m *wire.CommitAck) { s.rpc.Answer(m.CommitID, 0, m) }),

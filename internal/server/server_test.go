@@ -234,11 +234,10 @@ func TestLookupRelockKeepsPin(t *testing.T) {
 	key := core.Key{PID: core.RootDirID, Name: "d"}
 	s.storeInode(key, &core.Inode{ID: core.DirID{7, 7, 7, 7}, Attr: core.Attr{Type: core.TypeDir, Perm: core.DefaultDirPerm, Nlink: 2}})
 	sim.Spawn(100, func(p *env.Proc) {
-		rl := &env.RWMutex{} // an rmdir of the key in flight, as handleMutate registers it
-		rl.Lock(p)
-		s.removals[key] = rl
+		d := &detachment{} // an rmdir of the key in flight, as detach registers it
+		s.removals[key] = d
 		p.Sleep(20 * env.Microsecond)
-		s.endRemoval(key, rl)
+		s.endDetach(key, d)
 	})
 	sim.Spawn(100, func(p *env.Proc) {
 		p.Sleep(env.Microsecond)

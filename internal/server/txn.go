@@ -17,7 +17,9 @@ import (
 // two-phase-commit transactions through the centralized coordinator, which
 // serializes their lock-acquiring half — preventing distributed deadlock —
 // and directory renames end to end, which provides the orphaned-loop check of
-// §5.2.
+// §5.2. A directory rename first detaches its source at the source's owner,
+// as rmdir does (serveDetachDir): the directory is planted in every server's
+// invalidation list and aggregated before the rename reads what it moves.
 
 // txnState is the participant-side context of a prepared transaction.
 type txnState struct {
@@ -30,9 +32,9 @@ type txnState struct {
 }
 
 // handleRename coordinates a rename (§5.2): up to four inodes across up to
-// four servers change together. If the source is a directory, its pending
-// updates are aggregated first and its entry list migrates to the
-// destination owner (the directory's placement follows its key).
+// four servers change together. If the source is a directory, it is detached
+// first and its entry list migrates to the destination owner (the
+// directory's placement follows its key).
 func (s *Server) handleRename(p *env.Proc, _ *wire.Packet, req *wire.RenameReq) {
 	s.Stats.Ops++
 	err := s.doRename(p, req)
@@ -85,14 +87,16 @@ func (s *Server) doRename(p *env.Proc, req *wire.RenameReq) error {
 	ssp := s.cfg.Trace.Start(p, "txn:serial", "server")
 	s.renameMu.Lock(p)
 	// Check again now that it is this transaction's turn: a directory rename
-	// it queued behind broadcasts its invalidation before it releases the
-	// mutex, so an ancestor that rename moved reads stale only from here on.
+	// it queued behind planted its invalidation with its detach, before its
+	// decision, and held the mutex to its end, so an ancestor that rename
+	// moved reads stale only from here on.
 	if err := s.checkAncestors(&req.ReqCommon); err != nil {
 		s.renameMu.Unlock()
 		ssp.End()
 		return err
 	}
 	var dentries []wire.TxnOp
+	var move uint64
 	if isDir {
 		// A directory rename moves the inode and entry list it reads here, so
 		// every earlier transaction must have applied its updates of them:
@@ -100,7 +104,8 @@ func (s *Server) doRename(p *env.Proc, req *wire.RenameReq) error {
 		// entered under renameMu, which stays held to this rename's end.
 		s.deciding.Lock(p)
 		s.deciding.Unlock()
-		if in, dentries, err = s.prepareDirMove(p, req, srcOwner, srcKey, in.ID); err != nil {
+		move = s.ids.Next()
+		if in, dentries, err = s.prepareDirMove(p, req, srcOwner, srcKey, in.ID, move); err != nil {
 			s.renameMu.Unlock()
 			ssp.End()
 			return err
@@ -114,8 +119,9 @@ func (s *Server) doRename(p *env.Proc, req *wire.RenameReq) error {
 	// Source owner: delete the source inode (and its dentries if a dir). A
 	// file's body was read before the rename queued, so, as in link, the
 	// source must still hold it at prepare: a chmod committed since would be
-	// lost with the move. A directory was read again under renameMu, with
-	// the decisions in flight waited out.
+	// lost with the move. A directory was read again by its detach, under
+	// renameMu with the decisions in flight waited out, and the prepare ends
+	// that detach.
 	sp := plan.at(srcOwner)
 	srcCheck := wire.TxnCheck{Key: srcKey, MustExist: true}
 	if !isDir {
@@ -124,8 +130,8 @@ func (s *Server) doRename(p *env.Proc, req *wire.RenameReq) error {
 	sp.Check = append(sp.Check, srcCheck)
 	sp.Ops = append(sp.Ops, wire.TxnOp{Kind: wire.TxnDelInode, Key: srcKey})
 	if isDir {
-		sp.Ops = append(sp.Ops, wire.TxnOp{Kind: wire.TxnDelDentries,
-			Dir: core.DirRef{ID: in.ID}})
+		sp.Ops = append(sp.Ops, wire.TxnOp{Kind: wire.TxnDelDentries, Key: srcKey,
+			Dir: core.DirRef{ID: in.ID}, Entry: core.LogEntry{ID: move}})
 	}
 	// Destination owner: create the destination inode with the same body.
 	moved := *in
@@ -156,25 +162,21 @@ func (s *Server) doRename(p *env.Proc, req *wire.RenameReq) error {
 		return err
 	}
 	// A directory rename keeps the coordinator to its end: a later rename's
-	// loop check must see this one's outcome, invalidation included.
+	// loop check must see this one's outcome.
 	err = s.decideTxn(p, t)
-	if err == nil {
-		// Clients may hold cached metadata for the renamed directory under
-		// its old path: invalidate everywhere (§5.2).
-		s.broadcastInval(p, []core.DirID{in.ID})
-	}
 	s.renameMu.Unlock()
 	ssp.End()
 	return err
 }
 
 // prepareDirMove is the directory half of a rename's serialized section: the
-// orphaned-loop check, an aggregation of the directory itself so the migrated
-// state is complete, and its inode and entry list as they stand after it —
-// the entry list migrates with the inode and is replayed at the destination
-// owner.
+// orphaned-loop check, then the directory's detach at its owner
+// (serveDetachDir), which returns its inode and entry list as the detach's
+// aggregation left them — the entry list migrates with the inode and is
+// replayed at the destination owner. move names the detach to the source
+// owner's prepare.
 func (s *Server) prepareDirMove(p *env.Proc, req *wire.RenameReq, srcOwner env.NodeID,
-	srcKey core.Key, id core.DirID) (*core.Inode, []wire.TxnOp, error) {
+	srcKey core.Key, id core.DirID, move uint64) (*core.Inode, []wire.TxnOp, error) {
 
 	// Moving a directory under its own descendant would disconnect the
 	// subtree (§5.2). The client supplied the destination's ancestor chain
@@ -184,25 +186,17 @@ func (s *Server) prepareDirMove(p *env.Proc, req *wire.RenameReq, srcOwner env.N
 			return nil, nil, core.ErrLoop
 		}
 	}
-	fp := srcKey.Fingerprint()
-	if _, err := rpc.Ask(s, p, srcOwner, maxTries, (*Server).serveAggNow, wire.AggNowReq{FP: fp}); err != nil {
-		return nil, nil, err
-	}
-	src, err := rpc.Ask(s, p, srcOwner, maxTries, (*Server).serveReadInode, wire.ReadInodeReq{Key: srcKey})
+	det, err := rpc.Ask(s, p, srcOwner, maxTries, (*Server).serveDetachDir, wire.DetachDirReq{Key: srcKey, Dir: id, Move: move})
 	if err != nil {
 		return nil, nil, err
 	}
-	in, derr := core.DecodeInode(src.Raw)
+	in, derr := core.DecodeInode(det.Raw)
 	if derr != nil {
 		return nil, nil, core.ErrInvalid
 	}
-	list, err := rpc.Ask(s, p, srcOwner, maxTries, (*Server).serveScanDir, wire.ScanDirReq{Dir: in.ID, FP: fp})
-	if err != nil {
-		return nil, nil, err
-	}
 	// The entry list becomes dentry puts at the new owner.
-	dentries := make([]wire.TxnOp, 0, len(list.Entries))
-	for _, e := range list.Entries {
+	dentries := make([]wire.TxnOp, 0, len(det.Entries))
+	for _, e := range det.Entries {
 		dentries = append(dentries, wire.TxnOp{
 			Kind:  wire.TxnPutDentry,
 			Dir:   core.DirRef{ID: in.ID},
@@ -645,7 +639,24 @@ func (s *Server) handleTxnPrepare(p *env.Proc, _ *wire.Packet, tp *wire.TxnPrepa
 	st.locks = s.lockTxnKeys(p, make([]*keyLock, 0, len(tp.Ops)+len(tp.Check)), tp.Ops, tp.Check)
 
 	var err error
+	for _, op := range tp.Ops {
+		if op.Kind != wire.TxnDelDentries {
+			continue
+		}
+		// A directory rename moves what its detach read here: the key's lock,
+		// held from here to the decision, takes over from the detach. One
+		// that lapsed, or never was, may have let a lookup in, and then a
+		// create the moved entry list lacks.
+		if d := s.removals[op.Key]; d != nil && d.move == op.Entry.ID {
+			s.endDetach(op.Key, d)
+		} else {
+			err = core.ErrRetry
+		}
+	}
 	for _, ck := range tp.Check {
+		if err != nil {
+			break
+		}
 		p.Compute(c.KVGet)
 		var in core.Inode
 		rerr := s.readInode(ck.Key, &in)
@@ -658,9 +669,6 @@ func (s *Server) handleTxnPrepare(p *env.Proc, _ *wire.Packet, tp *wire.TxnPrepa
 			err = core.ErrNotDir
 		case ck.Same != nil && !s.inodeIs(ck.Key, ck.Same), s.entryPending(ck.Key):
 			err = core.ErrRetry
-		}
-		if err != nil {
-			break
 		}
 	}
 	if err != nil {

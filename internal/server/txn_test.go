@@ -237,3 +237,146 @@ func TestRenameKeepsConcurrentChmod(t *testing.T) {
 		t.Fatalf("rename answered %v (errno %d)", renamed.Err(), renamed)
 	}
 }
+
+// detachRig is a rig holding directory d under the root, with the stand-in
+// coordinator.
+type detachRig struct {
+	*rig
+	key   core.Key
+	dir   core.DirID
+	votes *[]wire.TxnVote
+}
+
+func newDetachRig(t *testing.T) *detachRig {
+	r := &detachRig{rig: newRig(t), key: core.Key{PID: core.RootDirID, Name: "d"}, dir: core.DirID{9, 9, 9, 9}}
+	r.votes = r.coordinator()
+	r.s.storeInode(r.key, &core.Inode{ID: r.dir, Attr: core.Attr{Type: core.TypeDir, Perm: core.DefaultDirPerm, Nlink: 2}})
+	return r
+}
+
+// detach detaches d for rename move at the instant at, in place as a
+// coordinator that owns d does, and returns where the reply will be.
+func (r *detachRig) detach(at env.Duration, move uint64) *wire.DetachDirResp {
+	resp := new(wire.DetachDirResp)
+	r.sim.SpawnAfter(rigServer, at, func(p *env.Proc) {
+		*resp = r.s.serveDetachDir(p, wire.DetachDirReq{Key: r.key, Dir: r.dir, Move: move}, false)
+	})
+	return resp
+}
+
+// prepare sends, at the instant at, the stand-in coordinator's prepare of the
+// source half of rename move, transaction txn: delete d and its entry list.
+func (r *detachRig) prepare(at env.Duration, txn, move uint64) {
+	tp := &wire.TxnPrepare{Txn: txn, From: rigCoord, Acked: txn,
+		Ops: []wire.TxnOp{{Kind: wire.TxnDelInode, Key: r.key},
+			{Kind: wire.TxnDelDentries, Key: r.key, Dir: core.DirRef{ID: r.dir}, Entry: core.LogEntry{ID: move}}},
+		Check: []wire.TxnCheck{{Key: r.key, MustExist: true}}}
+	r.sim.SpawnAfter(rigCoord, at, func(p *env.Proc) {
+		p.Send(rigServer, &wire.Packet{Dst: rigServer, Origin: rigCoord, Body: tp})
+	})
+}
+
+// lookups returns the lookup replies the client holds.
+func (r *detachRig) lookups() []*wire.LookupResp {
+	var out []*wire.LookupResp
+	for _, m := range r.resp {
+		if l, ok := m.(*wire.LookupResp); ok {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
+// TestDetachHoldsLookupsUntilPrepareLocks: a lookup of a key a directory
+// rename detached waits while the detach is registered. The rename's prepare
+// ends the registration once it holds the key's lock, and the lookup then
+// waits on that lock and observes the decision: here a commit, so the
+// directory is gone. With no prepare, the registration lapses and the lookup
+// proceeds, finding the directory.
+func TestDetachHoldsLookupsUntilPrepareLocks(t *testing.T) {
+	lookup := &wire.LookupReq{ReqCommon: wire.ReqCommon{RPC: 1, Client: rigClient}, Parent: core.RootDirID, Name: "d"}
+	at := func(r *detachRig, d env.Duration, check func()) {
+		r.sim.SpawnAfter(rigClient, d, func(*env.Proc) { check() })
+	}
+
+	r := newDetachRig(t)
+	det := r.detach(env.Microsecond, 5)
+	r.send(rigServer, 50*env.Microsecond, lookup)
+	r.prepare(100*env.Microsecond, 1, 5)
+	r.send(rigServer, 300*env.Microsecond, &wire.TxnDecision{Txn: 1, Commit: true})
+	at(r, 99*env.Microsecond, func() {
+		if n := len(r.lookups()); n != 0 || r.s.removals[r.key] == nil {
+			t.Errorf("before the prepare: %d lookups answered, detach registered %v; want 0, true", n, r.s.removals[r.key] != nil)
+		}
+	})
+	at(r, 200*env.Microsecond, func() {
+		if n := len(r.lookups()); n != 0 || len(r.s.removals) != 0 || len(r.s.txns) != 1 {
+			t.Errorf("prepared: %d lookups answered, %d detaches, %d prepared; want 0, 0, 1", n, len(r.s.removals), len(r.s.txns))
+		}
+	})
+	r.sim.Run()
+	if det.Err != core.ErrnoOK || len(*r.votes) != 1 || (*r.votes)[0].Err != core.ErrnoOK {
+		t.Fatalf("detach %v, votes %+v; want ok and one ok vote", det.Err.Err(), *r.votes)
+	}
+	if l := r.lookups(); len(l) != 1 || l[0].Err != core.ErrnoNotExist {
+		t.Fatalf("lookups %+v, want one that found d renamed away", l)
+	}
+
+	r = newDetachRig(t)
+	r.detach(env.Microsecond, 5)
+	r.send(rigServer, 50*env.Microsecond, lookup)
+	lapsed := env.Duration(0)
+	r.sim.SpawnAfter(rigServer, 60*env.Microsecond, func(p *env.Proc) {
+		r.s.waitDetach(p, r.key)
+		lapsed = env.Duration(p.Now())
+	})
+	r.sim.Run()
+	if l := r.lookups(); len(l) != 1 || l[0].Err != core.ErrnoOK || l[0].Dir != r.dir {
+		t.Fatalf("lookups %+v, want one that found d", l)
+	}
+	if lapsed < r.s.detachLapse() {
+		t.Errorf("the detach ended at %v, before its lapse (%v)", lapsed, r.s.detachLapse())
+	}
+}
+
+// TestDirMovePrepareNeedsLiveDetach: the source half of a directory rename's
+// prepare votes retry unless the detach it names is still registered — never
+// made, or lapsed before the prepare came — and then leaves no lock, no
+// prepared transaction and no registration behind. A live detach is ended by
+// the prepare, which votes ok and holds the key until the decision.
+func TestDirMovePrepareNeedsLiveDetach(t *testing.T) {
+	for _, c := range []struct {
+		what     string
+		detach   bool
+		prepared env.Duration
+		move     uint64
+		vote     core.Errno
+	}{
+		{what: "never made", prepared: 100 * env.Microsecond, move: 5, vote: core.ErrnoRetry},
+		{what: "another rename's", detach: true, prepared: 100 * env.Microsecond, move: 6, vote: core.ErrnoRetry},
+		{what: "lapsed", detach: true, prepared: 9 * env.Millisecond, move: 5, vote: core.ErrnoRetry},
+		{what: "live", detach: true, prepared: 100 * env.Microsecond, move: 5, vote: core.ErrnoOK},
+	} {
+		r := newDetachRig(t)
+		if c.detach {
+			r.detach(env.Microsecond, 5)
+		}
+		r.prepare(c.prepared, 1, c.move)
+		r.sim.RunFor(c.prepared + 100*env.Microsecond)
+		if len(*r.votes) != 1 || (*r.votes)[0].Err != c.vote {
+			t.Errorf("%s: votes %+v, want one %v", c.what, *r.votes, c.vote.Err())
+			continue
+		}
+		locked, prepared := 0, 0
+		if c.vote == core.ErrnoOK {
+			locked, prepared = 1, 1
+		}
+		if r.s.LockedKeys() != locked || len(r.s.txns) != prepared || prepareRecords(r.s.wal, 1) != prepared {
+			t.Errorf("%s: %d keys locked, %d prepared, %d prepared-state records; want %d, %d, %d", c.what,
+				r.s.LockedKeys(), len(r.s.txns), prepareRecords(r.s.wal, 1), locked, prepared, prepared)
+		}
+		if c.what != "another rename's" && len(r.s.removals) != 0 {
+			t.Errorf("%s: the detach is still registered", c.what)
+		}
+	}
+}

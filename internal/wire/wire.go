@@ -300,11 +300,10 @@ type AggFetch struct {
 	AggID uint64
 	FP    core.Fingerprint
 	Owner env.NodeID
-	// Rmdir marks rmdir-triggered aggregations: receivers additionally
-	// append the directory to their invalidation lists before replying
-	// (§5.2.3 step 5).
-	Rmdir bool
-	Dir   core.DirID
+	// Detach, when nonzero, is the directory an rmdir or a directory rename
+	// detaches: receivers plant it in their invalidation lists before they
+	// lock their change-logs (§5.2.3 step 5).
+	Detach core.DirID
 }
 
 // DirLog is one directory's pending entries in an aggregation reply, a
@@ -360,20 +359,6 @@ type ChangePushAck struct {
 	MaxID uint64
 }
 
-// --- Invalidation ---------------------------------------------------------
-
-// InvalBroadcast tells every server to append directories to its
-// invalidation list (rmdir, directory rename, chmod — §5.2).
-type InvalBroadcast struct {
-	From env.NodeID
-	Dirs []core.DirID
-}
-
-// InvalAck acknowledges an invalidation broadcast.
-type InvalAck struct {
-	From env.NodeID
-}
-
 // --- Rename / hard links (2PC) ----------------------------------------------
 
 // TxnOp is a participant-side action in a distributed transaction.
@@ -406,7 +391,9 @@ const (
 	// TxnPutDentry writes one entry-list record of directory Dir (entry-list
 	// migration during directory rename).
 	TxnPutDentry
-	// TxnDelDentries drops the whole entry list of directory Dir.
+	// TxnDelDentries drops the whole entry list of directory Dir, which a
+	// directory rename moves: Key is the directory's key, and Entry.ID the
+	// Move of its DetachDirReq, whose registration the prepare ends.
 	TxnDelDentries
 )
 
@@ -426,19 +413,26 @@ type ReadInodeResp struct {
 	Raw []byte
 }
 
-// ScanDirReq reads a directory's entry list (entry-list migration). FP is the
-// fingerprint of the directory's own key — the owner validates it against the
-// ring so a scan routed under a stale placement retries instead of returning
-// a partial (or vanished) entry list.
-type ScanDirReq struct {
+// DetachDirReq asks the owner of Key, a directory's key, to detach the
+// directory Dir before a rename moves it (§5.2): lookups of Key wait, the
+// directory is planted in every server's invalidation list and aggregated,
+// and the reply carries what the rename moves. The detach stays registered
+// after the reply until the rename's prepare here holds Key's lock (its
+// TxnDelDentries names Move), or until it lapses.
+type DetachDirReq struct {
 	CtlReq
-	Dir core.DirID
-	FP  core.Fingerprint
+	Key  core.Key
+	Dir  core.DirID
+	Move uint64
 }
 
-// ScanDirResp returns the entries.
-type ScanDirResp struct {
+// DetachDirResp returns the directory's inode image and entry list as the
+// detach left them. Err retry reports that a peer stayed unreachable, the
+// group is not served here, or Key no longer holds Dir.
+type DetachDirResp struct {
 	CtlResp
+	// Raw is the stored inode image, a copy.
+	Raw     []byte
 	Entries []core.DirEntry
 }
 
@@ -455,20 +449,6 @@ type FlushEntryReq struct {
 // Err retry reports that the directory's owner stayed unreachable (or the
 // name's group is no longer served here).
 type FlushEntryResp struct {
-	CtlResp
-}
-
-// AggNowReq asks a directory owner to aggregate a fingerprint group now
-// (aggregation of a renamed directory itself, §5.2).
-type AggNowReq struct {
-	CtlReq
-	FP core.Fingerprint
-}
-
-// AggNowResp confirms the aggregation ran. Err retry reports that a peer
-// stayed unreachable past the retry budget, so the aggregated state may
-// miss its acknowledged entries (the caller must not build on it).
-type AggNowResp struct {
 	CtlResp
 }
 
@@ -670,8 +650,6 @@ func (*AggEntries) msg()     {}
 func (*AggAck) msg()         {}
 func (*ChangePush) msg()     {}
 func (*ChangePushAck) msg()  {}
-func (*InvalBroadcast) msg() {}
-func (*InvalAck) msg()       {}
 func (*TxnPrepare) msg()     {}
 func (*TxnVote) msg()        {}
 func (*TxnDecision) msg()    {}
@@ -686,10 +664,8 @@ func (*CloneInvalReq) msg()  {}
 func (*CloneInvalResp) msg() {}
 func (*ReadInodeReq) msg()   {}
 func (*ReadInodeResp) msg()  {}
-func (*ScanDirReq) msg()     {}
-func (*ScanDirResp) msg()    {}
-func (*AggNowReq) msg()      {}
-func (*AggNowResp) msg()     {}
+func (*DetachDirReq) msg()   {}
+func (*DetachDirResp) msg()  {}
 func (*FlushEntryReq) msg()  {}
 func (*FlushEntryResp) msg() {}
 func (*DataReq) msg()        {}
