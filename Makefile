@@ -48,17 +48,24 @@ clean:
 # bench-compare is the gate, and tier-1 already runs it (`go test ./...`):
 # TestGate generates the gated figures (`fsbench -fig gated`: the one list
 # lives in cmd/fsbench) twice in one process and requires byte-identical
-# result JSON, byte-identical well-shaped traces, and zero changed cells,
-# counter drifts, metric drifts and shape changes against the committed
-# trajectory bench/baseline.json. Refresh the baseline with bench-baseline
-# when a change legitimately moves the numbers (and say why in the commit);
-# -trace is on so the per-figure metrics deltas are recorded and gated.
+# result JSON, byte-identical well-shaped traces, and `fsbench -compare` to
+# find no change at all against the committed trajectory bench/baseline.json:
+# no cell, header, row, figure, row counter or metric may differ. Refresh the
+# baseline with bench-baseline when a change legitimately moves the numbers
+# (and say why in the commit).
 bench-compare:
 	$(GO) test -count=1 -run TestGate -v ./cmd/fsbench
 
+# bench-baseline rewrites bench/baseline.json and prints every change it
+# commits, from the same run: -compare exits 1 when there are changes, which
+# is what a refresh is for, so only a status above 1 (a bad flag, a file
+# that could not be read or written, a figure that failed its own check)
+# fails the target.
 bench-baseline:
 	@mkdir -p bin
-	$(GO) run ./cmd/fsbench -fig gated -scale tiny -trace bin/trace-baseline.json -format json -out bench/baseline.json
+	$(GO) build -o bin/fsbench ./cmd/fsbench
+	bin/fsbench -fig gated -scale tiny -trace bin/trace-baseline.json -format json \
+		-out bench/baseline.json -compare bench/baseline.json; [ $$? -le 1 ]
 
 # SWEEP_WIDE runs the lincheck sweeps at 1 024 seeds each; SWEEP_LINES turns
 # its output into the failing (mode, seed) lines, sorted.

@@ -31,15 +31,14 @@
 //
 // -format json emits the versioned internal/bench schema (figure cells,
 // per-row op/packet counters, per-figure metrics deltas); -compare re-runs
-// the selected figures and diffs them against a previous JSON result,
-// exiting non-zero on per-cell regressions, counter or metric drift and
-// shape changes; -validate checks a result file against the schema without
-// running anything.
+// the selected figures and diffs them exactly against a previous JSON
+// result, printing every changed cell, header, row, figure, row counter and
+// metric and exiting non-zero if there is any; -validate checks a result
+// file against the schema without running anything.
 //
 // -trace=<path> records causal spans (virtual-time, tail-sampled) across
 // every figure run and writes a Chrome trace-event JSON file loadable in
-// Perfetto; it also attaches per-figure metrics-registry deltas to the
-// result. Inspect or validate a trace with `fsctl trace`.
+// Perfetto. Inspect or validate a trace with `fsctl trace`.
 //
 // Everything fsbench writes is virtual time or a deterministic count, so the
 // result and the trace are pure functions of (-fig, -scale, -seed) and two
@@ -112,7 +111,9 @@ func usageRegistry(w io.Writer) {
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the whole tool on its own flag set and writers: parse args, run the
-// selected figures, write and compare as asked, return the exit status.
+// selected figures, write and compare as asked, return the exit status: 1
+// when -compare finds a change or -validate rejects the file, 2 when the
+// run cannot be done (a bad flag, an unreadable baseline, a failed write).
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fsbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -120,12 +121,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	scaleFlag := fs.String("scale", "quick", "tiny | quick | paper")
 	formatFlag := fs.String("format", "text", "text | json")
 	outFlag := fs.String("out", "", "write results to this file (json format)")
-	compareFlag := fs.String("compare", "", "diff results against a previous json result file")
-	thresholdFlag := fs.Float64("threshold", 10, "regression threshold in percent for -compare")
+	compareFlag := fs.String("compare", "", "diff results exactly against a previous json result file; exit 1 on any change")
 	validateFlag := fs.String("validate", "", "validate a json result file against the schema and exit")
 	seedFlag := fs.Int64("seed", 1, "seed for the chaos, rebalance, data, lincheck and scale figures' plans and simulations")
-	traceFlag := fs.String("trace", "", "record causal spans for every figure run and write a Chrome trace-event JSON file here; also attaches per-figure metrics deltas to the result")
-	traceKeepFlag := fs.Int("tracekeep", 32, "tail-sampling budget: slowest root ops kept per run (flagged ops kept in addition)")
+	traceFlag := fs.String("trace", "", "record causal spans for every figure run and write a Chrome trace-event JSON file here")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -206,7 +205,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		var err error
 		baseline, err = bench.Load(*compareFlag)
 		if err != nil {
-			return fail(1, "%v", err)
+			return fail(2, "%v", err)
 		}
 		if baseline.Scale != *scaleFlag {
 			return fail(2, "baseline %s was recorded at -scale %s, this run is -scale %s — comparing different configurations cell-by-cell is meaningless",
@@ -220,18 +219,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Scale:     *scaleFlag,
 		GoVersion: runtime.Version(),
 	}
-	// Observability: one recorder and registry shared across the selected
-	// figures. Both are pure functions of the simulation seeds, so the trace
-	// file and the per-figure metrics deltas are byte-identical across
-	// same-seed runs (TestGate holds them to it).
+	// One metrics registry, and with -trace one recorder, shared across the
+	// selected figures. Both are pure functions of the simulation seeds, so
+	// the per-figure metrics deltas and the trace file are byte-identical
+	// across same-seed runs (TestGate holds them to it).
 	var rec *trace.Recorder
-	var reg *metrics.Registry
 	if *traceFlag != "" {
-		rec = trace.New(trace.Config{Keep: *traceKeepFlag})
-		reg = metrics.New()
-		figures.SetObservability(rec, reg)
-		defer figures.SetObservability(nil, nil)
+		rec = trace.New(trace.Config{})
 	}
+	reg := metrics.New()
+	figures.SetObservability(rec, reg)
+	defer figures.SetObservability(nil, nil)
 	for _, entry := range registry {
 		if !want[entry.id] {
 			continue
@@ -254,14 +252,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if rec != nil {
 		f, err := os.Create(*traceFlag)
 		if err != nil {
-			return fail(1, "%v", err)
+			return fail(2, "%v", err)
 		}
 		err = rec.WriteJSON(f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
-			return fail(1, "%s: %v", *traceFlag, err)
+			return fail(2, "%s: %v", *traceFlag, err)
 		}
 		fmt.Fprintf(stderr, "fsbench: wrote trace %s (%d traces kept)\n",
 			*traceFlag, len(rec.KeptTraces()))
@@ -272,23 +270,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// Write the fresh result even when comparing, so refreshing a
 		// baseline and gating against the old one are one run.
 		if err := bench.Write(*outFlag, result); err != nil {
-			return fail(1, "%v", err)
+			return fail(2, "%v", err)
 		}
 		fmt.Fprintf(stderr, "fsbench: wrote %s (%d figures)\n", *outFlag, len(result.Figures))
 	}
 
 	if baseline != nil {
-		cmp := bench.Compare(baseline, result, bench.CompareOpts{
-			ThresholdPct:  *thresholdFlag,
-			CheckCounters: true,
-		})
-		report(stdout, cmp, *thresholdFlag)
-		// Counter drift is a determinism/configuration failure, not noise:
-		// it must gate exactly like a regression. Shape changes (figures or
-		// rows present in only one run) gate the same way — silently skipping
-		// them would let a baseline refresh hide a dropped row.
-		if len(cmp.Regressions()) > 0 || cmp.ShapeChanges() || len(cmp.Drift) > 0 ||
-			len(cmp.MetricsDrift) > 0 {
+		changes := bench.Compare(baseline, result)
+		report(stdout, changes)
+		if len(changes) > 0 {
 			return 1
 		}
 		return 0
@@ -297,44 +287,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *formatFlag == "json" && *outFlag == "" {
 		data, err := bench.Marshal(result)
 		if err != nil {
-			return fail(1, "%v", err)
+			return fail(2, "%v", err)
 		}
 		stdout.Write(data)
 	}
 	return 0
 }
 
-// report prints a comparison, regressions first.
-func report(w io.Writer, cmp *bench.Comparison, threshold float64) {
-	for _, id := range cmp.MissingFigures {
-		fmt.Fprintf(w, "MISSING  %s: figure absent from this run\n", id)
+// report prints every change, then one summary line counting them by kind.
+func report(w io.Writer, changes []bench.Change) {
+	byKind := map[bench.Kind]int{}
+	for _, c := range changes {
+		fmt.Fprintf(w, "CHANGED  %s\n", c)
+		byKind[c.Kind]++
 	}
-	for _, id := range cmp.AddedFigures {
-		fmt.Fprintf(w, "ADDED    %s: figure absent from the baseline\n", id)
+	counts := make([]string, len(bench.Kinds))
+	for i, k := range bench.Kinds {
+		counts[i] = fmt.Sprintf("%s %d", k, byKind[k])
 	}
-	for _, rc := range cmp.RowsRemoved {
-		fmt.Fprintf(w, "ROW-GONE %s[%s]: row %d present only in the baseline\n", rc.Figure, rc.Label, rc.Row)
-	}
-	for _, rc := range cmp.RowsAdded {
-		fmt.Fprintf(w, "ROW-NEW  %s[%s]: row %d absent from the baseline\n", rc.Figure, rc.Label, rc.Row)
-	}
-	for _, d := range cmp.Drift {
-		fmt.Fprintf(w, "DRIFT    %s[%s]: counters changed: %s -> %s (non-determinism or config change)\n",
-			d.Figure, d.Label, d.Old, d.New)
-	}
-	for _, d := range cmp.MetricsDrift {
-		fmt.Fprintf(w, "MDRIFT   %s{%s}: metric changed: %d -> %d (non-determinism or config change)\n",
-			d.Figure, d.Key, d.Old, d.New)
-	}
-	regs := 0
-	for _, d := range cmp.Deltas {
-		if d.Regression {
-			fmt.Fprintf(w, "REGRESS  %s[%s]: %.1f -> %.1f (%+.1f%%, threshold %.0f%%)\n",
-				d.Figure, d.Label, d.Old, d.New, d.Pct, threshold)
-			regs++
-		}
-	}
-	fmt.Fprintf(w, "compared: %d cells changed, %d regressions, %d figures missing/added, %d rows removed/added, %d counter drifts, %d metric drifts\n",
-		len(cmp.Deltas), regs, len(cmp.MissingFigures)+len(cmp.AddedFigures),
-		len(cmp.RowsRemoved)+len(cmp.RowsAdded), len(cmp.Drift), len(cmp.MetricsDrift))
+	fmt.Fprintf(w, "compared: %d changes (%s)\n", len(changes), strings.Join(counts, ", "))
 }

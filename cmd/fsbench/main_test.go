@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -35,8 +36,7 @@ func TestGate(t *testing.T) {
 		traceFile := filepath.Join(dir, fmt.Sprintf("trace%d.json", i))
 		code, out := fsbench("-fig", "gated", "-scale", "tiny", "-format", "json",
 			"-trace", traceFile, "-out", result, "-compare", baselinePath)
-		const clean = "compared: 0 cells changed, 0 regressions, 0 figures missing/added, " +
-			"0 rows removed/added, 0 counter drifts, 0 metric drifts\n"
+		const clean = "compared: 0 changes (figure 0, header 0, row 0, cell 0, counters 0, metric 0)\n"
 		if code != 0 || !strings.Contains(out, clean) {
 			t.Fatalf("run %d against %s: exit %d\n%s", i, baselinePath, code, out)
 		}
@@ -47,7 +47,7 @@ func TestGate(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("-fig gated (%s) twice against %s: 0 cells changed, 0 drifts, 0 shape changes", gatedFigs, baselinePath)
+	t.Logf("-fig gated (%s) twice against %s: 0 changes", gatedFigs, baselinePath)
 	for j, what := range []string{"result JSON", "trace"} {
 		if !bytes.Equal(files[0][j], files[1][j]) {
 			t.Errorf("two same-flag runs wrote different %s", what)
@@ -71,29 +71,72 @@ func TestGate(t *testing.T) {
 	t.Run("can-fail", testGateCanFail)
 }
 
-// testGateCanFail proves the gate fires: the same run, compared against a
-// copy of the committed baseline with one thing wrong, must exit non-zero
-// naming it. One cheap figure (Fig. 14: directed cells, counters, metrics)
-// keeps the six runs under half a second; the unmutated control shows
-// the failures come from the mutations, not from the subset.
+// testGateCanFail proves the gate fires on any change: the same run,
+// compared against a copy of the committed baseline with one thing changed,
+// must exit non-zero naming it. Cheap figures (Fig. 14: Kops/s and µs cells,
+// counters, metrics; chaos: timeouts) keep the runs under a second; the
+// unmutated control shows the failures come from the mutations, not from
+// the subset. The runs pass no -trace, so the metric cases also show that
+// metrics are recorded without it.
 func testGateCanFail(t *testing.T) {
+	// scaleCell multiplies Fig14's first Kops/s cell by f in the baseline
+	// copy and returns the change the run must then report.
+	scaleCell := func(f float64) func(*bench.Figure) string {
+		return func(fig *bench.Figure) string {
+			cell := &fig.Rows[0][2]
+			v, err := strconv.ParseFloat(*cell, 64)
+			if err != nil || fig.Header[2] != "Kops/s" {
+				t.Fatalf("Fig14 row 0 col 2 is %q under %q", *cell, fig.Header[2])
+			}
+			old := *cell
+			*cell = strconv.FormatFloat(v*f, 'f', 1, 64)
+			return fmt.Sprintf("cell     Fig14[Baseline/2/Kops/s]: %s -> %s", *cell, old)
+		}
+	}
 	cases := []struct {
 		name   string
-		mutate func(r *bench.Result) // r holds Fig14 alone
+		fig    string                     // -fig id; the baseline copy keeps this figure alone
+		mutate func(*bench.Figure) string // returns the line the run must print
 		code   int
-		want   string
 	}{
-		{"control", func(*bench.Result) {}, 0, "compared: 0 cells changed, 0 regressions"},
-		{"Kops/s cell past -threshold, worse direction",
-			func(r *bench.Result) { r.Figures[0].Rows[0][2] = "99999.0" }, 1, "REGRESS  Fig14["},
-		{"row counter changed", func(r *bench.Result) { r.Figures[0].Counters[0].Ops++ }, 1, "DRIFT    Fig14["},
-		{"metrics key changed",
-			func(r *bench.Result) { r.Figures[0].Metrics["server.0.ops"]++ }, 1, "MDRIFT   Fig14{server.0.ops}"},
-		{"row dropped", func(r *bench.Result) {
-			f := &r.Figures[0]
+		{"control", "14", func(*bench.Figure) string {
+			return "compared: 0 changes (figure 0, header 0, row 0, cell 0, counters 0, metric 0)"
+		}, 0},
+		{"Kops/s cell 1 % lower in the run", "14", scaleCell(1.01), 1},
+		{"Kops/s cell 1 % higher in the run", "14", scaleCell(0.99), 1},
+		{"chaos timeouts cell higher in the run", "chaos", func(f *bench.Figure) string {
+			// Every timeouts cell reads 0 at tiny scale, so the baseline copy
+			// stores one less and the run's 0 is the rise.
+			row := f.Rows[0]
+			if f.Header[4] != "timeouts" || row[4] != "0" {
+				t.Fatalf("chaos row 0 col 4 is %q under %q", row[4], f.Header[4])
+			}
+			row[4] = "-1"
+			return fmt.Sprintf("cell     chaos[%s/%s/timeouts]: -1 -> 0", row[0], row[1])
+		}, 1},
+		{"renamed header", "14", func(f *bench.Figure) string {
+			f.Header[2] = "Mops/s"
+			return "header   Fig14[col 2]: Mops/s -> Kops/s"
+		}, 1},
+		{"row counter changed", "14", func(f *bench.Figure) string {
+			f.Counters[0].Ops++
+			return "counters Fig14[Baseline/2]: "
+		}, 1},
+		{"metric value changed", "14", func(f *bench.Figure) string {
+			f.Metrics["server.0.ops"]++
+			return "metric   Fig14[server.0.ops]: "
+		}, 1},
+		{"new metric key", "14", func(f *bench.Figure) string {
+			delete(f.Metrics, "server.0.ops")
+			return "metric   Fig14[server.0.ops]: (absent) -> "
+		}, 1},
+		{"row dropped", "14", func(f *bench.Figure) string {
 			f.Rows, f.Counters = f.Rows[:len(f.Rows)-1], f.Counters[:len(f.Counters)-1]
-		}, 1, "ROW-NEW  Fig14["},
-		{"wrong scale", func(r *bench.Result) { r.Scale = "quick" }, 2, "was recorded at -scale quick, this run is -scale tiny"},
+			return "row      Fig14["
+		}, 1},
+		{"wrong scale", "14", func(*bench.Figure) string {
+			return "was recorded at -scale quick, this run is -scale tiny"
+		}, 2},
 	}
 	dir := t.TempDir()
 	for _, tc := range cases {
@@ -101,20 +144,26 @@ func testGateCanFail(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		id := tc.fig
+		if id == "14" {
+			id = "Fig14"
+		}
 		for _, f := range r.Figures {
-			if f.ID == "Fig14" {
+			if f.ID == id {
 				r.Figures = []bench.Figure{f}
 			}
 		}
-		tc.mutate(r)
+		want := tc.mutate(&r.Figures[0])
+		if tc.code == 2 {
+			r.Scale = "quick"
+		}
 		mutated := filepath.Join(dir, "baseline.json")
 		if err := bench.Write(mutated, r); err != nil {
 			t.Fatal(err)
 		}
-		code, out := fsbench("-fig", "14", "-scale", "tiny",
-			"-trace", filepath.Join(dir, "trace.json"), "-compare", mutated)
-		if i := strings.Index(out, tc.want); code != tc.code || i < 0 {
-			t.Errorf("%s: exit %d, want %d and a line containing %q; got:\n%s", tc.name, code, tc.code, tc.want, out)
+		code, out := fsbench("-fig", tc.fig, "-scale", "tiny", "-compare", mutated)
+		if i := strings.Index(out, want); code != tc.code || i < 0 {
+			t.Errorf("%s: exit %d, want %d and a line containing %q; got:\n%s", tc.name, code, tc.code, want, out)
 		} else {
 			t.Logf("%s: exit %d: %s", tc.name, code, strings.SplitN(out[i:], "\n", 2)[0])
 		}

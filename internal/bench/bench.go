@@ -48,11 +48,10 @@ type Figure struct {
 	Counters []stats.Counters `json:"counters,omitempty"`
 	// Metrics is the deterministic metrics-registry delta attributed to this
 	// figure (internal/metrics snapshots taken around its generation):
-	// per-server op/aggregation/retry tallies, switch pipe totals, hot
-	// directory counts. Additive — absent for legacy producers — and, like
-	// Counters, a pure function of the seed, so comparisons may diff it
-	// exactly. encoding/json sorts map keys, keeping serialization
-	// deterministic.
+	// per-server op/aggregation/retry tallies and WAL records and bytes,
+	// switch pipe totals, hot directory counts. Like Counters it is a pure
+	// function of the seed, and Compare diffs it key by key. encoding/json
+	// sorts map keys, keeping serialization deterministic.
 	Metrics map[string]uint64 `json:"metrics,omitempty"`
 }
 
@@ -134,249 +133,150 @@ func Load(path string) (*Result, error) {
 	return &r, nil
 }
 
-// Direction classifies what "worse" means for a figure's numeric cells.
-type Direction int
+// Kind names what a Change is a change of.
+type Kind string
 
-// Cell-metric directions.
+// The kinds of Change, in the order Compare reports them within a figure.
 const (
-	// HigherBetter marks throughput-style figures.
-	HigherBetter Direction = iota
-	// LowerBetter marks latency/time-style figures.
-	LowerBetter
-	// Neutral marks figures whose direction could not be inferred; deltas
-	// are reported but never flagged as regressions.
-	Neutral
+	// KindFigure is a figure present in only one run, or a changed title.
+	KindFigure Kind = "figure"
+	// KindHeader is a changed, added or removed column header.
+	KindHeader Kind = "header"
+	// KindRow is a row present in only one run.
+	KindRow Kind = "row"
+	// KindCell is a changed cell, label cells included.
+	KindCell Kind = "cell"
+	// KindCounters is a row whose deterministic op or packet counters differ.
+	KindCounters Kind = "counters"
+	// KindMetric is a figure metric whose value differs or that only one run
+	// carries.
+	KindMetric Kind = "metric"
 )
 
-// DirectionOf infers a metric direction from a title or column header's
-// units ("(Kops/s)", "mean µs", "recovery ms", ...).
-func DirectionOf(title string) Direction {
-	t := strings.ToLower(title)
-	switch {
-	case strings.Contains(t, "ops/s") || strings.Contains(t, "throughput") ||
-		strings.Contains(t, "avail"):
-		return HigherBetter
-	case strings.Contains(t, "µs") || strings.Contains(t, "latency") ||
-		strings.Contains(t, " ms") || strings.Contains(t, "seconds"):
-		return LowerBetter
-	default:
-		return Neutral
-	}
+// Kinds lists every Kind in report order.
+var Kinds = []Kind{KindFigure, KindHeader, KindRow, KindCell, KindCounters, KindMetric}
+
+// absent stands for the side of a Change that does not exist.
+const absent = "(absent)"
+
+// Change is one difference between a stored result and a fresh run.
+type Change struct {
+	Kind   Kind
+	Figure string
+	// Where locates the change inside the figure: "title", a column, a row
+	// label, "row label/column header" or a metric key.
+	Where    string
+	Old, New string
 }
 
-// columnDirection resolves the direction of one cell column: the column
-// header's own units win (figures like Fig14 mix Kops/s and µs columns in
-// one table), falling back to the figure title.
-func columnDirection(f *Figure, col int, titleDir Direction) Direction {
-	if col < len(f.Header) {
-		if d := DirectionOf(f.Header[col]); d != Neutral {
-			return d
-		}
-	}
-	return titleDir
+func (c Change) String() string {
+	return fmt.Sprintf("%-8s %s[%s]: %s -> %s", c.Kind, c.Figure, c.Where, c.Old, c.New)
 }
 
-// Delta is one compared cell.
-type Delta struct {
-	Figure string  `json:"figure"`
-	Row    int     `json:"row"`
-	Col    int     `json:"col"`
-	Label  string  `json:"label"` // row labels + column header
-	Old    float64 `json:"old"`
-	New    float64 `json:"new"`
-	// Pct is the relative change in percent ((new-old)/old).
-	Pct float64 `json:"pct"`
-	// Regression is true when the change exceeds the threshold in the
-	// figure's worse direction.
-	Regression bool `json:"regression"`
-}
-
-// CompareOpts tunes Compare.
-type CompareOpts struct {
-	// ThresholdPct flags cells whose metric moved more than this many
-	// percent in the worse direction (default 10).
-	ThresholdPct float64
-	// CheckCounters additionally reports rows whose deterministic op or
-	// packet counters differ at all — configuration drift, not noise.
-	CheckCounters bool
-}
-
-// CounterDrift is a row whose deterministic counters changed between runs.
-type CounterDrift struct {
-	Figure string         `json:"figure"`
-	Row    int            `json:"row"`
-	Label  string         `json:"label"`
-	Old    stats.Counters `json:"old"`
-	New    stats.Counters `json:"new"`
-}
-
-// MetricDrift is a figure-level metrics-registry key whose deterministic
-// value changed between runs (absent on either side reads as 0).
-type MetricDrift struct {
-	Figure string `json:"figure"`
-	Key    string `json:"key"`
-	Old    uint64 `json:"old"`
-	New    uint64 `json:"new"`
-}
-
-// RowChange identifies a row present in only one of the compared runs.
-type RowChange struct {
-	Figure string `json:"figure"`
-	Row    int    `json:"row"`
-	Label  string `json:"label"`
-}
-
-// Comparison is the outcome of Compare.
-type Comparison struct {
-	Deltas []Delta        `json:"deltas"`
-	Drift  []CounterDrift `json:"drift,omitempty"`
-	// MetricsDrift lists figure-level metrics keys that changed. Like
-	// counter drift it is deterministic state, so any difference is
-	// configuration drift or nondeterminism — but it is only checked when
-	// BOTH runs carry metrics for the figure, so legacy baselines and
-	// metrics-off runs compare clean.
-	MetricsDrift []MetricDrift `json:"metrics_drift,omitempty"`
-	// MissingFigures lists old figures absent from the new run.
-	MissingFigures []string `json:"missing_figures,omitempty"`
-	// AddedFigures lists new figures absent from the old run.
-	AddedFigures []string `json:"added_figures,omitempty"`
-	// RowsRemoved / RowsAdded list rows present in only the old / only the
-	// new run. At a fixed scale and seed generation is deterministic, so any
-	// entry here is a shape change — a dropped or grown sweep — and gates
-	// the comparison rather than being silently skipped.
-	RowsRemoved []RowChange `json:"rows_removed,omitempty"`
-	RowsAdded   []RowChange `json:"rows_added,omitempty"`
-}
-
-// ShapeChanges reports whether the two runs disagree on which figures or
-// rows exist at all.
-func (c *Comparison) ShapeChanges() bool {
-	return len(c.MissingFigures) > 0 || len(c.AddedFigures) > 0 ||
-		len(c.RowsRemoved) > 0 || len(c.RowsAdded) > 0
-}
-
-// Regressions returns only the cells flagged as regressions.
-func (c *Comparison) Regressions() []Delta {
-	var out []Delta
-	for _, d := range c.Deltas {
-		if d.Regression {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// Compare diffs two runs figure by figure and cell by cell. Figures match
-// by ID, rows by index (generation is deterministic at a fixed scale), and
-// only cells parsing as numbers in both runs are compared.
-func Compare(old, new_ *Result, opts CompareOpts) *Comparison {
-	if opts.ThresholdPct <= 0 {
-		opts.ThresholdPct = 10
+// Compare diffs two runs exactly and returns every difference, in figure
+// order. Every cell is virtual time or a count, a pure function of the
+// flags, so the rule is equality: a cell that moved either way, a header,
+// a title, a figure or row present in only one run, a row's counters, and a
+// metric's value or key all count. Figures match by ID and rows by index.
+// The run's schema, tool and toolchain are context, not results.
+func Compare(old, new_ *Result) []Change {
+	var out []Change
+	add := func(k Kind, fig, where, o, n string) {
+		out = append(out, Change{Kind: k, Figure: fig, Where: where, Old: o, New: n})
 	}
 	newByID := map[string]*Figure{}
 	for i := range new_.Figures {
 		newByID[new_.Figures[i].ID] = &new_.Figures[i]
 	}
-	oldByID := map[string]bool{}
-	for i := range old.Figures {
-		oldByID[old.Figures[i].ID] = true
-	}
-	cmp := &Comparison{}
-	for i := range new_.Figures {
-		if !oldByID[new_.Figures[i].ID] {
-			cmp.AddedFigures = append(cmp.AddedFigures, new_.Figures[i].ID)
-		}
-	}
 	for i := range old.Figures {
 		of := &old.Figures[i]
 		nf := newByID[of.ID]
+		delete(newByID, of.ID)
 		if nf == nil {
-			cmp.MissingFigures = append(cmp.MissingFigures, of.ID)
+			add(KindFigure, of.ID, "figure", of.Title, absent)
 			continue
 		}
-		dir := DirectionOf(of.Title)
-		rows := len(of.Rows)
-		if len(nf.Rows) < rows {
-			rows = len(nf.Rows)
+		if of.Title != nf.Title {
+			add(KindFigure, of.ID, "title", of.Title, nf.Title)
 		}
-		for r := rows; r < len(of.Rows); r++ {
-			cmp.RowsRemoved = append(cmp.RowsRemoved, RowChange{
-				Figure: of.ID, Row: r, Label: rowLabel(of, r),
-			})
+		for c := range max(len(of.Header), len(nf.Header)) {
+			if o, n := at(of.Header, c), at(nf.Header, c); o != n {
+				add(KindHeader, of.ID, "col "+strconv.Itoa(c), o, n)
+			}
 		}
-		for r := rows; r < len(nf.Rows); r++ {
-			cmp.RowsAdded = append(cmp.RowsAdded, RowChange{
-				Figure: nf.ID, Row: r, Label: rowLabel(nf, r),
-			})
+		for r := len(nf.Rows); r < len(of.Rows); r++ {
+			add(KindRow, of.ID, rowLabel(of, r), "row "+strconv.Itoa(r), absent)
 		}
-		if opts.CheckCounters && len(of.Metrics) > 0 && len(nf.Metrics) > 0 {
-			compareMetrics(cmp, of, nf)
+		for r := len(of.Rows); r < len(nf.Rows); r++ {
+			add(KindRow, of.ID, rowLabel(nf, r), absent, "row "+strconv.Itoa(r))
 		}
-		for r := 0; r < rows; r++ {
+		for r := range min(len(of.Rows), len(nf.Rows)) {
 			label := rowLabel(of, r)
-			if opts.CheckCounters && r < len(of.Counters) && r < len(nf.Counters) &&
-				!of.Counters[r].Equal(nf.Counters[r]) {
-				cmp.Drift = append(cmp.Drift, CounterDrift{
-					Figure: of.ID, Row: r, Label: label,
-					Old: of.Counters[r], New: nf.Counters[r],
-				})
-			}
-			cols := len(of.Rows[r])
-			if len(nf.Rows[r]) < cols {
-				cols = len(nf.Rows[r])
-			}
-			for c := 0; c < cols; c++ {
-				ov, oerr := strconv.ParseFloat(of.Rows[r][c], 64)
-				nv, nerr := strconv.ParseFloat(nf.Rows[r][c], 64)
-				if oerr != nil || nerr != nil {
-					continue
+			for c := range max(len(of.Rows[r]), len(nf.Rows[r])) {
+				if o, n := at(of.Rows[r], c), at(nf.Rows[r], c); o != n {
+					add(KindCell, of.ID, label+"/"+at(of.Header, c), o, n)
 				}
-				if ov == nv {
-					continue
-				}
-				pct := 0.0
-				if ov != 0 {
-					pct = (nv - ov) / ov * 100
-				}
-				worse := false
-				switch columnDirection(of, c, dir) {
-				case HigherBetter:
-					worse = pct < -opts.ThresholdPct
-				case LowerBetter:
-					worse = pct > opts.ThresholdPct
-				}
-				cmp.Deltas = append(cmp.Deltas, Delta{
-					Figure: of.ID, Row: r, Col: c,
-					Label: label + "/" + headerOf(of, c),
-					Old:   ov, New: nv, Pct: pct,
-					Regression: worse,
-				})
 			}
 		}
-	}
-	return cmp
-}
-
-// compareMetrics diffs the deterministic figure-level metrics maps key by
-// key (union of both sides, sorted; a key absent on one side reads as 0).
-func compareMetrics(cmp *Comparison, of, nf *Figure) {
-	keys := make([]string, 0, len(of.Metrics)+len(nf.Metrics))
-	for k := range of.Metrics {
-		keys = append(keys, k)
-	}
-	for k := range nf.Metrics {
-		if _, ok := of.Metrics[k]; !ok {
+		for r := range min(len(of.Rows), len(nf.Rows)) {
+			if o, n := countersAt(of, r), countersAt(nf, r); !o.Equal(n) {
+				add(KindCounters, of.ID, rowLabel(of, r), countersText(o), countersText(n))
+			}
+		}
+		keys := make([]string, 0, len(of.Metrics)+len(nf.Metrics))
+		for k := range of.Metrics {
 			keys = append(keys, k)
 		}
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if of.Metrics[k] != nf.Metrics[k] {
-			cmp.MetricsDrift = append(cmp.MetricsDrift, MetricDrift{
-				Figure: of.ID, Key: k, Old: of.Metrics[k], New: nf.Metrics[k],
-			})
+		for k := range nf.Metrics {
+			if _, ok := of.Metrics[k]; !ok {
+				keys = append(keys, k)
+			}
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			if o, n := metricAt(of, k), metricAt(nf, k); o != n {
+				add(KindMetric, of.ID, k, o, n)
+			}
 		}
 	}
+	for i := range new_.Figures {
+		if nf := &new_.Figures[i]; newByID[nf.ID] != nil {
+			add(KindFigure, nf.ID, "figure", absent, nf.Title)
+		}
+	}
+	return out
+}
+
+// at is s[i], or absent past its end.
+func at(s []string, i int) string {
+	if i < len(s) {
+		return s[i]
+	}
+	return absent
+}
+
+// countersAt is row r's counters; a figure without counters has zero ones.
+func countersAt(f *Figure, r int) stats.Counters {
+	if r < len(f.Counters) {
+		return f.Counters[r]
+	}
+	return stats.Counters{}
+}
+
+// countersText renders c with its per-server slots, which Equal compares.
+func countersText(c stats.Counters) string {
+	if len(c.PerServerOps) == 0 {
+		return c.String()
+	}
+	return fmt.Sprintf("%s per_server=%v", c, c.PerServerOps)
+}
+
+// metricAt renders metric k, or absent when the figure does not carry it.
+func metricAt(f *Figure, k string) string {
+	if v, ok := f.Metrics[k]; ok {
+		return strconv.FormatUint(v, 10)
+	}
+	return absent
 }
 
 // rowLabel joins a row's leading label cells — op names and integer config
@@ -394,11 +294,4 @@ func rowLabel(f *Figure, r int) string {
 		parts = append(parts, f.Rows[r][0])
 	}
 	return strings.Join(parts, "/")
-}
-
-func headerOf(f *Figure, c int) string {
-	if c < len(f.Header) {
-		return f.Header[c]
-	}
-	return strconv.Itoa(c)
 }

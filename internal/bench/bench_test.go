@@ -2,6 +2,7 @@ package bench
 
 import (
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -95,83 +96,86 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
-func TestDirectionOf(t *testing.T) {
-	if DirectionOf("stat throughput (Mops/s)") != HigherBetter {
-		t.Error("Mops/s should be higher-better")
+// changes renders Compare's output one change a line, for failure messages
+// and exact expectations.
+func changes(old, new_ *Result) []string {
+	var out []string
+	for _, c := range Compare(old, new_) {
+		out = append(out, c.String())
 	}
-	if DirectionOf("operation latency (µs)") != LowerBetter {
-		t.Error("µs should be lower-better")
-	}
-	if DirectionOf("crash recovery time (virtual ms)") != LowerBetter {
-		t.Error("virtual ms should be lower-better")
-	}
-	if DirectionOf("mystery metric") != Neutral {
-		t.Error("unknown units should be neutral")
+	return out
+}
+
+func wantChanges(t *testing.T, got []string, want ...string) {
+	t.Helper()
+	if !slices.Equal(got, want) {
+		t.Fatalf("changes:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 
-func TestCompareFlagsRegressions(t *testing.T) {
+func TestCompareIdentical(t *testing.T) {
+	if got := changes(sample(), sample()); len(got) != 0 {
+		t.Fatalf("identical runs report changes: %v", got)
+	}
+}
+
+// TestCompareCells: every moved cell is a change whichever way it moved —
+// throughput down or up, latency up, a label cell, a reformatted number.
+func TestCompareCells(t *testing.T) {
 	old, new_ := sample(), sample()
-	// Throughput drop beyond threshold: regression.
-	new_.Figures[0].Rows[0][2] = "2000.0" // 2648.8 -> 2000 (-24%)
-	// Throughput gain: a delta, not a regression.
-	new_.Figures[0].Rows[1][2] = "4000.0"
-	// Latency rise beyond threshold: regression.
-	new_.Figures[1].Rows[0][1] = "9.9"
-	cmp := Compare(old, new_, CompareOpts{ThresholdPct: 10})
-	regs := cmp.Regressions()
-	if len(regs) != 2 {
-		t.Fatalf("want 2 regressions, got %d: %+v", len(regs), regs)
-	}
-	if regs[0].Figure != "Fig12a" || regs[0].Pct > -10 {
-		t.Errorf("bad throughput regression: %+v", regs[0])
-	}
-	if regs[1].Figure != "Fig13" || regs[1].Pct < 10 {
-		t.Errorf("bad latency regression: %+v", regs[1])
-	}
-	if len(cmp.Deltas) != 3 {
-		t.Errorf("want 3 deltas, got %d", len(cmp.Deltas))
-	}
-	if regs[0].Label != "create/4/SwitchFS" {
-		t.Errorf("label = %q", regs[0].Label)
-	}
+	new_.Figures[0].Rows[0][2] = "2648.7" // throughput down 0.004 %
+	new_.Figures[0].Rows[1][2] = "4000.0" // throughput up
+	new_.Figures[0].Rows[1][0] = "mkdir"  // a label
+	new_.Figures[1].Rows[0][1] = "5.10"   // the same number, written differently
+	wantChanges(t, changes(old, new_),
+		"cell     Fig12a[create/4/SwitchFS]: 2648.8 -> 2648.7",
+		"cell     Fig12a[create/8/op]: create -> mkdir",
+		"cell     Fig12a[create/8/SwitchFS]: 3283.9 -> 4000.0",
+		"cell     Fig13[stat/SwitchFS]: 5.1 -> 5.10",
+	)
 }
 
 func TestCompareCounterDrift(t *testing.T) {
 	old, new_ := sample(), sample()
 	new_.Figures[0].Counters[0].Ops = 959
-	cmp := Compare(old, new_, CompareOpts{CheckCounters: true})
-	if len(cmp.Drift) != 1 || cmp.Drift[0].Figure != "Fig12a" || cmp.Drift[0].Row != 0 {
-		t.Fatalf("drift = %+v", cmp.Drift)
-	}
-	// Without the flag, drift goes unreported.
-	if d := Compare(old, new_, CompareOpts{}); len(d.Drift) != 0 {
-		t.Fatalf("unexpected drift report: %+v", d.Drift)
-	}
+	// A per-server tally the stored row lacks is a change too: no zero-fill.
+	new_.Figures[0].Counters[1].PerServerOps = []uint64{0, 0}
+	got := changes(old, new_)
+	wantChanges(t, got,
+		"counters Fig12a[create/4]: ops=960 errs=0 pkts=12000 dropped=0 -> ops=959 errs=0 pkts=12000 dropped=0",
+		"counters Fig12a[create/8]: ops=960 errs=0 pkts=14000 dropped=0 -> ops=960 errs=0 pkts=14000 dropped=0 per_server=[0 0]",
+	)
+}
+
+// TestCompareHeadersAndMetrics: a renamed column or title, a moved metric,
+// and a metric key only one side carries are each a change.
+func TestCompareHeadersAndMetrics(t *testing.T) {
+	old, new_ := sample(), sample()
+	old.Figures[0].Metrics = map[string]uint64{"server.0.ops": 7, "server.1.ops": 3}
+	new_.Figures[0].Metrics = map[string]uint64{"server.0.ops": 8, "server.0.wal_records": 2}
+	new_.Figures[0].Header[2] = "SwitchFS (Kops/s)"
+	new_.Figures[1].Title = "operation latency (µs)"
+	wantChanges(t, changes(old, new_),
+		"header   Fig12a[col 2]: SwitchFS -> SwitchFS (Kops/s)",
+		"metric   Fig12a[server.0.ops]: 7 -> 8",
+		"metric   Fig12a[server.0.wal_records]: (absent) -> 2",
+		"metric   Fig12a[server.1.ops]: 3 -> (absent)",
+		"figure   Fig13[title]: operation latency (µs), single client, 8 servers -> operation latency (µs)",
+	)
 }
 
 func TestCompareMissingFigure(t *testing.T) {
 	old, new_ := sample(), sample()
 	new_.Figures = new_.Figures[:1]
-	cmp := Compare(old, new_, CompareOpts{})
-	if len(cmp.MissingFigures) != 1 || cmp.MissingFigures[0] != "Fig13" {
-		t.Fatalf("missing = %v", cmp.MissingFigures)
-	}
-	if !cmp.ShapeChanges() {
-		t.Fatal("missing figure should count as a shape change")
-	}
+	wantChanges(t, changes(old, new_),
+		"figure   Fig13[figure]: operation latency (µs), single client, 8 servers -> (absent)")
 }
 
 func TestCompareAddedFigure(t *testing.T) {
 	old, new_ := sample(), sample()
 	old.Figures = old.Figures[:1]
-	cmp := Compare(old, new_, CompareOpts{})
-	if len(cmp.AddedFigures) != 1 || cmp.AddedFigures[0] != "Fig13" {
-		t.Fatalf("added = %v", cmp.AddedFigures)
-	}
-	if !cmp.ShapeChanges() {
-		t.Fatal("added figure should count as a shape change")
-	}
+	wantChanges(t, changes(old, new_),
+		"figure   Fig13[figure]: (absent) -> operation latency (µs), single client, 8 servers")
 }
 
 // TestCompareRowShape pins the bugfix: rows present in only one file used to
@@ -182,29 +186,7 @@ func TestCompareRowShape(t *testing.T) {
 	// New run dropped Fig12a's second row.
 	new_.Figures[0].Rows = new_.Figures[0].Rows[:1]
 	new_.Figures[0].Counters = new_.Figures[0].Counters[:1]
-	cmp := Compare(old, new_, CompareOpts{})
-	if len(cmp.RowsRemoved) != 1 {
-		t.Fatalf("rows removed = %+v", cmp.RowsRemoved)
-	}
-	rc := cmp.RowsRemoved[0]
-	if rc.Figure != "Fig12a" || rc.Row != 1 || rc.Label != "create/8" {
-		t.Fatalf("row change = %+v", rc)
-	}
-	if !cmp.ShapeChanges() {
-		t.Fatal("removed row should count as a shape change")
-	}
-
+	wantChanges(t, changes(old, new_), "row      Fig12a[create/8]: row 1 -> (absent)")
 	// And the symmetric case: new run grew a row.
-	cmp = Compare(new_, old, CompareOpts{})
-	if len(cmp.RowsAdded) != 1 || cmp.RowsAdded[0].Row != 1 {
-		t.Fatalf("rows added = %+v", cmp.RowsAdded)
-	}
-	if len(cmp.RowsRemoved) != 0 {
-		t.Fatalf("unexpected removals: %+v", cmp.RowsRemoved)
-	}
-
-	// Identical shapes report nothing.
-	if c := Compare(old, old, CompareOpts{}); c.ShapeChanges() {
-		t.Fatalf("identical runs report shape changes: %+v", c)
-	}
+	wantChanges(t, changes(new_, old), "row      Fig12a[create/8]: (absent) -> row 1")
 }

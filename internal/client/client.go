@@ -275,11 +275,13 @@ func (c *Client) reqCommon(rpc uint64, dst env.NodeID, ancestors []core.DirID) w
 }
 
 // resolved is the output of path resolution for one target. ancestors is a
-// cached chain (see cachedDir): read-only.
+// cached chain (see cachedDir): read-only. cached reports that some directory
+// on the path came from the cache rather than a lookup.
 type resolved struct {
 	parent    core.DirRef
 	name      string
 	ancestors []core.DirID
+	cached    bool
 }
 
 // resolve walks the path's directories through the cache (§5.2.1 step 1),
@@ -297,6 +299,7 @@ func (c *Client) resolve(p *env.Proc, path string) (resolved, error) {
 	}
 	cur := core.RootRef()
 	chain := rootChain
+	cached := false
 	comp, end := core.NextComponent(path, 0)
 	for end < len(path) {
 		walked := path[:end]
@@ -304,6 +307,7 @@ func (c *Client) resolve(p *env.Proc, path string) (resolved, error) {
 		e, hit := c.cache[walked]
 		if hit {
 			c.CacheHits++
+			cached = true
 		} else {
 			ref, err := c.lookupOne(p, cur, comp, chain)
 			if err != nil {
@@ -331,7 +335,7 @@ func (c *Client) resolve(p *env.Proc, path string) (resolved, error) {
 		cur, chain = e.ref, e.chain
 		comp, end = core.NextComponent(path, end)
 	}
-	return resolved{parent: cur, name: comp, ancestors: chain}, nil
+	return resolved{parent: cur, name: comp, ancestors: chain, cached: cached}, nil
 }
 
 // lookupOne fetches one directory's metadata from its owner.

@@ -251,6 +251,12 @@ func (c *Client) twoPath(p *env.Proc, op core.Op, src, dst string) (bool, error)
 	err := c.withResolution(p, src, func(rs resolved) error {
 		rd, err := c.resolve(p, dst)
 		if err != nil {
+			// The source's own error comes first. One resolved from the
+			// cache may no longer exist, so it is looked up again before
+			// the destination's error is returned.
+			if rs.cached {
+				return core.ErrStaleCache
+			}
 			return err
 		}
 		p.Compute(c.cfg.Costs.ClientOp)

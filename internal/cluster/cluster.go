@@ -335,6 +335,8 @@ func (c *Cluster) FillMetrics(reg *metrics.Registry) {
 		reg.Add(pre+"agg_released", st.AggReleased)
 		reg.Add(pre+"rename_flushes", st.RenameFlushes)
 		reg.Add(pre+"rename_flush_pushes", st.RenameFlushPushes)
+		reg.Add(pre+"wal_records", st.WALRecords)
+		reg.Add(pre+"wal_bytes", st.WALBytes)
 		for rank, d := range dirs {
 			if rank >= metricsTopDirs {
 				break

@@ -335,6 +335,20 @@ func TestRegressionRenameDetachesSource(t *testing.T) {
 	}
 }
 
+// TestRegressionTwoPathReResolvesStaleSource pins class G of the wide sweep:
+// under flaky-links a link whose source parent was gone (1116) or had become a
+// file (1932) answered the destination's resolution error, ENOTDIR or ENOENT,
+// because its source had resolved from a stale cache and the destination's
+// error was returned unchecked. A destination that does not resolve now sends
+// a source that came from the cache round again, with the cache cleared.
+func TestRegressionTwoPathReResolvesStaleSource(t *testing.T) {
+	for _, seed := range []int64{1116, 1932} {
+		if rep := CheckConcurrent(seed, GenProgram(seed, 8, 3, TwoPathMix), planNamed(t, seed, "flaky-links")); rep.Failed() {
+			reportFailure(t, "two-path plan flaky-links", seed, rep)
+		}
+	}
+}
+
 // TestSweepCoordinatorCrashAcrossTxn walks a coordinator crash, two
 // microseconds at a time, across two renames that share their parent
 // directory and reach the coordinator together: whatever instant the crash

@@ -8,9 +8,6 @@ import (
 func TestNilRegistryIsNoop(t *testing.T) {
 	var r *Registry
 	r.Add("x", 1)
-	r.Inc("y")
-	r.SetGauge("g", 5)
-	r.Observe("h", 1)
 	if snap := r.Snapshot(); snap != nil {
 		t.Fatalf("nil registry snapshot: %v", snap)
 	}
@@ -19,29 +16,18 @@ func TestNilRegistryIsNoop(t *testing.T) {
 func TestSnapshotAndDelta(t *testing.T) {
 	r := New()
 	r.Add("server.0.ops", 10)
-	r.SetGauge("dirty.entries", 3)
+	r.Add("server.0.pushes", 3)
 	before := r.Snapshot()
 	r.Add("server.0.ops", 5)
-	r.Inc("server.1.ops")
+	r.Add("server.1.ops", 1)
 	d := Delta(before, r.Snapshot())
-	// The unchanged gauge subtracts to zero and is dropped from the delta.
+	// The unchanged counter subtracts to zero and is dropped from the delta.
 	want := map[string]uint64{"server.0.ops": 5, "server.1.ops": 1}
 	if !reflect.DeepEqual(d, want) {
 		t.Fatalf("delta %v, want %v", d, want)
 	}
-}
-
-func TestHistogramSnapshotKeys(t *testing.T) {
-	r := New()
-	for i := 1; i <= 100; i++ {
-		r.Observe("lat", float64(i))
-	}
-	snap := r.Snapshot()
-	if snap["lat.n"] != 100 || snap["lat.p50"] != 50 || snap["lat.p99"] != 99 {
-		t.Fatalf("histogram snapshot %v", snap)
-	}
-	names := r.Names()
-	if len(names) != 3 {
-		t.Fatalf("names %v", names)
+	// A counter that fell is taken at its new value.
+	if d := Delta(map[string]uint64{"server.0.ops": 9}, map[string]uint64{"server.0.ops": 4}); d["server.0.ops"] != 4 {
+		t.Fatalf("fallen counter delta %v, want 4", d)
 	}
 }

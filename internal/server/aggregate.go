@@ -474,7 +474,7 @@ func (s *Server) applyBatch(p *env.Proc, logs []aggLog) {
 				p.Compute(c.WALAppend)
 			}
 			s.walBuf = encodeAggEntry(s.walBuf[:0], l.from, dir, e)
-			mustAppend(s.wal, recAggEntry, s.walBuf)
+			s.logRecord(recAggEntry)
 			fresh = append(fresh, e)
 		}
 	}

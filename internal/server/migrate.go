@@ -300,7 +300,7 @@ func (s *Server) StoredFingerprints() []core.Fingerprint {
 // Runs in the event that copied the group out (the source is FPQuiescent).
 func (s *Server) EvictMigrated(fp core.Fingerprint) {
 	s.walBuf = encodeEvict(s.walBuf[:0], fp)
-	mustAppend(s.wal, recEvict, s.walBuf)
+	s.logRecord(recEvict)
 	s.evictFP(fp)
 	if t := s.quiesce[fp]; t != nil {
 		t.Cancel()

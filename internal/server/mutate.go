@@ -161,7 +161,7 @@ func (s *Server) handleMutate(p *env.Proc, _ *wire.Packet, req *wire.MutateReq) 
 	}
 	entry.ID = s.ids.Next()
 	s.walBuf = encodeCommit(s.walBuf[:0], req.Parent, entry, &in)
-	lsn := mustAppend(s.wal, recCommit, s.walBuf)
+	lsn := s.logRecord(recCommit)
 	s.storeInode(key, stored)
 
 	if s.cfg.Updates == UpdateSync {

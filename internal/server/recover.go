@@ -362,7 +362,7 @@ func (s *Server) FlushAll(p *env.Proc) {
 func (s *Server) InjectInode(key core.Key, in *core.Inode, log bool) {
 	if log {
 		s.walBuf = encodeInodeRec(s.walBuf[:0], key, in)
-		mustAppend(s.wal, recInode, s.walBuf)
+		s.logRecord(recInode)
 	}
 	s.storeInode(key, in)
 }
@@ -371,7 +371,7 @@ func (s *Server) InjectInode(key core.Key, in *core.Inode, log bool) {
 func (s *Server) InjectDentry(dir core.DirID, e core.DirEntry, log bool) {
 	if log {
 		s.walBuf = encodeDentryRec(s.walBuf[:0], dir, e.Name, true, e.Type, e.Perm)
-		mustAppend(s.wal, recDentry, s.walBuf)
+		s.logRecord(recDentry)
 	}
 	s.putDentry(dir, e, true)
 }
@@ -402,7 +402,7 @@ type AppliedMark struct {
 func (s *Server) InjectAppliedMark(src env.NodeID, dir core.DirID, id uint64, log bool) {
 	if log {
 		s.walBuf = encodeMark(s.walBuf[:0], src, dir, id)
-		mustAppend(s.wal, recMark, s.walBuf)
+		s.logRecord(recMark)
 	}
 	s.setAppliedMark(src, dir, id)
 }

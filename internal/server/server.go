@@ -353,6 +353,8 @@ type Stats struct {
 	// the pushes they had to start themselves (the rest shared a push or an
 	// aggregation already in flight).
 	RenameFlushes, RenameFlushPushes uint64
+	// WAL records appended and their payload bytes.
+	WALRecords, WALBytes uint64
 }
 
 // New builds a server and registers its node with the environment.

@@ -451,7 +451,7 @@ func (s *Server) recordCommit(p *env.Proc, id uint64, parts []env.NodeID) wal.LS
 	wsp := s.cfg.Trace.Start(p, "wal:txn-commit", "server")
 	p.Compute(s.cfg.Costs.WALAppend)
 	s.walBuf = encodeTxnCommit(s.walBuf[:0], id, parts)
-	rec := mustAppend(s.wal, recTxnCommit, s.walBuf)
+	rec := s.logRecord(recTxnCommit)
 	s.txnWAL[id] = rec
 	wsp.End()
 	return rec
@@ -689,7 +689,7 @@ func (s *Server) handleTxnPrepare(p *env.Proc, _ *wire.Packet, tp *wire.TxnPrepa
 	wsp := s.cfg.Trace.Start(p, "wal:txn-prepare", "server")
 	p.Compute(c.WALAppend)
 	s.walBuf = encodeTxnPrepare(s.walBuf[:0], tp.Txn, tp.From, tp.Ops)
-	st.lsn = mustAppend(s.wal, recTxnPrepare, s.walBuf)
+	st.lsn = s.logRecord(recTxnPrepare)
 	wsp.End()
 	s.txns[tp.Txn] = st
 	// Registered: the prepared-txn scan now covers the footprint, in the same
@@ -831,13 +831,13 @@ func (s *Server) handleTxnDecision(p *env.Proc, _ *wire.Packet, td *wire.TxnDeci
 			case wire.TxnPutDentry:
 				p.Compute(c.WALAppend + c.KVPut)
 				s.walBuf = encodeDentryRec(s.walBuf[:0], op.Dir.ID, op.Entry.Name, true, op.Entry.Type, op.Entry.Perm)
-				mustAppend(s.wal, recDentry, s.walBuf)
+				s.logRecord(recDentry)
 				s.putDentry(op.Dir.ID, core.DirEntry{
 					Name: op.Entry.Name, Type: op.Entry.Type, Perm: op.Entry.Perm}, true)
 			case wire.TxnDelDentries:
 				p.Compute(c.WALAppend)
 				s.walBuf = encodeDelDentries(s.walBuf[:0], op.Dir.ID)
-				mustAppend(s.wal, recDelDentries, s.walBuf)
+				s.logRecord(recDelDentries)
 				s.delDentries(op.Dir.ID, func(n int) { p.Compute(env.Duration(n) * c.KVDel) })
 			}
 		}

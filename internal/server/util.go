@@ -19,6 +19,13 @@ func mustAppend(l *wal.Mem, kind uint8, payload []byte) wal.LSN {
 	return lsn
 }
 
+// logRecord appends s.walBuf to the WAL as a kind record and counts it.
+func (s *Server) logRecord(kind uint8) wal.LSN {
+	s.Stats.WALRecords++
+	s.Stats.WALBytes += uint64(len(s.walBuf))
+	return mustAppend(s.wal, kind, s.walBuf)
+}
+
 // noRecord is the record a message carries when it needs none: the first
 // record's LSN is 1.
 const noRecord wal.LSN = 0
@@ -100,7 +107,7 @@ func (s *Server) applyNlinkLocked(p *env.Proc, key core.Key, delta int32) error 
 // putInode logs (recInode) and stores key's inode; a nil inode deletes.
 func (s *Server) putInode(key core.Key, in *core.Inode) {
 	s.walBuf = encodeInodeRec(s.walBuf[:0], key, in)
-	mustAppend(s.wal, recInode, s.walBuf)
+	s.logRecord(recInode)
 	s.storeInode(key, in)
 }
 

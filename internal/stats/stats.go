@@ -5,14 +5,15 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
 // Counters are the deterministic sanity counters carried by every figure
 // row: operation and packet counts summed over the row's simulation runs.
 // Two runs of the same figure at the same scale and seed must produce
-// identical counters — bench comparisons (internal/bench) use them to
-// detect configuration drift before comparing performance cells.
+// identical counters, and bench comparisons (internal/bench) diff them
+// exactly.
 type Counters struct {
 	// Ops and Errs are completed workload operations and their failures.
 	Ops  uint64 `json:"ops"`
@@ -25,7 +26,7 @@ type Counters struct {
 	// (index i = the deployment's i-th metadata server). It is the hotspot
 	// signal load-aware rebalancing needs: a skewed workload shows up as a
 	// skewed slice. Rows from systems that do not report per-server tallies
-	// leave it nil; nil and empty compare equal.
+	// leave it nil.
 	PerServerOps []uint64 `json:"per_server_ops,omitempty"`
 }
 
@@ -66,36 +67,17 @@ func (c Counters) Sub(o Counters) Counters {
 	return out
 }
 
-// Equal reports component-wise equality. PerServerOps compares with
-// zero-fill: nil, empty, and all-zero slices are equivalent, so rows
-// predating the field match rows that report zeros.
+// Equal reports component-wise equality; PerServerOps must match slot for
+// slot (nil and empty are the same slice).
 func (c Counters) Equal(o Counters) bool {
-	if c.Ops != o.Ops || c.Errs != o.Errs ||
-		c.PacketsDelivered != o.PacketsDelivered || c.PacketsDropped != o.PacketsDropped {
-		return false
-	}
-	n := len(c.PerServerOps)
-	if len(o.PerServerOps) > n {
-		n = len(o.PerServerOps)
-	}
-	for i := 0; i < n; i++ {
-		var a, b uint64
-		if i < len(c.PerServerOps) {
-			a = c.PerServerOps[i]
-		}
-		if i < len(o.PerServerOps) {
-			b = o.PerServerOps[i]
-		}
-		if a != b {
-			return false
-		}
-	}
-	return true
+	return c.Ops == o.Ops && c.Errs == o.Errs &&
+		c.PacketsDelivered == o.PacketsDelivered && c.PacketsDropped == o.PacketsDropped &&
+		slices.Equal(c.PerServerOps, o.PerServerOps)
 }
 
 // IsZero reports an all-zero counter set (a row with no tallied runs).
 func (c Counters) IsZero() bool {
-	return c.Equal(Counters{})
+	return c.Equal(Counters{PerServerOps: make([]uint64, len(c.PerServerOps))})
 }
 
 // String renders the counters compactly for table footers and logs.

@@ -13,15 +13,18 @@ func TestCountersAddAndEqual(t *testing.T) {
 	if !a.Equal(want) {
 		t.Fatalf("got %+v, want %+v", a, want)
 	}
-	// nil, empty and zero-padded per-server slices compare equal: rows from
-	// producers predating the field must match rows reporting zeros.
-	if !(Counters{Ops: 1}).Equal(Counters{Ops: 1, PerServerOps: []uint64{0, 0}}) {
-		t.Error("zero-filled PerServerOps must equal nil")
+	// Equality is exact: a per-server slice equals only the same slots, so
+	// a row reporting zeros differs from one reporting none.
+	if !(Counters{Ops: 1}).Equal(Counters{Ops: 1, PerServerOps: []uint64{}}) {
+		t.Error("empty PerServerOps must equal nil")
 	}
-	if (Counters{Ops: 1}).Equal(Counters{Ops: 1, PerServerOps: []uint64{0, 7}}) {
-		t.Error("non-zero PerServerOps must not equal nil")
+	if (Counters{Ops: 1}).Equal(Counters{Ops: 1, PerServerOps: []uint64{0, 0}}) {
+		t.Error("zero-filled PerServerOps must not equal nil")
 	}
-	if !(Counters{}).IsZero() || (Counters{PerServerOps: []uint64{1}}).IsZero() {
+	if (Counters{Ops: 1, PerServerOps: []uint64{0, 7}}).Equal(Counters{Ops: 1, PerServerOps: []uint64{0, 8}}) {
+		t.Error("different PerServerOps must not be equal")
+	}
+	if !(Counters{}).IsZero() || !(Counters{PerServerOps: []uint64{0}}).IsZero() || (Counters{PerServerOps: []uint64{1}}).IsZero() {
 		t.Error("IsZero misclassified")
 	}
 }
