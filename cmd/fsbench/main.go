@@ -32,9 +32,10 @@
 // -format json emits the versioned internal/bench schema (figure cells,
 // per-row op/packet counters, per-figure metrics deltas); -compare re-runs
 // the selected figures and diffs them exactly against a previous JSON
-// result, printing every changed cell, header, row, figure, row counter and
-// metric and exiting non-zero if there is any; -validate checks a result
-// file against the schema without running anything.
+// result of the same -scale and -seed, printing every changed cell, header,
+// row, figure, row counter and metric and exiting non-zero if there is any;
+// -validate checks a result file against the schema without running
+// anything.
 //
 // -trace=<path> records causal spans (virtual-time, tail-sampled) across
 // every figure run and writes a Chrome trace-event JSON file loadable in
@@ -211,12 +212,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(2, "baseline %s was recorded at -scale %s, this run is -scale %s — comparing different configurations cell-by-cell is meaningless",
 				*compareFlag, baseline.Scale, *scaleFlag)
 		}
+		if baseline.Seed != *seedFlag {
+			return fail(2, "baseline %s was recorded at -seed %d, this run is -seed %d — runs of different seeds differ in every seeded cell",
+				*compareFlag, baseline.Seed, *seedFlag)
+		}
 	}
 
 	result := &bench.Result{
 		Schema:    bench.SchemaVersion,
 		Tool:      "fsbench",
 		Scale:     *scaleFlag,
+		Seed:      *seedFlag,
 		GoVersion: runtime.Version(),
 	}
 	// One metrics registry, and with -trace one recorder, shared across the

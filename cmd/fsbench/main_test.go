@@ -71,6 +71,16 @@ func TestGate(t *testing.T) {
 	t.Run("can-fail", testGateCanFail)
 }
 
+// TestCompareRefusesOtherSeed: a run at another -seed than the baseline's is
+// a usage error, exit 2, before any figure runs, and reports no change: every
+// seeded cell would differ.
+func TestCompareRefusesOtherSeed(t *testing.T) {
+	code, out := fsbench("-fig", "chaos", "-scale", "tiny", "-seed", "7", "-compare", baselinePath)
+	if code != 2 || strings.Contains(out, "CHANGED") || !strings.Contains(out, "was recorded at -seed 1, this run is -seed 7") {
+		t.Fatalf("-seed 7 against %s: exit %d, want 2 and no change:\n%s", baselinePath, code, out)
+	}
+}
+
 // testGateCanFail proves the gate fires on any change: the same run,
 // compared against a copy of the committed baseline with one thing changed,
 // must exit non-zero naming it. Cheap figures (Fig. 14: Kops/s and µs cells,

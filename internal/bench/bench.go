@@ -31,6 +31,8 @@ type Result struct {
 	Tool string `json:"tool"`
 	// Scale is the scale preset the figures ran at (tiny/quick/paper).
 	Scale string `json:"scale"`
+	// Seed is the -seed the figures ran at.
+	Seed int64 `json:"seed"`
 	// GoVersion records the toolchain for cross-run context.
 	GoVersion string `json:"go_version,omitempty"`
 	// Figures holds one entry per generated figure, in generation order.
@@ -205,22 +207,21 @@ func Compare(old, new_ *Result) []Change {
 			}
 		}
 		for r := len(nf.Rows); r < len(of.Rows); r++ {
-			add(KindRow, of.ID, rowLabel(of, r), "row "+strconv.Itoa(r), absent)
+			add(KindRow, of.ID, rowLabel(of, r, len(of.Rows[r])), "row "+strconv.Itoa(r), absent)
 		}
 		for r := len(of.Rows); r < len(nf.Rows); r++ {
-			add(KindRow, of.ID, rowLabel(nf, r), absent, "row "+strconv.Itoa(r))
+			add(KindRow, of.ID, rowLabel(nf, r, len(nf.Rows[r])), absent, "row "+strconv.Itoa(r))
 		}
 		for r := range min(len(of.Rows), len(nf.Rows)) {
-			label := rowLabel(of, r)
 			for c := range max(len(of.Rows[r]), len(nf.Rows[r])) {
 				if o, n := at(of.Rows[r], c), at(nf.Rows[r], c); o != n {
-					add(KindCell, of.ID, label+"/"+at(of.Header, c), o, n)
+					add(KindCell, of.ID, rowLabel(of, r, c)+"/"+at(of.Header, c), o, n)
 				}
 			}
 		}
 		for r := range min(len(of.Rows), len(nf.Rows)) {
 			if o, n := countersAt(of, r), countersAt(nf, r); !o.Equal(n) {
-				add(KindCounters, of.ID, rowLabel(of, r), countersText(o), countersText(n))
+				add(KindCounters, of.ID, rowLabel(of, r, len(of.Rows[r])), countersText(o), countersText(n))
 			}
 		}
 		keys := make([]string, 0, len(of.Metrics)+len(nf.Metrics))
@@ -279,19 +280,22 @@ func metricAt(f *Figure, k string) string {
 	return absent
 }
 
-// rowLabel joins a row's leading label cells — op names and integer config
-// columns (servers, cores, bursts). Measurement cells are always formatted
-// with a decimal point, so the label ends at the first dotted number.
-func rowLabel(f *Figure, r int) string {
+// rowLabel joins row r's leading label cells before column end — op names
+// and integer config columns (servers, cores, bursts). Measurement cells are
+// always formatted with a decimal point, so the label ends at the first
+// dotted number; a changed cell's label ends before the cell, so a row whose
+// cells are all integers is not named by the value that moved. A row with no
+// label cell there is named by its index.
+func rowLabel(f *Figure, r, end int) string {
 	var parts []string
-	for _, cell := range f.Rows[r] {
+	for _, cell := range f.Rows[r][:min(end, len(f.Rows[r]))] {
 		if _, err := strconv.ParseFloat(cell, 64); err == nil && strings.Contains(cell, ".") {
 			break
 		}
 		parts = append(parts, cell)
 	}
-	if len(parts) == 0 && len(f.Rows[r]) > 0 {
-		parts = append(parts, f.Rows[r][0])
+	if len(parts) == 0 {
+		return "row " + strconv.Itoa(r)
 	}
 	return strings.Join(parts, "/")
 }

@@ -120,7 +120,9 @@ func TestCompareIdentical(t *testing.T) {
 }
 
 // TestCompareCells: every moved cell is a change whichever way it moved —
-// throughput down or up, latency up, a label cell, a reformatted number.
+// throughput down or up, latency up, a label cell, a reformatted number. A
+// cell is located by the label cells before it, so a changed first cell is
+// located by its row's index.
 func TestCompareCells(t *testing.T) {
 	old, new_ := sample(), sample()
 	new_.Figures[0].Rows[0][2] = "2648.7" // throughput down 0.004 %
@@ -129,10 +131,30 @@ func TestCompareCells(t *testing.T) {
 	new_.Figures[1].Rows[0][1] = "5.10"   // the same number, written differently
 	wantChanges(t, changes(old, new_),
 		"cell     Fig12a[create/4/SwitchFS]: 2648.8 -> 2648.7",
-		"cell     Fig12a[create/8/op]: create -> mkdir",
+		"cell     Fig12a[row 1/op]: create -> mkdir",
 		"cell     Fig12a[create/8/SwitchFS]: 3283.9 -> 4000.0",
 		"cell     Fig13[stat/SwitchFS]: 5.1 -> 5.10",
 	)
+}
+
+// TestCompareIntegerRowLabel: a row whose cells are all integers, like a
+// lincheck sweep's, is labelled by every cell; a change of its last cell is
+// located by the cells before it, and never by the value that moved.
+func TestCompareIntegerRowLabel(t *testing.T) {
+	fig := func(violations string) *Result {
+		r := sample()
+		r.Figures = []Figure{{ID: "lincheck", Title: "sweeps",
+			Header: []string{"mode", "clients", "servers", "histories", "divergent", "violations"},
+			Rows:   [][]string{{"differential", "4", "4", "480", "0", violations}}}}
+		return r
+	}
+	got := Compare(fig("7"), fig("9"))
+	if len(got) != 1 || got[0].Kind != KindCell {
+		t.Fatalf("changes %v, want the one cell", got)
+	}
+	if w := got[0].Where; w != "differential/4/4/480/0/violations" || strings.Contains(w, "7") || strings.Contains(w, "9") {
+		t.Fatalf("the change is located at %q, naming a value that moved", w)
+	}
 }
 
 func TestCompareCounterDrift(t *testing.T) {

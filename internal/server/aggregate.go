@@ -418,22 +418,40 @@ func (s *Server) applyByDir(p *env.Proc, logs []aggLog) {
 	}
 }
 
+// fresh yields the entries of l that a batch applies: those whose ids ascend
+// past mark, in log order. The watermark rises entry by entry, as redo raises
+// it (redoAggEntry), so an id at or below an earlier one of the same source is
+// a duplicate too.
+func (l *aggLog) fresh(yield func(core.LogEntry) bool) {
+	top := l.mark
+	for _, e := range l.log.Entries {
+		if e.ID > top {
+			top = e.ID
+			if !yield(e) {
+				return
+			}
+		}
+	}
+}
+
 // applyBatch applies what several sources hold pending for ONE directory —
 // every log carries the same Dir, at most one log per source — to the inode
-// and entry list as one batch, and sets each log's maxID. The caller holds the
-// directory inode's exclusive lock, which also guards the directory's
-// watermarks.
+// and entry list as one batch, and sets each log's mark and maxID. The caller
+// holds the directory inode's exclusive lock, which also guards the
+// directory's watermarks.
 //
-// Each source is filtered by its own exactly-once watermark; what survives is
-// applied in the order given (an aggregation passes its local log first, then
-// the peers' in arrival order), so the last writer per name, the size delta
-// and the max timestamps are those of applying the sources one after another.
-// With compaction the batch pays one group commit — one synchronous WAL
-// write, the per-record marshaling spread over the cores — one attribute
-// read-modify-write from one compaction over the concatenation, and one
-// core-parallel entry-list apply (§5.3: compaction restores intra-server
-// parallelism). Without it every entry pays its own WAL write and attribute
-// read-modify-write — the "+Async" configuration of Fig. 14.
+// Each source is filtered by its own exactly-once watermark (aggLog.fresh);
+// what survives is applied in the order given (an aggregation passes its
+// local log first, then the peers' in arrival order), so the last writer per
+// name, the size delta and the max timestamps are those of applying the
+// sources one after another. The batch is one recAggBatch record, logged
+// before any watermark rises. With compaction it pays one group commit — one
+// synchronous WAL write, the per-entry marshaling spread over the cores —
+// one attribute read-modify-write from one compaction over the
+// concatenation, and one core-parallel entry-list apply (§5.3: compaction
+// restores intra-server parallelism). Without it every entry pays its own
+// WAL write and attribute read-modify-write — the "+Async" configuration of
+// Fig. 14.
 func (s *Server) applyBatch(p *env.Proc, logs []aggLog) {
 	c := &s.cfg.Costs
 	dir := logs[0].log.Dir
@@ -442,12 +460,10 @@ func (s *Server) applyBatch(p *env.Proc, logs []aggLog) {
 		l := &logs[i]
 		l.mark = s.appliedMark(l.from, dir.ID)
 		for _, e := range l.log.Entries {
-			if e.ID > l.maxID {
-				l.maxID = e.ID
-			}
-			if e.ID > l.mark {
-				n++
-			}
+			l.maxID = max(l.maxID, e.ID)
+		}
+		for range l.fresh {
+			n++
 		}
 	}
 	if n == 0 {
@@ -465,19 +481,15 @@ func (s *Server) applyBatch(p *env.Proc, logs []aggLog) {
 	}
 	fresh := make([]core.LogEntry, 0, n)
 	for i := range logs {
-		l := &logs[i]
-		for _, e := range l.log.Entries {
-			if e.ID <= l.mark {
-				continue
-			}
+		for e := range logs[i].fresh {
 			if !compaction {
 				p.Compute(c.WALAppend)
 			}
-			s.walBuf = encodeAggEntry(s.walBuf[:0], l.from, dir, e)
-			s.logRecord(recAggEntry)
 			fresh = append(fresh, e)
 		}
 	}
+	s.walBuf = encodeAggBatch(s.walBuf[:0], dir, logs)
+	s.logRecord(recAggBatch)
 	wsp.End()
 
 	var in core.Inode

@@ -149,7 +149,9 @@ func (c *applyCase) install(s *Server) {
 type applyOutcome struct {
 	store   []string
 	marks   map[appliedKey]uint64
-	records []string // recAggEntry payloads, sorted
+	entries []string // the logged (source, directory, entry) triples, sorted
+	records int      // recAggBatch records
+	dirs    int      // … for distinct directory references
 	stats   Stats
 	took    env.Duration
 	maxIDs  []uint64 // by source
@@ -172,15 +174,25 @@ func runApply(t *testing.T, c *applyCase, updates UpdateMode, apply func(p *env.
 		return true
 	})
 	out.marks = s.applied
+	dirs := map[core.DirRef]bool{}
 	if err := s.wal.Replay(func(r wal.Record) error {
-		if r.Kind == recAggEntry {
-			out.records = append(out.records, string(r.Payload))
+		if r.Kind != recAggBatch {
+			return nil
 		}
-		return nil
+		dir, logs, err := decodeAggBatch(r.Payload)
+		out.records++
+		dirs[dir] = true
+		for _, l := range logs {
+			for _, e := range l.log.Entries {
+				out.entries = append(out.entries, fmt.Sprintf("%d %v %+v", l.from, dir, e))
+			}
+		}
+		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
-	sort.Strings(out.records)
+	sort.Strings(out.entries)
+	out.dirs = len(dirs)
 	out.stats = s.Stats
 	out.maxIDs = make([]uint64, len(c.logs))
 	for _, l := range logs {
@@ -207,10 +219,12 @@ func runApply(t *testing.T, c *applyCase, updates UpdateMode, apply func(p *env.
 }
 
 // TestApplyBatchMatchesPerSource: for random logs of 1–8 sources, applying
-// each directory as one batch leaves exactly the store, watermarks, WAL
-// records, counters and acks that applying the sources one after another in
+// each directory as one batch leaves exactly the store, watermarks, logged
+// entries, counters and acks that applying the sources one after another in
 // the same order leaves — with and without compaction — and never takes more
-// virtual time.
+// virtual time. The batch logs one record per directory reference, where
+// source by source logs one per source: the WAL record and byte counters are
+// the only ones that differ.
 func TestApplyBatchMatchesPerSource(t *testing.T) {
 	for _, updates := range []UpdateMode{UpdateCompacted, UpdateAsync} {
 		for seed := int64(0); seed < 150; seed++ {
@@ -230,11 +244,16 @@ func TestApplyBatchMatchesPerSource(t *testing.T) {
 			if !reflect.DeepEqual(batch.marks, each.marks) {
 				t.Fatalf("%s: watermarks differ: %v vs %v", what, batch.marks, each.marks)
 			}
-			if !reflect.DeepEqual(batch.records, each.records) {
-				t.Fatalf("%s: recAggEntry records differ (%d vs %d)", what, len(batch.records), len(each.records))
+			if !reflect.DeepEqual(batch.entries, each.entries) {
+				t.Fatalf("%s: logged entries differ:\nbatch %q\neach  %q", what, batch.entries, each.entries)
 			}
-			if batch.stats != each.stats {
-				t.Fatalf("%s: stats differ: %+v vs %+v", what, batch.stats, each.stats)
+			if batch.records != batch.dirs || batch.stats.WALRecords != uint64(batch.records) {
+				t.Fatalf("%s: %d batch records (WALRecords %d) for %d directory references", what, batch.records, batch.stats.WALRecords, batch.dirs)
+			}
+			bs, es := batch.stats, each.stats
+			bs.WALRecords, bs.WALBytes, es.WALRecords, es.WALBytes = 0, 0, 0, 0
+			if bs != es {
+				t.Fatalf("%s: stats differ: %+v vs %+v", what, bs, es)
 			}
 			if !reflect.DeepEqual(batch.maxIDs, each.maxIDs) {
 				t.Fatalf("%s: acked max ids differ: %v vs %v", what, batch.maxIDs, each.maxIDs)
@@ -243,8 +262,8 @@ func TestApplyBatchMatchesPerSource(t *testing.T) {
 				t.Fatalf("%s: AggEntries %d Orphans %d, generated %d pending with %d orphans",
 					what, got.AggEntries, got.Orphans, c.pending, c.orphans)
 			}
-			if len(batch.records) != c.pending {
-				t.Fatalf("%s: %d WAL records for %d pending entries", what, len(batch.records), c.pending)
+			if len(batch.entries) != c.pending {
+				t.Fatalf("%s: %d logged entries for %d pending entries", what, len(batch.entries), c.pending)
 			}
 			if batch.took > each.took {
 				t.Fatalf("%s: batch took %v, source by source %v", what, batch.took, each.took)
@@ -330,6 +349,41 @@ func TestOutOfOrderEntryIDsAreDropped(t *testing.T) {
 	}
 }
 
+// TestOutOfOrderIDsInOneBatch: inside one batch, too, an id at or below an
+// earlier one of the same source is a duplicate — the watermark rises entry
+// by entry, as redo raises it — so the batch applies and logs only the
+// ascending ids, and a restart that replays its record rebuilds what the
+// batch left.
+func TestOutOfOrderIDsInOneBatch(t *testing.T) {
+	sim, s := newCostedServer(t, UpdateCompacted)
+	key := core.Key{PID: core.RootDirID, Name: "d"}
+	dir := core.DirRef{ID: core.DirID{4, 4, 4, 4}, Key: key, FP: key.Fingerprint()}
+	s.InjectInode(dir.Key, &core.Inode{ID: dir.ID, Attr: core.Attr{Type: core.TypeDir}}, true)
+	var entries []core.LogEntry
+	for i, id := range []uint64{2, 1, 2, 3} {
+		entries = append(entries, core.LogEntry{ID: id, Time: int64(i + 1), Op: core.OpCreate,
+			Name: fmt.Sprintf("f%d", i), Type: core.TypeRegular})
+	}
+	logs := []aggLog{{from: 200, log: wire.DirLog{Dir: dir, Entries: entries}}}
+	sim.Spawn(100, func(p *env.Proc) { s.applyBatch(p, logs) })
+	sim.Run()
+	var in core.Inode
+	if err := s.readInode(dir.Key, &in); err != nil || in.Size != 2 || s.Stats.AggEntries != 2 {
+		t.Fatalf("size %d, %d entries applied (err %v): want the two ascending ids, 2 and 3", in.Size, s.Stats.AggEntries, err)
+	}
+	if logs[0].maxID != 3 || s.appliedMark(200, dir.ID) != 3 {
+		t.Fatalf("max id %d, watermark %d: want 3 and 3", logs[0].maxID, s.appliedMark(200, dir.ID))
+	}
+	s.Crash()
+	r := Restart(sim, s.cfg, s.wal)
+	if _, err := r.replayWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := replayDump(r), replayDump(s); got != want {
+		t.Fatalf("replay rebuilt\n%s\nthe batch left\n%s", got, want)
+	}
+}
+
 // TestParallelComputeLanes: a lane carries at least minLaneItems items. Below
 // two lanes' worth nothing is spawned and the caller is charged n×each;
 // above, the work finishes in ⌈n/lanes⌉×each on idle cores.
@@ -357,7 +411,8 @@ func TestParallelComputeLanes(t *testing.T) {
 }
 
 // BenchmarkApplyBatch is the aggregation apply of the hot-directory
-// workloads: eight sources with 32 pending creates each, one directory.
+// workloads: eight sources with 32 pending creates each, one directory. It
+// reports the WAL bytes the owner logs per applied entry (wal-B/entry).
 func BenchmarkApplyBatch(b *testing.B) {
 	key := core.Key{PID: core.RootDirID, Name: "hot"}
 	dir := core.DirRef{ID: core.DirID{1, 2, 3, 4}, Key: key, FP: key.Fingerprint()}
@@ -388,4 +443,5 @@ func BenchmarkApplyBatch(b *testing.B) {
 	if s.Stats.AggEntries != uint64(b.N)*256 {
 		b.Fatalf("applied %d entries over %d rounds", s.Stats.AggEntries, b.N)
 	}
+	b.ReportMetric(float64(s.Stats.WALBytes)/float64(s.Stats.AggEntries), "wal-B/entry")
 }

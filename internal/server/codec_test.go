@@ -38,6 +38,32 @@ func randInode(rnd *rand.Rand) *core.Inode {
 	return in
 }
 
+// randBatch is 1–4 sources' fresh entries: the first source's 1–6, each
+// other's 0–5, as applyBatch logs no batch without entries. Each source's ids
+// ascend from a random start by random steps; with edges the steps are 1 and
+// the last id is the largest there is.
+func randBatch(rnd *rand.Rand, edges bool) []aggLog {
+	logs := make([]aggLog, 1+rnd.Intn(4))
+	for i := range logs {
+		logs[i].from = env.NodeID(rnd.Uint32())
+		id := uint64(rnd.Int63n(1 << 50))
+		for k := rnd.Intn(6) + max(0, 1-i); k > 0; k-- {
+			step := uint64(1 + rnd.Intn(1<<20))
+			if edges {
+				step = 1
+			}
+			id += step
+			e := randEntry(rnd)
+			e.ID = id
+			logs[i].log.Entries = append(logs[i].log.Entries, e)
+		}
+		if es := logs[i].log.Entries; edges && len(es) > 0 {
+			es[len(es)-1].ID = math.MaxUint64
+		}
+	}
+	return logs
+}
+
 func sameInode(a, b *core.Inode) bool {
 	return a.Attr == b.Attr && a.ID == b.ID && a.File == b.File && slices.Equal(a.DataLoc, b.DataLoc)
 }
@@ -86,9 +112,23 @@ func TestEncodersAppend(t *testing.T) {
 			}
 		}
 
-		b := rec("encodeAggEntry", func(b []byte) []byte { return encodeAggEntry(b, src, dir, e) })
-		if s2, d2, e2, err := decodeAggEntry(b); err != nil || s2 != src || d2 != dir || e2 != e {
-			t.Fatalf("agg entry round trip: %d %v %+v %v", s2, d2, e2, err)
+		logs := randBatch(rnd, i < len(edges))
+		b := rec("encodeAggBatch", func(b []byte) []byte { return encodeAggBatch(b, dir, logs) })
+		d2, logs2, err := decodeAggBatch(b)
+		if err != nil || d2 != dir {
+			t.Fatalf("aggregation batch round trip: %v %v", d2, err)
+		}
+		for _, l := range logs {
+			if len(l.log.Entries) == 0 {
+				continue
+			}
+			if len(logs2) == 0 || logs2[0].from != l.from || !slices.Equal(logs2[0].log.Entries, l.log.Entries) {
+				t.Fatalf("aggregation batch round trip: source %d %+v, got %+v", l.from, l.log.Entries, logs2)
+			}
+			logs2 = logs2[1:]
+		}
+		if len(logs2) != 0 {
+			t.Fatalf("aggregation batch round trip: %d sources more than encoded", len(logs2))
 		}
 
 		for _, want := range []*core.Inode{in, nil} {
@@ -153,20 +193,27 @@ func TestEncodersAppend(t *testing.T) {
 
 // TestCreateRecordBytes pins a create's log footprint, through the real
 // encoders: an 8-byte name created in directory d0 as entry 12 345 at t = 3 ms
-// logs its commit at the name's owner and its aggregation entry at d0's owner
-// in at most 200 bytes. (With every length and id 8 bytes wide, and the
-// commit repeating its key and op and stating the inode's length, the two
-// took 390; with uvarint fields and an 89-byte fixed-width inode image, 278.)
+// logs its commit at the name's owner, and its entry in d0's owner's
+// aggregation batch, after entry 12 344 of the same source, in at most 121
+// bytes. (With every length and id 8 bytes wide, and the commit repeating its
+// key and op and stating the inode's length, the two took 390; with uvarint
+// fields and an 89-byte fixed-width inode image, 278; with a record of its
+// own for each aggregated entry, 198.)
 func TestCreateRecordBytes(t *testing.T) {
 	d0 := core.DirRef{ID: core.DirID{7, 1, 2, 3}, Key: core.Key{PID: core.RootDirID, Name: "d0"}}
 	d0.FP = d0.Key.Fingerprint()
 	now := int64(3 * env.Millisecond)
 	e := core.LogEntry{ID: 12345, Time: now, Op: core.OpCreate, Name: "f0000001", Type: core.TypeRegular, Perm: core.DefaultFilePerm}
 	in := &core.Inode{Attr: core.Attr{Type: core.TypeRegular, Perm: core.DefaultFilePerm, Nlink: 1, Atime: now, Mtime: now, Ctime: now}}
-	commit, agg := len(encodeCommit(nil, d0, e, in)), len(encodeAggEntry(nil, 101, d0, e))
+	before := e
+	before.ID--
+	batch := func(es ...core.LogEntry) int {
+		return len(encodeAggBatch(nil, d0, []aggLog{{from: 101, log: wire.DirLog{Entries: es}}}))
+	}
+	commit, agg := len(encodeCommit(nil, d0, e, in)), batch(before, e)-batch(before)
 	t.Logf("create: %d + %d = %d bytes logged", commit, agg, commit+agg)
-	if commit+agg > 200 {
-		t.Errorf("create logs %d + %d = %d bytes, want at most 200", commit, agg, commit+agg)
+	if commit+agg > 121 {
+		t.Errorf("create logs %d + %d = %d bytes, want at most 121", commit, agg, commit+agg)
 	}
 }
 
@@ -208,12 +255,14 @@ func TestRecordBufferReuse(t *testing.T) {
 	e := core.LogEntry{ID: 7, Time: 99, Op: core.OpCreate, Name: key.Name, Type: core.TypeRegular, Perm: 0o644}
 	in := &core.Inode{Attr: core.Attr{Type: core.TypeRegular, Perm: 0o644, Nlink: 1}, DataLoc: []uint32{1, 2}}
 	ops := []wire.TxnOp{{Kind: wire.TxnPutInode, Key: key, Inode: core.EncodeInode(in), Dir: parent, Entry: e}}
+	batch := []aggLog{{from: 3, log: wire.DirLog{Entries: []core.LogEntry{e, e}}}}
+	batch[0].log.Entries[1].ID++
 	for _, c := range []struct {
 		name string
 		fn   func()
 	}{
 		{"encodeCommit", func() { s.walBuf = encodeCommit(s.walBuf[:0], parent, e, in) }},
-		{"encodeAggEntry", func() { s.walBuf = encodeAggEntry(s.walBuf[:0], 3, parent, e) }},
+		{"encodeAggBatch", func() { s.walBuf = encodeAggBatch(s.walBuf[:0], parent, batch) }},
 		{"encodeInodeRec", func() { s.walBuf = encodeInodeRec(s.walBuf[:0], key, in) }},
 		{"encodeDentryRec", func() { s.walBuf = encodeDentryRec(s.walBuf[:0], key.PID, key.Name, true, e.Type, e.Perm) }},
 		{"encodeMark", func() { s.walBuf = encodeMark(s.walBuf[:0], 3, key.PID, 7) }},
@@ -358,13 +407,19 @@ func BenchmarkEncodeCommit(b *testing.B) {
 	}
 }
 
-func BenchmarkEncodeEntry(b *testing.B) {
+// BenchmarkEncodeAggBatch encodes a batch of one source's 32 creates; its
+// ns/op is the batch's, so a 32nd of it is one entry's.
+func BenchmarkEncodeAggBatch(b *testing.B) {
 	dir := core.DirRef{ID: core.DirID{1, 2, 3, 4}, Key: core.Key{PID: core.RootDirID, Name: "hot"}}
 	dir.FP = dir.Key.Fingerprint()
-	e := core.LogEntry{ID: 7, Time: 99, Op: core.OpCreate, Name: "file-000123", Type: core.TypeRegular, Perm: 0o644}
+	logs := []aggLog{{from: 3}}
+	for k := range 32 {
+		logs[0].log.Entries = append(logs[0].log.Entries, core.LogEntry{ID: uint64(7 + k), Time: 99, Op: core.OpCreate,
+			Name: fmt.Sprintf("file-%06d", k), Type: core.TypeRegular, Perm: 0o644})
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		benchSink = encodeAggEntry(benchSink[:0], 3, dir, e)
+		benchSink = encodeAggBatch(benchSink[:0], dir, logs)
 	}
 }
 
@@ -554,19 +609,22 @@ func BenchmarkAggregate(b *testing.B) {
 // FuzzRecordDecoders feeds one payload to every WAL record decoder: each
 // returns, with an error or without, and none panics, so a corrupt log
 // fail-stops Recover instead of the process. The seed corpus, which tier-1
-// runs, is every record of testdata/faulty_run.wal, cut short and extended.
+// runs, is every record of testdata/faulty_run.wal as it is, cut in half,
+// short of its last byte (inside the last entry of a batch, whose entries
+// run to the end) and extended.
 func FuzzRecordDecoders(f *testing.F) {
 	for _, log := range loadWALs(f) {
 		log.Replay(func(r wal.Record) error {
 			f.Add(r.Payload)
 			f.Add(r.Payload[:len(r.Payload)/2])
 			f.Add(append(slices.Clone(r.Payload), 0x80))
+			f.Add(r.Payload[:len(r.Payload)-1])
 			return nil
 		})
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		decodeCommit(b)
-		decodeAggEntry(b)
+		decodeAggBatch(b)
 		decodeInodeRec(b)
 		decodeDentryRec(b)
 		decodeDelDentries(b)

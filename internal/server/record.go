@@ -13,9 +13,8 @@ import (
 
 // WAL record kinds.
 const (
-	recCommit   uint8 = 1 // double-inode commit: inode mutation + clog entry
-	recAggEntry uint8 = 2 // change-log entry applied at the directory owner
-	recInode    uint8 = 3 // direct inode put/delete (sync ops, txns, mkdir)
+	recCommit uint8 = 1 // double-inode commit: inode mutation + clog entry
+	recInode  uint8 = 3 // direct inode put/delete (sync ops, txns, mkdir)
 
 	// Dentry mutations performed outside the aggregation path (entry-list
 	// migration during directory rename).
@@ -41,6 +40,10 @@ const (
 	// replay must drop the group's records, or a restarted source would
 	// resurrect inodes that now live (and have advanced) on another server.
 	recEvict uint8 = 10
+
+	// recAggBatch holds what one aggregation batch applies at a directory's
+	// owner (applyBatch): every source's entries above its watermark.
+	recAggBatch uint8 = 11
 )
 
 // Record layouts. Every length, count, entry id, source id and timestamp is
@@ -50,7 +53,10 @@ const (
 // last in a commit or inode record, it runs to the end; in a prepared op it
 // is length-prefixed. No field is written twice: a commit's key is (parent
 // id, entry name) and its op the entry's, so its decoder derives both, and a
-// delete carries no inode image. Each kind's decoder sits next to its
+// delete carries no inode image. An aggregation batch names its directory
+// once, then per source its id and its entries, each entry id a delta from
+// the source's previous one: a create applied at the owner logs about 18
+// bytes, not a record of its own. Each kind's decoder sits next to its
 // encoder and returns an error for a payload it cannot parse, so a corrupt
 // log fail-stops the server (Recover) instead of panicking the process.
 
@@ -162,30 +168,43 @@ func appendStr(b []byte, s string) []byte {
 
 func appendKey(b []byte, k core.Key) []byte { return appendStr(k.PID.AppendBinary(b), k.Name) }
 
-// encodeEntry appends one change-log entry of dir: the body of a recAggEntry
-// record, the head of a recCommit record and the update of a prepared op.
-func encodeEntry(b []byte, dir core.DirRef, e core.LogEntry) []byte {
-	b = dir.ID.AppendBinary(b)
-	b = appendKey(b, dir.Key)
-	b = binary.BigEndian.AppendUint64(b, uint64(dir.FP))
-	b = binary.AppendUvarint(b, e.ID)
+func appendDirRef(b []byte, dir core.DirRef) []byte {
+	b = appendKey(dir.ID.AppendBinary(b), dir.Key)
+	return binary.BigEndian.AppendUint64(b, uint64(dir.FP))
+}
+
+func (r *recReader) dirRef() core.DirRef {
+	return core.DirRef{ID: r.dirID(), Key: r.key(), FP: core.Fingerprint(r.u64())}
+}
+
+// appendEntryFields appends what follows a change-log entry's id.
+func appendEntryFields(b []byte, e core.LogEntry) []byte {
 	b = binary.AppendUvarint(b, uint64(e.Time))
 	b = append(b, byte(e.Op), byte(e.Type))
 	b = binary.BigEndian.AppendUint16(b, uint16(e.Perm))
 	return appendStr(b, e.Name)
 }
 
-// entry reads what encodeEntry wrote.
-func (r *recReader) entry() (dir core.DirRef, e core.LogEntry) {
-	dir.ID = r.dirID()
-	dir.Key = r.key()
-	dir.FP = core.Fingerprint(r.u64())
-	e.ID = r.uvarint()
+// entryFields reads what appendEntryFields wrote into e.
+func (r *recReader) entryFields(e *core.LogEntry) {
 	e.Time = int64(r.uvarint())
 	e.Op = core.Op(r.u8())
 	e.Type = core.FileType(r.u8())
 	e.Perm = core.Perm(r.u16())
 	e.Name = r.str()
+}
+
+// encodeEntry appends one change-log entry of dir: the head of a recCommit
+// record and the update of a prepared op.
+func encodeEntry(b []byte, dir core.DirRef, e core.LogEntry) []byte {
+	return appendEntryFields(binary.AppendUvarint(appendDirRef(b, dir), e.ID), e)
+}
+
+// entry reads what encodeEntry wrote.
+func (r *recReader) entry() (dir core.DirRef, e core.LogEntry) {
+	dir = r.dirRef()
+	e.ID = r.uvarint()
+	r.entryFields(&e)
 	return dir, e
 }
 
@@ -211,18 +230,68 @@ func decodeCommit(b []byte) (key core.Key, parent core.DirRef, entry core.LogEnt
 	return core.Key{PID: parent.ID, Name: entry.Name}, parent, entry, in, r.end("commit")
 }
 
-// encodeAggEntry appends a recAggEntry record to b: one change-log entry of
-// dir, received from src, about to be applied at the owner.
-func encodeAggEntry(b []byte, src env.NodeID, dir core.DirRef, e core.LogEntry) []byte {
-	return encodeEntry(binary.AppendUvarint(b, uint64(src)), dir, e)
+// encodeAggBatch appends a recAggBatch record to b: the entries of dir that
+// one batch applies at the owner, each log's fresh ones under its source, in
+// order; logs with no fresh entries are left out. Fresh ids ascend, so each
+// is written as its distance from the one before, the first from 0, and a
+// zero distance, which no entry has, ends one source's entries before the
+// next source's id. The last source's entries run to the end, so a batch of
+// one entry takes the bytes a record of that entry alone would.
+func encodeAggBatch(b []byte, dir core.DirRef, logs []aggLog) []byte {
+	b = appendDirRef(b, dir)
+	sources := 0
+	for i := range logs {
+		l := &logs[i]
+		var prev uint64 // fresh ids are above a watermark, so never 0
+		for e := range l.fresh {
+			if prev == 0 {
+				if sources > 0 {
+					b = append(b, 0)
+				}
+				sources++
+				b = binary.AppendUvarint(b, uint64(l.from))
+			}
+			b = appendEntryFields(binary.AppendUvarint(b, e.ID-prev), e)
+			prev = e.ID
+		}
+	}
+	return b
 }
 
-// decodeAggEntry parses a recAggEntry record.
-func decodeAggEntry(b []byte) (src env.NodeID, dir core.DirRef, e core.LogEntry, err error) {
+// decodeAggBatch parses a recAggBatch record into its directory and one log
+// per source, whose entries are all fresh. It refuses a batch without
+// sources, a source without entries, and an id distance that wraps past the
+// largest id.
+func decodeAggBatch(b []byte) (dir core.DirRef, logs []aggLog, err error) {
 	r := recReader{b: b}
-	src = r.node()
-	dir, e = r.entry()
-	return src, dir, e, r.end("aggregation entry")
+	dir = r.dirRef()
+	// Every source's entries share one array, sized once: an entry takes at
+	// least 7 bytes (distance, time, op, type, two of perm, name length).
+	all := make([]core.LogEntry, 0, len(r.b)/7)
+	for more := true; more && r.err == nil; {
+		l := aggLog{from: r.node(), log: wire.DirLog{Dir: dir}}
+		more = false
+		start := len(all)
+		var prev uint64
+		for r.err == nil && len(r.b) > 0 {
+			d := r.uvarint()
+			if more = d == 0; more {
+				break // the next source follows
+			}
+			e := core.LogEntry{ID: prev + d}
+			if e.ID <= prev && r.err == nil {
+				r.err = errors.New("entry id delta wraps")
+			}
+			prev = e.ID
+			r.entryFields(&e)
+			all = append(all, e)
+		}
+		if l.log.Entries = all[start:len(all):len(all)]; len(l.log.Entries) == 0 && r.err == nil {
+			r.err = errors.New("source without entries")
+		}
+		logs = append(logs, l)
+	}
+	return dir, logs, r.end("aggregation batch")
 }
 
 // encodeInodeRec appends a recInode record to b: a direct inode put, or for

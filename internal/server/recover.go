@@ -54,16 +54,17 @@ func (s *Server) Recover(p *env.Proc) error {
 		sp.End()
 	}
 
-	// Redo cost: recovery time is proportional to the records replayed
-	// (§7.7; checkpointing would shrink it, as the paper notes), spread over
-	// the cores by the key each record writes.
+	// Redo cost: recovery time is proportional to the records replayed, an
+	// aggregation batch's entries each counted (§7.7; checkpointing would
+	// shrink it, as the paper notes), spread over the cores by the key each
+	// record writes.
 	plan, err := s.replayWAL()
 	if err != nil {
 		s.recovering = false
 		s.Crash()
 		return err
 	}
-	s.Stats.RecoverRedoRecords += uint64(s.wal.Len())
+	s.Stats.RecoverRedoRecords += uint64(plan.records())
 	s.Stats.RecoverRedoLongestLane += uint64(plan.longest())
 	phase("recover:redo", &s.Stats.RecoverRedoUs, func() {
 		for _, lanes := range plan.sections {
@@ -149,7 +150,9 @@ func together(p *env.Proc, n int, fn func(wp *env.Proc, i int)) {
 // per-key order is LSN order by construction and the lanes run side by side:
 // size deltas and max-timestamps commute (applyBatch's argument for its
 // core-parallel entry apply). Records that span keys are barriers: a serial
-// section of their own between two parallel ones.
+// section of their own between two parallel ones. An aggregation batch is
+// charged entry by entry, each entry on its (directory, name) lane, so every
+// unit the plan counts is a record or a batch's entry.
 type redoPlan struct {
 	sections [][]int // run one after another; records per lane
 	serial   bool    // the last section is a run of barriers
@@ -170,6 +173,17 @@ func (r *redoPlan) keyed(key uint64) { r.section(false)[key%uint64(r.lanes)]++ }
 
 // barrier charges one record that spans keys: every lane waits for it.
 func (r *redoPlan) barrier() { r.section(true)[0]++ }
+
+// records is the number of records, a batch's entries each counted, the
+// plan charges.
+func (r *redoPlan) records() (n int) {
+	for _, lanes := range r.sections {
+		for _, k := range lanes {
+			n += k
+		}
+	}
+	return n
+}
 
 // longest is the record count on the plan's critical path: what the redo
 // costs in units of Costs.WALReplay.
@@ -208,13 +222,17 @@ func (s *Server) replayWAL() (redoPlan, error) {
 			if entry.Op == core.OpRmdir {
 				s.addInval(in.ID)
 			}
-		case recAggEntry:
-			src, dir, entry, err := decodeAggEntry(r.Payload)
+		case recAggBatch:
+			dir, logs, err := decodeAggBatch(r.Payload)
 			if err != nil {
 				return err
 			}
-			plan.keyed(core.Hash64(dir.ID, entry.Name))
-			s.redoAggEntry(src, dir, entry)
+			for _, l := range logs {
+				for _, e := range l.log.Entries {
+					plan.keyed(core.Hash64(dir.ID, e.Name))
+					s.redoAggEntry(l.from, dir, e)
+				}
+			}
 		case recInode:
 			key, in, err := decodeInodeRec(r.Payload)
 			if err != nil {

@@ -27,9 +27,12 @@ import (
 // server 1 crashed and recovered), snapshotted mid-activity so every record
 // kind is present and commits, prepares and one decision are still unapplied.
 // The payloads were written in earlier record and inode image layouts and
-// transcoded once to the ones record.go and core.AppendInode define;
-// TestReplayEquivalence's digests and record counts did not change. Format: per server a big-endian u32 record count,
-// then per record kind, applied flag, u32 payload length, payload.
+// transcoded once to the ones record.go and core.AppendInode define; the
+// owner-side entries, once a record each, were folded into one aggregation
+// batch per run of consecutive entries of one directory.
+// TestReplayEquivalence's digests and entry counts did not change. Format:
+// per server a big-endian u32 record count, then per record kind, applied
+// flag, u32 payload length, payload.
 func loadWALs(t testing.TB) []*wal.Mem {
 	t.Helper()
 	b, err := os.ReadFile("testdata/faulty_run.wal")
@@ -56,8 +59,12 @@ func loadWALs(t testing.TB) []*wal.Mem {
 
 // replayDump is everything replayWAL rebuilds, in one canonical string.
 // Inode images, in the store and in prepared ops, are printed decoded: the
-// dump pins what the store holds, not how it is encoded.
+// dump pins what the store holds, not how it is encoded. A WAL position is
+// printed as the record's place in the redo order, an aggregation batch's
+// entries each counted (positions), so it does not depend on how many
+// entries one record holds.
 func replayDump(s *Server) string {
+	pos := positions(s.wal)
 	var sb strings.Builder
 	s.kv.Scan(nil, func(k, v []byte) bool {
 		if _, err := core.DecodeKey(k); err == nil {
@@ -75,7 +82,7 @@ func replayDump(s *Server) string {
 		}
 		slices.Sort(ids)
 		for _, id := range ids {
-			fmt.Fprintf(&sb, " lsn %d=%d\n", id, dl.walLSN[id])
+			fmt.Fprintf(&sb, " lsn %d=%d\n", id, pos[dl.walLSN[id]])
 		}
 	}
 	var marks []string
@@ -86,7 +93,7 @@ func replayDump(s *Server) string {
 	sb.WriteString(strings.Join(marks, ""))
 	fmt.Fprintf(&sb, "inval %+v\nredrive %+v\n", s.inval, s.txnRedrive)
 	for _, ra := range s.txnRearm {
-		fmt.Fprintf(&sb, "rearm %d coord %d lsn %d\n", ra.txn, ra.coord, ra.lsn)
+		fmt.Fprintf(&sb, "rearm %d coord %d lsn %d\n", ra.txn, ra.coord, pos[ra.lsn])
 		for _, op := range ra.ops {
 			img := op.Inode
 			op.Inode = nil
@@ -94,6 +101,30 @@ func replayDump(s *Server) string {
 		}
 	}
 	return sb.String()
+}
+
+// positions maps each record of log to its place in the redo order, from 1:
+// one past the records and batch entries before it.
+func positions(log *wal.Mem) map[wal.LSN]int {
+	pos, next := map[wal.LSN]int{}, 1
+	log.Replay(func(r wal.Record) error {
+		pos[r.LSN] = next
+		next += recordEntries(r)
+		return nil
+	})
+	return pos
+}
+
+// recordEntries is the number of redo units r holds: a batch's entries, or 1.
+func recordEntries(r wal.Record) (n int) {
+	if r.Kind != recAggBatch {
+		return 1
+	}
+	_, logs, _ := decodeAggBatch(r.Payload)
+	for _, l := range logs {
+		n += len(l.log.Entries)
+	}
+	return n
 }
 
 // inodeDump prints a stored inode image by value, so the dump does not
@@ -126,10 +157,11 @@ func newReplayServer(t testing.TB, log *wal.Mem, cores int) (*env.Sim, *Server) 
 // change-logs with their WAL positions, the watermarks, the invalidation list
 // and the 2PC re-arm and redrive lists are those the sequential replay of PR
 // 21 produced from the same four logs (digests of this very dump, taken
-// before the inode image became compact).
+// before the inode image became compact and while every aggregated entry was
+// a record of its own), and the plan charges the same records and entries.
 func TestReplayEquivalence(t *testing.T) {
 	golden := []struct {
-		records int
+		entries int // records, a batch's entries each counted
 		sha     string
 	}{
 		{90, "489baf22b05332dba94f25a6352b0db7640ff47b512a1fcb132bc66f1f950f70"},
@@ -148,29 +180,138 @@ func TestReplayEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("log %d: %v", i, err)
 		}
-		if n := planRecords(&plan); n != golden[i].records || log.Len() != n {
-			t.Errorf("log %d: plan covers %d of %d records, want %d", i, n, log.Len(), golden[i].records)
+		if n := plan.records(); n != golden[i].entries {
+			t.Errorf("log %d: plan covers %d records and entries in %d records, want %d", i, n, log.Len(), golden[i].entries)
 		}
 		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(replayDump(s)))); got != golden[i].sha {
 			t.Errorf("log %d replays to a different state: digest %s, want %s", i, got, golden[i].sha)
 		}
 		log.Replay(func(r wal.Record) error { kinds[r.Kind] = true; return nil })
 	}
-	for _, k := range []uint8{recCommit, recAggEntry, recInode, recDentry, recDelDentries, recMark, recTxnCommit, recTxnPrepare, recEvict} {
+	for _, k := range []uint8{recCommit, recAggBatch, recInode, recDentry, recDelDentries, recMark, recTxnCommit, recTxnPrepare, recEvict} {
 		if !kinds[k] {
 			t.Errorf("testdata holds no record of kind %d", k)
 		}
 	}
 }
 
-// planRecords is the number of records a plan charges.
-func planRecords(p *redoPlan) (n int) {
-	for _, lanes := range p.sections {
-		for _, k := range lanes {
-			n += k
+// TestReplayEveryPrefix replays every prefix of every fixture log, as a crash
+// after any append leaves it, twice: once with the applied marks as recorded,
+// and once with every mark cleared (the crash came before any mark landed).
+// Each replay must succeed; its plan must charge exactly the prefix's records
+// and batch entries, a whole log's the count TestReplayEquivalence pins;
+// every commit not marked applied must have its entry in its parent's rebuilt
+// change-log exactly once, at its own WAL position; every prepare and 2PC
+// commit decision not marked applied must be queued for re-arming or
+// re-driving exactly once; and a second replay of the same prefix must
+// rebuild the same state.
+func TestReplayEveryPrefix(t *testing.T) {
+	whole := []int{90, 51, 50, 38} // each whole log's, as TestReplayEquivalence pins
+	for i, log := range loadWALs(t) {
+		var recs []wal.Record
+		log.Replay(func(r wal.Record) error { recs = append(recs, r); return nil })
+		t.Run(fmt.Sprintf("log %d", i), func(t *testing.T) {
+			t.Parallel()
+			replayEveryPrefix(t, recs, whole[i])
+		})
+	}
+}
+
+// replayEveryPrefix is TestReplayEveryPrefix on one log's records, whose
+// whole holds the given redo units.
+func replayEveryPrefix(t *testing.T, recs []wal.Record, whole int) {
+	for _, marks := range []bool{true, false} {
+		units := 0
+		for k := 0; k <= len(recs); k++ {
+			if k > 0 {
+				units += recordEntries(recs[k-1])
+			}
+			prefix := wal.NewMem()
+			for _, r := range recs[:k] {
+				lsn := mustAppend(prefix, r.Kind, r.Payload)
+				if marks && r.Applied {
+					mustMark(prefix, lsn)
+				}
+			}
+			what := fmt.Sprintf("first %d records, marks kept %v", k, marks)
+			var dumps [2]string
+			for j := range dumps {
+				_, s := newReplayServer(t, prefix, 4)
+				plan, err := s.replayWAL()
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if n := plan.records(); n != units {
+					t.Fatalf("%s: plan charges %d records and entries, the prefix holds %d", what, n, units)
+				}
+				checkRebuilt(t, what, s, prefix)
+				dumps[j] = replayDump(s)
+			}
+			if dumps[0] != dumps[1] {
+				t.Fatalf("%s: two replays rebuilt different states", what)
+			}
+		}
+		if units != whole {
+			t.Errorf("%d records and entries, want %d", units, whole)
 		}
 	}
-	return n
+}
+
+// checkRebuilt holds what replaying log rebuilt on s to the log's unapplied
+// records: each commit's entry sits in its parent's change-log once, filed
+// under the commit's position, and nothing else is pending; each prepare is
+// queued for re-arming and each 2PC commit decision for re-driving once.
+func checkRebuilt(t *testing.T, what string, s *Server, log *wal.Mem) {
+	t.Helper()
+	commits, prepares, decisions := 0, map[wal.LSN]int{}, map[uint64]int{}
+	log.Replay(func(r wal.Record) error {
+		if r.Applied {
+			return nil
+		}
+		switch r.Kind {
+		case recCommit:
+			commits++
+			_, parent, entry, _, _ := decodeCommit(r.Payload)
+			dl := s.clogs[parent.ID]
+			if dl == nil {
+				t.Fatalf("%s: no change-log for the parent of commit %d", what, r.LSN)
+			}
+			n := 0
+			for _, e := range dl.log.Snapshot() {
+				if e == entry {
+					n++
+				}
+			}
+			if n != 1 || dl.walLSN[entry.ID] != r.LSN {
+				t.Fatalf("%s: commit %d's entry is pending %d times, filed at %d", what, r.LSN, n, dl.walLSN[entry.ID])
+			}
+		case recTxnPrepare:
+			prepares[r.LSN]++
+		case recTxnCommit:
+			txn, _, _ := decodeTxnCommit(r.Payload)
+			decisions[txn]++
+		}
+		return nil
+	})
+	if n := s.PendingClogEntries(); n != commits {
+		t.Fatalf("%s: %d change-log entries pending for %d unapplied commits", what, n, commits)
+	}
+	for _, ra := range s.txnRearm {
+		prepares[ra.lsn]--
+	}
+	for _, rd := range s.txnRedrive {
+		decisions[rd.txn]--
+	}
+	for lsn, n := range prepares {
+		if n != 0 {
+			t.Fatalf("%s: prepare %d is not queued for re-arming once (%d missing)", what, lsn, n)
+		}
+	}
+	for txn, n := range decisions {
+		if n != 0 {
+			t.Fatalf("%s: transaction %d's decision is not queued for re-driving once (%d missing)", what, txn, n)
+		}
+	}
 }
 
 // redoRecords builds payloads for the lane tests through the real encoders.
@@ -182,9 +323,14 @@ func (r redoRecords) commit(dir core.DirRef, name string) {
 	mustAppend(r.log, recCommit, encodeCommit(nil, dir, e, in))
 }
 
-func (r redoRecords) aggEntry(src env.NodeID, dir core.DirRef, name string) {
+// aggBatch logs one batch in which each of srcs applies a create of name.
+func (r redoRecords) aggBatch(dir core.DirRef, name string, srcs ...env.NodeID) {
 	e := core.LogEntry{ID: uint64(r.log.Len() + 1), Op: core.OpCreate, Name: name, Type: core.TypeRegular}
-	mustAppend(r.log, recAggEntry, encodeAggEntry(nil, src, dir, e))
+	logs := make([]aggLog, len(srcs))
+	for i, src := range srcs {
+		logs[i] = aggLog{from: src, log: wire.DirLog{Entries: []core.LogEntry{e}}}
+	}
+	mustAppend(r.log, recAggBatch, encodeAggBatch(nil, dir, logs))
 }
 
 func (r redoRecords) inode(key core.Key) {
@@ -253,8 +399,7 @@ func TestRedoLanes(t *testing.T) {
 		for i := 0; i < 16; i++ {
 			r := redoRecords{wal.NewMem()}
 			r.dentry(dir.ID, name(i))
-			r.aggEntry(200, dir, name(i))
-			r.aggEntry(201, dir, name(i))
+			r.aggBatch(dir, name(i), 200, 201)
 			_, s := newReplayServer(t, r.log, 4)
 			s.storeInode(dir.Key, &core.Inode{ID: dir.ID, Attr: core.Attr{Type: core.TypeDir}})
 			plan, _ := s.replayWAL()
@@ -293,8 +438,8 @@ func TestRedoLanes(t *testing.T) {
 			}
 			want += m
 		}
-		if plan.longest() != want || planRecords(&plan) != 82 {
-			t.Errorf("longest %d of %d records, want %d of 82", plan.longest(), planRecords(&plan), want)
+		if plan.longest() != want || plan.records() != 82 {
+			t.Errorf("longest %d of %d records, want %d of 82", plan.longest(), plan.records(), want)
 		}
 	})
 
@@ -395,6 +540,11 @@ func TestRecoverErrorFailStops(t *testing.T) {
 	key := core.Key{PID: dir.ID, Name: e.Name}
 	in := &core.Inode{Attr: core.Attr{Type: core.TypeRegular, Perm: 0o644, Nlink: 1}}
 	ops := []wire.TxnOp{{Kind: wire.TxnPutInode, Key: key, Inode: core.EncodeInode(in), Dir: dir, Entry: e}}
+	batch := func(es ...core.LogEntry) []byte {
+		return encodeAggBatch(nil, dir, []aggLog{{from: 3, log: wire.DirLog{Entries: es}}})
+	}
+	less := e
+	less.ID--
 	for _, c := range []struct {
 		name    string
 		kind    uint8
@@ -402,7 +552,13 @@ func TestRecoverErrorFailStops(t *testing.T) {
 	}{
 		{"unknown kind", 99, []byte("not a record")},
 		{"commit cut in its directory", recCommit, encodeCommit(nil, dir, e, in)[:40]},
-		{"aggregation entry cut in its directory", recAggEntry, encodeAggEntry(nil, 3, dir, e)[:20]},
+		{"aggregation batch cut in its directory", recAggBatch, batch(e)[:20]},
+		{"aggregation batch cut in its entry", recAggBatch, batch(e)[:len(batch(e))-1]},
+		{"aggregation batch with a zero byte appended", recAggBatch, append(batch(e), 0)},
+		{"aggregation batch with an id delta that wraps", recAggBatch,
+			appendEntryFields(binary.AppendUvarint(batch(e), less.ID-e.ID), less)},
+		{"aggregation batch without sources", recAggBatch, appendDirRef(nil, dir)},
+		{"aggregation batch with a source without entries", recAggBatch, append(append(appendDirRef(nil, dir), 3, 0), batch(e)[len(appendDirRef(nil, dir)):]...)},
 		{"inode cut in its key", recInode, encodeInodeRec(nil, key, in)[:10]},
 		{"dentry cut in its flags", recDentry, encodeDentryRec(nil, dir.ID, e.Name, true, e.Type, e.Perm)[:33]},
 		{"entry-list drop cut in its directory", recDelDentries, encodeDelDentries(nil, dir.ID)[:16]},
@@ -656,7 +812,7 @@ func BenchmarkRecover(b *testing.B) {
 			r.commit(dir, name)
 			log.MarkApplied(wal.LSN(log.Len()))
 		case 3, 4, 5:
-			r.aggEntry(200+env.NodeID(i%3), dir, name)
+			r.aggBatch(dir, name, 200+env.NodeID(i%3))
 		case 6:
 			r.dentry(dir.ID, name)
 		case 7:
