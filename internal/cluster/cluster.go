@@ -301,6 +301,8 @@ const metricsTopDirs = 4
 // stable strings (`server.<i>.ops`, `switch.<i>.queries`, ...) so two
 // same-seed runs produce identical snapshots; per-directory tallies are
 // exported rank-keyed (hottest first) and capped at metricsTopDirs entries.
+// Client counters are summed over the clients (`client.retries`, ...): a
+// deployment may run a million of them.
 func (c *Cluster) FillMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		return
@@ -358,6 +360,12 @@ func (c *Cluster) FillMetrics(reg *metrics.Registry) {
 		reg.Add(pre+"writes", d.Stats.Writes)
 		reg.Add(pre+"replicated", d.Stats.Replicated)
 		reg.Add(pre+"retries", d.Stats.Retries)
+	}
+	for _, cl := range c.Clients {
+		reg.Add("client.retries", cl.Retries)
+		reg.Add("client.lookups", cl.Lookups)
+		reg.Add("client.cache_hits", cl.CacheHits)
+		reg.Add("client.stale_retries", cl.StaleRetry)
 	}
 }
 
