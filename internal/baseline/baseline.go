@@ -14,6 +14,7 @@ import (
 	"switchfs/internal/core"
 	"switchfs/internal/env"
 	"switchfs/internal/kv"
+	"switchfs/internal/rpc"
 )
 
 // Mode selects the emulated system.
@@ -92,22 +93,24 @@ func New(e *env.Sim, opts Options) *Cluster {
 	c := &Cluster{EnvH: e, Opts: opts, idgen: core.NewIDGen(0xBA5E)}
 	for i := 0; i < opts.Servers; i++ {
 		s := &bserver{
-			c:      c,
-			id:     serverBase + env.NodeID(i),
-			kv:     kv.New(),
-			locks:  make(map[core.DirID]*env.RWMutex),
-			caller: caller{calls: make(map[uint64]*env.Future)},
+			c:     c,
+			id:    serverBase + env.NodeID(i),
+			kv:    kv.New(),
+			locks: make(map[core.DirID]*env.RWMutex),
 		}
+		s.ids = core.NewIncarnation(uint64(s.id), 0)
+		s.rpc = rpc.NewCalls(s.id, &s.ids, nil, opts.RetryTimeout, nil, nil)
 		e.AddNode(s.id, env.NodeConfig{Cores: opts.CoresPerServer, Handler: s.handle})
 		c.servers = append(c.servers, s)
 	}
 	for i := 0; i < opts.Clients; i++ {
 		cl := &bclient{
-			c:      c,
-			id:     clientBase + env.NodeID(i),
-			cache:  map[string]core.DirID{"/": core.RootDirID},
-			caller: caller{calls: make(map[uint64]*env.Future)},
+			c:     c,
+			id:    clientBase + env.NodeID(i),
+			cache: map[string]core.DirID{"/": core.RootDirID},
 		}
+		cl.ids = core.NewIncarnation(uint64(cl.id), 0)
+		cl.rpc = rpc.NewCalls(cl.id, &cl.ids, nil, opts.RetryTimeout, nil, nil)
 		e.AddNode(cl.id, env.NodeConfig{Handler: cl.handle})
 		c.clients = append(c.clients, cl)
 	}

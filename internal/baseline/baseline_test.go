@@ -3,7 +3,6 @@ package baseline
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"testing"
 
 	"switchfs/internal/core"
@@ -191,29 +190,5 @@ func TestDirRecordRoundTrip(t *testing.T) {
 	got := decodeDir(encodeDir(r))
 	if *got != *r {
 		t.Fatalf("got %+v want %+v", got, r)
-	}
-}
-
-// TestCallerAckTrailsOldestCall: a request's acknowledgement is the id of
-// its sender's oldest call still registered, or its own id when none is.
-func TestCallerAckTrailsOldestCall(t *testing.T) {
-	const node env.NodeID = 7
-	c := caller{calls: make(map[uint64]*env.Future)}
-	issue := func() (uint64, uint64) {
-		rpc, acked := c.next(node)
-		c.calls[rpc] = new(env.Future)
-		return rpc, acked
-	}
-	r1, a1 := issue()
-	r2, a2 := issue()
-	delete(c.calls, r2)
-	r3, a3 := issue()
-	delete(c.calls, r1)
-	r4, a4 := issue()
-	delete(c.calls, r3)
-	delete(c.calls, r4)
-	r5, a5 := issue()
-	if got, want := []uint64{a1, a2, a3, a4, a5}, []uint64{r1, r1, r1, r3, r5}; !slices.Equal(got, want) {
-		t.Errorf("acknowledgements %x, want %x", got, want)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"switchfs/internal/core"
 	"switchfs/internal/env"
 	"switchfs/internal/fsapi"
+	"switchfs/internal/rpc"
 )
 
 // bclient is one baseline LibFS instance: path resolution over a
@@ -13,19 +14,17 @@ type bclient struct {
 	id env.NodeID
 
 	cache map[string]core.DirID
-	caller
+	// ids issues request ids, node<<40 | n for n = 1, 2, …; rpc registers
+	// the calls in flight and gives each request its acknowledgement.
+	ids core.Incarnation
+	rpc rpc.Calls
 }
 
 var _ fsapi.FS = (*bclient)(nil)
 
 func (cl *bclient) handle(p *env.Proc, from env.NodeID, msg any) {
-	r, ok := msg.(*bresp)
-	if !ok {
-		return
-	}
-	fut := cl.calls[r.RPC]
-	if fut != nil {
-		fut.Complete(r)
+	if r, ok := msg.(*bresp); ok {
+		cl.rpc.Answer(r.RPC, from, r)
 	}
 }
 
@@ -33,54 +32,14 @@ func (cl *bclient) handle(p *env.Proc, from env.NodeID, msg any) {
 // retried request and returns the reply with its errno as the error
 // (ErrTimeout when no reply came).
 func (cl *bclient) call(p *env.Proc, to env.NodeID, m *breq) (*bresp, error) {
-	m.RPC, m.Acked = cl.next(cl.id)
-	m.From = cl.id
-	v, ok := retry(p, cl.calls, m.RPC, to, m, 64, cl.c.Opts.RetryTimeout)
+	m.RPC = cl.ids.Next()
+	m.Acked, m.From = cl.rpc.Acked(m.RPC), cl.id
+	v, ok := cl.rpc.Request(p, m.RPC, 64, cl.c.Opts.RetryTimeout, func() { p.Send(to, m) })
 	if !ok {
 		return nil, core.ErrTimeout
 	}
 	resp := v.(*bresp)
 	return resp, resp.Err.Err()
-}
-
-// caller is a node's side of its retried requests: it issues their ids,
-// uint64(node)<<40 | n for n = 1, 2, …, and retry registers each call in
-// calls under its id before the caller next yields.
-type caller struct {
-	calls map[uint64]*env.Future
-	rpcs  uint64
-	// acked is the n below which every call finished, answered or given up.
-	acked uint64
-}
-
-// next issues node's next request id and the acknowledgement the request
-// carries: every id below it finished. An issued id not in calls is
-// finished, and the acknowledgement passes each id once.
-func (c *caller) next(node env.NodeID) (rpc, acked uint64) {
-	c.rpcs++
-	for c.acked < c.rpcs && c.calls[uint64(node)<<40|c.acked] == nil {
-		c.acked++
-	}
-	return uint64(node)<<40 | c.rpcs, uint64(node)<<40 | c.acked
-}
-
-// retry sends msg to to until a reply, registered in calls under rpc, reaches
-// p's reply slot, or tries sends went unanswered, waiting wait for each. It
-// deregisters before releasing the slot, so a late reply finds nothing.
-func retry(p *env.Proc, calls map[uint64]*env.Future, rpc uint64, to env.NodeID, msg any, tries int, wait env.Duration) (any, bool) {
-	fut := p.TakeReply()
-	calls[rpc] = fut
-	defer func() {
-		delete(calls, rpc)
-		p.ReleaseReply()
-	}()
-	for try := 0; try < tries; try++ {
-		p.Send(to, msg)
-		if v, ok := fut.WaitTimeout(p, wait); ok {
-			return v, true
-		}
-	}
-	return nil, false
 }
 
 // resolve walks a path's directories, returning the parent's id, the leaf
@@ -303,8 +262,8 @@ func (cl *bclient) Data(p *env.Proc, shard int, write bool, bytes int64) error {
 		return nil
 	}
 	node := dataBase + env.NodeID(shard%cl.c.Opts.DataNodes)
-	rpc, _ := cl.next(cl.id)
-	if _, ok := retry(p, cl.calls, rpc, node, &bdata{RPC: rpc, From: cl.id, Bytes: bytes}, 8, 40*env.Millisecond); !ok {
+	m := &bdata{RPC: cl.ids.Next(), From: cl.id, Bytes: bytes}
+	if _, ok := cl.rpc.Request(p, m.RPC, 8, 40*env.Millisecond, func() { p.Send(node, m) }); !ok {
 		return core.ErrTimeout
 	}
 	return nil

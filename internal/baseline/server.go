@@ -14,7 +14,7 @@ import (
 type breq struct {
 	RPC uint64
 	// Acked is the sender's acknowledgement: it finished every call below
-	// it (caller.next).
+	// it (rpc.Calls.Acked).
 	Acked    uint64
 	From     env.NodeID
 	Op       core.Op
@@ -96,7 +96,10 @@ type bserver struct {
 	kv *kv.Store
 
 	locks map[core.DirID]*env.RWMutex
-	caller
+	// ids and rpc are the server's side of its sub-operations, as they are
+	// a client's of its requests (bclient).
+	ids core.Incarnation
+	rpc rpc.Calls
 	// served dedups client and peer retransmissions, like the real systems'
 	// RPC stacks (and SwitchFS's §5.4.1 cache): every request passes
 	// served.Admit in handle, so a duplicate of a request still executing
@@ -125,9 +128,9 @@ func (s *bserver) lockOf(id core.DirID) *env.RWMutex {
 // retried server-to-server RPC and returns the reply's errno
 // (ErrnoUnavailable when no reply came).
 func (s *bserver) call(p *env.Proc, to env.NodeID, m *bsub) core.Errno {
-	m.RPC, m.Acked = s.next(s.id)
-	m.From = s.id
-	if v, ok := retry(p, s.calls, m.RPC, to, m, 64, s.c.Opts.RetryTimeout); ok {
+	m.RPC = s.ids.Next()
+	m.Acked, m.From = s.rpc.Acked(m.RPC), s.id
+	if v, ok := s.rpc.Request(p, m.RPC, 64, s.c.Opts.RetryTimeout, func() { p.Send(to, m) }); ok {
 		return v.(*bsubResp).Err
 	}
 	return core.ErrnoUnavailable
@@ -158,10 +161,7 @@ func (s *bserver) handle(p *env.Proc, from env.NodeID, msg any) {
 		p.Send(m.From, resp)
 		s.served.Put(m.From, m.RPC, resp)
 	case *bsubResp:
-		fut := s.calls[m.RPC]
-		if fut != nil {
-			fut.Complete(m)
-		}
+		s.rpc.Answer(m.RPC, from, m)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"switchfs/internal/core"
 	"switchfs/internal/env"
 	"switchfs/internal/ring"
+	"switchfs/internal/rpc"
 	"switchfs/internal/server"
 	"switchfs/internal/trace"
 	"switchfs/internal/wire"
@@ -49,11 +50,10 @@ type Client struct {
 	cache     map[string]cachedDir
 	byID      map[core.DirID][]string
 	invalSeen map[env.NodeID]uint64
-	rpcSeq    uint64
-	pending   map[uint64]*env.Future
-	// acked is the client's acknowledgement (wire.ReqCommon.Acked): every
-	// RPC id below it is finished, answered or given up.
-	acked uint64
+	// ids issues request ids; rpc registers the calls in flight and gives
+	// each request its acknowledgement (wire.ReqCommon.Acked).
+	ids core.Incarnation
+	rpc rpc.Calls
 
 	// Stats observable by harnesses.
 	Lookups    uint64
@@ -97,8 +97,10 @@ func New(e *env.Sim, cfg Config) *Client {
 	}
 	// Maps are allocated lazily at their first write: nil-map reads are
 	// valid Go, and at million-client scale an idle session's four empty
-	// maps (cache, byID, invalSeen, pending) would dominate its footprint.
-	c := &Client{cfg: cfg, env: e}
+	// maps (cache, byID, invalSeen and the calls' registry) would dominate
+	// its footprint. A client never fail-stops.
+	c := &Client{cfg: cfg, env: e, ids: core.NewIncarnation(uint64(cfg.ID), 0)}
+	c.rpc = rpc.NewCalls(cfg.ID, &c.ids, nil, cfg.RetryTimeout, nil, &c.Retries)
 	c.node = e.AddNode(cfg.ID, env.NodeConfig{Handler: c.handle})
 	return c
 }
@@ -106,42 +108,20 @@ func New(e *env.Sim, cfg Config) *Client {
 // ID returns the client's node id.
 func (c *Client) ID() env.NodeID { return c.cfg.ID }
 
-// handle completes pending calls with arriving responses.
+// handle applies an arriving response's invalidations and answers the call
+// it names.
 func (c *Client) handle(p *env.Proc, from env.NodeID, msg any) {
 	pkt, ok := msg.(*wire.Packet)
 	if !ok {
 		return
 	}
-	rpc, rc := respInfo(pkt.Body)
-	if rc != nil {
-		c.applyInval(from, rc)
+	resp, ok := pkt.Body.(wire.Response)
+	if !ok {
+		return
 	}
-	fut := c.pending[rpc]
-	if fut != nil {
-		fut.Complete(pkt.Body)
-	}
-}
-
-// respInfo extracts the rpc id and common fields from any response body.
-func respInfo(m wire.Msg) (uint64, *wire.RespCommon) {
-	switch b := m.(type) {
-	case *wire.LookupResp:
-		return b.RPC, &b.RespCommon
-	case *wire.MutateResp:
-		return b.RPC, &b.RespCommon
-	case *wire.FileResp:
-		return b.RPC, &b.RespCommon
-	case *wire.DirReadResp:
-		return b.RPC, &b.RespCommon
-	case *wire.RenameResp:
-		return b.RPC, &b.RespCommon
-	case *wire.LinkResp:
-		return b.RPC, &b.RespCommon
-	case *wire.DataResp:
-		return b.RPC, &b.RespCommon
-	default:
-		return 0, nil
-	}
+	rc := resp.Reply()
+	c.applyInval(from, rc)
+	c.rpc.Answer(rc.RPC, from, resp)
 }
 
 // applyInval drops cache entries named by piggybacked invalidation records
@@ -208,38 +188,30 @@ func (c *Client) ownerOfFP(fp core.Fingerprint) env.NodeID {
 	return c.cfg.Ring.OwnerNode(fp)
 }
 
-// call sends one request and waits for its response on p's reply slot,
-// retransmitting every wait until tries sends went unanswered, when it flags
-// the op's trace with flag. resent reports whether any retransmission
-// happened (at-least-once semantics for mutations).
-func (c *Client) call(p *env.Proc, dst env.NodeID, pkt *wire.Packet, rpc uint64, tries int, wait env.Duration, flag string) (wire.Msg, bool, error) {
-	fut := p.TakeReply()
-	if c.pending == nil {
-		c.pending = make(map[uint64]*env.Future)
-	}
-	c.pending[rpc] = fut
-	defer func() {
-		delete(c.pending, rpc)
-		p.ReleaseReply()
-	}()
+// call sends request id to dst as a retried call (rpc.Calls.Request), each
+// try waiting wait, until tries sends went unanswered, when it flags the op's
+// trace with flag. Each try is an "attempt" span, ended by the next try or by
+// the reply. resent reports whether any try went unanswered (at-least-once
+// semantics for mutations).
+func (c *Client) call(p *env.Proc, dst env.NodeID, pkt *wire.Packet, id uint64, tries int, wait env.Duration, flag string) (wire.Response, bool, error) {
 	// Every (re)transmission carries the SAME context — the op span that is
 	// ambient here — so a resent RPC joins its original trace and the
 	// server-side spans of every delivery parent into one tree.
 	pkt.Trace = p.TraceCtx()
-	resent := false
-	for try := 0; try < tries; try++ {
-		att := c.cfg.Trace.Start(p, "attempt", "client")
-		p.Send(dst, pkt)
-		v, ok := fut.WaitTimeout(p, wait)
+	retries := c.Retries
+	var att *trace.Handle
+	v, ok := c.rpc.Request(p, id, tries, wait, func() {
 		att.End()
-		if ok {
-			return v.(wire.Msg), resent, nil
-		}
-		resent = true
-		c.Retries++
+		att = c.cfg.Trace.Start(p, "attempt", "client")
+		p.Send(dst, pkt)
+	})
+	att.End()
+	resent := c.Retries != retries
+	if !ok {
+		c.cfg.Trace.Flag(pkt.Trace.TraceID, flag)
+		return nil, resent, core.ErrTimeout
 	}
-	c.cfg.Trace.Flag(pkt.Trace.TraceID, flag)
-	return nil, resent, core.ErrTimeout
+	return v.(wire.Response), resent, nil
 }
 
 // op opens a client root span for one operation entry point (nil-safe).
@@ -256,22 +228,11 @@ func (c *Client) endOp(sp *trace.Handle, err error) {
 	sp.End()
 }
 
-// nextRPC allocates a request id.
-func (c *Client) nextRPC() uint64 {
-	c.rpcSeq++
-	return c.rpcSeq
-}
-
-// reqCommon stamps the shared request fields of request rpc, the id nextRPC
-// just allocated. Its acknowledgement first moves past every finished id: an
-// id is registered in pending before its process next yields, so an id below
-// rpc that is not pending is finished. Each id is passed once.
-func (c *Client) reqCommon(rpc uint64, dst env.NodeID, ancestors []core.DirID) wire.ReqCommon {
-	for c.acked < rpc && c.pending[c.acked] == nil {
-		c.acked++
-	}
-	seen := c.invalSeen[dst]
-	return wire.ReqCommon{RPC: rpc, Acked: c.acked, Client: c.cfg.ID, InvalSeq: seen, Ancestors: ancestors}
+// reqCommon issues a request id and stamps the shared request fields of the
+// request to dst under it, its acknowledgement included.
+func (c *Client) reqCommon(dst env.NodeID, ancestors []core.DirID) wire.ReqCommon {
+	id := c.ids.Next()
+	return wire.ReqCommon{RPC: id, Acked: c.rpc.Acked(id), Client: c.cfg.ID, InvalSeq: c.invalSeen[dst], Ancestors: ancestors}
 }
 
 // resolved is the output of path resolution for one target. ancestors is a
@@ -346,10 +307,9 @@ func (c *Client) lookupOne(p *env.Proc, parent core.DirRef, name string, ancesto
 	key := core.Key{PID: parent.ID, Name: name}
 	fp := key.Fingerprint()
 	dst := c.ownerOfFP(fp)
-	rpc := c.nextRPC()
 	pkt, req := wire.NewPacket[wire.LookupReq](dst, c.cfg.ID)
-	*req = wire.LookupReq{ReqCommon: c.reqCommon(rpc, dst, ancestors), Parent: parent.ID, Name: name}
-	v, _, err := c.call(p, dst, pkt, rpc, c.cfg.MaxRetries, c.cfg.RetryTimeout, "rpc-timeout")
+	*req = wire.LookupReq{ReqCommon: c.reqCommon(dst, ancestors), Parent: parent.ID, Name: name}
+	v, _, err := c.call(p, dst, pkt, req.RPC, c.cfg.MaxRetries, c.cfg.RetryTimeout, "rpc-timeout")
 	if err != nil {
 		return core.DirRef{}, err
 	}

@@ -29,16 +29,15 @@ func (c *Client) mutateR(p *env.Proc, op core.Op, path string, perm core.Perm) (
 		p.Compute(c.cfg.Costs.ClientOp)
 		key := core.Key{PID: r.parent.ID, Name: r.name}
 		dst := c.ownerOfFP(key.Fingerprint())
-		rpc := c.nextRPC()
 		pkt, req := wire.NewPacket[wire.MutateReq](dst, c.cfg.ID)
 		*req = wire.MutateReq{
-			ReqCommon: c.reqCommon(rpc, dst, r.ancestors),
+			ReqCommon: c.reqCommon(dst, r.ancestors),
 			Op:        op,
 			Parent:    r.parent,
 			Name:      r.name,
 			Perm:      perm,
 		}
-		v, re, err := c.call(p, dst, pkt, rpc, c.cfg.MaxRetries, c.cfg.RetryTimeout, "rpc-timeout")
+		v, re, err := c.call(p, dst, pkt, req.RPC, c.cfg.MaxRetries, c.cfg.RetryTimeout, "rpc-timeout")
 		resent = resent || re
 		if err != nil {
 			return err
@@ -119,16 +118,15 @@ func (c *Client) fileOp(p *env.Proc, op core.Op, path string, perm core.Perm) (c
 		p.Compute(c.cfg.Costs.ClientOp)
 		key := core.Key{PID: r.parent.ID, Name: r.name}
 		dst := c.ownerOfFP(key.Fingerprint())
-		rpc := c.nextRPC()
 		pkt, req := wire.NewPacket[wire.FileReq](dst, c.cfg.ID)
 		*req = wire.FileReq{
-			ReqCommon: c.reqCommon(rpc, dst, r.ancestors),
+			ReqCommon: c.reqCommon(dst, r.ancestors),
 			Op:        op,
 			Parent:    r.parent,
 			Name:      r.name,
 			Perm:      perm,
 		}
-		v, re, err := c.call(p, dst, pkt, rpc, c.cfg.MaxRetries, c.cfg.RetryTimeout, "rpc-timeout")
+		v, re, err := c.call(p, dst, pkt, req.RPC, c.cfg.MaxRetries, c.cfg.RetryTimeout, "rpc-timeout")
 		resent = resent || re
 		if err != nil {
 			return err
@@ -208,10 +206,9 @@ func (c *Client) dirRead(p *env.Proc, op core.Op, path string) (core.Attr, []cor
 func (c *Client) dirReadRef(p *env.Proc, op core.Op, ref core.DirRef, ancestors []core.DirID) (core.Attr, []core.DirEntry, error) {
 	p.Compute(c.cfg.Costs.ClientOp)
 	owner := c.ownerOfFP(ref.FP)
-	rpc := c.nextRPC()
 	pkt, req := wire.NewPacket[wire.DirReadReq](owner, c.cfg.ID)
 	*req = wire.DirReadReq{
-		ReqCommon: c.reqCommon(rpc, owner, ancestors),
+		ReqCommon: c.reqCommon(owner, ancestors),
 		Op:        op,
 		Dir:       ref,
 	}
@@ -220,7 +217,7 @@ func (c *Client) dirReadRef(p *env.Proc, op core.Op, ref core.DirRef, ancestors 
 		pkt.DS = &wire.DSHeader{Op: wire.DSQuery, FP: ref.FP}
 		dst = c.cfg.SwitchFor(ref.FP)
 	}
-	v, _, err := c.call(p, dst, pkt, rpc, c.cfg.MaxRetries, c.cfg.RetryTimeout, "rpc-timeout")
+	v, _, err := c.call(p, dst, pkt, req.RPC, c.cfg.MaxRetries, c.cfg.RetryTimeout, "rpc-timeout")
 	if err != nil {
 		return core.Attr{}, nil, err
 	}
@@ -262,32 +259,28 @@ func (c *Client) twoPath(p *env.Proc, op core.Op, src, dst string) (bool, error)
 		p.Compute(c.cfg.Costs.ClientOp)
 		anc := make([]core.DirID, 0, len(rs.ancestors)+len(rd.ancestors))
 		anc = append(append(anc, rs.ancestors...), rd.ancestors...)
-		rpc := c.nextRPC()
 		coord := c.cfg.Coordinator
+		rc := c.reqCommon(coord, anc)
 		var body wire.Msg
 		if op == core.OpRename {
 			body = &wire.RenameReq{
-				ReqCommon: c.reqCommon(rpc, coord, anc),
+				ReqCommon: rc,
 				SrcParent: rs.parent, SrcName: rs.name,
 				DstParent: rd.parent, DstName: rd.name,
 			}
 		} else {
 			body = &wire.LinkReq{
-				ReqCommon: c.reqCommon(rpc, coord, anc),
+				ReqCommon: rc,
 				SrcParent: rs.parent, SrcName: rs.name,
 				DstParent: rd.parent, DstName: rd.name,
 			}
 		}
-		v, re, err := c.call(p, coord, &wire.Packet{Dst: coord, Origin: c.cfg.ID, Body: body}, rpc, c.cfg.MaxRetries, c.cfg.RetryTimeout, "rpc-timeout")
+		v, re, err := c.call(p, coord, &wire.Packet{Dst: coord, Origin: c.cfg.ID, Body: body}, rc.RPC, c.cfg.MaxRetries, c.cfg.RetryTimeout, "rpc-timeout")
 		resent = resent || re
 		if err != nil {
 			return err
 		}
-		_, rc := respInfo(v)
-		if rc == nil {
-			return core.ErrInvalid
-		}
-		return rc.Err.Err()
+		return v.Reply().Err.Err()
 	})
 	c.endOp(sp, err)
 	return resent, err
@@ -325,10 +318,9 @@ func (c *Client) LinkR(p *env.Proc, src, dst string) (bool, error) {
 // metadata pace would trigger retransmit storms against a busy data node.
 func (c *Client) dataCall(p *env.Proc, node env.NodeID, op core.Op, chunk wire.ChunkKey, bytes int64) (*wire.DataResp, error) {
 	sp := c.op(p, op)
-	rpc := c.nextRPC()
 	pkt, req := wire.NewPacket[wire.DataReq](node, c.cfg.ID)
-	req.ReqCommon, req.Op, req.Chunk, req.Bytes = c.reqCommon(rpc, node, nil), op, chunk, bytes
-	v, _, err := c.call(p, node, pkt, rpc, 8, 20*c.cfg.RetryTimeout, "data-timeout")
+	req.ReqCommon, req.Op, req.Chunk, req.Bytes = c.reqCommon(node, nil), op, chunk, bytes
+	v, _, err := c.call(p, node, pkt, req.RPC, 8, 20*c.cfg.RetryTimeout, "data-timeout")
 	var resp *wire.DataResp
 	if err == nil {
 		resp = v.(*wire.DataResp)

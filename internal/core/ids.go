@@ -104,6 +104,10 @@ func (c *Incarnation) Next() uint64 {
 	return c.node<<seqBits | c.n
 }
 
+// Issued returns the last scalar id issued; before the first Next, the bound
+// of every one the node's predecessors issued.
+func (c *Incarnation) Issued() uint64 { return c.node<<seqBits | c.n }
+
 // NextDirID returns a fresh directory id.
 func (c *Incarnation) NextDirID() DirID { return c.dirs.Next() }
 

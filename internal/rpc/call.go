@@ -10,8 +10,11 @@ import (
 
 // Calls is one node incarnation's way to wait for a peer (DESIGN.md "Waiting
 // for a peer"): the retried call and the registry of the calls in flight,
-// whose replies arrive as packets and reach their waiter through Answer, and
-// the control exchanges it makes and serves (Ask, Exchange).
+// whose replies arrive as packets and reach their waiter through Answer, the
+// acknowledgement each request carries (Acked), and the control exchanges it
+// makes and serves (Ask, Exchange). Every node kind waits through one: the
+// metadata servers, the data nodes, the clients and the baseline systems'
+// servers and clients.
 type Calls struct {
 	self    env.NodeID
 	ids     *core.Incarnation
@@ -20,16 +23,23 @@ type Calls struct {
 	dead    *bool
 	retries *uint64
 	reg     map[uint64]answerer
+	// acked is the cursor Acked moves: every id below it is finished.
+	acked uint64
 }
 
 // NewCalls returns the calls of node self's incarnation, which draws call ids
 // from ids and sends its packets with send (which sends nothing once the
-// incarnation fail-stopped). It waits timeout for each try, stops once *dead
-// is set and counts every unanswered send in *retries.
+// incarnation fail-stopped). Call and Ask wait timeout for each try. Calls
+// stop once *dead is set (nil: the node never fail-stops) and count every
+// unanswered send in *retries (nil: uncounted). The registry is made at the
+// first registration: a node that never calls keeps none.
 func NewCalls(self env.NodeID, ids *core.Incarnation, send func(*env.Proc, *wire.Packet),
 	timeout env.Duration, dead *bool, retries *uint64) Calls {
-	return Calls{self: self, ids: ids, send: send, timeout: timeout, dead: dead, retries: retries,
-		reg: make(map[uint64]answerer)}
+	c := Calls{self: self, ids: ids, send: send, timeout: timeout, dead: dead, retries: retries}
+	if ids != nil {
+		c.acked = ids.Issued()
+	}
+	return c
 }
 
 // Call sends a try, waits for done, and repeats until done completes —
@@ -38,38 +48,68 @@ func NewCalls(self env.NodeID, ids *core.Incarnation, send func(*env.Proc, *wire
 // gives nothing up: what it holds dies with it. send resolves its destination
 // on every try.
 func (c *Calls) Call(p *env.Proc, done *env.Future, tries int, send, giveUp func()) (any, bool) {
-	for n := 0; !*c.dead && (tries == 0 || n < tries); n++ {
+	return c.call(p, done, tries, c.timeout, send, giveUp)
+}
+
+// call is Call waiting wait for each try.
+func (c *Calls) call(p *env.Proc, done *env.Future, tries int, wait env.Duration, send, giveUp func()) (any, bool) {
+	for n := 0; !c.stopped() && (tries == 0 || n < tries); n++ {
 		send()
-		if v, ok := done.WaitTimeout(p, c.timeout); ok {
+		if v, ok := done.WaitTimeout(p, wait); ok {
 			return v, true
 		}
-		*c.retries++
+		if c.retries != nil {
+			*c.retries++
+		}
 	}
-	if giveUp != nil && !*c.dead {
+	if giveUp != nil && !c.stopped() {
 		giveUp()
 	}
 	return nil, false
 }
 
-// Request is a Call registered under id whose first reply, from any peer,
-// ends it. It waits on p's reply slot, and deregisters before releasing it,
-// so a late or duplicate reply finds nothing. Ids come from the node's
-// incarnation, which issues each once.
-func (c *Calls) Request(p *env.Proc, id uint64, tries int, send func()) (any, bool) {
+// stopped reports whether the incarnation fail-stopped.
+func (c *Calls) stopped() bool { return c.dead != nil && *c.dead }
+
+// Request is a call registered under id whose first reply, from any peer,
+// ends it; each try waits wait. It waits on p's reply slot, and deregisters
+// before releasing it, so a late or duplicate reply finds nothing. Ids come
+// from the node's incarnation, which issues each once.
+func (c *Calls) Request(p *env.Proc, id uint64, tries int, wait env.Duration, send func()) (any, bool) {
 	done := p.TakeReply()
-	c.reg[id] = (*firstReply)(done)
-	v, ok := c.Call(p, done, tries, send, nil)
+	c.register(id, (*firstReply)(done))
+	v, ok := c.call(p, done, tries, wait, send, nil)
 	c.End(id)
 	p.ReleaseReply()
 	return v, ok
+}
+
+// Acked returns the acknowledgement a request under id carries, id being the
+// last one the incarnation issued: the id below which every call it made
+// finished, answered or given up. A call registers its id before its process
+// next yields, so an issued id below id that is not registered is finished.
+// The cursor passes each id once.
+func (c *Calls) Acked(id uint64) uint64 {
+	for c.acked < id && c.reg[c.acked] == nil {
+		c.acked++
+	}
+	return c.acked
 }
 
 // Await registers a call under id waiting for one reply from each of peers,
 // ascending, which it takes (see Awaiting). The caller ends it with End.
 func (c *Calls) Await(id uint64, peers []env.NodeID) *Awaiting {
 	a := &Awaiting{Expect: peers}
-	c.reg[id] = a
+	c.register(id, a)
 	return a
+}
+
+// register enters a call's wait under id.
+func (c *Calls) register(id uint64, a answerer) {
+	if c.reg == nil {
+		c.reg = make(map[uint64]answerer)
+	}
+	c.reg[id] = a
 }
 
 // Answer delivers from's reply to the call registered under id, if one is.

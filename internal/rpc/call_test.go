@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"switchfs/internal/core"
 	"switchfs/internal/env"
 	"switchfs/internal/wire"
 )
@@ -32,7 +33,7 @@ func BenchmarkPeerCall(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			id := uint64(i + 1)
 			msg := &wire.FlushEntryReq{CtlReq: wire.CtlReq{ID: id, From: 100}}
-			if _, ok := calls.Request(p, id, 100, func() {
+			if _, ok := calls.Request(p, id, 100, 2*env.Millisecond, func() {
 				p.Send(101, &wire.Packet{Dst: 101, Origin: 100, Trace: p.TraceCtx(), Body: msg})
 			}); !ok {
 				b.Error("call gave up")
@@ -79,7 +80,7 @@ func TestRequestAllocatesNothing(t *testing.T) {
 	sim.Spawn(100, func(p *env.Proc) {
 		allocs = testing.AllocsPerRun(100, func() {
 			req.ID++
-			v, ok = calls.Request(p, req.ID, 3, func() {
+			v, ok = calls.Request(p, req.ID, 3, 2*env.Millisecond, func() {
 				for _, pkt := range pkts {
 					p.Send(pkt.Dst, pkt)
 				}
@@ -123,6 +124,35 @@ func TestCallGivesUpOnce(t *testing.T) {
 			t.Errorf("crash at %d: %d sends, %d give-ups, %d retries; want %d, %d, %d",
 				c.crashAt, sends, giveUps, retries, c.sends, c.giveUps, c.sends)
 		}
+	}
+}
+
+// TestCallerAckTrailsOldestCall: a request's acknowledgement is the id of
+// its sender's oldest call still registered, or its own id when none is.
+func TestCallerAckTrailsOldestCall(t *testing.T) {
+	const node = 7
+	ids := core.NewIncarnation(node, 0)
+	calls := NewCalls(node, &ids, nil, env.Millisecond, nil, nil)
+	issue := func() (uint64, uint64) {
+		id := ids.Next()
+		acked := calls.Acked(id)
+		calls.Await(id, nil)
+		return id, acked
+	}
+	r1, a1 := issue()
+	r2, a2 := issue()
+	calls.End(r2)
+	r3, a3 := issue()
+	calls.End(r1)
+	r4, a4 := issue()
+	calls.End(r3)
+	calls.End(r4)
+	r5, a5 := issue()
+	if got, want := []uint64{a1, a2, a3, a4, a5}, []uint64{r1, r1, r1, r3, r5}; !slices.Equal(got, want) {
+		t.Errorf("acknowledgements %x, want %x", got, want)
+	}
+	if r1 != node<<40|1 || r5 != node<<40|5 {
+		t.Errorf("ids %x‥%x, want node<<40 | 1‥5", r1, r5)
 	}
 }
 

@@ -35,7 +35,7 @@ func Ask[N Node, Q any, QP interface {
 		return r, r.Failure()
 	}
 	id := c.ids.Next()
-	v, ok := c.Request(p, id, tries, func() {
+	v, ok := c.Request(p, id, tries, c.timeout, func() {
 		pkt, b := wire.NewPacket[Q, QP](to, c.self)
 		*b = req
 		*QP(b).Head() = wire.CtlReq{ID: id, From: c.self}

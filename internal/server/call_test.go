@@ -100,7 +100,7 @@ func TestCallTable(t *testing.T) {
 		sim.Spawn(100, func(p *env.Proc) {
 			id := s.ids.Next()
 			msg := &wire.FlushEntryReq{CtlReq: wire.CtlReq{ID: id, From: 100}, Key: key}
-			v, ok = s.rpc.Request(p, id, c.tries, func() { s.reply(p, s.ownerOfFP(fp), msg) })
+			v, ok = s.rpc.Request(p, id, c.tries, timeout, func() { s.reply(p, s.ownerOfFP(fp), msg) })
 			returned = p.Now()
 			// The process's next wait outlasts every repeated reply.
 			late, _ = p.TakeReply().WaitTimeout(p, 2*timeout)

@@ -243,7 +243,7 @@ func (s *Server) asyncCommit(p *env.Proc, parent core.DirRef, parentLog *dirLog,
 		// log synchronously (§5.2.1, §6.2).
 		notice.Update = wire.DirLog{Dir: parent, Entries: parentLog.log.Snapshot()}
 	}
-	v, ok := s.rpc.Request(p, id, 0, func() {
+	v, ok := s.rpc.Request(p, id, 0, s.cfg.RetryTimeout, func() {
 		// The fallback owner is recomputed per try: a migration can re-route
 		// the parent's group mid-commit, and a packet built once with a stale
 		// AltDst would keep steering the switch's overflow rewrite at a server
@@ -292,7 +292,7 @@ func (s *Server) syncCommit(p *env.Proc, req *wire.MutateReq, parentLog *dirLog,
 		CommitID: id,
 		Update:   wire.DirLog{Dir: req.Parent, Entries: []core.LogEntry{entry}},
 	}
-	if _, ok := s.rpc.Request(p, id, 0, func() { replyNew(s, p, s.ownerOfFP(req.Parent.FP), notice) }); !ok {
+	if _, ok := s.rpc.Request(p, id, 0, s.cfg.RetryTimeout, func() { replyNew(s, p, s.ownerOfFP(req.Parent.FP), notice) }); !ok {
 		return
 	}
 	// Cache the response for retransmission replay only now that the remote

@@ -139,6 +139,16 @@ type RespCommon struct {
 	InvalSeqHigh uint64
 }
 
+// Reply returns the header itself, so the client can reach it through any of
+// the responses that embed it.
+func (r *RespCommon) Reply() *RespCommon { return r }
+
+// Response is a reply to a client request: a body that embeds RespCommon.
+type Response interface {
+	Msg
+	Reply() *RespCommon
+}
+
 // InvalEntry names a directory whose client-side cache entries are stale.
 type InvalEntry struct {
 	Seq uint64
