@@ -111,7 +111,8 @@ bench:
 # simulator (handoff, send, timer), the change-log (snapshot, compaction), the
 # key and inode codecs, the kv store (BenchmarkPutUnique: live heap per
 # entry for unique names and inode-sized values), the write-ahead log (append
-# and replay), the client's cached path resolution, the server's
+# and replay), the client's cached path resolution and its one metadata
+# round trip (BenchmarkClientCall: one allocation, its packet), the server's
 # durable-record encoders, its recovery (BenchmarkRecover), a 2PC rename and
 # an aggregation round (BenchmarkRename, BenchmarkAggregate: allocations per
 # round with -benchmem), the nodes' one way to wait for a peer (internal/rpc's

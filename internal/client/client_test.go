@@ -383,15 +383,12 @@ func TestResolveCachedAllocatesNothing(t *testing.T) {
 	})
 }
 
-// TestCachedStatAllocatesItsPacket: a stat through a warm cache allocates
-// exactly its request packet, carved with its body; it waits on the process's
-// reply slot. The server answers lookups fresh (the warm-up resolves the
-// parent) and file requests from one packet it rewrites.
-func TestCachedStatAllocatesItsPacket(t *testing.T) {
-	sim := env.NewSim(1)
-	defer sim.Shutdown()
-	dir := core.DirID{0, 0, 1, 1}
+// stubServer registers a metadata node that answers lookups with dir, each
+// from a fresh packet, and file requests from one packet it rewrites. With
+// loseFirst it drops the first try of every file request.
+func stubServer(sim *env.Sim, dir core.DirID, loseFirst bool) {
 	out, resp := wire.NewPacket[wire.FileResp](testClientID, fakeServerID)
+	var seen uint64 // the last file request's id
 	sim.AddNode(fakeServerID, env.NodeConfig{Handler: func(p *env.Proc, from env.NodeID, msg any) {
 		switch b := msg.(*wire.Packet).Body.(type) {
 		case *wire.LookupReq:
@@ -399,26 +396,53 @@ func TestCachedStatAllocatesItsPacket(t *testing.T) {
 			r.RPC, r.Dir = b.RPC, dir
 			p.Send(from, o)
 		case *wire.FileReq:
+			if loseFirst && b.RPC != seen {
+				seen = b.RPC
+				return
+			}
 			resp.RPC = b.RPC
 			p.Send(from, out)
 		}
 	}})
-	c := New(sim, Config{
+}
+
+// stubClient is a client of the stub server.
+func stubClient(sim *env.Sim) *Client {
+	return New(sim, Config{
 		ID:    testClientID,
 		Ring:  ring.New([]uint32{0}, 0, func(uint32) env.NodeID { return fakeServerID }),
 		Costs: env.DefaultCosts(),
 	})
-	allocs := -1.0
-	sim.Spawn(testClientID, func(p *env.Proc) {
-		allocs = testing.AllocsPerRun(100, func() {
-			if _, err := c.Stat(p, "/d/file-000123"); err != nil {
-				t.Fatal(err)
-			}
+}
+
+// TestCachedStatAllocatesItsPacket: a stat through a warm cache allocates
+// exactly its request packet, carved with its body, whether its first try is
+// answered or lost: it waits on the process's reply slot, registered in the
+// client's calls, and a retransmission resends the same packet.
+func TestCachedStatAllocatesItsPacket(t *testing.T) {
+	for _, loseFirst := range []bool{false, true} {
+		sim := env.NewSim(1)
+		stubServer(sim, core.DirID{0, 0, 1, 1}, loseFirst)
+		c := stubClient(sim)
+		allocs, stats := -1.0, uint64(0)
+		sim.Spawn(testClientID, func(p *env.Proc) {
+			allocs = testing.AllocsPerRun(100, func() {
+				stats++
+				if _, err := c.Stat(p, "/d/file-000123"); err != nil {
+					t.Fatal(err)
+				}
+			})
 		})
-	})
-	sim.Run()
-	if allocs != 1 || c.Lookups != 1 || c.Retries != 0 {
-		t.Errorf("cached stat: %v allocs/op, %d lookups, %d retries; want 1, 1, 0", allocs, c.Lookups, c.Retries)
+		sim.Run()
+		sim.Shutdown()
+		retries := uint64(0)
+		if loseFirst {
+			retries = stats
+		}
+		if allocs != 1 || c.Lookups != 1 || c.Retries != retries || c.rpc.Pending() != 0 {
+			t.Errorf("cached stat, first try lost %v: %v allocs/op, %d lookups, %d retries, %d calls left; want 1, 1, %d, 0",
+				loseFirst, allocs, c.Lookups, c.Retries, c.rpc.Pending(), retries)
+		}
 	}
 }
 
@@ -459,4 +483,30 @@ func BenchmarkResolveCached(b *testing.B) {
 		}
 	})
 	sim.Run()
+}
+
+// BenchmarkClientCall is the client's call layer benchmark (`make
+// bench-layers`): one metadata round trip per op — a file request stamped
+// with its id and acknowledgement, sent as a retried call and answered by a
+// stub node — whose only allocation is its packet.
+func BenchmarkClientCall(b *testing.B) {
+	sim := env.NewSim(1)
+	defer sim.Shutdown()
+	stubServer(sim, core.DirID{0, 0, 1, 1}, false)
+	c := stubClient(sim)
+	sim.Spawn(testClientID, func(p *env.Proc) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pkt, req := wire.NewPacket[wire.FileReq](fakeServerID, testClientID)
+			*req = wire.FileReq{ReqCommon: c.reqCommon(fakeServerID, nil), Op: core.OpStat, Name: "f"}
+			if _, _, err := c.call(p, fakeServerID, pkt, req.RPC, c.cfg.MaxRetries, c.cfg.RetryTimeout, "rpc-timeout"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	sim.Run()
+	if c.Retries != 0 {
+		b.Fatalf("%d retransmissions", c.Retries)
+	}
 }

@@ -132,13 +132,9 @@ func New(e *env.Sim, opts Options) *Cluster {
 	c.Ring = ring.New(slots, 0, ServerOf)
 	c.maxServers = opts.Servers
 
-	peers := make([]env.NodeID, opts.Servers)
-	for i := range peers {
-		peers[i] = ServerOf(uint32(i))
-	}
+	peers := serverIDs(opts.Servers)
 
 	// Switches (or the dedicated tracker server).
-	var switchFor func(core.Fingerprint) env.NodeID
 	switch opts.Tracker {
 	case server.TrackerServer:
 		sw := pswitch.New(trackerNode, pswitch.Config{
@@ -159,17 +155,13 @@ func New(e *env.Sim, opts Options) *Cluster {
 				sw.Handler(p, from, msg)
 			},
 		})
-		switchFor = func(core.Fingerprint) env.NodeID { return trackerNode }
 	case server.TrackerOwner:
-		switchFor = func(fp core.Fingerprint) env.NodeID {
-			return c.Ring.OwnerNode(fp)
-		}
+		// Each owner tracks its own directories: no switch.
 	default:
 		for i := 0; i < opts.Switches; i++ {
 			id := switchBase + env.NodeID(i)
 			sw := pswitch.New(id, pswitch.Config{
 				IndexBits: opts.SwitchIndexBits,
-				Pipes:     1,
 				PipeDelay: opts.Costs.SwitchPipe,
 				Servers:   peers,
 				Trace:     opts.Trace,
@@ -180,37 +172,11 @@ func New(e *env.Sim, opts Options) *Cluster {
 			c.Switches = append(c.Switches, sw)
 			e.AddNode(id, env.NodeConfig{Handler: sw.Handler})
 		}
-		n := len(c.Switches)
-		switchFor = func(fp core.Fingerprint) env.NodeID {
-			// Range partitioning by fingerprint prefix (§6.4).
-			i := int(uint64(fp)>>(core.FingerprintBits-8)) % n
-			return c.Switches[i].ID
-		}
 	}
 
 	// Metadata servers.
 	for i := 0; i < opts.Servers; i++ {
-		w := wal.NewMem()
-		c.wals = append(c.wals, w)
-		srv := server.New(e, server.Config{
-			ID:           ServerOf(uint32(i)),
-			Cores:        opts.CoresPerServer,
-			Costs:        opts.Costs,
-			Ring:         c.Ring,
-			Peers:        peers,
-			SwitchFor:    switchFor,
-			Coordinator:  ServerOf(0),
-			WAL:          w,
-			Tracker:      opts.Tracker,
-			DataNodes:    opts.DataNodes,
-			Updates:      opts.Updates,
-			PushEntries:  opts.PushEntries,
-			PushIdle:     opts.PushIdle,
-			OwnerQuiesce: opts.OwnerQuiesce,
-			RetryTimeout: opts.RetryTimeout,
-			Trace:        opts.Trace,
-		})
-		c.Servers = append(c.Servers, srv)
+		c.addServer(i)
 	}
 
 	// Clients.
@@ -218,7 +184,7 @@ func New(e *env.Sim, opts Options) *Cluster {
 		cl := client.New(e, client.Config{
 			ID:           clientBase + env.NodeID(i),
 			Ring:         c.Ring,
-			SwitchFor:    switchFor,
+			SwitchFor:    c.switchOf,
 			Coordinator:  ServerOf(0),
 			Tracker:      opts.Tracker,
 			Costs:        opts.Costs,
@@ -238,6 +204,39 @@ func New(e *env.Sim, opts Options) *Cluster {
 		c.DataServers = append(c.DataServers, datanode.New(e, dataNodeConfigOf(c, i)))
 	}
 	return c
+}
+
+// serverIDs returns the node ids of the first n server slots.
+func serverIDs(n int) []env.NodeID {
+	ids := make([]env.NodeID, n)
+	for i := range ids {
+		ids[i] = ServerOf(uint32(i))
+	}
+	return ids
+}
+
+// switchOf routes fp's dirty-set operations, for servers and clients alike:
+// to the dedicated tracker server, to fp's owner (the owner-tracker
+// variant), or to the switch whose fingerprint range holds fp (§6.4).
+func (c *Cluster) switchOf(fp core.Fingerprint) env.NodeID {
+	switch c.Opts.Tracker {
+	case server.TrackerServer:
+		return trackerNode
+	case server.TrackerOwner:
+		return c.Ring.OwnerNode(fp)
+	}
+	i := int(uint64(fp)>>(core.FingerprintBits-8)) % len(c.Switches)
+	return c.Switches[i].ID
+}
+
+// addServer builds server i, with the config serverConfigOf gives it, on a
+// fresh WAL.
+func (c *Cluster) addServer(i int) {
+	w := wal.NewMem()
+	c.wals = append(c.wals, w)
+	cfg := serverConfigOf(c, i)
+	cfg.WAL = w
+	c.Servers = append(c.Servers, server.New(c.Env, cfg))
 }
 
 // DataNodeOf maps a data placement slot to a node id.
@@ -442,34 +441,16 @@ func (c *Cluster) RecoverServer(i int) *env.Future {
 	return fut
 }
 
-// serverConfigOf rebuilds the config used at construction time.
+// serverConfigOf is server i's config, at construction and at every
+// restart; only its WAL is the caller's.
 func serverConfigOf(c *Cluster, i int) server.Config {
-	peers := make([]env.NodeID, c.Opts.Servers)
-	for j := range peers {
-		peers[j] = ServerOf(uint32(j))
-	}
-	var switchFor func(core.Fingerprint) env.NodeID
-	switch c.Opts.Tracker {
-	case server.TrackerServer:
-		switchFor = func(core.Fingerprint) env.NodeID { return trackerNode }
-	case server.TrackerOwner:
-		switchFor = func(fp core.Fingerprint) env.NodeID {
-			return c.Ring.OwnerNode(fp)
-		}
-	default:
-		n := len(c.Switches)
-		switchFor = func(fp core.Fingerprint) env.NodeID {
-			i := int(uint64(fp)>>(core.FingerprintBits-8)) % n
-			return c.Switches[i].ID
-		}
-	}
 	return server.Config{
 		ID:           ServerOf(uint32(i)),
 		Cores:        c.Opts.CoresPerServer,
 		Costs:        c.Opts.Costs,
 		Ring:         c.Ring,
-		Peers:        peers,
-		SwitchFor:    switchFor,
+		Peers:        serverIDs(c.Opts.Servers),
+		SwitchFor:    c.switchOf,
 		Coordinator:  ServerOf(0),
 		Tracker:      c.Opts.Tracker,
 		DataNodes:    c.Opts.DataNodes,

@@ -5,8 +5,6 @@ import (
 
 	"switchfs/internal/env"
 	"switchfs/internal/ring"
-	"switchfs/internal/server"
-	"switchfs/internal/wal"
 )
 
 // reconfigPasses bounds the live convergence loop before Reconfigure falls
@@ -58,21 +56,13 @@ func (c *Cluster) Reconfigure(newServers int) *env.Future {
 		old := len(c.Servers)
 
 		slots := make([]uint32, newServers)
-		finalPeers := make([]env.NodeID, newServers)
 		for i := range slots {
 			slots[i] = uint32(i)
-			finalPeers[i] = ServerOf(uint32(i))
 		}
+		finalPeers := serverIDs(newServers)
 		// Union peer set for the transition: every server that may hold
 		// change-log entries or receive migrated groups stays addressable.
-		union := old
-		if newServers > union {
-			union = newServers
-		}
-		unionPeers := make([]env.NodeID, union)
-		for i := range unionPeers {
-			unionPeers[i] = ServerOf(uint32(i))
-		}
+		unionPeers := serverIDs(max(old, newServers))
 
 		// New servers join serving immediately (their stores fill through
 		// migration; requests for not-yet-moved groups park on the arrival
@@ -80,11 +70,7 @@ func (c *Cluster) Reconfigure(newServers int) *env.Future {
 		if newServers > old {
 			c.Opts.Servers = newServers
 			for i := old; i < newServers; i++ {
-				w := wal.NewMem()
-				c.wals = append(c.wals, w)
-				cfg := serverConfigOf(c, i)
-				cfg.WAL = w
-				c.Servers = append(c.Servers, server.New(c.Env, cfg))
+				c.addServer(i)
 			}
 			if newServers > c.maxServers {
 				c.maxServers = newServers

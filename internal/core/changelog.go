@@ -31,31 +31,33 @@ type LogEntry struct {
 // ChangeLog is not self-synchronized: the owning server guards it with the
 // per-directory change-log lock required by the protocol (§5.2.1 step 2).
 //
+// Its ids ascend: the server reserves an entry's id and appends the entry in
+// one event (handleMutate), so no id below the largest logged is still on its
+// way, and an acknowledgement through an id covers a prefix.
+//
 // Entries are immutable once appended: Snapshot hands out views of the
 // backing array instead of copies, so no method may write to an index a view
-// can see. Append only writes past every view's length, and AckThrough either
-// reslices (dropped prefix) or moves the survivors to a fresh array.
+// can see. Append only writes past every view's length, and AckThrough
+// reslices.
 type ChangeLog struct {
 	entries []LogEntry
-	// bytes approximates the wire size of pending entries, for the
-	// fill-an-MTU proactive push trigger (§5.3).
-	bytes int
+	// last is the largest id ever appended.
+	last uint64
 }
 
-// entryWireBytes approximates one entry's size in a change-log push packet.
-func entryWireBytes(e LogEntry) int { return 8 + 8 + 1 + 1 + 2 + 2 + len(e.Name) }
-
-// Append adds a committed update to the tail of the queue.
+// Append adds a committed update to the tail of the queue. An id at or below
+// one appended before breaks the order every reader relies on, and Append
+// fail-stops on it.
 func (l *ChangeLog) Append(e LogEntry) {
+	if e.ID <= l.last {
+		panic(fmt.Sprintf("core: change-log id %#x appended after %#x", e.ID, l.last))
+	}
+	l.last = e.ID
 	l.entries = append(l.entries, e)
-	l.bytes += entryWireBytes(e)
 }
 
 // Len returns the number of pending entries.
 func (l *ChangeLog) Len() int { return len(l.entries) }
-
-// Bytes returns the approximate wire size of pending entries.
-func (l *ChangeLog) Bytes() int { return l.bytes }
 
 // Snapshot returns the pending entries without draining them; used when
 // sending entries to the owner while they must remain re-sendable until the
@@ -69,34 +71,19 @@ func (l *ChangeLog) Snapshot() []LogEntry {
 
 // AckThrough drops every entry with ID ≤ id — called when the directory owner
 // acknowledges application, after the entries were marked "applied" in the
-// local WAL. The whole queue is filtered (not just a prefix): concurrent
-// appenders of different names may interleave ID assignment and queue order.
-func (l *ChangeLog) AckThrough(id uint64) {
-	k, dropped := 0, 0
-	for i, e := range l.entries {
-		if e.ID > id {
-			continue
-		}
-		l.bytes -= entryWireBytes(e)
-		dropped++
-		if i == k {
-			k++ // still inside the acknowledged prefix
-		}
+// local WAL — and returns how many it dropped. The ids ascend, so they are a
+// prefix; an emptied log lets its array go.
+func (l *ChangeLog) AckThrough(id uint64) int {
+	k := 0
+	for k < len(l.entries) && l.entries[k].ID <= id {
+		k++
 	}
-	switch {
-	case dropped == len(l.entries):
+	if k == len(l.entries) {
 		l.entries = nil
-	case dropped == k:
+	} else {
 		l.entries = l.entries[k:]
-	default:
-		kept := make([]LogEntry, 0, len(l.entries)-dropped)
-		for _, e := range l.entries[k:] {
-			if e.ID > id {
-				kept = append(kept, e)
-			}
-		}
-		l.entries = kept
 	}
+	return k
 }
 
 // EntryOp is a compacted entry-list mutation: the final fate of one name.

@@ -277,20 +277,50 @@ func TestChangeLogAppendAckThrough(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		l.Append(LogEntry{ID: uint64(i), Op: OpCreate, Name: fmt.Sprintf("f%d", i)})
 	}
-	if l.Len() != 5 || l.Bytes() == 0 {
-		t.Fatalf("len=%d bytes=%d", l.Len(), l.Bytes())
+	if l.Len() != 5 {
+		t.Fatalf("len=%d", l.Len())
 	}
-	l.AckThrough(3)
-	if l.Len() != 2 {
-		t.Fatalf("after ack len=%d", l.Len())
+	if n := l.AckThrough(3); n != 3 || l.Len() != 2 {
+		t.Fatalf("AckThrough(3) dropped %d, left %d; want 3, 2", n, l.Len())
 	}
 	snap := l.Snapshot()
 	if snap[0].ID != 4 || snap[1].ID != 5 {
 		t.Fatalf("snapshot %v", snap)
 	}
-	l.AckThrough(100)
-	if l.Len() != 0 || l.Bytes() != 0 {
-		t.Fatalf("after full ack len=%d bytes=%d", l.Len(), l.Bytes())
+	if n := l.AckThrough(3); n != 0 {
+		t.Fatalf("a repeated AckThrough(3) dropped %d", n)
+	}
+	if n := l.AckThrough(100); n != 2 || l.Len() != 0 {
+		t.Fatalf("after full ack: dropped %d, len=%d", n, l.Len())
+	}
+}
+
+// TestChangeLogAppendFailStopsOnOrder: an id at or below one appended before
+// — still queued or already acknowledged — fail-stops the log.
+func TestChangeLogAppendFailStopsOnOrder(t *testing.T) {
+	for _, c := range []struct {
+		what string
+		ids  []uint64
+		ack  uint64
+		bad  uint64
+	}{
+		{what: "below the tail", ids: []uint64{2, 4}, bad: 3},
+		{what: "equal to the tail", ids: []uint64{2, 4}, bad: 4},
+		{what: "below an acknowledged id", ids: []uint64{2, 4}, ack: 4, bad: 3},
+	} {
+		var l ChangeLog
+		for _, id := range c.ids {
+			l.Append(LogEntry{ID: id, Op: OpCreate, Name: "n"})
+		}
+		l.AckThrough(c.ack)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: appending id %d after %v did not fail-stop", c.what, c.bad, c.ids)
+				}
+			}()
+			l.Append(LogEntry{ID: c.bad, Op: OpCreate, Name: "m"})
+		}()
 	}
 }
 
@@ -309,15 +339,10 @@ func TestChangeLogViewsAreStable(t *testing.T) {
 		for step := 0; step < 2000; step++ {
 			switch r := rnd.Intn(10); {
 			case r < 5:
-				// Appenders interleave id assignment and queue order: ids
-				// are unique (even in order, odd late) but only roughly
-				// increasing.
-				nextID += 2
-				id := nextID
-				if nextID > 2 && rnd.Intn(4) == 0 {
-					id -= 3 // queued behind the larger id appended before it
-				}
-				e := LogEntry{ID: id, Time: int64(step), Op: OpCreate,
+				// Ids ascend, with gaps: the server's ids are shared by
+				// every change-log it holds.
+				nextID += 1 + uint64(rnd.Intn(3))
+				e := LogEntry{ID: nextID, Time: int64(step), Op: OpCreate,
 					Name: fmt.Sprintf("f%d-%d", seed, step), Type: TypeRegular}
 				l.Append(e)
 				model = append(model, e)
@@ -334,26 +359,25 @@ func TestChangeLogViewsAreStable(t *testing.T) {
 				case len(model) == 0:
 					id = nextID
 				case rnd.Intn(2) == 0:
-					id = model[rnd.Intn(len(model))].ID // prefix, or a hole behind one
+					id = model[rnd.Intn(len(model))].ID // a prefix
 				default:
 					id = uint64(rnd.Int63n(int64(nextID) + 2))
 				}
-				l.AckThrough(id)
+				dropped := l.AckThrough(id)
 				kept := make([]LogEntry, 0, len(model))
 				for _, e := range model {
 					if e.ID > id {
 						kept = append(kept, e)
 					}
 				}
+				if dropped != len(model)-len(kept) {
+					t.Fatalf("seed %d step %d: AckThrough(%d) dropped %d, model %d",
+						seed, step, id, dropped, len(model)-len(kept))
+				}
 				model = kept
 			}
-			wantBytes := 0
-			for _, e := range model {
-				wantBytes += entryWireBytes(e)
-			}
-			if l.Len() != len(model) || l.Bytes() != wantBytes {
-				t.Fatalf("seed %d step %d: len=%d bytes=%d, model len=%d bytes=%d",
-					seed, step, l.Len(), l.Bytes(), len(model), wantBytes)
+			if l.Len() != len(model) {
+				t.Fatalf("seed %d step %d: len=%d, model len=%d", seed, step, l.Len(), len(model))
 			}
 			if got := l.Snapshot(); !slices.Equal(got, model) {
 				t.Fatalf("seed %d step %d: log %v, model %v", seed, step, got, model)
@@ -368,23 +392,6 @@ func TestChangeLogViewsAreStable(t *testing.T) {
 				views = views[32:]
 			}
 		}
-	}
-}
-
-func TestAckThroughOutOfOrderIDs(t *testing.T) {
-	var l ChangeLog
-	// Concurrent appenders can interleave id assignment and queue order.
-	for _, id := range []uint64{2, 1, 4, 3} {
-		l.Append(LogEntry{ID: id, Op: OpCreate, Name: fmt.Sprintf("n%d", id)})
-	}
-	l.AckThrough(2)
-	for _, e := range l.Snapshot() {
-		if e.ID <= 2 {
-			t.Fatalf("entry %d survived AckThrough(2)", e.ID)
-		}
-	}
-	if l.Len() != 2 {
-		t.Fatalf("len=%d", l.Len())
 	}
 }
 

@@ -208,24 +208,17 @@ func TestCapacityMatchesPaper(t *testing.T) {
 
 func TestSwitchPacketRouting(t *testing.T) {
 	// Integration of the switch model with the env: see cluster tests for
-	// full-protocol coverage; here the multi-pipe partitioning is checked.
-	sw := New(1, Config{IndexBits: 8, Pipes: 4})
-	seen := map[int]bool{}
+	// full-protocol coverage; here the switch's one dirty set is checked.
+	sw := New(1, Config{IndexBits: 8})
 	for i := uint64(0); i < 64; i++ {
-		f := fp(i)
-		pipe := int(uint64(f)>>(core.FingerprintBits-8)) % 4
-		seen[pipe] = true
-		sw.pipeOf(f).Insert(f)
-	}
-	if len(seen) < 2 {
-		t.Fatal("fingerprints did not spread over pipes")
+		sw.ds.Insert(fp(i))
 	}
 	if sw.Occupied() != 64 {
 		t.Fatalf("occupied=%d, want 64", sw.Occupied())
 	}
 	sw.Reset()
 	if sw.Occupied() != 0 {
-		t.Fatal("reset missed a pipe")
+		t.Fatal("reset missed a fingerprint")
 	}
 }
 

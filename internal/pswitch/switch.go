@@ -1,7 +1,6 @@
 package pswitch
 
 import (
-	"switchfs/internal/core"
 	"switchfs/internal/env"
 	"switchfs/internal/trace"
 	"switchfs/internal/wire"
@@ -12,9 +11,6 @@ type Config struct {
 	// IndexBits sets each stage's register count (§6.3); the stage count
 	// is the paper's DefaultStages.
 	IndexBits uint
-	// Pipes is the number of egress pipes; pipes share nothing and each
-	// owns the fingerprints of one prefix range (§6.2).
-	Pipes int
 	// PipeDelay is the pipeline traversal time for packets carrying a
 	// dirty-set operation.
 	PipeDelay env.Duration
@@ -40,23 +36,17 @@ type Stats struct {
 type Switch struct {
 	ID    env.NodeID
 	cfg   Config
-	pipes []*DirtySet
+	ds    *DirtySet
 	Stats Stats
 	// extraDelay is added to every dirty-set pipeline traversal — the gray
 	// failure of a congested or degraded switch pipe (fault injection).
 	extraDelay env.Duration
 }
 
-// New builds a switch.
+// New builds a switch. It holds one dirty set; a deployment that spreads
+// fingerprints over several range-partitions them over switches (§6.4).
 func New(id env.NodeID, cfg Config) *Switch {
-	if cfg.Pipes <= 0 {
-		cfg.Pipes = 1
-	}
-	s := &Switch{ID: id, cfg: cfg}
-	for i := 0; i < cfg.Pipes; i++ {
-		s.pipes = append(s.pipes, NewDirtySet(DefaultStages, cfg.IndexBits))
-	}
-	return s
+	return &Switch{ID: id, cfg: cfg, ds: NewDirtySet(DefaultStages, cfg.IndexBits)}
 }
 
 // SetServers replaces the multicast domain (cluster reconfiguration; the
@@ -69,37 +59,14 @@ func (s *Switch) SetServers(ids []env.NodeID) {
 // a slowed pipe). Zero restores nominal speed.
 func (s *Switch) SetExtraDelay(d env.Duration) { s.extraDelay = d }
 
-// ForceOverflow makes every insert fail on all pipes (§7.3.2).
-func (s *Switch) ForceOverflow(v bool) {
-	for _, p := range s.pipes {
-		p.ForceOverflow = v
-	}
-}
+// ForceOverflow makes every insert fail (§7.3.2).
+func (s *Switch) ForceOverflow(v bool) { s.ds.ForceOverflow = v }
 
 // Reset clears all dirty-set state (switch reboot, §5.4.2).
-func (s *Switch) Reset() {
-	for _, p := range s.pipes {
-		p.Reset()
-	}
-}
+func (s *Switch) Reset() { s.ds.Reset() }
 
-// Occupied sums live fingerprints across pipes.
-func (s *Switch) Occupied() int {
-	n := 0
-	for _, p := range s.pipes {
-		n += p.Occupied()
-	}
-	return n
-}
-
-// pipeOf selects the egress pipe owning fp (prefix partitioning).
-func (s *Switch) pipeOf(fp core.Fingerprint) *DirtySet {
-	if len(s.pipes) == 1 {
-		return s.pipes[0]
-	}
-	i := int(uint64(fp)>>(core.FingerprintBits-8)) % len(s.pipes)
-	return s.pipes[i]
-}
+// Occupied returns the number of live fingerprints.
+func (s *Switch) Occupied() int { return s.ds.Occupied() }
 
 // Handler processes one packet; register it as the switch node's env
 // handler. The pipeline delay models the ASIC traversal; the switch never
@@ -121,7 +88,7 @@ func (s *Switch) Handler(p *env.Proc, from env.NodeID, msg any) {
 	sp := s.cfg.Trace.StartSpan(p, pkt.Trace, dsSpanName(pkt.DS.Op), "switch")
 	defer sp.End()
 	p.Sleep(s.cfg.PipeDelay + s.extraDelay)
-	ds := s.pipeOf(pkt.DS.FP)
+	ds := s.ds
 	switch pkt.DS.Op {
 	case wire.DSQuery:
 		s.Stats.Queries++
@@ -164,7 +131,7 @@ func (s *Switch) Handler(p *env.Proc, from env.NodeID, msg any) {
 	case wire.DSRemove:
 		s.Stats.Removes++
 		if !ds.Remove(pkt.DS.FP, pkt.Origin, pkt.DS.Seq) {
-			s.Stales(pkt)
+			s.Stales()
 		}
 		// Multicast the aggregation fetch to every other metadata server
 		// (§5.2.2 step 5). Stale removes still multicast: the owner is
@@ -193,4 +160,4 @@ func dsSpanName(op wire.DSOp) string {
 }
 
 // Stales counts removes rejected by the sequence guard.
-func (s *Switch) Stales(*wire.Packet) { s.Stats.StaleRem++ }
+func (s *Switch) Stales() { s.Stats.StaleRem++ }
