@@ -4,11 +4,12 @@
 // Served, the memo of the requests a node took up, which their senders'
 // acknowledgements release and whose Admit is the replay-or-begin step those
 // requests pass; and Calls, the one retried call with its registry of calls
-// in flight. The metadata server uses all three — Served for its clients'
-// requests and for 2PC prepares, which carry their coordinator's
-// acknowledgement — and so does the data node; the baseline file systems use
-// only Served, whose Admit every baseline request passes in its server's one
-// dispatch.
+// in flight, which also gives each request its acknowledgement. The
+// metadata server uses all three — Served for its clients' requests and for
+// 2PC prepares, which carry their coordinator's acknowledgement — and so does
+// the data node; the client waits through Calls; the baseline file systems
+// use Served, whose Admit every baseline request passes in its server's one
+// dispatch, and Calls, through which their clients and servers wait.
 package rpc
 
 import (
