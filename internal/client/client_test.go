@@ -464,11 +464,7 @@ func BenchmarkResolveCached(b *testing.B) {
 	sim := env.NewSim(1)
 	defer sim.Shutdown()
 	sim.AddNode(fakeServerID, env.NodeConfig{Handler: f.handle})
-	c := New(sim, Config{
-		ID:    testClientID,
-		Ring:  ring.New([]uint32{0}, 0, func(uint32) env.NodeID { return fakeServerID }),
-		Costs: env.DefaultCosts(),
-	})
+	c := stubClient(sim)
 	sim.Spawn(testClientID, func(p *env.Proc) {
 		const path = "/dir-0042/file-000123"
 		if _, err := c.resolve(p, path); err != nil {
