@@ -99,7 +99,7 @@ func New(e *env.Sim, opts Options) *Cluster {
 			locks: make(map[core.DirID]*env.RWMutex),
 		}
 		s.ids = core.NewIncarnation(uint64(s.id), 0)
-		s.rpc = rpc.NewCalls(s.id, &s.ids, nil, opts.RetryTimeout, nil, nil)
+		s.rpc = rpc.NewRegistry(s.ids.Issued())
 		e.AddNode(s.id, env.NodeConfig{Cores: opts.CoresPerServer, Handler: s.handle})
 		c.servers = append(c.servers, s)
 	}
@@ -110,7 +110,7 @@ func New(e *env.Sim, opts Options) *Cluster {
 			cache: map[string]core.DirID{"/": core.RootDirID},
 		}
 		cl.ids = core.NewIncarnation(uint64(cl.id), 0)
-		cl.rpc = rpc.NewCalls(cl.id, &cl.ids, nil, opts.RetryTimeout, nil, nil)
+		cl.rpc = rpc.NewRegistry(cl.ids.Issued())
 		e.AddNode(cl.id, env.NodeConfig{Handler: cl.handle})
 		c.clients = append(c.clients, cl)
 	}

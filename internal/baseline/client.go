@@ -17,7 +17,7 @@ type bclient struct {
 	// ids issues request ids, node<<40 | n for n = 1, 2, …; rpc registers
 	// the calls in flight and gives each request its acknowledgement.
 	ids core.Incarnation
-	rpc rpc.Calls
+	rpc rpc.Registry
 }
 
 var _ fsapi.FS = (*bclient)(nil)
@@ -34,7 +34,7 @@ func (cl *bclient) handle(p *env.Proc, from env.NodeID, msg any) {
 func (cl *bclient) call(p *env.Proc, to env.NodeID, m *breq) (*bresp, error) {
 	m.RPC = cl.ids.Next()
 	m.Acked, m.From = cl.rpc.Acked(m.RPC), cl.id
-	v, ok := cl.rpc.Request(p, m.RPC, 64, cl.c.Opts.RetryTimeout, func() { p.Send(to, m) })
+	v, ok := cl.rpc.Request(p, m.RPC, 64, cl.c.Opts.RetryTimeout, nil, func() { p.Send(to, m) })
 	if !ok {
 		return nil, core.ErrTimeout
 	}
@@ -263,7 +263,7 @@ func (cl *bclient) Data(p *env.Proc, shard int, write bool, bytes int64) error {
 	}
 	node := dataBase + env.NodeID(shard%cl.c.Opts.DataNodes)
 	m := &bdata{RPC: cl.ids.Next(), From: cl.id, Bytes: bytes}
-	if _, ok := cl.rpc.Request(p, m.RPC, 8, 40*env.Millisecond, func() { p.Send(node, m) }); !ok {
+	if _, ok := cl.rpc.Request(p, m.RPC, 8, 40*env.Millisecond, nil, func() { p.Send(node, m) }); !ok {
 		return core.ErrTimeout
 	}
 	return nil

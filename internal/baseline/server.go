@@ -14,7 +14,7 @@ import (
 type breq struct {
 	RPC uint64
 	// Acked is the sender's acknowledgement: it finished every call below
-	// it (rpc.Calls.Acked).
+	// it (rpc.Registry.Acked).
 	Acked    uint64
 	From     env.NodeID
 	Op       core.Op
@@ -99,7 +99,7 @@ type bserver struct {
 	// ids and rpc are the server's side of its sub-operations, as they are
 	// a client's of its requests (bclient).
 	ids core.Incarnation
-	rpc rpc.Calls
+	rpc rpc.Registry
 	// served dedups client and peer retransmissions, like the real systems'
 	// RPC stacks (and SwitchFS's §5.4.1 cache): every request passes
 	// served.Admit in handle, so a duplicate of a request still executing
@@ -130,7 +130,7 @@ func (s *bserver) lockOf(id core.DirID) *env.RWMutex {
 func (s *bserver) call(p *env.Proc, to env.NodeID, m *bsub) core.Errno {
 	m.RPC = s.ids.Next()
 	m.Acked, m.From = s.rpc.Acked(m.RPC), s.id
-	if v, ok := s.rpc.Request(p, m.RPC, 64, s.c.Opts.RetryTimeout, func() { p.Send(to, m) }); ok {
+	if v, ok := s.rpc.Request(p, m.RPC, 64, s.c.Opts.RetryTimeout, nil, func() { p.Send(to, m) }); ok {
 		return v.(*bsubResp).Err
 	}
 	return core.ErrnoUnavailable

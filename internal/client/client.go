@@ -50,10 +50,13 @@ type Client struct {
 	cache     map[string]cachedDir
 	byID      map[core.DirID][]string
 	invalSeen map[env.NodeID]uint64
-	// ids issues request ids; rpc registers the calls in flight and gives
-	// each request its acknowledgement (wire.ReqCommon.Acked).
-	ids core.Incarnation
-	rpc rpc.Calls
+	// lastID is the last request id issued, the scalar ids of the client's
+	// one incarnation (core.NewIncarnation(id, 0)): node<<40 | n. rpc
+	// registers the calls in flight and gives each request its
+	// acknowledgement (wire.ReqCommon.Acked). Together they are three words,
+	// as the scale figure holds up to 10^6 clients.
+	lastID uint64
+	rpc    rpc.Registry
 
 	// Stats observable by harnesses.
 	Lookups    uint64
@@ -98,9 +101,9 @@ func New(e *env.Sim, cfg Config) *Client {
 	// Maps are allocated lazily at their first write: nil-map reads are
 	// valid Go, and at million-client scale an idle session's four empty
 	// maps (cache, byID, invalSeen and the calls' registry) would dominate
-	// its footprint. A client never fail-stops.
-	c := &Client{cfg: cfg, env: e, ids: core.NewIncarnation(uint64(cfg.ID), 0)}
-	c.rpc = rpc.NewCalls(cfg.ID, &c.ids, nil, cfg.RetryTimeout, nil, &c.Retries)
+	// its footprint.
+	ids := core.NewIncarnation(uint64(cfg.ID), 0)
+	c := &Client{cfg: cfg, env: e, lastID: ids.Issued(), rpc: rpc.NewRegistry(ids.Issued())}
 	c.node = e.AddNode(cfg.ID, env.NodeConfig{Handler: c.handle})
 	return c
 }
@@ -188,25 +191,27 @@ func (c *Client) ownerOfFP(fp core.Fingerprint) env.NodeID {
 	return c.cfg.Ring.OwnerNode(fp)
 }
 
-// call sends request id to dst as a retried call (rpc.Calls.Request), each
+// call sends request id to dst as a retried call (rpc.Registry.Request), each
 // try waiting wait, until tries sends went unanswered, when it flags the op's
 // trace with flag. Each try is an "attempt" span, ended by the next try or by
-// the reply. resent reports whether any try went unanswered (at-least-once
-// semantics for mutations).
+// the reply. resent reports whether any of this call's tries went unanswered
+// (at-least-once semantics for mutations); it counts its own sends, as
+// Retries is shared by every process on the client.
 func (c *Client) call(p *env.Proc, dst env.NodeID, pkt *wire.Packet, id uint64, tries int, wait env.Duration, flag string) (wire.Response, bool, error) {
 	// Every (re)transmission carries the SAME context — the op span that is
 	// ambient here — so a resent RPC joins its original trace and the
 	// server-side spans of every delivery parent into one tree.
 	pkt.Trace = p.TraceCtx()
-	retries := c.Retries
+	sends := 0
 	var att *trace.Handle
-	v, ok := c.rpc.Request(p, id, tries, wait, func() {
+	v, ok := c.rpc.Request(p, id, tries, wait, &c.Retries, func() {
+		sends++
 		att.End()
 		att = c.cfg.Trace.Start(p, "attempt", "client")
 		p.Send(dst, pkt)
 	})
 	att.End()
-	resent := c.Retries != retries
+	resent := sends > 1 || !ok && sends > 0
 	if !ok {
 		c.cfg.Trace.Flag(pkt.Trace.TraceID, flag)
 		return nil, resent, core.ErrTimeout
@@ -231,7 +236,8 @@ func (c *Client) endOp(sp *trace.Handle, err error) {
 // reqCommon issues a request id and stamps the shared request fields of the
 // request to dst under it, its acknowledgement included.
 func (c *Client) reqCommon(dst env.NodeID, ancestors []core.DirID) wire.ReqCommon {
-	id := c.ids.Next()
+	c.lastID++
+	id := c.lastID
 	return wire.ReqCommon{RPC: id, Acked: c.rpc.Acked(id), Client: c.cfg.ID, InvalSeq: c.invalSeen[dst], Ancestors: ancestors}
 }
 

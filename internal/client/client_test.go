@@ -222,6 +222,54 @@ func TestAckedTrailsTheOldestCallInFlight(t *testing.T) {
 	}
 }
 
+// TestResentIsPerCall: two processes share one client, and only one of them
+// loses a try. The other's chmod, in flight while the first one's try times
+// out, was answered on its first try, so it reports resent=false: a caller
+// that takes EEXIST or ENOENT for its own earlier effect only when resent is
+// set must not take it on another process's loss.
+func TestResentIsPerCall(t *testing.T) {
+	sim := env.NewSim(1)
+	defer sim.Shutdown()
+	var lost uint64 // the lost try's request id
+	sim.AddNode(fakeServerID, env.NodeConfig{Handler: func(p *env.Proc, from env.NodeID, msg any) {
+		switch b := msg.(*wire.Packet).Body.(type) {
+		case *wire.LookupReq:
+			o, r := wire.NewPacket[wire.LookupResp](from, fakeServerID)
+			r.RPC, r.Dir = b.RPC, core.DirID{0, 0, 1, 1}
+			p.Send(from, o)
+		case *wire.FileReq:
+			switch {
+			case b.Name == "lost" && lost == 0:
+				lost = b.RPC
+				return
+			case b.Name == "slow": // answered after the lost try timed out
+				p.Sleep(3 * env.Millisecond / 2)
+			}
+			o, r := wire.NewPacket[wire.FileResp](from, fakeServerID)
+			r.RPC = b.RPC
+			p.Send(from, o)
+		}
+	}})
+	c := stubClient(sim)
+	resent := map[string]bool{}
+	for _, name := range []string{"lost", "slow"} {
+		sim.Spawn(testClientID, func(p *env.Proc) {
+			if name == "slow" {
+				p.Sleep(c.cfg.RetryTimeout / 2)
+			}
+			re, err := c.ChmodR(p, "/d/"+name, 0o600)
+			if err != nil {
+				t.Errorf("chmod %s: %v", name, err)
+			}
+			resent[name] = re
+		})
+	}
+	sim.Run()
+	if c.Retries != 1 || !resent["lost"] || resent["slow"] {
+		t.Errorf("%d retries, resent %v; want 1, the lost call's only", c.Retries, resent)
+	}
+}
+
 // sameArray reports whether two chains share a backing array.
 func sameArray(a, b []core.DirID) bool { return &a[0] == &b[0] }
 

@@ -179,12 +179,14 @@ func New(e *env.Sim, opts Options) *Cluster {
 		c.addServer(i)
 	}
 
-	// Clients.
+	// Clients. They share one method value: each c.switchOf would be a
+	// closure of its own, 16 bytes a client.
+	switchFor := c.switchOf
 	for i := 0; i < opts.Clients; i++ {
 		cl := client.New(e, client.Config{
 			ID:           clientBase + env.NodeID(i),
 			Ring:         c.Ring,
-			SwitchFor:    c.switchOf,
+			SwitchFor:    switchFor,
 			Coordinator:  ServerOf(0),
 			Tracker:      opts.Tracker,
 			Costs:        opts.Costs,

@@ -132,21 +132,23 @@ func TestCallGivesUpOnce(t *testing.T) {
 func TestCallerAckTrailsOldestCall(t *testing.T) {
 	const node = 7
 	ids := core.NewIncarnation(node, 0)
-	calls := NewCalls(node, &ids, nil, env.Millisecond, nil, nil)
+	calls := NewRegistry(ids.Issued())
+	calls.reg = make(map[uint64]*env.Future)
 	issue := func() (uint64, uint64) {
 		id := ids.Next()
 		acked := calls.Acked(id)
-		calls.Await(id, nil)
+		calls.reg[id] = new(env.Future) // as Request registers it
 		return id, acked
 	}
+	end := func(id uint64) { delete(calls.reg, id) }
 	r1, a1 := issue()
 	r2, a2 := issue()
-	calls.End(r2)
+	end(r2)
 	r3, a3 := issue()
-	calls.End(r1)
+	end(r1)
 	r4, a4 := issue()
-	calls.End(r3)
-	calls.End(r4)
+	end(r3)
+	end(r4)
 	r5, a5 := issue()
 	if got, want := []uint64{a1, a2, a3, a4, a5}, []uint64{r1, r1, r1, r3, r5}; !slices.Equal(got, want) {
 		t.Errorf("acknowledgements %x, want %x", got, want)

@@ -3,13 +3,14 @@
 // the dispatch table that says which client requests are deduplicated;
 // Served, the memo of the requests a node took up, which their senders'
 // acknowledgements release and whose Admit is the replay-or-begin step those
-// requests pass; and Calls, the one retried call with its registry of calls
-// in flight, which also gives each request its acknowledgement. The
-// metadata server uses all three — Served for its clients' requests and for
-// 2PC prepares, which carry their coordinator's acknowledgement — and so does
-// the data node; the client waits through Calls; the baseline file systems
-// use Served, whose Admit every baseline request passes in its server's one
-// dispatch, and Calls, through which their clients and servers wait.
+// requests pass; Registry, the one registry of calls in flight, which also
+// gives each request its acknowledgement; and Calls, the one retried call,
+// built on a Registry. The metadata server uses all of them — Served for its
+// clients' requests and for 2PC prepares, which carry their coordinator's
+// acknowledgement — and so does the data node; the client waits through a
+// Registry; the baseline file systems use Served, whose Admit every baseline
+// request passes in its server's one dispatch, and a Registry, through which
+// their clients and servers wait.
 package rpc
 
 import (
