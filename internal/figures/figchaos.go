@@ -47,6 +47,11 @@ func FigChaos(sc Scale) Table {
 			t.AddRow(win.Counters, windowCells(plan.Name, w, win))
 		}
 		failures = append(failures, mixFailures(plan.Name, res)...)
+		// The fault plans are where clients retransmit: gate how often.
+		for _, cl := range c.Clients {
+			obsMetrics.Add("client.retries", cl.Retries)
+			obsMetrics.Add("client.stale_retries", cl.StaleRetry)
+		}
 		sim.Shutdown()
 	}
 	if len(failures) > 0 {
