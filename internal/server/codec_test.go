@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -71,8 +72,10 @@ func sameInode(a, b *core.Inode) bool {
 // TestEncodersAppend: every WAL encoder appends its record to the buffer it
 // is handed, as the server's reused record buffer needs. For random values
 // each encoder leaves a non-empty prefix intact, and the decoders round-trip
-// what follows it. The first rows put ids, times, sources and transaction
-// ids at the uvarint edges; a delete's commit record carries no inode image.
+// what follows it. The first rows put ids, times, sources, transaction ids
+// and slots at the uvarint edges; a delete's commit record carries no inode
+// image, and a slot commit is the full one with its DirRef replaced by the
+// slot.
 func TestEncodersAppend(t *testing.T) {
 	rnd := rand.New(rand.NewSource(11))
 	prefix := []byte("an earlier record")
@@ -109,6 +112,18 @@ func TestEncodersAppend(t *testing.T) {
 				}
 			} else if !sameInode(in2, in) {
 				t.Fatalf("commit round trip: inode %+v, want %+v", in2, in)
+			}
+			slot := uint32(1 + i%3)
+			if i < len(edges) {
+				slot = uint32(min(max(edges[i], 1), 1<<14)) // a slot's uvarint 1 to 3 bytes wide
+			}
+			slots := make([]core.DirRef, slot)
+			slots[slot-1] = dir
+			at := rec("encodeCommitAt", func(b []byte) []byte { return encodeCommitAt(b, slot, e, in) })
+			k3, d3, e3, in3, err := decodeCommitAt(at, slots)
+			if err != nil || k3 != key || d3 != dir || e3 != e || (in3 == nil) != (in2 == nil) ||
+				!bytes.Equal(at[len(binary.AppendUvarint(nil, uint64(slot))):], b[len(appendDirRef(nil, dir)):]) {
+				t.Fatalf("slot commit round trip: %v %v %+v %v", k3, d3, e3, err)
 			}
 		}
 
@@ -198,15 +213,20 @@ func TestEncodersAppend(t *testing.T) {
 // bytes. (With every length and id 8 bytes wide, and the commit repeating its
 // key and op and stating the inode's length, the two took 390; with uvarint
 // fields and an 89-byte fixed-width inode image, 278; with a record of its
-// own for each aggregated entry, 198.)
+// own for each aggregated entry, 198.) The next create into d0 names d0 by
+// the slot the first commit defined and logs at most 47 bytes, 29 + 18; a
+// server's handler logs it so: its second commit into a directory is the
+// first's record with the DirRef replaced by the slot.
 func TestCreateRecordBytes(t *testing.T) {
 	d0 := core.DirRef{ID: core.DirID{7, 1, 2, 3}, Key: core.Key{PID: core.RootDirID, Name: "d0"}}
 	d0.FP = d0.Key.Fingerprint()
 	now := int64(3 * env.Millisecond)
 	e := core.LogEntry{ID: 12345, Time: now, Op: core.OpCreate, Name: "f0000001", Type: core.TypeRegular, Perm: core.DefaultFilePerm}
 	in := &core.Inode{Attr: core.Attr{Type: core.TypeRegular, Perm: core.DefaultFilePerm, Nlink: 1, Atime: now, Mtime: now, Ctime: now}}
-	before := e
+	before, next := e, e
 	before.ID--
+	next.ID++
+	next.Name = "f0000002"
 	batch := func(es ...core.LogEntry) int {
 		return len(encodeAggBatch(nil, d0, []aggLog{{from: 101, log: wire.DirLog{Entries: es}}}))
 	}
@@ -214,6 +234,28 @@ func TestCreateRecordBytes(t *testing.T) {
 	t.Logf("create: %d + %d = %d bytes logged", commit, agg, commit+agg)
 	if commit+agg > 121 {
 		t.Errorf("create logs %d + %d = %d bytes, want at most 121", commit, agg, commit+agg)
+	}
+	commit, agg = len(encodeCommitAt(nil, 1, next, in)), batch(before, e, next)-batch(before, e)
+	t.Logf("next create: %d + %d = %d bytes logged", commit, agg, commit+agg)
+	if commit+agg > 47 {
+		t.Errorf("the next create logs %d + %d = %d bytes, want at most 47", commit, agg, commit+agg)
+	}
+
+	r := newRig(t)
+	r.createsIn(map[string]core.DirRef{e.Name: d0, next.Name: d0}, 1, e.Name, next.Name)
+	var recs []wal.Record // the commits; an idle push's aggregation logs a batch too
+	r.s.wal.Replay(func(rec wal.Record) error {
+		if rec.Kind == recCommit || rec.Kind == recCommitAt {
+			recs = append(recs, rec)
+		}
+		return nil
+	})
+	if len(recs) != 2 || recs[0].Kind != recCommit || recs[1].Kind != recCommitAt ||
+		len(recs[1].Payload) != len(recs[0].Payload)-len(appendDirRef(nil, d0))+1 {
+		t.Errorf("two creates into d0 logged %d commits: want a full one, then a slot one with the DirRef replaced by one byte", len(recs))
+		for _, rec := range recs {
+			t.Logf("kind %d, %d bytes", rec.Kind, len(rec.Payload))
+		}
 	}
 }
 
@@ -262,6 +304,7 @@ func TestRecordBufferReuse(t *testing.T) {
 		fn   func()
 	}{
 		{"encodeCommit", func() { s.walBuf = encodeCommit(s.walBuf[:0], parent, e, in) }},
+		{"encodeCommitAt", func() { s.walBuf = encodeCommitAt(s.walBuf[:0], 3, e, in) }},
 		{"encodeAggBatch", func() { s.walBuf = encodeAggBatch(s.walBuf[:0], parent, batch) }},
 		{"encodeInodeRec", func() { s.walBuf = encodeInodeRec(s.walBuf[:0], key, in) }},
 		{"encodeDentryRec", func() { s.walBuf = encodeDentryRec(s.walBuf[:0], key.PID, key.Name, true, e.Type, e.Perm) }},
@@ -395,15 +438,29 @@ func TestChmodSurvivesReplay(t *testing.T) {
 
 var benchSink []byte
 
+// BenchmarkEncodeCommit encodes a create's commit record, naming its parent
+// in full (a directory's first commit in the log) or by its slot (every
+// later one); wal-B/op is the record's size.
 func BenchmarkEncodeCommit(b *testing.B) {
 	parent := core.DirRef{ID: core.DirID{1, 2, 3, 4}, Key: core.Key{PID: core.RootDirID, Name: "hot"}}
 	parent.FP = parent.Key.Fingerprint()
 	key := core.Key{PID: parent.ID, Name: "file-000123"}
 	e := core.LogEntry{ID: 7, Time: 99, Op: core.OpCreate, Name: key.Name, Type: core.TypeRegular, Perm: 0o644}
 	in := &core.Inode{Attr: core.Attr{Type: core.TypeRegular, Perm: 0o644, Nlink: 1}}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		benchSink = encodeCommit(benchSink[:0], parent, e, in)
+	for _, c := range []struct {
+		name string
+		enc  func(b []byte) []byte
+	}{
+		{"full", func(b []byte) []byte { return encodeCommit(b, parent, e, in) }},
+		{"slot", func(b []byte) []byte { return encodeCommitAt(b, 1, e, in) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink = c.enc(benchSink[:0])
+			}
+			b.ReportMetric(float64(len(benchSink)), "wal-B/op")
+		})
 	}
 }
 
@@ -606,12 +663,13 @@ func BenchmarkAggregate(b *testing.B) {
 	agg(20, 20+b.N)
 }
 
-// FuzzRecordDecoders feeds one payload to every WAL record decoder: each
-// returns, with an error or without, and none panics, so a corrupt log
-// fail-stops Recover instead of the process. The seed corpus, which tier-1
-// runs, is every record of testdata/faulty_run.wal as it is, cut in half,
-// short of its last byte (inside the last entry of a batch, whose entries
-// run to the end) and extended.
+// FuzzRecordDecoders feeds one payload to every WAL record decoder, the slot
+// commit's against a table of two slots: each returns, with an error or
+// without, and none panics, so a corrupt log fail-stops Recover instead of
+// the process. The seed corpus, which tier-1 runs, is every record of
+// testdata/faulty_run.wal as it is, cut in half, short of its last byte
+// (inside the last entry of a batch, whose entries run to the end) and
+// extended.
 func FuzzRecordDecoders(f *testing.F) {
 	for _, log := range loadWALs(f) {
 		log.Replay(func(r wal.Record) error {
@@ -622,8 +680,10 @@ func FuzzRecordDecoders(f *testing.F) {
 			return nil
 		})
 	}
+	slots := []core.DirRef{core.RootRef(), randDirRef(rand.New(rand.NewSource(1)))}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		decodeCommit(b)
+		decodeCommitAt(b, slots)
 		decodeAggBatch(b)
 		decodeInodeRec(b)
 		decodeDentryRec(b)

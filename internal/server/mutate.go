@@ -160,8 +160,7 @@ func (s *Server) handleMutate(p *env.Proc, _ *wire.Packet, req *wire.MutateReq) 
 		p.Compute(c.LogAppend)
 	}
 	entry.ID = s.ids.Next()
-	s.walBuf = encodeCommit(s.walBuf[:0], req.Parent, entry, &in)
-	lsn := s.logRecord(recCommit)
+	lsn := s.logCommit(parentLog, req.Parent, entry, &in)
 	s.storeInode(key, stored)
 
 	if s.cfg.Updates == UpdateSync {
@@ -201,6 +200,22 @@ func (s *Server) handleMutate(p *env.Proc, _ *wire.Packet, req *wire.MutateReq) 
 	} else {
 		s.resetIdleTimer(parentLog)
 	}
+}
+
+// logCommit logs entry's commit under parent, whose change-log is dl: a
+// recCommitAt when dl's slot names parent, else a recCommit, which defines
+// the log's next slot, dl's from now on if dl is parent's.
+func (s *Server) logCommit(dl *dirLog, parent core.DirRef, entry core.LogEntry, in *core.Inode) wal.LSN {
+	if dl.walSlot != 0 && dl.ref == parent {
+		s.walBuf = encodeCommitAt(s.walBuf[:0], dl.walSlot, entry, in)
+		return s.logRecord(recCommitAt)
+	}
+	s.walBuf = encodeCommit(s.walBuf[:0], parent, entry, in)
+	s.walSlots++
+	if dl.walSlot = 0; dl.ref == parent {
+		dl.walSlot = s.walSlots
+	}
+	return s.logRecord(recCommit)
 }
 
 // replyMutate answers a mutation that ends without a switch-mediated commit

@@ -44,6 +44,10 @@ const (
 	// recAggBatch holds what one aggregation batch applies at a directory's
 	// owner (applyBatch): every source's entries above its watermark.
 	recAggBatch uint8 = 11
+
+	// recCommitAt is a recCommit whose parent is named by a slot: the n-th
+	// recCommit in a log defines slot n, its parent's DirRef.
+	recCommitAt uint8 = 12
 )
 
 // Record layouts. Every length, count, entry id, source id and timestamp is
@@ -56,9 +60,17 @@ const (
 // delete carries no inode image. An aggregation batch names its directory
 // once, then per source its id and its entries, each entry id a delta from
 // the source's previous one: a create applied at the owner logs about 18
-// bytes, not a record of its own. Each kind's decoder sits next to its
-// encoder and returns an error for a payload it cannot parse, so a corrupt
-// log fail-stops the server (Recover) instead of panicking the process.
+// bytes, not a record of its own. A commit names its parent once per log:
+// the directory's first commit in a log is a recCommit, whose DirRef (32-byte
+// id, 32-byte parent id and name, 8-byte fingerprint) defines the log's next
+// slot, numbered from 1 in log order; every later commit into it is a
+// recCommitAt, the same bytes with the DirRef replaced by the slot's uvarint,
+// so a create logs about 29 bytes at the name's owner instead of 103. Slots
+// are scoped to the log, and replay resolves them in log order (commitSlots).
+// Each kind's decoder sits next to its encoder and returns an error for a
+// payload it cannot parse, a slot no earlier record defined included, so a
+// corrupt log fail-stops the server (Recover) instead of panicking the
+// process.
 
 var (
 	errShort    = errors.New("truncated field")
@@ -213,7 +225,19 @@ func (r *recReader) entry() (dir core.DirRef, e core.LogEntry) {
 // unless the entry is a delete, the inode image the operation stored. The
 // operation's key is (parent.ID, entry.Name) and its op entry.Op.
 func encodeCommit(b []byte, parent core.DirRef, entry core.LogEntry, in *core.Inode) []byte {
-	b = encodeEntry(b, parent, entry)
+	return appendCommitTail(appendDirRef(b, parent), entry, in)
+}
+
+// encodeCommitAt appends a recCommitAt WAL record to b: encodeCommit's
+// record with the parent's DirRef replaced by the slot that names it.
+func encodeCommitAt(b []byte, slot uint32, entry core.LogEntry, in *core.Inode) []byte {
+	return appendCommitTail(binary.AppendUvarint(b, uint64(slot)), entry, in)
+}
+
+// appendCommitTail appends what follows a commit's parent: the entry and,
+// unless it is a delete, the inode image.
+func appendCommitTail(b []byte, entry core.LogEntry, in *core.Inode) []byte {
+	b = appendEntryFields(binary.AppendUvarint(b, entry.ID), entry)
 	if entry.Op != core.OpDelete {
 		b = core.AppendInode(b, in)
 	}
@@ -223,11 +247,44 @@ func encodeCommit(b []byte, parent core.DirRef, entry core.LogEntry, in *core.In
 // decodeCommit parses a recCommit record; in is nil for a delete.
 func decodeCommit(b []byte) (key core.Key, parent core.DirRef, entry core.LogEntry, in *core.Inode, err error) {
 	r := recReader{b: b}
-	parent, entry = r.entry()
+	return r.commitTail(r.dirRef(), "commit")
+}
+
+// decodeCommitAt parses a recCommitAt record, its parent the DirRef of slot
+// n, slots[n-1]. A slot that is 0 or past the table is an error.
+func decodeCommitAt(b []byte, slots []core.DirRef) (key core.Key, parent core.DirRef, entry core.LogEntry, in *core.Inode, err error) {
+	r := recReader{b: b}
+	if n := r.uvarint(); n != 0 && n <= uint64(len(slots)) {
+		parent = slots[n-1]
+	} else if r.err == nil {
+		r.err = fmt.Errorf("slot %d undefined (%d defined)", n, len(slots))
+	}
+	return r.commitTail(parent, "slot commit")
+}
+
+// commitTail reads what appendCommitTail wrote, under parent.
+func (r *recReader) commitTail(parent core.DirRef, kind string) (key core.Key, _ core.DirRef, entry core.LogEntry, in *core.Inode, err error) {
+	entry.ID = r.uvarint()
+	r.entryFields(&entry)
 	if entry.Op != core.OpDelete {
 		in = r.inode()
 	}
-	return core.Key{PID: parent.ID, Name: entry.Name}, parent, entry, in, r.end("commit")
+	return core.Key{PID: parent.ID, Name: entry.Name}, parent, entry, in, r.end(kind)
+}
+
+// commitSlots is the slot table of one log, built while it replays in order:
+// slot n is the parent of the log's n-th recCommit.
+type commitSlots []core.DirRef
+
+// decode parses a recCommit, which defines the next slot, or a recCommitAt,
+// which names one defined before it.
+func (t *commitSlots) decode(kind uint8, b []byte) (key core.Key, parent core.DirRef, entry core.LogEntry, in *core.Inode, err error) {
+	if kind == recCommitAt {
+		return decodeCommitAt(b, *t)
+	}
+	key, parent, entry, in, err = decodeCommit(b)
+	*t = append(*t, parent)
+	return key, parent, entry, in, err
 }
 
 // encodeAggBatch appends a recAggBatch record to b: the entries of dir that

@@ -199,11 +199,13 @@ func (r *redoPlan) longest() (n int) {
 // another, and returns what the pass costs in virtual time.
 func (s *Server) replayWAL() (redoPlan, error) {
 	plan := redoPlan{lanes: s.cfg.Cores}
+	var slots commitSlots
 	s.bootstrapRoot()
 	err := s.wal.Replay(func(r wal.Record) error {
 		switch r.Kind {
-		case recCommit:
-			key, parent, entry, in, err := decodeCommit(r.Payload)
+		case recCommit, recCommitAt:
+			// Charged and applied alike: a slot only names the parent.
+			key, parent, entry, in, err := slots.decode(r.Kind, r.Payload)
 			if err != nil {
 				return err
 			}
@@ -303,6 +305,7 @@ func (s *Server) replayWAL() (redoPlan, error) {
 		}
 		return nil
 	})
+	s.walSlots = uint32(len(slots)) // this incarnation's commits define the slots after them
 	return plan, err
 }
 

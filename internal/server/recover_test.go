@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"runtime"
 	"slices"
@@ -29,7 +30,9 @@ import (
 // The payloads were written in earlier record and inode image layouts and
 // transcoded once to the ones record.go and core.AppendInode define; the
 // owner-side entries, once a record each, were folded into one aggregation
-// batch per run of consecutive entries of one directory.
+// batch per run of consecutive entries of one directory, and each commit
+// whose parent an earlier commit of the same log named in full became a
+// recCommitAt naming that commit's slot (15 full commits, 40 slot commits).
 // TestReplayEquivalence's digests and entry counts did not change. Format:
 // per server a big-endian u32 record count, then per record kind, applied
 // flag, u32 payload length, payload.
@@ -188,7 +191,7 @@ func TestReplayEquivalence(t *testing.T) {
 		}
 		log.Replay(func(r wal.Record) error { kinds[r.Kind] = true; return nil })
 	}
-	for _, k := range []uint8{recCommit, recAggBatch, recInode, recDentry, recDelDentries, recMark, recTxnCommit, recTxnPrepare, recEvict} {
+	for _, k := range []uint8{recCommit, recCommitAt, recAggBatch, recInode, recDentry, recDelDentries, recMark, recTxnCommit, recTxnPrepare, recEvict} {
 		if !kinds[k] {
 			t.Errorf("testdata holds no record of kind %d", k)
 		}
@@ -264,14 +267,22 @@ func replayEveryPrefix(t *testing.T, recs []wal.Record, whole int) {
 func checkRebuilt(t *testing.T, what string, s *Server, log *wal.Mem) {
 	t.Helper()
 	commits, prepares, decisions := 0, map[wal.LSN]int{}, map[uint64]int{}
+	var slots commitSlots // every commit defines or names a slot, applied or not
 	log.Replay(func(r wal.Record) error {
+		var parent core.DirRef
+		var entry core.LogEntry
+		if r.Kind == recCommit || r.Kind == recCommitAt {
+			var err error
+			if _, parent, entry, _, err = slots.decode(r.Kind, r.Payload); err != nil {
+				t.Fatalf("%s: commit %d: %v", what, r.LSN, err)
+			}
+		}
 		if r.Applied {
 			return nil
 		}
 		switch r.Kind {
-		case recCommit:
+		case recCommit, recCommitAt:
 			commits++
-			_, parent, entry, _, _ := decodeCommit(r.Payload)
 			dl := s.clogs[parent.ID]
 			if dl == nil {
 				t.Fatalf("%s: no change-log for the parent of commit %d", what, r.LSN)
@@ -295,6 +306,9 @@ func checkRebuilt(t *testing.T, what string, s *Server, log *wal.Mem) {
 	})
 	if n := s.PendingClogEntries(); n != commits {
 		t.Fatalf("%s: %d change-log entries pending for %d unapplied commits", what, n, commits)
+	}
+	if s.walSlots != uint32(len(slots)) {
+		t.Fatalf("%s: the replayed server counts %d slots, the log defines %d", what, s.walSlots, len(slots))
 	}
 	for _, ra := range s.txnRearm {
 		prepares[ra.lsn]--
@@ -531,8 +545,10 @@ func TestRecoverChargesLongestLane(t *testing.T) {
 // TestRecoverErrorFailStops: a log that cannot be replayed leaves the server
 // fail-stopped — nothing parked, nothing serving, node down — whatever the
 // record kind that cannot be parsed: one row per kind, its payload cut inside
-// its fixed part, one uvarint that overflows, and one unknown kind. Recover
-// returns an error; no decoder panics.
+// its fixed part, one uvarint that overflows, one unknown kind, and a slot
+// commit that names slot 0 or a slot no record defined (each slot commit
+// follows one full commit, which defines slot 1). Recover returns an error;
+// no decoder panics.
 func TestRecoverErrorFailStops(t *testing.T) {
 	dir := core.DirRef{ID: core.DirID{1, 2, 3, 4}, Key: core.Key{PID: core.RootDirID, Name: "d"}}
 	dir.FP = dir.Key.Fingerprint()
@@ -552,6 +568,9 @@ func TestRecoverErrorFailStops(t *testing.T) {
 	}{
 		{"unknown kind", 99, []byte("not a record")},
 		{"commit cut in its directory", recCommit, encodeCommit(nil, dir, e, in)[:40]},
+		{"slot commit naming slot 0", recCommitAt, encodeCommitAt(nil, 0, e, in)},
+		{"slot commit naming a slot not yet defined", recCommitAt, encodeCommitAt(nil, 2, e, in)},
+		{"slot commit cut in its entry", recCommitAt, encodeCommitAt(nil, 1, e, in)[:4]},
 		{"aggregation batch cut in its directory", recAggBatch, batch(e)[:20]},
 		{"aggregation batch cut in its entry", recAggBatch, batch(e)[:len(batch(e))-1]},
 		{"aggregation batch with a zero byte appended", recAggBatch, append(batch(e), 0)},
@@ -570,6 +589,9 @@ func TestRecoverErrorFailStops(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			log := wal.NewMem()
+			if c.kind == recCommitAt {
+				mustAppend(log, recCommit, encodeCommit(nil, dir, e, in))
+			}
 			mustAppend(log, c.kind, c.payload)
 			sim, s := newReplayServer(t, log, 4)
 			var err error
@@ -885,5 +907,102 @@ func TestFailStopEndsPeerAggregation(t *testing.T) {
 	}
 	if s.clogs[dir.ID].log.Len() != 1 {
 		t.Error("the abandoned aggregation trimmed the change-log")
+	}
+}
+
+// commitParents resolves each commit record of log, in log order, to the kind
+// it was logged as and, by its entry's name, its parent.
+func commitParents(t *testing.T, log *wal.Mem) (kinds []uint8, parents map[string]core.DirRef) {
+	t.Helper()
+	parents = map[string]core.DirRef{}
+	var slots commitSlots
+	log.Replay(func(r wal.Record) error {
+		if r.Kind != recCommit && r.Kind != recCommitAt {
+			return nil
+		}
+		_, parent, entry, _, err := slots.decode(r.Kind, r.Payload)
+		if err != nil {
+			t.Fatalf("commit %d: %v", r.LSN, err)
+		}
+		kinds = append(kinds, r.Kind)
+		parents[entry.Name] = parent
+		return nil
+	})
+	return kinds, parents
+}
+
+// createsIn sends the rig's server, 1 ms apart, one create of each name into
+// its parent in want, RPC ids from rpc on, and runs the simulation until it
+// drains.
+func (r *rig) createsIn(want map[string]core.DirRef, rpc uint64, names ...string) {
+	for i, name := range names {
+		r.send(rigServer, env.Duration(i+1)*env.Millisecond, &wire.MutateReq{
+			ReqCommon: wire.ReqCommon{RPC: rpc + uint64(i), Client: rigClient},
+			Op:        core.OpCreate, Parent: want[name], Name: name})
+	}
+	r.sim.Run()
+}
+
+func testDirRef(id uint64, name string) core.DirRef {
+	d := core.DirRef{ID: core.DirID{id, 1, 2, 3}, Key: core.Key{PID: core.RootDirID, Name: name}}
+	d.FP = d.Key.Fingerprint()
+	return d
+}
+
+// TestRenameRedefinesSlot: a directory's commits name it by its slot until a
+// rename re-keys its change-log (rekeyClog); the next commit into it names
+// it in full, under its new key, and defines the slot the commits after it
+// name.
+func TestRenameRedefinesSlot(t *testing.T) {
+	r := newRig(t)
+	d, moved := testDirRef(7, "d0"), testDirRef(7, "d1")
+	want := map[string]core.DirRef{"a": d, "b": d, "c": moved, "e": moved}
+	r.createsIn(want, 1, "a", "b", "c", "e")
+	kinds, parents := commitParents(t, r.s.wal)
+	if !slices.Equal(kinds, []uint8{recCommit, recCommitAt, recCommit, recCommitAt}) {
+		t.Errorf("commit kinds %v, want full, slot, full after the rename, slot", kinds)
+	}
+	if !maps.Equal(parents, want) {
+		t.Errorf("the log resolves the commits to %v, want %v", parents, want)
+	}
+}
+
+// TestSlotsContinueAcrossRestart: a restarted server numbers the slots its
+// commits define after those its predecessors' records define. Three
+// directories get a commit each, the server crashes and recovers, two
+// commits go into a new directory — the second names the slot the first
+// defined — and the server crashes again: the log resolves every commit to
+// its own parent, and a replay of it counts four slots.
+func TestSlotsContinueAcrossRestart(t *testing.T) {
+	r := newRig(t)
+	want := map[string]core.DirRef{}
+	for i := range 3 {
+		want[fmt.Sprintf("f%d", i)] = testDirRef(uint64(10+i), fmt.Sprintf("d%d", i))
+	}
+	r.createsIn(want, 1, "f0", "f1", "f2")
+	log := r.s.wal
+	r.s.Crash()
+	r.s = Restart(r.sim, r.s.cfg, log)
+	r.sim.Spawn(rigServer, func(p *env.Proc) {
+		if err := r.s.Recover(p); err != nil {
+			t.Error(err)
+		}
+	})
+	r.sim.Run()
+	fresh := testDirRef(20, "new")
+	want["g"], want["h"] = fresh, fresh
+	r.createsIn(want, 10, "g", "h")
+	r.s.Crash()
+
+	kinds, parents := commitParents(t, log)
+	if !slices.Equal(kinds, []uint8{recCommit, recCommit, recCommit, recCommit, recCommitAt}) {
+		t.Errorf("commit kinds %v, want four full and one slot", kinds)
+	}
+	if !maps.Equal(parents, want) {
+		t.Errorf("the log resolves the commits to %v, want %v", parents, want)
+	}
+	_, s := newReplayServer(t, log, 4)
+	if _, err := s.replayWAL(); err != nil || s.walSlots != 4 {
+		t.Errorf("replay: %d slots, %v; want 4", s.walSlots, err)
 	}
 }

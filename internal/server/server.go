@@ -125,6 +125,9 @@ type dirLog struct {
 	idle *env.Timer
 	// pushing guards against concurrent proactive pushes of the same log.
 	pushing bool
+	// walSlot, when nonzero, is the WAL slot that names ref: the commits
+	// into the directory log a recCommitAt (logCommit).
+	walSlot uint32
 	// heldBy, when nonzero, is the aggregation currently holding the
 	// exclusive protocol lock pending the owner's ack (§5.2.2 step 9a).
 	heldBy uint64
@@ -193,6 +196,9 @@ type Server struct {
 	// because a record is encoded and appended in one event, with no park in
 	// between, so no other process can encode into it meanwhile.
 	walBuf []byte
+	// walSlots counts the slots the log defines: its recCommit records,
+	// whatever incarnation logged them (replayWAL restores it).
+	walSlots uint32
 
 	// In-memory indexes. locks holds the inode locks of the operations in
 	// flight (lockOf); freeLocks keeps released ones for reuse.
@@ -528,6 +534,7 @@ func (s *Server) rekeyClog(dl *dirLog, ref core.DirRef) {
 	if dl.ref.Key == ref.Key {
 		return
 	}
+	dl.walSlot = 0 // the slot names the old key
 	if m := s.clogsByFP[dl.ref.FP]; m != nil {
 		delete(m, ref.ID)
 		if len(m) == 0 {
