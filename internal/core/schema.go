@@ -403,8 +403,9 @@ var (
 	errImageTrailing = errors.New("core: inode image has trailing bytes")
 )
 
-// imageReader reads an image's fields in order. The first bad read sets
-// err; every read after it returns zero, so the decoder checks err once.
+// imageReader reads an image's fields in order. The first bad read sets err
+// and drops the bytes left, so every read after it returns zero and the
+// decoder checks err once.
 type imageReader struct {
 	b   []byte
 	p   byte // presence
@@ -413,23 +414,32 @@ type imageReader struct {
 
 func (r *imageReader) fail(err error) {
 	if r.err == nil {
-		r.err = err
+		r.err, r.b = err, nil
 	}
 }
 
-// uvarint reads a uvarint in its shortest form.
+// uvarint reads a uvarint in its shortest form. A one-byte field — nlink, a
+// small size or location — is read inline: a one-byte form is never overlong
+// and never overflows, and after an error no byte is left to read.
 func (r *imageReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
+	if len(r.b) != 0 && r.b[0] < 0x80 {
+		v := uint64(r.b[0])
+		r.b = r.b[1:] // a self-assignment, which keeps the image on the stack
+		return v
 	}
+	return r.uvarintLong()
+}
+
+// uvarintLong reads a uvarint of any length, refusing an overlong form.
+func (r *imageReader) uvarintLong() uint64 {
 	v, n := binary.Uvarint(r.b)
 	switch {
 	case n == 0:
-		r.err = errImageShort
+		r.fail(errImageShort)
 	case n < 0:
-		r.err = errImageOverflow
+		r.fail(errImageOverflow)
 	case n > 1 && r.b[n-1] == 0: // a zero last group adds nothing
-		r.err = errImageOverlong
+		r.fail(errImageOverlong)
 	default:
 		r.b = r.b[n:]
 		return v
