@@ -113,7 +113,9 @@ bench:
 # entry for unique names and inode-sized values), the write-ahead log (append
 # and replay), the client's cached path resolution and its one metadata
 # round trip (BenchmarkClientCall: one allocation, its packet), the server's
-# durable-record encoders, its recovery (BenchmarkRecover), a 2PC rename and
+# durable-record encoders (BenchmarkEncodeCommit: a commit naming its
+# directory in full and by its slot, wal-B/op each), its recovery
+# (BenchmarkRecover), a 2PC rename and
 # an aggregation round (BenchmarkRename, BenchmarkAggregate: allocations per
 # round with -benchmem), the nodes' one way to wait for a peer (internal/rpc's
 # BenchmarkPeerCall), the one memo of served requests, client requests and 2PC

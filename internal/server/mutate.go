@@ -204,7 +204,7 @@ func (s *Server) handleMutate(p *env.Proc, _ *wire.Packet, req *wire.MutateReq) 
 
 // logCommit logs entry's commit under parent, whose change-log is dl: a
 // recCommitAt when dl's slot names parent, else a recCommit, which defines
-// the log's next slot, dl's from now on if dl is parent's.
+// the log's next slot, dl's from now on if dl's ref is parent.
 func (s *Server) logCommit(dl *dirLog, parent core.DirRef, entry core.LogEntry, in *core.Inode) wal.LSN {
 	if dl.walSlot != 0 && dl.ref == parent {
 		s.walBuf = encodeCommitAt(s.walBuf[:0], dl.walSlot, entry, in)
@@ -212,7 +212,7 @@ func (s *Server) logCommit(dl *dirLog, parent core.DirRef, entry core.LogEntry, 
 	}
 	s.walBuf = encodeCommit(s.walBuf[:0], parent, entry, in)
 	s.walSlots++
-	if dl.walSlot = 0; dl.ref == parent {
+	if dl.ref == parent {
 		dl.walSlot = s.walSlots
 	}
 	return s.logRecord(recCommit)

@@ -206,8 +206,8 @@ func (r *recReader) entryFields(e *core.LogEntry) {
 	e.Name = r.str()
 }
 
-// encodeEntry appends one change-log entry of dir: the head of a recCommit
-// record and the update of a prepared op.
+// encodeEntry appends one change-log entry of dir: the update of a prepared
+// op, and the bytes a recCommit record starts with.
 func encodeEntry(b []byte, dir core.DirRef, e core.LogEntry) []byte {
 	return appendEntryFields(binary.AppendUvarint(appendDirRef(b, dir), e.ID), e)
 }
