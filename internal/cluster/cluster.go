@@ -293,15 +293,16 @@ func (c *Cluster) PerServerOps() []uint64 {
 	return out
 }
 
-// metricsTopDirs bounds the per-directory tallies exported per server: only
-// the hottest K directories become metric keys, keeping snapshots small and
+// metricsTopDirs bounds the directory-group tallies exported per server: only
+// the hottest K groups become metric keys, keeping snapshots small and
 // schema-stable no matter how wide the namespace grew.
 const metricsTopDirs = 4
 
 // FillMetrics pours the cluster's per-node counters into reg. Keys are
 // stable strings (`server.<i>.ops`, `switch.<i>.queries`, ...) so two
-// same-seed runs produce identical snapshots; per-directory tallies are
-// exported rank-keyed (hottest first) and capped at metricsTopDirs entries.
+// same-seed runs produce identical snapshots; the balancer's directory-group
+// tallies are exported rank-keyed (hottest first) and capped at
+// metricsTopDirs entries.
 // Client counters are summed over the clients (`client.retries`, ...): a
 // deployment may run a million of them.
 func (c *Cluster) FillMetrics(reg *metrics.Registry) {
@@ -314,10 +315,10 @@ func (c *Cluster) FillMetrics(reg *metrics.Registry) {
 	for i := 0; i < c.maxServers; i++ {
 		pre := fmt.Sprintf("server.%d.", i)
 		var st server.Stats
-		var dirs []server.DirOp
+		var dirs []server.FPOp
 		if i < len(c.Servers) {
 			st = c.Servers[i].Stats
-			dirs = c.Servers[i].DirOps()
+			dirs = c.Servers[i].FPOps()
 		}
 		reg.Add(pre+"ops", st.Ops)
 		reg.Add(pre+"async_commits", st.AsyncCommits)

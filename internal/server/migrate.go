@@ -37,12 +37,16 @@ import (
 //     a WAL record;
 //   - UnblockFP releases the gate and the destination serves.
 
-// tallyFP counts one admitted client operation against its fingerprint group
-// — the balancer's view of directory heat in migration units. Call sites
-// tally only after admitFP succeeds: an op bounced with ErrRetry around a
-// migration would otherwise count at both the old owner and, on retry, the
-// new one, inflating the moved group's apparent heat and letting a retry
-// storm ping-pong the same hot group between servers.
+// tallyFP counts one admitted directory operation against the directory's
+// fingerprint group — the balancer's view of directory heat in migration
+// units. Only handleDirRead and detach (rmdir, directory rename) call it: the
+// group they admit is a directory's by construction. A create or stat admits
+// its file's own group, which moving shifts no directory heat, so it is not
+// tallied, and the table holds only the directory groups touched since the
+// last pass. Call sites tally only after admitFP succeeds: an op bounced with
+// ErrRetry around a migration would otherwise count at both the old owner
+// and, on retry, the new one, inflating the moved group's apparent heat and
+// letting a retry storm ping-pong the same hot group between servers.
 func (s *Server) tallyFP(fp core.Fingerprint) {
 	s.fpOps[fp]++
 }
@@ -53,8 +57,9 @@ type FPOp struct {
 	N  uint64
 }
 
-// FPOps returns per-group op tallies, hottest first (ties broken by
-// fingerprint — deterministic for the balancer's selection).
+// FPOps returns the directory-group op tallies, hottest first (ties broken
+// by fingerprint — deterministic for the balancer's selection and the
+// metrics' top-K view).
 func (s *Server) FPOps() []FPOp {
 	out := make([]FPOp, 0, len(s.fpOps))
 	for fp, n := range s.fpOps {

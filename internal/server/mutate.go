@@ -11,7 +11,6 @@ import (
 // §5.2.1. The request is addressed to the owner of the target object's inode.
 func (s *Server) handleMutate(p *env.Proc, _ *wire.Packet, req *wire.MutateReq) {
 	s.Stats.Ops++
-	s.tallyDir(req.Parent.ID)
 	c := &s.cfg.Costs
 	key := core.Key{PID: req.Parent.ID, Name: req.Name}
 	fp := key.Fingerprint()
@@ -58,7 +57,6 @@ func (s *Server) handleMutate(p *env.Proc, _ *wire.Packet, req *wire.MutateReq) 
 			return
 		}
 		admitted = true
-		s.tallyFP(fp)
 	}
 	// The parent ref is current (stale caches were just rejected): if the
 	// directory was renamed since this change-log was created, re-key the

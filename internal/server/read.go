@@ -82,7 +82,6 @@ func (s *Server) handleFile(p *env.Proc, _ *wire.Packet, req *wire.FileReq) {
 	c := &s.cfg.Costs
 	chmod := req.Op == core.OpChmod
 	s.Stats.Ops++
-	s.tallyDir(req.Parent.ID)
 	key := core.Key{PID: req.Parent.ID, Name: req.Name}
 	fp := key.Fingerprint()
 	pkt, resp := wire.NewPacket[wire.FileResp](req.Client, s.cfg.ID)
@@ -91,7 +90,6 @@ func (s *Server) handleFile(p *env.Proc, _ *wire.Packet, req *wire.FileReq) {
 		err = s.admitFP(p, fp)
 	}
 	if err == nil {
-		s.tallyFP(fp)
 		l := s.lockOf(key)
 		if chmod {
 			l.Lock(p)
@@ -137,7 +135,6 @@ func (s *Server) handleFile(p *env.Proc, _ *wire.Packet, req *wire.FileReq) {
 func (s *Server) handleDirRead(p *env.Proc, pkt *wire.Packet, req *wire.DirReadReq) {
 	c := &s.cfg.Costs
 	s.Stats.Ops++
-	s.tallyDir(req.Dir.ID)
 	out, resp := wire.NewPacket[wire.DirReadResp](req.Client, s.cfg.ID)
 	err := s.checkAncestors(&req.ReqCommon)
 	if err == nil {

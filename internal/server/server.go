@@ -6,7 +6,6 @@
 package server
 
 import (
-	"cmp"
 	"slices"
 	"sort"
 	"strings"
@@ -222,11 +221,9 @@ type Server struct {
 	// ids: the exactly-once guard of §A.1.
 	applied map[appliedKey]uint64
 
-	// dirOps tallies client operations per target directory (observability;
-	// exported via DirOps for the metrics registry's hottest-directory view).
-	dirOps map[core.DirID]uint64
-	// fpOps tallies client operations per fingerprint group — the balancer's
-	// migration-unit view of the same heat (a fingerprint is what moves).
+	// fpOps tallies the directory reads and detaches admitted per directory
+	// group since the balancer's last pass: the one op table a server keeps,
+	// read by the balancer and by the metrics' hottest-directory view.
 	fpOps map[core.Fingerprint]uint64
 
 	// busy counts in-flight client operations per fingerprint group; a
@@ -378,7 +375,6 @@ func New(e *env.Sim, cfg Config) *Server {
 		removals:   make(map[core.Key]*detachment),
 		invalSet:   make(map[core.DirID]uint64),
 		applied:    make(map[appliedKey]uint64),
-		dirOps:     make(map[core.DirID]uint64),
 		fpOps:      make(map[core.Fingerprint]uint64),
 		busy:       make(map[core.Fingerprint]int),
 		gates:      make(map[core.Fingerprint]*env.Future),
@@ -694,33 +690,6 @@ func (s *Server) SetServing(v bool) {
 	for _, m := range parked {
 		s.env.Spawn(s.cfg.ID, func(p *env.Proc) { s.handle(p, m.from, m.pkt) })
 	}
-}
-
-// tallyDir counts one client operation against its target directory.
-func (s *Server) tallyDir(id core.DirID) {
-	s.dirOps[id]++
-}
-
-// DirOp is one directory's operation tally.
-type DirOp struct {
-	Dir core.DirID
-	N   uint64
-}
-
-// DirOps returns per-directory op tallies, hottest first (ties broken by
-// directory id — deterministic for the metrics snapshot).
-func (s *Server) DirOps() []DirOp {
-	out := make([]DirOp, 0, len(s.dirOps))
-	for d, n := range s.dirOps {
-		out = append(out, DirOp{Dir: d, N: n})
-	}
-	slices.SortFunc(out, func(a, b DirOp) int {
-		if c := cmp.Compare(b.N, a.N); c != 0 {
-			return c
-		}
-		return cmpDirID(a.Dir, b.Dir)
-	})
-	return out
 }
 
 // Calls returns this incarnation's calls (rpc.Node): the control exchanges
