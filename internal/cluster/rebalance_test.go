@@ -467,3 +467,43 @@ func TestMigratedNameLeavesNoDeferredUpdateBehind(t *testing.T) {
 		})
 	}
 }
+
+// TestFPOpsHoldsOnlyDirectoryGroups pins that the balancer's op table grows
+// with the directory groups touched, not with the files: 2 048 creates and
+// stats in one directory, then one statdir, with no balancer pass to reset
+// the table, leave exactly one tallied group on the whole cluster — the
+// directory's, counted once, on its owner.
+func TestFPOpsHoldsOnlyDirectoryGroups(t *testing.T) {
+	_, c := sim(t, Options{Servers: 4, Clients: 1})
+	const files = 2048
+	c.Run(0, func(p *env.Proc, cl *client.Client) {
+		if err := cl.Mkdir(p, "/d", 0); err != nil {
+			t.Fatalf("mkdir: %v", err)
+		}
+		for i := 0; i < files; i++ {
+			if err := cl.Create(p, fmt.Sprintf("/d/f%d", i), 0); err != nil {
+				t.Fatalf("create: %v", err)
+			}
+		}
+		for i := 0; i < files; i++ {
+			if _, err := cl.Stat(p, fmt.Sprintf("/d/f%d", i)); err != nil {
+				t.Fatalf("stat: %v", err)
+			}
+		}
+		if attr, err := cl.StatDir(p, "/d"); err != nil || attr.Size != files {
+			t.Fatalf("statdir /d: size=%d err=%v, want %d", attr.Size, err, files)
+		}
+	})
+	fp := core.FingerprintOf(core.RootDirID, "d")
+	owner := int(c.Ring.OwnerOf(fp))
+	for i, srv := range c.Servers {
+		got := srv.FPOps()
+		if i == owner {
+			if len(got) != 1 || got[0].FP != fp || got[0].N != 1 {
+				t.Errorf("server %d (the directory's owner) tallies %d groups %v, want only /d's once", i, len(got), got[:min(len(got), 4)])
+			}
+		} else if len(got) != 0 {
+			t.Errorf("server %d tallies %d groups, want none", i, len(got))
+		}
+	}
+}
