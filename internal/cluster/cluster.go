@@ -108,6 +108,11 @@ type Cluster struct {
 	// reconfiguring marks an in-flight Reconfigure; a concurrently
 	// recovering server must not resume serving until it finishes.
 	reconfiguring bool
+	// unflushed holds the server slots that were down when a switch reboot
+	// flushed the change-logs: their entries are in no dirty set. While any
+	// has not finished Recover (which re-delivers them), the switches answer
+	// every query dirty.
+	unflushed map[int]bool
 	// maxServers is the widest the server set has ever been: metrics and
 	// PerServerOps emit this many slot-indexed rows so a shrink zeroes a
 	// removed slot's row instead of silently dropping it (-compare would
@@ -433,6 +438,10 @@ func (c *Cluster) RecoverServer(i int) *env.Future {
 			fut.Complete(err)
 			return
 		}
+		if c.unflushed[i] {
+			delete(c.unflushed, i)
+			c.setDirtyAll(len(c.unflushed) > 0)
+		}
 		if c.reconfiguring {
 			// A reconfiguration started while recovery ran; joining it
 			// serving would expose half-migrated state. Step 4 resumes
@@ -520,7 +529,12 @@ func (c *Cluster) CrashSwitch() {
 // RecoverSwitch restores consistency after a switch reboot: every server
 // flushes its change-logs so all directories return to normal state,
 // matching the empty dirty set; only then does the switch rejoin the
-// network. The returned future completes with the virtual duration.
+// network. A server that is down cannot flush, and the entries it logged
+// before it crashed may be in no dirty set now: until it has recovered, the
+// switch rejoins answering every query dirty, so directory reads aggregate,
+// and an aggregation that misses the down server ends incomplete and retries
+// (one failure at a time, §5.4.2, would never see this). The returned future
+// completes with the virtual duration.
 func (c *Cluster) RecoverSwitch() *env.Future {
 	fut := env.NewFuture()
 	c.Env.Spawn(c.Servers[0].ID(), func(p *env.Proc) {
@@ -529,6 +543,12 @@ func (c *Cluster) RecoverSwitch() *env.Future {
 		// serving while flushing.
 		for i := 0; i < len(c.Servers); i++ {
 			srv := c.Servers[i]
+			if srv.Node().Down() {
+				if c.unflushed == nil {
+					c.unflushed = make(map[int]bool)
+				}
+				c.unflushed[i] = true
+			}
 			sub := env.NewFuture()
 			c.Env.Spawn(srv.ID(), func(sp *env.Proc) {
 				srv.FlushAll(sp)
@@ -542,6 +562,7 @@ func (c *Cluster) RecoverSwitch() *env.Future {
 			})
 			sub.Wait(p)
 		}
+		c.setDirtyAll(len(c.unflushed) > 0)
 		for _, sw := range c.Switches {
 			if n := c.Env.Node(sw.ID); n != nil {
 				n.SetDown(false)
@@ -550,6 +571,13 @@ func (c *Cluster) RecoverSwitch() *env.Future {
 		fut.Complete(p.Now() - start)
 	})
 	return fut
+}
+
+// setDirtyAll sets or lifts every switch's all-dirty hold.
+func (c *Cluster) setDirtyAll(v bool) {
+	for _, sw := range c.Switches {
+		sw.SetDirtyAll(v)
+	}
 }
 
 // String summarizes the deployment.

@@ -349,6 +349,19 @@ func TestRegressionTwoPathReResolvesStaleSource(t *testing.T) {
 	}
 }
 
+// TestRegressionSwitchRebootAwaitsDownServer pins class H of the wide sweep:
+// under adversarial random-3244 a statdir / answered size 0 after mkdir /b
+// was acknowledged. Server 3 crashed holding root's change-log entry, the
+// switch rebooted and recovered while it was down, and only the live servers
+// could flush; the empty dirty set then sent the read to root's owner
+// without an aggregation. The rebooted switch now answers every query dirty
+// until the server that was down has recovered and re-delivered its logs.
+func TestRegressionSwitchRebootAwaitsDownServer(t *testing.T) {
+	if rep := CheckConcurrent(3244, GenProgram(3244, 3, 6, AdversarialMix), planNamed(t, 3244, "random-3244")); rep.Failed() {
+		reportFailure(t, "adversarial plan random-3244", 3244, rep)
+	}
+}
+
 // TestSweepCoordinatorCrashAcrossTxn walks a coordinator crash, two
 // microseconds at a time, across two renames that share their parent
 // directory and reach the coordinator together: whatever instant the crash

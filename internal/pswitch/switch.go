@@ -41,6 +41,10 @@ type Switch struct {
 	// extraDelay is added to every dirty-set pipeline traversal — the gray
 	// failure of a congested or degraded switch pipe (fault injection).
 	extraDelay env.Duration
+	// dirtyAll makes every query answer dirty: a rebooted switch's empty
+	// registers cannot vouch for the entries a server that was down at its
+	// recovery still holds, until that server has re-delivered them.
+	dirtyAll bool
 }
 
 // New builds a switch. It holds one dirty set; a deployment that spreads
@@ -64,6 +68,11 @@ func (s *Switch) ForceOverflow(v bool) { s.ds.ForceOverflow = v }
 
 // Reset clears all dirty-set state (switch reboot, §5.4.2).
 func (s *Switch) Reset() { s.ds.Reset() }
+
+// SetDirtyAll makes every query answer dirty (v) or the registers answer
+// again (!v) — the control plane's hold after a reboot that could not flush
+// every server's change-logs.
+func (s *Switch) SetDirtyAll(v bool) { s.dirtyAll = v }
 
 // Occupied returns the number of live fingerprints.
 func (s *Switch) Occupied() int { return s.ds.Occupied() }
@@ -92,7 +101,7 @@ func (s *Switch) Handler(p *env.Proc, from env.NodeID, msg any) {
 	switch pkt.DS.Op {
 	case wire.DSQuery:
 		s.Stats.Queries++
-		ret := ds.Query(pkt.DS.FP)
+		ret := s.dirtyAll || ds.Query(pkt.DS.FP)
 		// Forward a copy: the RET field is written into the packet, and the
 		// original may be retransmitted by its sender. Packet and header
 		// are carved from one allocation — this runs once per directory
