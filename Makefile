@@ -67,9 +67,9 @@ bench-baseline:
 	bin/fsbench -fig gated -scale tiny -trace bin/trace-baseline.json -format json \
 		-out bench/baseline.json -compare bench/baseline.json; [ $$? -le 1 ]
 
-# SWEEP_WIDE runs the lincheck sweeps at 1 024 seeds each; SWEEP_LINES turns
+# SWEEP_WIDE runs the lincheck sweeps at 4 096 seeds each; SWEEP_LINES turns
 # its output into the failing (mode, seed) lines, sorted.
-SWEEP_WIDE = LINCHECK_SEEDS=1024 $(GO) test -count=1 -run TestSweep ./internal/lincheck
+SWEEP_WIDE = LINCHECK_SEEDS=4096 $(GO) test -count=1 -run TestSweep ./internal/lincheck
 SWEEP_LINES = sed -nE 's/^.*_test\.go:[0-9]+: (.* seed [0-9]+)( failed:|: [0-9]+ divergences).*/\1/p' | sort -u
 
 # sweep-wide prints the failing lines on stdout and their count on stderr. To
