@@ -12,9 +12,11 @@
 //	fsbench -validate run.json
 //
 // Figure ids: 2a 2b 2c 2d 12a 12b 13 14 overflow 15a 15b 16 17 18a 18b 19
-// recovery chaos rebalance data lincheck scale; `all` selects every one and
-// `gated` the set committed in bench/baseline.json. Scales: tiny, quick,
-// paper (paper takes minutes per figure). The chaos figure runs the fault-plan
+// recovery recovery-history chaos rebalance data lincheck scale; `all`
+// selects every one and `gated` the set committed in bench/baseline.json.
+// Scales: tiny, quick, paper (paper takes minutes per figure). The recovery-
+// history figure times a server's recovery after 0, 1, 4 and 16 rounds of
+// create/delete churn. The chaos figure runs the fault-plan
 // availability harness; -seed selects its random plan (and simulation seeds),
 // and any checker violation aborts the run non-zero. The rebalance figure
 // drives a skewed workload while the hot-directory balancer and a live
@@ -66,7 +68,7 @@ import (
 
 // gatedFigs is the one list of figures in the committed trajectory
 // (bench/baseline.json): what `-fig gated` selects.
-const gatedFigs = "12a,14,chaos,rebalance,data,lincheck,scale,recovery"
+const gatedFigs = "12a,14,chaos,rebalance,data,lincheck,scale,recovery,recovery-history"
 
 var registry = []struct {
 	id string
@@ -89,6 +91,7 @@ var registry = []struct {
 	{"18b", figures.Fig18b},
 	{"19", figures.Fig19},
 	{"recovery", figures.Recovery},
+	{"recovery-history", figures.RecoveryHistory},
 	{"chaos", figures.FigChaos},
 	{"rebalance", figures.FigRebalance},
 	{"data", figures.FigData},

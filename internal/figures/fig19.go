@@ -63,12 +63,29 @@ func Recovery(sc Scale) Table {
 	t := Table{ID: "Recovery", Title: "crash recovery time (virtual ms)",
 		Header: []string{"scenario", "files", "recovery ms"}}
 	for _, files := range []int{sc.Dirs * sc.FilesPerDir / 4, sc.Dirs * sc.FilesPerDir} {
-		d, rc := recoverServerTime(18, files, sc.Dirs)
+		d, _, rc := recoverServerTime(18, files, sc.Dirs, 0)
 		t.AddRow(rc, []string{"server crash", itoa(files), fmt.Sprintf("%.3f", float64(d)/1e6)})
 	}
 	for _, files := range []int{sc.Dirs * sc.FilesPerDir / 4, sc.Dirs * sc.FilesPerDir} {
 		d, rc := recoverSwitchTime(19, files, sc.Dirs)
 		t.AddRow(rc, []string{"switch crash", itoa(files), fmt.Sprintf("%.3f", float64(d)/1e6)})
+	}
+	return t
+}
+
+// RecoveryHistory measures item 7 of the roadmap: a server's recovery time
+// against the history its log holds. Each row crashes server 1 of the
+// recovery figure's server-crash deployment (every file WAL-backed, in half
+// the scale's directories) after 0, 1, 4 and 16 churn rounds, each of which
+// creates and deletes one file per preloaded file: the live namespace is
+// the same on every row, so what grows is what was ever logged.
+func RecoveryHistory(sc Scale) Table {
+	t := Table{ID: "RecoveryHistory", Title: "server recovery time against churn history (virtual ms)",
+		Header: []string{"rounds", "files", "recovery ms", "redo records"}}
+	files, dirs := sc.Dirs*sc.FilesPerDir, max(sc.Dirs/2, 1)
+	for _, rounds := range []int{0, 1, 4, 16} {
+		d, redo, rc := recoverServerTime(18, files, dirs, rounds)
+		t.AddRow(rc, []string{itoa(rounds), itoa(files), fmt.Sprintf("%.3f", float64(d)/1e6), itoa(int(redo))})
 	}
 	return t
 }

@@ -9,11 +9,15 @@ import (
 	"switchfs/internal/stats"
 )
 
-// recoverServerTime preloads a WAL-backed namespace, runs protocol traffic so
-// change-logs hold pending entries, crashes one server, and measures §5.4.2
-// recovery: WAL replay, change-log re-delivery, aggregation of owned
-// directories, invalidation-list clone.
-func recoverServerTime(seed int64, files, dirs int) (env.Duration, stats.Counters) {
+// recoverServerTime preloads a WAL-backed namespace, runs rounds of churn
+// (each creates and deletes one file per preloaded file and runs until its
+// deferred updates are applied, so the live namespace ends as it began and
+// only the log grows), then protocol traffic so change-logs hold pending
+// entries, crashes one server, and measures §5.4.2 recovery: WAL replay,
+// change-log re-delivery, aggregation of owned directories,
+// invalidation-list clone. It also returns the records the crashed server
+// redid.
+func recoverServerTime(seed int64, files, dirs, rounds int) (env.Duration, uint64, stats.Counters) {
 	sim := env.NewSim(seed)
 	defer sim.Shutdown()
 	c := cluster.New(sim, cluster.Options{Servers: 8, Clients: 1, SwitchIndexBits: 14,
@@ -32,6 +36,17 @@ func recoverServerTime(seed int64, files, dirs int) (env.Duration, stats.Counter
 	for d := 0; d < dirs; d++ {
 		pl.Files(fmt.Sprintf("/w%04d", d), "f", perDir)
 	}
+	for r := 0; r < rounds; r++ {
+		c.Run(0, func(p *env.Proc, cl *client.Client) {
+			for d := 0; d < dirs; d++ {
+				for i := 0; i < perDir; i++ {
+					name := fmt.Sprintf("/w%04d/c%d", d, i)
+					cl.Create(p, name, 0)
+					cl.Delete(p, name)
+				}
+			}
+		})
+	}
 	// Pending asynchronous updates at crash time (stop before the proactive
 	// timers drain them).
 	c.RunNoDrain(0, func(p *env.Proc, cl *client.Client) {
@@ -49,7 +64,8 @@ func recoverServerTime(seed int64, files, dirs int) (env.Duration, stats.Counter
 	if err, isErr := v.(error); isErr {
 		panic(err)
 	}
-	return v.(env.Duration), stats.Counters{PacketsDelivered: sim.Delivered, PacketsDropped: sim.Dropped}
+	return v.(env.Duration), c.Servers[1].Stats.RecoverRedoRecords,
+		stats.Counters{PacketsDelivered: sim.Delivered, PacketsDropped: sim.Dropped}
 }
 
 // recoverSwitchTime measures restoring consistency after a switch reboot:
