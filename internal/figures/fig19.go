@@ -63,7 +63,7 @@ func Recovery(sc Scale) Table {
 	t := Table{ID: "Recovery", Title: "crash recovery time (virtual ms)",
 		Header: []string{"scenario", "files", "recovery ms"}}
 	for _, files := range []int{sc.Dirs * sc.FilesPerDir / 4, sc.Dirs * sc.FilesPerDir} {
-		d, _, rc := recoverServerTime(18, files, sc.Dirs, 0)
+		d, _, rc := recoverServerTime(18, files, sc.Dirs, 0, obsTrace)
 		t.AddRow(rc, []string{"server crash", itoa(files), fmt.Sprintf("%.3f", float64(d)/1e6)})
 	}
 	for _, files := range []int{sc.Dirs * sc.FilesPerDir / 4, sc.Dirs * sc.FilesPerDir} {
@@ -78,13 +78,15 @@ func Recovery(sc Scale) Table {
 // recovery figure's server-crash deployment (every file WAL-backed, in half
 // the scale's directories) after 0, 1, 4 and 16 churn rounds, each of which
 // creates and deletes one file per preloaded file: the live namespace is
-// the same on every row, so what grows is what was ever logged.
+// the same on every row, so what grows is what was ever logged. The rows are
+// untraced: the recovery figure traces a server recovery already, and the
+// churn's spans would double this figure's host time.
 func RecoveryHistory(sc Scale) Table {
 	t := Table{ID: "RecoveryHistory", Title: "server recovery time against churn history (virtual ms)",
 		Header: []string{"rounds", "files", "recovery ms", "redo records"}}
 	files, dirs := sc.Dirs*sc.FilesPerDir, max(sc.Dirs/2, 1)
 	for _, rounds := range []int{0, 1, 4, 16} {
-		d, redo, rc := recoverServerTime(18, files, dirs, rounds)
+		d, redo, rc := recoverServerTime(18, files, dirs, rounds, nil)
 		t.AddRow(rc, []string{itoa(rounds), itoa(files), fmt.Sprintf("%.3f", float64(d)/1e6), itoa(int(redo))})
 	}
 	return t

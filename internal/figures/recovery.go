@@ -7,6 +7,7 @@ import (
 	"switchfs/internal/cluster"
 	"switchfs/internal/env"
 	"switchfs/internal/stats"
+	"switchfs/internal/trace"
 )
 
 // recoverServerTime preloads a WAL-backed namespace, runs rounds of churn
@@ -16,12 +17,12 @@ import (
 // entries, crashes one server, and measures §5.4.2 recovery: WAL replay,
 // change-log re-delivery, aggregation of owned directories,
 // invalidation-list clone. It also returns the records the crashed server
-// redid.
-func recoverServerTime(seed int64, files, dirs, rounds int) (env.Duration, uint64, stats.Counters) {
+// redid. tr records the deployment's spans (nil: untraced).
+func recoverServerTime(seed int64, files, dirs, rounds int, tr *trace.Recorder) (env.Duration, uint64, stats.Counters) {
 	sim := env.NewSim(seed)
 	defer sim.Shutdown()
 	c := cluster.New(sim, cluster.Options{Servers: 8, Clients: 1, SwitchIndexBits: 14,
-		Costs: env.DefaultCosts(), Trace: obsTrace,
+		Costs: env.DefaultCosts(), Trace: tr,
 		// Proactive aggregation is parked so pending updates survive until
 		// the crash — the recovery has real change-logs to re-deliver.
 		PushEntries: 1 << 30, PushIdle: env.Second, OwnerQuiesce: env.Second})
