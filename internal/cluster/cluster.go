@@ -128,7 +128,7 @@ func ServerOf(slot uint32) env.NodeID { return serverBase + env.NodeID(slot) }
 // New builds a cluster.
 func New(e *env.Sim, opts Options) *Cluster {
 	opts.Defaults()
-	c := &Cluster{Env: e, Opts: opts}
+	c := &Cluster{Env: e, Opts: opts, unflushed: make(map[int]bool)}
 
 	slots := make([]uint32, opts.Servers)
 	for i := range slots {
@@ -544,9 +544,6 @@ func (c *Cluster) RecoverSwitch() *env.Future {
 		for i := 0; i < len(c.Servers); i++ {
 			srv := c.Servers[i]
 			if srv.Node().Down() {
-				if c.unflushed == nil {
-					c.unflushed = make(map[int]bool)
-				}
 				c.unflushed[i] = true
 			}
 			sub := env.NewFuture()
