@@ -233,6 +233,67 @@ func TestSwitchCrashRecovery(t *testing.T) {
 	})
 }
 
+// TestSwitchRebootWhileServerDown: a server crashes holding an acknowledged
+// create's deferred update, and the switch reboots and recovers while it is
+// down, so no dirty set tracks the directory. A statdir issued while the
+// restarted server is still replaying a long log must see the entry
+// (retrying until it can), never the directory without it: the switch holds
+// every directory dirty until the server has finished Recover, whose
+// redeliver phase comes after the redo. (A read while the server is still
+// down is lincheck's TestRegressionSwitchRebootAwaitsDownServer.)
+func TestSwitchRebootWhileServerDown(t *testing.T) {
+	s, c := sim(t, Options{Servers: 4, Clients: 1, Costs: env.DefaultCosts(),
+		PushEntries: 1 << 30, PushIdle: env.Second, OwnerQuiesce: env.Second})
+	pl := NewPreload(c)
+	pl.LogWAL = true
+	dir := pl.Dir("/d")
+	// A long log everywhere: the restarted server redoes about 1 000
+	// records, hundreds of microseconds of virtual time.
+	pl.Files("/big", "f", 4000)
+	owner := c.Ring.OwnerOf(dir.FP)
+	name := ""
+	for i := 0; name == ""; i++ {
+		if n := fmt.Sprintf("x%d", i); c.Ring.OwnerOfFile(dir.ID, n) != owner {
+			name = n
+		}
+	}
+	holder := int(c.Ring.OwnerOfFile(dir.ID, name))
+	c.RunNoDrain(0, func(p *env.Proc, cl *client.Client) {
+		if err := cl.Create(p, "/d/"+name, 0); err != nil {
+			t.Fatalf("create: %v", err)
+		}
+	})
+	c.CrashServer(holder)
+	c.CrashSwitch()
+	fut := c.RecoverSwitch()
+	s.Run()
+	if !fut.Done() {
+		t.Fatal("switch recovery did not complete")
+	}
+
+	const restartAt = 100 * env.Microsecond
+	var recovered *env.Future
+	s.Spawn(c.Servers[owner].ID(), func(p *env.Proc) {
+		p.Sleep(restartAt)
+		recovered = c.RecoverServer(holder)
+	})
+	cl := c.Client(0)
+	s.Spawn(cl.ID(), func(p *env.Proc) {
+		p.Sleep(restartAt + 20*env.Microsecond)
+		attr, err := cl.StatDir(p, "/d")
+		if err != nil || attr.Size != 1 {
+			t.Errorf("statdir /d during the redo: size=%d err=%v, want the acknowledged entry", attr.Size, err)
+		}
+	})
+	s.Run()
+	if recovered == nil || !recovered.Done() {
+		t.Fatal("server recovery did not complete")
+	}
+	if redo := c.Servers[holder].Stats.RecoverRedoUs; redo < 40 {
+		t.Fatalf("redo took %d µs: the second read does not land inside it", redo)
+	}
+}
+
 func TestRenameFile(t *testing.T) {
 	_, c := sim(t, Options{Servers: 4, Clients: 1})
 	c.Run(0, func(p *env.Proc, cl *client.Client) {
