@@ -14,9 +14,9 @@
 // Figure ids: 2a 2b 2c 2d 12a 12b 13 14 overflow 15a 15b 16 17 18a 18b 19
 // recovery recovery-history chaos rebalance data lincheck scale; `all`
 // selects every one and `gated` the set committed in bench/baseline.json.
-// Scales: tiny, quick, paper (paper takes minutes per figure). The recovery-
-// history figure times a server's recovery after 0, 1, 4 and 16 rounds of
-// create/delete churn. The chaos figure runs the fault-plan
+// Scales: tiny, quick, paper (paper takes minutes per figure). The
+// recovery-history figure times a server's recovery after 0, 1, 4 and 16
+// rounds of create/delete churn. The chaos figure runs the fault-plan
 // availability harness; -seed selects its random plan (and simulation seeds),
 // and any checker violation aborts the run non-zero. The rebalance figure
 // drives a skewed workload while the hot-directory balancer and a live

@@ -39,14 +39,13 @@ import (
 
 // tallyFP counts one admitted directory operation against the directory's
 // fingerprint group — the balancer's view of directory heat in migration
-// units. Only handleDirRead and detach (rmdir, directory rename) call it: the
-// group they admit is a directory's by construction. A create or stat admits
-// its file's own group, which moving shifts no directory heat, so it is not
-// tallied, and the table holds only the directory groups touched since the
-// last pass. Call sites tally only after admitFP succeeds: an op bounced with
-// ErrRetry around a migration would otherwise count at both the old owner
-// and, on retry, the new one, inflating the moved group's apparent heat and
-// letting a retry storm ping-pong the same hot group between servers.
+// units. Only handleDirRead and detach (rmdir, directory rename) call it,
+// where the admitted group is a directory's: a create or stat admits its
+// file's own group, whose move shifts no directory heat. Call sites tally
+// only after admitFP succeeds: an op bounced with ErrRetry around a
+// migration would otherwise count at both the old owner and, on retry, the
+// new one, inflating the moved group's apparent heat and letting a retry
+// storm ping-pong the same hot group between servers.
 func (s *Server) tallyFP(fp core.Fingerprint) {
 	s.fpOps[fp]++
 }
