@@ -64,6 +64,17 @@ func BuiltinPlans(g Geometry) []Plan {
 			},
 		},
 		{
+			Name:    "switch-reboot-server-down",
+			Desc:    "reboot the switch while a server is down: every query answers dirty until it recovers (§5.4.2)",
+			Horizon: 8 * ms,
+			Events: []Event{
+				CrashServer(1*ms, 1),
+				CrashSwitch(2 * ms),
+				RecoverSwitch(3 * ms),
+				RecoverServer(5*ms, 1),
+			},
+		},
+		{
 			Name:    "rack-partition",
 			Desc:    "cut one server rack off from the rest of the cluster, then heal",
 			Horizon: 8 * ms,

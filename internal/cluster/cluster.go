@@ -374,6 +374,8 @@ func (c *Cluster) FillMetrics(reg *metrics.Registry) {
 		reg.Add("client.cache_hits", cl.CacheHits)
 		reg.Add("client.stale_retries", cl.StaleRetry)
 	}
+	reg.Add("env.events", c.Env.Events)
+	reg.Add("env.parks", c.Env.Parks)
 }
 
 // Run spawns fn on client i's node and drives the simulation until it drains;

@@ -39,9 +39,13 @@ type Sim struct {
 	// probe, when set, observes every popped event (scheduler tests).
 	probe func(at Time, seq uint64, kind uint8)
 
-	// Stats observable by harnesses.
+	// Stats observable by harnesses: packets delivered and dropped, events
+	// executed (every one popped off the queue, no-op expiries included) and
+	// process parks. The last two witness that a change kept the schedule.
 	Delivered uint64
 	Dropped   uint64
+	Events    uint64
+	Parks     uint64
 }
 
 type simProcState struct {
@@ -284,6 +288,7 @@ type killSentinel struct{}
 // pop takes the next event off the queue and advances the clock to it.
 func (s *Sim) pop() event {
 	ev := s.pq.pop()
+	s.Events++
 	if ev.at > s.cur {
 		s.cur = ev.at
 	}
@@ -380,6 +385,7 @@ func (s *Sim) fireTimeout(ev *event) {
 // scheduler until unparked. The parking process itself drives the event
 // loop, so its own wakeup, when next, proceeds without a switch.
 func (p *Proc) park() {
+	p.env.Parks++
 	p.state = stateParked
 	p.env.loop(p)
 }
