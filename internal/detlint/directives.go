@@ -17,7 +17,7 @@ import (
 //
 //	//detlint:lock-escapes <reason>
 //	    On a function declaration: the function intentionally returns or
-//	    hands off a lock it acquired (lockTxnKeys, Cond.Wait); lockpair
+//	    hands off a lock it acquired (lockTxnKeys, runAggregation); lockpair
 //	    skips it. The reason is mandatory.
 const (
 	directivePrefix     = "//detlint:"

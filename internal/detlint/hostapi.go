@@ -23,7 +23,7 @@ import (
 //     with exactly one runnable process, so a raw goroutine's interleaving is
 //     the Go runtime's choice, not the seed's, and a channel or sync.Mutex
 //     park wedges the token. The replacements are env.Proc.Spawn,
-//     env.Future, env.Mutex, env.RWMutex, env.Cond and env.Semaphore.
+//     env.Future, env.Mutex, env.RWMutex and env.Semaphore.
 //
 // Any mention of a forbidden name is flagged, including passing a function
 // as a value. Methods (a seeded (*rand.Rand).Intn, time.Time.Sub) and the
@@ -52,7 +52,7 @@ var hostNames = func() map[string]string {
 		"sync.Mutex":     "env.Mutex",
 		"sync.RWMutex":   "env.RWMutex",
 		"sync.WaitGroup": "env.Future per child (or a counting env.Semaphore)",
-		"sync.Cond":      "env.Cond",
+		"sync.Cond":      "env.Future",
 	}
 	// The globally seeded convenience functions of math/rand and
 	// math/rand/v2.

@@ -34,7 +34,7 @@ import (
 // class: which mode a branch took is path-sensitive, pairing is not.
 //
 // Functions that intentionally hand a held lock to another process or return
-// it to the caller (lockTxnKeys, env.Cond.Wait) declare it:
+// it to the caller (lockTxnKeys, runAggregation) declare it:
 //
 //	//detlint:lock-escapes <reason>
 //

@@ -110,7 +110,7 @@ func TestReportOverRepo(t *testing.T) {
 	// dispatch's replay-or-begin step, log-then-send) retired the directives
 	// that proved them after the fact, and an escape hatch coming back must
 	// be a decision, made here.
-	const maxDirectives = 5
+	const maxDirectives = 4
 	if len(sups) > maxDirectives {
 		t.Errorf("%d detlint directives in the tree, want at most %d:\n%s", len(sups), maxDirectives, b.String())
 	}

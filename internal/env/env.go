@@ -10,7 +10,7 @@
 // "16 servers × 4 cores" on any host.
 //
 // Protocol code is written against Proc (a lightweight process) and the
-// blocking primitives Future, Mutex, RWMutex, Cond and Semaphore. Processes
+// blocking primitives Future, Mutex, RWMutex and Semaphore. Processes
 // are coroutines resumed by one driver loop, so exactly one runs at a time
 // and nothing in the tree needs host-level synchronisation.
 package env

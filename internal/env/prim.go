@@ -132,30 +132,6 @@ func (m *Mutex) Unlock() {
 	m.held = false
 }
 
-// Cond is a condition variable usable with Mutex.
-type Cond struct {
-	q []*Proc
-}
-
-// Wait atomically releases m, blocks p, and re-acquires m before returning.
-//
-//detlint:lock-escapes the condition-variable contract returns with m re-acquired; the caller releases it
-func (c *Cond) Wait(p *Proc, m *Mutex) {
-	c.q = append(c.q, p)
-	m.Unlock()
-	p.park()
-	m.Lock(p)
-}
-
-// Broadcast wakes every waiter.
-func (c *Cond) Broadcast() {
-	q := c.q
-	c.q = nil
-	for _, w := range q {
-		w.env.unpark(w)
-	}
-}
-
 // Semaphore is a counting resource with FIFO queuing: the model of a
 // server's CPU cores (§7.1 "each metadata server uses four cores").
 type Semaphore struct {

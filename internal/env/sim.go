@@ -40,8 +40,7 @@ type Sim struct {
 	probe func(at Time, seq uint64, kind uint8)
 
 	// Stats observable by harnesses: packets delivered and dropped, events
-	// executed (every one popped off the queue, no-op expiries included) and
-	// process parks. The last two witness that a change kept the schedule.
+	// popped (no-op expiries included) and process parks.
 	Delivered uint64
 	Dropped   uint64
 	Events    uint64

@@ -299,37 +299,6 @@ func TestComputeUnlimitedCores(t *testing.T) {
 	}
 }
 
-func TestCondBroadcast(t *testing.T) {
-	s := NewSim(1)
-	defer s.Shutdown()
-	s.AddNode(1, NodeConfig{})
-	var m Mutex
-	var c Cond
-	ready := false
-	woke := 0
-	for i := 0; i < 4; i++ {
-		s.Spawn(1, func(p *Proc) {
-			m.Lock(p)
-			for !ready {
-				c.Wait(p, &m)
-			}
-			woke++
-			m.Unlock()
-		})
-	}
-	s.Spawn(1, func(p *Proc) {
-		p.Sleep(5 * Microsecond)
-		m.Lock(p)
-		ready = true
-		m.Unlock()
-		c.Broadcast()
-	})
-	s.Run()
-	if woke != 4 {
-		t.Fatalf("woke %d waiters, want 4", woke)
-	}
-}
-
 func TestTimerCancel(t *testing.T) {
 	s := NewSim(1)
 	defer s.Shutdown()

@@ -52,37 +52,38 @@ func (s *Server) aggregateFP(p *env.Proc, fp core.Fingerprint, opts *aggOpts) bo
 	// return state missing updates whose inserts followed that aggregation's
 	// remove.
 	arrived := p.Now()
-	st := s.fpOf(fp)
-	st.mu.Lock(p)
-	for {
-		if st.aggActive {
-			st.cond.Wait(p, &st.mu)
-			continue
-		}
-		if !opts.force && st.lastStart >= arrived {
-			// A fresh-enough aggregation completed while we waited.
-			st.mu.Unlock()
-			return true
-		}
-		st.aggActive = true
-		st.lastStart = p.Now()
-		break
+	g := s.groupOf(fp)
+	s.awaitAgg(p, g)
+	if !opts.force && g.lastStart >= arrived {
+		// A fresh-enough aggregation completed while we waited.
+		s.release(fp, g)
+		return true
 	}
-	st.mu.Unlock()
+	g.lastStart = p.Now()
 
-	complete := s.runAggregation(p, fp, opts)
+	complete := s.runAggregation(p, g, fp, opts)
 
-	st.mu.Lock(p)
 	if !complete {
 		// An incomplete aggregation (a peer stayed down) covers nobody:
 		// waiters must run their own instead of taking this one as fresh.
-		st.lastStart = 0
+		g.lastStart = 0
 	}
-	st.lastIncomplete = !complete
-	st.aggActive = false
-	st.cond.Broadcast()
-	st.mu.Unlock()
+	g.incomplete = !complete
+	g.agg.ended.Complete(nil)
+	g.agg = nil
+	s.release(fp, g)
 	return complete
+}
+
+// awaitAgg parks until no aggregation of g is in flight. A waiter counts in
+// g.waiters until it runs again, so g stays in the table, with the outcome
+// the waiter reads, however the aggregation it waited for left it.
+func (s *Server) awaitAgg(p *env.Proc, g *group) {
+	for g.agg != nil {
+		g.waiters++
+		g.agg.ended.Wait(p)
+		g.waiters--
+	}
 }
 
 // waitAggIdle blocks until no aggregation for the fingerprint group is in
@@ -93,50 +94,46 @@ func (s *Server) aggregateFP(p *env.Proc, fp core.Fingerprint, opts *aggOpts) bo
 // stayed unreachable) — the state now visible may miss acknowledged
 // entries, and the read must retry rather than serve it.
 func (s *Server) waitAggIdle(p *env.Proc, fp core.Fingerprint) bool {
-	st := s.fpOf(fp)
-	st.mu.Lock(p)
-	for st.aggActive {
-		st.cond.Wait(p, &st.mu)
+	g := s.groups[fp]
+	if g == nil {
+		return true
 	}
-	ok := !st.lastIncomplete
-	st.mu.Unlock()
-	return ok
+	defer s.release(fp, g)
+	s.awaitAgg(p, g)
+	return !g.incomplete
 }
 
 // runAggregation drives one aggregation of a fingerprint group: lock the
 // local change-logs, fetch the peers' entries, apply, and release.
 //
 //detlint:lock-escapes the change-log locks are held for the life of the aggregation (dl.heldBy = id) and released inline after apply; the s.dead returns abandon them with the fail-stopped incarnation, whose volatile state Restart discards
-func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts) bool {
+func (s *Server) runAggregation(p *env.Proc, g *group, fp core.Fingerprint, opts *aggOpts) bool {
 	asp := s.cfg.Trace.Start(p, "agg:run", "server")
 	defer asp.End()
 	s.Stats.Aggregations++
 	id := s.ids.Next()
-	ctx := &aggCtx{id: id, fp: fp}
+	ctx := &aggCtx{id: id}
 	ctx.Expect = slices.DeleteFunc(slices.Clone(s.cfg.Peers), func(n env.NodeID) bool { return n == s.cfg.ID })
 	slices.Sort(ctx.Expect)
-	s.aggs[id] = ctx
+	g.agg = ctx
 	if s.ownerOfFP(fp) != s.cfg.ID {
 		// The group migrated away between the trigger (a read, a quiesce
 		// timer) and this registration. Aggregating a group this server no
 		// longer owns would collect peers' entries into a store the ring no
-		// longer routes reads to. Deregister and report incomplete — the
-		// caller retries and re-resolves to the new owner. Runs in the same
-		// event as the registration above, so FPQuiescent never observes a
-		// half-registered aggregation.
-		delete(s.aggs, id)
+		// longer routes reads to. Report incomplete — the caller retries and
+		// re-resolves to the new owner. The aggregation ends in the event it
+		// started, so FPQuiescent never observes it.
 		return false
 	}
-	if s.cfg.Tracker == TrackerOwner {
-		delete(s.ownerDirty, fp)
-	}
-	// Cancel a pending quiesce timer; this aggregation supersedes it.
-	if t := s.quiesce[fp]; t != nil {
-		t.Cancel()
-		delete(s.quiesce, fp)
-	}
+	// This aggregation supersedes the owner tracker's dirty mark and a
+	// pending quiesce timer.
+	g.dirty = false
+	g.quiesce.Cancel()
+	g.quiesce = nil
+	// A snapshot: the group may gain or lose a log while this parks on the
+	// locks.
 	var buf [4]*dirLog
-	locals := sortedClogs(buf[:0], s.clogsByFP[fp])
+	locals := append(buf[:0], g.logs...)
 
 	// Collect the local change-logs of the group under their exclusive
 	// protocol locks (this server may itself have logged updates to
@@ -203,7 +200,6 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 		// re-surface through this server's recovery or the next aggregation —
 		// applying them to this dead incarnation's store (and letting peers
 		// trim) would lose them.
-		delete(s.aggs, id)
 		return false
 	}
 
@@ -212,9 +208,9 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 	// Acknowledge every peer (steps 9–10) with what the watermarks now give
 	// its logs: peers whose entries we applied trim and unlock, and the peers
 	// that contributed nothing get an empty ack so their (unlocked) state
-	// stays clean. The acks' MaxIDs are carved from one array. Only then does
-	// the aggregation leave aggs: a reply retransmitted during the apply is
-	// dropped as a duplicate, where the watermarks would not yet cover it.
+	// stays clean. The acks' MaxIDs are carved from one array. Until the
+	// aggregation ends, a reply retransmitted during the apply is dropped as
+	// a duplicate, where the watermarks would not yet cover it.
 	maxes := make([]wire.DirMax, 0, len(logs))
 	for _, peer := range s.cfg.Peers {
 		if peer == s.cfg.ID {
@@ -229,7 +225,6 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 		maxes = maxes[:len(maxes)+len(a.MaxIDs)]
 		replyNew(s, p, peer, a)
 	}
-	delete(s.aggs, id)
 
 	// Trim and unlock the local logs.
 	for _, dl := range locals {
@@ -264,7 +259,7 @@ func (s *Server) markDirty(p *env.Proc, fp core.Fingerprint) {
 		return
 	}
 	if s.cfg.Tracker == TrackerOwner {
-		s.ownerDirty[fp] = true
+		s.groupOf(fp).dirty = true
 		return
 	}
 	pkt, hdr := wire.Carve[wire.DSHeader]()
@@ -292,8 +287,12 @@ func (s *Server) handleAggFetch(p *env.Proc, _ *wire.Packet, f *wire.AggFetch) {
 	}
 	st := &peerAggState{entries: wire.AggEntries{AggID: f.AggID, FP: f.FP, From: s.cfg.ID}}
 	s.peerAggs[f.AggID] = st
-	var buf [4]*dirLog
-	for _, dl := range sortedClogs(buf[:0], s.clogsByFP[f.FP]) {
+	var locals []*dirLog
+	if g := s.groups[f.FP]; g != nil {
+		var buf [4]*dirLog
+		locals = append(buf[:0], g.logs...) // a snapshot, as runAggregation's
+	}
+	for _, dl := range locals {
 		dl.lock.Lock(p) // exclusive: blocks appenders while entries travel
 		if dl.log.Len() > 0 {
 			st.entries.Logs = append(st.entries.Logs, wire.DirLog{Dir: dl.ref, Entries: dl.log.Snapshot()})
@@ -334,7 +333,10 @@ func (s *Server) finishPeerAgg(st *peerAggState, a *wire.AggAck) {
 
 // handleAggEntries collects one peer's reply at the aggregation owner.
 func (s *Server) handleAggEntries(p *env.Proc, _ *wire.Packet, e *wire.AggEntries) {
-	ctx := s.aggs[e.AggID]
+	var ctx *aggCtx
+	if g := s.groups[e.FP]; g != nil && g.agg != nil && g.agg.id == e.AggID {
+		ctx = g.agg
+	}
 	if ctx == nil {
 		if s.ids.Predecessor(e.AggID) {
 			// A predecessor's aggregation, which died with it: the empty ack
@@ -741,12 +743,16 @@ func (s *Server) handleChangePush(p *env.Proc, _ *wire.Packet, cp *wire.ChangePu
 	if cp.Final {
 		return
 	}
-	if t := s.quiesce[fp]; t != nil {
-		t.Reset(s.cfg.OwnerQuiesce)
+	g := s.groupOf(fp)
+	if g.quiesce != nil {
+		g.quiesce.Reset(s.cfg.OwnerQuiesce)
 		return
 	}
-	s.quiesce[fp] = s.env.After(s.cfg.OwnerQuiesce, func() {
+	// The pending timer keeps g in the table, so the callback's g is fp's.
+	g.quiesce = s.env.After(s.cfg.OwnerQuiesce, func() {
+		g.quiesce = nil
 		if !s.serving {
+			s.release(fp, g)
 			return
 		}
 		s.env.Spawn(s.cfg.ID, func(p *env.Proc) { s.aggregateFP(p, fp, nil) })

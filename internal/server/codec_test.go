@@ -348,7 +348,7 @@ func TestHandlerAllocationBudgets(t *testing.T) {
 	fps := make([]core.Fingerprint, 0, len(ops)+len(checks))
 	locks := make([]*keyLock, 0, len(ops)+len(checks))
 	group := parent.FP
-	for i := uint64(1); i <= 3; i++ {
+	for _, i := range []uint64{3, 1, 2} {
 		s.clogOf(core.DirRef{ID: core.DirID{i, 9, 9, 9}, Key: other, FP: group})
 	}
 	clogs := make([]*dirLog, 0, 3)
@@ -387,9 +387,9 @@ func TestHandlerAllocationBudgets(t *testing.T) {
 		}},
 		{"dispatch of a duplicate in flight", func() { s.handle(p, 9000, dup) }},
 		{"dispatch of a peer message", func() { s.handle(p, 101, ack) }},
-		{"sortedClogs", func() {
-			if clogs = sortedClogs(clogs, s.clogsByFP[group]); len(clogs) != 3 || clogs[0].ref.ID[0] != 1 || clogs[2].ref.ID[0] != 3 {
-				t.Fatalf("sortedClogs: %d logs, want 3 in directory order", len(clogs))
+		{"a group's logs snapshot", func() {
+			if clogs = append(clogs[:0], s.groups[group].logs...); len(clogs) != 3 || clogs[0].ref.ID[0] != 1 || clogs[2].ref.ID[0] != 3 {
+				t.Fatalf("group logs: %d logs, want 3 in directory order", len(clogs))
 			}
 		}},
 	} {

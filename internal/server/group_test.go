@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"testing"
 
 	"switchfs/internal/core"
@@ -20,28 +21,29 @@ func scatteredRead(s *Server, p *env.Proc, dir core.DirRef, rpc uint64) {
 // TestScatteredReadsJoinAggregation: three scattered reads of one group, the
 // second and third arriving while the first one's aggregation is in flight,
 // run two aggregations. The first covers none of the later arrivals; the
-// second starts after both arrived, so the third joins it.
+// second starts after both arrived, so the third joins it. Each read calls
+// aggregateFP as handleDirRead does for a scattered group, without the read
+// tally, which would keep the group in the table by itself.
 func TestScatteredReadsJoinAggregation(t *testing.T) {
 	r := newAggOwnerRig(t, 0, env.DefaultCosts(), 3)
 	s := r.s
 	s.storeInode(r.dir.Key, &core.Inode{ID: r.dir.ID, Attr: core.Attr{Type: core.TypeDir, Perm: core.DefaultDirPerm, Nlink: 2}})
-	r.sim.SpawnAfter(aggOwner, 10*env.Microsecond, func(p *env.Proc) { scatteredRead(s, p, r.dir, 1) })
-	var during [2]bool
-	for i, at := range []env.Duration{11 * env.Microsecond, 12 * env.Microsecond} {
+	var during, complete [3]bool
+	for i, at := range []env.Duration{10 * env.Microsecond, 11 * env.Microsecond, 12 * env.Microsecond} {
 		r.sim.SpawnAfter(aggOwner, at, func(p *env.Proc) {
 			during[i] = !s.AggsQuiescent()
-			scatteredRead(s, p, r.dir, uint64(2+i))
+			complete[i] = s.aggregateFP(p, r.dir.FP, nil)
 		})
 	}
 	r.sim.Run()
-	if !during[0] || !during[1] {
-		t.Fatalf("reads 2 and 3 arrived during the first aggregation: %v, want both", during)
+	if during != [3]bool{false, true, true} {
+		t.Fatalf("reads arrived during an aggregation: %v, want the second and third", during)
 	}
-	if s.Stats.Aggregations != 2 {
-		t.Fatalf("%d aggregations for three reads, want 2", s.Stats.Aggregations)
+	if complete != [3]bool{true, true, true} || s.Stats.Aggregations != 2 {
+		t.Fatalf("%d aggregations for three reads (complete %v), want 2, all complete", s.Stats.Aggregations, complete)
 	}
-	if !s.AggsQuiescent() {
-		t.Fatal("an aggregation is still in flight after the run")
+	if !s.AggsQuiescent() || len(s.groups) != 0 {
+		t.Fatalf("after the run: quiescent %v, %d groups; want quiescent, none", s.AggsQuiescent(), len(s.groups))
 	}
 }
 
@@ -96,5 +98,50 @@ func TestEvictedGroupKeepsChangeLogs(t *testing.T) {
 	}
 	if n := dl.log.Len(); n != 0 {
 		t.Fatalf("the evicted server still holds %d entries after the ack", n)
+	}
+}
+
+// TestIdleGroupsReleased: an owner that served scattered statdirs over 256
+// directories, each aggregating a peer's entry, holds no group state once it
+// went quiet and the balancer's pass cleared the read tallies.
+func TestIdleGroupsReleased(t *testing.T) {
+	sim := env.NewSim(3)
+	t.Cleanup(sim.Shutdown)
+	const owner, peer, sw env.NodeID = 100, 101, 1
+	dirs := make(map[core.Fingerprint]core.DirRef)
+	sim.AddNode(sw, env.NodeConfig{Handler: func(p *env.Proc, _ env.NodeID, msg any) {
+		if pkt := msg.(*wire.Packet); pkt.DS != nil && pkt.DS.Op == wire.DSRemove {
+			p.Send(peer, &wire.Packet{Dst: peer, Origin: pkt.Origin, Body: pkt.Body})
+		}
+	}})
+	// The peer answers each fetch with one create into the group's directory.
+	sim.AddNode(peer, env.NodeConfig{Cores: 1, Handler: func(p *env.Proc, _ env.NodeID, msg any) {
+		if f, ok := msg.(*wire.Packet).Body.(*wire.AggFetch); ok {
+			l := wire.DirLog{Dir: dirs[f.FP], Entries: []core.LogEntry{{ID: 1, Op: core.OpCreate, Name: "f", Type: core.TypeRegular}}}
+			p.Send(owner, &wire.Packet{Dst: owner, Origin: peer, Body: &wire.AggEntries{AggID: f.AggID, FP: f.FP, From: peer, Logs: []wire.DirLog{l}}})
+		}
+	}})
+	s := New(sim, Config{ID: owner, Costs: env.DefaultCosts(),
+		Ring:      ring.New([]uint32{0}, 0, func(uint32) env.NodeID { return owner }),
+		Peers:     []env.NodeID{owner, peer},
+		SwitchFor: func(core.Fingerprint) env.NodeID { return sw }})
+	for i := range 256 {
+		d := core.DirRef{ID: core.DirID{1, 2, 3, uint64(i + 1)}, Key: core.Key{PID: core.RootDirID, Name: fmt.Sprintf("d%d", i)}}
+		d.FP = d.Key.Fingerprint()
+		dirs[d.FP] = d
+		s.storeInode(d.Key, &core.Inode{ID: d.ID, Attr: core.Attr{Type: core.TypeDir, Perm: core.DefaultDirPerm, Nlink: 2}})
+		sim.SpawnAfter(owner, env.Duration(i+1)*env.Microsecond, func(p *env.Proc) { scatteredRead(s, p, d, uint64(i+1)) })
+	}
+	sim.Run()
+	if s.Stats.Aggregations != 256 || s.Stats.AggEntries != 256 {
+		t.Fatalf("%d aggregations applied %d entries, want 256 of each", s.Stats.Aggregations, s.Stats.AggEntries)
+	}
+	// Only the read tallies are left, until the balancer's pass clears them.
+	if n, tallied := len(s.groups), len(s.FPOps()); n != 256 || tallied != 256 {
+		t.Fatalf("quiet: %d groups, %d tallied, want the 256 tallied groups alone", n, tallied)
+	}
+	s.ResetFPOps()
+	if n := len(s.groups); n != 0 {
+		t.Fatalf("%d group entries after the balancer's pass, want 0", n)
 	}
 }

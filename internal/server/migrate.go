@@ -47,7 +47,7 @@ import (
 // new one, inflating the moved group's apparent heat and letting a retry
 // storm ping-pong the same hot group between servers.
 func (s *Server) tallyFP(fp core.Fingerprint) {
-	s.fpOps[fp]++
+	s.groupOf(fp).ops++
 }
 
 // FPOp is one fingerprint group's operation tally.
@@ -60,9 +60,11 @@ type FPOp struct {
 // by fingerprint — deterministic for the balancer's selection and the
 // metrics' top-K view).
 func (s *Server) FPOps() []FPOp {
-	out := make([]FPOp, 0, len(s.fpOps))
-	for fp, n := range s.fpOps {
-		out = append(out, FPOp{FP: fp, N: n})
+	var out []FPOp
+	for fp, g := range s.groups {
+		if g.ops > 0 {
+			out = append(out, FPOp{FP: fp, N: g.ops})
+		}
 	}
 	slices.SortFunc(out, func(a, b FPOp) int {
 		if c := cmp.Compare(b.N, a.N); c != 0 {
@@ -76,7 +78,10 @@ func (s *Server) FPOps() []FPOp {
 // ResetFPOps clears the per-group tallies. The balancer calls it after each
 // pass so the next decision measures load since the last one, not history.
 func (s *Server) ResetFPOps() {
-	s.fpOps = make(map[core.Fingerprint]uint64)
+	for fp, g := range s.groups {
+		g.ops = 0
+		s.release(fp, g)
+	}
 }
 
 // fpEnter takes a busy reference on a fingerprint group: the op was admitted
@@ -97,18 +102,18 @@ func (s *Server) fpExit(fp core.Fingerprint) {
 // requests that already route here park on the gate until the copy lands.
 // Called by the control plane in the same event as the ring override.
 func (s *Server) BlockFP(fp core.Fingerprint) {
-	if s.gates[fp] == nil {
-		s.gates[fp] = env.NewFuture()
+	if g := s.groupOf(fp); g.gate == nil {
+		g.gate = env.NewFuture()
 	}
 }
 
 // UnblockFP releases the arrival gate (copy landed, or migration aborted and
 // the override rolled back — waiters re-check ownership either way).
 func (s *Server) UnblockFP(fp core.Fingerprint) {
-	fut := s.gates[fp]
-	delete(s.gates, fp)
-	if fut != nil {
-		fut.Complete(nil)
+	if g := s.groups[fp]; g != nil && g.gate != nil {
+		g.gate.Complete(nil)
+		g.gate = nil
+		s.release(fp, g)
 	}
 }
 
@@ -117,11 +122,11 @@ func (s *Server) UnblockFP(fp core.Fingerprint) {
 // is the backpressure, and bounding the park keeps a stuck migration from
 // accumulating parked handlers.
 func (s *Server) gateWait(p *env.Proc, fp core.Fingerprint) error {
-	fut := s.gates[fp]
-	if fut == nil {
+	g := s.groups[fp]
+	if g == nil || g.gate == nil {
 		return nil
 	}
-	if _, ok := fut.WaitTimeout(p, s.cfg.RetryTimeout); !ok {
+	if _, ok := g.gate.WaitTimeout(p, s.cfg.RetryTimeout); !ok {
 		return core.ErrRetry
 	}
 	return nil
@@ -190,7 +195,7 @@ func (s *Server) FPQuiescent(fp core.Fingerprint) bool {
 	if s.recovering || s.busy[fp] > 0 {
 		return false
 	}
-	if st := s.fps[fp]; st != nil && st.aggActive {
+	if g := s.groups[fp]; g != nil && g.agg != nil {
 		return false
 	}
 	return !s.preparedTxnOnFP(fp)
@@ -300,18 +305,19 @@ func (s *Server) StoredFingerprints() []core.Fingerprint {
 }
 
 // EvictMigrated drops a migrated-away group from this server's store behind
-// a WAL record, and retires the group's owner-side timers and dirty marks.
-// Runs in the event that copied the group out (the source is FPQuiescent).
+// a WAL record, and retires the group's owner-side state: its quiesce timer,
+// dirty mark and tally. The change-logs this server holds for the group's
+// directories stay: the new owner's aggregations collect them. Runs in the
+// event that copied the group out (the source is FPQuiescent).
 func (s *Server) EvictMigrated(fp core.Fingerprint) {
 	s.walBuf = encodeEvict(s.walBuf[:0], fp)
 	s.logRecord(recEvict)
 	s.evictFP(fp)
-	if t := s.quiesce[fp]; t != nil {
-		t.Cancel()
-		delete(s.quiesce, fp)
+	if g := s.groups[fp]; g != nil {
+		g.quiesce.Cancel()
+		g.quiesce, g.dirty, g.ops = nil, false, 0
+		s.release(fp, g)
 	}
-	delete(s.ownerDirty, fp)
-	delete(s.fpOps, fp)
 }
 
 // evictFP deletes the group's inode records and, for directories, their

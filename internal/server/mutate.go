@@ -338,7 +338,7 @@ func (s *Server) handleFallback(p *env.Proc, pkt *wire.Packet, cn *wire.CommitNo
 	}
 	defer s.fpExit(fp)
 	if cn.MarkOnly {
-		s.ownerDirty[fp] = true
+		s.groupOf(fp).dirty = true
 		p.Send(cn.Client, &wire.Packet{Dst: cn.Client, Origin: s.cfg.ID,
 			Trace: p.TraceCtx(), Body: cn.Resp})
 		replyNew(s, p, pkt.Origin, wire.CommitAck{CommitID: cn.CommitID})

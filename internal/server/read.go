@@ -145,7 +145,8 @@ func (s *Server) handleDirRead(p *env.Proc, pkt *wire.Packet, req *wire.DirReadR
 		scattered := false
 		switch s.cfg.Tracker {
 		case TrackerOwner:
-			scattered = s.ownerDirty[req.Dir.FP]
+			g := s.groups[req.Dir.FP]
+			scattered = g != nil && g.dirty
 		default:
 			scattered = pkt.DS != nil && pkt.DS.Ret
 		}

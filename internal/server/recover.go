@@ -429,21 +429,19 @@ func (s *Server) InjectAppliedMark(src env.NodeID, dir core.DirID, id uint64, lo
 }
 
 // AggsQuiescent reports that no aggregation is in flight on this server,
-// neither as owner (aggs) nor as a peer holding change-log locks for one
-// (peerAggs), and that no §5.4.2 recovery is mid-run (recovery issues a
+// neither as owner (a group's agg) nor as a peer holding change-log locks for
+// one (peerAggs), and that no §5.4.2 recovery is mid-run (recovery issues a
 // sequence of pushes and forced aggregations that must complete under one
 // ring). Reconfiguration must drain both before remapping: an aggregation
 // completing across the remap would apply collected entries — and let
 // peers trim them — at a server that no longer owns the directory.
 func (s *Server) AggsQuiescent() bool {
-	if s.recovering || len(s.aggs) != 0 || len(s.peerAggs) != 0 {
+	if s.recovering || len(s.peerAggs) != 0 {
 		return false
 	}
-	// aggs deregisters before the apply phase; aggActive covers an
-	// aggregation end to end. The scan is a pure any-match, so map order
-	// cannot leak into behavior.
-	for _, st := range s.fps {
-		if st.aggActive {
+	// The scan is a pure any-match, so map order cannot leak into behavior.
+	for _, g := range s.groups {
+		if g.agg != nil {
 			return false
 		}
 	}

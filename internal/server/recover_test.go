@@ -747,8 +747,8 @@ func TestHandleAggEntriesTable(t *testing.T) {
 	// predecessor booted a nanosecond before this incarnation can have issued.
 	early := core.NewIncarnation(uint64(owner), 0)
 	last := core.NewIncarnation(uint64(owner), uint64(boot-1))
-	active := &aggCtx{Awaiting: rpc.Awaiting{Expect: []env.NodeID{peer}}, id: s.ids.Next(), fp: r.dir.FP}
-	s.aggs[active.id] = active
+	active := &aggCtx{Awaiting: rpc.Awaiting{Expect: []env.NodeID{peer}}, id: s.ids.Next()}
+	s.groupOf(r.dir.FP).agg = active
 
 	for _, c := range []struct {
 		what     string
@@ -760,7 +760,7 @@ func TestHandleAggEntriesTable(t *testing.T) {
 	}{
 		{"a predecessor's id: empty ack, the peer keeps its entries", early.Next(), []uint64{3}, true, 0, 1},
 		{"the last id a predecessor can have issued", last.Next(), []uint64{3}, true, 0, 2},
-		{"an id in aggs: collected, no ack yet", active.id, []uint64{3}, false, 0, 2},
+		{"the group's aggregation in flight: collected, no ack yet", active.id, []uint64{3}, false, 0, 2},
 		{"finished: the ack the watermark gives", latest, []uint64{3}, true, 3, 2},
 		{"finished, entries partly above the mark: through the mark", latest, []uint64{2, 3, 5}, true, 3, 2},
 		{"finished, entries wholly above the mark: an empty ack", latest, []uint64{4, 5}, true, 0, 2},

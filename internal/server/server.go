@@ -145,28 +145,43 @@ type logFlush struct {
 	push    bool
 }
 
-// fpState serializes aggregations per fingerprint group and blocks directory
-// reads while one is in flight (§5.2.2 "Aggregation and reply").
-type fpState struct {
-	aggActive bool
-	// lastStart is the virtual time the most recent aggregation started
-	// (its remove was issued at or after this instant).
-	lastStart env.Time
-	// lastIncomplete records that the most recent aggregation gave up on an
-	// unreachable peer: the applied state may miss acknowledged entries, so
-	// reads must not serve it as the directory.
-	lastIncomplete bool
-	cond           env.Cond
-	mu             env.Mutex
+// group is this server's state of one fingerprint group, the unit the
+// switch's dirty set tracks (§5.2.2). It is in Server.groups only while it
+// holds something: release takes it out once it holds nothing.
+type group struct {
+	// logs are this server's change-logs of the group's directories,
+	// ascending by directory id (addLog).
+	logs []*dirLog
+	// agg is the aggregation in flight, from its start to its end; waiters
+	// counts the processes waiting for it to end, or woken by its end and
+	// not yet run.
+	agg     *aggCtx
+	waiters int
+	// lastStart is when the most recent aggregation started (its remove was
+	// issued at or after this instant); incomplete records that it gave up
+	// on an unreachable peer, so the applied state may miss acknowledged
+	// entries and reads must not serve it as the directory.
+	lastStart  env.Time
+	incomplete bool
+	// ops tallies the directory reads and detaches admitted since the
+	// balancer's last pass (tallyFP).
+	ops uint64
+	// gate holds the requests that arrive while the group migrates INTO this
+	// server (BlockFP); quiesce is the owner's proactive-aggregation timer
+	// (§5.3); dirty marks the group dirtied on this owner (owner tracker,
+	// Fig. 16).
+	gate    *env.Future
+	quiesce *env.Timer
+	dirty   bool
 }
 
 // aggCtx is an in-flight aggregation this server owns: it awaits every peer's
-// entries.
+// entries. ended completes when the aggregation ends.
 type aggCtx struct {
 	rpc.Awaiting
-	id   uint64
-	fp   core.Fingerprint
-	logs []aggLog
+	id    uint64
+	logs  []aggLog
+	ended env.Future
 }
 
 // aggLog tags one directory's pending change-log with the server that holds
@@ -204,8 +219,9 @@ type Server struct {
 	locks     map[core.Key]*keyLock
 	freeLocks []*keyLock
 	clogs     map[core.DirID]*dirLog
-	clogsByFP map[core.Fingerprint]map[core.DirID]*dirLog
-	fps       map[core.Fingerprint]*fpState
+	// groups holds the state of every fingerprint group that is not idle
+	// (groupOf, release).
+	groups map[core.Fingerprint]*group
 	// removals holds, per directory key an rmdir or a directory rename is
 	// detaching, the detach in flight, registered from before it plants its
 	// invalidation: lookups of the key wait it out (handleLookup).
@@ -221,38 +237,20 @@ type Server struct {
 	// ids: the exactly-once guard of §A.1.
 	applied map[appliedKey]uint64
 
-	// fpOps tallies the directory reads and detaches admitted per directory
-	// group since the balancer's last pass: the one op table a server keeps,
-	// read by the balancer and by the metrics' hottest-directory view.
-	fpOps map[core.Fingerprint]uint64
-
 	// busy counts in-flight client operations per fingerprint group; a
 	// migration waits for the count to reach zero (FPQuiescent) before
 	// copying, so no op straddles the move.
 	busy map[core.Fingerprint]int
-	// gates holds arrival gates for fingerprints mid-migration INTO this
-	// server: requests that already route here (the ring override landed)
-	// wait on the gate instead of failing fast against a not-yet-copied
-	// group. UnblockFP completes the future.
-	gates map[core.Fingerprint]*env.Future
 
 	// Pending protocol contexts. rpc waits for peers and registers the plain
 	// request/response exchanges (commit acks, control replies, decision
-	// acks), keyed by ids drawn from ids. aggs holds the aggregations this
-	// incarnation owns until their acks are sent; a late peer is re-acked
-	// from the applied watermarks (ackLog). served remembers the client RPCs
-	// this incarnation took up until their clients acknowledge them
-	// (§5.4.1).
+	// acks), keyed by ids drawn from ids. The aggregations this incarnation
+	// owns are their groups' (group.agg); a late peer is re-acked from the
+	// applied watermarks (ackLog). served remembers the client RPCs this
+	// incarnation took up until their clients acknowledge them (§5.4.1).
 	rpc      rpc.Calls
-	aggs     map[uint64]*aggCtx
 	peerAggs map[uint64]*peerAggState
 	served   rpc.Served[wire.Msg]
-
-	// Owner-side quiesce timers for proactive aggregation.
-	quiesce map[core.Fingerprint]*env.Timer
-
-	// Owner-tracker mode: fingerprints dirtied on this owner (Fig. 16).
-	ownerDirty map[core.Fingerprint]bool
 
 	// ids issues every identifier of this incarnation: call, transaction,
 	// aggregation, change-log entry and remove ids, and DirIDs.
@@ -364,27 +362,21 @@ type Stats struct {
 func New(e *env.Sim, cfg Config) *Server {
 	cfg.Defaults()
 	s := &Server{
-		cfg:        cfg,
-		env:        e,
-		kv:         kv.New(),
-		wal:        cfg.WAL,
-		locks:      make(map[core.Key]*keyLock),
-		clogs:      make(map[core.DirID]*dirLog),
-		clogsByFP:  make(map[core.Fingerprint]map[core.DirID]*dirLog),
-		fps:        make(map[core.Fingerprint]*fpState),
-		removals:   make(map[core.Key]*detachment),
-		invalSet:   make(map[core.DirID]uint64),
-		applied:    make(map[appliedKey]uint64),
-		fpOps:      make(map[core.Fingerprint]uint64),
-		busy:       make(map[core.Fingerprint]int),
-		gates:      make(map[core.Fingerprint]*env.Future),
-		aggs:       make(map[uint64]*aggCtx),
-		quiesce:    make(map[core.Fingerprint]*env.Timer),
-		ownerDirty: make(map[core.Fingerprint]bool),
-		txns:       make(map[uint64]*txnState),
-		txnWAL:     make(map[uint64]wal.LSN),
-		peerAggs:   make(map[uint64]*peerAggState),
-		serving:    true,
+		cfg:      cfg,
+		env:      e,
+		kv:       kv.New(),
+		wal:      cfg.WAL,
+		locks:    make(map[core.Key]*keyLock),
+		clogs:    make(map[core.DirID]*dirLog),
+		groups:   make(map[core.Fingerprint]*group),
+		removals: make(map[core.Key]*detachment),
+		invalSet: make(map[core.DirID]uint64),
+		applied:  make(map[appliedKey]uint64),
+		busy:     make(map[core.Fingerprint]int),
+		txns:     make(map[uint64]*txnState),
+		txnWAL:   make(map[uint64]wal.LSN),
+		peerAggs: make(map[uint64]*peerAggState),
+		serving:  true,
 	}
 	if s.wal == nil {
 		s.wal = wal.NewMem()
@@ -507,12 +499,7 @@ func (s *Server) clogOf(ref core.DirRef) *dirLog {
 	if dl == nil {
 		dl = &dirLog{ref: ref, walLSN: make(map[uint64]wal.LSN)}
 		s.clogs[ref.ID] = dl
-		m := s.clogsByFP[ref.FP]
-		if m == nil {
-			m = make(map[core.DirID]*dirLog)
-			s.clogsByFP[ref.FP] = m
-		}
-		m[ref.ID] = dl
+		s.groupOf(ref.FP).addLog(dl)
 	}
 	return dl
 }
@@ -531,24 +518,46 @@ func (s *Server) rekeyClog(dl *dirLog, ref core.DirRef) {
 		return
 	}
 	dl.walSlot = 0 // the slot names the old key
-	if m := s.clogsByFP[dl.ref.FP]; m != nil {
-		delete(m, ref.ID)
-		if len(m) == 0 {
-			delete(s.clogsByFP, dl.ref.FP)
-		}
+	if g := s.groups[dl.ref.FP]; g != nil {
+		g.logs = slices.DeleteFunc(g.logs, func(l *dirLog) bool { return l == dl })
+		s.release(dl.ref.FP, g)
 	}
 	dl.ref = ref
-	m := s.clogsByFP[ref.FP]
-	if m == nil {
-		m = make(map[core.DirID]*dirLog)
-		s.clogsByFP[ref.FP] = m
+	s.groupOf(ref.FP).addLog(dl)
+}
+
+// addLog files dl among g's logs in directory id order.
+func (g *group) addLog(dl *dirLog) {
+	i, _ := slices.BinarySearchFunc(g.logs, dl.ref.ID, func(l *dirLog, id core.DirID) int { return cmpDirID(l.ref.ID, id) })
+	g.logs = slices.Insert(g.logs, i, dl)
+}
+
+// groupOf returns (creating on demand) the state of a fingerprint group.
+func (s *Server) groupOf(fp core.Fingerprint) *group {
+	g := s.groups[fp]
+	if g == nil {
+		g = &group{}
+		s.groups[fp] = g
 	}
-	m[ref.ID] = dl
+	return g
+}
+
+// release takes g, fp's group, out of the table once it holds nothing: no
+// log, no aggregation or process waiting on one, no incomplete outcome, no
+// tally, gate, timer or dirty mark. Every change that can leave a group so
+// ends with a release. A group made afresh reads as the one released,
+// lastStart aside: an aggregation that ended before now covers no later
+// arrival.
+func (s *Server) release(fp core.Fingerprint, g *group) {
+	if len(g.logs) == 0 && g.agg == nil && g.waiters == 0 && !g.incomplete &&
+		g.ops == 0 && g.gate == nil && g.quiesce == nil && !g.dirty {
+		delete(s.groups, fp)
+	}
 }
 
 // sortedClogs collects a change-log map's logs into buf's array (grown if
-// short) in directory id order, the snapshot every walk over change-logs
-// takes (see runAggregation: no map order may reach the network).
+// short) in directory id order, the snapshot a walk over every change-log
+// takes: no map order may reach the network.
 func sortedClogs(buf []*dirLog, m map[core.DirID]*dirLog) []*dirLog {
 	out := buf[:0]
 	for _, dl := range m {
@@ -567,16 +576,6 @@ func cmpKey(a, b core.Key) int {
 }
 
 func cmpDirID(a, b core.DirID) int { return slices.Compare(a[:], b[:]) }
-
-// fpOf returns (creating on demand) the per-fingerprint aggregation gate.
-func (s *Server) fpOf(fp core.Fingerprint) *fpState {
-	st := s.fps[fp]
-	if st == nil {
-		st = &fpState{}
-		s.fps[fp] = st
-	}
-	return st
-}
 
 // routes is the server's dispatch table (DESIGN.md "One dispatch"): each
 // message type's span name, whether it is a client request and, if so,

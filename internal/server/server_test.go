@@ -303,9 +303,8 @@ func TestClogIndexByFingerprint(t *testing.T) {
 	if s.clogOf(a) != dl {
 		t.Fatal("clogOf not idempotent")
 	}
-	byFP := s.clogsByFP[a.FP]
-	if byFP[a.ID] != dl {
-		t.Fatal("fingerprint index missing the log")
+	if g := s.groups[a.FP]; g == nil || len(g.logs) != 1 || g.logs[0] != dl {
+		t.Fatal("the log's group does not hold it")
 	}
 }
 
