@@ -140,7 +140,7 @@ func (s *Switch) Handler(p *env.Proc, from env.NodeID, msg any) {
 	case wire.DSRemove:
 		s.Stats.Removes++
 		if !ds.Remove(pkt.DS.FP, pkt.Origin, pkt.DS.Seq) {
-			s.Stales()
+			s.Stats.StaleRem++ // rejected by the sequence guard
 		}
 		// Multicast the aggregation fetch to every other metadata server
 		// (§5.2.2 step 5). Stale removes still multicast: the owner is
@@ -167,6 +167,3 @@ func dsSpanName(op wire.DSOp) string {
 	}
 	return "ds:other"
 }
-
-// Stales counts removes rejected by the sequence guard.
-func (s *Switch) Stales() { s.Stats.StaleRem++ }

@@ -50,10 +50,11 @@ type Config struct {
 	// Keep is the number of slowest root ops retained (tail sampling).
 	// Flagged traces are kept in addition. Default 32.
 	Keep int
-	// MaxActive bounds concurrently in-flight traces; roots beyond it are
-	// not traced (counted in DroppedTraces). Default 65536.
-	MaxActive int
 }
+
+// maxActive bounds concurrently in-flight traces; roots beyond it are not
+// traced (counted in DroppedTraces).
+const maxActive = 65536
 
 // maxSpansPerTrace caps one trace's buffer so a pathological retry storm
 // cannot hold unbounded memory; spans beyond the cap are dropped (the drop
@@ -82,7 +83,7 @@ type Recorder struct {
 	kept      map[uint64]*traceBuf
 	slow      []*traceBuf // kept-by-duration subset, unordered
 
-	// DroppedTraces counts roots refused because MaxActive was reached.
+	// DroppedTraces counts roots refused because maxActive was reached.
 	DroppedTraces uint64
 }
 
@@ -92,9 +93,6 @@ type Recorder struct {
 func New(cfg Config) *Recorder {
 	if cfg.Keep <= 0 {
 		cfg.Keep = 32
-	}
-	if cfg.MaxActive <= 0 {
-		cfg.MaxActive = 65536
 	}
 	return &Recorder{
 		cfg:    cfg,
@@ -145,7 +143,7 @@ func (r *Recorder) StartRoot(p *env.Proc, name, cat string) *Handle {
 	if r == nil {
 		return nil
 	}
-	if len(r.active) >= r.cfg.MaxActive {
+	if len(r.active) >= maxActive {
 		r.DroppedTraces++
 		return nil
 	}

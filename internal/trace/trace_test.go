@@ -189,20 +189,24 @@ func TestValidateRejectsMalformed(t *testing.T) {
 }
 
 func TestMaxActiveDropsDeterministically(t *testing.T) {
-	r := runSpans(1, Config{Keep: 4, MaxActive: 2}, func(p *env.Proc, r *Recorder) {
-		// Three overlapping roots: the third must be refused.
-		h1 := r.StartRoot(p, "a", "t")
-		h2 := r.StartRoot(p, "b", "t")
-		h3 := r.StartRoot(p, "c", "t")
-		h3.End()
-		h2.End()
-		h1.End()
+	r := runSpans(1, Config{Keep: 4}, func(p *env.Proc, r *Recorder) {
+		// maxActive+1 overlapping roots: the last must be refused.
+		hs := make([]*Handle, maxActive+1)
+		for i := range hs {
+			hs[i] = r.StartRoot(p, "op", "t")
+		}
+		if hs[maxActive] != nil {
+			t.Error("the root past maxActive was traced")
+		}
+		for i := len(hs) - 1; i >= 0; i-- {
+			hs[i].End()
+		}
 	})
 	if r.DroppedTraces != 1 {
 		t.Errorf("DroppedTraces=%d, want 1", r.DroppedTraces)
 	}
-	if got := len(r.KeptTraces()); got != 2 {
-		t.Errorf("kept %d traces, want 2", got)
+	if got := len(r.KeptTraces()); got != 4 {
+		t.Errorf("kept %d traces, want Keep's 4", got)
 	}
 }
 
