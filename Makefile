@@ -126,15 +126,19 @@ bench:
 bench-layers:
 	$(GO) test -run '^$$' -bench . -benchmem $(BENCHFLAGS) ./internal/env ./internal/core ./internal/kv ./internal/wal ./internal/client ./internal/server ./internal/rpc ./internal/datanode
 
-# fuzz runs the two decoder fuzz targets for FUZZTIME each (go test fuzzes
-# one target per run): FuzzDecodeInode (internal/core: the inode image
-# decoder never panics and accepts only what AppendInode produces) and
+# fuzz runs the three fuzz targets for FUZZTIME each (go test fuzzes one
+# target per run): FuzzDecodeInode (internal/core: the inode image decoder
+# never panics and accepts only what AppendInode produces),
 # FuzzRecordDecoders (internal/server: no WAL record decoder panics on any
-# payload). Tier-1 runs both seed corpora; this searches beyond them.
+# payload) and FuzzStore (internal/kv: the store answers every call as a
+# sorted-map model does, views survive writes to other keys, and no arena
+# holds more than twice its live bytes). Tier-1 runs all three seed corpora;
+# this searches beyond them.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeInode$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecoders$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzStore$$' -fuzztime $(FUZZTIME) ./internal/kv
 
 figures:
 	$(GO) run ./cmd/fsbench -fig all -scale quick

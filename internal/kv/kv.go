@@ -2,25 +2,25 @@
 // metadata server — the stand-in for RocksDB in async-write mode (paper
 // §7.1). Keys follow the metadata schema of Tab. 3 (a one-byte table tag, a
 // 32-byte directory id, a '/' separator, and a component name), so the store
-// shards by that 34-byte group prefix: each directory's records live in
-// their own small map. Values are stored as given, one copy each: an inode
-// is core.AppendInode's compact image (a fresh file's is 5 bytes plus its
-// timestamp, a fresh directory's 37 plus it), a dentry 3 bytes. Two small
-// direct-mapped caches share recurring bytes across keys: a component name
-// repeated in many directories is stored once while it stays cached, and so
-// is a small value (a dentry record, identical preloaded inodes); a name or
-// value seen once costs one copy and no table entry, and nothing deleted is
-// retained. Ordered prefix scans — directory entry lists enumerate children
-// with one scan — are served from per-shard sorted indexes rebuilt lazily
-// after mutations. Keys outside the schema shape (tests, baseline directory
-// records) fall back to a flat shard that merges into scans in global byte
-// order, so the external contract is unchanged: a byte-ordered map with
-// prefix scans.
+// shards by that 34-byte group prefix: each directory's records live in their
+// own shard. A shard packs its entries into one byte arena the way RocksDB's
+// memtable does — each a uvarint-prefixed name and a uvarint-prefixed value,
+// back to back — and finds them through an open-addressing index of arena
+// offsets, so an entry costs its bytes, two length bytes and an index slot,
+// not a string, a slice and a map cell. Ordered prefix scans — directory
+// entry lists enumerate children with one scan — are served from a per-shard
+// sorted offset list rebuilt lazily after inserts and deletes. Keys outside
+// the schema shape (tests, baseline directory records) fall back to a flat
+// shard that merges into scans in global byte order, so the external
+// contract is unchanged: a byte-ordered map with prefix scans.
 package kv
 
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -29,22 +29,12 @@ import (
 // directory id + '/'.
 const groupLen = 34
 
-// Intern caches: internSlots slots each for names and for values no longer
-// than internValMax bytes. A slot holds the last name or value that hashed
-// to it, so the caches cost a fixed 10 KiB per store however many distinct
-// names and values pass through.
-const (
-	internBits   = 8
-	internSlots  = 1 << internBits
-	internValMax = 128
-)
-
-// internSlot is the cache slot of b: FNV-1a, a word at a time, then a
-// Fibonacci multiply whose top bits every input bit reaches (FNV's own top
-// bits barely see the last byte, which is where f1 and f2 differ). The hash
-// is fixed, not seeded, so what the caches share — and the heap the store
-// holds — is the same in every process.
-func internSlot(b []byte) int {
+// hash keys a shard's index: FNV-1a, a word at a time, then a Fibonacci
+// multiply whose top bits every input bit reaches (FNV's own top bits barely
+// see the last byte, which is where f1 and f2 differ); the index takes the
+// top bits. The hash is fixed, not seeded, so where an entry sits — and the
+// heap the store holds — is the same in every process.
+func hash(b []byte) uint64 {
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)
 	for ; len(b) >= 8; b = b[8:] {
@@ -53,7 +43,7 @@ func internSlot(b []byte) int {
 	for _, c := range b {
 		h = (h ^ uint64(c)) * prime
 	}
-	return int((h * 0x9e3779b97f4a7c15) >> (64 - internBits))
+	return h * 0x9e3779b97f4a7c15
 }
 
 // conforming reports whether key has the tag+id+'/' group shape. A key
@@ -64,85 +54,258 @@ func conforming(key []byte) bool {
 	return len(key) >= groupLen && key[groupLen-1] == '/'
 }
 
-// shard holds one group's records: suffix (component name) → value. order is
-// the sorted live suffix list backing scans; it is dropped on structural
-// changes and rebuilt on the next ordered read.
+// shard holds one group's records: suffix (component name) → value.
+//
+// arena holds the entries back to back, each a uvarint name length, the
+// name, a uvarint value length and the value. Its bytes are never rewritten
+// but by a Put whose value has the stored one's length, which overwrites it
+// in place; any other overwrite, and every delete, leaves the old entry as
+// dead bytes, and once they pass half the arena the live entries move to a
+// fresh one (compact). A view into the old arena stays readable.
+//
+// index is a linear-probing table of arena offsets plus one (0 is an empty
+// slot), a power of two long and at most three quarters full, probed from
+// the top bits of the name's hash; a delete shifts the rest of its probe run
+// back, so there are no tombstones. order, valid while sorted, lists the
+// live offsets in name order for scans; an insert or delete drops it and the
+// next ordered read rebuilds it in place.
 type shard struct {
-	m     map[string][]byte
-	order []string
+	arena  []byte
+	index  []uint32
+	shift  uint8 // 64 − log2(len(index))
+	order  []uint32
+	sorted bool
+	n      int // live entries
+	dead   int // arena bytes of overwritten and deleted entries
 }
 
-func newShard() *shard { return &shard{m: make(map[string][]byte)} }
+// uvarintAt decodes the uvarint at a[off:] and returns it with the offset
+// past it; a length below 128 is its one byte.
+func uvarintAt(a []byte, off int) (int, int) {
+	if c := a[off]; c < 0x80 {
+		return int(c), off + 1
+	}
+	v, k := binary.Uvarint(a[off:])
+	return int(v), off + k
+}
 
-// ensureOrder returns the sorted suffix list, rebuilding it if a mutation
-// invalidated it. The map iteration feeds a sort, so the randomized order
-// never escapes.
-func (sh *shard) ensureOrder() []string {
-	if sh.order == nil {
-		order := make([]string, 0, len(sh.m))
-		for name := range sh.m {
-			order = append(order, name)
+// entry returns the name and value of the entry at off and the offset past
+// it. Both slices are capped at their own length, so an append to either
+// cannot write into the next entry.
+func (sh *shard) entry(off uint32) (name, val []byte, end int) {
+	a := sh.arena
+	l, p := uvarintAt(a, int(off))
+	name = a[p : p+l : p+l]
+	l, p = uvarintAt(a, p+l)
+	return name, a[p : p+l : p+l], p + l
+}
+
+// name returns the name of the entry at off.
+func (sh *shard) name(off uint32) []byte {
+	l, p := uvarintAt(sh.arena, int(off))
+	return sh.arena[p : p+l : p+l]
+}
+
+// find returns the index slot holding name and true, or the empty slot that
+// ends name's probe run and false.
+func (sh *shard) find(name []byte) (int, bool) {
+	if sh.index == nil {
+		return -1, false
+	}
+	a, mask := sh.arena, len(sh.index)-1
+	for i := int(hash(name) >> sh.shift); ; i = (i + 1) & mask {
+		o := int(sh.index[i])
+		if o == 0 {
+			return i, false
 		}
-		sort.Strings(order)
-		sh.order = order
+		// A name shorter than 128 bytes starts at o, after its one length
+		// byte: compare the length before the bytes.
+		if l := int(a[o-1]); l < 0x80 {
+			if l == len(name) && string(a[o:o+l]) == string(name) {
+				return i, true
+			}
+		} else if string(sh.name(uint32(o-1))) == string(name) {
+			return i, true
+		}
+	}
+}
+
+// get returns the value stored under name.
+func (sh *shard) get(name []byte) ([]byte, bool) {
+	i, ok := sh.find(name)
+	if !ok {
+		return nil, false
+	}
+	_, v, _ := sh.entry(sh.index[i] - 1)
+	return v, true
+}
+
+// place puts off into the first empty slot of its name's probe run.
+func (sh *shard) place(off uint32) {
+	mask := len(sh.index) - 1
+	i := int(hash(sh.name(off)) >> sh.shift)
+	for sh.index[i] != 0 {
+		i = (i + 1) & mask
+	}
+	sh.index[i] = off + 1
+}
+
+// grow doubles the index (four slots at first) and re-places every entry.
+func (sh *shard) grow() {
+	old := sh.index
+	size := max(4, 2*len(old))
+	sh.index = make([]uint32, size)
+	sh.shift = uint8(64 - bits.TrailingZeros(uint(size)))
+	for _, o := range old {
+		if o != 0 {
+			sh.place(o - 1)
+		}
+	}
+}
+
+// appendEntry appends name and val to the arena and returns their offset.
+func (sh *shard) appendEntry(name, val []byte) uint32 {
+	off := len(sh.arena)
+	if off >= math.MaxUint32 {
+		panic("kv: a shard's arena outgrew its 32-bit offsets")
+	}
+	sh.arena = append(binary.AppendUvarint(sh.arena, uint64(len(name))), name...)
+	sh.arena = append(binary.AppendUvarint(sh.arena, uint64(len(val))), val...)
+	return uint32(off)
+}
+
+// put stores val under name and reports whether name is new.
+func (sh *shard) put(name, val []byte) bool {
+	i, ok := sh.find(name)
+	if ok {
+		off := sh.index[i] - 1
+		_, old, end := sh.entry(off)
+		if len(old) == len(val) {
+			copy(old, val)
+			return false
+		}
+		sh.dead += end - int(off)
+		sh.index[i] = sh.appendEntry(name, val) + 1
+		if sh.sorted {
+			sh.order[sh.search(sh.order, name)] = sh.index[i] - 1
+		}
+		sh.maybeCompact()
+		return false
+	}
+	if (sh.n+1)*4 > len(sh.index)*3 {
+		sh.grow()
+		i, _ = sh.find(name)
+	}
+	sh.index[i] = sh.appendEntry(name, val) + 1
+	sh.n++
+	sh.sorted = false
+	return true
+}
+
+// del removes name, reporting whether it was present. The entries after it
+// in its probe run move back over the hole unless that would put one before
+// its home slot.
+func (sh *shard) del(name []byte) bool {
+	i, ok := sh.find(name)
+	if !ok {
+		return false
+	}
+	off := sh.index[i] - 1
+	_, _, end := sh.entry(off)
+	sh.dead += end - int(off)
+	mask := len(sh.index) - 1
+	for j := (i + 1) & mask; sh.index[j] != 0; j = (j + 1) & mask {
+		home := int(hash(sh.name(sh.index[j]-1)) >> sh.shift)
+		if (j-home)&mask >= (j-i)&mask {
+			sh.index[i] = sh.index[j]
+			i = j
+		}
+	}
+	sh.index[i] = 0
+	sh.n--
+	sh.sorted = false
+	sh.maybeCompact()
+	return true
+}
+
+// maybeCompact moves the live entries to a fresh arena once dead bytes pass
+// half of it, so the arena holds at most twice its live bytes. A fresh arena
+// rather than a shift in place keeps every earlier view readable.
+func (sh *shard) maybeCompact() {
+	if sh.dead*2 <= len(sh.arena) {
+		return
+	}
+	old, live := sh.arena, len(sh.arena)-sh.dead
+	sh.arena, sh.dead = nil, 0
+	if sh.n == 0 {
+		return
+	}
+	sh.arena = make([]byte, 0, live)
+	move := func(off uint32) uint32 {
+		l, p := uvarintAt(old, int(off))
+		l, p = uvarintAt(old, p+l)
+		at := uint32(len(sh.arena))
+		sh.arena = append(sh.arena, old[off:p+l]...)
+		return at
+	}
+	if !sh.sorted {
+		for i, o := range sh.index {
+			if o != 0 {
+				sh.index[i] = move(o-1) + 1
+			}
+		}
+		return
+	}
+	// Copy in name order, so a scan reads the arena front to back, and place
+	// the new offsets afresh.
+	clear(sh.index)
+	for j, off := range sh.order {
+		sh.order[j] = move(off)
+		sh.place(sh.order[j])
+	}
+}
+
+// search returns the first position in order whose name is at least name.
+func (sh *shard) search(order []uint32, name []byte) int {
+	return sort.Search(len(order), func(i int) bool { return bytes.Compare(sh.name(order[i]), name) >= 0 })
+}
+
+// ensureOrder returns the live offsets in name order, rebuilding the list in
+// its own array if an insert or delete invalidated it. The index walk feeds
+// a sort, so slot order never escapes.
+func (sh *shard) ensureOrder() []uint32 {
+	if !sh.sorted {
+		order := sh.order[:0]
+		for _, o := range sh.index {
+			if o != 0 {
+				order = append(order, o-1)
+			}
+		}
+		slices.SortFunc(order, func(a, b uint32) int { return bytes.Compare(sh.name(a), sh.name(b)) })
+		sh.order, sh.sorted = order, true
 	}
 	return sh.order
 }
 
-// Store is a sorted key-value map. It copies keys and values in, sharing
-// recurring names and small values through two bounded intern caches.
+// Store is a sorted key-value map. It copies keys and values in, each into
+// its group's arena.
 type Store struct {
 	shards map[string]*shard
 	// fallback holds non-conforming keys (full key as the suffix).
 	fallback *shard
 	// prefixes is the sorted shard-prefix list; nil after a shard is added.
 	prefixes []string
-	// names caches suffixes: a component name that many directories (or
-	// tables) repeat is stored once while it holds its slot.
-	names [internSlots]string
-	// vals caches small values (≤ internValMax bytes): dentry records and
-	// freshly-created inodes repeat a handful of byte patterns across
-	// millions of keys.
-	vals [internSlots][]byte
-	n    int
+	n        int
 }
 
 // New creates an empty store.
 func New() *Store {
-	return &Store{shards: make(map[string]*shard), fallback: newShard()}
+	return &Store{shards: make(map[string]*shard), fallback: &shard{}}
 }
 
 // Len returns the number of live keys.
 func (s *Store) Len() int {
 	return s.n
-}
-
-// intern returns a string equal to b: the cached one on a hit, else a fresh
-// copy, which takes over b's slot.
-func (s *Store) intern(b []byte) string {
-	slot := &s.names[internSlot(b)]
-	if *slot != string(b) {
-		*slot = string(b)
-	}
-	return *slot
-}
-
-// internVal returns a stored copy of val: for a small value, the cached one
-// on a hit, else a fresh copy, which takes over val's slot. Stored values are
-// never mutated in place (Put installs a fresh value), so sharing one slice
-// across keys is safe.
-func (s *Store) internVal(val []byte) []byte {
-	if len(val) == 0 {
-		return nil
-	}
-	if len(val) > internValMax {
-		return append([]byte(nil), val...)
-	}
-	slot := &s.vals[internSlot(val)]
-	if !bytes.Equal(*slot, val) {
-		*slot = append([]byte(nil), val...)
-	}
-	return *slot
 }
 
 // lookup finds the shard and suffix for key without allocating. A nil shard
@@ -156,11 +319,7 @@ func (s *Store) lookup(key []byte) (*shard, []byte) {
 
 // Get returns a copy of the value stored under key.
 func (s *Store) Get(key []byte) ([]byte, bool) {
-	sh, suffix := s.lookup(key)
-	if sh == nil {
-		return nil, false
-	}
-	v, ok := sh.m[string(suffix)]
+	v, ok := s.GetView(key)
 	if !ok {
 		return nil, false
 	}
@@ -168,16 +327,16 @@ func (s *Store) Get(key []byte) ([]byte, bool) {
 }
 
 // GetView returns the value stored under key without copying. The returned
-// slice aliases store memory — possibly shared with other keys holding an
-// equal small value: the caller must not mutate it and must not retain it
-// across a Put/Delete of the same key — decode immediately.
+// slice aliases the shard's arena: the caller must not mutate it and must
+// not retain it across a Put/Delete of the same key — a Put of a value of
+// the same length overwrites it in place — so decode immediately. Writes to
+// other keys, and the compactions they cause, leave it readable.
 func (s *Store) GetView(key []byte) ([]byte, bool) {
 	sh, suffix := s.lookup(key)
 	if sh == nil {
 		return nil, false
 	}
-	v, ok := sh.m[string(suffix)]
-	return v, ok
+	return sh.get(suffix)
 }
 
 // Has reports key presence without copying the value.
@@ -186,7 +345,7 @@ func (s *Store) Has(key []byte) bool {
 	if sh == nil {
 		return false
 	}
-	_, ok := sh.m[string(suffix)]
+	_, ok := sh.find(suffix)
 	return ok
 }
 
@@ -198,7 +357,7 @@ func (s *Store) Put(key, val []byte) bool {
 	if conforming(key) {
 		sh = s.shards[string(key[:groupLen])]
 		if sh == nil {
-			sh = newShard()
+			sh = &shard{}
 			s.shards[string(key[:groupLen])] = sh
 			s.prefixes = nil
 		}
@@ -206,46 +365,39 @@ func (s *Store) Put(key, val []byte) bool {
 	} else {
 		sh, suffix = s.fallback, key
 	}
-	name := s.intern(suffix)
-	_, existed := sh.m[name]
-	sh.m[name] = s.internVal(val)
-	if !existed {
-		sh.order = nil
-		s.n++
+	if !sh.put(suffix, val) {
+		return false
 	}
-	return !existed
+	s.n++
+	return true
 }
 
 // Delete removes key, reporting whether it was present.
 func (s *Store) Delete(key []byte) bool {
 	sh, suffix := s.lookup(key)
-	if sh == nil {
+	if sh == nil || !sh.del(suffix) {
 		return false
 	}
-	if _, ok := sh.m[string(suffix)]; !ok {
-		return false
-	}
-	delete(sh.m, string(suffix))
-	sh.order = nil
 	s.n--
 	return true
 }
 
 // Scan calls fn for every live (key, value) with the given prefix, in key
-// order, until fn returns false. The callback receives scratch key storage
-// and internal value slices valid only for the duration of the call: it must
-// not retain or mutate them.
+// order, until fn returns false. The callback receives key and value slices
+// valid only for the duration of the call: it must not retain or mutate them,
+// and it must not write to the store — collect first, then mutate.
 func (s *Store) Scan(prefix []byte, fn func(key, val []byte) bool) {
 	if conforming(prefix) {
-		sh, names := s.groupNames(prefix)
-		if len(names) == 0 {
+		sh, offs := s.groupNames(prefix)
+		if len(offs) == 0 {
 			return
 		}
 		buf := make([]byte, 0, groupLen+64)
 		buf = append(buf, prefix[:groupLen]...)
-		for _, name := range names {
+		for _, off := range offs {
+			name, val, _ := sh.entry(off)
 			buf = append(buf[:groupLen], name...)
-			if !fn(buf, sh.m[name]) {
+			if !fn(buf, val) {
 				return
 			}
 		}
@@ -255,17 +407,30 @@ func (s *Store) Scan(prefix []byte, fn func(key, val []byte) bool) {
 }
 
 // ScanNames is Scan for a caller that wants each key's suffix past the
-// prefix as a string — a directory's entry names — and may keep it: under a
-// group prefix the suffix is a substring of the store's own copy of the
-// name, so nothing is copied. Values follow Scan's rules.
+// prefix as a string — a directory's entry names — and may keep it. Under a
+// group prefix the names are copied out of the arena into one string per
+// call, which the names handed out share. Values follow Scan's rules.
 func (s *Store) ScanNames(prefix []byte, fn func(name string, val []byte) bool) {
 	if conforming(prefix) {
-		sh, names := s.groupNames(prefix)
+		sh, offs := s.groupNames(prefix)
 		rest := len(prefix) - groupLen
-		for _, name := range names {
-			if !fn(name[rest:], sh.m[name]) {
+		size := 0
+		for _, off := range offs {
+			size += len(sh.name(off)) - rest
+		}
+		var b strings.Builder
+		b.Grow(size)
+		for _, off := range offs {
+			b.Write(sh.name(off)[rest:])
+		}
+		names := b.String()
+		for _, off := range offs {
+			name, val, _ := sh.entry(off)
+			l := len(name) - rest
+			if !fn(names[:l], val) {
 				return
 			}
+			names = names[l:]
 		}
 		return
 	}
@@ -273,18 +438,18 @@ func (s *Store) ScanNames(prefix []byte, fn func(name string, val []byte) bool) 
 }
 
 // groupNames returns the shard a conforming prefix selects — exactly one:
-// non-conforming keys can never match it — and its sorted names that extend
-// the prefix past the group.
-func (s *Store) groupNames(prefix []byte) (*shard, []string) {
+// non-conforming keys can never match it — and the offsets, in name order,
+// of its names that extend the prefix past the group.
+func (s *Store) groupNames(prefix []byte) (*shard, []uint32) {
 	sh := s.shards[string(prefix[:groupLen])]
 	if sh == nil {
 		return nil, nil
 	}
-	rest := string(prefix[groupLen:])
+	rest := prefix[groupLen:]
 	order := sh.ensureOrder()
-	order = order[sort.SearchStrings(order, rest):]
-	if rest != "" {
-		order = order[:sort.Search(len(order), func(i int) bool { return !strings.HasPrefix(order[i], rest) })]
+	if len(rest) > 0 {
+		order = order[sh.search(order, rest):]
+		order = order[:sort.Search(len(order), func(i int) bool { return !bytes.HasPrefix(sh.name(order[i]), rest) })]
 	}
 	return sh, order
 }
@@ -294,7 +459,7 @@ func (s *Store) groupNames(prefix []byte) (*shard, []string) {
 func (s *Store) CountPrefix(prefix []byte) int {
 	if len(prefix) == groupLen && prefix[groupLen-1] == '/' {
 		if sh := s.shards[string(prefix)]; sh != nil {
-			return len(sh.m)
+			return sh.n
 		}
 		return 0
 	}
@@ -307,9 +472,8 @@ func (s *Store) CountPrefix(prefix []byte) int {
 // lost).
 func (s *Store) Clear() {
 	s.shards = make(map[string]*shard)
-	s.fallback = newShard()
+	s.fallback = &shard{}
 	s.prefixes = nil
-	s.names, s.vals = [internSlots]string{}, [internSlots][]byte{}
 	s.n = 0
 }
 
@@ -325,30 +489,6 @@ func (s *Store) ensurePrefixes() []string {
 		s.prefixes = ps
 	}
 	return s.prefixes
-}
-
-// cmpSB compares a string with a byte slice lexicographically without
-// allocating.
-func cmpSB(a string, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
 }
 
 // prefixSuccessor returns the smallest byte string greater than every string
@@ -371,27 +511,26 @@ func prefixSuccessor(prefix []byte) []byte {
 // Distinct group prefixes have equal length, so prefix order totally orders
 // the shards' disjoint key ranges; only the fallback interleaves.
 func (s *Store) Range(lo, hi []byte, fn func(key, val []byte) bool) {
-	fb := s.fallback.ensureOrder()
+	fs := s.fallback
+	fb := fs.ensureOrder()
 	fi := 0
 	if len(lo) > 0 {
-		fi = sort.Search(len(fb), func(i int) bool { return cmpSB(fb[i], lo) >= 0 })
+		fi = fs.search(fb, lo)
 	}
-	buf := make([]byte, 0, 128)
 	// drainFallback emits fallback keys below limit (nil: no limit) and
 	// below hi; it reports whether iteration should continue.
 	drainFallback := func(limit []byte) bool {
 		for fi < len(fb) {
-			k := fb[fi]
-			if limit != nil && cmpSB(k, limit) >= 0 {
+			k, v, _ := fs.entry(fb[fi])
+			if limit != nil && bytes.Compare(k, limit) >= 0 {
 				return true
 			}
-			if hi != nil && cmpSB(k, hi) >= 0 {
+			if hi != nil && bytes.Compare(k, hi) >= 0 {
 				fi = len(fb)
 				return true
 			}
-			buf = append(buf[:0], k...)
 			fi++
-			if !fn(buf, s.fallback.m[k]) {
+			if !fn(k, v) {
 				return false
 			}
 		}
@@ -399,27 +538,27 @@ func (s *Store) Range(lo, hi []byte, fn func(key, val []byte) bool) {
 	}
 	key := make([]byte, 0, 128)
 	for _, p := range s.ensurePrefixes() {
-		if hi != nil && cmpSB(p, hi) >= 0 {
+		if hi != nil && p >= string(hi) {
 			break
 		}
 		sh := s.shards[p]
-		if len(sh.m) == 0 {
+		if sh.n == 0 {
 			continue
 		}
-		start := 0
+		order := sh.ensureOrder()
 		if len(lo) > 0 {
 			switch {
 			case len(lo) >= groupLen && string(lo[:groupLen]) == p:
 				// lo falls inside this shard: binary-search the suffixes.
-				start = sort.SearchStrings(sh.ensureOrder(), string(lo[groupLen:]))
-			case cmpSB(p, lo) < 0:
+				order = order[sh.search(order, lo[groupLen:]):]
+			case p < string(lo):
 				// Every key extends p; lo is not an extension of p and sorts
 				// above it, so the whole shard precedes lo.
 				continue
 			}
 		}
-		order := sh.ensureOrder()
-		for _, name := range order[start:] {
+		for _, off := range order {
+			name, val, _ := sh.entry(off)
 			key = append(append(key[:0], p...), name...)
 			if hi != nil && bytes.Compare(key, hi) >= 0 {
 				drainFallback(nil)
@@ -428,7 +567,7 @@ func (s *Store) Range(lo, hi []byte, fn func(key, val []byte) bool) {
 			if !drainFallback(key) {
 				return
 			}
-			if !fn(key, sh.m[name]) {
+			if !fn(key, val) {
 				return
 			}
 		}

@@ -1,8 +1,9 @@
 package kv_test
 
-// Tests for the sharded + interned representation behind the Store API:
-// group-shard routing, the name and value intern caches, ordered merges across the
-// conforming/fallback split, and the O(1) group CountPrefix.
+// Tests for the sharded arena representation behind the Store API:
+// group-shard routing, copies and views of stored values, the heap an entry
+// costs, compaction, ordered merges across the conforming/fallback split, and
+// the O(1) group CountPrefix.
 
 import (
 	"bytes"
@@ -95,8 +96,7 @@ func TestShardedOrdering(t *testing.T) {
 }
 
 // TestSameNameAcrossGroups stores the same component name under many
-// directories — the interned-name case — and checks the values stay
-// distinct per key.
+// directories and checks the values stay distinct per key.
 func TestSameNameAcrossGroups(t *testing.T) {
 	s := kv.New()
 	const groups = 64
@@ -115,44 +115,10 @@ func TestSameNameAcrossGroups(t *testing.T) {
 	}
 }
 
-// TestValueInterningShares checks that equal small values stored under
-// different keys alias the same backing array through GetView, and that
-// overwriting one key does not disturb the other.
-func TestValueInterningShares(t *testing.T) {
-	s := kv.New()
-	val := []byte("identical-small-record")
-	k1 := schemaKey('i', dirID(1), "a")
-	k2 := schemaKey('i', dirID(2), "b")
-	s.Put(k1, val)
-	s.Put(k2, val)
-
-	v1, ok1 := s.GetView(k1)
-	v2, ok2 := s.GetView(k2)
-	if !ok1 || !ok2 {
-		t.Fatal("missing keys")
-	}
-	if &v1[0] != &v2[0] {
-		t.Error("equal small values should share one backing array")
-	}
-	// The stored value must be a copy, not an alias of the caller's slice.
-	val[0] = 'X'
-	if v, _ := s.Get(k1); v[0] == 'X' {
-		t.Error("store aliases the caller's value slice")
-	}
-
-	// Overwriting k1 must leave k2 intact (values are replaced, never
-	// mutated in place).
-	s.Put(k1, []byte("changed"))
-	if v, _ := s.Get(k2); string(v) != "identical-small-record" {
-		t.Errorf("overwrite of k1 disturbed k2: %q", v)
-	}
-}
-
-// TestInternKeyIsTheStoredCopy: the value cache holds the store's own copy,
+// TestInternKeyIsTheStoredCopy: the store keeps its own copy of a value,
 // never the caller's slice. A caller that rewrites its slice after Put
-// changes neither what Get returns nor what a later Put of the original bytes
-// shares: the rewritten bytes are a value of their own, and the original
-// bytes still find the first copy.
+// changes nothing the store returns, and a later Put of the rewritten bytes
+// stores a value of its own.
 func TestInternKeyIsTheStoredCopy(t *testing.T) {
 	s := kv.New()
 	buf := []byte("value-one")
@@ -168,20 +134,17 @@ func TestInternKeyIsTheStoredCopy(t *testing.T) {
 	}
 	v1, _ := s.GetView(k1)
 	v2, _ := s.GetView(k2)
-	v3, _ := s.GetView(k3)
-	if &v1[0] != &v3[0] {
-		t.Error("equal values no longer share one backing array")
-	}
 	if &v1[0] == &v2[0] || &v1[0] == &buf[0] || &v2[0] == &buf[0] {
 		t.Error("a stored value aliases another value or the caller's slice")
 	}
 }
 
-// TestInternCachesBounded: the intern caches retain no more than their
-// slots. Putting, then deleting, 100 000 unique names with unique inode-sized
-// values leaves the store holding at most 64 KiB more than an empty one: no
-// table keeps a name or a value for every key that ever passed through.
-func TestInternCachesBounded(t *testing.T) {
+// TestCompactionBounded: deleted entries do not stay in the arena.
+// Putting, then deleting, 100 000 unique names with unique inode-sized
+// values leaves the store holding at most 64 KiB more than an empty one:
+// compaction drops every dead entry, so nothing keeps a name or a value for
+// every key that ever passed through.
+func TestCompactionBounded(t *testing.T) {
 	const n, budget = 100_000, 64 << 10
 	live := func() uint64 {
 		var ms runtime.MemStats
@@ -208,18 +171,36 @@ func TestInternCachesBounded(t *testing.T) {
 	}
 }
 
-// TestLargeValuesNotShared checks values above the interning bound are
-// independent copies.
-func TestLargeValuesNotShared(t *testing.T) {
+// TestBytesPerEntry: 10 000 unique 8-byte names with 13-byte values in one
+// group add at most 48 bytes each to the live heap — the entry's 23 bytes
+// and two length bytes in the arena, its index slot, and the slack of the
+// arena's and the index's growth.
+func TestBytesPerEntry(t *testing.T) {
+	const n, budget = 10_000, 48
+	live := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = schemaKey('i', dirID(1), fmt.Sprintf("f%07d", i))
+	}
+	val := make([]byte, 13)
+	before := live()
 	s := kv.New()
-	val := bytes.Repeat([]byte{7}, 4096)
-	k1, k2 := []byte("big/one"), []byte("big/two")
-	s.Put(k1, val)
-	s.Put(k2, val)
-	v1, _ := s.GetView(k1)
-	v2, _ := s.GetView(k2)
-	if &v1[0] == &v2[0] {
-		t.Error("large values must not be interned")
+	for i, k := range keys {
+		binary.BigEndian.PutUint64(val, uint64(i))
+		s.Put(k, val)
+	}
+	after := live()
+	runtime.KeepAlive(s)
+	runtime.KeepAlive(keys)
+	per := float64(int64(after)-int64(before)) / n
+	t.Logf("%.1f live bytes per entry", per)
+	if per > budget {
+		t.Errorf("%.1f live bytes per entry, want at most %d", per, budget)
 	}
 }
 
@@ -329,8 +310,9 @@ func TestScanPrefixInsideGroup(t *testing.T) {
 
 // TestScanNamesMatchesScan: ScanNames visits what Scan visits, in order,
 // under a whole group, a prefix inside one and a non-conforming prefix, and
-// hands out each name past the prefix. Under a group prefix the names are the
-// store's own strings: visiting them copies nothing.
+// hands out each name past the prefix. Under a group prefix the names are
+// copied out of the store into one string: exactly one allocation per call,
+// for a group of 5 names as for one of 500.
 func TestScanNamesMatchesScan(t *testing.T) {
 	s := kv.New()
 	id := dirID(4)
@@ -352,12 +334,18 @@ func TestScanNamesMatchesScan(t *testing.T) {
 			t.Errorf("prefix %q: ScanNames %v, Scan %v", prefix, got, want)
 		}
 	}
-	group := schemaKey('e', id, "")
-	names := 0
-	if n := testing.AllocsPerRun(100, func() {
-		s.ScanNames(group, func(name string, v []byte) bool { names += len(name); return true })
-	}); n != 0 {
-		t.Errorf("ScanNames over a group: %v allocs, want 0", n)
+	big := dirID(6)
+	for i := 0; i < 500; i++ {
+		s.Put(schemaKey('e', big, fmt.Sprintf("f%03d", i)), []byte{1})
+	}
+	for _, id := range []core.DirID{id, big} {
+		group := schemaKey('e', id, "")
+		names := 0
+		if n := testing.AllocsPerRun(100, func() {
+			s.ScanNames(group, func(name string, v []byte) bool { names++; return true })
+		}); n != 1 {
+			t.Errorf("ScanNames over a group of %d: %v allocs, want 1", s.CountPrefix(group), n)
+		}
 	}
 }
 

@@ -190,8 +190,8 @@ func (s *Server) handleDirRead(p *env.Proc, pkt *wire.Packet, req *wire.DirReadR
 }
 
 // entryList returns directory id's entry list — one array, sized by the
-// count; each name is the store's own string — and charges a scan of every
-// entry.
+// count; the names share one string copied out of the store — and charges a
+// scan of every entry.
 func (s *Server) entryList(p *env.Proc, id core.DirID) []core.DirEntry {
 	var kb core.KeyBuf
 	prefix := core.AppendEntryKey(kb[:0], id, "")
