@@ -7,8 +7,9 @@ package env
 
 // Future is a one-shot mailbox: a value completed at most once (duplicate
 // completions are ignored — exactly what a retransmitting RPC layer needs).
-// Any number of processes may Wait for it, and Complete wakes them in the
-// order they came; WaitTimeout is for a sole waiter.
+// Any number of processes may Wait or WaitTimeout for it, and Complete wakes
+// them in the order they came; an expired WaitTimeout leaves the others
+// waiting.
 type Future struct {
 	done bool
 	val  any
@@ -43,14 +44,30 @@ func (f *Future) Done() bool { return f.done }
 // Wait blocks p until the future completes and returns the value.
 func (f *Future) Wait(p *Proc) any {
 	if !f.done {
-		at := &f.waiter
-		for *at != nil {
-			at = &(*at).nextWaiter
-		}
-		*at = p
+		f.join(p)
 		p.park()
 	}
 	return f.val
+}
+
+// join queues p behind the waiters.
+func (f *Future) join(p *Proc) {
+	at := &f.waiter
+	for *at != nil {
+		at = &(*at).nextWaiter
+	}
+	*at = p
+}
+
+// leave takes p out of the waiters, reporting whether it was one.
+func (f *Future) leave(p *Proc) bool {
+	for at := &f.waiter; *at != nil; at = &(*at).nextWaiter {
+		if *at == p {
+			*at, p.nextWaiter = p.nextWaiter, nil
+			return true
+		}
+	}
+	return false
 }
 
 // WaitTimeout blocks p until completion or until d elapses. ok is false on
@@ -59,7 +76,7 @@ func (f *Future) WaitTimeout(p *Proc, d Duration) (v any, ok bool) {
 	if f.done {
 		return f.val, true
 	}
-	f.waiter = p
+	f.join(p)
 	// The expiry is a plain queue event, recognised by its sequence number —
 	// no Timer or closure per wait.
 	p.tw = p.env.push(d, event{kind: evTimeout, p: p, msg: f})

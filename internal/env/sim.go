@@ -372,10 +372,9 @@ func (s *Sim) fireTimeout(ev *event) {
 	if p.tw.seq != ev.seq {
 		return // the wait already ended; this expiry could not be unlinked
 	}
-	if f.done || f.waiter != p {
+	if f.done || !f.leave(p) {
 		return
 	}
-	f.waiter = nil
 	p.timedOut = true
 	s.unpark(p)
 }

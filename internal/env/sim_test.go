@@ -220,6 +220,61 @@ func TestFutureTimeoutBeatenByComplete(t *testing.T) {
 	}
 }
 
+// TestFutureTimeoutWaitersAllWoken: two WaitTimeouts on one future are both
+// woken by its completion, in the order they came, with the value.
+func TestFutureTimeoutWaitersAllWoken(t *testing.T) {
+	s := NewSim(1)
+	defer s.Shutdown()
+	s.AddNode(1, NodeConfig{})
+	f := NewFuture()
+	var woke []int
+	for i := 0; i < 2; i++ {
+		s.Spawn(1, func(p *Proc) {
+			p.Sleep(Duration(i) * Microsecond)
+			if v, ok := f.WaitTimeout(p, Millisecond); ok && v == 7 && p.Now() == 5*Microsecond {
+				woke = append(woke, i)
+			}
+		})
+	}
+	s.Spawn(1, func(p *Proc) {
+		p.Sleep(5 * Microsecond)
+		f.Complete(7)
+	})
+	s.Run()
+	if fmt.Sprint(woke) != "[0 1]" {
+		t.Fatalf("woke %v at 5µs with the value, want [0 1]", woke)
+	}
+}
+
+// TestFutureTimeoutLeavesOtherWaiter: of two WaitTimeouts on one future, the
+// shorter expires on time and the longer is still woken by the completion
+// that comes between the two expiries.
+func TestFutureTimeoutLeavesOtherWaiter(t *testing.T) {
+	s := NewSim(1)
+	defer s.Shutdown()
+	s.AddNode(1, NodeConfig{})
+	f := NewFuture()
+	var shortOK, longOK bool
+	var shortAt, longAt Time
+	s.Spawn(1, func(p *Proc) {
+		_, longOK = f.WaitTimeout(p, 10*Microsecond)
+		longAt = p.Now()
+	})
+	s.Spawn(1, func(p *Proc) {
+		_, shortOK = f.WaitTimeout(p, 2*Microsecond)
+		shortAt = p.Now()
+	})
+	s.Spawn(1, func(p *Proc) {
+		p.Sleep(5 * Microsecond)
+		f.Complete(nil)
+	})
+	s.Run()
+	if shortOK || shortAt != 2*Microsecond || !longOK || longAt != 5*Microsecond {
+		t.Fatalf("short wait ok=%v at %d, long wait ok=%v at %d; want a timeout at 2µs and a completion at 5µs",
+			shortOK, shortAt, longOK, longAt)
+	}
+}
+
 func TestMutexFIFOHandoff(t *testing.T) {
 	s := NewSim(1)
 	defer s.Shutdown()

@@ -47,6 +47,29 @@ func TestScatteredReadsJoinAggregation(t *testing.T) {
 	}
 }
 
+// TestGateWaitersAllReturn: two requests parked on one group's arrival gate
+// both return, admitted, when UnblockFP releases it.
+func TestGateWaitersAllReturn(t *testing.T) {
+	r := newAggOwnerRig(t, 0, env.DefaultCosts())
+	s := r.s
+	s.BlockFP(r.dir.FP)
+	var back [2]env.Time
+	var errs [2]error
+	for i := range back {
+		back[i] = -1
+		r.sim.SpawnAfter(aggOwner, env.Duration(i+1)*env.Microsecond, func(p *env.Proc) {
+			errs[i] = s.gateWait(p, r.dir.FP)
+			back[i] = p.Now()
+		})
+	}
+	r.sim.SpawnAfter(aggOwner, 10*env.Microsecond, func(*env.Proc) { s.UnblockFP(r.dir.FP) })
+	r.sim.Run()
+	want := 10 * env.Microsecond
+	if back != [2]env.Time{want, want} || errs != [2]error{} {
+		t.Fatalf("gate waiters returned at %v with %v, want both at %d with no error", back, errs, want)
+	}
+}
+
 // TestEvictedGroupKeepsChangeLogs: a server whose group migrated away keeps
 // the change-logs it holds for the group's directories, so the new owner's
 // aggregation still collects them. Only the owner-side state of the group
