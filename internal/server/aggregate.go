@@ -66,7 +66,7 @@ func (s *Server) aggregateFP(p *env.Proc, fp core.Fingerprint, opts *aggOpts) bo
 	if !complete {
 		// An incomplete aggregation (a peer stayed down) covers nobody:
 		// waiters must run their own instead of taking this one as fresh.
-		g.lastStart = 0
+		g.lastStart = noStart
 	}
 	g.incomplete = !complete
 	g.agg.ended.Complete(nil)

@@ -20,8 +20,10 @@ func scatteredRead(s *Server, p *env.Proc, dir core.DirRef, rpc uint64) {
 
 // TestScatteredReadsJoinAggregation: three scattered reads of one group, the
 // second and third arriving while the first one's aggregation is in flight,
-// run two aggregations. The first covers none of the later arrivals; the
-// second starts after both arrived, so the third joins it. Each read calls
+// run two aggregations. The first, arriving at virtual time 0, runs its own
+// (a group that never aggregated is covered by nothing) and covers none of
+// the later arrivals; the second starts after both arrived, so the third
+// joins it. Each read calls
 // aggregateFP as handleDirRead does for a scattered group, without the read
 // tally, which would keep the group in the table by itself.
 func TestScatteredReadsJoinAggregation(t *testing.T) {
@@ -29,7 +31,10 @@ func TestScatteredReadsJoinAggregation(t *testing.T) {
 	s := r.s
 	s.storeInode(r.dir.Key, &core.Inode{ID: r.dir.ID, Attr: core.Attr{Type: core.TypeDir, Perm: core.DefaultDirPerm, Nlink: 2}})
 	var during, complete [3]bool
-	for i, at := range []env.Duration{10 * env.Microsecond, 11 * env.Microsecond, 12 * env.Microsecond} {
+	if now := r.sim.Now(); now != 0 {
+		t.Fatalf("rig booted at %d, want 0: the first read must arrive at virtual time 0", now)
+	}
+	for i, at := range []env.Duration{0, env.Microsecond, 2 * env.Microsecond} {
 		r.sim.SpawnAfter(aggOwner, at, func(p *env.Proc) {
 			during[i] = !s.AggsQuiescent()
 			complete[i] = s.aggregateFP(p, r.dir.FP, nil)

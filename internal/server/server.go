@@ -158,9 +158,10 @@ type group struct {
 	agg     *aggCtx
 	waiters int
 	// lastStart is when the most recent aggregation started (its remove was
-	// issued at or after this instant); incomplete records that it gave up
-	// on an unreachable peer, so the applied state may miss acknowledged
-	// entries and reads must not serve it as the directory.
+	// issued at or after this instant), noStart before the first and after
+	// an incomplete one; incomplete records that it gave up on an
+	// unreachable peer, so the applied state may miss acknowledged entries
+	// and reads must not serve it as the directory.
 	lastStart  env.Time
 	incomplete bool
 	// ops tallies the directory reads and detaches admitted since the
@@ -532,11 +533,15 @@ func (g *group) addLog(dl *dirLog) {
 	g.logs = slices.Insert(g.logs, i, dl)
 }
 
+// noStart is the lastStart of a group no aggregation covers: it lies before
+// every arrival, virtual time 0 included.
+const noStart env.Time = -1
+
 // groupOf returns (creating on demand) the state of a fingerprint group.
 func (s *Server) groupOf(fp core.Fingerprint) *group {
 	g := s.groups[fp]
 	if g == nil {
-		g = &group{}
+		g = &group{lastStart: noStart}
 		s.groups[fp] = g
 	}
 	return g
