@@ -75,6 +75,9 @@ func FuzzStore(f *testing.F) {
 		fill = append(fill, 5, byte(i), 2, byte(i), 7, 3, byte(i), 3, byte(i))
 	}
 	f.Add(append(fill, 6, 0, 1, 7, 0, 1, 8, 0, 255, 9, 0, 1))
+	// Scan a group, overwrite one entry at another length, scan again: the
+	// built order must follow the entry.
+	f.Add([]byte{0, 1, 3, 0, 2, 3, 6, 0, 0, 1, 2, 1, 5, 6, 0, 0, 1, 7, 0, 0, 1})
 	f.Add([]byte("the quick brown fox jumps over the lazy dog, again and again and again"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := New()

@@ -61,14 +61,14 @@ func conforming(key []byte) bool {
 // but by a Put whose value has the stored one's length, which overwrites it
 // in place; any other overwrite, and every delete, leaves the old entry as
 // dead bytes, and once they pass half the arena the live entries move to a
-// fresh one (compact). A view into the old arena stays readable.
+// fresh one (maybeCompact). A view into the old arena stays readable.
 //
 // index is a linear-probing table of arena offsets plus one (0 is an empty
 // slot), a power of two long and at most three quarters full, probed from
 // the top bits of the name's hash; a delete shifts the rest of its probe run
 // back, so there are no tombstones. order, valid while sorted, lists the
-// live offsets in name order for scans; an insert or delete drops it and the
-// next ordered read rebuilds it in place.
+// live offsets in name order for scans; an insert, a delete or a compaction
+// drops it and the next ordered read rebuilds it in place.
 type shard struct {
 	arena  []byte
 	index  []uint32
@@ -128,16 +128,6 @@ func (sh *shard) find(name []byte) (int, bool) {
 			return i, true
 		}
 	}
-}
-
-// get returns the value stored under name.
-func (sh *shard) get(name []byte) ([]byte, bool) {
-	i, ok := sh.find(name)
-	if !ok {
-		return nil, false
-	}
-	_, v, _ := sh.entry(sh.index[i] - 1)
-	return v, true
 }
 
 // place puts off into the first empty slot of its name's probe run.
@@ -230,38 +220,27 @@ func (sh *shard) del(name []byte) bool {
 
 // maybeCompact moves the live entries to a fresh arena once dead bytes pass
 // half of it, so the arena holds at most twice its live bytes. A fresh arena
-// rather than a shift in place keeps every earlier view readable.
+// rather than a shift in place keeps every earlier view readable. Each index
+// slot keeps its place and takes its entry's new offset; the order is rebuilt
+// on the next ordered read.
 func (sh *shard) maybeCompact() {
 	if sh.dead*2 <= len(sh.arena) {
 		return
 	}
 	old, live := sh.arena, len(sh.arena)-sh.dead
-	sh.arena, sh.dead = nil, 0
+	sh.arena, sh.dead, sh.sorted = nil, 0, false
 	if sh.n == 0 {
 		return
 	}
 	sh.arena = make([]byte, 0, live)
-	move := func(off uint32) uint32 {
-		l, p := uvarintAt(old, int(off))
-		l, p = uvarintAt(old, p+l)
-		at := uint32(len(sh.arena))
-		sh.arena = append(sh.arena, old[off:p+l]...)
-		return at
-	}
-	if !sh.sorted {
-		for i, o := range sh.index {
-			if o != 0 {
-				sh.index[i] = move(o-1) + 1
-			}
+	for i, o := range sh.index {
+		if o == 0 {
+			continue
 		}
-		return
-	}
-	// Copy in name order, so a scan reads the arena front to back, and place
-	// the new offsets afresh.
-	clear(sh.index)
-	for j, off := range sh.order {
-		sh.order[j] = move(off)
-		sh.place(sh.order[j])
+		l, p := uvarintAt(old, int(o-1))
+		l, p = uvarintAt(old, p+l)
+		sh.index[i] = uint32(len(sh.arena)) + 1
+		sh.arena = append(sh.arena, old[o-1:p+l]...)
 	}
 }
 
@@ -271,7 +250,7 @@ func (sh *shard) search(order []uint32, name []byte) int {
 }
 
 // ensureOrder returns the live offsets in name order, rebuilding the list in
-// its own array if an insert or delete invalidated it. The index walk feeds
+// its own array if an insert, a delete or a compaction invalidated it. The index walk feeds
 // a sort, so slot order never escapes.
 func (sh *shard) ensureOrder() []uint32 {
 	if !sh.sorted {
@@ -336,7 +315,12 @@ func (s *Store) GetView(key []byte) ([]byte, bool) {
 	if sh == nil {
 		return nil, false
 	}
-	return sh.get(suffix)
+	i, ok := sh.find(suffix)
+	if !ok {
+		return nil, false
+	}
+	_, v, _ := sh.entry(sh.index[i] - 1)
+	return v, true
 }
 
 // Has reports key presence without copying the value.
