@@ -133,12 +133,15 @@ bench-layers:
 # payload) and FuzzStore (internal/kv: the store answers every call as a
 # sorted-map model does, views survive writes to other keys, and no arena
 # holds more than twice its live bytes). Tier-1 runs all three seed corpora;
-# this searches beyond them.
+# this searches beyond them. Minimizing an input is capped at 100 runs of it:
+# uncapped, it took most of each target's FUZZTIME. A failing input still
+# fails the step.
 FUZZTIME ?= 20s
+FUZZFLAGS = -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeInode$$' -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecoders$$' -fuzztime $(FUZZTIME) ./internal/server
-	$(GO) test -run '^$$' -fuzz '^FuzzStore$$' -fuzztime $(FUZZTIME) ./internal/kv
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeInode$$' $(FUZZFLAGS) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecoders$$' $(FUZZFLAGS) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzStore$$' $(FUZZFLAGS) ./internal/kv
 
 figures:
 	$(GO) run ./cmd/fsbench -fig all -scale quick

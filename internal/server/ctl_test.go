@@ -171,7 +171,7 @@ func TestControlExchangeTable(t *testing.T) {
 		{what: "FlushEntry: pending, delivered", setup: func(r *ctlRig) { r.logged(1, "x") }, serve: flushX,
 			want: wire.FlushEntryResp{}, size: 1},
 
-		{what: "TxnStatus: committed", setup: func(r *ctlRig) { r.s.txnWAL[7] = 1 }, serve: status,
+		{what: "TxnStatus: committed", setup: func(r *ctlRig) { r.s.txnWAL[7] = txnCommit{lsn: 1} }, serve: status,
 			want: wire.TxnStatusResp{Commit: true}},
 		{what: "TxnStatus: still voting", setup: func(r *ctlRig) { r.s.txnVotes = []*coordTxn{{id: 7}} }, serve: status,
 			want: wire.TxnStatusResp{Pending: true}},
@@ -261,7 +261,7 @@ func TestControlExchangeInPlaceMatchesPacket(t *testing.T) {
 			(*Server).serveDetachDir, (*ctlRig).detachReq, true),
 		pairOf("FlushEntry", pendingX, (*Server).serveFlushEntry,
 			func(r *ctlRig) wire.FlushEntryReq { return wire.FlushEntryReq{Key: r.key} }, true),
-		pairOf("TxnStatus", func(r *ctlRig) { r.s.txnWAL[7] = 1 }, (*Server).serveTxnStatus,
+		pairOf("TxnStatus", func(r *ctlRig) { r.s.txnWAL[7] = txnCommit{lsn: 1} }, (*Server).serveTxnStatus,
 			func(*ctlRig) wire.TxnStatusReq { return wire.TxnStatusReq{Txn: 7} }, true),
 		pairOf("CloneInval", func(r *ctlRig) { r.s.addInval(r.dir.ID) }, (*Server).serveCloneInval,
 			func(*ctlRig) wire.CloneInvalReq { return wire.CloneInvalReq{} }, false),

@@ -132,32 +132,19 @@ func (s *Server) gateWait(p *env.Proc, fp core.Fingerprint) error {
 	return nil
 }
 
-// admitFP is the request-admission protocol for one fingerprint group:
-// ownership under the current ring, the migration arrival gate, then
-// ownership again (the gate also releases when an aborted migration rolls
-// its override back). On nil return the caller holds a busy reference it
-// must release with fpExit; the final check and fpEnter run in one event, so
-// a migration can never observe "owner moved but no busy reference" for an
-// admitted op.
+// admitFP is admitFPs for one group; release its busy reference with fpExit.
 func (s *Server) admitFP(p *env.Proc, fp core.Fingerprint) error {
-	if err := s.checkOwnership(fp); err != nil {
-		return err
-	}
-	if err := s.gateWait(p, fp); err != nil {
-		return err
-	}
-	if err := s.checkOwnership(fp); err != nil {
-		return err
-	}
-	s.fpEnter(fp)
-	return nil
+	return s.admitFPs(p, []core.Fingerprint{fp})
 }
 
-// admitFPs is admitFP over a set of groups — a transaction's fingerprint
-// footprint. All-or-nothing: on nil return the caller holds one busy
-// reference per group (release with exitFPs); on error it holds none. The
-// final re-check pass and the fpEnter pass run in one event, exactly as in
-// admitFP.
+// admitFPs is the request-admission protocol for a set of fingerprint groups
+// — one request's, or a transaction's footprint: ownership under the current
+// ring, the migration arrival gate, then ownership again (the gate also
+// releases when an aborted migration rolls its override back).
+// All-or-nothing: on nil return the caller holds one busy reference per
+// group (release with exitFPs); on error it holds none. The final re-check
+// pass and the fpEnter pass run in one event, so a migration can never
+// observe "owner moved but no busy reference" for an admitted op.
 func (s *Server) admitFPs(p *env.Proc, fps []core.Fingerprint) error {
 	for _, fp := range fps {
 		if err := s.checkOwnership(fp); err != nil {

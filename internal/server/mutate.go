@@ -235,7 +235,7 @@ func (s *Server) replyMutate(p *env.Proc, req *wire.MutateReq, err error) {
 func (s *Server) asyncCommit(p *env.Proc, parent core.DirRef, parentLog *dirLog,
 	entry core.LogEntry, rec wal.LSN, resp *wire.MutateResp, client env.NodeID) {
 
-	parentLog.walLSN[entry.ID] = rec
+	parentLog.commits = append(parentLog.commits, logCommit{id: entry.ID, lsn: rec})
 	csp := s.cfg.Trace.Start(p, "commit:async", "server")
 	defer csp.End()
 	id := s.ids.Next()
@@ -357,12 +357,11 @@ func (s *Server) handleFallback(p *env.Proc, pkt *wire.Packet, cn *wire.CommitNo
 // ackEntries marks entries ≤ maxID applied in the WAL, trims the log and
 // releases the flushes that waited for them.
 func (s *Server) ackEntries(dl *dirLog, maxID uint64) {
-	for id, lsn := range dl.walLSN {
-		if id <= maxID {
-			mustMark(s.wal, lsn)
-			delete(dl.walLSN, id)
-		}
+	n := 0
+	for ; n < len(dl.commits) && dl.commits[n].id <= maxID; n++ {
+		mustMark(s.wal, dl.commits[n].lsn)
 	}
+	dl.commits = append(dl.commits[:0], dl.commits[n:]...)
 	dl.log.AckThrough(maxID)
 	dl.settleFlushes(maxID, nil)
 }

@@ -64,6 +64,7 @@ func (s *Server) Recover(p *env.Proc) error {
 		s.Crash()
 		return err
 	}
+	s.lockPreparedTxns(p) // in the event replay ends, before the first park
 	s.Stats.RecoverRedoRecords += uint64(plan.records())
 	s.Stats.RecoverRedoLongestLane += uint64(plan.longest())
 	phase("recover:redo", &s.Stats.RecoverRedoUs, func() {
@@ -71,10 +72,6 @@ func (s *Server) Recover(p *env.Proc) error {
 			burnLanes(p, lanes, s.cfg.Costs.WALReplay)
 		}
 	})
-
-	// Rebuild in-doubt 2PC participant state (locks, replayed votes,
-	// termination monitors) before anything else can touch those keys.
-	s.rearmPreparedTxns(p)
 
 	// Re-deliver rebuilt change-logs: their fingerprints may have been
 	// inserted before the crash (reads will aggregate) or may never have
@@ -219,7 +216,7 @@ func (s *Server) replayWAL() (redoPlan, error) {
 			if !r.Applied {
 				dl := s.clogOf(parent)
 				dl.log.Append(entry)
-				dl.walLSN[entry.ID] = r.LSN
+				dl.commits = append(dl.commits, logCommit{id: entry.ID, lsn: r.LSN})
 			}
 			if entry.Op == core.OpRmdir {
 				s.addInval(in.ID)
@@ -268,15 +265,14 @@ func (s *Server) replayWAL() (redoPlan, error) {
 			// A commit decision some participant may not have learned yet
 			// (the record is marked applied once every participant acked):
 			// rebuild it so in-doubt status queries are answered with commit
-			// instead of presumed-abort, and queue it for re-delivery so the
-			// record can retire instead of replaying forever.
+			// instead of presumed-abort, and so redriveCommits re-delivers it
+			// and the record can retire instead of replaying forever.
 			if !r.Applied {
 				txn, parts, err := decodeTxnCommit(r.Payload)
 				if err != nil {
 					return err
 				}
-				s.txnWAL[txn] = r.LSN
-				s.txnRedrive = append(s.txnRedrive, txnRedrive{txn: txn, parts: parts})
+				s.txnWAL[txn] = txnCommit{lsn: r.LSN, parts: parts}
 			}
 		case recEvict:
 			fp, err := decodeEvict(r.Payload)
@@ -290,15 +286,16 @@ func (s *Server) replayWAL() (redoPlan, error) {
 			s.evictFP(fp)
 		case recTxnPrepare:
 			plan.barrier()
-			// A prepared, undecided transaction: this incarnation must hold
-			// its locks and be able to apply the (possibly already-decided)
-			// commit — rebuilt after replay by rearmPreparedTxns.
+			// A prepared, undecided transaction: this incarnation must be able
+			// to apply the (possibly already-decided) commit and replay its
+			// vote to a retransmitted prepare (locked by lockPreparedTxns).
 			if !r.Applied {
 				txn, coord, ops, err := decodeTxnPrepare(r.Payload)
 				if err != nil {
 					return err
 				}
-				s.txnRearm = append(s.txnRearm, txnRearm{txn: txn, coord: coord, ops: ops, lsn: r.LSN})
+				s.txns[txn] = &txnState{id: txn, coord: coord, ops: ops, lsn: r.LSN}
+				s.prepares.Put(coord, txn, core.ErrnoOK)
 			}
 		default:
 			return fmt.Errorf("server: unknown WAL record kind %d", r.Kind)

@@ -79,13 +79,8 @@ func replayDump(s *Server) string {
 	})
 	for _, dl := range sortedClogs(nil, s.clogs) {
 		fmt.Fprintf(&sb, "clog %+v %+v\n", dl.ref, dl.log.Snapshot())
-		ids := make([]uint64, 0, len(dl.walLSN))
-		for id := range dl.walLSN {
-			ids = append(ids, id)
-		}
-		slices.Sort(ids)
-		for _, id := range ids {
-			fmt.Fprintf(&sb, " lsn %d=%d\n", id, pos[dl.walLSN[id]])
+		for _, c := range dl.commits {
+			fmt.Fprintf(&sb, " lsn %d=%d\n", c.id, pos[c.lsn])
 		}
 	}
 	var marks []string
@@ -94,10 +89,20 @@ func replayDump(s *Server) string {
 	}
 	sort.Strings(marks)
 	sb.WriteString(strings.Join(marks, ""))
-	fmt.Fprintf(&sb, "inval %+v\nredrive %+v\n", s.inval, s.txnRedrive)
-	for _, ra := range s.txnRearm {
-		fmt.Fprintf(&sb, "rearm %d coord %d lsn %d\n", ra.txn, ra.coord, pos[ra.lsn])
-		for _, op := range ra.ops {
+	// The recorded decisions and the prepared transactions print in record
+	// order, as the lists replay once queued them did.
+	type redrive struct {
+		txn   uint64
+		parts []env.NodeID
+	}
+	var redrives []redrive
+	for _, txn := range s.recordedCommits() {
+		redrives = append(redrives, redrive{txn: txn, parts: s.txnWAL[txn].parts})
+	}
+	fmt.Fprintf(&sb, "inval %+v\nredrive %+v\n", s.inval, redrives)
+	for _, st := range s.preparedTxns() {
+		fmt.Fprintf(&sb, "rearm %d coord %d lsn %d\n", st.id, st.coord, pos[st.lsn])
+		for _, op := range st.ops {
 			img := op.Inode
 			op.Inode = nil
 			fmt.Fprintf(&sb, " op %+v inode %s\n", op, inodeDump(img))
@@ -158,10 +163,11 @@ func newReplayServer(t testing.TB, log *wal.Mem, cores int) (*env.Sim, *Server) 
 
 // TestReplayEquivalence pins what the redo pass rebuilds: the store, the
 // change-logs with their WAL positions, the watermarks, the invalidation list
-// and the 2PC re-arm and redrive lists are those the sequential replay of PR
-// 21 produced from the same four logs (digests of this very dump, taken
-// before the inode image became compact and while every aggregated entry was
-// a record of its own), and the plan charges the same records and entries.
+// and the 2PC state (prepared transactions, recorded commit decisions) are
+// those the sequential replay of PR 21 produced from the same four logs
+// (digests of this very dump, taken before the inode image became compact
+// and while every aggregated entry was a record of its own), and the plan
+// charges the same records and entries.
 func TestReplayEquivalence(t *testing.T) {
 	golden := []struct {
 		entries int // records, a batch's entries each counted
@@ -205,9 +211,10 @@ func TestReplayEquivalence(t *testing.T) {
 // and batch entries, a whole log's the count TestReplayEquivalence pins;
 // every commit not marked applied must have its entry in its parent's rebuilt
 // change-log exactly once, at its own WAL position; every prepare and 2PC
-// commit decision not marked applied must be queued for re-arming or
-// re-driving exactly once; and a second replay of the same prefix must
-// rebuild the same state.
+// commit decision not marked applied must be registered exactly once, as a
+// prepared transaction or a recorded decision; with the marks as recorded,
+// Recover's lock walk must lock each prepared transaction's keys; and a
+// second replay of the same prefix must rebuild the same state.
 func TestReplayEveryPrefix(t *testing.T) {
 	whole := []int{90, 51, 50, 38} // each whole log's, as TestReplayEquivalence pins
 	for i, log := range loadWALs(t) {
@@ -239,7 +246,7 @@ func replayEveryPrefix(t *testing.T, recs []wal.Record, whole int) {
 			what := fmt.Sprintf("first %d records, marks kept %v", k, marks)
 			var dumps [2]string
 			for j := range dumps {
-				_, s := newReplayServer(t, prefix, 4)
+				sim, s := newReplayServer(t, prefix, 4)
 				plan, err := s.replayWAL()
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
@@ -248,6 +255,9 @@ func replayEveryPrefix(t *testing.T, recs []wal.Record, whole int) {
 					t.Fatalf("%s: plan charges %d records and entries, the prefix holds %d", what, n, units)
 				}
 				checkRebuilt(t, what, s, prefix)
+				if marks {
+					checkPreparedLocked(t, what, sim, s)
+				}
 				dumps[j] = replayDump(s)
 			}
 			if dumps[0] != dumps[1] {
@@ -263,7 +273,7 @@ func replayEveryPrefix(t *testing.T, recs []wal.Record, whole int) {
 // checkRebuilt holds what replaying log rebuilt on s to the log's unapplied
 // records: each commit's entry sits in its parent's change-log once, filed
 // under the commit's position, and nothing else is pending; each prepare is
-// queued for re-arming and each 2PC commit decision for re-driving once.
+// a prepared transaction and each 2PC commit decision a recorded one, once.
 func checkRebuilt(t *testing.T, what string, s *Server, log *wal.Mem) {
 	t.Helper()
 	commits, prepares, decisions := 0, map[wal.LSN]int{}, map[uint64]int{}
@@ -293,8 +303,9 @@ func checkRebuilt(t *testing.T, what string, s *Server, log *wal.Mem) {
 					n++
 				}
 			}
-			if n != 1 || dl.walLSN[entry.ID] != r.LSN {
-				t.Fatalf("%s: commit %d's entry is pending %d times, filed at %d", what, r.LSN, n, dl.walLSN[entry.ID])
+			i := slices.IndexFunc(dl.commits, func(c logCommit) bool { return c.id == entry.ID })
+			if n != 1 || i < 0 || dl.commits[i].lsn != r.LSN {
+				t.Fatalf("%s: commit %d's entry is pending %d times, filed %v", what, r.LSN, n, dl.commits)
 			}
 		case recTxnPrepare:
 			prepares[r.LSN]++
@@ -310,21 +321,78 @@ func checkRebuilt(t *testing.T, what string, s *Server, log *wal.Mem) {
 	if s.walSlots != uint32(len(slots)) {
 		t.Fatalf("%s: the replayed server counts %d slots, the log defines %d", what, s.walSlots, len(slots))
 	}
-	for _, ra := range s.txnRearm {
-		prepares[ra.lsn]--
+	filed := 0
+	for _, dl := range s.clogs {
+		filed += len(dl.commits)
 	}
-	for _, rd := range s.txnRedrive {
-		decisions[rd.txn]--
+	if filed != commits {
+		t.Fatalf("%s: %d commit records filed for %d unapplied commits", what, filed, commits)
+	}
+	for _, st := range s.txns {
+		prepares[st.lsn]--
+	}
+	for txn := range s.txnWAL {
+		decisions[txn]--
 	}
 	for lsn, n := range prepares {
 		if n != 0 {
-			t.Fatalf("%s: prepare %d is not queued for re-arming once (%d missing)", what, lsn, n)
+			t.Fatalf("%s: prepare %d is not a prepared transaction once (%d missing)", what, lsn, n)
 		}
 	}
 	for txn, n := range decisions {
 		if n != 0 {
-			t.Fatalf("%s: transaction %d's decision is not queued for re-driving once (%d missing)", what, txn, n)
+			t.Fatalf("%s: transaction %d's decision is not recorded once (%d missing)", what, txn, n)
 		}
+	}
+}
+
+// checkPreparedLocked runs Recover's lock walk over what replay rebuilt on s,
+// on sim. It must not park: each prepared transaction holds the lock of every
+// key its ops write, each key held once, and its OK vote is in the prepare
+// memo. Only a log whose marks are as recorded is a state a crash leaves
+// here: a decision marks its prepare applied in the event it releases the
+// keys, so no two unapplied prepares share one, while the fixture logs with
+// their marks cleared hold such pairs.
+func checkPreparedLocked(t *testing.T, what string, sim *env.Sim, s *Server) {
+	t.Helper()
+	locked := false
+	sim.Spawn(s.cfg.ID, func(p *env.Proc) {
+		s.lockPreparedTxns(p)
+		locked = true
+	})
+	sim.RunFor(0)
+	if !locked {
+		t.Fatalf("%s: the lock walk parked", what)
+	}
+	held := 0
+	for _, st := range s.preparedTxns() {
+		var keys []core.Key
+		for _, l := range st.locks {
+			if s.locks[l.key] != l || l.pins != 1 {
+				t.Fatalf("%s: transaction %d holds %+v, the table has %p, pinned %d times", what, st.id, l.key, s.locks[l.key], l.pins)
+			}
+			keys = append(keys, l.key)
+		}
+		held += len(keys)
+		for _, op := range st.ops {
+			key := op.Key
+			switch op.Kind {
+			case wire.TxnDirUpdate:
+				key = op.Dir.Key
+			case wire.TxnPutDentry, wire.TxnDelDentries:
+				continue
+			}
+			if !slices.Contains(keys, key) {
+				t.Fatalf("%s: transaction %d does not hold %+v, which its op %v writes", what, st.id, key, op.Kind)
+			}
+		}
+		vote := core.Errno(255)
+		if s.prepares.Admit(st.coord, st.id, 0, func(e core.Errno) { vote = e }) || vote != core.ErrnoOK {
+			t.Fatalf("%s: transaction %d's vote is %v, want ok", what, st.id, vote.Err())
+		}
+	}
+	if held != s.LockedKeys() {
+		t.Fatalf("%s: prepared transactions hold %d locks, the table has %d", what, held, s.LockedKeys())
 	}
 }
 

@@ -118,8 +118,10 @@ type dirLog struct {
 	ref  core.DirRef
 	lock env.RWMutex
 	log  core.ChangeLog
-	// walLSN maps entry ID → WAL record, for applied-marking.
-	walLSN map[uint64]wal.LSN
+	// commits are the commit records of the log's entries, for
+	// applied-marking (ackEntries): each is filed in the event its entry is
+	// appended, so they ascend by entry id as the entries do.
+	commits []logCommit
 	// idle triggers proactive pushes (§5.3).
 	idle *env.Timer
 	// pushing guards against concurrent proactive pushes of the same log.
@@ -134,6 +136,12 @@ type dirLog struct {
 	// entry id (deliver, flushLog); ackEntries settles those it covers, and a
 	// delivery that gives up fails the flushLog ones.
 	flushes []logFlush
+}
+
+// logCommit is a change-log entry's commit record.
+type logCommit struct {
+	id  uint64
+	lsn wal.LSN
 }
 
 // logFlush waits for a change-log to be acknowledged through an entry id; done
@@ -269,20 +277,15 @@ type Server struct {
 	txns     map[uint64]*txnState
 	prepares rpc.Served[core.Errno]
 	txnVotes []*coordTxn
-	// txnWAL holds the coordinator-side commit decisions, by their WAL
-	// record, for the participant termination protocol (TxnStatusReq): each
-	// is logged (with the participant set) before the first decision packet
+	// txnWAL holds the coordinator-side commit decisions, by transaction,
+	// for the participant termination protocol (TxnStatusReq): each is
+	// logged (with the participant set) before the first decision packet
 	// leaves, so a restarted coordinator still answers — and re-drives — it;
 	// anything absent is a presumed abort. Entries retire once every
 	// participant acked the decision.
-	txnWAL map[uint64]wal.LSN
-	// txnRedrive holds replayed, unacknowledged commit decisions awaiting
-	// re-delivery during recovery; txnRearm holds replayed, undecided
-	// prepared transactions awaiting lock/vote/monitor rebuild.
-	txnRedrive []txnRedrive
-	txnRearm   []txnRearm
-	renameMu   env.Mutex
-	deciding   env.RWMutex
+	txnWAL   map[uint64]txnCommit
+	renameMu env.Mutex
+	deciding env.RWMutex
 
 	serving bool
 	// parked holds the client requests that arrived while !serving — the
@@ -305,19 +308,11 @@ type appliedKey struct {
 	dir core.DirID
 }
 
-// txnRedrive is one commit decision rebuilt from the WAL whose acks the
-// crashed incarnation never finished collecting (its record is in txnWAL).
-type txnRedrive struct {
-	txn   uint64
-	parts []env.NodeID
-}
-
-// txnRearm is one prepared, undecided transaction rebuilt from the WAL.
-type txnRearm struct {
-	txn   uint64
-	coord env.NodeID
-	ops   []wire.TxnOp
+// txnCommit is a recorded commit decision: its WAL record and the
+// participants it must reach.
+type txnCommit struct {
 	lsn   wal.LSN
+	parts []env.NodeID
 }
 
 type dedupKey struct {
@@ -375,7 +370,7 @@ func New(e *env.Sim, cfg Config) *Server {
 		applied:  make(map[appliedKey]uint64),
 		busy:     make(map[core.Fingerprint]int),
 		txns:     make(map[uint64]*txnState),
-		txnWAL:   make(map[uint64]wal.LSN),
+		txnWAL:   make(map[uint64]txnCommit),
 		peerAggs: make(map[uint64]*peerAggState),
 		serving:  true,
 	}
@@ -498,7 +493,7 @@ func (s *Server) LockedKeys() int { return len(s.locks) }
 func (s *Server) clogOf(ref core.DirRef) *dirLog {
 	dl := s.clogs[ref.ID]
 	if dl == nil {
-		dl = &dirLog{ref: ref, walLSN: make(map[uint64]wal.LSN)}
+		dl = &dirLog{ref: ref}
 		s.clogs[ref.ID] = dl
 		s.groupOf(ref.FP).addLog(dl)
 	}

@@ -24,6 +24,7 @@ import (
 // txnState is the participant-side context of a prepared transaction.
 type txnState struct {
 	id    uint64
+	coord env.NodeID
 	locks []*keyLock
 	ops   []wire.TxnOp
 	// lsn is the prepared-state WAL record, marked applied once the
@@ -452,7 +453,7 @@ func (s *Server) recordCommit(p *env.Proc, id uint64, parts []env.NodeID) wal.LS
 	p.Compute(s.cfg.Costs.WALAppend)
 	s.walBuf = encodeTxnCommit(s.walBuf[:0], id, parts)
 	rec := s.logRecord(recTxnCommit)
-	s.txnWAL[id] = rec
+	s.txnWAL[id] = txnCommit{lsn: rec, parts: parts}
 	wsp.End()
 	return rec
 }
@@ -483,10 +484,10 @@ func (s *Server) driveDecision(p *env.Proc, id uint64, parts []env.NodeID, rec w
 // droppable (bounding txnWAL to the in-flight set) and the WAL record
 // is marked applied so replay need not rebuild or re-drive it.
 func (s *Server) ackDecision(id uint64) {
-	lsn, ok := s.txnWAL[id]
+	c, ok := s.txnWAL[id]
 	delete(s.txnWAL, id)
 	if ok {
-		mustMark(s.wal, lsn)
+		mustMark(s.wal, c.lsn)
 	}
 }
 
@@ -507,18 +508,29 @@ func (s *Server) serveTxnStatus(p *env.Proc, req wire.TxnStatusReq, byPacket boo
 }
 
 // redriveCommits re-sends every replayed, still-unacknowledged commit
-// decision after a coordinator restart (§5.4.2 extension): a participant
-// that already applied it acks the duplicate, an in-doubt one applies and
-// acks — once all participants answered, the record retires (WAL-marked)
-// instead of leaking into every future replay.
+// decision after a coordinator restart (§5.4.2 extension), one after another
+// in record order: a participant that already applied it acks the duplicate,
+// an in-doubt one applies and acks — once all participants answered, the
+// record retires (WAL-marked) instead of leaking into every future replay.
+// Recovery serves no rename or link, so txnWAL holds the replayed decisions
+// alone.
 func (s *Server) redriveCommits(p *env.Proc) {
-	redrives := s.txnRedrive
-	s.txnRedrive = nil
-	for _, rd := range redrives {
-		if s.driveDecision(p, rd.txn, rd.parts, s.txnWAL[rd.txn]) {
-			s.ackDecision(rd.txn)
+	for _, id := range s.recordedCommits() {
+		c := s.txnWAL[id]
+		if s.driveDecision(p, id, c.parts, c.lsn) {
+			s.ackDecision(id)
 		}
 	}
+}
+
+// recordedCommits returns the transactions of txnWAL in record order.
+func (s *Server) recordedCommits() []uint64 {
+	ids := make([]uint64, 0, len(s.txnWAL))
+	for id := range s.txnWAL {
+		ids = append(ids, id)
+	}
+	slices.SortFunc(ids, func(a, b uint64) int { return cmp.Compare(s.txnWAL[a].lsn, s.txnWAL[b].lsn) })
+	return ids
 }
 
 // inDoubtAfter is how long a prepared participant waits for the decision
@@ -635,7 +647,7 @@ func (s *Server) handleTxnPrepare(p *env.Proc, _ *wire.Packet, tp *wire.TxnPrepa
 		s.vote(p, tp, core.ErrnoOf(aerr), noRecord)
 		return
 	}
-	st := &txnState{id: tp.Txn, ops: tp.Ops}
+	st := &txnState{id: tp.Txn, coord: tp.From, ops: tp.Ops}
 	st.locks = s.lockTxnKeys(p, make([]*keyLock, 0, len(tp.Ops)+len(tp.Check)), tp.Ops, tp.Check)
 
 	var err error
@@ -773,20 +785,26 @@ func (s *Server) lockTxnKeys(p *env.Proc, buf []*keyLock, ops []wire.TxnOp, chec
 	return held
 }
 
-// rearmPreparedTxns rebuilds the in-doubt participant state replayed from
-// the WAL (§5.4.2 extension): re-acquire the key locks, replay the recorded
-// vote for retransmitted prepares, and arm the termination monitor. Runs on
-// the recovery process before this incarnation serves.
-func (s *Server) rearmPreparedTxns(p *env.Proc) {
-	rearms := s.txnRearm
-	s.txnRearm = nil
-	for _, ra := range rearms {
-		st := &txnState{id: ra.txn, ops: ra.ops, lsn: ra.lsn}
-		st.locks = s.lockTxnKeys(p, nil, ra.ops, nil)
-		s.txns[ra.txn] = st
-		s.prepares.Put(ra.coord, ra.txn, core.ErrnoOK)
-		s.watchTxn(ra.txn, ra.coord)
+// lockPreparedTxns takes the key locks of the prepared transactions replay
+// registered and arms their termination monitors, in record order (§5.4.2
+// extension). Recover runs it in the event replay ends: every lock is free,
+// so nothing parks, and a decision or retransmitted prepare that arrives
+// during the redo charge finds the transaction whole.
+func (s *Server) lockPreparedTxns(p *env.Proc) {
+	for _, st := range s.preparedTxns() {
+		st.locks = s.lockTxnKeys(p, nil, st.ops, nil)
+		s.watchTxn(st.id, st.coord)
 	}
+}
+
+// preparedTxns returns the prepared transactions in record order.
+func (s *Server) preparedTxns() []*txnState {
+	txns := make([]*txnState, 0, len(s.txns))
+	for _, st := range s.txns {
+		txns = append(txns, st)
+	}
+	slices.SortFunc(txns, func(a, b *txnState) int { return cmp.Compare(a.lsn, b.lsn) })
+	return txns
 }
 
 // handleTxnDecision is the participant side of phase two.

@@ -18,17 +18,46 @@ const rigCoord env.NodeID = 9500
 // receives. It answers every status query Pending, so a participant's
 // termination monitor waits out its budget instead of deciding.
 func (r *rig) coordinator() *[]wire.TxnVote {
+	return r.coordinatorAnswering(wire.TxnStatusResp{Pending: true})
+}
+
+// coordinatorAnswering is coordinator answering every status query with
+// status.
+func (r *rig) coordinatorAnswering(status wire.TxnStatusResp) *[]wire.TxnVote {
 	votes := new([]wire.TxnVote)
 	r.sim.AddNode(rigCoord, env.NodeConfig{Handler: func(p *env.Proc, _ env.NodeID, msg any) {
 		switch m := msg.(*wire.Packet).Body.(type) {
 		case *wire.TxnVote:
 			*votes = append(*votes, *m)
 		case *wire.TxnStatusReq:
-			p.Send(m.From, &wire.Packet{Dst: m.From, Origin: rigCoord,
-				Body: &wire.TxnStatusResp{CtlResp: wire.CtlResp{ID: m.ID}, Pending: true}})
+			resp := status
+			resp.CtlResp = wire.CtlResp{ID: m.ID}
+			p.Send(m.From, &wire.Packet{Dst: m.From, Origin: rigCoord, Body: &resp})
 		}
 	}})
 	return votes
+}
+
+// restart crashes r's server and restarts it over its WAL, then spawns its
+// recovery; recovered is when Recover returned, 0 until then. In the event
+// Recover's replay ends, before the redo charge, the server must hold locked
+// keys: the prepared transactions the log holds write them.
+func (r *rig) restart(t *testing.T, locked int) (recovered *env.Time) {
+	recovered = new(env.Time)
+	r.s.Crash()
+	r.s = Restart(r.sim, r.s.cfg, r.s.wal)
+	r.sim.Spawn(rigServer, func(p *env.Proc) {
+		if err := r.s.Recover(p); err != nil {
+			t.Error(err)
+		}
+		*recovered = p.Now()
+	})
+	r.sim.Spawn(rigServer, func(*env.Proc) {
+		if n := r.s.LockedKeys(); n != locked {
+			t.Errorf("%d keys locked once replay ended, want %d", n, locked)
+		}
+	})
+	return recovered
 }
 
 // preparing returns rigCoord's prepare of transaction txn, acknowledging the
@@ -159,25 +188,28 @@ func TestPrepareAcksOldestOpenRound(t *testing.T) {
 	}
 }
 
-// TestRearmHoldsVotesUntilAcked re-arms more in-doubt transactions than the
-// bounded prepare memo held (4 096), as recovery does from the WAL: every
-// re-armed vote is held — the oldest one is replayed to a retransmitted
-// prepare — until a prepare of the coordinator acknowledges the rounds below
-// the newest, which releases all the others.
+// TestRearmHoldsVotesUntilAcked recovers more in-doubt transactions from the
+// WAL than the bounded prepare memo held (4 096): every replayed vote is held
+// — the oldest one is replayed to a retransmitted prepare — until a prepare
+// of the coordinator acknowledges the rounds below the newest, which releases
+// all the others.
 func TestRearmHoldsVotesUntilAcked(t *testing.T) {
 	const rearmed = 4096 + 5
 	r := newRig(t)
 	votes := r.coordinator()
 	for i := range rearmed {
-		r.s.txnRearm = append(r.s.txnRearm, txnRearm{txn: uint64(1 + i), coord: rigCoord})
+		mustAppend(r.s.wal, recTxnPrepare, encodeTxnPrepare(nil, uint64(1+i), rigCoord, nil))
 	}
-	r.sim.Spawn(rigServer, r.s.rearmPreparedTxns)
+	recovered := r.restart(t, 0)
 	r.sim.RunFor(env.Microsecond)
 	if n := r.s.prepares.Held(rigCoord); n != rearmed {
-		t.Fatalf("%d votes held after re-arming %d", n, rearmed)
+		t.Fatalf("%d votes held after replaying %d prepares", n, rearmed)
 	}
 	r.send(rigServer, 0, preparing(1, 1, "f"))
-	r.sim.RunFor(env.Millisecond)
+	r.sim.RunFor(10 * env.Millisecond)
+	if *recovered == 0 {
+		t.Fatalf("recovery had not ended after 10 ms")
+	}
 	if len(*votes) != 1 || (*votes)[0].Txn != 1 || (*votes)[0].Err != core.ErrnoOK {
 		t.Fatalf("votes %+v, want the oldest re-armed vote replayed", *votes)
 	}
@@ -185,6 +217,65 @@ func TestRearmHoldsVotesUntilAcked(t *testing.T) {
 	r.sim.RunFor(env.Millisecond)
 	if n := r.s.prepares.Held(rigCoord); n != 2 {
 		t.Errorf("%d votes held once the coordinator acknowledged all but the newest re-armed round, want 2 (it and the new round)", n)
+	}
+}
+
+// TestDecisionDuringRedoApplied: a participant prepared, crashed and
+// restarted, and the commit decision reaches it while Recover charges the
+// redo. The replayed transaction holds its key from the end of replay, and
+// the decision applies it, so the file exists, although the coordinator,
+// which retired the record once every participant acked, answers a status
+// query with presumed abort.
+func TestDecisionDuringRedoApplied(t *testing.T) {
+	r := newRig(t)
+	r.coordinatorAnswering(wire.TxnStatusResp{})
+	tp := preparing(1, 1, "f")
+	r.send(rigServer, 0, tp)
+	r.sim.RunFor(env.Millisecond)
+	r.restart(t, 1)
+	r.send(rigServer, 0, &wire.TxnDecision{Txn: tp.Txn, Commit: true})
+	r.sim.Run()
+	var in core.Inode
+	if err := r.s.readInode(tp.Ops[0].Key, &in); err != nil {
+		t.Fatalf("the committed file: %v", err)
+	}
+	if n := r.s.LockedKeys(); n != 0 || len(r.s.txns) != 0 {
+		t.Errorf("%d keys locked, %d transactions prepared after the decision; want 0, 0", n, len(r.s.txns))
+	}
+}
+
+// TestPrepareDuringRedoReplaysVote: a participant prepared, crashed and
+// restarted over a log of 200 more records, and the coordinator retransmits
+// the prepare while Recover charges the redo. The replayed transaction holds
+// its key from the end of replay, and the retransmission gets the replayed
+// vote: the prepare runs once, one prepared-state record, and Recover ends
+// without waiting for the decision. The decision then leaves no key locked.
+func TestPrepareDuringRedoReplaysVote(t *testing.T) {
+	r := newRig(t)
+	votes := r.coordinator()
+	for i := range 200 {
+		r.s.InjectInode(core.Key{PID: core.RootDirID, Name: fmt.Sprintf("g%d", i)},
+			&core.Inode{Attr: core.Attr{Type: core.TypeRegular, Perm: 0o644, Nlink: 1}}, true)
+	}
+	tp := preparing(1, 1, "f")
+	r.send(rigServer, 0, tp)
+	r.sim.RunFor(env.Millisecond)
+	recovered := r.restart(t, 1)
+	r.send(rigServer, 0, tp)
+	decided := r.sim.Now() + 5*env.Millisecond
+	r.send(rigServer, 5*env.Millisecond, &wire.TxnDecision{Txn: tp.Txn, Commit: true})
+	r.sim.Run()
+	if n := prepareRecords(r.s.wal, tp.Txn); n != 1 {
+		t.Errorf("%d prepared-state records, want 1", n)
+	}
+	if *recovered == 0 || *recovered >= decided {
+		t.Errorf("Recover returned at %v, the decision was sent at %v", *recovered, decided)
+	}
+	if len(*votes) != 2 || (*votes)[1] != (*votes)[0] || (*votes)[0].Err != core.ErrnoOK {
+		t.Errorf("votes %+v, want the OK vote and its replay", *votes)
+	}
+	if n := r.s.LockedKeys(); n != 0 || len(r.s.txns) != 0 {
+		t.Errorf("%d keys locked, %d transactions prepared after the decision; want 0, 0", n, len(r.s.txns))
 	}
 }
 
