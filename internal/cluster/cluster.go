@@ -321,9 +321,11 @@ func (c *Cluster) FillMetrics(reg *metrics.Registry) {
 		pre := fmt.Sprintf("server.%d.", i)
 		var st server.Stats
 		var dirs []server.FPOp
+		var held uint64
 		if i < len(c.Servers) {
 			st = c.Servers[i].Stats
 			dirs = c.Servers[i].FPOps()
+			held = c.Servers[i].WAL().Held()
 		}
 		reg.Add(pre+"ops", st.Ops)
 		reg.Add(pre+"async_commits", st.AsyncCommits)
@@ -346,6 +348,7 @@ func (c *Cluster) FillMetrics(reg *metrics.Registry) {
 		reg.Add(pre+"rename_flush_pushes", st.RenameFlushPushes)
 		reg.Add(pre+"wal_records", st.WALRecords)
 		reg.Add(pre+"wal_bytes", st.WALBytes)
+		reg.Add(pre+"wal_held_bytes", held)
 		for rank, d := range dirs {
 			if rank >= metricsTopDirs {
 				break

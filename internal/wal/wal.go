@@ -52,6 +52,8 @@ type Mem struct {
 	// own chunk never becomes it.
 	tail  int
 	index []entry
+	// held is the payload bytes the arena holds.
+	held uint64
 }
 
 // NewMem creates an empty in-memory log.
@@ -76,6 +78,7 @@ func (m *Mem) Append(kind uint8, payload []byte) (LSN, error) {
 		e.chunk, e.off = uint32(m.tail), uint32(len(c))
 		m.chunks[m.tail] = append(c, payload...)
 	}
+	m.held += uint64(n)
 	m.index = append(m.index, e)
 	return LSN(len(m.index)), nil
 }
@@ -103,6 +106,10 @@ func (m *Mem) Replay(fn func(r Record) error) error {
 	}
 	return nil
 }
+
+// Held returns the payload bytes the arena holds, index entries and unused
+// chunk capacity aside.
+func (m *Mem) Held() uint64 { return m.held }
 
 // Len returns the number of records.
 func (m *Mem) Len() int {
