@@ -29,19 +29,28 @@ import (
 // directory id + '/'.
 const groupLen = 34
 
-// hash keys a shard's index: FNV-1a, a word at a time, then a Fibonacci
-// multiply whose top bits every input bit reaches (FNV's own top bits barely
-// see the last byte, which is where f1 and f2 differ); the index takes the
-// top bits. The hash is fixed, not seeded, so where an entry sits — and the
-// heap the store holds — is the same in every process.
+// hash keys a shard's index: FNV-1a, a word at a time, the tail of up to 7
+// bytes as one more little-endian word with its length in the top byte, then
+// a Fibonacci multiply whose top bits every input bit reaches (FNV's own top
+// bits barely see the last word, which is where f1 and f2 differ); the index
+// takes the top bits. The hash is fixed, not seeded, so where an entry sits —
+// and the heap the store holds — is the same in every process.
 func hash(b []byte) uint64 {
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)
 	for ; len(b) >= 8; b = b[8:] {
 		h = (h ^ binary.LittleEndian.Uint64(b)) * prime
 	}
-	for _, c := range b {
-		h = (h ^ uint64(c)) * prime
+	if n := len(b); n > 0 {
+		// Two overlapping loads cover the tail; OR-ing the same byte twice
+		// at its own position leaves it as it is.
+		var t uint64
+		if n >= 4 {
+			t = uint64(binary.LittleEndian.Uint32(b)) | uint64(binary.LittleEndian.Uint32(b[n-4:]))<<(8*(n-4))
+		} else {
+			t = uint64(b[0]) | uint64(b[n/2])<<(8*(n/2)) | uint64(b[n-1])<<(8*(n-1))
+		}
+		h = (h ^ t ^ uint64(n)<<56) * prime
 	}
 	return h * 0x9e3779b97f4a7c15
 }

@@ -238,3 +238,28 @@ func BenchmarkGet(b *testing.B) {
 		s.Get(keys[i%len(keys)])
 	}
 }
+
+// TestHashTailWord: the tail after the last full word folds in as the
+// little-endian word of its bytes, zero-padded, with its length in the top
+// byte, for every tail length: the overlapping loads cover each byte once.
+func TestHashTailWord(t *testing.T) {
+	const prime = 1099511628211
+	key := []byte("0123456789abcdef!")
+	for n := 0; n <= len(key); n++ {
+		b := key[:n]
+		h := uint64(14695981039346656037)
+		for ; len(b) >= 8; b = b[8:] {
+			h = (h ^ binary.LittleEndian.Uint64(b)) * prime
+		}
+		if len(b) > 0 {
+			var w uint64
+			for i, c := range b {
+				w |= uint64(c) << (8 * i)
+			}
+			h = (h ^ w ^ uint64(len(b))<<56) * prime
+		}
+		if got, want := hash(key[:n]), h*0x9e3779b97f4a7c15; got != want {
+			t.Errorf("%d bytes: hash %#x, want %#x", n, got, want)
+		}
+	}
+}
