@@ -110,14 +110,16 @@ bench:
 # bench-layers runs the per-layer Go microbenchmarks (ROADMAP 1c): the bare
 # simulator (handoff, send, timer), the change-log (snapshot, compaction), the
 # key and inode codecs, the kv store (BenchmarkPutUnique: live heap per
-# entry for unique names and inode-sized values), the write-ahead log (append
-# and replay), the client's cached path resolution and its one metadata
-# round trip (BenchmarkClientCall: one allocation, its packet), the server's
-# durable-record encoders (BenchmarkEncodeCommit: a commit naming its
-# directory in full and by its slot, wal-B/op each), its recovery
-# (BenchmarkRecover), a 2PC rename and
-# an aggregation round (BenchmarkRename, BenchmarkAggregate: allocations per
-# round with -benchmem), the nodes' one way to wait for a peer (internal/rpc's
+# entry for unique names and inode-sized values), the write-ahead log (append,
+# replay, and BenchmarkAppendTransient: a 2PC record's append and mark, held-B
+# the bytes the log still holds at the end), the client's cached path
+# resolution and its one metadata round trip (BenchmarkClientCall: one
+# allocation, its packet), the server's durable-record encoders
+# (BenchmarkEncodeCommit: a commit naming its directory in full and by its
+# slot, wal-B/op each), its recovery (BenchmarkRecover), a 2PC rename and an
+# aggregation round (BenchmarkRename, BenchmarkAggregate: allocations per
+# round with -benchmem; BenchmarkRename's wal-held-B/op is the log bytes a
+# rename leaves held), the nodes' one way to wait for a peer (internal/rpc's
 # BenchmarkPeerCall), the one memo of served requests, client requests and 2PC
 # prepares alike (BenchmarkServedAdmit: ns and allocs per replay-or-begin step,
 # and the heap one idle client keeps at a node) and a replicated write

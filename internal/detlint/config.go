@@ -19,8 +19,9 @@ type Config struct {
 	// Send, Spawn and After on types of this package are the packet-emission
 	// and scheduling roots the summary traces.
 	EnvPackage string `json:"envPackage"`
-	// WalPackage is the import path of the write-ahead log; method Append on
-	// its types makes a WAL record, one of dettaint's sinks.
+	// WalPackage is the import path of the write-ahead log; methods Append
+	// and AppendTransient on its types make a WAL record, one of dettaint's
+	// sinks.
 	WalPackage string `json:"walPackage"`
 	// WirePackage is the import path of the wire message package; its types
 	// are the packet values the sendalias analyzer tracks across Send.

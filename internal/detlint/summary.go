@@ -215,11 +215,14 @@ func isEmissionRoot(obj *types.Func) bool {
 	return isMethodOf(obj, conf.EnvPackage) && emissionMethods[obj.Name()]
 }
 
-// walAppendKind returns the record-kind argument when call is the WAL
-// package's Append method.
+// walAppendMethods are the WAL package's methods that make a record.
+var walAppendMethods = map[string]bool{"Append": true, "AppendTransient": true}
+
+// walAppendKind returns the record-kind argument when call is one of the WAL
+// package's append methods.
 func (s *summary) walAppendKind(call *ast.CallExpr) (ast.Expr, bool) {
 	obj := calleeFunc(s.info, call)
-	if obj == nil || len(call.Args) < 1 || !isMethodOf(obj, conf.WalPackage) || obj.Name() != "Append" {
+	if obj == nil || len(call.Args) < 1 || !isMethodOf(obj, conf.WalPackage) || !walAppendMethods[obj.Name()] {
 		return nil, false
 	}
 	return call.Args[0], true

@@ -484,9 +484,9 @@ func BenchmarkEncodeAggBatch(b *testing.B) {
 // directory on a one-server deployment, so the coordinator, both names'
 // owners and the directory's owner are one node and every 2PC message still
 // crosses the (loopback) network — the pre-flush and the read run locally,
-// one prepare, vote, decision and done each. It returns a function that runs
-// renames [from, to) one after another.
-func renameRig(tb testing.TB, n int) func(from, to int) {
+// one prepare, vote, decision and done each. It returns the server and a
+// function that runs renames [from, to) one after another.
+func renameRig(tb testing.TB, n int) (*Server, func(from, to int)) {
 	sim := env.NewSim(3)
 	tb.Cleanup(sim.Shutdown)
 	const client env.NodeID = 9000
@@ -511,7 +511,7 @@ func renameRig(tb testing.TB, n int) func(from, to int) {
 			ReqCommon: wire.ReqCommon{RPC: uint64(i + 1), Client: client},
 			SrcParent: root, SrcName: src, DstParent: root, DstName: fmt.Sprintf("dst-%06d", i)}}
 	}
-	return func(from, to int) {
+	return s, func(from, to int) {
 		sim.Spawn(client, func(p *env.Proc) {
 			for _, pkt := range reqs[from:to] {
 				want := done + 1
@@ -619,7 +619,7 @@ func allocsPerOp(fn func(), ops int) float64 {
 // plus 2.
 func TestRenameAllocationBudget(t *testing.T) {
 	const renames, warm, budget = 200, 20, 29.24
-	rename := renameRig(t, renames)
+	_, rename := renameRig(t, renames)
 	rename(0, warm) // warm the lock table, the prepare memo and the worker pool
 	perOp := allocsPerOp(func() { rename(warm, renames) }, renames-warm)
 	t.Logf("rename: %.2f allocs/op (budget %.2f)", perOp, budget)
@@ -644,13 +644,17 @@ func TestAggregationAllocationBudget(t *testing.T) {
 }
 
 // BenchmarkRename is the rename layer benchmark (`make bench-layers`): one
-// 2PC file rename per op on renameRig.
+// 2PC file rename per op on renameRig. wal-held-B/op is the log bytes a
+// rename leaves held: its inode and dentry records, its resolved 2PC
+// records' bytes given back.
 func BenchmarkRename(b *testing.B) {
-	rename := renameRig(b, b.N+20)
+	s, rename := renameRig(b, b.N+20)
 	rename(0, 20)
+	held := s.wal.Held()
 	b.ReportAllocs()
 	b.ResetTimer()
 	rename(20, 20+b.N)
+	b.ReportMetric(float64(s.wal.Held()-held)/float64(b.N), "wal-held-B/op")
 }
 
 // BenchmarkAggregate is the aggregation layer benchmark (`make

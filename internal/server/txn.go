@@ -452,7 +452,7 @@ func (s *Server) recordCommit(p *env.Proc, id uint64, parts []env.NodeID) wal.LS
 	wsp := s.cfg.Trace.Start(p, "wal:txn-commit", "server")
 	p.Compute(s.cfg.Costs.WALAppend)
 	s.walBuf = encodeTxnCommit(s.walBuf[:0], id, parts)
-	rec := s.logRecord(recTxnCommit)
+	rec := s.logTransient(recTxnCommit)
 	s.txnWAL[id] = txnCommit{lsn: rec, parts: parts}
 	wsp.End()
 	return rec
@@ -482,7 +482,8 @@ func (s *Server) driveDecision(p *env.Proc, id uint64, parts []env.NodeID, rec w
 // ackDecision retires a fully-acknowledged commit: every participant
 // acked, so no one can be in doubt anymore — the in-memory record is
 // droppable (bounding txnWAL to the in-flight set) and the WAL record
-// is marked applied so replay need not rebuild or re-drive it.
+// is marked applied so replay need not rebuild or re-drive it; the log
+// gives its payload back.
 func (s *Server) ackDecision(id uint64) {
 	c, ok := s.txnWAL[id]
 	delete(s.txnWAL, id)
@@ -701,7 +702,7 @@ func (s *Server) handleTxnPrepare(p *env.Proc, _ *wire.Packet, tp *wire.TxnPrepa
 	wsp := s.cfg.Trace.Start(p, "wal:txn-prepare", "server")
 	p.Compute(c.WALAppend)
 	s.walBuf = encodeTxnPrepare(s.walBuf[:0], tp.Txn, tp.From, tp.Ops)
-	st.lsn = s.logRecord(recTxnPrepare)
+	st.lsn = s.logTransient(recTxnPrepare)
 	wsp.End()
 	s.txns[tp.Txn] = st
 	// Registered: the prepared-txn scan now covers the footprint, in the same
@@ -863,7 +864,9 @@ func (s *Server) handleTxnDecision(p *env.Proc, _ *wire.Packet, td *wire.TxnDeci
 	for _, l := range st.locks {
 		s.unlockKey(l)
 	}
-	// Resolved: the prepared-state record need not be rebuilt on replay.
+	// Resolved: the prepared-state record need not be rebuilt on replay, and
+	// the log gives its payload back (st.ops may alias it: a view stays
+	// readable).
 	mustMark(s.wal, st.lsn)
 	s.exitFPs(fps)
 	replyNew(s, p, s.cfg.Coordinator, wire.TxnDone{Txn: td.Txn, From: s.cfg.ID})

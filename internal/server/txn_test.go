@@ -79,14 +79,14 @@ func refused(from env.NodeID, txn uint64, name string) *wire.TxnPrepare {
 		Check: []wire.TxnCheck{{Key: core.Key{PID: core.RootDirID, Name: name}, MustExist: true}}}
 }
 
-// prepareRecords counts the WAL's prepared-state records of transaction txn.
-func prepareRecords(log *wal.Mem, txn uint64) int {
+// prepareRecords counts the WAL's prepared-state records. It counts them by
+// kind, since a resolved record replays with its payload given up; in each
+// rig that counts, one transaction at most reaches the log.
+func prepareRecords(log *wal.Mem) int {
 	n := 0
 	log.Replay(func(r wal.Record) error {
 		if r.Kind == recTxnPrepare {
-			if id, _, _, err := decodeTxnPrepare(r.Payload); err == nil && id == txn {
-				n++
-			}
+			n++
 		}
 		return nil
 	})
@@ -117,7 +117,7 @@ func TestPrepareRetransmissionOutlivesOtherCoordinators(t *testing.T) {
 	if len(*votes) != 2 || (*votes)[0].Err != core.ErrnoOK || (*votes)[1] != (*votes)[0] {
 		t.Fatalf("votes %+v, want the OK vote and its replay", *votes)
 	}
-	if n := prepareRecords(r.s.wal, first.Txn); n != 1 {
+	if n := prepareRecords(r.s.wal); n != 1 {
 		t.Errorf("%d prepared-state records, want 1", n)
 	}
 	r.send(rigServer, 0, &wire.TxnDecision{Txn: first.Txn, Commit: true})
@@ -139,8 +139,8 @@ func TestPrepareBelowFloorDropped(t *testing.T) {
 	if len(*votes) != 1 || (*votes)[0].Txn != 5 {
 		t.Fatalf("votes %+v, want transaction 5's alone", *votes)
 	}
-	if n := prepareRecords(r.s.wal, 3); n != 0 {
-		t.Errorf("the dropped prepare logged %d prepared-state records", n)
+	if n := prepareRecords(r.s.wal); n != 1 {
+		t.Errorf("%d prepared-state records, want transaction 5's alone", n)
 	}
 	if _, ok := r.s.txns[3]; ok || r.s.LockedKeys() != 1 {
 		t.Errorf("the dropped prepare left state: prepared %v, %d keys locked (transaction 5 holds 1)", ok, r.s.LockedKeys())
@@ -265,7 +265,7 @@ func TestPrepareDuringRedoReplaysVote(t *testing.T) {
 	decided := r.sim.Now() + 5*env.Millisecond
 	r.send(rigServer, 5*env.Millisecond, &wire.TxnDecision{Txn: tp.Txn, Commit: true})
 	r.sim.Run()
-	if n := prepareRecords(r.s.wal, tp.Txn); n != 1 {
+	if n := prepareRecords(r.s.wal); n != 1 {
 		t.Errorf("%d prepared-state records, want 1", n)
 	}
 	if *recovered == 0 || *recovered >= decided {
@@ -462,12 +462,56 @@ func TestDirMovePrepareNeedsLiveDetach(t *testing.T) {
 		if c.vote == core.ErrnoOK {
 			locked, prepared = 1, 1
 		}
-		if r.s.LockedKeys() != locked || len(r.s.txns) != prepared || prepareRecords(r.s.wal, 1) != prepared {
+		if r.s.LockedKeys() != locked || len(r.s.txns) != prepared || prepareRecords(r.s.wal) != prepared {
 			t.Errorf("%s: %d keys locked, %d prepared, %d prepared-state records; want %d, %d, %d", c.what,
-				r.s.LockedKeys(), len(r.s.txns), prepareRecords(r.s.wal, 1), locked, prepared, prepared)
+				r.s.LockedKeys(), len(r.s.txns), prepareRecords(r.s.wal), locked, prepared, prepared)
 		}
 		if c.what != "another rename's" && len(r.s.removals) != 0 {
 			t.Errorf("%s: the detach is still registered", c.what)
 		}
+	}
+}
+
+// txnHeld is the log bytes log holds for 2PC records: what it holds beyond
+// the payloads of its other records, which it never gives back.
+func txnHeld(log *wal.Mem) int {
+	held := int(log.Held())
+	log.Replay(func(r wal.Record) error {
+		if r.Kind != recTxnPrepare && r.Kind != recTxnCommit {
+			held -= len(r.Payload)
+		}
+		return nil
+	})
+	return held
+}
+
+// TestResolvedTxnRecordsReleased: the log gives back the bytes of resolved
+// 2PC records. A participant that takes 1 000 prepare and commit rounds, and
+// a server that coordinates 1 000 renames of its own, each hold at most one
+// 4 KiB chunk of 2PC records at the end (about 167 B a round when every
+// record stayed). Every record keeps its place in the log.
+func TestResolvedTxnRecordsReleased(t *testing.T) {
+	const rounds, chunk = 1000, 4 << 10
+	r := newRig(t)
+	r.coordinator()
+	for i := uint64(1); i <= rounds; i++ {
+		r.send(rigServer, 0, preparing(i, i, fmt.Sprintf("f%d", i)))
+		r.sim.Run()
+		r.send(rigServer, 0, &wire.TxnDecision{Txn: i, Commit: true})
+		r.sim.Run()
+	}
+	if n := prepareRecords(r.s.wal); n != rounds || r.s.LockedKeys() != 0 {
+		t.Fatalf("%d prepared-state records, %d keys locked; want %d, 0", n, r.s.LockedKeys(), rounds)
+	}
+	if held := txnHeld(r.s.wal); held > chunk {
+		t.Errorf("participant: %d bytes of 2PC records held after %d resolved rounds, want at most %d", held, rounds, chunk)
+	}
+	s, rename := renameRig(t, rounds)
+	rename(0, rounds)
+	if n := s.PendingTxnCommitRecords(); n != 0 {
+		t.Fatalf("%d commit decisions unacknowledged", n)
+	}
+	if held := txnHeld(s.wal); held > chunk {
+		t.Errorf("coordinator: %d bytes of 2PC records held after %d renames, want at most %d", held, rounds, chunk)
 	}
 }

@@ -26,6 +26,20 @@ func (s *Server) logRecord(kind uint8) wal.LSN {
 	return mustAppend(s.wal, kind, s.walBuf)
 }
 
+// logTransient is logRecord for a 2PC record, a prepare or a commit decision:
+// once its transaction is resolved the record is marked applied, and replay
+// reads no applied one's payload, so the log may give the bytes back
+// (wal.Mem.AppendTransient).
+func (s *Server) logTransient(kind uint8) wal.LSN {
+	s.Stats.WALRecords++
+	s.Stats.WALBytes += uint64(len(s.walBuf))
+	lsn, err := s.wal.AppendTransient(kind, s.walBuf)
+	if err != nil {
+		panic(fmt.Sprintf("server: WAL append failed: %v", err))
+	}
+	return lsn
+}
+
 // noRecord is the record a message carries when it needs none: the first
 // record's LSN is 1.
 const noRecord wal.LSN = 0

@@ -188,3 +188,208 @@ func TestAppendAllocations(t *testing.T) {
 		t.Fatalf("Append: %v allocs/op, want < 0.01", n)
 	}
 }
+
+// transientHeld is the payload bytes m's live transient chunks hold.
+func transientHeld(m *Mem) (n int) {
+	for _, c := range m.tchunks {
+		n += len(c)
+	}
+	return n
+}
+
+// TestTransientInterleaved: permanent and transient records interleave in
+// one LSN order, each replays its own payload, and marking a permanent
+// record gives nothing up.
+func TestTransientInterleaved(t *testing.T) {
+	m := NewMem()
+	var want []string
+	for i := 0; i < 300; i++ {
+		p := fmt.Sprintf("record-%03d-%s", i, bytes.Repeat([]byte{'x'}, i%50))
+		var lsn LSN
+		if i%3 == 0 {
+			lsn, _ = m.AppendTransient(2, []byte(p))
+		} else {
+			lsn, _ = m.Append(1, []byte(p))
+		}
+		if int(lsn) != i+1 {
+			t.Fatalf("record %d: lsn %d", i, lsn)
+		}
+		want = append(want, p)
+	}
+	held := m.Held()
+	for lsn := LSN(2); lsn <= 300; lsn += 3 {
+		m.MarkApplied(lsn)
+	}
+	if m.Held() != held {
+		t.Fatalf("marking permanent records moved Held %d -> %d", held, m.Held())
+	}
+	m.Replay(func(r Record) error {
+		i := int(r.LSN) - 1
+		if wantKind := uint8(1 + btoi(i%3 == 0)); r.Kind != wantKind || string(r.Payload) != want[i] || r.Applied != (i%3 == 1) {
+			t.Errorf("record %d: kind %d applied %v %q, want kind %d %q", r.LSN, r.Kind, r.Applied, r.Payload, wantKind, want[i])
+		}
+		return nil
+	})
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestTransientChunkReleased: a transient chunk is released once the last
+// of its records is marked, and Held falls by its bytes. The chunk
+// appended to is kept, empty or not, until a record rolls over from it.
+func TestTransientChunkReleased(t *testing.T) {
+	m := NewMem()
+	p := make([]byte, 1000)
+	for i := 0; i < 6; i++ { // four to a chunk: chunks 0 and 1
+		m.AppendTransient(1, p)
+	}
+	m.Append(2, p)
+	if len(m.tchunks) != 2 || m.Held() != 7000 {
+		t.Fatalf("%d transient chunks, %d bytes held; want 2, 7000", len(m.tchunks), m.Held())
+	}
+	for _, lsn := range []LSN{1, 2, 4} {
+		m.MarkApplied(lsn)
+	}
+	if m.tchunks[0] == nil {
+		t.Fatal("chunk 0 released with a record unmarked")
+	}
+	m.MarkApplied(3)
+	m.MarkApplied(3) // a second mark counts nothing
+	if m.tchunks[0] != nil || m.Held() != 3000 {
+		t.Fatalf("chunk 0 held after its last mark: %d bytes held, want 3000", m.Held())
+	}
+	m.MarkApplied(5)
+	m.MarkApplied(6)
+	if m.tchunks[1] == nil || m.Held() != 3000 {
+		t.Fatal("the tail was released while records are still appended to it")
+	}
+	m.AppendTransient(1, p)
+	m.AppendTransient(1, p)
+	m.MarkApplied(8)
+	m.MarkApplied(9)
+	m.AppendTransient(1, p) // rolls over: the empty tail goes
+	if m.tchunks[1] != nil || len(m.tchunks) != 3 || m.Held() != 2000 {
+		t.Fatalf("after rolling over an empty tail: %d chunks, %d bytes held; want 3, 2000", len(m.tchunks), m.Held())
+	}
+	big := bytes.Repeat([]byte{9}, 3*transientChunkSize)
+	lsn, _ := m.AppendTransient(3, big) // its own chunk, which becomes the tail
+	m.AppendTransient(1, p)
+	if m.tchunks[3] == nil || cap(m.tchunks[3]) != len(big) {
+		t.Fatal("the oversized record does not have a chunk of its own")
+	}
+	m.MarkApplied(lsn)
+	if m.tchunks[3] != nil || transientHeld(m) != 2000 {
+		t.Fatalf("oversized record's chunk kept after its mark: %d transient bytes held", transientHeld(m))
+	}
+}
+
+// TestTransientViewSurvivesRelease: a payload view handed out before its
+// chunk is released still reads the record, and later records never land in
+// the released array.
+func TestTransientViewSurvivesRelease(t *testing.T) {
+	m := NewMem()
+	m.AppendTransient(1, []byte("prepared ops"))
+	m.AppendTransient(1, bytes.Repeat([]byte{1}, transientChunkSize)) // rolls over
+	var view []byte
+	m.Replay(func(r Record) error {
+		if r.LSN == 1 {
+			view = r.Payload
+		}
+		return nil
+	})
+	m.MarkApplied(1)
+	if m.tchunks[0] != nil {
+		t.Fatal("chunk 0 not released")
+	}
+	for i := 0; i < 100; i++ {
+		m.AppendTransient(1, []byte("overwrite?!!"))
+	}
+	if string(view) != "prepared ops" {
+		t.Fatalf("view after release reads %q", view)
+	}
+}
+
+// TestReplayReleasedRecords: a transient record marked applied still
+// replays, in order, with its kind, LSN and mark, and an empty payload.
+func TestReplayReleasedRecords(t *testing.T) {
+	m := NewMem()
+	m.AppendTransient(7, []byte("commit decision"))
+	m.Append(1, []byte("inode"))
+	m.AppendTransient(8, []byte("prepare"))
+	m.MarkApplied(1)
+	var seen []string
+	m.Replay(func(r Record) error {
+		seen = append(seen, fmt.Sprintf("%d/%d/%v/%q", r.LSN, r.Kind, r.Applied, r.Payload))
+		return nil
+	})
+	if got := fmt.Sprint(seen); got != `[1/7/true/"" 2/1/false/"inode" 3/8/false/"prepare"]` {
+		t.Fatalf("replayed %s", got)
+	}
+}
+
+// TestReplayReleasesMidWalk: records the callback marks, releasing their
+// chunk, are yielded as they stood when the walk began; the next walk
+// yields them released.
+func TestReplayReleasesMidWalk(t *testing.T) {
+	m := NewMem()
+	p := make([]byte, 1000)
+	for i := 0; i < 8; i++ { // chunks 0 and 1, four records each
+		p[0] = byte(i)
+		m.AppendTransient(1, p)
+	}
+	var seen []string
+	m.Replay(func(r Record) error {
+		seen = append(seen, fmt.Sprint(r.LSN, r.Applied, len(r.Payload), r.Payload[0]))
+		if r.LSN == 1 {
+			for lsn := LSN(1); lsn <= 4; lsn++ {
+				m.MarkApplied(lsn)
+			}
+			if m.tchunks[0] != nil {
+				t.Fatal("chunk 0 not released by the marks")
+			}
+		}
+		return nil
+	})
+	if got := fmt.Sprint(seen); got != "[1 false 1000 0 2 false 1000 1 3 false 1000 2 4 false 1000 3 5 false 1000 4 6 false 1000 5 7 false 1000 6 8 false 1000 7]" {
+		t.Fatalf("walk saw %s", got)
+	}
+	n := 0
+	m.Replay(func(r Record) error {
+		if r.Applied != (r.LSN <= 4) || (len(r.Payload) == 0) != r.Applied {
+			t.Errorf("record %d: applied %v, %d payload bytes", r.LSN, r.Applied, len(r.Payload))
+		}
+		n++
+		return nil
+	})
+	if n != 8 {
+		t.Fatalf("second walk yielded %d records", n)
+	}
+}
+
+// TestAppendTransientAllocations: in steady state a transient append and its
+// mark allocate nothing but their share of a chunk and of the tables'
+// growth.
+func TestAppendTransientAllocations(t *testing.T) {
+	m := NewMem()
+	p := make([]byte, 167)
+	next := LSN(1)
+	step := func() {
+		m.AppendTransient(1, p)
+		m.MarkApplied(next)
+		next++
+	}
+	for i := 0; i < 1000; i++ {
+		step()
+	}
+	if n := testing.AllocsPerRun(20000, step); n != 0 {
+		t.Fatalf("AppendTransient + MarkApplied: %v allocs/op, want 0 amortized", n)
+	}
+	if held := transientHeld(m); held > transientChunkSize {
+		t.Fatalf("%d transient bytes held after 21 000 resolved records", held)
+	}
+}
