@@ -154,8 +154,8 @@ func (m *Mem) release(t int) {
 // of the chunk table taken on entry: records the callback appends or marks
 // are not seen, and a record the callback releases is yielded as it stood.
 // A transient record marked applied before the walk is yielded with an empty
-// payload. Payloads are views of the arena, valid for the log's lifetime;
-// the callback must not write through them.
+// payload. Payloads are views of the arena, readable for as long as they are
+// held, a released chunk's too; the callback must not write through them.
 func (m *Mem) Replay(fn func(r Record) error) error {
 	tchunks := slices.Clone(m.tchunks)
 	for i, e := range slices.Clone(m.index) {

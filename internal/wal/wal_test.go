@@ -225,18 +225,15 @@ func TestTransientInterleaved(t *testing.T) {
 	}
 	m.Replay(func(r Record) error {
 		i := int(r.LSN) - 1
-		if wantKind := uint8(1 + btoi(i%3 == 0)); r.Kind != wantKind || string(r.Payload) != want[i] || r.Applied != (i%3 == 1) {
+		wantKind := uint8(1)
+		if i%3 == 0 {
+			wantKind = 2
+		}
+		if r.Kind != wantKind || string(r.Payload) != want[i] || r.Applied != (i%3 == 1) {
 			t.Errorf("record %d: kind %d applied %v %q, want kind %d %q", r.LSN, r.Kind, r.Applied, r.Payload, wantKind, want[i])
 		}
 		return nil
 	})
-}
-
-func btoi(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // TestTransientChunkReleased: a transient chunk is released once the last
