@@ -23,6 +23,12 @@ import (
 // many pass through.
 // Chunks are never recopied (growth appends one) and never released.
 //
+// An event pushed for the instant of the last pop (a zero delay: wakeups,
+// unparks, a third of all pushes) skips the heaps. Its sequence number is
+// above every queued event's, so it fires after every event queued for that
+// instant and in push order: it joins a FIFO, and pop takes the now heap's
+// minimum while that is due at the same instant, the FIFO's head otherwise.
+//
 // The structure pops events in exactly (at, seq) order — the total order of
 // a single global heap — because bucket ordinals partition time: every event
 // in bucket b fires strictly before any event in bucket b+1, and the now
@@ -32,9 +38,9 @@ import (
 //
 // Why it is faster than one big heap: the common events (message deliveries
 // ~1.5 µs out, process wakeups at the current instant) index into the ring
-// or the small now heap, while long-lived retransmission timeouts (~2 ms
-// out) wait in their buckets without inflating the comparison depth of every
-// hot push/pop.
+// or the FIFO, while long-lived retransmission timeouts (~2 ms out) wait in
+// their buckets without inflating the comparison depth of every hot
+// push/pop.
 //
 // Nearly every such timeout is answered first, and a wait or Timer that ends
 // early takes its event back out (remove): push hands out the ring slot it
@@ -43,8 +49,8 @@ import (
 // timeouts still pending, not every one armed in the last 2 ms. Removal
 // never reorders the events that stay — pop order is (at, seq) and neither
 // changes — so it moves no virtual time. An event already in the now or far
-// heap cannot be unlinked; its owner's staleness check (the sequence number
-// it waits on) turns it into a no-op when it fires.
+// heap, or in the FIFO, cannot be unlinked; its owner's staleness check (the
+// sequence number it waits on) turns it into a no-op when it fires.
 
 // Event kinds. The tagged union avoids allocating a closure + Timer + heap
 // interface box per scheduled event — the dominant allocation source of the
@@ -151,10 +157,16 @@ const (
 	chunkMask  = chunkSize - 1
 )
 
-// eventQueue is the ladder queue.
+// eventQueue is the ladder queue. Events are pushed in increasing seq order.
 type eventQueue struct {
 	n   int
+	at  Time  // the time of the last popped event
 	cur int64 // bucket ordinal all popped events precede-or-share
+	// fifo is a ring buffer (power-of-two length) of the events due at `at`
+	// that were pushed after it became current: nFIFO of them from fifoHead.
+	fifo     []event
+	fifoHead int
+	nFIFO    int
 	// now holds events of bucket ordinal `cur`.
 	now eventHeap
 	// ring[o&ringMask] heads the list of slots holding the events of ordinal
@@ -199,9 +211,14 @@ func (q *eventQueue) alloc() (int32, *event) {
 }
 
 // push enqueues ev; ev.at must be ≥ the time of the last popped event. It
-// returns the ring slot ev was filed in, or 0 when it went to a heap.
+// returns the ring slot ev was filed in, or 0 when it went to a heap or the
+// FIFO.
 func (q *eventQueue) push(ev event) int32 {
 	q.n++
+	if ev.at == q.at {
+		q.pushFIFO(&ev)
+		return 0
+	}
 	if o := ordinalOf(ev.at); o < q.cur+ringSize {
 		return q.link(o, &ev)
 	}
@@ -268,13 +285,35 @@ func (q *eventQueue) remove(r evRef) bool {
 	return true
 }
 
+// pushFIFO appends ev to the FIFO, doubling the ring buffer when it is full.
+func (q *eventQueue) pushFIFO(ev *event) {
+	if q.nFIFO == len(q.fifo) {
+		grown := make([]event, max(16, 2*len(q.fifo)))
+		n := copy(grown, q.fifo[q.fifoHead:])
+		copy(grown[n:], q.fifo[:q.fifoHead])
+		q.fifo, q.fifoHead = grown, 0
+	}
+	q.fifo[(q.fifoHead+q.nFIFO)&(len(q.fifo)-1)] = *ev
+	q.nFIFO++
+}
+
 // pop dequeues the (at, seq)-minimal event. Call only when Len() > 0.
 func (q *eventQueue) pop() event {
+	q.n--
+	if q.nFIFO > 0 && (len(q.now) == 0 || q.now[0].at != q.at) {
+		e := &q.fifo[q.fifoHead]
+		ev := *e
+		*e = event{} // release p and msg to the GC
+		q.fifoHead = (q.fifoHead + 1) & (len(q.fifo) - 1)
+		q.nFIFO--
+		return ev
+	}
 	if len(q.now) == 0 {
 		q.advance()
 	}
-	q.n--
-	return q.now.pop()
+	ev := q.now.pop()
+	q.at = ev.at
+	return ev
 }
 
 // advance moves cur to the next populated bucket and loads it into the now

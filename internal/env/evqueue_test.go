@@ -11,8 +11,9 @@ import (
 
 // checkSlab asserts the slab's conservation laws on a queue whose events all
 // carry seq ≥ 1: every slot handed out either holds an event or sits, zeroed,
-// on the free list, and Len() counts exactly the ring, now and far events.
-// With walkRing it also follows every bucket list: each live slot hangs off
+// on the free list, Len() counts exactly the ring, now, far and FIFO events,
+// and the FIFO holds events due at the last pop's instant and nothing past
+// its count. With walkRing it also follows every bucket list: each live slot hangs off
 // the bucket of its own ordinal, and the bitmap and nRing agree with the heads.
 func checkSlab(t *testing.T, q *eventQueue, walkRing bool) {
 	t.Helper()
@@ -34,8 +35,17 @@ func checkSlab(t *testing.T, q *eventQueue, walkRing bool) {
 	if live+free != int(q.top) {
 		t.Fatalf("slots: %d live + %d free != %d allocated", live, free, q.top)
 	}
-	if want := live + len(q.now) + len(q.far); q.Len() != want {
-		t.Fatalf("Len=%d, want %d ring + %d now + %d far", q.Len(), live, len(q.now), len(q.far))
+	if want := live + len(q.now) + len(q.far) + q.nFIFO; q.Len() != want {
+		t.Fatalf("Len=%d, want %d ring + %d now + %d far + %d FIFO", q.Len(), live, len(q.now), len(q.far), q.nFIFO)
+	}
+	for i := range q.fifo {
+		e := q.fifo[(q.fifoHead+i)&(len(q.fifo)-1)]
+		if i < q.nFIFO && (e.at != q.at || e.seq == 0) {
+			t.Fatalf("FIFO entry %d: %+v, want an event due at %d", i, e, q.at)
+		}
+		if i >= q.nFIFO && e != (event{}) {
+			t.Fatalf("vacated FIFO entry %d still holds %+v", i, e)
+		}
 	}
 	need := 0 // chunks covering ids 0..top
 	if q.top > 0 {
@@ -75,21 +85,30 @@ func checkSlab(t *testing.T, q *eventQueue, walkRing bool) {
 // push/pop/remove schedules and checks every pop against a reference model
 // sorted by (at, seq) — the total order the simulator's determinism rests
 // on. A removal must succeed exactly while the event still waits in the ring
-// slot push filed it in, and must leave the order of the rest untouched.
+// slot push filed it in, and must leave the order of the rest untouched. The
+// second delay mix puts most events on a few instants, so zero-delay pushes
+// (the FIFO) queue beside events of the same instant in the now heap and
+// are removed, or fail to be, in between.
 func TestEventQueueOrdering(t *testing.T) {
+	// The simulator's mix: immediate wakeups, link-latency deliveries,
+	// retransmission timeouts beyond the ring window, and occasional
+	// far-future timers.
+	simMix := []Duration{0, 0, 0, 1, 100, 1500, 1700, 2 * Millisecond,
+		2 * Millisecond, 5 * Millisecond, 40 * Millisecond, 300 * Millisecond}
+	burstMix := []Duration{0, 0, 0, 0, 0, 1, 1, 2, 512, 1024, 1024, 2 * Millisecond}
+	t.Run("sim", func(t *testing.T) { checkOrdering(t, simMix, 50) })
+	t.Run("burst", func(t *testing.T) { checkOrdering(t, burstMix, 20) })
+}
+
+func checkOrdering(t *testing.T, delays []Duration, trials int) {
 	rnd := rand.New(rand.NewSource(42))
-	removed := 0
-	for trial := 0; trial < 50; trial++ {
+	removed, fifoRemoves, interleaved := 0, 0, 0
+	for trial := 0; trial < trials; trial++ {
 		var q eventQueue
 		var ref []event
 		var cur Time
 		var seq uint64
 		slots := make(map[uint64]int32) // by seq: the slot push returned
-		// Delay mix mirroring the simulator: immediate wakeups, link-latency
-		// deliveries, retransmission timeouts beyond the ring window, and
-		// occasional far-future timers.
-		delays := []Duration{0, 0, 0, 1, 100, 1500, 1700, 2 * Millisecond,
-			2 * Millisecond, 5 * Millisecond, 40 * Millisecond, 300 * Millisecond}
 		for step := 0; step < 4000; step++ {
 			checkSlab(t, &q, step%256 == 0)
 			if q.Len() != len(ref) {
@@ -114,7 +133,8 @@ func TestEventQueueOrdering(t *testing.T) {
 					inNow = inNow || e.seq == ev.seq
 				}
 				// Pushed into the ring and not yet loaded into the now heap:
-				// exactly then the slot still holds the event.
+				// exactly then the slot still holds the event. An event in
+				// the FIFO was handed slot 0.
 				want := slots[ev.seq] != 0 && !inNow
 				if got := q.remove(evRef{slot: slots[ev.seq], seq: ev.seq}); got != want {
 					t.Fatalf("trial %d step %d: remove(seq %d, slot %d) = %v, want %v",
@@ -123,8 +143,13 @@ func TestEventQueueOrdering(t *testing.T) {
 				if want {
 					ref = append(ref[:k], ref[k+1:]...)
 					removed++
+				} else if ev.at == cur && !inNow {
+					fifoRemoves++
 				}
 				continue
+			}
+			if q.nFIFO > 0 && len(q.now) > 0 && q.now[0].at == q.at {
+				interleaved++ // the now heap's event goes first
 			}
 			sort.Slice(ref, func(i, j int) bool { return ref[i].before(&ref[j]) })
 			want := ref[0]
@@ -151,8 +176,10 @@ func TestEventQueueOrdering(t *testing.T) {
 		}
 		checkSlab(t, &q, true)
 	}
-	if removed < 1000 {
-		t.Fatalf("only %d removals succeeded: the schedule does not exercise remove", removed)
+	t.Logf("%d removals, %d refused in the FIFO, %d now-heap pops ahead of the FIFO", removed, fifoRemoves, interleaved)
+	if removed < 1000 || fifoRemoves < 100 || interleaved < 100 {
+		t.Fatalf("schedule too tame: %d removals, %d refused in the FIFO, %d now-heap pops ahead of the FIFO",
+			removed, fifoRemoves, interleaved)
 	}
 }
 

@@ -202,6 +202,34 @@ func TestFutureTimeout(t *testing.T) {
 	}
 }
 
+// TestWaitTimeoutZero: a zero timeout expires at the instant it was armed,
+// after the events already due then. Its expiry is queued for the current
+// instant, where it cannot be unlinked, and is recognised by its sequence
+// number: it ends the wait it was armed for, and is a no-op for one that a
+// completion due first has already ended.
+func TestWaitTimeoutZero(t *testing.T) {
+	s := NewSim(1)
+	defer s.Shutdown()
+	s.AddNode(1, NodeConfig{})
+	f, g := NewFuture(), NewFuture()
+	var timedOut, answered bool
+	var got any
+	var at Time
+	s.Spawn(1, func(p *Proc) {
+		p.Sleep(5 * Microsecond)
+		_, ok := f.WaitTimeout(p, 0)
+		timedOut, at = !ok, p.Now()
+		s.After(0, func() { g.Complete(7) })
+		got, answered = g.WaitTimeout(p, 0)
+	})
+	if end := s.Run(); !timedOut || at != 5*Microsecond || end != 5*Microsecond {
+		t.Fatalf("timed out %v at %d, Run ended at %d: want a timeout at 5µs", timedOut, at, end)
+	}
+	if !answered || got != 7 || s.pq.Len() != 0 {
+		t.Fatalf("got %v ok=%v with %d events left, want 7 true and an empty queue", got, answered, s.pq.Len())
+	}
+}
+
 func TestFutureTimeoutBeatenByComplete(t *testing.T) {
 	s := NewSim(1)
 	defer s.Shutdown()
