@@ -48,7 +48,6 @@ type Client struct {
 	node *env.Node
 
 	cache     map[string]cachedDir
-	byID      map[core.DirID][]string
 	invalSeen map[env.NodeID]uint64
 	// lastID is the last request id issued, the scalar ids of the client's
 	// one incarnation (core.NewIncarnation(id, 0)): node<<40 | n. rpc
@@ -99,8 +98,8 @@ func New(e *env.Sim, cfg Config) *Client {
 		cfg.MaxRetries = 250
 	}
 	// Maps are allocated lazily at their first write: nil-map reads are
-	// valid Go, and at million-client scale an idle session's four empty
-	// maps (cache, byID, invalSeen and the calls' registry) would dominate
+	// valid Go, and at million-client scale an idle session's three empty
+	// maps (cache, invalSeen and the calls' registry) would dominate
 	// its footprint.
 	ids := core.NewIncarnation(uint64(cfg.ID), 0)
 	c := &Client{cfg: cfg, env: e, lastID: ids.Issued(), rpc: rpc.NewRegistry(ids.Issued())}
@@ -128,15 +127,28 @@ func (c *Client) handle(p *env.Proc, from env.NodeID, msg any) {
 }
 
 // applyInval drops cache entries named by piggybacked invalidation records
-// (lazy invalidation, §5.2).
+// (lazy invalidation, §5.2): in one pass over the cache, every path that
+// resolved to an invalidated directory. Few responses carry records — a
+// directory is invalidated only by its rmdir or rename.
 func (c *Client) applyInval(from env.NodeID, rc *wire.RespCommon) {
-	for _, e := range rc.Inval {
-		for _, path := range c.byID[e.Dir] {
-			delete(c.cache, path)
+	if len(rc.Inval) > 0 {
+		for path, e := range c.cache {
+			if invalidated(rc.Inval, e.ref.ID) {
+				delete(c.cache, path)
+			}
 		}
-		delete(c.byID, e.Dir)
 	}
 	c.noteInvalSeq(from, rc.InvalSeqHigh)
+}
+
+// invalidated reports whether the records name directory id.
+func invalidated(inval []wire.InvalEntry, id core.DirID) bool {
+	for _, in := range inval {
+		if in.Dir == id {
+			return true
+		}
+	}
+	return false
 }
 
 // noteInvalSeq records the highest invalidation sequence seen from a server,
@@ -155,20 +167,9 @@ func (c *Client) noteInvalSeq(from env.NodeID, seq uint64) {
 // /a and /a/b but not /ab — a raw string-prefix match would erase an
 // unrelated sibling's cache entries.
 func (c *Client) invalidatePrefix(prefix string) {
-	for path, e := range c.cache {
-		if !underPath(path, prefix) {
-			continue
-		}
-		delete(c.cache, path)
-		paths := c.byID[e.ref.ID]
-		for i, q := range paths {
-			if q == path {
-				c.byID[e.ref.ID] = append(paths[:i], paths[i+1:]...)
-				break
-			}
-		}
-		if len(c.byID[e.ref.ID]) == 0 {
-			delete(c.byID, e.ref.ID)
+	for path := range c.cache {
+		if underPath(path, prefix) {
+			delete(c.cache, path)
 		}
 	}
 }
@@ -292,12 +293,8 @@ func (c *Client) resolve(p *env.Proc, path string) (resolved, error) {
 			e.chain[n] = e.ref.ID
 			if c.cache == nil {
 				c.cache = make(map[string]cachedDir)
-				c.byID = make(map[core.DirID][]string)
 			}
 			c.cache[walked] = e
-			if !hit {
-				c.byID[e.ref.ID] = append(c.byID[e.ref.ID], walked)
-			}
 		}
 		cur, chain = e.ref, e.chain
 		comp, end = core.NextComponent(path, end)

@@ -2,6 +2,7 @@ package client
 
 import (
 	"errors"
+	"maps"
 	"slices"
 	"testing"
 
@@ -14,16 +15,16 @@ import (
 // mkClient builds a bare client with a seeded cache (no environment needed:
 // invalidation is pure map surgery).
 func mkClient(paths ...string) *Client {
-	c := &Client{
-		cache: make(map[string]cachedDir),
-		byID:  make(map[core.DirID][]string),
-	}
+	c := &Client{cache: make(map[string]cachedDir)}
 	for i, p := range paths {
-		ref := core.DirRef{ID: core.DirID{0, 0, 0, uint64(i + 1)}}
-		c.cache[p] = cachedDir{ref: ref}
-		c.byID[ref.ID] = append(c.byID[ref.ID], p)
+		c.cache[p] = cachedDir{ref: core.DirRef{ID: core.DirID{0, 0, 0, uint64(i + 1)}}}
 	}
 	return c
+}
+
+// cachedPaths lists the client's cached paths, sorted.
+func cachedPaths(c *Client) []string {
+	return slices.Sorted(maps.Keys(c.cache))
 }
 
 // TestInvalidatePrefixComponentWise: invalidating /a must drop /a and its
@@ -52,31 +53,71 @@ func TestInvalidatePrefixRoot(t *testing.T) {
 	if len(c.cache) != 0 {
 		t.Errorf("%d cache entries survived a root invalidation", len(c.cache))
 	}
-	if len(c.byID) != 0 {
-		t.Errorf("%d byID entries survived a root invalidation", len(c.byID))
+}
+
+// TestInvalidateByIDDropsEveryAlias: an invalidation record drops every path
+// cached for its directory — a directory cached under two paths, as after a
+// rename another client made, loses both — and nothing else, whichever
+// paths an earlier prefix invalidation left.
+func TestInvalidateByIDDropsEveryAlias(t *testing.T) {
+	c := mkClient("/a/x", "/b", "/c")
+	ref := c.cache["/a/x"].ref
+	c.cache["/keep/x"] = cachedDir{ref: ref}
+	c.cache["/moved/x"] = cachedDir{ref: ref}
+
+	c.invalidatePrefix("/a")
+	if got, want := cachedPaths(c), []string{"/b", "/c", "/keep/x", "/moved/x"}; !slices.Equal(got, want) {
+		t.Fatalf("after invalidatePrefix(/a): cached %v, want %v", got, want)
+	}
+	c.applyInval(fakeServerID, &wire.RespCommon{})
+	if got := len(c.cache); got != 4 {
+		t.Fatalf("a response without records dropped %d entries", 4-got)
+	}
+	bID := c.cache["/b"].ref.ID
+	c.applyInval(fakeServerID, &wire.RespCommon{Inval: []wire.InvalEntry{{Seq: 1, Dir: ref.ID}, {Seq: 2, Dir: bID}}, InvalSeqHigh: 2})
+	if got, want := cachedPaths(c), []string{"/c"}; !slices.Equal(got, want) {
+		t.Fatalf("after invalidating /keep/x's and /b's ids: cached %v, want %v", got, want)
 	}
 }
 
-// TestInvalidatePrefixKeepsByIDConsistent: every dropped path leaves byID,
-// emptied id buckets are deleted, and surviving aliases (hard-linked or
-// renamed directories cached under two paths) stay indexed.
-func TestInvalidatePrefixKeepsByIDConsistent(t *testing.T) {
-	c := mkClient("/a/x", "/b")
-	// Alias /keep/x to the same directory id as /a/x.
-	ref := c.cache["/a/x"].ref
-	c.cache["/keep/x"] = cachedDir{ref: ref}
-	c.byID[ref.ID] = append(c.byID[ref.ID], "/keep/x")
-
-	c.invalidatePrefix("/a")
-	paths := c.byID[ref.ID]
-	if len(paths) != 1 || paths[0] != "/keep/x" {
-		t.Errorf("byID[%v]=%v, want just /keep/x", ref.ID, paths)
-	}
-	bID := c.cache["/b"].ref.ID
-	c.invalidatePrefix("/b")
-	if _, ok := c.byID[bID]; ok {
-		t.Errorf("emptied byID bucket for /b survived")
-	}
+// TestInvalidateByIDAfterRename: a directory renamed by another client stays
+// cached here under its old path and, once resolved again, under its new one.
+// Its invalidation record drops both paths, keeps the parent, and the next
+// walk of either path looks the directory up again.
+func TestInvalidateByIDAfterRename(t *testing.T) {
+	idA, idB := core.DirID{0, 0, 0, 10}, core.DirID{0, 0, 0, 20}
+	f := &fakeServer{ids: map[core.Key]core.DirID{
+		{PID: core.RootDirID, Name: "a"}: idA,
+		{PID: idA, Name: "b"}:            idB,
+	}}
+	withFakeServer(t, f, func(p *env.Proc, c *Client) {
+		if _, err := c.Stat(p, "/a/b/x"); err != nil {
+			t.Fatalf("stat: %v", err)
+		}
+		// Another client renames /a/b to /a/c.
+		delete(f.ids, core.Key{PID: idA, Name: "b"})
+		f.ids[core.Key{PID: idA, Name: "c"}] = idB
+		if _, err := c.Stat(p, "/a/c/x"); err != nil {
+			t.Fatalf("stat: %v", err)
+		}
+		if got, want := cachedPaths(c), []string{"/a", "/a/b", "/a/c"}; !slices.Equal(got, want) {
+			t.Fatalf("cached %v, want %v", got, want)
+		}
+		c.applyInval(fakeServerID, &wire.RespCommon{Inval: []wire.InvalEntry{{Seq: 1, Dir: idB}}, InvalSeqHigh: 1})
+		if got, want := cachedPaths(c), []string{"/a"}; !slices.Equal(got, want) {
+			t.Fatalf("after invalidating the renamed directory: cached %v, want %v", got, want)
+		}
+		lookups := f.lookups
+		if _, err := c.Stat(p, "/a/b/x"); !errors.Is(err, core.ErrNotExist) {
+			t.Fatalf("stat of the old path: %v, want ENOENT", err)
+		}
+		if _, err := c.Stat(p, "/a/c/x"); err != nil {
+			t.Fatalf("stat of the new path: %v", err)
+		}
+		if n := f.lookups - lookups; n != 2 {
+			t.Fatalf("%d lookups for the old and new paths, want 2 (one each)", n)
+		}
+	})
 }
 
 // TestUnderPath pins the component-matching rule.
