@@ -68,7 +68,7 @@ import (
 
 // gatedFigs is the one list of figures in the committed trajectory
 // (bench/baseline.json): what `-fig gated` selects.
-const gatedFigs = "12a,14,chaos,rebalance,data,lincheck,scale,recovery,recovery-history"
+const gatedFigs = "12a,14,19,chaos,rebalance,data,lincheck,scale,recovery,recovery-history"
 
 var registry = []struct {
 	id string

@@ -65,7 +65,7 @@ func TestGate(t *testing.T) {
 		t.Logf("trace valid (%d spans)", len(spans))
 	}
 
-	if code, out := fsbench("-validate", filepath.Join(dir, "result0.json")); code != 0 || !strings.Contains(out, "valid (schema 1, scale tiny, 9 figures)") {
+	if code, out := fsbench("-validate", filepath.Join(dir, "result0.json")); code != 0 || !strings.Contains(out, "valid (schema 1, scale tiny, 10 figures)") {
 		t.Errorf("-validate on a result this tree wrote: exit %d: %s", code, out)
 	}
 	t.Run("can-fail", testGateCanFail)

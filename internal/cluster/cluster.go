@@ -363,6 +363,9 @@ func (c *Cluster) FillMetrics(reg *metrics.Registry) {
 		reg.Add(pre+"removes", sw.Stats.Removes)
 		reg.Add(pre+"overflows", sw.Stats.Overflows)
 		reg.Add(pre+"forwarded", sw.Stats.Forwarded)
+		held, max := sw.HeldSets()
+		reg.Add(pre+"dirty_sets_held", uint64(held))
+		reg.Add(pre+"dirty_sets_max", uint64(max))
 	}
 	for i, d := range c.DataServers {
 		pre := fmt.Sprintf("data.%d.", i)

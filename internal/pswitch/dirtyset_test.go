@@ -232,3 +232,188 @@ func TestStatsCounters(t *testing.T) {
 	_ = env.NodeID(0)
 	_ = fmt.Sprint()
 }
+
+// denseSet is the register file as the switch holds it: every register of
+// every set, there from the start (the model's layout before register
+// pages). DirtySet must answer exactly as it does.
+type denseSet struct {
+	stages    int
+	bits      uint
+	regs      [][]uint32 // [stage][index]
+	removeSeq map[env.NodeID]uint64
+	occupied  int
+}
+
+func newDenseSet(stages int, bits uint) *denseSet {
+	d := &denseSet{stages: stages, bits: bits, regs: make([][]uint32, stages), removeSeq: map[env.NodeID]uint64{}}
+	for s := range d.regs {
+		d.regs[s] = make([]uint32, 1<<bits)
+	}
+	return d
+}
+
+func (d *denseSet) query(f core.Fingerprint) bool {
+	idx, tag := f.Index(d.bits), f.Tag(d.bits)
+	for s := range d.regs {
+		if d.regs[s][idx] == tag {
+			return true
+		}
+	}
+	return false
+}
+
+func (d *denseSet) insert(f core.Fingerprint) bool {
+	idx, tag := f.Index(d.bits), f.Tag(d.bits)
+	inserted := false
+	for s := range d.regs {
+		r := &d.regs[s][idx]
+		switch {
+		case !inserted && *r == 0:
+			*r, inserted = tag, true
+			d.occupied++
+		case !inserted && *r == tag:
+			inserted = true
+		case inserted && *r == tag:
+			*r = 0
+			d.occupied--
+		}
+	}
+	return inserted
+}
+
+func (d *denseSet) remove(f core.Fingerprint, origin env.NodeID, seq uint64) bool {
+	if origin != 0 {
+		if seq <= d.removeSeq[origin] {
+			return false
+		}
+		d.removeSeq[origin] = seq
+	}
+	idx, tag := f.Index(d.bits), f.Tag(d.bits)
+	removed := false
+	for s := range d.regs {
+		if d.regs[s][idx] == tag {
+			d.regs[s][idx] = 0
+			removed = true
+			d.occupied--
+		}
+	}
+	return removed
+}
+
+// heldSets counts the sets of every page that has a non-zero register: the
+// storage DirtySet must hold, and no more.
+func (d *denseSet) heldSets(pageBits uint) int {
+	held := 0
+	for p := 0; p < 1<<(d.bits-pageBits); p++ {
+		live := false
+		for s := range d.regs {
+			for _, r := range d.regs[s][p<<pageBits : (p+1)<<pageBits] {
+				live = live || r != 0
+			}
+		}
+		if live {
+			held += 1 << pageBits
+		}
+	}
+	return held
+}
+
+// TestDirtySetMatchesDenseModel drives random inserts, queries, removes
+// (stale ones among them) and resets through DirtySet and the dense register
+// file, over enough fingerprints that sets fill and overflow, and compares
+// every answer, the occupancy and the storage held after each step. At 2^4
+// sets the whole table is one page; at 2^7 it is four.
+func TestDirtySetMatchesDenseModel(t *testing.T) {
+	for _, bits := range []uint{4, 7} {
+		t.Run(fmt.Sprintf("bits=%d", bits), func(t *testing.T) {
+			const stages = 4
+			d, ref := NewDirtySet(stages, bits), newDenseSet(stages, bits)
+			rnd := rand.New(rand.NewSource(int64(bits)))
+			fps := make([]core.Fingerprint, 8<<bits) // eight per set on average
+			for i := range fps {
+				fps[i] = fp(uint64(i))
+			}
+			seqs := make([]uint64, 3)
+			overflows, maxHeld := 0, 0
+			for step := 0; step < 40_000; step++ {
+				f := fps[rnd.Intn(len(fps))]
+				switch r := rnd.Intn(1000); {
+				case r < 450:
+					got, want := d.Insert(f), ref.insert(f)
+					if got != want {
+						t.Fatalf("step %d: Insert=%v, dense %v", step, got, want)
+					}
+					if !got {
+						overflows++
+					}
+				case r < 700:
+					if got, want := d.Query(f), ref.query(f); got != want {
+						t.Fatalf("step %d: Query=%v, dense %v", step, got, want)
+					}
+				case r < 998:
+					origin := rnd.Intn(len(seqs)) // 0 bypasses the guard
+					seqs[origin] += uint64(rnd.Intn(3))
+					seq := seqs[origin] - uint64(rnd.Intn(2)) // sometimes stale
+					got, want := d.Remove(f, env.NodeID(origin), seq), ref.remove(f, env.NodeID(origin), seq)
+					if got != want {
+						t.Fatalf("step %d: Remove(origin %d, seq %d)=%v, dense %v", step, origin, seq, got, want)
+					}
+				default:
+					d.Reset()
+					ref = newDenseSet(stages, bits)
+					clear(seqs)
+				}
+				if d.Occupied() != ref.occupied {
+					t.Fatalf("step %d: Occupied=%d, dense %d", step, d.Occupied(), ref.occupied)
+				}
+				held, max := d.HeldSets()
+				if want := ref.heldSets(d.pageBits); held != want {
+					t.Fatalf("step %d: %d sets held, want %d", step, held, want)
+				}
+				maxHeld = max
+			}
+			if overflows < 100 || maxHeld != 1<<bits {
+				t.Fatalf("schedule too tame: %d overflows, at most %d of %d sets held", overflows, maxHeld, 1<<bits)
+			}
+		})
+	}
+}
+
+// TestDirtySetHoldsOnlyLiveSets: 10^4 inserts and removes of the same
+// fingerprints leave no register storage held but the bounded free list,
+// and once the free list is warm, filling an empty set allocates nothing.
+func TestDirtySetHoldsOnlyLiveSets(t *testing.T) {
+	d := NewDirtySet(DefaultStages, 14)
+	fps := make([]core.Fingerprint, 100)
+	for i := range fps {
+		fps[i] = fp(uint64(i))
+	}
+	seq := uint64(0)
+	for i := 0; i < 10_000; i++ {
+		f := fps[i%len(fps)]
+		if !d.Insert(f) {
+			t.Fatalf("insert %d overflowed", i)
+		}
+		if i%len(fps) == len(fps)-1 { // every fingerprint in, then all out
+			for _, f := range fps {
+				seq++
+				d.Remove(f, 1, seq)
+			}
+		}
+	}
+	if held, max := d.HeldSets(); d.Occupied() != 0 || held != 0 || max < len(fps) {
+		t.Fatalf("occupied %d, %d sets held (high-water %d), want 0, 0 and ≥ %d", d.Occupied(), held, max, len(fps))
+	}
+	if len(d.free) > maxFreePages {
+		t.Fatalf("%d pages kept free, bound %d", len(d.free), maxFreePages)
+	}
+	f := fps[0]
+	allocs := testing.AllocsPerRun(100, func() {
+		d.Insert(f)
+		seq++
+		d.Remove(f, 1, seq)
+	})
+	if allocs != 0 {
+		t.Fatalf("filling and emptying a set allocates %.1f times, want 0", allocs)
+	}
+}

@@ -77,6 +77,10 @@ func (s *Switch) SetDirtyAll(v bool) { s.dirtyAll = v }
 // Occupied returns the number of live fingerprints.
 func (s *Switch) Occupied() int { return s.ds.Occupied() }
 
+// HeldSets returns how many dirty-set sets have register storage now, and
+// the most that ever had at once (DirtySet.HeldSets).
+func (s *Switch) HeldSets() (held, max int) { return s.ds.HeldSets() }
+
 // Handler processes one packet; register it as the switch node's env
 // handler. The pipeline delay models the ASIC traversal; the switch never
 // queues (line rate, §2.2) — that is precisely its advantage over the
