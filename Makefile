@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: verify fmt vet build test bench bench-layers figures lint race clean detlint detlint-report bench-compare bench-baseline sweep-wide sweep-check fuzz
+.PHONY: verify fmt vet build test bench bench-layers figures lint race clean detlint detlint-report bench-compare bench-baseline fig19-readings sweep-wide sweep-check fuzz
 
 verify: fmt vet build test
 
@@ -66,6 +66,13 @@ bench-baseline:
 	$(GO) build -o bin/fsbench ./cmd/fsbench
 	bin/fsbench -fig gated -scale tiny -trace bin/trace-baseline.json -format json \
 		-out bench/baseline.json -compare bench/baseline.json; [ $$? -le 1 ]
+
+# fig19-readings records Fig. 19 at quick and paper scale (paper takes about
+# a minute) into bench/fig19-quick.json and bench/fig19-paper.json: readings
+# of the end-to-end figure past the gated tiny scale, committed, not gated.
+fig19-readings:
+	$(GO) run ./cmd/fsbench -fig 19 -scale quick -format json -out bench/fig19-quick.json
+	$(GO) run ./cmd/fsbench -fig 19 -scale paper -format json -out bench/fig19-paper.json
 
 # SWEEP_WIDE runs the lincheck sweeps at 4 096 seeds each; SWEEP_LINES turns
 # its output into the failing (mode, seed) lines, sorted.

@@ -4,14 +4,16 @@
 // per-file hashing with cross-server transactions), a modeled CephFS
 // (subtree partitioning plus a heavy per-operation software stack), and a
 // modeled IndexFS (grouping, no rmdir). All baselines use synchronous
-// metadata updates and share the storage (kv), CPU (env cores) and network
-// framework with SwitchFS, mirroring the paper's fair-comparison setup.
+// metadata updates and share the storage (kv), CPU (env cores), network
+// framework and replicated data plane (internal/datanode) with SwitchFS,
+// mirroring the paper's fair-comparison setup.
 package baseline
 
 import (
 	"fmt"
 
 	"switchfs/internal/core"
+	"switchfs/internal/datanode"
 	"switchfs/internal/env"
 	"switchfs/internal/kv"
 	"switchfs/internal/rpc"
@@ -60,11 +62,10 @@ type Options struct {
 	RetryTimeout   env.Duration
 }
 
-// Node id layout, disjoint from the SwitchFS cluster's.
+// Node id layout of the metadata nodes; data nodes sit at datanode.NodeOf.
 const (
 	serverBase env.NodeID = 30000
 	clientBase env.NodeID = 40000
-	dataBase   env.NodeID = 50000
 )
 
 // Cluster is a deployed baseline system.
@@ -73,6 +74,7 @@ type Cluster struct {
 	Opts    Options
 	servers []*bserver
 	clients []*bclient
+	data    []*datanode.Server // by placement slot
 	idgen   *core.IDGen
 }
 
@@ -115,16 +117,8 @@ func New(e *env.Sim, opts Options) *Cluster {
 		c.clients = append(c.clients, cl)
 	}
 	for i := 0; i < opts.DataNodes; i++ {
-		id := dataBase + env.NodeID(i)
-		cost := opts.Costs.DataIO
-		e.AddNode(id, env.NodeConfig{Cores: 4, Handler: func(p *env.Proc, from env.NodeID, msg any) {
-			req, ok := msg.(*bdata)
-			if !ok {
-				return
-			}
-			p.Compute(cost)
-			p.Send(req.From, &bresp{RPC: req.RPC})
-		}})
+		c.data = append(c.data, datanode.New(e, datanode.Config{Slot: i, Nodes: opts.DataNodes,
+			Costs: opts.Costs, RetryTimeout: opts.RetryTimeout}))
 	}
 	// Root directory lives on its owner.
 	root := c.dirServer(core.RootDirID)

@@ -10,10 +10,13 @@ import (
 	"switchfs/internal/fsapi"
 )
 
-func deployTest(t *testing.T, mode Mode) (*env.Sim, *Cluster) {
+func deployTest(t *testing.T, mode Mode) (*env.Sim, *Cluster) { return deployData(t, mode, 0) }
+
+// deployData is deployTest with a data plane of n data nodes.
+func deployData(t *testing.T, mode Mode, n int) (*env.Sim, *Cluster) {
 	t.Helper()
 	sim := env.NewSim(9)
-	c := New(sim, Options{Mode: mode, Servers: 4, Clients: 1, Costs: env.DefaultCosts()})
+	c := New(sim, Options{Mode: mode, Servers: 4, Clients: 1, DataNodes: n, Costs: env.DefaultCosts()})
 	t.Cleanup(sim.Shutdown)
 	return sim, c
 }
@@ -55,6 +58,29 @@ func testBasicOps(t *testing.T, mode Mode) {
 		}
 		if _, err := fs.Stat(p, "/d/f3"); !errors.Is(err, core.ErrNotExist) {
 			t.Errorf("%v stat after delete: %v", mode, err)
+		}
+	})
+}
+
+// TestDataReplicatesWrites: a baseline's data accesses go to the replicated
+// data plane SwitchFS deploys. With two data nodes a write delivers its
+// request, the replica, the replica's ack and the reply; a read delivers its
+// request and the reply. An unreplicated data node delivers 2 for both.
+func TestDataReplicatesWrites(t *testing.T) {
+	sim, c := deployData(t, InfiniFS, 2)
+	run(sim, c, func(p *env.Proc, fs fsapi.FS) {
+		for i, write := range []bool{true, false, true, false, true} {
+			want := uint64(2)
+			if write {
+				want = 4
+			}
+			before := sim.Delivered
+			if err := fs.Data(p, i, write, 4096); err != nil {
+				t.Errorf("data access %d (write %v): %v", i, write, err)
+			}
+			if got := sim.Delivered - before; got != want {
+				t.Errorf("data access %d (write %v) delivered %d packets, want %d", i, write, got, want)
+			}
 		}
 	})
 }

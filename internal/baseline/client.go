@@ -1,10 +1,14 @@
 package baseline
 
 import (
+	"strings"
+
 	"switchfs/internal/core"
+	"switchfs/internal/datanode"
 	"switchfs/internal/env"
 	"switchfs/internal/fsapi"
 	"switchfs/internal/rpc"
+	"switchfs/internal/wire"
 )
 
 // bclient is one baseline LibFS instance: path resolution over a
@@ -23,8 +27,11 @@ type bclient struct {
 var _ fsapi.FS = (*bclient)(nil)
 
 func (cl *bclient) handle(p *env.Proc, from env.NodeID, msg any) {
-	if r, ok := msg.(*bresp); ok {
-		cl.rpc.Answer(r.RPC, from, r)
+	switch m := msg.(type) {
+	case *bresp:
+		cl.rpc.Answer(m.RPC, from, m)
+	case *wire.Packet: // a data node's reply
+		cl.rpc.Answer(m.Body.(*wire.DataResp).RPC, from, m.Body)
 	}
 }
 
@@ -72,19 +79,8 @@ func (cl *bclient) resolve(p *env.Proc, path string) (core.DirID, string, string
 		cl.cache[walked] = resp.Dir
 		cur = resp.Dir
 	}
-	dirPath := "/" + joinPath(comps[:len(comps)-1])
+	dirPath := "/" + strings.Join(comps[:len(comps)-1], "/")
 	return cur, comps[len(comps)-1], dirPath, nil
-}
-
-func joinPath(comps []string) string {
-	out := ""
-	for i, c := range comps {
-		if i > 0 {
-			out += "/"
-		}
-		out += c
-	}
-	return out
 }
 
 // do routes one operation and returns its error.
@@ -257,16 +253,24 @@ func (cl *bclient) Link(p *env.Proc, src, dst string) error {
 	return cl.twoPath(p, core.OpLink, src, dst)
 }
 
+// Data reads or writes chunk shard on its data node as client.dataCall does:
+// a write is acked once replicated, and each of 8 tries waits 20 timeouts.
 func (cl *bclient) Data(p *env.Proc, shard int, write bool, bytes int64) error {
 	if cl.c.Opts.DataNodes == 0 {
 		return nil
 	}
-	node := dataBase + env.NodeID(shard%cl.c.Opts.DataNodes)
-	m := &bdata{RPC: cl.ids.Next(), From: cl.id, Bytes: bytes}
-	if _, ok := cl.rpc.Request(p, m.RPC, 8, 40*env.Millisecond, nil, func() { p.Send(node, m) }); !ok {
+	node := datanode.NodeOf(shard % cl.c.Opts.DataNodes)
+	pkt, req := wire.NewPacket[wire.DataReq](node, cl.id)
+	req.RPC, req.Client, req.Op = cl.ids.Next(), cl.id, core.OpRead
+	req.Acked, req.Chunk, req.Bytes = cl.rpc.Acked(req.RPC), wire.ChunkKey{File: uint32(shard)}, bytes
+	if write {
+		req.Op = core.OpWrite
+	}
+	v, ok := cl.rpc.Request(p, req.RPC, 8, 20*cl.c.Opts.RetryTimeout, nil, func() { p.Send(node, pkt) })
+	if !ok {
 		return core.ErrTimeout
 	}
-	return nil
+	return v.(*wire.DataResp).Err.Err()
 }
 
 // ClientFS implements fsapi.System.

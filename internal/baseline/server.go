@@ -82,13 +82,6 @@ type bsubResp struct {
 	Raw []byte
 }
 
-// bdata is a data-node access.
-type bdata struct {
-	RPC   uint64
-	From  env.NodeID
-	Bytes int64
-}
-
 // bserver is one baseline metadata server.
 type bserver struct {
 	c  *Cluster

@@ -19,13 +19,13 @@ import (
 	"switchfs/internal/wal"
 )
 
-// Node id layout (the "MAC addresses" of the L2 network).
+// Node id layout (the "MAC addresses" of the L2 network); data nodes sit at
+// datanode.NodeOf.
 const (
 	switchBase  env.NodeID = 1
 	trackerNode env.NodeID = 90
 	serverBase  env.NodeID = 100
 	clientBase  env.NodeID = 10000
-	dataBase    env.NodeID = 20000
 )
 
 // Options configures a cluster.
@@ -206,8 +206,7 @@ func New(e *env.Sim, opts Options) *Cluster {
 	// servers, not cost-burning stubs — writes are acked only after the
 	// replication factor is satisfied, and retransmissions are deduped.
 	for i := 0; i < opts.DataNodes; i++ {
-		id := DataNodeOf(i)
-		c.DataNodes = append(c.DataNodes, id)
+		c.DataNodes = append(c.DataNodes, datanode.NodeOf(i))
 		c.DataServers = append(c.DataServers, datanode.New(e, dataNodeConfigOf(c, i)))
 	}
 	return c
@@ -246,19 +245,14 @@ func (c *Cluster) addServer(i int) {
 	c.Servers = append(c.Servers, server.New(c.Env, cfg))
 }
 
-// DataNodeOf maps a data placement slot to a node id.
-func DataNodeOf(slot int) env.NodeID { return dataBase + env.NodeID(slot) }
-
 // dataNodeConfigOf builds data node i's config.
 func dataNodeConfigOf(c *Cluster, i int) datanode.Config {
 	return datanode.Config{
-		ID:           DataNodeOf(i),
 		Slot:         i,
 		Nodes:        c.Opts.DataNodes,
 		Replication:  c.Opts.DataReplication,
 		Cores:        4,
 		Costs:        c.Opts.Costs,
-		NodeOf:       DataNodeOf,
 		RetryTimeout: c.Opts.RetryTimeout,
 		Trace:        c.Opts.Trace,
 	}

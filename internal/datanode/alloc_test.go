@@ -17,17 +17,15 @@ import (
 func writeRig(tb testing.TB) func(from, to int) {
 	sim := env.NewSim(3)
 	tb.Cleanup(sim.Shutdown)
-	nodeOf := func(slot int) env.NodeID { return 300 + env.NodeID(slot) }
 	for slot := 0; slot < 2; slot++ {
-		datanode.New(sim, datanode.Config{ID: nodeOf(slot), Slot: slot, Nodes: 2, Replication: 2,
-			Costs: env.DefaultCosts(), NodeOf: nodeOf})
+		datanode.New(sim, datanode.Config{Slot: slot, Nodes: 2, Replication: 2, Costs: env.DefaultCosts()})
 	}
 	cl := client.New(sim, client.Config{ID: 9000, Costs: env.DefaultCosts()})
 	chunk := wire.ChunkKey{File: 7, Stripe: 3}
 	return func(from, to int) {
 		sim.Spawn(cl.ID(), func(p *env.Proc) {
 			for i := from; i < to; i++ {
-				if ver, err := cl.WriteChunk(p, nodeOf(0), chunk, 4096); err != nil || ver != uint64(i+1) {
+				if ver, err := cl.WriteChunk(p, datanode.NodeOf(0), chunk, 4096); err != nil || ver != uint64(i+1) {
 					tb.Errorf("write %d: version %d, %v", i, ver, err)
 					return
 				}

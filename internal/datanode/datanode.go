@@ -37,10 +37,14 @@ import (
 	"switchfs/internal/wire"
 )
 
+// NodeOf maps a placement slot to its data node's id: every deployment,
+// SwitchFS's and the baselines', lays its data plane out this way.
+func NodeOf(slot int) env.NodeID { return 20000 + env.NodeID(slot) }
+
 // Config parameterizes one data node.
 type Config struct {
-	ID env.NodeID
-	// Slot is this node's placement slot index in [0, Nodes).
+	// Slot is this node's placement slot index in [0, Nodes); its id is
+	// NodeOf(Slot).
 	Slot int
 	// Nodes is the deployed data-node count (the placement ring size).
 	Nodes int
@@ -48,8 +52,6 @@ type Config struct {
 	Replication int
 	Cores       int
 	Costs       env.Costs
-	// NodeOf maps a placement slot to a node id.
-	NodeOf func(slot int) env.NodeID
 	// RetryTimeout paces replication and recovery-pull retransmissions.
 	RetryTimeout env.Duration
 	// Trace records handler and replication spans (nil: tracing off).
@@ -137,14 +139,15 @@ func New(e *env.Sim, cfg Config) *Server {
 		store:   make(map[wire.ChunkKey]chunkRec),
 		serving: true,
 	}
-	s.ids = core.NewIncarnation(uint64(cfg.ID), uint64(e.Now()))
-	s.rpc = rpc.NewCalls(cfg.ID, &s.ids, s.send, cfg.RetryTimeout, &s.dead, &s.Stats.Retries)
-	s.node = e.AddNode(cfg.ID, env.NodeConfig{Cores: cfg.Cores, Handler: s.handle})
+	id := s.ID()
+	s.ids = core.NewIncarnation(uint64(id), uint64(e.Now()))
+	s.rpc = rpc.NewCalls(id, &s.ids, s.send, cfg.RetryTimeout, &s.dead, &s.Stats.Retries)
+	s.node = e.AddNode(id, env.NodeConfig{Cores: cfg.Cores, Handler: s.handle})
 	return s
 }
 
 // ID returns the node id.
-func (s *Server) ID() env.NodeID { return s.cfg.ID }
+func (s *Server) ID() env.NodeID { return NodeOf(s.cfg.Slot) }
 
 // Node returns the env node.
 func (s *Server) Node() *env.Node { return s.node }
@@ -192,7 +195,7 @@ func (s *Server) Recover(p *env.Proc) error {
 		if slot == s.cfg.Slot {
 			continue
 		}
-		pulled, err := rpc.Ask(s, p, s.cfg.NodeOf(slot), maxPullRetries, (*Server).servePull,
+		pulled, err := rpc.Ask(s, p, NodeOf(slot), maxPullRetries, (*Server).servePull,
 			wire.DataPullReq{Slot: uint32(s.cfg.Slot)})
 		if err != nil {
 			continue // peer down; replication covers unless wiped
@@ -364,7 +367,7 @@ func (s *Server) replicate(p *env.Proc, chunk wire.ChunkKey, ver uint64, bytes i
 	defer rsp.End()
 	var backups []env.NodeID
 	for _, slot := range replicaSlots(uint32(s.cfg.Slot), s.cfg.Nodes, r)[1:] {
-		backups = append(backups, s.cfg.NodeOf(slot))
+		backups = append(backups, NodeOf(slot))
 	}
 	slices.Sort(backups)
 	seq := s.ids.Next()
@@ -373,7 +376,7 @@ func (s *Server) replicate(p *env.Proc, chunk wire.ChunkKey, ver uint64, bytes i
 	if _, ok := s.rpc.Call(p, &acks.Done, maxRepRetries, func() {
 		for _, n := range acks.Expect {
 			replyNew(s, p, n, wire.DataRepReq{
-				Seq: seq, From: s.cfg.ID, Primary: uint32(s.cfg.Slot),
+				Seq: seq, From: s.ID(), Primary: uint32(s.cfg.Slot),
 				Chunk: chunk, Ver: ver, Bytes: bytes,
 			})
 		}
@@ -397,7 +400,7 @@ func (s *Server) handleRep(p *env.Proc, _ *wire.Packet, req *wire.DataRepReq) {
 			s.Stats.Replicated++
 		}
 	}
-	replyNew(s, p, req.From, wire.DataRepAck{Seq: req.Seq, From: s.cfg.ID})
+	replyNew(s, p, req.From, wire.DataRepAck{Seq: req.Seq, From: s.ID()})
 }
 
 // servePull answers a recovery pull: every stored record whose replica set
@@ -427,7 +430,7 @@ func (s *Server) Calls() *rpc.Calls { return &s.rpc }
 // memo, in a packet of its own: the memo never pins a packet per entry.
 // Every other message is carved with its packet (replyNew).
 func (s *Server) reply(p *env.Proc, to env.NodeID, resp wire.Msg) {
-	s.send(p, &wire.Packet{Dst: to, Origin: s.cfg.ID, Body: resp})
+	s.send(p, &wire.Packet{Dst: to, Origin: s.ID(), Body: resp})
 }
 
 // replyNew sends a body given by value: the packet and its copy of the body
@@ -436,7 +439,7 @@ func replyNew[B any, P interface {
 	*B
 	wire.Msg
 }](s *Server, p *env.Proc, to env.NodeID, body B) {
-	pkt, b := wire.NewPacket[B, P](to, s.cfg.ID)
+	pkt, b := wire.NewPacket[B, P](to, s.ID())
 	*b = body
 	s.send(p, pkt)
 }

@@ -346,7 +346,7 @@ func TestRecoveryFailsWithNoPeers(t *testing.T) {
 func TestRestartedNodeDrawsFreshCtl(t *testing.T) {
 	sim := env.NewSim(1)
 	defer sim.Shutdown()
-	const self, peer env.NodeID = 200, 201
+	self, peer := datanode.NodeOf(0), datanode.NodeOf(1)
 	var ctls []uint64
 	sim.AddNode(peer, env.NodeConfig{Cores: 1, Handler: func(p *env.Proc, from env.NodeID, msg any) {
 		if req, ok := msg.(*wire.Packet).Body.(*wire.DataPullReq); ok {
@@ -354,7 +354,7 @@ func TestRestartedNodeDrawsFreshCtl(t *testing.T) {
 			p.Send(from, &wire.Packet{Dst: from, Origin: peer, Body: &wire.DataPullResp{CtlResp: wire.CtlResp{ID: req.ID}}})
 		}
 	}})
-	cfg := datanode.Config{ID: self, Nodes: 2, NodeOf: func(slot int) env.NodeID { return self + env.NodeID(slot) }}
+	cfg := datanode.Config{Nodes: 2}
 	boot := func() {
 		n := datanode.Restart(sim, cfg)
 		sim.Spawn(self, func(p *env.Proc) {

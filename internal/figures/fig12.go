@@ -30,10 +30,6 @@ func Fig12a(sc Scale) Table {
 			var rc stats.Counters
 			for _, k := range systems {
 				sim, sys, done := deploy(6, k, n, 4, 8, 0, nil)
-				if k == sysSwitchFS {
-					done()
-					sim, sys, done = deploySwitchFS(6, n, 4, 8, 0)
-				}
 				ns.Preload(sys)
 				workers := sc.Workers * 4 // expose server-side scaling limits
 				if k == sysCeph {
@@ -68,10 +64,6 @@ func Fig12b(sc Scale) Table {
 					continue
 				}
 				sim, sys, done := deploy(7, k, n, 4, 8, 0, nil)
-				if k == sysSwitchFS {
-					done()
-					sim, sys, done = deploySwitchFS(7, n, 4, 8, 0)
-				}
 				ns.Preload(sys)
 				workers := sc.Workers
 				if k == sysCeph {
@@ -106,10 +98,6 @@ func Fig13(sc Scale) Table {
 				continue
 			}
 			sim, sys, done := deploy(8, k, 8, 4, 1, 0, nil)
-			if k == sysSwitchFS {
-				done()
-				sim, sys, done = deploySwitchFS(8, 8, 4, 1, 0)
-			}
 			ns.Preload(sys)
 			res := runOn(sim, sys, ns, genFor(ns, op), 1, sc.OpsPerWorker*2, 1, &rc)
 			done()

@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -216,6 +217,18 @@ func TestFig19Shape(t *testing.T) {
 	// Synthetic skewed: SwitchFS above E-InfiniFS.
 	if cell(t, tab, 0, 4) <= cell(t, tab, 0, 2) {
 		t.Error("SwitchFS not above E-InfiniFS on the skewed synthetic workload")
+	}
+	// CNN and Thumbnail with data (rows 1 and 2): every system shares one
+	// data plane, which bounds these rows, so E-InfiniFS and E-CFS are each
+	// within 5 % of SwitchFS.
+	for _, r := range []int{1, 2} {
+		sf := cell(t, tab, r, 4)
+		for col := 2; col <= 3; col++ {
+			if v := cell(t, tab, r, col); math.Abs(v-sf) > 0.05*sf {
+				t.Errorf("row %d: %s %.1f not within 5%% of SwitchFS %.1f (a data plane of its own?)",
+					r, tab.Header[col], v, sf)
+			}
+		}
 	}
 }
 

@@ -17,9 +17,10 @@ import (
 const (
 	rigSwitch env.NodeID = 1
 	rigServer env.NodeID = 100
-	rigData   env.NodeID = 200
 	rigClient env.NodeID = 9000
 )
+
+var rigData = datanode.NodeOf(0)
 
 // rig is a bare metadata server (its own coordinator, with the calibrated
 // service times), a bare data node holding every chunk alone, a switch stub
@@ -50,8 +51,7 @@ func newRig(t *testing.T) *rig {
 		Ring:      ring.New([]uint32{0}, 0, func(uint32) env.NodeID { return rigServer }),
 		Peers:     []env.NodeID{rigServer},
 		SwitchFor: func(core.Fingerprint) env.NodeID { return rigSwitch }})
-	r.d = datanode.New(r.sim, datanode.Config{ID: rigData, Nodes: 1, Replication: 1,
-		Costs: env.DefaultCosts(), NodeOf: func(int) env.NodeID { return rigData }})
+	r.d = datanode.New(r.sim, datanode.Config{Nodes: 1, Replication: 1, Costs: env.DefaultCosts()})
 	return r
 }
 
