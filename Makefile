@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: verify fmt vet build test bench bench-layers figures lint race clean detlint detlint-report bench-compare bench-baseline fig19-readings sweep-wide sweep-check fuzz
+.PHONY: verify fmt vet build test bench bench-layers figures lint race clean detlint detlint-report bench-compare bench-baseline fig19-readings sweep-wide sweep-check fuzz cover
 
 verify: fmt vet build test
 
@@ -42,7 +42,7 @@ race:
 
 # clean removes exactly the build and test products .gitignore lists.
 clean:
-	rm -rf bin .bench_build benchmark/out
+	rm -rf bin .bench_build benchmark/out cover.out
 	find . -path ./vendor -prune -o -type f \( -name '*.test' -o -name '*.prof' \) -exec rm -f {} +
 
 # bench-compare is the gate, and tier-1 already runs it (`go test ./...`):
@@ -97,6 +97,24 @@ sweep-check:
 	if grep -qE '^panic:|\[(build|setup) failed\]' bin/sweep-wide.log; then \
 		cat bin/sweep-wide.log; exit 1; fi; \
 	cat bin/sweep-wide.log | $(SWEEP_LINES) | diff -u internal/lincheck/testdata/sweep-wide.txt -
+
+# cover runs every test with coverage counted over the whole tree (a test
+# of one package covers the code of all the others it reaches) into
+# cover.out, then prints the total, the COVER_TOP files with the most
+# statements no test reached, and the COVER_TOP least-covered functions.
+# It gates nothing: it shows which code actually runs.
+COVER_TOP ?= 15
+cover:
+	$(GO) test -count=1 -coverpkg=./internal/...,./cmd/...,. -coverprofile=cover.out ./...
+	@$(GO) tool cover -func=cover.out | tail -1
+	@echo "files by unreached statements (unreached of total):"
+	@awk -F'[: ]' 'NR > 1 { k = $$1 ":" $$2; n[k] = $$3; if ($$4 > 0) hit[k] = 1; file[k] = $$1 } \
+		END { for (k in n) { tot[file[k]] += n[k]; if (!hit[k]) miss[file[k]] += n[k] } \
+			for (f in tot) if (miss[f] > 0) printf "%6d of %-6d %s\n", miss[f], tot[f], f }' cover.out \
+		| sort -k1,1nr -k4 | head -$(COVER_TOP)
+	@echo "least-covered functions:"
+	@$(GO) tool cover -func=cover.out | awk '$$1 != "total:" { p = $$NF; sub("%", "", p); print p "\t" $$0 }' \
+		| sort -n -s -k1,1 | cut -f2- | head -$(COVER_TOP)
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -31,7 +31,7 @@ const ms = env.Millisecond
 // BuiltinPlans returns the curated scenario catalog for a geometry: the
 // §5.4/§7.7 recovery stories plus the failure modes they leave unexplored —
 // partitions (symmetric, asymmetric, rack-correlated), flaky links, gray
-// failures, and reconfiguration racing a crash.
+// failures, and reconfiguration racing a crash or a switch reboot.
 func BuiltinPlans(g Geometry) []Plan {
 	rack := func(lo, hi int) []int { // server indices [lo, hi)
 		var out []int
@@ -129,6 +129,16 @@ func BuiltinPlans(g Geometry) []Plan {
 				CrashServer(900*env.Microsecond, 2),
 				Reconfigure(1*ms, g.Servers+2),
 				RecoverServer(2*ms, 2),
+			},
+		},
+		{
+			Name:    "reconfig-switch-reboot",
+			Desc:    "grow the cluster in the instant a rebooted switch's change-log flush starts (§5.4.2, §5.5)",
+			Horizon: 8 * ms,
+			Events: []Event{
+				CrashSwitch(900 * env.Microsecond),
+				RecoverSwitch(1 * ms),
+				Reconfigure(1*ms, g.Servers+2),
 			},
 		},
 	}

@@ -13,6 +13,7 @@ import (
 	"switchfs/internal/env"
 	"switchfs/internal/lincheck"
 	"switchfs/internal/wire"
+	"switchfs/internal/workload"
 )
 
 // The plans run here through lincheck.Run, the checked-run runner: the
@@ -158,18 +159,18 @@ func TestDataPlansRunClean(t *testing.T) {
 // script is a one-client source issuing ops in order; its audit hook runs
 // between the drained cluster and the audit reads, where a test destroys
 // acknowledged state behind the protocol's back.
-func script(ops []lincheck.Op, audit func() []lincheck.Op) lincheck.Source {
+func script(ops []workload.Op, audit func() []workload.Op) lincheck.Source {
 	return lincheck.Source{
 		Clients: 1,
-		Next: func(p *env.Proc, w int) (lincheck.Op, bool) {
+		Next: func(p *env.Proc, w int) (workload.Op, bool) {
 			if len(ops) == 0 {
-				return lincheck.Op{}, false
+				return workload.Op{}, false
 			}
 			op := ops[0]
 			ops = ops[1:]
 			return op, true
 		},
-		Audit: func(lincheck.History) []lincheck.Op { return audit() },
+		Audit: func(lincheck.History) []workload.Op { return audit() },
 	}
 }
 
@@ -195,14 +196,14 @@ func requireViolation(t *testing.T, res lincheck.RunResult, want string) {
 // it as a lost acknowledged write.
 func TestCheckerCatchesLostAck(t *testing.T) {
 	sim, c := deploy(t, 13, metaGeometry)
-	ops := []lincheck.Op{{Kind: core.OpMkdir, Path: "/victim"}}
-	var reads []lincheck.Op
+	ops := []workload.Op{{Kind: core.OpMkdir, Path: "/victim"}}
+	var reads []workload.Op
 	for i := 0; i < 5; i++ {
 		path := fmt.Sprintf("/victim/f%d", i)
-		ops = append(ops, lincheck.Op{Kind: core.OpCreate, Path: path})
-		reads = append(reads, lincheck.Op{Kind: core.OpStat, Path: path})
+		ops = append(ops, workload.Op{Kind: core.OpCreate, Path: path})
+		reads = append(reads, workload.Op{Kind: core.OpStat, Path: path})
 	}
-	res := lincheck.Run(sim, c, nil, script(ops, func() []lincheck.Op {
+	res := lincheck.Run(sim, c, nil, script(ops, func() []workload.Op {
 		// Destroy f3's records on whichever server stores them.
 		removed := 0
 		for _, srv := range c.Servers {
@@ -235,8 +236,8 @@ func TestCheckerCatchesLostDataWrite(t *testing.T) {
 	if slot := datanode.PrimarySlot(chunk, len(c.DataNodes)); slot != 0 {
 		t.Fatalf("chunk's primary is slot %d, want 0", slot)
 	}
-	write := lincheck.Op{Kind: core.OpWrite, Chunk: chunk}
-	res := lincheck.Run(sim, c, nil, script([]lincheck.Op{write}, func() []lincheck.Op {
+	write := workload.Op{Kind: core.OpWrite, Chunk: chunk}
+	res := lincheck.Run(sim, c, nil, script([]workload.Op{write}, func() []workload.Op {
 		// Simulated storage bug: the chunk's whole replica set (primary
 		// slot 0, backup slot 1) fail-stops at once — no plan, so no wipe
 		// marker — and both volatile copies are gone; the recoveries rebuild
@@ -253,7 +254,7 @@ func TestCheckerCatchesLostDataWrite(t *testing.T) {
 		if _, ok := fut1.Peek(); !ok {
 			t.Fatal("recovery 1 incomplete")
 		}
-		return []lincheck.Op{{Kind: core.OpRead, Chunk: chunk}}
+		return []workload.Op{{Kind: core.OpRead, Chunk: chunk}}
 	}))
 	if h := res.History; len(h) != 2 || h[1].Out.Version == h[0].Out.Version {
 		t.Fatalf("chunk survived a full replica-set wipe; test premise broken:\n%s", h)

@@ -9,9 +9,8 @@ import (
 )
 
 // Live fingerprint-group migration and the hot-directory balancer (§5.5
-// elastic resharding). Unlike the historical stop-the-world Reconfigure, a
-// migration here moves ONE group through the servers' gate-and-drain protocol
-// while the rest of the cluster keeps serving:
+// elastic resharding). A migration moves ONE group through the servers'
+// gate-and-drain protocol while the rest of the cluster keeps serving:
 //
 //  1. the destination installs an arrival gate (BlockFP) and the ring pins
 //     the group there (SetOverride) — both in one simulator event, so no

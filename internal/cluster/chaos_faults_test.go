@@ -118,6 +118,78 @@ func TestReconfigureWhileServerStaysDown(t *testing.T) {
 	})
 }
 
+// requireServing fails the test for every server not serving, then requires
+// every one of the files /d/f0../d/f<n-1> to stat.
+func requireServing(t *testing.T, c *Cluster, files int) {
+	t.Helper()
+	for i, srv := range c.Servers {
+		if !srv.Serving() {
+			t.Errorf("server %d is not serving after the reconfiguration finished", i)
+		}
+	}
+	c.Run(0, func(p *env.Proc, cl *client.Client) {
+		for i := 0; i < files; i++ {
+			if _, err := cl.Stat(p, fmt.Sprintf("/d/f%d", i)); err != nil {
+				t.Errorf("stat /d/f%d: %v", i, err)
+				return
+			}
+		}
+	})
+}
+
+// TestRecoveryOverlappingReconfigureServes: a Reconfigure that starts while
+// a server replays its WAL must not leave the recovered server refusing
+// requests once both are done. The live reconfiguration has no step that
+// resumes servers, so recovery must not stop serving because one is running.
+func TestRecoveryOverlappingReconfigureServes(t *testing.T) {
+	s, c := sim(t, Options{Servers: 4, Clients: 1})
+	c.Run(0, func(p *env.Proc, cl *client.Client) {
+		cl.Mkdir(p, "/d", 0)
+		for i := 0; i < 40; i++ {
+			cl.Create(p, fmt.Sprintf("/d/f%d", i), 0)
+		}
+	})
+	c.CrashServer(1)
+	rec := c.RecoverServer(1)
+	var fut *env.Future
+	s.After(env.Microsecond, func() { fut = c.Reconfigure(6) })
+	s.Run()
+	if _, ok := rec.Peek(); !ok {
+		t.Fatal("recovery did not complete")
+	}
+	if v, ok := fut.Peek(); !ok {
+		t.Fatal("reconfiguration did not complete")
+	} else if err, isErr := v.(error); isErr {
+		t.Fatalf("reconfigure: %v", err)
+	}
+	requireServing(t, c, 40)
+}
+
+// TestSwitchRebootOverlappingReconfigureServes: a switch reboot's change-log
+// flush running beside a Reconfigure leaves every server serving.
+func TestSwitchRebootOverlappingReconfigureServes(t *testing.T) {
+	s, c := sim(t, Options{Servers: 4, Clients: 1})
+	c.Run(0, func(p *env.Proc, cl *client.Client) {
+		cl.Mkdir(p, "/d", 0)
+		for i := 0; i < 40; i++ {
+			cl.Create(p, fmt.Sprintf("/d/f%d", i), 0)
+		}
+	})
+	c.CrashSwitch()
+	rec := c.RecoverSwitch()
+	fut := c.Reconfigure(6)
+	s.Run()
+	if _, ok := rec.Peek(); !ok {
+		t.Fatal("switch recovery did not complete")
+	}
+	if v, ok := fut.Peek(); !ok {
+		t.Fatal("reconfiguration did not complete")
+	} else if err, isErr := v.(error); isErr {
+		t.Fatalf("reconfigure: %v", err)
+	}
+	requireServing(t, c, 40)
+}
+
 // TestLinkRuleDupReorderPreservesDedup installs per-link duplication and
 // reorder rules on every client↔server link and checks the RPC dedup layer
 // still yields exactly-once effects — the per-link generalization of the

@@ -105,8 +105,8 @@ type Cluster struct {
 	// counts until its re-replication pull completes): while dataDown >= r,
 	// a chunk's whole replica set may be gone at once.
 	dataDown int
-	// reconfiguring marks an in-flight Reconfigure; a concurrently
-	// recovering server must not resume serving until it finishes.
+	// reconfiguring marks an in-flight Reconfigure; RecoverServer waits it
+	// out before restarting a server.
 	reconfiguring bool
 	// unflushed holds the server slots that were down when a switch reboot
 	// flushed the change-logs: their entries are in no dirty set. While any
@@ -416,9 +416,12 @@ func (c *Cluster) CrashServer(i int) { c.Servers[i].Crash() }
 // The restart is sequenced against reconfiguration from inside the spawned
 // process: a recovery landing mid-Reconfigure waits the reconfiguration out
 // before building the new incarnation. Swapping c.Servers[i] any earlier
-// would let step 3 migrate from a freshly-constructed, not-yet-replayed
+// would let a migration copy from a freshly-constructed, not-yet-replayed
 // (empty) store; and the restart-then-replay sequence runs without a park,
 // so a reconfiguration can never observe the swapped-but-unreplayed server.
+// A Reconfigure that starts while the replay runs does not change whether
+// the recovered server serves: a live reconfiguration migrates group by
+// group with every server serving.
 func (c *Cluster) RecoverServer(i int) *env.Future {
 	old := c.Servers[i]
 	fut := env.NewFuture()
@@ -443,12 +446,6 @@ func (c *Cluster) RecoverServer(i int) *env.Future {
 		if c.unflushed[i] {
 			delete(c.unflushed, i)
 			c.setDirtyAll(len(c.unflushed) > 0)
-		}
-		if c.reconfiguring {
-			// A reconfiguration started while recovery ran; joining it
-			// serving would expose half-migrated state. Step 4 resumes
-			// everyone (its drain waited for this recovery to finish).
-			srv.SetServing(false)
 		}
 		fut.Complete(p.Now() - start)
 	})
@@ -551,12 +548,6 @@ func (c *Cluster) RecoverSwitch() *env.Future {
 			sub := env.NewFuture()
 			c.Env.Spawn(srv.ID(), func(sp *env.Proc) {
 				srv.FlushAll(sp)
-				if c.reconfiguring {
-					// FlushAll re-enables serving; a concurrent Reconfigure
-					// is quiescing the cluster and must stay in control of
-					// when servers resume (its step 4).
-					srv.SetServing(false)
-				}
 				sub.Complete(nil)
 			})
 			sub.Wait(p)

@@ -13,8 +13,7 @@ import (
 const reconfigPasses = 20
 
 // Reconfigure grows (or shrinks) the metadata cluster as a bulk case of the
-// staged gate-and-drain migration (§5.5/§A.3) — the historical stop-the-world
-// procedure (quiesce everyone, flush, remap, move, resume) is retired:
+// staged gate-and-drain migration (§5.5/§A.3):
 //
 //  1. new servers (on grow) join serving immediately; every server and switch
 //     learns the union peer set;
@@ -153,9 +152,9 @@ func (c *Cluster) Reconfigure(newServers int) *env.Future {
 				if srv.Node().Down() {
 					continue // nothing volatile left; its groups already moved
 				}
-				// Satellite of the old step 1b: the drain re-checks liveness
-				// and is bounded by the aggregation give-up budget instead of
-				// busy-waiting on a server that may never quiesce.
+				// The drain re-checks liveness and is bounded by the
+				// aggregation give-up budget instead of busy-waiting on a
+				// server that may never quiesce.
 				srv.DrainAggs(p)
 				// Remaining change-log entries must reach their owners now —
 				// no recovery will ever replay this WAL.

@@ -35,7 +35,7 @@ func Fig12a(sc Scale) Table {
 				if k == sysCeph {
 					workers = sc.Workers / 2 // the heavy stack needs no extra pressure
 				}
-				res := runOn(sim, sys, ns, genFor(ns, op), workers, sc.OpsPerWorker, 8, &rc)
+				res := runOn(sim, sys, genFor(ns, op), workers, sc.OpsPerWorker, 8, &rc)
 				done()
 				row = append(row, kops(res.ThroughputOps()))
 			}
@@ -69,7 +69,7 @@ func Fig12b(sc Scale) Table {
 				if k == sysCeph {
 					workers = sc.Workers / 2
 				}
-				res := runOn(sim, sys, ns, genFor(ns, op), workers, sc.OpsPerWorker, 8, &rc)
+				res := runOn(sim, sys, genFor(ns, op), workers, sc.OpsPerWorker, 8, &rc)
 				done()
 				row = append(row, kops(res.ThroughputOps()))
 			}
@@ -99,7 +99,7 @@ func Fig13(sc Scale) Table {
 			}
 			sim, sys, done := deploy(8, k, 8, 4, 1, 0, nil)
 			ns.Preload(sys)
-			res := runOn(sim, sys, ns, genFor(ns, op), 1, sc.OpsPerWorker*2, 1, &rc)
+			res := runOn(sim, sys, genFor(ns, op), 1, sc.OpsPerWorker*2, 1, &rc)
 			done()
 			row = append(row, us(res.All.Mean()))
 		}

@@ -33,7 +33,7 @@ func Fig14(sc Scale) Table {
 				o.Updates = cfg.updates
 			})
 			ns.Preload(sys)
-			res := runOn(sim, sys, ns, ns.FreshFiles(core.OpCreate), sc.Workers, sc.OpsPerWorker, 8, &rc)
+			res := runOn(sim, sys, ns.FreshFiles(core.OpCreate), sc.Workers, sc.OpsPerWorker, 8, &rc)
 			done()
 			t.AddRow(rc, []string{
 				cfg.name, itoa(cores), kops(res.ThroughputOps()),
@@ -57,7 +57,7 @@ func Overflow(sc Scale) Table {
 			o.ForceOverflow = forced
 		})
 		ns.Preload(sys)
-		res := runOn(sim, sys, ns, ns.FreshFiles(core.OpCreate), sc.Workers, sc.OpsPerWorker, 8, &rc)
+		res := runOn(sim, sys, ns.FreshFiles(core.OpCreate), sc.Workers, sc.OpsPerWorker, 8, &rc)
 		done()
 		name := "inserts succeed"
 		if forced {

@@ -24,7 +24,7 @@ func Fig15a(sc Scale) Table {
 				o.Tracker = tracker
 			})
 			ns.Preload(sys)
-			res := runOn(sim, sys, ns, genFor(ns, op), 1, sc.OpsPerWorker*2, 1, &rc)
+			res := runOn(sim, sys, genFor(ns, op), 1, sc.OpsPerWorker*2, 1, &rc)
 			done()
 			row = append(row, us(res.All.Mean()))
 		}
@@ -49,7 +49,7 @@ func Fig15b(sc Scale) Table {
 				o.Tracker = tracker
 			})
 			ns.Preload(sys)
-			res := runOn(sim, sys, ns, ns.StatDirs(), sc.Workers*4, sc.OpsPerWorker, 16, &rc)
+			res := runOn(sim, sys, ns.StatDirs(), sc.Workers*4, sc.OpsPerWorker, 16, &rc)
 			done()
 			row = append(row, mops(res.ThroughputOps()))
 		}
@@ -84,7 +84,7 @@ func Fig16(sc Scale) Table {
 				o.Tracker = tracker
 			})
 			ns.Preload(sys)
-			res := runOn(sim, sys, ns, ns.FreshFiles(core.OpCreate), load.workers, sc.OpsPerWorker, 8, &rc)
+			res := runOn(sim, sys, ns.FreshFiles(core.OpCreate), load.workers, sc.OpsPerWorker, 8, &rc)
 			done()
 			t.AddRow(rc, []string{
 				load.name, name,

@@ -3,7 +3,6 @@ package figures
 import (
 	"fmt"
 
-	"switchfs/internal/core"
 	"switchfs/internal/env"
 	"switchfs/internal/fsapi"
 	"switchfs/internal/stats"
@@ -26,7 +25,7 @@ func Fig17(sc Scale) Table {
 			for _, k := range []sysKind{sysInfiniFS, sysCFS, sysSwitchFS} {
 				sim, sys, done := deploy(14, k, 8, 4, 8, 0, nil)
 				ns.Preload(sys)
-				res := runOn(sim, sys, ns, ns.Bursts(burst, inflight), inflight, sc.OpsPerWorker, 8, &rc)
+				res := runOn(sim, sys, ns.Bursts(burst, inflight), inflight, sc.OpsPerWorker, 8, &rc)
 				done()
 				row = append(row, kops(res.ThroughputOps()))
 			}
@@ -97,5 +96,3 @@ func runClient(sim *env.Sim, sys fsapi.System, fn func(p *env.Proc, fs fsapi.FS)
 	sys.SpawnClient(0, func(p *env.Proc) { fn(p, fs) })
 	sim.Run()
 }
-
-var _ = core.OpStatDir

@@ -46,7 +46,7 @@ func Fig19(sc Scale) Table {
 			if k == sysCeph {
 				workers = sc.Workers
 			}
-			res := runOn(sim, sys, ns, cse.mix.Gen(ns, cse.skew), workers, sc.OpsPerWorker, 8, &rc)
+			res := runOn(sim, sys, cse.mix.Gen(ns, cse.skew), workers, sc.OpsPerWorker, 8, &rc)
 			done()
 			row = append(row, kops(res.ThroughputOps()))
 		}

@@ -22,7 +22,7 @@ func Fig2a(sc Scale) Table {
 		for _, k := range []sysKind{sysInfiniFS, sysCFS} {
 			sim, sys, done := deploy(2, k, n, 4, 8, 0, nil)
 			ns.Preload(sys)
-			res := runOn(sim, sys, ns, ns.UniformFiles(core.OpStat), sc.Workers*8, sc.OpsPerWorker/2+1, 8, &rc)
+			res := runOn(sim, sys, ns.UniformFiles(core.OpStat), sc.Workers*8, sc.OpsPerWorker/2+1, 8, &rc)
 			done()
 			row = append(row, mops(res.ThroughputOps()))
 		}
@@ -44,7 +44,7 @@ func Fig2b(sc Scale) Table {
 		for _, k := range []sysKind{sysInfiniFS, sysCFS} {
 			sim, sys, done := deploy(3, k, 8, 4, 1, 0, nil)
 			ns.Preload(sys)
-			res := runOn(sim, sys, ns, genFor(ns, op), 1, sc.OpsPerWorker*4, 1, &rc)
+			res := runOn(sim, sys, genFor(ns, op), 1, sc.OpsPerWorker*4, 1, &rc)
 			done()
 			row = append(row, us(res.All.Mean()))
 		}
@@ -66,7 +66,7 @@ func Fig2c(sc Scale) Table {
 		for _, k := range []sysKind{sysInfiniFS, sysCFS} {
 			sim, sys, done := deploy(4, k, n, 4, 8, 0, nil)
 			ns.Preload(sys)
-			res := runOn(sim, sys, ns, ns.FreshFiles(core.OpCreate), sc.Workers, sc.OpsPerWorker, 8, &rc)
+			res := runOn(sim, sys, ns.FreshFiles(core.OpCreate), sc.Workers, sc.OpsPerWorker, 8, &rc)
 			done()
 			row = append(row, kops(res.ThroughputOps()))
 		}
@@ -88,7 +88,7 @@ func Fig2d(sc Scale) Table {
 		for _, k := range []sysKind{sysInfiniFS, sysCFS} {
 			sim, sys, done := deploy(5, k, 8, cores, 8, 0, nil)
 			ns.Preload(sys)
-			res := runOn(sim, sys, ns, ns.FreshFiles(core.OpCreate), sc.Workers, sc.OpsPerWorker, 8, &rc)
+			res := runOn(sim, sys, ns.FreshFiles(core.OpCreate), sc.Workers, sc.OpsPerWorker, 8, &rc)
 			done()
 			row = append(row, kops(res.ThroughputOps()))
 		}

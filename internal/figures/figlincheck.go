@@ -6,6 +6,7 @@ import (
 
 	"switchfs/internal/lincheck"
 	"switchfs/internal/stats"
+	"switchfs/internal/workload"
 )
 
 // FigLincheck is the linearizability + differential-model checking figure:
@@ -51,7 +52,7 @@ func FigLincheck(sc Scale) Table {
 
 	// Mode 1: sequential differential programs — the adversarial small-pool
 	// generator and the PanguMix-derived trace shape.
-	diffMode := func(mode string, program func(s int64) []lincheck.Op) {
+	diffMode := func(mode string, program func(s int64) []workload.Op) {
 		ops, violations := 0, 0
 		var packets uint64
 		for s := seed; s < seed+seeds; s++ {
@@ -67,10 +68,10 @@ func FigLincheck(sc Scale) Table {
 		}
 		row(mode, int(seeds), ops, 0, violations, packets)
 	}
-	diffMode("differential", func(s int64) []lincheck.Op {
+	diffMode("differential", func(s int64) []workload.Op {
 		return lincheck.GenProgram(s, 3, 40, lincheck.AdversarialMix).Flatten()
 	})
-	diffMode("differential-mix", func(s int64) []lincheck.Op {
+	diffMode("differential-mix", func(s int64) []workload.Op {
 		return lincheck.MixProgram(s, 60)
 	})
 

@@ -94,7 +94,7 @@ func scaleMix(ns workload.Namespace) workload.Gen {
 	stat := ns.UniformFiles(core.OpStat)
 	create := ns.FreshFiles(core.OpCreate)
 	statdir := ns.StatDirs()
-	return func(rnd *rand.Rand, w, i int) workload.OpCall {
+	return func(rnd *rand.Rand, w, i int) workload.Op {
 		switch r := rnd.Float64(); {
 		case r < 0.7:
 			return stat(rnd, w, i)

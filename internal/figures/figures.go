@@ -231,7 +231,7 @@ func us(v float64) string { return fmt.Sprintf("%.1f", v/1e3) }
 
 // runOn executes a generator against a deployed system, folding the run's
 // operation and packet counts into the row tally.
-func runOn(sim *env.Sim, sys fsapi.System, ns workload.Namespace, gen workload.Gen,
+func runOn(sim *env.Sim, sys fsapi.System, gen workload.Gen,
 	workers, ops, clients int, tally *stats.Counters) workload.Result {
 	res := workload.Run(sim, sys, workload.RunCfg{
 		Workers:      workers,

@@ -23,7 +23,7 @@ func TestSmokeThroughput(t *testing.T) {
 		}
 		ns.Preload(sys)
 		var rc stats.Counters
-		res := runOn(sim, sys, ns, ns.FreshFiles(core.OpCreate), 64, 30, 4, &rc)
+		res := runOn(sim, sys, ns.FreshFiles(core.OpCreate), 64, 30, 4, &rc)
 		done()
 		if res.Errs > 0 {
 			t.Fatalf("%v: %d errors", k, res.Errs)

@@ -6,6 +6,7 @@ import (
 
 	"switchfs/internal/core"
 	"switchfs/internal/env"
+	"switchfs/internal/workload"
 )
 
 // CheckResult is the outcome of a linearizability search.
@@ -230,7 +231,7 @@ func resentAmbiguous(e Event) bool {
 //     from creation time (chmod updates the inode, not the dentry) and are
 //     not modeled;
 //   - everything else compares the error alone.
-func outcomeMatches(op Op, observed, modeled Outcome) bool {
+func outcomeMatches(op workload.Op, observed, modeled workload.Outcome) bool {
 	if !sameErr(observed.Err, modeled.Err) {
 		return false
 	}
@@ -246,7 +247,7 @@ func outcomeMatches(op Op, observed, modeled Outcome) bool {
 			observed.Attr.Perm == modeled.Attr.Perm &&
 			observed.Attr.Size == modeled.Attr.Size
 	case core.OpReadDir:
-		obs, mod := sortEntries(observed.Entries), sortEntries(modeled.Entries)
+		obs, mod := workload.SortEntries(observed.Entries), workload.SortEntries(modeled.Entries)
 		if len(obs) != len(mod) {
 			return false
 		}

@@ -5,22 +5,23 @@ import (
 	"testing"
 
 	"switchfs/internal/core"
+	"switchfs/internal/workload"
 )
 
 // ev builds a completed event.
-func ev(client int, o Op, out Outcome, call, ret int64) Event {
+func ev(client int, o workload.Op, out workload.Outcome, call, ret int64) Event {
 	return Event{Client: client, Op: o, Out: out, Call: call, Ret: ret}
 }
 
-func okOut() Outcome                { return Outcome{} }
-func errOut(sentinel error) Outcome { return Outcome{Err: sentinel} }
+func okOut() workload.Outcome                { return workload.Outcome{} }
+func errOut(sentinel error) workload.Outcome { return workload.Outcome{Err: sentinel} }
 
 func TestCheckSequentialLegal(t *testing.T) {
 	h := History{
 		ev(0, op(core.OpMkdir, "/d"), okOut(), 0, 10),
 		ev(0, op(core.OpCreate, "/d/f"), okOut(), 20, 30),
 		ev(0, op(core.OpStat, "/d/f"),
-			Outcome{Attr: core.Attr{Type: core.TypeRegular, Perm: core.DefaultFilePerm, Nlink: 1}}, 40, 50),
+			workload.Outcome{Attr: core.Attr{Type: core.TypeRegular, Perm: core.DefaultFilePerm, Nlink: 1}}, 40, 50),
 		ev(0, op(core.OpCreate, "/d/f"), errOut(core.ErrExist), 60, 70),
 	}
 	if r := Check(h); !r.Ok || r.Undecided {
@@ -45,7 +46,7 @@ func TestCheckResurrection(t *testing.T) {
 		ev(0, op(core.OpCreate, "/f"), okOut(), 0, 10),
 		ev(0, op(core.OpDelete, "/f"), okOut(), 20, 30),
 		ev(1, op(core.OpReadDir, "/"),
-			Outcome{Entries: []core.DirEntry{{Name: "f", Type: core.TypeRegular}}}, 40, 50),
+			workload.Outcome{Entries: []core.DirEntry{{Name: "f", Type: core.TypeRegular}}}, 40, 50),
 	}
 	if r := Check(h); r.Ok {
 		t.Fatal("resurrection in readdir not detected")
@@ -72,7 +73,7 @@ func TestCheckTimeoutMayApplyLateOrNever(t *testing.T) {
 		timedOut,
 		ev(1, op(core.OpStat, "/f"), errOut(core.ErrNotExist), 20, 30),
 		ev(1, op(core.OpStat, "/f"),
-			Outcome{Attr: core.Attr{Type: core.TypeRegular, Perm: core.DefaultFilePerm}}, 40, 50),
+			workload.Outcome{Attr: core.Attr{Type: core.TypeRegular, Perm: core.DefaultFilePerm}}, 40, 50),
 	}
 	if r := Check(h); !r.Ok {
 		t.Fatal("late ghost application rejected")
@@ -90,10 +91,10 @@ func TestCheckTimeoutMayApplyLateOrNever(t *testing.T) {
 	h3 := History{
 		timedOut,
 		ev(1, op(core.OpStat, "/f"),
-			Outcome{Attr: core.Attr{Type: core.TypeRegular, Perm: core.DefaultFilePerm}}, 20, 30),
+			workload.Outcome{Attr: core.Attr{Type: core.TypeRegular, Perm: core.DefaultFilePerm}}, 20, 30),
 		ev(1, op(core.OpDelete, "/f"), okOut(), 40, 50),
 		ev(1, op(core.OpStat, "/f"),
-			Outcome{Attr: core.Attr{Type: core.TypeRegular, Perm: core.DefaultFilePerm}}, 60, 70),
+			workload.Outcome{Attr: core.Attr{Type: core.TypeRegular, Perm: core.DefaultFilePerm}}, 60, 70),
 	}
 	if r := Check(h3); !r.Ok {
 		t.Fatal("double ghost application rejected")
@@ -108,7 +109,7 @@ func TestCheckResentOwnEffect(t *testing.T) {
 	h := History{
 		resent,
 		ev(1, op(core.OpStat, "/f"),
-			Outcome{Attr: core.Attr{Type: core.TypeRegular, Perm: core.DefaultFilePerm}}, 20, 30),
+			workload.Outcome{Attr: core.Attr{Type: core.TypeRegular, Perm: core.DefaultFilePerm}}, 20, 30),
 	}
 	if r := Check(h); !r.Ok {
 		t.Fatal("resent create's own-effect EEXIST rejected")
@@ -147,7 +148,7 @@ func TestCheckStatDirSizeBounds(t *testing.T) {
 		ev(0, op(core.OpMkdir, "/d"), okOut(), 0, 10),
 		ev(0, op(core.OpCreate, "/d/f"), okOut(), 20, 30),
 		ev(1, op(core.OpStatDir, "/d"),
-			Outcome{Attr: core.Attr{Type: core.TypeDir, Perm: core.DefaultDirPerm, Size: 2}}, 40, 50),
+			workload.Outcome{Attr: core.Attr{Type: core.TypeDir, Perm: core.DefaultDirPerm, Size: 2}}, 40, 50),
 	}
 	if r := Check(h); r.Ok {
 		t.Fatal("impossible directory size accepted")
@@ -208,7 +209,7 @@ func TestMinimizePreservesViolation(t *testing.T) {
 				ev(0, op(core.OpCreate, "/d/x"), okOut(), 10, 15),
 				ev(0, op(core.OpCreate, "/f"), okOut(), 20, 25),
 				ev(1, op(core.OpStatDir, "/d"),
-					Outcome{Attr: core.Attr{Type: core.TypeDir, Perm: core.DefaultDirPerm, Size: 1}}, 30, 35),
+					workload.Outcome{Attr: core.Attr{Type: core.TypeDir, Perm: core.DefaultDirPerm, Size: 1}}, 30, 35),
 				ev(1, op(core.OpStat, "/f"), errOut(core.ErrNotExist), 40, 45),
 			},
 			keep: []string{"create /f", "stat /f"}, max: 4},
@@ -217,9 +218,9 @@ func TestMinimizePreservesViolation(t *testing.T) {
 				ev(0, op(core.OpMkdir, "/d"), okOut(), 0, 5),
 				ev(1, op(core.OpCreate, "/d/x"), okOut(), 10, 15),
 				ev(2, op(core.OpCreate, "/d/y"), okOut(), 12, 18),
-				ev(3, op(core.OpReadDir, "/d"), Outcome{Attr: core.Attr{Type: core.TypeDir, Perm: core.DefaultDirPerm, Size: 1},
+				ev(3, op(core.OpReadDir, "/d"), workload.Outcome{Attr: core.Attr{Type: core.TypeDir, Perm: core.DefaultDirPerm, Size: 1},
 					Entries: []core.DirEntry{{Name: "y", Type: core.TypeRegular, Perm: core.DefaultFilePerm}}}, 30, 35),
-				ev(3, op(core.OpStat, "/d/y"), Outcome{Attr: core.Attr{Type: core.TypeRegular, Perm: core.DefaultFilePerm, Nlink: 1}}, 36, 40),
+				ev(3, op(core.OpStat, "/d/y"), workload.Outcome{Attr: core.Attr{Type: core.TypeRegular, Perm: core.DefaultFilePerm, Nlink: 1}}, 36, 40),
 			},
 			keep: []string{"mkdir /d", "create /d/x", "readdir /d"}, max: 4},
 	} {

@@ -9,6 +9,7 @@ import (
 	"switchfs/internal/core"
 	"switchfs/internal/env"
 	"switchfs/internal/fsapi"
+	"switchfs/internal/workload"
 )
 
 // DiffReport is the outcome of one differential run.
@@ -37,50 +38,10 @@ func (d *DiffReport) divergef(format string, args ...any) {
 	d.Divergences = append(d.Divergences, fmt.Sprintf(format, args...))
 }
 
-// applyFS executes one op through the shared fsapi surface (no perm on
-// create/mkdir — both systems take their defaults, as the generator
-// guarantees).
-func applyFS(p *env.Proc, fs fsapi.FS, op Op) Outcome {
-	var out Outcome
-	switch op.Kind {
-	case core.OpCreate:
-		out.Err = fs.Create(p, op.Path)
-	case core.OpMkdir:
-		out.Err = fs.Mkdir(p, op.Path)
-	case core.OpDelete:
-		out.Err = fs.Delete(p, op.Path)
-	case core.OpRmdir:
-		out.Err = fs.Rmdir(p, op.Path)
-	case core.OpStat:
-		out.Attr, out.Err = fs.Stat(p, op.Path)
-	case core.OpOpen:
-		out.Attr, out.Err = fs.Open(p, op.Path)
-	case core.OpClose:
-		out.Err = fs.Close(p, op.Path)
-	case core.OpChmod:
-		out.Err = fs.Chmod(p, op.Path, op.Perm)
-	case core.OpStatDir:
-		out.Attr, out.Err = fs.StatDir(p, op.Path)
-	case core.OpReadDir:
-		var es []core.DirEntry
-		es, out.Err = fs.ReadDir(p, op.Path)
-		if out.Err == nil {
-			out.Entries = sortEntries(es)
-		}
-	case core.OpRename:
-		out.Err = fs.Rename(p, op.Path, op.Path2)
-	case core.OpLink:
-		out.Err = fs.Link(p, op.Path, op.Path2)
-	default:
-		out.Err = core.ErrInvalid
-	}
-	return out
-}
-
 // diffOutcome compares two observations of the same op; strict additionally
 // compares permissions (the baseline stores none — relaxed mode checks the
 // shape every system shares: errors, types, entry lists, directory sizes).
-func diffOutcome(op Op, a, b Outcome, strict bool) string {
+func diffOutcome(op workload.Op, a, b workload.Outcome, strict bool) string {
 	if !sameErr(a.Err, b.Err) {
 		return fmt.Sprintf("error %v vs %v", a.Err, b.Err)
 	}
@@ -113,7 +74,7 @@ func diffOutcome(op Op, a, b Outcome, strict bool) string {
 
 func entryNames(es []core.DirEntry) string {
 	parts := make([]string, len(es))
-	for i, e := range sortEntries(es) {
+	for i, e := range workload.SortEntries(es) {
 		parts[i] = fmt.Sprintf("%s(%s)", e.Name, e.Type)
 	}
 	return strings.Join(parts, " ")
@@ -123,17 +84,17 @@ func entryNames(es []core.DirEntry) string {
 // SwitchFS, and the baseline (Emulated-InfiniFS), diffing every per-op
 // result and the final namespace trees. SwitchFS is held to the model with
 // permissions; the baseline to the shared shape.
-func RunDiff(seed int64, ops []Op) *DiffReport {
+func RunDiff(seed int64, ops []workload.Op) *DiffReport {
 	return DiffWithModel(NewModel(), seed, ops)
 }
 
 // DiffWithModel is RunDiff with a caller-supplied model — the mutation tests
 // pass a deliberately-broken one to prove divergence detection works.
-func DiffWithModel(m *Model, seed int64, ops []Op) *DiffReport {
+func DiffWithModel(m *Model, seed int64, ops []workload.Op) *DiffReport {
 	rep := &DiffReport{Ops: len(ops)}
 
 	// Model.
-	mouts := make([]Outcome, len(ops))
+	mouts := make([]workload.Outcome, len(ops))
 	for i, op := range ops {
 		mouts[i] = m.Apply(op)
 	}
@@ -187,17 +148,17 @@ func DiffWithModel(m *Model, seed int64, ops []Op) *DiffReport {
 
 // runSequential executes the program single-client on a fresh deployment
 // and walks the final tree.
-func runSequential(seed int64, ops []Op, deploy func(*env.Sim) fsapi.System,
-	withPerms bool) (outs []Outcome, tree string, packets uint64, ok bool) {
+func runSequential(seed int64, ops []workload.Op, deploy func(*env.Sim) fsapi.System,
+	withPerms bool) (outs []workload.Outcome, tree string, packets uint64, ok bool) {
 
 	sim := env.NewSim(seed)
 	defer sim.Shutdown()
 	sys := deploy(sim)
 	fs := sys.ClientFS(0)
-	outs = make([]Outcome, len(ops))
+	outs = make([]workload.Outcome, len(ops))
 	sys.SpawnClient(0, func(p *env.Proc) {
 		for i, op := range ops {
-			outs[i] = applyFS(p, fs, op)
+			outs[i] = workload.Apply(p, fs, op)
 		}
 		tree = walkTree(p, fs, withPerms)
 		ok = true
@@ -227,7 +188,7 @@ func walkTree(p *env.Proc, fs fsapi.FS, withPerms bool) string {
 			fmt.Fprintf(&b, "%s !readdir: %v\n", arg, err)
 			return
 		}
-		for _, e := range sortEntries(es) {
+		for _, e := range workload.SortEntries(es) {
 			path := dir + "/" + e.Name
 			if e.Type == core.TypeDir {
 				a, err := fs.StatDir(p, path)

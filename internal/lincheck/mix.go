@@ -14,6 +14,7 @@ import (
 	"switchfs/internal/core"
 	"switchfs/internal/env"
 	"switchfs/internal/wire"
+	"switchfs/internal/workload"
 )
 
 // MixOptions sizes a closed-loop mix run.
@@ -100,9 +101,9 @@ func RunMix(sim *env.Sim, c *cluster.Cluster, plan chaos.Plan, o MixOptions) Run
 	for w := range rnds {
 		rnds[w] = rand.New(rand.NewSource(o.Seed + int64(w)*6151))
 	}
-	next := func(p *env.Proc, w int) (Op, bool) {
+	next := func(p *env.Proc, w int) (workload.Op, bool) {
 		if p.Now()-base >= plan.Horizon {
-			return Op{}, false
+			return workload.Op{}, false
 		}
 		rnd := rnds[w]
 		name := fmt.Sprintf("f%d", rnd.Intn(mixNames))
@@ -115,15 +116,15 @@ func RunMix(sim *env.Sim, c *cluster.Cluster, plan chaos.Plan, o MixOptions) Run
 		}
 		switch kind := mixKinds[k]; kind {
 		case core.OpStatDir, core.OpReadDir:
-			return Op{Kind: kind, Path: dirs[w]}, true
+			return workload.Op{Kind: kind, Path: dirs[w]}, true
 		case core.OpWrite, core.OpRead:
 			chunk := wire.ChunkKey{File: 0xD0000000 + uint32(w), Stripe: uint32(rnd.Intn(4))}
-			return Op{Kind: kind, Chunk: chunk}, true
+			return workload.Op{Kind: kind, Chunk: chunk}, true
 		default:
-			return Op{Kind: kind, Path: dirs[w] + "/" + name}, true
+			return workload.Op{Kind: kind, Path: dirs[w] + "/" + name}, true
 		}
 	}
-	audit := func(h History) []Op {
+	audit := func(h History) []workload.Op {
 		paths := make(map[string]bool)
 		chunks := make(map[wire.ChunkKey]bool)
 		for _, e := range h {
@@ -135,19 +136,19 @@ func RunMix(sim *env.Sim, c *cluster.Cluster, plan chaos.Plan, o MixOptions) Run
 			}
 		}
 		touched := slices.Sorted(maps.Keys(paths))
-		var reads []Op
+		var reads []workload.Op
 		for _, dir := range slices.Sorted(slices.Values(dirs)) {
-			reads = append(reads, Op{Kind: core.OpStatDir, Path: dir}, Op{Kind: core.OpReadDir, Path: dir})
+			reads = append(reads, workload.Op{Kind: core.OpStatDir, Path: dir}, workload.Op{Kind: core.OpReadDir, Path: dir})
 			for _, path := range touched {
 				if strings.HasPrefix(path, dir+"/") {
-					reads = append(reads, Op{Kind: core.OpStat, Path: path})
+					reads = append(reads, workload.Op{Kind: core.OpStat, Path: path})
 				}
 			}
 		}
 		for _, chunk := range slices.SortedFunc(maps.Keys(chunks), func(a, b wire.ChunkKey) int {
 			return cmp.Or(cmp.Compare(a.File, b.File), cmp.Compare(a.Stripe, b.Stripe))
 		}) {
-			reads = append(reads, Op{Kind: core.OpRead, Chunk: chunk})
+			reads = append(reads, workload.Op{Kind: core.OpRead, Chunk: chunk})
 		}
 		return reads
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"switchfs/internal/core"
+	"switchfs/internal/workload"
 )
 
 // Model is the pure sequential reference implementation of the fsapi surface
@@ -159,10 +160,10 @@ func (m *Model) walkDir(path string) (*mnode, error) {
 	return kid, nil
 }
 
-func fail(err error) Outcome { return Outcome{Err: err} }
+func fail(err error) workload.Outcome { return workload.Outcome{Err: err} }
 
 // Apply executes one operation against the model, mutating it on success.
-func (m *Model) Apply(op Op) Outcome {
+func (m *Model) Apply(op workload.Op) workload.Outcome {
 	switch op.Kind {
 	case core.OpCreate, core.OpMkdir:
 		parent, name, _, err := m.walk(op.Path)
@@ -183,7 +184,7 @@ func (m *Model) Apply(op Op) Outcome {
 			n.perm = core.DefaultFilePerm
 		}
 		parent.kids[name] = n
-		return Outcome{}
+		return workload.Outcome{}
 
 	case core.OpDelete:
 		parent, name, _, err := m.walk(op.Path)
@@ -198,7 +199,7 @@ func (m *Model) Apply(op Op) Outcome {
 			return fail(core.ErrIsDir)
 		}
 		delete(parent.kids, name)
-		return Outcome{}
+		return workload.Outcome{}
 
 	case core.OpRmdir:
 		parent, name, _, err := m.walk(op.Path)
@@ -216,7 +217,7 @@ func (m *Model) Apply(op Op) Outcome {
 			return fail(core.ErrNotEmpty)
 		}
 		delete(parent.kids, name)
-		return Outcome{}
+		return workload.Outcome{}
 
 	case core.OpStat, core.OpOpen, core.OpClose:
 		parent, name, _, err := m.walk(op.Path)
@@ -227,7 +228,7 @@ func (m *Model) Apply(op Op) Outcome {
 		if n == nil {
 			return fail(core.ErrNotExist)
 		}
-		return Outcome{Attr: m.attrOf(n)}
+		return workload.Outcome{Attr: m.attrOf(n)}
 
 	case core.OpChmod:
 		parent, name, _, err := m.walk(op.Path)
@@ -239,14 +240,14 @@ func (m *Model) Apply(op Op) Outcome {
 			return fail(core.ErrNotExist)
 		}
 		n.perm = op.Perm
-		return Outcome{Attr: m.attrOf(n)}
+		return workload.Outcome{Attr: m.attrOf(n)}
 
 	case core.OpStatDir:
 		dir, err := m.walkDir(op.Path)
 		if err != nil {
 			return fail(err)
 		}
-		return Outcome{Attr: m.attrOf(dir)}
+		return workload.Outcome{Attr: m.attrOf(dir)}
 
 	case core.OpReadDir:
 		dir, err := m.walkDir(op.Path)
@@ -258,7 +259,7 @@ func (m *Model) Apply(op Op) Outcome {
 			kid := dir.kids[name]
 			entries = append(entries, core.DirEntry{Name: name, Type: kid.typ, Perm: kid.perm})
 		}
-		return Outcome{Attr: m.attrOf(dir), Entries: entries}
+		return workload.Outcome{Attr: m.attrOf(dir), Entries: entries}
 
 	case core.OpRename:
 		sp, sname, _, err := m.walk(op.Path)
@@ -274,7 +275,7 @@ func (m *Model) Apply(op Op) Outcome {
 			return fail(core.ErrNotExist)
 		}
 		if sp == dp && sname == dname {
-			return Outcome{} // rename to itself: no-op
+			return workload.Outcome{} // rename to itself: no-op
 		}
 		if src.typ == core.TypeDir {
 			// Orphaned-loop guard: the destination's parent chain must not
@@ -290,7 +291,7 @@ func (m *Model) Apply(op Op) Outcome {
 		}
 		delete(sp.kids, sname)
 		dp.kids[dname] = src
-		return Outcome{}
+		return workload.Outcome{}
 
 	case core.OpLink:
 		sp, sname, _, err := m.walk(op.Path)
@@ -314,12 +315,12 @@ func (m *Model) Apply(op Op) Outcome {
 		// Observably an independent reference: same type and current perm,
 		// diverging freely afterwards (servers store per-reference perms).
 		dp.kids[dname] = &mnode{typ: src.typ, perm: src.perm}
-		return Outcome{}
+		return workload.Outcome{}
 
 	case core.OpRead, core.OpWrite:
 		// Content ops have no namespace effect; the data plane has its own
 		// oracle (chaos data checker).
-		return Outcome{}
+		return workload.Outcome{}
 
 	default:
 		return fail(core.ErrInvalid)

@@ -5,21 +5,26 @@ import (
 	"testing"
 
 	"switchfs/internal/core"
+	"switchfs/internal/workload"
 )
 
 // mk shorthand for ops in tests.
-func op(kind core.Op, path string) Op                { return Op{Kind: kind, Path: path} }
-func op2(kind core.Op, src, dst string) Op           { return Op{Kind: kind, Path: src, Path2: dst} }
-func opPerm(kind core.Op, p string, pm core.Perm) Op { return Op{Kind: kind, Path: p, Perm: pm} }
+func op(kind core.Op, path string) workload.Op { return workload.Op{Kind: kind, Path: path} }
+func op2(kind core.Op, src, dst string) workload.Op {
+	return workload.Op{Kind: kind, Path: src, Path2: dst}
+}
+func opPerm(kind core.Op, p string, pm core.Perm) workload.Op {
+	return workload.Op{Kind: kind, Path: p, Perm: pm}
+}
 
-func wantErr(t *testing.T, out Outcome, sentinel error) {
+func wantErr(t *testing.T, out workload.Outcome, sentinel error) {
 	t.Helper()
 	if !errors.Is(out.Err, sentinel) {
 		t.Fatalf("got %v, want %v", out.Err, sentinel)
 	}
 }
 
-func wantOK(t *testing.T, out Outcome) {
+func wantOK(t *testing.T, out workload.Outcome) {
 	t.Helper()
 	if out.Err != nil {
 		t.Fatalf("unexpected error %v", out.Err)

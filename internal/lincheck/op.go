@@ -30,90 +30,20 @@ package lincheck
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"switchfs/internal/core"
 	"switchfs/internal/env"
-	"switchfs/internal/wire"
+	"switchfs/internal/workload"
 )
-
-// Op is one generated operation.
-type Op struct {
-	Kind core.Op
-	Path string
-	// Path2 is the rename/link destination.
-	Path2 string
-	// Perm parameterizes create/mkdir/chmod (zero means the server default
-	// for create/mkdir, and literal zero for chmod, matching the servers).
-	Perm core.Perm
-	// Chunk addresses a content-chunk read or write (OpRead, OpWrite) on the
-	// chunk's primary data node.
-	Chunk wire.ChunkKey
-}
-
-func (o Op) String() string {
-	switch o.Kind {
-	case core.OpRename, core.OpLink:
-		return fmt.Sprintf("%s %s -> %s", o.Kind, o.Path, o.Path2)
-	case core.OpCreate, core.OpMkdir, core.OpChmod:
-		return fmt.Sprintf("%s %s %#o", o.Kind, o.Path, o.Perm)
-	case core.OpRead, core.OpWrite:
-		return fmt.Sprintf("%s chunk %d/%d", o.Kind, o.Chunk.File, o.Chunk.Stripe)
-	default:
-		return fmt.Sprintf("%s %s", o.Kind, o.Path)
-	}
-}
-
-// Outcome is an operation's observed (or modeled) result. Only the fields
-// meaningful for the op kind are set: Attr for stat/open/close/statdir,
-// Entries for readdir, Version for chunk reads and writes.
-type Outcome struct {
-	Err     error
-	Attr    core.Attr
-	Entries []core.DirEntry
-	// Version is the chunk version the primary acknowledged (write) or
-	// reported (read; 0 for a never-written chunk).
-	Version uint64
-}
-
-func (o Outcome) String() string {
-	if o.Err != nil {
-		return o.Err.Error()
-	}
-	var b strings.Builder
-	b.WriteString("ok")
-	if o.Attr.Type != 0 {
-		fmt.Fprintf(&b, " %s perm=%#o size=%d", o.Attr.Type, o.Attr.Perm, o.Attr.Size)
-	}
-	if o.Entries != nil {
-		names := make([]string, len(o.Entries))
-		for i, e := range o.Entries {
-			names[i] = fmt.Sprintf("%s(%s)", e.Name, e.Type)
-		}
-		fmt.Fprintf(&b, " [%s]", strings.Join(names, " "))
-	}
-	if o.Version != 0 {
-		fmt.Fprintf(&b, " v%d", o.Version)
-	}
-	return b.String()
-}
-
-// sortEntries canonicalizes a listing (servers scan in key order, which is
-// name order, but the model and diff comparisons never rely on it).
-func sortEntries(es []core.DirEntry) []core.DirEntry {
-	out := append([]core.DirEntry(nil), es...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
 
 // Event is one completed operation of a concurrent history.
 type Event struct {
 	// Client identifies the issuing session (audit reads use a fresh id).
 	Client int
-	Op     Op
+	Op     workload.Op
 	// Out is the observation, with the client's raw error.
-	Out Outcome
+	Out workload.Outcome
 	// Call and Ret are the invocation/response instants in virtual time.
 	Call, Ret env.Time
 	// TimedOut marks an ambiguous operation: the client gave up, but the

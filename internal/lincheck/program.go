@@ -15,12 +15,12 @@ import (
 // the workload-mix idea of internal/workload, compressed until every
 // interleaving is interesting.
 type Program struct {
-	Ops [][]Op
+	Ops [][]workload.Op
 	// Paths is the sorted distinct path universe (the audit read set).
 	Paths []string
 	// Audit lists reads the post-run audit issues after its stat + readdir
 	// over Paths (a directed program's statdir of the directory it exercised).
-	Audit []Op
+	Audit []workload.Op
 }
 
 // opWeight mirrors a mix entry: an op kind and its draw weight.
@@ -107,11 +107,11 @@ func GenProgram(seed int64, clients, opsPerClient int, mix Mix) Program {
 	}
 	path := func() string { return pool[rnd.Intn(len(pool))] }
 
-	prog := Program{Ops: make([][]Op, clients)}
+	prog := Program{Ops: make([][]workload.Op, clients)}
 	for c := 0; c < clients; c++ {
-		ops := make([]Op, opsPerClient)
+		ops := make([]workload.Op, opsPerClient)
 		for i := range ops {
-			op := Op{Kind: pick(), Path: path()}
+			op := workload.Op{Kind: pick(), Path: path()}
 			switch op.Kind {
 			case core.OpRename, core.OpLink:
 				op.Path2 = path()
@@ -150,34 +150,24 @@ func GenProgram(seed int64, clients, opsPerClient int, mix Mix) Program {
 // materialized deterministically over a small namespace. The namespace is
 // built through the normal op stream (a mkdir/create prefix), so the same
 // list replays identically against the model, SwitchFS, and the baseline
-// with no preload side channel. Data accesses are dropped: the content
+// with no preload side channel. PanguMix draws no data access: the content
 // plane has its own oracle (the chaos data checker).
-func MixProgram(seed int64, n int) []Op {
+func MixProgram(seed int64, n int) []workload.Op {
 	ns := workload.MultiDir(2, 4)
-	var ops []Op
+	var ops []workload.Op
 	for _, d := range ns.Dirs {
-		ops = append(ops, Op{Kind: core.OpMkdir, Path: d})
+		ops = append(ops, workload.Op{Kind: core.OpMkdir, Path: d})
 		for i := 0; i < ns.FilesPerDir; i++ {
-			ops = append(ops, Op{Kind: core.OpCreate, Path: fmt.Sprintf("%s/f%d", d, i)})
+			ops = append(ops, workload.Op{Kind: core.OpCreate, Path: fmt.Sprintf("%s/f%d", d, i)})
 		}
 	}
-	for _, call := range workload.Program(workload.PanguMix().Gen(ns, false), seed, 1, n)[0] {
-		if call.Op == core.OpRead || call.Op == core.OpWrite {
-			continue
-		}
-		op := Op{Kind: call.Op, Path: call.Path, Path2: call.Path2}
-		if call.Op == core.OpChmod {
-			op.Perm = 0o644 // the mode workload.Apply uses
-		}
-		ops = append(ops, op)
-	}
-	return ops
+	return append(ops, workload.Program(workload.PanguMix().Gen(ns, false), seed, 1, n)[0]...)
 }
 
 // Flatten interleaves the program round-robin into one sequential op list
 // (the differential harness executes programs single-client).
-func (p Program) Flatten() []Op {
-	var out []Op
+func (p Program) Flatten() []workload.Op {
+	var out []workload.Op
 	for i := 0; ; i++ {
 		hit := false
 		for _, ops := range p.Ops {

@@ -6,16 +6,17 @@ import (
 
 	"switchfs/internal/core"
 	"switchfs/internal/wire"
+	"switchfs/internal/workload"
 )
 
 // nsEv builds a completed namespace event; resent marks a retransmitted
 // mutation.
 func nsEv(kind core.Op, path string, err error, resent bool) Event {
-	return Event{Op: Op{Kind: kind, Path: path}, Out: Outcome{Err: err}, Resent: resent}
+	return Event{Op: workload.Op{Kind: kind, Path: path}, Out: workload.Outcome{Err: err}, Resent: resent}
 }
 
 func statDirEv(path string, size int64) Event {
-	return Event{Op: Op{Kind: core.OpStatDir, Path: path}, Out: Outcome{Attr: core.Attr{Size: size}}}
+	return Event{Op: workload.Op{Kind: core.OpStatDir, Path: path}, Out: workload.Outcome{Attr: core.Attr{Size: size}}}
 }
 
 func readDirEv(path string, names ...string) Event {
@@ -23,12 +24,12 @@ func readDirEv(path string, names ...string) Event {
 	for i, n := range names {
 		es[i] = core.DirEntry{Name: n}
 	}
-	return Event{Op: Op{Kind: core.OpReadDir, Path: path}, Out: Outcome{Entries: es}}
+	return Event{Op: workload.Op{Kind: core.OpReadDir, Path: path}, Out: workload.Outcome{Entries: es}}
 }
 
 // chunkEv builds a completed chunk write or read of version ver.
 func chunkEv(kind core.Op, file uint32, ver uint64, err error) Event {
-	return Event{Op: Op{Kind: kind, Chunk: wire.ChunkKey{File: file}}, Out: Outcome{Version: ver, Err: err}}
+	return Event{Op: workload.Op{Kind: kind, Chunk: wire.ChunkKey{File: file}}, Out: workload.Outcome{Version: ver, Err: err}}
 }
 
 type replayCase struct {

@@ -11,6 +11,7 @@ import (
 	"switchfs/internal/datanode"
 	"switchfs/internal/env"
 	"switchfs/internal/stats"
+	"switchfs/internal/workload"
 )
 
 // Geometry is the deployment the concurrent runners stand up (the plan
@@ -67,10 +68,10 @@ type Source struct {
 	Clients int
 	// Next returns client w's next operation, or false when w is done. It
 	// may sleep p first: that is how a source paces its clients.
-	Next func(p *env.Proc, w int) (Op, bool)
+	Next func(p *env.Proc, w int) (workload.Op, bool)
 	// Audit returns the reads to issue once the cluster is healed and
 	// drained, given the clients' history.
-	Audit func(History) []Op
+	Audit func(History) []workload.Op
 }
 
 // windows is the number of availability windows (RunResult.Windows) a
@@ -168,8 +169,8 @@ const chunkBytes = 4096
 // applyClient executes one op through the raw client (the session surface
 // with resent reporting), returning the observation. Chunk operations go to
 // the chunk's primary data node.
-func applyClient(p *env.Proc, c *cluster.Cluster, cl *client.Client, op Op) (Outcome, bool) {
-	var out Outcome
+func applyClient(p *env.Proc, c *cluster.Cluster, cl *client.Client, op workload.Op) (workload.Outcome, bool) {
+	var out workload.Outcome
 	var resent bool
 	switch op.Kind {
 	case core.OpCreate:
@@ -194,7 +195,7 @@ func applyClient(p *env.Proc, c *cluster.Cluster, cl *client.Client, op Op) (Out
 		var es []core.DirEntry
 		es, out.Err = cl.ReadDir(p, op.Path)
 		if out.Err == nil {
-			out.Entries = sortEntries(es)
+			out.Entries = workload.SortEntries(es)
 		}
 	case core.OpRename:
 		resent, out.Err = cl.RenameR(p, op.Path, op.Path2)
@@ -222,7 +223,7 @@ func applyClient(p *env.Proc, c *cluster.Cluster, cl *client.Client, op Op) (Out
 // always record the same history.
 func Run(sim *env.Sim, c *cluster.Cluster, plan *chaos.Plan, src Source) RunResult {
 	res := RunResult{Start: sim.Now()}
-	observe := func(p *env.Proc, w int, cl *client.Client, op Op) {
+	observe := func(p *env.Proc, w int, cl *client.Client, op workload.Op) {
 		t0 := p.Now()
 		out, resent := applyClient(p, c, cl, op)
 		res.History = append(res.History, Event{Client: w, Op: op, Out: out, Call: t0, Ret: p.Now(),
@@ -368,10 +369,10 @@ func RunConcurrent(seed int64, prog Program, plan *chaos.Plan) RunResult {
 	issued := make([]int, len(prog.Ops))
 	return Run(sim, c, plan, Source{
 		Clients: len(prog.Ops),
-		Next: func(p *env.Proc, w int) (Op, bool) {
+		Next: func(p *env.Proc, w int) (workload.Op, bool) {
 			ops := prog.Ops[w]
 			if issued[w] == len(ops) {
-				return Op{}, false
+				return workload.Op{}, false
 			}
 			if plan != nil {
 				if spread := plan.Horizon / env.Duration(len(ops)+1); spread > 0 {
@@ -381,14 +382,14 @@ func RunConcurrent(seed int64, prog Program, plan *chaos.Plan) RunResult {
 			issued[w]++
 			return ops[issued[w]-1], true
 		},
-		Audit: func(History) []Op {
-			var reads []Op
+		Audit: func(History) []workload.Op {
+			var reads []workload.Op
 			for _, path := range append([]string{"/"}, prog.Paths...) {
 				for _, kind := range []core.Op{core.OpStat, core.OpReadDir} {
 					if path == "/" && kind == core.OpStat {
 						kind = core.OpStatDir // the root has no parent to stat through
 					}
-					reads = append(reads, Op{Kind: kind, Path: path})
+					reads = append(reads, workload.Op{Kind: kind, Path: path})
 				}
 			}
 			return append(reads, prog.Audit...)

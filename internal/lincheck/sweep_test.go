@@ -11,6 +11,7 @@ import (
 	"switchfs/internal/core"
 	"switchfs/internal/env"
 	"switchfs/internal/ring"
+	"switchfs/internal/workload"
 )
 
 // sweepSeeds returns a sweep's seed budget: whatever LINCHECK_SEEDS says, 4
@@ -105,7 +106,7 @@ func TestSweepFaulty(t *testing.T) {
 // trace shape (workload.Program).
 func TestSweepDifferential(t *testing.T) {
 	sweep(t, 1024, func(t *testing.T, seed int64) {
-		for name, ops := range map[string][]Op{
+		for name, ops := range map[string][]workload.Op{
 			"pool": GenProgram(seed, 3, 40, AdversarialMix).Flatten(),
 			"mix":  MixProgram(seed, 60),
 		} {
@@ -158,7 +159,7 @@ func TestGenProgramDeterministic(t *testing.T) {
 // overcounted. Fixed by re-keying the change-log on the first
 // current-ancestry request after the rename (server.rekeyClog).
 func TestRegressionRenamedDirChangeLog(t *testing.T) {
-	ops := []Op{
+	ops := []workload.Op{
 		{Kind: core.OpMkdir, Path: "/a"},
 		{Kind: core.OpCreate, Path: "/a/x"},
 		{Kind: core.OpRename, Path: "/a", Path2: "/b"},
@@ -168,7 +169,7 @@ func TestRegressionRenamedDirChangeLog(t *testing.T) {
 		t.Fatalf("renamed-directory change-log regression:\n%s", rep.Divergences)
 	}
 	// The same shape through rmdir: the emptied dir must be removable.
-	ops = append(ops, Op{Kind: core.OpRmdir, Path: "/b"})
+	ops = append(ops, workload.Op{Kind: core.OpRmdir, Path: "/b"})
 	if rep := RunDiff(15, ops); rep.Failed() {
 		t.Fatalf("rmdir after renamed-directory delete:\n%s", rep.Divergences)
 	}
@@ -252,7 +253,7 @@ func TestRegressionStaleTwoPathReResolvesBoth(t *testing.T) {
 // returned ok. The last two programs are the differential seeds that found
 // it, minimised.
 func TestRegressionNlinkUnderTxnLock(t *testing.T) {
-	links := []Op{
+	links := []workload.Op{
 		{Kind: core.OpCreate, Path: "/f"},
 		{Kind: core.OpLink, Path: "/f", Path2: "/g"},
 		{Kind: core.OpLink, Path: "/f", Path2: "/h"},
@@ -265,9 +266,9 @@ func TestRegressionNlinkUnderTxnLock(t *testing.T) {
 	}
 	for _, c := range []struct {
 		seed int64
-		ops  []Op
+		ops  []workload.Op
 	}{
-		{93, []Op{
+		{93, []workload.Op{
 			{Kind: core.OpMkdir, Path: "/a"},
 			{Kind: core.OpMkdir, Path: "/a/x"},
 			{Kind: core.OpCreate, Path: "/a/x/u"},
@@ -275,7 +276,7 @@ func TestRegressionNlinkUnderTxnLock(t *testing.T) {
 			{Kind: core.OpLink, Path: "/a/x/u", Path2: "/a/y"},
 			{Kind: core.OpDelete, Path: "/a/x/t"},
 		}},
-		{361, []Op{
+		{361, []workload.Op{
 			{Kind: core.OpMkdir, Path: "/b"},
 			{Kind: core.OpMkdir, Path: "/a"},
 			{Kind: core.OpCreate, Path: "/a/y"},
@@ -371,7 +372,7 @@ func TestRegressionSwitchRebootAwaitsDownServer(t *testing.T) {
 // must linearize.
 func TestSweepCoordinatorCrashAcrossTxn(t *testing.T) {
 	prog := Program{
-		Ops: [][]Op{
+		Ops: [][]workload.Op{
 			{{Kind: core.OpMkdir, Path: "/a"}, {Kind: core.OpCreate, Path: "/a/x"},
 				{Kind: core.OpStat, Path: "/a/x"}, {Kind: core.OpRename, Path: "/a/x", Path2: "/a/y"}},
 			{{Kind: core.OpStatDir, Path: "/"}, {Kind: core.OpStatDir, Path: "/"},
@@ -430,14 +431,14 @@ func TestSweepCoordinatorCrashAcrossTxn(t *testing.T) {
 // once. Both walks run with the links in order and under 5 µs of jitter.
 func TestSweepOwnerCrashAcrossAggregation(t *testing.T) {
 	prog := Program{
-		Ops: [][]Op{
+		Ops: [][]workload.Op{
 			{{Kind: core.OpMkdir, Path: "/a"}, {Kind: core.OpCreate, Path: "/a/x"},
 				{Kind: core.OpCreate, Path: "/a/y"}, {Kind: core.OpStatDir, Path: "/a"}},
 			{{Kind: core.OpStatDir, Path: "/"}, {Kind: core.OpCreate, Path: "/a/u"},
 				{Kind: core.OpCreate, Path: "/a/v"}, {Kind: core.OpStatDir, Path: "/a"}},
 		},
 		Paths: []string{"/a", "/a/u", "/a/v", "/a/x", "/a/y"},
-		Audit: []Op{{Kind: core.OpStatDir, Path: "/a"}},
+		Audit: []workload.Op{{Kind: core.OpStatDir, Path: "/a"}},
 	}
 	owner := int(ring.New([]uint32{0, 1, 2, 3}, 0, cluster.ServerOf).OwnerOfFile(core.RootDirID, "a"))
 	// RunConcurrent paces a program over the plan's horizon: with this one the
@@ -534,7 +535,7 @@ func TestRegressionRenameInsidePushIdleWindow(t *testing.T) {
 	prog := Program{Paths: []string{"/a"}}
 	for i := 0; i < clients; i++ {
 		x, y := fmt.Sprintf("/a/x%d", i), fmt.Sprintf("/a/y%d", i)
-		prog.Ops = append(prog.Ops, []Op{
+		prog.Ops = append(prog.Ops, []workload.Op{
 			{Kind: core.OpMkdir, Path: "/a"}, // one wins; afterwards /a exists for all
 			{Kind: core.OpCreate, Path: x},
 			{Kind: core.OpRename, Path: x, Path2: y},

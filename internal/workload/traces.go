@@ -5,16 +5,16 @@ import (
 	"math/rand"
 
 	"switchfs/internal/core"
+	"switchfs/internal/wire"
 )
 
 // MixEntry weights one operation class in a trace-derived mix.
 type MixEntry struct {
 	Op     core.Op
 	Weight float64
-	// Data attaches a data-node access of this size to the op (§7.6 replays
-	// with data access enabled).
-	Data      int64
-	DataWrite bool
+	// Data sizes a read or write entry's data-node access (§7.6 replays with
+	// data access enabled); zero replays the mix's metadata only.
+	Data int64
 }
 
 // Mix is a weighted operation mix.
@@ -47,7 +47,7 @@ func CNNTrainingMix(fileBytes int64) Mix {
 		{Op: core.OpClose, Weight: 21.4},
 		{Op: core.OpStat, Weight: 21.4},
 		{Op: core.OpRead, Weight: 14.2, Data: fileBytes},
-		{Op: core.OpWrite, Weight: 7.1, Data: fileBytes, DataWrite: true},
+		{Op: core.OpWrite, Weight: 7.1, Data: fileBytes},
 		{Op: core.OpCreate, Weight: 7.1},
 		{Op: core.OpDelete, Weight: 7.1},
 		{Op: core.OpMkdir, Weight: 0.1},
@@ -65,7 +65,7 @@ func ThumbnailMix(fileBytes int64) Mix {
 		{Op: core.OpClose, Weight: 21.95},
 		{Op: core.OpStat, Weight: 21.9},
 		{Op: core.OpRead, Weight: 12.2, Data: fileBytes},
-		{Op: core.OpWrite, Weight: 10.9, Data: fileBytes, DataWrite: true},
+		{Op: core.OpWrite, Weight: 10.9, Data: fileBytes},
 		{Op: core.OpCreate, Weight: 10.9},
 		{Op: core.OpMkdir, Weight: 0.1},
 		{Op: core.OpStatDir, Weight: 0.05},
@@ -96,7 +96,7 @@ func (m Mix) Gen(ns Namespace, skew bool) Gen {
 		}
 		return st
 	}
-	return func(rnd *rand.Rand, w, i int) OpCall {
+	return func(rnd *rand.Rand, w, i int) Op {
 		st := stateOf(w)
 		x := rnd.Float64() * total
 		var e MixEntry
@@ -121,43 +121,47 @@ func (m Mix) Gen(ns Namespace, skew bool) Gen {
 			if e.Op == core.OpCreate {
 				st.created = append(st.created, path)
 			}
-			return OpCall{Op: e.Op, Path: path, Data: e.Data, DataWrite: true}
+			return Op{Kind: e.Op, Path: path}
 		case core.OpDelete:
 			if n := len(st.created); n > 0 {
 				path := st.created[n-1]
 				st.created = st.created[:n-1]
-				return OpCall{Op: core.OpDelete, Path: path}
+				return Op{Kind: core.OpDelete, Path: path}
 			}
 			// Nothing of ours to delete yet: create instead (trace replay
 			// warms up the same way).
 			st.seq++
 			path := fmt.Sprintf("%s/w%d-m%d", dir, w, st.seq)
 			st.created = append(st.created, path)
-			return OpCall{Op: core.OpCreate, Path: path}
+			return Op{Kind: core.OpCreate, Path: path}
 		case core.OpRmdir:
 			st.seq++
 			// mkdir+rmdir pairs keep the namespace stable.
-			return OpCall{Op: core.OpMkdir, Path: fmt.Sprintf("%s/d-w%d-m%d", dir, w, st.seq)}
+			return Op{Kind: core.OpMkdir, Path: fmt.Sprintf("%s/d-w%d-m%d", dir, w, st.seq)}
 		case core.OpRename:
 			if n := len(st.created); n > 0 {
 				src := st.created[n-1]
 				st.seq++
 				dst := fmt.Sprintf("%s/w%d-r%d", dir, w, st.seq)
 				st.created[n-1] = dst
-				return OpCall{Op: core.OpRename, Path: src, Path2: dst}
+				return Op{Kind: core.OpRename, Path: src, Path2: dst}
 			}
 			st.seq++
 			path := fmt.Sprintf("%s/w%d-m%d", dir, w, st.seq)
 			st.created = append(st.created, path)
-			return OpCall{Op: core.OpCreate, Path: path}
+			return Op{Kind: core.OpCreate, Path: path}
 		case core.OpStatDir, core.OpReadDir:
-			return OpCall{Op: e.Op, Path: dir}
+			return Op{Kind: e.Op, Path: dir}
 		case core.OpRead, core.OpWrite:
-			return OpCall{Op: e.Op, Path: dir, Data: e.Data, Shard: rnd.Intn(64)}
+			return Op{Kind: e.Op, Chunk: wire.ChunkKey{File: uint32(rnd.Intn(64))}, Bytes: e.Data}
 		default: // stat/open/close/chmod target existing files
 			f := rnd.Intn(maxInt(ns.FilesPerDir, 1))
-			return OpCall{Op: e.Op, Path: fmt.Sprintf("%s/f%d", dir, f),
-				Data: e.Data, DataWrite: e.DataWrite, Shard: rnd.Intn(64)}
+			op := Op{Kind: e.Op, Path: fmt.Sprintf("%s/f%d", dir, f)}
+			if e.Op == core.OpChmod {
+				op.Perm = 0o644
+			}
+			rnd.Intn(64) // a shard draw no access uses; it keeps every later draw in place
+			return op
 		}
 	}
 }

@@ -6,29 +6,94 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"strconv"
+	"strings"
 
 	"switchfs/internal/core"
 	"switchfs/internal/env"
 	"switchfs/internal/fsapi"
 	"switchfs/internal/stats"
+	"switchfs/internal/wire"
 )
 
-// OpCall is one generated operation.
-type OpCall struct {
-	Op    core.Op
-	Path  string
-	Path2 string // rename destination
-	// Data, when nonzero, follows the metadata op with a data access of this
-	// many bytes (end-to-end workloads, §7.6).
-	Data      int64
-	DataWrite bool
-	// Shard spreads data accesses over the data nodes.
-	Shard int
+// Op is one operation: what a generator draws, what Apply issues, and what
+// the checking harnesses record and model.
+type Op struct {
+	Kind core.Op
+	Path string
+	// Path2 is the rename/link destination.
+	Path2 string
+	// Perm parameterizes chmod, and create/mkdir on the surfaces that take
+	// one (zero means the server default for create/mkdir, and literal zero
+	// for chmod, matching the servers).
+	Perm core.Perm
+	// Chunk addresses a data access (OpRead, OpWrite). Through Apply,
+	// Chunk.File is the shard that spreads accesses over the data nodes;
+	// the checked runs address the chunk on its primary data node.
+	Chunk wire.ChunkKey
+	// Bytes sizes a data access through Apply; zero issues none (the
+	// metadata-only replays of a data mix).
+	Bytes int64
+}
+
+func (o Op) String() string {
+	switch o.Kind {
+	case core.OpRename, core.OpLink:
+		return fmt.Sprintf("%s %s -> %s", o.Kind, o.Path, o.Path2)
+	case core.OpCreate, core.OpMkdir, core.OpChmod:
+		return fmt.Sprintf("%s %s %#o", o.Kind, o.Path, o.Perm)
+	case core.OpRead, core.OpWrite:
+		return fmt.Sprintf("%s chunk %d/%d", o.Kind, o.Chunk.File, o.Chunk.Stripe)
+	default:
+		return fmt.Sprintf("%s %s", o.Kind, o.Path)
+	}
+}
+
+// Outcome is an operation's observed (or modeled) result. Only the fields
+// meaningful for the op kind are set: Attr for stat/open/close/statdir,
+// Entries for readdir, Version for chunk reads and writes.
+type Outcome struct {
+	Err     error
+	Attr    core.Attr
+	Entries []core.DirEntry
+	// Version is the chunk version the primary acknowledged (write) or
+	// reported (read; 0 for a never-written chunk).
+	Version uint64
+}
+
+func (o Outcome) String() string {
+	if o.Err != nil {
+		return o.Err.Error()
+	}
+	var b strings.Builder
+	b.WriteString("ok")
+	if o.Attr.Type != 0 {
+		fmt.Fprintf(&b, " %s perm=%#o size=%d", o.Attr.Type, o.Attr.Perm, o.Attr.Size)
+	}
+	if o.Entries != nil {
+		names := make([]string, len(o.Entries))
+		for i, e := range o.Entries {
+			names[i] = fmt.Sprintf("%s(%s)", e.Name, e.Type)
+		}
+		fmt.Fprintf(&b, " [%s]", strings.Join(names, " "))
+	}
+	if o.Version != 0 {
+		fmt.Fprintf(&b, " v%d", o.Version)
+	}
+	return b.String()
+}
+
+// SortEntries canonicalizes a listing (servers scan in key order, which is
+// name order, but the model and diff comparisons never rely on it).
+func SortEntries(es []core.DirEntry) []core.DirEntry {
+	out := append([]core.DirEntry(nil), es...)
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
 }
 
 // Gen produces the i-th operation of a worker.
-type Gen func(rnd *rand.Rand, worker, i int) OpCall
+type Gen func(rnd *rand.Rand, worker, i int) Op
 
 // smSource is a splitmix64 rand.Source64: statistically strong for workload
 // draws and ~free to seed, unlike the default source's 607-word warm-up
@@ -109,9 +174,9 @@ type Result struct {
 	Workers int
 }
 
-// ThroughputOps returns sustained ops/second of virtual time: completed
-// operations over the drained window, so systems cannot look fast by letting
-// deferred work pile up unapplied.
+// ThroughputOps returns sustained ops/second of virtual time: operations
+// that returned no error over the drained window, so systems cannot look
+// fast by letting deferred work pile up unapplied, or by failing fast.
 func (r Result) ThroughputOps() float64 {
 	d := r.Drained
 	if d < r.Elapsed {
@@ -120,7 +185,7 @@ func (r Result) ThroughputOps() float64 {
 	if d <= 0 {
 		return 0
 	}
-	return float64(r.Ops) / (float64(d) / 1e9)
+	return float64(r.Ops-r.Errs) / (float64(d) / 1e9)
 }
 
 // Run executes the workload to completion on the simulator and returns
@@ -148,14 +213,14 @@ func Run(sim *env.Sim, sys fsapi.System, cfg RunCfg) Result {
 		var step func(p *env.Proc)
 		step = func(p *env.Proc) {
 			for i < cfg.OpsPerWorker {
-				call := cfg.Gen(rnd, w, i)
+				op := cfg.Gen(rnd, w, i)
 				t0 := p.Now()
-				err := Apply(p, fs, call)
+				err := Apply(p, fs, op).Err
 				dt := float64(p.Now() - t0)
-				h := res.Lat[call.Op]
+				h := res.Lat[op.Kind]
 				if h == nil {
 					h = &stats.Hist{}
-					res.Lat[call.Op] = h
+					res.Lat[op.Kind] = h
 				}
 				h.Add(dt)
 				res.All.Add(dt)
@@ -199,51 +264,49 @@ func Run(sim *env.Sim, sys fsapi.System, cfg RunCfg) Result {
 	return res
 }
 
-// Apply executes one OpCall against an FS.
-func Apply(p *env.Proc, fs fsapi.FS, call OpCall) error {
-	var err error
-	switch call.Op {
+// Apply executes one operation against an FS and returns what it observed.
+// It is the one dispatch from an Op to the fsapi surface: create and mkdir
+// take the system's default permissions, and a data access lands on shard
+// Chunk.File.
+func Apply(p *env.Proc, fs fsapi.FS, op Op) Outcome {
+	var out Outcome
+	switch op.Kind {
 	case core.OpCreate:
-		err = fs.Create(p, call.Path)
+		out.Err = fs.Create(p, op.Path)
 	case core.OpDelete:
-		err = fs.Delete(p, call.Path)
+		out.Err = fs.Delete(p, op.Path)
 	case core.OpMkdir:
-		err = fs.Mkdir(p, call.Path)
+		out.Err = fs.Mkdir(p, op.Path)
 	case core.OpRmdir:
-		err = fs.Rmdir(p, call.Path)
+		out.Err = fs.Rmdir(p, op.Path)
 	case core.OpStat:
-		_, err = fs.Stat(p, call.Path)
+		out.Attr, out.Err = fs.Stat(p, op.Path)
 	case core.OpOpen:
-		_, err = fs.Open(p, call.Path)
+		out.Attr, out.Err = fs.Open(p, op.Path)
 	case core.OpClose:
-		err = fs.Close(p, call.Path)
+		out.Err = fs.Close(p, op.Path)
 	case core.OpChmod:
-		err = fs.Chmod(p, call.Path, 0o644)
+		out.Err = fs.Chmod(p, op.Path, op.Perm)
 	case core.OpStatDir:
-		_, err = fs.StatDir(p, call.Path)
+		out.Attr, out.Err = fs.StatDir(p, op.Path)
 	case core.OpReadDir:
-		_, err = fs.ReadDir(p, call.Path)
-	case core.OpRename:
-		err = fs.Rename(p, call.Path, call.Path2)
-	case core.OpLink:
-		err = fs.Link(p, call.Path, call.Path2)
-	case core.OpRead:
-		if call.Data > 0 {
-			err = fs.Data(p, call.Shard, false, call.Data)
+		var es []core.DirEntry
+		es, out.Err = fs.ReadDir(p, op.Path)
+		if out.Err == nil {
+			out.Entries = SortEntries(es)
 		}
-	case core.OpWrite:
-		if call.Data > 0 {
-			err = fs.Data(p, call.Shard, true, call.Data)
+	case core.OpRename:
+		out.Err = fs.Rename(p, op.Path, op.Path2)
+	case core.OpLink:
+		out.Err = fs.Link(p, op.Path, op.Path2)
+	case core.OpRead, core.OpWrite:
+		if op.Bytes > 0 {
+			out.Err = fs.Data(p, int(op.Chunk.File), op.Kind == core.OpWrite, op.Bytes)
 		}
 	default:
-		err = core.ErrInvalid
+		out.Err = core.ErrInvalid
 	}
-	if call.Data > 0 && call.Op != core.OpRead && call.Op != core.OpWrite {
-		if derr := fs.Data(p, call.Shard, call.DataWrite, call.Data); derr != nil && err == nil {
-			err = derr
-		}
-	}
-	return err
+	return out
 }
 
 // Program materializes the deterministic operation lists Run would issue:
@@ -253,11 +316,11 @@ func Apply(p *env.Proc, fs fsapi.FS, call OpCall) error {
 // the same program. Stateful generators (Mix.Gen) accumulate per-worker
 // state across draws — pass a freshly-built gen, not one that has already
 // been sampled.
-func Program(gen Gen, seed int64, workers, opsPerWorker int) [][]OpCall {
-	prog := make([][]OpCall, workers)
+func Program(gen Gen, seed int64, workers, opsPerWorker int) [][]Op {
+	prog := make([][]Op, workers)
 	for w := range prog {
 		rnd := newRand(seed + int64(w)*7919)
-		ops := make([]OpCall, opsPerWorker)
+		ops := make([]Op, opsPerWorker)
 		for i := range ops {
 			ops[i] = gen(rnd, w, i)
 		}
@@ -297,59 +360,59 @@ func (ns Namespace) Preload(sys fsapi.System) {
 
 // UniformFiles generates op over uniformly random existing files.
 func (ns Namespace) UniformFiles(op core.Op) Gen {
-	return func(rnd *rand.Rand, w, i int) OpCall {
+	return func(rnd *rand.Rand, w, i int) Op {
 		d := ns.Dirs[rnd.Intn(len(ns.Dirs))]
 		f := rnd.Intn(ns.FilesPerDir)
-		return OpCall{Op: op, Path: pathf(d, "f", f)}
+		return Op{Kind: op, Path: pathf(d, "f", f)}
 	}
 }
 
 // FreshFiles generates create (or delete of previously created) paths with
 // per-worker-unique names, spread uniformly over the namespace's directories.
 func (ns Namespace) FreshFiles(op core.Op) Gen {
-	return func(rnd *rand.Rand, w, i int) OpCall {
+	return func(rnd *rand.Rand, w, i int) Op {
 		d := ns.Dirs[rnd.Intn(len(ns.Dirs))]
-		return OpCall{Op: op, Path: pathf(d, "w", w, "-n", i)}
+		return Op{Kind: op, Path: pathf(d, "w", w, "-n", i)}
 	}
 }
 
 // CreateThenDelete alternates create and delete of per-worker names so the
 // namespace does not grow (used for sustained delete throughput).
 func (ns Namespace) CreateThenDelete() Gen {
-	return func(rnd *rand.Rand, w, i int) OpCall {
+	return func(rnd *rand.Rand, w, i int) Op {
 		d := ns.Dirs[w%len(ns.Dirs)]
 		path := pathf(d, "w", w, "-n", i/2)
 		if i%2 == 0 {
-			return OpCall{Op: core.OpCreate, Path: path}
+			return Op{Kind: core.OpCreate, Path: path}
 		}
-		return OpCall{Op: core.OpDelete, Path: path}
+		return Op{Kind: core.OpDelete, Path: path}
 	}
 }
 
 // FreshDirs generates mkdir (or rmdir alternation) of per-worker names.
 func (ns Namespace) FreshDirs(op core.Op) Gen {
-	return func(rnd *rand.Rand, w, i int) OpCall {
+	return func(rnd *rand.Rand, w, i int) Op {
 		d := ns.Dirs[rnd.Intn(len(ns.Dirs))]
-		return OpCall{Op: op, Path: pathf(d, "sub-w", w, "-n", i)}
+		return Op{Kind: op, Path: pathf(d, "sub-w", w, "-n", i)}
 	}
 }
 
 // MkdirThenRmdir alternates mkdir/rmdir so directories do not accumulate.
 func (ns Namespace) MkdirThenRmdir() Gen {
-	return func(rnd *rand.Rand, w, i int) OpCall {
+	return func(rnd *rand.Rand, w, i int) Op {
 		d := ns.Dirs[w%len(ns.Dirs)]
 		path := pathf(d, "sub-w", w, "-n", i/2)
 		if i%2 == 0 {
-			return OpCall{Op: core.OpMkdir, Path: path}
+			return Op{Kind: core.OpMkdir, Path: path}
 		}
-		return OpCall{Op: core.OpRmdir, Path: path}
+		return Op{Kind: core.OpRmdir, Path: path}
 	}
 }
 
 // StatDirs generates statdir over the namespace's directories.
 func (ns Namespace) StatDirs() Gen {
-	return func(rnd *rand.Rand, w, i int) OpCall {
-		return OpCall{Op: core.OpStatDir, Path: ns.Dirs[rnd.Intn(len(ns.Dirs))]}
+	return func(rnd *rand.Rand, w, i int) Op {
+		return Op{Kind: core.OpStatDir, Path: ns.Dirs[rnd.Intn(len(ns.Dirs))]}
 	}
 }
 
@@ -362,10 +425,10 @@ func (ns Namespace) Bursts(burst, workers int) Gen {
 	if workers <= 0 {
 		workers = 1
 	}
-	return func(rnd *rand.Rand, w, i int) OpCall {
+	return func(rnd *rand.Rand, w, i int) Op {
 		global := i*workers + w
 		dirIdx := (global / burst) % len(ns.Dirs)
-		return OpCall{Op: core.OpCreate, Path: pathf(ns.Dirs[dirIdx], "b-w", w, "-n", i)}
+		return Op{Kind: core.OpCreate, Path: pathf(ns.Dirs[dirIdx], "b-w", w, "-n", i)}
 	}
 }
 

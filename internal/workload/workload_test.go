@@ -28,8 +28,8 @@ func TestUniformFilesTargetsExisting(t *testing.T) {
 	rnd := rand.New(rand.NewSource(1))
 	for i := 0; i < 100; i++ {
 		call := gen(rnd, 0, i)
-		if call.Op != core.OpStat {
-			t.Fatalf("op %v", call.Op)
+		if call.Kind != core.OpStat {
+			t.Fatalf("op %v", call.Kind)
 		}
 		if !strings.HasPrefix(call.Path, "/dir") || !strings.Contains(call.Path, "/f") {
 			t.Fatalf("path %q", call.Path)
@@ -60,7 +60,7 @@ func TestCreateThenDeletePairs(t *testing.T) {
 	for i := 0; i < 20; i += 2 {
 		c := gen(rnd, 1, i)
 		d := gen(rnd, 1, i+1)
-		if c.Op != core.OpCreate || d.Op != core.OpDelete || c.Path != d.Path {
+		if c.Kind != core.OpCreate || d.Kind != core.OpDelete || c.Path != d.Path {
 			t.Fatalf("pair mismatch: %+v %+v", c, d)
 		}
 	}
@@ -92,7 +92,7 @@ func TestMixRatios(t *testing.T) {
 	counts := map[core.Op]int{}
 	const n = 20000
 	for i := 0; i < n; i++ {
-		counts[gen(rnd, 0, i).Op]++
+		counts[gen(rnd, 0, i).Kind]++
 	}
 	frac := func(op core.Op) float64 { return float64(counts[op]) / n }
 	// open+close ≈ 52.6%; create+delete+rename ≈ 30.8% (deletes/renames can
@@ -155,7 +155,7 @@ func mixFractions(gen Gen, n int) map[core.Op]float64 {
 	rnd := rand.New(rand.NewSource(2))
 	counts := map[core.Op]int{}
 	for i := 0; i < n; i++ {
-		counts[gen(rnd, 0, i).Op]++
+		counts[gen(rnd, 0, i).Kind]++
 	}
 	out := make(map[core.Op]float64, len(counts))
 	for op, c := range counts {
@@ -183,8 +183,8 @@ func TestCNNTrainingMixRatios(t *testing.T) {
 	rnd := rand.New(rand.NewSource(3))
 	for i := 0; i < 2000; i++ {
 		call := gen(rnd, 0, i)
-		if (call.Op == core.OpRead || call.Op == core.OpWrite) && call.Data != 4096 {
-			t.Fatalf("data op with %d bytes, want 4096", call.Data)
+		if (call.Kind == core.OpRead || call.Kind == core.OpWrite) && call.Bytes != 4096 {
+			t.Fatalf("data op with %d bytes, want 4096", call.Bytes)
 		}
 	}
 }
@@ -214,7 +214,7 @@ func TestMixDeleteTargetsOwnCreates(t *testing.T) {
 	created := map[string]bool{}
 	for i := 0; i < 5000; i++ {
 		call := gen(rnd, 0, i)
-		switch call.Op {
+		switch call.Kind {
 		case core.OpCreate:
 			created[call.Path] = true
 		case core.OpDelete:
@@ -276,6 +276,30 @@ func TestRunCollectsLatencies(t *testing.T) {
 	}
 	if res.Lat[core.OpStat] == nil || res.Lat[core.OpStat].N() != 80 {
 		t.Fatal("per-op histogram missing")
+	}
+}
+
+// TestThroughputCountsOnlySuccesses: a failed operation is no throughput.
+// Every stat below names a path that was never created, so Ops counts each
+// call, Errs each failure, and the run sustains zero operations a second.
+func TestThroughputCountsOnlySuccesses(t *testing.T) {
+	sim := env.NewSim(5)
+	defer sim.Shutdown()
+	c := cluster.New(sim, cluster.Options{Servers: 4, Clients: 2,
+		Costs: env.DefaultCosts(), SwitchIndexBits: 10})
+	ns := MultiDir(4, 8) // never preloaded
+	res := Run(sim, c, RunCfg{
+		Workers:      4,
+		OpsPerWorker: 5,
+		Clients:      2,
+		Seed:         1,
+		Gen:          ns.UniformFiles(core.OpStat),
+	})
+	if res.Ops != 20 || res.Errs != 20 || res.Elapsed <= 0 {
+		t.Fatalf("ops=%d errs=%d elapsed=%d, want 20 failed stats", res.Ops, res.Errs, res.Elapsed)
+	}
+	if got := res.ThroughputOps(); got != 0 {
+		t.Fatalf("throughput %.0f ops/s from operations that all failed", got)
 	}
 }
 

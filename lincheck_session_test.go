@@ -7,6 +7,7 @@ import (
 	"switchfs"
 	"switchfs/internal/core"
 	"switchfs/internal/lincheck"
+	"switchfs/internal/workload"
 )
 
 // TestLincheckThroughSessions drives concurrent programs through the PUBLIC
@@ -35,7 +36,7 @@ func TestLincheckThroughSessions(t *testing.T) {
 				ev := lincheck.Event{Client: i, Op: op, Out: out, Call: t0, Ret: s.Now()}
 				if errors.Is(out.Err, switchfs.ErrTimeout) {
 					ev.TimedOut = true
-					ev.Out = lincheck.Outcome{Err: core.ErrTimeout}
+					ev.Out = workload.Outcome{Err: core.ErrTimeout}
 				}
 				h = append(h, ev)
 			}
@@ -50,8 +51,8 @@ func TestLincheckThroughSessions(t *testing.T) {
 
 // applySession executes one generated op through a Session, unwrapping the
 // os-style error envelopes back to the sentinels the model speaks.
-func applySession(s *switchfs.Session, op lincheck.Op) lincheck.Outcome {
-	var out lincheck.Outcome
+func applySession(s *switchfs.Session, op workload.Op) workload.Outcome {
+	var out workload.Outcome
 	switch op.Kind {
 	case core.OpCreate:
 		out.Err = s.Create(op.Path, op.Perm)
