@@ -100,10 +100,9 @@ sweep-check:
 
 # cover runs every test with coverage counted over the whole tree (a test
 # of one package covers the code of all the others it reaches) into
-# cover.out, then prints the total, the COVER_TOP files with the most
-# statements no test reached, and the COVER_TOP least-covered functions.
+# cover.out, then prints the total, the 15 files with the most statements
+# no test reached, and the 15 least-covered functions.
 # It gates nothing: it shows which code actually runs.
-COVER_TOP ?= 15
 cover:
 	$(GO) test -count=1 -coverpkg=./internal/...,./cmd/...,. -coverprofile=cover.out ./...
 	@$(GO) tool cover -func=cover.out | tail -1
@@ -111,10 +110,10 @@ cover:
 	@awk -F'[: ]' 'NR > 1 { k = $$1 ":" $$2; n[k] = $$3; if ($$4 > 0) hit[k] = 1; file[k] = $$1 } \
 		END { for (k in n) { tot[file[k]] += n[k]; if (!hit[k]) miss[file[k]] += n[k] } \
 			for (f in tot) if (miss[f] > 0) printf "%6d of %-6d %s\n", miss[f], tot[f], f }' cover.out \
-		| sort -k1,1nr -k4 | head -$(COVER_TOP)
+		| sort -k1,1nr -k4 | head -15
 	@echo "least-covered functions:"
 	@$(GO) tool cover -func=cover.out | awk '$$1 != "total:" { p = $$NF; sub("%", "", p); print p "\t" $$0 }' \
-		| sort -n -s -k1,1 | cut -f2- | head -$(COVER_TOP)
+		| sort -n -s -k1,1 | cut -f2- | head -15
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -290,11 +290,7 @@ func Apply(p *env.Proc, fs fsapi.FS, op Op) Outcome {
 	case core.OpStatDir:
 		out.Attr, out.Err = fs.StatDir(p, op.Path)
 	case core.OpReadDir:
-		var es []core.DirEntry
-		es, out.Err = fs.ReadDir(p, op.Path)
-		if out.Err == nil {
-			out.Entries = SortEntries(es)
-		}
+		out.Entries, out.Err = fs.ReadDir(p, op.Path)
 	case core.OpRename:
 		out.Err = fs.Rename(p, op.Path, op.Path2)
 	case core.OpLink:
