@@ -179,7 +179,9 @@ func (c Change) String() string {
 // order. Every cell is virtual time or a count, a pure function of the
 // flags, so the rule is equality: a cell that moved either way, a header,
 // a title, a figure or row present in only one run, a row's counters, and a
-// metric's value or key all count. Figures match by ID and rows by index.
+// metric's value or key all count. Figures match by ID, and rows by label
+// (rowLabel) when every row's label is unique in both figures, so a row
+// inserted mid-figure reads as one row added; otherwise rows match by index.
 // The run's schema, tool and toolchain are context, not results.
 func Compare(old, new_ *Result) []Change {
 	var out []Change
@@ -206,22 +208,23 @@ func Compare(old, new_ *Result) []Change {
 				add(KindHeader, of.ID, "col "+strconv.Itoa(c), o, n)
 			}
 		}
-		for r := len(nf.Rows); r < len(of.Rows); r++ {
+		pairs, gone, added := matchRows(of, nf)
+		for _, r := range gone {
 			add(KindRow, of.ID, rowLabel(of, r, len(of.Rows[r])), "row "+strconv.Itoa(r), absent)
 		}
-		for r := len(of.Rows); r < len(nf.Rows); r++ {
+		for _, r := range added {
 			add(KindRow, of.ID, rowLabel(nf, r, len(nf.Rows[r])), absent, "row "+strconv.Itoa(r))
 		}
-		for r := range min(len(of.Rows), len(nf.Rows)) {
-			for c := range max(len(of.Rows[r]), len(nf.Rows[r])) {
-				if o, n := at(of.Rows[r], c), at(nf.Rows[r], c); o != n {
-					add(KindCell, of.ID, rowLabel(of, r, c)+"/"+at(of.Header, c), o, n)
+		for _, p := range pairs {
+			for c := range max(len(of.Rows[p[0]]), len(nf.Rows[p[1]])) {
+				if o, n := at(of.Rows[p[0]], c), at(nf.Rows[p[1]], c); o != n {
+					add(KindCell, of.ID, rowLabel(of, p[0], c)+"/"+at(of.Header, c), o, n)
 				}
 			}
 		}
-		for r := range min(len(of.Rows), len(nf.Rows)) {
-			if o, n := countersAt(of, r), countersAt(nf, r); !o.Equal(n) {
-				add(KindCounters, of.ID, rowLabel(of, r, len(of.Rows[r])), countersText(o), countersText(n))
+		for _, p := range pairs {
+			if o, n := countersAt(of, p[0]), countersAt(nf, p[1]); !o.Equal(n) {
+				add(KindCounters, of.ID, rowLabel(of, p[0], len(of.Rows[p[0]])), countersText(o), countersText(n))
 			}
 		}
 		keys := make([]string, 0, len(of.Metrics)+len(nf.Metrics))
@@ -246,6 +249,59 @@ func Compare(old, new_ *Result) []Change {
 		}
 	}
 	return out
+}
+
+// matchRows pairs old's rows with new's, each pair (old index, new index) in
+// old's order, and lists the rows of old and of new left unpaired. When every
+// row's full label is unique within each figure, the rows whose labels match
+// anchor the pairing (in order: one that would cross an earlier anchor does
+// not count), and between two anchors the rest pair by position, so a row
+// whose label cell moved still reads as its cells; otherwise every row pairs
+// by index.
+func matchRows(old, new_ *Figure) (pairs [][2]int, gone, added []int) {
+	anchors := append(labelAnchors(old, new_), [2]int{len(old.Rows), len(new_.Rows)})
+	o, n := 0, 0
+	for _, a := range anchors {
+		for ; o < a[0] && n < a[1]; o, n = o+1, n+1 {
+			pairs = append(pairs, [2]int{o, n})
+		}
+		for ; o < a[0]; o++ {
+			gone = append(gone, o)
+		}
+		for ; n < a[1]; n++ {
+			added = append(added, n)
+		}
+		if a[0] < len(old.Rows) {
+			pairs = append(pairs, a)
+		}
+		o, n = a[0]+1, a[1]+1
+	}
+	return pairs, gone, added
+}
+
+// labelAnchors pairs the rows of old and new whose full labels match, in
+// order, or returns nil when a label repeats within either figure.
+func labelAnchors(old, new_ *Figure) [][2]int {
+	labels := func(f *Figure) map[string]int {
+		m := make(map[string]int, len(f.Rows))
+		for r, row := range f.Rows {
+			m[rowLabel(f, r, len(row))] = r
+		}
+		return m
+	}
+	ol, nl := labels(old), labels(new_)
+	if len(ol) != len(old.Rows) || len(nl) != len(new_.Rows) {
+		return nil
+	}
+	var anchors [][2]int
+	last := -1
+	for r, row := range old.Rows {
+		if n, ok := nl[rowLabel(old, r, len(row))]; ok && n > last {
+			anchors = append(anchors, [2]int{r, n})
+			last = n
+		}
+	}
+	return anchors
 }
 
 // at is s[i], or absent past its end.

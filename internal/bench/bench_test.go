@@ -212,3 +212,27 @@ func TestCompareRowShape(t *testing.T) {
 	// And the symmetric case: new run grew a row.
 	wantChanges(t, changes(new_, old), "row      Fig12a[create/8]: (absent) -> row 1")
 }
+
+// TestCompareInsertedRow: a row inserted mid-figure, counters and all, reads
+// as exactly one added row, and one taken out as exactly one row gone, since
+// rows with unique labels match by label; with a repeated label they match by
+// index, and the same insertion reads as every later row moved.
+func TestCompareInsertedRow(t *testing.T) {
+	fig := func(plans ...string) *Result {
+		r := sample()
+		f := Figure{ID: "chaos", Title: "plans", Header: []string{"plan", "window", "ok", "p99"}}
+		for _, p := range plans {
+			f.Rows = append(f.Rows, []string{p, "0", "512", "12.5"})
+			f.Counters = append(f.Counters, stats.Counters{Ops: uint64(100 * len(p)), PacketsDelivered: 9000})
+		}
+		r.Figures = []Figure{f}
+		return r
+	}
+	old, new_ := fig("crash", "partition", "reboot"), fig("crash", "reconfig", "partition", "reboot")
+	wantChanges(t, changes(old, new_), "row      chaos[reconfig/0/512]: (absent) -> row 1")
+	wantChanges(t, changes(new_, old), "row      chaos[reconfig/0/512]: row 1 -> (absent)")
+	dup, dupNew := fig("crash", "crash", "reboot"), fig("crash", "reconfig", "crash", "reboot")
+	if got := changes(dup, dupNew); len(got) < 3 {
+		t.Fatalf("with a repeated label, an insertion reads as %v", got)
+	}
+}

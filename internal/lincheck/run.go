@@ -215,9 +215,10 @@ func applyClient(p *env.Proc, c *cluster.Cluster, cl *client.Client, op workload
 
 // Run drives src's clients on an already-built cluster — fault-free, or
 // across plan — recording one history, then ends the way every checked run
-// ends: heal and recover whatever the plan left behind, report clients that
-// never finished, drain deferred work and require that no server holds a
-// change-log entry, and append src's audit reads to the history. Boundary
+// ends: heal and recover whatever the plan left behind, report live servers
+// not serving and clients that never finished, drain deferred work and
+// require that no server holds a change-log entry, and append src's audit
+// reads to the history. Boundary
 // samplers are queued first, then the plan's timers, then the clients, so
 // same-instant events keep that order. The same cluster, plan and source
 // always record the same history.
@@ -287,6 +288,14 @@ func Run(sim *env.Sim, c *cluster.Cluster, plan *chaos.Plan, src Source) RunResu
 
 	if inj != nil {
 		res.Issues = append(res.Issues, inj.HealAndRecover(sim)...)
+	}
+	// A healed cluster serves on every live server. The drain's flushes turn
+	// serving back on, so this is read before it: a run that leaves a server
+	// refusing requests must not pass.
+	for i, srv := range c.Servers {
+		if !srv.Node().Down() && !srv.Serving() {
+			res.Issues = append(res.Issues, fmt.Sprintf("server %d is up but not serving after the heal", i))
+		}
 	}
 	for w, ok := range finished {
 		if !ok {

@@ -3,6 +3,7 @@ package lincheck
 import (
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -567,5 +568,34 @@ func TestRegressionRenameInsidePushIdleWindow(t *testing.T) {
 					seed, ev.Op, ev.Ret-created[ev.Client])
 			}
 		}
+	}
+}
+
+// TestRunReportsServerNotServing: a run that leaves a live server refusing
+// requests once the clients are done is an issue, although the final drain's
+// flush would turn the server's serving back on and every read would pass.
+func TestRunReportsServerNotServing(t *testing.T) {
+	sim := env.NewSim(1)
+	defer sim.Shutdown()
+	c := cluster.New(sim, cluster.Options{Servers: 4, Clients: 1, Switches: 1, SwitchIndexBits: 12, Costs: env.DefaultCosts()})
+	ops := []workload.Op{{Kind: core.OpMkdir, Path: "/d", Perm: core.DefaultDirPerm}, {Kind: core.OpCreate, Path: "/d/f", Perm: core.DefaultFilePerm}}
+	res := Run(sim, c, nil, Source{
+		Clients: 1,
+		Next: func(p *env.Proc, w int) (workload.Op, bool) {
+			if len(ops) == 0 {
+				c.Servers[1].SetServing(false)
+				return workload.Op{}, false
+			}
+			op := ops[0]
+			ops = ops[1:]
+			return op, true
+		},
+		Audit: func(History) []workload.Op { return []workload.Op{{Kind: core.OpStat, Path: "/d/f"}} },
+	})
+	if want := []string{"server 1 is up but not serving after the heal"}; !slices.Equal(res.Issues, want) {
+		t.Fatalf("issues %q, want %q", res.Issues, want)
+	}
+	if !Check(res.History).Ok {
+		t.Fatal("the history itself should check")
 	}
 }
