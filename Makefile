@@ -140,7 +140,9 @@ bench:
 # resolution and its one metadata round trip (BenchmarkClientCall: one
 # allocation, its packet), the server's durable-record encoders
 # (BenchmarkEncodeCommit: a commit naming its directory in full and by its
-# slot, wal-B/op each), its recovery (BenchmarkRecover), a 2PC rename and an
+# slot, wal-B/op each), its recovery (BenchmarkRecover), one checkpoint of a
+# 10 000-entry store (BenchmarkCheckpoint: ns/entry and allocs/entry for the
+# image and the cut behind it), a 2PC rename and an
 # aggregation round (BenchmarkRename, BenchmarkAggregate: allocations per
 # round with -benchmem; BenchmarkRename's wal-held-B/op is the log bytes a
 # rename leaves held), the nodes' one way to wait for a peer (internal/rpc's
@@ -152,13 +154,16 @@ bench:
 bench-layers:
 	$(GO) test -run '^$$' -bench . -benchmem $(BENCHFLAGS) ./internal/env ./internal/core ./internal/kv ./internal/wal ./internal/client ./internal/server ./internal/rpc ./internal/datanode
 
-# fuzz runs the three fuzz targets for FUZZTIME each (go test fuzzes one
+# fuzz runs the four fuzz targets for FUZZTIME each (go test fuzzes one
 # target per run): FuzzDecodeInode (internal/core: the inode image decoder
 # never panics and accepts only what AppendInode produces),
 # FuzzRecordDecoders (internal/server: no WAL record decoder panics on any
-# payload) and FuzzStore (internal/kv: the store answers every call as a
-# sorted-map model does, views survive writes to other keys, and no arena
-# holds more than twice its live bytes). Tier-1 runs all three seed corpora;
+# payload), FuzzStore (internal/kv: the store answers every call as a
+# sorted-map model does, views survive writes to other keys, no arena holds
+# more than twice its live bytes, and Bytes counts the live ones) and
+# FuzzImage (internal/kv: restoring any bytes as a checkpoint image never
+# panics, an accepted image images back to itself, and a store's image
+# restores to its sorted-map model's pairs). Tier-1 runs all four seed corpora;
 # this searches beyond them. Minimizing an input is capped at 100 runs of it:
 # uncapped, it took most of each target's FUZZTIME. A failing input still
 # fails the step.
@@ -168,6 +173,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeInode$$' $(FUZZFLAGS) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecoders$$' $(FUZZFLAGS) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzStore$$' $(FUZZFLAGS) ./internal/kv
+	$(GO) test -run '^$$' -fuzz '^FuzzImage$$' $(FUZZFLAGS) ./internal/kv
 
 figures:
 	$(GO) run ./cmd/fsbench -fig all -scale quick

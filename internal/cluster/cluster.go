@@ -343,6 +343,7 @@ func (c *Cluster) FillMetrics(reg *metrics.Registry) {
 		reg.Add(pre+"wal_records", st.WALRecords)
 		reg.Add(pre+"wal_bytes", st.WALBytes)
 		reg.Add(pre+"wal_held_bytes", held)
+		reg.Add(pre+"checkpoints", st.Checkpoints)
 		for rank, d := range dirs {
 			if rank >= metricsTopDirs {
 				break

@@ -249,6 +249,21 @@ func TestRecoveryTable(t *testing.T) {
 	}
 }
 
+// TestRecoveryHistoryBounded: a server's recovery time follows its state,
+// not its history. Every row recovers the same live namespace, so with the
+// log cut behind checkpoints the row after 16 churn rounds takes at most
+// twice the row after none (without them it took 28 times as long).
+func TestRecoveryHistoryBounded(t *testing.T) {
+	tab := RecoveryHistory(Tiny())
+	t.Log("\n" + tab.String())
+	if len(tab.Rows) != 4 || tab.Rows[3][0] != "16" {
+		t.Fatalf("rows %v, want 0, 1, 4 and 16 rounds", tab.Rows)
+	}
+	if none, most := cell(t, tab, 0, 2), cell(t, tab, 3, 2); most > 2*none {
+		t.Errorf("recovery after 16 churn rounds takes %.3f ms, more than twice the %.3f ms after none", most, none)
+	}
+}
+
 func TestFig12bShape(t *testing.T) {
 	tab := Fig12b(Tiny())
 	t.Log("\n" + tab.String())

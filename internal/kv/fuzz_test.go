@@ -193,10 +193,72 @@ func FuzzStore(f *testing.F) {
 					t.Fatalf("a view of %q read %q, then %q after writes to other keys", v.key, v.was, v.view)
 				}
 			}
+			live := checkArena(t, "fallback", s.fallback)
 			for p, sh := range s.shards {
-				checkArena(t, p, sh)
+				live += checkArena(t, p, sh)
 			}
-			checkArena(t, "fallback", s.fallback)
+			if s.Bytes() != live {
+				t.Fatalf("Bytes = %d, the arenas hold %d live", s.Bytes(), live)
+			}
+		}
+	})
+}
+
+// FuzzImage restores arbitrary bytes as an image, which must not panic and,
+// when accepted, must image back to the same bytes; then it runs the bytes as
+// Put and Delete calls against a sorted-map model, images the store and
+// restores the image into a fresh store, which must hold exactly the model's
+// pairs, visit each key once, and image to the same bytes.
+func FuzzImage(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(New().AppendImage(nil))
+	f.Add([]byte{0, 1, 1, 'a', 0})
+	f.Add([]byte{34, 1, 2, 3})
+	f.Add([]byte{0, 1, 0, 0, 2, 0, 2, 3, 0, 4, 5, 1, 6, 1, 7, 3, 8})
+	f.Add([]byte("the quick brown fox jumps over the lazy dog, again and again and again"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := New()
+		if err := s.Restore(data, nil); err == nil {
+			if img := s.AppendImage(nil); !bytes.Equal(img, data) {
+				r := New()
+				if err := r.Restore(img, nil); err != nil || !bytes.Equal(r.AppendImage(nil), img) {
+					t.Fatalf("an accepted image does not round-trip: %x -> %x (%v)", data, img, err)
+				}
+			}
+		}
+		s = New()
+		model := map[string][]byte{}
+		for i := 0; i+2 < len(data); i += 3 {
+			key := fuzzKey(data[i+1])
+			if data[i]%4 == 3 {
+				s.Delete(key)
+				delete(model, string(key))
+				continue
+			}
+			val := bytes.Repeat([]byte{data[i]}, fuzzValLens[int(data[i+2])%len(fuzzValLens)])
+			s.Put(key, val)
+			model[string(key)] = val
+		}
+		img := s.AppendImage(nil)
+		r := New()
+		visits := map[string]int{}
+		if err := r.Restore(img, func(k []byte) { visits[string(k)]++ }); err != nil {
+			t.Fatalf("Restore of an image: %v", err)
+		}
+		var got []string
+		r.Range(nil, nil, func(k, v []byte) bool { got = append(got, string(k)+"="+string(v)); return true })
+		var want []string
+		for _, k := range sortedKeys(model) {
+			want = append(want, k+"="+string(model[k]))
+			if visits[k] != 1 {
+				t.Fatalf("Restore visited %q %d times", k, visits[k])
+			}
+		}
+		if !slices.Equal(got, want) || r.Len() != len(model) || len(visits) != len(model) {
+			t.Fatalf("restored %q, model %q", got, want)
+		}
+		if r.Bytes() != s.Bytes() || !bytes.Equal(r.AppendImage(nil), img) {
+			t.Fatalf("restored store: %d live bytes and image %x; the original's %d and %x", r.Bytes(), r.AppendImage(nil), s.Bytes(), img)
 		}
 	})
 }
@@ -212,8 +274,8 @@ func sortedKeys(model map[string][]byte) []string {
 }
 
 // checkArena fails t unless sh's arena holds at most twice its live bytes,
-// counted from the index, plus a small constant.
-func checkArena(t *testing.T, name string, sh *shard) {
+// counted from the index, plus a small constant, and returns them.
+func checkArena(t *testing.T, name string, sh *shard) int {
 	t.Helper()
 	live := 0
 	for _, o := range sh.index {
@@ -225,4 +287,5 @@ func checkArena(t *testing.T, name string, sh *shard) {
 	if len(sh.arena) > 2*live+16 {
 		t.Fatalf("shard %s: arena of %d bytes for %d live", fmt.Sprintf("%q", name), len(sh.arena), live)
 	}
+	return live
 }

@@ -18,6 +18,8 @@ package kv
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"math"
 	"math/bits"
 	"slices"
@@ -284,6 +286,8 @@ type Store struct {
 	// prefixes is the sorted shard-prefix list; nil after a shard is added.
 	prefixes []string
 	n        int
+	// bytes is the live arena bytes of every shard (Bytes).
+	bytes int
 }
 
 // New creates an empty store.
@@ -358,22 +362,36 @@ func (s *Store) Put(key, val []byte) bool {
 	} else {
 		sh, suffix = s.fallback, key
 	}
-	if !sh.put(suffix, val) {
-		return false
+	live := sh.live()
+	inserted := sh.put(suffix, val)
+	s.bytes += sh.live() - live
+	if inserted {
+		s.n++
 	}
-	s.n++
-	return true
+	return inserted
 }
 
 // Delete removes key, reporting whether it was present.
 func (s *Store) Delete(key []byte) bool {
 	sh, suffix := s.lookup(key)
-	if sh == nil || !sh.del(suffix) {
+	if sh == nil {
 		return false
 	}
+	live := sh.live()
+	if !sh.del(suffix) {
+		return false
+	}
+	s.bytes += sh.live() - live
 	s.n--
 	return true
 }
+
+// live is the arena bytes of the shard's live entries.
+func (sh *shard) live() int { return len(sh.arena) - sh.dead }
+
+// Bytes returns the live bytes of the store: each entry's name, value and
+// their two length prefixes, the group prefix a shard's entries share aside.
+func (s *Store) Bytes() int { return s.bytes }
 
 // Scan calls fn for every live (key, value) with the given prefix, in key
 // order, until fn returns false. The callback receives key and value slices
@@ -467,7 +485,107 @@ func (s *Store) Clear() {
 	s.shards = make(map[string]*shard)
 	s.fallback = &shard{}
 	s.prefixes = nil
-	s.n = 0
+	s.n, s.bytes = 0, 0
+}
+
+// AppendImage appends the store's image to b: its live entries in key order,
+// canonical, so two stores that hold the same pairs have the same image. The
+// image is a run of groups, the flat keys' first, each a uvarint prefix
+// length (groupLen, or 0 for the flat keys), the prefix, a uvarint entry
+// count and the entries as the arena holds them, a uvarint name length, the
+// name, a uvarint value length and the value; empty groups are left out.
+func (s *Store) AppendImage(b []byte) []byte {
+	b = s.fallback.appendImage(b, "")
+	for _, p := range s.ensurePrefixes() {
+		b = s.shards[p].appendImage(b, p)
+	}
+	return b
+}
+
+// appendImage appends sh's group under prefix to b, if it holds an entry.
+func (sh *shard) appendImage(b []byte, prefix string) []byte {
+	if sh.n == 0 {
+		return b
+	}
+	b = append(binary.AppendUvarint(b, uint64(len(prefix))), prefix...)
+	b = binary.AppendUvarint(b, uint64(sh.n))
+	for _, off := range sh.ensureOrder() {
+		_, _, end := sh.entry(off)
+		b = append(b, sh.arena[off:end]...)
+	}
+	return b
+}
+
+// Restore replaces the store's contents with image's, calling each, when it
+// is not nil, with every key restored; the key is valid only during the call.
+// An image AppendImage did not produce may be refused with an error (a
+// group prefix of another length or shape, a flat key of a group's shape, a
+// key twice, a truncated entry or count), and then leaves the store holding
+// part of it.
+func (s *Store) Restore(image []byte, each func(key []byte)) error {
+	s.Clear()
+	r := imageReader{b: image}
+	var key []byte
+	for len(r.b) > 0 && r.err == nil {
+		prefix := r.bytes()
+		if len(prefix) != 0 && (len(prefix) != groupLen || !conforming(prefix)) {
+			return fmt.Errorf("kv: image group prefix %x is no group's", prefix)
+		}
+		n := r.uvarint()
+		if n > uint64(len(r.b))/2 {
+			return fmt.Errorf("kv: image group of %d entries in %d bytes", n, len(r.b))
+		}
+		for ; n > 0 && r.err == nil; n-- {
+			key = append(append(key[:0], prefix...), r.bytes()...)
+			val := r.bytes()
+			switch {
+			case r.err != nil:
+			case len(prefix) == 0 && conforming(key):
+				return fmt.Errorf("kv: image flat key %x has a group's shape", key)
+			case !s.Put(key, val):
+				return fmt.Errorf("kv: image holds key %x twice", key)
+			case each != nil:
+				each(key)
+			}
+		}
+	}
+	if r.err != nil {
+		return fmt.Errorf("kv: image: %w", r.err)
+	}
+	return nil
+}
+
+// imageReader reads an image's fields in order; the first short or
+// overflowing field sets err, and every read after it returns nothing.
+type imageReader struct {
+	b   []byte
+	err error
+}
+
+func (r *imageReader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.err = errors.New("truncated or overflowing length")
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *imageReader) bytes() []byte {
+	n := r.uvarint()
+	if r.err == nil && n > uint64(len(r.b)) {
+		r.err = errors.New("truncated field")
+	}
+	if r.err != nil {
+		return nil
+	}
+	v := r.b[:n]
+	r.b = r.b[n:]
+	return v
 }
 
 // ensurePrefixes returns the sorted shard-prefix list (map iteration feeds a

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -260,6 +261,61 @@ func TestHashTailWord(t *testing.T) {
 		}
 		if got, want := hash(key[:n]), h*0x9e3779b97f4a7c15; got != want {
 			t.Errorf("%d bytes: hash %#x, want %#x", n, got, want)
+		}
+	}
+}
+
+// TestImageCanonical: two stores that hold the same pairs, built in other
+// orders, one through overwrites, deletes and compactions, image to the same
+// bytes, and a restore of the image holds those pairs and those live bytes.
+func TestImageCanonical(t *testing.T) {
+	keys := [][]byte{fuzzKey(0), fuzzKey(3), fuzzKey(9), fuzzKey(12), fuzzKey(20), fuzzKey(28), fuzzKey(30), []byte("flat"), []byte("\xff")}
+	a, b := New(), New()
+	for i, k := range keys {
+		a.Put(k, []byte{byte(i)})
+	}
+	for i := len(keys) - 1; i >= 0; i-- {
+		b.Put(keys[i], bytes.Repeat([]byte{9}, 40))
+		b.Put([]byte(fmt.Sprintf("gone%d", i)), []byte("x"))
+	}
+	for i, k := range keys {
+		b.Put(k, []byte{byte(i)})
+		b.Delete([]byte(fmt.Sprintf("gone%d", i)))
+	}
+	img := a.AppendImage(nil)
+	if !bytes.Equal(img, b.AppendImage(nil)) || a.Bytes() != b.Bytes() {
+		t.Fatalf("images differ: %x / %x, live bytes %d / %d", img, b.AppendImage(nil), a.Bytes(), b.Bytes())
+	}
+	r := New()
+	r.Put([]byte("stale"), []byte("dropped by the restore"))
+	n := 0
+	if err := r.Restore(img, func([]byte) { n++ }); err != nil {
+		t.Fatal(err)
+	}
+	if n != len(keys) || r.Len() != len(keys) || r.Has([]byte("stale")) || r.Bytes() != a.Bytes() {
+		t.Fatalf("restored %d keys (visited %d), live bytes %d, want %d and %d", r.Len(), n, r.Bytes(), len(keys), a.Bytes())
+	}
+	for i, k := range keys {
+		if v, _ := r.Get(k); !bytes.Equal(v, []byte{byte(i)}) {
+			t.Fatalf("restored %q = %x", k, v)
+		}
+	}
+}
+
+// TestRestoreRefuses: images no store produces are errors, not panics.
+func TestRestoreRefuses(t *testing.T) {
+	group := string(fuzzGroup('e', 1))
+	for _, img := range []string{
+		"\x05hello\x01\x01a\x00",                  // a prefix of no group's length
+		"\x22" + strings.Repeat("x", 34) + "\x00", // a group's length without its '/'
+		"\x00\x01\x22" + group + "\x00",           // a flat key of a group's shape
+		"\x00\x02\x01a\x00\x01a\x00",              // a key twice
+		"\x00\x01\x01a",                           // a value missing
+		"\x00\x09\x01a\x00",                       // more entries than bytes
+		"\x80",                                    // a truncated length
+	} {
+		if err := New().Restore([]byte(img), nil); err == nil {
+			t.Errorf("Restore(%q) succeeded", img)
 		}
 	}
 }

@@ -492,6 +492,7 @@ func (s *Server) applyBatch(p *env.Proc, logs []aggLog) {
 	}
 	s.walBuf = encodeAggBatch(s.walBuf[:0], dir, logs)
 	s.logRecord(recAggBatch)
+	s.applying++ // applied across parks: no image until the marks rise
 	wsp.End()
 
 	var in core.Inode
@@ -527,6 +528,8 @@ func (s *Server) applyBatch(p *env.Proc, logs []aggLog) {
 	for i := range logs {
 		s.setAppliedMark(logs[i].from, dir.ID, logs[i].maxID)
 	}
+	s.applying--
+	s.maybeCheckpoint()
 }
 
 // minLaneItems is the least work a parallelCompute lane carries: below it a

@@ -31,6 +31,17 @@ func newCostedServer(t testing.TB, updates UpdateMode) (*env.Sim, *Server) {
 	return sim, s
 }
 
+// padStore gives s's store entries no record logged, in a directory of their
+// own, until it holds n live bytes. A server takes a checkpoint once its log
+// gained more than its store holds (maybeCheckpoint), so one whose store holds
+// more than a test logs cuts nothing the test reads back from the log.
+func padStore(s *Server, n int) {
+	pad := core.DirID{^uint64(0), 1}
+	for i := 0; s.kv.Bytes() < n; i++ {
+		s.InjectDentry(pad, core.DirEntry{Name: fmt.Sprintf("pad%06d", i), Type: core.TypeRegular}, false)
+	}
+}
+
 // applyCase is one generated aggregation: what the owner's store holds
 // before it, the logs the sources hand in, and what the directory must hold
 // afterwards.
@@ -160,6 +171,7 @@ type applyOutcome struct {
 func runApply(t *testing.T, c *applyCase, updates UpdateMode, apply func(p *env.Proc, s *Server, logs []aggLog)) applyOutcome {
 	t.Helper()
 	sim, s := newCostedServer(t, updates)
+	padStore(s, 16<<10) // the batches stay in the log to be read back
 	c.install(s)
 	logs := append([]aggLog(nil), c.logs...)
 	var out applyOutcome

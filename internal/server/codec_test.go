@@ -120,7 +120,7 @@ func TestEncodersAppend(t *testing.T) {
 			slots := make([]core.DirRef, slot)
 			slots[slot-1] = dir
 			at := rec("encodeCommitAt", func(b []byte) []byte { return encodeCommitAt(b, slot, e, in) })
-			k3, d3, e3, in3, err := decodeCommitAt(at, slots)
+			k3, d3, e3, in3, err := decodeCommitAt(at, &commitSlots{refs: slots})
 			if err != nil || k3 != key || d3 != dir || e3 != e || (in3 == nil) != (in2 == nil) ||
 				!bytes.Equal(at[len(binary.AppendUvarint(nil, uint64(slot))):], b[len(appendDirRef(nil, dir)):]) {
 				t.Fatalf("slot commit round trip: %v %v %+v %v", k3, d3, e3, err)
@@ -216,7 +216,8 @@ func TestEncodersAppend(t *testing.T) {
 // own for each aggregated entry, 198.) The next create into d0 names d0 by
 // the slot the first commit defined and logs at most 47 bytes, 29 + 18; a
 // server's handler logs it so: its second commit into a directory is the
-// first's record with the DirRef replaced by the slot.
+// first's record with the DirRef replaced by the slot (no checkpoint comes
+// between them: the store holds more than the two log).
 func TestCreateRecordBytes(t *testing.T) {
 	d0 := core.DirRef{ID: core.DirID{7, 1, 2, 3}, Key: core.Key{PID: core.RootDirID, Name: "d0"}}
 	d0.FP = d0.Key.Fingerprint()
@@ -242,6 +243,7 @@ func TestCreateRecordBytes(t *testing.T) {
 	}
 
 	r := newRig(t)
+	padStore(r.s, 4<<10)
 	r.createsIn(map[string]core.DirRef{e.Name: d0, next.Name: d0}, 1, e.Name, next.Name)
 	var recs []wal.Record // the commits; an idle push's aggregation logs a batch too
 	r.s.wal.Replay(func(rec wal.Record) error {
@@ -687,7 +689,7 @@ func FuzzRecordDecoders(f *testing.F) {
 	slots := []core.DirRef{core.RootRef(), randDirRef(rand.New(rand.NewSource(1)))}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		decodeCommit(b)
-		decodeCommitAt(b, slots)
+		decodeCommitAt(b, &commitSlots{refs: slots})
 		decodeAggBatch(b)
 		decodeInodeRec(b)
 		decodeDentryRec(b)

@@ -202,18 +202,25 @@ func (s *Server) handleMutate(p *env.Proc, _ *wire.Packet, req *wire.MutateReq) 
 
 // logCommit logs entry's commit under parent, whose change-log is dl: a
 // recCommitAt when dl's slot names parent, else a recCommit, which defines
-// the log's next slot, dl's from now on if dl's ref is parent.
+// the log's next slot, dl's from now on if dl's ref is parent. An rmdir's
+// directory joins the invalidations an image carries.
 func (s *Server) logCommit(dl *dirLog, parent core.DirRef, entry core.LogEntry, in *core.Inode) wal.LSN {
+	var lsn wal.LSN
 	if dl.walSlot != 0 && dl.ref == parent {
 		s.walBuf = encodeCommitAt(s.walBuf[:0], dl.walSlot, entry, in)
-		return s.logRecord(recCommitAt)
+		lsn = s.logRecord(recCommitAt)
+	} else {
+		s.walBuf = encodeCommit(s.walBuf[:0], parent, entry, in)
+		s.walSlots++
+		if dl.ref == parent {
+			dl.walSlot = s.walSlots
+		}
+		lsn = s.logRecord(recCommit)
 	}
-	s.walBuf = encodeCommit(s.walBuf[:0], parent, entry, in)
-	s.walSlots++
-	if dl.ref == parent {
-		dl.walSlot = s.walSlots
+	if entry.Op == core.OpRmdir {
+		s.rmdirs = append(s.rmdirs, in.ID)
 	}
-	return s.logRecord(recCommit)
+	return lsn
 }
 
 // replyMutate answers a mutation that ends without a switch-mediated commit
@@ -312,7 +319,7 @@ func (s *Server) syncCommit(p *env.Proc, req *wire.MutateReq, parentLog *dirLog,
 	// apply is acknowledged (the parent's owner also sent the client's copy).
 	s.remember(req.Client, req.RPC, resp)
 	s.Stats.SyncCommits++
-	mustMark(s.wal, rec)
+	s.markApplied(rec)
 	s.unlockKey(kl)
 	parentLog.lock.RUnlock()
 }
@@ -359,7 +366,7 @@ func (s *Server) handleFallback(p *env.Proc, pkt *wire.Packet, cn *wire.CommitNo
 func (s *Server) ackEntries(dl *dirLog, maxID uint64) {
 	n := 0
 	for ; n < len(dl.commits) && dl.commits[n].id <= maxID; n++ {
-		mustMark(s.wal, dl.commits[n].lsn)
+		s.markApplied(dl.commits[n].lsn)
 	}
 	dl.commits = append(dl.commits[:0], dl.commits[n:]...)
 	dl.log.AckThrough(maxID)

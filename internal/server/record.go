@@ -1,10 +1,12 @@
 package server
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"switchfs/internal/core"
 	"switchfs/internal/env"
@@ -66,7 +68,8 @@ const (
 // slot, numbered from 1 in log order; every later commit into it is a
 // recCommitAt, the same bytes with the DirRef replaced by the slot's uvarint,
 // so a create logs about 29 bytes at the name's owner instead of 103. Slots
-// are scoped to the log, and replay resolves them in log order (commitSlots).
+// are scoped to the log, and replay resolves them in log order (commitSlots);
+// a checkpoint's image keeps the slots a record past its cut may name.
 // Each kind's decoder sits next to its encoder and returns an error for a
 // payload it cannot parse, a slot no earlier record defined included, so a
 // corrupt log fail-stops the server (Recover) instead of panicking the
@@ -250,14 +253,15 @@ func decodeCommit(b []byte) (key core.Key, parent core.DirRef, entry core.LogEnt
 	return r.commitTail(r.dirRef(), "commit")
 }
 
-// decodeCommitAt parses a recCommitAt record, its parent the DirRef of slot
-// n, slots[n-1]. A slot that is 0 or past the table is an error.
-func decodeCommitAt(b []byte, slots []core.DirRef) (key core.Key, parent core.DirRef, entry core.LogEntry, in *core.Inode, err error) {
+// decodeCommitAt parses a recCommitAt record, its parent the DirRef of the
+// slot it names in t. A slot t does not define is an error.
+func decodeCommitAt(b []byte, t *commitSlots) (key core.Key, parent core.DirRef, entry core.LogEntry, in *core.Inode, err error) {
 	r := recReader{b: b}
-	if n := r.uvarint(); n != 0 && n <= uint64(len(slots)) {
-		parent = slots[n-1]
+	n := r.uvarint()
+	if ref, ok := t.ref(n); ok {
+		parent = ref
 	} else if r.err == nil {
-		r.err = fmt.Errorf("slot %d undefined (%d defined)", n, len(slots))
+		r.err = fmt.Errorf("slot %d undefined (%d kept, %d..%d defined)", n, len(t.kept), t.base+1, t.count())
 	}
 	return r.commitTail(parent, "slot commit")
 }
@@ -273,19 +277,59 @@ func (r *recReader) commitTail(parent core.DirRef, kind string) (key core.Key, _
 }
 
 // commitSlots is the slot table of one log, built while it replays in order:
-// slot n is the parent of the log's n-th recCommit.
-type commitSlots []core.DirRef
+// slot n is the parent of the log's n-th recCommit. Past a checkpoint's cut,
+// refs holds the slots past base, the count the image recorded, and kept the
+// earlier ones a record past the cut may still name: those the image kept,
+// ascending by number.
+type commitSlots struct {
+	base uint32
+	refs []core.DirRef
+	kept []slotRef
+}
+
+// slotRef is a slot and the DirRef it names.
+type slotRef struct {
+	n   uint32
+	ref core.DirRef
+}
 
 // decode parses a recCommit, which defines the next slot, or a recCommitAt,
 // which names one defined before it.
 func (t *commitSlots) decode(kind uint8, b []byte) (key core.Key, parent core.DirRef, entry core.LogEntry, in *core.Inode, err error) {
 	if kind == recCommitAt {
-		return decodeCommitAt(b, *t)
+		return decodeCommitAt(b, t)
 	}
 	key, parent, entry, in, err = decodeCommit(b)
-	*t = append(*t, parent)
+	t.refs = append(t.refs, parent)
 	return key, parent, entry, in, err
 }
+
+// decodeCarried parses a commit carried below a checkpoint's cut: in full
+// form, or naming a slot the image keeps. It defines no slot.
+func (t *commitSlots) decodeCarried(kind uint8, b []byte) (key core.Key, parent core.DirRef, entry core.LogEntry, in *core.Inode, err error) {
+	if kind == recCommitAt {
+		return decodeCommitAt(b, t)
+	}
+	return decodeCommit(b)
+}
+
+// ref returns the DirRef slot n names.
+func (t *commitSlots) ref(n uint64) (core.DirRef, bool) {
+	if n > uint64(t.base) {
+		if n-uint64(t.base) <= uint64(len(t.refs)) {
+			return t.refs[n-uint64(t.base)-1], true
+		}
+		return core.DirRef{}, false
+	}
+	i, ok := slices.BinarySearchFunc(t.kept, n, func(s slotRef, n uint64) int { return cmp.Compare(uint64(s.n), n) })
+	if !ok {
+		return core.DirRef{}, false
+	}
+	return t.kept[i].ref, true
+}
+
+// count is the number of slots defined, the ones before base included.
+func (t *commitSlots) count() uint32 { return t.base + uint32(len(t.refs)) }
 
 // encodeAggBatch appends a recAggBatch record to b: the entries of dir that
 // one batch applies at the owner, each log's fresh ones under its source, in

@@ -19,6 +19,7 @@ import (
 // a retransmission from the old incarnation would otherwise spin forever
 // against a successor that no longer holds its contexts.
 func (s *Server) Crash() {
+	s.settleImage() // an image written before the crash is durable
 	s.dead = true
 	s.SetServing(false)
 	s.parked, s.parkedAt = nil, nil
@@ -54,10 +55,10 @@ func (s *Server) Recover(p *env.Proc) error {
 		sp.End()
 	}
 
-	// Redo cost: recovery time is proportional to the records replayed, an
-	// aggregation batch's entries each counted (§7.7; checkpointing would
-	// shrink it, as the paper notes), spread over the cores by the key each
-	// record writes.
+	// Redo cost: recovery time is proportional to the image's entries and
+	// the records replayed past its cut, an aggregation batch's entries each
+	// counted (§7.7; the checkpoint bounds it by the state, not the history),
+	// spread over the cores by the key each writes.
 	plan, err := s.replayWAL()
 	if err != nil {
 		s.recovering = false
@@ -191,14 +192,27 @@ func (r *redoPlan) longest() (n int) {
 	return n
 }
 
-// replayWAL redoes committed operations in commit order (§A.2.2: recovery
-// reproduces the pre-crash serialization) on the host, one record after
-// another, and returns what the pass costs in virtual time.
+// replayWAL restores the durable image, if any, and redoes the committed
+// operations past its cut in commit order (§A.2.2: recovery reproduces the
+// pre-crash serialization) on the host, one record after another, and
+// returns what the pass costs in virtual time. A record carried below the
+// cut rebuilds only the pending work the image does not hold.
 func (s *Server) replayWAL() (redoPlan, error) {
 	plan := redoPlan{lanes: s.cfg.Cores}
 	var slots commitSlots
-	s.bootstrapRoot()
+	image, cut := s.wal.Image()
+	if image == nil {
+		s.bootstrapRoot()
+	} else {
+		var err error
+		if slots, err = s.restoreImage(image, &plan); err != nil {
+			return plan, err
+		}
+	}
 	err := s.wal.Replay(func(r wal.Record) error {
+		if r.LSN <= cut {
+			return s.redoCarried(r, &plan, &slots)
+		}
 		switch r.Kind {
 		case recCommit, recCommitAt:
 			// Charged and applied alike: a slot only names the parent.
@@ -214,11 +228,10 @@ func (s *Server) replayWAL() (redoPlan, error) {
 				s.storeInode(key, nil)
 			}
 			if !r.Applied {
-				dl := s.clogOf(parent)
-				dl.log.Append(entry)
-				dl.commits = append(dl.commits, logCommit{id: entry.ID, lsn: r.LSN})
+				s.redoPending(parent, entry, r.LSN)
 			}
 			if entry.Op == core.OpRmdir {
+				s.rmdirs = append(s.rmdirs, in.ID)
 				s.addInval(in.ID)
 			}
 		case recAggBatch:
@@ -262,18 +275,7 @@ func (s *Server) replayWAL() (redoPlan, error) {
 			s.delDentries(dir, nil)
 		case recTxnCommit:
 			plan.barrier()
-			// A commit decision some participant may not have learned yet
-			// (the record is marked applied once every participant acked):
-			// rebuild it so in-doubt status queries are answered with commit
-			// instead of presumed-abort, and so redriveCommits re-delivers it
-			// and the record can retire instead of replaying forever.
-			if !r.Applied {
-				txn, parts, err := decodeTxnCommit(r.Payload)
-				if err != nil {
-					return err
-				}
-				s.txnWAL[txn] = txnCommit{lsn: r.LSN, parts: parts}
-			}
+			return s.redoTxnCommit(r)
 		case recEvict:
 			fp, err := decodeEvict(r.Payload)
 			if err != nil {
@@ -286,24 +288,85 @@ func (s *Server) replayWAL() (redoPlan, error) {
 			s.evictFP(fp)
 		case recTxnPrepare:
 			plan.barrier()
-			// A prepared, undecided transaction: this incarnation must be able
-			// to apply the (possibly already-decided) commit and replay its
-			// vote to a retransmitted prepare (locked by lockPreparedTxns).
-			if !r.Applied {
-				txn, coord, ops, err := decodeTxnPrepare(r.Payload)
-				if err != nil {
-					return err
-				}
-				s.txns[txn] = &txnState{id: txn, coord: coord, ops: ops, lsn: r.LSN}
-				s.prepares.Put(coord, txn, core.ErrnoOK)
-			}
+			return s.redoTxnPrepare(r)
 		default:
 			return fmt.Errorf("server: unknown WAL record kind %d", r.Kind)
 		}
 		return nil
 	})
-	s.walSlots = uint32(len(slots)) // this incarnation's commits define the slots after them
+	// This incarnation's commits define the slots after them.
+	s.slotBase, s.slotsKept, s.walSlots = slots.base, slots.kept, slots.count()
 	return plan, err
+}
+
+// redoCarried redoes a record carried below the image's cut: its effects on
+// the store, and an rmdir's invalidation, are in the image, so only its
+// pending work is rebuilt — an unapplied commit's change-log entry, a
+// prepared transaction, a decision to re-drive. A carried commit names its
+// parent in full or by a slot the image keeps (carry), and defines none; one
+// marked applied since gave its payload up.
+func (s *Server) redoCarried(r wal.Record, plan *redoPlan, slots *commitSlots) error {
+	switch r.Kind {
+	case recCommit, recCommitAt:
+		if r.Applied {
+			return nil
+		}
+		key, parent, entry, _, err := slots.decodeCarried(r.Kind, r.Payload)
+		if err != nil {
+			return err
+		}
+		plan.keyed(core.Hash64(key.PID, key.Name))
+		s.redoPending(parent, entry, r.LSN)
+	case recTxnCommit:
+		plan.barrier()
+		return s.redoTxnCommit(r)
+	case recTxnPrepare:
+		plan.barrier()
+		return s.redoTxnPrepare(r)
+	default:
+		return fmt.Errorf("server: WAL record kind %d carried below the cut", r.Kind)
+	}
+	return nil
+}
+
+// redoPending files an unapplied commit's entry in its parent's change-log.
+func (s *Server) redoPending(parent core.DirRef, entry core.LogEntry, lsn wal.LSN) {
+	dl := s.clogOf(parent)
+	dl.log.Append(entry)
+	dl.commits = append(dl.commits, logCommit{id: entry.ID, lsn: lsn})
+}
+
+// redoTxnCommit rebuilds a commit decision some participant may not have
+// learned yet (the record is marked applied once every participant acked),
+// so in-doubt status queries are answered with commit instead of
+// presumed-abort, and so redriveCommits re-delivers it and the record can
+// retire instead of replaying forever.
+func (s *Server) redoTxnCommit(r wal.Record) error {
+	if r.Applied {
+		return nil
+	}
+	txn, parts, err := decodeTxnCommit(r.Payload)
+	if err != nil {
+		return err
+	}
+	s.txnWAL[txn] = txnCommit{lsn: r.LSN, parts: parts}
+	return nil
+}
+
+// redoTxnPrepare rebuilds a prepared, undecided transaction: this
+// incarnation must be able to apply the (possibly already-decided) commit and
+// replay its vote to a retransmitted prepare (locked by lockPreparedTxns).
+func (s *Server) redoTxnPrepare(r wal.Record) error {
+	if r.Applied {
+		return nil
+	}
+	txn, coord, ops, err := decodeTxnPrepare(r.Payload)
+	if err != nil {
+		return err
+	}
+	s.txns[txn] = &txnState{id: txn, coord: coord, ops: ops, lsn: r.LSN}
+	s.prepares.Put(coord, txn, core.ErrnoOK)
+	return nil
 }
 
 // redoAggEntry re-applies one owner-side change-log application during

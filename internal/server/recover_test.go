@@ -66,8 +66,11 @@ func loadWALs(t testing.TB) []*wal.Mem {
 // printed as the record's place in the redo order, an aggregation batch's
 // entries each counted (positions), so it does not depend on how many
 // entries one record holds.
-func replayDump(s *Server) string {
-	pos := positions(s.wal)
+func replayDump(s *Server) string { return replayDumpAt(s, positions(s.wal)) }
+
+// replayDumpAt is replayDump with the WAL positions pos gives, those of a
+// log the server's log was cut from.
+func replayDumpAt(s *Server, pos map[wal.LSN]int) string {
 	var sb strings.Builder
 	s.kv.Scan(nil, func(k, v []byte) bool {
 		if _, err := core.DecodeKey(k); err == nil {
@@ -222,28 +225,46 @@ func TestReplayEveryPrefix(t *testing.T) {
 		log.Replay(func(r wal.Record) error { recs = append(recs, r); return nil })
 		t.Run(fmt.Sprintf("log %d", i), func(t *testing.T) {
 			t.Parallel()
-			replayEveryPrefix(t, recs, whole[i])
+			replayEveryPrefix(t, recs, whole[i], func(k int, marks bool) *wal.Mem { return logOf(recs[:k], marks, false) })
 		})
 	}
 }
 
+// logOf loads recs into a fresh log, each marked applied as recorded when
+// marks is set. With transient set a 2PC record goes in through
+// AppendTransient, as a server logs one, and its mark gives its payload up.
+func logOf(recs []wal.Record, marks, transient bool) *wal.Mem {
+	log := wal.NewMem()
+	for _, r := range recs {
+		var lsn wal.LSN
+		if transient && (r.Kind == recTxnCommit || r.Kind == recTxnPrepare) {
+			lsn, _ = log.AppendTransient(r.Kind, r.Payload)
+		} else {
+			lsn = mustAppend(log, r.Kind, r.Payload)
+		}
+		if marks && r.Applied {
+			mustMark(log, lsn)
+		}
+	}
+	return log
+}
+
 // replayEveryPrefix is TestReplayEveryPrefix on one log's records, whose
-// whole holds the given redo units.
-func replayEveryPrefix(t *testing.T, recs []wal.Record, whole int) {
+// whole holds the given redo units; build(k, marks) is the log of the first
+// k records, marked as recorded or not at all. A log cut behind a checkpoint
+// charges its image's entries instead of the records it replaces (an
+// aggregated entry writes two keys, so a short prefix's image can charge
+// more), and its plan's count is not pinned.
+func replayEveryPrefix(t *testing.T, recs []wal.Record, whole int, build func(k int, marks bool) *wal.Mem) {
 	for _, marks := range []bool{true, false} {
 		units := 0
 		for k := 0; k <= len(recs); k++ {
 			if k > 0 {
 				units += recordEntries(recs[k-1])
 			}
-			prefix := wal.NewMem()
-			for _, r := range recs[:k] {
-				lsn := mustAppend(prefix, r.Kind, r.Payload)
-				if marks && r.Applied {
-					mustMark(prefix, lsn)
-				}
-			}
-			what := fmt.Sprintf("first %d records, marks kept %v", k, marks)
+			prefix := build(k, marks)
+			image, cut := prefix.Image()
+			what := fmt.Sprintf("first %d records, marks kept %v, cut at %d", k, marks, cut)
 			var dumps [2]string
 			for j := range dumps {
 				sim, s := newReplayServer(t, prefix, 4)
@@ -251,7 +272,7 @@ func replayEveryPrefix(t *testing.T, recs []wal.Record, whole int) {
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
-				if n := plan.records(); n != units {
+				if n := plan.records(); n != units && image == nil {
 					t.Fatalf("%s: plan charges %d records and entries, the prefix holds %d", what, n, units)
 				}
 				checkRebuilt(t, what, s, prefix)
@@ -277,13 +298,19 @@ func replayEveryPrefix(t *testing.T, recs []wal.Record, whole int) {
 func checkRebuilt(t *testing.T, what string, s *Server, log *wal.Mem) {
 	t.Helper()
 	commits, prepares, decisions := 0, map[wal.LSN]int{}, map[uint64]int{}
-	var slots commitSlots // every commit defines or names a slot, applied or not
+	// Every commit past the cut defines or names a slot, applied or not; one
+	// carried below it defines none and, once applied, has no payload.
+	slots, cut := imageSlots(t, log)
 	log.Replay(func(r wal.Record) error {
 		var parent core.DirRef
 		var entry core.LogEntry
-		if r.Kind == recCommit || r.Kind == recCommitAt {
+		if (r.Kind == recCommit || r.Kind == recCommitAt) && (r.LSN > cut || !r.Applied) {
+			decode := slots.decode
+			if r.LSN <= cut {
+				decode = slots.decodeCarried
+			}
 			var err error
-			if _, parent, entry, _, err = slots.decode(r.Kind, r.Payload); err != nil {
+			if _, parent, entry, _, err = decode(r.Kind, r.Payload); err != nil {
 				t.Fatalf("%s: commit %d: %v", what, r.LSN, err)
 			}
 		}
@@ -318,8 +345,8 @@ func checkRebuilt(t *testing.T, what string, s *Server, log *wal.Mem) {
 	if n := s.PendingClogEntries(); n != commits {
 		t.Fatalf("%s: %d change-log entries pending for %d unapplied commits", what, n, commits)
 	}
-	if s.walSlots != uint32(len(slots)) {
-		t.Fatalf("%s: the replayed server counts %d slots, the log defines %d", what, s.walSlots, len(slots))
+	if s.walSlots != slots.count() {
+		t.Fatalf("%s: the replayed server counts %d slots, the log defines %d", what, s.walSlots, slots.count())
 	}
 	filed := 0
 	for _, dl := range s.clogs {
@@ -1020,9 +1047,11 @@ func testDirRef(id uint64, name string) core.DirRef {
 // TestRenameRedefinesSlot: a directory's commits name it by its slot until a
 // rename re-keys its change-log (rekeyClog); the next commit into it names
 // it in full, under its new key, and defines the slot the commits after it
-// name.
+// name. (The store holds more than the commits log, so no checkpoint
+// restarts the slots meanwhile.)
 func TestRenameRedefinesSlot(t *testing.T) {
 	r := newRig(t)
+	padStore(r.s, 4<<10)
 	d, moved := testDirRef(7, "d0"), testDirRef(7, "d1")
 	want := map[string]core.DirRef{"a": d, "b": d, "c": moved, "e": moved}
 	r.createsIn(want, 1, "a", "b", "c", "e")
@@ -1040,9 +1069,12 @@ func TestRenameRedefinesSlot(t *testing.T) {
 // directories get a commit each, the server crashes and recovers, two
 // commits go into a new directory — the second names the slot the first
 // defined — and the server crashes again: the log resolves every commit to
-// its own parent, and a replay of it counts four slots.
+// its own parent, and a replay of it counts four slots. (Each incarnation's
+// store holds more than its commits log, so no checkpoint restarts the slots
+// meanwhile.)
 func TestSlotsContinueAcrossRestart(t *testing.T) {
 	r := newRig(t)
+	padStore(r.s, 4<<10)
 	want := map[string]core.DirRef{}
 	for i := range 3 {
 		want[fmt.Sprintf("f%d", i)] = testDirRef(uint64(10+i), fmt.Sprintf("d%d", i))
@@ -1057,6 +1089,7 @@ func TestSlotsContinueAcrossRestart(t *testing.T) {
 		}
 	})
 	r.sim.Run()
+	padStore(r.s, 4<<10)
 	fresh := testDirRef(20, "new")
 	want["g"], want["h"] = fresh, fresh
 	r.createsIn(want, 10, "g", "h")

@@ -220,8 +220,27 @@ type Server struct {
 	// between, so no other process can encode into it meanwhile.
 	walBuf []byte
 	// walSlots counts the slots the log defines: its recCommit records,
-	// whatever incarnation logged them (replayWAL restores it).
-	walSlots uint32
+	// whatever incarnation logged them, the cut ones included (replayWAL
+	// restores it). slotBase is the count at the durable image's cut, and
+	// slotsKept the slots through it the image keeps, the only ones a record
+	// past the cut names.
+	walSlots, slotBase uint32
+	slotsKept          []slotRef
+	// rmdirs are the directories of the rmdirs this server logged, in log
+	// order: the invalidations replay plants, which an image carries.
+	rmdirs []core.DirID
+
+	// Checkpoint state (checkpoint.go): the image being written, if any; the
+	// buffer the next is built in; the payload bytes logged since the last
+	// was taken; the records logged whose effects are still being applied
+	// across a park; and the buffers the carried commits and the sorted marks
+	// are built in.
+	ckpt      pendingImage
+	ckptBuf   []byte
+	walGained uint64
+	applying  int
+	carryBuf  []byte
+	markBuf   []appliedKey
 
 	// In-memory indexes. locks holds the inode locks of the operations in
 	// flight (lockOf); freeLocks keeps released ones for reuse.
@@ -350,8 +369,9 @@ type Stats struct {
 	// the pushes they had to start themselves (the rest shared a push or an
 	// aggregation already in flight).
 	RenameFlushes, RenameFlushPushes uint64
-	// WAL records appended and their payload bytes.
-	WALRecords, WALBytes uint64
+	// WAL records appended and their payload bytes, and the checkpoint
+	// images made durable.
+	WALRecords, WALBytes, Checkpoints uint64
 }
 
 // New builds a server and registers its node with the environment.

@@ -488,7 +488,7 @@ func (s *Server) ackDecision(id uint64) {
 	c, ok := s.txnWAL[id]
 	delete(s.txnWAL, id)
 	if ok {
-		mustMark(s.wal, c.lsn)
+		s.markApplied(c.lsn)
 	}
 }
 
@@ -857,7 +857,9 @@ func (s *Server) handleTxnDecision(p *env.Proc, _ *wire.Packet, td *wire.TxnDeci
 				p.Compute(c.WALAppend)
 				s.walBuf = encodeDelDentries(s.walBuf[:0], op.Dir.ID)
 				s.logRecord(recDelDentries)
+				s.applying++ // the drop parks between its scan and its deletes
 				s.delDentries(op.Dir.ID, func(n int) { p.Compute(env.Duration(n) * c.KVDel) })
+				s.applying--
 			}
 		}
 	}
@@ -867,7 +869,7 @@ func (s *Server) handleTxnDecision(p *env.Proc, _ *wire.Packet, td *wire.TxnDeci
 	// Resolved: the prepared-state record need not be rebuilt on replay, and
 	// the log gives its payload back (st.ops may alias it: a view stays
 	// readable).
-	mustMark(s.wal, st.lsn)
+	s.markApplied(st.lsn)
 	s.exitFPs(fps)
 	replyNew(s, p, s.cfg.Coordinator, wire.TxnDone{Txn: td.Txn, From: s.cfg.ID})
 }

@@ -494,6 +494,7 @@ func TestResolvedTxnRecordsReleased(t *testing.T) {
 	const rounds, chunk = 1000, 4 << 10
 	r := newRig(t)
 	r.coordinator()
+	padStore(r.s, 512<<10) // no checkpoint: every record stays in the log
 	for i := uint64(1); i <= rounds; i++ {
 		r.send(rigServer, 0, preparing(i, i, fmt.Sprintf("f%d", i)))
 		r.sim.Run()

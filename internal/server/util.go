@@ -19,11 +19,19 @@ func mustAppend(l *wal.Mem, kind uint8, payload []byte) wal.LSN {
 	return lsn
 }
 
-// logRecord appends s.walBuf to the WAL as a kind record and counts it.
+// logRecord appends s.walBuf to the WAL as a kind record and counts it,
+// after the checkpoint check (maybeCheckpoint).
 func (s *Server) logRecord(kind uint8) wal.LSN {
+	s.maybeCheckpoint()
+	s.countRecord()
+	return mustAppend(s.wal, kind, s.walBuf)
+}
+
+// countRecord counts s.walBuf as a record logged.
+func (s *Server) countRecord() {
 	s.Stats.WALRecords++
 	s.Stats.WALBytes += uint64(len(s.walBuf))
-	return mustAppend(s.wal, kind, s.walBuf)
+	s.walGained += uint64(len(s.walBuf))
 }
 
 // logTransient is logRecord for a 2PC record, a prepare or a commit decision:
@@ -31,8 +39,8 @@ func (s *Server) logRecord(kind uint8) wal.LSN {
 // reads no applied one's payload, so the log may give the bytes back
 // (wal.Mem.AppendTransient).
 func (s *Server) logTransient(kind uint8) wal.LSN {
-	s.Stats.WALRecords++
-	s.Stats.WALBytes += uint64(len(s.walBuf))
+	s.maybeCheckpoint()
+	s.countRecord()
 	lsn, err := s.wal.AppendTransient(kind, s.walBuf)
 	if err != nil {
 		panic(fmt.Sprintf("server: WAL append failed: %v", err))
@@ -49,6 +57,13 @@ func mustMark(l *wal.Mem, lsn wal.LSN) {
 	if err := l.MarkApplied(lsn); err != nil {
 		panic(fmt.Sprintf("server: WAL mark failed: %v", err))
 	}
+}
+
+// markApplied marks the record at lsn applied, then installs the image being
+// written if it is durable by now.
+func (s *Server) markApplied(lsn wal.LSN) {
+	mustMark(s.wal, lsn)
+	s.settleImage()
 }
 
 // maxStripeWidth caps how many data slots one file stripes over: wide

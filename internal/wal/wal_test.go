@@ -390,3 +390,174 @@ func TestAppendTransientAllocations(t *testing.T) {
 		t.Fatalf("%d transient bytes held after 21 000 resolved records", held)
 	}
 }
+
+// checkpointLog is 300 records, every third transient, record i's payload
+// "r<i>" padded to 200 bytes, and every record whose number is 1 mod 3 marked
+// applied.
+func checkpointLog() *Mem {
+	m := NewMem()
+	for i := 1; i <= 300; i++ {
+		p := append([]byte(fmt.Sprintf("r%d", i)), bytes.Repeat([]byte{'.'}, 200)...)[:200]
+		if i%3 == 0 {
+			m.AppendTransient(2, p)
+		} else {
+			m.Append(1, p)
+		}
+		if i%3 == 1 {
+			m.MarkApplied(LSN(i))
+		}
+	}
+	return m
+}
+
+// carryUnapplied keeps every unapplied record, a kind-1 one rewritten.
+func carryUnapplied(r Record) (uint8, []byte, bool) {
+	if r.Kind == 1 {
+		return 3, append([]byte("re:"), r.Payload[:4]...), !r.Applied
+	}
+	return r.Kind, r.Payload, !r.Applied
+}
+
+// TestCheckpointCuts: a cut keeps the LSNs and Len, carries exactly the
+// records carry keeps, in the form it returns, ahead of the records past the
+// cut, and Held falls to the rewritten copies, the transient records carried
+// in their chunks and the remaining payloads. Marking a carried record gives
+// its payload up, and the carried transient ones' chunks go once all are
+// marked; marking a cut one does nothing.
+func TestCheckpointCuts(t *testing.T) {
+	m := checkpointLog()
+	old, err := m.Checkpoint([]byte("image"), 200, carryUnapplied)
+	if err != nil || old != nil {
+		t.Fatalf("Checkpoint: %q, %v", old, err)
+	}
+	if img, cut := m.Image(); string(img) != "image" || cut != 200 || m.Len() != 300 {
+		t.Fatalf("image %q through %d, Len %d", img, cut, m.Len())
+	}
+	var seen []string
+	m.Replay(func(r Record) error {
+		seen = append(seen, fmt.Sprintf("%d/%d/%v/%.4s", r.LSN, r.Kind, r.Applied, r.Payload))
+		return nil
+	})
+	// Through 200: 67 records ≡ 2 (mod 3) rewritten, 66 transient ones; the
+	// rest past the cut as they were.
+	if len(seen) != 133+100 || seen[0] != "2/3/false/re:r" || seen[1] != "3/2/false/r3.." || seen[132] != "200/3/false/re:r" || seen[133] != "201/2/false/r201" {
+		t.Fatalf("replay after the cut: %d records, %v ... %v", len(seen), seen[:3], seen[130:136])
+	}
+	// The chunks that hold the records past the cut may hold cut ones too.
+	copies, views, tail := 67*7, 66*200, 100*200
+	held := int(m.Held())
+	if held < copies+views+tail || held > copies+views+tail+chunkSize+transientChunkSize {
+		t.Fatalf("Held %d, want %d copied + %d carried in their chunks + %d past the cut + what their chunks share", held, copies, views, tail)
+	}
+	if err := m.MarkApplied(4); err != nil { // cut: the image covers it
+		t.Fatal(err)
+	}
+	for lsn := LSN(3); lsn <= 198; lsn += 3 {
+		if err := m.MarkApplied(lsn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if held := int(m.Held()); held > copies+tail+chunkSize+transientChunkSize {
+		t.Fatalf("marking the carried transient records left Held %d", held)
+	}
+	m.Replay(func(r Record) error {
+		if r.LSN == 3 && (!r.Applied || r.Payload != nil) {
+			t.Fatalf("carried record 3 after its mark: %+v", r)
+		}
+		return nil
+	})
+	if _, err := m.Checkpoint(nil, 199, carryUnapplied); err == nil {
+		t.Fatal("a cut below the last one succeeded")
+	}
+	if _, err := m.Checkpoint(nil, 301, carryUnapplied); err == nil {
+		t.Fatal("a cut past the last record succeeded")
+	}
+}
+
+// TestCheckpointAgain: a second cut offers the carried records first, marks
+// included, then the indexed ones; a cut through every record with nothing
+// kept leaves no permanent chunk and nothing held but the transient chunk
+// appended to, and the next append and its mark work at their LSNs.
+func TestCheckpointAgain(t *testing.T) {
+	m := checkpointLog()
+	m.Checkpoint([]byte("one"), 150, carryUnapplied)
+	m.MarkApplied(2)
+	var offered []LSN
+	old, _ := m.Checkpoint([]byte("two"), 300, func(r Record) (uint8, []byte, bool) {
+		offered = append(offered, r.LSN)
+		if r.LSN == 2 && !r.Applied {
+			t.Fatal("carried record 2 offered unmarked")
+		}
+		return 0, nil, false
+	})
+	if string(old) != "one" || len(offered) != 100+150 || offered[0] != 2 || offered[99] != 150 || offered[100] != 151 {
+		t.Fatalf("second cut returned %q, offered %d records", old, len(offered))
+	}
+	if m.Held() != uint64(transientHeld(m)) || len(m.chunks) != 0 || len(m.tchunks) != 1 || len(m.index) != 0 || len(m.carried) != 0 {
+		t.Fatalf("after cutting everything: Held %d, %d chunks, %d indexed, %d carried", m.Held(), len(m.chunks), len(m.index), len(m.carried))
+	}
+	m.MarkApplied(300)
+	if lsn, _ := m.AppendTransient(2, []byte("next")); lsn != 301 {
+		t.Fatalf("next append at %d", lsn)
+	}
+	m.Append(1, []byte("more"))
+	m.MarkApplied(301)
+	var got []string
+	m.Replay(func(r Record) error {
+		got = append(got, fmt.Sprintf("%d/%v/%s", r.LSN, r.Applied, r.Payload))
+		return nil
+	})
+	// The marked transient record's chunk is the one appended to: kept.
+	if fmt.Sprint(got) != "[301/true/ 302/false/more]" || m.Held() != uint64(transientHeld(m))+4 {
+		t.Fatalf("after the cut: %v, Held %d", got, m.Held())
+	}
+}
+
+// TestCheckpointSteadyState: a log cut behind each 1 000 appends holds no
+// more than the records since the last cut, and its chunk tables stay short.
+func TestCheckpointSteadyState(t *testing.T) {
+	m := NewMem()
+	p := make([]byte, 300)
+	for round := 0; round < 50; round++ {
+		for i := 0; i < 1000; i++ {
+			if i%10 == 0 {
+				lsn, _ := m.AppendTransient(2, p[:100])
+				m.MarkApplied(lsn)
+			} else {
+				m.Append(1, p)
+			}
+		}
+		m.Checkpoint(nil, LSN(m.Len()), func(Record) (uint8, []byte, bool) { return 0, nil, false })
+	}
+	if m.Held() != uint64(transientHeld(m)) || len(m.chunks) != 0 || len(m.tchunks) > 1 || cap(m.index) > 2048 {
+		t.Fatalf("Held %d, %d chunks, %d transient chunks, index capacity %d", m.Held(), len(m.chunks), len(m.tchunks), cap(m.index))
+	}
+}
+
+// TestCheckpointCarriesViews: a record carried as it is stays a view of its
+// chunk, adding nothing to Held, while a record past the cut keeps the chunk;
+// the cut that drops the chunk copies it, and it still reads its payload.
+func TestCheckpointCarriesViews(t *testing.T) {
+	m := NewMem()
+	keepFirst := func(r Record) (uint8, []byte, bool) { return r.Kind, r.Payload, r.LSN == 1 }
+	m.Append(1, []byte("pending commit"))
+	m.Append(1, []byte("applied"))
+	m.Append(1, bytes.Repeat([]byte{'x'}, 100))
+	m.Checkpoint(nil, 2, keepFirst)
+	if m.Held() != 14+7+100 || m.carried[0].view != true {
+		t.Fatalf("Held %d, carried %+v: want the record a view of its chunk", m.Held(), m.carried)
+	}
+	for i := 0; i < 700; i++ { // past the first chunk
+		m.Append(1, bytes.Repeat([]byte{'y'}, 100))
+	}
+	m.Checkpoint(nil, LSN(m.Len()-1), keepFirst)
+	if len(m.carried) != 1 || m.carried[0].view || m.Held() > 14+chunkSize {
+		t.Fatalf("after its chunk went: carried %+v, Held %d", m.carried, m.Held())
+	}
+	m.Replay(func(r Record) error {
+		if r.LSN == 1 && string(r.Payload) != "pending commit" {
+			t.Fatalf("carried record reads %q", r.Payload)
+		}
+		return nil
+	})
+}
