@@ -160,7 +160,6 @@ func (m Mix) Gen(ns Namespace, skew bool) Gen {
 			if e.Op == core.OpChmod {
 				op.Perm = 0o644
 			}
-			rnd.Intn(64) // a shard draw no access uses; it keeps every later draw in place
 			return op
 		}
 	}
