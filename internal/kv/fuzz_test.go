@@ -240,6 +240,9 @@ func FuzzImage(f *testing.F) {
 			model[string(key)] = val
 		}
 		img := s.AppendImage(nil)
+		if len(img) != s.ImageSize() {
+			t.Fatalf("image of %d bytes, ImageSize %d", len(img), s.ImageSize())
+		}
 		r := New()
 		visits := map[string]int{}
 		if err := r.Restore(img, func(k []byte) { visits[string(k)]++ }); err != nil {

@@ -488,12 +488,14 @@ func (s *Store) Clear() {
 	s.n, s.bytes = 0, 0
 }
 
-// AppendImage appends the store's image to b: its live entries in key order,
-// canonical, so two stores that hold the same pairs have the same image. The
-// image is a run of groups, the flat keys' first, each a uvarint prefix
-// length (groupLen, or 0 for the flat keys), the prefix, a uvarint entry
-// count and the entries as the arena holds them, a uvarint name length, the
-// name, a uvarint value length and the value; empty groups are left out.
+// AppendImage appends the store's image to b: its live entries, group by
+// group in prefix order and each group's in its arena's order, which a
+// restore keeps, so a restored store images to the same bytes. The image is
+// a run of groups, the flat keys' first, each a uvarint prefix length
+// (groupLen, or 0 for the flat keys), the prefix, a uvarint entry count and
+// the entries as the arena holds them, a uvarint name length, the name, a
+// uvarint value length and the value; empty groups are left out. It sorts
+// nothing and allocates nothing but b's growth.
 func (s *Store) AppendImage(b []byte) []byte {
 	b = s.fallback.appendImage(b, "")
 	for _, p := range s.ensurePrefixes() {
@@ -502,6 +504,27 @@ func (s *Store) AppendImage(b []byte) []byte {
 	return b
 }
 
+// ImageSize returns the length of the store's image (AppendImage).
+func (s *Store) ImageSize() int {
+	n := s.fallback.imageSize(0)
+	for _, sh := range s.shards {
+		n += sh.imageSize(groupLen)
+	}
+	return n
+}
+
+// imageSize is the length of the group appendImage appends for sh under a
+// prefix of the given length.
+func (sh *shard) imageSize(prefix int) int {
+	if sh.n == 0 {
+		return 0
+	}
+	return uvarintLen(prefix) + prefix + uvarintLen(sh.n) + sh.live()
+}
+
+// uvarintLen is the length of n's uvarint encoding.
+func uvarintLen(n int) int { return (bits.Len64(uint64(n)|1) + 6) / 7 }
+
 // appendImage appends sh's group under prefix to b, if it holds an entry.
 func (sh *shard) appendImage(b []byte, prefix string) []byte {
 	if sh.n == 0 {
@@ -509,9 +532,12 @@ func (sh *shard) appendImage(b []byte, prefix string) []byte {
 	}
 	b = append(binary.AppendUvarint(b, uint64(len(prefix))), prefix...)
 	b = binary.AppendUvarint(b, uint64(sh.n))
-	for _, off := range sh.ensureOrder() {
-		_, _, end := sh.entry(off)
-		b = append(b, sh.arena[off:end]...)
+	for off := 0; off < len(sh.arena); {
+		name, _, end := sh.entry(uint32(off))
+		if i, ok := sh.find(name); ok && int(sh.index[i])-1 == off { // live, not overwritten
+			b = append(b, sh.arena[off:end]...)
+		}
+		off = end
 	}
 	return b
 }

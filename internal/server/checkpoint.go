@@ -51,7 +51,7 @@ func (s *Server) maybeCheckpoint() {
 		return
 	}
 	s.walGained = 0
-	var slots []slotRef
+	slots := s.slotBuf[:0]
 	for _, dl := range s.clogs {
 		if dl.walSlot != 0 {
 			slots = append(slots, slotRef{n: dl.walSlot, ref: dl.ref})
@@ -65,7 +65,7 @@ func (s *Server) maybeCheckpoint() {
 		at:    s.env.Now() + env.Duration(s.kv.Len())*s.cfg.Costs.WALAppend,
 	}
 	s.ckpt.buf = s.appendImage(s.ckptBuf[:0], slots)
-	s.ckptBuf = nil
+	s.ckptBuf, s.slotBuf = nil, nil
 }
 
 // settleImage installs the image being written if it is durable by now.
@@ -87,7 +87,7 @@ func (s *Server) installImage() {
 	if err != nil {
 		panic(fmt.Sprintf("server: WAL checkpoint failed: %v", err))
 	}
-	s.slotBase, s.slotsKept = s.ckpt.floor, s.ckpt.slots
+	s.slotBase, s.slotBuf, s.slotsKept = s.ckpt.floor, s.slotsKept[:0], s.ckpt.slots
 	s.ckptBuf, s.ckpt = old, pendingImage{}
 	s.Stats.Checkpoints++
 }
@@ -162,6 +162,11 @@ func (s *Server) appendImage(b []byte, slots []slotRef) []byte {
 	b = binary.AppendUvarint(b, uint64(len(marks)))
 	for _, k := range marks {
 		b = encodeMark(b, k.src, k.dir, s.applied[k])
+	}
+	// One allocation at most, with room for the store to grow an eighth
+	// before the next image in this buffer needs another.
+	if n := s.kv.ImageSize(); cap(b)-len(b) < n {
+		b = slices.Grow(b, n+n/8)
 	}
 	return s.kv.AppendImage(b)
 }

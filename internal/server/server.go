@@ -231,12 +231,14 @@ type Server struct {
 	rmdirs []core.DirID
 
 	// Checkpoint state (checkpoint.go): the image being written, if any; the
-	// buffer the next is built in; the payload bytes logged since the last
+	// buffers the next image and its kept slots are built in, the ones the
+	// last durable image gave back; the payload bytes logged since the last
 	// was taken; the records logged whose effects are still being applied
 	// across a park; and the buffers the carried commits and the sorted marks
 	// are built in.
 	ckpt      pendingImage
 	ckptBuf   []byte
+	slotBuf   []slotRef
 	walGained uint64
 	applying  int
 	carryBuf  []byte
