@@ -19,7 +19,8 @@ import (
 // marks and the rmdir invalidations, with the slot count at the cut and the
 // slots the change-logs hold, which later commits may name. The
 // server takes one, in one event and without stopping, once the payload
-// bytes it logged since the last one exceed the store's live bytes; it is
+// bytes it logged since the last one exceed twice the store's live bytes
+// (maybeCheckpoint says why twice); it is
 // written in the background and is durable after one WALAppend per store
 // entry. Then the log cuts the records it covers (installImage), carrying
 // below the cut the ones whose pending work the image does not hold: the
@@ -39,33 +40,59 @@ type pendingImage struct {
 
 // maybeCheckpoint installs the image being written if it is durable by now,
 // then takes the next one if the log gained more payload bytes since the
-// last than the store holds live — unless one is still being written, or a
-// logged record's effects are still being applied across a park (applying),
-// so the store would lack part of a record the image claims. The image is
-// taken before the record being logged is appended: every record it covers
-// has had its effects. It keeps the slots the change-logs hold: the only
-// ones defined through the cut that a commit past it may name.
+// last than twice what the store holds live — the two image buffers a
+// server keeps, the durable image and the one the next is built in, so a
+// cut never leaves more bytes held than the log it replaced — unless one is
+// still being written, or a logged record's effects are still being applied
+// across a park (applying), so the store would lack part of a record the
+// image claims. The image is taken before the record being logged is
+// appended: every record it covers has had its effects.
 func (s *Server) maybeCheckpoint() {
 	s.settleImage()
-	if s.ckpt.buf != nil || s.applying > 0 || s.walGained <= uint64(s.kv.Bytes()) {
+	if s.ckpt.buf != nil || s.applying > 0 || s.walGained <= 2*uint64(s.kv.Bytes()) {
 		return
 	}
 	s.walGained = 0
-	slots := s.slotBuf[:0]
-	for _, dl := range s.clogs {
-		if dl.walSlot != 0 {
-			slots = append(slots, slotRef{n: dl.walSlot, ref: dl.ref})
-		}
-	}
-	slices.SortFunc(slots, func(a, b slotRef) int { return cmp.Compare(a.n, b.n) })
+	cut := wal.LSN(s.wal.Len())
+	slots := s.keptSlots(s.slotBuf[:0], cut)
 	s.ckpt = pendingImage{
-		cut:   wal.LSN(s.wal.Len()),
+		cut:   cut,
 		floor: s.walSlots,
 		slots: slots,
 		at:    s.env.Now() + env.Duration(s.kv.Len())*s.cfg.Costs.WALAppend,
 	}
 	s.ckpt.buf = s.appendImage(s.ckptBuf[:0], slots)
 	s.ckptBuf, s.slotBuf = nil, nil
+}
+
+// keptSlots appends to buf, ascending and once each, the slots defined
+// through cut that a record past it, or carried below it, may name: those
+// the change-logs hold, which later commits name, and those the unapplied
+// commits through cut name, which the cut carries as they are. Resolving the
+// latter walks the records since the durable image's cut, whose slots are
+// defined there or kept by that image.
+func (s *Server) keptSlots(buf []slotRef, cut wal.LSN) []slotRef {
+	for _, dl := range s.clogs {
+		if dl.walSlot != 0 {
+			buf = append(buf, slotRef{n: dl.walSlot, ref: dl.ref})
+		}
+	}
+	_, prev := s.wal.Image()
+	walk := commitSlots{base: s.slotBase, kept: s.slotsKept}
+	s.wal.Walk(cut, func(r wal.Record) bool {
+		switch {
+		case r.Kind == recCommit && r.LSN > prev:
+			walk.refs = append(walk.refs, (&recReader{b: r.Payload}).dirRef())
+		case r.Kind == recCommitAt && !r.Applied:
+			n, _ := binary.Uvarint(r.Payload)
+			if ref, ok := walk.ref(n); ok {
+				buf = append(buf, slotRef{n: uint32(n), ref: ref})
+			}
+		}
+		return true
+	})
+	slices.SortFunc(buf, func(a, b slotRef) int { return cmp.Compare(a.n, b.n) })
+	return slices.CompactFunc(buf, func(a, b slotRef) bool { return a.n == b.n })
 }
 
 // settleImage installs the image being written if it is durable by now.
@@ -76,13 +103,18 @@ func (s *Server) settleImage() {
 }
 
 // installImage makes the pending image the log's: the log cuts the records
-// it covers, carrying what carry keeps, and hands back the image it replaces,
-// whose buffer the next image is built in.
+// it covers, carrying the unapplied commits, prepares and commit decisions,
+// whose pending work (change-log entries, prepared transactions, decisions to
+// re-drive) the image does not hold, as they are — every slot such a commit
+// names the image keeps — and hands back the image it replaces, whose buffer
+// the next image is built in.
 func (s *Server) installImage() {
-	_, prev := s.wal.Image()
-	slots := commitSlots{base: s.slotBase, kept: s.slotsKept}
 	old, err := s.wal.Checkpoint(s.ckpt.buf, s.ckpt.cut, func(r wal.Record) (uint8, []byte, bool) {
-		return s.carry(r, prev, &slots)
+		switch r.Kind {
+		case recCommit, recCommitAt, recTxnCommit, recTxnPrepare:
+			return r.Kind, r.Payload, !r.Applied
+		}
+		return 0, nil, false
 	})
 	if err != nil {
 		panic(fmt.Sprintf("server: WAL checkpoint failed: %v", err))
@@ -90,48 +122,6 @@ func (s *Server) installImage() {
 	s.slotBase, s.slotBuf, s.slotsKept = s.ckpt.floor, s.slotsKept[:0], s.ckpt.slots
 	s.ckptBuf, s.ckpt = old, pendingImage{}
 	s.Stats.Checkpoints++
-}
-
-// carry decides what the log keeps of record r, at or below the cut: the
-// unapplied commits, prepares and commit decisions, whose pending work
-// (change-log entries, prepared transactions, decisions to re-drive) the
-// image does not hold. A commit that names a slot the image keeps stays as it
-// is; one naming a slot it drops is rewritten in full form, its parent's
-// DirRef written out. slots resolves the records past the previous cut, prev,
-// and those carried before. A commit that does not decode is kept as it is,
-// so recovery fail-stops on it as it would have.
-func (s *Server) carry(r wal.Record, prev wal.LSN, slots *commitSlots) (uint8, []byte, bool) {
-	switch r.Kind {
-	case recCommit, recCommitAt:
-		carried := r.LSN <= prev
-		if r.Applied {
-			if !carried && r.Kind == recCommit {
-				slots.decode(r.Kind, r.Payload) // it defines its slot all the same
-			}
-			return 0, nil, false
-		}
-		decode := slots.decode
-		if carried {
-			decode = slots.decodeCarried
-		}
-		_, parent, entry, in, err := decode(r.Kind, r.Payload)
-		if err != nil || r.Kind == recCommit || s.ckpt.keeps(r.Payload, parent) {
-			return r.Kind, r.Payload, true
-		}
-		s.carryBuf = encodeCommit(s.carryBuf[:0], parent, entry, in)
-		return recCommit, s.carryBuf, true
-	case recTxnCommit, recTxnPrepare:
-		return r.Kind, r.Payload, !r.Applied
-	}
-	return 0, nil, false
-}
-
-// keeps reports whether the image keeps the slot a recCommitAt payload names,
-// as parent.
-func (c *pendingImage) keeps(payload []byte, parent core.DirRef) bool {
-	n, _ := binary.Uvarint(payload)
-	i, ok := slices.BinarySearchFunc(c.slots, n, func(s slotRef, n uint64) int { return cmp.Compare(uint64(s.n), n) })
-	return ok && c.slots[i].ref == parent
 }
 
 // appendImage appends the server's image to b: the slot count and the kept

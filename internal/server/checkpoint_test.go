@@ -31,8 +31,9 @@ func imageSlots(t testing.TB, log *wal.Mem) (commitSlots, wal.LSN) {
 
 // checkpointAt cuts log, whose records are recs, at c, as a server that had
 // logged them would: behind the image of the state recs[:c] rebuild, which
-// keeps the slots the records past c name (the slots its change-logs held),
-// carrying what the server carries.
+// keeps the slots the records past c name (the slots its change-logs held)
+// and those the unapplied commits through c name (keptSlots), carrying what
+// the server carries.
 func checkpointAt(t testing.TB, log *wal.Mem, recs []wal.Record, c int) {
 	t.Helper()
 	_, img := newReplayServer(t, logOf(recs[:c], false, false), 4)
@@ -55,8 +56,8 @@ func checkpointAt(t testing.TB, log *wal.Mem, recs []wal.Record, c int) {
 			kept = append(kept, slotRef{n: uint32(n), ref: ref})
 		}
 	}
-	slices.SortFunc(kept, func(a, b slotRef) int { return int(a.n) - int(b.n) })
 	_, s := newReplayServer(t, log, 4)
+	kept = s.keptSlots(kept, wal.LSN(c))
 	s.ckpt = pendingImage{buf: img.appendImage(nil, kept), cut: wal.LSN(c), floor: img.walSlots, slots: kept}
 	s.installImage()
 }
@@ -233,4 +234,50 @@ func BenchmarkCheckpoint(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*entries), "ns/entry")
 	b.ReportMetric(float64(mallocs)/float64(b.N*entries), "allocs/entry")
+}
+
+// TestImageAtSlotDefinition: an image taken as a commit that defines a slot
+// is appended counts the slots of the records before it only, so after a
+// crash the records past the cut — that commit, the next directory's first
+// commit and the commits naming their slots — resolve to their own
+// directories.
+func TestImageAtSlotDefinition(t *testing.T) {
+	r := newRig(t)
+	d0, d1, d2 := testDirRef(10, "d0"), testDirRef(11, "d1"), testDirRef(12, "d2")
+	r.createsIn(map[string]core.DirRef{"a": d0}, 1, "a")
+	padStore(r.s, 4<<10) // no image but the one this test takes
+	r.sim.RunFor(env.Millisecond)
+	r.s.settleImage()
+	if r.s.ckpt.buf != nil {
+		t.Fatal("an image still being written")
+	}
+	r.s.walGained = math.MaxUint64 / 2 // the next append takes an image
+	r.createsIn(map[string]core.DirRef{"b": d1, "c": d1, "e": d2, "f": d2}, 2, "b", "c", "e", "f")
+	if r.s.Stats.Checkpoints == 0 {
+		t.Fatal("no image installed")
+	}
+	_, cut := r.s.wal.Image()
+	var next wal.Record
+	r.s.wal.Replay(func(rec wal.Record) error {
+		if rec.LSN == cut+1 {
+			next = rec
+		}
+		return nil
+	})
+	if next.Kind != recCommit {
+		t.Fatalf("the record past the cut at %d is of kind %d, want b's commit", cut, next.Kind)
+	}
+	store := storeDump(r.s)
+	log := r.s.wal
+	r.s.Crash()
+	r.s = Restart(r.sim, r.s.cfg, log)
+	r.sim.Spawn(rigServer, func(p *env.Proc) {
+		if err := r.s.Recover(p); err != nil {
+			t.Error(err)
+		}
+	})
+	r.sim.Run()
+	if got := storeDump(r.s); got != store {
+		t.Fatalf("recovery rebuilt\n%s\nthe server held\n%s", got, store)
+	}
 }

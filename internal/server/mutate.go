@@ -202,8 +202,10 @@ func (s *Server) handleMutate(p *env.Proc, _ *wire.Packet, req *wire.MutateReq) 
 
 // logCommit logs entry's commit under parent, whose change-log is dl: a
 // recCommitAt when dl's slot names parent, else a recCommit, which defines
-// the log's next slot, dl's from now on if dl's ref is parent. An rmdir's
-// directory joins the invalidations an image carries.
+// the log's next slot, dl's from now on if dl's ref is parent. The slot is
+// counted once the record is appended: an image logRecord takes first counts
+// only the slots of the records it covers. An rmdir's directory joins the
+// invalidations an image carries.
 func (s *Server) logCommit(dl *dirLog, parent core.DirRef, entry core.LogEntry, in *core.Inode) wal.LSN {
 	var lsn wal.LSN
 	if dl.walSlot != 0 && dl.ref == parent {
@@ -211,11 +213,11 @@ func (s *Server) logCommit(dl *dirLog, parent core.DirRef, entry core.LogEntry, 
 		lsn = s.logRecord(recCommitAt)
 	} else {
 		s.walBuf = encodeCommit(s.walBuf[:0], parent, entry, in)
+		lsn = s.logRecord(recCommit)
 		s.walSlots++
 		if dl.ref == parent {
 			dl.walSlot = s.walSlots
 		}
-		lsn = s.logRecord(recCommit)
 	}
 	if entry.Op == core.OpRmdir {
 		s.rmdirs = append(s.rmdirs, in.ID)

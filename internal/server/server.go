@@ -234,14 +234,12 @@ type Server struct {
 	// buffers the next image and its kept slots are built in, the ones the
 	// last durable image gave back; the payload bytes logged since the last
 	// was taken; the records logged whose effects are still being applied
-	// across a park; and the buffers the carried commits and the sorted marks
-	// are built in.
+	// across a park; and the buffer the sorted marks are built in.
 	ckpt      pendingImage
 	ckptBuf   []byte
 	slotBuf   []slotRef
 	walGained uint64
 	applying  int
-	carryBuf  []byte
 	markBuf   []appliedKey
 
 	// In-memory indexes. locks holds the inode locks of the operations in

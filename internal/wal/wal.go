@@ -242,6 +242,23 @@ func (m *Mem) Replay(fn func(r Record) error) error {
 	return nil
 }
 
+// Walk calls fn for every record through LSN through, in order, the carried
+// ones first, until fn returns false. Unlike Replay it takes no snapshot, so
+// it allocates nothing: fn must not touch the log.
+func (m *Mem) Walk(through LSN, fn func(r Record) bool) {
+	for _, c := range m.carried {
+		if c.lsn > through || !fn(Record{LSN: c.lsn, Kind: c.kind, Payload: c.payload, Applied: c.applied}) {
+			return
+		}
+	}
+	for i, e := range m.index {
+		lsn := m.base + LSN(i+1)
+		if lsn > through || !fn(Record{LSN: lsn, Kind: e.kind, Applied: e.applied, Payload: m.payload(e, m.tchunks)}) {
+			return
+		}
+	}
+}
+
 // Checkpoint makes image the log's durable image of records 1..cut and
 // cuts them, returning the image it replaces, whose buffer the caller may
 // reuse. carry is called for every record through cut, in LSN order, the
