@@ -77,6 +77,7 @@ func (s *Server) keptSlots(buf []slotRef, cut wal.LSN) []slotRef {
 			buf = append(buf, slotRef{n: dl.walSlot, ref: dl.ref})
 		}
 	}
+	slices.SortFunc(buf, func(a, b slotRef) int { return cmp.Compare(a.n, b.n) })
 	_, prev := s.wal.Image()
 	walk := commitSlots{base: s.slotBase, kept: s.slotsKept}
 	s.wal.Walk(cut, func(r wal.Record) bool {
@@ -84,15 +85,16 @@ func (s *Server) keptSlots(buf []slotRef, cut wal.LSN) []slotRef {
 		case r.Kind == recCommit && r.LSN > prev:
 			walk.refs = append(walk.refs, (&recReader{b: r.Payload}).dirRef())
 		case r.Kind == recCommitAt && !r.Applied:
+			// Many unapplied commits name one slot: each slot goes in once.
 			n, _ := binary.Uvarint(r.Payload)
-			if ref, ok := walk.ref(n); ok {
-				buf = append(buf, slotRef{n: uint32(n), ref: ref})
+			i, found := slices.BinarySearchFunc(buf, n, func(s slotRef, n uint64) int { return cmp.Compare(uint64(s.n), n) })
+			if ref, ok := walk.ref(n); ok && !found {
+				buf = slices.Insert(buf, i, slotRef{n: uint32(n), ref: ref})
 			}
 		}
 		return true
 	})
-	slices.SortFunc(buf, func(a, b slotRef) int { return cmp.Compare(a.n, b.n) })
-	return slices.CompactFunc(buf, func(a, b slotRef) bool { return a.n == b.n })
+	return buf
 }
 
 // settleImage installs the image being written if it is durable by now.

@@ -5,7 +5,7 @@
 //
 // The one backend is an in-memory log: under Sim "persistence" means
 // surviving a modeled crash. Append copies each payload once, into an arena
-// of 64 KiB chunks (a payload larger than a chunk gets a chunk of its own),
+// of 4 KiB chunks (a payload larger than a chunk gets a chunk of its own),
 // and indexes it with a 16-byte entry. A record its writer resolves later
 // goes in through AppendTransient instead, into 4 KiB chunks that hold only
 // such records: marking one applied gives its payload up, and a chunk whose
@@ -42,11 +42,13 @@ type Record struct {
 
 // --- In-memory backend ---------------------------------------------------
 
-// chunkSize is the arena's allocation unit; transientChunkSize is the
-// transient records' one, small so that a chunk empties soon after the
-// records in it are resolved.
+// chunkSize is the arena's allocation unit, small so that a cut frees the
+// bytes below it soon after (with 64 KiB chunks a server whose log spans a
+// few chunks freed next to nothing, and its images cost more than the cut
+// gave back); transientChunkSize is the transient records' one, small so
+// that a chunk empties soon after the records in it are resolved.
 const (
-	chunkSize          = 64 << 10
+	chunkSize          = 4 << 10
 	transientChunkSize = 4 << 10
 )
 
