@@ -215,14 +215,11 @@ func isEmissionRoot(obj *types.Func) bool {
 	return isMethodOf(obj, conf.EnvPackage) && emissionMethods[obj.Name()]
 }
 
-// walAppendMethods are the WAL package's methods that make a record.
-var walAppendMethods = map[string]bool{"Append": true, "AppendTransient": true}
-
-// walAppendKind returns the record-kind argument when call is one of the WAL
-// package's append methods.
+// walAppendKind returns the record-kind argument when call is the WAL
+// package's one method that makes a record, Append.
 func (s *summary) walAppendKind(call *ast.CallExpr) (ast.Expr, bool) {
 	obj := calleeFunc(s.info, call)
-	if obj == nil || len(call.Args) < 1 || !isMethodOf(obj, conf.WalPackage) || !walAppendMethods[obj.Name()] {
+	if obj == nil || len(call.Args) < 1 || !isMethodOf(obj, conf.WalPackage) || obj.Name() != "Append" {
 		return nil, false
 	}
 	return call.Args[0], true

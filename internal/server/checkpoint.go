@@ -111,12 +111,12 @@ func (s *Server) settleImage() {
 // names the image keeps — and hands back the image it replaces, whose buffer
 // the next image is built in.
 func (s *Server) installImage() {
-	old, err := s.wal.Checkpoint(s.ckpt.buf, s.ckpt.cut, func(r wal.Record) (uint8, []byte, bool) {
+	old, err := s.wal.Checkpoint(s.ckpt.buf, s.ckpt.cut, func(r wal.Record) bool {
 		switch r.Kind {
 		case recCommit, recCommitAt, recTxnCommit, recTxnPrepare:
-			return r.Kind, r.Payload, !r.Applied
+			return true
 		}
-		return 0, nil, false
+		return false
 	})
 	if err != nil {
 		panic(fmt.Sprintf("server: WAL checkpoint failed: %v", err))

@@ -36,7 +36,7 @@ func imageSlots(t testing.TB, log *wal.Mem) (commitSlots, wal.LSN) {
 // the server carries.
 func checkpointAt(t testing.TB, log *wal.Mem, recs []wal.Record, c int) {
 	t.Helper()
-	_, img := newReplayServer(t, logOf(recs[:c], false, false), 4)
+	_, img := newReplayServer(t, logOf(recs[:c], false), 4)
 	if _, err := img.replayWAL(); err != nil {
 		t.Fatal(err)
 	}
@@ -79,30 +79,8 @@ func fixtureRecords(t *testing.T) [][]wal.Record {
 	return all
 }
 
-// TestReplayEveryPrefixTransient is TestReplayEveryPrefix over the fixture
-// logs with their 2PC records appended through AppendTransient, as servers
-// log them, so every prefix replays released records; and over the same
-// logs cut behind a checkpoint halfway through each prefix.
-func TestReplayEveryPrefixTransient(t *testing.T) {
-	whole := []int{90, 51, 50, 38}
-	for i, recs := range fixtureRecords(t) {
-		t.Run(fmt.Sprintf("log %d", i), func(t *testing.T) {
-			t.Parallel()
-			replayEveryPrefix(t, recs, whole[i], func(k int, marks bool) *wal.Mem { return logOf(recs[:k], marks, true) })
-		})
-		t.Run(fmt.Sprintf("log %d checkpointed", i), func(t *testing.T) {
-			t.Parallel()
-			replayEveryPrefix(t, recs, whole[i], func(k int, marks bool) *wal.Mem {
-				log := logOf(recs[:k], marks, true)
-				checkpointAt(t, log, recs[:k], k/2)
-				return log
-			})
-		})
-	}
-}
-
-// TestCheckpointEquivalence: for every fixture log, its 2PC records
-// permanent or transient, every checkpoint position and every prefix past it,
+// TestCheckpointEquivalence: for every fixture log, every checkpoint
+// position and every prefix past it,
 // with the marks as recorded, recovering from the image and the log past its
 // cut rebuilds what recovering from the whole log does: the store, the
 // change-logs with their commits, the watermarks, the invalidations, the
@@ -114,33 +92,31 @@ func TestCheckpointEquivalence(t *testing.T) {
 		step = 8
 	}
 	for i, recs := range fixtureRecords(t) {
-		for _, transient := range []bool{false, true} {
-			t.Run(fmt.Sprintf("log %d transient %v", i, transient), func(t *testing.T) {
-				t.Parallel()
-				full := make([]string, len(recs)+1)
-				pos := positions(logOf(recs, true, false))
-				for k := range full {
-					_, s := newReplayServer(t, logOf(recs[:k], true, transient), 4)
+		t.Run(fmt.Sprintf("log %d", i), func(t *testing.T) {
+			t.Parallel()
+			full := make([]string, len(recs)+1)
+			pos := positions(logOf(recs, true))
+			for k := range full {
+				_, s := newReplayServer(t, logOf(recs[:k], true), 4)
+				if _, err := s.replayWAL(); err != nil {
+					t.Fatal(err)
+				}
+				full[k] = replayDumpAt(s, pos) + fmt.Sprintf("slots %d\n", s.walSlots)
+			}
+			for c := 0; c <= len(recs); c += step {
+				for k := c; k <= len(recs); k += step {
+					log := logOf(recs[:k], true)
+					checkpointAt(t, log, recs[:k], c)
+					_, s := newReplayServer(t, log, 4)
 					if _, err := s.replayWAL(); err != nil {
-						t.Fatal(err)
+						t.Fatalf("cut at %d, %d records: %v", c, k, err)
 					}
-					full[k] = replayDumpAt(s, pos) + fmt.Sprintf("slots %d\n", s.walSlots)
-				}
-				for c := 0; c <= len(recs); c += step {
-					for k := c; k <= len(recs); k += step {
-						log := logOf(recs[:k], true, transient)
-						checkpointAt(t, log, recs[:k], c)
-						_, s := newReplayServer(t, log, 4)
-						if _, err := s.replayWAL(); err != nil {
-							t.Fatalf("cut at %d, %d records: %v", c, k, err)
-						}
-						if got := replayDumpAt(s, pos) + fmt.Sprintf("slots %d\n", s.walSlots); got != full[k] {
-							t.Fatalf("cut at %d, %d records: recovery rebuilds\n%s\nthe whole log\n%s", c, k, got, full[k])
-						}
+					if got := replayDumpAt(s, pos) + fmt.Sprintf("slots %d\n", s.walSlots); got != full[k] {
+						t.Fatalf("cut at %d, %d records: recovery rebuilds\n%s\nthe whole log\n%s", c, k, got, full[k])
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

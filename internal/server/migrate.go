@@ -213,24 +213,15 @@ func (s *Server) preparedTxnOnFP(fp core.Fingerprint) bool {
 // copying from a crashed source.
 func (s *Server) PreparedTxnOnFPInWAL(fp core.Fingerprint) bool {
 	found := false
-	_ = s.wal.Replay(func(r wal.Record) error {
-		if found || r.Kind != recTxnPrepare || r.Applied {
-			return nil
+	s.wal.Walk(wal.LSN(s.wal.Len()), func(r wal.Record) bool {
+		if r.Kind != recTxnPrepare || r.Applied {
+			return true
 		}
 		_, _, ops, err := decodeTxnPrepare(r.Payload)
-		if err != nil {
-			// An unreadable prepare cannot be shown to spare the group (and
-			// leaves the server unrecoverable): hold the group where it is.
-			found = true
-			return nil
-		}
-		for _, op := range ops {
-			if opFP(op) == fp {
-				found = true
-				break
-			}
-		}
-		return nil
+		// An unreadable prepare cannot be shown to spare the group (and
+		// leaves the server unrecoverable): hold the group where it is.
+		found = err != nil || slices.ContainsFunc(ops, func(op wire.TxnOp) bool { return opFP(op) == fp })
+		return !found
 	})
 	return found
 }

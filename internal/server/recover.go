@@ -523,11 +523,11 @@ func (s *Server) Serving() bool { return s.serving }
 // retires them instead of replaying them forever).
 func (s *Server) PendingTxnCommitRecords() int {
 	n := 0
-	_ = s.wal.Replay(func(r wal.Record) error {
+	s.wal.Walk(wal.LSN(s.wal.Len()), func(r wal.Record) bool {
 		if r.Kind == recTxnCommit && !r.Applied {
 			n++
 		}
-		return nil
+		return true
 	})
 	return n
 }

@@ -217,31 +217,33 @@ func TestReplayEquivalence(t *testing.T) {
 // commit decision not marked applied must be registered exactly once, as a
 // prepared transaction or a recorded decision; with the marks as recorded,
 // Recover's lock walk must lock each prepared transaction's keys; and a
-// second replay of the same prefix must rebuild the same state.
+// second replay of the same prefix must rebuild the same state. The
+// checkpointed variant does the same over each prefix cut behind a
+// checkpoint halfway through it.
 func TestReplayEveryPrefix(t *testing.T) {
 	whole := []int{90, 51, 50, 38} // each whole log's, as TestReplayEquivalence pins
-	for i, log := range loadWALs(t) {
-		var recs []wal.Record
-		log.Replay(func(r wal.Record) error { recs = append(recs, r); return nil })
+	for i, recs := range fixtureRecords(t) {
 		t.Run(fmt.Sprintf("log %d", i), func(t *testing.T) {
 			t.Parallel()
-			replayEveryPrefix(t, recs, whole[i], func(k int, marks bool) *wal.Mem { return logOf(recs[:k], marks, false) })
+			replayEveryPrefix(t, recs, whole[i], func(k int, marks bool) *wal.Mem { return logOf(recs[:k], marks) })
+		})
+		t.Run(fmt.Sprintf("log %d checkpointed", i), func(t *testing.T) {
+			t.Parallel()
+			replayEveryPrefix(t, recs, whole[i], func(k int, marks bool) *wal.Mem {
+				log := logOf(recs[:k], marks)
+				checkpointAt(t, log, recs[:k], k/2)
+				return log
+			})
 		})
 	}
 }
 
 // logOf loads recs into a fresh log, each marked applied as recorded when
-// marks is set. With transient set a 2PC record goes in through
-// AppendTransient, as a server logs one, and its mark gives its payload up.
-func logOf(recs []wal.Record, marks, transient bool) *wal.Mem {
+// marks is set.
+func logOf(recs []wal.Record, marks bool) *wal.Mem {
 	log := wal.NewMem()
 	for _, r := range recs {
-		var lsn wal.LSN
-		if transient && (r.Kind == recTxnCommit || r.Kind == recTxnPrepare) {
-			lsn, _ = log.AppendTransient(r.Kind, r.Payload)
-		} else {
-			lsn = mustAppend(log, r.Kind, r.Payload)
-		}
+		lsn := mustAppend(log, r.Kind, r.Payload)
 		if marks && r.Applied {
 			mustMark(log, lsn)
 		}

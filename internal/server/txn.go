@@ -452,7 +452,7 @@ func (s *Server) recordCommit(p *env.Proc, id uint64, parts []env.NodeID) wal.LS
 	wsp := s.cfg.Trace.Start(p, "wal:txn-commit", "server")
 	p.Compute(s.cfg.Costs.WALAppend)
 	s.walBuf = encodeTxnCommit(s.walBuf[:0], id, parts)
-	rec := s.logTransient(recTxnCommit)
+	rec := s.logRecord(recTxnCommit)
 	s.txnWAL[id] = txnCommit{lsn: rec, parts: parts}
 	wsp.End()
 	return rec
@@ -702,7 +702,7 @@ func (s *Server) handleTxnPrepare(p *env.Proc, _ *wire.Packet, tp *wire.TxnPrepa
 	wsp := s.cfg.Trace.Start(p, "wal:txn-prepare", "server")
 	p.Compute(c.WALAppend)
 	s.walBuf = encodeTxnPrepare(s.walBuf[:0], tp.Txn, tp.From, tp.Ops)
-	st.lsn = s.logTransient(recTxnPrepare)
+	st.lsn = s.logRecord(recTxnPrepare)
 	wsp.End()
 	s.txns[tp.Txn] = st
 	// Registered: the prepared-txn scan now covers the footprint, in the same

@@ -472,47 +472,36 @@ func TestDirMovePrepareNeedsLiveDetach(t *testing.T) {
 	}
 }
 
-// txnHeld is the log bytes log holds for 2PC records: what it holds beyond
-// the payloads of its other records, which it never gives back.
-func txnHeld(log *wal.Mem) int {
-	held := int(log.Held())
-	log.Replay(func(r wal.Record) error {
-		if r.Kind != recTxnPrepare && r.Kind != recTxnCommit {
-			held -= len(r.Payload)
-		}
-		return nil
-	})
-	return held
-}
-
 // TestResolvedTxnRecordsReleased: the log gives back the bytes of resolved
-// 2PC records. A participant that takes 1 000 prepare and commit rounds, and
-// a server that coordinates 1 000 renames of its own, each hold at most one
-// 4 KiB chunk of 2PC records at the end (about 167 B a round when every
-// record stayed). Every record keeps its place in the log.
+// 2PC records once a checkpoint cuts them. A participant that takes 1 000
+// prepare and commit rounds, and a server that coordinates 1 000 renames of
+// its own, each hold at most the checkpoint's bound at the end, twice the
+// store's live bytes (maybeCheckpoint) and the chunk being filled, where
+// every record kept would be about 167 B a round.
 func TestResolvedTxnRecordsReleased(t *testing.T) {
 	const rounds, chunk = 1000, 4 << 10
+	bounded := func(who string, s *Server) {
+		t.Helper()
+		if held, bound := s.wal.Held(), 2*uint64(s.kv.Bytes())+chunk; s.Stats.Checkpoints == 0 || held > bound {
+			t.Errorf("%s: %d log bytes held after %d rounds and %d checkpoints, want at most %d and one checkpoint", who, held, rounds, s.Stats.Checkpoints, bound)
+		}
+	}
 	r := newRig(t)
 	r.coordinator()
-	padStore(r.s, 512<<10) // no checkpoint: every record stays in the log
 	for i := uint64(1); i <= rounds; i++ {
 		r.send(rigServer, 0, preparing(i, i, fmt.Sprintf("f%d", i)))
 		r.sim.Run()
 		r.send(rigServer, 0, &wire.TxnDecision{Txn: i, Commit: true})
 		r.sim.Run()
 	}
-	if n := prepareRecords(r.s.wal); n != rounds || r.s.LockedKeys() != 0 {
-		t.Fatalf("%d prepared-state records, %d keys locked; want %d, 0", n, r.s.LockedKeys(), rounds)
+	if r.s.LockedKeys() != 0 {
+		t.Fatalf("%d keys locked after %d resolved rounds", r.s.LockedKeys(), rounds)
 	}
-	if held := txnHeld(r.s.wal); held > chunk {
-		t.Errorf("participant: %d bytes of 2PC records held after %d resolved rounds, want at most %d", held, rounds, chunk)
-	}
+	bounded("participant", r.s)
 	s, rename := renameRig(t, rounds)
 	rename(0, rounds)
 	if n := s.PendingTxnCommitRecords(); n != 0 {
 		t.Fatalf("%d commit decisions unacknowledged", n)
 	}
-	if held := txnHeld(s.wal); held > chunk {
-		t.Errorf("coordinator: %d bytes of 2PC records held after %d renames, want at most %d", held, rounds, chunk)
-	}
+	bounded("coordinator", s)
 }

@@ -34,20 +34,6 @@ func (s *Server) countRecord() {
 	s.walGained += uint64(len(s.walBuf))
 }
 
-// logTransient is logRecord for a 2PC record, a prepare or a commit decision:
-// once its transaction is resolved the record is marked applied, and replay
-// reads no applied one's payload, so the log may give the bytes back
-// (wal.Mem.AppendTransient).
-func (s *Server) logTransient(kind uint8) wal.LSN {
-	s.maybeCheckpoint()
-	s.countRecord()
-	lsn, err := s.wal.AppendTransient(kind, s.walBuf)
-	if err != nil {
-		panic(fmt.Sprintf("server: WAL append failed: %v", err))
-	}
-	return lsn
-}
-
 // noRecord is the record a message carries when it needs none: the first
 // record's LSN is 1.
 const noRecord wal.LSN = 0

@@ -34,18 +34,3 @@ func BenchmarkReplay(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/rec")
 }
-
-// BenchmarkAppendTransient is a resolved 2PC record's life in steady state:
-// a prepare-sized transient append, then its mark, which releases each chunk
-// as the next one opens.
-func BenchmarkAppendTransient(b *testing.B) {
-	m := NewMem()
-	p := make([]byte, 167)
-	b.ReportAllocs()
-	b.SetBytes(int64(len(p)))
-	for i := 0; i < b.N; i++ {
-		lsn, _ := m.AppendTransient(1, p)
-		m.MarkApplied(lsn)
-	}
-	b.ReportMetric(float64(m.Held()), "held-B")
-}

@@ -189,156 +189,59 @@ func TestAppendAllocations(t *testing.T) {
 	}
 }
 
-// transientHeld is the payload bytes m's live transient chunks hold.
-func transientHeld(m *Mem) (n int) {
-	for _, c := range m.tchunks {
-		n += len(c)
-	}
-	return n
-}
-
-// TestTransientInterleaved: permanent and transient records interleave in
-// one LSN order, each replays its own payload, and marking a permanent
-// record gives nothing up.
-func TestTransientInterleaved(t *testing.T) {
+// TestViewSurvivesCut: a payload view handed out before a cut drops its
+// chunk still reads the record, and later records never land in the dropped
+// array.
+func TestViewSurvivesCut(t *testing.T) {
 	m := NewMem()
-	var want []string
-	for i := 0; i < 300; i++ {
-		p := fmt.Sprintf("record-%03d-%s", i, bytes.Repeat([]byte{'x'}, i%50))
-		var lsn LSN
-		if i%3 == 0 {
-			lsn, _ = m.AppendTransient(2, []byte(p))
-		} else {
-			lsn, _ = m.Append(1, []byte(p))
-		}
-		if int(lsn) != i+1 {
-			t.Fatalf("record %d: lsn %d", i, lsn)
-		}
-		want = append(want, p)
-	}
-	held := m.Held()
-	for lsn := LSN(2); lsn <= 300; lsn += 3 {
-		m.MarkApplied(lsn)
-	}
-	if m.Held() != held {
-		t.Fatalf("marking permanent records moved Held %d -> %d", held, m.Held())
-	}
-	m.Replay(func(r Record) error {
-		i := int(r.LSN) - 1
-		wantKind := uint8(1)
-		if i%3 == 0 {
-			wantKind = 2
-		}
-		if r.Kind != wantKind || string(r.Payload) != want[i] || r.Applied != (i%3 == 1) {
-			t.Errorf("record %d: kind %d applied %v %q, want kind %d %q", r.LSN, r.Kind, r.Applied, r.Payload, wantKind, want[i])
-		}
-		return nil
-	})
-}
-
-// TestTransientChunkReleased: a transient chunk is released once the last
-// of its records is marked, and Held falls by its bytes. The chunk
-// appended to is kept, empty or not, until a record rolls over from it.
-func TestTransientChunkReleased(t *testing.T) {
-	m := NewMem()
-	p := make([]byte, 1000)
-	for i := 0; i < 6; i++ { // four to a chunk: chunks 0 and 1
-		m.AppendTransient(1, p)
-	}
-	m.Append(2, p)
-	if len(m.tchunks) != 2 || m.Held() != 7000 {
-		t.Fatalf("%d transient chunks, %d bytes held; want 2, 7000", len(m.tchunks), m.Held())
-	}
-	for _, lsn := range []LSN{1, 2, 4} {
-		m.MarkApplied(lsn)
-	}
-	if m.tchunks[0] == nil {
-		t.Fatal("chunk 0 released with a record unmarked")
-	}
-	m.MarkApplied(3)
-	m.MarkApplied(3) // a second mark counts nothing
-	if m.tchunks[0] != nil || m.Held() != 3000 {
-		t.Fatalf("chunk 0 held after its last mark: %d bytes held, want 3000", m.Held())
-	}
-	m.MarkApplied(5)
-	m.MarkApplied(6)
-	if m.tchunks[1] == nil || m.Held() != 3000 {
-		t.Fatal("the tail was released while records are still appended to it")
-	}
-	m.AppendTransient(1, p)
-	m.AppendTransient(1, p)
-	m.MarkApplied(8)
-	m.MarkApplied(9)
-	m.AppendTransient(1, p) // rolls over: the empty tail goes
-	if m.tchunks[1] != nil || len(m.tchunks) != 3 || m.Held() != 2000 {
-		t.Fatalf("after rolling over an empty tail: %d chunks, %d bytes held; want 3, 2000", len(m.tchunks), m.Held())
-	}
-	big := bytes.Repeat([]byte{9}, 3*transientChunkSize)
-	lsn, _ := m.AppendTransient(3, big) // its own chunk, which becomes the tail
-	m.AppendTransient(1, p)
-	if m.tchunks[3] == nil || cap(m.tchunks[3]) != len(big) {
-		t.Fatal("the oversized record does not have a chunk of its own")
-	}
-	m.MarkApplied(lsn)
-	if m.tchunks[3] != nil || transientHeld(m) != 2000 {
-		t.Fatalf("oversized record's chunk kept after its mark: %d transient bytes held", transientHeld(m))
-	}
-}
-
-// TestTransientViewSurvivesRelease: a payload view handed out before its
-// chunk is released still reads the record, and later records never land in
-// the released array.
-func TestTransientViewSurvivesRelease(t *testing.T) {
-	m := NewMem()
-	m.AppendTransient(1, []byte("prepared ops"))
-	m.AppendTransient(1, bytes.Repeat([]byte{1}, transientChunkSize)) // rolls over
+	m.Append(1, []byte("prepared ops"))
 	var view []byte
 	m.Replay(func(r Record) error {
-		if r.LSN == 1 {
-			view = r.Payload
-		}
+		view = r.Payload
 		return nil
 	})
-	m.MarkApplied(1)
-	if m.tchunks[0] != nil {
-		t.Fatal("chunk 0 not released")
+	m.Checkpoint(nil, 1, func(Record) bool { return false })
+	if len(m.chunks) != 0 {
+		t.Fatal("chunk 0 not dropped")
 	}
 	for i := 0; i < 100; i++ {
-		m.AppendTransient(1, []byte("overwrite?!!"))
+		m.Append(1, []byte("overwrite?!!"))
 	}
 	if string(view) != "prepared ops" {
-		t.Fatalf("view after release reads %q", view)
+		t.Fatalf("view after the cut reads %q", view)
 	}
 }
 
-// TestReplayReleasedRecords: a transient record marked applied still
+// TestReplayReleasedRecords: a carried record marked applied still
 // replays, in order, with its kind, LSN and mark, and an empty payload.
 func TestReplayReleasedRecords(t *testing.T) {
 	m := NewMem()
-	m.AppendTransient(7, []byte("commit decision"))
+	m.Append(7, []byte("commit decision"))
 	m.Append(1, []byte("inode"))
-	m.AppendTransient(8, []byte("prepare"))
+	m.Append(8, []byte("prepare"))
+	m.Checkpoint(nil, 3, func(r Record) bool { return r.Kind != 1 })
 	m.MarkApplied(1)
 	var seen []string
 	m.Replay(func(r Record) error {
 		seen = append(seen, fmt.Sprintf("%d/%d/%v/%q", r.LSN, r.Kind, r.Applied, r.Payload))
 		return nil
 	})
-	if got := fmt.Sprint(seen); got != `[1/7/true/"" 2/1/false/"inode" 3/8/false/"prepare"]` {
+	if got := fmt.Sprint(seen); got != `[1/7/true/"" 3/8/false/"prepare"]` {
 		t.Fatalf("replayed %s", got)
 	}
 }
 
-// TestReplayReleasesMidWalk: records the callback marks, releasing their
-// chunk, are yielded as they stood when the walk began; the next walk
-// yields them released.
+// TestReplayReleasesMidWalk: carried records the callback marks, giving
+// their payloads up, are yielded as they stood when the walk began; the
+// next walk yields them released.
 func TestReplayReleasesMidWalk(t *testing.T) {
 	m := NewMem()
 	p := make([]byte, 1000)
-	for i := 0; i < 8; i++ { // chunks 0 and 1, four records each
+	for i := 0; i < 8; i++ {
 		p[0] = byte(i)
-		m.AppendTransient(1, p)
+		m.Append(1, p)
 	}
+	m.Checkpoint(nil, 8, func(Record) bool { return true })
 	var seen []string
 	m.Replay(func(r Record) error {
 		seen = append(seen, fmt.Sprint(r.LSN, r.Applied, len(r.Payload), r.Payload[0]))
@@ -346,8 +249,8 @@ func TestReplayReleasesMidWalk(t *testing.T) {
 			for lsn := LSN(1); lsn <= 4; lsn++ {
 				m.MarkApplied(lsn)
 			}
-			if m.tchunks[0] != nil {
-				t.Fatal("chunk 0 not released by the marks")
+			if m.Held() != 4000 {
+				t.Fatalf("Held %d after the marks, want 4000", m.Held())
 			}
 		}
 		return nil
@@ -368,41 +271,18 @@ func TestReplayReleasesMidWalk(t *testing.T) {
 	}
 }
 
-// TestAppendTransientAllocations: in steady state a transient append and its
-// mark allocate nothing but their share of a chunk and of the tables'
-// growth.
-func TestAppendTransientAllocations(t *testing.T) {
-	m := NewMem()
-	p := make([]byte, 167)
-	next := LSN(1)
-	step := func() {
-		m.AppendTransient(1, p)
-		m.MarkApplied(next)
-		next++
-	}
-	for i := 0; i < 1000; i++ {
-		step()
-	}
-	if n := testing.AllocsPerRun(20000, step); n != 0 {
-		t.Fatalf("AppendTransient + MarkApplied: %v allocs/op, want 0 amortized", n)
-	}
-	if held := transientHeld(m); held > transientChunkSize {
-		t.Fatalf("%d transient bytes held after 21 000 resolved records", held)
-	}
-}
-
-// checkpointLog is 300 records, every third transient, record i's payload
-// "r<i>" padded to 200 bytes, and every record whose number is 1 mod 3 marked
-// applied.
+// checkpointLog is 300 records, every third of kind 2, the rest of kind 1,
+// record i's payload "r<i>" padded to 200 bytes (20 to a chunk), and every
+// record whose number is 1 mod 3 marked applied.
 func checkpointLog() *Mem {
 	m := NewMem()
 	for i := 1; i <= 300; i++ {
 		p := append([]byte(fmt.Sprintf("r%d", i)), bytes.Repeat([]byte{'.'}, 200)...)[:200]
+		kind := uint8(1)
 		if i%3 == 0 {
-			m.AppendTransient(2, p)
-		} else {
-			m.Append(1, p)
+			kind = 2
 		}
+		m.Append(kind, p)
 		if i%3 == 1 {
 			m.MarkApplied(LSN(i))
 		}
@@ -410,25 +290,28 @@ func checkpointLog() *Mem {
 	return m
 }
 
-// carryUnapplied keeps every unapplied record, a kind-1 one rewritten.
-func carryUnapplied(r Record) (uint8, []byte, bool) {
-	if r.Kind == 1 {
-		return 3, append([]byte("re:"), r.Payload[:4]...), !r.Applied
-	}
-	return r.Kind, r.Payload, !r.Applied
-}
+// keepKind2 keeps the records of kind 2.
+func keepKind2(r Record) bool { return r.Kind == 2 }
 
 // TestCheckpointCuts: a cut keeps the LSNs and Len, carries exactly the
-// records carry keeps, in the form it returns, ahead of the records past the
-// cut, and Held falls to the rewritten copies, the transient records carried
-// in their chunks and the remaining payloads. Marking a carried record gives
-// its payload up, and the carried transient ones' chunks go once all are
-// marked; marking a cut one does nothing.
+// unapplied records keep keeps, as they are, ahead of the records past the
+// cut, and Held falls to their copies and the records past the cut. Marking
+// a carried record gives its copy up; marking a cut one does nothing.
 func TestCheckpointCuts(t *testing.T) {
 	m := checkpointLog()
-	old, err := m.Checkpoint([]byte("image"), 200, carryUnapplied)
+	var offered []LSN
+	old, err := m.Checkpoint([]byte("image"), 200, func(r Record) bool {
+		if r.Applied {
+			t.Fatalf("keep offered applied record %d", r.LSN)
+		}
+		offered = append(offered, r.LSN)
+		return keepKind2(r)
+	})
 	if err != nil || old != nil {
 		t.Fatalf("Checkpoint: %q, %v", old, err)
+	}
+	if len(offered) != 133 || offered[0] != 2 || offered[132] != 200 {
+		t.Fatalf("keep offered %d records, want the 133 unapplied ones through 200", len(offered))
 	}
 	if img, cut := m.Image(); string(img) != "image" || cut != 200 || m.Len() != 300 {
 		t.Fatalf("image %q through %d, Len %d", img, cut, m.Len())
@@ -438,16 +321,13 @@ func TestCheckpointCuts(t *testing.T) {
 		seen = append(seen, fmt.Sprintf("%d/%d/%v/%.4s", r.LSN, r.Kind, r.Applied, r.Payload))
 		return nil
 	})
-	// Through 200: 67 records ≡ 2 (mod 3) rewritten, 66 transient ones; the
-	// rest past the cut as they were.
-	if len(seen) != 133+100 || seen[0] != "2/3/false/re:r" || seen[1] != "3/2/false/r3.." || seen[132] != "200/3/false/re:r" || seen[133] != "201/2/false/r201" {
-		t.Fatalf("replay after the cut: %d records, %v ... %v", len(seen), seen[:3], seen[130:136])
+	if len(seen) != 66+100 || seen[0] != "3/2/false/r3.." || seen[65] != "198/2/false/r198" || seen[66] != "201/2/false/r201" {
+		t.Fatalf("replay after the cut: %d records, %v ... %v", len(seen), seen[:3], seen[64:68])
 	}
-	// The chunks that hold the records past the cut may hold cut ones too.
-	copies, views, tail := 67*7, 66*200, 100*200
-	held := int(m.Held())
-	if held < copies+views+tail || held > copies+views+tail+chunkSize+transientChunkSize {
-		t.Fatalf("Held %d, want %d copied + %d carried in their chunks + %d past the cut + what their chunks share", held, copies, views, tail)
+	// Records 201..300 fill chunks 10..14 on their own: the carried records'
+	// chunks are cut, so each is a copy.
+	if copies, tail := 66*200, 100*200; m.Held() != uint64(copies+tail) {
+		t.Fatalf("Held %d, want %d copied + %d past the cut", m.Held(), copies, tail)
 	}
 	if err := m.MarkApplied(4); err != nil { // cut: the image covers it
 		t.Fatal(err)
@@ -457,8 +337,8 @@ func TestCheckpointCuts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if held := int(m.Held()); held > copies+tail+chunkSize+transientChunkSize {
-		t.Fatalf("marking the carried transient records left Held %d", held)
+	if m.Held() != 100*200 {
+		t.Fatalf("marking the carried records left Held %d", m.Held())
 	}
 	m.Replay(func(r Record) error {
 		if r.LSN == 3 && (!r.Applied || r.Payload != nil) {
@@ -466,38 +346,36 @@ func TestCheckpointCuts(t *testing.T) {
 		}
 		return nil
 	})
-	if _, err := m.Checkpoint(nil, 199, carryUnapplied); err == nil {
+	if _, err := m.Checkpoint(nil, 199, keepKind2); err == nil {
 		t.Fatal("a cut below the last one succeeded")
 	}
-	if _, err := m.Checkpoint(nil, 301, carryUnapplied); err == nil {
+	if _, err := m.Checkpoint(nil, 301, keepKind2); err == nil {
 		t.Fatal("a cut past the last record succeeded")
 	}
 }
 
-// TestCheckpointAgain: a second cut offers the carried records first, marks
-// included, then the indexed ones; a cut through every record with nothing
-// kept leaves no permanent chunk and nothing held but the transient chunk
-// appended to, and the next append and its mark work at their LSNs.
+// TestCheckpointAgain: a second cut offers the unapplied carried records
+// first, then the unapplied indexed ones; a carried record marked since is
+// dropped unoffered. A cut through every record with nothing kept leaves no
+// chunk and nothing held, and the next append and its mark work at their
+// LSNs.
 func TestCheckpointAgain(t *testing.T) {
 	m := checkpointLog()
-	m.Checkpoint([]byte("one"), 150, carryUnapplied)
-	m.MarkApplied(2)
+	m.Checkpoint([]byte("one"), 150, keepKind2)
+	m.MarkApplied(3)
 	var offered []LSN
-	old, _ := m.Checkpoint([]byte("two"), 300, func(r Record) (uint8, []byte, bool) {
+	old, _ := m.Checkpoint([]byte("two"), 300, func(r Record) bool {
 		offered = append(offered, r.LSN)
-		if r.LSN == 2 && !r.Applied {
-			t.Fatal("carried record 2 offered unmarked")
-		}
-		return 0, nil, false
+		return false
 	})
-	if string(old) != "one" || len(offered) != 100+150 || offered[0] != 2 || offered[99] != 150 || offered[100] != 151 {
-		t.Fatalf("second cut returned %q, offered %d records", old, len(offered))
+	if string(old) != "one" || len(offered) != 49+100 || offered[0] != 6 || offered[48] != 150 || offered[49] != 152 {
+		t.Fatalf("second cut returned %q, offered %d records %v", old, len(offered), offered)
 	}
-	if m.Held() != uint64(transientHeld(m)) || len(m.chunks) != 0 || len(m.tchunks) != 1 || len(m.index) != 0 || len(m.carried) != 0 {
+	if m.Held() != 0 || len(m.chunks) != 0 || len(m.index) != 0 || len(m.carried) != 0 {
 		t.Fatalf("after cutting everything: Held %d, %d chunks, %d indexed, %d carried", m.Held(), len(m.chunks), len(m.index), len(m.carried))
 	}
 	m.MarkApplied(300)
-	if lsn, _ := m.AppendTransient(2, []byte("next")); lsn != 301 {
+	if lsn, _ := m.Append(2, []byte("next")); lsn != 301 {
 		t.Fatalf("next append at %d", lsn)
 	}
 	m.Append(1, []byte("more"))
@@ -507,39 +385,37 @@ func TestCheckpointAgain(t *testing.T) {
 		got = append(got, fmt.Sprintf("%d/%v/%s", r.LSN, r.Applied, r.Payload))
 		return nil
 	})
-	// The marked transient record's chunk is the one appended to: kept.
-	if fmt.Sprint(got) != "[301/true/ 302/false/more]" || m.Held() != uint64(transientHeld(m))+4 {
+	if fmt.Sprint(got) != "[301/true/next 302/false/more]" || m.Held() != 8 {
 		t.Fatalf("after the cut: %v, Held %d", got, m.Held())
 	}
 }
 
 // TestCheckpointSteadyState: a log cut behind each 1 000 appends holds no
-// more than the records since the last cut, and its chunk tables stay short.
+// more than the records since the last cut, and its tables stay short.
 func TestCheckpointSteadyState(t *testing.T) {
 	m := NewMem()
 	p := make([]byte, 300)
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 1000; i++ {
+			lsn, _ := m.Append(1, p)
 			if i%10 == 0 {
-				lsn, _ := m.AppendTransient(2, p[:100])
 				m.MarkApplied(lsn)
-			} else {
-				m.Append(1, p)
 			}
 		}
-		m.Checkpoint(nil, LSN(m.Len()), func(Record) (uint8, []byte, bool) { return 0, nil, false })
+		m.Checkpoint(nil, LSN(m.Len()), func(Record) bool { return false })
 	}
-	if m.Held() != uint64(transientHeld(m)) || len(m.chunks) != 0 || len(m.tchunks) > 1 || cap(m.index) > 2048 {
-		t.Fatalf("Held %d, %d chunks, %d transient chunks, index capacity %d", m.Held(), len(m.chunks), len(m.tchunks), cap(m.index))
+	if m.Held() != 0 || len(m.chunks) != 0 || cap(m.index) > 2048 {
+		t.Fatalf("Held %d, %d chunks, index capacity %d", m.Held(), len(m.chunks), cap(m.index))
 	}
 }
 
 // TestCheckpointCarriesViews: a record carried as it is stays a view of its
 // chunk, adding nothing to Held, while a record past the cut keeps the chunk;
 // the cut that drops the chunk copies it, and it still reads its payload.
+// Later cuts carry the copy as it is: the same array, the same Held.
 func TestCheckpointCarriesViews(t *testing.T) {
 	m := NewMem()
-	keepFirst := func(r Record) (uint8, []byte, bool) { return r.Kind, r.Payload, r.LSN == 1 }
+	keepFirst := func(r Record) bool { return r.LSN == 1 }
 	m.Append(1, []byte("pending commit"))
 	m.Append(1, []byte("applied"))
 	m.Append(1, bytes.Repeat([]byte{'x'}, 100))
@@ -560,4 +436,13 @@ func TestCheckpointCarriesViews(t *testing.T) {
 		}
 		return nil
 	})
+	m.Checkpoint(nil, LSN(m.Len()), keepFirst)
+	copied := &m.carried[0].payload[0]
+	for i := 0; i < 3; i++ {
+		m.Append(1, []byte("later"))
+		m.Checkpoint(nil, LSN(m.Len()), keepFirst)
+		if len(m.carried) != 1 || &m.carried[0].payload[0] != copied || m.Held() != 14 {
+			t.Fatalf("cut %d after the copy: carried %+v, Held %d; want the same copy, 14 bytes held", i, m.carried, m.Held())
+		}
+	}
 }
