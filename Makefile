@@ -134,9 +134,8 @@ bench:
 # bench-layers runs the per-layer Go microbenchmarks (ROADMAP 1c): the bare
 # simulator (handoff, send, timer), the change-log (snapshot, compaction), the
 # key and inode codecs, the kv store (BenchmarkPutUnique: live heap per
-# entry for unique names and inode-sized values), the write-ahead log (append,
-# replay, and BenchmarkAppendTransient: a 2PC record's append and mark, held-B
-# the bytes the log still holds at the end), the client's cached path
+# entry for unique names and inode-sized values), the write-ahead log (append
+# and replay), the client's cached path
 # resolution and its one metadata round trip (BenchmarkClientCall: one
 # allocation, its packet), the server's durable-record encoders
 # (BenchmarkEncodeCommit: a commit naming its directory in full and by its
@@ -145,7 +144,7 @@ bench:
 # image and the cut behind it), a 2PC rename and an
 # aggregation round (BenchmarkRename, BenchmarkAggregate: allocations per
 # round with -benchmem; BenchmarkRename's wal-held-B/op is the log bytes a
-# rename leaves held), the nodes' one way to wait for a peer (internal/rpc's
+# rename leaves held, bounded by the checkpoint's cut), the nodes' one way to wait for a peer (internal/rpc's
 # BenchmarkPeerCall), the one memo of served requests, client requests and 2PC
 # prepares alike (BenchmarkServedAdmit: ns and allocs per replay-or-begin step,
 # and the heap one idle client keeps at a node) and a replicated write
@@ -154,7 +153,7 @@ bench:
 bench-layers:
 	$(GO) test -run '^$$' -bench . -benchmem $(BENCHFLAGS) ./internal/env ./internal/core ./internal/kv ./internal/wal ./internal/client ./internal/server ./internal/rpc ./internal/datanode
 
-# fuzz runs the four fuzz targets for FUZZTIME each (go test fuzzes one
+# fuzz runs the five fuzz targets for FUZZTIME each (go test fuzzes one
 # target per run): FuzzDecodeInode (internal/core: the inode image decoder
 # never panics and accepts only what AppendInode produces),
 # FuzzRecordDecoders (internal/server: no WAL record decoder panics on any
@@ -163,7 +162,10 @@ bench-layers:
 # more than twice its live bytes, and Bytes counts the live ones) and
 # FuzzImage (internal/kv: restoring any bytes as a checkpoint image never
 # panics, an accepted image images back to itself, and a store's image
-# restores to its sorted-map model's pairs). Tier-1 runs all four seed corpora;
+# restores to its sorted-map model's pairs), and FuzzCheckpoint
+# (internal/wal: any run of appends, marks and cuts replays, counts and holds
+# what a slice model of the log does, and a cut out of range errors and
+# changes nothing). Tier-1 runs all five seed corpora;
 # this searches beyond them. Minimizing an input is capped at 100 runs of it:
 # uncapped, it took most of each target's FUZZTIME. A failing input still
 # fails the step.
@@ -174,6 +176,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecoders$$' $(FUZZFLAGS) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzStore$$' $(FUZZFLAGS) ./internal/kv
 	$(GO) test -run '^$$' -fuzz '^FuzzImage$$' $(FUZZFLAGS) ./internal/kv
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckpoint$$' $(FUZZFLAGS) ./internal/wal
 
 figures:
 	$(GO) run ./cmd/fsbench -fig all -scale quick

@@ -647,8 +647,8 @@ func TestAggregationAllocationBudget(t *testing.T) {
 
 // BenchmarkRename is the rename layer benchmark (`make bench-layers`): one
 // 2PC file rename per op on renameRig. wal-held-B/op is the log bytes a
-// rename leaves held: its inode and dentry records, its resolved 2PC
-// records' bytes given back.
+// rename leaves held: its records until a checkpoint cuts them, so the
+// figure follows the store's size, not the rename count.
 func BenchmarkRename(b *testing.B) {
 	s, rename := renameRig(b, b.N+20)
 	rename(0, 20)

@@ -5,54 +5,38 @@ import (
 	"testing"
 )
 
-// modelRec is one record of walModel.
+// modelRec is one record of walModel: chunk is the arena chunk it was
+// appended to, copied is set once a cut carries it past its chunk, and gone
+// once a cut drops it.
 type modelRec struct {
-	kind    uint8
-	payload []byte
-	applied bool
-	// chunk is the arena chunk the record was appended to; copied is set
-	// once a cut carries it past its chunk, and gone once a cut drops it.
-	chunk        int
-	copied, gone bool
+	kind                  uint8
+	payload               []byte
+	applied, copied, gone bool
+	chunk                 int
 }
 
-// walModel is the log as a plain slice of every record appended, and the
-// arena's chunk numbering: the model FuzzCheckpoint checks Mem against.
+// walModel is the log as a plain slice of every record appended, through
+// base cut, with the arena's chunk numbering: chunks counts the chunks ever
+// opened, those below chunk0 cut; small payloads fill chunk tail, tailLen
+// bytes so far.
 type walModel struct {
-	recs []modelRec
-	base int
-	// chunks counts the chunks ever opened; the ones below chunk0 are cut.
-	// Small payloads fill chunk tail, tailLen bytes so far, none if -1.
-	chunks, chunk0, tail, tailLen int
-	image                         []byte
+	recs                                []modelRec
+	base, chunks, chunk0, tail, tailLen int
 }
 
 // add appends a record, opening chunks as Append does: an oversized payload
 // gets its own, a small one fills the tail until it would not fit.
 func (md *walModel) add(kind uint8, p []byte) {
-	r := modelRec{kind: kind, payload: p}
-	switch {
-	case len(p) > chunkSize:
-		r.chunk = md.chunks
-		md.chunks++
-	default:
+	r := modelRec{kind: kind, payload: p, chunk: md.chunks}
+	if len(p) <= chunkSize {
 		if md.tail < md.chunk0 || md.tailLen+len(p) > chunkSize {
 			md.tail, md.tailLen = md.chunks, 0
-			md.chunks++
 		}
 		r.chunk = md.tail
 		md.tailLen += len(p)
 	}
+	md.chunks = max(md.chunks, r.chunk+1)
 	md.recs = append(md.recs, r)
-}
-
-// mark marks record lsn applied, reporting whether lsn is in range.
-func (md *walModel) mark(lsn int) bool {
-	if lsn < 1 || lsn > len(md.recs) {
-		return false
-	}
-	md.recs[lsn-1].applied = true
-	return true
 }
 
 // cut checkpoints through cut, dropping every record through it that is
@@ -68,13 +52,8 @@ func (md *walModel) cut(cut int, keep func(lsn int) bool) bool {
 	}
 	for i := range md.recs[:cut] {
 		r := &md.recs[i]
-		switch {
-		case r.gone:
-		case r.applied || !keep(i+1):
-			r.gone = true
-		case r.chunk < low:
-			r.copied = true
-		}
+		r.gone = r.gone || r.applied || !keep(i+1)
+		r.copied = !r.gone && (r.copied || r.chunk < low)
 	}
 	md.base, md.chunk0 = cut, max(md.chunk0, low)
 	return true
@@ -86,49 +65,34 @@ func (md *walModel) cut(cut int, keep func(lsn int) bool) bool {
 // of the chunks a record past the cut points into plus the carried copies.
 func (md *walModel) check(t *testing.T, m *Mem) {
 	t.Helper()
-	if m.Len() != len(md.recs) {
-		t.Fatalf("Len %d, model %d", m.Len(), len(md.recs))
-	}
 	var want []Record
 	held := 0
 	for i, r := range md.recs {
-		lsn := LSN(i + 1)
 		if r.chunk >= md.chunk0 {
 			held += len(r.payload)
 		}
+		w := Record{LSN: LSN(i + 1), Kind: r.kind, Payload: r.payload, Applied: r.applied}
 		switch {
 		case i >= md.base:
-			want = append(want, Record{LSN: lsn, Kind: r.kind, Payload: r.payload, Applied: r.applied})
 		case r.gone:
+			continue
 		case r.applied:
-			want = append(want, Record{LSN: lsn, Kind: r.kind, Applied: true})
-		default:
-			if r.copied {
-				held += len(r.payload)
-			}
-			want = append(want, Record{LSN: lsn, Kind: r.kind, Payload: r.payload})
+			w.Payload = nil
+		case r.copied:
+			held += len(r.payload)
+		}
+		want = append(want, w)
+	}
+	var got []Record
+	m.Replay(func(r Record) error { got = append(got, r); return nil })
+	for i := 0; i < max(len(got), len(want)); i++ {
+		if i >= len(got) || i >= len(want) || got[i].LSN != want[i].LSN || got[i].Kind != want[i].Kind ||
+			got[i].Applied != want[i].Applied || !bytes.Equal(got[i].Payload, want[i].Payload) {
+			t.Fatalf("Replay yields %d records, model %d; they differ at %d", len(got), len(want), i)
 		}
 	}
-	if m.Held() != uint64(held) {
-		t.Fatalf("Held %d, model %d", m.Held(), held)
-	}
-	i := 0
-	m.Replay(func(r Record) error {
-		if i >= len(want) {
-			t.Fatalf("Replay yields record %d past the model's %d", r.LSN, len(want))
-		}
-		w := want[i]
-		if r.LSN != w.LSN || r.Kind != w.Kind || r.Applied != w.Applied || !bytes.Equal(r.Payload, w.Payload) {
-			t.Fatalf("Replay yields %d/%d/%v/%d bytes, model %d/%d/%v/%d bytes", r.LSN, r.Kind, r.Applied, len(r.Payload), w.LSN, w.Kind, w.Applied, len(w.Payload))
-		}
-		i++
-		return nil
-	})
-	if i != len(want) {
-		t.Fatalf("Replay yields %d records, model %d", i, len(want))
-	}
-	if img, base := m.Image(); base != LSN(md.base) || !bytes.Equal(img, md.image) {
-		t.Fatalf("image %q through %d, model %q through %d", img, base, md.image, md.base)
+	if m.Len() != len(md.recs) || m.Held() != uint64(held) {
+		t.Fatalf("Len %d, Held %d; model %d, %d", m.Len(), m.Held(), len(md.recs), held)
 	}
 }
 
@@ -139,31 +103,33 @@ func FuzzCheckpoint(f *testing.F) {
 	f.Add([]byte{0, 1, 10, 0, 2, 200, 2, 1, 0, 3, 2, 0})
 	f.Add([]byte{0, 1, 100, 0, 1, 120, 1, 2, 3, 0, 1, 50, 3, 2, 1, 0, 1, 100, 3, 3, 2, 2, 3, 0, 3, 9, 0})
 	f.Add(bytes.Repeat([]byte{0, 1, 90, 0, 2, 90, 2, 1, 0, 3, 5, 1}, 12))
+	f.Add([]byte{0, 1, 1, 0, 1, 200, 3, 2, 0, 2, 1, 0}) // a carried copy, then its mark
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		m, md := NewMem(), &walModel{tail: -1}
 		for i := 0; i+2 < len(ops); i += 3 {
-			a, b := int(ops[i+1]), int(ops[i+2])
+			a, b, n := int(ops[i+1]), int(ops[i+2]), len(md.recs)
 			switch ops[i] % 4 {
 			case 0, 1: // an append of 0..10 200 bytes, oversized past 4 096
-				p := bytes.Repeat([]byte{byte(len(md.recs))}, 40*b)
-				if lsn, err := m.Append(uint8(a), p); err != nil || int(lsn) != len(md.recs)+1 {
-					t.Fatalf("Append: %d, %v; want %d", lsn, err, len(md.recs)+1)
+				p := bytes.Repeat([]byte{byte(n)}, 40*b)
+				if lsn, err := m.Append(uint8(a), p); err != nil || int(lsn) != n+1 {
+					t.Fatalf("Append: %d, %v; want %d", lsn, err, n+1)
 				}
 				md.add(uint8(a), p)
 			case 2: // a mark of 0..Len+1
-				lsn := a % (len(md.recs) + 2)
-				if err := m.MarkApplied(LSN(lsn)); (err == nil) != md.mark(lsn) {
-					t.Fatalf("MarkApplied(%d) of %d records: %v", lsn, len(md.recs), err)
+				lsn := a % (n + 2)
+				if err := m.MarkApplied(LSN(lsn)); (err == nil) != (lsn >= 1 && lsn <= n) {
+					t.Fatalf("MarkApplied(%d) of %d records: %v", lsn, n, err)
+				} else if err == nil {
+					md.recs[lsn-1].applied = true
 				}
-			case 3: // a cut of base-1..Len+1, keeping the records b picks
-				cut := md.base - 1 + a%(len(md.recs)-md.base+3)
+			case 3: // a cut of base-1..Len+1 (Len+1 for -1), keeping the records b picks
+				cut := md.base - 1 + a%(n-md.base+3)
 				if cut < 0 {
-					cut = len(md.recs) + 1
+					cut = n + 1
 				}
 				keep := func(lsn int) bool { return (lsn+b)%3 != 0 }
-				image, prev := []byte{byte(i)}, md.image
 				offered := 0
-				old, err := m.Checkpoint(image, LSN(cut), func(r Record) bool {
+				_, err := m.Checkpoint(nil, LSN(cut), func(r Record) bool {
 					if r.Applied || int(r.LSN) <= offered || int(r.LSN) > cut {
 						t.Fatalf("keep offered record %d (applied %v) after %d, cut %d", r.LSN, r.Applied, offered, cut)
 					}
@@ -171,12 +137,7 @@ func FuzzCheckpoint(f *testing.F) {
 					return keep(offered)
 				})
 				if ok := md.cut(cut, keep); (err == nil) != ok {
-					t.Fatalf("Checkpoint(%d) of records %d..%d: %v", cut, md.base, len(md.recs), err)
-				} else if ok {
-					if !bytes.Equal(old, prev) {
-						t.Fatalf("Checkpoint returned image %q, want %q", old, prev)
-					}
-					md.image = image
+					t.Fatalf("Checkpoint(%d) of records %d..%d: %v", cut, md.base, n, err)
 				}
 			}
 			md.check(t, m)

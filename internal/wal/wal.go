@@ -204,7 +204,7 @@ func (m *Mem) Checkpoint(image []byte, cut LSN, keep func(Record) bool) ([]byte,
 	for _, e := range m.index[k:] {
 		low = min(low, e.chunk)
 	}
-	kept := m.carried[:0]
+	var kept []carried
 	carry := func(c carried) {
 		if c.applied || !keep(Record{LSN: c.lsn, Kind: c.kind, Payload: c.payload}) {
 			m.unhold(&c)
