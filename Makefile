@@ -144,8 +144,8 @@ bench:
 # image and the cut behind it), a 2PC rename and an
 # aggregation round (BenchmarkRename, BenchmarkAggregate: allocations per
 # round with -benchmem; BenchmarkRename's wal-held-B/op is the log bytes a
-# rename leaves held, bounded by the checkpoint's cut), the nodes' one way to wait for a peer (internal/rpc's
-# BenchmarkPeerCall), the one memo of served requests, client requests and 2PC
+# rename leaves held, bounded by the checkpoint's cut), the nodes' one way to
+# wait for a peer (internal/rpc's BenchmarkPeerCall), the one memo of served requests, client requests and 2PC
 # prepares alike (BenchmarkServedAdmit: ns and allocs per replay-or-begin step,
 # and the heap one idle client keeps at a node) and a replicated write
 # through a data node's primary and backup (BenchmarkReplicatedWrite).

@@ -80,11 +80,10 @@ func fixtureRecords(t *testing.T) [][]wal.Record {
 }
 
 // TestCheckpointEquivalence: for every fixture log, every checkpoint
-// position and every prefix past it,
-// with the marks as recorded, recovering from the image and the log past its
-// cut rebuilds what recovering from the whole log does: the store, the
-// change-logs with their commits, the watermarks, the invalidations, the
-// slot count and the 2PC state. (Under the race detector, every eighth cut
+// position and every prefix past it, with the marks as recorded, recovering
+// from the image and the log past its cut rebuilds what recovering from the
+// whole log does: the store, the change-logs with their commits, the
+// watermarks, the invalidations, the slot count and the 2PC state. (Under the race detector, every eighth cut
 // and prefix.)
 func TestCheckpointEquivalence(t *testing.T) {
 	step := 1
