@@ -36,7 +36,7 @@ func imageSlots(t testing.TB, log *wal.Mem) (commitSlots, wal.LSN) {
 // the server carries.
 func checkpointAt(t testing.TB, log *wal.Mem, recs []wal.Record, c int) {
 	t.Helper()
-	_, img := newReplayServer(t, logOf(recs[:c], false), 4)
+	_, img := newReplayServer(t, logOf(recs[:c], false, false), 4)
 	if _, err := img.replayWAL(); err != nil {
 		t.Fatal(err)
 	}
@@ -79,43 +79,46 @@ func fixtureRecords(t *testing.T) [][]wal.Record {
 	return all
 }
 
-// TestCheckpointEquivalence: for every fixture log, every checkpoint
+// TestCheckpointEquivalence: for every fixture log, its payloads handed to
+// Append as they are or in one transient buffer (logOf), every checkpoint
 // position and every prefix past it, with the marks as recorded, recovering
 // from the image and the log past its cut rebuilds what recovering from the
 // whole log does: the store, the change-logs with their commits, the
-// watermarks, the invalidations, the slot count and the 2PC state. (Under the race detector, every eighth cut
-// and prefix.)
+// watermarks, the invalidations, the slot count and the 2PC state. (Under
+// the race detector, every eighth cut and prefix.)
 func TestCheckpointEquivalence(t *testing.T) {
 	step := 1
 	if underRace {
 		step = 8
 	}
 	for i, recs := range fixtureRecords(t) {
-		t.Run(fmt.Sprintf("log %d", i), func(t *testing.T) {
-			t.Parallel()
-			full := make([]string, len(recs)+1)
-			pos := positions(logOf(recs, true))
-			for k := range full {
-				_, s := newReplayServer(t, logOf(recs[:k], true), 4)
-				if _, err := s.replayWAL(); err != nil {
-					t.Fatal(err)
-				}
-				full[k] = replayDumpAt(s, pos) + fmt.Sprintf("slots %d\n", s.walSlots)
-			}
-			for c := 0; c <= len(recs); c += step {
-				for k := c; k <= len(recs); k += step {
-					log := logOf(recs[:k], true)
-					checkpointAt(t, log, recs[:k], c)
-					_, s := newReplayServer(t, log, 4)
+		for _, transient := range []bool{false, true} {
+			t.Run(fmt.Sprintf("log %d transient %v", i, transient), func(t *testing.T) {
+				t.Parallel()
+				full := make([]string, len(recs)+1)
+				pos := positions(logOf(recs, true, false))
+				for k := range full {
+					_, s := newReplayServer(t, logOf(recs[:k], true, false), 4)
 					if _, err := s.replayWAL(); err != nil {
-						t.Fatalf("cut at %d, %d records: %v", c, k, err)
+						t.Fatal(err)
 					}
-					if got := replayDumpAt(s, pos) + fmt.Sprintf("slots %d\n", s.walSlots); got != full[k] {
-						t.Fatalf("cut at %d, %d records: recovery rebuilds\n%s\nthe whole log\n%s", c, k, got, full[k])
+					full[k] = replayDumpAt(s, pos) + fmt.Sprintf("slots %d\n", s.walSlots)
+				}
+				for c := 0; c <= len(recs); c += step {
+					for k := c; k <= len(recs); k += step {
+						log := logOf(recs[:k], true, transient)
+						checkpointAt(t, log, recs[:k], c)
+						_, s := newReplayServer(t, log, 4)
+						if _, err := s.replayWAL(); err != nil {
+							t.Fatalf("cut at %d, %d records: %v", c, k, err)
+						}
+						if got := replayDumpAt(s, pos) + fmt.Sprintf("slots %d\n", s.walSlots); got != full[k] {
+							t.Fatalf("cut at %d, %d records: recovery rebuilds\n%s\nthe whole log\n%s", c, k, got, full[k])
+						}
 					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -225,12 +225,12 @@ func TestReplayEveryPrefix(t *testing.T) {
 	for i, recs := range fixtureRecords(t) {
 		t.Run(fmt.Sprintf("log %d", i), func(t *testing.T) {
 			t.Parallel()
-			replayEveryPrefix(t, recs, whole[i], func(k int, marks bool) *wal.Mem { return logOf(recs[:k], marks) })
+			replayEveryPrefix(t, recs, whole[i], func(k int, marks bool) *wal.Mem { return logOf(recs[:k], marks, false) })
 		})
 		t.Run(fmt.Sprintf("log %d checkpointed", i), func(t *testing.T) {
 			t.Parallel()
 			replayEveryPrefix(t, recs, whole[i], func(k int, marks bool) *wal.Mem {
-				log := logOf(recs[:k], marks)
+				log := logOf(recs[:k], marks, false)
 				checkpointAt(t, log, recs[:k], k/2)
 				return log
 			})
@@ -238,12 +238,34 @@ func TestReplayEveryPrefix(t *testing.T) {
 	}
 }
 
+// TestReplayEveryPrefixTransient is TestReplayEveryPrefix's walk over the
+// fixture logs with their payloads handed to Append in one transient buffer
+// (logOf), as a server hands over its walBuf.
+func TestReplayEveryPrefixTransient(t *testing.T) {
+	whole := []int{90, 51, 50, 38}
+	for i, recs := range fixtureRecords(t) {
+		t.Run(fmt.Sprintf("log %d", i), func(t *testing.T) {
+			t.Parallel()
+			replayEveryPrefix(t, recs, whole[i], func(k int, marks bool) *wal.Mem { return logOf(recs[:k], marks, true) })
+		})
+	}
+}
+
 // logOf loads recs into a fresh log, each marked applied as recorded when
-// marks is set.
-func logOf(recs []wal.Record, marks bool) *wal.Mem {
+// marks is set. With transient set every payload goes in through one
+// scratch buffer, zeroed once Append returns, as a server reuses its
+// walBuf for the next record: the log must keep a copy of its own.
+func logOf(recs []wal.Record, marks, transient bool) *wal.Mem {
 	log := wal.NewMem()
+	var scratch []byte
 	for _, r := range recs {
-		lsn := mustAppend(log, r.Kind, r.Payload)
+		payload := r.Payload
+		if transient {
+			scratch = append(scratch[:0], r.Payload...)
+			payload = scratch
+		}
+		lsn := mustAppend(log, r.Kind, payload)
+		clear(scratch)
 		if marks && r.Applied {
 			mustMark(log, lsn)
 		}
